@@ -457,21 +457,8 @@ impl<'r> CompiledEvaluator<'r> {
         now: LogicalTime,
         scratch: &mut EvalScratch,
     ) -> Result<bool, EvalError> {
-        scratch.prepare(constraint.slot_count);
-        let mut run = Run {
-            registry: self.registry,
-            domain: self.domain,
-            kind_table: &constraint.kind_table,
-            pool,
-            now,
-            pin: None,
-            pin_subject: None,
-            max_id: None,
-            memo: None,
-            memo_cid: 0,
-            scratch,
-        };
-        run.eval_bool(&constraint.program)
+        self.start(constraint, pool, now, None, None, None, 0, scratch)
+            .eval_bool(&constraint.program)
     }
 
     /// Checks `constraint` with quantifier `qid`'s domain restricted to
@@ -493,13 +480,14 @@ impl<'r> CompiledEvaluator<'r> {
     }
 
     /// [`check_pinned`](CompiledEvaluator::check_pinned) with every
-    /// quantifier's domain additionally capped at `max_id`: only contexts
-    /// with `id <= max_id` participate. With a whole batch pre-inserted,
-    /// capping at the pinned context's own id reproduces exactly the
-    /// domain a sequential submission would have seen at that arrival
-    /// position (ids are allocated monotonically and never reused), so
-    /// the outcome — violations, truncation, and error positions — is
-    /// byte-identical to the unfused path.
+    /// quantifier's domain optionally capped at `max_id`: only contexts
+    /// with `id <= max_id` participate (`None` leaves the domains
+    /// uncapped, exactly as `check_pinned`). With a whole batch
+    /// pre-inserted, capping at the pinned context's own id reproduces
+    /// exactly the domain a sequential submission would have seen at
+    /// that arrival position (ids are allocated monotonically and never
+    /// reused), so the outcome — violations, truncation, and error
+    /// positions — is byte-identical to the unfused path.
     ///
     /// Batch-cap contract: callers must ensure every pooled context
     /// stamped after `now` has `id > max_id`. This holds whenever `now`
@@ -521,7 +509,7 @@ impl<'r> CompiledEvaluator<'r> {
         now: LogicalTime,
         qid: usize,
         ctx: ContextId,
-        max_id: ContextId,
+        max_id: Option<ContextId>,
         scratch: &mut EvalScratch,
     ) -> Result<CheckOutcome, EvalError> {
         self.run(
@@ -529,23 +517,25 @@ impl<'r> CompiledEvaluator<'r> {
             pool,
             now,
             Some(Pin { qid, ctx }),
-            Some(max_id),
+            max_id,
             scratch,
         )
     }
 
     /// Truth-only twin of
-    /// [`check_pinned_batch`](CompiledEvaluator::check_pinned_batch) for
-    /// the fused fast path: same traversal, same materialized capped
-    /// domains, same first-error behaviour — but no violation evidence is
-    /// built, and predicate calls are served from the per-batch `memo`.
+    /// [`check_pinned_batch`](CompiledEvaluator::check_pinned_batch),
+    /// the first pass of every pinned check: same traversal, same
+    /// materialized (optionally capped) domains, same first-error
+    /// behaviour — but no violation evidence is built, so it allocates
+    /// nothing, and with a `memo` predicate calls are served from the
+    /// per-batch table.
     ///
     /// Unlike [`holds`](CompiledEvaluator::holds) this does **not**
     /// short-circuit: every binding the evidence path would visit is
     /// visited here, in the same order, so `Ok(_)`/`Err(_)` outcomes
     /// agree exactly with the evidence path. `Ok(true)` therefore proves
-    /// the evidence path would report zero violations, letting the batch
-    /// loop skip it entirely.
+    /// the evidence path would report zero violations, letting the
+    /// checker skip it entirely.
     ///
     /// # Errors
     ///
@@ -558,32 +548,14 @@ impl<'r> CompiledEvaluator<'r> {
         now: LogicalTime,
         qid: usize,
         ctx: ContextId,
-        max_id: ContextId,
+        max_id: Option<ContextId>,
         scratch: &mut EvalScratch,
-        memo: &mut PredMemo,
+        memo: Option<&mut PredMemo>,
         memo_cid: u32,
     ) -> Result<bool, EvalError> {
-        scratch.prepare(constraint.slot_count);
         let pin = Some(Pin { qid, ctx });
-        let pin_subject = if constraint.per_subject {
-            pool.get(ctx).map(Context::subject)
-        } else {
-            None
-        };
-        let mut run = Run {
-            registry: self.registry,
-            domain: self.domain,
-            kind_table: &constraint.kind_table,
-            pool,
-            now,
-            pin,
-            pin_subject,
-            max_id: Some(max_id),
-            memo: Some(memo),
-            memo_cid,
-            scratch,
-        };
-        run.eval_truth(&constraint.program)
+        self.start(constraint, pool, now, pin, max_id, memo, memo_cid, scratch)
+            .eval_truth(&constraint.program)
     }
 
     fn run(
@@ -595,6 +567,26 @@ impl<'r> CompiledEvaluator<'r> {
         max_id: Option<ContextId>,
         scratch: &mut EvalScratch,
     ) -> Result<CheckOutcome, EvalError> {
+        let ev = self
+            .start(constraint, pool, now, pin, max_id, None, 0, scratch)
+            .eval(&constraint.program, Need::ROOT)?;
+        Ok(outcome_from(ev))
+    }
+
+    /// Sets up one evaluation of `constraint`, shared by every entry
+    /// point.
+    #[allow(clippy::too_many_arguments)]
+    fn start<'a>(
+        &self,
+        constraint: &'a CompiledConstraint,
+        pool: &'a ContextPool,
+        now: LogicalTime,
+        pin: Option<Pin>,
+        max_id: Option<ContextId>,
+        memo: Option<&'a mut PredMemo>,
+        memo_cid: u32,
+        scratch: &'a mut EvalScratch,
+    ) -> Run<'a, 'r> {
         scratch.prepare(constraint.slot_count);
         // A per-subject constraint's violating bindings all share the
         // pinned context's subject, so the unpinned quantifiers only
@@ -604,7 +596,7 @@ impl<'r> CompiledEvaluator<'r> {
             Some(p) if constraint.per_subject => pool.get(p.ctx).map(Context::subject),
             _ => None,
         };
-        let mut run = Run {
+        Run {
             registry: self.registry,
             domain: self.domain,
             kind_table: &constraint.kind_table,
@@ -613,12 +605,10 @@ impl<'r> CompiledEvaluator<'r> {
             pin,
             pin_subject,
             max_id,
-            memo: None,
-            memo_cid: 0,
+            memo,
+            memo_cid,
             scratch,
-        };
-        let ev = run.eval(&constraint.program, Need::ROOT)?;
-        Ok(outcome_from(ev))
+        }
     }
 }
 
@@ -783,7 +773,7 @@ impl Run<'_, '_> {
     /// domains, every binding visited, first error wins — so its
     /// `Ok`/`Err` outcome always matches the evidence path's. The only
     /// differences are that no [`Evidence`] links are built and that
-    /// predicate calls consult the per-batch memo.
+    /// predicate calls consult the per-batch memo when one is given.
     fn eval_truth(&mut self, formula: &CFormula) -> Result<bool, EvalError> {
         match formula {
             CFormula::True => Ok(true),

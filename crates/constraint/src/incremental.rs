@@ -206,6 +206,12 @@ impl IncrementalChecker {
     /// this checker with the kind of context `id` — the verdict stream
     /// is then identical to `on_added`'s.
     ///
+    /// Each compiled pinned check is truth-first: an allocation-free
+    /// truth pass ([`CompiledEvaluator::satisfied_pinned_batch`], no
+    /// batch cap, no memo) runs before it, and violation evidence is
+    /// built only when that pass reports a violation — the same routine
+    /// [`IncrementalChecker::check_with_plan`] uses.
+    ///
     /// # Errors
     ///
     /// Propagates [`EvalError`] from predicate evaluation.
@@ -234,19 +240,40 @@ impl IncrementalChecker {
             let constraint = &constraints[step.constraint];
             let program = &compiled[step.constraint];
             if let Some(qids) = &step.pinned_qids {
-                let mut links: BTreeSet<Link> = BTreeSet::new();
-                for &qid in qids {
-                    stats.pinned_evals += 1;
-                    let outcome = match program {
-                        Some(cc) => {
-                            stats.compiled_evals += 1;
-                            evaluator.check_pinned(cc, pool, now, qid, id, scratch)?
+                let links = match program {
+                    Some(cc) => {
+                        let mut counts = PlanCounts::default();
+                        let links = pinned_links(
+                            &evaluator,
+                            cc,
+                            step.constraint,
+                            qids,
+                            pool,
+                            now,
+                            id,
+                            None,
+                            scratch,
+                            None,
+                            &mut counts,
+                        );
+                        stats.pinned_evals += counts.pinned_evals;
+                        stats.compiled_evals += counts.compiled_evals;
+                        links?
+                    }
+                    None => {
+                        let naive = crate::eval::Evaluator::new(registry);
+                        let mut links = BTreeSet::new();
+                        for &qid in qids {
+                            stats.pinned_evals += 1;
+                            links.extend(
+                                naive
+                                    .check_pinned(constraint, pool, now, qid, id)?
+                                    .violations,
+                            );
                         }
-                        None => crate::eval::Evaluator::new(registry)
-                            .check_pinned(constraint, pool, now, qid, id)?,
-                    };
-                    links.extend(outcome.violations);
-                }
+                        links
+                    }
+                };
                 for link in links {
                     out.push(Detection {
                         constraint: constraint.name().to_owned(),
@@ -337,36 +364,22 @@ impl IncrementalChecker {
             else {
                 unreachable!("check_with_plan requires supports_batch_fusion()");
             };
-            let mut links: BTreeSet<Link> = BTreeSet::new();
-            for &qid in qids {
-                counts.pinned_evals += 1;
-                counts.compiled_evals += 1;
-                // Truth-only pre-pass: `Ok(true)` proves the evidence
-                // pass would find zero violations, so it is skipped.
-                // `Ok(false)` re-runs with evidence; an error is the
-                // same error the evidence pass would have raised.
-                let satisfied = match evaluator.satisfied_pinned_batch(
-                    cc,
-                    pool,
-                    now,
-                    qid,
-                    id,
-                    max_id,
-                    scratch,
-                    memo,
-                    step.constraint as u32,
-                ) {
-                    Ok(satisfied) => satisfied,
-                    Err(e) => return (Err(e), counts),
-                };
-                if satisfied {
-                    continue;
-                }
-                match evaluator.check_pinned_batch(cc, pool, now, qid, id, max_id, scratch) {
-                    Ok(outcome) => links.extend(outcome.violations),
-                    Err(e) => return (Err(e), counts),
-                }
-            }
+            let links = match pinned_links(
+                &evaluator,
+                cc,
+                step.constraint,
+                qids,
+                pool,
+                now,
+                id,
+                Some(max_id),
+                scratch,
+                Some(&mut *memo),
+                &mut counts,
+            ) {
+                Ok(links) => links,
+                Err(e) => return (Err(e), counts),
+            };
             for link in links {
                 out.push(Detection {
                     constraint: constraint.name().to_owned(),
@@ -426,6 +439,55 @@ impl IncrementalChecker {
         }
         Ok(out)
     }
+}
+
+/// The pinned check of one compiled plan step, shared by
+/// [`IncrementalChecker::on_added_planned`] and
+/// [`IncrementalChecker::check_with_plan`]: per pinned quantifier, a
+/// truth-only pass first
+/// ([`CompiledEvaluator::satisfied_pinned_batch`], which allocates
+/// nothing), and the evidence pass only when that reports a violation.
+/// The truth pass visits every binding the evidence pass would, in the
+/// same order, so an `Err` is the one the evidence pass would raise and
+/// `Ok(true)` proves it would find no violation.
+///
+/// Counters are bumped in `counts` before each evaluation, so an error
+/// leaves the same partial tallies as an evidence-only check would.
+#[allow(clippy::too_many_arguments)]
+fn pinned_links(
+    evaluator: &CompiledEvaluator<'_>,
+    cc: &CompiledConstraint,
+    cid: usize,
+    qids: &[usize],
+    pool: &ContextPool,
+    now: LogicalTime,
+    id: ContextId,
+    max_id: Option<ContextId>,
+    scratch: &mut EvalScratch,
+    mut memo: Option<&mut PredMemo>,
+    counts: &mut PlanCounts,
+) -> Result<BTreeSet<Link>, EvalError> {
+    let mut links = BTreeSet::new();
+    for &qid in qids {
+        counts.pinned_evals += 1;
+        counts.compiled_evals += 1;
+        let satisfied = evaluator.satisfied_pinned_batch(
+            cc,
+            pool,
+            now,
+            qid,
+            id,
+            max_id,
+            scratch,
+            memo.as_deref_mut(),
+            cid as u32,
+        )?;
+        if !satisfied {
+            let outcome = evaluator.check_pinned_batch(cc, pool, now, qid, id, max_id, scratch)?;
+            links.extend(outcome.violations);
+        }
+    }
+    Ok(links)
 }
 
 #[cfg(test)]
@@ -717,6 +779,64 @@ mod tests {
             memo.hits() > 0,
             "repeat subjects must replay memoized verdicts"
         );
+    }
+
+    #[test]
+    fn truth_first_pinned_check_matches_evidence_only_check() {
+        // "Every earlier badge of a subject was in the office." Pinned
+        // on the new badge as `a`, `b` walks p's badges in (stamp, id)
+        // order. At `b` = the new badge itself the antecedent is false,
+        // and in the error case its consequent reads a `room` the badge
+        // lacks. The evidence pass evaluates that consequent anyway and
+        // raises MissingAttr; a short-circuiting truth pass (`holds`)
+        // would skip it, call the check satisfied and drop the error,
+        // changing the middleware's `eval_errors`. The truth-first check
+        // must raise the evidence pass's error.
+        const ROOM: &str = "constraint room: forall a: badge, b: badge . \
+             (same_subject(a, b) and before(b, a)) implies eq(b.room, \"office\")";
+        let badge = |stamp: u64, room: Option<&str>| {
+            let mut b =
+                Context::builder(ContextKind::new("badge"), "p").stamp(LogicalTime::new(stamp));
+            if let Some(room) = room {
+                b = b.attr("room", room);
+            }
+            b.build()
+        };
+        let reg = PredicateRegistry::with_builtins();
+        let cc = CompiledConstraint::compile(&parse_constraints(ROOM).unwrap()[0]).unwrap();
+        let evidence = CompiledEvaluator::new(&reg);
+        let now = LogicalTime::new(3);
+        let mut scratch = EvalScratch::new();
+
+        let mut pool = ContextPool::new();
+        pool.insert(badge(1, Some("office")));
+        let new = pool.insert(badge(3, None));
+        let mut ch = checker(ROOM);
+        let plan = ch.plan_for(&ContextKind::new("badge"));
+        let got = ch.on_added_planned(&plan, &reg, &pool, now, new);
+        let want = evidence.check_pinned(&cc, &pool, now, 0, new, &mut scratch);
+        assert!(matches!(want, Err(EvalError::MissingAttr { .. })));
+        assert_eq!(got, Err(want.unwrap_err()));
+        assert_eq!(ch.stats().pinned_evals, 1, "the error ends the plan");
+        assert_eq!(ch.stats().detections, 0);
+
+        let mut pool = ContextPool::new();
+        pool.insert(badge(1, Some("lab")));
+        let new = pool.insert(badge(3, Some("office")));
+        let mut ch = checker(ROOM);
+        let found = ch.on_added_planned(&plan, &reg, &pool, now, new).unwrap();
+        let mut want: BTreeSet<Link> = BTreeSet::new();
+        for qid in 0..2 {
+            want.extend(
+                evidence
+                    .check_pinned(&cc, &pool, now, qid, new, &mut scratch)
+                    .unwrap()
+                    .violations,
+            );
+        }
+        let got: Vec<Link> = found.into_iter().map(|d| d.link).collect();
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        assert_eq!(got.len(), 1, "the lab badge pairs with the new one");
     }
 
     #[test]

@@ -133,6 +133,27 @@ fn index_insert(
     }
 }
 
+/// Removes `handle` from `index`, which is ordered by `(stamp, id)`:
+/// a binary search finds its position, so unlinking one context costs
+/// O(log n) plus the memmove that closes the gap.
+fn index_remove(
+    index: &mut Vec<SlotHandle>,
+    stamps: &[LogicalTime],
+    ids: &[ContextId],
+    handle: SlotHandle,
+) {
+    let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
+    let at = index.partition_point(|&h| key(h) < key(handle));
+    debug_assert_eq!(
+        index.get(at),
+        Some(&handle),
+        "index out of (stamp, id) order"
+    );
+    if index.get(at) == Some(&handle) {
+        index.remove(at);
+    }
+}
+
 /// Restores `(stamp, id)` order after a batch appended its handles
 /// unsorted past `split`: sorts the tail (keys are unique, so unstable
 /// is fine), then merges it with the sorted head — one sort-merge per
@@ -479,8 +500,8 @@ impl ContextPool {
     }
 
     /// Frees a context's arena slot without touching the kind indexes;
-    /// the caller purges the affected buckets afterwards (individually
-    /// for one-off removals, once per bucket for bulk sweeps).
+    /// the caller unlinks the handle ([`ContextPool::remove`]) or purges
+    /// each affected bucket once (bulk sweeps).
     fn release_slot(&mut self, id: ContextId) -> Option<Context> {
         let slot = self.slot_of(id)?;
         let ctx = self.payloads[slot].take()?;
@@ -517,9 +538,9 @@ impl ContextPool {
     /// Scans occupied slots directly rather than going through
     /// [`Self::iter`]: the id table grows monotonically with every
     /// insertion ever made, so an id-ordered walk would make each
-    /// sweep O(total inserts) — ruinous for the per-submit retention
-    /// compaction on long runs — while the slot arrays stay sized to
-    /// the stored population. Removal needs no particular order.
+    /// sweep O(total inserts) — ruinous for repeated sweeps on long
+    /// runs — while the slot arrays stay sized to the stored
+    /// population. Removal needs no particular order.
     fn remove_where(&mut self, doom: impl Fn(&Context) -> bool) -> usize {
         let doomed: Vec<(ContextId, ContextKind)> = self
             .payloads
@@ -542,11 +563,15 @@ impl ContextPool {
         doomed.len()
     }
 
-    /// Compacts the pool for long-running deployments: physically
-    /// removes contexts stamped before `horizon` that are no longer
-    /// useful — discarded (`Inconsistent`) ones and expired ones. Live
-    /// and undecided recent contexts are untouched. Returns how many
-    /// were removed.
+    /// Bulk retention sweep: physically removes contexts stamped before
+    /// `horizon` that are no longer useful — discarded (`Inconsistent`)
+    /// ones and expired ones. Live and undecided recent contexts are
+    /// untouched. Returns how many were removed.
+    ///
+    /// O(slots) per call. The middleware does not call it: it removes
+    /// each context at the first horizon this predicate holds for it,
+    /// from doom notes, so a sweep over a copy of its pool finds nothing
+    /// left — which is how its tests use this method, as the oracle.
     pub fn compact(&mut self, horizon: LogicalTime) -> usize {
         self.remove_where(|c| {
             c.stamp() < horizon && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
@@ -559,11 +584,33 @@ impl ContextPool {
         self.remove_where(|c| !c.is_live(now) && c.state() != ContextState::Inconsistent)
     }
 
-    /// Physically removes a context and its index entries.
+    /// Physically removes a context and its index entries: its one
+    /// handle is unlinked from the kind's `all` vector and from its
+    /// subject's vector by binary search on `(stamp, id)`, and a subject
+    /// entry (or kind bucket) left empty is dropped — O(log bucket) to
+    /// find, one memmove to close the gap, nothing else in the kind
+    /// touched.
     pub fn remove(&mut self, id: ContextId) -> Option<Context> {
+        let slot = self.slot_of(id)?;
+        let handle = SlotHandle {
+            slot: slot as u32,
+            generation: self.generations[slot],
+        };
         let ctx = self.release_slot(id)?;
-        let kind = ctx.kind().clone();
-        self.purge_kind_index(&kind);
+        // The released slot keeps its stamp and id columns until reuse,
+        // so `handle` still sorts at its `(stamp, id)` position.
+        if let Some(bucket) = self.by_kind.get_mut(ctx.kind()) {
+            index_remove(&mut bucket.all, &self.slot_stamps, &self.slot_ids, handle);
+            if let Some(handles) = bucket.by_subject.get_mut(ctx.subject()) {
+                index_remove(handles, &self.slot_stamps, &self.slot_ids, handle);
+                if handles.is_empty() {
+                    bucket.by_subject.remove(ctx.subject());
+                }
+            }
+            if bucket.all.is_empty() {
+                self.by_kind.remove(ctx.kind());
+            }
+        }
         Some(ctx)
     }
 
@@ -656,6 +703,14 @@ impl ContextPool {
     /// is the arena's high-water footprint.
     pub fn free_slots(&self) -> usize {
         self.free.len()
+    }
+
+    /// Kind×subject index entries currently held. Every entry indexes
+    /// at least one stored context, so this never exceeds
+    /// [`ContextPool::len`]: subjects that come and go leave no empty
+    /// entries behind.
+    pub fn indexed_subjects(&self) -> usize {
+        self.by_kind.values().map(|b| b.by_subject.len()).sum()
     }
 
     /// Lifetime count of slot recycles (generation bumps). A recycle

@@ -4,6 +4,7 @@ use ctxres_context::{
     Context, ContextId, ContextKind, ContextPool, ContextState, Lifespan, LogicalTime, Ticks,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -48,6 +49,70 @@ fn op() -> impl Strategy<Value = Op> {
 
 fn kind_name(k: u8) -> ContextKind {
     ContextKind::new(&format!("kind{k}"))
+}
+
+/// One step of the index-maintenance property: every way a context
+/// enters or leaves the kind×subject indexes.
+#[derive(Debug, Clone)]
+enum IndexOp {
+    Insert(Arrival),
+    InsertBatch(Vec<Arrival>),
+    Discard { target: u8 },
+    Remove { target: u8 },
+    Compact { back: u8 },
+}
+
+/// A context to insert: `late` stamps it `back` ticks behind the clock
+/// (an out-of-order arrival). Subjects are drawn from a wide range so
+/// they come and go.
+#[derive(Debug, Clone)]
+struct Arrival {
+    kind: u8,
+    subject: u8,
+    late: bool,
+    back: u8,
+    ttl: Option<u8>,
+}
+
+fn arrival() -> impl Strategy<Value = Arrival> {
+    (
+        0u8..2,
+        0u8..16,
+        proptest::bool::weighted(0.3),
+        0u8..8,
+        proptest::option::of(0u8..12),
+    )
+        .prop_map(|(kind, subject, late, back, ttl)| Arrival {
+            kind,
+            subject,
+            late,
+            back,
+            ttl,
+        })
+}
+
+fn index_op() -> impl Strategy<Value = IndexOp> {
+    prop_oneof![
+        arrival().prop_map(IndexOp::Insert),
+        proptest::collection::vec(arrival(), 1..8).prop_map(IndexOp::InsertBatch),
+        any::<u8>().prop_map(|target| IndexOp::Discard { target }),
+        any::<u8>().prop_map(|target| IndexOp::Remove { target }),
+        (0u8..10).prop_map(|back| IndexOp::Compact { back }),
+    ]
+}
+
+fn arrive(a: &Arrival, clock: &mut LogicalTime) -> Context {
+    clock.advance();
+    let stamp = if a.late {
+        LogicalTime::new(clock.tick().saturating_sub(u64::from(a.back)))
+    } else {
+        *clock
+    };
+    let mut builder = Context::builder(kind_name(a.kind), &format!("s{}", a.subject)).stamp(stamp);
+    if let Some(t) = a.ttl {
+        builder = builder.lifespan(Lifespan::with_ttl(stamp, Ticks::new(u64::from(t))));
+    }
+    builder.build()
 }
 
 proptest! {
@@ -133,6 +198,100 @@ proptest! {
                 stats.consistent + stats.undecided + stats.bad + stats.inconsistent,
                 stats.stored
             );
+        }
+    }
+
+    /// The kind×subject index invariants hold under inserts (single and
+    /// batched, with out-of-order stamps), discards, targeted removals
+    /// and compaction sweeps: `of_kind` and `of_subject` list exactly the
+    /// stored live contexts in `(stamp, id)` order, every subject entry
+    /// indexes at least one stored context (so subject churn cannot grow
+    /// the index), and `subject_counts` agrees with a reference model.
+    #[test]
+    fn index_invariants_under_random_ops(ops in proptest::collection::vec(index_op(), 1..80)) {
+        let mut pool = ContextPool::new();
+        let mut clock = LogicalTime::ZERO;
+        // Reference: every stored context, with its discard flag.
+        let mut model: BTreeMap<ContextId, (Context, bool)> = BTreeMap::new();
+        let mut inserted: Vec<ContextId> = Vec::new();
+        let pick = |inserted: &[ContextId], target: u8| {
+            inserted.get(usize::from(target) % inserted.len().max(1)).copied()
+        };
+        for op in ops {
+            match op {
+                IndexOp::Insert(a) => {
+                    let ctx = arrive(&a, &mut clock);
+                    let id = pool.insert(ctx.clone());
+                    model.insert(id, (ctx, false));
+                    inserted.push(id);
+                }
+                IndexOp::InsertBatch(batch) => {
+                    let ctxs: Vec<Context> = batch.iter().map(|a| arrive(a, &mut clock)).collect();
+                    let ids = pool.insert_batch(ctxs.clone());
+                    for (id, ctx) in ids.into_iter().zip(ctxs) {
+                        model.insert(id, (ctx, false));
+                        inserted.push(id);
+                    }
+                }
+                IndexOp::Discard { target } => {
+                    if let Some(id) = pick(&inserted, target) {
+                        if let Some(entry) = model.get_mut(&id) {
+                            pool.discard(id).unwrap();
+                            entry.1 = true;
+                        }
+                    }
+                }
+                IndexOp::Remove { target } => {
+                    if let Some(id) = pick(&inserted, target) {
+                        prop_assert_eq!(pool.remove(id).is_some(), model.remove(&id).is_some());
+                    }
+                }
+                IndexOp::Compact { back } => {
+                    let horizon = LogicalTime::new(clock.tick().saturating_sub(u64::from(back)));
+                    let before = model.len();
+                    model.retain(|_, (c, discarded)| {
+                        !(c.stamp() < horizon && (*discarded || !c.is_live(horizon)))
+                    });
+                    prop_assert_eq!(pool.compact(horizon), before - model.len());
+                }
+            }
+
+            prop_assert_eq!(pool.len(), model.len());
+            let live = |keep: &dyn Fn(&Context) -> bool| {
+                let mut ids: Vec<(LogicalTime, ContextId)> = model
+                    .iter()
+                    .filter(|(_, (c, discarded))| !discarded && keep(c))
+                    .map(|(id, (c, _))| (c.stamp(), *id))
+                    .collect();
+                ids.sort();
+                ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>()
+            };
+            let mut entries = BTreeSet::new();
+            for (c, _) in model.values() {
+                entries.insert((c.kind().clone(), c.subject().to_owned()));
+            }
+            for k in 0..2u8 {
+                let kind = kind_name(k);
+                let of_kind: Vec<ContextId> = pool.of_kind(&kind).map(|(id, _)| id).collect();
+                prop_assert_eq!(of_kind, live(&|c| c.kind() == &kind));
+                for s in 0..16u8 {
+                    let subject = format!("s{s}");
+                    let of_subject: Vec<ContextId> =
+                        pool.of_subject(&kind, &subject).map(|(id, _)| id).collect();
+                    prop_assert_eq!(
+                        of_subject,
+                        live(&|c| c.kind() == &kind && c.subject() == subject)
+                    );
+                }
+            }
+            prop_assert_eq!(pool.indexed_subjects(), entries.len());
+            let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+            for (c, discarded) in model.values() {
+                if !discarded {
+                    *counts.entry(c.subject().to_owned()).or_default() += 1;
+                }
+            }
+            prop_assert_eq!(pool.subject_counts(), counts);
         }
     }
 

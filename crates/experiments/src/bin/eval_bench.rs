@@ -61,7 +61,7 @@ const ERR_RATE: f64 = 0.3;
 const SEED: u64 = 7;
 
 /// Contexts older than this many ticks are compacted out of the pool at
-/// every tick boundary, mirroring the middleware's retention sweep —
+/// every tick boundary, mirroring the middleware's retention —
 /// without it the `by_kind` id lists grow without bound and every
 /// configuration degenerates into scanning dead ids.
 const RETENTION: u64 = 10;
@@ -140,7 +140,7 @@ fn run_pass(
         if ctx.stamp() > now {
             now = ctx.stamp();
             // Periodically drop contexts past retention, as the
-            // middleware's retention sweep does. Everything removed
+            // middleware's retention does. Everything removed
             // expired ticks ago, so no verdict can depend on it and no
             // situation needs dirtying.
             if now.tick() >= last_compact + RETENTION && now.tick() > RETENTION {

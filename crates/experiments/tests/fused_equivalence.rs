@@ -1,16 +1,18 @@
 //! Property-based equivalence of the batch-fused checking path.
 //!
 //! With per-subject universal-positive constraints, `batch_add` fuses
-//! the whole batch: set-pinned speculative checking, deferred index
-//! maintenance, and doom-note retention compaction replace the
-//! per-context pipeline. The contract is the same hard one the plain
-//! batch path carries — the verdict stream must be **bit-identical** to
-//! the unfused path — but here the configurations deliberately turn on
-//! everything whose *timing* the fusion reorders: retention compaction
-//! (doom notes must remove contexts at exactly the sequential sweep
-//! positions, which `DropBad`'s Δ-member dereferences observe), finite
-//! TTLs, the ground-truth shadow pool, situation rounds with the
-//! dirty-kind cache, and interleaved irrelevant-kind contexts.
+//! the whole batch: set-pinned speculative checking and deferred index
+//! maintenance replace the per-context pipeline. The contract is the
+//! same hard one the plain batch path carries — the verdict stream must
+//! be **bit-identical** to the unfused path — but here the
+//! configurations deliberately turn on everything whose *timing* the
+//! fusion reorders: retention compaction (every path removes contexts
+//! by doom notes, which must fire at the same positions on both —
+//! `DropBad`'s Δ-member dereferences observe them — and
+//! `doom_notes_leave_nothing_for_a_compact_sweep` checks the notes
+//! themselves against a `ContextPool::compact` sweep), finite TTLs, the
+//! ground-truth shadow pool, situation rounds with the dirty-kind cache,
+//! and interleaved irrelevant-kind contexts.
 //!
 //! Compared per run: submit reports, middleware stats (including the
 //! `compacted` tally), use log, detections, observer events, checker
@@ -223,8 +225,61 @@ fn sharded_run(
     )
 }
 
+/// Doom notes are the engine's only retention mechanism, so a
+/// [`ContextPool::compact`](ctxres_context::ContextPool::compact) sweep
+/// at the retention horizon is their oracle: run over a copy of the
+/// pool, it must find nothing the notes left behind.
+fn assert_nothing_to_compact(mw: &Middleware, retention: u64, path: &str) {
+    let now = mw.now().tick();
+    if now > retention {
+        let horizon = ctxres_context::LogicalTime::new(now - retention);
+        let left = mw.pool().clone().compact(horizon);
+        assert_eq!(
+            left, 0,
+            "{path}: {left} compactable contexts left at t{now}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every ingest path retains by doom notes alone: after each
+    /// `submit`, unfused `batch_add`, fused `batch_add` and the final
+    /// drain, a compaction sweep at the retention horizon removes
+    /// nothing — under TTLs, ground truth, situations and all four
+    /// strategies.
+    #[test]
+    fn doom_notes_leave_nothing_for_a_compact_sweep(
+        subjects in 4usize..24,
+        len in 60usize..200,
+        teleport_pct in 5u32..30,
+        ttl in 10u64..50,
+        retention in 8u64..40,
+        seed in 0u64..1000,
+        window in 0u64..3,
+        batch in 1usize..40,
+    ) {
+        let trace = city_trace(subjects, len, teleport_pct, ttl, seed);
+        for strategy in STRATEGIES {
+            let mut single = engine(strategy, seed, window, retention, false);
+            for ctx in trace.iter().cloned() {
+                single.mw.submit(ctx);
+                assert_nothing_to_compact(&single.mw, retention, "submit");
+            }
+            single.mw.drain();
+            assert_nothing_to_compact(&single.mw, retention, "submit drain");
+            for fused in [false, true] {
+                let mut batched = engine(strategy, seed, window, retention, fused);
+                for chunk in trace.chunks(batch) {
+                    batched.mw.batch_add(chunk.to_vec());
+                    assert_nothing_to_compact(&batched.mw, retention, "batch_add");
+                }
+                batched.mw.drain();
+                assert_nothing_to_compact(&batched.mw, retention, "batch_add drain");
+            }
+        }
+    }
 
     /// Fused `batch_add` produces the identical verdict stream to
     /// unfused one-at-a-time submission under retention compaction,

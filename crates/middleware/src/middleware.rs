@@ -145,14 +145,14 @@ pub struct Middleware {
     /// checking, deferred index maintenance, speculative subject-group
     /// parallelism) when the deployed constraints support it.
     fused: bool,
-    /// Doom notes for the fused path: the first instant at which a
-    /// retention sweep *could* remove each context (its stamp and
-    /// deadline — or discard instant — aged past the horizon). The
-    /// fused path pops due notes instead of running the O(slots)
-    /// [`ContextPool::compact`] scan per position; because the compact
-    /// predicate is monotone in the horizon, popping at the note's
-    /// instant removes each context at exactly the position a
-    /// per-submit sweep would have.
+    /// Doom notes, the engine's only retention mechanism: the first
+    /// instant at which a retention sweep *could* remove each context
+    /// (its stamp and deadline — or discard instant — aged past the
+    /// horizon). [`Middleware::process_due`] pops due notes instead of
+    /// running the O(slots) [`ContextPool::compact`] scan per position;
+    /// because the compact predicate is monotone in the horizon,
+    /// popping at the note's instant removes each context at exactly
+    /// the position a per-position sweep would have.
     doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
     gt_doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
     /// Live only inside a fused batch: subjects touched by a discard
@@ -375,13 +375,12 @@ impl Middleware {
     ///    deliveries and bad-marks keep contexts in the quantifier
     ///    domains, and expiry is a pure function of the position clock.
     ///
-    /// Retention compaction is driven by the doom-note queues instead
-    /// of a per-position pool scan; the notes record the first instant
-    /// the compact predicate can hold, so removals land at the same
-    /// positions. The verdict stream is identical to the sequential
-    /// path; only the arena slot-allocation order (and therefore the
-    /// free-slot/recycle *gauges*) can differ, because the whole batch
-    /// claims slots before, not between, retention sweeps.
+    /// Retention pops doom notes at every position, as on every path
+    /// (see [`Middleware::process_due`]). The verdict stream is
+    /// identical to the sequential path; only the arena slot-allocation
+    /// order (and therefore the free-slot/recycle *gauges*) can differ,
+    /// because the whole batch claims slots before, not between,
+    /// retention removals.
     fn batch_add_fused(&mut self, batch: Vec<Context>) -> Vec<SubmitReport> {
         struct Pos {
             id: ContextId,
@@ -574,7 +573,7 @@ impl Middleware {
             if now > self.clock {
                 self.clock = now;
             }
-            self.process_due_fused(now);
+            self.process_due(now);
 
             let (stamp, kind, expires, gt_clone) = {
                 let ctx = self
@@ -678,7 +677,7 @@ impl Middleware {
                 self.obs
                     .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
                 self.dirty = true;
-                self.process_due_fused(now);
+                self.process_due(now);
                 self.evaluate_situations_if_dirty(now);
                 let report = SubmitReport {
                     id,
@@ -820,7 +819,7 @@ impl Middleware {
                     .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
             }
             self.dirty = true;
-            self.process_due_fused(now);
+            self.process_due(now);
             self.evaluate_situations_if_dirty(now);
             let report = SubmitReport {
                 id,
@@ -887,18 +886,16 @@ impl Middleware {
 
     /// Notes when `id` first becomes eligible for retention compaction
     /// through its lifespan: the first instant whose horizon is past
-    /// both the stamp and the expiry deadline. No-op without retention
-    /// or for immortal contexts — those can only doom via a discard
-    /// note from [`Middleware::count_discard`].
+    /// both the stamp and the expiry deadline. Every path that puts a
+    /// context into the pool calls this. No-op without retention or for
+    /// immortal contexts — those can only doom via a discard note from
+    /// [`Middleware::count_discard`].
     fn schedule_expiry_doom(
         &mut self,
         id: ContextId,
         stamp: LogicalTime,
         expires: Option<LogicalTime>,
     ) {
-        if !self.fused {
-            return;
-        }
         if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
             let due = LogicalTime::new((stamp.tick() + 1).max(deadline.tick()) + retention.count());
             self.doom_queue.entry(due).or_default().push(id);
@@ -906,16 +903,14 @@ impl Middleware {
     }
 
     /// [`Middleware::schedule_expiry_doom`] for the ground-truth shadow
-    /// pool (whose compaction is uncounted, as in the sequential path).
+    /// pool, whose compaction is not counted in
+    /// [`MiddlewareStats::compacted`].
     fn schedule_gt_expiry_doom(
         &mut self,
         gid: ContextId,
         stamp: LogicalTime,
         expires: Option<LogicalTime>,
     ) {
-        if !self.fused {
-            return;
-        }
         if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
             let due = LogicalTime::new((stamp.tick() + 1).max(deadline.tick()) + retention.count());
             self.gt_doom_queue.entry(due).or_default().push(gid);
@@ -926,27 +921,26 @@ impl Middleware {
     /// stamp aged past the horizon (the `Inconsistent` arm of the
     /// compact predicate, which is absorbing).
     fn schedule_discard_doom(&mut self, id: ContextId, stamp: LogicalTime) {
-        if !self.fused {
-            return;
-        }
         if let Some(retention) = self.config.retention {
             let due = LogicalTime::new(stamp.tick() + 1 + retention.count());
             self.doom_queue.entry(due).or_default().push(id);
         }
     }
 
-    /// [`Middleware::process_due`] for the fused path: instead of an
-    /// O(slots) [`ContextPool::compact`] scan per position, due doom
-    /// notes are popped — each context leaves the arena at exactly the
-    /// position a per-submit scan would have removed it, because a
-    /// note's instant is the first time the (monotone) compact
-    /// predicate can hold for its context.
-    fn process_due_fused(&mut self, now: LogicalTime) {
-        // Fast path: the commit loop calls this at every batch
-        // position, and almost none of them have maintenance due.
-        // When no doom note, buffered context, or ground-truth window
-        // has come due, the body below is a pure no-op — skip it
-        // before paying the registry clone and phase guard.
+    /// Index/arena maintenance at instant `now`, run before and after
+    /// every submission and batch position, on every clock advance and
+    /// at drain: pops the due doom notes — each context leaves the
+    /// arena at the first position the (monotone) compact predicate
+    /// holds for it, exactly where a per-position
+    /// [`ContextPool::compact`] scan would have removed it — then drains
+    /// the due ground-truth and use buffers. The use loop's resolution
+    /// work nests under it as [`Phase::Resolution`], so this phase's
+    /// self time is the maintenance proper.
+    fn process_due(&mut self, now: LogicalTime) {
+        // Fast path: almost no call has maintenance due. When no doom
+        // note, buffered context, or ground-truth window has come due,
+        // the body below is a pure no-op — skip it before paying the
+        // registry clone and phase guard.
         let nothing_due = self
             .doom_queue
             .first_key_value()
@@ -1348,32 +1342,10 @@ impl Middleware {
         Some(rec)
     }
 
-    fn process_due(&mut self, now: LogicalTime) {
-        // Index/arena maintenance: retention compaction and deadline
-        // queues. The use loop's resolution work nests under it as
-        // [`Phase::Resolution`], so this phase's self time is the
-        // maintenance proper.
-        let obs = self.obs.clone();
-        let _maint_phase = obs.phase(Phase::IndexMaint);
-        if let Some(retention) = self.config.retention {
-            if now.tick() > retention.count() {
-                let horizon = LogicalTime::new(now.tick() - retention.count());
-                self.stats.compacted += self.pool.compact(horizon) as u64;
-                self.gt_pool.compact(horizon);
-                // The full scan removed everything a due doom note
-                // could name; drop the stale notes so runs that mix
-                // per-context submits with fused batches stay bounded.
-                prune_doom_notes(&mut self.doom_queue, now);
-                prune_doom_notes(&mut self.gt_doom_queue, now);
-            }
-        }
-        self.drain_due_buffers(now);
-    }
-
-    /// The deadline-queue drains shared by [`Middleware::process_due`]
-    /// and [`Middleware::process_due_fused`]: ground-truth contexts
-    /// whose window elapsed join the shadow available view, and
-    /// buffered contexts whose window elapsed are used.
+    /// The deadline-queue drains of [`Middleware::process_due`]:
+    /// ground-truth contexts whose window elapsed join the shadow
+    /// available view, and buffered contexts whose window elapsed are
+    /// used.
     fn drain_due_buffers(&mut self, now: LogicalTime) {
         while let Some((due, gid)) = self.gt_buffer.front().copied() {
             if due > now {
@@ -1581,7 +1553,7 @@ impl Middleware {
             }
             // Every Inconsistent transition funnels through here, so
             // this is both where a context's compaction instant becomes
-            // known (fused doom note) and where a fused batch learns
+            // known (doom note) and where a fused batch learns
             // its speculative verdicts for this subject are stale.
             self.schedule_discard_doom(id, stamp);
             if let Some(dirty) = self.fused_dirty_subjects.as_mut() {
@@ -1844,17 +1816,6 @@ impl Middleware {
     }
 }
 
-/// Drops every doom note due at or before `now` — a full compaction
-/// scan already removed (or rejected) everything those notes name.
-fn prune_doom_notes(queue: &mut BTreeMap<LogicalTime, Vec<ContextId>>, now: LogicalTime) {
-    while let Some(entry) = queue.first_entry() {
-        if *entry.key() > now {
-            break;
-        }
-        entry.remove();
-    }
-}
-
 /// Moves every expiry entry due at or before `now` into the dirty set.
 fn drain_expiries(
     queue: &mut BTreeMap<LogicalTime, Vec<ContextKind>>,
@@ -1966,12 +1927,11 @@ impl MiddlewareBuilder {
     /// Enables or disables batch-fused checking (default **on**). When
     /// every deployed constraint compiles into the per-subject
     /// universal-positive fragment, [`Middleware::batch_add`] then
-    /// stages the whole batch, repairs each index bucket once, drives
-    /// retention compaction from doom notes, and speculatively checks
-    /// disjoint subject groups (in parallel for large batches) — with a
-    /// verdict stream identical to per-context submission. Ineligible
-    /// constraint sets fall back to the sequential path regardless of
-    /// this switch.
+    /// stages the whole batch, repairs each index bucket once, and
+    /// speculatively checks disjoint subject groups (in parallel for
+    /// large batches) — with a verdict stream identical to per-context
+    /// submission. Ineligible constraint sets fall back to the
+    /// sequential path regardless of this switch.
     ///
     /// When this method is never called, the `CTXRES_FUSED` environment
     /// variable decides (`0`/`false`/`off` disable; anything else, or
@@ -2717,6 +2677,7 @@ mod retention_tests {
             .constraints(parse_constraints(SPEED).unwrap())
             .strategy(Box::new(DropBad::new()))
             .obs(registry.handle(0))
+            .fused(true)
             .build();
         m.batch_add(vec![loc("p", 0, 0.0), loc("p", 1, 50.0)]);
         m.drain();
@@ -2771,6 +2732,7 @@ mod retention_tests {
             .constraints(parse_constraints(SPEED).unwrap())
             .strategy(Box::new(DropBad::new()))
             .obs(registry.handle(0))
+            .fused(true)
             .build();
         m.batch_add(vec![loc("p", 0, 0.0), loc("p", 1, 50.0), loc("q", 0, 0.0)]);
         m.drain();
@@ -2877,6 +2839,7 @@ mod retention_tests {
                 .constraints(parse_constraints(SPEED).unwrap())
                 .strategy(Box::new(DropBad::new()))
                 .obs(registry.handle(0))
+                .fused(true)
                 .build()
         };
         // A 1ns bound: every fused batch breaches and owes a postmortem.
