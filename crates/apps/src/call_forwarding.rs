@@ -9,7 +9,7 @@
 
 use crate::rooms::RoomGraph;
 use crate::PervasiveApp;
-use ctxres_constraint::{parse_constraints, Constraint, EvalError, PredicateRegistry};
+use ctxres_constraint::{parse_constraints, Constraint, EvalError, PredicateRegistry, Resolved};
 use ctxres_context::{Context, ContextKind, Lifespan, LogicalTime, Ticks, TruthTag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,6 +94,18 @@ impl Default for CallForwarding {
     }
 }
 
+/// The `room` attribute of context argument `i` of predicate `pred`,
+/// borrowed from the context.
+fn room_of<'a>(args: &[Resolved<'a>], i: usize, pred: &str) -> Result<&'a str, EvalError> {
+    args[i]
+        .ctx()
+        .and_then(|(c, _)| c.text("room"))
+        .ok_or_else(|| EvalError::Type {
+            name: pred.to_owned(),
+            detail: format!("argument {i} must be a badge context with a room"),
+        })
+}
+
 impl PervasiveApp for CallForwarding {
     fn name(&self) -> &'static str {
         "call-forwarding"
@@ -146,37 +158,28 @@ impl PervasiveApp for CallForwarding {
 
     fn registry(&self) -> PredicateRegistry {
         let mut reg = PredicateRegistry::with_builtins();
-        let room_of = |args: &[ctxres_constraint::Resolved<'_>], i: usize, pred: &str| {
-            args[i]
-                .ctx()
-                .and_then(|(c, _)| c.text("room").map(str::to_owned))
-                .ok_or_else(|| EvalError::Type {
-                    name: pred.to_owned(),
-                    detail: format!("argument {i} must be a badge context with a room"),
-                })
-        };
         let floor = Arc::clone(&self.floor);
         reg.register("room_adjacent", 2, move |args| {
             let a = room_of(args, 0, "room_adjacent")?;
             let b = room_of(args, 1, "room_adjacent")?;
-            Ok(floor.adjacent(&a, &b))
+            Ok(floor.adjacent(a, b))
         });
         let floor = Arc::clone(&self.floor);
         reg.register("room_within2", 2, move |args| {
             let a = room_of(args, 0, "room_within2")?;
             let b = room_of(args, 1, "room_within2")?;
-            Ok(floor.within_hops(&a, &b, 2))
+            Ok(floor.within_hops(a, b, 2))
         });
         let floor = Arc::clone(&self.floor);
         reg.register("room_within3", 2, move |args| {
             let a = room_of(args, 0, "room_within3")?;
             let b = room_of(args, 1, "room_within3")?;
-            Ok(floor.within_hops(&a, &b, 3))
+            Ok(floor.within_hops(a, b, 3))
         });
         let floor = Arc::clone(&self.floor);
         reg.register("room_known", 1, move |args| {
             let a = room_of(args, 0, "room_known")?;
-            Ok(floor.contains(&a))
+            Ok(floor.contains(a))
         });
         reg
     }

@@ -10,7 +10,7 @@
 
 use crate::rooms::RoomGraph;
 use crate::PervasiveApp;
-use ctxres_constraint::{parse_constraints, Constraint, EvalError, PredicateRegistry};
+use ctxres_constraint::{parse_constraints, Constraint, EvalError, PredicateRegistry, Resolved};
 use ctxres_context::{Context, ContextKind, Lifespan, LogicalTime, Ticks, TruthTag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,6 +96,18 @@ impl Default for RfidAnomalies {
     }
 }
 
+/// The `zone` attribute of context argument `i` of predicate `pred`,
+/// borrowed from the context.
+fn zone_of<'a>(args: &[Resolved<'a>], i: usize, pred: &str) -> Result<&'a str, EvalError> {
+    args[i]
+        .ctx()
+        .and_then(|(c, _)| c.text("zone"))
+        .ok_or_else(|| EvalError::Type {
+            name: pred.to_owned(),
+            detail: format!("argument {i} must be an rfid_read context with a zone"),
+        })
+}
+
 impl PervasiveApp for RfidAnomalies {
     fn name(&self) -> &'static str {
         "rfid-anomalies"
@@ -149,37 +161,28 @@ impl PervasiveApp for RfidAnomalies {
 
     fn registry(&self) -> PredicateRegistry {
         let mut reg = PredicateRegistry::with_builtins();
-        let zone_of = |args: &[ctxres_constraint::Resolved<'_>], i: usize, pred: &str| {
-            args[i]
-                .ctx()
-                .and_then(|(c, _)| c.text("zone").map(str::to_owned))
-                .ok_or_else(|| EvalError::Type {
-                    name: pred.to_owned(),
-                    detail: format!("argument {i} must be an rfid_read context with a zone"),
-                })
-        };
         let zones = Arc::clone(&self.zones);
         reg.register("zone_adjacent", 2, move |args| {
             let a = zone_of(args, 0, "zone_adjacent")?;
             let b = zone_of(args, 1, "zone_adjacent")?;
-            Ok(zones.adjacent(&a, &b))
+            Ok(zones.adjacent(a, b))
         });
         let zones = Arc::clone(&self.zones);
         reg.register("zone_within2", 2, move |args| {
             let a = zone_of(args, 0, "zone_within2")?;
             let b = zone_of(args, 1, "zone_within2")?;
-            Ok(zones.within_hops(&a, &b, 2))
+            Ok(zones.within_hops(a, b, 2))
         });
         let zones = Arc::clone(&self.zones);
         reg.register("zone_within3", 2, move |args| {
             let a = zone_of(args, 0, "zone_within3")?;
             let b = zone_of(args, 1, "zone_within3")?;
-            Ok(zones.within_hops(&a, &b, 3))
+            Ok(zones.within_hops(a, b, 3))
         });
         let zones = Arc::clone(&self.zones);
         reg.register("zone_known", 1, move |args| {
             let a = zone_of(args, 0, "zone_known")?;
-            Ok(zones.contains(&a))
+            Ok(zones.contains(a))
         });
         reg
     }

@@ -7,9 +7,19 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// An undirected graph over string-named nodes with hop-distance
 /// queries — the topology that makes "Peter cannot jump from the office
 /// to the lobby in one step" checkable.
+///
+/// The graphs are small (a floor has ~10 nodes) and queried on every
+/// constraint check, so the hop distances of all node pairs are kept
+/// in a table rebuilt by every [`RoomGraph::add_edge`]: a query is two
+/// name lookups and an index, with no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct RoomGraph {
     adjacency: BTreeMap<String, BTreeSet<String>>,
+    /// Each node's row and column in `hops`, in name order.
+    index: BTreeMap<String, usize>,
+    /// Row-major `n × n` hop distances; `None` between disconnected
+    /// nodes.
+    hops: Vec<Option<usize>>,
 }
 
 impl RoomGraph {
@@ -27,7 +37,8 @@ impl RoomGraph {
         g
     }
 
-    /// Adds an undirected edge (and its endpoints).
+    /// Adds an undirected edge (and its endpoints), then rebuilds the
+    /// hop-distance table.
     pub fn add_edge(&mut self, a: &str, b: &str) {
         self.adjacency
             .entry(a.to_owned())
@@ -37,6 +48,40 @@ impl RoomGraph {
             .entry(b.to_owned())
             .or_default()
             .insert(a.to_owned());
+        self.rebuild_hops();
+    }
+
+    /// Recomputes `index` and `hops` with one breadth-first search per
+    /// node.
+    fn rebuild_hops(&mut self) {
+        self.index = self
+            .adjacency
+            .keys()
+            .enumerate()
+            .map(|(i, name)| (name.clone(), i))
+            .collect();
+        let neighbors: Vec<Vec<usize>> = self
+            .adjacency
+            .values()
+            .map(|next| next.iter().map(|name| self.index[name]).collect())
+            .collect();
+        let n = neighbors.len();
+        self.hops = vec![None; n * n];
+        let mut queue = VecDeque::new();
+        for source in 0..n {
+            let row = &mut self.hops[source * n..(source + 1) * n];
+            row[source] = Some(0);
+            queue.push_back(source);
+            while let Some(node) = queue.pop_front() {
+                let d = row[node].map(|d| d + 1);
+                for &next in &neighbors[node] {
+                    if row[next].is_none() {
+                        row[next] = d;
+                        queue.push_back(next);
+                    }
+                }
+            }
+        }
     }
 
     /// The node names, sorted.
@@ -60,27 +105,11 @@ impl RoomGraph {
     }
 
     /// Hop distance between two nodes (`None` if disconnected or
-    /// unknown).
+    /// unknown): a lookup in the hop-distance table.
     pub fn distance(&self, a: &str, b: &str) -> Option<usize> {
-        if !self.contains(a) || !self.contains(b) {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
-        let mut seen: BTreeSet<&str> = BTreeSet::from([a]);
-        let mut queue: VecDeque<(&str, usize)> = VecDeque::from([(a, 0)]);
-        while let Some((node, d)) = queue.pop_front() {
-            for next in &self.adjacency[node] {
-                if next == b {
-                    return Some(d + 1);
-                }
-                if seen.insert(next) {
-                    queue.push_back((next, d + 1));
-                }
-            }
-        }
-        None
+        let i = *self.index.get(a)?;
+        let j = *self.index.get(b)?;
+        self.hops[i * self.index.len() + j]
     }
 
     /// Whether `b` is reachable from `a` within `hops` edges.
@@ -128,6 +157,8 @@ impl RoomGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::call_forwarding::CallForwarding;
+    use crate::rfid_anomalies::RfidAnomalies;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -180,6 +211,64 @@ mod tests {
             assert!(g.distance("a", &far).unwrap() >= 2);
         }
         assert_eq!(g.random_far_room("a", 10, &mut rng), None);
+    }
+
+    /// The breadth-first search `distance` ran on every call before
+    /// the hop table: the reference the table must reproduce.
+    fn bfs_distance(g: &RoomGraph, a: &str, b: &str) -> Option<usize> {
+        if !g.adjacency.contains_key(a) || !g.adjacency.contains_key(b) {
+            return None;
+        }
+        let mut seen: BTreeSet<&str> = BTreeSet::from([a]);
+        let mut queue: VecDeque<(&str, usize)> = VecDeque::from([(a, 0)]);
+        while let Some((node, d)) = queue.pop_front() {
+            if node == b {
+                return Some(d);
+            }
+            for next in &g.adjacency[node] {
+                if seen.insert(next) {
+                    queue.push_back((next, d + 1));
+                }
+            }
+        }
+        None
+    }
+
+    /// `distance` and `within_hops` agree with the BFS reference on
+    /// every ordered node pair, an unknown node included.
+    fn assert_table_matches_bfs(g: &RoomGraph) {
+        let mut names = g.rooms();
+        names.push("nowhere");
+        for a in &names {
+            for b in &names {
+                let reference = bfs_distance(g, a, b);
+                assert_eq!(g.distance(a, b), reference, "{a} -> {b}");
+                for hops in 0..=4 {
+                    assert_eq!(
+                        g.within_hops(a, b, hops),
+                        reference.is_some_and(|d| d <= hops),
+                        "{a} -> {b} within {hops}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hop_table_matches_bfs_on_every_pair() {
+        assert_table_matches_bfs(&CallForwarding::default_floor());
+        assert_table_matches_bfs(&RfidAnomalies::default_zones());
+        assert_eq!(RoomGraph::new().distance("a", "a"), None);
+
+        // A second component: no distance across it.
+        let mut g = line();
+        g.add_edge("x", "y");
+        assert_table_matches_bfs(&g);
+        assert_eq!(g.distance("a", "y"), None);
+        // An edge added after a query rebuilds the table.
+        g.add_edge("d", "x");
+        assert_eq!(g.distance("a", "y"), Some(5));
+        assert_table_matches_bfs(&g);
     }
 
     #[test]

@@ -84,6 +84,11 @@ enum CFormula {
         /// Env slot the binding writes (equals the structural qid, so
         /// [`CompiledEvaluator::check_pinned`] pins by slot).
         slot: usize,
+        /// `Some(lit)` when only bindings about subject `lit` can decide
+        /// the quantifier (see [`literal_subject`]):
+        /// [`CompiledEvaluator::holds`] then scans that subject's bucket
+        /// instead of the whole kind.
+        subject: Option<String>,
         body: Box<CFormula>,
     },
 }
@@ -237,13 +242,54 @@ fn lower<'f>(
             scope.push((var, *qid));
             let body = lower(body, kind_table, scope, sites);
             scope.pop();
+            let body = body?;
             Ok(CFormula::Quant {
                 q: *q,
                 kind_sym,
                 slot: *qid,
-                body: Box::new(body?),
+                subject: literal_subject(*q, *qid, &body),
+                body: Box::new(body),
             })
         }
+    }
+}
+
+/// The literal subject a quantifier over `slot` narrows to under
+/// [`CompiledEvaluator::holds`], if any. Two shapes qualify, both led
+/// by a guard `subject_eq(x, "lit")` on the quantifier's own variable
+/// `x` and a text literal:
+///
+/// * `exists x . subject_eq(x, "lit") and …` — the guard is the
+///   leftmost leaf of the body's `and` spine;
+/// * `forall x . (subject_eq(x, "lit") and …) implies …` — the guard is
+///   the leftmost leaf of the antecedent's `and` spine.
+///
+/// The short-circuit evaluation reaches the guard before anything else
+/// in the body. For a binding about another subject the guard is
+/// `Ok(false)`, so the body is `Ok(false)` under `exists` and `Ok(true)`
+/// under `forall` — neither decides the quantifier nor raises, and
+/// skipping the binding changes nothing. Any other shape (the guard
+/// under `or`, `not` or a bare `forall … and`, a guard on another
+/// variable, a non-text literal) keeps the full kind domain.
+fn literal_subject(q: Quantifier, slot: usize, body: &CFormula) -> Option<String> {
+    let mut leaf = match (q, body) {
+        (Quantifier::Exists, spine) => spine,
+        (Quantifier::Forall, CFormula::Implies(antecedent, _)) => antecedent,
+        (Quantifier::Forall, _) => return None,
+    };
+    while let CFormula::And(left, _) = leaf {
+        leaf = left;
+    }
+    match leaf {
+        CFormula::Pred { name, args, .. } if name == "subject_eq" => match args.as_slice() {
+            [CTerm::Slot { slot: guarded, .. }, CTerm::Const(ContextValue::Text(lit))]
+                if *guarded == slot =>
+            {
+                Some(lit.clone())
+            }
+            _ => None,
+        },
+        _ => None,
     }
 }
 
@@ -447,6 +493,15 @@ impl<'r> CompiledEvaluator<'r> {
     /// that finds a witness before the erroring binding returns
     /// `Ok(true)` where `check` would return `Err`).
     ///
+    /// A quantifier led by a literal subject guard (the shapes
+    /// `literal_subject` accepts) iterates only that subject's live
+    /// contexts, provided the registry defines `subject_eq` (without
+    /// it every guard raises `UnknownPredicate`, which skipping would
+    /// hide): the bindings it skips are exactly those on which the
+    /// guard short-circuits to a non-deciding `Ok`, so the result —
+    /// `Ok` or `Err` — is the full scan's. This relies on the
+    /// registry's `subject_eq` meaning what the builtin means.
+    ///
     /// # Errors
     ///
     /// Propagates [`EvalError`] from the branches actually evaluated.
@@ -457,8 +512,9 @@ impl<'r> CompiledEvaluator<'r> {
         now: LogicalTime,
         scratch: &mut EvalScratch,
     ) -> Result<bool, EvalError> {
-        self.start(constraint, pool, now, None, None, None, 0, scratch)
-            .eval_bool(&constraint.program)
+        let mut run = self.start(constraint, pool, now, None, None, None, 0, scratch);
+        run.narrow = self.registry.contains("subject_eq");
+        run.eval_bool(&constraint.program)
     }
 
     /// Checks `constraint` with quantifier `qid`'s domain restricted to
@@ -607,6 +663,7 @@ impl<'r> CompiledEvaluator<'r> {
             max_id,
             memo,
             memo_cid,
+            narrow: false,
             scratch,
         }
     }
@@ -631,6 +688,9 @@ struct Run<'a, 'r> {
     /// Constraint index disambiguating `site` ids across the deployed
     /// constraint set in the memo key.
     memo_cid: u32,
+    /// Whether [`Run::eval_bool`] scans a literal-subject quantifier's
+    /// subject bucket instead of the whole kind.
+    narrow: bool,
     scratch: &'a mut EvalScratch,
 }
 
@@ -678,6 +738,7 @@ impl Run<'_, '_> {
                 kind_sym,
                 slot,
                 body,
+                ..
             } => {
                 // Take the slot's domain buffer out of the scratch so the
                 // recursive body evaluation can still borrow the scratch;
@@ -842,6 +903,7 @@ impl Run<'_, '_> {
                 kind_sym,
                 slot,
                 body,
+                ..
             } => {
                 let mut domain = std::mem::take(&mut self.scratch.domains[*slot]);
                 domain.clear();
@@ -876,7 +938,10 @@ impl Run<'_, '_> {
     /// returns the bare truth value, short-circuiting connectives and
     /// quantifiers. Quantifier domains are iterated lazily straight off
     /// the pool — no domain buffer is even filled, so an `exists` whose
-    /// witness comes early never visits the rest of its kind's list.
+    /// witness comes early never visits the rest of its kind's list —
+    /// and a literal-subject quantifier reads only its subject's bucket
+    /// when `narrow` is set. `holds` never pins, so no domain here is a
+    /// pin's singleton or a pinned subject's bucket.
     fn eval_bool(&mut self, formula: &CFormula) -> Result<bool, EvalError> {
         match formula {
             CFormula::True => Ok(true),
@@ -896,27 +961,20 @@ impl Run<'_, '_> {
                 q,
                 kind_sym,
                 slot,
+                subject,
                 body,
             } => {
-                if let Some(p) = self.pin {
-                    if p.qid == *slot {
-                        // Singleton domain: either quantifier reduces to
-                        // its body's truth.
-                        self.scratch.env[*slot] = p.ctx;
-                        return self.eval_bool(body);
-                    }
-                }
                 // `exists` returns at the first true body, `forall` at
                 // the first false one.
                 let deciding = matches!(q, Quantifier::Exists);
                 let pool = self.pool;
                 let kind = &self.kind_table[*kind_sym];
-                match self.pin_subject {
-                    Some(subject) => {
+                match subject {
+                    Some(subject) if self.narrow => {
                         let domain = pool.of_subject_live_at(kind, subject, self.now);
                         self.scan_quant(domain, *slot, body, deciding)
                     }
-                    None => {
+                    _ => {
                         let domain = pool.of_kind_live_at(kind, self.now);
                         self.scan_quant(domain, *slot, body, deciding)
                     }
@@ -1300,35 +1358,184 @@ mod tests {
         assert!(cc.is_universal_positive());
     }
 
+    /// The literal subject of every quantifier in `cc`'s program, in
+    /// lowering order.
+    fn literal_subjects(cc: &CompiledConstraint) -> Vec<Option<String>> {
+        fn walk(f: &CFormula, out: &mut Vec<Option<String>>) {
+            match f {
+                CFormula::Not(a) => walk(a, out),
+                CFormula::And(a, b) | CFormula::Or(a, b) | CFormula::Implies(a, b) => {
+                    walk(a, out);
+                    walk(b, out);
+                }
+                CFormula::Quant { subject, body, .. } => {
+                    out.push(subject.clone());
+                    walk(body, out);
+                }
+                CFormula::True | CFormula::False | CFormula::Pred { .. } => {}
+            }
+        }
+        let mut out = Vec::new();
+        walk(&cc.program, &mut out);
+        out
+    }
+
+    /// `holds` short-circuits and narrows literal-subject quantifiers;
+    /// `check` evaluates every binding of the full domain. On these
+    /// sources the two must agree — `Ok` and `Err` alike — on pools
+    /// with one subject, two subjects, and none. The second field says
+    /// whether some quantifier of the source narrows.
     #[test]
     fn holds_agrees_with_check_satisfied() {
         let reg = registry();
         let mut scratch = EvalScratch::new();
         let now = LogicalTime::new(10);
         let sources = [
-            SPEED,
-            "constraint has_mary: exists a: location . subject_eq(a, \"mary\")",
-            "constraint has_peter: exists a: location . subject_eq(a, \"peter\")",
-            "constraint feasible: forall a: location . within(a, -10.0, -10.0, 10.0, 10.0)",
-            "constraint nobody: forall a: location . false",
-            "constraint vacuous: exists a: location . true",
+            (SPEED, false),
+            (
+                "constraint has_mary: exists a: location . subject_eq(a, \"mary\")",
+                true,
+            ),
+            (
+                "constraint has_peter: exists a: location . subject_eq(a, \"peter\")",
+                true,
+            ),
+            (
+                "constraint feasible: forall a: location . within(a, -10.0, -10.0, 10.0, 10.0)",
+                false,
+            ),
+            ("constraint nobody: forall a: location . false", false),
+            ("constraint vacuous: exists a: location . true", false),
+            // Narrowed: the guard leads a nested `and` spine.
+            (
+                "constraint peter_early_home: exists a: location .
+                   (subject_eq(a, \"peter\") and within(a, -1.0, -1.0, 1.0, 1.0))
+                     and le(a.seq, 1)",
+                true,
+            ),
+            (
+                "constraint mary_late_away: exists a: location .
+                   subject_eq(a, \"mary\") and (ge(a.seq, 2) and not within(a, 0.0, 0.0, 0.5, 0.5))",
+                true,
+            ),
+            // Narrowed: the guard leads the antecedent of an implication.
+            (
+                "constraint peter_stays_home: forall a: location .
+                   (subject_eq(a, \"peter\") and le(a.seq, 1)) implies within(a, -1.0, -1.0, 1.0, 1.0)",
+                true,
+            ),
+            (
+                "constraint peter_always_home: forall a: location .
+                   subject_eq(a, \"peter\") implies within(a, -1.0, -1.0, 1.0, 1.0)",
+                true,
+            ),
+            // Not narrowed: another subject's binding falsifies the body.
+            (
+                "constraint only_peter: forall a: location .
+                   subject_eq(a, \"peter\") and within(a, -10.0, -10.0, 10.0, 10.0)",
+                false,
+            ),
+            // Not narrowed: the guard sits under `or` or `not`.
+            (
+                "constraint nobody_or_far: exists a: location .
+                   subject_eq(a, \"nobody\") or within(a, 5.0, 5.0, 10.0, 10.0)",
+                false,
+            ),
+            (
+                "constraint not_peter: exists a: location . not subject_eq(a, \"peter\")",
+                false,
+            ),
+            (
+                "constraint not_peter_spine: exists a: location .
+                   not (subject_eq(a, \"peter\") and le(a.seq, 5))",
+                false,
+            ),
+            // Not narrowed: the guard reads the outer variable.
+            (
+                "constraint peter_meets_other: exists a: location . exists b: location .
+                   subject_eq(a, \"peter\") and not same_subject(a, b)",
+                false,
+            ),
+            // Not narrowed: a non-text literal makes `subject_eq` raise.
+            ("constraint numeric: exists a: location . subject_eq(a, 3)", false),
         ];
         for pool in [
             loc_pool(&[(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]),
             loc_pool(&[(0.0, 0.0), (9.0, 9.0), (1.0, 0.0)]),
+            two_subject_pool(),
             ContextPool::new(),
         ] {
-            for source in sources {
+            for (source, _) in sources {
                 let c = parse_constraint(source).unwrap();
                 let cc = CompiledConstraint::compile(&c).unwrap();
                 for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
                     let eval = CompiledEvaluator::with_domain(&reg, mode);
-                    let full = eval.check(&cc, &pool, now, &mut scratch).unwrap().satisfied;
-                    let fast = eval.holds(&cc, &pool, now, &mut scratch).unwrap();
+                    let full = eval
+                        .check(&cc, &pool, now, &mut scratch)
+                        .map(|o| o.satisfied);
+                    let fast = eval.holds(&cc, &pool, now, &mut scratch);
                     assert_eq!(full, fast, "{source} under {mode:?}");
                 }
             }
         }
+        for (source, narrows) in sources {
+            let cc = CompiledConstraint::compile(&parse_constraint(source).unwrap()).unwrap();
+            assert_eq!(
+                literal_subjects(&cc).iter().any(Option::is_some),
+                narrows,
+                "{source}"
+            );
+        }
+    }
+
+    /// A narrowed `exists` keeps the short-circuit's error behaviour:
+    /// another subject's binding without the attribute is skipped as
+    /// before, a matching subject's binding without it still raises,
+    /// and without `subject_eq` in the registry nothing narrows.
+    #[test]
+    fn narrowed_exists_keeps_short_circuit_errors() {
+        let badge = |subject: &str, room: Option<&str>| {
+            let b = Context::builder(ContextKind::new("badge"), subject);
+            match room {
+                Some(room) => b.attr("room", room),
+                None => b,
+            }
+            .build()
+        };
+        let c = parse_constraint(
+            "constraint peter_in_office: exists b: badge .
+               subject_eq(b, \"peter\") and eq(b.room, \"office\")",
+        )
+        .unwrap();
+        let cc = CompiledConstraint::compile(&c).unwrap();
+        assert_eq!(literal_subjects(&cc), vec![Some("peter".to_owned())]);
+        let reg = registry();
+        let eval = CompiledEvaluator::new(&reg);
+        let mut scratch = EvalScratch::new();
+        let now = LogicalTime::new(1);
+
+        let mut pool = ContextPool::new();
+        pool.insert(badge("mary", None));
+        pool.insert(badge("peter", Some("lab")));
+        assert_eq!(eval.holds(&cc, &pool, now, &mut scratch), Ok(false));
+        pool.insert(badge("peter", Some("office")));
+        assert_eq!(eval.holds(&cc, &pool, now, &mut scratch), Ok(true));
+
+        let mut pool = ContextPool::new();
+        pool.insert(badge("mary", Some("office")));
+        pool.insert(badge("peter", None));
+        assert!(matches!(
+            eval.holds(&cc, &pool, now, &mut scratch),
+            Err(EvalError::MissingAttr { .. })
+        ));
+
+        let mut pool = ContextPool::new();
+        pool.insert(badge("mary", Some("office")));
+        let bare = PredicateRegistry::new();
+        assert_eq!(
+            CompiledEvaluator::new(&bare).holds(&cc, &pool, now, &mut scratch),
+            Err(EvalError::UnknownPredicate("subject_eq".to_owned()))
+        );
     }
 
     #[test]

@@ -99,8 +99,8 @@ impl PredicateRegistry {
     /// | name | args | meaning |
     /// |------|------|---------|
     /// | `eq, ne, lt, le, gt, ge` | v, v | value comparison (numeric across int/float, text, bool) |
-    /// | `same_subject` | c, c | the two contexts concern the same subject |
-    /// | `subject_eq` | c, text | the context's subject equals the text |
+    /// | `same_subject` † | c, c | the two contexts concern the same subject |
+    /// | `subject_eq` † | c, text | the context's subject equals the text |
     /// | `distinct` | c, c | the two bound contexts are different contexts |
     /// | `before` | c, c | first context's stamp strictly precedes the second's |
     /// | `time_gap_le` | c, c, n | stamps differ by at most `n` ticks |
@@ -110,6 +110,15 @@ impl PredicateRegistry {
     /// | `velocity_le` | c, c, v | implied speed between the `pos` attrs ≤ `v` per tick |
     /// | `within` | c, x0, y0, x1, y1 | `pos` lies in the axis-aligned rectangle |
     /// | `has_attr` | c, text | the context defines the named attribute |
+    ///
+    /// † Read by name outside the registry: the scope analysis trusts
+    /// `same_subject` guards, and [`CompiledEvaluator::holds`] scans
+    /// only the literal subject's contexts for quantifiers led by a
+    /// `subject_eq` guard. A registry that re-registers either name
+    /// must keep the builtin meaning (a counting forwarder to the
+    /// builtin does).
+    ///
+    /// [`CompiledEvaluator::holds`]: crate::CompiledEvaluator::holds
     pub fn with_builtins() -> Self {
         let mut reg = PredicateRegistry::new();
         reg.register_comparison("eq", |o| o == Ordering::Equal, false);

@@ -43,6 +43,22 @@ pub struct KindWatermark {
 /// Sentinel in the id → slot table for a removed context.
 const NO_SLOT: u32 = u32::MAX;
 
+/// [`KindBucket::reach`] once the bucket has indexed an immortal
+/// context: no prefix of it can be proved dead.
+const UNBOUNDED_REACH: u64 = u64::MAX;
+
+/// How long after its stamp `ctx` can still be live: `expires_at −
+/// stamp` (zero when it expires before its stamp), or
+/// [`UNBOUNDED_REACH`] when it never expires. Reads the saturating
+/// [`Lifespan::expires_at`](crate::Lifespan::expires_at), so a huge
+/// TTL cannot wrap into a short reach.
+fn reach_of(ctx: &Context) -> u64 {
+    match ctx.lifespan().expires_at() {
+        Some(deadline) => (deadline - ctx.stamp()).count(),
+        None => UNBOUNDED_REACH,
+    }
+}
+
 /// A generational reference into the slot arena. A handle is live only
 /// while the slot's generation still matches: removing a context bumps
 /// its slot's generation, instantly invalidating every outstanding
@@ -65,6 +81,11 @@ struct KindBucket {
     /// the caller's `&str` — a flat `(ContextKind, String)` key would
     /// force a key clone per lookup.
     by_subject: HashMap<Arc<str>, Vec<SlotHandle>>,
+    /// Upper bound on [`reach_of`] over every context this bucket has
+    /// indexed. It only grows (removals leave it alone), so every
+    /// handle with `stamp + reach <= now` holds a context that expired
+    /// by `now`: the live views binary-search past that prefix.
+    reach: u64,
 }
 
 /// Indexed storage for the contexts a middleware manages.
@@ -77,7 +98,13 @@ struct KindBucket {
 /// so `of_kind` / `of_subject` iteration touches exactly the bucket, in
 /// deterministic `(stamp, id)` order, with zero allocation. Discarded
 /// (`Inconsistent`) contexts stay stored for post-mortem metrics but are
-/// excluded from the live views that constraints quantify over.
+/// excluded from the live views that constraints quantify over. The
+/// `*_live_at` views also skip the bucket's expired prefix by binary
+/// search, so a pool that keeps every context still pays only for the
+/// suffix that can be live.
+///
+/// The indexes assume a stored context's kind, subject, stamp and
+/// lifespan never change; only its state does.
 ///
 /// ```
 /// use ctxres_context::{Context, ContextKind, ContextPool, LogicalTime};
@@ -214,8 +241,10 @@ impl ContextPool {
     pub fn insert(&mut self, ctx: Context) -> ContextId {
         let kind = ctx.kind().clone();
         let subject = Arc::clone(ctx.subject_arc());
+        let reach = reach_of(&ctx);
         let (id, handle) = self.arena_insert(ctx);
         let bucket = self.by_kind.entry(kind).or_default();
+        bucket.reach = bucket.reach.max(reach);
         index_insert(&mut bucket.all, &self.slot_stamps, &self.slot_ids, handle);
         index_insert(
             bucket.by_subject.entry(subject).or_default(),
@@ -280,9 +309,11 @@ impl ContextPool {
         for ctx in batch {
             let kind = ctx.kind().clone();
             let subject = Arc::clone(ctx.subject_arc());
+            let reach = reach_of(&ctx);
             let (id, handle) = self.arena_insert(ctx);
             ids.push(id);
             let bucket = self.by_kind.entry(kind.clone()).or_default();
+            bucket.reach = bucket.reach.max(reach);
             all_splits.entry(kind.clone()).or_insert(bucket.all.len());
             let handles = bucket.by_subject.entry(Arc::clone(&subject)).or_default();
             subject_splits
@@ -386,13 +417,41 @@ impl ContextPool {
         self.iter_index(self.by_kind.get(kind).map(|b| b.all.as_slice()))
     }
 
-    /// Iterates over live, unexpired contexts of `kind` at instant `now`.
+    /// The part of a bucket's `(stamp, id)`-ordered `index` that can
+    /// hold a context live at `now`: it starts at the first handle with
+    /// `stamp + reach > now`. Every handle before it expired by `now`
+    /// (its deadline is at most `stamp + reach`), so the `is_live`
+    /// filter would reject each one; a binary search skips them all.
+    fn live_suffix<'a>(
+        &self,
+        index: &'a [SlotHandle],
+        reach: u64,
+        now: LogicalTime,
+    ) -> &'a [SlotHandle] {
+        if reach == UNBOUNDED_REACH {
+            return index;
+        }
+        let start = index.partition_point(|h| {
+            self.slot_stamps[h.slot as usize]
+                .tick()
+                .saturating_add(reach)
+                <= now.tick()
+        });
+        &index[start..]
+    }
+
+    /// Iterates over live, unexpired contexts of `kind` at instant `now`,
+    /// in `(stamp, id)` order, starting past the bucket's expired prefix.
     pub fn of_kind_live_at<'a>(
         &'a self,
         kind: &ContextKind,
         now: LogicalTime,
     ) -> impl Iterator<Item = (ContextId, &'a Context)> + 'a {
-        self.of_kind(kind).filter(move |(_, c)| c.is_live(now))
+        let index = self
+            .by_kind
+            .get(kind)
+            .map(|b| self.live_suffix(&b.all, b.reach, now));
+        self.iter_index(index).filter(move |(_, c)| c.is_live(now))
     }
 
     /// Iterates over live contexts of `kind` about `subject`, in
@@ -419,8 +478,11 @@ impl ContextPool {
         subject: &str,
         now: LogicalTime,
     ) -> impl Iterator<Item = (ContextId, &'a Context)> + 'a {
-        self.of_subject(kind, subject)
-            .filter(move |(_, c)| c.is_live(now))
+        let index = self.by_kind.get(kind).and_then(|b| {
+            let handles = b.by_subject.get(subject)?;
+            Some(self.live_suffix(handles, b.reach, now))
+        });
+        self.iter_index(index).filter(move |(_, c)| c.is_live(now))
     }
 
     /// Live (non-discarded) context count per subject, across all kinds

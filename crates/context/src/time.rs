@@ -174,8 +174,13 @@ impl Lifespan {
     }
 
     /// The instant at which the context expires, if it ever does.
+    ///
+    /// Saturates at the end of the clock: a TTL too long to add to
+    /// `created` yields `u64::MAX` ticks rather than wrapping round to
+    /// an early deadline (or panicking in debug builds).
     pub fn expires_at(self) -> Option<LogicalTime> {
-        self.ttl.map(|t| self.created + t)
+        self.ttl
+            .map(|t| LogicalTime(self.created.0.saturating_add(t.0)))
     }
 
     /// Whether the context is still live at instant `now`.
@@ -254,6 +259,16 @@ mod tests {
         assert!(l.is_live(LogicalTime::new(14)));
         assert!(!l.is_live(LogicalTime::new(15)));
         assert_eq!(l.expires_at(), Some(LogicalTime::new(15)));
+    }
+
+    #[test]
+    fn huge_ttl_saturates_instead_of_wrapping() {
+        let l = Lifespan::with_ttl(LogicalTime::new(5), Ticks::new(u64::MAX - 1));
+        assert_eq!(l.expires_at(), Some(LogicalTime::new(u64::MAX)));
+        assert!(l.is_live(LogicalTime::new(5)));
+        assert!(l.is_live(LogicalTime::new(u64::MAX - 1)));
+        let max = Lifespan::with_ttl(LogicalTime::new(u64::MAX), Ticks::new(u64::MAX));
+        assert_eq!(max.expires_at(), Some(LogicalTime::new(u64::MAX)));
     }
 
     #[test]

@@ -71,7 +71,32 @@ struct Arrival {
     subject: u8,
     late: bool,
     back: u8,
-    ttl: Option<u8>,
+    life: Life,
+}
+
+/// An arrival's lifespan, created `shift` ticks after its stamp
+/// (before it when negative).
+#[derive(Debug, Clone)]
+enum Life {
+    Forever,
+    Ttl {
+        ttl: u8,
+        shift: i8,
+    },
+    /// A TTL so long that the deadline saturates at the end of the clock.
+    Huge {
+        shift: i8,
+    },
+}
+
+fn life() -> impl Strategy<Value = Life> {
+    // One arrival in eight is immortal and one in eight huge, so most
+    // buckets stay bounded for a while before one of them arrives.
+    (0u8..8, 0u8..12, -3i8..=3).prop_map(|(pick, ttl, shift)| match pick {
+        0 => Life::Forever,
+        1 => Life::Huge { shift },
+        _ => Life::Ttl { ttl, shift },
+    })
 }
 
 fn arrival() -> impl Strategy<Value = Arrival> {
@@ -80,14 +105,14 @@ fn arrival() -> impl Strategy<Value = Arrival> {
         0u8..16,
         proptest::bool::weighted(0.3),
         0u8..8,
-        proptest::option::of(0u8..12),
+        life(),
     )
-        .prop_map(|(kind, subject, late, back, ttl)| Arrival {
+        .prop_map(|(kind, subject, late, back, life)| Arrival {
             kind,
             subject,
             late,
             back,
-            ttl,
+            life,
         })
 }
 
@@ -108,11 +133,20 @@ fn arrive(a: &Arrival, clock: &mut LogicalTime) -> Context {
     } else {
         *clock
     };
-    let mut builder = Context::builder(kind_name(a.kind), &format!("s{}", a.subject)).stamp(stamp);
-    if let Some(t) = a.ttl {
-        builder = builder.lifespan(Lifespan::with_ttl(stamp, Ticks::new(u64::from(t))));
+    let created =
+        |shift: i8| LogicalTime::new(stamp.tick().saturating_add_signed(i64::from(shift)));
+    let builder = Context::builder(kind_name(a.kind), &format!("s{}", a.subject)).stamp(stamp);
+    match a.life {
+        Life::Forever => builder,
+        Life::Ttl { ttl, shift } => builder.lifespan(Lifespan::with_ttl(
+            created(shift),
+            Ticks::new(u64::from(ttl)),
+        )),
+        Life::Huge { shift } => {
+            builder.lifespan(Lifespan::with_ttl(created(shift), Ticks::new(u64::MAX - 1)))
+        }
     }
-    builder.build()
+    .build()
 }
 
 proptest! {
@@ -204,9 +238,14 @@ proptest! {
     /// The kind×subject index invariants hold under inserts (single and
     /// batched, with out-of-order stamps), discards, targeted removals
     /// and compaction sweeps: `of_kind` and `of_subject` list exactly the
-    /// stored live contexts in `(stamp, id)` order, every subject entry
-    /// indexes at least one stored context (so subject churn cannot grow
-    /// the index), and `subject_counts` agrees with a reference model.
+    /// stored live contexts in `(stamp, id)` order, and so do
+    /// `of_kind_live_at` / `of_subject_live_at` restricted to the
+    /// contexts live at instants around the clock — immortal ones and
+    /// lifespans created off their stamp included, so the views' skip
+    /// past a bucket's expired prefix must bound every lifespan's
+    /// deadline, not just its TTL. Every subject entry indexes at least
+    /// one stored context (so subject churn cannot grow the index), and
+    /// `subject_counts` agrees with a reference model.
     #[test]
     fn index_invariants_under_random_ops(ops in proptest::collection::vec(index_op(), 1..80)) {
         let mut pool = ContextPool::new();
@@ -282,6 +321,36 @@ proptest! {
                         of_subject,
                         live(&|c| c.kind() == &kind && c.subject() == subject)
                     );
+                }
+            }
+            let instants = [
+                clock.tick().saturating_sub(3),
+                clock.tick(),
+                clock.tick() + 5,
+                clock.tick() + 15,
+            ];
+            for now in instants.map(LogicalTime::new) {
+                for k in 0..2u8 {
+                    let kind = kind_name(k);
+                    let of_kind: Vec<ContextId> =
+                        pool.of_kind_live_at(&kind, now).map(|(id, _)| id).collect();
+                    prop_assert_eq!(
+                        of_kind,
+                        live(&|c| c.kind() == &kind && c.is_live(now)),
+                        "of_kind_live_at at {}", now
+                    );
+                    for s in 0..16u8 {
+                        let subject = format!("s{s}");
+                        let of_subject: Vec<ContextId> = pool
+                            .of_subject_live_at(&kind, &subject, now)
+                            .map(|(id, _)| id)
+                            .collect();
+                        prop_assert_eq!(
+                            of_subject,
+                            live(&|c| c.kind() == &kind && c.subject() == subject && c.is_live(now)),
+                            "of_subject_live_at({}) at {}", subject, now
+                        );
+                    }
                 }
             }
             prop_assert_eq!(pool.indexed_subjects(), entries.len());

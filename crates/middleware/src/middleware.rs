@@ -897,7 +897,11 @@ impl Middleware {
         expires: Option<LogicalTime>,
     ) {
         if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
-            let due = LogicalTime::new((stamp.tick() + 1).max(deadline.tick()) + retention.count());
+            let due = LogicalTime::new(
+                (stamp.tick().saturating_add(1))
+                    .max(deadline.tick())
+                    .saturating_add(retention.count()),
+            );
             self.doom_queue.entry(due).or_default().push(id);
         }
     }
@@ -912,7 +916,11 @@ impl Middleware {
         expires: Option<LogicalTime>,
     ) {
         if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
-            let due = LogicalTime::new((stamp.tick() + 1).max(deadline.tick()) + retention.count());
+            let due = LogicalTime::new(
+                (stamp.tick().saturating_add(1))
+                    .max(deadline.tick())
+                    .saturating_add(retention.count()),
+            );
             self.gt_doom_queue.entry(due).or_default().push(gid);
         }
     }
@@ -922,7 +930,12 @@ impl Middleware {
     /// compact predicate, which is absorbing).
     fn schedule_discard_doom(&mut self, id: ContextId, stamp: LogicalTime) {
         if let Some(retention) = self.config.retention {
-            let due = LogicalTime::new(stamp.tick() + 1 + retention.count());
+            let due = LogicalTime::new(
+                stamp
+                    .tick()
+                    .saturating_add(1)
+                    .saturating_add(retention.count()),
+            );
             self.doom_queue.entry(due).or_default().push(id);
         }
     }
@@ -2653,6 +2666,51 @@ mod retention_tests {
             m.stats().delivered + m.stats().discarded,
             500,
             "every context decided"
+        );
+    }
+
+    /// A TTL too long to add to its creation instant saturates at the
+    /// end of the clock instead of wrapping to an early deadline (or
+    /// panicking in a debug build): the context stays live, is
+    /// delivered, and its doom notes never come due while retention
+    /// compacts its short-lived neighbours.
+    #[test]
+    fn near_infinite_ttl_stays_live_and_is_never_compacted() {
+        let mut m = Middleware::builder()
+            .constraints(
+                parse_constraints(
+                    "constraint region: forall a: location . within(a, -1.0, -1.0, 1.0, 1.0)",
+                )
+                .unwrap(),
+            )
+            .strategy(Box::new(DropLatest::new()))
+            .config(MiddlewareConfig {
+                window: Ticks::new(1),
+                track_ground_truth: true,
+                retention: Some(Ticks::new(20)),
+            })
+            .build();
+        let fix = |i: u64, ttl: u64| {
+            Context::builder(ContextKind::new("location"), "p")
+                .attr("pos", Point::new(0.0, 0.0))
+                .attr("seq", i as i64)
+                .stamp(LogicalTime::new(i))
+                .lifespan(Lifespan::with_ttl(LogicalTime::new(i), Ticks::new(ttl)))
+                .build()
+        };
+        let long = m.submit(fix(5, u64::MAX - 1)).id;
+        for i in 6..200u64 {
+            m.submit(fix(i, 5));
+        }
+        m.drain();
+        let ctx = m.pool().get(long).expect("never compacted");
+        assert!(ctx.is_live(LogicalTime::new(u64::MAX - 1)));
+        assert_eq!(ctx.state(), ContextState::Consistent);
+        assert!(m.use_log().iter().any(|u| u.id == long && u.delivered));
+        assert!(
+            m.stats().compacted > 150,
+            "neighbours compacted: {}",
+            m.stats().compacted
         );
     }
 
