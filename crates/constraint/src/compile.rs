@@ -376,7 +376,8 @@ type MemoMap = std::collections::HashMap<
     std::hash::BuildHasherDefault<MemoHasher>,
 >;
 
-/// Per-batch predicate memo table for the fused truth-only pass.
+/// Per-batch predicate memo table for the batch-capped truth-only pass
+/// ([`IncrementalChecker::check_with_plan`](crate::IncrementalChecker::check_with_plan)).
 ///
 /// Predicate truth depends only on the call site (constraint index ×
 /// lowering-order occurrence id) and the contexts bound to the slots its
@@ -384,7 +385,7 @@ type MemoMap = std::collections::HashMap<
 /// a batch never physically removes a context mid-flight — so a verdict
 /// computed once can be replayed for every other batch member that binds
 /// the same contexts. Only `Ok` verdicts are cached; errors are always
-/// re-derived so the error stream stays identical to the unfused path.
+/// re-derived so the error stream stays identical to the memo-free path.
 ///
 /// Two classes of call bypass the table entirely: calls reading more
 /// than two slots, and calls reading the *pinned* quantifier's slot.
@@ -415,23 +416,6 @@ impl PredMemo {
     /// Memoizable lookups that had to evaluate the predicate.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Folds another memo's hit/miss tallies into this one (worker
-    /// memos aggregate into the batch total).
-    pub fn absorb_counts(&mut self, other: &PredMemo) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-
-    /// Merges another memo into this one: the cached verdicts union
-    /// (tables are keyed on immutable inputs, so duplicates agree) and
-    /// the hit/miss tallies add. Used to fold speculation workers'
-    /// memos into the commit-path memo of a fused batch.
-    pub fn absorb(&mut self, other: PredMemo) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.map.extend(other.map);
     }
 }
 
@@ -543,12 +527,12 @@ impl<'r> CompiledEvaluator<'r> {
     /// exactly the domain a sequential submission would have seen at
     /// that arrival position (ids are allocated monotonically and never
     /// reused), so the outcome — violations, truncation, and error
-    /// positions — is byte-identical to the unfused path.
+    /// positions — is byte-identical to a sequential check.
     ///
     /// Batch-cap contract: callers must ensure every pooled context
     /// stamped after `now` has `id > max_id`. This holds whenever `now`
     /// is the prefix-max arrival clock of a monotonically-staged batch
-    /// — the only way the fused engine invokes it — because earlier
+    /// — the way `check_with_plan` callers invoke it — because earlier
     /// positions and the pre-batch population are all stamped at or
     /// before their own clock. Domain fills exploit it to stop at the
     /// first future-stamped bucket element instead of scanning the
@@ -778,7 +762,7 @@ impl Run<'_, '_> {
     /// Fills one quantifier's materialized domain for the evidence and
     /// truth-only paths: the pin's singleton, else the subject bucket or
     /// full kind index, live at `now`, state-filtered by the domain
-    /// mode, and capped at `max_id` when batch-fused.
+    /// mode, and capped at `max_id` for a batch-capped check.
     fn fill_domain(&self, domain: &mut Vec<ContextId>, kind_sym: usize, slot: usize) {
         match (self.pin, self.pin_subject) {
             (Some(p), _) if p.qid == slot => domain.push(p.ctx),

@@ -67,8 +67,8 @@ impl KindPlan {
 }
 
 /// Checker-counter deltas produced by one
-/// [`IncrementalChecker::check_with_plan`] call. The batch loop folds
-/// them back with [`IncrementalChecker::absorb_batch_counts`] so
+/// [`IncrementalChecker::check_with_plan`] call. A caller folds them
+/// back with [`IncrementalChecker::absorb_batch_counts`] so
 /// [`CheckerStats`] end up identical to a sequential run — including
 /// the partial tallies of a check that errored mid-plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -309,12 +309,14 @@ impl IncrementalChecker {
         Ok(out)
     }
 
-    /// Whether the deployed set is eligible for batch-fused checking:
-    /// every constraint compiled, lies in the universal-positive
-    /// fragment (so plans pin — the stateful full-check-and-diff
-    /// fallback never runs), and carries a per-subject scope proof (so a
-    /// pinned check's footprint is exactly the pinned subject's bucket,
-    /// making disjoint-subject groups safe to check concurrently).
+    /// Whether the deployed set can be checked through
+    /// [`check_with_plan`](IncrementalChecker::check_with_plan): every
+    /// constraint compiled, lies in the universal-positive fragment (so
+    /// plans pin — the stateful full-check-and-diff fallback never
+    /// runs), and carries a per-subject scope proof (so a pinned check's
+    /// footprint is exactly the pinned subject's bucket, and checks of
+    /// disjoint subjects are independent). The middleware does not need
+    /// it; the benchmark's batched replay and the checker's tests do.
     pub fn supports_batch_fusion(&self) -> bool {
         self.compiled.iter().all(|p| {
             p.as_ref()
@@ -324,17 +326,20 @@ impl IncrementalChecker {
 
     /// Stateless, read-only twin of
     /// [`on_added_planned`](IncrementalChecker::on_added_planned) for
-    /// the batch-fused path: the whole batch is already in `pool`, and
-    /// capping every quantifier domain at `max_id` (the checked
-    /// context's own id) reproduces the pool a sequential submission
-    /// would have seen at that arrival position. Detections, their
-    /// order, and error outcomes are byte-identical to the sequential
-    /// call; counter deltas are returned in [`PlanCounts`] instead of
-    /// being applied, so disjoint-subject workers can share `&self`.
+    /// checking a batch staged whole into `pool` (as
+    /// `ContextPool::insert_batch` does): capping every quantifier
+    /// domain at `max_id` (the checked context's own id) reproduces the
+    /// pool a sequential submission would have seen at that arrival
+    /// position. Detections, their order, and error outcomes are
+    /// byte-identical to the sequential call; counter deltas are
+    /// returned in [`PlanCounts`] instead of being applied, so callers
+    /// can share `&self`. The middleware checks through
+    /// `on_added_planned`; this entry serves the benchmark's batched
+    /// replay and the checker's tests.
     ///
-    /// Requires [`supports_batch_fusion`]
-    /// (IncrementalChecker::supports_batch_fusion) — every plan step
-    /// pins a compiled program.
+    /// Requires
+    /// [`supports_batch_fusion`](IncrementalChecker::supports_batch_fusion)
+    /// — every plan step pins a compiled program.
     ///
     /// Errors are returned in the tuple (not via `?`) so the partial
     /// counts accompany them, exactly as a sequential error would leave

@@ -85,12 +85,6 @@ pub struct BenchRecord {
     pub contexts_per_sec: f64,
     /// Sharded vs global-mutex speedup.
     pub speedup_vs_mutex: f64,
-    /// Fused batch checking vs the sequential per-submit path, as a
-    /// median of paired per-rep ratios (unfused seconds / fused
-    /// seconds) on otherwise identical engines. `None` for rows
-    /// written before batch fusion existed, for benches that do not
-    /// measure it, and for the `city_unfused` control series itself.
-    pub fused_speedup: Option<f64>,
     /// Passive cost of a *disabled* registry, percent vs unobserved.
     pub obs_overhead_pct: f64,
     /// Cost of full event tracing, percent vs unobserved.
@@ -116,7 +110,7 @@ pub struct BenchRecord {
     /// benches that do not measure it.
     pub obs_profile_overhead_pct: Option<f64>,
     /// Marginal cost of end-to-end tail spans (per-context stamps,
-    /// outcome histograms, exemplar reservoirs, speculation counters)
+    /// outcome histograms, exemplar reservoirs, queue counters)
     /// over the metrics-only registry, percent, as a median of paired
     /// reps. Joins the absolute overhead gate. `None` for rows written
     /// before tail telemetry existed and benches that do not measure
@@ -136,17 +130,6 @@ pub struct BenchRecord {
     /// ([`Thresholds::e2e_p99_regression_pct`]). `None` for pre-tail
     /// rows and benches that do not measure it.
     pub e2e_p99_ns: Option<f64>,
-    /// Share of speculated fused-batch groups whose verdicts were
-    /// consumed rather than wasted on dirty collisions, in `0..=1`. A
-    /// steep drop means speculation stopped paying
-    /// ([`Thresholds::spec_consumed_drop_pp`]). `None` for pre-tail
-    /// rows and benches that do not measure it.
-    pub spec_consumed_rate: Option<f64>,
-    /// Share of speculated fused-batch groups whose verdicts were
-    /// wasted on dirty collisions, in `0..=1` — the gated consumed
-    /// rate's complement, reported for context. `None` for pre-tail
-    /// rows and benches that do not measure it.
-    pub spec_wasted_rate: Option<f64>,
     /// Per-phase self-time shares from the profile-on configuration,
     /// the input to [`attribute_regression`]. `None` for pre-profiler
     /// rows (they still load) and benches that do not profile.
@@ -167,6 +150,20 @@ impl BenchRecord {
             && self.host == other.host
             && self.contexts == other.contexts
     }
+}
+
+/// The row index of every series' latest run, oldest first: a row is a
+/// series tail when no later row belongs to the same series
+/// ([`BenchRecord::same_series`]). Each tail is the run a report
+/// judges; every earlier row of its series is its prior history.
+pub fn series_tails(history: &[BenchRecord]) -> Vec<usize> {
+    (0..history.len())
+        .filter(|&i| {
+            history[i + 1..]
+                .iter()
+                .all(|later| !history[i].same_series(later))
+        })
+        .collect()
 }
 
 /// Appends one record to a JSONL history file, creating the file and
@@ -227,9 +224,6 @@ pub struct Thresholds {
     /// gate: a tail quantile inherits both the throughput's noise and
     /// the histogram's bucket granularity.
     pub e2e_p99_regression_pct: f64,
-    /// Maximum tolerated drop of the speculation consumed rate vs its
-    /// baseline median, in percentage points.
-    pub spec_consumed_drop_pp: f64,
 }
 
 impl Default for Thresholds {
@@ -238,7 +232,6 @@ impl Default for Thresholds {
             regression_pct: 10.0,
             obs_overhead_pct: 3.0,
             e2e_p99_regression_pct: 25.0,
-            spec_consumed_drop_pp: 20.0,
         }
     }
 }
@@ -285,9 +278,8 @@ pub enum OverheadVerdict {
     },
 }
 
-/// The end-to-end tail series vs its baseline: p99 latency growth and
-/// speculation-efficiency drop, judged together because both come from
-/// the same tail-on bench configuration.
+/// The end-to-end tail series vs its baseline: p99 latency growth of
+/// the tail-on bench configuration.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum TailVerdict {
     /// The current run records no tail series (a pre-tail row or a
@@ -299,34 +291,22 @@ pub enum TailVerdict {
         /// The seeding run's end-to-end p99, nanoseconds.
         p99_ns: f64,
     },
-    /// p99 within its threshold and the consumed rate within its drop
-    /// bound.
+    /// p99 within its threshold.
     Pass {
         /// Baseline median end-to-end p99, nanoseconds.
         baseline_p99_ns: f64,
         /// p99 change vs baseline, percent (positive = slower).
         p99_change_pct: f64,
-        /// Consumed-rate drop vs baseline, percentage points (positive
-        /// = less speculation paying off); `None` when either side
-        /// lacks the rate.
-        consumed_drop_pp: Option<f64>,
-        /// Prior runs behind the medians.
+        /// Prior runs behind the median.
         baseline_runs: usize,
     },
-    /// p99 grew past the threshold and/or the consumed rate fell past
-    /// its drop bound.
+    /// p99 grew past the threshold.
     Regression {
         /// Baseline median end-to-end p99, nanoseconds.
         baseline_p99_ns: f64,
         /// p99 change vs baseline, percent (positive = slower).
         p99_change_pct: f64,
-        /// Whether the p99 gate tripped.
-        p99_regressed: bool,
-        /// Consumed-rate drop vs baseline, percentage points.
-        consumed_drop_pp: Option<f64>,
-        /// Whether the speculation-efficiency gate tripped.
-        spec_dropped: bool,
-        /// Prior runs behind the medians.
+        /// Prior runs behind the median.
         baseline_runs: usize,
     },
 }
@@ -338,7 +318,7 @@ pub struct Verdict {
     pub throughput: ThroughputVerdict,
     /// Observability-overhead gate.
     pub overhead: OverheadVerdict,
-    /// End-to-end tail latency / speculation-efficiency gate.
+    /// End-to-end tail latency gate.
     pub tail: TailVerdict,
 }
 
@@ -425,11 +405,10 @@ pub fn evaluate(current: &BenchRecord, prior: &[BenchRecord], thresholds: &Thres
     }
 }
 
-/// The tail leg of [`evaluate`]: the current run's `e2e_p99_ns` and
-/// `spec_consumed_rate` against the medians of the most recent
-/// [`BASELINE_WINDOW`] same-series prior rows that carry them —
-/// pre-tail history rows contribute nothing instead of zeroing the
-/// baseline.
+/// The tail leg of [`evaluate`]: the current run's `e2e_p99_ns`
+/// against the median of the most recent [`BASELINE_WINDOW`]
+/// same-series prior rows that carry it — pre-tail history rows
+/// contribute nothing instead of zeroing the baseline.
 fn evaluate_tail(
     current: &BenchRecord,
     prior: &[BenchRecord],
@@ -451,32 +430,16 @@ fn evaluate_tail(
     let baseline_runs = p99s.len();
     let baseline_p99_ns = median(&mut p99s);
     let p99_change_pct = (p99 / baseline_p99_ns - 1.0) * 100.0;
-    let p99_regressed = p99_change_pct > thresholds.e2e_p99_regression_pct;
-    let consumed_drop_pp = current.spec_consumed_rate.and_then(|cur| {
-        let mut rates: Vec<f64> = prior
-            .iter()
-            .rev()
-            .filter(|r| r.same_series(current))
-            .filter_map(|r| r.spec_consumed_rate)
-            .take(BASELINE_WINDOW)
-            .collect();
-        (!rates.is_empty()).then(|| (median(&mut rates) - cur) * 100.0)
-    });
-    let spec_dropped = consumed_drop_pp.is_some_and(|d| d > thresholds.spec_consumed_drop_pp);
-    if p99_regressed || spec_dropped {
+    if p99_change_pct > thresholds.e2e_p99_regression_pct {
         TailVerdict::Regression {
             baseline_p99_ns,
             p99_change_pct,
-            p99_regressed,
-            consumed_drop_pp,
-            spec_dropped,
             baseline_runs,
         }
     } else {
         TailVerdict::Pass {
             baseline_p99_ns,
             p99_change_pct,
-            consumed_drop_pp,
             baseline_runs,
         }
     }
@@ -621,7 +584,6 @@ mod tests {
             contexts: 320,
             contexts_per_sec,
             speedup_vs_mutex: 2.0,
-            fused_speedup: Some(2.1),
             obs_overhead_pct: 0.5,
             obs_enabled_overhead_pct: 8.0,
             obs_export_overhead_pct: 1.0,
@@ -632,8 +594,6 @@ mod tests {
             e2e_p50_ns: Some(200_000.0),
             e2e_p95_ns: Some(700_000.0),
             e2e_p99_ns: Some(1_000_000.0),
-            spec_consumed_rate: Some(0.9),
-            spec_wasted_rate: Some(0.05),
             phase_shares: Some(vec![
                 PhaseShare {
                     phase: "ingest".to_owned(),
@@ -821,43 +781,13 @@ mod tests {
             TailVerdict::Regression {
                 baseline_p99_ns,
                 p99_change_pct,
-                p99_regressed,
-                spec_dropped,
                 baseline_runs,
-                ..
             } => {
                 assert_eq!(baseline_p99_ns, 1_000_000.0);
                 assert!((p99_change_pct - 100.0).abs() < 1e-9);
-                assert!(p99_regressed);
-                assert!(!spec_dropped);
                 assert_eq!(baseline_runs, 3);
             }
             other => panic!("expected tail regression, got {other:?}"),
-        }
-        assert!(v.is_failure());
-    }
-
-    #[test]
-    fn spec_consumed_rate_collapse_fails_the_tail_gate() {
-        // Consumed rate sliding 0.9 → 0.5 (40 points) means nearly
-        // half the speculated verdicts are being thrown away; that is
-        // a speculation regression even when p99 holds.
-        let prior = [record(1000.0), record(1010.0)];
-        let mut wasted = record(1000.0);
-        wasted.spec_consumed_rate = Some(0.5);
-        let v = evaluate(&wasted, &prior, &Thresholds::default());
-        match v.tail {
-            TailVerdict::Regression {
-                p99_regressed,
-                consumed_drop_pp,
-                spec_dropped,
-                ..
-            } => {
-                assert!(!p99_regressed);
-                assert!(spec_dropped);
-                assert!((consumed_drop_pp.unwrap() - 40.0).abs() < 1e-9);
-            }
-            other => panic!("expected spec-efficiency regression, got {other:?}"),
         }
         assert!(v.is_failure());
     }
@@ -867,7 +797,6 @@ mod tests {
         // No tail data at all: nothing to judge.
         let mut bare = record(1000.0);
         bare.e2e_p99_ns = None;
-        bare.spec_consumed_rate = None;
         bare.obs_tail_overhead_pct = None;
         let v = evaluate(&bare, &[], &Thresholds::default());
         assert_eq!(v.tail, TailVerdict::NotMeasured);
@@ -884,17 +813,14 @@ mod tests {
         let prior = [record(1000.0), record(1002.0)];
         let mut noisy = record(1000.0);
         noisy.e2e_p99_ns = Some(1_100_000.0);
-        noisy.spec_consumed_rate = Some(0.85);
         let v = evaluate(&noisy, &prior, &Thresholds::default());
         match v.tail {
             TailVerdict::Pass {
                 p99_change_pct,
-                consumed_drop_pp,
                 baseline_runs,
                 ..
             } => {
                 assert!((p99_change_pct - 10.0).abs() < 1e-9);
-                assert!((consumed_drop_pp.unwrap() - 5.0).abs() < 1e-6);
                 assert_eq!(baseline_runs, 2);
             }
             other => panic!("{other:?}"),
@@ -909,15 +835,12 @@ mod tests {
             .replace(",\"obs_tail_overhead_pct\":0.7", "")
             .replace(",\"e2e_p50_ns\":200000.0", "")
             .replace(",\"e2e_p95_ns\":700000.0", "")
-            .replace(",\"e2e_p99_ns\":1000000.0", "")
-            .replace(",\"spec_consumed_rate\":0.9", "")
-            .replace(",\"spec_wasted_rate\":0.05", "");
+            .replace(",\"e2e_p99_ns\":1000000.0", "");
         assert_ne!(line, stripped, "fixture must actually drop the fields");
         assert!(!stripped.contains("e2e_p99_ns"), "fixture fully stripped");
         let row: BenchRecord = serde_json::from_str(&stripped).unwrap();
         assert_eq!(row.obs_tail_overhead_pct, None);
         assert_eq!(row.e2e_p99_ns, None);
-        assert_eq!(row.spec_consumed_rate, None);
         assert!(!evaluate(&row, &[], &Thresholds::default()).is_failure());
     }
 
@@ -988,15 +911,47 @@ mod tests {
     }
 
     #[test]
-    fn rows_predating_batch_fusion_still_load() {
-        // Rows appended before fused batch checking existed carry no
-        // `fused_speedup`; they must parse as None and pass the gate.
-        let line = serde_json::to_string(&record(1000.0)).unwrap();
-        let stripped = line.replace(",\"fused_speedup\":2.1", "");
-        assert_ne!(line, stripped, "fixture must actually drop the field");
-        let row: BenchRecord = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(row.fused_speedup, None);
-        assert!(!evaluate(&row, &[], &Thresholds::default()).is_failure());
+    fn committed_history_loads_and_groups_into_series() {
+        // Every committed row must keep loading, including rows that
+        // carry fields later removed from `BenchRecord`
+        // (`fused_speedup`, the `city_unfused` series) — unknown fields
+        // are ignored, never an error.
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_history.jsonl");
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let history = load_history(&path).unwrap();
+        assert_eq!(
+            history.len(),
+            raw.lines().filter(|l| !l.trim().is_empty()).count()
+        );
+        assert!(
+            raw.contains("\"fused_speedup\""),
+            "fixture rows carry a removed field"
+        );
+        let tails = series_tails(&history);
+        let benches: Vec<&str> = tails.iter().map(|&i| history[i].bench.as_str()).collect();
+        for bench in ["shard_throughput", "city", "city_unfused"] {
+            assert!(
+                benches.contains(&bench),
+                "{bench} series missing from {benches:?}"
+            );
+        }
+        // Every row belongs to exactly one series, judged at its tail.
+        for row in &history {
+            let owners = tails
+                .iter()
+                .filter(|&&t| history[t].same_series(row))
+                .count();
+            assert_eq!(owners, 1, "{} row in {owners} series", row.bench);
+        }
+    }
+
+    #[test]
+    fn series_tails_pick_each_series_latest_row() {
+        let mut other = record(2000.0);
+        other.shards = 8;
+        let history = [record(1000.0), other.clone(), record(1010.0), other];
+        assert_eq!(series_tails(&history), [2, 3]);
+        assert!(series_tails(&[]).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! bench_report [--history <path>] [--threshold-pct <pct>] [--obs-threshold-pct <pct>]
-//!              [--p99-threshold-pct <pct>] [--spec-drop-pp <pp>]
+//!              [--p99-threshold-pct <pct>]
 //! ```
 //!
 //! The history interleaves rows from independent series —
@@ -15,10 +15,10 @@
 //! live health-telemetry overhead as `obs_health_overhead_pct` and the
 //! sampled phase-profiler overhead as `obs_profile_overhead_pct`; its
 //! other obs-overhead fields are zero/`None` and never trip the gate),
-//! `city_unfused` (the same workload with batch fusion disabled, so
-//! the sequential checking path keeps its own baseline and a
-//! regression there cannot hide behind the fused headline) —
-//! distinguished by the `(bench, shards, quick, host, contexts)` key.
+//! and `city_unfused` in older histories (the city workload with batch
+//! fusion switched off; no longer written, but its last row is still
+//! judged against its own baseline) — distinguished by the `(bench,
+//! shards, quick, host, contexts)` key.
 //!
 //! When a series regresses and its rows carry `phase_shares` (the
 //! profiler's per-phase self-time shares), the report also prints a
@@ -34,15 +34,13 @@
 //! than `--threshold-pct` (default 10%) below baseline,
 //! observability/export/provenance/tail overhead above
 //! `--obs-threshold-pct` (default 3%), end-to-end p99 latency more
-//! than `--p99-threshold-pct` (default 25%) above its baseline median,
-//! or the speculation consumed rate more than `--spec-drop-pp`
-//! (default 20 percentage points) below its baseline median — `2`
-//! usage or unreadable/empty history. Rows that predate tail telemetry
+//! than `--p99-threshold-pct` (default 25%) above its baseline median —
+//! `2` usage or unreadable/empty history. Rows that predate tail telemetry
 //! contribute nothing to the tail baselines and are judged `n/a`.
 
 use ctxres_experiments::bench_history::{
-    attribute_regression, evaluate, history_path_from_env, load_history, OverheadVerdict,
-    TailVerdict, Thresholds, ThroughputVerdict,
+    attribute_regression, evaluate, history_path_from_env, load_history, series_tails,
+    OverheadVerdict, TailVerdict, Thresholds, ThroughputVerdict,
 };
 use std::path::PathBuf;
 
@@ -69,11 +67,6 @@ fn parse_args() -> Result<(PathBuf, Thresholds), String> {
                     .parse()
                     .map_err(|e| format!("--p99-threshold-pct: {e}"))?;
             }
-            "--spec-drop-pp" => {
-                thresholds.spec_consumed_drop_pp = value("--spec-drop-pp")?
-                    .parse()
-                    .map_err(|e| format!("--spec-drop-pp: {e}"))?;
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -88,6 +81,13 @@ fn opt_pct_label(pct: Option<f64>) -> String {
         Some(p) => format!("{p:+.2}%"),
         None => "n/a".to_owned(),
     }
+}
+
+/// A row's end-to-end p99 in whole microseconds for display.
+fn p99_label(p99_ns: Option<f64>) -> String {
+    p99_ns
+        .map(|ns| format!("{:.0}", ns / 1000.0))
+        .unwrap_or_else(|| "?".into())
 }
 
 fn main() {
@@ -113,15 +113,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    // A row is a series tail when no later row belongs to the same
-    // series; each tail is the run under judgment for that series.
-    let tails: Vec<usize> = (0..history.len())
-        .filter(|&i| {
-            history[i + 1..]
-                .iter()
-                .all(|later| !history[i].same_series(later))
-        })
-        .collect();
+    let tails = series_tails(&history);
 
     println!(
         "bench_report: {} series over {} rows of history",
@@ -210,10 +202,6 @@ fn main() {
                 thresholds.obs_overhead_pct,
             ),
         }
-        let drop_label = |drop: &Option<f64>| match drop {
-            Some(pp) => format!("{pp:+.1}pp drop"),
-            None => "n/a".to_owned(),
-        };
         match &verdict.tail {
             TailVerdict::NotMeasured => {}
             TailVerdict::NoBaseline { p99_ns } => println!(
@@ -223,51 +211,28 @@ fn main() {
             TailVerdict::Pass {
                 baseline_p99_ns,
                 p99_change_pct,
-                consumed_drop_pp,
                 baseline_runs,
             } => println!(
-                "  e2e tail: PASS — p99 {} µs vs median {:.0} of {} prior run(s) ({:+.2}%, threshold +{:.1}%); spec consumed {} (threshold {:.1}pp)",
-                current
-                    .e2e_p99_ns
-                    .map(|ns| format!("{:.0}", ns / 1000.0))
-                    .unwrap_or_else(|| "?".into()),
+                "  e2e tail: PASS — p99 {} µs vs median {:.0} of {} prior run(s) ({:+.2}%, threshold +{:.1}%)",
+                p99_label(current.e2e_p99_ns),
                 baseline_p99_ns / 1000.0,
                 baseline_runs,
                 p99_change_pct,
                 thresholds.e2e_p99_regression_pct,
-                drop_label(consumed_drop_pp),
-                thresholds.spec_consumed_drop_pp,
             ),
             TailVerdict::Regression {
                 baseline_p99_ns,
                 p99_change_pct,
-                p99_regressed,
-                consumed_drop_pp,
-                spec_dropped,
                 baseline_runs,
             } => {
-                let mut gates = Vec::new();
-                if *p99_regressed {
-                    gates.push(format!(
-                        "p99 {} µs vs median {:.0} of {} prior run(s) ({:+.2}%, threshold +{:.1}%)",
-                        current
-                            .e2e_p99_ns
-                            .map(|ns| format!("{:.0}", ns / 1000.0))
-                            .unwrap_or_else(|| "?".into()),
-                        baseline_p99_ns / 1000.0,
-                        baseline_runs,
-                        p99_change_pct,
-                        thresholds.e2e_p99_regression_pct,
-                    ));
-                }
-                if *spec_dropped {
-                    gates.push(format!(
-                        "spec consumed rate {} vs baseline median (threshold {:.1}pp)",
-                        drop_label(consumed_drop_pp),
-                        thresholds.spec_consumed_drop_pp,
-                    ));
-                }
-                println!("  e2e tail: REGRESSION — {}", gates.join("; "));
+                println!(
+                    "  e2e tail: REGRESSION — p99 {} µs vs median {:.0} of {} prior run(s) ({:+.2}%, threshold +{:.1}%)",
+                    p99_label(current.e2e_p99_ns),
+                    baseline_p99_ns / 1000.0,
+                    baseline_runs,
+                    p99_change_pct,
+                    thresholds.e2e_p99_regression_pct,
+                );
                 // The tail gate reuses the same phase attribution as
                 // throughput: a p99 that moved without throughput
                 // moving still names the phase whose share grew.

@@ -12,18 +12,13 @@
 //! churn, and a teleport rate that plants genuine speed-constraint
 //! violations throughout the trace.
 //!
-//! Three configurations are timed: the global-mutex engine submitting
-//! contexts one at a time (the paper's deployment model), the sharded
-//! engine ingesting via `batch_add` with a periodic rebalancing cycle
-//! — every few batches the engine drains, reads per-shard subject
+//! Two configurations are timed: the global-mutex engine submitting
+//! contexts one at a time (the paper's deployment model), and the
+//! sharded engine ingesting via `batch_add` with a periodic rebalancing
+//! cycle — every few batches the engine drains, reads per-shard subject
 //! loads, asks [`ShardPlan::rebalance`] for a better placement, and
-//! applies it before continuing — and the same sharded engines with
-//! **batch fusion disabled** (`MiddlewareBuilder::fused(false)`), the
-//! sequential per-submit checking path. All must report the identical
-//! inconsistency count. `fused_speedup` is the median of paired
-//! within-rep unfused/fused ratios, and the fused-off run appends its
-//! own `city_unfused` history row so the sequential path stays a gated
-//! regression series in its own right.
+//! applies it before continuing. Both must report the identical
+//! inconsistency count.
 //!
 //! Two further configurations measure **live health telemetry** on the
 //! city series, mirroring how `shard_bench` isolates the provenance
@@ -43,16 +38,14 @@
 //! that layer, not the price of metrics as a whole — which CI gates
 //! under 3% via `bench_report`.
 //!
-//! A sixth configuration turns on **end-to-end tail telemetry**
+//! A fifth configuration turns on **end-to-end tail telemetry**
 //! (`ObsConfig::metrics_only().with_tail(true)`): per-context
 //! monotonic span stamps, per-(shard, outcome) log-bucketed
-//! histograms, bounded exemplar reservoirs, and the fused-path
-//! speculation counters. Its marginal cost over metrics-only is
-//! `obs_tail_overhead_pct` (same paired-median discipline, same <3%
-//! gate), and the run's folded histograms yield the gated
-//! `e2e_p99_ns` regression series plus reported p50/p95 context and
-//! the speculation consumed/wasted rates `bench_report` watches for
-//! collapse.
+//! histograms, and bounded exemplar reservoirs. Its marginal cost over
+//! metrics-only is `obs_tail_overhead_pct` (same paired-median
+//! discipline, same <3% gate), and the run's folded histograms yield
+//! the gated `e2e_p99_ns` regression series plus reported p50/p95
+//! context.
 //!
 //! Every run appends one [`BenchRecord`] row with `bench: "city"` to
 //! `results/bench_history.jsonl` (override with `CTXRES_BENCH_HISTORY`)
@@ -101,9 +94,8 @@ const RETENTION: u64 = 512;
 const REPS: usize = 7;
 /// Root-sampling divisor for the profile-on configuration: every 32nd
 /// batch/maintenance root records full nested spans; the rest pay one
-/// lock-free counter bump. Batch fusion made the bare path ~1.5x
-/// faster, which turned the divisor-8 recording cost into >3% of the
-/// (now shorter) run — the budget is relative, so the divisor scales
+/// lock-free counter bump. A divisor of 8 cost >3% of the run once the
+/// bare path got fast — the budget is relative, so the divisor scales
 /// with the engine. Hundreds of sampled roots per run still give
 /// stable shares.
 const PROFILE_SAMPLE: u32 = 32;
@@ -118,11 +110,10 @@ fn shard_count() -> usize {
         .unwrap_or(DEFAULT_SHARDS)
 }
 
-fn engine_builder(fused: bool) -> ctxres_middleware::MiddlewareBuilder {
+fn engine_builder() -> ctxres_middleware::MiddlewareBuilder {
     Middleware::builder()
         .constraints(parse_constraints(SPEED).unwrap())
         .strategy(Box::new(DropBad::new()))
-        .fused(fused)
         .config(MiddlewareConfig {
             window: Ticks::new(0),
             track_ground_truth: false,
@@ -142,17 +133,16 @@ fn run_sharded(
     trace: &[Context],
     shards: usize,
     obs: Option<ObsConfig>,
-    fused: bool,
 ) -> (u64, usize, ShardedMiddleware) {
     let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), shards);
     let (mut sharded, mut sampler) = if let Some(config) = obs {
         let registry = ShardedMiddleware::obs_registry(&plan, config);
         let sharded = ShardedMiddleware::new_observed(plan, &registry, |_, obs| {
-            engine_builder(fused).obs(obs).build()
+            engine_builder().obs(obs).build()
         });
         (sharded, Some(Sampler::new(registry)))
     } else {
-        let sharded = ShardedMiddleware::new(plan, |_| engine_builder(fused).build());
+        let sharded = ShardedMiddleware::new(plan, |_| engine_builder().build());
         (sharded, None)
     };
     let mut rebalances = 0usize;
@@ -208,13 +198,6 @@ fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
 }
 
-/// Four decimals — enough for speculation rates in `0..=1`, where two
-/// decimals would quantize the gated consumed-drop comparison to whole
-/// percentage points.
-fn round4(x: f64) -> f64 {
-    (x * 10_000.0).round() / 10_000.0
-}
-
 /// Everything one run writes to `BENCH_city.json`.
 #[derive(serde::Serialize)]
 struct BenchFile {
@@ -222,11 +205,6 @@ struct BenchFile {
     contexts_per_sec: f64,
     shards: usize,
     speedup_vs_mutex: f64,
-    /// Fused batch checking vs the same engines with fusion disabled,
-    /// as a median of paired within-rep ratios.
-    fused_speedup: f64,
-    /// Best-rep throughput of the fused-off control configuration.
-    unfused_contexts_per_sec: f64,
     subjects: usize,
     zipf_exponent: f64,
     churned_subjects: u64,
@@ -243,10 +221,6 @@ struct BenchFile {
     e2e_p95_ns: Option<f64>,
     /// End-to-end p99 from the tail-on run's folded histograms, ns.
     e2e_p99_ns: Option<f64>,
-    /// Consumed share of speculated fused-batch groups, `0..=1`.
-    spec_consumed_rate: Option<f64>,
-    /// Wasted (dirty-collision) share of speculated groups, `0..=1`.
-    spec_wasted_rate: Option<f64>,
     phase_shares: Vec<PhaseShare>,
     batch_size: usize,
     commit: String,
@@ -285,7 +259,7 @@ fn main() {
     // second baseline rep would double the bench's wall time for a
     // denominator that only feeds `speedup_vs_mutex`.
     let mutex_start = Instant::now();
-    let shared = SharedMiddleware::new(engine_builder(true).build());
+    let shared = SharedMiddleware::new(engine_builder().build());
     for ctx in &trace {
         shared.lock().submit(ctx.clone());
     }
@@ -296,61 +270,43 @@ fn main() {
     eprintln!("  mutex: {:.1} ctx/s", n as f64 / mutex_secs);
 
     let mut best_secs = f64::INFINITY;
-    let mut best_unfused_secs = f64::INFINITY;
     let mut shard_found = 0u64;
-    let mut unfused_found = 0u64;
     let mut metrics_found = 0u64;
     let mut health_found = 0u64;
     let mut profile_found = 0u64;
     let mut tail_found = 0u64;
     let mut rebalances = 0usize;
     let mut last_run: Option<ShardedMiddleware> = None;
-    let mut last_unfused: Option<ShardedMiddleware> = None;
     let mut last_profiled: Option<ShardedMiddleware> = None;
     let mut last_tail: Option<ShardedMiddleware> = None;
-    let mut fused_secs = Vec::with_capacity(REPS);
-    let mut unfused_secs = Vec::with_capacity(REPS);
     let mut metrics_secs = Vec::with_capacity(REPS);
     let mut health_secs = Vec::with_capacity(REPS);
     let mut profile_secs = Vec::with_capacity(REPS);
     let mut tail_secs = Vec::with_capacity(REPS);
     for rep in 0..REPS {
-        // All six configurations run back-to-back within each rep, so
+        // All five configurations run back-to-back within each rep, so
         // each paired ratio sees the same machine conditions — the same
         // interleaving discipline `shard_bench` uses for provenance.
         let start = Instant::now();
-        let (found, rebs, sharded) = run_sharded(&trace, shards, None, true);
+        let (found, rebs, sharded) = run_sharded(&trace, shards, None);
         let secs = start.elapsed().as_secs_f64();
         best_secs = best_secs.min(secs);
-        fused_secs.push(secs);
         shard_found = found;
         rebalances = rebs;
         last_run = Some(sharded);
-
-        // The fused-off control: the same engines with batch fusion
-        // disabled, so `fused_speedup` is a paired within-rep ratio and
-        // the sequential path keeps its own gated throughput series.
-        let start = Instant::now();
-        let (found, _, sharded) = run_sharded(&trace, shards, None, false);
-        let u_secs = start.elapsed().as_secs_f64();
-        best_unfused_secs = best_unfused_secs.min(u_secs);
-        unfused_secs.push(u_secs);
-        unfused_found = found;
-        last_unfused = Some(sharded);
 
         let start = Instant::now();
         let (found, _, _) = run_sharded(
             &trace,
             shards,
             Some(ObsConfig::metrics_only().with_health(false)),
-            true,
         );
         let m_secs = start.elapsed().as_secs_f64();
         metrics_found = found;
         metrics_secs.push(m_secs);
 
         let start = Instant::now();
-        let (found, _, _) = run_sharded(&trace, shards, Some(ObsConfig::metrics_only()), true);
+        let (found, _, _) = run_sharded(&trace, shards, Some(ObsConfig::metrics_only()));
         let h_secs = start.elapsed().as_secs_f64();
         health_found = found;
         health_secs.push(h_secs);
@@ -360,7 +316,6 @@ fn main() {
             &trace,
             shards,
             Some(ObsConfig::metrics_only().with_profile(PROFILE_SAMPLE)),
-            true,
         );
         let p_secs = start.elapsed().as_secs_f64();
         profile_found = found;
@@ -372,18 +327,15 @@ fn main() {
             &trace,
             shards,
             Some(ObsConfig::metrics_only().with_tail(true)),
-            true,
         );
         let t_secs = start.elapsed().as_secs_f64();
         tail_found = found;
         tail_secs.push(t_secs);
         last_tail = Some(sharded);
         eprintln!(
-            "  sharded rep {}: {:.1} ctx/s, {rebs} rebalance(s) | unfused: {:.1} ctx/s ({:.2}x) | metrics: {:.1} ctx/s | +health: {:.1} ctx/s ({:+.2}%) | +profile: {:.1} ctx/s ({:+.2}%) | +tail: {:.1} ctx/s ({:+.2}%)",
+            "  sharded rep {}: {:.1} ctx/s, {rebs} rebalance(s) | metrics: {:.1} ctx/s | +health: {:.1} ctx/s ({:+.2}%) | +profile: {:.1} ctx/s ({:+.2}%) | +tail: {:.1} ctx/s ({:+.2}%)",
             rep + 1,
             n as f64 / secs,
-            n as f64 / u_secs,
-            u_secs / secs,
             n as f64 / m_secs,
             n as f64 / h_secs,
             (h_secs / m_secs - 1.0) * 100.0,
@@ -397,10 +349,6 @@ fn main() {
     assert_eq!(
         mutex_found, shard_found,
         "sharded batch ingestion must find the same inconsistencies as the mutex baseline"
-    );
-    assert_eq!(
-        shard_found, unfused_found,
-        "fused and sequential batch checking must find the same inconsistencies"
     );
     assert_eq!(
         shard_found, metrics_found,
@@ -425,11 +373,6 @@ fn main() {
     let obs_health_overhead_pct = median_paired_overhead_pct(&health_secs, &metrics_secs);
     let obs_profile_overhead_pct = median_paired_overhead_pct(&profile_secs, &metrics_secs);
     let obs_tail_overhead_pct = median_paired_overhead_pct(&tail_secs, &metrics_secs);
-    // Fused-over-sequential speedup as a median of paired within-rep
-    // ratios, the same noise discipline as the overhead columns:
-    // `median_paired_overhead_pct` returns (unfused/fused - 1) × 100.
-    let fused_speedup =
-        round2(median_paired_overhead_pct(&unfused_secs, &fused_secs) / 100.0 + 1.0);
 
     // Self-time shares from the last profiled rep: these feed regression
     // attribution in `bench_report` — when throughput drops, the phase
@@ -453,8 +396,7 @@ fn main() {
 
     // End-to-end tail figures from the last tail-on rep: the whole
     // run's folded per-outcome histograms ("since the beginning"), so
-    // the quantiles summarize every context the rep ingested, and the
-    // cumulative speculation counters as consumed/wasted rates.
+    // the quantiles summarize every context the rep ingested.
     let tail_sample = {
         let sharded = last_tail.expect("at least one tail-on rep ran");
         let registry = sharded
@@ -465,18 +407,14 @@ fn main() {
     let e2e_p50_ns = tail_sample.all.p50_ns.map(round1);
     let e2e_p95_ns = tail_sample.all.p95_ns.map(round1);
     let e2e_p99_ns = tail_sample.all.p99_ns.map(round1);
-    let spec_consumed_rate = tail_sample.spec.consumed_rate.map(round4);
-    let spec_wasted_rate = tail_sample.spec.wasted_rate.map(round4);
 
     let contexts_per_sec = n as f64 / best_secs;
-    let unfused_contexts_per_sec = n as f64 / best_unfused_secs;
     let speedup = mutex_secs / best_secs;
     eprintln!(
-        "mutex: {:.1} ctx/s | sharded({shards}): {:.1} ctx/s | speedup {:.2}x | fused {fused_speedup:.2}x over sequential ({:.1} ctx/s) | health overhead {:+.2}% | profile overhead {:+.2}% | tail overhead {:+.2}% | {} inconsistencies | {} rebalances",
+        "mutex: {:.1} ctx/s | sharded({shards}): {:.1} ctx/s | speedup {:.2}x | health overhead {:+.2}% | profile overhead {:+.2}% | tail overhead {:+.2}% | {} inconsistencies | {} rebalances",
         n as f64 / mutex_secs,
         contexts_per_sec,
         speedup,
-        unfused_contexts_per_sec,
         obs_health_overhead_pct,
         obs_profile_overhead_pct,
         obs_tail_overhead_pct,
@@ -487,18 +425,11 @@ fn main() {
         Some(ns) => format!("{:.0}", ns / 1000.0),
         None => "-".to_owned(),
     };
-    let pct = |v: Option<f64>| match v {
-        Some(r) => format!("{:.1}%", r * 100.0),
-        None => "-".to_owned(),
-    };
     eprintln!(
-        "  e2e tail (µs): p50 {} | p95 {} | p99 {} | spec consumed {} wasted {} over {} speculated groups",
+        "  e2e tail (µs): p50 {} | p95 {} | p99 {}",
         us(e2e_p50_ns),
         us(e2e_p95_ns),
         us(e2e_p99_ns),
-        pct(spec_consumed_rate),
-        pct(spec_wasted_rate),
-        tail_sample.spec.groups_speculated,
     );
     for s in &phase_shares {
         eprintln!(
@@ -509,8 +440,10 @@ fn main() {
 
     // Per-shard breakdown from the last timed run: which shards carried
     // the city after rebalancing settled.
-    let shard_breakdown = |sharded: &ShardedMiddleware, rate: f64| -> Vec<ShardThroughput> {
-        let stats = sharded.shard_stats();
+    let per_shard: Vec<ShardThroughput> = {
+        let stats = last_run
+            .expect("at least one sharded rep ran")
+            .shard_stats();
         let total_ingested: u64 = stats.iter().map(|s| s.ingested).sum::<u64>().max(1);
         stats
             .iter()
@@ -521,19 +454,11 @@ fn main() {
                     shared_scope: s.shared_scope,
                     ingested: s.ingested,
                     share_pct: round2(share * 100.0),
-                    contexts_per_sec: round1(rate * share),
+                    contexts_per_sec: round1(contexts_per_sec * share),
                 }
             })
             .collect()
     };
-    let per_shard = shard_breakdown(
-        &last_run.expect("at least one sharded rep ran"),
-        contexts_per_sec,
-    );
-    let unfused_per_shard = shard_breakdown(
-        &last_unfused.expect("at least one unfused rep ran"),
-        unfused_contexts_per_sec,
-    );
     for s in &per_shard {
         eprintln!(
             "  shard {:>2}{}: {:>7} ingested ({:>5.2}%) ≈ {:.1} ctx/s",
@@ -558,8 +483,6 @@ fn main() {
         contexts_per_sec: round1(contexts_per_sec),
         shards,
         speedup_vs_mutex: round2(speedup),
-        fused_speedup,
-        unfused_contexts_per_sec: round1(unfused_contexts_per_sec),
         subjects,
         zipf_exponent: cfg.zipf_exponent,
         churned_subjects: city.churned(),
@@ -572,8 +495,6 @@ fn main() {
         e2e_p50_ns,
         e2e_p95_ns,
         e2e_p99_ns,
-        spec_consumed_rate,
-        spec_wasted_rate,
         phase_shares: phase_shares.clone(),
         batch_size: BATCH,
         commit: commit.clone(),
@@ -591,15 +512,14 @@ fn main() {
 
     let record = BenchRecord {
         bench: "city".to_owned(),
-        commit: commit.clone(),
-        host: host.clone(),
-        date: date.clone(),
+        commit,
+        host,
+        date,
         quick,
         shards,
         contexts: n,
         contexts_per_sec: round1(contexts_per_sec),
         speedup_vs_mutex: round2(speedup),
-        fused_speedup: Some(fused_speedup),
         // Not measured here — zero/None keeps those gates inert for
         // this series (shard_bench owns the disabled/export/provenance
         // overhead measurements).
@@ -618,54 +538,18 @@ fn main() {
         obs_profile_overhead_pct: Some(round2(obs_profile_overhead_pct)),
         // Measured above: the marginal cost of end-to-end tail spans
         // over the same metrics-only registry (absolute <3% gate), the
-        // gated p99 regression series with its p50/p95 context, and the
-        // speculation-efficiency rates bench_report watches for
-        // collapse.
+        // gated p99 regression series with its p50/p95 context.
         obs_tail_overhead_pct: Some(round2(obs_tail_overhead_pct)),
         e2e_p50_ns,
         e2e_p95_ns,
         e2e_p99_ns,
-        spec_consumed_rate,
-        spec_wasted_rate,
         phase_shares: Some(phase_shares),
         per_shard,
     };
-    // The fused-off control gets its own history row under a distinct
-    // bench name, so `bench_report` baselines and gates the sequential
-    // path as its own series: a regression that batch fusion happens to
-    // mask cannot hide inside the fused headline number.
-    let unfused_record = BenchRecord {
-        bench: "city_unfused".to_owned(),
-        commit,
-        host,
-        date,
-        quick,
-        shards,
-        contexts: n,
-        contexts_per_sec: round1(unfused_contexts_per_sec),
-        speedup_vs_mutex: round2(mutex_secs / best_unfused_secs),
-        fused_speedup: None,
-        obs_overhead_pct: 0.0,
-        obs_enabled_overhead_pct: 0.0,
-        obs_export_overhead_pct: 0.0,
-        obs_prov_overhead_pct: None,
-        obs_health_overhead_pct: None,
-        obs_profile_overhead_pct: None,
-        obs_tail_overhead_pct: None,
-        e2e_p50_ns: None,
-        e2e_p95_ns: None,
-        e2e_p99_ns: None,
-        spec_consumed_rate: None,
-        spec_wasted_rate: None,
-        phase_shares: None,
-        per_shard: unfused_per_shard,
-    };
     let history = history_path_from_env();
-    for row in [&record, &unfused_record] {
-        match append_history(&history, row) {
-            Ok(()) => eprintln!("appended {} run to {}", row.bench, history.display()),
-            Err(e) => eprintln!("could not append bench history: {e}"),
-        }
+    match append_history(&history, &record) {
+        Ok(()) => eprintln!("appended {} run to {}", record.bench, history.display()),
+        Err(e) => eprintln!("could not append bench history: {e}"),
     }
 
     println!("{json}");

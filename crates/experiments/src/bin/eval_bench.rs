@@ -1,11 +1,11 @@
 //! Measures situation-evaluation **round throughput** on the figure 9
-//! and figure 10 application workloads across the three evaluation
-//! paths and records the result as `BENCH_eval.json` (run it from the
-//! repo root).
+//! and figure 10 application workloads across the two evaluation paths
+//! and records the result as `BENCH_eval.json` (run it from the repo
+//! root).
 //!
 //! A *round* is one arriving context followed by a full refresh of
-//! every deployed situation — the hot loop the compiled-constraint
-//! tentpole optimizes. Three configurations are timed per application:
+//! every deployed situation — the loop the middleware runs after every
+//! addition and use. Two configurations are timed per application:
 //!
 //! - **naive** — the tree-walking [`Evaluator`] re-checks every
 //!   situation's AST each round (the pre-compilation behaviour:
@@ -15,29 +15,22 @@
 //!   [`CompiledConstraint`] and re-checked each round through the
 //!   evidence-free `CompiledEvaluator::holds` fast path (slot-indexed
 //!   environments via a reused [`EvalScratch`], short-circuiting
-//!   quantifiers and connectives, zero hot-path allocations);
-//! - **compiled+cache** — compiled, plus the dirty-kind skip the
-//!   middleware applies: a situation only re-evaluates when the round
-//!   touched (or expired) a context kind its constraint quantifies
-//!   over; otherwise its memoized verdict is replayed.
+//!   quantifiers and connectives, zero hot-path allocations) — the path
+//!   the middleware takes.
 //!
-//! Three deployments are measured: each application alone (single-kind
-//! streams, so the dirty-kind cache never skips and any win is pure
-//! compilation), and a combined `figure9+figure10` deployment that runs
-//! both applications' situations over one pool with their streams
-//! merged by stamp — the realistic multi-application middleware setting
-//! where kind-disjoint arrivals make the cache earn its keep.
+//! Three deployments are measured: each application alone, and a
+//! combined `figure9+figure10` deployment that runs both applications'
+//! situations over one pool with their streams merged by stamp — the
+//! multi-application middleware setting.
 //!
-//! Every configuration produces the complete per-round verdict matrix
-//! and the bench asserts all three agree bit-for-bit, so a reported
-//! speedup can never come from skipping work that mattered. Reps are
-//! interleaved round-robin so machine drift hits each configuration
-//! alike.
+//! Both configurations produce the complete per-round verdict matrix
+//! and the bench asserts they agree bit-for-bit. Reps are interleaved
+//! round-robin so machine drift hits each configuration alike.
 //!
 //! Each run appends one [`BenchRecord`] row per deployment —
-//! `bench: "eval_bench/<deployment>"`, commit/host/date stamped, headline
-//! rate = compiled+cache rounds/second, `speedup_vs_mutex` carrying
-//! the compiled+cache-vs-naive speedup — to
+//! `bench: "eval_bench/compiled/<deployment>"`, commit/host/date
+//! stamped, headline rate = compiled rounds/second, `speedup_vs_mutex`
+//! carrying the compiled-vs-naive speedup — to
 //! `results/bench_history.jsonl` for the same `bench_report`
 //! regression gate that judges the shard series. `CTXRES_BENCH_QUICK=1`
 //! shrinks the workload for CI smoke runs.
@@ -49,11 +42,10 @@ use ctxres_constraint::{
     CompiledConstraint, CompiledEvaluator, Constraint, DomainMode, EvalScratch, Evaluator,
     PredicateRegistry,
 };
-use ctxres_context::{Context, ContextKind, ContextPool, ContextState, LogicalTime};
+use ctxres_context::{Context, ContextPool, ContextState, LogicalTime};
 use ctxres_experiments::bench_history::{
     append_history, commit_stamp, history_path_from_env, host_stamp, BenchRecord,
 };
-use std::collections::{BTreeMap, HashMap};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 const REPS: usize = 5;
@@ -66,137 +58,74 @@ const SEED: u64 = 7;
 /// configuration degenerates into scanning dead ids.
 const RETENTION: u64 = 10;
 
-/// The three evaluation paths under measurement.
+/// The two evaluation paths under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Naive,
     Compiled,
-    Cached,
 }
 
 impl Mode {
-    const ALL: [Mode; 3] = [Mode::Naive, Mode::Compiled, Mode::Cached];
+    const ALL: [Mode; 2] = [Mode::Naive, Mode::Compiled];
 
     fn label(self) -> &'static str {
         match self {
             Mode::Naive => "naive",
             Mode::Compiled => "compiled",
-            Mode::Cached => "compiled+cache",
         }
     }
 }
 
-/// What one pass over the stream produces: the flattened
-/// per-round-per-situation verdict matrix (for the cross-configuration
-/// equivalence assert) and the evaluate/skip split (for the hit rate).
-struct PassOutput {
-    verdicts: Vec<bool>,
-    evals: u64,
-    skips: u64,
-}
-
 /// Replays `stream` (consumed: arrivals move into the pool without a
 /// timed clone) as rounds against a fresh pool, refreshing every
-/// situation after each arrival via the path `mode` selects.
-///
-/// Dirtiness is tracked as situation bitmasks: each kind maps to the
-/// set of situations quantifying over it, a round ORs the masks of the
-/// kinds it touched (arrival + lapsed expiry deadlines), and a
-/// situation is stale when its bit is set — the same kind-set
-/// intersection the middleware computes, without per-round set walks.
+/// situation after each arrival via the path `mode` selects. Returns
+/// the flattened per-round-per-situation verdict matrix, for the
+/// cross-configuration equivalence assert.
 fn run_pass(
     mode: Mode,
     stream: Vec<Context>,
     situations: &[Constraint],
     compiled: &[CompiledConstraint],
     registry: &PredicateRegistry,
-) -> PassOutput {
+) -> Vec<bool> {
     let naive = Evaluator::with_domain(registry, DomainMode::AvailableOnly);
     let fast = CompiledEvaluator::with_domain(registry, DomainMode::AvailableOnly);
     let mut scratch = EvalScratch::new();
     let mut pool = ContextPool::new();
     let mut now = LogicalTime::ZERO;
 
-    let n = situations.len();
-    assert!(n <= 64, "situation masks are u64 bitsets");
-    let mut kind_mask: HashMap<ContextKind, u64> = HashMap::new();
-    for (i, situation) in situations.iter().enumerate() {
-        for kind in situation.kinds() {
-            *kind_mask.entry(kind.clone()).or_default() |= 1 << i;
-        }
-    }
-    let mut verdict = vec![false; n];
-    let mut evaluated_mask: u64 = 0;
-    let mut expiries: BTreeMap<LogicalTime, u64> = BTreeMap::new();
     let mut last_compact = 0u64;
-
-    let rounds = stream.len();
-    let mut out = PassOutput {
-        verdicts: Vec::with_capacity(rounds * n),
-        evals: 0,
-        skips: 0,
-    };
+    let mut verdicts = Vec::with_capacity(stream.len() * situations.len());
     for ctx in stream {
         if ctx.stamp() > now {
             now = ctx.stamp();
             // Periodically drop contexts past retention, as the
             // middleware's retention does. Everything removed
-            // expired ticks ago, so no verdict can depend on it and no
-            // situation needs dirtying.
+            // expired ticks ago, so no verdict can depend on it.
             if now.tick() >= last_compact + RETENTION && now.tick() > RETENTION {
                 pool.compact(LogicalTime::new(now.tick() - RETENTION));
                 last_compact = now.tick();
             }
         }
-        let mask = kind_mask.get(ctx.kind()).copied().unwrap_or(0);
-        let mut dirty_mask = mask;
-        if let Some(at) = ctx.lifespan().expires_at() {
-            *expiries.entry(at).or_default() |= mask;
-        }
-        // Expiry is exclusive (dead once `now >= expires_at`), so every
-        // deadline that has passed dirties its kinds exactly once.
-        while let Some(entry) = expiries.first_entry() {
-            if *entry.key() > now {
-                break;
-            }
-            dirty_mask |= entry.remove();
-        }
         let id = pool.insert(ctx);
         pool.set_state(id, ContextState::Consistent)
             .expect("undecided contexts accept the consistent state");
 
-        for i in 0..n {
-            let bit = 1u64 << i;
-            let stale = evaluated_mask & bit == 0 || dirty_mask & bit != 0;
-            let fresh = match mode {
-                Mode::Naive => Some(
+        for (situation, program) in situations.iter().zip(compiled) {
+            verdicts.push(match mode {
+                Mode::Naive => {
                     naive
-                        .check(&situations[i], &pool, now)
+                        .check(situation, &pool, now)
                         .expect("app situations evaluate")
-                        .satisfied,
-                ),
-                Mode::Compiled => Some(
-                    fast.holds(&compiled[i], &pool, now, &mut scratch)
-                        .expect("app situations evaluate"),
-                ),
-                Mode::Cached if stale => Some(
-                    fast.holds(&compiled[i], &pool, now, &mut scratch)
-                        .expect("app situations evaluate"),
-                ),
-                Mode::Cached => None,
-            };
-            match fresh {
-                Some(v) => {
-                    verdict[i] = v;
-                    evaluated_mask |= bit;
-                    out.evals += 1;
+                        .satisfied
                 }
-                None => out.skips += 1,
-            }
-            out.verdicts.push(verdict[i]);
+                Mode::Compiled => fast
+                    .holds(program, &pool, now, &mut scratch)
+                    .expect("app situations evaluate"),
+            });
         }
     }
-    out
+    verdicts
 }
 
 /// One application's timed results, as written to `BENCH_eval.json`.
@@ -207,12 +136,7 @@ struct AppResult {
     situations: usize,
     naive_rounds_per_sec: f64,
     compiled_rounds_per_sec: f64,
-    cached_rounds_per_sec: f64,
     speedup_compiled_vs_naive: f64,
-    speedup_cached_vs_naive: f64,
-    cache_hit_rate: f64,
-    situation_evals: u64,
-    cache_skips: u64,
 }
 
 #[derive(serde::Serialize)]
@@ -231,10 +155,6 @@ fn round1(x: f64) -> f64 {
 
 fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
 }
 
 /// Days-since-epoch to civil date (Howard Hinnant's algorithm); avoids
@@ -277,9 +197,8 @@ impl Deployment {
         }
     }
 
-    /// Both applications sharing one middleware — the paper's setting,
-    /// and the headline row: each arriving context touches one kind, so
-    /// the dirty-kind cache skips the other application's situations.
+    /// Both applications sharing one middleware — the paper's setting:
+    /// every round refreshes both applications' situations.
     fn combined(apps: &[Box<dyn PervasiveApp>], len: usize) -> Deployment {
         let mut situations = Vec::new();
         let mut stream = Vec::new();
@@ -315,8 +234,8 @@ fn bench_deployment(d: &Deployment) -> AppResult {
         .collect();
     let rounds = stream.len();
 
-    let mut best = [f64::INFINITY; 3];
-    let mut outputs: [Option<PassOutput>; 3] = [None, None, None];
+    let mut best = [f64::INFINITY; 2];
+    let mut outputs: [Option<Vec<bool>>; 2] = [None, None];
     for _ in 0..REPS {
         for (i, mode) in Mode::ALL.into_iter().enumerate() {
             // Cloning the arrivals happens outside the timed region:
@@ -329,33 +248,23 @@ fn bench_deployment(d: &Deployment) -> AppResult {
             outputs[i] = Some(out);
         }
     }
-    let [naive, compiled_out, cached] = outputs.map(|o| o.expect("all modes ran"));
+    let [naive, compiled_out] = outputs.map(|o| o.expect("all modes ran"));
     assert_eq!(
-        naive.verdicts, compiled_out.verdicts,
+        naive, compiled_out,
         "compiled evaluation must agree with the tree-walking evaluator"
-    );
-    assert_eq!(
-        naive.verdicts, cached.verdicts,
-        "the dirty-kind cache must replay the exact naive verdicts"
     );
 
     let per_sec = |secs: f64| rounds as f64 / secs;
-    let total = cached.evals + cached.skips;
     let result = AppResult {
         app: name.clone(),
         rounds,
         situations: situations.len(),
         naive_rounds_per_sec: round1(per_sec(best[0])),
         compiled_rounds_per_sec: round1(per_sec(best[1])),
-        cached_rounds_per_sec: round1(per_sec(best[2])),
         speedup_compiled_vs_naive: round2(best[0] / best[1]),
-        speedup_cached_vs_naive: round2(best[0] / best[2]),
-        cache_hit_rate: round3(cached.skips as f64 / total.max(1) as f64),
-        situation_evals: cached.evals,
-        cache_skips: cached.skips,
     };
     eprintln!(
-        "{}: {} rounds x {} situations | {} {:.1} r/s | {} {:.1} r/s ({:.2}x) | {} {:.1} r/s ({:.2}x, hit rate {:.1}%)",
+        "{}: {} rounds x {} situations | {} {:.1} r/s | {} {:.1} r/s ({:.2}x)",
         result.app,
         rounds,
         situations.len(),
@@ -364,10 +273,6 @@ fn bench_deployment(d: &Deployment) -> AppResult {
         Mode::Compiled.label(),
         result.compiled_rounds_per_sec,
         result.speedup_compiled_vs_naive,
-        Mode::Cached.label(),
-        result.cached_rounds_per_sec,
-        result.speedup_cached_vs_naive,
-        result.cache_hit_rate * 100.0,
     );
     result
 }
@@ -395,19 +300,18 @@ fn main() {
     let history = history_path_from_env();
     for r in &results {
         let record = BenchRecord {
-            bench: format!("eval_bench/{}", r.app),
+            bench: format!("eval_bench/compiled/{}", r.app),
             commit: commit.clone(),
             host: host.clone(),
             date: date.clone(),
             quick,
             shards: 1,
             contexts: r.rounds,
-            contexts_per_sec: r.cached_rounds_per_sec,
+            contexts_per_sec: r.compiled_rounds_per_sec,
             // For eval rows this field carries the headline
-            // compiled+cache-vs-naive speedup (there is no mutex
-            // baseline in this bench).
-            speedup_vs_mutex: r.speedup_cached_vs_naive,
-            fused_speedup: None,
+            // compiled-vs-naive speedup (there is no mutex baseline in
+            // this bench).
+            speedup_vs_mutex: r.speedup_compiled_vs_naive,
             // This bench runs no observability registry; zero keeps the
             // absolute overhead gate trivially satisfied for eval rows.
             obs_overhead_pct: 0.0,
@@ -420,8 +324,6 @@ fn main() {
             e2e_p50_ns: None,
             e2e_p95_ns: None,
             e2e_p99_ns: None,
-            spec_consumed_rate: None,
-            spec_wasted_rate: None,
             phase_shares: None,
             per_shard: Vec::new(),
         };

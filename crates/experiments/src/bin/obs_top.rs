@@ -22,7 +22,7 @@
 //! a per-shard phase self-time panel; in watch mode the panel appears
 //! automatically whenever the remote endpoint samples with its phase
 //! profiler on). The end-to-end tail panel (wall-clock delivery
-//! quantiles, speculation efficiency, queue wait share, exemplar
+//! quantiles, queue wait share, exemplar
 //! reservoir fill) renders whenever the sampled registry has tail
 //! spans enabled — always true for the demo engine.
 
@@ -129,44 +129,14 @@ fn p95_us(rates: &ctxres_obs::ShardRates, kind: MetricKind) -> String {
     }
 }
 
-/// Situation-cache hit rate over the sample window: the share of
-/// situation rounds the dirty-kind cache answered without re-evaluating
-/// (`-` when the window saw no situation activity at all).
-fn sit_hit_pct(evals: f64, skips: f64) -> String {
-    if evals + skips <= 0.0 {
-        "-".to_owned()
-    } else {
-        format!("{:.0}%", skips / (evals + skips) * 100.0)
-    }
-}
-
-/// Predicate-memo hit rate over the sample window: the share of
-/// predicate probes the fused batch path answered from the memo table
-/// (`-` when the window ran no fused batches).
-fn memo_hit_pct(hits: f64, misses: f64) -> String {
-    if hits + misses <= 0.0 {
-        "-".to_owned()
-    } else {
-        format!("{:.0}%", hits / (hits + misses) * 100.0)
-    }
-}
-
 fn shard_row(label: &str, r: &ctxres_obs::ShardRates) -> String {
     format!(
-        "{:<9} {:>8}  {:>9}  {:>9}  {:>8}  {:>7}  {:>8}  {:>7}  {:>8}  {:>7}  {:>11}\n",
+        "{:<9} {:>8}  {:>9}  {:>9}  {:>8}  {:>7}  {:>8}  {:>7}  {:>11}\n",
         label,
         fmt_rate(r.rate(CounterKind::Ingested)),
         fmt_rate(r.rate(CounterKind::Deliveries)),
         fmt_rate(r.rate(CounterKind::Discards)),
         fmt_rate(r.rate(CounterKind::Detections)),
-        sit_hit_pct(
-            r.rate(CounterKind::SituationEvals),
-            r.rate(CounterKind::SituationCacheSkips),
-        ),
-        memo_hit_pct(
-            r.rate(CounterKind::PredMemoHits),
-            r.rate(CounterKind::PredMemoMisses),
-        ),
         fmt_rate(r.rate(CounterKind::CompiledEvals)),
         r.events_buffered,
         r.events_dropped,
@@ -182,7 +152,7 @@ fn render(sample: &Sample, frame: u64, source: &str) -> String {
         if sample.first { " (baseline)" } else { "" },
     ));
     let header =
-        "shard     ingest/s  deliver/s  discard/s  detect/s  sit-hit  memo-hit  ceval/s  buffered  dropped  p95 chk(µs)\n";
+        "shard     ingest/s  deliver/s  discard/s  detect/s  ceval/s  buffered  dropped  p95 chk(µs)\n";
     let divider = format!("{}\n", "-".repeat(header.len() - 1));
     out.push_str(header);
     out.push_str(&divider);
@@ -194,18 +164,13 @@ fn render(sample: &Sample, frame: u64, source: &str) -> String {
     let agg = sample.snapshot.aggregate();
     out.push_str(&format!(
         "\ncumulative: {} ingested, {} delivered, {} discarded, {} detections, \
-         {} situation evals ({} cache-skipped), {} compiled evals, \
-         {} fused batches ({} memo hits / {} misses)\n",
+         {} situation evals, {} compiled evals\n",
         agg.counter(CounterKind::Ingested),
         agg.counter(CounterKind::Deliveries),
         agg.counter(CounterKind::Discards),
         agg.counter(CounterKind::Detections),
         agg.counter(CounterKind::SituationEvals),
-        agg.counter(CounterKind::SituationCacheSkips),
         agg.counter(CounterKind::CompiledEvals),
-        agg.counter(CounterKind::FusedBatchEvals),
-        agg.counter(CounterKind::PredMemoHits),
-        agg.counter(CounterKind::PredMemoMisses),
     ));
     if let Some(health) = &sample.health {
         out.push_str(&render_health(health));
@@ -229,8 +194,7 @@ fn tail_q_us(q: Option<f64>) -> String {
 }
 
 /// The end-to-end tail panel: windowed wall-clock quantiles per terminal
-/// outcome, speculation efficiency for the fused batch path, the
-/// engine-queue wait/service decomposition, and the exemplar reservoir
+/// outcome, the engine-queue wait/service decomposition, and the exemplar reservoir
 /// fill — rendered only when the sampled registry has tail spans on.
 fn render_tail(tail: &ctxres_obs::TailSample) -> String {
     let mut out = String::new();
@@ -259,23 +223,6 @@ fn render_tail(tail: &ctxres_obs::TailSample) -> String {
         tail_q_us(tail.all.p99_ns),
         tail_q_us(tail.all.p999_ns),
     ));
-    if tail.spec.batches > 0 {
-        out.push_str(&format!(
-            "spec: {} batches, {} groups speculated ({} consumed / {} wasted / {} inline), \
-             consumed {} wasted {}, avg workers {}\n",
-            tail.spec.batches,
-            tail.spec.groups_speculated,
-            tail.spec.consumed,
-            tail.spec.wasted_dirty,
-            tail.spec.inline_checks,
-            ratio_pct(tail.spec.consumed_rate),
-            ratio_pct(tail.spec.wasted_rate),
-            match tail.spec.avg_workers {
-                Some(w) => format!("{w:.1}"),
-                None => "-".to_owned(),
-            },
-        ));
-    }
     if tail.queue.wait_count > 0 || tail.queue.service_count > 0 {
         out.push_str(&format!(
             "queue: avg wait {} µs, avg service {} µs, wait share {}\n",

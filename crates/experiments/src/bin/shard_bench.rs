@@ -521,9 +521,6 @@ fn main() {
         contexts: n,
         contexts_per_sec: round1(contexts_per_sec),
         speedup_vs_mutex: round2(speedup),
-        // Batch fusion is measured by city_bench, whose workload is the
-        // regime it targets; this series leaves the field empty.
-        fused_speedup: None,
         obs_overhead_pct: round2(obs_overhead_pct),
         obs_enabled_overhead_pct: round2(obs_enabled_overhead_pct),
         obs_export_overhead_pct: round2(obs_export_overhead_pct),
@@ -540,8 +537,6 @@ fn main() {
         e2e_p50_ns: None,
         e2e_p95_ns: None,
         e2e_p99_ns: None,
-        spec_consumed_rate: None,
-        spec_wasted_rate: None,
         phase_shares: None,
         per_shard,
     };

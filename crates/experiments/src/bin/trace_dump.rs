@@ -14,9 +14,11 @@
 //! rendering with one machine-readable document (full timeline,
 //! transition rows, SLO alert timeline, slow-batch postmortems,
 //! discarded-context life cycles) on stdout; it combines with `--demo`.
-//! `--slow` makes the demo ingest through the fused batch path under a
-//! 1 ns slow-batch bound, so every batch breaches and the trace carries
-//! `slow_batch` postmortem events — the latency-smoke artifact.
+//! `--slow` makes the demo ingest through `batch_add` in 50-context
+//! batches under a 1 ns slow-batch bound with the phase profiler on,
+//! so every batch breaches and the trace carries `slow_batch`
+//! postmortem events with per-phase self times — the latency-smoke
+//! artifact.
 
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::PervasiveApp;
@@ -75,7 +77,7 @@ fn run(args: &[String], json: bool, slow: bool) -> Result<(), String> {
 /// Dispatches between the human views and the `--json` document. With a
 /// metrics snapshot (the `--demo` path has one), the JSON document also
 /// carries the aggregated counters — including the compiled-eval and
-/// situation-cache figures.
+/// situation-eval figures.
 fn render(
     trace: &[ctxres_obs::TraceRecord],
     label: &str,
@@ -96,8 +98,8 @@ fn render(
 }
 
 /// Runs the seeded demo cell, saves its event trace, and dumps it.
-/// With `slow`, ingestion goes through the fused batch path under a
-/// 1 ns slow-batch bound so the trace carries postmortems.
+/// With `slow`, ingestion goes through `batch_add` under a 1 ns
+/// slow-batch bound so the trace carries postmortems.
 fn demo(out: &Path, json: bool, slow: bool) -> Result<(), String> {
     let app = CallForwarding::new();
     let (metrics, telemetry) = if slow {
@@ -109,7 +111,9 @@ fn demo(out: &Path, json: bool, slow: bool) -> Result<(), String> {
             200,
             app.recommended_window(),
             50,
-            ObsConfig::enabled().with_slow_batch_bound(1),
+            ObsConfig::enabled()
+                .with_profile(1)
+                .with_slow_batch_bound(1),
         )
     } else {
         run_named_observed(

@@ -64,12 +64,11 @@ pub fn run_with_observed(
     (metrics, telemetry)
 }
 
-/// [`run_with_observed`] ingesting through the fused batch path in
-/// `chunk`-sized batches instead of per-context submits. Single submits
-/// never fuse, so this is the variant that exercises batch speculation
-/// telemetry — and, with
-/// [`ctxres_obs::ObsConfig::with_slow_batch_bound`] set, slow-batch
-/// postmortems.
+/// [`run_with_observed`] ingesting through `Middleware::batch_add` in
+/// `chunk`-sized batches instead of per-context submits — the variant
+/// `trace_dump --slow` runs, because only a batch owes a slow-batch
+/// postmortem when [`ctxres_obs::ObsConfig::with_slow_batch_bound`] is
+/// set. Its verdicts equal the per-submit run's.
 ///
 /// # Panics
 ///

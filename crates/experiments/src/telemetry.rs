@@ -35,7 +35,7 @@ pub struct CellTelemetry {
     /// is complete).
     pub dropped: u64,
     /// The end-to-end tail-latency view (per-outcome histograms,
-    /// over-p99 exemplars, speculation and queue stats), when the cell
+    /// over-p99 exemplars, queue stats), when the cell
     /// ran with [`ctxres_obs::ObsConfig::with_tail`]. `None` for
     /// tail-off runs and for records written before the field existed.
     pub tail: Option<TailSnapshot>,
@@ -279,7 +279,7 @@ pub struct TraceDumpJson {
     pub discarded: usize,
     /// Aggregated observability counters of the cell the trace came
     /// from (name → cross-shard total) — includes the compiled-eval and
-    /// situation-cache counters. Empty when the dumper had no metrics
+    /// situation-eval counters. Empty when the dumper had no metrics
     /// snapshot alongside the trace (a bare JSONL file).
     pub counters: BTreeMap<String, u64>,
     /// Every SLO alert transition (`TraceEvent::Alert`) in the trace,
@@ -288,8 +288,8 @@ pub struct TraceDumpJson {
     /// timeline for the `alert` tag.
     pub alerts: Vec<TraceRecord>,
     /// Every slow-batch postmortem (`TraceEvent::SlowBatch`) in the
-    /// trace, in trace order — each bundles the breaching batch's wall
-    /// segments, over-p99 exemplar ids, and speculation accounting.
+    /// trace, in trace order — each bundles the breaching batch's
+    /// per-phase self times and over-p99 exemplar ids.
     pub postmortems: Vec<TraceRecord>,
 }
 
@@ -547,7 +547,7 @@ mod tests {
             .postmortems
             .is_empty());
 
-        // Splice a postmortem the way the fused ingest path records it.
+        // Splice a postmortem the way `batch_add` records it.
         let mut trace = cell.trace.clone();
         let post = TraceRecord {
             shard: 0,
@@ -564,7 +564,6 @@ mod tests {
                     ("resolution".to_owned(), 2_000_000),
                 ],
                 exemplars: vec![ContextId::from_raw(7)],
-                spec: ctxres_obs::SpecBatch::default(),
             },
         };
         trace.push(post.clone());
@@ -616,15 +615,14 @@ mod tests {
     }
 
     #[test]
-    fn json_dump_with_snapshot_exposes_cache_counters() {
+    fn json_dump_with_snapshot_exposes_evaluation_counters() {
         let cell = observed_cell();
         let dump = json_dump_with_snapshot(&cell.trace, &cell.strategy, &cell.snapshot);
         let counters = &dump.counters;
         assert!(counters["situation_evals"] > 0, "{counters:?}");
         assert!(counters["compiled_evals"] > 0, "{counters:?}");
-        assert!(counters.contains_key("situation_cache_skips"));
         let text = serde_json::to_string(&dump).unwrap();
-        assert!(text.contains("\"situation_cache_skips\""));
+        assert!(text.contains("\"situation_evals\""));
         // The plain dump has no snapshot to report from.
         assert!(json_dump(&cell.trace, &cell.strategy).counters.is_empty());
     }

@@ -1,10 +1,10 @@
 //! Property-based equivalence of amortized batch ingestion.
 //!
-//! `Middleware::batch_add` amortizes per-kind planning and
+//! `Middleware::batch_add` amortizes per-kind planning, health
+//! publishing and the end-to-end ingress stamp, and
 //! `ShardedMiddleware::batch_add_owned` partitions a batch across shard
-//! threads — both are optimizations with a hard contract: the verdict
-//! stream must be **bit-identical** to submitting the same contexts one
-//! at a time. These tests drive randomized city-workload batches
+//! threads — both with a hard contract: the verdict stream must be
+//! **bit-identical** to submitting the same contexts one at a time. These tests drive randomized city-workload batches
 //! through all four paper strategies on both engines and require the
 //! complete observable record to match — per-context submit reports,
 //! middleware stats, use log, detections, observer event stream, and
@@ -141,7 +141,7 @@ proptest! {
     /// `Middleware::batch_add` produces the identical verdict stream to
     /// one-at-a-time submission: same per-context reports, stats, use
     /// log, detections, and observer events, across randomized city
-    /// batches, all four strategies.
+    /// traces cut into random chunk sizes, all four strategies.
     #[test]
     fn sequential_batch_add_matches_one_at_a_time(
         subjects in 6usize..40,
@@ -149,6 +149,7 @@ proptest! {
         teleport_pct in 5u32..30,
         seed in 0u64..1000,
         window in 0u64..3,
+        chunk in 1usize..80,
     ) {
         let trace = city_trace(subjects, len, teleport_pct, seed);
         for strategy in STRATEGIES {
@@ -158,7 +159,10 @@ proptest! {
             let one_rec = record(&mut one, &one_log, one_reports);
 
             let (mut batched, batch_log) = engine(strategy, seed, window);
-            let batch_reports = batched.batch_add(trace.clone());
+            let batch_reports = trace
+                .chunks(chunk)
+                .flat_map(|c| batched.batch_add(c.to_vec()))
+                .collect();
             let batch_rec = record(&mut batched, &batch_log, batch_reports);
 
             prop_assert_eq!(

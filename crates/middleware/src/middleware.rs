@@ -1,35 +1,23 @@
 //! The middleware core: detection, buffering, plug-in resolution.
 
 use crate::observer::MiddlewareObserver;
-use crate::situation::{RoundCounters, SituationEngine};
+use crate::situation::SituationEngine;
 use crate::stats::MiddlewareStats;
 use crate::subscription::{SubscriptionFilter, SubscriptionId, SubscriptionTable};
 use ctxres_constraint::{
-    Constraint, ConstraintSet, Detection, EvalError, EvalScratch, IncrementalChecker, KindPlan,
-    PlanCounts, PredMemo, PredicateRegistry,
+    Constraint, ConstraintSet, IncrementalChecker, KindPlan, PredicateRegistry,
 };
 use ctxres_context::{
     Context, ContextId, ContextKind, ContextPool, ContextState, LogicalTime, Ticks, TruthTag,
 };
 use ctxres_core::{Inconsistency, ResolutionStrategy};
 use ctxres_obs::{
-    CauseKind, ContextSpan, CounterKind, KindHandle, MetricKind, Phase, ShardObs, SpecBatch,
-    SpecOutcome, TailOutcome, TraceEvent,
+    CauseKind, ContextSpan, CounterKind, KindHandle, MetricKind, Phase, ShardObs, TailOutcome,
+    TraceEvent, PHASES,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-
-/// Relevant positions a fused batch needs before speculative checking
-/// fans out to worker threads; below this the scope spawn/join overhead
-/// outweighs the parallelism.
-const FUSED_PARALLEL_MIN: usize = 64;
-
-/// Upper bound on speculative-checking workers per shard engine. The
-/// sharded front-end already runs one ingest thread per shard, so a
-/// small intra-shard factor covers a hot shard without oversubscribing
-/// the host.
-const FUSED_MAX_WORKERS: usize = 4;
 
 /// Safety valve on the pending end-to-end span map: contexts that
 /// never reach a terminal outcome (e.g. removed by retention while
@@ -45,7 +33,6 @@ struct PendingTail {
     verdict_ns: u64,
     decision_ns: u64,
     batch_index: u64,
-    spec: SpecOutcome,
 }
 
 /// Tunables of a middleware instance.
@@ -125,26 +112,9 @@ pub struct Middleware {
     stats: MiddlewareStats,
     detections: Vec<Inconsistency>,
     use_log: Vec<UseRecord>,
+    /// Whether anything a situation could read changed since the last
+    /// evaluation round; a dirty round re-evaluates every situation.
     dirty: bool,
-    /// Dirty-kind situation cache: when on, an evaluation round skips
-    /// situations none of whose quantified kinds changed since the last
-    /// round. Metrics are provably unchanged — the `dirty` flag still
-    /// decides *whether* a round happens, the dirty sets only decide
-    /// *which* situations re-evaluate within it.
-    situation_cache: bool,
-    /// Kinds whose available view may have changed since the last
-    /// evaluation round (strategy pool / ground-truth pool).
-    dirty_kinds: HashSet<ContextKind>,
-    gt_dirty_kinds: HashSet<ContextKind>,
-    /// Pending expiry instants: a context with a finite lifespan leaves
-    /// every live domain at `expires_at` *without* a state transition, so
-    /// its kind must be re-dirtied when the clock passes that instant.
-    expiry_queue: BTreeMap<LogicalTime, Vec<ContextKind>>,
-    gt_expiry_queue: BTreeMap<LogicalTime, Vec<ContextKind>>,
-    /// Whether `batch_add` may take the fused path (set-pinned batch
-    /// checking, deferred index maintenance, speculative subject-group
-    /// parallelism) when the deployed constraints support it.
-    fused: bool,
     /// Doom notes, the engine's only retention mechanism: the first
     /// instant at which a retention sweep *could* remove each context
     /// (its stamp and deadline — or discard instant — aged past the
@@ -155,11 +125,6 @@ pub struct Middleware {
     /// the position a per-position sweep would have.
     doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
     gt_doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
-    /// Live only inside a fused batch: subjects touched by a discard
-    /// since the batch's speculation pass. A position whose subject is
-    /// in here re-checks inline at commit instead of consuming its
-    /// (possibly stale) speculative verdict.
-    fused_dirty_subjects: Option<HashSet<Arc<str>>>,
     /// Checker compiled-eval count already forwarded to `obs`.
     reported_compiled_evals: u64,
     /// Violations seen per still-undecided context, for the chain-depth
@@ -183,12 +148,10 @@ pub struct Middleware {
     /// terminal delivery/discard/expiry. Empty unless
     /// [`ctxres_obs::ObsConfig::with_tail`] is on.
     tail_pending: HashMap<ContextId, PendingTail>,
-    /// Engine-local fused-batch counter; postmortems and exemplars cite
-    /// it.
+    /// Engine-local batch counter; postmortems and exemplars cite it.
     next_batch: u64,
-    /// Live only inside a fused batch with tail telemetry on: contexts
-    /// captured as tail exemplars while the batch committed, for the
-    /// slow-batch postmortem.
+    /// Live only inside a batch that may owe a slow-batch postmortem:
+    /// contexts captured as tail exemplars while the batch ran.
     tail_batch_exemplars: Option<Vec<ContextId>>,
 }
 
@@ -307,580 +270,88 @@ impl Middleware {
     /// stamp advances the logical clock; buffered contexts whose window
     /// elapsed are used first.
     pub fn submit(&mut self, ctx: Context) -> SubmitReport {
-        self.submit_with_plan(ctx, None)
+        let ingress_ns = if self.obs.tail_enabled() {
+            self.obs.now_ns()
+        } else {
+            0
+        };
+        self.submit_with_plan(ctx, None, ingress_ns)
     }
 
-    /// Submits a whole batch in arrival order, amortizing the per-kind
-    /// checking work: the batch is grouped by kind up front, each
-    /// distinct kind's [`KindPlan`] (relevance + pinned-quantifier
-    /// positions) is built once, and every context of the kind is
-    /// checked through that plan. When the deployed constraints all
-    /// compile into the per-subject universal-positive fragment (and
-    /// fusion wasn't disabled via [`MiddlewareBuilder::fused`] /
-    /// `CTXRES_FUSED`), the batch itself becomes the unit of work — see
-    /// [`Middleware::batch_add_fused`]. Either way the verdict stream —
-    /// reports, discards, provenance, situation rounds — is identical
-    /// to submitting the contexts one at a time (enforced by the
-    /// batch- and fused-equivalence proptests).
+    /// Submits a whole batch in arrival order: each context goes
+    /// through the same per-context routine as [`Middleware::submit`],
+    /// so the verdict stream — reports, discards, provenance, situation
+    /// rounds — is identical to submitting the contexts one at a time
+    /// (enforced by the batch-equivalence proptests). What the batch
+    /// adds is amortisation and accounting: one [`KindPlan`] per
+    /// distinct kind, one health publish, one ingress stamp for every
+    /// context's end-to-end span, and — under a slow-batch bound — one
+    /// [`TraceEvent::SlowBatch`] postmortem when the batch breaches it.
     pub fn batch_add(&mut self, batch: Vec<Context>) -> Vec<SubmitReport> {
-        if self.fused && !batch.is_empty() && self.checker.supports_batch_fusion() {
-            return self.batch_add_fused(batch);
-        }
+        let tail_on = self.obs.tail_enabled();
+        let ingress_ns = if tail_on { self.obs.now_ns() } else { 0 };
+        let bound_ns = if tail_on {
+            self.obs.slow_batch_bound_ns()
+        } else {
+            0
+        };
+        let phases_before = (bound_ns > 0).then(|| {
+            self.tail_batch_exemplars = Some(Vec::new());
+            self.obs.phase_self_ns()
+        });
         // The profiler root for the whole ingest pipeline: checking,
         // resolution, situation rounds and health publishing nest under
-        // it, so its self time is the batch bookkeeping proper.
+        // it, so its self time is the batch bookkeeping proper. It
+        // opens after the ingress stamp and closes before the end
+        // stamp, so a postmortem's phase times fit in its wall time.
         let obs = self.obs.clone();
-        let _ingest_phase = obs.phase(Phase::Ingest);
+        let ingest_phase = obs.phase(Phase::Ingest);
+        let contexts = batch.len() as u64;
         let mut plans: HashMap<ContextKind, KindPlan> = HashMap::new();
         for ctx in &batch {
             if !plans.contains_key(ctx.kind()) {
                 plans.insert(ctx.kind().clone(), self.checker.plan_for(ctx.kind()));
             }
         }
+        // Consuming the batch by value lets the reports reuse its
+        // allocation.
         let reports: Vec<SubmitReport> = batch
             .into_iter()
             .map(|ctx| {
                 let plan = plans.get(ctx.kind());
-                self.submit_with_plan(ctx, plan)
+                self.submit_with_plan(ctx, plan, ingress_ns)
             })
             .collect();
         self.publish_health();
-        reports
-    }
-
-    /// The fused batch path: the batch is the unit of work.
-    ///
-    /// 1. **Staging.** Every context enters the arena up front through
-    ///    [`ContextPool::insert_batch`], which appends to each touched
-    ///    kind×subject index bucket and restores the bucket's
-    ///    `(stamp, id)` order once per batch instead of per insert.
-    /// 2. **Speculation.** Relevant positions are grouped by subject —
-    ///    the per-subject scope proof carried by every compiled
-    ///    constraint makes disjoint-subject checks independent — and
-    ///    checked against the staged pool, on worker threads when the
-    ///    batch is large enough. Capping every quantifier domain at the
-    ///    position's own id reproduces exactly the pool a sequential
-    ///    submission would have seen: ids are monotone and buckets are
-    ///    `(stamp, id)`-sorted, so the cap selects the sequential
-    ///    prefix. Workers share a per-batch predicate memo; a group
-    ///    stops speculating past its first predicted violation, since
-    ///    the strategy may then discard.
-    /// 3. **Commit.** Positions replay in arrival order with the full
-    ///    per-submit protocol (events, counters, provenance, strategy
-    ///    calls, buffer drains, situation rounds). A position consumes
-    ///    its speculative verdict unless a discard has touched its
-    ///    subject since speculation — then it re-checks inline, seeing
-    ///    the post-discard pool exactly as the sequential path would.
-    ///    Discards are the only commit effects that can change a check:
-    ///    deliveries and bad-marks keep contexts in the quantifier
-    ///    domains, and expiry is a pure function of the position clock.
-    ///
-    /// Retention pops doom notes at every position, as on every path
-    /// (see [`Middleware::process_due`]). The verdict stream is
-    /// identical to the sequential path; only the arena slot-allocation
-    /// order (and therefore the free-slot/recycle *gauges*) can differ,
-    /// because the whole batch claims slots before, not between,
-    /// retention removals.
-    fn batch_add_fused(&mut self, batch: Vec<Context>) -> Vec<SubmitReport> {
-        struct Pos {
-            id: ContextId,
-            now: LogicalTime,
-            plan: usize,
-            relevant: bool,
-            subject: Arc<str>,
-        }
-        struct Spec {
-            result: Result<Vec<Detection>, EvalError>,
-            counts: PlanCounts,
-        }
-        /// What one speculation worker hands back: its (position, verdict)
-        /// pairs, its private predicate memo, and its busy-ns occupancy.
-        type FusedWorkerYield = (Vec<(usize, Spec)>, PredMemo, u64);
-
-        let obs = self.obs.clone();
-        let _ingest_phase = obs.phase(Phase::Ingest);
-
-        // Tail telemetry stamps: one monotonic ingress stamp covers the
-        // whole batch (contexts "arrive" together), and per-batch
-        // speculation accounting folds into the shard's tail slot at
-        // the end. All of it is branch-gated so the tail-off path reads
-        // no clocks.
-        let tail_on = self.obs.tail_enabled();
-        let batch_index = self.next_batch;
-        let batch_start_ns = if tail_on { self.obs.now_ns() } else { 0 };
-        if tail_on {
-            self.tail_batch_exemplars = Some(Vec::new());
-        }
-        let mut spec_batch = SpecBatch::default();
-
-        // One plan per distinct kind; positions refer to it by index so
-        // the commit loop does no per-context kind clone or map lookup.
-        let mut plan_ix: HashMap<ContextKind, usize> = HashMap::new();
-        let mut plans: Vec<KindPlan> = Vec::new();
-        let mut sim_clock = self.clock;
-        let mut meta: Vec<Pos> = Vec::with_capacity(batch.len());
-        for ctx in &batch {
-            let plan = match plan_ix.get(ctx.kind()) {
-                Some(&i) => i,
-                None => {
-                    let i = plans.len();
-                    plans.push(self.checker.plan_for(ctx.kind()));
-                    plan_ix.insert(ctx.kind().clone(), i);
-                    i
-                }
-            };
-            // The prefix-max of stamps is the logical clock each
-            // position will commit under.
-            if ctx.stamp() > sim_clock {
-                sim_clock = ctx.stamp();
-            }
-            meta.push(Pos {
-                id: ContextId::from_raw(0), // assigned by staging below
-                now: sim_clock,
-                plan,
-                relevant: plans[plan].is_relevant(),
-                subject: Arc::clone(ctx.subject_arc()),
-            });
-        }
-
-        {
-            // Deferred index maintenance: stage the whole batch, one
-            // bucket repair per touched kind×subject index.
-            let maint_obs = self.obs.clone();
-            let _maint_phase = maint_obs.phase(Phase::IndexMaint);
-            for (pos, id) in meta.iter_mut().zip(self.pool.insert_batch(batch)) {
-                pos.id = id;
-            }
-        }
-        let stage_end_ns = if tail_on { self.obs.now_ns() } else { 0 };
-
-        // Disjoint-footprint subject groups over the relevant
-        // positions, in first-appearance order.
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        {
-            let mut by_subject: HashMap<&Arc<str>, usize> = HashMap::new();
-            for (k, pos) in meta.iter().enumerate() {
-                if !pos.relevant {
-                    continue;
-                }
-                match by_subject.get(&pos.subject) {
-                    Some(&g) => groups[g].push(k),
-                    None => {
-                        by_subject.insert(&pos.subject, groups.len());
-                        groups.push(vec![k]);
-                    }
-                }
-            }
-        }
-
-        // Speculative checking. Workers share the staged pool
-        // read-only; each keeps its own scratch and predicate memo, and
-        // the memos fold into the commit memo afterwards.
-        let relevant_total: usize = groups.iter().map(Vec::len).sum();
-        let mut specs: Vec<Option<Spec>> = Vec::new();
-        specs.resize_with(meta.len(), || None);
-        let mut memo = PredMemo::new();
-        if relevant_total > 0 {
-            let check_obs = self.obs.clone();
-            let check_phase = check_obs.phase(Phase::ConstraintCheck);
-            let pool = &self.pool;
-            let registry = &self.registry;
-            let checker = &self.checker;
-            let plans_ref = &plans;
-            let meta_ref = &meta;
-            let groups_ref = &groups;
-            let run_worker = |offset: usize, step: usize| -> FusedWorkerYield {
-                // Busy-ns occupancy for the speculation-efficiency
-                // telemetry; the clock is only read when the tail layer
-                // is on.
-                let started = tail_on.then(std::time::Instant::now);
-                let mut scratch = EvalScratch::new();
-                let mut memo = PredMemo::new();
-                let mut out = Vec::new();
-                for group in groups_ref.iter().skip(offset).step_by(step) {
-                    for &k in group {
-                        let pos = &meta_ref[k];
-                        let (result, counts) = checker.check_with_plan(
-                            &plans_ref[pos.plan],
-                            registry,
-                            pool,
-                            pos.now,
-                            pos.id,
-                            pos.id,
-                            &mut scratch,
-                            &mut memo,
-                        );
-                        let predicted_fresh = matches!(&result, Ok(ds) if !ds.is_empty());
-                        out.push((k, Spec { result, counts }));
-                        if predicted_fresh {
-                            break;
-                        }
-                    }
-                }
-                let busy_ns = started.map_or(0, |t| {
-                    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                });
-                (out, memo, busy_ns)
-            };
-            let workers = if relevant_total >= FUSED_PARALLEL_MIN {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(FUSED_MAX_WORKERS)
-                    .min(groups.len())
-            } else {
-                1
-            };
-            let produced: Vec<FusedWorkerYield> = if workers <= 1 {
-                vec![run_worker(0, 1)]
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| scope.spawn(move || run_worker(w, workers)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                })
-            };
-            if tail_on {
-                spec_batch.workers_used = workers as u64;
-            }
-            for (partial, worker_memo, busy_ns) in produced {
-                memo.absorb(worker_memo);
-                if tail_on {
-                    spec_batch.groups_speculated += partial.len() as u64;
-                    spec_batch.worker_busy_ns.push(busy_ns);
-                }
-                for (k, spec) in partial {
-                    specs[k] = Some(spec);
-                }
-            }
-            check_phase.finish();
-        }
-        let spec_end_ns = if tail_on { self.obs.now_ns() } else { 0 };
-
-        // Commit: replay every position in arrival order.
-        self.fused_dirty_subjects = Some(HashSet::new());
-        let mut commit_scratch = EvalScratch::new();
-        let mut reports = Vec::with_capacity(meta.len());
-        for k in 0..meta.len() {
-            let Pos {
-                id,
-                now,
-                plan,
-                relevant,
-                ref subject,
-            } = meta[k];
-            if now > self.clock {
-                self.clock = now;
-            }
-            self.process_due(now);
-
-            let (stamp, kind, expires, gt_clone) = {
-                let ctx = self
-                    .pool
-                    .get(id)
-                    .expect("staged contexts stay pooled until their commit position");
-                (
-                    ctx.stamp(),
-                    ctx.kind().clone(),
-                    ctx.lifespan().expires_at(),
-                    (self.config.track_ground_truth && ctx.truth() == TruthTag::Expected)
-                        .then(|| ctx.clone()),
-                )
-            };
-            self.schedule_expiry_doom(id, stamp, expires);
-            self.mark_dirty_kind(&kind);
-            if let Some(at) = expires {
-                self.schedule_expiry(at, &kind);
-            }
-            self.stats.received += 1;
-            self.obs.count(CounterKind::Ingested, 1);
-            if self.obs.health_enabled() {
-                self.kind_cell(&kind).ingested(1);
-            }
-            if self.obs.is_enabled() {
-                self.obs.record(
-                    now,
-                    TraceEvent::Received {
-                        ctx: id,
-                        kind: Arc::clone(kind.name_arc()),
-                        subject: Arc::clone(subject),
-                    },
-                );
-            }
-            if self.obs.provenance_enabled() {
-                let obs = self.obs.clone();
-                let _prov_phase = obs.phase(Phase::ProvenanceEmit);
-                self.obs.record(
-                    now,
-                    TraceEvent::Caused {
-                        ctx: id,
-                        cause: CauseKind::SubmissionOf,
-                        constraint: None,
-                        partners: Vec::new(),
-                        count: None,
-                        verdict: None,
-                    },
-                );
-                self.obs.count(CounterKind::ProvEdges, 1);
-                self.obs.count(CounterKind::ProvNodes, 1);
-            }
-            if let Some(clone) = gt_clone {
-                let gid = self.gt_pool.insert(clone);
-                self.schedule_gt_expiry_doom(gid, stamp, expires);
-                self.gt_buffer.push_back((now + self.config.window, gid));
-                self.mark_gt_dirty_kind(&kind);
-                if let Some(at) = expires {
-                    self.schedule_gt_expiry(at, &kind);
-                }
-            }
-
-            if !relevant {
-                self.stats.irrelevant += 1;
-                let _ = self.pool.set_state(id, ContextState::Consistent);
-                self.obs.record(
-                    now,
-                    TraceEvent::StateChanged {
-                        ctx: id,
-                        from: ContextState::Undecided,
-                        to: ContextState::Consistent,
-                    },
-                );
-                if self.obs.provenance_enabled() {
-                    self.obs.record(
-                        now,
-                        TraceEvent::Caused {
-                            ctx: id,
-                            cause: CauseKind::ResolvedBecause,
-                            constraint: None,
-                            partners: Vec::new(),
-                            count: None,
-                            verdict: Some(ContextState::Consistent),
-                        },
-                    );
-                    self.obs.count(CounterKind::ProvEdges, 1);
-                }
-                if tail_on {
-                    // Irrelevant contexts get no constraint verdict or
-                    // resolution decision; both stamps collapse onto
-                    // the moment the fast path classified them.
-                    let classified_ns = self.obs.now_ns();
-                    self.stamp_tail(
-                        id,
-                        batch_start_ns,
-                        classified_ns,
-                        classified_ns,
-                        SpecOutcome::NotSpeculated,
-                    );
-                }
-                self.buffer.push_back((now + self.config.window, id));
-                self.obs
-                    .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
-                self.dirty = true;
-                self.process_due(now);
-                self.evaluate_situations_if_dirty(now);
-                let report = SubmitReport {
-                    id,
-                    fresh: 0,
-                    discarded: Vec::new(),
-                    irrelevant: true,
-                };
-                self.notify(|obs, mw| {
-                    if let Some(ctx) = mw.pool.get(id) {
-                        obs.on_submitted(&report, ctx);
-                    }
-                });
-                reports.push(report);
-                continue;
-            }
-
-            let check_span = self.obs.span(MetricKind::CheckLatency);
-            let check_obs = self.obs.clone();
-            let check_phase = check_obs.phase(Phase::ConstraintCheck);
-            let clean = self
-                .fused_dirty_subjects
-                .as_ref()
-                .is_none_or(|d| !d.contains(subject));
-            let spec_taken = specs[k].take();
-            let had_spec = spec_taken.is_some();
-            let (checked, counts) = match spec_taken.filter(|_| clean) {
-                Some(spec) => (spec.result, spec.counts),
-                // No (valid) speculative verdict — check inline at the
-                // commit position, where the pool differs from the
-                // sequential one only by contexts the live/state/id
-                // filters exclude anyway.
-                None => self.checker.check_with_plan(
-                    &plans[plan],
-                    &self.registry,
-                    &self.pool,
-                    now,
-                    id,
-                    id,
-                    &mut commit_scratch,
-                    &mut memo,
-                ),
-            };
-            self.checker.absorb_batch_counts(counts);
-            let fresh: Vec<Inconsistency> = match checked {
-                Ok(ds) => ds
-                    .into_iter()
-                    .map(|d| Inconsistency::new(&d.constraint, d.link, now))
-                    .collect(),
-                Err(_) => {
-                    self.stats.eval_errors += 1;
-                    Vec::new()
-                }
-            };
-            check_phase.finish();
-            check_span.finish();
-            let verdict_ns = if tail_on { self.obs.now_ns() } else { 0 };
-            let compiled_delta = self.checker.stats().compiled_evals - self.reported_compiled_evals;
-            if compiled_delta > 0 {
-                self.obs.count(CounterKind::CompiledEvals, compiled_delta);
-                self.reported_compiled_evals += compiled_delta;
-            }
-            self.stats.inconsistencies += fresh.len() as u64;
-            if self.obs.is_enabled() {
-                for inc in &fresh {
-                    self.obs.record(
-                        now,
-                        TraceEvent::Detected {
-                            constraint: inc.constraint().to_string(),
-                            contexts: inc.contexts().iter().copied().collect(),
-                        },
-                    );
-                }
-                self.obs.count(CounterKind::Detections, fresh.len() as u64);
-                if !fresh.is_empty() && self.obs.health_enabled() {
-                    self.kind_cell(&kind).violations(fresh.len() as u64);
-                }
-                if self.obs.provenance_enabled() {
-                    let obs = self.obs.clone();
-                    let _prov_phase = obs.phase(Phase::ProvenanceEmit);
-                    let mut edges = 0u64;
-                    for inc in &fresh {
-                        let members: Vec<ContextId> = inc.contexts().iter().copied().collect();
-                        for &c in &members {
-                            let partners: Vec<ContextId> =
-                                members.iter().copied().filter(|p| *p != c).collect();
-                            self.obs.record(
-                                now,
-                                TraceEvent::Caused {
-                                    ctx: c,
-                                    cause: CauseKind::ViolatedBy,
-                                    constraint: Some(inc.constraint().to_string()),
-                                    partners,
-                                    count: None,
-                                    verdict: None,
-                                },
-                            );
-                            *self.prov_violations.entry(c).or_insert(0) += 1;
-                            edges += 1;
-                        }
-                    }
-                    self.obs.count(CounterKind::ProvEdges, edges);
-                }
-            }
-            self.detections.extend(fresh.iter().cloned());
-
-            let resolve_span = self.obs.span(MetricKind::ResolveLatency);
-            let resolve_obs = self.obs.clone();
-            let resolve_phase = resolve_obs.phase(Phase::Resolution);
-            let outcome = self.strategy.on_addition(&mut self.pool, now, id, &fresh);
-            resolve_phase.finish();
-            resolve_span.finish();
-            if tail_on {
-                // Stamp before the discard loop: the strategy may have
-                // discarded this very context, and `count_discard`
-                // needs the pending span to fold it as `Discarded`.
-                let decision_ns = self.obs.now_ns();
-                let spec = if had_spec && clean {
-                    spec_batch.consumed += 1;
-                    SpecOutcome::Consumed
-                } else if had_spec {
-                    spec_batch.wasted_dirty += 1;
-                    SpecOutcome::WastedDirty
-                } else {
-                    spec_batch.inline_checks += 1;
-                    SpecOutcome::Inline
-                };
-                self.stamp_tail(id, batch_start_ns, verdict_ns, decision_ns, spec);
-            }
-            for did in &outcome.discarded {
-                let cause = fresh
-                    .iter()
-                    .find(|inc| inc.contexts().iter().any(|c| c == did))
-                    .cloned();
-                self.count_discard(*did, now, ContextState::Undecided, cause.as_ref());
-            }
-            if outcome.accepted {
-                self.buffer.push_back((now + self.config.window, id));
-                self.obs
-                    .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
-            }
-            self.dirty = true;
-            self.process_due(now);
-            self.evaluate_situations_if_dirty(now);
-            let report = SubmitReport {
-                id,
-                fresh: fresh.len(),
-                discarded: outcome.discarded,
-                irrelevant: false,
-            };
-            self.notify(|obs, mw| {
-                if !fresh.is_empty() {
-                    obs.on_detections(&fresh);
-                }
-                if let Some(ctx) = mw.pool.get(id) {
-                    obs.on_submitted(&report, ctx);
-                }
-            });
-            reports.push(report);
-        }
-        self.fused_dirty_subjects = None;
-        if memo.hits() > 0 {
-            self.obs.count(CounterKind::PredMemoHits, memo.hits());
-        }
-        if memo.misses() > 0 {
-            self.obs.count(CounterKind::PredMemoMisses, memo.misses());
-        }
-        self.obs.count(CounterKind::FusedBatchEvals, 1);
-        self.next_batch = self.next_batch.wrapping_add(1);
-        if tail_on {
-            self.obs.record_spec_batch(&spec_batch);
-            let end_ns = self.obs.now_ns();
-            let elapsed_ns = end_ns.saturating_sub(batch_start_ns);
+        ingest_phase.finish();
+        if let Some(before) = phases_before {
             let exemplars = self.tail_batch_exemplars.take().unwrap_or_default();
-            let bound_ns = self.obs.slow_batch_bound_ns();
-            if bound_ns > 0 && elapsed_ns > bound_ns {
-                // Postmortem: bundle the batch's measured wall segments
-                // (staging, speculation, commit) with the over-p99
-                // exemplars it produced and its speculation accounting.
+            let elapsed_ns = self.obs.now_ns().saturating_sub(ingress_ns);
+            if elapsed_ns > bound_ns {
+                // Postmortem: the batch's per-phase profiler self times
+                // (empty unless the profiler is on) and the over-p99
+                // exemplars it produced.
+                let after = self.obs.phase_self_ns();
+                let phase_self_ns = PHASES
+                    .iter()
+                    .zip(after.iter().zip(before))
+                    .map(|(p, (a, b))| (p.name().to_string(), a.saturating_sub(b)))
+                    .filter(|(_, ns)| *ns > 0)
+                    .collect();
                 self.obs.record(
                     self.clock,
                     TraceEvent::SlowBatch {
-                        batch: batch_index,
-                        contexts: meta.len() as u64,
+                        batch: self.next_batch,
+                        contexts,
                         elapsed_ns,
                         bound_ns,
-                        phase_self_ns: vec![
-                            (
-                                "index_maint".to_string(),
-                                stage_end_ns.saturating_sub(batch_start_ns),
-                            ),
-                            (
-                                "constraint_check".to_string(),
-                                spec_end_ns.saturating_sub(stage_end_ns),
-                            ),
-                            ("resolution".to_string(), end_ns.saturating_sub(spec_end_ns)),
-                        ],
+                        phase_self_ns,
                         exemplars,
-                        spec: spec_batch,
                     },
                 );
             }
         }
-        self.publish_health();
+        self.next_batch = self.next_batch.wrapping_add(1);
         reports
     }
 
@@ -1006,14 +477,23 @@ impl Middleware {
         self.drain_due_buffers(now);
     }
 
-    fn submit_with_plan(&mut self, ctx: Context, plan: Option<&KindPlan>) -> SubmitReport {
+    /// The per-context routine behind [`Middleware::submit`] and every
+    /// position of [`Middleware::batch_add`]. `plan` is the kind's
+    /// prebuilt [`KindPlan`] when the caller has one; `ingress_ns` is
+    /// the end-to-end span's ingress stamp (ignored with tail telemetry
+    /// off).
+    fn submit_with_plan(
+        &mut self,
+        ctx: Context,
+        plan: Option<&KindPlan>,
+        ingress_ns: u64,
+    ) -> SubmitReport {
         let stamp = ctx.stamp();
         if stamp > self.clock {
             self.clock = stamp;
         }
         let now = self.clock;
         let tail_on = self.obs.tail_enabled();
-        let ingress_ns = if tail_on { self.obs.now_ns() } else { 0 };
         self.process_due(now);
 
         let truth = ctx.truth();
@@ -1024,10 +504,6 @@ impl Middleware {
             (self.config.track_ground_truth && truth == TruthTag::Expected).then(|| ctx.clone());
         let id = self.pool.insert(ctx);
         self.schedule_expiry_doom(id, stamp, expires);
-        self.mark_dirty_kind(&kind);
-        if let Some(at) = expires {
-            self.schedule_expiry(at, &kind);
-        }
         self.stats.received += 1;
         self.obs.count(CounterKind::Ingested, 1);
         if self.obs.health_enabled() {
@@ -1071,10 +547,6 @@ impl Middleware {
             let gid = self.gt_pool.insert(clone);
             self.schedule_gt_expiry_doom(gid, stamp, expires);
             self.gt_buffer.push_back((now + self.config.window, gid));
-            self.mark_gt_dirty_kind(&kind);
-            if let Some(at) = expires {
-                self.schedule_gt_expiry(at, &kind);
-            }
         }
 
         let relevant = match plan {
@@ -1113,14 +585,11 @@ impl Middleware {
                 self.obs.count(CounterKind::ProvEdges, 1);
             }
             if tail_on {
+                // Irrelevant contexts get no constraint verdict or
+                // resolution decision; both stamps collapse onto the
+                // moment the fast path classified them.
                 let classified_ns = self.obs.now_ns();
-                self.stamp_tail(
-                    id,
-                    ingress_ns,
-                    classified_ns,
-                    classified_ns,
-                    SpecOutcome::NotSpeculated,
-                );
+                self.stamp_tail(id, ingress_ns, classified_ns, classified_ns);
             }
             self.buffer.push_back((now + self.config.window, id));
             self.obs
@@ -1228,16 +697,11 @@ impl Middleware {
         resolve_phase.finish();
         resolve_span.finish();
         if tail_on {
-            // Single submits never speculate; stamp before the discard
-            // loop so an eager self-discard still folds as `Discarded`.
+            // Stamp before the discard loop: the strategy may have
+            // discarded this very context, and `count_discard` needs the
+            // pending span to fold it as `Discarded`.
             let decision_ns = self.obs.now_ns();
-            self.stamp_tail(
-                id,
-                ingress_ns,
-                verdict_ns,
-                decision_ns,
-                SpecOutcome::NotSpeculated,
-            );
+            self.stamp_tail(id, ingress_ns, verdict_ns, decision_ns);
         }
         for did in &outcome.discarded {
             // Addition-path discards (eager strategies) always take a
@@ -1296,7 +760,6 @@ impl Middleware {
     /// counted where they were first received.
     pub(crate) fn adopt_contexts(&mut self, ctxs: Vec<Context>) {
         for ctx in ctxs {
-            let kind = ctx.kind().clone();
             let expires = ctx.lifespan().expires_at();
             let stamp = ctx.stamp();
             let discarded = ctx.state() == ContextState::Inconsistent;
@@ -1304,10 +767,6 @@ impl Middleware {
             self.schedule_expiry_doom(id, stamp, expires);
             if discarded {
                 self.schedule_discard_doom(id, stamp);
-            }
-            self.mark_dirty_kind(&kind);
-            if let Some(at) = expires {
-                self.schedule_expiry(at, &kind);
             }
         }
     }
@@ -1365,9 +824,6 @@ impl Middleware {
                 break;
             }
             self.gt_buffer.pop_front();
-            if let Some(kind) = self.gt_pool.get(gid).map(|c| c.kind().clone()) {
-                self.mark_gt_dirty_kind(&kind);
-            }
             let _ = self.gt_pool.set_state(gid, ContextState::Consistent);
             self.dirty = true;
         }
@@ -1405,17 +861,6 @@ impl Middleware {
         let resolve_span = self.obs.span(MetricKind::ResolveLatency);
         let outcome = self.strategy.on_use(&mut self.pool, now, id);
         resolve_span.finish();
-        // A use decides the context's state either way — its kind's
-        // available view may change (delivery makes it Consistent, a
-        // discard takes a marked-bad one out).
-        if let Some(kind) = &kind {
-            self.mark_dirty_kind(kind);
-        }
-        for bid in &outcome.marked_bad {
-            if let Some(k) = self.pool.get(*bid).map(|c| c.kind().clone()) {
-                self.mark_dirty_kind(&k);
-            }
-        }
         if outcome.delivered {
             self.stats.delivered += 1;
             match truth {
@@ -1555,23 +1000,14 @@ impl Middleware {
         from: ContextState,
         cause: Option<&Inconsistency>,
     ) {
-        if let Some((kind, stamp, subject)) = self
-            .pool
-            .get(id)
-            .map(|c| (c.kind().clone(), c.stamp(), Arc::clone(c.subject_arc())))
-        {
-            self.mark_dirty_kind(&kind);
+        if let Some((kind, stamp)) = self.pool.get(id).map(|c| (c.kind().clone(), c.stamp())) {
             if self.obs.health_enabled() {
                 self.kind_cell(&kind).discarded(1);
             }
             // Every Inconsistent transition funnels through here, so
-            // this is both where a context's compaction instant becomes
-            // known (doom note) and where a fused batch learns
-            // its speculative verdicts for this subject are stale.
+            // this is where a context's compaction instant becomes
+            // known (doom note).
             self.schedule_discard_doom(id, stamp);
-            if let Some(dirty) = self.fused_dirty_subjects.as_mut() {
-                dirty.insert(subject);
-            }
         }
         self.stats.discarded += 1;
         match self.pool.get(id).map(|c| c.truth()).unwrap_or_default() {
@@ -1628,14 +1064,7 @@ impl Middleware {
     /// → decision, nanoseconds on the obs epoch clock). Only called on
     /// tail-enabled paths; the pending map is bounded by
     /// [`TAIL_PENDING_MAX`].
-    fn stamp_tail(
-        &mut self,
-        id: ContextId,
-        ingress_ns: u64,
-        verdict_ns: u64,
-        decision_ns: u64,
-        spec: SpecOutcome,
-    ) {
+    fn stamp_tail(&mut self, id: ContextId, ingress_ns: u64, verdict_ns: u64, decision_ns: u64) {
         if self.tail_pending.len() >= TAIL_PENDING_MAX {
             self.tail_pending.clear();
         }
@@ -1646,7 +1075,6 @@ impl Middleware {
                 verdict_ns,
                 decision_ns,
                 batch_index: self.next_batch,
-                spec,
             },
         );
     }
@@ -1665,10 +1093,7 @@ impl Middleware {
             decision_ns: p.decision_ns,
             end_ns: self.obs.now_ns(),
         };
-        if self
-            .obs
-            .record_e2e(id, outcome, span, p.batch_index, p.spec, at)
-        {
+        if self.obs.record_e2e(id, outcome, span, p.batch_index, at) {
             if let Some(captured) = self.tail_batch_exemplars.as_mut() {
                 captured.push(id);
             }
@@ -1721,39 +1146,6 @@ impl Middleware {
         self.obs.observe(MetricKind::ChainDepth, 2 + violations);
     }
 
-    /// Whether dirty-kind bookkeeping is worth recording: situations are
-    /// deployed and the cache will consult the sets.
-    fn cache_live(&self) -> bool {
-        self.situation_cache && !self.situations.is_empty()
-    }
-
-    fn mark_dirty_kind(&mut self, kind: &ContextKind) {
-        if self.cache_live() && !self.dirty_kinds.contains(kind) {
-            self.dirty_kinds.insert(kind.clone());
-        }
-    }
-
-    fn mark_gt_dirty_kind(&mut self, kind: &ContextKind) {
-        if self.cache_live() && !self.gt_dirty_kinds.contains(kind) {
-            self.gt_dirty_kinds.insert(kind.clone());
-        }
-    }
-
-    fn schedule_expiry(&mut self, at: LogicalTime, kind: &ContextKind) {
-        if self.cache_live() {
-            self.expiry_queue.entry(at).or_default().push(kind.clone());
-        }
-    }
-
-    fn schedule_gt_expiry(&mut self, at: LogicalTime, kind: &ContextKind) {
-        if self.cache_live() {
-            self.gt_expiry_queue
-                .entry(at)
-                .or_default()
-                .push(kind.clone());
-        }
-    }
-
     fn evaluate_situations_if_dirty(&mut self, now: LogicalTime) {
         if !self.dirty || self.situations.is_empty() {
             return;
@@ -1761,44 +1153,19 @@ impl Middleware {
         let obs = self.obs.clone();
         let _sit_phase = obs.phase(Phase::SituationEval);
         self.dirty = false;
-        // Expired contexts leave every live domain without a state
-        // transition; fold the queued expiries into the dirty sets
-        // before deciding which situations to skip.
-        drain_expiries(&mut self.expiry_queue, now, &mut self.dirty_kinds);
-        drain_expiries(&mut self.gt_expiry_queue, now, &mut self.gt_dirty_kinds);
-        let (gt_statuses, gt_counters) = if self.config.track_ground_truth {
-            if self.situation_cache {
-                self.gt_situations.evaluate_dirty(
-                    &self.registry,
-                    &self.gt_pool,
-                    now,
-                    &self.gt_dirty_kinds,
-                )
-            } else {
-                self.gt_situations
-                    .evaluate_counted(&self.registry, &self.gt_pool, now)
-            }
+        let gt_statuses = if self.config.track_ground_truth {
+            self.gt_situations
+                .evaluate(&self.registry, &self.gt_pool, now)
         } else {
-            (Vec::new(), RoundCounters::default())
+            Vec::new()
         };
-        self.gt_dirty_kinds.clear();
-        let (statuses, counters) = if self.situation_cache {
-            self.situations
-                .evaluate_dirty(&self.registry, &self.pool, now, &self.dirty_kinds)
-        } else {
-            self.situations
-                .evaluate_counted(&self.registry, &self.pool, now)
-        };
-        self.dirty_kinds.clear();
-        let evals = counters.evals + gt_counters.evals;
-        let skips = counters.skips + gt_counters.skips;
-        let compiled = counters.compiled_evals + gt_counters.compiled_evals;
-        if evals > 0 {
-            self.obs.count(CounterKind::SituationEvals, evals);
-        }
-        if skips > 0 {
-            self.obs.count(CounterKind::SituationCacheSkips, skips);
-        }
+        let statuses = self.situations.evaluate(&self.registry, &self.pool, now);
+        let rounds = if self.config.track_ground_truth { 2 } else { 1 };
+        self.obs.count(
+            CounterKind::SituationEvals,
+            rounds * self.situations.len() as u64,
+        );
+        let compiled = rounds * self.situations.compiled_count() as u64;
         if compiled > 0 {
             self.obs.count(CounterKind::CompiledEvals, compiled);
         }
@@ -1829,22 +1196,6 @@ impl Middleware {
     }
 }
 
-/// Moves every expiry entry due at or before `now` into the dirty set.
-fn drain_expiries(
-    queue: &mut BTreeMap<LogicalTime, Vec<ContextKind>>,
-    now: LogicalTime,
-    dirty: &mut HashSet<ContextKind>,
-) {
-    while let Some(entry) = queue.first_entry() {
-        if *entry.key() > now {
-            break;
-        }
-        for kind in entry.remove() {
-            dirty.insert(kind);
-        }
-    }
-}
-
 /// Builder for [`Middleware`] (C-BUILDER).
 #[derive(Default)]
 pub struct MiddlewareBuilder {
@@ -1855,14 +1206,6 @@ pub struct MiddlewareBuilder {
     config: MiddlewareConfig,
     observers: Vec<Box<dyn MiddlewareObserver>>,
     obs: ShardObs,
-    /// `None` until [`MiddlewareBuilder::situation_cache`] is called; the
-    /// unset default then falls back to the `CTXRES_SITUATION_CACHE`
-    /// environment variable (see [`MiddlewareBuilder::build`]).
-    situation_cache: Option<bool>,
-    /// `None` until [`MiddlewareBuilder::fused`] is called; the unset
-    /// default then falls back to the `CTXRES_FUSED` environment
-    /// variable (see [`MiddlewareBuilder::build`]).
-    fused: Option<bool>,
 }
 
 impl fmt::Debug for MiddlewareBuilder {
@@ -1923,38 +1266,6 @@ impl MiddlewareBuilder {
         self
     }
 
-    /// Enables or disables the dirty-kind situation cache (default
-    /// **on**). Disabling makes every dirty round re-evaluate every
-    /// situation — the reference behaviour the cache must match
-    /// bit-for-bit, kept switchable for A/B verification and benchmarks.
-    ///
-    /// When this method is never called, the `CTXRES_SITUATION_CACHE`
-    /// environment variable decides (`0`/`false`/`off` disable; anything
-    /// else, or unset, enables) — this is how CI runs the whole tier-1
-    /// suite with the cache escape hatch engaged without touching code.
-    pub fn situation_cache(mut self, enabled: bool) -> Self {
-        self.situation_cache = Some(enabled);
-        self
-    }
-
-    /// Enables or disables batch-fused checking (default **on**). When
-    /// every deployed constraint compiles into the per-subject
-    /// universal-positive fragment, [`Middleware::batch_add`] then
-    /// stages the whole batch, repairs each index bucket once, and
-    /// speculatively checks disjoint subject groups (in parallel for
-    /// large batches) — with a verdict stream identical to per-context
-    /// submission. Ineligible constraint sets fall back to the
-    /// sequential path regardless of this switch.
-    ///
-    /// When this method is never called, the `CTXRES_FUSED` environment
-    /// variable decides (`0`/`false`/`off` disable; anything else, or
-    /// unset, enables) — the escape hatch CI uses for whole-suite A/B
-    /// equivalence legs.
-    pub fn fused(mut self, enabled: bool) -> Self {
-        self.fused = Some(enabled);
-        self
-    }
-
     /// Builds the middleware.
     ///
     /// # Panics
@@ -2002,25 +1313,8 @@ impl MiddlewareBuilder {
             detections: Vec::new(),
             use_log: Vec::new(),
             dirty: false,
-            situation_cache: self.situation_cache.unwrap_or_else(|| {
-                !matches!(
-                    std::env::var("CTXRES_SITUATION_CACHE").as_deref(),
-                    Ok("0") | Ok("false") | Ok("off")
-                )
-            }),
-            dirty_kinds: HashSet::new(),
-            gt_dirty_kinds: HashSet::new(),
-            expiry_queue: BTreeMap::new(),
-            gt_expiry_queue: BTreeMap::new(),
-            fused: self.fused.unwrap_or_else(|| {
-                !matches!(
-                    std::env::var("CTXRES_FUSED").as_deref(),
-                    Ok("0") | Ok("false") | Ok("off")
-                )
-            }),
             doom_queue: BTreeMap::new(),
             gt_doom_queue: BTreeMap::new(),
-            fused_dirty_subjects: None,
             reported_compiled_evals: 0,
             prov_violations: HashMap::new(),
             matched: 0,
@@ -2369,96 +1663,6 @@ mod tests {
     fn builder_requires_strategy() {
         let _ = Middleware::builder().build();
     }
-
-    #[test]
-    fn use_triggered_discard_dirties_its_kind() {
-        // Scenario A shape: the outlier gets marked Bad on detection and
-        // is discarded at *use* time — a round later than any addition.
-        // The discard must re-dirty its kind or the cache would replay a
-        // stale verdict for situations over `location`.
-        let constraints = parse_constraints(
-            "constraint gap1:
-               forall a: location, b: location .
-                 (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)
-             constraint gap2:
-               forall a: location, b: location .
-                 (same_subject(a, b) and seq_gap(a, b, 2)) implies velocity_le(a, b, 3.0)",
-        )
-        .unwrap();
-        let situations = parse_constraints(
-            "constraint near_door: exists a: location . within(a, -1.0, -1.0, 1.0, 1.0)",
-        )
-        .unwrap();
-        let mut m = Middleware::builder()
-            .constraints(constraints)
-            .situations(situations)
-            .strategy(Box::new(DropBad::new()))
-            .config(MiddlewareConfig {
-                window: Ticks::new(10),
-                track_ground_truth: false,
-                retention: None,
-            })
-            .build();
-        m.submit(loc("p", 0, 0.0, 0.0));
-        m.submit(loc("p", 1, 1.0, 0.0));
-        let outlier = m.submit(corrupted("p", 2, 30.0, 30.0)).id;
-        m.submit(loc("p", 3, 3.0, 0.0));
-        m.submit(loc("p", 4, 4.0, 0.0));
-        // Each submit round consumed its dirty set; clear any residue so
-        // the assertion isolates the use-triggered discard.
-        m.dirty_kinds.clear();
-        m.buffer.retain(|(_, id)| *id != outlier);
-        let now = m.clock;
-        let rec = m.use_one(outlier, now, None);
-        assert!(!rec.delivered, "drop-bad discards the marked context");
-        assert!(m.dirty_kinds.contains(&ContextKind::new("location")));
-    }
-
-    #[test]
-    fn situation_cache_off_and_on_agree_end_to_end() {
-        use ctxres_context::Lifespan;
-        let run = |cache: bool| {
-            let situations = parse_constraints(
-                "constraint near_door: exists a: location . within(a, -1.0, -1.0, 1.0, 1.0)
-                 constraint away: exists a: location . within(a, 2.0, -1.0, 5.0, 1.0)",
-            )
-            .unwrap();
-            let mut m = Middleware::builder()
-                .constraints(parse_constraints(SPEED).unwrap())
-                .situations(situations)
-                .strategy(Box::new(DropBad::new()))
-                .situation_cache(cache)
-                .config(MiddlewareConfig {
-                    window: Ticks::new(3),
-                    track_ground_truth: true,
-                    retention: None,
-                })
-                .build();
-            m.submit(loc("p", 0, 0.0, 0.0));
-            m.submit(corrupted("p", 1, 10.0, 10.0));
-            m.submit(loc("p", 2, 0.5, 0.0));
-            // A short-lived fix: its expiry must deactivate situations
-            // identically with and without the cache.
-            m.submit(
-                Context::builder(ContextKind::new("location"), "p")
-                    .attr("pos", Point::new(3.0, 0.0))
-                    .attr("seq", 3i64)
-                    .stamp(LogicalTime::new(3))
-                    .lifespan(Lifespan::with_ttl(LogicalTime::new(3), Ticks::new(6)))
-                    .build(),
-            );
-            m.advance_to(LogicalTime::new(8));
-            m.advance_to(LogicalTime::new(20));
-            m.drain();
-            (
-                *m.stats(),
-                m.matched_activations(),
-                m.mean_activation_latency(),
-                m.use_log().to_vec(),
-            )
-        };
-        assert_eq!(run(true), run(false));
-    }
 }
 
 #[cfg(test)]
@@ -2735,7 +1939,6 @@ mod retention_tests {
             .constraints(parse_constraints(SPEED).unwrap())
             .strategy(Box::new(DropBad::new()))
             .obs(registry.handle(0))
-            .fused(true)
             .build();
         m.batch_add(vec![loc("p", 0, 0.0), loc("p", 1, 50.0)]);
         m.drain();
@@ -2744,13 +1947,13 @@ mod retention_tests {
         assert_eq!(stat(Phase::Ingest).calls, 1, "one batch, one root");
         assert_eq!(
             stat(Phase::ConstraintCheck).calls,
-            3,
-            "fused path: one speculation pass + one commit check per context"
+            2,
+            "one check per relevant context"
         );
         assert!(stat(Phase::Resolution).calls >= 2, "on_addition + uses");
         assert!(
-            stat(Phase::IndexMaint).calls >= 2,
-            "process_due each submit"
+            stat(Phase::IndexMaint).calls >= 1,
+            "maintenance runs once the drain's uses come due"
         );
         for s in &agg {
             assert!(s.self_ns <= s.total_ns, "{}: self exceeds total", s.phase);
@@ -2770,7 +1973,7 @@ mod retention_tests {
     }
 
     #[test]
-    fn tail_spans_fold_through_a_fused_batch() {
+    fn tail_spans_fold_through_a_batch() {
         use ctxres_constraint::parse_constraints;
         use ctxres_context::{ContextKind, Point};
         use ctxres_core::strategies::DropBad;
@@ -2790,7 +1993,6 @@ mod retention_tests {
             .constraints(parse_constraints(SPEED).unwrap())
             .strategy(Box::new(DropBad::new()))
             .obs(registry.handle(0))
-            .fused(true)
             .build();
         m.batch_add(vec![loc("p", 0, 0.0), loc("p", 1, 50.0), loc("q", 0, 0.0)]);
         m.drain();
@@ -2811,24 +2013,6 @@ mod retention_tests {
         assert_eq!(total, 3, "one terminal fold per context");
         assert!(by(TailOutcome::Delivered) >= 1, "the clean track delivers");
         assert!(by(TailOutcome::Discarded) >= 1, "the violator is dropped");
-        // Speculation accounting: one fused batch, sequential (small),
-        // and every relevant commit position classified exactly once.
-        assert_eq!(shard.spec.batches, 1);
-        assert_eq!(shard.spec.workers_used, 1, "small batch stays sequential");
-        assert_eq!(
-            shard.spec.consumed + shard.spec.wasted_dirty + shard.spec.inline_checks,
-            3,
-            "three relevant commits"
-        );
-        assert_eq!(
-            shard.spec.groups_speculated,
-            shard.spec.consumed + shard.spec.wasted_dirty,
-            "all produced verdicts are consumed or invalidated at commit"
-        );
-        assert!(
-            shard.spec.worker_busy_ns.iter().skip(1).all(|&b| b == 0),
-            "only worker slot 0 accrues occupancy"
-        );
         // Early records land under the warm-up threshold, so the
         // reservoir holds exemplars; each carries a resolvable causal
         // ID and a telescoping span.
@@ -2836,6 +2020,7 @@ mod retention_tests {
         assert!(!exemplars.is_empty());
         for ex in exemplars {
             assert!(ex.causal_id().starts_with("s0/ctx#"), "{}", ex.causal_id());
+            assert_eq!(ex.batch_index, 0, "every context arrived in batch 0");
             let seg_sum: u64 = ex.span.segments().iter().sum();
             assert_eq!(seg_sum, ex.span.total_ns());
         }
@@ -2872,8 +2057,7 @@ mod retention_tests {
             .iter()
             .find(|t| t.outcome == TailOutcome::Delivered)
             .map_or(0, |t| t.hist.count);
-        assert_eq!(delivered, 1, "the sequential path stamps spans as well");
-        assert_eq!(snap.shards[0].spec.batches, 0, "no fused batch ran");
+        assert_eq!(delivered, 1, "single submits stamp spans as well");
     }
 
     #[test]
@@ -2897,28 +2081,37 @@ mod retention_tests {
                 .constraints(parse_constraints(SPEED).unwrap())
                 .strategy(Box::new(DropBad::new()))
                 .obs(registry.handle(0))
-                .fused(true)
                 .build()
         };
-        // A 1ns bound: every fused batch breaches and owes a postmortem.
-        let bounded = ObsRegistry::shared(ObsConfig::enabled().with_slow_batch_bound(1), 1);
+        let postmortems = |registry: &std::sync::Arc<ObsRegistry>| -> Vec<TraceEvent> {
+            registry
+                .drain()
+                .into_iter()
+                .map(|r| r.event)
+                .filter(|e| matches!(e, TraceEvent::SlowBatch { .. }))
+                .collect()
+        };
+        // A 1ns bound: every batch breaches and owes a postmortem; with
+        // the profiler on it attributes the batch's time to phases.
+        let bounded = ObsRegistry::shared(
+            ObsConfig::enabled()
+                .with_profile(1)
+                .with_slow_batch_bound(1),
+            1,
+        );
         let mut m = build(&bounded);
         m.batch_add(vec![loc("p", 0, 0.0), loc("p", 1, 50.0)]);
-        let posts: Vec<_> = bounded
-            .drain()
-            .into_iter()
-            .filter(|r| matches!(r.event, TraceEvent::SlowBatch { .. }))
-            .collect();
-        assert_eq!(posts.len(), 1, "one breaching batch, one postmortem");
+        m.batch_add(vec![loc("p", 2, 51.0)]);
+        let posts = postmortems(&bounded);
+        assert_eq!(posts.len(), 2, "one postmortem per breaching batch");
         let TraceEvent::SlowBatch {
             batch,
             contexts,
             elapsed_ns,
             bound_ns,
             ref phase_self_ns,
-            ref spec,
             ..
-        } = posts[0].event
+        } = posts[0]
         else {
             unreachable!()
         };
@@ -2927,11 +2120,31 @@ mod retention_tests {
         assert_eq!(bound_ns, 1);
         assert!(elapsed_ns > bound_ns);
         let names: Vec<&str> = phase_self_ns.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["index_maint", "constraint_check", "resolution"]);
-        let segments: u64 = phase_self_ns.iter().map(|(_, ns)| *ns).sum();
-        assert_eq!(segments, elapsed_ns, "wall segments telescope");
-        assert_eq!(spec.groups_speculated, 2);
-        assert_eq!(spec.workers_used, 1);
+        for phase in ["ingest", "constraint_check", "resolution"] {
+            assert!(names.contains(&phase), "{phase} missing from {names:?}");
+        }
+        let self_sum: u64 = phase_self_ns.iter().map(|(_, ns)| *ns).sum();
+        assert!(
+            self_sum <= elapsed_ns,
+            "self times fit in the batch's wall time"
+        );
+        assert!(matches!(
+            posts[1],
+            TraceEvent::SlowBatch {
+                batch: 1,
+                contexts: 1,
+                ..
+            }
+        ));
+        // Without the profiler the postmortem still fires, with no
+        // phase attribution.
+        let unprofiled = ObsRegistry::shared(ObsConfig::enabled().with_slow_batch_bound(1), 1);
+        let mut m = build(&unprofiled);
+        m.batch_add(vec![loc("p", 0, 0.0)]);
+        let posts = postmortems(&unprofiled);
+        assert!(
+            matches!(&posts[..], [TraceEvent::SlowBatch { phase_self_ns, .. }] if phase_self_ns.is_empty())
+        );
         // Without a bound the same run stays quiet.
         let unbounded = ObsRegistry::shared(ObsConfig::enabled(), 1);
         let mut m = build(&unbounded);

@@ -12,17 +12,13 @@
 //! ([`CompiledConstraint`]) and evaluated through the evidence-free
 //! [`CompiledEvaluator::holds`] path with a shared [`EvalScratch`], so
 //! an evaluation round short-circuits its quantifiers and allocates
-//! nothing for bindings or domains. [`SituationEngine::evaluate_dirty`]
-//! additionally skips situations none of whose quantified kinds changed
-//! since the last round, replaying their memoized status instead — the
-//! dirty-kind cache the middleware drives.
+//! nothing for bindings or domains.
 
 use ctxres_constraint::{
     CompiledConstraint, CompiledEvaluator, Constraint, DomainMode, EvalScratch, Evaluator,
     PredicateRegistry,
 };
-use ctxres_context::{ContextKind, ContextPool, LogicalTime};
-use std::collections::HashSet;
+use ctxres_context::{ContextPool, LogicalTime};
 use std::sync::Arc;
 
 /// The status of one situation after an evaluation round.
@@ -36,23 +32,6 @@ pub struct SituationStatus {
     /// Whether this round turned it from inactive to active (a
     /// rising-edge *activation*, the unit the paper counts).
     pub activated: bool,
-    /// When the verdict was actually computed: the current round for a
-    /// fresh evaluation, the memoized round's instant for a dirty-cache
-    /// replay. Provenance consumers rely on this — a cache hit carries
-    /// the original decision stamp instead of fabricating a fresh one.
-    pub decided_at: LogicalTime,
-}
-
-/// Counters from one evaluation round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundCounters {
-    /// Situations actually re-evaluated.
-    pub evals: u64,
-    /// Situations served from the memoized status (dirty-kind cache
-    /// hits).
-    pub skips: u64,
-    /// Evaluations that went through a compiled program.
-    pub compiled_evals: u64,
 }
 
 /// Evaluates a fixed set of situations over the available context view,
@@ -71,11 +50,6 @@ pub struct SituationEngine {
     /// Interned names, parallel to `situations`.
     names: Vec<Arc<str>>,
     active: Vec<bool>,
-    /// Whether the situation has been evaluated at least once — memoized
-    /// replay is only sound after a first evaluation.
-    evaluated: Vec<bool>,
-    /// When each situation's memoized verdict was last computed.
-    decided_at: Vec<LogicalTime>,
     activations: u64,
     scratch: EvalScratch,
 }
@@ -94,8 +68,6 @@ impl SituationEngine {
             compiled,
             names,
             active: vec![false; n],
-            evaluated: vec![false; n],
-            decided_at: vec![LogicalTime::ZERO; n],
             activations: 0,
             scratch: EvalScratch::new(),
         }
@@ -121,6 +93,12 @@ impl SituationEngine {
         &self.active
     }
 
+    /// Situations evaluated through a compiled program each round (the
+    /// rest fall back to the tree-walking evaluator).
+    pub fn compiled_count(&self) -> usize {
+        self.compiled.iter().filter(|c| c.is_some()).count()
+    }
+
     /// Re-evaluates every situation over the available view of `pool`.
     ///
     /// Evaluation errors (e.g. a missing attribute) deactivate the
@@ -132,76 +110,14 @@ impl SituationEngine {
         pool: &ContextPool,
         now: LogicalTime,
     ) -> Vec<SituationStatus> {
-        self.round(registry, pool, now, None).0
-    }
-
-    /// Like [`SituationEngine::evaluate`], but re-evaluates only
-    /// situations that quantify over a kind in `dirty` (or that were
-    /// never evaluated); the rest replay their memoized status with
-    /// `activated: false`.
-    ///
-    /// Sound whenever `dirty` contains every kind whose *available* view
-    /// changed since the last round: a situation's verdict depends only
-    /// on the available contexts of the kinds it quantifies over, so an
-    /// unchanged kind-set implies an unchanged verdict, and an unchanged
-    /// verdict can produce no rising edge.
-    pub fn evaluate_dirty(
-        &mut self,
-        registry: &PredicateRegistry,
-        pool: &ContextPool,
-        now: LogicalTime,
-        dirty: &HashSet<ContextKind>,
-    ) -> (Vec<SituationStatus>, RoundCounters) {
-        self.round(registry, pool, now, Some(dirty))
-    }
-
-    /// Full evaluation, but reporting round counters like
-    /// [`SituationEngine::evaluate_dirty`] — the cache-off path.
-    pub(crate) fn evaluate_counted(
-        &mut self,
-        registry: &PredicateRegistry,
-        pool: &ContextPool,
-        now: LogicalTime,
-    ) -> (Vec<SituationStatus>, RoundCounters) {
-        self.round(registry, pool, now, None)
-    }
-
-    fn round(
-        &mut self,
-        registry: &PredicateRegistry,
-        pool: &ContextPool,
-        now: LogicalTime,
-        dirty: Option<&HashSet<ContextKind>>,
-    ) -> (Vec<SituationStatus>, RoundCounters) {
         let evaluator = Evaluator::with_domain(registry, DomainMode::AvailableOnly);
         let compiled_eval = CompiledEvaluator::with_domain(registry, DomainMode::AvailableOnly);
-        let mut counters = RoundCounters::default();
         let mut out = Vec::with_capacity(self.situations.len());
         for (i, situation) in self.situations.iter().enumerate() {
-            let stale = match dirty {
-                None => true,
-                Some(dirty) => {
-                    !self.evaluated[i] || situation.kinds().iter().any(|k| dirty.contains(k))
-                }
-            };
-            if !stale {
-                counters.skips += 1;
-                out.push(SituationStatus {
-                    name: Arc::clone(&self.names[i]),
-                    active: self.active[i],
-                    activated: false,
-                    decided_at: self.decided_at[i],
-                });
-                continue;
-            }
-            counters.evals += 1;
             let active = match &self.compiled[i] {
-                Some(cc) => {
-                    counters.compiled_evals += 1;
-                    compiled_eval
-                        .holds(cc, pool, now, &mut self.scratch)
-                        .unwrap_or(false)
-                }
+                Some(cc) => compiled_eval
+                    .holds(cc, pool, now, &mut self.scratch)
+                    .unwrap_or(false),
                 None => evaluator
                     .check(situation, pool, now)
                     .map(|o| o.satisfied)
@@ -212,25 +128,18 @@ impl SituationEngine {
                 self.activations += 1;
             }
             self.active[i] = active;
-            self.evaluated[i] = true;
-            self.decided_at[i] = now;
             out.push(SituationStatus {
                 name: Arc::clone(&self.names[i]),
                 active,
                 activated,
-                decided_at: now,
             });
         }
-        (out, counters)
+        out
     }
 
     /// Resets activity tracking (new run).
     pub fn reset(&mut self) {
         self.active.iter_mut().for_each(|a| *a = false);
-        self.evaluated.iter_mut().for_each(|e| *e = false);
-        self.decided_at
-            .iter_mut()
-            .for_each(|d| *d = LogicalTime::ZERO);
         self.activations = 0;
     }
 }
@@ -332,106 +241,5 @@ mod tests {
         assert_eq!(eng.activations(), 0);
         let s = eng.evaluate(&reg, &pool, LogicalTime::ZERO);
         assert!(s[0].activated, "post-reset rising edge counts anew");
-    }
-
-    #[test]
-    fn dirty_rounds_skip_clean_kinds_without_changing_statuses() {
-        let mut eng = engine();
-        let reg = PredicateRegistry::with_builtins();
-        let mut pool = ContextPool::new();
-        let t = LogicalTime::ZERO;
-        let badge_kind = ContextKind::new("badge");
-
-        // First round: never evaluated, so even an empty dirty set
-        // evaluates everything.
-        let (s, c) = eng.evaluate_dirty(&reg, &pool, t, &HashSet::new());
-        assert!(!s[0].active);
-        assert_eq!((c.evals, c.skips), (1, 0));
-
-        let id = pool.insert(badge("office"));
-        pool.set_state(id, ContextState::Consistent).unwrap();
-
-        // Unrelated kind dirty: status replayed, pool change unseen —
-        // exactly what a full evaluation of an unchanged *kind* would
-        // have produced had the badge kind really not changed.
-        let (s, c) = eng.evaluate_dirty(&reg, &pool, t, &HashSet::from([ContextKind::new("x")]));
-        assert!(!s[0].active && !s[0].activated);
-        assert_eq!((c.evals, c.skips), (0, 1));
-        assert_eq!(eng.activations(), 0);
-
-        // Badge kind dirty: re-evaluated, rising edge fires.
-        let (s, c) = eng.evaluate_dirty(&reg, &pool, t, &HashSet::from([badge_kind.clone()]));
-        assert!(s[0].active && s[0].activated);
-        assert_eq!((c.evals, c.skips), (1, 0));
-        assert_eq!(eng.activations(), 1);
-
-        // Clean round: replay stays active, no second activation.
-        let (s, c) = eng.evaluate_dirty(&reg, &pool, t, &HashSet::new());
-        assert!(s[0].active && !s[0].activated);
-        assert_eq!((c.evals, c.skips), (0, 1));
-        assert_eq!(eng.activations(), 1);
-    }
-
-    #[test]
-    fn replayed_statuses_carry_the_original_decision_stamp() {
-        let mut eng = engine();
-        let reg = PredicateRegistry::with_builtins();
-        let mut pool = ContextPool::new();
-        let badge_kind = ContextKind::new("badge");
-        let id = pool.insert(badge("office"));
-        pool.set_state(id, ContextState::Consistent).unwrap();
-
-        let (s, _) = eng.evaluate_dirty(
-            &reg,
-            &pool,
-            LogicalTime::new(5),
-            &HashSet::from([badge_kind.clone()]),
-        );
-        assert_eq!(s[0].decided_at, LogicalTime::new(5));
-
-        // Cache hit: the memoized verdict's stamp is replayed, not the
-        // current round's clock.
-        let (s, c) = eng.evaluate_dirty(&reg, &pool, LogicalTime::new(9), &HashSet::new());
-        assert_eq!(c.skips, 1);
-        assert_eq!(s[0].decided_at, LogicalTime::new(5));
-
-        // A re-evaluation refreshes it.
-        let (s, _) = eng.evaluate_dirty(
-            &reg,
-            &pool,
-            LogicalTime::new(9),
-            &HashSet::from([badge_kind]),
-        );
-        assert_eq!(s[0].decided_at, LogicalTime::new(9));
-    }
-
-    #[test]
-    fn dirty_and_full_evaluation_agree_when_dirty_set_is_exact() {
-        let reg = PredicateRegistry::with_builtins();
-        let mut a = engine();
-        let mut b = engine();
-        let mut pool = ContextPool::new();
-        let t = LogicalTime::ZERO;
-        let all = HashSet::from([ContextKind::new("badge")]);
-
-        for round in 0..4 {
-            if round == 1 {
-                let id = pool.insert(badge("office"));
-                pool.set_state(id, ContextState::Consistent).unwrap();
-            }
-            if round == 3 {
-                // Round 3 changes nothing: b may pass an empty dirty set.
-                let dirty = HashSet::new();
-                let (sb, _) = b.evaluate_dirty(&reg, &pool, t, &dirty);
-                let sa = a.evaluate(&reg, &pool, t);
-                assert_eq!(sa, sb);
-                continue;
-            }
-            let sa = a.evaluate(&reg, &pool, t);
-            let (sb, _) = b.evaluate_dirty(&reg, &pool, t, &all);
-            assert_eq!(sa, sb);
-        }
-        assert_eq!(a.activations(), b.activations());
-        assert_eq!(a.active_flags(), b.active_flags());
     }
 }

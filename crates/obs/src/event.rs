@@ -1,6 +1,5 @@
 //! Typed life-cycle trace events.
 
-use crate::tail::SpecBatch;
 use ctxres_context::{ContextId, ContextState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -186,8 +185,8 @@ pub enum TraceEvent {
     /// configured wall-clock bound
     /// ([`crate::ObsConfig::slow_batch_bound_ns`]). The event bundles
     /// everything needed to chase the regression without re-running:
-    /// the batch's per-phase self-times, the contexts captured as tail
-    /// exemplars while it committed, and its speculation accounting.
+    /// the batch's per-phase self times and the contexts captured as
+    /// tail exemplars while it ran.
     SlowBatch {
         /// The engine-local batch index that breached.
         batch: u64,
@@ -197,14 +196,13 @@ pub enum TraceEvent {
         elapsed_ns: u64,
         /// The configured bound it breached, nanoseconds.
         bound_ns: u64,
-        /// Per-phase self-time attribution for the batch, `(phase
-        /// name, self ns)`, phases that ran only.
+        /// Per-phase profiler self time spent in the batch, `(phase
+        /// name, self ns)`, phases that ran only; empty when the phase
+        /// profiler is off.
         phase_self_ns: Vec<(String, u64)>,
         /// Contexts captured as tail exemplars during the batch (their
         /// causal IDs resolve via `explain`).
         exemplars: Vec<ContextId>,
-        /// The batch's speculation-efficiency accounting.
-        spec: SpecBatch,
     },
 }
 
@@ -350,7 +348,6 @@ impl fmt::Display for TraceEvent {
                 bound_ns,
                 phase_self_ns,
                 exemplars,
-                spec,
             } => {
                 write!(
                     f,
@@ -364,11 +361,6 @@ impl fmt::Display for TraceEvent {
                         write!(f, " {phase}={:.3}ms", *ns as f64 / 1e6)?;
                     }
                 }
-                write!(
-                    f,
-                    "; spec {}/{} consumed, {} wasted, {} inline",
-                    spec.consumed, spec.groups_speculated, spec.wasted_dirty, spec.inline_checks
-                )?;
                 if !exemplars.is_empty() {
                     write!(f, "; exemplars [{}]", join_ids(exemplars))?;
                 }
@@ -496,14 +488,6 @@ mod tests {
                 ("ingest".into(), 2_000_000),
             ],
             exemplars: vec![id(3), id(9)],
-            spec: SpecBatch {
-                groups_speculated: 10,
-                consumed: 6,
-                wasted_dirty: 2,
-                inline_checks: 4,
-                workers_used: 4,
-                worker_busy_ns: vec![100, 200],
-            },
         };
         assert_eq!(e.tag(), "slow_batch");
         assert_eq!(e.primary_ctx(), None);
@@ -511,7 +495,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("slow batch #7"), "{s}");
         assert!(s.contains("constraint_check"), "{s}");
-        assert!(s.contains("6/10 consumed"), "{s}");
         assert!(s.contains("ctx#3"), "{s}");
         let json = serde_json::to_string(&e).unwrap();
         let back: TraceEvent = serde_json::from_str(&json).unwrap();

@@ -278,7 +278,7 @@ fn render_phases(w: &mut String, phases: &PhaseSample) {
 /// Renders the end-to-end tail sections: cumulative per-(shard,
 /// outcome) latency summaries (microsecond-bucketed), windowed
 /// interpolated quantiles per outcome, exemplar-capture counters and
-/// thresholds, and the speculation/queue efficiency series.
+/// thresholds, and the queue wait/service series.
 fn render_tail(w: &mut String, tail: &TailSample) {
     let rows: Vec<_> = tail
         .snapshot
@@ -370,60 +370,6 @@ fn render_tail(w: &mut String, tail: &TailSample) {
                 "ctxres_e2e_capture_threshold_ns{{shard=\"{}\"}} {v}",
                 s.shard
             );
-        }
-    }
-
-    let speculating: Vec<_> = tail
-        .snapshot
-        .shards
-        .iter()
-        .filter(|s| !s.spec.is_empty())
-        .collect();
-    if !speculating.is_empty() {
-        for (field, get) in [
-            (
-                "batches",
-                &(|s: &crate::tail::SpecStats| s.batches) as &dyn Fn(_) -> u64,
-            ),
-            ("groups_speculated", &|s: &crate::tail::SpecStats| {
-                s.groups_speculated
-            }),
-            ("consumed", &|s: &crate::tail::SpecStats| s.consumed),
-            ("wasted_dirty", &|s: &crate::tail::SpecStats| s.wasted_dirty),
-            ("inline_checks", &|s: &crate::tail::SpecStats| {
-                s.inline_checks
-            }),
-        ] {
-            let _ = writeln!(w, "# TYPE ctxres_spec_{field}_total counter");
-            for s in &speculating {
-                let _ = writeln!(
-                    w,
-                    "ctxres_spec_{field}_total{{shard=\"{}\"}} {}",
-                    s.shard,
-                    get(&s.spec)
-                );
-            }
-        }
-        let _ = writeln!(w, "# TYPE ctxres_spec_worker_busy_seconds_total counter");
-        for s in &speculating {
-            for (worker, ns) in s.spec.worker_busy_ns.iter().enumerate() {
-                if *ns > 0 {
-                    let _ = writeln!(
-                        w,
-                        "ctxres_spec_worker_busy_seconds_total{{shard=\"{}\",worker=\"{worker}\"}} {}",
-                        s.shard,
-                        *ns as f64 / 1e9
-                    );
-                }
-            }
-        }
-        if let Some(rate) = tail.spec.consumed_rate {
-            let _ = writeln!(w, "# TYPE ctxres_spec_consumed_rate gauge");
-            let _ = writeln!(w, "ctxres_spec_consumed_rate {rate}");
-        }
-        if let Some(rate) = tail.spec.wasted_rate {
-            let _ = writeln!(w, "# TYPE ctxres_spec_wasted_rate gauge");
-            let _ = writeln!(w, "ctxres_spec_wasted_rate {rate}");
         }
     }
 
@@ -678,12 +624,6 @@ ctxres_situation_evals_total{shard=\"1\"} 0
 # TYPE ctxres_situation_evals_per_sec gauge
 ctxres_situation_evals_per_sec{shard=\"0\"} 0
 ctxres_situation_evals_per_sec{shard=\"1\"} 0
-# TYPE ctxres_situation_cache_skips_total counter
-ctxres_situation_cache_skips_total{shard=\"0\"} 0
-ctxres_situation_cache_skips_total{shard=\"1\"} 0
-# TYPE ctxres_situation_cache_skips_per_sec gauge
-ctxres_situation_cache_skips_per_sec{shard=\"0\"} 0
-ctxres_situation_cache_skips_per_sec{shard=\"1\"} 0
 # TYPE ctxres_compiled_evals_total counter
 ctxres_compiled_evals_total{shard=\"0\"} 0
 ctxres_compiled_evals_total{shard=\"1\"} 0
@@ -702,24 +642,6 @@ ctxres_prov_nodes_total{shard=\"1\"} 0
 # TYPE ctxres_prov_nodes_per_sec gauge
 ctxres_prov_nodes_per_sec{shard=\"0\"} 0
 ctxres_prov_nodes_per_sec{shard=\"1\"} 0
-# TYPE ctxres_pred_memo_hits_total counter
-ctxres_pred_memo_hits_total{shard=\"0\"} 0
-ctxres_pred_memo_hits_total{shard=\"1\"} 0
-# TYPE ctxres_pred_memo_hits_per_sec gauge
-ctxres_pred_memo_hits_per_sec{shard=\"0\"} 0
-ctxres_pred_memo_hits_per_sec{shard=\"1\"} 0
-# TYPE ctxres_pred_memo_misses_total counter
-ctxres_pred_memo_misses_total{shard=\"0\"} 0
-ctxres_pred_memo_misses_total{shard=\"1\"} 0
-# TYPE ctxres_pred_memo_misses_per_sec gauge
-ctxres_pred_memo_misses_per_sec{shard=\"0\"} 0
-ctxres_pred_memo_misses_per_sec{shard=\"1\"} 0
-# TYPE ctxres_fused_batch_evals_total counter
-ctxres_fused_batch_evals_total{shard=\"0\"} 0
-ctxres_fused_batch_evals_total{shard=\"1\"} 0
-# TYPE ctxres_fused_batch_evals_per_sec gauge
-ctxres_fused_batch_evals_per_sec{shard=\"0\"} 0
-ctxres_fused_batch_evals_per_sec{shard=\"1\"} 0
 # TYPE ctxres_trace_events_dropped_total counter
 ctxres_trace_events_dropped_total{shard=\"0\"} 0
 ctxres_trace_events_dropped_total{shard=\"1\"} 0
@@ -883,11 +805,10 @@ ctxres_queue_depth_quantile_est{shard=\"1\",q=\"0.99\"} 8
         assert_valid_exposition(&render_prometheus(&seeded_profiled_sample()));
     }
 
-    /// Like [`seeded_sample`] but with the tail layer on and spans,
-    /// speculation accounting, and queue timings recorded, so every
-    /// tail section renders.
+    /// Like [`seeded_sample`] but with the tail layer on and spans and
+    /// queue timings recorded, so every tail section renders.
     fn seeded_tail_sample() -> Sample {
-        use crate::tail::{ContextSpan, SpecBatch, SpecOutcome, TailOutcome};
+        use crate::tail::{ContextSpan, TailOutcome};
         use ctxres_context::{ContextId, LogicalTime};
         let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 2);
         let mut sampler = Sampler::new(Arc::clone(&registry));
@@ -904,18 +825,9 @@ ctxres_queue_depth_quantile_est{shard=\"1\",q=\"0.99\"} 8
                     end_ns: total_us * 1000,
                 },
                 0,
-                SpecOutcome::Consumed,
                 LogicalTime::new(i),
             );
         }
-        a.record_spec_batch(&SpecBatch {
-            groups_speculated: 10,
-            consumed: 6,
-            wasted_dirty: 2,
-            inline_checks: 2,
-            workers_used: 3,
-            worker_busy_ns: vec![2_000_000, 1_000_000, 500_000],
-        });
         let b = registry.handle(1);
         b.record_queue_wait(3_000_000);
         b.record_queue_service(9_000_000);
@@ -924,12 +836,15 @@ ctxres_queue_depth_quantile_est{shard=\"1\",q=\"0.99\"} 8
 
     /// The tail sections only appear once the tail layer recorded, and
     /// then carry the per-outcome latency series, windowed quantiles,
-    /// exemplar counters, and speculation/queue efficiency.
+    /// exemplar counters, and the queue decomposition.
     #[test]
     fn tail_sections_render_only_when_recorded() {
         let plain = render_prometheus(&seeded_sample());
         assert!(!plain.contains("ctxres_e2e_"), "tail off, no e2e series");
-        assert!(!plain.contains("ctxres_spec_"), "tail off, no spec series");
+        assert!(
+            !plain.contains("ctxres_queue_wait"),
+            "tail off, no queue series"
+        );
 
         let text = render_prometheus(&seeded_tail_sample());
         for needle in [
@@ -939,11 +854,6 @@ ctxres_queue_depth_quantile_est{shard=\"1\",q=\"0.99\"} 8
             "ctxres_e2e_window_quantile_ns{outcome=\"all\",q=\"0.99\"}",
             "ctxres_e2e_exemplars_captured_total{shard=\"0\"} 3",
             "ctxres_e2e_capture_threshold_ns{shard=\"0\"}",
-            "ctxres_spec_groups_speculated_total{shard=\"0\"} 10",
-            "ctxres_spec_consumed_total{shard=\"0\"} 6",
-            "ctxres_spec_worker_busy_seconds_total{shard=\"0\",worker=\"0\"} 0.002",
-            "ctxres_spec_consumed_rate 0.6",
-            "ctxres_spec_wasted_rate 0.2",
             "ctxres_queue_wait_seconds_total{shard=\"1\"} 0.003",
             "ctxres_queue_service_seconds_total{shard=\"1\"} 0.009",
             "ctxres_queue_wait_share 0.25",

@@ -44,9 +44,8 @@
 //!   constraint verdict, resolution decision and delivery/discard fold
 //!   into per-(shard, outcome) histograms with windowed interpolated
 //!   p50/p95/p99/p999, a bounded per-shard reservoir of over-p99
-//!   exemplars (each carrying its causal ID, packed profiler phase
-//!   path, and speculation outcome), speculation-efficiency counters
-//!   for the fused batch path, and a wait-versus-service decomposition
+//!   exemplars (each carrying its causal ID and packed profiler phase
+//!   path), and a wait-versus-service decomposition
 //!   of the sharded engine queues — opt in with
 //!   [`ObsConfig::with_tail`]; slow batches emit a
 //!   [`TraceEvent::SlowBatch`] postmortem when
@@ -130,7 +129,6 @@ pub use snapshot::{BuildInfo, Sample, Sampler, ShardRates, QUANTILES};
 pub use span::ObsSpan;
 pub use tail::{
     ContextSpan, Exemplar, OutcomeTail, OutcomeWindow, QueueStats, QueueWindow, ShardTail,
-    SpecBatch, SpecOutcome, SpecStats, SpecWindow, TailOutcome, TailSample, TailSnapshot,
-    TailWindow, EXEMPLAR_CAPACITY, MAX_TRACKED_WORKERS, SEGMENT_NAMES, TAIL_OUTCOMES,
-    TAIL_QUANTILES,
+    TailOutcome, TailSample, TailSnapshot, TailWindow, EXEMPLAR_CAPACITY, SEGMENT_NAMES,
+    TAIL_OUTCOMES, TAIL_QUANTILES,
 };

@@ -115,11 +115,8 @@ pub enum CounterKind {
     Deliveries,
     /// Contexts accepted by a shard engine (context addition changes).
     Ingested,
-    /// Situations actually re-evaluated in a dirty round.
+    /// Situation evaluations: every situation, once per dirty round.
     SituationEvals,
-    /// Situation re-evaluations skipped because no kind the situation
-    /// quantifies over changed (dirty-kind cache hits).
-    SituationCacheSkips,
     /// Constraint evaluations served by a compiled program.
     CompiledEvals,
     /// Typed cause edges emitted into the trace (provenance).
@@ -127,20 +124,10 @@ pub enum CounterKind {
     /// Provenance graph nodes implied by the trace: one per context
     /// whose causal chain opened with a submission edge.
     ProvNodes,
-    /// Predicate evaluations answered from the per-batch memo table on
-    /// the fused checking path.
-    PredMemoHits,
-    /// Memoizable predicate evaluations that had to be computed (and
-    /// were then cached) on the fused checking path.
-    PredMemoMisses,
-    /// Batches ingested through the fused path: set-pinned evaluation,
-    /// deferred index maintenance, and speculative subject-group
-    /// checking.
-    FusedBatchEvals,
 }
 
 /// Every [`CounterKind`], in index order.
-pub const COUNTER_KINDS: [CounterKind; 14] = [
+pub const COUNTER_KINDS: [CounterKind; 10] = [
     CounterKind::EventsRecorded,
     CounterKind::EventsDropped,
     CounterKind::Detections,
@@ -148,13 +135,9 @@ pub const COUNTER_KINDS: [CounterKind; 14] = [
     CounterKind::Deliveries,
     CounterKind::Ingested,
     CounterKind::SituationEvals,
-    CounterKind::SituationCacheSkips,
     CounterKind::CompiledEvals,
     CounterKind::ProvEdges,
     CounterKind::ProvNodes,
-    CounterKind::PredMemoHits,
-    CounterKind::PredMemoMisses,
-    CounterKind::FusedBatchEvals,
 ];
 
 impl CounterKind {
@@ -176,13 +159,9 @@ impl CounterKind {
             CounterKind::Deliveries => "deliveries",
             CounterKind::Ingested => "ingested",
             CounterKind::SituationEvals => "situation_evals",
-            CounterKind::SituationCacheSkips => "situation_cache_skips",
             CounterKind::CompiledEvals => "compiled_evals",
             CounterKind::ProvEdges => "prov_edges",
             CounterKind::ProvNodes => "prov_nodes",
-            CounterKind::PredMemoHits => "pred_memo_hits",
-            CounterKind::PredMemoMisses => "pred_memo_misses",
-            CounterKind::FusedBatchEvals => "fused_batch_evals",
         }
     }
 }

@@ -294,6 +294,12 @@ impl ShardProfileSlot {
         }
     }
 
+    /// Cumulative self nanoseconds per phase, in [`PHASES`] order —
+    /// lock-free, for diffing across an interval.
+    pub(crate) fn self_ns(&self) -> [u64; PHASES.len()] {
+        std::array::from_fn(|i| self.cells[i].self_ns.load(Ordering::Relaxed))
+    }
+
     /// Point-in-time copy of this shard's phase cells and root/ring
     /// bookkeeping.
     pub(crate) fn snapshot(&self, shard: usize) -> ShardPhases {

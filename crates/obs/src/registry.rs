@@ -8,9 +8,7 @@ use crate::metrics::{
 use crate::profile::{Phase, PhaseGuard, ProfileSnapshot, ShardProfileSlot, SpanRecord};
 use crate::ring::EventRing;
 use crate::span::ObsSpan;
-use crate::tail::{
-    ContextSpan, Exemplar, ShardTailSlot, SpecBatch, SpecOutcome, TailOutcome, TailSnapshot,
-};
+use crate::tail::{ContextSpan, Exemplar, ShardTailSlot, TailOutcome, TailSnapshot};
 use ctxres_context::LogicalTime;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -41,13 +39,14 @@ pub struct ObsConfig {
     /// records (1 = record everything). Only meaningful with `profile`.
     pub profile_sample: u32,
     /// Whether end-to-end tail-latency telemetry (context spans,
-    /// exemplar capture, speculation-efficiency counters) is recorded.
+    /// exemplar capture, queue wait/service counters) is recorded.
     pub tail: bool,
-    /// Slow-batch postmortem bound, nanoseconds: a fused batch whose
+    /// Slow-batch postmortem bound, nanoseconds: an ingest batch whose
     /// wall-clock ingest exceeds it emits a [`TraceEvent::SlowBatch`]
     /// trace event. `0` disables postmortems. Only meaningful with
     /// `tail` (the postmortem bundles tail exemplars) and
-    /// `trace_events` (it rides the trace rings).
+    /// `trace_events` (it rides the trace rings); its per-phase self
+    /// times need `profile`.
     pub slow_batch_bound_ns: u64,
     /// Capacity of each shard's event ring buffer.
     pub ring_capacity: usize,
@@ -330,7 +329,7 @@ impl ObsRegistry {
     }
 
     /// A point-in-time copy of every shard's tail telemetry (end-to-end
-    /// histograms, exemplar reservoirs, speculation/queue counters);
+    /// histograms, exemplar reservoirs, queue counters);
     /// empty until something records with [`ObsConfig::tail`] on.
     pub fn tail_snapshot(&self) -> TailSnapshot {
         TailSnapshot {
@@ -472,6 +471,19 @@ impl ShardObs {
         }
     }
 
+    /// This shard's cumulative per-phase profiler self time in
+    /// nanoseconds, in [`crate::PHASES`] order; all zero with profiling
+    /// off. Two readings attribute an interval to phases — a slow
+    /// batch's postmortem is one such diff.
+    pub fn phase_self_ns(&self) -> [u64; crate::PHASES.len()] {
+        match &self.inner {
+            Some(inner) if inner.registry.config.profile => {
+                inner.registry.slots[inner.shard].profile.self_ns()
+            }
+            _ => [0; crate::PHASES.len()],
+        }
+    }
+
     /// A per-kind quality-telemetry handle for this shard, interned on
     /// first use. Engines cache one handle per kind so the hot path is
     /// pure atomics; handles from a disabled (or health-off) registry
@@ -533,7 +545,6 @@ impl ShardObs {
         outcome: TailOutcome,
         span: ContextSpan,
         batch_index: u64,
-        spec: SpecOutcome,
         at: LogicalTime,
     ) -> bool {
         let Some(inner) = &self.inner else {
@@ -552,19 +563,9 @@ impl ShardObs {
             batch_index,
             phase_path,
             phase_depth,
-            spec,
             at: at.tick(),
         });
         true
-    }
-
-    /// Adds one fused batch's speculation accounting to the tail layer.
-    pub fn record_spec_batch(&self, batch: &SpecBatch) {
-        if let Some(inner) = &self.inner {
-            inner.registry.slots[inner.shard]
-                .tail
-                .record_spec_batch(batch);
-        }
     }
 
     /// Records one shard-lock wait interval (queue wait component).

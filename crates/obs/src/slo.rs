@@ -570,7 +570,7 @@ mod tests {
 
     /// A tail view whose all-outcomes p99 is the given milliseconds.
     fn tail_with(p99_ms: f64) -> TailSample {
-        use crate::tail::{QueueWindow, SpecWindow, TailSnapshot, TailWindow};
+        use crate::tail::{QueueWindow, TailSnapshot, TailWindow};
         TailSample {
             snapshot: TailSnapshot { shards: Vec::new() },
             outcomes: Vec::new(),
@@ -582,7 +582,6 @@ mod tests {
                 p99_ns: Some(p99_ms * 1e6),
                 p999_ns: None,
             },
-            spec: SpecWindow::default(),
             queue: QueueWindow::default(),
         }
     }

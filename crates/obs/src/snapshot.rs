@@ -214,8 +214,8 @@ pub struct Sample {
     /// byte-identical.
     pub build: Option<BuildInfo>,
     /// End-to-end tail-latency view for the window — per-outcome
-    /// p50/p95/p99/p999, exemplar reservoirs, speculation-efficiency
-    /// rates, and queue wait/service decomposition. `None` unless the
+    /// p50/p95/p99/p999, exemplar reservoirs, and queue wait/service
+    /// decomposition. `None` unless the
     /// registry was built with [`crate::ObsConfig::with_tail`] and
     /// something recorded; pre-tail dumps (no `tail` key) still load.
     pub tail: Option<TailSample>,
@@ -645,7 +645,7 @@ mod tests {
 
     #[test]
     fn tail_rides_the_sampler_once_recorded() {
-        use crate::tail::{ContextSpan, SpecOutcome, TailOutcome};
+        use crate::tail::{ContextSpan, TailOutcome};
         let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 2);
         let mut sampler = Sampler::new(Arc::clone(&registry));
         let s = sampler.sample_after(0.0);
@@ -662,7 +662,6 @@ mod tests {
             TailOutcome::Delivered,
             span,
             3,
-            SpecOutcome::Consumed,
             LogicalTime::new(9),
         );
         let s = sampler.sample_after(1.0);
@@ -682,7 +681,7 @@ mod tests {
 
     #[test]
     fn tail_stays_none_without_the_lever() {
-        use crate::tail::{ContextSpan, SpecOutcome, TailOutcome};
+        use crate::tail::{ContextSpan, TailOutcome};
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
         registry.handle(0).record_e2e(
             ctxres_context::ContextId::from_raw(1),
@@ -694,7 +693,6 @@ mod tests {
                 end_ns: 3,
             },
             0,
-            SpecOutcome::NotSpeculated,
             LogicalTime::new(1),
         );
         let mut sampler = Sampler::new(registry);

@@ -1,5 +1,5 @@
-//! End-to-end tail-latency spans, slow-context exemplars, and
-//! speculation-efficiency telemetry.
+//! End-to-end tail-latency spans, slow-context exemplars, and queue
+//! wait-versus-service telemetry.
 //!
 //! The per-operation histograms ([`crate::MetricKind::CheckLatency`],
 //! [`crate::MetricKind::IngestLatency`], …) time *stages*; nothing in
@@ -20,13 +20,9 @@
 //!   a rolling p99 threshold land in a bounded per-shard reservoir,
 //!   each carrying the causal ID `s<shard>/ctx#<id>` (resolvable by the
 //!   `explain` bin), the packed profiler phase path it completed under,
-//!   its batch index, and its speculation outcome;
-//! * **speculation efficiency** ([`SpecBatch`], [`SpecStats`]): the
-//!   fused batch path reports groups speculated, verdicts consumed,
-//!   verdicts wasted on dirty-subject collisions, inline re-checks,
-//!   workers used, and per-worker busy occupancy; the sharded engine
-//!   reports lock-wait versus service time for its queues
-//!   ([`QueueStats`]).
+//!   and its batch index;
+//! * **queue decomposition** ([`QueueStats`]): the sharded engine
+//!   reports lock-wait versus service time for its queues.
 //!
 //! Everything is cumulative at the slot level; [`TailSample::between`]
 //! turns two snapshots into the windowed view `/metrics`, `/snapshot`,
@@ -50,10 +46,6 @@ pub const EXEMPLAR_CAPACITY: usize = 32;
 /// How many end-to-end records pass between rolling-p99 threshold
 /// refreshes.
 const THRESHOLD_RECALC_EVERY: u64 = 32;
-
-/// Per-worker busy-time slots tracked per shard (the fused path caps
-/// workers well below this; extras clamp into the last slot).
-pub const MAX_TRACKED_WORKERS: usize = 8;
 
 /// End-to-end histograms record in microseconds: the power-of-two
 /// buckets then span 1µs..2^23µs (~8.4s) before overflowing, where
@@ -95,34 +87,6 @@ impl TailOutcome {
             TailOutcome::Delivered => "delivered",
             TailOutcome::Discarded => "discarded",
             TailOutcome::Expired => "expired",
-        }
-    }
-}
-
-/// How a relevant context's constraint verdict was obtained on the
-/// fused path, for exemplar attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SpecOutcome {
-    /// Not checked speculatively (sequential path, or irrelevant to
-    /// every constraint).
-    NotSpeculated,
-    /// A speculated group verdict was consumed at commit time.
-    Consumed,
-    /// A speculated verdict existed but was wasted: the subject went
-    /// dirty before commit and the check re-ran inline.
-    WastedDirty,
-    /// No speculated verdict existed; the check ran inline at commit.
-    Inline,
-}
-
-impl SpecOutcome {
-    /// Snake-case outcome name (stable; used in exports and dumps).
-    pub fn name(self) -> &'static str {
-        match self {
-            SpecOutcome::NotSpeculated => "not_speculated",
-            SpecOutcome::Consumed => "consumed",
-            SpecOutcome::WastedDirty => "wasted_dirty",
-            SpecOutcome::Inline => "inline",
         }
     }
 }
@@ -189,8 +153,6 @@ pub struct Exemplar {
     pub phase_path: u64,
     /// Nesting depth of `phase_path` (number of open frames).
     pub phase_depth: u8,
-    /// How the constraint verdict was obtained.
-    pub spec: SpecOutcome,
     /// Logical tick of the terminal event.
     pub at: u64,
 }
@@ -207,86 +169,6 @@ impl Exemplar {
         (0..self.phase_depth as usize)
             .map(|i| PHASES[((self.phase_path >> (4 * i)) & 0xF) as usize % PHASES.len()])
             .collect()
-    }
-}
-
-/// One fused batch's speculation accounting, reported by the engine
-/// after commit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SpecBatch {
-    /// Subject groups the speculation pass checked ahead of commit.
-    pub groups_speculated: u64,
-    /// Speculated verdicts consumed at commit time.
-    pub consumed: u64,
-    /// Speculated verdicts wasted on dirty-subject collisions.
-    pub wasted_dirty: u64,
-    /// Commit-time checks that ran inline (no speculated verdict).
-    pub inline_checks: u64,
-    /// Worker threads the speculation pass actually used.
-    pub workers_used: u64,
-    /// Per-worker busy time in the speculation pass, nanoseconds.
-    pub worker_busy_ns: Vec<u64>,
-}
-
-/// Cumulative speculation-efficiency counters for one shard.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpecStats {
-    /// Fused batches that reported speculation accounting.
-    pub batches: u64,
-    /// Subject groups checked speculatively.
-    pub groups_speculated: u64,
-    /// Speculated verdicts consumed at commit.
-    pub consumed: u64,
-    /// Speculated verdicts wasted on dirty-subject collisions.
-    pub wasted_dirty: u64,
-    /// Commit-time inline re-checks.
-    pub inline_checks: u64,
-    /// Sum of workers used across batches (divide by `batches` for the
-    /// average).
-    pub workers_used: u64,
-    /// Per-worker-slot busy nanoseconds (slot = worker index, clamped
-    /// to [`MAX_TRACKED_WORKERS`]).
-    pub worker_busy_ns: Vec<u64>,
-}
-
-impl SpecStats {
-    /// Adds another shard's stats into this one.
-    pub fn merge(&mut self, other: &SpecStats) {
-        self.batches += other.batches;
-        self.groups_speculated += other.groups_speculated;
-        self.consumed += other.consumed;
-        self.wasted_dirty += other.wasted_dirty;
-        self.inline_checks += other.inline_checks;
-        self.workers_used += other.workers_used;
-        if self.worker_busy_ns.len() < other.worker_busy_ns.len() {
-            self.worker_busy_ns.resize(other.worker_busy_ns.len(), 0);
-        }
-        for (mine, theirs) in self.worker_busy_ns.iter_mut().zip(&other.worker_busy_ns) {
-            *mine += *theirs;
-        }
-    }
-
-    /// Whether nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.batches == 0 && self.groups_speculated == 0 && self.inline_checks == 0
-    }
-
-    /// Field-wise saturating difference (windowed delta).
-    fn delta(cur: &SpecStats, prev: &SpecStats) -> SpecStats {
-        SpecStats {
-            batches: cur.batches.saturating_sub(prev.batches),
-            groups_speculated: cur.groups_speculated.saturating_sub(prev.groups_speculated),
-            consumed: cur.consumed.saturating_sub(prev.consumed),
-            wasted_dirty: cur.wasted_dirty.saturating_sub(prev.wasted_dirty),
-            inline_checks: cur.inline_checks.saturating_sub(prev.inline_checks),
-            workers_used: cur.workers_used.saturating_sub(prev.workers_used),
-            worker_busy_ns: cur
-                .worker_busy_ns
-                .iter()
-                .enumerate()
-                .map(|(i, v)| v.saturating_sub(prev.worker_busy_ns.get(i).copied().unwrap_or(0)))
-                .collect(),
-        }
     }
 }
 
@@ -350,8 +232,7 @@ impl ExemplarRing {
 
 /// One shard's tail-telemetry state: per-outcome histograms, the
 /// rolling-p99 capture threshold, the exemplar reservoir, and the
-/// speculation/queue counters. Everything but the reservoir is
-/// lock-free.
+/// queue counters. Everything but the reservoir is lock-free.
 #[derive(Debug)]
 pub(crate) struct ShardTailSlot {
     enabled: bool,
@@ -360,13 +241,6 @@ pub(crate) struct ShardTailSlot {
     records: AtomicU64,
     captured: AtomicU64,
     exemplars: Mutex<ExemplarRing>,
-    batches: AtomicU64,
-    groups_speculated: AtomicU64,
-    spec_consumed: AtomicU64,
-    spec_wasted: AtomicU64,
-    spec_inline: AtomicU64,
-    workers_used: AtomicU64,
-    worker_busy_ns: [AtomicU64; MAX_TRACKED_WORKERS],
     wait_ns: AtomicU64,
     wait_count: AtomicU64,
     service_ns: AtomicU64,
@@ -382,13 +256,6 @@ impl ShardTailSlot {
             records: AtomicU64::new(0),
             captured: AtomicU64::new(0),
             exemplars: Mutex::new(ExemplarRing::default()),
-            batches: AtomicU64::new(0),
-            groups_speculated: AtomicU64::new(0),
-            spec_consumed: AtomicU64::new(0),
-            spec_wasted: AtomicU64::new(0),
-            spec_inline: AtomicU64::new(0),
-            workers_used: AtomicU64::new(0),
-            worker_busy_ns: Default::default(),
             wait_ns: AtomicU64::new(0),
             wait_count: AtomicU64::new(0),
             service_ns: AtomicU64::new(0),
@@ -437,27 +304,6 @@ impl ShardTailSlot {
         self.exemplars.lock().push(ex);
     }
 
-    /// Adds one fused batch's speculation accounting.
-    pub(crate) fn record_spec_batch(&self, batch: &SpecBatch) {
-        if !self.enabled {
-            return;
-        }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.groups_speculated
-            .fetch_add(batch.groups_speculated, Ordering::Relaxed);
-        self.spec_consumed
-            .fetch_add(batch.consumed, Ordering::Relaxed);
-        self.spec_wasted
-            .fetch_add(batch.wasted_dirty, Ordering::Relaxed);
-        self.spec_inline
-            .fetch_add(batch.inline_checks, Ordering::Relaxed);
-        self.workers_used
-            .fetch_add(batch.workers_used, Ordering::Relaxed);
-        for (i, busy) in batch.worker_busy_ns.iter().enumerate() {
-            self.worker_busy_ns[i.min(MAX_TRACKED_WORKERS - 1)].fetch_add(*busy, Ordering::Relaxed);
-        }
-    }
-
     /// Records one lock-wait interval for this shard's queue.
     pub(crate) fn record_queue_wait(&self, ns: u64) {
         if !self.enabled {
@@ -501,19 +347,6 @@ impl ShardTailSlot {
             threshold_ns: self.threshold_ns.load(Ordering::Relaxed),
             captured: self.captured.load(Ordering::Relaxed),
             exemplars,
-            spec: SpecStats {
-                batches: self.batches.load(Ordering::Relaxed),
-                groups_speculated: self.groups_speculated.load(Ordering::Relaxed),
-                consumed: self.spec_consumed.load(Ordering::Relaxed),
-                wasted_dirty: self.spec_wasted.load(Ordering::Relaxed),
-                inline_checks: self.spec_inline.load(Ordering::Relaxed),
-                workers_used: self.workers_used.load(Ordering::Relaxed),
-                worker_busy_ns: self
-                    .worker_busy_ns
-                    .iter()
-                    .map(|w| w.load(Ordering::Relaxed))
-                    .collect(),
-            },
             queue: QueueStats {
                 wait_ns: self.wait_ns.load(Ordering::Relaxed),
                 wait_count: self.wait_count.load(Ordering::Relaxed),
@@ -539,8 +372,6 @@ pub struct ShardTail {
     pub captured: u64,
     /// The current reservoir contents.
     pub exemplars: Vec<Exemplar>,
-    /// Cumulative speculation counters.
-    pub spec: SpecStats,
     /// Cumulative queue wait/service counters.
     pub queue: QueueStats,
 }
@@ -564,9 +395,9 @@ pub struct TailSnapshot {
 impl TailSnapshot {
     /// Whether no tail telemetry was ever recorded anywhere.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| {
-            s.outcomes.iter().all(|o| o.hist.count == 0) && s.spec.is_empty() && s.queue.is_empty()
-        })
+        self.shards
+            .iter()
+            .all(|s| s.outcomes.iter().all(|o| o.hist.count == 0) && s.queue.is_empty())
     }
 
     /// Cross-shard merged histogram for one outcome index.
@@ -576,15 +407,6 @@ impl TailSnapshot {
             if let Some(o) = s.outcomes.get(outcome_ix) {
                 m.merge(&o.hist);
             }
-        }
-        m
-    }
-
-    /// Cross-shard merged speculation stats.
-    fn merged_spec(&self) -> SpecStats {
-        let mut m = SpecStats::default();
-        for s in &self.shards {
-            m.merge(&s.spec);
         }
         m
     }
@@ -654,48 +476,6 @@ pub struct OutcomeWindow {
     pub window: TailWindow,
 }
 
-/// Windowed speculation-efficiency summary across shards.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SpecWindow {
-    /// Fused batches in the window.
-    pub batches: u64,
-    /// Subject groups speculated in the window.
-    pub groups_speculated: u64,
-    /// Speculated verdicts consumed.
-    pub consumed: u64,
-    /// Speculated verdicts wasted on dirty collisions.
-    pub wasted_dirty: u64,
-    /// Inline commit-time re-checks.
-    pub inline_checks: u64,
-    /// Consumed share of speculated groups (`None` with no
-    /// speculation).
-    pub consumed_rate: Option<f64>,
-    /// Wasted share of speculated groups.
-    pub wasted_rate: Option<f64>,
-    /// Average workers per batch.
-    pub avg_workers: Option<f64>,
-    /// Per-worker-slot busy nanoseconds in the window.
-    pub worker_busy_ns: Vec<u64>,
-}
-
-impl SpecWindow {
-    fn from_stats(s: &SpecStats) -> SpecWindow {
-        let groups = s.groups_speculated;
-        let rate = |n: u64| (groups > 0).then(|| n as f64 / groups as f64);
-        SpecWindow {
-            batches: s.batches,
-            groups_speculated: groups,
-            consumed: s.consumed,
-            wasted_dirty: s.wasted_dirty,
-            inline_checks: s.inline_checks,
-            consumed_rate: rate(s.consumed),
-            wasted_rate: rate(s.wasted_dirty),
-            avg_workers: (s.batches > 0).then(|| s.workers_used as f64 / s.batches as f64),
-            worker_busy_ns: s.worker_busy_ns.clone(),
-        }
-    }
-}
-
 /// Windowed queue wait-versus-service summary across shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueueWindow {
@@ -740,8 +520,8 @@ fn hist_delta(cur: &HistogramSnapshot, prev: &HistogramSnapshot) -> HistogramSna
 }
 
 /// The windowed tail view a scrape hands out: cumulative snapshot plus
-/// per-outcome and combined quantiles, speculation rates, and queue
-/// decomposition covering the interval since the previous scrape.
+/// per-outcome and combined quantiles and the queue decomposition,
+/// covering the interval since the previous scrape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TailSample {
     /// The cumulative tail snapshot at sample time (exemplar
@@ -751,8 +531,6 @@ pub struct TailSample {
     pub outcomes: Vec<OutcomeWindow>,
     /// Windowed summary across all outcomes.
     pub all: TailWindow,
-    /// Windowed speculation efficiency.
-    pub spec: SpecWindow,
     /// Windowed queue wait/service decomposition.
     pub queue: QueueWindow,
 }
@@ -775,10 +553,6 @@ impl TailSample {
                 window: TailWindow::from_hist(&delta),
             });
         }
-        let spec = match prev {
-            Some(p) => SpecStats::delta(&cur.merged_spec(), &p.merged_spec()),
-            None => cur.merged_spec(),
-        };
         let queue = match prev {
             Some(p) => QueueStats::delta(&cur.merged_queue(), &p.merged_queue()),
             None => cur.merged_queue(),
@@ -786,7 +560,6 @@ impl TailSample {
         TailSample {
             outcomes,
             all: TailWindow::from_hist(&all),
-            spec: SpecWindow::from_stats(&spec),
             queue: QueueWindow::from_stats(&queue),
             snapshot: cur,
         }
@@ -815,7 +588,6 @@ mod tests {
             batch_index: 0,
             phase_path: 0,
             phase_depth: 0,
-            spec: SpecOutcome::NotSpeculated,
             at: 0,
         }
     }
@@ -920,27 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_window_rates_divide_by_groups() {
-        let slot = ShardTailSlot::new(true);
-        slot.record_spec_batch(&SpecBatch {
-            groups_speculated: 10,
-            consumed: 7,
-            wasted_dirty: 2,
-            inline_checks: 3,
-            workers_used: 4,
-            worker_busy_ns: vec![100, 200, 300, 400],
-        });
-        let cur = TailSnapshot {
-            shards: vec![slot.snapshot(0)],
-        };
-        let sample = TailSample::between(None, cur);
-        assert_eq!(sample.spec.consumed_rate, Some(0.7));
-        assert_eq!(sample.spec.wasted_rate, Some(0.2));
-        assert_eq!(sample.spec.avg_workers, Some(4.0));
-        assert_eq!(sample.spec.worker_busy_ns[..4], [100, 200, 300, 400]);
-    }
-
-    #[test]
     fn queue_window_decomposes_wait_vs_service() {
         let slot = ShardTailSlot::new(true);
         slot.record_queue_wait(100);
@@ -961,11 +712,7 @@ mod tests {
         if slot.observe(TailOutcome::Expired, 3_000_000) {
             slot.capture(ex(9, 3_000_000));
         }
-        slot.record_spec_batch(&SpecBatch {
-            groups_speculated: 1,
-            consumed: 1,
-            ..SpecBatch::default()
-        });
+        slot.record_queue_wait(40);
         let cur = TailSnapshot {
             shards: vec![slot.snapshot(0)],
         };
@@ -1052,7 +799,6 @@ mod invariant_proptests {
                     batch_index: 0,
                     phase_path: 0,
                     phase_depth: 0,
-                    spec: SpecOutcome::Inline,
                     at: 0,
                 });
             }
@@ -1083,7 +829,6 @@ mod invariant_proptests {
                                     batch_index: 0,
                                     phase_path: 0,
                                     phase_depth: 0,
-                                    spec: SpecOutcome::Consumed,
                                     at: n,
                                 });
                             }
