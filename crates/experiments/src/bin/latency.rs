@@ -8,8 +8,8 @@
 //! not of the machine. It is unrelated to the engine's **wall-clock
 //! end-to-end latency** telemetry (nanosecond span stamps, p99
 //! histograms, exemplars), which lives in `ctxres_obs::tail` and
-//! surfaces through `/snapshot`, `obs_top`, `soak`, and the
-//! `city_bench` `e2e_p99_ns` series. This bin never touches a clock.
+//! surfaces through `/snapshot`, `obs_top` and `soak`. This bin never
+//! touches a clock.
 //!
 //! Usage: `latency [--quick]`.
 

@@ -9,7 +9,7 @@
 //!   registry in-process — a self-contained way to see the dashboard
 //!   move.
 //! * **watch** (`--watch <addr>`): scrapes `/snapshot` from any live
-//!   `CTXRES_METRICS_ADDR` endpoint (`figure9`, `shard_bench`, a
+//!   `CTXRES_METRICS_ADDR` endpoint (`figure9`, `figure10`, a
 //!   production deployment) and renders the same dashboard remotely.
 //!
 //! Flags: `--interval-ms <n>` (default 500), `--iters <n>` (frames to

@@ -48,8 +48,8 @@ const SPEED: &str = "constraint speed:
     forall a: location, b: location .
       (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)";
 
-/// City ingestion knobs — smaller than `city_bench` (this is a one-shot
-/// profiling pass, not a best-of-N throughput measurement).
+/// City ingestion knobs for a one-shot profiling pass. Timed city
+/// ingestion is the benchmark's `city-batch` workload (`ctxbench/`).
 const CITY_SHARDS: usize = 4;
 const CITY_BATCH: usize = 4096;
 const CITY_REBALANCE_EVERY: usize = 8;
@@ -95,13 +95,16 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// One profiled sharded ingestion pass over a city trace — the same
-/// batch/rebalance discipline as `city_bench`, sized for a quick
-/// profiling run. Returns the registry holding the recorded spans.
+/// One profiled sharded ingestion pass over a city trace: batches with
+/// a drain → subject loads → rebalance → apply cycle every
+/// [`CITY_REBALANCE_EVERY`] batches, the discipline of the benchmark's
+/// `city-batch` workload. Returns the registry holding the recorded
+/// spans.
 fn run_city(quick: bool, sample: u32) -> Arc<ObsRegistry> {
-    // Same scales as `city_bench`: shrinking the subject pool further
-    // would *lengthen* the hot subjects' tracks (Zipf skew), making the
-    // per-reading incremental check quadratically slower, not faster.
+    // Subjects and readings scale together: shrinking the subject pool
+    // further would *lengthen* the hot subjects' tracks (Zipf skew),
+    // making the per-reading incremental check quadratically slower,
+    // not faster.
     let (subjects, total) = if quick {
         (20_000, 80_000)
     } else {

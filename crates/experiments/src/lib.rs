@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod bench_history;
 pub mod case_study;
 pub mod city;
 pub mod coverage;

@@ -1494,10 +1494,10 @@ mod tests {
 
     #[test]
     fn metrics_without_health_skips_the_quality_layer() {
-        // `with_health(false)` is the lever city_bench uses to isolate
-        // the health layer's marginal cost: counters and trace metrics
-        // still record, but no kind cells are interned and no gauges
-        // are published.
+        // `with_health(false)` keeps the health layer out of a metrics
+        // registry (the benchmark's traced run profiles this way):
+        // counters and trace metrics still record, but no kind cells
+        // are interned and no gauges are published.
         let registry = ctxres_obs::ObsRegistry::shared(
             ctxres_obs::ObsConfig::metrics_only().with_health(false),
             1,

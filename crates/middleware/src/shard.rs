@@ -622,20 +622,38 @@ mod tests {
             .build()
     }
 
+    /// One engine under `constraints_src`: DropBad, window 0, no
+    /// retention, recording into `obs`.
+    fn shard_mw(constraints_src: &str, obs: ShardObs) -> Middleware {
+        Middleware::builder()
+            .constraints(parse_constraints(constraints_src).unwrap())
+            .strategy(Box::new(DropBad::new()))
+            .config(MiddlewareConfig {
+                window: Ticks::new(0),
+                track_ground_truth: false,
+                retention: None,
+            })
+            .obs(obs)
+            .build()
+    }
+
     fn engine(constraints_src: &str, subject_shards: usize) -> ShardedMiddleware {
         let constraints = parse_constraints(constraints_src).unwrap();
         let plan = ShardPlan::analyze(&constraints, subject_shards);
-        ShardedMiddleware::new(plan, |_| {
-            Middleware::builder()
-                .constraints(parse_constraints(constraints_src).unwrap())
-                .strategy(Box::new(DropBad::new()))
-                .config(MiddlewareConfig {
-                    window: Ticks::new(0),
-                    track_ground_truth: false,
-                    retention: None,
-                })
-                .build()
-        })
+        ShardedMiddleware::new(plan, |_| shard_mw(constraints_src, ShardObs::disabled()))
+    }
+
+    /// A `SPEED` engine built via [`ShardedMiddleware::new_observed`]
+    /// over a registry configured by `config`.
+    fn observed_engine(
+        subject_shards: usize,
+        config: ObsConfig,
+    ) -> (ShardedMiddleware, Arc<ObsRegistry>) {
+        let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), subject_shards);
+        let registry = ShardedMiddleware::obs_registry(&plan, config);
+        let sharded =
+            ShardedMiddleware::new_observed(plan, &registry, |_, obs| shard_mw(SPEED, obs));
+        (sharded, registry)
     }
 
     #[test]
@@ -676,30 +694,44 @@ mod tests {
             })
             .collect();
 
-        let sharded = engine(SPEED, 4);
-        sharded.batch_add(&trace);
-        sharded.drain();
-
-        let mut single = Middleware::builder()
-            .constraints(parse_constraints(SPEED).unwrap())
-            .strategy(Box::new(DropBad::new()))
-            .config(MiddlewareConfig {
-                window: Ticks::new(0),
-                track_ground_truth: false,
-                retention: None,
-            })
-            .build();
+        let mut single = shard_mw(SPEED, ShardObs::disabled());
         for ctx in &trace {
             single.submit(ctx.clone());
         }
         single.drain();
+        assert!(single.stats().inconsistencies > 0, "the trace teleports");
 
-        assert_eq!(
-            sharded.stats().inconsistencies,
-            single.stats().inconsistencies
-        );
-        assert_eq!(sharded.stats().discarded, single.stats().discarded);
-        assert_eq!(sharded.signature(), single.pool().signature());
+        // Observability must not change results: the bare engine and
+        // every registry configuration find what one engine finds.
+        let configs = [
+            None,
+            Some(ObsConfig::disabled()),
+            Some(ObsConfig::metrics_only()),
+            Some(ObsConfig::metrics_only().with_health(false)),
+            Some(ObsConfig::metrics_only().with_profile(1)),
+            Some(ObsConfig::metrics_only().with_tail(true)),
+            Some(ObsConfig::enabled()),
+        ];
+        for config in configs {
+            let sharded = match config {
+                None => engine(SPEED, 4),
+                Some(config) => observed_engine(4, config).0,
+            };
+            sharded.batch_add(&trace);
+            sharded.drain();
+
+            assert_eq!(
+                sharded.stats().inconsistencies,
+                single.stats().inconsistencies,
+                "{config:?}"
+            );
+            assert_eq!(
+                sharded.stats().discarded,
+                single.stats().discarded,
+                "{config:?}"
+            );
+            assert_eq!(sharded.signature(), single.pool().signature(), "{config:?}");
+        }
     }
 
     #[test]
@@ -732,22 +764,7 @@ mod tests {
 
     #[test]
     fn profiled_sharded_ingest_and_rebalance_record_phases() {
-        let constraints = parse_constraints(SPEED).unwrap();
-        let plan = ShardPlan::analyze(&constraints, 2);
-        let registry =
-            ShardedMiddleware::obs_registry(&plan, ObsConfig::metrics_only().with_profile(1));
-        let mut sharded = ShardedMiddleware::new_observed(plan, &registry, |_, obs| {
-            Middleware::builder()
-                .constraints(parse_constraints(SPEED).unwrap())
-                .strategy(Box::new(DropBad::new()))
-                .config(MiddlewareConfig {
-                    window: Ticks::new(0),
-                    track_ground_truth: false,
-                    retention: None,
-                })
-                .obs(obs)
-                .build()
-        });
+        let (mut sharded, registry) = observed_engine(2, ObsConfig::metrics_only().with_profile(1));
         sharded.batch_add_owned(vec![loc("alice", 0, 0.0), loc("bob", 0, 1.0)]);
         sharded.drain();
         let plan = sharded.plan().clone();
@@ -768,28 +785,9 @@ mod tests {
         assert!(shard_ingests >= 1, "worker shards record their batches");
     }
 
-    fn observed_engine(subject_shards: usize) -> (ShardedMiddleware, Arc<ctxres_obs::ObsRegistry>) {
-        let constraints = parse_constraints(SPEED).unwrap();
-        let plan = ShardPlan::analyze(&constraints, subject_shards);
-        let registry = ShardedMiddleware::obs_registry(&plan, ObsConfig::enabled());
-        let sharded = ShardedMiddleware::new_observed(plan, &registry, |_, obs| {
-            Middleware::builder()
-                .constraints(parse_constraints(SPEED).unwrap())
-                .strategy(Box::new(DropBad::new()))
-                .config(MiddlewareConfig {
-                    window: Ticks::new(0),
-                    track_ground_truth: false,
-                    retention: None,
-                })
-                .obs(obs)
-                .build()
-        });
-        (sharded, registry)
-    }
-
     #[test]
     fn observed_engine_tags_events_with_the_routing_shard() {
-        let (sharded, registry) = observed_engine(4);
+        let (sharded, registry) = observed_engine(4, ObsConfig::enabled());
         let batch: Vec<Context> = (0..10)
             .flat_map(|t| ["alice", "bob"].map(|s| loc(s, t, t as f64 * 0.1)))
             .collect();
@@ -831,22 +829,7 @@ mod tests {
 
     #[test]
     fn tail_engine_decomposes_queue_wait_and_service() {
-        let constraints = parse_constraints(SPEED).unwrap();
-        let plan = ShardPlan::analyze(&constraints, 2);
-        let registry =
-            ShardedMiddleware::obs_registry(&plan, ObsConfig::metrics_only().with_tail(true));
-        let sharded = ShardedMiddleware::new_observed(plan, &registry, |_, obs| {
-            Middleware::builder()
-                .constraints(parse_constraints(SPEED).unwrap())
-                .strategy(Box::new(DropBad::new()))
-                .config(MiddlewareConfig {
-                    window: Ticks::new(0),
-                    track_ground_truth: false,
-                    retention: None,
-                })
-                .obs(obs)
-                .build()
-        });
+        let (sharded, registry) = observed_engine(2, ObsConfig::metrics_only().with_tail(true));
         let batch: Vec<Context> = (0..6)
             .flat_map(|t| ["alice", "bob"].map(|s| loc(s, t, t as f64 * 0.1)))
             .collect();
@@ -876,17 +859,9 @@ mod tests {
 
     #[test]
     fn disabled_observed_engine_records_nothing() {
-        let constraints = parse_constraints(SPEED).unwrap();
-        let plan = ShardPlan::analyze(&constraints, 2);
-        let registry = ShardedMiddleware::obs_registry(&plan, ObsConfig::disabled());
-        let sharded = ShardedMiddleware::new_observed(plan, &registry, |_, obs| {
-            assert!(!obs.is_enabled());
-            Middleware::builder()
-                .constraints(parse_constraints(SPEED).unwrap())
-                .strategy(Box::new(DropBad::new()))
-                .obs(obs)
-                .build()
-        });
+        let (sharded, registry) = observed_engine(2, ObsConfig::disabled());
+        assert!((0..sharded.plan().total_shards())
+            .all(|s| sharded.with_shard(s, |mw| !mw.obs().is_enabled())));
         sharded.batch_add(&[loc("alice", 0, 0.0)]);
         sharded.drain();
         assert!(registry.drain().is_empty());

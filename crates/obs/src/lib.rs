@@ -18,7 +18,7 @@
 //! * **provenance** ([`CauseKind`], [`TraceEvent::Caused`],
 //!   [`ProvenanceGraph`]): typed cause edges — submission, violation,
 //!   Δ membership, count bump, verdict, supersession — ride the same
-//!   rings when [`ObsConfig::provenance`] is on, and fold into a
+//!   rings when [`ObsConfig::trace_events`] is on, and fold into a
 //!   queryable per-context causal DAG explaining every resolution
 //!   decision end-to-end;
 //! * **metrics registry** ([`ObsRegistry`]): per-shard counters and

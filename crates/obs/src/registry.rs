@@ -22,12 +22,10 @@ pub struct ObsConfig {
     /// Whether any recording happens at all.
     pub enabled: bool,
     /// Whether per-event tracing (ring-buffer pushes) happens; counters
-    /// and histograms record regardless when `enabled`.
+    /// and histograms record regardless when `enabled`. Typed cause
+    /// edges ([`TraceEvent::Caused`]) ride the same rings, so this also
+    /// switches provenance emission.
     pub trace_events: bool,
-    /// Whether typed cause edges ([`TraceEvent::Caused`]) are emitted
-    /// alongside the flat life-cycle events. Only meaningful with
-    /// `trace_events`: edges ride the same rings.
-    pub provenance: bool,
     /// Whether per-kind quality telemetry (health counters, staleness
     /// watermarks, arena gauges) is recorded and published. Counters
     /// and histograms record regardless when `enabled`.
@@ -63,7 +61,6 @@ impl ObsConfig {
         ObsConfig {
             enabled: true,
             trace_events: true,
-            provenance: true,
             health: true,
             profile: false,
             profile_sample: 1,
@@ -81,7 +78,6 @@ impl ObsConfig {
         ObsConfig {
             enabled: true,
             trace_events: false,
-            provenance: false,
             health: true,
             profile: false,
             profile_sample: 1,
@@ -91,13 +87,13 @@ impl ObsConfig {
         }
     }
 
-    /// Everything compiled to a branch-and-return; tier-1 throughput is
-    /// unaffected (asserted by the `shard_bench` overhead gate in CI).
+    /// Everything compiled to a branch-and-return: a disabled registry
+    /// hands out [`ShardObs::disabled`] handles, so it runs the same
+    /// code as no registry at all.
     pub fn disabled() -> Self {
         ObsConfig {
             enabled: false,
             trace_events: false,
-            provenance: false,
             health: false,
             profile: false,
             profile_sample: 1,
@@ -113,25 +109,15 @@ impl ObsConfig {
         self
     }
 
-    /// Turns cause-edge emission on or off (tracing itself untouched) —
-    /// the lever `shard_bench` uses to isolate the provenance cost.
-    pub fn with_provenance(mut self, on: bool) -> Self {
-        self.provenance = on;
-        self
-    }
-
     /// Turns health telemetry on or off (counters and histograms
-    /// untouched) — the lever `city_bench` uses to isolate the health
-    /// layer's marginal cost over the plain metrics configuration.
+    /// untouched).
     pub fn with_health(mut self, on: bool) -> Self {
         self.health = on;
         self
     }
 
     /// Turns the hierarchical phase profiler on with a sampling divisor
-    /// (`every = 1` records every root span, `every = 8` every eighth)
-    /// — the lever `city_bench` uses to isolate the profiler's marginal
-    /// cost over the plain metrics configuration.
+    /// (`every = 1` records every root span, `every = 8` every eighth).
     pub fn with_profile(mut self, every: u32) -> Self {
         self.profile = true;
         self.profile_sample = every.max(1);
@@ -139,9 +125,7 @@ impl ObsConfig {
     }
 
     /// Turns end-to-end tail telemetry on or off (counters and
-    /// histograms untouched) — the lever `city_bench` uses to isolate
-    /// the tail layer's marginal cost over the plain metrics
-    /// configuration.
+    /// histograms untouched).
     pub fn with_tail(mut self, on: bool) -> Self {
         self.tail = on;
         self
@@ -401,14 +385,14 @@ impl ShardObs {
     }
 
     /// Whether cause-edge (provenance) emission is on for this handle —
-    /// true only when the registry traces events *and* was configured
-    /// with [`ObsConfig::provenance`]. Emitters check this before
-    /// building a [`TraceEvent::Caused`], so provenance-off runs pay
+    /// true exactly when the registry traces events
+    /// ([`ObsConfig::trace_events`]). Emitters check this before
+    /// building a [`TraceEvent::Caused`], so runs without tracing pay
     /// nothing for the edges.
     pub fn provenance_enabled(&self) -> bool {
         self.inner
             .as_ref()
-            .is_some_and(|i| i.registry.config.trace_events && i.registry.config.provenance)
+            .is_some_and(|i| i.registry.config.trace_events)
     }
 
     /// Records a trace event stamped `at`.
@@ -765,18 +749,26 @@ mod tests {
 
     #[test]
     fn provenance_gate_follows_config() {
+        // Provenance edges ride the trace rings: on exactly when the
+        // registry traces events.
         let full = ObsRegistry::shared(ObsConfig::enabled(), 1);
         assert!(full.handle(0).provenance_enabled());
 
-        let traced_only = ObsRegistry::shared(ObsConfig::enabled().with_provenance(false), 1);
-        assert!(traced_only.handle(0).is_enabled());
-        assert!(!traced_only.handle(0).provenance_enabled());
+        // Every metrics-only variant records but never traces, so none
+        // emits edges.
+        for config in [
+            ObsConfig::metrics_only(),
+            ObsConfig::metrics_only().with_health(false),
+            ObsConfig::metrics_only().with_profile(1),
+            ObsConfig::metrics_only().with_tail(true),
+        ] {
+            let metrics = ObsRegistry::shared(config, 1);
+            assert!(metrics.handle(0).is_enabled());
+            assert!(!metrics.handle(0).provenance_enabled());
+        }
 
-        // Provenance edges need rings: a metrics-only registry never
-        // claims provenance even if the flag is forced on.
-        let metrics = ObsRegistry::shared(ObsConfig::metrics_only().with_provenance(true), 1);
-        assert!(!metrics.handle(0).provenance_enabled());
-
+        let disabled = ObsRegistry::shared(ObsConfig::disabled(), 1);
+        assert!(!disabled.handle(0).provenance_enabled());
         assert!(!ShardObs::disabled().provenance_enabled());
     }
 

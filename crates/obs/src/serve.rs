@@ -13,8 +13,8 @@
 //! Engines opt in by running with an [`ObsRegistry`] and either calling
 //! [`MetricsServer::spawn`] with an address, or exporting
 //! `CTXRES_METRICS_ADDR=127.0.0.1:9464` and calling
-//! [`MetricsServer::from_env`] — which is what `figure9`, `figure10`,
-//! `shard_bench` and `obs_top` do.
+//! [`MetricsServer::from_env`] — which is what `figure9` and
+//! `figure10` do (`obs_top --serve` calls [`MetricsServer::spawn`]).
 
 use crate::export::{render_prometheus, PROMETHEUS_CONTENT_TYPE};
 use crate::registry::ObsRegistry;

@@ -141,8 +141,7 @@ fn histogram_delta(was: &HistogramSnapshot, now: &HistogramSnapshot) -> Histogra
 }
 
 /// Build identity stamps for the process being scraped, so exported
-/// series are attributable to a specific commit and host — the same
-/// stamps `shard_bench` already writes into `bench_history.jsonl`.
+/// series are attributable to a specific commit and host.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BuildInfo {
     /// Short commit hash (`GITHUB_SHA` env, then `git rev-parse
