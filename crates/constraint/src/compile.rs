@@ -15,8 +15,7 @@
 //!   quantifier ids, so pinning works unchanged);
 //! * every quantifier's kind is **interned** into a per-constraint kind
 //!   table (the distinct kinds are also exposed via
-//!   [`CompiledConstraint::kinds`], which the middleware's dirty-kind
-//!   situation cache intersects against changed kinds);
+//!   [`CompiledConstraint::kinds`]);
 //! * constants are evaluated by reference ([`Resolved::ValueRef`]), never
 //!   cloned.
 //!
@@ -27,17 +26,25 @@
 //! count seen). Link-evidence semantics are shared with the AST
 //! evaluator via the `Evidence`/`Need` machinery in `eval`, so both
 //! evaluators produce byte-identical [`CheckOutcome`]s.
+//!
+//! Every walker evaluates left to right and short-circuits: `and`,
+//! `or` and `implies` skip the right operand when the left one decides.
+//! The evidence walk visits every quantifier binding, so it lists every
+//! violation; the truth walk stops a quantifier at its first deciding
+//! binding. Under that rule a pinned check of a pair constraint needs
+//! only the one partner its seq guard admits (see [`SeqGuard`]).
 
 use crate::ast::{Formula, Quantifier, Term};
 use crate::constraint::Constraint;
 use crate::error::EvalError;
 use crate::eval::{
-    combine_and, combine_or, fold_exists, fold_forall, outcome_from, CheckOutcome, DomainMode,
-    Evidence, Link, Need, Pin,
+    combine_undecided, fold_exists, fold_forall, outcome_from, CheckOutcome, DomainMode, Evidence,
+    Link, Need, Pin,
 };
 use crate::predicate::{PredicateRegistry, Resolved};
 use crate::schema::{constraint_scope, ConstraintScope};
 use ctxres_context::{Context, ContextId, ContextKind, ContextPool, ContextValue, LogicalTime};
+use std::ops::RangeInclusive;
 
 /// A term lowered to slot-addressed form. Variable names are kept only
 /// for error reporting (`UnboundVariable` / `MissingAttr` parity with
@@ -111,6 +118,8 @@ pub struct CompiledConstraint {
     /// quantify over the pool's per-subject index instead of the whole
     /// kind list.
     per_subject: bool,
+    /// The seq guard of a per-subject pair constraint, if it has one.
+    seq_guard: Option<SeqGuard>,
 }
 
 impl CompiledConstraint {
@@ -132,14 +141,20 @@ impl CompiledConstraint {
             &mut scope,
             &mut sites,
         )?;
+        let per_subject = constraint_scope(constraint) == ConstraintScope::PerSubject;
         Ok(CompiledConstraint {
             name: constraint.name().to_owned(),
+            seq_guard: if per_subject {
+                seq_guard(&program)
+            } else {
+                None
+            },
             program,
             kinds: constraint.kinds().iter().cloned().collect(),
             kind_table,
             slot_count: constraint.quantifier_count(),
             universal_positive: constraint.is_universal_positive(),
-            per_subject: constraint_scope(constraint) == ConstraintScope::PerSubject,
+            per_subject,
         })
     }
 
@@ -176,6 +191,167 @@ impl CompiledConstraint {
     /// Number of env slots (= quantifiers) the program uses.
     pub fn slot_count(&self) -> usize {
         self.slot_count
+    }
+
+    /// Whether pinned checks can look up a pair's partner by seq: the
+    /// constraint is per-subject and carries a `seq_gap`/`seq_gap_le`
+    /// guard (see [`CompiledEvaluator::check_pinned`]).
+    pub fn has_seq_guard(&self) -> bool {
+        self.seq_guard.is_some()
+    }
+}
+
+/// The guard `seq_gap(u, v, k)` — or `seq_gap_le(u, v, k)` with
+/// `k >= 1` — of a per-subject constraint shaped
+/// `forall … . G implies C`: a chain of `forall`s whose body is an
+/// implication, where `G`'s left-to-right `and` spine is zero or more
+/// `same_subject` leaves over two context variables, then the seq
+/// predicate over two distinct chain variables and an integer literal.
+///
+/// A check pinning `u` (or `v`) to a context then only needs the other
+/// variable's bindings whose seq is `pin.seq + k` (or `pin.seq - k`;
+/// for `seq_gap_le` the `1..=k` range of gaps). Every other binding
+/// reaches the seq leaf after `same_subject` leaves, which cannot raise
+/// on context arguments, and the leaf is `Ok(false)` on it — so under
+/// short-circuit evaluation the binding makes the implication true
+/// without reading `C`: it neither decides the `forall` nor raises, and
+/// skipping it leaves detections, links and `Ok`/`Err` unchanged.
+///
+/// That needs integer seqs whose `f64` arithmetic in the builtins is
+/// exact. The pool's seq-ordered subject buckets vouch for it
+/// ([`ContextPool::of_subject_seq_live_at`]); where they cannot, or the
+/// pin's own seq is not exact, the check scans the bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SeqGuard {
+    u: usize,
+    v: usize,
+    k: i64,
+    /// `seq_gap_le` (gaps `1..=k`) rather than `seq_gap` (gap `k`).
+    le: bool,
+    /// Whether `same_subject` leaves precede the seq leaf.
+    same_subject: bool,
+}
+
+/// Which of the predicates a [`SeqGuard`] can read a registry defines.
+#[derive(Debug, Clone, Copy)]
+struct SeqPreds {
+    same_subject: bool,
+    seq_gap: bool,
+    seq_gap_le: bool,
+}
+
+impl SeqPreds {
+    fn of(registry: &PredicateRegistry) -> Self {
+        SeqPreds {
+            same_subject: registry.contains("same_subject"),
+            seq_gap: registry.contains("seq_gap"),
+            seq_gap_le: registry.contains("seq_gap_le"),
+        }
+    }
+}
+
+/// The slot a pinned check narrows by its [`SeqGuard`], and the
+/// inclusive range of seqs that slot's bindings must carry.
+#[derive(Debug, Clone, Copy)]
+struct SeqWindow {
+    slot: usize,
+    lo: i64,
+    hi: i64,
+}
+
+impl SeqGuard {
+    /// Whether a check pinning `slot` can narrow by this guard under a
+    /// registry defining `preds`. Every predicate the guard reads must
+    /// be defined: where one is not, the full scan raises
+    /// `UnknownPredicate`, which narrowing would hide.
+    fn narrows(&self, slot: usize, preds: SeqPreds) -> bool {
+        let defined = (!self.same_subject || preds.same_subject)
+            && if self.le {
+                preds.seq_gap_le
+            } else {
+                preds.seq_gap
+            };
+        defined && (slot == self.u || slot == self.v)
+    }
+
+    /// The window for a check pinning `slot` (one of `u`, `v`) to a
+    /// context with seq `pin`. Saturates at the `i64` range, which no
+    /// exact seq reaches.
+    fn window(&self, slot: usize, pin: i64) -> SeqWindow {
+        let (min_gap, max_gap) = if self.le {
+            (1, self.k)
+        } else {
+            (self.k, self.k)
+        };
+        let pin = i128::from(pin);
+        let (other, lo, hi) = if slot == self.u {
+            (self.v, pin + i128::from(min_gap), pin + i128::from(max_gap))
+        } else {
+            (self.u, pin - i128::from(max_gap), pin - i128::from(min_gap))
+        };
+        let clamp = |x: i128| x.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
+        SeqWindow {
+            slot: other,
+            lo: clamp(lo),
+            hi: clamp(hi),
+        }
+    }
+}
+
+impl SeqWindow {
+    fn seqs(self) -> RangeInclusive<i64> {
+        self.lo..=self.hi
+    }
+}
+
+/// The [`SeqGuard`] of `program`, if it has the guarded shape. The
+/// guard's variables are the chain's: nothing else is in its scope.
+fn seq_guard(program: &CFormula) -> Option<SeqGuard> {
+    let mut body = program;
+    while let CFormula::Quant {
+        q: Quantifier::Forall,
+        body: inner,
+        ..
+    } = body
+    {
+        body = inner;
+    }
+    let CFormula::Implies(guard, _) = body else {
+        return None;
+    };
+    let mut leaves = Vec::new();
+    and_spine(guard, &mut leaves);
+    let at = leaves.iter().position(|leaf| {
+        !matches!(leaf, CFormula::Pred { name, args, .. }
+            if name == "same_subject"
+                && matches!(args.as_slice(), [CTerm::Slot { .. }, CTerm::Slot { .. }]))
+    })?;
+    let CFormula::Pred { name, args, .. } = leaves[at] else {
+        return None;
+    };
+    match (name.as_str(), args.as_slice()) {
+        (
+            name @ ("seq_gap" | "seq_gap_le"),
+            [CTerm::Slot { slot: u, .. }, CTerm::Slot { slot: v, .. }, CTerm::Const(ContextValue::Int(k))],
+        ) if u != v && (name == "seq_gap" || *k >= 1) => Some(SeqGuard {
+            u: *u,
+            v: *v,
+            k: *k,
+            le: name == "seq_gap_le",
+            same_subject: at > 0,
+        }),
+        _ => None,
+    }
+}
+
+/// The leaves of `f`'s `and` spine, left to right.
+fn and_spine<'f>(f: &'f CFormula, leaves: &mut Vec<&'f CFormula>) {
+    match f {
+        CFormula::And(a, b) => {
+            and_spine(a, leaves);
+            and_spine(b, leaves);
+        }
+        leaf => leaves.push(leaf),
     }
 }
 
@@ -323,12 +499,25 @@ fn lower_term(t: &Term, scope: &[(&str, usize)]) -> Result<CTerm, EvalError> {
 pub struct EvalScratch {
     env: Vec<ContextId>,
     domains: Vec<Vec<ContextId>>,
+    /// Pinned truth passes run with this scratch that had a seq guard
+    /// to narrow by but scanned the bucket instead.
+    seq_fallbacks: u64,
 }
 
 impl EvalScratch {
     /// Creates an empty scratch buffer.
     pub fn new() -> Self {
         EvalScratch::default()
+    }
+
+    /// Pinned truth passes
+    /// ([`CompiledEvaluator::satisfied_pinned_batch`]) run with this
+    /// scratch whose constraint has a seq guard on the pinned
+    /// quantifier but which scanned the partner's subject bucket: the
+    /// pool could not vouch for the bucket's seq order, or the pinned
+    /// context's own seq is not an exact integer.
+    pub fn seq_fallbacks(&self) -> u64 {
+        self.seq_fallbacks
     }
 
     fn prepare(&mut self, slots: usize) {
@@ -422,27 +611,30 @@ impl PredMemo {
 /// Evaluates [`CompiledConstraint`]s against a [`ContextPool`].
 ///
 /// Mirrors [`Evaluator`](crate::Evaluator) — same domain modes, same
-/// link-evidence semantics, identical [`CheckOutcome`]s — but takes an
-/// [`EvalScratch`] so repeated checks allocate nothing for bindings or
-/// quantifier domains.
+/// short-circuit rule, same link-evidence semantics, identical
+/// [`CheckOutcome`]s — but takes an [`EvalScratch`] so repeated checks
+/// allocate nothing for bindings or quantifier domains.
 #[derive(Debug)]
 pub struct CompiledEvaluator<'r> {
     registry: &'r PredicateRegistry,
     domain: DomainMode,
+    /// Which predicates a [`SeqGuard`] can read the registry defines.
+    seq_preds: SeqPreds,
 }
 
 impl<'r> CompiledEvaluator<'r> {
     /// Creates an evaluator quantifying over all live contexts.
     pub fn new(registry: &'r PredicateRegistry) -> Self {
-        CompiledEvaluator {
-            registry,
-            domain: DomainMode::AllLive,
-        }
+        CompiledEvaluator::with_domain(registry, DomainMode::AllLive)
     }
 
     /// Creates an evaluator with an explicit quantification domain.
     pub fn with_domain(registry: &'r PredicateRegistry, domain: DomainMode) -> Self {
-        CompiledEvaluator { registry, domain }
+        CompiledEvaluator {
+            registry,
+            domain,
+            seq_preds: SeqPreds::of(registry),
+        }
     }
 
     /// Fully checks `constraint` over the live contexts of `pool` at
@@ -463,19 +655,18 @@ impl<'r> CompiledEvaluator<'r> {
     }
 
     /// Checks only **whether** `constraint` holds — no violation
-    /// evidence — with short-circuit quantifier evaluation: an `exists`
-    /// stops at its first witness, a `forall` at its first
-    /// counterexample, and `and`/`or`/`implies` skip their right
-    /// operand when the left decides. This is the situation hot path:
-    /// situations consume only the truth value, so building per-binding
-    /// evidence links is pure waste there.
+    /// evidence. This is the situation hot path: situations consume
+    /// only the truth value, so building per-binding evidence links is
+    /// pure waste there.
     ///
-    /// The truth value always equals
-    /// [`check`](CompiledEvaluator::check)`.satisfied`. Error behaviour
-    /// is lazier, though: an evaluation error in a branch that
-    /// short-circuiting never reached is not surfaced (e.g. an `exists`
-    /// that finds a witness before the erroring binding returns
-    /// `Ok(true)` where `check` would return `Err`).
+    /// Like every truth walk, it stops a quantifier at its first
+    /// deciding binding — an `exists` at its first witness, a `forall`
+    /// at its first counterexample — iterating domains lazily straight
+    /// off the pool. The truth value always equals
+    /// [`check`](CompiledEvaluator::check)`.satisfied`; errors are
+    /// lazier: an error in a binding the walk never reached is not
+    /// surfaced (an `exists` that finds a witness before the erroring
+    /// binding returns `Ok(true)` where `check` returns `Err`).
     ///
     /// A quantifier led by a literal subject guard (the shapes
     /// `literal_subject` accepts) iterates only that subject's live
@@ -498,11 +689,19 @@ impl<'r> CompiledEvaluator<'r> {
     ) -> Result<bool, EvalError> {
         let mut run = self.start(constraint, pool, now, None, None, None, 0, scratch);
         run.narrow = self.registry.contains("subject_eq");
-        run.eval_bool(&constraint.program)
+        run.eval_truth(&constraint.program)
     }
 
     /// Checks `constraint` with quantifier `qid`'s domain restricted to
     /// the single context `ctx`.
+    ///
+    /// On a per-subject constraint every other quantifier ranges over
+    /// `ctx`'s subject bucket, and when the constraint has a seq guard
+    /// on `qid` (see [`CompiledConstraint::has_seq_guard`]) the guard's
+    /// other variable ranges only over the seqs the guard admits —
+    /// provided the registry defines the guard's predicates and means
+    /// the builtins by them. Either way the outcome equals
+    /// [`Evaluator::check_pinned`](crate::Evaluator::check_pinned)'s.
     ///
     /// # Errors
     ///
@@ -534,7 +733,7 @@ impl<'r> CompiledEvaluator<'r> {
     /// is the prefix-max arrival clock of a monotonically-staged batch
     /// — the way `check_with_plan` callers invoke it — because earlier
     /// positions and the pre-batch population are all stamped at or
-    /// before their own clock. Domain fills exploit it to stop at the
+    /// before their own clock. Domain walks exploit it to stop at the
     /// first future-stamped bucket element instead of scanning the
     /// whole staged tail.
     ///
@@ -564,22 +763,23 @@ impl<'r> CompiledEvaluator<'r> {
 
     /// Truth-only twin of
     /// [`check_pinned_batch`](CompiledEvaluator::check_pinned_batch),
-    /// the first pass of every pinned check: same traversal, same
-    /// materialized (optionally capped) domains, same first-error
-    /// behaviour — but no violation evidence is built, so it allocates
-    /// nothing, and with a `memo` predicate calls are served from the
-    /// per-batch table.
+    /// the first pass of every pinned check: the same truth walk as
+    /// [`holds`](CompiledEvaluator::holds), over the pinned, narrowed
+    /// and optionally capped domains of the evidence walk. It builds no
+    /// evidence and allocates nothing, and with a `memo` predicate
+    /// calls are served from the per-batch table.
     ///
-    /// Unlike [`holds`](CompiledEvaluator::holds) this does **not**
-    /// short-circuit: every binding the evidence path would visit is
-    /// visited here, in the same order, so `Ok(_)`/`Err(_)` outcomes
-    /// agree exactly with the evidence path. `Ok(true)` therefore proves
-    /// the evidence path would report zero violations, letting the
-    /// checker skip it entirely.
+    /// The evidence walk visits every binding this walk visits, in the
+    /// same order, plus those a quantifier's deciding binding let this
+    /// walk skip. So the two truth values agree whenever both are `Ok`,
+    /// and when this walk raises, the evidence walk raises too (the
+    /// same error, unless a skipped binding raised first). `Ok(true)`
+    /// lets the checker skip the evidence walk, dropping only errors in
+    /// bindings no truth walk reaches.
     ///
     /// # Errors
     ///
-    /// Same as [`CompiledEvaluator::check`].
+    /// Propagates [`EvalError`] from the branches actually evaluated.
     #[allow(clippy::too_many_arguments)]
     pub fn satisfied_pinned_batch(
         &self,
@@ -594,8 +794,12 @@ impl<'r> CompiledEvaluator<'r> {
         memo_cid: u32,
     ) -> Result<bool, EvalError> {
         let pin = Some(Pin { qid, ctx });
-        self.start(constraint, pool, now, pin, max_id, memo, memo_cid, scratch)
-            .eval_truth(&constraint.program)
+        let mut run = self.start(constraint, pool, now, pin, max_id, memo, memo_cid, scratch);
+        let truth = run.eval_truth(&constraint.program);
+        if run.seq_scanned {
+            run.scratch.seq_fallbacks += 1;
+        }
+        truth
     }
 
     fn run(
@@ -632,10 +836,22 @@ impl<'r> CompiledEvaluator<'r> {
         // pinned context's subject, so the unpinned quantifiers only
         // need that subject's bucket of the kind index. Global
         // constraints (or unpinned checks) keep the full kind domain.
-        let pin_subject = match pin {
-            Some(p) if constraint.per_subject => pool.get(p.ctx).map(Context::subject),
+        let pinned = match pin {
+            Some(p) if constraint.per_subject => pool.get(p.ctx).map(|c| (p, c)),
             _ => None,
         };
+        // A seq guard on the pinned quantifier narrows its partner to
+        // the guard's seq window — when the pin's seq is exact.
+        let mut seq_window = None;
+        let mut seq_scanned = false;
+        if let (Some((p, ctx)), Some(guard)) = (pinned, constraint.seq_guard) {
+            if guard.narrows(p.qid, self.seq_preds) {
+                match ctx.exact_seq() {
+                    Some(seq) => seq_window = Some(guard.window(p.qid, seq)),
+                    None => seq_scanned = true,
+                }
+            }
+        }
         Run {
             registry: self.registry,
             domain: self.domain,
@@ -643,7 +859,9 @@ impl<'r> CompiledEvaluator<'r> {
             pool,
             now,
             pin,
-            pin_subject,
+            pin_subject: pinned.map(|(_, c)| c.subject()),
+            seq_window,
+            seq_scanned,
             max_id,
             memo,
             memo_cid,
@@ -663,22 +881,29 @@ struct Run<'a, 'r> {
     /// `Some(subject)` when the pinned constraint is per-subject: every
     /// unpinned quantifier's domain narrows to this subject's bucket.
     pin_subject: Option<&'a str>,
+    /// The seq guard's window for the pinned check, if one applies.
+    seq_window: Option<SeqWindow>,
+    /// Whether a seq guard applied but the walk scanned the bucket.
+    seq_scanned: bool,
     /// Batch cap: quantifier domains only admit contexts with
     /// `id <= max_id`, reproducing the pool a sequential submission
     /// would have seen at that arrival position.
     max_id: Option<ContextId>,
-    /// Per-batch predicate memo, active only on the truth-only path.
+    /// Per-batch predicate memo, consulted only by the truth walk.
     memo: Option<&'a mut PredMemo>,
     /// Constraint index disambiguating `site` ids across the deployed
     /// constraint set in the memo key.
     memo_cid: u32,
-    /// Whether [`Run::eval_bool`] scans a literal-subject quantifier's
+    /// Whether [`Run::eval_truth`] scans a literal-subject quantifier's
     /// subject bucket instead of the whole kind.
     narrow: bool,
     scratch: &'a mut EvalScratch,
 }
 
 impl Run<'_, '_> {
+    /// The evidence walk: truth plus links, short-circuiting
+    /// connectives, visiting every binding of every quantifier so a
+    /// violated constraint lists every violation.
     fn eval(&mut self, formula: &CFormula, need: Need) -> Result<Evidence, EvalError> {
         match formula {
             CFormula::True => Ok(Evidence::of(true)),
@@ -690,19 +915,28 @@ impl Run<'_, '_> {
             }
             CFormula::And(a, b) => {
                 let ea = self.eval(a, need)?;
+                if !ea.truth {
+                    return Ok(ea);
+                }
                 let eb = self.eval(b, need)?;
-                Ok(combine_and(ea, eb))
+                Ok(combine_undecided(ea, eb))
             }
             CFormula::Or(a, b) => {
                 let ea = self.eval(a, need)?;
+                if ea.truth {
+                    return Ok(ea);
+                }
                 let eb = self.eval(b, need)?;
-                Ok(combine_or(ea, eb))
+                Ok(combine_undecided(ea, eb))
             }
             CFormula::Implies(a, b) => {
                 let mut ea = self.eval(a, need.flip())?;
                 ea.truth = !ea.truth;
+                if ea.truth {
+                    return Ok(ea);
+                }
                 let eb = self.eval(b, need)?;
-                Ok(combine_or(ea, eb))
+                Ok(combine_undecided(ea, eb))
             }
             CFormula::Pred { name, args, .. } => {
                 let mut witness = Link::new();
@@ -759,111 +993,109 @@ impl Run<'_, '_> {
         }
     }
 
-    /// Fills one quantifier's materialized domain for the evidence and
-    /// truth-only paths: the pin's singleton, else the subject bucket or
-    /// full kind index, live at `now`, state-filtered by the domain
-    /// mode, and capped at `max_id` for a batch-capped check.
-    fn fill_domain(&self, domain: &mut Vec<ContextId>, kind_sym: usize, slot: usize) {
+    /// Fills one quantifier's materialized domain for the evidence
+    /// walk: the pin's singleton, else the seq guard's window, the
+    /// subject bucket or the full kind index, live at `now`,
+    /// state-filtered by the domain mode, and capped at `max_id` for a
+    /// batch-capped check.
+    fn fill_domain(&mut self, domain: &mut Vec<ContextId>, kind_sym: usize, slot: usize) {
+        let pool = self.pool;
+        let kind = &self.kind_table[kind_sym];
         match (self.pin, self.pin_subject) {
             (Some(p), _) if p.qid == slot => domain.push(p.ctx),
-            (_, Some(subject)) => self.collect_domain(
-                domain,
-                self.pool
-                    .of_subject_live_at(&self.kind_table[kind_sym], subject, self.now),
-            ),
-            _ => self.collect_domain(
-                domain,
-                self.pool
-                    .of_kind_live_at(&self.kind_table[kind_sym], self.now),
-            ),
+            (_, Some(subject)) => match self.seq_domain(kind, subject, slot) {
+                Some(iter) => self.collect_domain(domain, iter),
+                None => {
+                    self.collect_domain(domain, pool.of_subject_live_at(kind, subject, self.now))
+                }
+            },
+            _ => self.collect_domain(domain, pool.of_kind_live_at(kind, self.now)),
         }
     }
 
+    /// The seq guard's window of `subject`'s bucket when it narrows
+    /// `slot` and the pool vouches for the bucket's seq order; `None`
+    /// leaves the caller to scan the bucket, noting the fallback when
+    /// the guard applied.
+    fn seq_domain<'a>(
+        &mut self,
+        kind: &ContextKind,
+        subject: &str,
+        slot: usize,
+    ) -> Option<impl Iterator<Item = (ContextId, &'a Context)> + 'a>
+    where
+        Self: 'a,
+    {
+        let window = self.seq_window.filter(|w| w.slot == slot)?;
+        let found = self
+            .pool
+            .of_subject_seq_live_at(kind, subject, window.seqs(), self.now);
+        self.seq_scanned |= found.is_none();
+        found
+    }
+
     /// The shared tail of [`Run::fill_domain`]: state-filters a bucket
-    /// iterator and applies the batch cap. Buckets iterate in
-    /// `(stamp, id)` order, and under the batch-cap contract (see
-    /// [`CompiledEvaluator::check_pinned_batch`]) every pooled context
-    /// stamped after `now` is a later batch member with `id > max_id` —
-    /// so the first such element ends the sequential prefix and the
-    /// staged tail is never scanned, keeping a capped fill the same
-    /// cost as the sequential fill it reproduces.
+    /// iterator and applies the batch cap (see [`Run::admits`]).
     fn collect_domain<'p>(
         &self,
         domain: &mut Vec<ContextId>,
         iter: impl Iterator<Item = (ContextId, &'p Context)>,
     ) {
-        match self.max_id {
-            Some(m) => {
-                for (id, c) in iter {
-                    if c.stamp() > self.now {
-                        break;
-                    }
-                    if id <= m && (self.domain == DomainMode::AllLive || c.state().is_available()) {
-                        domain.push(id);
-                    }
-                }
+        for (id, c) in iter {
+            match self.admits(id, c) {
+                Some(true) => domain.push(id),
+                Some(false) => {}
+                None => break,
             }
-            None => domain.extend(
-                iter.filter(|(_, c)| {
-                    self.domain == DomainMode::AllLive || c.state().is_available()
-                })
-                .map(|(id, _)| id),
-            ),
         }
     }
 
-    /// Truth-only twin of [`Run::eval`] for
-    /// [`CompiledEvaluator::satisfied_pinned_batch`]: identical
-    /// traversal — both operands of every connective, fully materialized
-    /// domains, every binding visited, first error wins — so its
-    /// `Ok`/`Err` outcome always matches the evidence path's. The only
-    /// differences are that no [`Evidence`] links are built and that
-    /// predicate calls consult the per-batch memo when one is given.
+    /// Whether a bucket element enters a quantifier's domain: `None`
+    /// ends the walk. Buckets iterate in `(stamp, id)` order, and under
+    /// the batch-cap contract (see
+    /// [`CompiledEvaluator::check_pinned_batch`]) every pooled context
+    /// stamped after `now` is a later batch member with `id > max_id` —
+    /// so the first such element ends the sequential prefix and the
+    /// staged tail is never scanned, keeping a capped walk the same
+    /// cost as the sequential walk it reproduces.
+    fn admits(&self, id: ContextId, c: &Context) -> Option<bool> {
+        if let Some(max_id) = self.max_id {
+            if c.stamp() > self.now {
+                return None;
+            }
+            if id > max_id {
+                return Some(false);
+            }
+        }
+        Some(self.domain == DomainMode::AllLive || c.state().is_available())
+    }
+
+    /// The truth walk of [`CompiledEvaluator::holds`] and
+    /// [`CompiledEvaluator::satisfied_pinned_batch`]: the bare truth
+    /// value, short-circuiting connectives and stopping each quantifier
+    /// at its first deciding binding. Domains are iterated lazily
+    /// straight off the pool — the pin's singleton, the seq guard's
+    /// window, the pinned subject's bucket, a literal subject's bucket
+    /// when `narrow` is set, or the kind — so an `exists` whose witness
+    /// comes early never visits the rest. Predicate calls consult the
+    /// per-batch memo when one is given.
     fn eval_truth(&mut self, formula: &CFormula) -> Result<bool, EvalError> {
         match formula {
             CFormula::True => Ok(true),
             CFormula::False => Ok(false),
             CFormula::Not(f) => Ok(!self.eval_truth(f)?),
-            CFormula::And(a, b) => {
-                let ta = self.eval_truth(a)?;
-                let tb = self.eval_truth(b)?;
-                Ok(ta && tb)
-            }
-            CFormula::Or(a, b) => {
-                let ta = self.eval_truth(a)?;
-                let tb = self.eval_truth(b)?;
-                Ok(ta || tb)
-            }
-            CFormula::Implies(a, b) => {
-                let ta = self.eval_truth(a)?;
-                let tb = self.eval_truth(b)?;
-                Ok(!ta || tb)
-            }
+            CFormula::And(a, b) => Ok(self.eval_truth(a)? && self.eval_truth(b)?),
+            CFormula::Or(a, b) => Ok(self.eval_truth(a)? || self.eval_truth(b)?),
+            CFormula::Implies(a, b) => Ok(!self.eval_truth(a)? || self.eval_truth(b)?),
             CFormula::Pred {
                 name,
                 args,
                 site,
                 slots,
             } => {
-                // Memo key: call site × the contexts bound to the slots
-                // the arguments read (≤ 2, padded). Wider calls bypass,
-                // and so do calls reading the pinned slot: their keys
-                // include the pin's id, which is distinct for every
-                // check of the batch, so a hit is impossible and the
-                // table would only add hash-and-insert cost to the
-                // hottest sites.
-                let memoizable =
-                    slots.len() <= 2 && self.pin.is_none_or(|p| !slots.contains(&p.qid));
-                let key = if memoizable {
-                    let a = slots
-                        .first()
-                        .map_or(u64::MAX, |s| self.scratch.env[*s].raw());
-                    let b = slots
-                        .get(1)
-                        .map_or(u64::MAX, |s| self.scratch.env[*s].raw());
-                    Some((self.memo_cid, *site, a, b))
-                } else {
-                    None
+                let key = match self.memo {
+                    Some(_) => self.memo_key(*site, slots),
+                    None => None,
                 };
                 if let (Some(memo), Some(k)) = (self.memo.as_mut(), key) {
                     if let Some(&truth) = memo.map.get(&k) {
@@ -886,65 +1118,6 @@ impl Run<'_, '_> {
                 q,
                 kind_sym,
                 slot,
-                body,
-                ..
-            } => {
-                let mut domain = std::mem::take(&mut self.scratch.domains[*slot]);
-                domain.clear();
-                self.fill_domain(&mut domain, *kind_sym, *slot);
-                // Same fold truths as `fold_forall`/`fold_exists`, same
-                // break-at-first-error as the evidence loop.
-                let mut truth = matches!(q, Quantifier::Forall);
-                let mut failed = None;
-                for id in &domain {
-                    self.scratch.env[*slot] = *id;
-                    match self.eval_truth(body) {
-                        Ok(t) => match q {
-                            Quantifier::Forall => truth &= t,
-                            Quantifier::Exists => truth |= t,
-                        },
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                self.scratch.domains[*slot] = domain;
-                if let Some(e) = failed {
-                    return Err(e);
-                }
-                Ok(truth)
-            }
-        }
-    }
-
-    /// Evidence-free evaluation for [`CompiledEvaluator::holds`]:
-    /// returns the bare truth value, short-circuiting connectives and
-    /// quantifiers. Quantifier domains are iterated lazily straight off
-    /// the pool — no domain buffer is even filled, so an `exists` whose
-    /// witness comes early never visits the rest of its kind's list —
-    /// and a literal-subject quantifier reads only its subject's bucket
-    /// when `narrow` is set. `holds` never pins, so no domain here is a
-    /// pin's singleton or a pinned subject's bucket.
-    fn eval_bool(&mut self, formula: &CFormula) -> Result<bool, EvalError> {
-        match formula {
-            CFormula::True => Ok(true),
-            CFormula::False => Ok(false),
-            CFormula::Not(f) => Ok(!self.eval_bool(f)?),
-            CFormula::And(a, b) => Ok(self.eval_bool(a)? && self.eval_bool(b)?),
-            CFormula::Or(a, b) => Ok(self.eval_bool(a)? || self.eval_bool(b)?),
-            CFormula::Implies(a, b) => Ok(!self.eval_bool(a)? || self.eval_bool(b)?),
-            CFormula::Pred { name, args, .. } => {
-                let pool = self.pool;
-                let env = &self.scratch.env;
-                eval_pred_with(self.registry, name, args, |term| {
-                    resolve_cterm_value(term, pool, env)
-                })
-            }
-            CFormula::Quant {
-                q,
-                kind_sym,
-                slot,
                 subject,
                 body,
             } => {
@@ -953,23 +1126,56 @@ impl Run<'_, '_> {
                 let deciding = matches!(q, Quantifier::Exists);
                 let pool = self.pool;
                 let kind = &self.kind_table[*kind_sym];
-                match subject {
-                    Some(subject) if self.narrow => {
-                        let domain = pool.of_subject_live_at(kind, subject, self.now);
-                        self.scan_quant(domain, *slot, body, deciding)
+                match (self.pin, self.pin_subject) {
+                    (Some(p), _) if p.qid == *slot => {
+                        self.scratch.env[*slot] = p.ctx;
+                        self.eval_truth(body)
                     }
-                    _ => {
-                        let domain = pool.of_kind_live_at(kind, self.now);
-                        self.scan_quant(domain, *slot, body, deciding)
-                    }
+                    (_, Some(pinned)) => match self.seq_domain(kind, pinned, *slot) {
+                        Some(domain) => self.scan_quant(domain, *slot, body, deciding),
+                        None => {
+                            let domain = pool.of_subject_live_at(kind, pinned, self.now);
+                            self.scan_quant(domain, *slot, body, deciding)
+                        }
+                    },
+                    _ => match subject {
+                        Some(literal) if self.narrow => {
+                            let domain = pool.of_subject_live_at(kind, literal, self.now);
+                            self.scan_quant(domain, *slot, body, deciding)
+                        }
+                        _ => {
+                            let domain = pool.of_kind_live_at(kind, self.now);
+                            self.scan_quant(domain, *slot, body, deciding)
+                        }
+                    },
                 }
             }
         }
     }
 
+    /// The per-batch memo key of a predicate call at `site` whose
+    /// arguments read `slots`: call site × the contexts bound to those
+    /// slots (≤ 2, padded). Wider calls bypass the memo, and so do calls
+    /// reading the pinned slot: their keys include the pin's id, which
+    /// is distinct for every check of the batch, so a hit is impossible
+    /// and the table would only add hash-and-insert cost to the hottest
+    /// sites.
+    fn memo_key(&self, site: u32, slots: &[usize]) -> Option<(u32, u32, u64, u64)> {
+        if slots.len() > 2 || self.pin.is_some_and(|p| slots.contains(&p.qid)) {
+            return None;
+        }
+        let bound = |i: usize| {
+            slots
+                .get(i)
+                .map_or(u64::MAX, |s| self.scratch.env[*s].raw())
+        };
+        Some((self.memo_cid, site, bound(0), bound(1)))
+    }
+
     /// Short-circuit scan of one quantifier's `domain` for
-    /// [`Run::eval_bool`]: returns `deciding` at the first binding whose
-    /// body evaluates to it, `!deciding` when the domain is exhausted.
+    /// [`Run::eval_truth`]: returns `deciding` at the first admitted
+    /// binding whose body evaluates to it, `!deciding` when the domain
+    /// is exhausted.
     fn scan_quant<'p>(
         &mut self,
         domain: impl Iterator<Item = (ContextId, &'p Context)>,
@@ -977,13 +1183,14 @@ impl Run<'_, '_> {
         body: &CFormula,
         deciding: bool,
     ) -> Result<bool, EvalError> {
-        let available_only = self.domain == DomainMode::AvailableOnly;
         for (id, ctx) in domain {
-            if available_only && !ctx.state().is_available() {
-                continue;
+            match self.admits(id, ctx) {
+                Some(true) => {}
+                Some(false) => continue,
+                None => break,
             }
             self.scratch.env[slot] = id;
-            if self.eval_bool(body)? == deciding {
+            if self.eval_truth(body)? == deciding {
                 return Ok(deciding);
             }
         }
@@ -1545,6 +1752,137 @@ mod tests {
             Err(EvalError::MissingAttr { .. })
         ));
         assert_eq!(eval.holds(&cc, &pool, now, &mut scratch), Ok(true));
+    }
+
+    /// The seq guard is marked exactly on per-subject `forall` chains
+    /// whose antecedent's `and` spine reaches `seq_gap`/`seq_gap_le`
+    /// over two chain variables and an integer literal through
+    /// `same_subject` leaves only.
+    #[test]
+    fn seq_guards_mark_only_the_guarded_shape() {
+        let guard = |antecedent: &str, consequent: &str| {
+            let source = format!(
+                "constraint c: forall a: location, b: location . ({antecedent}) implies {consequent}"
+            );
+            CompiledConstraint::compile(&parse_constraint(&source).unwrap())
+                .unwrap()
+                .seq_guard
+        };
+        let speed = |u, v, k, le, same_subject| {
+            Some(SeqGuard {
+                u,
+                v,
+                k,
+                le,
+                same_subject,
+            })
+        };
+        let v = "velocity_le(a, b, 1.5)";
+        assert_eq!(
+            guard("same_subject(a, b) and seq_gap(a, b, 1)", v),
+            speed(0, 1, 1, false, true)
+        );
+        assert_eq!(
+            guard("same_subject(b, a) and seq_gap(b, a, 3)", v),
+            speed(1, 0, 3, false, true)
+        );
+        assert_eq!(
+            guard(
+                "same_subject(a, b) and seq_gap_le(a, b, 2) and eq(a.zone, \"checkout\")",
+                "eq(b.zone, \"checkout\")"
+            ),
+            speed(0, 1, 2, true, true)
+        );
+        assert_eq!(
+            guard("seq_gap(a, b, 2) and same_subject(a, b)", v),
+            speed(0, 1, 2, false, false),
+            "no same_subject before the seq leaf"
+        );
+        assert_eq!(
+            guard(
+                "same_subject(a, b) and (seq_gap(a, b, -1) and has_attr(a, \"pos\"))",
+                v
+            ),
+            speed(0, 1, -1, false, true),
+            "a right-nested spine"
+        );
+        for antecedent in [
+            "same_subject(a, b) and seq_gap_le(a, b, 0)",
+            "same_subject(a, b) and seq_gap(a, b, 1.0)",
+            "same_subject(a, b) and seq_gap(a, a, 1)",
+            "same_subject(a, b) and distinct(a, b) and seq_gap(a, b, 1)",
+            "same_subject(a, b) and not seq_gap(a, b, 1)",
+            "same_subject(a, b) and (seq_gap(a, b, 1) or seq_gap(a, b, 2))",
+            "has_attr(b, \"pos\") and same_subject(a, b) and seq_gap(a, b, 1)",
+        ] {
+            assert_eq!(guard(antecedent, v), None, "{antecedent}");
+        }
+        let global = "constraint g: forall a: location, b: location . \
+                      seq_gap(a, b, 1) implies same_subject(a, b)";
+        let cc = CompiledConstraint::compile(&parse_constraint(global).unwrap()).unwrap();
+        assert!(
+            !cc.is_per_subject() && !cc.has_seq_guard(),
+            "no subject to narrow in"
+        );
+    }
+
+    /// A counting forwarder of each predicate the constraint calls — and
+    /// nothing else — keeps seq narrowing on: a pinned check reads only
+    /// the guard's window. Without `seq_gap` the full scan's
+    /// `UnknownPredicate` stands.
+    #[test]
+    fn seq_narrowing_follows_the_registry_names() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let builtins = Arc::new(registry());
+        let calls = Arc::new(AtomicU64::new(0));
+        let forwarding = |names: &[(&str, usize)]| {
+            let mut reg = PredicateRegistry::new();
+            for &(name, arity) in names {
+                let (builtins, calls, forwarded) =
+                    (Arc::clone(&builtins), Arc::clone(&calls), name.to_owned());
+                reg.register(name, arity, move |args| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    builtins.eval(&forwarded, args)
+                });
+            }
+            reg
+        };
+        let points: Vec<(f64, f64)> = (0..20).map(|i| (f64::from(i) * 0.5, 0.0)).collect();
+        let pool = loc_pool(&points);
+        let c = parse_constraint(SPEED).unwrap();
+        let cc = CompiledConstraint::compile(&c).unwrap();
+        let now = LogicalTime::new(30);
+        let pin = ContextId::from_raw(10);
+        let mut scratch = EvalScratch::new();
+
+        let counting = forwarding(&[("same_subject", 2), ("seq_gap", 3), ("velocity_le", 3)]);
+        let eval = CompiledEvaluator::new(&counting);
+        for qid in 0..2 {
+            calls.store(0, Ordering::Relaxed);
+            let got = eval.check_pinned(&cc, &pool, now, qid, pin, &mut scratch);
+            assert_eq!(
+                got,
+                Evaluator::new(&registry()).check_pinned(&c, &pool, now, qid, pin)
+            );
+            assert_eq!(calls.load(Ordering::Relaxed), 3, "one partner: three calls");
+        }
+        assert_eq!(scratch.seq_fallbacks(), 0);
+
+        let no_seq_gap = forwarding(&[("same_subject", 2), ("velocity_le", 3)]);
+        let first = ContextId::from_raw(0);
+        assert_eq!(
+            CompiledEvaluator::new(&no_seq_gap).check_pinned(
+                &cc,
+                &pool,
+                now,
+                1,
+                first,
+                &mut scratch
+            ),
+            Err(EvalError::UnknownPredicate("seq_gap".to_owned())),
+            "the partner window of seq 0 pinned as `b` is empty, yet the scan raises"
+        );
     }
 
     #[test]

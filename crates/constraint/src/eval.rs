@@ -7,13 +7,22 @@
 //! context inconsistency — exactly the objects the resolution strategies
 //! in `ctxres-core` operate on.
 //!
+//! Evaluation is left to right and short-circuits: `and`, `or` and
+//! `implies` evaluate their right operand only when the left one does
+//! not decide them, so an error in a skipped operand is never raised.
+//! Quantifiers visit every binding, so a violated constraint lists
+//! every violation.
+//!
 //! Composition rules (links of the *returned* truth value):
 //!
 //! * predicate: the contexts referenced by its arguments;
 //! * `not f`: the links of `f`;
-//! * violated `and`: union of the false sides' links; satisfied `and`:
-//!   pairwise unions (⊗) of both sides' links;
-//! * satisfied `or`: union of the true sides' links; violated `or`: ⊗;
+//! * a connective its left operand decides (`and` with a false left,
+//!   `or` with a true one): the left operand's links;
+//! * otherwise the right operand decides: its links when it disagrees
+//!   with the left (violated `and`, satisfied `or`), and pairwise unions
+//!   (⊗) of both sides' links when it agrees (satisfied `and`, violated
+//!   `or`);
 //! * `implies` behaves as `or(not lhs, rhs)`;
 //! * violated `forall x`: for each violating binding, the body's links
 //!   each extended with the bound context; satisfied `forall`: ⊗ over all
@@ -190,19 +199,28 @@ impl<'r> Evaluator<'r> {
             }
             Formula::And(a, b) => {
                 let ea = self.eval(a, pool, now, env, pin, need)?;
+                if !ea.truth {
+                    return Ok(ea);
+                }
                 let eb = self.eval(b, pool, now, env, pin, need)?;
-                Ok(combine_and(ea, eb))
+                Ok(combine_undecided(ea, eb))
             }
             Formula::Or(a, b) => {
                 let ea = self.eval(a, pool, now, env, pin, need)?;
+                if ea.truth {
+                    return Ok(ea);
+                }
                 let eb = self.eval(b, pool, now, env, pin, need)?;
-                Ok(combine_or(ea, eb))
+                Ok(combine_undecided(ea, eb))
             }
             Formula::Implies(a, b) => {
                 let mut ea = self.eval(a, pool, now, env, pin, need.flip())?;
                 ea.truth = !ea.truth;
+                if ea.truth {
+                    return Ok(ea);
+                }
                 let eb = self.eval(b, pool, now, env, pin, need)?;
-                Ok(combine_or(ea, eb))
+                Ok(combine_undecided(ea, eb))
             }
             Formula::Pred(call) => {
                 let mut witness = Link::new();
@@ -337,21 +355,16 @@ fn lookup(env: &[(String, ContextId)], name: &str) -> Result<ContextId, EvalErro
         .ok_or_else(|| EvalError::UnboundVariable(name.to_owned()))
 }
 
-pub(crate) fn combine_and(a: Evidence, b: Evidence) -> Evidence {
-    match (a.truth, b.truth) {
-        (true, true) => cross(a, b, true),
-        (false, true) => Evidence { truth: false, ..a },
-        (true, false) => Evidence { truth: false, ..b },
-        (false, false) => union(a, b, false),
-    }
-}
-
-pub(crate) fn combine_or(a: Evidence, b: Evidence) -> Evidence {
-    match (a.truth, b.truth) {
-        (false, false) => cross(a, b, false),
-        (true, false) => Evidence { truth: true, ..a },
-        (false, true) => Evidence { truth: true, ..b },
-        (true, true) => union(a, b, true),
+/// Evidence of a connective whose left operand `a` did not decide it
+/// (a true `and` operand, a false `or` operand), so the right operand
+/// `b` does: alone when it disagrees with `a`, and as the ⊗ of both
+/// when it agrees.
+pub(crate) fn combine_undecided(a: Evidence, b: Evidence) -> Evidence {
+    if a.truth == b.truth {
+        let truth = b.truth;
+        cross(a, b, truth)
+    } else {
+        b
     }
 }
 
@@ -435,22 +448,6 @@ fn cross(a: Evidence, b: Evidence, truth: bool) -> Evidence {
         }
     }
     dedup_links(&mut links);
-    Evidence {
-        truth,
-        links,
-        truncated,
-    }
-}
-
-fn union(a: Evidence, b: Evidence, truth: bool) -> Evidence {
-    let mut truncated = a.truncated || b.truncated;
-    let mut links = a.links;
-    links.extend(b.links);
-    dedup_links(&mut links);
-    if links.len() > MAX_LINKS {
-        links.truncate(MAX_LINKS);
-        truncated = true;
-    }
     Evidence {
         truth,
         links,

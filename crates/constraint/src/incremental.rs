@@ -37,6 +37,12 @@ pub struct CheckerStats {
     pub compiled_evals: u64,
     /// Total detections returned.
     pub detections: u64,
+    /// Pinned checks whose constraint has a seq guard on the pinned
+    /// quantifier but which scanned the partner's subject bucket: the
+    /// pool could not vouch for the bucket's seq order, or the new
+    /// context's own seq is not an exact integer
+    /// ([`EvalScratch::seq_fallbacks`]).
+    pub seq_fallbacks: u64,
 }
 
 /// A precomputed checking plan for one context kind: which constraints a
@@ -82,6 +88,11 @@ pub struct PlanCounts {
     pub compiled_evals: u64,
     /// Detections returned (zero when the check errored).
     pub detections: u64,
+    /// Pinned checks that scanned a seq-guarded partner's bucket. A
+    /// staged batch's buckets already hold its later members, so this
+    /// can exceed the sequential count when one of them breaks a
+    /// bucket's seq order.
+    pub seq_fallbacks: u64,
 }
 
 impl PlanCounts {
@@ -90,6 +101,7 @@ impl PlanCounts {
         self.pinned_evals += other.pinned_evals;
         self.compiled_evals += other.compiled_evals;
         self.detections += other.detections;
+        self.seq_fallbacks += other.seq_fallbacks;
     }
 }
 
@@ -206,10 +218,11 @@ impl IncrementalChecker {
     /// this checker with the kind of context `id` — the verdict stream
     /// is then identical to `on_added`'s.
     ///
-    /// Each compiled pinned check is truth-first: an allocation-free
-    /// truth pass ([`CompiledEvaluator::satisfied_pinned_batch`], no
-    /// batch cap, no memo) runs before it, and violation evidence is
-    /// built only when that pass reports a violation — the same routine
+    /// Each compiled pinned check is truth-first: an allocation-free,
+    /// short-circuiting truth walk
+    /// ([`CompiledEvaluator::satisfied_pinned_batch`], no batch cap, no
+    /// memo) runs before it, and violation evidence is built only when
+    /// that walk reports a violation — the same routine
     /// [`IncrementalChecker::check_with_plan`] uses.
     ///
     /// # Errors
@@ -258,6 +271,7 @@ impl IncrementalChecker {
                         );
                         stats.pinned_evals += counts.pinned_evals;
                         stats.compiled_evals += counts.compiled_evals;
+                        stats.seq_fallbacks += counts.seq_fallbacks;
                         links?
                     }
                     None => {
@@ -403,6 +417,7 @@ impl IncrementalChecker {
         self.stats.pinned_evals += counts.pinned_evals;
         self.stats.compiled_evals += counts.compiled_evals;
         self.stats.detections += counts.detections;
+        self.stats.seq_fallbacks += counts.seq_fallbacks;
     }
 
     /// Fully checks every constraint (the non-incremental baseline; used
@@ -449,12 +464,12 @@ impl IncrementalChecker {
 /// The pinned check of one compiled plan step, shared by
 /// [`IncrementalChecker::on_added_planned`] and
 /// [`IncrementalChecker::check_with_plan`]: per pinned quantifier, a
-/// truth-only pass first
-/// ([`CompiledEvaluator::satisfied_pinned_batch`], which allocates
-/// nothing), and the evidence pass only when that reports a violation.
-/// The truth pass visits every binding the evidence pass would, in the
-/// same order, so an `Err` is the one the evidence pass would raise and
-/// `Ok(true)` proves it would find no violation.
+/// truth walk first ([`CompiledEvaluator::satisfied_pinned_batch`],
+/// which allocates nothing), and the evidence walk only when that
+/// reports a violation. The evidence walk visits every binding the
+/// truth walk does, in the same order, so `Ok(true)` proves it would
+/// find no violation, and a truth-walk `Err` is one it would raise as
+/// well (or after an earlier one).
 ///
 /// Counters are bumped in `counts` before each evaluation, so an error
 /// leaves the same partial tallies as an evidence-only check would.
@@ -476,6 +491,7 @@ fn pinned_links(
     for &qid in qids {
         counts.pinned_evals += 1;
         counts.compiled_evals += 1;
+        let fallbacks = scratch.seq_fallbacks();
         let satisfied = evaluator.satisfied_pinned_batch(
             cc,
             pool,
@@ -486,8 +502,9 @@ fn pinned_links(
             scratch,
             memo.as_deref_mut(),
             cid as u32,
-        )?;
-        if !satisfied {
+        );
+        counts.seq_fallbacks += scratch.seq_fallbacks() - fallbacks;
+        if !satisfied? {
             let outcome = evaluator.check_pinned_batch(cc, pool, now, qid, id, max_id, scratch)?;
             links.extend(outcome.violations);
         }
@@ -732,10 +749,13 @@ mod tests {
     fn pin_free_sites_consult_the_memo_and_hit_across_checks() {
         // `has_attr(b, "pos")` reads only the unpinned slot when the
         // check pins `a`, so its verdicts recur across checks of the
-        // same subject — the one class of site the memo serves. The
-        // capped run must still agree with the sequential oracle.
+        // same subject — the one class of site the memo serves. It leads
+        // the antecedent, so short-circuit evaluation reaches it for
+        // every binding (and the constraint has no seq guard to narrow
+        // `b` by). The capped run must still agree with the sequential
+        // oracle.
         let guarded = "constraint guarded: forall a: location, b: location . \
-             (same_subject(a, b) and seq_gap(a, b, 1) and has_attr(b, \"pos\")) \
+             (has_attr(b, \"pos\") and same_subject(a, b) and seq_gap(a, b, 1)) \
              implies velocity_le(a, b, 1.5)";
         let reg = PredicateRegistry::with_builtins();
         let points = [(0.0, 0.0), (9.0, 9.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0)];
@@ -754,6 +774,11 @@ mod tests {
 
         let fused = checker(guarded);
         assert!(fused.supports_batch_fusion());
+        assert!(fused
+            .compiled
+            .iter()
+            .flatten()
+            .all(|cc| !cc.has_seq_guard()));
         let plan = fused.plan_for(&ContextKind::new("location"));
         let mut pool_b = ContextPool::new();
         let ids: Vec<ContextId> = points
@@ -791,12 +816,11 @@ mod tests {
         // "Every earlier badge of a subject was in the office." Pinned
         // on the new badge as `a`, `b` walks p's badges in (stamp, id)
         // order. At `b` = the new badge itself the antecedent is false,
-        // and in the error case its consequent reads a `room` the badge
-        // lacks. The evidence pass evaluates that consequent anyway and
-        // raises MissingAttr; a short-circuiting truth pass (`holds`)
-        // would skip it, call the check satisfied and drop the error,
-        // changing the middleware's `eval_errors`. The truth-first check
-        // must raise the evidence pass's error.
+        // so short-circuit evaluation never reads the consequent's
+        // `room`, which the new badge lacks: the check is `Ok`, as the
+        // evidence walk and the tree-walking oracle say. An earlier
+        // badge without a `room` is read, and the truth-first check
+        // raises the evidence walk's error.
         const ROOM: &str = "constraint room: forall a: badge, b: badge . \
              (same_subject(a, b) and before(b, a)) implies eq(b.room, \"office\")";
         let badge = |stamp: u64, room: Option<&str>| {
@@ -808,8 +832,10 @@ mod tests {
             b.build()
         };
         let reg = PredicateRegistry::with_builtins();
-        let cc = CompiledConstraint::compile(&parse_constraints(ROOM).unwrap()[0]).unwrap();
+        let constraint = &parse_constraints(ROOM).unwrap()[0];
+        let cc = CompiledConstraint::compile(constraint).unwrap();
         let evidence = CompiledEvaluator::new(&reg);
+        let oracle = crate::eval::Evaluator::new(&reg);
         let now = LogicalTime::new(3);
         let mut scratch = EvalScratch::new();
 
@@ -819,8 +845,23 @@ mod tests {
         let mut ch = checker(ROOM);
         let plan = ch.plan_for(&ContextKind::new("badge"));
         let got = ch.on_added_planned(&plan, &reg, &pool, now, new);
+        for qid in 0..2 {
+            let want = evidence.check_pinned(&cc, &pool, now, qid, new, &mut scratch);
+            assert_eq!(want, oracle.check_pinned(constraint, &pool, now, qid, new));
+            assert!(want.is_ok_and(|o| o.satisfied), "pin qid={qid}");
+        }
+        assert_eq!(got, Ok(Vec::new()));
+        assert_eq!(ch.stats().pinned_evals, 2);
+        assert_eq!(ch.stats().detections, 0);
+
+        let mut pool = ContextPool::new();
+        pool.insert(badge(1, None));
+        let new = pool.insert(badge(3, Some("office")));
+        let mut ch = checker(ROOM);
+        let got = ch.on_added_planned(&plan, &reg, &pool, now, new);
         let want = evidence.check_pinned(&cc, &pool, now, 0, new, &mut scratch);
         assert!(matches!(want, Err(EvalError::MissingAttr { .. })));
+        assert_eq!(want, oracle.check_pinned(constraint, &pool, now, 0, new));
         assert_eq!(got, Err(want.unwrap_err()));
         assert_eq!(ch.stats().pinned_evals, 1, "the error ends the plan");
         assert_eq!(ch.stats().detections, 0);

@@ -1,7 +1,7 @@
 //! Predicate registry: the extensible atoms of the constraint language.
 
 use crate::error::EvalError;
-use ctxres_context::{Context, ContextId, ContextValue, Point};
+use ctxres_context::{Context, ContextId, ContextValue, Point, SEQ_ATTR};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -104,21 +104,24 @@ impl PredicateRegistry {
     /// | `distinct` | c, c | the two bound contexts are different contexts |
     /// | `before` | c, c | first context's stamp strictly precedes the second's |
     /// | `time_gap_le` | c, c, n | stamps differ by at most `n` ticks |
-    /// | `seq_gap` | c, c, n | `b.seq - a.seq == n` (stream position gap) |
-    /// | `seq_gap_le` | c, c, n | `0 < b.seq - a.seq <= n` |
+    /// | `seq_gap` † | c, c, n | `b.seq - a.seq == n` (stream position gap) |
+    /// | `seq_gap_le` † | c, c, n | `0 < b.seq - a.seq <= n` |
     /// | `dist_le` | c, c, d | Euclidean distance of `pos` attrs ≤ `d` |
     /// | `velocity_le` | c, c, v | implied speed between the `pos` attrs ≤ `v` per tick |
     /// | `within` | c, x0, y0, x1, y1 | `pos` lies in the axis-aligned rectangle |
     /// | `has_attr` | c, text | the context defines the named attribute |
     ///
     /// † Read by name outside the registry: the scope analysis trusts
-    /// `same_subject` guards, and [`CompiledEvaluator::holds`] scans
-    /// only the literal subject's contexts for quantifiers led by a
-    /// `subject_eq` guard. A registry that re-registers either name
-    /// must keep the builtin meaning (a counting forwarder to the
-    /// builtin does).
+    /// `same_subject` guards, [`CompiledEvaluator::holds`] scans only
+    /// the literal subject's contexts for quantifiers led by a
+    /// `subject_eq` guard, and a pinned check of a constraint guarded by
+    /// `same_subject` and `seq_gap`/`seq_gap_le` looks up the pair's
+    /// partner by seq ([`CompiledEvaluator::check_pinned`]). A registry
+    /// that re-registers any of these names must keep the builtin
+    /// meaning (a counting forwarder to the builtin does).
     ///
     /// [`CompiledEvaluator::holds`]: crate::CompiledEvaluator::holds
+    /// [`CompiledEvaluator::check_pinned`]: crate::CompiledEvaluator::check_pinned
     pub fn with_builtins() -> Self {
         let mut reg = PredicateRegistry::new();
         reg.register_comparison("eq", |o| o == Ordering::Equal, false);
@@ -328,9 +331,9 @@ fn pos_of(name: &str, args: &[Resolved<'_>], i: usize) -> Result<Point, EvalErro
 
 fn seq_of(name: &str, args: &[Resolved<'_>], i: usize) -> Result<f64, EvalError> {
     let (c, _) = ctx_arg(name, args, i)?;
-    c.number("seq").ok_or_else(|| EvalError::Type {
+    c.number(SEQ_ATTR).ok_or_else(|| EvalError::Type {
         name: name.to_owned(),
-        detail: format!("context argument {i} lacks a numeric attribute \"seq\""),
+        detail: format!("context argument {i} lacks a numeric attribute \"{SEQ_ATTR}\""),
     })
 }
 

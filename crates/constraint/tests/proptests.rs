@@ -3,13 +3,19 @@
 //! * the printer and parser are mutual inverses on the formula AST;
 //! * incremental (pinned) detection accumulates exactly the violations a
 //!   full check finds, on randomized context streams;
+//! * a pinned check that looks up its seq partner equals the
+//!   tree-walking oracle's full scan, on pools with broken seqs;
 //! * evaluation is deterministic.
 
 use ctxres_constraint::{
-    parse_constraints, parse_formula, simplify, Constraint, Evaluator, Formula, IncrementalChecker,
-    Link, PredicateRegistry, Quantifier, Term,
+    parse_constraints, parse_formula, simplify, CompiledConstraint, CompiledEvaluator, Constraint,
+    DomainMode, EvalScratch, Evaluator, Formula, IncrementalChecker, Link, PredicateRegistry,
+    Quantifier, Term,
 };
-use ctxres_context::{Context, ContextKind, ContextPool, ContextValue, LogicalTime, Point};
+use ctxres_context::{
+    Context, ContextId, ContextKind, ContextPool, ContextState, ContextValue, Lifespan,
+    LogicalTime, Point, Ticks,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -268,6 +274,180 @@ proptest! {
         }
         if !any_outlier {
             prop_assert!(!violated, "clean walk must satisfy the velocity constraints");
+        }
+    }
+}
+
+/// One generated sighting for the seq-partner property: its subject,
+/// whether it arrives stamped behind its arrival index, its seq, its
+/// position (none: the `pos` attribute is missing), its lifespan and
+/// its life-cycle state.
+#[derive(Debug, Clone)]
+struct Sighting {
+    subject: usize,
+    late: bool,
+    seq: SeqKind,
+    x: Option<i8>,
+    ttl: Option<u8>,
+    state: u8,
+}
+
+/// How a sighting's seq relates to its subject's next stream position.
+#[derive(Debug, Clone)]
+enum SeqKind {
+    Next,
+    /// The previous position again.
+    Duplicate,
+    /// Three positions back.
+    Behind,
+    Missing,
+    /// The next position as a float.
+    Float,
+    /// The next position plus 2^52.
+    Huge,
+}
+
+fn sighting() -> impl Strategy<Value = Sighting> {
+    (
+        (0usize..2, proptest::bool::weighted(0.15)),
+        (0u8..14).prop_map(|pick| match pick {
+            0 => SeqKind::Duplicate,
+            1 => SeqKind::Behind,
+            2 => SeqKind::Missing,
+            3 => SeqKind::Float,
+            4 => SeqKind::Huge,
+            _ => SeqKind::Next,
+        }),
+        (proptest::bool::weighted(0.05), any::<i8>())
+            .prop_map(|(missing, x)| (!missing).then_some(x)),
+        proptest::option::of(2u8..12),
+        0u8..5,
+    )
+        .prop_map(|((subject, late), seq, x, ttl, state)| Sighting {
+            subject,
+            late,
+            seq,
+            x,
+            ttl,
+            state,
+        })
+}
+
+fn sighting_pool(sightings: &[Sighting]) -> ContextPool {
+    let mut pool = ContextPool::new();
+    let mut next = [0i64; 2];
+    for (i, s) in sightings.iter().enumerate() {
+        let n = next[s.subject];
+        let stamp = LogicalTime::new(if s.late {
+            (i as u64).saturating_sub(3)
+        } else {
+            i as u64
+        });
+        let mut b =
+            Context::builder(ContextKind::new("location"), ["p", "q"][s.subject]).stamp(stamp);
+        b = match s.seq {
+            SeqKind::Next => b.attr("seq", n),
+            SeqKind::Duplicate => b.attr("seq", n - 1),
+            SeqKind::Behind => b.attr("seq", n - 3),
+            SeqKind::Missing => b,
+            SeqKind::Float => b.attr("seq", n as f64),
+            SeqKind::Huge => b.attr("seq", (1i64 << 52) + n),
+        };
+        if matches!(s.seq, SeqKind::Next | SeqKind::Float) {
+            next[s.subject] += 1;
+        }
+        if let Some(x) = s.x {
+            b = b.attr("pos", Point::new(f64::from(x) / 16.0, 0.0));
+        }
+        if let Some(ttl) = s.ttl {
+            b = b.lifespan(Lifespan::with_ttl(stamp, Ticks::new(u64::from(ttl))));
+        }
+        let id = pool.insert(b.build());
+        match s.state {
+            0 => pool.set_state(id, ContextState::Consistent).unwrap(),
+            1 => pool.discard(id).unwrap(),
+            _ => {}
+        }
+    }
+    pool
+}
+
+/// Whether the pool holds `subject`'s sightings with exact seqs that
+/// rise strictly in `(stamp, id)` order — the bucket order a seq lookup
+/// needs.
+fn seqs_rise(pool: &ContextPool, subject: &str) -> bool {
+    let mut bucket: Vec<(LogicalTime, ContextId, Option<i64>)> = pool
+        .iter()
+        .filter(|(_, c)| c.subject() == subject)
+        .map(|(id, c)| (c.stamp(), id, c.exact_seq()))
+        .collect();
+    bucket.sort();
+    bucket.iter().all(|(_, _, seq)| seq.is_some()) && bucket.windows(2).all(|w| w[0].2 < w[1].2)
+}
+
+const PAIRS: &str = "constraint gap1:
+    forall a: location, b: location .
+      (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)
+ constraint gap2:
+    forall a: location, b: location .
+      (same_subject(a, b) and seq_gap(a, b, 2)) implies velocity_le(a, b, 1.5)
+ constraint gap3:
+    forall a: location, b: location .
+      (same_subject(a, b) and seq_gap(a, b, 3)) implies velocity_le(a, b, 1.5)
+ constraint back1:
+    forall a: location, b: location .
+      (same_subject(b, a) and seq_gap(b, a, 1)) implies velocity_le(a, b, 1.5)
+ constraint near:
+    forall a: location, b: location .
+      (same_subject(a, b) and seq_gap_le(a, b, 2) and within(a, -4.0, -4.0, 4.0, 4.0))
+        implies velocity_le(a, b, 1.5)";
+
+proptest! {
+    /// A pinned check that looks up its seq partner equals the oracle's
+    /// full scan — links and `Ok`/`Err` alike — for both pin positions,
+    /// both domain modes and every pin, on pools with duplicate,
+    /// missing, float, out-of-order and 2^52 seqs, missing positions,
+    /// expired and discarded sightings. The truth walk agrees with it
+    /// (it may stop at a violation before the evidence walk's error),
+    /// and it scans — counting a seq fallback — exactly when the pin's
+    /// subject bucket does not rise.
+    #[test]
+    fn seq_partner_lookup_equals_the_full_scan(
+        sightings in proptest::collection::vec(sighting(), 1..24)
+    ) {
+        let registry = PredicateRegistry::with_builtins();
+        let pool = sighting_pool(&sightings);
+        let now = LogicalTime::new(sightings.len() as u64);
+        let mut scratch = EvalScratch::new();
+        for c in parse_constraints(PAIRS).unwrap() {
+            let cc = CompiledConstraint::compile(&c).unwrap();
+            prop_assert!(cc.has_seq_guard(), "{}", c.name());
+            for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
+                let oracle = Evaluator::with_domain(&registry, mode);
+                let compiled = CompiledEvaluator::with_domain(&registry, mode);
+                for (id, ctx) in pool.iter() {
+                    for qid in 0..2 {
+                        let want = oracle.check_pinned(&c, &pool, now, qid, id);
+                        let got = compiled.check_pinned(&cc, &pool, now, qid, id, &mut scratch);
+                        prop_assert_eq!(&got, &want, "{} pinned {}@{}", c.name(), qid, id);
+
+                        let fallbacks = scratch.seq_fallbacks();
+                        let truth = compiled
+                            .satisfied_pinned_batch(&cc, &pool, now, qid, id, None, &mut scratch, None, 0);
+                        match (&truth, &want) {
+                            (Ok(t), Ok(o)) => prop_assert_eq!(*t, o.satisfied),
+                            (Err(e), Err(o)) => prop_assert_eq!(e, o),
+                            (Ok(false), Err(_)) => {}
+                            _ => prop_assert!(false, "truth walk {:?} vs oracle {:?}", truth, want),
+                        }
+                        prop_assert_eq!(
+                            scratch.seq_fallbacks() - fallbacks,
+                            u64::from(!seqs_rise(&pool, ctx.subject())),
+                            "{} pinned {}@{}", c.name(), qid, id
+                        );
+                    }
+                }
+            }
         }
     }
 }

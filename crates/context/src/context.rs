@@ -124,6 +124,12 @@ impl TruthTag {
     }
 }
 
+/// The attribute holding a context's position in its source's stream:
+/// the one the `seq_gap`/`seq_gap_le` predicates compare, and the one
+/// the pool keeps subject buckets ordered by (see
+/// [`crate::ContextPool::of_subject_seq_live_at`]).
+pub const SEQ_ATTR: &str = "seq";
+
 /// A single context: one piece of information about the environment.
 ///
 /// Construct with [`Context::builder`]. Attribute storage is an ordered
@@ -204,6 +210,18 @@ impl Context {
     /// Convenience accessor for a point attribute.
     pub fn point(&self, name: &str) -> Option<crate::value::Point> {
         self.attr(name).and_then(ContextValue::as_point)
+    }
+
+    /// The context's [`SEQ_ATTR`] when it is an integer with
+    /// `|seq| < 2^52`: below that bound every seq and every difference
+    /// of two seqs is an exact `f64`, so the `seq_gap` predicates'
+    /// float arithmetic agrees with integer arithmetic on it. `None`
+    /// for a missing, float or larger seq.
+    pub fn exact_seq(&self) -> Option<i64> {
+        match self.attr(SEQ_ATTR)? {
+            ContextValue::Int(seq) if seq.unsigned_abs() < 1 << 52 => Some(*seq),
+            _ => None,
+        }
     }
 
     /// The logical instant the context was produced.

@@ -46,7 +46,7 @@ mod state;
 mod time;
 mod value;
 
-pub use context::{Context, ContextBuilder, ContextId, ContextKind, SourceId, TruthTag};
+pub use context::{Context, ContextBuilder, ContextId, ContextKind, SourceId, TruthTag, SEQ_ATTR};
 pub use error::ContextError;
 pub use pool::{ContextPool, KindWatermark, PoolStats};
 pub use state::ContextState;

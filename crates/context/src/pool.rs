@@ -5,6 +5,7 @@ use crate::error::ContextError;
 use crate::state::ContextState;
 use crate::time::LogicalTime;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Counters describing a pool's contents.
@@ -43,6 +44,10 @@ pub struct KindWatermark {
 /// Sentinel in the id → slot table for a removed context.
 const NO_SLOT: u32 = u32::MAX;
 
+/// Sentinel in the seq column for a context without an
+/// [exact seq](Context::exact_seq); no exact seq reaches it.
+const NO_SEQ: i64 = i64::MIN;
+
 /// [`KindBucket::reach`] once the bucket has indexed an immortal
 /// context: no prefix of it can be proved dead.
 const UNBOUNDED_REACH: u64 = u64::MAX;
@@ -71,21 +76,62 @@ struct SlotHandle {
 }
 
 /// Secondary index for one context kind: every stored context of the
-/// kind, plus a per-subject sub-index. Both vectors hold generational
-/// slot handles ordered by `(stamp, id)` — for in-order arrivals that
-/// is plain append, out-of-order stamps pay one binary-searched insert.
+/// kind, plus a per-subject sub-index. Both hold generational slot
+/// handles ordered by `(stamp, id)` — for in-order arrivals that is
+/// plain append, out-of-order stamps pay one binary-searched insert.
 #[derive(Debug, Default, Clone)]
 struct KindBucket {
     all: Vec<SlotHandle>,
     /// Keyed by the contexts' shared subject `Arc` so lookups can borrow
     /// the caller's `&str` — a flat `(ContextKind, String)` key would
     /// force a key clone per lookup.
-    by_subject: HashMap<Arc<str>, Vec<SlotHandle>>,
+    by_subject: HashMap<Arc<str>, SubjectBucket>,
     /// Upper bound on [`reach_of`] over every context this bucket has
     /// indexed. It only grows (removals leave it alone), so every
     /// handle with `stamp + reach <= now` holds a context that expired
     /// by `now`: the live views binary-search past that prefix.
     reach: u64,
+}
+
+/// One subject's share of a [`KindBucket`].
+#[derive(Debug, Clone)]
+struct SubjectBucket {
+    /// The subject's handles, ordered by `(stamp, id)`.
+    handles: Vec<SlotHandle>,
+    /// Whether every context inserted since the entry was created
+    /// carried an [exact seq](Context::exact_seq) lying strictly
+    /// between its `(stamp, id)` neighbours' seqs. The handles' seqs
+    /// then rise strictly in index order (removals keep that), so
+    /// [`ContextPool::of_subject_seq_live_at`] finds a seq range by
+    /// binary search. Once cleared it stays cleared: an entry that
+    /// empties is dropped, and the subject's next context starts a
+    /// fresh one.
+    seq_ordered: bool,
+}
+
+impl Default for SubjectBucket {
+    fn default() -> Self {
+        SubjectBucket {
+            handles: Vec::new(),
+            seq_ordered: true,
+        }
+    }
+}
+
+/// Whether every handle in `handles` has an exact seq and the seqs rise
+/// strictly. Run over the window an insertion touched, it keeps
+/// [`SubjectBucket::seq_ordered`]: an index that rose before rises after
+/// exactly when every adjacent pair holding a new handle does.
+fn seqs_rise(handles: &[SlotHandle], seqs: &[i64]) -> bool {
+    let mut prev = NO_SEQ;
+    for h in handles {
+        let seq = seqs[h.slot as usize];
+        if seq == NO_SEQ || seq <= prev {
+            return false;
+        }
+        prev = seq;
+    }
+    true
 }
 
 /// Indexed storage for the contexts a middleware manages.
@@ -124,6 +170,10 @@ pub struct ContextPool {
     /// Stamp column, parallel to `payloads` — index ordering reads it
     /// without touching the payload (stale for free slots).
     slot_stamps: Vec<LogicalTime>,
+    /// [`Context::exact_seq`] column ([`NO_SEQ`] for none), parallel to
+    /// `payloads` — the seq order of subject buckets reads it (stale for
+    /// free slots).
+    slot_seqs: Vec<i64>,
     /// Generation column, parallel to `payloads`; bumped on removal.
     generations: Vec<u32>,
     /// Free slots available for reuse.
@@ -141,22 +191,27 @@ pub struct ContextPool {
     recycles: u64,
 }
 
-/// Inserts `handle` into `index`, keeping it ordered by `(stamp, id)`.
-/// In-order arrivals (the overwhelmingly common case) append; an
-/// out-of-order stamp binary-searches its position.
+/// Inserts `handle` into `index`, keeping it ordered by `(stamp, id)`,
+/// and returns its position. In-order arrivals (the overwhelmingly
+/// common case) append; an out-of-order stamp binary-searches its
+/// position.
 fn index_insert(
     index: &mut Vec<SlotHandle>,
     stamps: &[LogicalTime],
     ids: &[ContextId],
     handle: SlotHandle,
-) {
+) -> usize {
     let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
     match index.last() {
         Some(&last) if key(last) > key(handle) => {
             let at = index.partition_point(|&h| key(h) <= key(handle));
             index.insert(at, handle);
+            at
         }
-        _ => index.push(handle),
+        _ => {
+            index.push(handle);
+            index.len() - 1
+        }
     }
 }
 
@@ -186,13 +241,15 @@ fn index_remove(
 /// is fine), then merges it with the sorted head — one sort-merge per
 /// touched bucket per batch instead of a binary-searched memmove per
 /// insert. In-order arrivals (the overwhelmingly common case) take the
-/// boundary-comparison fast path and touch nothing.
+/// boundary-comparison fast path and touch nothing. Returns the first
+/// position that holds a batch handle afterwards: everything before it
+/// is the untouched head.
 fn repair_tail(
     index: &mut Vec<SlotHandle>,
     stamps: &[LogicalTime],
     ids: &[ContextId],
     split: usize,
-) {
+) -> usize {
     let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
     if index.len() - split > 1 {
         let tail = &index[split..];
@@ -201,8 +258,9 @@ fn repair_tail(
         }
     }
     if split == 0 || index.len() == split || key(index[split - 1]) <= key(index[split]) {
-        return;
+        return split;
     }
+    let from = index[..split].partition_point(|&h| key(h) <= key(index[split]));
     let tail = index.split_off(split);
     let head = std::mem::take(index);
     index.reserve(head.len() + tail.len());
@@ -229,6 +287,7 @@ fn repair_tail(
             }
         }
     }
+    from
 }
 
 impl ContextPool {
@@ -246,12 +305,17 @@ impl ContextPool {
         let bucket = self.by_kind.entry(kind).or_default();
         bucket.reach = bucket.reach.max(reach);
         index_insert(&mut bucket.all, &self.slot_stamps, &self.slot_ids, handle);
-        index_insert(
-            bucket.by_subject.entry(subject).or_default(),
+        let entry = bucket.by_subject.entry(subject).or_default();
+        let at = index_insert(
+            &mut entry.handles,
             &self.slot_stamps,
             &self.slot_ids,
             handle,
         );
+        if entry.seq_ordered {
+            let window = at.saturating_sub(1)..(at + 2).min(entry.handles.len());
+            entry.seq_ordered = seqs_rise(&entry.handles[window], &self.slot_seqs);
+        }
         id
     }
 
@@ -266,12 +330,14 @@ impl ContextPool {
         self.inserted += 1;
         self.stored += 1;
         let stamp = ctx.stamp();
+        let seq = ctx.exact_seq().unwrap_or(NO_SEQ);
         let slot = match self.free.pop() {
             Some(slot) => {
                 let i = slot as usize;
                 self.payloads[i] = Some(ctx);
                 self.slot_ids[i] = id;
                 self.slot_stamps[i] = stamp;
+                self.slot_seqs[i] = seq;
                 slot
             }
             None => {
@@ -279,6 +345,7 @@ impl ContextPool {
                 self.payloads.push(Some(ctx));
                 self.slot_ids.push(id);
                 self.slot_stamps.push(stamp);
+                self.slot_seqs.push(seq);
                 self.generations.push(0);
                 slot
             }
@@ -296,9 +363,10 @@ impl ContextPool {
     /// ids, slots, and generations come out identical), but its index
     /// handles are appended **unsorted**, and each touched kind /
     /// kind×subject bucket's `(stamp, id)` order is restored by one
-    /// sort-merge per bucket per batch ([`repair_tail`]) instead of a
-    /// binary-searched memmove per insert. The final pool state is
-    /// byte-identical to inserting the contexts one by one.
+    /// sort-merge per bucket per batch instead of a binary-searched
+    /// memmove per insert. The final pool state — including every
+    /// subject bucket's seq order flag — is identical to inserting the
+    /// contexts one by one.
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = Context>) -> Vec<ContextId> {
         // Each touched vector's pre-batch length is its repair split
         // point: everything past it is this batch's unsorted tail.
@@ -315,11 +383,11 @@ impl ContextPool {
             let bucket = self.by_kind.entry(kind.clone()).or_default();
             bucket.reach = bucket.reach.max(reach);
             all_splits.entry(kind.clone()).or_insert(bucket.all.len());
-            let handles = bucket.by_subject.entry(Arc::clone(&subject)).or_default();
+            let entry = bucket.by_subject.entry(Arc::clone(&subject)).or_default();
             subject_splits
                 .entry((kind, subject))
-                .or_insert(handles.len());
-            handles.push(handle);
+                .or_insert(entry.handles.len());
+            entry.handles.push(handle);
             bucket.all.push(handle);
         }
         for (kind, split) in all_splits {
@@ -328,12 +396,20 @@ impl ContextPool {
             }
         }
         for ((kind, subject), split) in subject_splits {
-            if let Some(handles) = self
+            if let Some(entry) = self
                 .by_kind
                 .get_mut(&kind)
                 .and_then(|b| b.by_subject.get_mut(&subject))
             {
-                repair_tail(handles, &self.slot_stamps, &self.slot_ids, split);
+                let from =
+                    repair_tail(&mut entry.handles, &self.slot_stamps, &self.slot_ids, split);
+                // Inserting one at a time keeps the flag exactly when the
+                // final order rises, and the head before `from` already
+                // did: checking from its last handle on is the same test.
+                if entry.seq_ordered {
+                    entry.seq_ordered =
+                        seqs_rise(&entry.handles[from.saturating_sub(1)..], &self.slot_seqs);
+                }
             }
         }
         ids
@@ -465,7 +541,7 @@ impl ContextPool {
             self.by_kind
                 .get(kind)
                 .and_then(|b| b.by_subject.get(subject))
-                .map(Vec::as_slice),
+                .map(|e| e.handles.as_slice()),
         )
     }
 
@@ -479,10 +555,43 @@ impl ContextPool {
         now: LogicalTime,
     ) -> impl Iterator<Item = (ContextId, &'a Context)> + 'a {
         let index = self.by_kind.get(kind).and_then(|b| {
-            let handles = b.by_subject.get(subject)?;
-            Some(self.live_suffix(handles, b.reach, now))
+            let entry = b.by_subject.get(subject)?;
+            Some(self.live_suffix(&entry.handles, b.reach, now))
         });
         self.iter_index(index).filter(move |(_, c)| c.is_live(now))
+    }
+
+    /// [`ContextPool::of_subject_live_at`] restricted to the contexts
+    /// whose [exact seq](Context::exact_seq) lies in `seqs`, found by
+    /// binary search — or `None` when the pool cannot vouch for the
+    /// bucket's seq order: some context inserted into it since it was
+    /// last empty lacked an exact seq, or did not rise strictly above
+    /// its `(stamp, id)` predecessor's seq and below its successor's.
+    /// When `Some`, the iterator yields exactly the contexts
+    /// `of_subject_live_at` yields with a seq in `seqs`, in the same
+    /// order.
+    pub fn of_subject_seq_live_at<'a>(
+        &'a self,
+        kind: &ContextKind,
+        subject: &str,
+        seqs: RangeInclusive<i64>,
+        now: LogicalTime,
+    ) -> Option<impl Iterator<Item = (ContextId, &'a Context)> + 'a> {
+        let entry = self
+            .by_kind
+            .get(kind)
+            .and_then(|b| b.by_subject.get(subject));
+        let index = match entry {
+            Some(entry) if !entry.seq_ordered => return None,
+            Some(entry) => {
+                let seq = |h: &SlotHandle| self.slot_seqs[h.slot as usize];
+                let lo = entry.handles.partition_point(|h| seq(h) < *seqs.start());
+                let run = entry.handles[lo..].partition_point(|h| seq(h) <= *seqs.end());
+                Some(&entry.handles[lo..lo + run])
+            }
+            None => None,
+        };
+        Some(self.iter_index(index).filter(move |(_, c)| c.is_live(now)))
     }
 
     /// Live (non-discarded) context count per subject, across all kinds
@@ -490,8 +599,9 @@ impl ContextPool {
     pub fn subject_counts(&self) -> BTreeMap<String, usize> {
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
         for bucket in self.by_kind.values() {
-            for (subject, handles) in &bucket.by_subject {
-                let live = handles
+            for (subject, entry) in &bucket.by_subject {
+                let live = entry
+                    .handles
                     .iter()
                     .filter(|&&h| {
                         self.resolve(h)
@@ -585,9 +695,11 @@ impl ContextPool {
         bucket
             .all
             .retain(|h| generations[h.slot as usize] == h.generation);
-        bucket.by_subject.retain(|_, handles| {
-            handles.retain(|h| generations[h.slot as usize] == h.generation);
-            !handles.is_empty()
+        bucket.by_subject.retain(|_, entry| {
+            entry
+                .handles
+                .retain(|h| generations[h.slot as usize] == h.generation);
+            !entry.handles.is_empty()
         });
         if bucket.all.is_empty() {
             self.by_kind.remove(kind);
@@ -663,9 +775,14 @@ impl ContextPool {
         // so `handle` still sorts at its `(stamp, id)` position.
         if let Some(bucket) = self.by_kind.get_mut(ctx.kind()) {
             index_remove(&mut bucket.all, &self.slot_stamps, &self.slot_ids, handle);
-            if let Some(handles) = bucket.by_subject.get_mut(ctx.subject()) {
-                index_remove(handles, &self.slot_stamps, &self.slot_ids, handle);
-                if handles.is_empty() {
+            if let Some(entry) = bucket.by_subject.get_mut(ctx.subject()) {
+                index_remove(
+                    &mut entry.handles,
+                    &self.slot_stamps,
+                    &self.slot_ids,
+                    handle,
+                );
+                if entry.handles.is_empty() {
                     bucket.by_subject.remove(ctx.subject());
                 }
             }
@@ -1264,6 +1381,77 @@ mod tests {
                 "subject {subject}"
             );
         }
+    }
+
+    #[test]
+    fn seq_views_binary_search_rising_buckets_only() {
+        let at = |subject: &str, t: u64, seq: Option<i64>| {
+            let b =
+                Context::builder(ContextKind::new("location"), subject).stamp(LogicalTime::new(t));
+            match seq {
+                Some(seq) => b.attr(crate::SEQ_ATTR, seq),
+                None => b,
+            }
+            .build()
+        };
+        let kind = ContextKind::new("location");
+        let now = LogicalTime::new(100);
+        let seqs = |pool: &ContextPool, subject: &str, range: RangeInclusive<i64>| {
+            pool.of_subject_seq_live_at(&kind, subject, range, now)
+                .map(|it| it.map(|(_, c)| c.exact_seq().unwrap()).collect::<Vec<_>>())
+        };
+        let mut pool = ContextPool::new();
+        for (t, seq) in [(1, 0), (2, 1), (4, 3), (3, 2)] {
+            pool.insert(at("p", t, Some(seq)));
+        }
+        assert_eq!(
+            seqs(&pool, "p", 1..=2),
+            Some(vec![1, 2]),
+            "a splice that fits"
+        );
+        assert_eq!(seqs(&pool, "p", 5..=9), Some(vec![]));
+        assert_eq!(
+            seqs(&pool, "nobody", 0..=9),
+            Some(vec![]),
+            "no bucket, no seqs"
+        );
+
+        let late = pool.insert(at("p", 5, Some(3)));
+        assert_eq!(
+            seqs(&pool, "p", 0..=9),
+            None,
+            "a duplicate seq clears the flag"
+        );
+        pool.remove(late);
+        assert_eq!(
+            seqs(&pool, "p", 0..=9),
+            None,
+            "and removal does not restore it"
+        );
+
+        let q: Vec<ContextId> = [Some(0), None]
+            .map(|seq| pool.insert(at("q", 1, seq)))
+            .into();
+        assert_eq!(
+            seqs(&pool, "q", 0..=9),
+            None,
+            "a missing seq clears the flag"
+        );
+        for id in q {
+            pool.remove(id);
+        }
+        pool.insert(at("q", 7, Some(4)));
+        assert_eq!(
+            seqs(&pool, "q", 4..=4),
+            Some(vec![4]),
+            "an emptied bucket starts fresh"
+        );
+        pool.insert(at("q", 8, Some(1 << 52)));
+        assert_eq!(
+            seqs(&pool, "q", 0..=i64::MAX),
+            None,
+            "a seq of 2^52 is not exact"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the context pool and life cycle.
 
 use ctxres_context::{
-    Context, ContextId, ContextKind, ContextPool, ContextState, Lifespan, LogicalTime, Ticks,
+    Context, ContextBuilder, ContextId, ContextKind, ContextPool, ContextState, Lifespan,
+    LogicalTime, Ticks, SEQ_ATTR,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -127,6 +128,12 @@ fn index_op() -> impl Strategy<Value = IndexOp> {
 }
 
 fn arrive(a: &Arrival, clock: &mut LogicalTime) -> Context {
+    arrival_builder(a, clock).build()
+}
+
+/// The builder [`arrive`] finishes: advances the clock and stamps the
+/// arrival.
+fn arrival_builder(a: &Arrival, clock: &mut LogicalTime) -> ContextBuilder {
     clock.advance();
     let stamp = if a.late {
         LogicalTime::new(clock.tick().saturating_sub(u64::from(a.back)))
@@ -145,6 +152,50 @@ fn arrive(a: &Arrival, clock: &mut LogicalTime) -> Context {
         Life::Huge { shift } => {
             builder.lifespan(Lifespan::with_ttl(created(shift), Ticks::new(u64::MAX - 1)))
         }
+    }
+}
+
+/// An arrival's seq attribute, relative to the clock tick it arrives
+/// at: mostly rising, sometimes one that breaks a bucket's seq order.
+#[derive(Debug, Clone)]
+enum Seq {
+    /// The clock tick.
+    Tick,
+    /// `back` ticks behind the clock: a duplicate or a step back.
+    Behind(u8),
+    Missing,
+    /// The clock tick as a float.
+    Float,
+    /// The clock tick plus 2^52: too large for exact `f64` arithmetic.
+    Huge,
+}
+
+fn seq() -> impl Strategy<Value = Seq> {
+    (0u8..10, 0u8..4).prop_map(|(pick, back)| match pick {
+        0 => Seq::Behind(back),
+        1 => Seq::Missing,
+        2 => Seq::Float,
+        3 => Seq::Huge,
+        _ => Seq::Tick,
+    })
+}
+
+/// [`arrive`] with a seq attribute. Three subjects of one kind keep
+/// buckets long enough for late arrivals to land inside a rising one.
+fn arrive_seq(a: &Arrival, seq: &Seq, clock: &mut LogicalTime) -> Context {
+    let a = Arrival {
+        kind: 0,
+        subject: a.subject % 3,
+        ..a.clone()
+    };
+    let builder = arrival_builder(&a, clock);
+    let tick = clock.tick() as i64;
+    match seq {
+        Seq::Tick => builder.attr(SEQ_ATTR, tick),
+        Seq::Behind(back) => builder.attr(SEQ_ATTR, tick - i64::from(*back)),
+        Seq::Missing => builder,
+        Seq::Float => builder.attr(SEQ_ATTR, tick as f64),
+        Seq::Huge => builder.attr(SEQ_ATTR, (1i64 << 52) + tick),
     }
     .build()
 }
@@ -361,6 +412,76 @@ proptest! {
                 }
             }
             prop_assert_eq!(pool.subject_counts(), counts);
+        }
+    }
+
+    /// Seq-range views. Inserting contexts one at a time and as one
+    /// `insert_batch` leave every subject bucket with the same seq order
+    /// flag — across out-of-order stamps, broken seqs, discards and
+    /// removals that empty buckets — and whenever the pool vouches for
+    /// a bucket, `of_subject_seq_live_at` yields exactly the contexts of
+    /// `of_subject_live_at` whose exact seq lies in the range.
+    #[test]
+    fn seq_views_match_scans_and_insert_paths(
+        steps in proptest::collection::vec(
+            (
+                proptest::collection::vec((arrival(), seq()), 1..8),
+                proptest::option::of(any::<u8>()),
+                proptest::option::of(any::<u8>()),
+            ),
+            1..30,
+        )
+    ) {
+        let mut one_by_one = ContextPool::new();
+        let mut batched = ContextPool::new();
+        let mut clock = LogicalTime::ZERO;
+        let mut inserted: Vec<ContextId> = Vec::new();
+        for (batch, remove, discard) in steps {
+            let ctxs: Vec<Context> = batch
+                .iter()
+                .map(|(a, seq)| arrive_seq(a, seq, &mut clock))
+                .collect();
+            for ctx in ctxs.clone() {
+                inserted.push(one_by_one.insert(ctx));
+            }
+            batched.insert_batch(ctxs);
+            if let Some(target) = remove {
+                let id = inserted[usize::from(target) % inserted.len()];
+                prop_assert_eq!(one_by_one.remove(id).is_some(), batched.remove(id).is_some());
+            }
+            if let Some(target) = discard {
+                let id = inserted[usize::from(target) % inserted.len()];
+                prop_assert_eq!(one_by_one.discard(id).is_ok(), batched.discard(id).is_ok());
+            }
+            let kind = kind_name(0);
+            let tick = clock.tick() as i64;
+            for s in 0..3u8 {
+                let subject = format!("s{s}");
+                for now in [clock.tick().saturating_sub(3), clock.tick(), clock.tick() + 5] {
+                    let now = LogicalTime::new(now);
+                    for (lo, hi) in [(i64::MIN, i64::MAX), (tick - 6, tick - 2), (tick - 3, tick - 3)] {
+                        let view = |pool: &ContextPool| {
+                            pool.of_subject_seq_live_at(&kind, &subject, lo..=hi, now)
+                                .map(|it| it.map(|(id, _)| id).collect::<Vec<_>>())
+                        };
+                        let found = view(&one_by_one);
+                        prop_assert_eq!(&found, &view(&batched), "subject {}", subject);
+                        if let Some(found) = found {
+                            let want: Vec<ContextId> = one_by_one
+                                .of_subject_live_at(&kind, &subject, now)
+                                .filter(|(_, c)| {
+                                    c.exact_seq().is_some_and(|seq| (lo..=hi).contains(&seq))
+                                })
+                                .map(|(id, _)| id)
+                                .collect();
+                            prop_assert_eq!(
+                                found, want,
+                                "of_subject_seq_live_at({}, {}..={}) at {}", subject, lo, hi, now
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -5,7 +5,7 @@ use crate::situation::SituationEngine;
 use crate::stats::MiddlewareStats;
 use crate::subscription::{SubscriptionFilter, SubscriptionId, SubscriptionTable};
 use ctxres_constraint::{
-    Constraint, ConstraintSet, IncrementalChecker, KindPlan, PredicateRegistry,
+    CheckerStats, Constraint, ConstraintSet, IncrementalChecker, KindPlan, PredicateRegistry,
 };
 use ctxres_context::{
     Context, ContextId, ContextKind, ContextPool, ContextState, LogicalTime, Ticks, TruthTag,
@@ -125,8 +125,9 @@ pub struct Middleware {
     /// the position a per-position sweep would have.
     doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
     gt_doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
-    /// Checker compiled-eval count already forwarded to `obs`.
-    reported_compiled_evals: u64,
+    /// Checker counters already forwarded to `obs` (compiled evals and
+    /// seq fallbacks).
+    reported: CheckerStats,
     /// Violations seen per still-undecided context, for the chain-depth
     /// histogram (submission + violations + verdict). Populated only
     /// when provenance tracing is on; entries leave at verdict time.
@@ -189,7 +190,7 @@ impl Middleware {
 
     /// The incremental checker's evaluation counters (how many pinned
     /// and full constraint checks ran).
-    pub fn checker_stats(&self) -> ctxres_constraint::CheckerStats {
+    pub fn checker_stats(&self) -> CheckerStats {
         self.checker.stats()
     }
 
@@ -636,11 +637,16 @@ impl Middleware {
         check_phase.finish();
         check_span.finish();
         let verdict_ns = if tail_on { self.obs.now_ns() } else { 0 };
-        let compiled_delta = self.checker.stats().compiled_evals - self.reported_compiled_evals;
+        let checker_stats = self.checker.stats();
+        let compiled_delta = checker_stats.compiled_evals - self.reported.compiled_evals;
         if compiled_delta > 0 {
             self.obs.count(CounterKind::CompiledEvals, compiled_delta);
-            self.reported_compiled_evals += compiled_delta;
         }
+        let fallback_delta = checker_stats.seq_fallbacks - self.reported.seq_fallbacks;
+        if fallback_delta > 0 {
+            self.obs.count(CounterKind::SeqFallbacks, fallback_delta);
+        }
+        self.reported = checker_stats;
         self.stats.inconsistencies += fresh.len() as u64;
         if self.obs.is_enabled() {
             for inc in &fresh {
@@ -1315,7 +1321,7 @@ impl MiddlewareBuilder {
             dirty: false,
             doom_queue: BTreeMap::new(),
             gt_doom_queue: BTreeMap::new(),
-            reported_compiled_evals: 0,
+            reported: CheckerStats::default(),
             prov_violations: HashMap::new(),
             matched: 0,
             covered,
@@ -1481,6 +1487,39 @@ mod tests {
         let health = registry.health_snapshot();
         assert_eq!(health.shards[0].kinds[0].ingested, 5);
         assert_eq!(health.shards[0].kinds[0].delivered, 4);
+    }
+
+    #[test]
+    fn seq_fallbacks_reach_the_obs_counter() {
+        // A duplicate seq breaks p's bucket order for good: the pinned
+        // checks of its arrival and of every later p arrival scan the
+        // bucket, and the checker's count reaches the shard's counter.
+        let registry = ctxres_obs::ObsRegistry::shared(ctxres_obs::ObsConfig::metrics_only(), 1);
+        let mut m = Middleware::builder()
+            .constraints(parse_constraints(SPEED).unwrap())
+            .strategy(Box::new(DropBad::new()))
+            .obs(registry.handle(0))
+            .build();
+        for ctx in [
+            loc("p", 0, 0.0, 0.0),
+            loc("p", 1, 1.0, 0.0),
+            loc("q", 2, 5.0, 5.0),
+        ] {
+            m.submit(ctx);
+        }
+        assert_eq!(m.checker_stats().seq_fallbacks, 0, "rising buckets");
+        let duplicate = Context::builder(ContextKind::new("location"), "p")
+            .attr("pos", Point::new(1.5, 0.0))
+            .attr("seq", 1i64)
+            .stamp(LogicalTime::new(3))
+            .build();
+        m.submit(duplicate);
+        m.submit(loc("q", 4, 5.5, 5.0));
+        m.submit(loc("p", 5, 2.0, 0.0));
+        m.drain();
+        assert_eq!(m.checker_stats().seq_fallbacks, 4, "two pins per p arrival");
+        let shard = &registry.snapshot().shards[0];
+        assert_eq!(shard.counter(CounterKind::SeqFallbacks), 4);
     }
 
     #[test]

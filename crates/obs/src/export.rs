@@ -630,6 +630,12 @@ ctxres_compiled_evals_total{shard=\"1\"} 0
 # TYPE ctxres_compiled_evals_per_sec gauge
 ctxres_compiled_evals_per_sec{shard=\"0\"} 0
 ctxres_compiled_evals_per_sec{shard=\"1\"} 0
+# TYPE ctxres_seq_fallbacks_total counter
+ctxres_seq_fallbacks_total{shard=\"0\"} 0
+ctxres_seq_fallbacks_total{shard=\"1\"} 0
+# TYPE ctxres_seq_fallbacks_per_sec gauge
+ctxres_seq_fallbacks_per_sec{shard=\"0\"} 0
+ctxres_seq_fallbacks_per_sec{shard=\"1\"} 0
 # TYPE ctxres_prov_edges_total counter
 ctxres_prov_edges_total{shard=\"0\"} 0
 ctxres_prov_edges_total{shard=\"1\"} 0

@@ -119,6 +119,9 @@ pub enum CounterKind {
     SituationEvals,
     /// Constraint evaluations served by a compiled program.
     CompiledEvals,
+    /// Pinned checks with a seq guard that scanned the partner's subject
+    /// bucket because the pool could not vouch for its seq order.
+    SeqFallbacks,
     /// Typed cause edges emitted into the trace (provenance).
     ProvEdges,
     /// Provenance graph nodes implied by the trace: one per context
@@ -127,7 +130,7 @@ pub enum CounterKind {
 }
 
 /// Every [`CounterKind`], in index order.
-pub const COUNTER_KINDS: [CounterKind; 10] = [
+pub const COUNTER_KINDS: [CounterKind; 11] = [
     CounterKind::EventsRecorded,
     CounterKind::EventsDropped,
     CounterKind::Detections,
@@ -136,6 +139,7 @@ pub const COUNTER_KINDS: [CounterKind; 10] = [
     CounterKind::Ingested,
     CounterKind::SituationEvals,
     CounterKind::CompiledEvals,
+    CounterKind::SeqFallbacks,
     CounterKind::ProvEdges,
     CounterKind::ProvNodes,
 ];
@@ -160,6 +164,7 @@ impl CounterKind {
             CounterKind::Ingested => "ingested",
             CounterKind::SituationEvals => "situation_evals",
             CounterKind::CompiledEvals => "compiled_evals",
+            CounterKind::SeqFallbacks => "seq_fallbacks",
             CounterKind::ProvEdges => "prov_edges",
             CounterKind::ProvNodes => "prov_nodes",
         }

@@ -181,3 +181,56 @@ fn reusing_a_decided_context_is_stable() {
     assert!(rec.delivered);
     assert_eq!(m.stats().discarded, 0);
 }
+
+#[test]
+fn poisoned_context_does_not_switch_off_its_subject() {
+    // One malformed context (seq 1 has no `pos`) among valid ones. Only
+    // the two additions whose gap-1 pairs read it can fail: seq 1's
+    // (pair 0→1) and seq 2's (pair 1→2). Every later check reaches a
+    // pair's consequent only through `seq_gap`, which the poisoned
+    // context fails, so both real teleports (4→5 and 8→9) are found.
+    let xs = [
+        Some(0.0),
+        None,
+        Some(1.0),
+        Some(1.5),
+        Some(2.0),
+        Some(40.0),
+        Some(40.5),
+        Some(41.0),
+        Some(41.5),
+        Some(90.0),
+        Some(90.5),
+    ];
+    let mut m = mw("d-lat", 2);
+    let mut ids = Vec::new();
+    for (seq, x) in xs.into_iter().enumerate() {
+        let ctx = match x {
+            Some(x) => loc(seq as i64, seq as u64, x),
+            None => Context::builder(ContextKind::new("location"), "p")
+                .attr("seq", seq as i64)
+                .stamp(LogicalTime::new(seq as u64))
+                .build(),
+        };
+        ids.push(m.submit(ctx).id);
+    }
+    m.drain();
+    assert_eq!(m.checker_stats().seq_fallbacks, 0, "seqs 0..=10 rise");
+    assert_eq!(m.stats().eval_errors, 2);
+    assert_eq!(m.stats().inconsistencies, 2, "both teleports detected");
+    let discarded: Vec<usize> = ids
+        .iter()
+        .enumerate()
+        .filter(|(_, id)| {
+            m.pool()
+                .get(**id)
+                .is_some_and(|c| c.state() == ContextState::Inconsistent)
+        })
+        .map(|(seq, _)| seq)
+        .collect();
+    assert_eq!(
+        discarded,
+        vec![5, 9],
+        "drop-latest blames each jump's landing"
+    );
+}
