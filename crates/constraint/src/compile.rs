@@ -16,6 +16,10 @@
 //! * every quantifier's kind is **interned** into a per-constraint kind
 //!   table (the distinct kinds are also exposed via
 //!   [`CompiledConstraint::kinds`]);
+//! * every predicate name is interned into a process-wide symbol
+//!   ([`PredSym`]), so a call indexes the registry's entry table
+//!   instead of hashing the name — in any registry, including one built
+//!   after the constraint was compiled;
 //! * constants are evaluated by reference ([`Resolved::ValueRef`]), never
 //!   cloned.
 //!
@@ -33,6 +37,8 @@
 //! violation; the truth walk stops a quantifier at its first deciding
 //! binding. Under that rule a pinned check of a pair constraint needs
 //! only the one partner its seq guard admits (see [`SeqGuard`]).
+//! Narrowing trusts the builtins it reads by name only where the
+//! registry defines them at their builtin arity (see [`Trusted`]).
 
 use crate::ast::{Formula, Quantifier, Term};
 use crate::constraint::Constraint;
@@ -41,7 +47,7 @@ use crate::eval::{
     combine_undecided, fold_exists, fold_forall, outcome_from, CheckOutcome, DomainMode, Evidence,
     Link, Need, Pin,
 };
-use crate::predicate::{PredicateRegistry, Resolved};
+use crate::predicate::{PredSym, PredicateRegistry, Resolved};
 use crate::schema::{constraint_scope, ConstraintScope};
 use ctxres_context::{Context, ContextId, ContextKind, ContextPool, ContextValue, LogicalTime};
 use std::ops::RangeInclusive;
@@ -73,7 +79,8 @@ enum CFormula {
     Or(Box<CFormula>, Box<CFormula>),
     Implies(Box<CFormula>, Box<CFormula>),
     Pred {
-        name: String,
+        /// The predicate's interned name: calls index the registry by it.
+        sym: PredSym,
         args: Vec<CTerm>,
         /// Per-constraint predicate-occurrence id, assigned in lowering
         /// order. Together with the arguments' slot bindings it keys the
@@ -232,20 +239,27 @@ struct SeqGuard {
     same_subject: bool,
 }
 
-/// Which of the predicates a [`SeqGuard`] can read a registry defines.
+/// Which of the builtins narrowing reads by name a registry defines at
+/// the builtin arity. Narrowing skips bindings on the strength of a
+/// predicate's builtin meaning; where the registry lacks the name or
+/// registers it at another arity, every call raises
+/// (`UnknownPredicate`/`Arity`), which skipping would hide.
 #[derive(Debug, Clone, Copy)]
-struct SeqPreds {
+struct Trusted {
     same_subject: bool,
+    subject_eq: bool,
     seq_gap: bool,
     seq_gap_le: bool,
 }
 
-impl SeqPreds {
+impl Trusted {
     fn of(registry: &PredicateRegistry) -> Self {
-        SeqPreds {
-            same_subject: registry.contains("same_subject"),
-            seq_gap: registry.contains("seq_gap"),
-            seq_gap_le: registry.contains("seq_gap_le"),
+        let builtin = |sym, arity| registry.arity(sym) == Some(arity);
+        Trusted {
+            same_subject: builtin(PredSym::SAME_SUBJECT, 2),
+            subject_eq: builtin(PredSym::SUBJECT_EQ, 2),
+            seq_gap: builtin(PredSym::SEQ_GAP, 3),
+            seq_gap_le: builtin(PredSym::SEQ_GAP_LE, 3),
         }
     }
 }
@@ -261,15 +275,14 @@ struct SeqWindow {
 
 impl SeqGuard {
     /// Whether a check pinning `slot` can narrow by this guard under a
-    /// registry defining `preds`. Every predicate the guard reads must
-    /// be defined: where one is not, the full scan raises
-    /// `UnknownPredicate`, which narrowing would hide.
-    fn narrows(&self, slot: usize, preds: SeqPreds) -> bool {
-        let defined = (!self.same_subject || preds.same_subject)
+    /// registry trusted as `trusted`: it must trust every predicate the
+    /// guard reads.
+    fn narrows(&self, slot: usize, trusted: Trusted) -> bool {
+        let defined = (!self.same_subject || trusted.same_subject)
             && if self.le {
-                preds.seq_gap_le
+                trusted.seq_gap_le
             } else {
-                preds.seq_gap
+                trusted.seq_gap
             };
         defined && (slot == self.u || slot == self.v)
     }
@@ -322,24 +335,25 @@ fn seq_guard(program: &CFormula) -> Option<SeqGuard> {
     let mut leaves = Vec::new();
     and_spine(guard, &mut leaves);
     let at = leaves.iter().position(|leaf| {
-        !matches!(leaf, CFormula::Pred { name, args, .. }
-            if name == "same_subject"
-                && matches!(args.as_slice(), [CTerm::Slot { .. }, CTerm::Slot { .. }]))
+        !matches!(leaf, CFormula::Pred { sym: PredSym::SAME_SUBJECT, args, .. }
+            if matches!(args.as_slice(), [CTerm::Slot { .. }, CTerm::Slot { .. }]))
     })?;
-    let CFormula::Pred { name, args, .. } = leaves[at] else {
+    let CFormula::Pred { sym, args, .. } = leaves[at] else {
         return None;
     };
-    match (name.as_str(), args.as_slice()) {
-        (
-            name @ ("seq_gap" | "seq_gap_le"),
-            [CTerm::Slot { slot: u, .. }, CTerm::Slot { slot: v, .. }, CTerm::Const(ContextValue::Int(k))],
-        ) if u != v && (name == "seq_gap" || *k >= 1) => Some(SeqGuard {
-            u: *u,
-            v: *v,
-            k: *k,
-            le: name == "seq_gap_le",
-            same_subject: at > 0,
-        }),
+    let le = *sym == PredSym::SEQ_GAP_LE;
+    match args.as_slice() {
+        [CTerm::Slot { slot: u, .. }, CTerm::Slot { slot: v, .. }, CTerm::Const(ContextValue::Int(k))]
+            if (le || *sym == PredSym::SEQ_GAP) && u != v && (!le || *k >= 1) =>
+        {
+            Some(SeqGuard {
+                u: *u,
+                v: *v,
+                k: *k,
+                le,
+                same_subject: at > 0,
+            })
+        }
         _ => None,
     }
 }
@@ -395,7 +409,7 @@ fn lower<'f>(
             let site = *sites;
             *sites += 1;
             Ok(CFormula::Pred {
-                name: call.name.clone(),
+                sym: PredSym::intern(&call.name),
                 args,
                 site,
                 slots,
@@ -457,7 +471,11 @@ fn literal_subject(q: Quantifier, slot: usize, body: &CFormula) -> Option<String
         leaf = left;
     }
     match leaf {
-        CFormula::Pred { name, args, .. } if name == "subject_eq" => match args.as_slice() {
+        CFormula::Pred {
+            sym: PredSym::SUBJECT_EQ,
+            args,
+            ..
+        } => match args.as_slice() {
             [CTerm::Slot { slot: guarded, .. }, CTerm::Const(ContextValue::Text(lit))]
                 if *guarded == slot =>
             {
@@ -618,8 +636,8 @@ impl PredMemo {
 pub struct CompiledEvaluator<'r> {
     registry: &'r PredicateRegistry,
     domain: DomainMode,
-    /// Which predicates a [`SeqGuard`] can read the registry defines.
-    seq_preds: SeqPreds,
+    /// Which builtins narrowing may trust in `registry`, read once.
+    trusted: Trusted,
 }
 
 impl<'r> CompiledEvaluator<'r> {
@@ -633,7 +651,7 @@ impl<'r> CompiledEvaluator<'r> {
         CompiledEvaluator {
             registry,
             domain,
-            seq_preds: SeqPreds::of(registry),
+            trusted: Trusted::of(registry),
         }
     }
 
@@ -670,12 +688,13 @@ impl<'r> CompiledEvaluator<'r> {
     ///
     /// A quantifier led by a literal subject guard (the shapes
     /// `literal_subject` accepts) iterates only that subject's live
-    /// contexts, provided the registry defines `subject_eq` (without
-    /// it every guard raises `UnknownPredicate`, which skipping would
-    /// hide): the bindings it skips are exactly those on which the
-    /// guard short-circuits to a non-deciding `Ok`, so the result —
-    /// `Ok` or `Err` — is the full scan's. This relies on the
-    /// registry's `subject_eq` meaning what the builtin means.
+    /// contexts, provided the registry defines `subject_eq` at its
+    /// builtin arity 2 (otherwise every guard raises `UnknownPredicate`
+    /// or `Arity`, which skipping would hide): the bindings it skips
+    /// are exactly those on which the guard short-circuits to a
+    /// non-deciding `Ok`, so the result — `Ok` or `Err` — is the full
+    /// scan's. This relies on the registry's `subject_eq` meaning what
+    /// the builtin means.
     ///
     /// # Errors
     ///
@@ -688,7 +707,7 @@ impl<'r> CompiledEvaluator<'r> {
         scratch: &mut EvalScratch,
     ) -> Result<bool, EvalError> {
         let mut run = self.start(constraint, pool, now, None, None, None, 0, scratch);
-        run.narrow = self.registry.contains("subject_eq");
+        run.narrow = self.trusted.subject_eq;
         run.eval_truth(&constraint.program)
     }
 
@@ -699,8 +718,9 @@ impl<'r> CompiledEvaluator<'r> {
     /// `ctx`'s subject bucket, and when the constraint has a seq guard
     /// on `qid` (see [`CompiledConstraint::has_seq_guard`]) the guard's
     /// other variable ranges only over the seqs the guard admits —
-    /// provided the registry defines the guard's predicates and means
-    /// the builtins by them. Either way the outcome equals
+    /// provided the registry defines `same_subject` and the guard's
+    /// predicates at their builtin arities and means the builtins by
+    /// them. Either way the outcome equals
     /// [`Evaluator::check_pinned`](crate::Evaluator::check_pinned)'s.
     ///
     /// # Errors
@@ -834,10 +854,14 @@ impl<'r> CompiledEvaluator<'r> {
         scratch.prepare(constraint.slot_count);
         // A per-subject constraint's violating bindings all share the
         // pinned context's subject, so the unpinned quantifiers only
-        // need that subject's bucket of the kind index. Global
-        // constraints (or unpinned checks) keep the full kind domain.
+        // need that subject's bucket of the kind index — provided the
+        // registry trusts `same_subject`, which the scope proof reads.
+        // Global constraints (or unpinned checks) keep the full kind
+        // domain.
         let pinned = match pin {
-            Some(p) if constraint.per_subject => pool.get(p.ctx).map(|c| (p, c)),
+            Some(p) if constraint.per_subject && self.trusted.same_subject => {
+                pool.get(p.ctx).map(|c| (p, c))
+            }
             _ => None,
         };
         // A seq guard on the pinned quantifier narrows its partner to
@@ -845,7 +869,7 @@ impl<'r> CompiledEvaluator<'r> {
         let mut seq_window = None;
         let mut seq_scanned = false;
         if let (Some((p, ctx)), Some(guard)) = (pinned, constraint.seq_guard) {
-            if guard.narrows(p.qid, self.seq_preds) {
+            if guard.narrows(p.qid, self.trusted) {
                 match ctx.exact_seq() {
                     Some(seq) => seq_window = Some(guard.window(p.qid, seq)),
                     None => seq_scanned = true,
@@ -938,11 +962,11 @@ impl Run<'_, '_> {
                 let eb = self.eval(b, need)?;
                 Ok(combine_undecided(ea, eb))
             }
-            CFormula::Pred { name, args, .. } => {
+            CFormula::Pred { sym, args, .. } => {
                 let mut witness = Link::new();
                 let pool = self.pool;
                 let env = &self.scratch.env;
-                let truth = eval_pred_with(self.registry, name, args, |term| {
+                let truth = eval_pred_with(self.registry, *sym, args, |term| {
                     resolve_cterm(term, pool, env, &mut witness)
                 })?;
                 Ok(Evidence {
@@ -1088,7 +1112,7 @@ impl Run<'_, '_> {
             CFormula::Or(a, b) => Ok(self.eval_truth(a)? || self.eval_truth(b)?),
             CFormula::Implies(a, b) => Ok(!self.eval_truth(a)? || self.eval_truth(b)?),
             CFormula::Pred {
-                name,
+                sym,
                 args,
                 site,
                 slots,
@@ -1105,7 +1129,7 @@ impl Run<'_, '_> {
                 }
                 let pool = self.pool;
                 let env = &self.scratch.env;
-                let truth = eval_pred_with(self.registry, name, args, |term| {
+                let truth = eval_pred_with(self.registry, *sym, args, |term| {
                     resolve_cterm_value(term, pool, env)
                 })?;
                 if let (Some(memo), Some(k)) = (self.memo.as_mut(), key) {
@@ -1198,25 +1222,29 @@ impl Run<'_, '_> {
     }
 }
 
-/// Resolves predicate arguments and hands them to the evaluator,
-/// staging them in a stack array for the common arities (every
+/// Resolves predicate arguments and hands them to the registry entry of
+/// `sym`, staging them in a stack array for the common arities (every
 /// built-in predicate takes at most 5 arguments). Arguments resolve
 /// left to right with `?` on each, so the first resolution error
-/// propagates exactly as the heap-`Vec` fallback would.
+/// propagates exactly as the heap-`Vec` fallback would, and unknown
+/// names and arity mismatches raise at the call, as the tree-walking
+/// evaluator raises them.
 fn eval_pred_with<'a>(
     registry: &PredicateRegistry,
-    name: &str,
+    sym: PredSym,
     args: &'a [CTerm],
     mut resolve: impl FnMut(&'a CTerm) -> Result<Resolved<'a>, EvalError>,
 ) -> Result<bool, EvalError> {
     match args {
-        [] => registry.eval(name, &[]),
-        [a] => registry.eval(name, &[resolve(a)?]),
-        [a, b] => registry.eval(name, &[resolve(a)?, resolve(b)?]),
-        [a, b, c] => registry.eval(name, &[resolve(a)?, resolve(b)?, resolve(c)?]),
-        [a, b, c, d] => registry.eval(name, &[resolve(a)?, resolve(b)?, resolve(c)?, resolve(d)?]),
-        [a, b, c, d, e] => registry.eval(
-            name,
+        [] => registry.eval_sym(sym, &[]),
+        [a] => registry.eval_sym(sym, &[resolve(a)?]),
+        [a, b] => registry.eval_sym(sym, &[resolve(a)?, resolve(b)?]),
+        [a, b, c] => registry.eval_sym(sym, &[resolve(a)?, resolve(b)?, resolve(c)?]),
+        [a, b, c, d] => {
+            registry.eval_sym(sym, &[resolve(a)?, resolve(b)?, resolve(c)?, resolve(d)?])
+        }
+        [a, b, c, d, e] => registry.eval_sym(
+            sym,
             &[
                 resolve(a)?,
                 resolve(b)?,
@@ -1230,7 +1258,7 @@ fn eval_pred_with<'a>(
             for term in args {
                 resolved.push(resolve(term)?);
             }
-            registry.eval(name, &resolved)
+            registry.eval_sym(sym, &resolved)
         }
     }
 }
@@ -1882,6 +1910,70 @@ mod tests {
             ),
             Err(EvalError::UnknownPredicate("seq_gap".to_owned())),
             "the partner window of seq 0 pinned as `b` is empty, yet the scan raises"
+        );
+    }
+
+    /// Narrowing trusts a builtin name only at its builtin arity. A
+    /// registry that re-registers `seq_gap` or `subject_eq` at another
+    /// arity makes every call raise `Arity`, so the narrowed walks must
+    /// scan and raise it as the oracle does instead of skipping the
+    /// bindings that raise.
+    #[test]
+    fn narrowing_requires_the_builtin_arity() {
+        let pool = loc_pool(&[(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]);
+        let now = LogicalTime::new(10);
+        let mut scratch = EvalScratch::new();
+
+        let mut two_arg_gap = registry();
+        two_arg_gap.register("seq_gap", 2, |_| Ok(true));
+        let c = parse_constraint(SPEED).unwrap();
+        let cc = CompiledConstraint::compile(&c).unwrap();
+        let seq0 = ContextId::from_raw(0);
+        let want = Evaluator::new(&two_arg_gap).check_pinned(&c, &pool, now, 1, seq0);
+        assert_eq!(
+            want,
+            Err(EvalError::Arity {
+                name: "seq_gap".to_owned(),
+                expected: 2,
+                actual: 3
+            })
+        );
+        assert_eq!(
+            CompiledEvaluator::new(&two_arg_gap).check_pinned(
+                &cc,
+                &pool,
+                now,
+                1,
+                seq0,
+                &mut scratch
+            ),
+            want,
+            "seq 0 pinned as `b` has an empty partner window"
+        );
+
+        let mut three_arg_subject = registry();
+        three_arg_subject.register("subject_eq", 3, |_| Ok(true));
+        let c = parse_constraint(
+            "constraint nobody: exists a: location . subject_eq(a, \"nobody\") and true",
+        )
+        .unwrap();
+        let cc = CompiledConstraint::compile(&c).unwrap();
+        assert_eq!(literal_subjects(&cc), vec![Some("nobody".to_owned())]);
+        let want = Evaluator::new(&three_arg_subject)
+            .check(&c, &pool, now)
+            .map(|o| o.satisfied);
+        assert!(matches!(
+            want,
+            Err(EvalError::Arity {
+                expected: 3,
+                actual: 2,
+                ..
+            })
+        ));
+        assert_eq!(
+            CompiledEvaluator::new(&three_arg_subject).holds(&cc, &pool, now, &mut scratch),
+            want,
+            "nobody's bucket is empty"
         );
     }
 

@@ -47,10 +47,10 @@ pub struct CheckerStats {
 
 /// A precomputed checking plan for one context kind: which constraints a
 /// context of the kind can newly violate, and how each one is checked.
-/// [`IncrementalChecker::plan_for`] builds it once per distinct kind in a
-/// batch, so [`IncrementalChecker::on_added_planned`] skips the
-/// per-context relevance scan and quantifier-position allocation that
-/// [`IncrementalChecker::on_added`] repeats for every submission.
+/// [`IncrementalChecker::new`] builds the plan of every kind its
+/// constraints quantify over, so [`IncrementalChecker::on_added`] runs
+/// no relevance scan and allocates no quantifier positions per
+/// submission; [`IncrementalChecker::plan_for`] hands out a copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KindPlan {
     steps: Vec<PlanStep>,
@@ -135,22 +135,33 @@ pub struct IncrementalChecker {
     /// constraint that fails to compile (e.g. an unbound variable, which
     /// the AST evaluator would also reject — at evaluation time).
     compiled: Vec<Option<CompiledConstraint>>,
+    /// The plan of every kind the constraints quantify over, sorted by
+    /// kind. Every other kind is irrelevant: its plan is empty.
+    plans: Vec<(ContextKind, KindPlan)>,
     scratch: EvalScratch,
     known: HashMap<String, BTreeSet<Link>>,
     stats: CheckerStats,
 }
 
 impl IncrementalChecker {
-    /// Creates a checker for the given constraints, compiling each once
-    /// at deploy time.
+    /// Creates a checker for the given constraints, compiling each and
+    /// planning each kind they quantify over once, at deploy time.
     pub fn new(constraints: ConstraintSet) -> Self {
         let compiled = constraints
             .iter()
             .map(|c| CompiledConstraint::compile(c).ok())
             .collect();
+        let mut kinds: Vec<&ContextKind> = constraints.iter().flat_map(|c| c.kinds()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        let plans = kinds
+            .into_iter()
+            .map(|kind| (kind.clone(), build_plan(&constraints, kind)))
+            .collect();
         IncrementalChecker {
             constraints,
             compiled,
+            plans,
             scratch: EvalScratch::new(),
             known: HashMap::new(),
             stats: CheckerStats::default(),
@@ -164,7 +175,7 @@ impl IncrementalChecker {
 
     /// Whether contexts of `kind` are relevant to any constraint.
     pub fn is_relevant(&self, kind: &ContextKind) -> bool {
-        self.constraints.any_relevant_to(kind)
+        plan_of(&self.plans, kind).is_some()
     }
 
     /// Instrumentation counters.
@@ -178,6 +189,15 @@ impl IncrementalChecker {
     /// Universal-positive constraints are checked by pinning; others by
     /// full re-evaluation diffed against the previous violation set.
     ///
+    /// Each compiled pinned check is truth-first: an allocation-free,
+    /// short-circuiting truth walk
+    /// ([`CompiledEvaluator::satisfied_pinned_batch`], no batch cap, no
+    /// memo) runs before it, and violation evidence is built only when
+    /// that walk reports a violation — the same routine
+    /// [`IncrementalChecker::check_with_plan`] uses. The kind's plan
+    /// was built at deploy time, so a pinned check that detects nothing
+    /// allocates nothing.
+    ///
     /// # Errors
     ///
     /// Propagates [`EvalError`] from predicate evaluation.
@@ -188,42 +208,22 @@ impl IncrementalChecker {
         now: LogicalTime,
         id: ContextId,
     ) -> Result<Vec<Detection>, EvalError> {
-        let Some(ctx) = pool.get(id) else {
-            return Ok(Vec::new());
-        };
-        let plan = self.plan_for(&ctx.kind().clone());
-        self.on_added_planned(&plan, registry, pool, now, id)
+        self.check_added(None, registry, pool, now, id)
     }
 
-    /// Builds the checking plan for contexts of `kind`: one step per
-    /// relevant constraint, with the quantifier positions to pin
-    /// resolved once. Batch submission builds this once per distinct
-    /// kind instead of re-deriving it for every context.
+    /// A copy of the checking plan for contexts of `kind`, built at
+    /// deploy time: one step per relevant constraint, with the
+    /// quantifier positions to pin. Empty for a kind no constraint
+    /// quantifies over.
     pub fn plan_for(&self, kind: &ContextKind) -> KindPlan {
-        let steps = self
-            .constraints
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_relevant_to(kind))
-            .map(|(i, c)| PlanStep {
-                constraint: i,
-                pinned_qids: c.is_universal_positive().then(|| c.quantifiers_over(kind)),
-            })
-            .collect();
-        KindPlan { steps }
+        plan_of(&self.plans, kind).cloned().unwrap_or_default()
     }
 
-    /// [`IncrementalChecker::on_added`] with the per-kind plan already
-    /// built. `plan` must come from [`IncrementalChecker::plan_for`] on
-    /// this checker with the kind of context `id` — the verdict stream
-    /// is then identical to `on_added`'s.
-    ///
-    /// Each compiled pinned check is truth-first: an allocation-free,
-    /// short-circuiting truth walk
-    /// ([`CompiledEvaluator::satisfied_pinned_batch`], no batch cap, no
-    /// memo) runs before it, and violation evidence is built only when
-    /// that walk reports a violation — the same routine
-    /// [`IncrementalChecker::check_with_plan`] uses.
+    /// [`IncrementalChecker::on_added`] with the per-kind plan supplied
+    /// by the caller. `plan` must come from
+    /// [`IncrementalChecker::plan_for`] on this checker with the kind of
+    /// context `id` — the verdict stream is then identical to
+    /// `on_added`'s.
     ///
     /// # Errors
     ///
@@ -236,18 +236,36 @@ impl IncrementalChecker {
         now: LogicalTime,
         id: ContextId,
     ) -> Result<Vec<Detection>, EvalError> {
-        if !pool.contains(id) {
+        self.check_added(Some(plan), registry, pool, now, id)
+    }
+
+    /// The body of [`IncrementalChecker::on_added`] and
+    /// [`IncrementalChecker::on_added_planned`]: runs `given`, or else
+    /// the deploy-time plan of context `id`'s kind.
+    fn check_added(
+        &mut self,
+        given: Option<&KindPlan>,
+        registry: &PredicateRegistry,
+        pool: &ContextPool,
+        now: LogicalTime,
+        id: ContextId,
+    ) -> Result<Vec<Detection>, EvalError> {
+        let Some(ctx) = pool.get(id) else {
             return Ok(Vec::new());
-        }
-        let evaluator = CompiledEvaluator::new(registry);
-        let mut out = Vec::new();
+        };
         let IncrementalChecker {
             constraints,
             compiled,
+            plans,
             scratch,
             known,
             stats,
         } = self;
+        let Some(plan) = given.or_else(|| plan_of(plans, ctx.kind())) else {
+            return Ok(Vec::new());
+        };
+        let evaluator = CompiledEvaluator::new(registry);
+        let mut out = Vec::new();
         let constraints = constraints.iter().as_slice();
         for step in &plan.steps {
             let constraint = &constraints[step.constraint];
@@ -319,7 +337,7 @@ impl IncrementalChecker {
                 }
             }
         }
-        self.stats.detections += out.len() as u64;
+        stats.detections += out.len() as u64;
         Ok(out)
     }
 
@@ -461,8 +479,31 @@ impl IncrementalChecker {
     }
 }
 
+/// The checking plan for contexts of `kind`: one step per relevant
+/// constraint, with the quantifier positions to pin.
+fn build_plan(constraints: &ConstraintSet, kind: &ContextKind) -> KindPlan {
+    let steps = constraints
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.is_relevant_to(kind))
+        .map(|(i, c)| PlanStep {
+            constraint: i,
+            pinned_qids: c.is_universal_positive().then(|| c.quantifiers_over(kind)),
+        })
+        .collect();
+    KindPlan { steps }
+}
+
+/// The deploy-time plan of `kind`, if any constraint quantifies over it.
+fn plan_of<'p>(plans: &'p [(ContextKind, KindPlan)], kind: &ContextKind) -> Option<&'p KindPlan> {
+    plans
+        .binary_search_by(|(planned, _)| planned.cmp(kind))
+        .ok()
+        .map(|at| &plans[at].1)
+}
+
 /// The pinned check of one compiled plan step, shared by
-/// [`IncrementalChecker::on_added_planned`] and
+/// [`IncrementalChecker::on_added`] (and `on_added_planned`) and
 /// [`IncrementalChecker::check_with_plan`]: per pinned quantifier, a
 /// truth walk first ([`CompiledEvaluator::satisfied_pinned_batch`],
 /// which allocates nothing), and the evidence walk only when that

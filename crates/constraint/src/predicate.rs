@@ -5,6 +5,7 @@ use ctxres_context::{Context, ContextId, ContextValue, Point, SEQ_ATTR};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, LazyLock, PoisonError, RwLock};
 
 /// A predicate argument after variable/attribute resolution.
 #[derive(Debug, Clone)]
@@ -46,8 +47,92 @@ impl<'a> Resolved<'a> {
     }
 }
 
-type PredicateFn = Box<dyn Fn(&[Resolved<'_>]) -> Result<bool, EvalError> + Send + Sync>;
+/// A predicate name interned in the process-wide symbol table, so a
+/// compiled call site reaches its registry entry by index instead of
+/// hashing the name.
+///
+/// The table is append-only: it holds each distinct name any registry
+/// registered or any constraint compiled, once, for the life of the
+/// process. A symbol therefore means the same name in every registry,
+/// including one built after the constraint was compiled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PredSym(u32);
 
+impl PredSym {
+    /// The builtins narrowing trusts by name (see
+    /// [`PredicateRegistry::with_builtins`]), pre-seeded so they are
+    /// constants.
+    pub(crate) const SAME_SUBJECT: PredSym = PredSym(0);
+    pub(crate) const SUBJECT_EQ: PredSym = PredSym(1);
+    pub(crate) const SEQ_GAP: PredSym = PredSym(2);
+    pub(crate) const SEQ_GAP_LE: PredSym = PredSym(3);
+
+    /// The symbol of `name`, adding it to the table if the process has
+    /// never seen it (the only case that takes the write lock).
+    pub(crate) fn intern(name: &str) -> PredSym {
+        if let Some(&sym) = SYMBOLS
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .ids
+            .get(name)
+        {
+            return sym;
+        }
+        let mut table = SYMBOLS.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&sym) = table.ids.get(name) {
+            return sym;
+        }
+        table.push(name)
+    }
+
+    /// The interned name (for error reports; takes the read lock).
+    pub(crate) fn name(self) -> String {
+        let table = SYMBOLS.read().unwrap_or_else(PoisonError::into_inner);
+        table.names[self.index()].to_string()
+    }
+
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The process-wide predicate symbol table behind [`PredSym`]. Its
+/// users recover the lock from poisoning: [`Symbols::push`] maps a name
+/// only after storing it, so the table is valid at every step.
+struct Symbols {
+    ids: HashMap<Arc<str>, PredSym>,
+    names: Vec<Arc<str>>,
+}
+
+impl Symbols {
+    fn push(&mut self, name: &str) -> PredSym {
+        let sym = PredSym(u32::try_from(self.names.len()).expect("under 2^32 predicate names"));
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, sym);
+        sym
+    }
+}
+
+static SYMBOLS: LazyLock<RwLock<Symbols>> = LazyLock::new(|| {
+    let mut table = Symbols {
+        ids: HashMap::new(),
+        names: Vec::new(),
+    };
+    for (name, sym) in [
+        ("same_subject", PredSym::SAME_SUBJECT),
+        ("subject_eq", PredSym::SUBJECT_EQ),
+        ("seq_gap", PredSym::SEQ_GAP),
+        ("seq_gap_le", PredSym::SEQ_GAP_LE),
+    ] {
+        assert_eq!(table.push(name), sym);
+    }
+    RwLock::new(table)
+});
+
+type PredicateFn = Arc<dyn Fn(&[Resolved<'_>]) -> Result<bool, EvalError> + Send + Sync>;
+
+#[derive(Clone)]
 struct Entry {
     arity: usize,
     func: PredicateFn,
@@ -73,14 +158,21 @@ struct Entry {
 /// ];
 /// assert!(reg.eval("lt", &two).unwrap());
 /// ```
-#[derive(Default)]
+///
+/// A clone shares the predicate implementations.
+#[derive(Clone, Default)]
 pub struct PredicateRegistry {
-    entries: HashMap<String, Entry>,
+    /// Entries indexed by [`PredSym`]; `None` for a name this registry
+    /// does not define.
+    entries: Vec<Option<Entry>>,
+    /// The registry's own name → symbol map, so by-name calls never
+    /// touch the process-wide table.
+    syms: HashMap<Arc<str>, PredSym>,
 }
 
 impl fmt::Debug for PredicateRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&str> = self.entries.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.syms.keys().map(|name| &**name).collect();
         names.sort_unstable();
         f.debug_struct("PredicateRegistry")
             .field("predicates", &names)
@@ -116,13 +208,22 @@ impl PredicateRegistry {
     /// the literal subject's contexts for quantifiers led by a
     /// `subject_eq` guard, and a pinned check of a constraint guarded by
     /// `same_subject` and `seq_gap`/`seq_gap_le` looks up the pair's
-    /// partner by seq ([`CompiledEvaluator::check_pinned`]). A registry
-    /// that re-registers any of these names must keep the builtin
-    /// meaning (a counting forwarder to the builtin does).
+    /// partner by seq ([`CompiledEvaluator::check_pinned`]). Narrowing
+    /// trusts a name only while the registry defines it at its builtin
+    /// arity (2, 2, 3 and 3 above); a registry that re-registers one at
+    /// that arity must keep the builtin meaning (a counting forwarder to
+    /// the builtin does).
     ///
     /// [`CompiledEvaluator::holds`]: crate::CompiledEvaluator::holds
     /// [`CompiledEvaluator::check_pinned`]: crate::CompiledEvaluator::check_pinned
     pub fn with_builtins() -> Self {
+        static BUILTINS: LazyLock<PredicateRegistry> = LazyLock::new(PredicateRegistry::builtins);
+        BUILTINS.clone()
+    }
+
+    /// Builds the registry [`PredicateRegistry::with_builtins`] clones,
+    /// once per process.
+    fn builtins() -> Self {
         let mut reg = PredicateRegistry::new();
         reg.register_comparison("eq", |o| o == Ordering::Equal, false);
         reg.register_comparison("ne", |o| o == Ordering::Equal, true);
@@ -224,13 +325,15 @@ impl PredicateRegistry {
         arity: usize,
         func: impl Fn(&[Resolved<'_>]) -> Result<bool, EvalError> + Send + Sync + 'static,
     ) -> &mut Self {
-        self.entries.insert(
-            name.to_owned(),
-            Entry {
-                arity,
-                func: Box::new(func),
-            },
-        );
+        let sym = PredSym::intern(name);
+        self.syms.insert(name.into(), sym);
+        if self.entries.len() <= sym.index() {
+            self.entries.resize_with(sym.index() + 1, || None);
+        }
+        self.entries[sym.index()] = Some(Entry {
+            arity,
+            func: Arc::new(func),
+        });
         self
     }
 
@@ -255,7 +358,7 @@ impl PredicateRegistry {
 
     /// Whether `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.syms.contains_key(name)
     }
 
     /// Evaluates predicate `name` on resolved arguments.
@@ -266,18 +369,45 @@ impl PredicateRegistry {
     /// [`EvalError::Arity`] on argument-count mismatch, and whatever the
     /// predicate itself raises.
     pub fn eval(&self, name: &str, args: &[Resolved<'_>]) -> Result<bool, EvalError> {
-        let entry = self
-            .entries
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownPredicate(name.to_owned()))?;
+        match self.syms.get(name) {
+            Some(&sym) => self.call(sym, args, || name.to_owned()),
+            None => Err(EvalError::UnknownPredicate(name.to_owned())),
+        }
+    }
+
+    /// [`PredicateRegistry::eval`] by symbol: the compiled call sites'
+    /// path, which indexes instead of hashing the name.
+    pub(crate) fn eval_sym(&self, sym: PredSym, args: &[Resolved<'_>]) -> Result<bool, EvalError> {
+        self.call(sym, args, || sym.name())
+    }
+
+    /// Calls `sym`'s entry; `name` spells the predicate in an error.
+    fn call(
+        &self,
+        sym: PredSym,
+        args: &[Resolved<'_>],
+        name: impl Fn() -> String,
+    ) -> Result<bool, EvalError> {
+        let Some(entry) = self.entry(sym) else {
+            return Err(EvalError::UnknownPredicate(name()));
+        };
         if entry.arity != args.len() {
             return Err(EvalError::Arity {
-                name: name.to_owned(),
+                name: name(),
                 expected: entry.arity,
                 actual: args.len(),
             });
         }
         (entry.func)(args)
+    }
+
+    /// The arity `sym` is registered at, if the registry defines it.
+    pub(crate) fn arity(&self, sym: PredSym) -> Option<usize> {
+        self.entry(sym).map(|entry| entry.arity)
+    }
+
+    fn entry(&self, sym: PredSym) -> Option<&Entry> {
+        self.entries.get(sym.index())?.as_ref()
     }
 }
 

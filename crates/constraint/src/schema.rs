@@ -1,7 +1,7 @@
 //! Deploy-time validation of constraint sets.
 //!
 //! Runtime evaluation reports unknown predicates or missing attributes
-//! as [`EvalError`]s — after the system is live. This module moves those
+//! as [`EvalError`](crate::EvalError)s — after the system is live. This module moves those
 //! failures to deployment time: a [`ContextSchema`] declares which
 //! attributes each context kind carries (and their types), and
 //! [`validate`] checks a constraint set against it plus a

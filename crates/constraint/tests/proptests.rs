@@ -5,6 +5,9 @@
 //!   full check finds, on randomized context streams;
 //! * a pinned check that looks up its seq partner equals the
 //!   tree-walking oracle's full scan, on pools with broken seqs;
+//! * narrowed pinned checks and `holds` equal the oracle under
+//!   registries that forward, lack or re-register the builtins
+//!   narrowing trusts;
 //! * evaluation is deterministic.
 
 use ctxres_constraint::{
@@ -18,6 +21,8 @@ use ctxres_context::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,6}".prop_filter("not a keyword", |s| {
@@ -446,6 +451,162 @@ proptest! {
                             "{} pinned {}@{}", c.name(), qid, id
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The builtins narrowing trusts by name, at their builtin arities.
+const GUARDS: [(&str, usize); 4] = [
+    ("same_subject", 2),
+    ("subject_eq", 2),
+    ("seq_gap", 3),
+    ("seq_gap_le", 3),
+];
+
+/// A registry the compiled walks may meet.
+#[derive(Debug, Clone, Copy)]
+enum Registry {
+    Builtins,
+    /// A counting forwarder to the builtin under every name a formula
+    /// calls, and nothing else.
+    Forwarders,
+    /// The forwarders without one of [`GUARDS`].
+    Missing(usize),
+    /// The builtins with one of [`GUARDS`] re-registered one argument
+    /// wider (or narrower).
+    Misregistered(usize, bool),
+}
+
+fn registry_variant() -> impl Strategy<Value = Registry> {
+    prop_oneof![
+        Just(Registry::Builtins),
+        Just(Registry::Forwarders),
+        (0..GUARDS.len()).prop_map(Registry::Missing),
+        (0..GUARDS.len(), any::<bool>()).prop_map(|(i, wider)| Registry::Misregistered(i, wider)),
+    ]
+}
+
+impl Registry {
+    /// Builds the registry once the formulas are compiled, registering
+    /// `late` — a predicate no registry knew when they were compiled —
+    /// as a forwarder to `velocity_le`.
+    fn build(self, formulas: &[Constraint], late: &str) -> PredicateRegistry {
+        let builtins = Arc::new(PredicateRegistry::with_builtins());
+        let forwarding = |skip: Option<&str>| {
+            let mut reg = PredicateRegistry::new();
+            let mut calls = BTreeSet::new();
+            for c in formulas {
+                c.formula().visit(&mut |f| {
+                    if let Formula::Pred(call) = f {
+                        calls.insert((call.name.clone(), call.args.len()));
+                    }
+                });
+            }
+            for (name, arity) in calls {
+                if name == late || skip == Some(name.as_str()) {
+                    continue;
+                }
+                let (builtins, forwarded) = (Arc::clone(&builtins), name.clone());
+                reg.register(&name, arity, move |args| builtins.eval(&forwarded, args));
+            }
+            reg
+        };
+        let mut reg = match self {
+            Registry::Builtins => PredicateRegistry::with_builtins(),
+            Registry::Forwarders => forwarding(None),
+            Registry::Missing(i) => forwarding(Some(GUARDS[i].0)),
+            Registry::Misregistered(i, wider) => {
+                let (name, arity) = GUARDS[i];
+                let mut reg = PredicateRegistry::with_builtins();
+                let arity = if wider { arity + 1 } else { arity - 1 };
+                reg.register(name, arity, |_| Ok(true));
+                reg
+            }
+        };
+        let builtins = Arc::clone(&builtins);
+        reg.register(late, 3, move |args| builtins.eval("velocity_le", args));
+        reg
+    }
+}
+
+/// A predicate name no earlier case has compiled or registered.
+fn fresh_predicate_name() -> String {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    format!("late_{}", NEXT.fetch_add(1, Ordering::Relaxed))
+}
+
+/// Single-quantifier situations with a literal-subject guard, which
+/// `holds` scans one subject's bucket for; the last calls `late`.
+fn guarded_situations(late: &str) -> String {
+    format!(
+        "constraint p_home: exists a: location .
+           subject_eq(a, \"p\") and within(a, -4.0, -4.0, 4.0, 4.0)
+         constraint nobody: exists a: location . subject_eq(a, \"nobody\") and true
+         constraint q_home: forall a: location .
+           subject_eq(a, \"q\") implies within(a, -4.0, -4.0, 4.0, 4.0)
+         constraint p_still: forall a: location .
+           (subject_eq(a, \"p\") and {late}(a, a, 0.0)) implies has_attr(a, \"pos\")"
+    )
+}
+
+proptest! {
+    /// Narrowing equals the tree-walking oracle whatever the registry:
+    /// the builtins, counting forwarders under the builtin names, a
+    /// registry missing a guard predicate, one that re-registers a
+    /// guard at another arity, and a predicate registered only after
+    /// the formulas were compiled. Pinned checks equal the oracle's —
+    /// links and `Ok`/`Err` — for both pins, both domain modes and
+    /// every pin. `holds` equals the oracle's `satisfied`, except that
+    /// its truth walk may stop at a deciding binding before the
+    /// oracle's error (`Ok(true)` for `exists`, `Ok(false)` for
+    /// `forall`).
+    #[test]
+    fn narrowing_equals_the_oracle_under_every_registry(
+        sightings in proptest::collection::vec(sighting(), 1..24),
+        variant in registry_variant(),
+    ) {
+        let late = fresh_predicate_name();
+        let pairs = parse_constraints(&format!(
+            "{PAIRS}
+             constraint custom:
+               forall a: location, b: location .
+                 (same_subject(a, b) and seq_gap(a, b, 1)) implies {late}(a, b, 1.5)"
+        ))
+        .unwrap();
+        let situations = parse_constraints(&guarded_situations(&late)).unwrap();
+        let compile = |cs: &[Constraint]| -> Vec<CompiledConstraint> {
+            cs.iter().map(|c| CompiledConstraint::compile(c).unwrap()).collect()
+        };
+        let (compiled_pairs, compiled_situations) = (compile(&pairs), compile(&situations));
+        let all: Vec<Constraint> = pairs.iter().chain(&situations).cloned().collect();
+        let registry = variant.build(&all, &late);
+
+        let pool = sighting_pool(&sightings);
+        let now = LogicalTime::new(sightings.len() as u64);
+        let mut scratch = EvalScratch::new();
+        for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
+            let oracle = Evaluator::with_domain(&registry, mode);
+            let compiled = CompiledEvaluator::with_domain(&registry, mode);
+            for (c, cc) in pairs.iter().zip(&compiled_pairs) {
+                for (id, _) in pool.iter() {
+                    for qid in 0..2 {
+                        prop_assert_eq!(
+                            compiled.check_pinned(cc, &pool, now, qid, id, &mut scratch),
+                            oracle.check_pinned(c, &pool, now, qid, id),
+                            "{} pinned {}@{} under {:?}", c.name(), qid, id, mode
+                        );
+                    }
+                }
+            }
+            for (s, cs) in situations.iter().zip(&compiled_situations) {
+                let deciding = s.formula().quantifiers()[0].2 == Quantifier::Exists;
+                let want = oracle.check(s, &pool, now).map(|o| o.satisfied);
+                let got = compiled.holds(cs, &pool, now, &mut scratch);
+                match (&got, &want) {
+                    (Ok(truth), Err(_)) if *truth == deciding => {}
+                    _ => prop_assert_eq!(&got, &want, "{} under {:?}", s.name(), mode),
                 }
             }
         }

@@ -1,11 +1,11 @@
 //! The middleware core: detection, buffering, plug-in resolution.
 
 use crate::observer::MiddlewareObserver;
-use crate::situation::SituationEngine;
+use crate::situation::{SituationEngine, SituationStatus};
 use crate::stats::MiddlewareStats;
 use crate::subscription::{SubscriptionFilter, SubscriptionId, SubscriptionTable};
 use ctxres_constraint::{
-    CheckerStats, Constraint, ConstraintSet, IncrementalChecker, KindPlan, PredicateRegistry,
+    CheckerStats, Constraint, ConstraintSet, IncrementalChecker, PredicateRegistry,
 };
 use ctxres_context::{
     Context, ContextId, ContextKind, ContextPool, ContextState, LogicalTime, Ticks, TruthTag,
@@ -276,7 +276,7 @@ impl Middleware {
         } else {
             0
         };
-        self.submit_with_plan(ctx, None, ingress_ns)
+        self.submit_one(ctx, ingress_ns)
     }
 
     /// Submits a whole batch in arrival order: each context goes
@@ -284,10 +284,10 @@ impl Middleware {
     /// so the verdict stream — reports, discards, provenance, situation
     /// rounds — is identical to submitting the contexts one at a time
     /// (enforced by the batch-equivalence proptests). What the batch
-    /// adds is amortisation and accounting: one [`KindPlan`] per
-    /// distinct kind, one health publish, one ingress stamp for every
-    /// context's end-to-end span, and — under a slow-batch bound — one
-    /// [`TraceEvent::SlowBatch`] postmortem when the batch breaches it.
+    /// adds is accounting: one health publish, one ingress stamp for
+    /// every context's end-to-end span, and — under a slow-batch bound
+    /// — one [`TraceEvent::SlowBatch`] postmortem when the batch
+    /// breaches it.
     pub fn batch_add(&mut self, batch: Vec<Context>) -> Vec<SubmitReport> {
         let tail_on = self.obs.tail_enabled();
         let ingress_ns = if tail_on { self.obs.now_ns() } else { 0 };
@@ -308,20 +308,11 @@ impl Middleware {
         let obs = self.obs.clone();
         let ingest_phase = obs.phase(Phase::Ingest);
         let contexts = batch.len() as u64;
-        let mut plans: HashMap<ContextKind, KindPlan> = HashMap::new();
-        for ctx in &batch {
-            if !plans.contains_key(ctx.kind()) {
-                plans.insert(ctx.kind().clone(), self.checker.plan_for(ctx.kind()));
-            }
-        }
         // Consuming the batch by value lets the reports reuse its
         // allocation.
         let reports: Vec<SubmitReport> = batch
             .into_iter()
-            .map(|ctx| {
-                let plan = plans.get(ctx.kind());
-                self.submit_with_plan(ctx, plan, ingress_ns)
-            })
+            .map(|ctx| self.submit_one(ctx, ingress_ns))
             .collect();
         self.publish_health();
         ingest_phase.finish();
@@ -479,16 +470,10 @@ impl Middleware {
     }
 
     /// The per-context routine behind [`Middleware::submit`] and every
-    /// position of [`Middleware::batch_add`]. `plan` is the kind's
-    /// prebuilt [`KindPlan`] when the caller has one; `ingress_ns` is
-    /// the end-to-end span's ingress stamp (ignored with tail telemetry
+    /// position of [`Middleware::batch_add`]. `ingress_ns` is the
+    /// end-to-end span's ingress stamp (ignored with tail telemetry
     /// off).
-    fn submit_with_plan(
-        &mut self,
-        ctx: Context,
-        plan: Option<&KindPlan>,
-        ingress_ns: u64,
-    ) -> SubmitReport {
+    fn submit_one(&mut self, ctx: Context, ingress_ns: u64) -> SubmitReport {
         let stamp = ctx.stamp();
         if stamp > self.clock {
             self.clock = stamp;
@@ -550,11 +535,7 @@ impl Middleware {
             self.gt_buffer.push_back((now + self.config.window, gid));
         }
 
-        let relevant = match plan {
-            Some(p) => p.is_relevant(),
-            None => self.checker.is_relevant(&kind),
-        };
-        if !relevant {
+        if !self.checker.is_relevant(&kind) {
             // Fig. 7 Part 1: irrelevant contexts become consistent and
             // available immediately; applications use them on their
             // normal cadence.
@@ -615,12 +596,7 @@ impl Middleware {
         let check_span = self.obs.span(MetricKind::CheckLatency);
         let check_obs = self.obs.clone();
         let check_phase = check_obs.phase(Phase::ConstraintCheck);
-        let checked = match plan {
-            Some(p) => self
-                .checker
-                .on_added_planned(p, &self.registry, &self.pool, now, id),
-            None => self.checker.on_added(&self.registry, &self.pool, now, id),
-        };
+        let checked = self.checker.on_added(&self.registry, &self.pool, now, id);
         let fresh: Vec<Inconsistency> = match checked {
             Ok(ds) => ds
                 .into_iter()
@@ -1159,13 +1135,6 @@ impl Middleware {
         let obs = self.obs.clone();
         let _sit_phase = obs.phase(Phase::SituationEval);
         self.dirty = false;
-        let gt_statuses = if self.config.track_ground_truth {
-            self.gt_situations
-                .evaluate(&self.registry, &self.gt_pool, now)
-        } else {
-            Vec::new()
-        };
-        let statuses = self.situations.evaluate(&self.registry, &self.pool, now);
         let rounds = if self.config.track_ground_truth { 2 } else { 1 };
         self.obs.count(
             CounterKind::SituationEvals,
@@ -1175,6 +1144,13 @@ impl Middleware {
         if compiled > 0 {
             self.obs.count(CounterKind::CompiledEvals, compiled);
         }
+        let gt_statuses: &[SituationStatus] = if self.config.track_ground_truth {
+            self.gt_situations
+                .evaluate(&self.registry, &self.gt_pool, now)
+        } else {
+            &[]
+        };
+        let statuses = self.situations.evaluate(&self.registry, &self.pool, now);
         for (i, s) in statuses.iter().enumerate() {
             if s.activated {
                 self.stats.situation_activations += 1;
@@ -1299,8 +1275,8 @@ impl MiddlewareBuilder {
         let constraint_set: ConstraintSet = self.constraints.into_iter().collect();
         let covered = vec![false; self.situations.len()];
         let epoch_started_init = vec![None; self.situations.len()];
-        let situations = SituationEngine::new(self.situations.clone());
-        let gt_situations = SituationEngine::new(self.situations);
+        let situations = SituationEngine::new(self.situations);
+        let gt_situations = situations.twin();
         Middleware {
             pool: ContextPool::new(),
             registry: self

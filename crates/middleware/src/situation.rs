@@ -9,10 +9,12 @@
 //! need.
 //!
 //! Each situation is compiled once at construction
-//! ([`CompiledConstraint`]) and evaluated through the evidence-free
-//! [`CompiledEvaluator::holds`] path with a shared [`EvalScratch`], so
-//! an evaluation round short-circuits its quantifiers and allocates
-//! nothing for bindings or domains.
+//! ([`CompiledConstraint`]) — the strategy view and the ground-truth
+//! view share the programs through [`SituationEngine::twin`] — and
+//! evaluated through the evidence-free [`CompiledEvaluator::holds`]
+//! path with a reused [`EvalScratch`]. A round short-circuits its
+//! quantifiers and fills a status buffer the engine owns, so it
+//! allocates nothing.
 
 use ctxres_constraint::{
     CompiledConstraint, CompiledEvaluator, Constraint, DomainMode, EvalScratch, Evaluator,
@@ -42,6 +44,18 @@ pub struct SituationStatus {
 /// `Consistent`, live contexts.
 #[derive(Debug)]
 pub struct SituationEngine {
+    /// The compiled situations, shared with every [`SituationEngine::twin`].
+    deployed: Arc<Deployed>,
+    /// The last round's status of every situation, in situation order:
+    /// the buffer [`SituationEngine::evaluate`] fills and returns.
+    statuses: Vec<SituationStatus>,
+    activations: u64,
+    scratch: EvalScratch,
+}
+
+/// A situation set compiled once.
+#[derive(Debug)]
+struct Deployed {
     situations: Vec<Constraint>,
     /// Compiled programs, parallel to `situations` (`None` only when
     /// compilation fails, e.g. an unbound variable — those fall back to
@@ -49,25 +63,42 @@ pub struct SituationEngine {
     compiled: Vec<Option<CompiledConstraint>>,
     /// Interned names, parallel to `situations`.
     names: Vec<Arc<str>>,
-    active: Vec<bool>,
-    activations: u64,
-    scratch: EvalScratch,
 }
 
 impl SituationEngine {
     /// Creates an engine for the given situations, compiling each once.
     pub fn new(situations: Vec<Constraint>) -> Self {
-        let n = situations.len();
         let compiled = situations
             .iter()
             .map(|s| CompiledConstraint::compile(s).ok())
             .collect();
         let names = situations.iter().map(|s| Arc::from(s.name())).collect();
-        SituationEngine {
+        SituationEngine::over(Arc::new(Deployed {
             situations,
             compiled,
             names,
-            active: vec![false; n],
+        }))
+    }
+
+    /// A fresh engine over the same compiled situations: it shares the
+    /// programs and starts with every situation inactive.
+    pub fn twin(&self) -> Self {
+        SituationEngine::over(Arc::clone(&self.deployed))
+    }
+
+    fn over(deployed: Arc<Deployed>) -> Self {
+        let statuses = deployed
+            .names
+            .iter()
+            .map(|name| SituationStatus {
+                name: Arc::clone(name),
+                active: false,
+                activated: false,
+            })
+            .collect();
+        SituationEngine {
+            deployed,
+            statuses,
             activations: 0,
             scratch: EvalScratch::new(),
         }
@@ -75,12 +106,12 @@ impl SituationEngine {
 
     /// Number of situations.
     pub fn len(&self) -> usize {
-        self.situations.len()
+        self.statuses.len()
     }
 
     /// Whether the engine has no situations.
     pub fn is_empty(&self) -> bool {
-        self.situations.is_empty()
+        self.statuses.is_empty()
     }
 
     /// Total rising-edge activations since construction.
@@ -88,18 +119,20 @@ impl SituationEngine {
         self.activations
     }
 
-    /// Current activity flags, in situation order.
-    pub fn active_flags(&self) -> &[bool] {
-        &self.active
-    }
-
     /// Situations evaluated through a compiled program each round (the
     /// rest fall back to the tree-walking evaluator).
     pub fn compiled_count(&self) -> usize {
-        self.compiled.iter().filter(|c| c.is_some()).count()
+        self.deployed
+            .compiled
+            .iter()
+            .filter(|c| c.is_some())
+            .count()
     }
 
-    /// Re-evaluates every situation over the available view of `pool`.
+    /// Re-evaluates every situation over the available view of `pool`
+    /// and returns the round's statuses, in situation order. The
+    /// statuses live in a buffer the engine owns, so a round allocates
+    /// nothing.
     ///
     /// Evaluation errors (e.g. a missing attribute) deactivate the
     /// situation for the round rather than aborting: applications keep
@@ -109,37 +142,37 @@ impl SituationEngine {
         registry: &PredicateRegistry,
         pool: &ContextPool,
         now: LogicalTime,
-    ) -> Vec<SituationStatus> {
-        let evaluator = Evaluator::with_domain(registry, DomainMode::AvailableOnly);
+    ) -> &[SituationStatus] {
         let compiled_eval = CompiledEvaluator::with_domain(registry, DomainMode::AvailableOnly);
-        let mut out = Vec::with_capacity(self.situations.len());
-        for (i, situation) in self.situations.iter().enumerate() {
-            let active = match &self.compiled[i] {
-                Some(cc) => compiled_eval
-                    .holds(cc, pool, now, &mut self.scratch)
-                    .unwrap_or(false),
-                None => evaluator
+        let SituationEngine {
+            deployed,
+            statuses,
+            activations,
+            scratch,
+        } = self;
+        let programs = deployed.situations.iter().zip(&deployed.compiled);
+        for ((situation, compiled), status) in programs.zip(statuses.iter_mut()) {
+            let active = match compiled {
+                Some(cc) => compiled_eval.holds(cc, pool, now, scratch).unwrap_or(false),
+                None => Evaluator::with_domain(registry, DomainMode::AvailableOnly)
                     .check(situation, pool, now)
-                    .map(|o| o.satisfied)
-                    .unwrap_or(false),
+                    .is_ok_and(|o| o.satisfied),
             };
-            let activated = active && !self.active[i];
-            if activated {
-                self.activations += 1;
+            status.activated = active && !status.active;
+            if status.activated {
+                *activations += 1;
             }
-            self.active[i] = active;
-            out.push(SituationStatus {
-                name: Arc::clone(&self.names[i]),
-                active,
-                activated,
-            });
+            status.active = active;
         }
-        out
+        statuses
     }
 
     /// Resets activity tracking (new run).
     pub fn reset(&mut self) {
-        self.active.iter_mut().for_each(|a| *a = false);
+        for status in &mut self.statuses {
+            status.active = false;
+            status.activated = false;
+        }
         self.activations = 0;
     }
 }

@@ -1,0 +1,131 @@
+//! Allocation guards for the per-context hot path: once warmed, an
+//! incremental check that detects nothing and a situation round
+//! allocate nothing.
+//!
+//! The binary's global allocator counts each thread's allocations, so
+//! tests running on parallel threads do not see each other's.
+
+use ctxres_constraint::{parse_constraints, IncrementalChecker, PredicateRegistry};
+use ctxres_context::{Context, ContextKind, ContextPool, ContextState, LogicalTime, Point};
+use ctxres_middleware::SituationEngine;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator plus a per-thread count of allocations
+/// (including the allocating half of a `realloc`).
+struct CountingAlloc;
+
+thread_local! {
+    // Const-initialised and without a destructor, so reading it from
+    // inside the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments unchanged; the only extra work is bumping a thread-local
+// counter, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded verbatim; `ptr` came from `System` via this type.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocations it made on
+/// this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const SPEED: &str = "constraint gap1:
+    forall a: location, b: location .
+      (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)
+ constraint gap2:
+    forall a: location, b: location .
+      (same_subject(a, b) and seq_gap(a, b, 2)) implies velocity_le(a, b, 1.5)";
+
+fn fix(subject: &str, seq: i64, x: f64) -> Context {
+    Context::builder(ContextKind::new("location"), subject)
+        .attr("pos", Point::new(x, 0.0))
+        .attr("seq", seq)
+        .stamp(LogicalTime::new(seq as u64))
+        .build()
+}
+
+#[test]
+fn warmed_check_that_detects_nothing_allocates_nothing() {
+    let mut checker =
+        IncrementalChecker::new(parse_constraints(SPEED).unwrap().into_iter().collect());
+    let registry = PredicateRegistry::with_builtins();
+    let mut pool = ContextPool::new();
+    for seq in 0..12 {
+        let now = LogicalTime::new(seq as u64);
+        let id = pool.insert(fix("p", seq, seq as f64 * 0.5));
+        let (found, allocs) = allocations(|| checker.on_added(&registry, &pool, now, id));
+        assert_eq!(found, Ok(Vec::new()), "a clean walk detects nothing");
+        if seq >= 1 {
+            assert_eq!(allocs, 0, "check of seq {seq}");
+        }
+    }
+    assert_eq!(checker.stats().pinned_evals, 12 * 4);
+
+    let badge = pool.insert(Context::builder(ContextKind::new("badge"), "p").build());
+    let (found, allocs) =
+        allocations(|| checker.on_added(&registry, &pool, LogicalTime::new(12), badge));
+    assert_eq!((found, allocs), (Ok(Vec::new()), 0), "an irrelevant kind");
+}
+
+#[test]
+fn warmed_situation_round_allocates_nothing() {
+    let situations = parse_constraints(
+        "constraint p_near_home: exists a: location .
+           subject_eq(a, \"p\") and within(a, -1.0, -1.0, 1.0, 1.0)
+         constraint all_placed: forall a: location . has_attr(a, \"pos\")
+         constraint q_seen: exists a: location . subject_eq(a, \"q\")",
+    )
+    .unwrap();
+    let mut engine = SituationEngine::new(situations);
+    let twin = engine.twin();
+    assert_eq!((engine.compiled_count(), twin.len()), (3, 3));
+    let registry = PredicateRegistry::with_builtins();
+    let mut pool = ContextPool::new();
+    for seq in 0..6 {
+        let id = pool.insert(fix(["p", "q"][seq as usize % 2], seq, seq as f64));
+        pool.set_state(id, ContextState::Consistent).unwrap();
+    }
+    let now = LogicalTime::new(6);
+    engine.evaluate(&registry, &pool, now);
+    let (active, allocs) = allocations(|| {
+        let statuses = engine.evaluate(&registry, &pool, now);
+        [statuses[0].active, statuses[1].active, statuses[2].active]
+    });
+    assert_eq!(active, [true, true, true]);
+    assert_eq!(allocs, 0);
+}

@@ -1,6 +1,6 @@
 //! A hand-rolled HTTP endpoint serving live telemetry: `/metrics`
-//! (Prometheus text exposition) and `/snapshot` (the full [`Sample`] as
-//! JSON).
+//! (Prometheus text exposition) and `/snapshot` (the full
+//! [`Sample`](crate::snapshot::Sample) as JSON).
 //!
 //! Built directly on [`std::net::TcpListener`] — the workspace has no
 //! HTTP crate and the build runs offline, and the protocol surface a
