@@ -206,6 +206,43 @@ impl CompiledConstraint {
     pub fn has_seq_guard(&self) -> bool {
         self.seq_guard.is_some()
     }
+
+    /// The pool slices [`CompiledEvaluator::holds`] reads under
+    /// `registry`, one per quantifier in program order: the quantifier's
+    /// kind and the literal subject a leading `subject_eq(x, "lit")`
+    /// guard narrows it to, or `None` where `holds` scans the whole
+    /// kind: no such guard, or a registry that does not define
+    /// `subject_eq` at its builtin arity 2.
+    ///
+    /// In [`DomainMode::AvailableOnly`], `holds` is then a function of
+    /// `now` and of the available, unexpired contexts of these slices,
+    /// given predicates that are pure functions of their arguments.
+    pub fn slices(&self, registry: &PredicateRegistry) -> Vec<(&ContextKind, Option<&str>)> {
+        let narrow = Trusted::of(registry).subject_eq;
+        let mut slices = Vec::new();
+        let mut stack = vec![&self.program];
+        while let Some(f) = stack.pop() {
+            match f {
+                CFormula::True | CFormula::False | CFormula::Pred { .. } => {}
+                CFormula::Not(a) => stack.push(a),
+                CFormula::And(a, b) | CFormula::Or(a, b) | CFormula::Implies(a, b) => {
+                    stack.push(b);
+                    stack.push(a);
+                }
+                CFormula::Quant {
+                    kind_sym,
+                    subject,
+                    body,
+                    ..
+                } => {
+                    let subject = subject.as_deref().filter(|_| narrow);
+                    slices.push((&self.kind_table[*kind_sym], subject));
+                    stack.push(body);
+                }
+            }
+        }
+        slices
+    }
 }
 
 /// The guard `seq_gap(u, v, k)` — or `seq_gap_le(u, v, k)` with
@@ -1597,6 +1634,51 @@ mod tests {
         let mut out = Vec::new();
         walk(&cc.program, &mut out);
         out
+    }
+
+    /// `slices` names every quantifier's kind, in program order, with
+    /// the literal subject `holds` narrows it to — and widens to the
+    /// kind where the registry's `subject_eq` is not the builtin's.
+    #[test]
+    fn slices_are_what_holds_reads() {
+        let c = parse_constraint(
+            "constraint s: exists v: venue, n: noise .
+               same_subject(v, n) and
+               (forall b: badge . (subject_eq(b, \"peter\") and true) implies eq(b.room, \"x\")) and
+               (exists r: ringer . subject_eq(r, \"mary\"))",
+        )
+        .unwrap();
+        let cc = CompiledConstraint::compile(&c).unwrap();
+        let (venue, noise, badge, ringer) = (
+            ContextKind::new("venue"),
+            ContextKind::new("noise"),
+            ContextKind::new("badge"),
+            ContextKind::new("ringer"),
+        );
+        assert_eq!(
+            cc.slices(&registry()),
+            vec![
+                (&venue, None),
+                (&noise, None),
+                (&badge, Some("peter")),
+                (&ringer, Some("mary")),
+            ]
+        );
+        let mut other_arity = registry();
+        other_arity.register("subject_eq", 3, |_| Ok(true));
+        assert_eq!(
+            cc.slices(&other_arity),
+            vec![
+                (&venue, None),
+                (&noise, None),
+                (&badge, None),
+                (&ringer, None)
+            ]
+        );
+        assert!(cc
+            .slices(&PredicateRegistry::new())
+            .iter()
+            .all(|(_, subject)| subject.is_none()));
     }
 
     /// `holds` short-circuits and narrows literal-subject quantifiers;

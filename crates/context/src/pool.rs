@@ -118,6 +118,43 @@ impl Default for SubjectBucket {
     }
 }
 
+/// An opaque handle to one watched slice of a pool's available view,
+/// returned by [`ContextPool::watch`] and read through
+/// [`ContextPool::watch_version`]. It is meaningful only for the pool
+/// that issued it (and that pool's clones).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WatchId(u32);
+
+/// One watched slice: the contexts of `kind`, narrowed to `subject`
+/// when one is given, and the count of availability flips among them.
+#[derive(Debug, Clone)]
+struct Watch {
+    kind: ContextKind,
+    subject: Option<Arc<str>>,
+    version: u64,
+}
+
+/// Bumps the version of every watch whose slice holds a context of
+/// `kind` about `subject`: one entered or left the available view.
+/// Kept out of line so the unwatched path that guards every call stays
+/// one branch.
+#[inline(never)]
+fn bump_watches(watches: &mut [Watch], kind: &ContextKind, subject: &str) {
+    for w in watches {
+        if w.kind == *kind && w.subject.as_deref().is_none_or(|s| s == subject) {
+            w.version += 1;
+        }
+    }
+}
+
+/// Bumps the watches over `ctx`'s slices when `ctx` is available:
+/// storing, releasing or discarding it then moves the available view.
+fn note_available(watches: &mut [Watch], ctx: &Context) {
+    if !watches.is_empty() && ctx.state().is_available() {
+        bump_watches(watches, ctx.kind(), ctx.subject());
+    }
+}
+
 /// Whether every handle in `handles` has an exact seq and the seqs rise
 /// strictly. Run over the window an insertion touched, it keeps
 /// [`SubjectBucket::seq_ordered`]: an index that rose before rises after
@@ -150,7 +187,10 @@ fn seqs_rise(handles: &[SlotHandle], seqs: &[i64]) -> bool {
 /// suffix that can be live.
 ///
 /// The indexes assume a stored context's kind, subject, stamp and
-/// lifespan never change; only its state does.
+/// lifespan never change; only its state does. Insertion, removal,
+/// [`ContextPool::set_state`] and [`ContextPool::discard`] are the only
+/// ways a stored context changes, which is what lets
+/// [`ContextPool::watch`] version slices of the available view.
 ///
 /// ```
 /// use ctxres_context::{Context, ContextKind, ContextPool, LogicalTime};
@@ -189,6 +229,10 @@ pub struct ContextPool {
     /// Lifetime count of slot generation bumps (slot recycles): every
     /// removal invalidates a slot and returns it to the free list.
     recycles: u64,
+    /// Watched slices of the available view, indexed by [`WatchId`].
+    /// Kept apart from the subject buckets: a state flip reaches this
+    /// list without a kind or subject lookup.
+    watches: Vec<Watch>,
 }
 
 /// Inserts `handle` into `index`, keeping it ordered by `(stamp, id)`,
@@ -298,6 +342,7 @@ impl ContextPool {
 
     /// Inserts a context, assigning it the next arrival-ordered id.
     pub fn insert(&mut self, ctx: Context) -> ContextId {
+        note_available(&mut self.watches, &ctx);
         let kind = ctx.kind().clone();
         let subject = Arc::clone(ctx.subject_arc());
         let reach = reach_of(&ctx);
@@ -375,6 +420,7 @@ impl ContextPool {
         let batch = batch.into_iter();
         let mut ids = Vec::with_capacity(batch.size_hint().0);
         for ctx in batch {
+            note_available(&mut self.watches, &ctx);
             let kind = ctx.kind().clone();
             let subject = Arc::clone(ctx.subject_arc());
             let reach = reach_of(&ctx);
@@ -431,12 +477,6 @@ impl ContextPool {
     /// Looks up a context by id.
     pub fn get(&self, id: ContextId) -> Option<&Context> {
         self.payloads[self.slot_of(id)?].as_ref()
-    }
-
-    /// Looks up a context mutably by id.
-    pub fn get_mut(&mut self, id: ContextId) -> Option<&mut Context> {
-        let slot = self.slot_of(id)?;
-        self.payloads[slot].as_mut()
     }
 
     /// Whether `id` refers to a stored context.
@@ -646,9 +686,19 @@ impl ContextPool {
     /// [`ContextError::UnknownContext`] when `id` is absent;
     /// [`ContextError::IllegalTransition`] when the life cycle forbids it.
     pub fn set_state(&mut self, id: ContextId, next: ContextState) -> Result<(), ContextError> {
-        self.get_mut(id)
-            .ok_or(ContextError::UnknownContext(id))?
-            .set_state(next)
+        let ctx = self
+            .slot_of(id)
+            .and_then(|slot| self.payloads[slot].as_mut())
+            .ok_or(ContextError::UnknownContext(id))?;
+        if self.watches.is_empty() {
+            return ctx.set_state(next);
+        }
+        let was_available = ctx.state().is_available();
+        ctx.set_state(next)?;
+        if was_available != ctx.state().is_available() {
+            bump_watches(&mut self.watches, ctx.kind(), ctx.subject());
+        }
+        Ok(())
     }
 
     /// Discards a context unconditionally, setting it `Inconsistent`
@@ -665,10 +715,56 @@ impl ContextPool {
     ///
     /// [`ContextError::UnknownContext`] when `id` is absent.
     pub fn discard(&mut self, id: ContextId) -> Result<(), ContextError> {
-        self.get_mut(id)
-            .ok_or(ContextError::UnknownContext(id))?
-            .force_state(ContextState::Inconsistent);
+        let ctx = self
+            .slot_of(id)
+            .and_then(|slot| self.payloads[slot].as_mut())
+            .ok_or(ContextError::UnknownContext(id))?;
+        note_available(&mut self.watches, ctx);
+        ctx.force_state(ContextState::Inconsistent);
         Ok(())
+    }
+
+    /// Watches one slice of the available view: the contexts of
+    /// `kind`, or only those about `subject` when one is given. The
+    /// slice's [version](ContextPool::watch_version) moves whenever one
+    /// of its contexts enters or leaves the available view
+    /// ([`ContextState::is_available`]): on the insertion of an
+    /// available context, on a [`set_state`](ContextPool::set_state) or
+    /// [`discard`](ContextPool::discard) that flips availability, and
+    /// on the removal of an available context
+    /// ([`remove`](ContextPool::remove), [`compact`](ContextPool::compact),
+    /// [`sweep_expired`](ContextPool::sweep_expired)). Expiry never moves
+    /// it: a reader pairs the version with the clock. Watching a slice
+    /// already watched returns its id again.
+    ///
+    /// Every watch costs each availability flip one comparison; a pool
+    /// without watches pays one branch per change.
+    pub fn watch(&mut self, kind: &ContextKind, subject: Option<&str>) -> WatchId {
+        let at = self
+            .watches
+            .iter()
+            .position(|w| w.kind == *kind && w.subject.as_deref() == subject)
+            .unwrap_or_else(|| {
+                self.watches.push(Watch {
+                    kind: kind.clone(),
+                    subject: subject.map(Arc::from),
+                    version: 0,
+                });
+                self.watches.len() - 1
+            });
+        WatchId(u32::try_from(at).expect("pool watch count overflow"))
+    }
+
+    /// The version of a watched slice (see [`ContextPool::watch`]). It
+    /// only grows, and it moved since an earlier read exactly when some
+    /// context entered or left the slice's available view in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` was issued by a pool other than this one or one
+    /// it was cloned from.
+    pub fn watch_version(&self, id: WatchId) -> u64 {
+        self.watches[id.0 as usize].version
     }
 
     /// Frees a context's arena slot without touching the kind indexes;
@@ -677,6 +773,7 @@ impl ContextPool {
     fn release_slot(&mut self, id: ContextId) -> Option<Context> {
         let slot = self.slot_of(id)?;
         let ctx = self.payloads[slot].take()?;
+        note_available(&mut self.watches, &ctx);
         self.id_slots[id.raw() as usize] = NO_SLOT;
         self.generations[slot] = self.generations[slot].wrapping_add(1);
         self.free.push(slot as u32);
@@ -1451,6 +1548,137 @@ mod tests {
             seqs(&pool, "q", 0..=i64::MAX),
             None,
             "a seq of 2^52 is not exact"
+        );
+    }
+
+    #[test]
+    fn watch_versions_move_only_when_the_available_view_does() {
+        let kind = ContextKind::new("location");
+        let mut pool = ContextPool::new();
+        let on_p = pool.watch(&kind, Some("p"));
+        let on_kind = pool.watch(&kind, None);
+        let on_q = pool.watch(&kind, Some("q"));
+        let on_badges = pool.watch(&ContextKind::new("badge"), None);
+        assert_eq!(
+            pool.watch(&kind, Some("p")),
+            on_p,
+            "a slice is watched once"
+        );
+        let watches = [on_p, on_kind, on_q, on_badges];
+        let mut seen = watches.map(|w| pool.watch_version(w));
+        // Applies `change` and asserts which of the four versions moved.
+        let mut step =
+            |pool: &mut ContextPool, change: &dyn Fn(&mut ContextPool), moved: [bool; 4]| {
+                change(pool);
+                let now = watches.map(|w| pool.watch_version(w));
+                for (i, (before, after)) in seen.iter().zip(&now).enumerate() {
+                    assert_eq!(after > before, moved[i], "watch {i}");
+                }
+                seen = now;
+            };
+        let consistent = |mut ctx: Context| {
+            ctx.set_state(ContextState::Consistent).unwrap();
+            ctx
+        };
+        let expiring = Context::builder(kind.clone(), "p")
+            .stamp(LogicalTime::new(0))
+            .lifespan(Lifespan::with_ttl(LogicalTime::new(0), Ticks::new(2)))
+            .build();
+
+        let undecided = pool.insert(loc("p", 1));
+        step(&mut pool, &|_| {}, [false; 4]);
+        step(
+            &mut pool,
+            &|pool| pool.set_state(undecided, ContextState::Consistent).unwrap(),
+            [true, true, false, false],
+        );
+        step(
+            &mut pool,
+            &|pool| {
+                assert!(pool.set_state(undecided, ContextState::Bad).is_err());
+            },
+            [false; 4],
+        );
+        let bad = pool.insert(loc("q", 2));
+        step(
+            &mut pool,
+            &|pool| pool.set_state(bad, ContextState::Bad).unwrap(),
+            [false; 4],
+        );
+        step(&mut pool, &|pool| pool.discard(bad).unwrap(), [false; 4]);
+        step(
+            &mut pool,
+            &|pool| {
+                pool.insert(consistent(loc("q", 3)));
+            },
+            [false, true, true, false],
+        );
+        let quiet = pool.insert(loc("q", 4));
+        step(&mut pool, &|pool| pool.discard(quiet).unwrap(), [false; 4]);
+        step(
+            &mut pool,
+            &|pool| pool.discard(undecided).unwrap(),
+            [true, true, false, false],
+        );
+        step(
+            &mut pool,
+            &|pool| {
+                pool.remove(undecided).unwrap();
+                pool.remove(bad).unwrap();
+            },
+            [false; 4],
+        );
+
+        // Expiry moves nothing: the views change with the clock, the
+        // versions do not.
+        step(
+            &mut pool,
+            &|pool| {
+                pool.insert(consistent(expiring.clone()));
+            },
+            [true, true, false, false],
+        );
+        step(
+            &mut pool,
+            &|pool| {
+                assert_eq!(pool.available_at(LogicalTime::new(1)).count(), 2);
+                assert_eq!(pool.available_at(LogicalTime::new(9)).count(), 1);
+            },
+            [false; 4],
+        );
+        step(
+            &mut pool,
+            &|pool| assert_eq!(pool.sweep_expired(LogicalTime::new(9)), 1),
+            [true, true, false, false],
+        );
+        step(
+            &mut pool,
+            &|pool| assert_eq!(pool.compact(LogicalTime::new(99)), 1),
+            [false; 4],
+        );
+        step(
+            &mut pool,
+            &|pool| {
+                pool.insert_batch([consistent(loc("p", 5)), loc("q", 6)]);
+            },
+            [true, true, false, false],
+        );
+        let (p5, _) = pool.of_subject(&kind, "p").last().unwrap();
+        step(
+            &mut pool,
+            &|pool| {
+                pool.remove(p5).unwrap();
+            },
+            [true, true, false, false],
+        );
+        step(
+            &mut pool,
+            &|pool| {
+                pool.insert(consistent(
+                    Context::builder(ContextKind::new("badge"), "p").build(),
+                ));
+            },
+            [false, false, false, true],
         );
     }
 

@@ -112,9 +112,6 @@ pub struct Middleware {
     stats: MiddlewareStats,
     detections: Vec<Inconsistency>,
     use_log: Vec<UseRecord>,
-    /// Whether anything a situation could read changed since the last
-    /// evaluation round; a dirty round re-evaluates every situation.
-    dirty: bool,
     /// Doom notes, the engine's only retention mechanism: the first
     /// instant at which a retention sweep *could* remove each context
     /// (its stamp and deadline — or discard instant — aged past the
@@ -576,9 +573,8 @@ impl Middleware {
             self.buffer.push_back((now + self.config.window, id));
             self.obs
                 .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
-            self.dirty = true;
             self.process_due(now);
-            self.evaluate_situations_if_dirty(now);
+            self.refresh_situations(now);
             let report = SubmitReport {
                 id,
                 fresh: 0,
@@ -700,9 +696,8 @@ impl Middleware {
             self.obs
                 .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
         }
-        self.dirty = true;
         self.process_due(now);
-        self.evaluate_situations_if_dirty(now);
+        self.refresh_situations(now);
         let report = SubmitReport {
             id,
             fresh: fresh.len(),
@@ -761,7 +756,7 @@ impl Middleware {
         }
         let now = self.clock;
         self.process_due(now);
-        self.evaluate_situations_if_dirty(now);
+        self.refresh_situations(now);
         self.publish_health();
         self.notify(|obs, _| obs.on_advanced(now));
     }
@@ -792,7 +787,7 @@ impl Middleware {
         self.buffer.retain(|(_, bid)| *bid != id);
         let now = self.clock;
         let rec = self.use_one(id, now, None);
-        self.evaluate_situations_if_dirty(now);
+        self.refresh_situations(now);
         Some(rec)
     }
 
@@ -807,7 +802,6 @@ impl Middleware {
             }
             self.gt_buffer.pop_front();
             let _ = self.gt_pool.set_state(gid, ContextState::Consistent);
-            self.dirty = true;
         }
         while let Some((due, id)) = self.buffer.front().copied() {
             if due > now {
@@ -959,7 +953,6 @@ impl Middleware {
             at: now,
         };
         self.use_log.push(rec);
-        self.dirty = true;
         self.notify(|obs, _| obs.on_used(&rec));
         rec
     }
@@ -1128,22 +1121,18 @@ impl Middleware {
         self.obs.observe(MetricKind::ChainDepth, 2 + violations);
     }
 
-    fn evaluate_situations_if_dirty(&mut self, now: LogicalTime) {
-        if !self.dirty || self.situations.is_empty() {
+    /// The situation round that ends every engine call: each engine
+    /// re-evaluates the situations whose clock or watched pool slices
+    /// moved since their last evaluation (see [`SituationEngine::watch`])
+    /// and reports the rest unchanged, then rising edges and
+    /// ground-truth epochs are counted.
+    fn refresh_situations(&mut self, now: LogicalTime) {
+        if self.situations.is_empty() {
             return;
         }
         let obs = self.obs.clone();
         let _sit_phase = obs.phase(Phase::SituationEval);
-        self.dirty = false;
-        let rounds = if self.config.track_ground_truth { 2 } else { 1 };
-        self.obs.count(
-            CounterKind::SituationEvals,
-            rounds * self.situations.len() as u64,
-        );
-        let compiled = rounds * self.situations.compiled_count() as u64;
-        if compiled > 0 {
-            self.obs.count(CounterKind::CompiledEvals, compiled);
-        }
+        let (evaluated_before, compiled_before) = self.situation_evaluations();
         let gt_statuses: &[SituationStatus] = if self.config.track_ground_truth {
             self.gt_situations
                 .evaluate(&self.registry, &self.gt_pool, now)
@@ -1175,6 +1164,25 @@ impl Middleware {
                 }
             }
         }
+        let (evaluated, compiled) = self.situation_evaluations();
+        if evaluated > evaluated_before {
+            self.obs
+                .count(CounterKind::SituationEvals, evaluated - evaluated_before);
+        }
+        if compiled > compiled_before {
+            self.obs
+                .count(CounterKind::CompiledEvals, compiled - compiled_before);
+        }
+    }
+
+    /// Situations evaluated so far over both views, and how many of
+    /// those evaluations ran a compiled program.
+    fn situation_evaluations(&self) -> (u64, u64) {
+        let engines = [&self.situations, &self.gt_situations];
+        (
+            engines.iter().map(|e| e.evaluations()).sum(),
+            engines.iter().map(|e| e.compiled_evaluations()).sum(),
+        )
     }
 }
 
@@ -1275,18 +1283,23 @@ impl MiddlewareBuilder {
         let constraint_set: ConstraintSet = self.constraints.into_iter().collect();
         let covered = vec![false; self.situations.len()];
         let epoch_started_init = vec![None; self.situations.len()];
-        let situations = SituationEngine::new(self.situations);
-        let gt_situations = situations.twin();
+        let registry = self
+            .registry
+            .unwrap_or_else(PredicateRegistry::with_builtins);
+        let mut pool = ContextPool::new();
+        let mut gt_pool = ContextPool::new();
+        let mut situations = SituationEngine::new(self.situations);
+        let mut gt_situations = situations.twin();
+        situations.watch(&registry, &mut pool);
+        gt_situations.watch(&registry, &mut gt_pool);
         Middleware {
-            pool: ContextPool::new(),
-            registry: self
-                .registry
-                .unwrap_or_else(PredicateRegistry::with_builtins),
+            pool,
+            registry,
             checker: IncrementalChecker::new(constraint_set),
             strategy,
             situations,
             gt_situations,
-            gt_pool: ContextPool::new(),
+            gt_pool,
             gt_buffer: VecDeque::new(),
             config: self.config,
             clock: LogicalTime::ZERO,
@@ -1294,7 +1307,6 @@ impl MiddlewareBuilder {
             stats: MiddlewareStats::default(),
             detections: Vec::new(),
             use_log: Vec::new(),
-            dirty: false,
             doom_queue: BTreeMap::new(),
             gt_doom_queue: BTreeMap::new(),
             reported: CheckerStats::default(),
@@ -2192,5 +2204,314 @@ mod builder_validation_tests {
             .constraints(constraints)
             .strategy(Box::new(DropBad::new()))
             .build();
+    }
+}
+
+#[cfg(test)]
+mod situation_skip_tests {
+    use super::*;
+    use ctxres_constraint::parse_constraints;
+    use ctxres_context::Lifespan;
+    use ctxres_core::strategies::{by_name, DropBad};
+    use proptest::prelude::*;
+
+    /// Pair constraints that make the strategies discard: a `noise`
+    /// track may not stay loud, a `venue` track may not hop between lab
+    /// and hall.
+    const CONSTRAINTS: &str = "constraint steady:
+        forall a: noise, b: noise .
+          (same_subject(a, b) and seq_gap(a, b, 1)) implies (lt(a.level, 80.0) or lt(b.level, 80.0))
+     constraint no_hop:
+        forall a: venue, b: venue .
+          (same_subject(a, b) and seq_gap(a, b, 1)) implies (eq(a.place, b.place) or eq(b.place, \"office\"))";
+
+    /// One of each slice shape a situation can read: a literal-subject
+    /// `exists`, a subject-guarded `forall`, a kind-wide `exists`, a
+    /// cross-kind pair, a vacuous `forall` over a kind no stream holds,
+    /// and one that raises on a missing attribute.
+    const SITUATIONS: &str = "constraint s0_office:
+        exists v: venue . subject_eq(v, \"s0\") and eq(v.place, \"office\")
+     constraint s1_calm:
+        forall n: noise . (subject_eq(n, \"s1\") and gt(n.level, 10.0)) implies lt(n.level, 55.0)
+     constraint loud:
+        exists n: noise . gt(n.level, 70.0)
+     constraint office_quiet:
+        exists v: venue, n: noise .
+          same_subject(v, n) and eq(v.place, \"office\") and lt(n.level, 55.0)
+     constraint no_badges:
+        forall b: badge . eq(b.room, \"x\")
+     constraint all_office:
+        forall v: venue . eq(v.place, \"office\") or gt(v.missing, 0)";
+
+    /// One call of a scripted run.
+    #[derive(Debug, Clone)]
+    enum Call {
+        /// Submits a `venue` (with `noise`, a `noise`) context about
+        /// subject `subject`, stamped `gap` ticks past the clock and
+        /// living `ttl` ticks (`None`: forever).
+        Submit {
+            noise: bool,
+            subject: u8,
+            gap: u64,
+            value: u8,
+            ttl: Option<u64>,
+        },
+        /// A bare `advance_to`, `gap` ticks past the clock.
+        Advance(u64),
+        /// `use_now` of the `nth` stored context (modulo the pool's).
+        UseNow(usize),
+        /// A shard-rebalance round trip of one subject's contexts:
+        /// drain, extract them, then adopt them back.
+        Migrate(u8),
+    }
+
+    /// Submissions make up 6 calls in 10, bare advances 2, `use_now`
+    /// and migrations 1 each.
+    fn call() -> impl Strategy<Value = Call> {
+        (
+            (0u8..10, any::<bool>(), any::<u8>()),
+            (
+                0u64..4,
+                any::<u8>(),
+                proptest::option::of(1u64..8),
+                any::<usize>(),
+            ),
+        )
+            .prop_map(
+                |((pick, noise, subject), (gap, value, ttl, nth))| match pick {
+                    0..=5 => Call::Submit {
+                        noise,
+                        subject,
+                        gap: gap % 3,
+                        value,
+                        ttl,
+                    },
+                    6 | 7 => Call::Advance(gap),
+                    8 => Call::UseNow(nth),
+                    _ => Call::Migrate(subject),
+                },
+            )
+    }
+
+    /// The context a [`Call::Submit`] submits: `value` picks the place
+    /// or level, and every fifth value is a corrupted reading.
+    fn reading(
+        noise: bool,
+        subject: &str,
+        seq: i64,
+        at: u64,
+        value: u8,
+        ttl: Option<u64>,
+    ) -> Context {
+        let kind = if noise { "noise" } else { "venue" };
+        let builder = Context::builder(ContextKind::new(kind), subject)
+            .attr("seq", seq)
+            .stamp(LogicalTime::new(at));
+        let builder = if noise {
+            builder.attr("level", f64::from(value % 101))
+        } else {
+            builder.attr("place", ["office", "hall", "lab"][usize::from(value % 3)])
+        };
+        let builder = match ttl {
+            Some(ttl) => {
+                builder.lifespan(Lifespan::with_ttl(LogicalTime::new(at), Ticks::new(ttl)))
+            }
+            None => builder,
+        };
+        let truth = if value.is_multiple_of(5) {
+            TruthTag::Corrupted
+        } else {
+            TruthTag::Expected
+        };
+        builder.truth(truth).build()
+    }
+
+    /// Unwatched twins of a middleware's two situation engines: each
+    /// evaluates every situation of every round.
+    struct Twins {
+        view: SituationEngine,
+        gt_view: SituationEngine,
+    }
+
+    impl Twins {
+        fn of(m: &Middleware) -> Self {
+            Twins {
+                view: m.situations.twin(),
+                gt_view: m.gt_situations.twin(),
+            }
+        }
+
+        /// Runs the round the middleware's last call ran and checks
+        /// that the watched engines, which may have skipped situations,
+        /// report what evaluating every situation reports.
+        fn check(&mut self, m: &Middleware, call: &str) {
+            let views = [
+                (&mut self.view, &m.situations, &m.pool, "strategy"),
+                (
+                    &mut self.gt_view,
+                    &m.gt_situations,
+                    &m.gt_pool,
+                    "ground truth",
+                ),
+            ];
+            for (twin, watched, pool, view) in views {
+                let want: Vec<bool> = twin
+                    .evaluate(&m.registry, pool, m.clock)
+                    .iter()
+                    .map(|s| s.active)
+                    .collect();
+                let got: Vec<bool> = watched.statuses().iter().map(|s| s.active).collect();
+                assert_eq!(got, want, "{view} view after {call} at {}", m.clock);
+                assert_eq!(
+                    watched.activations(),
+                    twin.activations(),
+                    "{view} activations after {call}"
+                );
+            }
+            assert_eq!(m.stats.situation_activations, self.view.activations());
+        }
+    }
+
+    /// Runs `calls` through a middleware over `registry` and checks
+    /// every round against unwatched twins.
+    fn run_checked(
+        calls: &[Call],
+        subjects: u8,
+        strategy: &str,
+        window: u64,
+        retention: bool,
+        registry: PredicateRegistry,
+    ) {
+        let situations = parse_constraints(SITUATIONS).unwrap();
+        let mut m = Middleware::builder()
+            .constraints(parse_constraints(CONSTRAINTS).unwrap())
+            .situations(situations)
+            .strategy(by_name(strategy, 7).unwrap())
+            .registry(registry)
+            .config(MiddlewareConfig {
+                window: Ticks::new(window),
+                track_ground_truth: true,
+                retention: retention.then(|| Ticks::new(3)),
+            })
+            .build();
+        let mut twins = Twins::of(&m);
+        let mut seqs: HashMap<(bool, u8), i64> = HashMap::new();
+        for call in calls {
+            match *call {
+                Call::Submit {
+                    noise,
+                    subject,
+                    gap,
+                    value,
+                    ttl,
+                } => {
+                    let subject = subject % subjects;
+                    let seq = seqs.entry((noise, subject)).or_insert(0);
+                    *seq += 1;
+                    let at = m.now().tick() + gap;
+                    m.submit(reading(noise, &format!("s{subject}"), *seq, at, value, ttl));
+                    twins.check(&m, "submit");
+                }
+                Call::Advance(gap) => {
+                    m.advance_to(LogicalTime::new(m.now().tick() + gap));
+                    twins.check(&m, "advance_to");
+                }
+                Call::UseNow(nth) => {
+                    let stored = m.pool().len();
+                    let id = (stored > 0).then(|| m.pool().iter().nth(nth % stored).unwrap().0);
+                    if let Some(id) = id {
+                        m.use_now(id);
+                        twins.check(&m, "use_now");
+                    }
+                }
+                Call::Migrate(subject) => {
+                    let subject = format!("s{}", subject % subjects);
+                    drain(&mut m);
+                    twins.check(&m, "drain");
+                    let migrated = m.extract_where(|c| c.subject() == subject);
+                    m.advance_to(m.now());
+                    twins.check(&m, "extract_where");
+                    m.adopt_contexts(migrated);
+                    m.advance_to(m.now());
+                    twins.check(&m, "adopt_contexts");
+                }
+            }
+        }
+        drain(&mut m);
+        twins.check(&m, "the final drain");
+    }
+
+    /// `drain` plus a bare `advance_to` at the clock it leaves: exactly
+    /// one situation round, whether or not anything was buffered.
+    fn drain(m: &mut Middleware) {
+        m.drain();
+        m.advance_to(m.now());
+    }
+
+    /// A registry whose `subject_eq` takes three arguments: literal
+    /// subjects stop narrowing, so every slice widens to its kind (and
+    /// every guard raises `Arity`).
+    fn other_arity_subject_eq() -> PredicateRegistry {
+        let mut registry = PredicateRegistry::with_builtins();
+        registry.register("subject_eq", 3, |_| Ok(true));
+        registry
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Skipping a situation whose clock and slices did not move is
+        /// invisible: after every call, both views' statuses and
+        /// activation counts equal those of unwatched twins that
+        /// evaluate every situation over the same pools.
+        #[test]
+        fn skipped_situations_report_what_evaluating_them_would(
+            calls in proptest::collection::vec(call(), 1..60),
+            subjects in 2u8..5,
+            window in 0u64..6,
+            retention in any::<bool>(),
+        ) {
+            for strategy in ["d-bad", "d-lat", "d-all", "opt-r"] {
+                for registry in [PredicateRegistry::with_builtins(), other_arity_subject_eq()] {
+                    run_checked(&calls, subjects, strategy, window, retention, registry);
+                }
+            }
+        }
+    }
+
+    /// The obs `situation_evals` counter and the situation share of
+    /// `compiled_evals` count the situations a round evaluates, not
+    /// rounds times situations.
+    #[test]
+    fn situation_counters_count_evaluated_situations() {
+        let obs = ctxres_obs::ObsRegistry::shared(ctxres_obs::ObsConfig::metrics_only(), 1);
+        let situations = parse_constraints(
+            "constraint p_home: exists a: venue . subject_eq(a, \"p\") and eq(a.place, \"office\")
+             constraint q_home: exists a: venue . subject_eq(a, \"q\") and eq(a.place, \"office\")",
+        )
+        .unwrap();
+        let mut m = Middleware::builder()
+            .constraints(parse_constraints(CONSTRAINTS).unwrap())
+            .situations(situations)
+            .strategy(Box::new(DropBad::new()))
+            .config(MiddlewareConfig {
+                window: Ticks::new(0),
+                track_ground_truth: false,
+                retention: None,
+            })
+            .obs(obs.handle(0))
+            .build();
+        m.submit(reading(false, "p", 1, 0, 0, None)); // first round: both
+        m.submit(reading(false, "q", 1, 0, 0, None)); // q's slice moved
+        m.advance_to(LogicalTime::new(0)); // nothing moved
+        m.advance_to(LogicalTime::new(3)); // the clock moved: both
+        assert_eq!(m.stats().situation_activations, 2);
+        assert_eq!(m.situations.evaluations(), 5, "4 rounds of 2 would be 8");
+        let shard = &obs.snapshot().shards[0];
+        assert_eq!(shard.counter(CounterKind::SituationEvals), 5);
+        assert_eq!(
+            shard.counter(CounterKind::CompiledEvals),
+            m.checker_stats().compiled_evals + 5
+        );
     }
 }

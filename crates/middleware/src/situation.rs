@@ -15,12 +15,17 @@
 //! path with a reused [`EvalScratch`]. A round short-circuits its
 //! quantifiers and fills a status buffer the engine owns, so it
 //! allocates nothing.
+//!
+//! An engine that [watches](SituationEngine::watch) its pool evaluates
+//! a compiled situation only when the clock or the version of a pool
+//! slice the situation reads moved since its last evaluation: `holds`
+//! over the available view is a function of those alone.
 
 use ctxres_constraint::{
     CompiledConstraint, CompiledEvaluator, Constraint, DomainMode, EvalScratch, Evaluator,
     PredicateRegistry,
 };
-use ctxres_context::{ContextPool, LogicalTime};
+use ctxres_context::{ContextPool, LogicalTime, WatchId};
 use std::sync::Arc;
 
 /// The status of one situation after an evaluation round.
@@ -49,8 +54,24 @@ pub struct SituationEngine {
     /// The last round's status of every situation, in situation order:
     /// the buffer [`SituationEngine::evaluate`] fills and returns.
     statuses: Vec<SituationStatus>,
+    /// Per situation, the pool slices it reads once
+    /// [`SituationEngine::watch`] registered them; empty before that.
+    watches: Vec<Option<SliceWatch>>,
     activations: u64,
+    evaluations: u64,
+    compiled_evaluations: u64,
     scratch: EvalScratch,
+}
+
+/// The watched pool slices of one compiled situation and what its last
+/// evaluation saw of them.
+#[derive(Debug)]
+struct SliceWatch {
+    ids: Vec<WatchId>,
+    /// `(now, sum of the slices' versions)` at the last evaluation;
+    /// `None` before the first one and after a reset. Versions only
+    /// grow, so the sum moves exactly when one of them does.
+    seen: Option<(LogicalTime, u64)>,
 }
 
 /// A situation set compiled once.
@@ -81,7 +102,8 @@ impl SituationEngine {
     }
 
     /// A fresh engine over the same compiled situations: it shares the
-    /// programs and starts with every situation inactive.
+    /// programs, starts with every situation inactive and watches no
+    /// pool.
     pub fn twin(&self) -> Self {
         SituationEngine::over(Arc::clone(&self.deployed))
     }
@@ -99,7 +121,10 @@ impl SituationEngine {
         SituationEngine {
             deployed,
             statuses,
+            watches: Vec::new(),
             activations: 0,
+            evaluations: 0,
+            compiled_evaluations: 0,
             scratch: EvalScratch::new(),
         }
     }
@@ -119,8 +144,8 @@ impl SituationEngine {
         self.activations
     }
 
-    /// Situations evaluated through a compiled program each round (the
-    /// rest fall back to the tree-walking evaluator).
+    /// Situations with a compiled program (the rest fall back to the
+    /// tree-walking evaluator).
     pub fn compiled_count(&self) -> usize {
         self.deployed
             .compiled
@@ -129,10 +154,57 @@ impl SituationEngine {
             .count()
     }
 
-    /// Re-evaluates every situation over the available view of `pool`
+    /// The last round's statuses, in situation order.
+    #[cfg(test)]
+    pub(crate) fn statuses(&self) -> &[SituationStatus] {
+        &self.statuses
+    }
+
+    /// Situations actually evaluated since construction, summed over
+    /// rounds; a situation a round skips is not counted.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
+    }
+
+    /// The share of [`SituationEngine::evaluations`] that ran a
+    /// compiled program.
+    pub fn compiled_evaluations(&self) -> u64 {
+        self.compiled_evaluations
+    }
+
+    /// Registers in `pool` a watch on every slice each compiled
+    /// situation reads under `registry` ([`CompiledConstraint::slices`]).
+    /// From then on [`SituationEngine::evaluate`] skips a situation
+    /// whose slices' versions and clock are those of its last
+    /// evaluation, so every later round must pass this `pool` (or the
+    /// pool it becomes) and this `registry`. Uncompiled situations are
+    /// evaluated every round.
+    pub fn watch(&mut self, registry: &PredicateRegistry, pool: &mut ContextPool) {
+        self.watches = self
+            .deployed
+            .compiled
+            .iter()
+            .map(|compiled| {
+                let ids = compiled
+                    .as_ref()?
+                    .slices(registry)
+                    .into_iter()
+                    .map(|(kind, subject)| pool.watch(kind, subject))
+                    .collect();
+                Some(SliceWatch { ids, seen: None })
+            })
+            .collect();
+    }
+
+    /// Re-evaluates the situations over the available view of `pool`
     /// and returns the round's statuses, in situation order. The
     /// statuses live in a buffer the engine owns, so a round allocates
     /// nothing.
+    ///
+    /// A [watched](SituationEngine::watch) situation whose clock and
+    /// slice versions are those of its last evaluation is skipped: it
+    /// keeps `active` and clears `activated`, which is what evaluating
+    /// it would return.
     ///
     /// Evaluation errors (e.g. a missing attribute) deactivate the
     /// situation for the round rather than aborting: applications keep
@@ -147,13 +219,31 @@ impl SituationEngine {
         let SituationEngine {
             deployed,
             statuses,
+            watches,
             activations,
+            evaluations,
+            compiled_evaluations,
             scratch,
         } = self;
         let programs = deployed.situations.iter().zip(&deployed.compiled);
-        for ((situation, compiled), status) in programs.zip(statuses.iter_mut()) {
+        for (i, ((situation, compiled), status)) in programs.zip(statuses.iter_mut()).enumerate() {
+            if let Some(Some(watch)) = watches.get_mut(i) {
+                let versions = watch
+                    .ids
+                    .iter()
+                    .fold(0u64, |sum, &id| sum.wrapping_add(pool.watch_version(id)));
+                if watch.seen == Some((now, versions)) {
+                    status.activated = false;
+                    continue;
+                }
+                watch.seen = Some((now, versions));
+            }
+            *evaluations += 1;
             let active = match compiled {
-                Some(cc) => compiled_eval.holds(cc, pool, now, scratch).unwrap_or(false),
+                Some(cc) => {
+                    *compiled_evaluations += 1;
+                    compiled_eval.holds(cc, pool, now, scratch).unwrap_or(false)
+                }
                 None => Evaluator::with_domain(registry, DomainMode::AvailableOnly)
                     .check(situation, pool, now)
                     .is_ok_and(|o| o.satisfied),
@@ -167,11 +257,15 @@ impl SituationEngine {
         statuses
     }
 
-    /// Resets activity tracking (new run).
+    /// Resets activity tracking (new run): every situation turns
+    /// inactive and the next round evaluates each of them.
     pub fn reset(&mut self) {
         for status in &mut self.statuses {
             status.active = false;
             status.activated = false;
+        }
+        for watch in self.watches.iter_mut().flatten() {
+            watch.seen = None;
         }
         self.activations = 0;
     }

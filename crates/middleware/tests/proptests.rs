@@ -199,9 +199,16 @@ fn round_trigger(at: u64) -> Context {
         .build()
 }
 
-/// Runs a time-ordered stream through a middleware with the `near_door`
+/// One scripted call into the engine.
+enum Call {
+    Submit(Context),
+    /// A bare `advance_to(t)`: nothing is submitted.
+    Advance(u64),
+}
+
+/// Runs a time-ordered script through a middleware with the `near_door`
 /// situation.
-fn run_near_door(contexts: &[Context]) -> MiddlewareStats {
+fn run_near_door(calls: &[Call]) -> MiddlewareStats {
     let situations = parse_constraints(
         "constraint near_door: exists a: location . within(a, -1.0, -1.0, 1.0, 1.0)",
     )
@@ -216,8 +223,13 @@ fn run_near_door(contexts: &[Context]) -> MiddlewareStats {
             retention: None,
         })
         .build();
-    for ctx in contexts {
-        m.submit(ctx.clone());
+    for call in calls {
+        match call {
+            Call::Submit(ctx) => {
+                m.submit(ctx.clone());
+            }
+            Call::Advance(t) => m.advance_to(LogicalTime::new(*t)),
+        }
     }
     m.drain();
     *m.stats()
@@ -226,16 +238,19 @@ fn run_near_door(contexts: &[Context]) -> MiddlewareStats {
 #[test]
 fn expiry_exactly_on_a_round_boundary_deactivates_the_situation() {
     // A fix expires at exactly t5 without any state transition, and the
-    // round at t5 is triggered by an *unrelated* kind. That round must
-    // still see `near_door` go inactive, or the t8 fix's rising edge
-    // would be lost (1 activation, not 2).
-    let stream = [
-        door_fix(0, 5, 0), // active from t0, expires at exactly t5
-        round_trigger(5),  // round lands on the expiry instant
-        door_fix(8, 5, 1), // must re-activate: a second rising edge
-        round_trigger(20), // drain the second expiry too
-    ];
-    assert_eq!(run_near_door(&stream).situation_activations, 2);
+    // call at t5 is the submission of an *unrelated* kind or a bare
+    // clock advance with nothing due. Its round must still see
+    // `near_door` go inactive, or the t8 fix's rising edge would be
+    // lost (1 activation, not 2).
+    for at_expiry in [Call::Submit(round_trigger(5)), Call::Advance(5)] {
+        let stream = [
+            Call::Submit(door_fix(0, 5, 0)), // active from t0, expires at exactly t5
+            at_expiry,                       // round lands on the expiry instant
+            Call::Submit(door_fix(8, 5, 1)), // must re-activate: a second rising edge
+            Call::Submit(round_trigger(20)), // drain the second expiry too
+        ];
+        assert_eq!(run_near_door(&stream).situation_activations, 2);
+    }
 }
 
 /// Builds a stats record from 14 raw field values (field order matches

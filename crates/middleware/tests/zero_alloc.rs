@@ -1,6 +1,6 @@
 //! Allocation guards for the per-context hot path: once warmed, an
-//! incremental check that detects nothing and a situation round
-//! allocate nothing.
+//! incremental check that detects nothing and a situation round,
+//! watched or not, allocate nothing.
 //!
 //! The binary's global allocator counts each thread's allocations, so
 //! tests running on parallel threads do not see each other's.
@@ -128,4 +128,26 @@ fn warmed_situation_round_allocates_nothing() {
     });
     assert_eq!(active, [true, true, true]);
     assert_eq!(allocs, 0);
+
+    // A watched engine skips the situations whose slices and clock did
+    // not move, and neither skipping nor re-evaluating allocates.
+    let mut watched = engine.twin();
+    watched.watch(&registry, &mut pool);
+    watched.evaluate(&registry, &pool, now);
+    let warmed = watched.evaluations();
+    let (active, allocs) = allocations(|| {
+        let statuses = watched.evaluate(&registry, &pool, now);
+        [statuses[0].active, statuses[1].active, statuses[2].active]
+    });
+    assert_eq!((active, allocs), ([true, true, true], 0));
+    assert_eq!(watched.evaluations(), warmed, "nothing moved: all skipped");
+    let id = pool.insert(fix("q", 6, 6.0));
+    pool.set_state(id, ContextState::Consistent).unwrap();
+    let (_, allocs) = allocations(|| watched.evaluate(&registry, &pool, now).len());
+    assert_eq!(allocs, 0);
+    assert_eq!(
+        watched.evaluations(),
+        warmed + 2,
+        "a `q` arrival re-evaluates the kind-wide and the `q` situations only"
+    );
 }
