@@ -176,9 +176,8 @@ impl SituationEngine {
     /// situation reads under `registry` ([`CompiledConstraint::slices`]).
     /// From then on [`SituationEngine::evaluate`] skips a situation
     /// whose slices' versions and clock are those of its last
-    /// evaluation, so every later round must pass this `pool` (or the
-    /// pool it becomes) and this `registry`. Uncompiled situations are
-    /// evaluated every round.
+    /// evaluation, so every later round must pass this `pool` and this
+    /// `registry`. Uncompiled situations are evaluated every round.
     pub fn watch(&mut self, registry: &PredicateRegistry, pool: &mut ContextPool) {
         self.watches = self
             .deployed
