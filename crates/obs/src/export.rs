@@ -756,6 +756,139 @@ ctxres_queue_depth_quantile_est{shard=\"1\",q=\"0.99\"} 8
         }
     }
 
+    /// The full exposition of the health-bearing seeded run, pinned
+    /// byte for byte like [`golden_exposition_for_a_seeded_run`].
+    #[test]
+    fn golden_exposition_for_a_seeded_health_run() {
+        let text = render_prometheus(&seeded_health_sample());
+        let expected = "\
+# ctxres telemetry (Prometheus text exposition v0.0.4)
+# rates cover the window since the previous scrape
+# TYPE ctxres_obs_shards gauge
+ctxres_obs_shards 2
+# TYPE ctxres_scrape_window_seconds gauge
+ctxres_scrape_window_seconds 2
+# TYPE ctxres_events_recorded_total counter
+ctxres_events_recorded_total{shard=\"0\"} 0
+ctxres_events_recorded_total{shard=\"1\"} 0
+# TYPE ctxres_events_recorded_per_sec gauge
+ctxres_events_recorded_per_sec{shard=\"0\"} 0
+ctxres_events_recorded_per_sec{shard=\"1\"} 0
+# TYPE ctxres_events_dropped_total counter
+ctxres_events_dropped_total{shard=\"0\"} 0
+ctxres_events_dropped_total{shard=\"1\"} 0
+# TYPE ctxres_events_dropped_per_sec gauge
+ctxres_events_dropped_per_sec{shard=\"0\"} 0
+ctxres_events_dropped_per_sec{shard=\"1\"} 0
+# TYPE ctxres_detections_total counter
+ctxres_detections_total{shard=\"0\"} 0
+ctxres_detections_total{shard=\"1\"} 0
+# TYPE ctxres_detections_per_sec gauge
+ctxres_detections_per_sec{shard=\"0\"} 0
+ctxres_detections_per_sec{shard=\"1\"} 0
+# TYPE ctxres_discards_total counter
+ctxres_discards_total{shard=\"0\"} 0
+ctxres_discards_total{shard=\"1\"} 0
+# TYPE ctxres_discards_per_sec gauge
+ctxres_discards_per_sec{shard=\"0\"} 0
+ctxres_discards_per_sec{shard=\"1\"} 0
+# TYPE ctxres_deliveries_total counter
+ctxres_deliveries_total{shard=\"0\"} 0
+ctxres_deliveries_total{shard=\"1\"} 0
+# TYPE ctxres_deliveries_per_sec gauge
+ctxres_deliveries_per_sec{shard=\"0\"} 0
+ctxres_deliveries_per_sec{shard=\"1\"} 0
+# TYPE ctxres_ingested_total counter
+ctxres_ingested_total{shard=\"0\"} 0
+ctxres_ingested_total{shard=\"1\"} 0
+# TYPE ctxres_ingested_per_sec gauge
+ctxres_ingested_per_sec{shard=\"0\"} 0
+ctxres_ingested_per_sec{shard=\"1\"} 0
+# TYPE ctxres_situation_evals_total counter
+ctxres_situation_evals_total{shard=\"0\"} 0
+ctxres_situation_evals_total{shard=\"1\"} 0
+# TYPE ctxres_situation_evals_per_sec gauge
+ctxres_situation_evals_per_sec{shard=\"0\"} 0
+ctxres_situation_evals_per_sec{shard=\"1\"} 0
+# TYPE ctxres_compiled_evals_total counter
+ctxres_compiled_evals_total{shard=\"0\"} 0
+ctxres_compiled_evals_total{shard=\"1\"} 0
+# TYPE ctxres_compiled_evals_per_sec gauge
+ctxres_compiled_evals_per_sec{shard=\"0\"} 0
+ctxres_compiled_evals_per_sec{shard=\"1\"} 0
+# TYPE ctxres_seq_fallbacks_total counter
+ctxres_seq_fallbacks_total{shard=\"0\"} 0
+ctxres_seq_fallbacks_total{shard=\"1\"} 0
+# TYPE ctxres_seq_fallbacks_per_sec gauge
+ctxres_seq_fallbacks_per_sec{shard=\"0\"} 0
+ctxres_seq_fallbacks_per_sec{shard=\"1\"} 0
+# TYPE ctxres_prov_edges_total counter
+ctxres_prov_edges_total{shard=\"0\"} 0
+ctxres_prov_edges_total{shard=\"1\"} 0
+# TYPE ctxres_prov_edges_per_sec gauge
+ctxres_prov_edges_per_sec{shard=\"0\"} 0
+ctxres_prov_edges_per_sec{shard=\"1\"} 0
+# TYPE ctxres_prov_nodes_total counter
+ctxres_prov_nodes_total{shard=\"0\"} 0
+ctxres_prov_nodes_total{shard=\"1\"} 0
+# TYPE ctxres_prov_nodes_per_sec gauge
+ctxres_prov_nodes_per_sec{shard=\"0\"} 0
+ctxres_prov_nodes_per_sec{shard=\"1\"} 0
+# TYPE ctxres_trace_events_dropped_total counter
+ctxres_trace_events_dropped_total{shard=\"0\"} 0
+ctxres_trace_events_dropped_total{shard=\"1\"} 0
+# TYPE ctxres_trace_events_buffered gauge
+ctxres_trace_events_buffered{shard=\"0\"} 0
+ctxres_trace_events_buffered{shard=\"1\"} 0
+# TYPE ctxres_pool_live_slots gauge
+ctxres_pool_live_slots{shard=\"0\"} 12
+ctxres_pool_live_slots{shard=\"1\"} 9
+# TYPE ctxres_pool_free_slots gauge
+ctxres_pool_free_slots{shard=\"0\"} 4
+ctxres_pool_free_slots{shard=\"1\"} 7
+# TYPE ctxres_pool_generation_recycles_total counter
+ctxres_pool_generation_recycles_total{shard=\"0\"} 5
+ctxres_pool_generation_recycles_total{shard=\"1\"} 2
+# TYPE ctxres_health_ingested_total counter
+ctxres_health_ingested_total{shard=\"0\",kind=\"rfid\"} 20
+ctxres_health_ingested_total{shard=\"1\",kind=\"location\"} 8
+# TYPE ctxres_health_delivered_total counter
+ctxres_health_delivered_total{shard=\"0\",kind=\"rfid\"} 8
+ctxres_health_delivered_total{shard=\"1\",kind=\"location\"} 8
+# TYPE ctxres_health_discarded_total counter
+ctxres_health_discarded_total{shard=\"0\",kind=\"rfid\"} 12
+ctxres_health_discarded_total{shard=\"1\",kind=\"location\"} 0
+# TYPE ctxres_health_expired_total counter
+ctxres_health_expired_total{shard=\"0\",kind=\"rfid\"} 0
+ctxres_health_expired_total{shard=\"1\",kind=\"location\"} 0
+# TYPE ctxres_health_violations_total counter
+ctxres_health_violations_total{shard=\"0\",kind=\"rfid\"} 2
+ctxres_health_violations_total{shard=\"1\",kind=\"location\"} 0
+# TYPE ctxres_health_kind_live gauge
+ctxres_health_kind_live{shard=\"0\",kind=\"rfid\"} 3
+ctxres_health_kind_live{shard=\"1\",kind=\"location\"} 0
+# TYPE ctxres_health_discard_rate gauge
+ctxres_health_discard_rate{kind=\"rfid\"} 0.6
+# TYPE ctxres_health_violation_rate gauge
+ctxres_health_violation_rate{kind=\"rfid\"} 0
+# TYPE ctxres_health_use_rate gauge
+ctxres_health_use_rate{kind=\"rfid\"} 0.4
+# TYPE ctxres_health_use_rate_ewma gauge
+ctxres_health_use_rate_ewma{kind=\"location\"} 1
+ctxres_health_use_rate_ewma{kind=\"rfid\"} 0.39999999999999997
+# TYPE ctxres_health_staleness gauge
+ctxres_health_staleness{kind=\"rfid\"} 0.625
+# TYPE ctxres_health_oldest_age_ticks gauge
+ctxres_health_oldest_age_ticks{kind=\"rfid\"} 40
+# TYPE ctxres_slo_firing gauge
+ctxres_slo_firing{rule=\"discard_rate > 0.3 for 1\"} 1
+";
+        assert_eq!(
+            text, expected,
+            "health exposition drifted from the golden copy"
+        );
+    }
+
     /// Health lines obey the same exposition rules as the core metrics.
     #[test]
     fn health_lines_are_valid_exposition() {
@@ -803,6 +936,132 @@ ctxres_queue_depth_quantile_est{shard=\"1\",q=\"0.99\"} 8
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    /// The profiled run's values are wall-clock times, so only its
+    /// shape is pinned: every `# TYPE` header and every series' name
+    /// and labels, in order.
+    #[test]
+    fn golden_series_of_a_seeded_profiled_run() {
+        let text = render_prometheus(&seeded_profiled_sample());
+        let shape: String = text
+            .lines()
+            .map(|line| match line.rsplit_once(' ') {
+                Some((series, _)) if !line.starts_with('#') => format!("{series}\n"),
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        let expected = "\
+# ctxres telemetry (Prometheus text exposition v0.0.4)
+# rates cover the window since the previous scrape
+# TYPE ctxres_obs_shards gauge
+ctxres_obs_shards
+# TYPE ctxres_scrape_window_seconds gauge
+ctxres_scrape_window_seconds
+# TYPE ctxres_events_recorded_total counter
+ctxres_events_recorded_total{shard=\"0\"}
+ctxres_events_recorded_total{shard=\"1\"}
+# TYPE ctxres_events_recorded_per_sec gauge
+ctxres_events_recorded_per_sec{shard=\"0\"}
+ctxres_events_recorded_per_sec{shard=\"1\"}
+# TYPE ctxres_events_dropped_total counter
+ctxres_events_dropped_total{shard=\"0\"}
+ctxres_events_dropped_total{shard=\"1\"}
+# TYPE ctxres_events_dropped_per_sec gauge
+ctxres_events_dropped_per_sec{shard=\"0\"}
+ctxres_events_dropped_per_sec{shard=\"1\"}
+# TYPE ctxres_detections_total counter
+ctxres_detections_total{shard=\"0\"}
+ctxres_detections_total{shard=\"1\"}
+# TYPE ctxres_detections_per_sec gauge
+ctxres_detections_per_sec{shard=\"0\"}
+ctxres_detections_per_sec{shard=\"1\"}
+# TYPE ctxres_discards_total counter
+ctxres_discards_total{shard=\"0\"}
+ctxres_discards_total{shard=\"1\"}
+# TYPE ctxres_discards_per_sec gauge
+ctxres_discards_per_sec{shard=\"0\"}
+ctxres_discards_per_sec{shard=\"1\"}
+# TYPE ctxres_deliveries_total counter
+ctxres_deliveries_total{shard=\"0\"}
+ctxres_deliveries_total{shard=\"1\"}
+# TYPE ctxres_deliveries_per_sec gauge
+ctxres_deliveries_per_sec{shard=\"0\"}
+ctxres_deliveries_per_sec{shard=\"1\"}
+# TYPE ctxres_ingested_total counter
+ctxres_ingested_total{shard=\"0\"}
+ctxres_ingested_total{shard=\"1\"}
+# TYPE ctxres_ingested_per_sec gauge
+ctxres_ingested_per_sec{shard=\"0\"}
+ctxres_ingested_per_sec{shard=\"1\"}
+# TYPE ctxres_situation_evals_total counter
+ctxres_situation_evals_total{shard=\"0\"}
+ctxres_situation_evals_total{shard=\"1\"}
+# TYPE ctxres_situation_evals_per_sec gauge
+ctxres_situation_evals_per_sec{shard=\"0\"}
+ctxres_situation_evals_per_sec{shard=\"1\"}
+# TYPE ctxres_compiled_evals_total counter
+ctxres_compiled_evals_total{shard=\"0\"}
+ctxres_compiled_evals_total{shard=\"1\"}
+# TYPE ctxres_compiled_evals_per_sec gauge
+ctxres_compiled_evals_per_sec{shard=\"0\"}
+ctxres_compiled_evals_per_sec{shard=\"1\"}
+# TYPE ctxres_seq_fallbacks_total counter
+ctxres_seq_fallbacks_total{shard=\"0\"}
+ctxres_seq_fallbacks_total{shard=\"1\"}
+# TYPE ctxres_seq_fallbacks_per_sec gauge
+ctxres_seq_fallbacks_per_sec{shard=\"0\"}
+ctxres_seq_fallbacks_per_sec{shard=\"1\"}
+# TYPE ctxres_prov_edges_total counter
+ctxres_prov_edges_total{shard=\"0\"}
+ctxres_prov_edges_total{shard=\"1\"}
+# TYPE ctxres_prov_edges_per_sec gauge
+ctxres_prov_edges_per_sec{shard=\"0\"}
+ctxres_prov_edges_per_sec{shard=\"1\"}
+# TYPE ctxres_prov_nodes_total counter
+ctxres_prov_nodes_total{shard=\"0\"}
+ctxres_prov_nodes_total{shard=\"1\"}
+# TYPE ctxres_prov_nodes_per_sec gauge
+ctxres_prov_nodes_per_sec{shard=\"0\"}
+ctxres_prov_nodes_per_sec{shard=\"1\"}
+# TYPE ctxres_trace_events_dropped_total counter
+ctxres_trace_events_dropped_total{shard=\"0\"}
+ctxres_trace_events_dropped_total{shard=\"1\"}
+# TYPE ctxres_trace_events_buffered gauge
+ctxres_trace_events_buffered{shard=\"0\"}
+ctxres_trace_events_buffered{shard=\"1\"}
+# TYPE ctxres_phase_self_seconds_total counter
+ctxres_phase_self_seconds_total{shard=\"0\",phase=\"ingest\"}
+ctxres_phase_self_seconds_total{shard=\"0\",phase=\"constraint_check\"}
+ctxres_phase_self_seconds_total{shard=\"1\",phase=\"export\"}
+# TYPE ctxres_phase_total_seconds_total counter
+ctxres_phase_total_seconds_total{shard=\"0\",phase=\"ingest\"}
+ctxres_phase_total_seconds_total{shard=\"0\",phase=\"constraint_check\"}
+ctxres_phase_total_seconds_total{shard=\"1\",phase=\"export\"}
+# TYPE ctxres_phase_calls_total counter
+ctxres_phase_calls_total{shard=\"0\",phase=\"ingest\"}
+ctxres_phase_calls_total{shard=\"0\",phase=\"constraint_check\"}
+ctxres_phase_calls_total{shard=\"1\",phase=\"export\"}
+# TYPE ctxres_phase_roots_total counter
+ctxres_phase_roots_total{shard=\"0\"}
+ctxres_phase_roots_total{shard=\"1\"}
+# TYPE ctxres_phase_sampled_roots_total counter
+ctxres_phase_sampled_roots_total{shard=\"0\"}
+ctxres_phase_sampled_roots_total{shard=\"1\"}
+# TYPE ctxres_phase_spans_dropped_total counter
+ctxres_phase_spans_dropped_total{shard=\"0\"}
+ctxres_phase_spans_dropped_total{shard=\"1\"}
+# TYPE ctxres_phase_self_share gauge
+ctxres_phase_self_share{phase=\"ingest\"}
+ctxres_phase_self_share{phase=\"constraint_check\"}
+ctxres_phase_self_share{phase=\"export\"}
+# TYPE ctxres_build_info gauge
+ctxres_build_info{commit=\"abc1234\",host=\"bench\\\"host\\\"\"}
+";
+        assert_eq!(
+            shape, expected,
+            "profiled series drifted from the golden copy"
+        );
     }
 
     /// Phase/build lines obey the exposition rules too.
@@ -866,6 +1125,120 @@ ctxres_queue_depth_quantile_est{shard=\"1\",q=\"0.99\"} 8
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    /// The full exposition of the tail-bearing seeded run, pinned byte
+    /// for byte.
+    #[test]
+    fn golden_exposition_for_a_seeded_tail_run() {
+        let text = render_prometheus(&seeded_tail_sample());
+        let expected = "\
+# ctxres telemetry (Prometheus text exposition v0.0.4)
+# rates cover the window since the previous scrape
+# TYPE ctxres_obs_shards gauge
+ctxres_obs_shards 2
+# TYPE ctxres_scrape_window_seconds gauge
+ctxres_scrape_window_seconds 2
+# TYPE ctxres_events_recorded_total counter
+ctxres_events_recorded_total{shard=\"0\"} 0
+ctxres_events_recorded_total{shard=\"1\"} 0
+# TYPE ctxres_events_recorded_per_sec gauge
+ctxres_events_recorded_per_sec{shard=\"0\"} 0
+ctxres_events_recorded_per_sec{shard=\"1\"} 0
+# TYPE ctxres_events_dropped_total counter
+ctxres_events_dropped_total{shard=\"0\"} 0
+ctxres_events_dropped_total{shard=\"1\"} 0
+# TYPE ctxres_events_dropped_per_sec gauge
+ctxres_events_dropped_per_sec{shard=\"0\"} 0
+ctxres_events_dropped_per_sec{shard=\"1\"} 0
+# TYPE ctxres_detections_total counter
+ctxres_detections_total{shard=\"0\"} 0
+ctxres_detections_total{shard=\"1\"} 0
+# TYPE ctxres_detections_per_sec gauge
+ctxres_detections_per_sec{shard=\"0\"} 0
+ctxres_detections_per_sec{shard=\"1\"} 0
+# TYPE ctxres_discards_total counter
+ctxres_discards_total{shard=\"0\"} 0
+ctxres_discards_total{shard=\"1\"} 0
+# TYPE ctxres_discards_per_sec gauge
+ctxres_discards_per_sec{shard=\"0\"} 0
+ctxres_discards_per_sec{shard=\"1\"} 0
+# TYPE ctxres_deliveries_total counter
+ctxres_deliveries_total{shard=\"0\"} 0
+ctxres_deliveries_total{shard=\"1\"} 0
+# TYPE ctxres_deliveries_per_sec gauge
+ctxres_deliveries_per_sec{shard=\"0\"} 0
+ctxres_deliveries_per_sec{shard=\"1\"} 0
+# TYPE ctxres_ingested_total counter
+ctxres_ingested_total{shard=\"0\"} 0
+ctxres_ingested_total{shard=\"1\"} 0
+# TYPE ctxres_ingested_per_sec gauge
+ctxres_ingested_per_sec{shard=\"0\"} 0
+ctxres_ingested_per_sec{shard=\"1\"} 0
+# TYPE ctxres_situation_evals_total counter
+ctxres_situation_evals_total{shard=\"0\"} 0
+ctxres_situation_evals_total{shard=\"1\"} 0
+# TYPE ctxres_situation_evals_per_sec gauge
+ctxres_situation_evals_per_sec{shard=\"0\"} 0
+ctxres_situation_evals_per_sec{shard=\"1\"} 0
+# TYPE ctxres_compiled_evals_total counter
+ctxres_compiled_evals_total{shard=\"0\"} 0
+ctxres_compiled_evals_total{shard=\"1\"} 0
+# TYPE ctxres_compiled_evals_per_sec gauge
+ctxres_compiled_evals_per_sec{shard=\"0\"} 0
+ctxres_compiled_evals_per_sec{shard=\"1\"} 0
+# TYPE ctxres_seq_fallbacks_total counter
+ctxres_seq_fallbacks_total{shard=\"0\"} 0
+ctxres_seq_fallbacks_total{shard=\"1\"} 0
+# TYPE ctxres_seq_fallbacks_per_sec gauge
+ctxres_seq_fallbacks_per_sec{shard=\"0\"} 0
+ctxres_seq_fallbacks_per_sec{shard=\"1\"} 0
+# TYPE ctxres_prov_edges_total counter
+ctxres_prov_edges_total{shard=\"0\"} 0
+ctxres_prov_edges_total{shard=\"1\"} 0
+# TYPE ctxres_prov_edges_per_sec gauge
+ctxres_prov_edges_per_sec{shard=\"0\"} 0
+ctxres_prov_edges_per_sec{shard=\"1\"} 0
+# TYPE ctxres_prov_nodes_total counter
+ctxres_prov_nodes_total{shard=\"0\"} 0
+ctxres_prov_nodes_total{shard=\"1\"} 0
+# TYPE ctxres_prov_nodes_per_sec gauge
+ctxres_prov_nodes_per_sec{shard=\"0\"} 0
+ctxres_prov_nodes_per_sec{shard=\"1\"} 0
+# TYPE ctxres_trace_events_dropped_total counter
+ctxres_trace_events_dropped_total{shard=\"0\"} 0
+ctxres_trace_events_dropped_total{shard=\"1\"} 0
+# TYPE ctxres_trace_events_buffered gauge
+ctxres_trace_events_buffered{shard=\"0\"} 0
+ctxres_trace_events_buffered{shard=\"1\"} 0
+# TYPE ctxres_e2e_latency_us histogram
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"+Inf\"} 3
+ctxres_e2e_latency_us_sum{shard=\"0\",outcome=\"delivered\"} 4150
+ctxres_e2e_latency_us_count{shard=\"0\",outcome=\"delivered\"} 3
+# TYPE ctxres_e2e_window_quantile_ns gauge
+ctxres_e2e_window_quantile_ns{outcome=\"delivered\",q=\"0.5\"} 128000
+ctxres_e2e_window_quantile_ns{outcome=\"delivered\",q=\"0.95\"} 4096000
+ctxres_e2e_window_quantile_ns{outcome=\"delivered\",q=\"0.99\"} 4096000
+ctxres_e2e_window_quantile_ns{outcome=\"delivered\",q=\"0.999\"} 4096000
+ctxres_e2e_window_quantile_ns{outcome=\"all\",q=\"0.5\"} 128000
+ctxres_e2e_window_quantile_ns{outcome=\"all\",q=\"0.95\"} 4096000
+ctxres_e2e_window_quantile_ns{outcome=\"all\",q=\"0.99\"} 4096000
+ctxres_e2e_window_quantile_ns{outcome=\"all\",q=\"0.999\"} 4096000
+# TYPE ctxres_e2e_exemplars_captured_total counter
+ctxres_e2e_exemplars_captured_total{shard=\"0\"} 3
+# TYPE ctxres_e2e_capture_threshold_ns gauge
+ctxres_e2e_capture_threshold_ns{shard=\"0\"} 0
+# TYPE ctxres_queue_wait_seconds_total counter
+ctxres_queue_wait_seconds_total{shard=\"1\"} 0.003
+# TYPE ctxres_queue_service_seconds_total counter
+ctxres_queue_service_seconds_total{shard=\"1\"} 0.009
+# TYPE ctxres_queue_wait_share gauge
+ctxres_queue_wait_share 0.25
+";
+        assert_eq!(
+            text, expected,
+            "tail exposition drifted from the golden copy"
+        );
     }
 
     /// Tail lines obey the exposition rules too.
