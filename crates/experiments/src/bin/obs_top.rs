@@ -30,7 +30,10 @@ use ctxres_constraint::parse_constraints;
 use ctxres_context::{Context, ContextKind, LogicalTime, Point, Ticks};
 use ctxres_core::strategies::DropBad;
 use ctxres_middleware::{Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware};
-use ctxres_obs::{CounterKind, MetricKind, MetricsServer, ObsConfig, Sample, Sampler};
+use ctxres_obs::{
+    MetricsServer, ObsConfig, Sample, Sampler, PHASES, TAIL_OUTCOMES, TAIL_QUANTILES,
+};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -118,29 +121,69 @@ fn fmt_rate(v: f64) -> String {
     }
 }
 
-/// p95 of a windowed latency histogram, as microseconds (`-` when the
-/// window recorded nothing). Uses the interpolated estimate rather than
-/// the raw bucket upper bound so the column moves smoothly instead of
-/// snapping between power-of-two bucket edges.
-fn p95_us(rates: &ctxres_obs::ShardRates, kind: MetricKind) -> String {
-    match rates.window(kind).quantile_est(0.95) {
-        Some(ns) => format!("{:.0}", ns / 1000.0),
-        None => "-".to_owned(),
-    }
+/// A panel cell: the formatted value, `-` when the window defined none.
+fn cell(v: Option<String>) -> String {
+    v.unwrap_or_else(|| "-".to_owned())
 }
 
-fn shard_row(label: &str, r: &ctxres_obs::ShardRates) -> String {
+/// Nanoseconds as whole microseconds.
+fn us(ns: Option<f64>) -> String {
+    cell(ns.map(|ns| format!("{:.0}", ns / 1000.0)))
+}
+
+/// A ratio as a percentage with one decimal.
+fn pct(v: Option<f64>) -> String {
+    cell(v.map(|x| format!("{:.1}", x * 100.0)))
+}
+
+/// The distinct values of label `label` across `family`'s series.
+fn label_values<'a>(sample: &'a Sample, family: &'a str, label: &str) -> BTreeSet<&'a str> {
+    sample
+        .family(family)
+        .filter_map(|s| s.label(label))
+        .collect()
+}
+
+/// The sum of `family`'s gauge readings among series carrying `labels`.
+fn gauge_sum(sample: &Sample, family: &str, labels: &[(&str, &str)]) -> f64 {
+    sample
+        .family(family)
+        .filter(|s| s.matches(labels))
+        .filter_map(|s| s.value.gauge())
+        .sum()
+}
+
+/// One row of the shard table: a shard's windowed rates (all shards'
+/// with no labels), ring state, and the windowed p95 check latency —
+/// the interpolated estimate, so the column moves smoothly instead of
+/// snapping between power-of-two bucket edges.
+fn shard_row(sample: &Sample, label: &str, labels: &[(&str, &str)]) -> String {
+    let rate = |counter: &str| {
+        fmt_rate(gauge_sum(
+            sample,
+            &format!("ctxres_{counter}_per_sec"),
+            labels,
+        ))
+    };
+    let dropped: u64 = sample
+        .family("ctxres_trace_events_dropped_total")
+        .filter(|s| s.matches(labels))
+        .map(|s| s.value.counter())
+        .sum();
+    let p95 = sample
+        .window_histogram("ctxres_check_latency_ns", labels)
+        .quantile_est(0.95);
     format!(
         "{:<9} {:>8}  {:>9}  {:>9}  {:>8}  {:>7}  {:>8}  {:>7}  {:>11}\n",
         label,
-        fmt_rate(r.rate(CounterKind::Ingested)),
-        fmt_rate(r.rate(CounterKind::Deliveries)),
-        fmt_rate(r.rate(CounterKind::Discards)),
-        fmt_rate(r.rate(CounterKind::Detections)),
-        fmt_rate(r.rate(CounterKind::CompiledEvals)),
-        r.events_buffered,
-        r.events_dropped,
-        p95_us(r, MetricKind::CheckLatency),
+        rate("ingested"),
+        rate("deliveries"),
+        rate("discards"),
+        rate("detections"),
+        rate("compiled_evals"),
+        gauge_sum(sample, "ctxres_trace_events_buffered", labels),
+        dropped,
+        us(p95),
     )
 }
 
@@ -156,85 +199,88 @@ fn render(sample: &Sample, frame: u64, source: &str) -> String {
     let divider = format!("{}\n", "-".repeat(header.len() - 1));
     out.push_str(header);
     out.push_str(&divider);
-    for s in &sample.shards {
-        out.push_str(&shard_row(&format!("shard {}", s.shard), s));
+    let mut shards: Vec<&str> = label_values(sample, "ctxres_ingested_total", "shard")
+        .into_iter()
+        .collect();
+    shards.sort_by_key(|s| s.parse::<usize>().unwrap_or(usize::MAX));
+    for shard in shards {
+        out.push_str(&shard_row(
+            sample,
+            &format!("shard {shard}"),
+            &[("shard", shard)],
+        ));
     }
     out.push_str(&divider);
-    out.push_str(&shard_row("total", &sample.total));
-    let agg = sample.snapshot.aggregate();
+    out.push_str(&shard_row(sample, "total", &[]));
+    let total = |counter: &str| sample.total(&format!("ctxres_{counter}_total"));
     out.push_str(&format!(
         "\ncumulative: {} ingested, {} delivered, {} discarded, {} detections, \
          {} situation evals, {} compiled evals\n",
-        agg.counter(CounterKind::Ingested),
-        agg.counter(CounterKind::Deliveries),
-        agg.counter(CounterKind::Discards),
-        agg.counter(CounterKind::Detections),
-        agg.counter(CounterKind::SituationEvals),
-        agg.counter(CounterKind::CompiledEvals),
+        total("ingested"),
+        total("deliveries"),
+        total("discards"),
+        total("detections"),
+        total("situation_evals"),
+        total("compiled_evals"),
     ));
-    if let Some(health) = &sample.health {
-        out.push_str(&render_health(health));
+    let present = |prefix: &str| sample.series.iter().any(|s| s.family.starts_with(prefix));
+    if present("ctxres_health_") || present("ctxres_pool_") {
+        out.push_str(&render_health(sample));
     }
-    if let Some(phases) = &sample.phases {
-        out.push_str(&render_phases(phases));
+    if present("ctxres_phase_") {
+        out.push_str(&render_phases(sample));
     }
-    if let Some(tail) = &sample.tail {
-        out.push_str(&render_tail(tail));
+    if present("ctxres_e2e_") || present("ctxres_queue_") {
+        out.push_str(&render_tail(sample));
     }
     out
-}
-
-/// One quantile cell of the tail panel: interpolated nanosecond figure
-/// rendered as microseconds, `-` when the window has no estimate.
-fn tail_q_us(q: Option<f64>) -> String {
-    match q {
-        Some(ns) => format!("{:.0}", ns / 1000.0),
-        None => "-".to_owned(),
-    }
 }
 
 /// The end-to-end tail panel: windowed wall-clock quantiles per terminal
 /// outcome, the engine-queue wait/service decomposition, and the exemplar reservoir
 /// fill — rendered only when the sampled registry has tail spans on.
-fn render_tail(tail: &ctxres_obs::TailSample) -> String {
+fn render_tail(sample: &Sample) -> String {
     let mut out = String::new();
     out.push_str("\ne2e tail this window (µs)\n");
     out.push_str("outcome        count      p50      p95      p99     p999\n");
-    for ow in &tail.outcomes {
-        if ow.window.count == 0 {
+    let outcomes = TAIL_OUTCOMES.map(|o| o.name());
+    for name in outcomes.into_iter().chain(["all"]) {
+        let labels = [("outcome", name)];
+        let filter = if name == "all" { &[][..] } else { &labels[..] };
+        let count = sample
+            .window_histogram("ctxres_e2e_latency_us", filter)
+            .count;
+        if count == 0 && name != "all" {
             continue;
         }
+        out.push_str(&format!("{name:<12} {count:>7}"));
+        for q in TAIL_QUANTILES {
+            let q = q.to_string();
+            let v = sample.gauge(
+                "ctxres_e2e_window_quantile_ns",
+                &[("outcome", name), ("q", &q)],
+            );
+            out.push_str(&format!(" {:>8}", us(v)));
+        }
+        out.push('\n');
+    }
+    if sample
+        .family("ctxres_queue_wait_seconds_total")
+        .next()
+        .is_some()
+    {
+        let ms = |family: &str| sample.delta(family) as f64 / 1e6;
         out.push_str(&format!(
-            "{:<12} {:>7} {:>8} {:>8} {:>8} {:>8}\n",
-            ow.outcome.name(),
-            ow.window.count,
-            tail_q_us(ow.window.p50_ns),
-            tail_q_us(ow.window.p95_ns),
-            tail_q_us(ow.window.p99_ns),
-            tail_q_us(ow.window.p999_ns),
+            "queue: {:.2} ms waiting, {:.2} ms in service, wait share {}\n",
+            ms("ctxres_queue_wait_seconds_total"),
+            ms("ctxres_queue_service_seconds_total"),
+            pct(sample.gauge("ctxres_queue_wait_share", &[])),
         ));
     }
     out.push_str(&format!(
-        "{:<12} {:>7} {:>8} {:>8} {:>8} {:>8}\n",
-        "all",
-        tail.all.count,
-        tail_q_us(tail.all.p50_ns),
-        tail_q_us(tail.all.p95_ns),
-        tail_q_us(tail.all.p99_ns),
-        tail_q_us(tail.all.p999_ns),
-    ));
-    if tail.queue.wait_count > 0 || tail.queue.service_count > 0 {
-        out.push_str(&format!(
-            "queue: avg wait {} µs, avg service {} µs, wait share {}\n",
-            tail_q_us(tail.queue.avg_wait_ns),
-            tail_q_us(tail.queue.avg_service_ns),
-            ratio_pct(tail.queue.wait_share),
-        ));
-    }
-    let captured: u64 = tail.snapshot.shards.iter().map(|s| s.captured).sum();
-    let held = tail.snapshot.exemplars().len();
-    out.push_str(&format!(
-        "exemplars: {held} held / {captured} captured total (capacity {} per shard)\n",
+        "exemplars: {} held / {} captured total (capacity {} per shard)\n",
+        sample.exemplars.len(),
+        sample.total("ctxres_e2e_exemplars_captured_total"),
         ctxres_obs::EXEMPLAR_CAPACITY,
     ));
     out
@@ -246,25 +292,11 @@ const PHASE_SHORT: [&str; 9] = [
     "ingest", "idxmnt", "check", "resolve", "siteval", "prov", "health", "rebal", "export",
 ];
 
-/// One phase-panel cell: window self-time in milliseconds, `-` when
-/// the phase recorded nothing this window.
-fn phase_cell(stats: &[ctxres_obs::PhaseStat], phase: ctxres_obs::Phase) -> String {
-    let self_ns = stats
-        .iter()
-        .find(|s| s.phase == phase.name())
-        .map(|s| s.self_ns)
-        .unwrap_or(0);
-    if self_ns == 0 {
-        "-".to_owned()
-    } else {
-        format!("{:.2}", self_ns as f64 / 1e6)
-    }
-}
-
 /// The phase panel: per-shard self-time by phase over the sample
-/// window, plus the window totals and each phase's share of all
-/// self-time — the live view of where the engines spend their cycles.
-fn render_phases(phases: &ctxres_obs::PhaseSample) -> String {
+/// window (ms, `-` when the phase recorded nothing), plus the window
+/// totals and each phase's share of all self-time — the live view of
+/// where the engines spend their cycles.
+fn render_phases(sample: &Sample) -> String {
     let mut out = String::new();
     out.push_str("\nphase self-time this window (ms)\n");
     out.push_str(&format!("{:<9}", "shard"));
@@ -272,90 +304,94 @@ fn render_phases(phases: &ctxres_obs::PhaseSample) -> String {
         out.push_str(&format!("{name:>9}"));
     }
     out.push('\n');
-    for sh in &phases.shards {
-        out.push_str(&format!("{:<9}", format!("shard {}", sh.shard)));
-        for p in ctxres_obs::PHASES {
-            out.push_str(&format!("{:>9}", phase_cell(&sh.window, p)));
+    let self_ms = |labels: &[(&str, &str)]| {
+        let ns: u64 = sample
+            .family("ctxres_phase_self_seconds_total")
+            .filter(|s| s.matches(labels))
+            .map(|s| s.delta())
+            .sum();
+        cell((ns > 0).then(|| format!("{:.2}", ns as f64 / 1e6)))
+    };
+    let mut shards: Vec<&str> = label_values(sample, "ctxres_phase_roots_total", "shard")
+        .into_iter()
+        .collect();
+    shards.sort_by_key(|s| s.parse::<usize>().unwrap_or(usize::MAX));
+    for shard in shards.iter().map(Some).chain([None]) {
+        let label = shard.map_or("total".to_owned(), |s| format!("shard {s}"));
+        out.push_str(&format!("{label:<9}"));
+        for p in PHASES {
+            let phase = ("phase", p.name());
+            let labels: Vec<(&str, &str)> = shard
+                .map(|s| ("shard", *s))
+                .into_iter()
+                .chain([phase])
+                .collect();
+            out.push_str(&format!("{:>9}", self_ms(&labels)));
         }
         out.push('\n');
     }
-    out.push_str(&format!("{:<9}", "total"));
-    for p in ctxres_obs::PHASES {
-        out.push_str(&format!("{:>9}", phase_cell(&phases.window_total, p)));
-    }
-    out.push('\n');
     out.push_str(&format!("{:<9}", "share"));
-    for p in ctxres_obs::PHASES {
-        let cell = match phases.self_share(p) {
-            Some(share) => format!("{:.1}%", share * 100.0),
-            None => "-".to_owned(),
-        };
-        out.push_str(&format!("{cell:>9}"));
+    for p in PHASES {
+        let share = sample.gauge("ctxres_phase_self_share", &[("phase", p.name())]);
+        out.push_str(&format!(
+            "{:>9}",
+            cell(share.map(|s| format!("{:.1}%", s * 100.0)))
+        ));
     }
     out.push('\n');
     out
 }
 
-/// Windowed ratio for the heatmap: percent with one decimal, `-` when
-/// the window defined no value.
-fn ratio_pct(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{:.1}", x * 100.0),
-        None => "-".to_owned(),
-    }
-}
-
 /// The health panel: arena occupancy, the per-kind quality heatmap
 /// (windowed rates from the streaming estimators), and firing SLOs.
-fn render_health(health: &ctxres_obs::HealthSample) -> String {
+fn render_health(sample: &Sample) -> String {
     let mut out = String::new();
-    if let Some(pool) = &health.pool {
+    if sample.family("ctxres_pool_live_slots").next().is_some() {
+        let recycles = "ctxres_pool_generation_recycles_total";
         out.push_str(&format!(
-            "\npool: {} live / {} free slots ({} occupied), {} recycles (+{} this window), tick {}\n",
-            pool.live_slots,
-            pool.free_slots,
-            match pool.occupancy {
-                Some(o) => format!("{:.0}%", o * 100.0),
-                None => "-".to_owned(),
-            },
-            pool.recycles,
-            pool.recycles_delta,
-            pool.now_tick,
+            "\npool: {} live / {} free slots ({} occupied), {} recycles (+{} this window)\n",
+            gauge_sum(sample, "ctxres_pool_live_slots", &[]),
+            gauge_sum(sample, "ctxres_pool_free_slots", &[]),
+            cell(
+                sample
+                    .gauge("ctxres_pool_occupancy", &[])
+                    .map(|o| format!("{:.0}%", o * 100.0))
+            ),
+            sample.total(recycles),
+            sample.delta(recycles),
         ));
     }
-    if !health.kinds.is_empty() {
+    let kinds = label_values(sample, "ctxres_health_ingested_total", "kind");
+    if !kinds.is_empty() {
         out.push_str(
             "\nkind            disc%    viol%     use%    ewma%    stale     live   oldest\n",
         );
-        for k in &health.kinds {
+        for kind in kinds {
+            let k = [("kind", kind)];
+            let g = |metric: &str| sample.gauge(&format!("ctxres_health_{metric}"), &k);
             out.push_str(&format!(
                 "{:<14} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
-                k.kind,
-                ratio_pct(k.discard_rate),
-                ratio_pct(k.violation_rate),
-                ratio_pct(k.use_rate),
-                ratio_pct(k.use_rate_ewma),
-                match k.staleness {
-                    Some(s) => format!("{s:.2}"),
-                    None => "-".to_owned(),
-                },
-                k.live,
-                match k.oldest_age_ticks {
-                    Some(t) => t.to_string(),
-                    None => "-".to_owned(),
-                },
+                kind,
+                pct(g("discard_rate")),
+                pct(g("violation_rate")),
+                pct(g("use_rate")),
+                pct(g("use_rate_ewma")),
+                cell(g("staleness").map(|s| format!("{s:.2}"))),
+                gauge_sum(sample, "ctxres_health_kind_live", &k),
+                cell(g("oldest_age_ticks").map(|t| t.to_string())),
             ));
         }
     }
-    if health.active_alerts.is_empty() {
+    let firing = label_values(sample, "ctxres_slo_firing", "rule");
+    if firing.is_empty() {
         out.push_str("\nslo: all clear\n");
     } else {
-        out.push_str(&format!("\nslo: {} FIRING\n", health.active_alerts.len()));
-        for rule in &health.active_alerts {
+        out.push_str(&format!("\nslo: {} FIRING\n", firing.len()));
+        for rule in firing {
             out.push_str(&format!("  ! {rule}\n"));
         }
     }
-    for alert in &health.alerts {
+    for alert in &sample.alerts {
         out.push_str(&format!("  {alert}\n"));
     }
     out

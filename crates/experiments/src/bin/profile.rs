@@ -39,7 +39,7 @@ use ctxres_experiments::runner::default_threads;
 use ctxres_middleware::{Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware};
 use ctxres_obs::{
     chrome_trace_json, folded_stacks, parse_folded, validate_trace_json, ObsConfig, ObsRegistry,
-    SpanRecord,
+    ProfileSnapshot, SpanRecord,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -228,8 +228,8 @@ fn export(
 /// Per-phase self-time table aggregated over shards, widest share
 /// first — the terminal answer to "where did the time go".
 fn print_table(registry: &ObsRegistry, spans: &[SpanRecord]) {
-    let snap = registry.profile_snapshot();
-    let mut agg = snap.aggregate();
+    let snap = registry.snapshot();
+    let mut agg = ProfileSnapshot::of(&snap).aggregate();
     agg.retain(|s| s.calls > 0);
     agg.sort_by_key(|s| std::cmp::Reverse(s.self_ns));
     let total_self: u64 = agg.iter().map(|s| s.self_ns).sum();
@@ -248,13 +248,12 @@ fn print_table(registry: &ObsRegistry, spans: &[SpanRecord]) {
             s.self_ns as f64 * 100.0 / total_self,
         );
     }
-    let (roots, sampled, dropped) = snap.shards.iter().fold((0u64, 0u64, 0u64), |acc, sh| {
-        (
-            acc.0 + sh.roots,
-            acc.1 + sh.sampled_roots,
-            acc.2 + sh.spans_dropped,
-        )
-    });
+    let [roots, sampled, dropped] = [
+        "ctxres_phase_roots_total",
+        "ctxres_phase_sampled_roots_total",
+        "ctxres_phase_spans_dropped_total",
+    ]
+    .map(|family| snap.total(family));
     eprintln!(
         "{roots} roots seen, {sampled} sampled, {} spans exported, {dropped} dropped (ring full)",
         spans.len(),

@@ -398,10 +398,9 @@ fn main() -> ExitCode {
                 sharded.drain();
                 let sample = sampler.sample_after(1.0);
                 windows += 1;
+                let all_p99 = [("outcome", "all"), ("q", "0.99")];
                 let p99_ms = sample
-                    .tail
-                    .as_ref()
-                    .and_then(|t| t.all.p99_ns)
+                    .gauge("ctxres_e2e_window_quantile_ns", &all_p99)
                     .map(|ns| ns / 1e6);
                 if let Some(p99) = p99_ms {
                     eprintln!("  [{} w{w}] e2e p99 {p99:.2} ms", phase.name);
@@ -413,10 +412,8 @@ fn main() -> ExitCode {
                         }
                     }
                 }
-                if let (Some(engine), Some(health)) = (latency_engine.as_mut(), &sample.health) {
-                    for alert in
-                        engine.evaluate_with_tail(health, sample.tail.as_ref(), windows as u64)
-                    {
+                if let Some(engine) = latency_engine.as_mut() {
+                    for alert in engine.evaluate(&sample, windows as u64) {
                         eprintln!("  [{} w{w}] {alert}", phase.name);
                         alerts.push(AlertRow {
                             cycle: cycles,
@@ -428,37 +425,46 @@ fn main() -> ExitCode {
                         phase_latency.push(alert);
                     }
                 }
-                if let Some(health) = &sample.health {
-                    if let Some(pool) = &health.pool {
-                        marks.pool_live_max = marks.pool_live_max.max(pool.live_slots);
-                        marks.pool_free_max = marks.pool_free_max.max(pool.free_slots);
-                        if let Some(occ) = pool.occupancy {
-                            marks.pool_occupancy_max = marks.pool_occupancy_max.max(occ);
-                        }
-                        marks.pool_live_final = pool.live_slots;
+                let gauges = |family: &str| -> Vec<f64> {
+                    sample
+                        .family(family)
+                        .filter_map(|s| s.value.gauge())
+                        .collect()
+                };
+                if sample.family("ctxres_pool_live_slots").next().is_some() {
+                    let live = gauges("ctxres_pool_live_slots").iter().sum::<f64>() as u64;
+                    let free = gauges("ctxres_pool_free_slots").iter().sum::<f64>() as u64;
+                    marks.pool_live_max = marks.pool_live_max.max(live);
+                    marks.pool_free_max = marks.pool_free_max.max(free);
+                    if let Some(occ) = sample.gauge("ctxres_pool_occupancy", &[]) {
+                        marks.pool_occupancy_max = marks.pool_occupancy_max.max(occ);
                     }
-                    for row in &health.kinds {
-                        if let Some(staleness) = row.staleness {
-                            marks.staleness_max = marks.staleness_max.max(staleness);
-                        }
-                        if let Some(age) = row.oldest_age_ticks {
-                            marks.oldest_age_ticks_max = marks.oldest_age_ticks_max.max(age);
-                        }
-                    }
-                    for alert in &health.alerts {
-                        eprintln!("  [{} w{w}] {alert}", phase.name);
-                        alerts.push(AlertRow {
-                            cycle: cycles,
-                            phase: phase.name.to_owned(),
-                            window: w,
-                            firing: alert.firing,
-                            alert: alert.to_string(),
-                        });
-                        phase_alerts.push((w, alert.clone()));
-                    }
-                    active_at_end = health.active_alerts.clone();
+                    marks.pool_live_final = live;
                 }
-                marks.ring_dropped = marks.ring_dropped.max(sample.total.events_dropped);
+                for staleness in gauges("ctxres_health_staleness") {
+                    marks.staleness_max = marks.staleness_max.max(staleness);
+                }
+                for age in gauges("ctxres_health_oldest_age_ticks") {
+                    marks.oldest_age_ticks_max = marks.oldest_age_ticks_max.max(age as u64);
+                }
+                for alert in &sample.alerts {
+                    eprintln!("  [{} w{w}] {alert}", phase.name);
+                    alerts.push(AlertRow {
+                        cycle: cycles,
+                        phase: phase.name.to_owned(),
+                        window: w,
+                        firing: alert.firing,
+                        alert: alert.to_string(),
+                    });
+                    phase_alerts.push((w, alert.clone()));
+                }
+                active_at_end = sample
+                    .family("ctxres_slo_firing")
+                    .filter_map(|s| s.label("rule").map(str::to_owned))
+                    .collect();
+                marks.ring_dropped = marks
+                    .ring_dropped
+                    .max(sample.total("ctxres_trace_events_dropped_total"));
                 if let Some(rss) = rss_bytes() {
                     marks.rss_max_bytes = Some(marks.rss_max_bytes.unwrap_or(0).max(rss));
                 }

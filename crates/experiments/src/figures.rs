@@ -256,7 +256,6 @@ mod tests {
         );
         let ingested = registry
             .snapshot()
-            .aggregate()
             .counter(ctxres_obs::CounterKind::Ingested);
         // 4 rates × 4 strategies × 2 seeds × 60 contexts each.
         assert_eq!(ingested, 4 * 4 * 2 * 60);

@@ -478,9 +478,10 @@ mod tests {
         assert_eq!(serial, exported, "observation must not perturb results");
         // Every submitted context of every job landed in the shared
         // registry: the live endpoint sees the whole grid.
-        let agg = registry.snapshot().aggregate();
         assert_eq!(
-            agg.counter(ctxres_obs::CounterKind::Ingested),
+            registry
+                .snapshot()
+                .counter(ctxres_obs::CounterKind::Ingested),
             (jobs.len() * len) as u64
         );
         // Metrics-only: no per-event ring traffic from the grid.

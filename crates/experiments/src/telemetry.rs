@@ -12,7 +12,7 @@
 //! context's life cycle is reconstructable" is implemented.
 
 use ctxres_context::{ContextId, ContextState};
-use ctxres_obs::{ObsRegistry, ObsSnapshot, TailSnapshot, TraceEvent, TraceRecord, COUNTER_KINDS};
+use ctxres_obs::{ObsRegistry, ObsSnapshot, TraceEvent, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -26,26 +26,22 @@ pub struct CellTelemetry {
     pub err_rate: f64,
     /// Workload seed of the cell.
     pub seed: u64,
-    /// Point-in-time metrics (counters + histograms), taken before the
-    /// trace drain so `events_buffered` reflects the run.
+    /// Point-in-time metrics of every layer — counters, histograms,
+    /// and with [`ctxres_obs::ObsConfig::with_tail`] the end-to-end
+    /// histograms and over-p99 exemplars — taken before the trace drain
+    /// so `ctxres_trace_events_buffered` reflects the run.
     pub snapshot: ObsSnapshot,
     /// The drained event trace, ordered by logical time.
     pub trace: Vec<TraceRecord>,
     /// Events evicted from full rings during the run (0 means the trace
     /// is complete).
     pub dropped: u64,
-    /// The end-to-end tail-latency view (per-outcome histograms,
-    /// over-p99 exemplars, queue stats), when the cell
-    /// ran with [`ctxres_obs::ObsConfig::with_tail`]. `None` for
-    /// tail-off runs and for records written before the field existed.
-    pub tail: Option<TailSnapshot>,
 }
 
 impl CellTelemetry {
     /// Drains `registry` into a telemetry record tagged with its cell.
     pub fn collect(strategy: &str, err_rate: f64, seed: u64, registry: &ObsRegistry) -> Self {
         let snapshot = registry.snapshot();
-        let tail = registry.tail_snapshot();
         CellTelemetry {
             strategy: strategy.to_owned(),
             err_rate,
@@ -53,7 +49,6 @@ impl CellTelemetry {
             snapshot,
             trace: registry.drain(),
             dropped: registry.dropped(),
-            tail: (!tail.is_empty()).then_some(tail),
         }
     }
 
@@ -278,9 +273,10 @@ pub struct TraceDumpJson {
     /// How many of them were discarded.
     pub discarded: usize,
     /// Aggregated observability counters of the cell the trace came
-    /// from (name → cross-shard total) — includes the compiled-eval and
-    /// situation-eval counters. Empty when the dumper had no metrics
-    /// snapshot alongside the trace (a bare JSONL file).
+    /// from (name → cross-shard total, [`ObsSnapshot::counters`]) —
+    /// includes the compiled-eval and situation-eval counters and the
+    /// ring's `trace_events_dropped`. Empty when the dumper had no
+    /// metrics snapshot alongside the trace (a bare JSONL file).
     pub counters: BTreeMap<String, u64>,
     /// Every SLO alert transition (`TraceEvent::Alert`) in the trace,
     /// in trace order — the firing/clearing timeline of the health SLO
@@ -339,21 +335,18 @@ pub fn json_dump(trace: &[TraceRecord], label: &str) -> TraceDumpJson {
 }
 
 /// Like [`json_dump`], but also embeds the cell's aggregated counters
-/// (cross-shard totals keyed by counter name) so the `--json` document
-/// carries the cache-hit/skip and compiled-eval figures next to the
-/// trace they explain.
+/// (cross-shard totals keyed by counter name, the ring's drops
+/// included) so the `--json` document carries the compiled-eval and
+/// truncation figures next to the trace they explain.
 pub fn json_dump_with_snapshot(
     trace: &[TraceRecord],
     label: &str,
     snapshot: &ObsSnapshot,
 ) -> TraceDumpJson {
-    let mut doc = json_dump(trace, label);
-    let aggregate = snapshot.aggregate();
-    doc.counters = COUNTER_KINDS
-        .iter()
-        .map(|k| (k.name().to_owned(), aggregate.counter(*k)))
-        .collect();
-    doc
+    TraceDumpJson {
+        counters: snapshot.counters(),
+        ..json_dump(trace, label)
+    }
 }
 
 /// Renders a trace as a human-readable timeline, one event per line,
@@ -405,10 +398,11 @@ mod tests {
         assert!(!cell.trace.is_empty());
         // The snapshot was taken pre-drain: the buffered count matches
         // the trace we got.
-        assert_eq!(
-            cell.snapshot.shards[0].events_buffered,
-            cell.trace.len() as u64
-        );
+        let buffered = cell
+            .snapshot
+            .find("ctxres_trace_events_buffered", &[("shard", "0")])
+            .and_then(|s| s.value.gauge());
+        assert_eq!(buffered, Some(cell.trace.len() as f64));
     }
 
     /// Satellite acceptance: every context that ends the run
@@ -587,16 +581,15 @@ mod tests {
             app.recommended_window(),
             ObsConfig::enabled(),
         );
-        let tail = cell.tail.as_ref().expect("enabled preset turns tail on");
-        let folded: u64 = tail
-            .shards
-            .iter()
-            .flat_map(|s| s.outcomes.iter())
-            .map(|o| o.hist.count)
-            .sum();
-        assert_eq!(folded, 200, "every context folds a terminal span");
-        // Records written before the field existed still load
-        // (`Option` deserializes a missing field as `None`).
+        let spans = |cell: &CellTelemetry| -> u64 {
+            cell.snapshot
+                .family("ctxres_e2e_latency_us")
+                .filter_map(|s| s.value.histogram())
+                .map(|h| h.count)
+                .sum()
+        };
+        assert_eq!(spans(&cell), 200, "every context folds a terminal span");
+        assert!(!cell.snapshot.exemplars.is_empty());
         let (_, plain) = run_named_observed(
             &app,
             "d-bad",
@@ -606,12 +599,11 @@ mod tests {
             app.recommended_window(),
             ObsConfig::metrics_only(),
         );
-        assert!(plain.tail.is_none(), "metrics_only leaves tail off");
-        let json = serde_json::to_string(&plain).unwrap();
-        let stripped = json.replace(",\"tail\":null", "");
-        assert_ne!(stripped, json, "the field was present and removed");
-        let back: CellTelemetry = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back, plain, "pre-tail records still load");
+        assert_eq!(spans(&plain), 0, "metrics_only leaves tail off");
+        assert!(plain.snapshot.exemplars.is_empty());
+        let json = serde_json::to_string(&cell).unwrap();
+        let back: CellTelemetry = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, cell, "the record round-trips");
     }
 
     #[test]
@@ -621,6 +613,8 @@ mod tests {
         let counters = &dump.counters;
         assert!(counters["situation_evals"] > 0, "{counters:?}");
         assert!(counters["compiled_evals"] > 0, "{counters:?}");
+        assert_eq!(counters["trace_events_dropped"], cell.dropped);
+        assert!(!counters.contains_key("events_dropped"), "{counters:?}");
         let text = serde_json::to_string(&dump).unwrap();
         assert!(text.contains("\"situation_evals\""));
         // The plain dump has no snapshot to report from.

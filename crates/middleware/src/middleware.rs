@@ -1447,22 +1447,39 @@ mod tests {
         ]);
         m.drain();
 
-        let health = registry.health_snapshot();
-        assert_eq!(health.shards.len(), 1);
-        let shard = &health.shards[0];
-        let kind = shard
-            .kinds
-            .iter()
-            .find(|k| k.kind == "location")
-            .expect("location kind cell");
-        assert_eq!(kind.ingested, 4);
-        assert_eq!(kind.discarded, 1, "outlier discarded");
-        assert_eq!(kind.delivered, 3);
-        assert!(kind.violations >= 1, "speed violations attributed");
-        let pool = shard.pool.expect("pool gauges published at drain");
-        assert_eq!(pool.live_slots, m.pool().live_slots() as u64);
-        assert_eq!(pool.recycles, m.pool().slot_recycles());
-        assert_eq!(kind.live, 3, "watermark live count tracks the pool");
+        let snap = registry.snapshot();
+        let location = [("shard", "0"), ("kind", "location")];
+        let count = |snap: &ctxres_obs::ObsSnapshot, field: &str| {
+            snap.find(&format!("ctxres_health_{field}_total"), &location)
+                .expect("location kind cell")
+                .value
+                .counter()
+        };
+        assert_eq!(count(&snap, "ingested"), 4);
+        assert_eq!(count(&snap, "discarded"), 1, "outlier discarded");
+        assert_eq!(count(&snap, "delivered"), 3);
+        assert!(
+            count(&snap, "violations") >= 1,
+            "speed violations attributed"
+        );
+        let gauge = |family: &str, labels: &[(&str, &str)]| {
+            snap.find(family, labels).and_then(|s| s.value.gauge())
+        };
+        let shard = [("shard", "0")];
+        assert_eq!(
+            gauge("ctxres_pool_live_slots", &shard),
+            Some(m.pool().live_slots() as f64),
+            "pool gauges published at drain"
+        );
+        assert_eq!(
+            snap.total("ctxres_pool_generation_recycles_total"),
+            m.pool().slot_recycles()
+        );
+        assert_eq!(
+            gauge("ctxres_health_kind_live", &location),
+            Some(3.0),
+            "watermark live count tracks the pool"
+        );
 
         // A swap keeps the handle attached: post-swap traffic still
         // lands in the same kind cell.
@@ -1472,9 +1489,9 @@ mod tests {
         assert_ne!(m.strategy_name(), before);
         m.submit(loc("p", 20, 4.0, 0.0));
         m.drain();
-        let health = registry.health_snapshot();
-        assert_eq!(health.shards[0].kinds[0].ingested, 5);
-        assert_eq!(health.shards[0].kinds[0].delivered, 4);
+        let snap = registry.snapshot();
+        assert_eq!(count(&snap, "ingested"), 5);
+        assert_eq!(count(&snap, "delivered"), 4);
     }
 
     #[test]
@@ -1506,8 +1523,7 @@ mod tests {
         m.submit(loc("p", 5, 2.0, 0.0));
         m.drain();
         assert_eq!(m.checker_stats().seq_fallbacks, 4, "two pins per p arrival");
-        let shard = &registry.snapshot().shards[0];
-        assert_eq!(shard.counter(CounterKind::SeqFallbacks), 4);
+        assert_eq!(registry.snapshot().counter(CounterKind::SeqFallbacks), 4);
     }
 
     #[test]
@@ -1546,12 +1562,17 @@ mod tests {
         ]);
         m.drain();
         assert!(m.kind_cells.is_empty(), "no cells cached when health off");
-        let health = registry.health_snapshot();
-        assert!(health.shards[0].kinds.is_empty(), "no kind rows published");
-        assert!(health.shards[0].pool.is_none(), "no pool gauges published");
-        // The ordinary metrics layer is unaffected.
         let snap = registry.snapshot();
-        assert!(snap.shards[0].counter(CounterKind::Ingested) >= 3);
+        assert!(
+            snap.family("ctxres_health_ingested_total").next().is_none(),
+            "no kind rows published"
+        );
+        assert!(
+            snap.family("ctxres_pool_live_slots").next().is_none(),
+            "no pool gauges published"
+        );
+        // The ordinary metrics layer is unaffected.
+        assert!(snap.counter(CounterKind::Ingested) >= 3);
     }
 
     #[test]
@@ -2027,23 +2048,27 @@ mod retention_tests {
             m.tail_pending.is_empty(),
             "every span reached a terminal outcome"
         );
-        let snap = registry.tail_snapshot();
-        let shard = &snap.shards[0];
-        let by = |o: TailOutcome| {
-            shard
-                .outcomes
-                .iter()
-                .find(|t| t.outcome == o)
-                .map_or(0, |t| t.hist.count)
+        let snap = registry.snapshot();
+        let by = |o: Option<TailOutcome>| -> u64 {
+            snap.family("ctxres_e2e_latency_us")
+                .filter(|s| o.is_none_or(|o| s.label("outcome") == Some(o.name())))
+                .filter_map(|s| s.value.histogram())
+                .map(|h| h.count)
+                .sum()
         };
-        let total: u64 = shard.outcomes.iter().map(|o| o.hist.count).sum();
-        assert_eq!(total, 3, "one terminal fold per context");
-        assert!(by(TailOutcome::Delivered) >= 1, "the clean track delivers");
-        assert!(by(TailOutcome::Discarded) >= 1, "the violator is dropped");
+        assert_eq!(by(None), 3, "one terminal fold per context");
+        assert!(
+            by(Some(TailOutcome::Delivered)) >= 1,
+            "the clean track delivers"
+        );
+        assert!(
+            by(Some(TailOutcome::Discarded)) >= 1,
+            "the violator is dropped"
+        );
         // Early records land under the warm-up threshold, so the
         // reservoir holds exemplars; each carries a resolvable causal
         // ID and a telescoping span.
-        let exemplars = snap.exemplars();
+        let exemplars = &snap.exemplars;
         assert!(!exemplars.is_empty());
         for ex in exemplars {
             assert!(ex.causal_id().starts_with("s0/ctx#"), "{}", ex.causal_id());
@@ -2078,12 +2103,14 @@ mod retention_tests {
         );
         m.drain();
         assert!(m.tail_pending.is_empty());
-        let snap = registry.tail_snapshot();
-        let delivered = snap.shards[0]
-            .outcomes
-            .iter()
-            .find(|t| t.outcome == TailOutcome::Delivered)
-            .map_or(0, |t| t.hist.count);
+        let delivered = registry
+            .snapshot()
+            .find(
+                "ctxres_e2e_latency_us",
+                &[("outcome", TailOutcome::Delivered.name())],
+            )
+            .and_then(|s| s.value.histogram())
+            .map_or(0, |h| h.count);
         assert_eq!(delivered, 1, "single submits stamp spans as well");
     }
 
@@ -2507,10 +2534,10 @@ mod situation_skip_tests {
         m.advance_to(LogicalTime::new(3)); // the clock moved: both
         assert_eq!(m.stats().situation_activations, 2);
         assert_eq!(m.situations.evaluations(), 5, "4 rounds of 2 would be 8");
-        let shard = &obs.snapshot().shards[0];
-        assert_eq!(shard.counter(CounterKind::SituationEvals), 5);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter(CounterKind::SituationEvals), 5);
         assert_eq!(
-            shard.counter(CounterKind::CompiledEvals),
+            snap.counter(CounterKind::CompiledEvals),
             m.checker_stats().compiled_evals + 5
         );
     }

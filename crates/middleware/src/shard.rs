@@ -772,7 +772,6 @@ mod tests {
         let snap = registry.profile_snapshot();
         let calls = |shard: usize, phase: &str| {
             snap.shards[shard]
-                .phases
                 .iter()
                 .find(|p| p.phase == phase)
                 .map(|p| p.calls)
@@ -810,7 +809,7 @@ mod tests {
         assert!(alice_received.iter().all(|s| *s == alice_shard));
         // Metrics landed without a drop.
         assert_eq!(registry.dropped(), 0);
-        let agg = registry.snapshot().aggregate();
+        let agg = registry.snapshot();
         assert_eq!(
             agg.counter(ctxres_obs::CounterKind::Deliveries),
             sharded.stats().delivered
@@ -836,17 +835,30 @@ mod tests {
         sharded.batch_add_owned(batch);
         sharded.submit(loc("alice", 6, 0.6));
         sharded.drain();
-        let tail = registry.tail_snapshot();
-        let waits: u64 = tail.shards.iter().map(|s| s.queue.wait_count).sum();
-        let services: u64 = tail.shards.iter().map(|s| s.queue.service_count).sum();
-        assert!(waits >= 2, "each ingested chunk and submit queues once");
-        assert_eq!(waits, services, "every wait is followed by service");
+        let snap = registry.snapshot();
+        // Each shard that took a chunk or the submit both waited for its
+        // lock and served it, and only those shards report queue time.
+        let queued = |family: &str| {
+            let mut shards: Vec<String> = snap
+                .family(family)
+                .map(|s| s.label("shard").unwrap_or_default().to_owned())
+                .collect();
+            shards.sort();
+            shards
+        };
+        let waited = queued("ctxres_queue_wait_seconds_total");
+        assert!(!waited.is_empty(), "each ingested chunk and submit queues");
+        assert_eq!(
+            waited,
+            queued("ctxres_queue_service_seconds_total"),
+            "every wait is followed by service"
+        );
+        assert!(snap.total("ctxres_queue_service_seconds_total") > 0);
         // The delivered spans flowed through too.
-        let folded: u64 = tail
-            .shards
-            .iter()
-            .flat_map(|s| s.outcomes.iter())
-            .map(|o| o.hist.count)
+        let folded: u64 = snap
+            .family("ctxres_e2e_latency_us")
+            .filter_map(|s| s.value.histogram())
+            .map(|h| h.count)
             .sum();
         assert_eq!(folded, 13, "one terminal outcome per context");
     }

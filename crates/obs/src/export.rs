@@ -1,550 +1,126 @@
 //! Prometheus text exposition (format v0.0.4) of a [`Sample`].
 //!
-//! Everything is rendered by hand — no exporter crate — because the
-//! format is line-oriented and tiny: `name{labels} value`, preceded by
-//! `# TYPE` headers. The renderer is deterministic for a deterministic
-//! sample (fixed shard order, fixed kind order, buckets emitted up to
-//! the last non-empty bound), which is what lets a golden test pin the
-//! entire output of a seeded run.
-//!
-//! Conventions:
-//!
-//! * counters: `ctxres_<kind>_total{shard="i"}` plus a windowed
-//!   `ctxres_<kind>_per_sec{shard="i"}` gauge (rates cover the interval
-//!   since the previous scrape — each scrape advances the sampler);
-//! * ring health: `ctxres_trace_events_dropped_total` /
-//!   `ctxres_trace_events_buffered`;
-//! * histograms: `ctxres_<kind>[_<unit>]` with cumulative `_bucket`
-//!   lines (`le` = the power-of-two bounds), `_sum`, `_count`, and
-//!   precomputed p50/p95/p99 upper bounds as
-//!   `..._quantile_bound{q="…"}` gauges. Kinds nothing has recorded are
-//!   omitted to keep the exposition proportional to what actually ran.
+//! One renderer for every layer: [`render_prometheus`] walks the
+//! declared [`families`] in order and writes each family's series the
+//! same way — a `# TYPE` header, then `name{labels} value` lines, with
+//! histograms expanded into cumulative `_bucket` lines (`le` = the
+//! power-of-two bounds, up to the last non-empty one), `_sum` and
+//! `_count`. Every label value is escaped as the text format requires,
+//! counters render divided by their family's scale, and non-finite
+//! readings render as `+Inf`/`-Inf`/`NaN`. A family without series — or
+//! a histogram family nothing has recorded into — is omitted, which
+//! keeps the exposition proportional to what actually ran. The output
+//! is deterministic for a deterministic sample, which is what lets a
+//! golden test pin it.
 
-use crate::health::HealthSample;
-use crate::metrics::{bucket_bound, CounterKind, MetricKind, COUNTER_KINDS, METRIC_KINDS};
-use crate::profile::PhaseSample;
-use crate::snapshot::{BuildInfo, Sample, QUANTILES};
-use crate::tail::{TailSample, TailWindow, TAIL_QUANTILES};
+use crate::metrics::bucket_bound;
+use crate::snapshot::{fmt_f64, Family, MetricType, Sample, Series, Value};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The exposition-format content type, for HTTP responses.
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
-/// The exported metric name of a counter kind.
-pub fn counter_metric_name(kind: CounterKind) -> String {
-    format!("ctxres_{}_total", kind.name())
-}
-
-/// The exported base metric name of a histogram kind (unit-suffixed for
-/// non-count units, Prometheus style).
-pub fn histogram_metric_name(kind: MetricKind) -> String {
-    match kind.unit() {
-        "count" => format!("ctxres_{}", kind.name()),
-        unit => format!("ctxres_{}_{unit}", kind.name()),
-    }
-}
-
-/// A quantile bound as an exposition value: the overflow bucket has no
-/// finite bound, so it exports as `+Inf`.
-fn quantile_value(bound: u64) -> String {
-    if bound == u64::MAX {
-        "+Inf".to_owned()
-    } else {
-        bound.to_string()
-    }
-}
-
-/// An interpolated quantile estimate as an exposition value: ranks in
-/// the overflow bucket estimate to infinity, exported as `+Inf`.
-fn quantile_est_value(est: f64) -> String {
-    if est.is_infinite() {
-        "+Inf".to_owned()
-    } else {
-        est.to_string()
-    }
+/// Every layer's families, in exposition order: core counters, ring
+/// and histograms, then health, SLO, tail, profiler and build identity.
+pub fn families() -> Vec<Family> {
+    let mut out = crate::metrics::families();
+    out.extend(crate::health::families());
+    out.push(crate::slo::SLO_FIRING);
+    out.extend(crate::tail::families());
+    out.extend(crate::profile::families());
+    out.push(crate::snapshot::BUILD_INFO);
+    out
 }
 
 /// Renders a sample as Prometheus text exposition.
 pub fn render_prometheus(sample: &Sample) -> String {
-    let mut out = String::new();
-    let w = &mut out;
-
-    let _ = writeln!(w, "# ctxres telemetry (Prometheus text exposition v0.0.4)");
-    let _ = writeln!(w, "# rates cover the window since the previous scrape");
-    let _ = writeln!(w, "# TYPE ctxres_obs_shards gauge");
-    let _ = writeln!(w, "ctxres_obs_shards {}", sample.shards.len());
-    let _ = writeln!(w, "# TYPE ctxres_scrape_window_seconds gauge");
-    let _ = writeln!(w, "ctxres_scrape_window_seconds {}", sample.elapsed_secs);
-
-    for kind in COUNTER_KINDS {
-        let name = counter_metric_name(kind);
-        let _ = writeln!(w, "# TYPE {name} counter");
-        for (i, shard) in sample.snapshot.shards.iter().enumerate() {
-            let _ = writeln!(w, "{name}{{shard=\"{i}\"}} {}", shard.counter(kind));
-        }
-        let rate = format!("ctxres_{}_per_sec", kind.name());
-        let _ = writeln!(w, "# TYPE {rate} gauge");
-        for rates in &sample.shards {
-            let _ = writeln!(
-                w,
-                "{rate}{{shard=\"{}\"}} {}",
-                rates.shard,
-                rates.rate(kind)
-            );
-        }
+    let mut by_family: HashMap<&str, Vec<&Series>> = HashMap::new();
+    for s in &sample.series {
+        by_family.entry(&s.family).or_default().push(s);
     }
-
-    let _ = writeln!(w, "# TYPE ctxres_trace_events_dropped_total counter");
-    for (i, shard) in sample.snapshot.shards.iter().enumerate() {
-        let _ = writeln!(
-            w,
-            "ctxres_trace_events_dropped_total{{shard=\"{i}\"}} {}",
-            shard.events_dropped
-        );
-    }
-    let _ = writeln!(w, "# TYPE ctxres_trace_events_buffered gauge");
-    for (i, shard) in sample.snapshot.shards.iter().enumerate() {
-        let _ = writeln!(
-            w,
-            "ctxres_trace_events_buffered{{shard=\"{i}\"}} {}",
-            shard.events_buffered
-        );
-    }
-
-    let aggregate = sample.snapshot.aggregate();
-    for kind in METRIC_KINDS {
-        if aggregate.histogram(kind).count == 0 {
+    let mut out = String::from(
+        "# ctxres telemetry (Prometheus text exposition v0.0.4)\n\
+         # rates cover the window since the previous scrape\n",
+    );
+    for family in families() {
+        let Some(series) = by_family.get(family.name.as_ref()) else {
+            continue;
+        };
+        let recorded = |s: &&Series| s.value.histogram().is_some_and(|h| h.count > 0);
+        if family.kind == MetricType::Histogram && !series.iter().any(recorded) {
             continue;
         }
-        let name = histogram_metric_name(kind);
-        let _ = writeln!(w, "# TYPE {name} histogram");
-        for (i, shard) in sample.snapshot.shards.iter().enumerate() {
-            let h = shard.histogram(kind);
-            let last_nonempty = h.buckets[..h.buckets.len().saturating_sub(1)]
-                .iter()
-                .rposition(|n| *n > 0);
-            let mut cum = 0u64;
-            if let Some(last) = last_nonempty {
-                for (b, n) in h.buckets[..=last].iter().enumerate() {
-                    cum += n;
-                    let _ = writeln!(
-                        w,
-                        "{name}_bucket{{shard=\"{i}\",le=\"{}\"}} {cum}",
-                        bucket_bound(b)
-                    );
-                }
-            }
-            let _ = writeln!(w, "{name}_bucket{{shard=\"{i}\",le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(w, "{name}_sum{{shard=\"{i}\"}} {}", h.sum);
-            let _ = writeln!(w, "{name}_count{{shard=\"{i}\"}} {}", h.count);
-        }
-        let _ = writeln!(w, "# TYPE {name}_quantile_bound gauge");
-        for (i, shard) in sample.snapshot.shards.iter().enumerate() {
-            let h = shard.histogram(kind);
-            for q in QUANTILES {
-                if let Some(bound) = h.quantile_bound(q) {
-                    let _ = writeln!(
-                        w,
-                        "{name}_quantile_bound{{shard=\"{i}\",q=\"{q}\"}} {}",
-                        quantile_value(bound)
-                    );
-                }
-            }
-        }
-        let _ = writeln!(w, "# TYPE {name}_quantile_est gauge");
-        for (i, shard) in sample.snapshot.shards.iter().enumerate() {
-            let h = shard.histogram(kind);
-            for q in QUANTILES {
-                if let Some(est) = h.quantile_est(q) {
-                    let _ = writeln!(
-                        w,
-                        "{name}_quantile_est{{shard=\"{i}\",q=\"{q}\"}} {}",
-                        quantile_est_value(est)
-                    );
-                }
-            }
+        let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind.name());
+        for s in series {
+            write_series(&mut out, &family, s);
         }
     }
-
-    // Health telemetry is rendered only when something published it, so
-    // runs without the health hooks export byte-identical text (the
-    // golden test above never sees these sections).
-    if let Some(health) = &sample.health {
-        render_health(w, health);
-    }
-
-    // End-to-end tail series render only when the tail layer is on and
-    // recorded — pre-tail setups export byte-identical text.
-    if let Some(tail) = &sample.tail {
-        render_tail(w, tail);
-    }
-
-    // Phase-profiler series render only when profiling is on and ran,
-    // and the build stamp only when one was attached — both keep the
-    // golden exposition byte-identical for pre-profiler setups.
-    if let Some(phases) = &sample.phases {
-        render_phases(w, phases);
-    }
-    if let Some(build) = &sample.build {
-        render_build_info(w, build);
-    }
-
     out
 }
 
-/// Renders the phase-profiler sections: cumulative per-(shard, phase)
-/// self/total seconds and call counters (phases that never ran are
-/// omitted), per-shard root/sampling/ring counters, and the window's
-/// cross-shard self-time share per phase.
-fn render_phases(w: &mut String, phases: &PhaseSample) {
-    let rows: Vec<_> = phases
-        .shards
+/// Writes one series' line(s).
+fn write_series(out: &mut String, family: &Family, s: &Series) {
+    let name = &family.name;
+    let labels = |le: Option<&str>| label_block(&s.labels, le);
+    match &s.value {
+        Value::Counter(n) if family.scale == 1.0 => {
+            let _ = writeln!(out, "{name}{} {n}", labels(None));
+        }
+        Value::Counter(n) => {
+            let _ = writeln!(
+                out,
+                "{name}{} {}",
+                labels(None),
+                fmt_f64(*n as f64 / family.scale)
+            );
+        }
+        Value::Gauge(x) => {
+            let _ = writeln!(out, "{name}{} {}", labels(None), fmt_f64(x / family.scale));
+        }
+        Value::Histogram(h) => {
+            let finite = &h.buckets[..h.buckets.len().saturating_sub(1)];
+            let last = finite.iter().rposition(|n| *n > 0).map_or(0, |i| i + 1);
+            let mut cum = 0u64;
+            for (b, n) in finite[..last].iter().enumerate() {
+                cum += n;
+                let le = bucket_bound(b).to_string();
+                let _ = writeln!(out, "{name}_bucket{} {cum}", labels(Some(&le)));
+            }
+            let _ = writeln!(out, "{name}_bucket{} {}", labels(Some("+Inf")), h.count);
+            let _ = writeln!(out, "{name}_sum{} {}", labels(None), h.sum);
+            let _ = writeln!(out, "{name}_count{} {}", labels(None), h.count);
+        }
+    }
+}
+
+/// `{k="v",...}` (empty for no labels), `le` appended when given. Label
+/// values are escaped as the text format requires: `\` → `\\`, `"` →
+/// `\"`, newline → `\n`.
+fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
+    let pairs: Vec<String> = labels
         .iter()
-        .flat_map(|s| {
-            s.cumulative
-                .iter()
-                .filter(|p| p.calls > 0)
-                .map(move |p| (s.shard, p))
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .chain(le.map(|le| ("le", le)))
+        .map(|(k, v)| {
+            let v = v
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            format!("{k}=\"{v}\"")
         })
         .collect();
-    if !rows.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_phase_self_seconds_total counter");
-        for (i, p) in &rows {
-            let _ = writeln!(
-                w,
-                "ctxres_phase_self_seconds_total{{shard=\"{i}\",phase=\"{}\"}} {}",
-                p.phase,
-                p.self_ns as f64 / 1e9
-            );
-        }
-        let _ = writeln!(w, "# TYPE ctxres_phase_total_seconds_total counter");
-        for (i, p) in &rows {
-            let _ = writeln!(
-                w,
-                "ctxres_phase_total_seconds_total{{shard=\"{i}\",phase=\"{}\"}} {}",
-                p.phase,
-                p.total_ns as f64 / 1e9
-            );
-        }
-        let _ = writeln!(w, "# TYPE ctxres_phase_calls_total counter");
-        for (i, p) in &rows {
-            let _ = writeln!(
-                w,
-                "ctxres_phase_calls_total{{shard=\"{i}\",phase=\"{}\"}} {}",
-                p.phase, p.calls
-            );
-        }
-    }
-
-    let _ = writeln!(w, "# TYPE ctxres_phase_roots_total counter");
-    for s in &phases.shards {
-        let _ = writeln!(
-            w,
-            "ctxres_phase_roots_total{{shard=\"{}\"}} {}",
-            s.shard, s.roots
-        );
-    }
-    let _ = writeln!(w, "# TYPE ctxres_phase_sampled_roots_total counter");
-    for s in &phases.shards {
-        let _ = writeln!(
-            w,
-            "ctxres_phase_sampled_roots_total{{shard=\"{}\"}} {}",
-            s.shard, s.sampled_roots
-        );
-    }
-    let _ = writeln!(w, "# TYPE ctxres_phase_spans_dropped_total counter");
-    for s in &phases.shards {
-        let _ = writeln!(
-            w,
-            "ctxres_phase_spans_dropped_total{{shard=\"{}\"}} {}",
-            s.shard, s.spans_dropped
-        );
-    }
-
-    let window_self: u64 = phases.window_total.iter().map(|p| p.self_ns).sum();
-    if window_self > 0 {
-        let _ = writeln!(w, "# TYPE ctxres_phase_self_share gauge");
-        for p in phases.window_total.iter().filter(|p| p.calls > 0) {
-            let _ = writeln!(
-                w,
-                "ctxres_phase_self_share{{phase=\"{}\"}} {}",
-                p.phase,
-                p.self_ns as f64 / window_self as f64
-            );
-        }
-    }
-}
-
-/// Renders the end-to-end tail sections: cumulative per-(shard,
-/// outcome) latency summaries (microsecond-bucketed), windowed
-/// interpolated quantiles per outcome, exemplar-capture counters and
-/// thresholds, and the queue wait/service series.
-fn render_tail(w: &mut String, tail: &TailSample) {
-    let rows: Vec<_> = tail
-        .snapshot
-        .shards
-        .iter()
-        .flat_map(|s| {
-            s.outcomes
-                .iter()
-                .filter(|o| o.hist.count > 0)
-                .map(move |o| (s.shard, o))
-        })
-        .collect();
-    if !rows.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_e2e_latency_us histogram");
-        for (i, o) in &rows {
-            let name = o.outcome.name();
-            let _ = writeln!(
-                w,
-                "ctxres_e2e_latency_us_bucket{{shard=\"{i}\",outcome=\"{name}\",le=\"+Inf\"}} {}",
-                o.hist.count
-            );
-            let _ = writeln!(
-                w,
-                "ctxres_e2e_latency_us_sum{{shard=\"{i}\",outcome=\"{name}\"}} {}",
-                o.hist.sum
-            );
-            let _ = writeln!(
-                w,
-                "ctxres_e2e_latency_us_count{{shard=\"{i}\",outcome=\"{name}\"}} {}",
-                o.hist.count
-            );
-        }
-    }
-
-    // Windowed interpolated quantiles, per outcome and across all.
-    let quantiles = |win: &TailWindow| {
-        [
-            (TAIL_QUANTILES[0], win.p50_ns),
-            (TAIL_QUANTILES[1], win.p95_ns),
-            (TAIL_QUANTILES[2], win.p99_ns),
-            (TAIL_QUANTILES[3], win.p999_ns),
-        ]
-    };
-    let windows: Vec<(&str, &TailWindow)> = tail
-        .outcomes
-        .iter()
-        .filter(|o| o.window.count > 0)
-        .map(|o| (o.outcome.name(), &o.window))
-        .chain((tail.all.count > 0).then_some(("all", &tail.all)))
-        .collect();
-    if !windows.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_e2e_window_quantile_ns gauge");
-        for (name, win) in &windows {
-            for (q, v) in quantiles(win) {
-                if let Some(v) = v {
-                    let _ = writeln!(
-                        w,
-                        "ctxres_e2e_window_quantile_ns{{outcome=\"{name}\",q=\"{q}\"}} {v}"
-                    );
-                }
-            }
-        }
-    }
-
-    let capturing: Vec<_> = tail
-        .snapshot
-        .shards
-        .iter()
-        .filter(|s| s.captured > 0)
-        .collect();
-    if !capturing.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_e2e_exemplars_captured_total counter");
-        for s in &capturing {
-            let _ = writeln!(
-                w,
-                "ctxres_e2e_exemplars_captured_total{{shard=\"{}\"}} {}",
-                s.shard, s.captured
-            );
-        }
-        let _ = writeln!(w, "# TYPE ctxres_e2e_capture_threshold_ns gauge");
-        for s in &capturing {
-            let v = if s.threshold_ns == u64::MAX {
-                "+Inf".to_owned()
-            } else {
-                s.threshold_ns.to_string()
-            };
-            let _ = writeln!(
-                w,
-                "ctxres_e2e_capture_threshold_ns{{shard=\"{}\"}} {v}",
-                s.shard
-            );
-        }
-    }
-
-    let queued: Vec<_> = tail
-        .snapshot
-        .shards
-        .iter()
-        .filter(|s| !s.queue.is_empty())
-        .collect();
-    if !queued.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_queue_wait_seconds_total counter");
-        for s in &queued {
-            let _ = writeln!(
-                w,
-                "ctxres_queue_wait_seconds_total{{shard=\"{}\"}} {}",
-                s.shard,
-                s.queue.wait_ns as f64 / 1e9
-            );
-        }
-        let _ = writeln!(w, "# TYPE ctxres_queue_service_seconds_total counter");
-        for s in &queued {
-            let _ = writeln!(
-                w,
-                "ctxres_queue_service_seconds_total{{shard=\"{}\"}} {}",
-                s.shard,
-                s.queue.service_ns as f64 / 1e9
-            );
-        }
-        if let Some(share) = tail.queue.wait_share {
-            let _ = writeln!(w, "# TYPE ctxres_queue_wait_share gauge");
-            let _ = writeln!(w, "ctxres_queue_wait_share {share}");
-        }
-    }
-}
-
-/// Renders the build identity gauge (constant 1; identity rides the
-/// labels, the standard `*_build_info` convention).
-fn render_build_info(w: &mut String, build: &BuildInfo) {
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let _ = writeln!(w, "# TYPE ctxres_build_info gauge");
-    let _ = writeln!(
-        w,
-        "ctxres_build_info{{commit=\"{}\",host=\"{}\"}} 1",
-        escape(&build.commit),
-        escape(&build.host)
-    );
-}
-
-/// Renders the health sections: arena gauges per shard, cumulative
-/// per-(shard, kind) quality counters, windowed cross-shard estimators,
-/// and the currently firing SLO rules.
-fn render_health(w: &mut String, health: &HealthSample) {
-    let shards_with_pool: Vec<_> = health
-        .snapshot
-        .shards
-        .iter()
-        .filter_map(|s| s.pool.map(|p| (s.shard, p)))
-        .collect();
-    if !shards_with_pool.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_pool_live_slots gauge");
-        for (i, p) in &shards_with_pool {
-            let _ = writeln!(
-                w,
-                "ctxres_pool_live_slots{{shard=\"{i}\"}} {}",
-                p.live_slots
-            );
-        }
-        let _ = writeln!(w, "# TYPE ctxres_pool_free_slots gauge");
-        for (i, p) in &shards_with_pool {
-            let _ = writeln!(
-                w,
-                "ctxres_pool_free_slots{{shard=\"{i}\"}} {}",
-                p.free_slots
-            );
-        }
-        let _ = writeln!(w, "# TYPE ctxres_pool_generation_recycles_total counter");
-        for (i, p) in &shards_with_pool {
-            let _ = writeln!(
-                w,
-                "ctxres_pool_generation_recycles_total{{shard=\"{i}\"}} {}",
-                p.recycles
-            );
-        }
-    }
-
-    let kind_rows: Vec<_> = health
-        .snapshot
-        .shards
-        .iter()
-        .flat_map(|s| s.kinds.iter().map(move |k| (s.shard, k)))
-        .collect();
-    if !kind_rows.is_empty() {
-        for (field, get) in [
-            (
-                "ingested",
-                &(|k: &crate::health::KindHealth| k.ingested) as &dyn Fn(_) -> u64,
-            ),
-            ("delivered", &|k: &crate::health::KindHealth| k.delivered),
-            ("discarded", &|k: &crate::health::KindHealth| k.discarded),
-            ("expired", &|k: &crate::health::KindHealth| k.expired),
-            ("violations", &|k: &crate::health::KindHealth| k.violations),
-        ] {
-            let _ = writeln!(w, "# TYPE ctxres_health_{field}_total counter");
-            for (i, k) in &kind_rows {
-                let _ = writeln!(
-                    w,
-                    "ctxres_health_{field}_total{{shard=\"{i}\",kind=\"{}\"}} {}",
-                    k.kind,
-                    get(k)
-                );
-            }
-        }
-        let _ = writeln!(w, "# TYPE ctxres_health_kind_live gauge");
-        for (i, k) in &kind_rows {
-            let _ = writeln!(
-                w,
-                "ctxres_health_kind_live{{shard=\"{i}\",kind=\"{}\"}} {}",
-                k.kind, k.live
-            );
-        }
-    }
-
-    // Windowed cross-shard estimators: one row per kind, rendered only
-    // when the window defined them (no traffic, no line).
-    for (metric, get) in [
-        (
-            "discard_rate",
-            &(|k: &crate::health::KindQuality| k.discard_rate) as &dyn Fn(_) -> Option<f64>,
-        ),
-        ("violation_rate", &|k: &crate::health::KindQuality| {
-            k.violation_rate
-        }),
-        ("use_rate", &|k: &crate::health::KindQuality| k.use_rate),
-        ("use_rate_ewma", &|k: &crate::health::KindQuality| {
-            k.use_rate_ewma
-        }),
-        ("staleness", &|k: &crate::health::KindQuality| k.staleness),
-    ] {
-        let rows: Vec<_> = health
-            .kinds
-            .iter()
-            .filter_map(|k| get(k).map(|v| (&k.kind, v)))
-            .collect();
-        if rows.is_empty() {
-            continue;
-        }
-        let _ = writeln!(w, "# TYPE ctxres_health_{metric} gauge");
-        for (kind, v) in rows {
-            let _ = writeln!(w, "ctxres_health_{metric}{{kind=\"{kind}\"}} {v}");
-        }
-    }
-    let ages: Vec<_> = health
-        .kinds
-        .iter()
-        .filter_map(|k| k.oldest_age_ticks.map(|v| (&k.kind, v)))
-        .collect();
-    if !ages.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_health_oldest_age_ticks gauge");
-        for (kind, v) in ages {
-            let _ = writeln!(w, "ctxres_health_oldest_age_ticks{{kind=\"{kind}\"}} {v}");
-        }
-    }
-
-    if !health.active_alerts.is_empty() {
-        let _ = writeln!(w, "# TYPE ctxres_slo_firing gauge");
-        for rule in &health.active_alerts {
-            let escaped = rule.replace('\\', "\\\\").replace('"', "\\\"");
-            let _ = writeln!(w, "ctxres_slo_firing{{rule=\"{escaped}\"}} 1");
-        }
+    if pairs.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", pairs.join(","))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{CounterKind, MetricKind};
     use crate::registry::{ObsConfig, ObsRegistry};
     use crate::snapshot::Sampler;
     use std::sync::Arc;
@@ -588,12 +164,6 @@ ctxres_events_recorded_total{shard=\"1\"} 0
 # TYPE ctxres_events_recorded_per_sec gauge
 ctxres_events_recorded_per_sec{shard=\"0\"} 0
 ctxres_events_recorded_per_sec{shard=\"1\"} 0
-# TYPE ctxres_events_dropped_total counter
-ctxres_events_dropped_total{shard=\"0\"} 0
-ctxres_events_dropped_total{shard=\"1\"} 0
-# TYPE ctxres_events_dropped_per_sec gauge
-ctxres_events_dropped_per_sec{shard=\"0\"} 0
-ctxres_events_dropped_per_sec{shard=\"1\"} 0
 # TYPE ctxres_detections_total counter
 ctxres_detections_total{shard=\"0\"} 12
 ctxres_detections_total{shard=\"1\"} 0
@@ -774,12 +344,6 @@ ctxres_events_recorded_total{shard=\"1\"} 0
 # TYPE ctxres_events_recorded_per_sec gauge
 ctxres_events_recorded_per_sec{shard=\"0\"} 0
 ctxres_events_recorded_per_sec{shard=\"1\"} 0
-# TYPE ctxres_events_dropped_total counter
-ctxres_events_dropped_total{shard=\"0\"} 0
-ctxres_events_dropped_total{shard=\"1\"} 0
-# TYPE ctxres_events_dropped_per_sec gauge
-ctxres_events_dropped_per_sec{shard=\"0\"} 0
-ctxres_events_dropped_per_sec{shard=\"1\"} 0
 # TYPE ctxres_detections_total counter
 ctxres_detections_total{shard=\"0\"} 0
 ctxres_detections_total{shard=\"1\"} 0
@@ -849,6 +413,8 @@ ctxres_pool_free_slots{shard=\"1\"} 7
 # TYPE ctxres_pool_generation_recycles_total counter
 ctxres_pool_generation_recycles_total{shard=\"0\"} 5
 ctxres_pool_generation_recycles_total{shard=\"1\"} 2
+# TYPE ctxres_pool_occupancy gauge
+ctxres_pool_occupancy 0.65625
 # TYPE ctxres_health_ingested_total counter
 ctxres_health_ingested_total{shard=\"0\",kind=\"rfid\"} 20
 ctxres_health_ingested_total{shard=\"1\",kind=\"location\"} 8
@@ -889,10 +455,17 @@ ctxres_slo_firing{rule=\"discard_rate > 0.3 for 1\"} 1
         );
     }
 
-    /// Health lines obey the same exposition rules as the core metrics.
+    /// Health lines obey the same exposition rules as the core metrics,
+    /// even for a kind name (which comes from a context source) that
+    /// carries a quote, a backslash and a newline.
     #[test]
     fn health_lines_are_valid_exposition() {
         assert_valid_exposition(&render_prometheus(&seeded_health_sample()));
+        let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
+        registry.handle(0).kind_handle("bad\"kind\nx\\").ingested(1);
+        let text = render_prometheus(&Sampler::new(registry).sample_after(0.0));
+        assert!(text.contains("kind=\"bad\\\"kind\\nx\\\\\"}"), "{text}");
+        assert_valid_exposition(&text);
     }
 
     /// Like [`seeded_sample`] but with profiling on, phases run, and a
@@ -964,12 +537,6 @@ ctxres_events_recorded_total{shard=\"1\"}
 # TYPE ctxres_events_recorded_per_sec gauge
 ctxres_events_recorded_per_sec{shard=\"0\"}
 ctxres_events_recorded_per_sec{shard=\"1\"}
-# TYPE ctxres_events_dropped_total counter
-ctxres_events_dropped_total{shard=\"0\"}
-ctxres_events_dropped_total{shard=\"1\"}
-# TYPE ctxres_events_dropped_per_sec gauge
-ctxres_events_dropped_per_sec{shard=\"0\"}
-ctxres_events_dropped_per_sec{shard=\"1\"}
 # TYPE ctxres_detections_total counter
 ctxres_detections_total{shard=\"0\"}
 ctxres_detections_total{shard=\"1\"}
@@ -1145,12 +712,6 @@ ctxres_events_recorded_total{shard=\"1\"} 0
 # TYPE ctxres_events_recorded_per_sec gauge
 ctxres_events_recorded_per_sec{shard=\"0\"} 0
 ctxres_events_recorded_per_sec{shard=\"1\"} 0
-# TYPE ctxres_events_dropped_total counter
-ctxres_events_dropped_total{shard=\"0\"} 0
-ctxres_events_dropped_total{shard=\"1\"} 0
-# TYPE ctxres_events_dropped_per_sec gauge
-ctxres_events_dropped_per_sec{shard=\"0\"} 0
-ctxres_events_dropped_per_sec{shard=\"1\"} 0
 # TYPE ctxres_detections_total counter
 ctxres_detections_total{shard=\"0\"} 0
 ctxres_detections_total{shard=\"1\"} 0
@@ -1212,6 +773,19 @@ ctxres_trace_events_dropped_total{shard=\"1\"} 0
 ctxres_trace_events_buffered{shard=\"0\"} 0
 ctxres_trace_events_buffered{shard=\"1\"} 0
 # TYPE ctxres_e2e_latency_us histogram
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"1\"} 0
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"2\"} 0
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"4\"} 0
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"8\"} 0
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"16\"} 0
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"32\"} 0
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"64\"} 1
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"128\"} 2
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"256\"} 2
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"512\"} 2
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"1024\"} 2
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"2048\"} 2
+ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"4096\"} 3
 ctxres_e2e_latency_us_bucket{shard=\"0\",outcome=\"delivered\",le=\"+Inf\"} 3
 ctxres_e2e_latency_us_sum{shard=\"0\",outcome=\"delivered\"} 4150
 ctxres_e2e_latency_us_count{shard=\"0\",outcome=\"delivered\"} 3
@@ -1254,6 +828,48 @@ ctxres_queue_wait_share 0.25
         assert_valid_exposition(&render_prometheus(&seeded_sample()));
     }
 
+    /// Parses a `{name="value",...}` block under the text format's
+    /// escapes (`\\`, `\"`, `\n`); `None` when malformed.
+    fn parse_labels(block: &str) -> Option<Vec<(String, String)>> {
+        let mut rest = block
+            .strip_prefix('{')?
+            .strip_suffix('}')?
+            .chars()
+            .peekable();
+        let mut pairs = Vec::new();
+        while rest.peek().is_some() {
+            let name: String = rest.by_ref().take_while(|c| *c != '=').collect();
+            let valid = |c: char| c.is_ascii_alphanumeric() || c == '_';
+            if name.is_empty() || !name.chars().all(valid) || rest.next()? != '"' {
+                return None;
+            }
+            let mut value = String::new();
+            loop {
+                match rest.next()? {
+                    '"' => break,
+                    '\\' => value.push(match rest.next()? {
+                        '\\' => '\\',
+                        '"' => '"',
+                        'n' => '\n',
+                        _ => return None,
+                    }),
+                    '\n' => return None,
+                    c => value.push(c),
+                }
+            }
+            pairs.push((name, value));
+            match rest.next() {
+                None => break,
+                Some(',') => {}
+                Some(_) => return None,
+            }
+        }
+        Some(pairs)
+    }
+
+    /// Every non-comment line must parse as `name{labels} value` (or a
+    /// bare `name value`): a prefixed metric name, `name="value"` label
+    /// pairs under the format's escapes, and a numeric (or ±Inf) value.
     fn assert_valid_exposition(text: &str) {
         for line in text.lines() {
             if line.starts_with('#') {
@@ -1264,20 +880,19 @@ ctxres_queue_wait_share 0.25
                 value == "+Inf" || value.parse::<f64>().is_ok(),
                 "bad value in {line:?}"
             );
-            let name = series.split('{').next().unwrap();
+            let name_end = series.find('{').unwrap_or(series.len());
+            let (name, labels) = series.split_at(name_end);
             assert!(
                 name.chars()
                     .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
                 "bad metric name in {line:?}"
             );
             assert!(name.starts_with("ctxres_"), "unprefixed metric {line:?}");
-            if let Some(rest) = series.strip_prefix(name) {
-                if !rest.is_empty() {
-                    assert!(
-                        rest.starts_with('{') && rest.ends_with('}'),
-                        "bad label block in {line:?}"
-                    );
-                }
+            if !labels.is_empty() {
+                assert!(
+                    parse_labels(labels).is_some(),
+                    "bad label block in {line:?}"
+                );
             }
         }
     }
@@ -1301,21 +916,13 @@ ctxres_queue_wait_share 0.25
 
     #[test]
     fn metric_names_are_unit_suffixed() {
+        let name = |kind: MetricKind| kind.family().name;
+        assert_eq!(name(MetricKind::CheckLatency), "ctxres_check_latency_ns");
         assert_eq!(
-            histogram_metric_name(MetricKind::CheckLatency),
-            "ctxres_check_latency_ns"
-        );
-        assert_eq!(
-            histogram_metric_name(MetricKind::UseResidualDelay),
+            name(MetricKind::UseResidualDelay),
             "ctxres_use_residual_delay_ticks"
         );
-        assert_eq!(
-            histogram_metric_name(MetricKind::QueueDepth),
-            "ctxres_queue_depth"
-        );
-        assert_eq!(
-            counter_metric_name(CounterKind::Ingested),
-            "ctxres_ingested_total"
-        );
+        assert_eq!(name(MetricKind::QueueDepth), "ctxres_queue_depth");
+        assert_eq!(CounterKind::Ingested.family().name, "ctxres_ingested_total");
     }
 }

@@ -1,11 +1,10 @@
 //! Streaming quality-of-context ("health") telemetry.
 //!
-//! The metrics registry (PRs 2–3) watches *mechanics* — throughput,
-//! latencies, ring pressure — but says nothing about the *quality*
-//! trade the paper is actually about: how much of each kind's traffic
-//! the active strategy is discarding, how often constraints fire, and
-//! whether the surviving contexts are fresh enough to matter. This
-//! module adds that layer:
+//! The core counters watch *mechanics* — throughput, latencies, ring
+//! pressure — but say nothing about the *quality* trade the paper is
+//! actually about: how much of each kind's traffic the active strategy
+//! is discarding, how often constraints fire, and whether the surviving
+//! contexts are fresh enough to matter. This layer adds that:
 //!
 //! * **per-(shard, kind) cells** ([`KindCell`] behind a cloneable
 //!   [`KindHandle`]): lock-free cumulative counters — ingested,
@@ -15,32 +14,25 @@
 //!   `ContextPool::kind_watermarks`. Handles from a disabled registry
 //!   are `None` inside, so every hook is a branch-and-return, exactly
 //!   like [`crate::ShardObs`];
-//! * **pool gauges** ([`PoolHealth`]): the PR 6 arena's occupancy
-//!   (`live_slots`/`free_slots`) and lifetime slot-recycle count, per
-//!   shard;
-//! * **windowed estimators** ([`HealthSample::between`]): consecutive
-//!   [`HealthSnapshot`]s difference into per-kind windowed
-//!   `discard_rate` (discards / ingested), `violation_rate`
-//!   (violations / ingested) and the paper's `ctxUseRate`
-//!   (deliveries / (deliveries + discards)) — each in a windowed-exact
-//!   variant and, for the use rate, an EWMA smoothing
-//!   ([`DEFAULT_EWMA_ALPHA`]) seeded with the first non-empty window
-//!   so a steady workload makes the two variants agree exactly
-//!   (asserted by a proptest below). Staleness is the oldest live
-//!   context's age over its lifespan: ≥ 1.0 means the freshest data a
-//!   constraint can see has already expired.
+//! * **pool gauges**: the arena's occupancy (`live_slots`/`free_slots`)
+//!   and lifetime slot-recycle count, per shard;
+//! * **derived gauges** (`health::derive`): from each window's deltas, the
+//!   per-kind cross-shard `discard_rate` (discards / ingested),
+//!   `violation_rate` (violations / ingested) and the paper's
+//!   `ctxUseRate` (deliveries / (deliveries + discards)), an EWMA of the
+//!   use rate ([`DEFAULT_EWMA_ALPHA`]) seeded with the first non-empty
+//!   window so a steady workload makes the two agree exactly (asserted
+//!   by a proptest below), and the arena's occupancy. Staleness is the
+//!   oldest live context's age over its lifespan: ≥ 1.0 means the
+//!   freshest data a constraint can see has already expired.
 //!
-//! Everything rides the existing sampler: `Sampler::sample` attaches a
-//! [`HealthSample`] to its [`crate::Sample`] whenever any engine has
-//! published health state, and the `/metrics`, `/snapshot`, `obs_top`
-//! and `trace_dump --json` surfaces render it. Runs without health
-//! publishing (or with observability disabled) carry `None` and are
-//! byte-identical to pre-health output.
+//! Everything reports into the registry's one snapshot, so `/metrics`,
+//! `/snapshot`, `obs_top` and the SLO engine read it from the sample.
+//! Runs without health publishing report no health series at all.
 
-use crate::slo::HealthAlert;
+use crate::snapshot::{Family, MetricType, Series, Value};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,21 +70,6 @@ impl KindCell {
             live: AtomicU64::new(0),
             oldest_age: AtomicU64::new(NONE),
             lifespan: AtomicU64::new(NONE),
-        }
-    }
-
-    fn snapshot(&self, kind: &str) -> KindHealth {
-        let opt = |v: u64| (v != NONE).then_some(v);
-        KindHealth {
-            kind: kind.to_owned(),
-            ingested: self.ingested.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            discarded: self.discarded.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            violations: self.violations.load(Ordering::Relaxed),
-            live: self.live.load(Ordering::Relaxed),
-            oldest_age_ticks: opt(self.oldest_age.load(Ordering::Relaxed)),
-            lifespan_ticks: opt(self.lifespan.load(Ordering::Relaxed)),
         }
     }
 }
@@ -189,15 +166,16 @@ impl PoolGauges {
         self.published.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> Option<PoolHealth> {
-        if self.published.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        Some(PoolHealth {
-            live_slots: self.live_slots.load(Ordering::Relaxed),
-            free_slots: self.free_slots.load(Ordering::Relaxed),
-            recycles: self.recycles.load(Ordering::Relaxed),
-            now_tick: self.now_tick.load(Ordering::Relaxed),
+    /// `(live, free, recycles, now_tick)`, once published.
+    fn read(&self) -> Option<[u64; 4]> {
+        (self.published.load(Ordering::Relaxed) > 0).then(|| {
+            [
+                &self.live_slots,
+                &self.free_slots,
+                &self.recycles,
+                &self.now_tick,
+            ]
+            .map(|g| g.load(Ordering::Relaxed))
         })
     }
 }
@@ -227,338 +205,193 @@ impl ShardHealthSlot {
         self.pool.publish(live, free, recycles, now_tick);
     }
 
-    pub(crate) fn snapshot(&self, shard: usize) -> ShardHealth {
-        let mut kinds: Vec<KindHealth> = self
-            .kinds
-            .lock()
-            .iter()
-            .map(|(name, cell)| cell.snapshot(name))
-            .collect();
-        kinds.sort_by(|a, b| a.kind.cmp(&b.kind));
-        ShardHealth {
-            shard,
-            pool: self.pool.snapshot(),
-            kinds,
+    /// The logical tick of the last pool publication, once published.
+    pub(crate) fn now_tick(&self) -> Option<u64> {
+        self.pool.read().map(|[.., tick]| tick)
+    }
+}
+
+const SHARD: &[&str] = &["shard"];
+const SHARD_KIND: &[&str] = &["shard", "kind"];
+const KIND: &[&str] = &["kind"];
+
+const POOL_LIVE: Family = Family::new(MetricType::Gauge, "ctxres_pool_live_slots", SHARD);
+const POOL_FREE: Family = Family::new(MetricType::Gauge, "ctxres_pool_free_slots", SHARD);
+const POOL_RECYCLES: Family = Family::new(
+    MetricType::Counter,
+    "ctxres_pool_generation_recycles_total",
+    SHARD,
+);
+/// `live / (live + free)` across shards: 1.0 means the arena is at its
+/// high-water mark, lower means churn is reusing slots.
+pub(crate) const POOL_OCCUPANCY: Family =
+    Family::new(MetricType::Gauge, "ctxres_pool_occupancy", &[]);
+/// The kind cells' counters, in cell order.
+const KIND_COUNTERS: [Family; 5] = [
+    Family::new(
+        MetricType::Counter,
+        "ctxres_health_ingested_total",
+        SHARD_KIND,
+    ),
+    Family::new(
+        MetricType::Counter,
+        "ctxres_health_delivered_total",
+        SHARD_KIND,
+    ),
+    Family::new(
+        MetricType::Counter,
+        "ctxres_health_discarded_total",
+        SHARD_KIND,
+    ),
+    Family::new(
+        MetricType::Counter,
+        "ctxres_health_expired_total",
+        SHARD_KIND,
+    ),
+    Family::new(
+        MetricType::Counter,
+        "ctxres_health_violations_total",
+        SHARD_KIND,
+    ),
+];
+const KIND_LIVE: Family = Family::new(MetricType::Gauge, "ctxres_health_kind_live", SHARD_KIND);
+/// Windowed `discarded / ingested` per kind.
+pub(crate) const DISCARD_RATE: Family =
+    Family::new(MetricType::Gauge, "ctxres_health_discard_rate", KIND);
+/// Windowed `violations / ingested` per kind.
+pub(crate) const VIOLATION_RATE: Family =
+    Family::new(MetricType::Gauge, "ctxres_health_violation_rate", KIND);
+/// Windowed `delivered / (delivered + discarded)` per kind.
+pub(crate) const USE_RATE: Family = Family::new(MetricType::Gauge, "ctxres_health_use_rate", KIND);
+const USE_RATE_EWMA: Family = Family::new(MetricType::Gauge, "ctxres_health_use_rate_ewma", KIND);
+/// The worst shard's `oldest_age / lifespan` per kind.
+pub(crate) const STALENESS: Family =
+    Family::new(MetricType::Gauge, "ctxres_health_staleness", KIND);
+const OLDEST_AGE: Family = Family::new(MetricType::Gauge, "ctxres_health_oldest_age_ticks", KIND);
+
+/// The health families, in exposition order.
+pub(crate) fn families() -> Vec<Family> {
+    let mut out = vec![POOL_LIVE, POOL_FREE, POOL_RECYCLES, POOL_OCCUPANCY];
+    out.extend(KIND_COUNTERS);
+    out.extend([
+        KIND_LIVE,
+        DISCARD_RATE,
+        VIOLATION_RATE,
+        USE_RATE,
+        USE_RATE_EWMA,
+        STALENESS,
+        OLDEST_AGE,
+    ]);
+    out
+}
+
+/// Reports every shard's published pool gauges and kind cells (sorted
+/// by kind), then each kind's worst watermark across shards: the oldest
+/// live context's age and the largest staleness.
+pub(crate) fn report<'a>(slots: impl Iterator<Item = &'a ShardHealthSlot>, out: &mut Vec<Series>) {
+    let mut worst: BTreeMap<Arc<str>, (Option<u64>, Option<f64>)> = BTreeMap::new();
+    for (i, slot) in slots.enumerate() {
+        let label = i.to_string();
+        let shard = [label.as_str()];
+        if let Some([live, free, recycles, _]) = slot.pool.read() {
+            out.push(POOL_LIVE.series(&shard, Value::Gauge(live as f64)));
+            out.push(POOL_FREE.series(&shard, Value::Gauge(free as f64)));
+            out.push(POOL_RECYCLES.series(&shard, Value::Counter(recycles)));
+        }
+        let mut kinds = slot.kinds.lock().clone();
+        kinds.sort_by(|a, b| a.0.cmp(&b.0));
+        for (kind, cell) in &kinds {
+            let labels = [shard[0], kind.as_ref()];
+            let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+            let counts = [
+                &cell.ingested,
+                &cell.delivered,
+                &cell.discarded,
+                &cell.expired,
+                &cell.violations,
+            ];
+            for (family, count) in KIND_COUNTERS.iter().zip(counts) {
+                out.push(family.series(&labels, Value::Counter(load(count))));
+            }
+            out.push(KIND_LIVE.series(&labels, Value::Gauge(load(&cell.live) as f64)));
+            let opt = |v: u64| (v != NONE).then_some(v);
+            let (age, life) = (opt(load(&cell.oldest_age)), opt(load(&cell.lifespan)));
+            let staleness = match (age, life) {
+                (Some(age), Some(life)) if life > 0 => Some(age as f64 / life as f64),
+                _ => None,
+            };
+            let entry = worst.entry(Arc::clone(kind)).or_default();
+            entry.0 = entry.0.max(age);
+            entry.1 = match (entry.1, staleness) {
+                (Some(a), Some(b)) => Some(a.max(b)),
+                (a, b) => a.or(b),
+            };
         }
     }
-}
-
-/// A point-in-time copy of one shard's arena gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PoolHealth {
-    /// Occupied arena slots (stored contexts, any state).
-    pub live_slots: u64,
-    /// Slots on the arena's free list.
-    pub free_slots: u64,
-    /// Lifetime slot recycles (generation bumps).
-    pub recycles: u64,
-    /// The engine's logical clock when the gauges were published.
-    pub now_tick: u64,
-}
-
-/// A point-in-time copy of one (shard, kind) cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KindHealth {
-    /// The kind's name.
-    pub kind: String,
-    /// Contexts of the kind ingested (lifetime).
-    pub ingested: u64,
-    /// Contexts of the kind delivered to applications (lifetime).
-    pub delivered: u64,
-    /// Contexts of the kind discarded (lifetime).
-    pub discarded: u64,
-    /// Use requests that found the kind's context expired (lifetime).
-    pub expired: u64,
-    /// Constraint violations attributed to the kind (lifetime).
-    pub violations: u64,
-    /// Live (not discarded) contexts of the kind in the pool (gauge).
-    pub live: u64,
-    /// Age of the oldest live context, in ticks (gauge).
-    pub oldest_age_ticks: Option<u64>,
-    /// Lifespan of that oldest context; `None` when it never expires.
-    pub lifespan_ticks: Option<u64>,
-}
-
-/// One shard's cumulative health state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardHealth {
-    /// The shard index.
-    pub shard: usize,
-    /// Arena gauges; `None` until the engine publishes them.
-    pub pool: Option<PoolHealth>,
-    /// Per-kind cells, sorted by kind name.
-    pub kinds: Vec<KindHealth>,
-}
-
-/// A whole registry's cumulative health state: one record per shard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthSnapshot {
-    /// Per-shard health in shard order.
-    pub shards: Vec<ShardHealth>,
-}
-
-impl HealthSnapshot {
-    /// Whether nothing has published any health state yet — the
-    /// condition under which `Sampler` leaves `Sample::health` as
-    /// `None` and every export surface stays byte-identical to its
-    /// pre-health output.
-    pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.pool.is_none() && s.kinds.is_empty())
+    for (kind, (age, staleness)) in &worst {
+        if let Some(s) = staleness {
+            out.push(STALENESS.series(&[kind], Value::Gauge(*s)));
+        }
+        if let Some(age) = age {
+            out.push(OLDEST_AGE.series(&[kind], Value::Gauge(*age as f64)));
+        }
     }
-
-    /// The most recent logical tick any shard published, or 0.
-    pub fn max_now_tick(&self) -> u64 {
-        self.shards
-            .iter()
-            .filter_map(|s| s.pool.map(|p| p.now_tick))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// One windowed per-kind quality row — a line of the heatmap.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KindQuality {
-    /// The shard the row describes, or `None` for a cross-shard total.
-    pub shard: Option<usize>,
-    /// The kind's name.
-    pub kind: String,
-    /// Contexts ingested during this window.
-    pub ingested: u64,
-    /// Contexts delivered during this window.
-    pub delivered: u64,
-    /// Contexts discarded during this window.
-    pub discarded: u64,
-    /// Expired-on-use events during this window.
-    pub expired: u64,
-    /// Constraint violations during this window.
-    pub violations: u64,
-    /// Windowed discard rate: discarded / ingested. `None` when the
-    /// window ingested nothing.
-    pub discard_rate: Option<f64>,
-    /// Windowed violation rate: violations / ingested.
-    pub violation_rate: Option<f64>,
-    /// Windowed-exact `ctxUseRate`: delivered / (delivered +
-    /// discarded). `None` when the window settled nothing.
-    pub use_rate: Option<f64>,
-    /// EWMA-smoothed `ctxUseRate` (cross-shard totals only): seeded
-    /// with the first non-empty window, then
-    /// `α·window + (1−α)·previous`. Empty windows leave it unchanged.
-    pub use_rate_ewma: Option<f64>,
-    /// Live contexts of the kind (gauge; summed across shards in a
-    /// total row).
-    pub live: u64,
-    /// Age of the oldest live context in ticks (gauge; max across
-    /// shards in a total row).
-    pub oldest_age_ticks: Option<u64>,
-    /// Lifespan of that oldest context (`None` = never expires).
-    pub lifespan_ticks: Option<u64>,
-    /// Staleness watermark: `oldest_age / lifespan`. ≥ 1.0 means the
-    /// oldest live context has outlived its lifespan; `None` when the
-    /// kind has no live expiring contexts.
-    pub staleness: Option<f64>,
-}
-
-/// Aggregate windowed arena view.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoolQuality {
-    /// Occupied slots, summed across shards.
-    pub live_slots: u64,
-    /// Free-list slots, summed across shards.
-    pub free_slots: u64,
-    /// Lifetime recycles, summed across shards.
-    pub recycles: u64,
-    /// Slots recycled during this window.
-    pub recycles_delta: u64,
-    /// The most recent logical tick any shard published.
-    pub now_tick: u64,
-    /// `live / (live + free)`: 1.0 means the arena is at its
-    /// high-water mark, lower means churn is reusing slots. `None`
-    /// before any slot exists.
-    pub occupancy: Option<f64>,
-}
-
-/// The windowed health view attached to a [`crate::Sample`]: the
-/// cumulative snapshot it ends at, per-kind quality rows (cross-shard
-/// totals and per-shard), aggregate arena gauges, and the SLO engine's
-/// output for the window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HealthSample {
-    /// The cumulative health snapshot this window ends at.
-    pub snapshot: HealthSnapshot,
-    /// Cross-shard per-kind quality rows (`shard: None`), sorted by
-    /// kind — the heatmap.
-    pub kinds: Vec<KindQuality>,
-    /// Per-(shard, kind) quality rows, in (shard, kind) order.
-    pub shard_kinds: Vec<KindQuality>,
-    /// Aggregate arena gauges; `None` until an engine publishes them.
-    pub pool: Option<PoolQuality>,
-    /// SLO transitions (fired / cleared) during this window.
-    pub alerts: Vec<HealthAlert>,
-    /// Names of the SLO rules currently firing.
-    pub active_alerts: Vec<String>,
 }
 
 fn ratio(num: u64, den: u64) -> Option<f64> {
     (den > 0).then(|| num as f64 / den as f64)
 }
 
-fn quality_row(shard: Option<usize>, prev: Option<&KindHealth>, cur: &KindHealth) -> KindQuality {
-    let d = |get: fn(&KindHealth) -> u64| get(cur).saturating_sub(prev.map(get).unwrap_or(0));
-    let (ingested, delivered, discarded, expired, violations) = (
-        d(|k| k.ingested),
-        d(|k| k.delivered),
-        d(|k| k.discarded),
-        d(|k| k.expired),
-        d(|k| k.violations),
-    );
-    KindQuality {
-        shard,
-        kind: cur.kind.clone(),
-        ingested,
-        delivered,
-        discarded,
-        expired,
-        violations,
-        discard_rate: ratio(discarded, ingested),
-        violation_rate: ratio(violations, ingested),
-        use_rate: ratio(delivered, delivered + discarded),
-        use_rate_ewma: None,
-        live: cur.live,
-        oldest_age_ticks: cur.oldest_age_ticks,
-        lifespan_ticks: cur.lifespan_ticks,
-        staleness: match (cur.oldest_age_ticks, cur.lifespan_ticks) {
-            (Some(age), Some(life)) if life > 0 => Some(age as f64 / life as f64),
-            _ => None,
-        },
+/// The health gauges derived from one window: per kind across shards,
+/// the discard, violation and use rates (each only when its
+/// denominator moved), the use rate's EWMA (`alpha·window +
+/// (1−alpha)·previous`, seeded with the first defined window, held
+/// through idle ones; `ewma` carries it between windows), and the
+/// arena's occupancy.
+pub(crate) fn derive(
+    series: &[Series],
+    ewma: &mut HashMap<String, f64>,
+    alpha: f64,
+    out: &mut Vec<Series>,
+) {
+    // Windowed [ingested, delivered, discarded, violations] per kind.
+    let mut kinds: BTreeMap<&str, [u64; 4]> = BTreeMap::new();
+    for (slot, family) in [0, 1, 2, 4].into_iter().enumerate() {
+        let name = &KIND_COUNTERS[family].name;
+        for s in series.iter().filter(|s| s.family == *name) {
+            kinds.entry(s.label("kind").unwrap_or("")).or_default()[slot] += s.delta();
+        }
     }
-}
-
-impl HealthSample {
-    /// Differences two consecutive health snapshots into the windowed
-    /// quality view, updating the caller's per-kind EWMA state. With
-    /// `prev = None` (the baseline sample) the window is the full
-    /// cumulative history, mirroring the counter sampler's baseline.
-    /// SLO fields start empty; the sampler fills them when an engine
-    /// is attached.
-    pub fn between(
-        prev: Option<&HealthSnapshot>,
-        cur: &HealthSnapshot,
-        ewma: &mut std::collections::HashMap<String, f64>,
-        alpha: f64,
-    ) -> HealthSample {
-        let prev_kind = |shard: usize, kind: &str| -> Option<&KindHealth> {
-            prev?
-                .shards
-                .iter()
-                .find(|s| s.shard == shard)?
-                .kinds
-                .iter()
-                .find(|k| k.kind == kind)
+    for (kind, [ingested, delivered, discarded, violations]) in kinds {
+        let use_rate = ratio(delivered, delivered + discarded);
+        let smoothed = match (use_rate, ewma.get(kind).copied()) {
+            (Some(x), Some(prev)) => Some(alpha * x + (1.0 - alpha) * prev),
+            (x, prev) => x.or(prev),
         };
-
-        let mut shard_kinds = Vec::new();
-        for sh in &cur.shards {
-            for k in &sh.kinds {
-                shard_kinds.push(quality_row(Some(sh.shard), prev_kind(sh.shard, &k.kind), k));
-            }
+        if let Some(e) = smoothed {
+            ewma.insert(kind.to_owned(), e);
         }
-
-        // Cross-shard totals: sum window deltas and live gauges, take
-        // the *worst* (oldest) staleness watermark across shards.
-        let mut by_kind: BTreeMap<String, Vec<&KindQuality>> = BTreeMap::new();
-        for row in &shard_kinds {
-            by_kind.entry(row.kind.clone()).or_default().push(row);
-        }
-        let kinds: Vec<KindQuality> = by_kind
-            .into_iter()
-            .map(|(kind, rows)| {
-                let sum = |get: fn(&KindQuality) -> u64| rows.iter().map(|r| get(r)).sum::<u64>();
-                let (ingested, delivered, discarded, expired, violations) = (
-                    sum(|r| r.ingested),
-                    sum(|r| r.delivered),
-                    sum(|r| r.discarded),
-                    sum(|r| r.expired),
-                    sum(|r| r.violations),
-                );
-                let oldest = rows
-                    .iter()
-                    .filter_map(|r| r.oldest_age_ticks.map(|age| (age, r.lifespan_ticks)))
-                    .max_by_key(|(age, _)| *age);
-                let use_rate = ratio(delivered, delivered + discarded);
-                let use_rate_ewma = match (use_rate, ewma.get(&kind).copied()) {
-                    (Some(x), Some(prev_e)) => {
-                        let e = alpha * x + (1.0 - alpha) * prev_e;
-                        ewma.insert(kind.clone(), e);
-                        Some(e)
-                    }
-                    (Some(x), None) => {
-                        ewma.insert(kind.clone(), x);
-                        Some(x)
-                    }
-                    (None, kept) => kept,
-                };
-                KindQuality {
-                    shard: None,
-                    kind,
-                    ingested,
-                    delivered,
-                    discarded,
-                    expired,
-                    violations,
-                    discard_rate: ratio(discarded, ingested),
-                    violation_rate: ratio(violations, ingested),
-                    use_rate,
-                    use_rate_ewma,
-                    live: sum(|r| r.live),
-                    oldest_age_ticks: oldest.map(|(age, _)| age),
-                    lifespan_ticks: oldest.and_then(|(_, life)| life),
-                    staleness: rows
-                        .iter()
-                        .filter_map(|r| r.staleness)
-                        .max_by(|a, b| a.total_cmp(b)),
-                }
-            })
-            .collect();
-
-        let pools: Vec<PoolHealth> = cur.shards.iter().filter_map(|s| s.pool).collect();
-        let pool = (!pools.is_empty()).then(|| {
-            let live: u64 = pools.iter().map(|p| p.live_slots).sum();
-            let free: u64 = pools.iter().map(|p| p.free_slots).sum();
-            let recycles: u64 = pools.iter().map(|p| p.recycles).sum();
-            let prev_recycles: u64 = prev
-                .map(|p| {
-                    p.shards
-                        .iter()
-                        .filter_map(|s| s.pool.map(|g| g.recycles))
-                        .sum()
-                })
-                .unwrap_or(0);
-            PoolQuality {
-                live_slots: live,
-                free_slots: free,
-                recycles,
-                recycles_delta: recycles.saturating_sub(prev_recycles),
-                now_tick: cur.max_now_tick(),
-                occupancy: ratio(live, live + free),
+        for (family, value) in [
+            (&DISCARD_RATE, ratio(discarded, ingested)),
+            (&VIOLATION_RATE, ratio(violations, ingested)),
+            (&USE_RATE, use_rate),
+            (&USE_RATE_EWMA, smoothed),
+        ] {
+            if let Some(v) = value {
+                out.push(family.series(&[kind], Value::Gauge(v)));
             }
-        });
-
-        HealthSample {
-            snapshot: cur.clone(),
-            kinds,
-            shard_kinds,
-            pool,
-            alerts: Vec::new(),
-            active_alerts: Vec::new(),
         }
     }
-
-    /// The cross-shard total row for `kind`, when the window has one.
-    pub fn kind(&self, kind: &str) -> Option<&KindQuality> {
-        self.kinds.iter().find(|k| k.kind == kind)
+    let gauge_sum = |family: &Family| -> f64 {
+        series
+            .iter()
+            .filter(|s| s.family == family.name)
+            .filter_map(|s| s.value.gauge())
+            .sum()
+    };
+    let (live, free) = (gauge_sum(&POOL_LIVE), gauge_sum(&POOL_FREE));
+    if live + free > 0.0 {
+        out.push(POOL_OCCUPANCY.series(&[], Value::Gauge(live / (live + free))));
     }
 }
 
@@ -566,7 +399,7 @@ impl HealthSample {
 mod tests {
     use super::*;
     use crate::registry::{ObsConfig, ObsRegistry};
-    use std::collections::HashMap;
+    use crate::snapshot::Sampler;
 
     #[test]
     fn disabled_handles_record_nothing() {
@@ -576,7 +409,11 @@ mod tests {
         h.ingested(5);
         h.set_watermark(3, Some(2), Some(10));
         registry.handle(0).publish_pool(1, 2, 3, 4);
-        assert!(registry.health_snapshot().is_empty());
+        let snap = registry.snapshot();
+        assert!(families()
+            .iter()
+            .all(|f| snap.family(&f.name).next().is_none()));
+        assert_eq!(registry.now_tick(), 0);
     }
 
     #[test]
@@ -594,87 +431,111 @@ mod tests {
         b.ingested(7);
         a.set_watermark(5, Some(9), Some(12));
 
-        let snap = registry.health_snapshot();
-        assert!(!snap.is_empty());
-        let s0 = &snap.shards[0].kinds[0];
-        assert_eq!(
-            (s0.ingested, s0.delivered, s0.discarded, s0.violations),
-            (5, 4, 1, 2)
+        let snap = registry.snapshot();
+        let s0 = [("shard", "0"), ("kind", "location")];
+        let count = |family: &str, labels: &[(&str, &str)]| {
+            snap.find(family, labels).map(|s| s.value.counter())
+        };
+        assert_eq!(count("ctxres_health_ingested_total", &s0), Some(5));
+        assert_eq!(count("ctxres_health_delivered_total", &s0), Some(4));
+        assert_eq!(count("ctxres_health_discarded_total", &s0), Some(1));
+        assert_eq!(count("ctxres_health_violations_total", &s0), Some(2));
+        assert_eq!(count("ctxres_health_expired_total", &s0), Some(1));
+        let gauge = |family: &str, labels: &[(&str, &str)]| {
+            snap.find(family, labels).and_then(|s| s.value.gauge())
+        };
+        assert_eq!(gauge("ctxres_health_kind_live", &s0), Some(5.0));
+        let kind = [("kind", "location")];
+        assert_eq!(gauge("ctxres_health_oldest_age_ticks", &kind), Some(9.0));
+        assert_eq!(gauge("ctxres_health_staleness", &kind), Some(0.75));
+        let s1 = [("shard", "1"), ("kind", "location")];
+        assert_eq!(count("ctxres_health_ingested_total", &s1), Some(7));
+        assert!(
+            snap.family("ctxres_pool_live_slots").next().is_none(),
+            "pool not yet published"
         );
-        assert_eq!(s0.expired, 1);
-        assert_eq!(s0.live, 5);
-        assert_eq!(s0.oldest_age_ticks, Some(9));
-        assert_eq!(s0.lifespan_ticks, Some(12));
-        assert_eq!(snap.shards[1].kinds[0].ingested, 7);
-        assert!(snap.shards[0].pool.is_none(), "pool not yet published");
     }
 
     #[test]
     fn pool_gauges_publish_per_shard() {
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 2);
         registry.handle(0).publish_pool(10, 4, 7, 99);
-        let snap = registry.health_snapshot();
-        let p = snap.shards[0].pool.expect("published");
-        assert_eq!((p.live_slots, p.free_slots, p.recycles), (10, 4, 7));
-        assert_eq!(p.now_tick, 99);
-        assert_eq!(snap.max_now_tick(), 99);
-        assert!(snap.shards[1].pool.is_none());
+        let snap = registry.snapshot();
+        let s0 = [("shard", "0")];
+        let gauge = |family: &str| snap.find(family, &s0).and_then(|s| s.value.gauge());
+        assert_eq!(gauge("ctxres_pool_live_slots"), Some(10.0));
+        assert_eq!(gauge("ctxres_pool_free_slots"), Some(4.0));
+        assert_eq!(snap.total("ctxres_pool_generation_recycles_total"), 7);
+        assert_eq!(registry.now_tick(), 99);
+        assert_eq!(
+            snap.family("ctxres_pool_live_slots").count(),
+            1,
+            "shard 1 unpublished"
+        );
     }
 
-    fn kh(kind: &str, ingested: u64, delivered: u64, discarded: u64) -> KindHealth {
-        KindHealth {
-            kind: kind.into(),
-            ingested,
-            delivered,
-            discarded,
-            expired: 0,
-            violations: 0,
-            live: 0,
-            oldest_age_ticks: None,
-            lifespan_ticks: None,
-        }
+    /// A one-shard, one-kind window: counter series carrying the given
+    /// deltas, as a sample holds them.
+    pub(super) fn window(ingested: u64, delivered: u64, discarded: u64) -> Vec<Series> {
+        [(0, ingested), (1, delivered), (2, discarded)]
+            .into_iter()
+            .map(|(i, delta)| {
+                let mut s = KIND_COUNTERS[i].series(&["0", "location"], Value::Counter(delta));
+                s.window = Some(Value::Counter(delta));
+                s
+            })
+            .collect()
     }
 
-    fn snap_one(kinds: Vec<KindHealth>) -> HealthSnapshot {
-        HealthSnapshot {
-            shards: vec![ShardHealth {
-                shard: 0,
-                pool: None,
-                kinds,
-            }],
-        }
+    fn derived(series: &[Series], ewma: &mut HashMap<String, f64>, alpha: f64) -> Vec<Series> {
+        let mut out = Vec::new();
+        derive(series, ewma, alpha, &mut out);
+        out
+    }
+
+    pub(super) fn reading(out: &[Series], family: &Family) -> Option<f64> {
+        out.iter()
+            .find(|s| s.family == family.name)
+            .and_then(|s| s.value.gauge())
     }
 
     #[test]
     fn windowed_rates_difference_consecutive_snapshots() {
-        let mut ewma = HashMap::new();
-        let a = snap_one(vec![kh("location", 40, 30, 10)]);
-        let b = snap_one(vec![kh("location", 100, 60, 30)]);
-        let base = HealthSample::between(None, &a, &mut ewma, DEFAULT_EWMA_ALPHA);
-        let row = base.kind("location").unwrap();
-        assert_eq!(row.discard_rate, Some(0.25));
-        assert_eq!(row.use_rate, Some(0.75));
-        assert_eq!(row.use_rate_ewma, Some(0.75), "EWMA seeds at first window");
+        let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
+        let kh = registry.handle(0).kind_handle("location");
+        let mut sampler = Sampler::new(std::sync::Arc::clone(&registry));
+        kh.ingested(40);
+        kh.delivered(30);
+        kh.discarded(10);
+        let base = sampler.sample_after(0.0);
+        let kind = [("kind", "location")];
+        assert_eq!(base.gauge("ctxres_health_discard_rate", &kind), Some(0.25));
+        assert_eq!(base.gauge("ctxres_health_use_rate", &kind), Some(0.75));
+        assert_eq!(
+            base.gauge("ctxres_health_use_rate_ewma", &kind),
+            Some(0.75),
+            "EWMA seeds at first window"
+        );
 
-        let w = HealthSample::between(Some(&a), &b, &mut ewma, DEFAULT_EWMA_ALPHA);
-        let row = w.kind("location").unwrap();
-        assert_eq!((row.ingested, row.delivered, row.discarded), (60, 30, 20));
-        assert_eq!(row.use_rate, Some(0.6));
-        let e = row.use_rate_ewma.unwrap();
+        kh.ingested(60);
+        kh.delivered(30);
+        kh.discarded(20);
+        let w = sampler.sample_after(1.0);
+        assert_eq!(w.delta("ctxres_health_ingested_total"), 60);
+        assert_eq!(w.gauge("ctxres_health_use_rate", &kind), Some(0.6));
+        let e = w.gauge("ctxres_health_use_rate_ewma", &kind).unwrap();
         assert!((e - (0.3 * 0.6 + 0.7 * 0.75)).abs() < 1e-12, "{e}");
     }
 
     #[test]
     fn empty_windows_keep_the_ewma_and_yield_no_rates() {
         let mut ewma = HashMap::new();
-        let a = snap_one(vec![kh("location", 40, 30, 10)]);
-        HealthSample::between(None, &a, &mut ewma, DEFAULT_EWMA_ALPHA);
-        let w = HealthSample::between(Some(&a), &a, &mut ewma, DEFAULT_EWMA_ALPHA);
-        let row = w.kind("location").unwrap();
-        assert_eq!(row.use_rate, None);
-        assert_eq!(row.discard_rate, None);
+        derived(&window(40, 30, 10), &mut ewma, DEFAULT_EWMA_ALPHA);
+        let idle = derived(&window(0, 0, 0), &mut ewma, DEFAULT_EWMA_ALPHA);
+        assert_eq!(reading(&idle, &USE_RATE), None);
+        assert_eq!(reading(&idle, &DISCARD_RATE), None);
         assert_eq!(
-            row.use_rate_ewma,
+            reading(&idle, &USE_RATE_EWMA),
             Some(0.75),
             "held through the idle window"
         );
@@ -682,53 +543,38 @@ mod tests {
 
     #[test]
     fn totals_sum_shards_and_take_the_worst_staleness() {
-        let mut ewma = HashMap::new();
-        let cur = HealthSnapshot {
-            shards: vec![
-                ShardHealth {
-                    shard: 0,
-                    pool: Some(PoolHealth {
-                        live_slots: 10,
-                        free_slots: 10,
-                        recycles: 5,
-                        now_tick: 50,
-                    }),
-                    kinds: vec![KindHealth {
-                        live: 3,
-                        oldest_age_ticks: Some(8),
-                        lifespan_ticks: Some(16),
-                        ..kh("location", 10, 6, 4)
-                    }],
-                },
-                ShardHealth {
-                    shard: 1,
-                    pool: Some(PoolHealth {
-                        live_slots: 20,
-                        free_slots: 0,
-                        recycles: 2,
-                        now_tick: 60,
-                    }),
-                    kinds: vec![KindHealth {
-                        live: 4,
-                        oldest_age_ticks: Some(12),
-                        lifespan_ticks: Some(16),
-                        ..kh("location", 10, 8, 2)
-                    }],
-                },
-            ],
-        };
-        let w = HealthSample::between(None, &cur, &mut ewma, DEFAULT_EWMA_ALPHA);
-        let row = w.kind("location").unwrap();
-        assert_eq!(row.live, 7);
-        assert_eq!(row.ingested, 20);
-        assert_eq!(row.use_rate, Some(0.7));
-        assert_eq!(row.oldest_age_ticks, Some(12), "worst across shards");
-        assert_eq!(row.staleness, Some(0.75));
-        assert_eq!(w.shard_kinds.len(), 2);
-        let p = w.pool.unwrap();
-        assert_eq!((p.live_slots, p.free_slots, p.recycles), (30, 10, 7));
-        assert_eq!(p.now_tick, 60);
-        assert_eq!(p.occupancy, Some(0.75));
+        let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 2);
+        for (shard, live, free, recycles, tick, kind_live, age, (ing, del, dis)) in [
+            (0, 10, 10, 5, 50, 3, 8, (10, 6, 4)),
+            (1, 20, 0, 2, 60, 4, 12, (10, 8, 2)),
+        ] {
+            let h = registry.handle(shard);
+            h.publish_pool(live, free, recycles, tick);
+            let kh = h.kind_handle("location");
+            kh.ingested(ing);
+            kh.delivered(del);
+            kh.discarded(dis);
+            kh.set_watermark(kind_live, Some(age), Some(16));
+        }
+        let s = Sampler::new(std::sync::Arc::clone(&registry)).sample_after(0.0);
+        let kind = [("kind", "location")];
+        let live: f64 = s
+            .family("ctxres_health_kind_live")
+            .filter_map(|s| s.value.gauge())
+            .sum();
+        assert_eq!(live, 7.0);
+        assert_eq!(s.delta("ctxres_health_ingested_total"), 20);
+        assert_eq!(s.gauge("ctxres_health_use_rate", &kind), Some(0.7));
+        assert_eq!(
+            s.gauge("ctxres_health_oldest_age_ticks", &kind),
+            Some(12.0),
+            "worst across shards"
+        );
+        assert_eq!(s.gauge("ctxres_health_staleness", &kind), Some(0.75));
+        assert_eq!(s.family("ctxres_health_ingested_total").count(), 2);
+        assert_eq!(s.total("ctxres_pool_generation_recycles_total"), 7);
+        assert_eq!(registry.now_tick(), 60);
+        assert_eq!(s.gauge("ctxres_pool_occupancy", &[]), Some(0.75));
     }
 
     #[test]
@@ -739,69 +585,30 @@ mod tests {
         h.discarded(1);
         h.delivered(3);
         registry.handle(0).publish_pool(4, 0, 0, 9);
-        let mut ewma = HashMap::new();
-        let s = HealthSample::between(
-            None,
-            &registry.health_snapshot(),
-            &mut ewma,
-            DEFAULT_EWMA_ALPHA,
-        );
+        let s = Sampler::new(registry).sample_after(0.0);
+        assert!(s
+            .gauge("ctxres_health_use_rate", &[("kind", "rfid")])
+            .is_some());
         let json = serde_json::to_string(&s).unwrap();
-        let back: HealthSample = serde_json::from_str(&json).unwrap();
+        let back: crate::snapshot::Sample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
     }
 }
 
 #[cfg(test)]
 mod estimator_proptests {
-    //! The satellite properties:
-    //!
-    //! * per-kind window deltas telescope — summing each window's
-    //!   delta reproduces the raw cumulative counters, mirroring the
-    //!   PR 3 sampler proptest;
-    //! * EWMA agrees with windowed-exact in steady state — when every
-    //!   window carries the same exact `ctxUseRate`, the EWMA equals
-    //!   it from the very first window (seed = first value, and
-    //!   `α·x + (1−α)·x = x` inductively).
+    //! EWMA agrees with windowed-exact in steady state: when every
+    //! window carries the same exact `ctxUseRate`, the EWMA equals it
+    //! from the very first window (seed = first value, and
+    //! `α·x + (1−α)·x = x` inductively). (That per-kind window deltas
+    //! telescope to the raw counters is part of the sampler's property
+    //! over every counter series.)
 
+    use super::tests::{reading, window};
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
     proptest! {
-        #[test]
-        fn kind_deltas_telescope_to_the_raw_counters(
-            steps in proptest::collection::vec((0u64..50, 0u64..50, 0u64..50), 1..20),
-        ) {
-            let mut ewma = HashMap::new();
-            let mut cum = KindHealth {
-                kind: "location".into(),
-                ingested: 0, delivered: 0, discarded: 0,
-                expired: 0, violations: 0, live: 0,
-                oldest_age_ticks: None, lifespan_ticks: None,
-            };
-            let wrap = |k: &KindHealth| HealthSnapshot {
-                shards: vec![ShardHealth { shard: 0, pool: None, kinds: vec![k.clone()] }],
-            };
-            let mut prev = wrap(&cum);
-            // The baseline window covers the (zero) history.
-            let base = HealthSample::between(None, &prev, &mut ewma, DEFAULT_EWMA_ALPHA);
-            let mut summed = (base.kinds[0].ingested, base.kinds[0].delivered, base.kinds[0].discarded);
-            for (i, d, x) in steps {
-                cum.ingested += i;
-                cum.delivered += d;
-                cum.discarded += x;
-                let cur = wrap(&cum);
-                let w = HealthSample::between(Some(&prev), &cur, &mut ewma, DEFAULT_EWMA_ALPHA);
-                let row = &w.kinds[0];
-                summed.0 += row.ingested;
-                summed.1 += row.delivered;
-                summed.2 += row.discarded;
-                prev = cur;
-            }
-            prop_assert_eq!(summed, (cum.ingested, cum.delivered, cum.discarded));
-        }
-
         #[test]
         fn ewma_equals_exact_use_rate_in_steady_state(
             delivered in 1u64..1000,
@@ -811,32 +618,13 @@ mod estimator_proptests {
         ) {
             let mut ewma = HashMap::new();
             let exact = delivered as f64 / (delivered + discarded) as f64;
-            let mut cum = (0u64, 0u64);
-            let mut prev: Option<HealthSnapshot> = None;
             for _ in 0..windows {
-                cum.0 += delivered;
-                cum.1 += discarded;
-                let cur = HealthSnapshot {
-                    shards: vec![ShardHealth {
-                        shard: 0,
-                        pool: None,
-                        kinds: vec![KindHealth {
-                            kind: "location".into(),
-                            ingested: cum.0 + cum.1,
-                            delivered: cum.0,
-                            discarded: cum.1,
-                            expired: 0, violations: 0, live: 0,
-                            oldest_age_ticks: None, lifespan_ticks: None,
-                        }],
-                    }],
-                };
-                let w = HealthSample::between(prev.as_ref(), &cur, &mut ewma, alpha);
-                let row = &w.kinds[0];
-                prop_assert_eq!(row.use_rate, Some(exact));
-                let e = row.use_rate_ewma.unwrap();
+                let mut out = Vec::new();
+                derive(&window(delivered + discarded, delivered, discarded), &mut ewma, alpha, &mut out);
+                prop_assert_eq!(reading(&out, &USE_RATE), Some(exact));
+                let e = reading(&out, &USE_RATE_EWMA).unwrap();
                 prop_assert!((e - exact).abs() < 1e-9,
                     "steady-state EWMA {} must equal exact {}", e, exact);
-                prev = Some(cur);
             }
         }
     }

@@ -12,9 +12,10 @@
 //!   transition, inconsistency detection, Δ-set insertion/removal,
 //!   count-value bump, discard decision and delivery is recorded as a
 //!   typed event with logical timestamp, shard id, and context id into a
-//!   bounded per-shard ring buffer ([`EventRing`]). Overflow never
-//!   stalls the hot path and is never silent — each evicted record bumps
-//!   an explicit dropped-events counter;
+//!   bounded per-shard ring buffer ([`EventRing`], [`RING_CAPACITY`]
+//!   records). Overflow never stalls the hot path and is never silent —
+//!   each evicted record bumps the ring's dropped count, exported as
+//!   `ctxres_trace_events_dropped_total`;
 //! * **provenance** ([`CauseKind`], [`TraceEvent::Caused`],
 //!   [`ProvenanceGraph`]): typed cause edges — submission, violation,
 //!   Δ membership, count bump, verdict, supersession — ride the same
@@ -39,8 +40,8 @@
 //!   with [`ObsConfig::with_profile`]; export as Chrome trace-event
 //!   JSON ([`chrome_trace_json`]) or inferno folded stacks
 //!   ([`folded_stacks`]);
-//! * **end-to-end tail telemetry** ([`ContextSpan`], [`TailSample`],
-//!   [`Exemplar`]): monotonic wall-clock stamps at batch ingress,
+//! * **end-to-end tail telemetry** ([`ContextSpan`], [`Exemplar`]):
+//!   monotonic wall-clock stamps at batch ingress,
 //!   constraint verdict, resolution decision and delivery/discard fold
 //!   into per-(shard, outcome) histograms with windowed interpolated
 //!   p50/p95/p99/p999, a bounded per-shard reservoir of over-p99
@@ -50,11 +51,18 @@
 //!   [`ObsConfig::with_tail`]; slow batches emit a
 //!   [`TraceEvent::SlowBatch`] postmortem when
 //!   [`ObsConfig::with_slow_batch_bound`] is set;
-//! * **live export** ([`Sampler`], [`render_prometheus`],
-//!   [`MetricsServer`]): a sampler turns consecutive registry snapshots
-//!   into windowed deltas and per-second rates, and a hand-rolled
-//!   `TcpListener` endpoint serves them as Prometheus text exposition
-//!   (`/metrics`) and JSON (`/snapshot`) — opt in with
+//! * **one metric model** ([`Family`], [`ObsSnapshot`], [`Sampler`],
+//!   [`Sample`], [`render_prometheus`], [`MetricsServer`]): every layer
+//!   declares its metrics as labelled families (counter, gauge or
+//!   [`Histogram`], with label names and a render scale) and reports its
+//!   cumulative state into one [`ObsRegistry::snapshot`]. A sampler
+//!   diffs two snapshots into one windowed sample — counter and
+//!   histogram deltas keyed on (family, labels), plus the gauges each
+//!   layer derives from the window (rates, quantiles, quality ratios,
+//!   shares, firing SLO rules). One renderer writes it as Prometheus
+//!   text exposition (`/metrics`) and a hand-rolled `TcpListener`
+//!   endpoint serves the same sample as JSON (`/snapshot`), which
+//!   `obs_top --watch` parses back — opt in with
 //!   [`ObsConfig::metrics_only`] plus `CTXRES_METRICS_ADDR`.
 //!
 //! The crate deliberately has no external dependencies (the build runs
@@ -78,7 +86,7 @@
 //!     // ... timed work ...
 //! }
 //! let snapshot = registry.snapshot();
-//! assert_eq!(snapshot.aggregate().histogram(MetricKind::QueueDepth).count, 1);
+//! assert_eq!(snapshot.histogram(MetricKind::QueueDepth).count, 1);
 //! assert_eq!(registry.drain().len(), 1);
 //! assert_eq!(registry.dropped(), 0);
 //! ```
@@ -101,34 +109,27 @@ mod span;
 mod tail;
 
 pub use event::{CauseKind, TraceEvent, TraceRecord, CAUSE_KINDS};
-pub use export::{
-    counter_metric_name, histogram_metric_name, render_prometheus, PROMETHEUS_CONTENT_TYPE,
-};
-pub use health::{
-    HealthSample, HealthSnapshot, KindHandle, KindHealth, KindQuality, PoolHealth, PoolQuality,
-    ShardHealth, DEFAULT_EWMA_ALPHA,
-};
+pub use export::{families, render_prometheus, PROMETHEUS_CONTENT_TYPE};
+pub use health::{KindHandle, DEFAULT_EWMA_ALPHA};
 pub use metrics::{
     bucket_bound, CounterKind, Histogram, HistogramSnapshot, MetricKind, BUCKETS, COUNTER_KINDS,
     METRIC_KINDS,
 };
 pub use profile::{
     chrome_trace_json, folded_stacks, parse_folded, validate_trace_json, Phase, PhaseGuard,
-    PhaseSample, PhaseStat, ProfileSnapshot, ShardPhaseWindow, ShardPhases, SpanRecord,
-    MAX_PHASE_DEPTH, PHASES, SPAN_RING_CAPACITY,
+    PhaseStat, ProfileSnapshot, SpanRecord, MAX_PHASE_DEPTH, PHASES, SPAN_RING_CAPACITY,
 };
 pub use provenance::{CauseEdge, NodeId, ProvNode, ProvStats, ProvenanceGraph};
-pub use registry::{ObsConfig, ObsRegistry, ObsSnapshot, ShardObs, ShardSnapshot};
-pub use ring::EventRing;
+pub use registry::{ObsConfig, ObsRegistry, ShardObs};
+pub use ring::{EventRing, RING_CAPACITY};
 pub use serve::{MetricsServer, METRICS_ADDR_ENV};
 pub use slo::{
     HealthAlert, SloEngine, SloMetric, SloOp, SloRule, DEFAULT_CLEAR_MARGIN, SLO_METRICS,
     SLO_RULES_ENV,
 };
-pub use snapshot::{BuildInfo, Sample, Sampler, ShardRates, QUANTILES};
+pub use snapshot::{BuildInfo, Family, MetricType, ObsSnapshot, Sample, Sampler, Series, Value};
 pub use span::ObsSpan;
 pub use tail::{
-    ContextSpan, Exemplar, OutcomeTail, OutcomeWindow, QueueStats, QueueWindow, ShardTail,
-    TailOutcome, TailSample, TailSnapshot, TailWindow, EXEMPLAR_CAPACITY, SEGMENT_NAMES,
-    TAIL_OUTCOMES, TAIL_QUANTILES,
+    ContextSpan, Exemplar, TailOutcome, EXEMPLAR_CAPACITY, SEGMENT_NAMES, TAIL_OUTCOMES,
+    TAIL_QUANTILES,
 };

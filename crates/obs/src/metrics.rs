@@ -1,5 +1,7 @@
-//! Fixed-bucket histograms and counters, recorded with atomics.
+//! Fixed-bucket histograms and counters, recorded with atomics, and
+//! the core families they export.
 
+use crate::snapshot::{Family, MetricType, Series, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -102,11 +104,9 @@ impl MetricKind {
 /// Per-shard monotonic counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CounterKind {
-    /// Trace events accepted into the ring buffer.
+    /// Trace events accepted into the ring buffer (the ring's own
+    /// `ctxres_trace_events_dropped_total` counts what it evicted).
     EventsRecorded,
-    /// Trace events evicted from a full ring buffer (truncation is
-    /// never silent).
-    EventsDropped,
     /// Inconsistency detections observed.
     Detections,
     /// Discard decisions observed.
@@ -130,9 +130,8 @@ pub enum CounterKind {
 }
 
 /// Every [`CounterKind`], in index order.
-pub const COUNTER_KINDS: [CounterKind; 11] = [
+pub const COUNTER_KINDS: [CounterKind; 10] = [
     CounterKind::EventsRecorded,
-    CounterKind::EventsDropped,
     CounterKind::Detections,
     CounterKind::Discards,
     CounterKind::Deliveries,
@@ -157,7 +156,6 @@ impl CounterKind {
     pub fn name(self) -> &'static str {
         match self {
             CounterKind::EventsRecorded => "events_recorded",
-            CounterKind::EventsDropped => "events_dropped",
             CounterKind::Detections => "detections",
             CounterKind::Discards => "discards",
             CounterKind::Deliveries => "deliveries",
@@ -167,6 +165,125 @@ impl CounterKind {
             CounterKind::SeqFallbacks => "seq_fallbacks",
             CounterKind::ProvEdges => "prov_edges",
             CounterKind::ProvNodes => "prov_nodes",
+        }
+    }
+}
+
+const SHARD: &[&str] = &["shard"];
+const SHARD_Q: &[&str] = &["shard", "q"];
+
+/// How many shard slots the registry has.
+pub(crate) const OBS_SHARDS: Family = Family::new(MetricType::Gauge, "ctxres_obs_shards", &[]);
+/// The sample's window length (derived).
+pub(crate) const SCRAPE_WINDOW: Family =
+    Family::new(MetricType::Gauge, "ctxres_scrape_window_seconds", &[]);
+/// Trace events evicted from a full ring (lifetime).
+pub(crate) const RING_DROPPED: Family = Family::new(
+    MetricType::Counter,
+    "ctxres_trace_events_dropped_total",
+    SHARD,
+);
+/// Trace events currently buffered in the ring.
+pub(crate) const RING_BUFFERED: Family =
+    Family::new(MetricType::Gauge, "ctxres_trace_events_buffered", SHARD);
+
+/// The quantiles the core histograms' derived gauges report.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+impl CounterKind {
+    /// The counter's family, `ctxres_<name>_total{shard}`.
+    pub fn family(self) -> Family {
+        Family::named(
+            MetricType::Counter,
+            format!("ctxres_{}_total", self.name()),
+            SHARD,
+        )
+    }
+
+    /// The derived per-second rate over the window.
+    fn rate_family(self) -> Family {
+        Family::named(
+            MetricType::Gauge,
+            format!("ctxres_{}_per_sec", self.name()),
+            SHARD,
+        )
+    }
+}
+
+impl MetricKind {
+    /// The histogram's family, unit-suffixed for non-count units
+    /// (`ctxres_check_latency_ns{shard}`, `ctxres_delta_size{shard}`).
+    pub fn family(self) -> Family {
+        let name = match self.unit() {
+            "count" => format!("ctxres_{}", self.name()),
+            unit => format!("ctxres_{}_{unit}", self.name()),
+        };
+        Family::named(MetricType::Histogram, name, SHARD)
+    }
+
+    /// The derived gauges over each shard's cumulative distribution:
+    /// the winning bucket's bound and the interpolated estimate.
+    fn quantile_families(self) -> [Family; 2] {
+        let name = self.family().name;
+        [
+            Family::named(MetricType::Gauge, format!("{name}_quantile_bound"), SHARD_Q),
+            Family::named(MetricType::Gauge, format!("{name}_quantile_est"), SHARD_Q),
+        ]
+    }
+}
+
+/// The core families, in exposition order.
+pub(crate) fn families() -> Vec<Family> {
+    let mut out = vec![OBS_SHARDS, SCRAPE_WINDOW];
+    for kind in COUNTER_KINDS {
+        out.extend([kind.family(), kind.rate_family()]);
+    }
+    out.extend([RING_DROPPED, RING_BUFFERED]);
+    for kind in METRIC_KINDS {
+        out.push(kind.family());
+        out.extend(kind.quantile_families());
+    }
+    out
+}
+
+/// The core derived gauges: each counter's per-second rate over the
+/// window (0 for an empty window), and each shard's p50/p95/p99 bound
+/// and estimate over its cumulative histogram (the overflow bucket
+/// reads `+Inf`).
+pub(crate) fn derive(series: &[Series], secs: f64, out: &mut Vec<Series>) {
+    for kind in COUNTER_KINDS {
+        let (family, rate) = (kind.family(), kind.rate_family());
+        for s in series.iter().filter(|s| s.family == family.name) {
+            let per_sec = if secs > 0.0 {
+                s.delta() as f64 / secs
+            } else {
+                0.0
+            };
+            out.push(rate.series(&[s.label("shard").unwrap_or("")], Value::Gauge(per_sec)));
+        }
+    }
+    for kind in METRIC_KINDS {
+        let family = kind.family();
+        let [bound, est] = kind.quantile_families();
+        for s in series.iter().filter(|s| s.family == family.name) {
+            let (Some(h), Some(shard)) = (s.value.histogram(), s.label("shard")) else {
+                continue;
+            };
+            for q in QUANTILES {
+                if let Some(b) = h.quantile_bound(q) {
+                    let b = if b == u64::MAX {
+                        f64::INFINITY
+                    } else {
+                        b as f64
+                    };
+                    out.push(bound.series(&[shard, &q.to_string()], Value::Gauge(b)));
+                }
+            }
+            for q in QUANTILES {
+                if let Some(e) = h.quantile_est(q) {
+                    out.push(est.series(&[shard, &q.to_string()], Value::Gauge(e)));
+                }
+            }
         }
     }
 }
@@ -239,6 +356,25 @@ impl HistogramSnapshot {
         }
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += *theirs;
+        }
+    }
+
+    /// The observations recorded since `earlier` (saturating per field,
+    /// so a concurrent writer racing the snapshot can never produce a
+    /// negative count).
+    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let field = |now: u64, was: u64| now.saturating_sub(was);
+        HistogramSnapshot {
+            count: field(self.count, earlier.count),
+            sum: field(self.sum, earlier.sum),
+            buckets: (0..self.buckets.len())
+                .map(|i| {
+                    field(
+                        self.buckets[i],
+                        earlier.buckets.get(i).copied().unwrap_or(0),
+                    )
+                })
+                .collect(),
         }
     }
 

@@ -18,8 +18,8 @@
 //!   for flamegraph / Chrome-trace export. Overflow evicts the oldest
 //!   span and bumps a dropped counter — truncation is never silent and
 //!   never stalls the hot path;
-//! * atomic per-phase cells (total ns, self ns, calls), snapshotted and
-//!   aggregated like every other registry surface;
+//! * atomic per-phase cells (total ns, self ns, calls), reported into
+//!   the registry's one snapshot like every other layer;
 //! * a **sampling divisor** ([`crate::ObsConfig::profile_sample`]):
 //!   only every N-th *root* span records. A root is either fully
 //!   recorded or fully skipped — nested guards under a skipped root pay
@@ -33,6 +33,7 @@
 //! several threads would misattribute parent/child time but is
 //! memory-safe and cannot panic.
 
+use crate::snapshot::{Family, MetricType, ObsSnapshot, Series, Value as SeriesValue};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -300,30 +301,6 @@ impl ShardProfileSlot {
         std::array::from_fn(|i| self.cells[i].self_ns.load(Ordering::Relaxed))
     }
 
-    /// Point-in-time copy of this shard's phase cells and root/ring
-    /// bookkeeping.
-    pub(crate) fn snapshot(&self, shard: usize) -> ShardPhases {
-        let st = self.stack.lock();
-        ShardPhases {
-            shard,
-            roots: st.roots,
-            sampled_roots: st.sampled_roots,
-            spans_dropped: st.ring_dropped,
-            phases: PHASES
-                .iter()
-                .map(|p| {
-                    let c = &self.cells[p.index()];
-                    PhaseStat {
-                        phase: p.name().to_owned(),
-                        total_ns: c.total_ns.load(Ordering::Relaxed),
-                        self_ns: c.self_ns.load(Ordering::Relaxed),
-                        calls: c.calls.load(Ordering::Relaxed),
-                    }
-                })
-                .collect(),
-        }
-    }
-
     /// Drains the completed-span ring in chronological order, stamping
     /// each record with `shard`. The dropped counter is cumulative and
     /// survives the drain.
@@ -441,55 +418,126 @@ pub struct PhaseStat {
     pub calls: u64,
 }
 
-/// One shard's cumulative profile state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardPhases {
-    /// The shard index.
-    pub shard: usize,
-    /// Root spans opened (sampled or not).
-    pub roots: u64,
-    /// Root spans that recorded (admitted by the sampling divisor).
-    pub sampled_roots: u64,
-    /// Spans evicted from the full span ring (lifetime).
-    pub spans_dropped: u64,
-    /// Per-phase accumulators, in [`PHASES`] order.
-    pub phases: Vec<PhaseStat>,
+const SHARD: &[&str] = &["shard"];
+const SHARD_PHASE: &[&str] = &["shard", "phase"];
+
+/// Per-(shard, phase) self time, children excluded.
+const SELF_NS: Family = Family::scaled(
+    MetricType::Counter,
+    "ctxres_phase_self_seconds_total",
+    SHARD_PHASE,
+    1e9,
+);
+/// Per-(shard, phase) wall-clock time, children included.
+const TOTAL_NS: Family = Family::scaled(
+    MetricType::Counter,
+    "ctxres_phase_total_seconds_total",
+    SHARD_PHASE,
+    1e9,
+);
+const CALLS: Family = Family::new(MetricType::Counter, "ctxres_phase_calls_total", SHARD_PHASE);
+const ROOTS: Family = Family::new(MetricType::Counter, "ctxres_phase_roots_total", SHARD);
+const SAMPLED_ROOTS: Family = Family::new(
+    MetricType::Counter,
+    "ctxres_phase_sampled_roots_total",
+    SHARD,
+);
+const SPANS_DROPPED: Family = Family::new(
+    MetricType::Counter,
+    "ctxres_phase_spans_dropped_total",
+    SHARD,
+);
+/// Each phase's share of the window's cross-shard self time.
+const SELF_SHARE: Family = Family::new(MetricType::Gauge, "ctxres_phase_self_share", &["phase"]);
+
+/// The profiler families, in exposition order.
+pub(crate) fn families() -> Vec<Family> {
+    vec![
+        SELF_NS,
+        TOTAL_NS,
+        CALLS,
+        ROOTS,
+        SAMPLED_ROOTS,
+        SPANS_DROPPED,
+        SELF_SHARE,
+    ]
 }
 
-impl ShardPhases {
-    /// This shard's stat for `phase`, when present.
-    pub fn phase(&self, phase: Phase) -> Option<&PhaseStat> {
-        self.phases.iter().find(|p| p.phase == phase.name())
+/// Once any root span opened anywhere: every (shard, phase) cell that
+/// completed a span, and every shard's root, sampled-root and evicted
+/// span counts.
+pub(crate) fn report<'a>(
+    slots: impl Iterator<Item = &'a ShardProfileSlot> + Clone,
+    out: &mut Vec<Series>,
+) {
+    if slots.clone().all(|slot| slot.stack.lock().roots == 0) {
+        return;
+    }
+    for (i, slot) in slots.enumerate() {
+        let label = i.to_string();
+        let shard = [label.as_str()];
+        let (roots, sampled, dropped) = {
+            let st = slot.stack.lock();
+            (st.roots, st.sampled_roots, st.ring_dropped)
+        };
+        for phase in PHASES {
+            let cell = &slot.cells[phase.index()];
+            let calls = cell.calls.load(Ordering::Relaxed);
+            if calls == 0 {
+                continue;
+            }
+            let labels = [shard[0], phase.name()];
+            for (family, value) in [
+                (&SELF_NS, cell.self_ns.load(Ordering::Relaxed)),
+                (&TOTAL_NS, cell.total_ns.load(Ordering::Relaxed)),
+                (&CALLS, calls),
+            ] {
+                out.push(family.series(&labels, SeriesValue::Counter(value)));
+            }
+        }
+        for (family, value) in [
+            (&ROOTS, roots),
+            (&SAMPLED_ROOTS, sampled),
+            (&SPANS_DROPPED, dropped),
+        ] {
+            out.push(family.series(&shard, SeriesValue::Counter(value)));
+        }
     }
 }
 
-/// A whole registry's profile snapshot: one record per shard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProfileSnapshot {
-    /// Per-shard profile states in shard order.
-    pub shards: Vec<ShardPhases>,
-}
-
-impl ProfileSnapshot {
-    /// Whether no span has recorded anywhere yet — the condition under
-    /// which `Sampler` leaves `Sample::phases` as `None` and every
-    /// export surface stays byte-identical to its pre-profiler output.
-    pub fn is_empty(&self) -> bool {
-        self.shards
+/// Each phase's share of the window's cross-shard self time, for the
+/// phases that completed a span in the window.
+pub(crate) fn derive(series: &[Series], out: &mut Vec<Series>) {
+    let mut self_ns = [0u64; PHASES.len()];
+    let mut calls = [0u64; PHASES.len()];
+    for s in series {
+        let slot = if s.family == SELF_NS.name {
+            &mut self_ns
+        } else if s.family == CALLS.name {
+            &mut calls
+        } else {
+            continue;
+        };
+        if let Some(p) = PHASES
             .iter()
-            .all(|s| s.roots == 0 && s.phases.iter().all(|p| p.calls == 0))
+            .position(|p| s.label("phase") == Some(p.name()))
+        {
+            slot[p] += s.delta();
+        }
     }
-
-    /// Cross-shard per-phase sums, in [`PHASES`] order.
-    pub fn aggregate(&self) -> Vec<PhaseStat> {
-        sum_phase_stats(self.shards.iter().map(|s| &s.phases))
+    let total: u64 = self_ns.iter().sum();
+    if total == 0 {
+        return;
+    }
+    for (i, phase) in PHASES.iter().enumerate().filter(|(i, _)| calls[*i] > 0) {
+        let share = self_ns[i] as f64 / total as f64;
+        out.push(SELF_SHARE.series(&[phase.name()], SeriesValue::Gauge(share)));
     }
 }
 
-/// Phase-wise sums of several stat vectors, in [`PHASES`] order
-/// (matched by name, so shorter/reordered inputs still sum correctly).
-fn sum_phase_stats<'a>(groups: impl Iterator<Item = &'a Vec<PhaseStat>>) -> Vec<PhaseStat> {
-    let mut out: Vec<PhaseStat> = PHASES
+/// One all-zero stat per phase, in [`PHASES`] order.
+fn zero_stats() -> Vec<PhaseStat> {
+    PHASES
         .iter()
         .map(|p| PhaseStat {
             phase: p.name().to_owned(),
@@ -497,107 +545,67 @@ fn sum_phase_stats<'a>(groups: impl Iterator<Item = &'a Vec<PhaseStat>>) -> Vec<
             self_ns: 0,
             calls: 0,
         })
-        .collect();
-    for stats in groups {
-        for s in stats {
-            if let Some(acc) = out.iter_mut().find(|o| o.phase == s.phase) {
+        .collect()
+}
+
+/// The profiler's view of one [`ObsSnapshot`] (see
+/// [`crate::ObsRegistry::profile_snapshot`]): per-shard, per-phase
+/// stats read back from the phase families.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProfileSnapshot {
+    /// Per-shard stats in [`PHASES`] order, in shard order.
+    pub shards: Vec<Vec<PhaseStat>>,
+}
+
+impl ProfileSnapshot {
+    /// Reads the phase families of `snapshot`.
+    pub fn of(snapshot: &ObsSnapshot) -> Self {
+        let shards = snapshot
+            .family(&crate::metrics::OBS_SHARDS.name)
+            .find_map(|s| s.value.gauge())
+            .unwrap_or(0.0) as usize;
+        let mut out = ProfileSnapshot {
+            shards: vec![zero_stats(); shards],
+        };
+        for s in &snapshot.series {
+            let shard = s.label("shard").and_then(|v| v.parse::<usize>().ok());
+            let phase = PHASES
+                .iter()
+                .position(|p| s.label("phase") == Some(p.name()));
+            let (Some(shard), Some(phase)) = (shard, phase) else {
+                continue;
+            };
+            let Some(stat) = out.shards.get_mut(shard).map(|st| &mut st[phase]) else {
+                continue;
+            };
+            let n = s.value.counter();
+            if s.family == SELF_NS.name {
+                stat.self_ns = n;
+            } else if s.family == TOTAL_NS.name {
+                stat.total_ns = n;
+            } else if s.family == CALLS.name {
+                stat.calls = n;
+            }
+        }
+        out
+    }
+
+    /// Whether no span has completed anywhere.
+    pub fn is_empty(&self) -> bool {
+        self.shards.iter().flatten().all(|p| p.calls == 0)
+    }
+
+    /// Cross-shard per-phase sums, in [`PHASES`] order.
+    pub fn aggregate(&self) -> Vec<PhaseStat> {
+        let mut total = zero_stats();
+        for shard in &self.shards {
+            for (acc, s) in total.iter_mut().zip(shard) {
                 acc.total_ns += s.total_ns;
                 acc.self_ns += s.self_ns;
                 acc.calls += s.calls;
             }
         }
-    }
-    out
-}
-
-fn stat_delta(prev: Option<&PhaseStat>, cur: &PhaseStat) -> PhaseStat {
-    let d = |get: fn(&PhaseStat) -> u64| get(cur).saturating_sub(prev.map(get).unwrap_or(0));
-    PhaseStat {
-        phase: cur.phase.clone(),
-        total_ns: d(|s| s.total_ns),
-        self_ns: d(|s| s.self_ns),
-        calls: d(|s| s.calls),
-    }
-}
-
-/// One shard's windowed profile view.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardPhaseWindow {
-    /// The shard index.
-    pub shard: usize,
-    /// Cumulative root spans opened.
-    pub roots: u64,
-    /// Cumulative root spans recorded.
-    pub sampled_roots: u64,
-    /// Cumulative spans evicted from the span ring.
-    pub spans_dropped: u64,
-    /// Cumulative per-phase accumulators at the window's end.
-    pub cumulative: Vec<PhaseStat>,
-    /// Per-phase deltas over this window.
-    pub window: Vec<PhaseStat>,
-}
-
-/// The windowed profile view attached to a [`crate::Sample`]:
-/// per-shard and cross-shard phase deltas between two consecutive
-/// profile snapshots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseSample {
-    /// Per-shard windows in shard order.
-    pub shards: Vec<ShardPhaseWindow>,
-    /// Cross-shard per-phase deltas over this window.
-    pub window_total: Vec<PhaseStat>,
-    /// Cross-shard cumulative per-phase sums at the window's end.
-    pub cumulative_total: Vec<PhaseStat>,
-}
-
-impl PhaseSample {
-    /// Differences two consecutive profile snapshots into the windowed
-    /// view. With `prev = None` (the baseline sample) the window is
-    /// the full cumulative history, mirroring the counter sampler.
-    pub fn between(prev: Option<&ProfileSnapshot>, cur: &ProfileSnapshot) -> PhaseSample {
-        let shards: Vec<ShardPhaseWindow> = cur
-            .shards
-            .iter()
-            .map(|sh| {
-                let prev_sh = prev.and_then(|p| p.shards.iter().find(|s| s.shard == sh.shard));
-                let window = sh
-                    .phases
-                    .iter()
-                    .map(|p| {
-                        stat_delta(
-                            prev_sh.and_then(|ps| ps.phases.iter().find(|q| q.phase == p.phase)),
-                            p,
-                        )
-                    })
-                    .collect();
-                ShardPhaseWindow {
-                    shard: sh.shard,
-                    roots: sh.roots,
-                    sampled_roots: sh.sampled_roots,
-                    spans_dropped: sh.spans_dropped,
-                    cumulative: sh.phases.clone(),
-                    window,
-                }
-            })
-            .collect();
-        PhaseSample {
-            window_total: sum_phase_stats(shards.iter().map(|s| &s.window)),
-            cumulative_total: sum_phase_stats(shards.iter().map(|s| &s.cumulative)),
-            shards,
-        }
-    }
-
-    /// `phase`'s share of this window's cross-shard self time, or
-    /// `None` when the window recorded nothing.
-    pub fn self_share(&self, phase: Phase) -> Option<f64> {
-        let total: u64 = self.window_total.iter().map(|p| p.self_ns).sum();
-        if total == 0 {
-            return None;
-        }
-        self.window_total
-            .iter()
-            .find(|p| p.phase == phase.name())
-            .map(|p| p.self_ns as f64 / total as f64)
+        total
     }
 }
 
@@ -755,6 +763,16 @@ mod tests {
         ObsRegistry::shared(ObsConfig::metrics_only().with_profile(every), shards)
     }
 
+    /// `(roots, sampled roots, evicted spans)` across shards.
+    pub(super) fn roots(registry: &ObsRegistry) -> (u64, u64, u64) {
+        let snap = registry.snapshot();
+        (
+            snap.total(&ROOTS.name),
+            snap.total(&SAMPLED_ROOTS.name),
+            snap.total(&SPANS_DROPPED.name),
+        )
+    }
+
     #[test]
     fn phase_indexes_are_dense_and_names_stable() {
         for (i, p) in PHASES.iter().enumerate() {
@@ -798,10 +816,10 @@ mod tests {
         let snap = registry.profile_snapshot();
         assert!(!snap.is_empty());
         let sh = &snap.shards[0];
-        assert_eq!((sh.roots, sh.sampled_roots), (1, 1));
-        let ingest = sh.phase(Phase::Ingest).unwrap();
-        let check = sh.phase(Phase::ConstraintCheck).unwrap();
-        let resolve = sh.phase(Phase::Resolution).unwrap();
+        assert_eq!(roots(&registry), (1, 1, 0));
+        let ingest = &sh[Phase::Ingest.index()];
+        let check = &sh[Phase::ConstraintCheck.index()];
+        let resolve = &sh[Phase::Resolution.index()];
         assert_eq!((ingest.calls, check.calls, resolve.calls), (1, 1, 1));
         // Leaves have no children: self == total, exactly.
         assert_eq!(check.self_ns, check.total_ns);
@@ -833,11 +851,10 @@ mod tests {
             let _child = h.phase(Phase::Resolution);
         }
         let sh = &registry.profile_snapshot().shards[0];
-        assert_eq!(sh.roots, 7);
         // Roots 0, 3, 6 record.
-        assert_eq!(sh.sampled_roots, 3);
-        assert_eq!(sh.phase(Phase::Ingest).unwrap().calls, 3);
-        assert_eq!(sh.phase(Phase::Resolution).unwrap().calls, 3);
+        assert_eq!(roots(&registry), (7, 3, 0));
+        assert_eq!(sh[Phase::Ingest.index()].calls, 3);
+        assert_eq!(sh[Phase::Resolution.index()].calls, 3);
         assert_eq!(registry.drain_spans().len(), 6);
     }
 
@@ -852,16 +869,13 @@ mod tests {
             }
         }
         let sh = &registry.profile_snapshot().shards[0];
-        assert_eq!(
-            sh.phase(Phase::Ingest).unwrap().calls,
-            MAX_PHASE_DEPTH as u64
-        );
+        assert_eq!(sh[Phase::Ingest.index()].calls, MAX_PHASE_DEPTH as u64);
         // The stack is balanced again: a fresh root records normally.
         {
             let _g = h.phase(Phase::Rebalance);
         }
         let sh = &registry.profile_snapshot().shards[0];
-        assert_eq!(sh.phase(Phase::Rebalance).unwrap().calls, 1);
+        assert_eq!(sh[Phase::Rebalance.index()].calls, 1);
     }
 
     #[test]
@@ -871,50 +885,55 @@ mod tests {
         for _ in 0..SPAN_RING_CAPACITY + 10 {
             let _g = h.phase(Phase::Export);
         }
-        let sh = &registry.profile_snapshot().shards[0];
-        assert_eq!(sh.spans_dropped, 10);
+        assert_eq!(roots(&registry).2, 10);
         let spans = registry.drain_spans();
         assert_eq!(spans.len(), SPAN_RING_CAPACITY);
         assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
         assert!(registry.drain_spans().is_empty(), "drain empties the ring");
-        let sh = &registry.profile_snapshot().shards[0];
-        assert_eq!(sh.spans_dropped, 10, "dropped count survives the drain");
+        assert_eq!(roots(&registry).2, 10, "dropped count survives the drain");
     }
 
     #[test]
     fn phase_sample_windows_difference_snapshots() {
-        let registry = profiled(1, 1);
+        // The sampler's own export span lands on the last slot, away
+        // from the workload on slot 0.
+        let registry = profiled(2, 1);
         let h = registry.handle(0);
         {
             let _g = h.phase(Phase::Ingest);
         }
-        let a = registry.profile_snapshot();
+        let mut sampler = crate::snapshot::Sampler::new(std::sync::Arc::clone(&registry));
+        let baseline = sampler.sample_after(0.0);
         {
             let _g = h.phase(Phase::Ingest);
         }
         {
             let _g = h.phase(Phase::SituationEval);
         }
-        let b = registry.profile_snapshot();
-        let w = PhaseSample::between(Some(&a), &b);
-        let ingest = w.window_total.iter().find(|p| p.phase == "ingest").unwrap();
-        assert_eq!(ingest.calls, 1, "only the second ingest is in-window");
-        let sit = w
-            .window_total
-            .iter()
-            .find(|p| p.phase == "situation_eval")
-            .unwrap();
-        assert_eq!(sit.calls, 1);
-        assert!(w.self_share(Phase::Ingest).unwrap() > 0.0);
-        let baseline = PhaseSample::between(None, &b);
+        let w = sampler.sample_after(1.0);
+        let calls = |s: &crate::snapshot::Sample, phase: &str| {
+            s.find(&CALLS.name, &[("shard", "0"), ("phase", phase)])
+                .map_or(0, |s| s.delta())
+        };
         assert_eq!(
-            baseline
-                .window_total
-                .iter()
-                .find(|p| p.phase == "ingest")
-                .unwrap()
-                .calls,
-            2
+            calls(&w, "ingest"),
+            1,
+            "only the second ingest is in-window"
+        );
+        assert_eq!(calls(&w, "situation_eval"), 1);
+        assert!(w.gauge(&SELF_SHARE.name, &[("phase", "ingest")]).unwrap() > 0.0);
+        assert_eq!(
+            calls(&baseline, "ingest"),
+            1,
+            "the baseline covers the history"
+        );
+        let h2 = registry.handle(0);
+        {
+            let _g = h2.phase(Phase::Ingest);
+        }
+        assert_eq!(
+            registry.profile_snapshot().aggregate()[Phase::Ingest.index()].calls,
+            3
         );
     }
 
@@ -925,15 +944,11 @@ mod tests {
             let h = registry.handle(1);
             let _g = h.phase(Phase::Rebalance);
         }
-        let snap = registry.profile_snapshot();
+        let snap = registry.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
-        let back: ProfileSnapshot = serde_json::from_str(&json).unwrap();
+        let back: ObsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-
-        let sample = PhaseSample::between(None, &snap);
-        let json = serde_json::to_string(&sample).unwrap();
-        let back: PhaseSample = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sample);
+        assert_eq!(ProfileSnapshot::of(&back), registry.profile_snapshot());
 
         let spans = registry.drain_spans();
         let json = serde_json::to_string(&spans).unwrap();
@@ -1085,12 +1100,12 @@ mod invariant_proptests {
                 run_root(&h, shape);
             }
             let sh = &registry.profile_snapshot().shards[0];
-            let self_sum: u64 = sh.phases.iter().map(|p| p.self_ns).sum();
-            let root_total = sh.phase(Phase::Ingest).unwrap().total_ns;
+            let self_sum: u64 = sh.iter().map(|p| p.self_ns).sum();
+            let root_total = sh[Phase::Ingest.index()].total_ns;
             prop_assert_eq!(self_sum, root_total);
-            prop_assert_eq!(sh.roots, roots.len() as u64);
-            prop_assert_eq!(sh.sampled_roots, roots.len() as u64);
-            for p in &sh.phases {
+            let n = roots.len() as u64;
+            prop_assert_eq!(super::tests::roots(&registry), (n, n, 0));
+            for p in sh {
                 prop_assert!(p.self_ns <= p.total_ns, "{}: self > total", p.phase);
             }
         }
@@ -1102,20 +1117,30 @@ mod invariant_proptests {
                 1..6,
             ),
         ) {
+            // Two slots: the sampler's own export span lands on slot 1,
+            // the workload runs on slot 0.
             let registry = ObsRegistry::shared(
-                ObsConfig::metrics_only().with_profile(1), 1);
+                ObsConfig::metrics_only().with_profile(1), 2);
             let h = registry.handle(0);
-            let mut prev: Option<ProfileSnapshot> = None;
-            let mut summed: Vec<PhaseStat> = Vec::new();
+            let mut sampler = crate::snapshot::Sampler::new(std::sync::Arc::clone(&registry));
+            let mut summed = zero_stats();
             for shape in &batches {
                 run_root(&h, shape);
-                let cur = registry.profile_snapshot();
-                let w = PhaseSample::between(prev.as_ref(), &cur);
-                summed = sum_phase_stats([summed, w.window_total].iter());
-                prev = Some(cur);
+                let w = sampler.sample_after(1.0);
+                for s in w.family(&SELF_NS.name).chain(w.family(&TOTAL_NS.name)).chain(w.family(&CALLS.name)) {
+                    let (Some("0"), Some(p)) = (s.label("shard"), s.label("phase")) else { continue };
+                    let stat = summed.iter_mut().find(|st| st.phase == p).unwrap();
+                    let field = if s.family == SELF_NS.name {
+                        &mut stat.self_ns
+                    } else if s.family == TOTAL_NS.name {
+                        &mut stat.total_ns
+                    } else {
+                        &mut stat.calls
+                    };
+                    *field += s.delta();
+                }
             }
-            let cum = registry.profile_snapshot().aggregate();
-            prop_assert_eq!(summed, cum);
+            prop_assert_eq!(&summed, &registry.profile_snapshot().shards[0]);
         }
 
         #[test]
@@ -1132,11 +1157,10 @@ mod invariant_proptests {
                 let _child = h.phase(Phase::Resolution);
             }
             let sh = &registry.profile_snapshot().shards[0];
-            prop_assert_eq!(sh.roots, roots);
             let expected = roots.div_ceil(u64::from(every));
-            prop_assert_eq!(sh.sampled_roots, expected);
-            let root = sh.phase(Phase::Ingest).unwrap();
-            let leaf = sh.phase(Phase::Resolution).unwrap();
+            prop_assert_eq!(super::tests::roots(&registry), (roots, expected, 0));
+            let root = &sh[Phase::Ingest.index()];
+            let leaf = &sh[Phase::Resolution.index()];
             // Structure is preserved under sampling: call counts stay
             // proportional (1:1 here) and leaves keep self == total,
             // so self/total ratios cannot be skewed by the divisor.

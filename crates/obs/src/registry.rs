@@ -1,17 +1,18 @@
 //! The per-shard observation registry and its cheap handles.
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::health::{HealthSnapshot, KindHandle, ShardHealthSlot};
+use crate::health::{KindHandle, ShardHealthSlot};
 use crate::metrics::{
-    CounterKind, Histogram, HistogramSnapshot, MetricKind, COUNTER_KINDS, METRIC_KINDS,
+    CounterKind, Histogram, MetricKind, COUNTER_KINDS, METRIC_KINDS, OBS_SHARDS, RING_BUFFERED,
+    RING_DROPPED,
 };
 use crate::profile::{Phase, PhaseGuard, ProfileSnapshot, ShardProfileSlot, SpanRecord};
-use crate::ring::EventRing;
+use crate::ring::{EventRing, RING_CAPACITY};
+use crate::snapshot::{ObsSnapshot, Value};
 use crate::span::ObsSpan;
-use crate::tail::{ContextSpan, Exemplar, ShardTailSlot, TailOutcome, TailSnapshot};
+use crate::tail::{ContextSpan, Exemplar, ShardTailSlot, TailOutcome};
 use ctxres_context::LogicalTime;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,15 +47,9 @@ pub struct ObsConfig {
     /// `trace_events` (it rides the trace rings); its per-phase self
     /// times need `profile`.
     pub slow_batch_bound_ns: u64,
-    /// Capacity of each shard's event ring buffer.
-    pub ring_capacity: usize,
 }
 
 impl ObsConfig {
-    /// Default ring capacity: large enough for every event of the
-    /// experiment workloads, small enough to stay cache-friendly.
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
     /// Full tracing and metrics, provenance edges and tail spans
     /// included.
     pub fn enabled() -> Self {
@@ -66,7 +61,6 @@ impl ObsConfig {
             profile_sample: 1,
             tail: true,
             slow_batch_bound_ns: 0,
-            ring_capacity: Self::DEFAULT_RING_CAPACITY,
         }
     }
 
@@ -83,7 +77,6 @@ impl ObsConfig {
             profile_sample: 1,
             tail: false,
             slow_batch_bound_ns: 0,
-            ring_capacity: 1,
         }
     }
 
@@ -99,14 +92,7 @@ impl ObsConfig {
             profile_sample: 1,
             tail: false,
             slow_batch_bound_ns: 0,
-            ring_capacity: 0,
         }
-    }
-
-    /// Overrides the per-shard ring capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
     }
 
     /// Turns health telemetry on or off (counters and histograms
@@ -140,8 +126,9 @@ impl ObsConfig {
     }
 }
 
-/// One shard's instrumentation state: a locked event ring plus
-/// lock-free counters and histograms.
+/// One shard's instrumentation state: a locked event ring (of
+/// [`RING_CAPACITY`] records; only tracing configurations ever push to
+/// it) plus lock-free counters and histograms.
 #[derive(Debug)]
 struct ShardSlot {
     ring: Mutex<EventRing>,
@@ -156,7 +143,7 @@ struct ShardSlot {
 impl ShardSlot {
     fn new(config: &ObsConfig, epoch: Instant) -> Self {
         ShardSlot {
-            ring: Mutex::new(EventRing::new(config.ring_capacity)),
+            ring: Mutex::new(EventRing::new(RING_CAPACITY)),
             seq: AtomicU64::new(0),
             counters: Default::default(),
             histograms: Default::default(),
@@ -259,71 +246,53 @@ impl ObsRegistry {
             .sum::<u64>()
     }
 
-    /// A point-in-time copy of every shard's counters and histograms,
-    /// collected shard by shard without a global lock.
+    /// A point-in-time copy of every layer's cumulative state as
+    /// labelled series — core counters, ring and histograms per shard,
+    /// then the health, tail and profiler families — plus the exemplar
+    /// reservoirs, collected shard by shard without a global lock.
     pub fn snapshot(&self) -> ObsSnapshot {
-        ObsSnapshot {
-            shards: self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    let ring = slot.ring.lock();
-                    ShardSnapshot {
-                        shard: i,
-                        events_buffered: ring.len() as u64,
-                        events_dropped: ring.dropped(),
-                        counters: slot
-                            .counters
-                            .iter()
-                            .map(|c| c.load(Ordering::Relaxed))
-                            .collect(),
-                        histograms: slot.histograms.iter().map(Histogram::snapshot).collect(),
-                    }
-                })
-                .collect(),
+        let mut series = vec![OBS_SHARDS.series(&[], Value::Gauge(self.slots.len() as f64))];
+        let counters = COUNTER_KINDS.map(CounterKind::family);
+        let histograms = METRIC_KINDS.map(MetricKind::family);
+        for (i, slot) in self.slots.iter().enumerate() {
+            let label = i.to_string();
+            let shard = [label.as_str()];
+            for (family, cell) in counters.iter().zip(&slot.counters) {
+                series.push(family.series(&shard, Value::Counter(cell.load(Ordering::Relaxed))));
+            }
+            let (dropped, buffered) = {
+                let ring = slot.ring.lock();
+                (ring.dropped(), ring.len())
+            };
+            series.push(RING_DROPPED.series(&shard, Value::Counter(dropped)));
+            series.push(RING_BUFFERED.series(&shard, Value::Gauge(buffered as f64)));
+            for (family, h) in histograms.iter().zip(&slot.histograms) {
+                series.push(family.series(&shard, Value::Histogram(h.snapshot())));
+            }
         }
+        crate::health::report(self.slots.iter().map(|s| &s.health), &mut series);
+        let exemplars = crate::tail::report(self.slots.iter().map(|s| &s.tail), &mut series);
+        crate::profile::report(self.slots.iter().map(|s| &s.profile), &mut series);
+        ObsSnapshot { series, exemplars }
     }
 
-    /// A point-in-time copy of every shard's health state (kind cells
-    /// and arena gauges); empty until an engine publishes some.
-    pub fn health_snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            shards: self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, slot)| slot.health.snapshot(i))
-                .collect(),
-        }
-    }
-
-    /// A point-in-time copy of every shard's phase-profiler cells;
-    /// empty until a [`PhaseGuard`] records (i.e. always empty unless
-    /// the registry was configured with [`ObsConfig::with_profile`]).
+    /// The profiler's view of [`ObsRegistry::snapshot`]: per-phase
+    /// totals, empty until a [`PhaseGuard`] records (i.e. always empty
+    /// unless the registry was configured with
+    /// [`ObsConfig::with_profile`]).
     pub fn profile_snapshot(&self) -> ProfileSnapshot {
-        ProfileSnapshot {
-            shards: self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, slot)| slot.profile.snapshot(i))
-                .collect(),
-        }
+        ProfileSnapshot::of(&self.snapshot())
     }
 
-    /// A point-in-time copy of every shard's tail telemetry (end-to-end
-    /// histograms, exemplar reservoirs, queue counters);
-    /// empty until something records with [`ObsConfig::tail`] on.
-    pub fn tail_snapshot(&self) -> TailSnapshot {
-        TailSnapshot {
-            shards: self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, slot)| slot.tail.snapshot(i))
-                .collect(),
-        }
+    /// The most recent logical tick any shard published with its pool
+    /// gauges ([`ShardObs::publish_pool`]), or 0: the clock SLO
+    /// transitions are stamped with.
+    pub fn now_tick(&self) -> u64 {
+        self.slots
+            .iter()
+            .filter_map(|s| s.health.now_tick())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Drains every shard's completed-span ring into one list ordered
@@ -569,83 +538,6 @@ impl ShardObs {
     }
 }
 
-/// A point-in-time copy of one shard's metrics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardSnapshot {
-    /// The shard index.
-    pub shard: usize,
-    /// Events currently buffered in the shard's ring.
-    pub events_buffered: u64,
-    /// Events evicted from the shard's full ring (lifetime).
-    pub events_dropped: u64,
-    /// Counter values, indexed by [`CounterKind::index`].
-    pub counters: Vec<u64>,
-    /// Histogram snapshots, indexed by [`MetricKind::index`].
-    pub histograms: Vec<HistogramSnapshot>,
-}
-
-impl ShardSnapshot {
-    /// An all-zero snapshot (the identity for [`ShardSnapshot::merge`]).
-    pub fn zero() -> Self {
-        ShardSnapshot {
-            shard: 0,
-            events_buffered: 0,
-            events_dropped: 0,
-            counters: vec![0; COUNTER_KINDS.len()],
-            histograms: vec![HistogramSnapshot::empty(); METRIC_KINDS.len()],
-        }
-    }
-
-    /// A counter's value.
-    pub fn counter(&self, kind: CounterKind) -> u64 {
-        self.counters.get(kind.index()).copied().unwrap_or(0)
-    }
-
-    /// A histogram's snapshot.
-    pub fn histogram(&self, kind: MetricKind) -> &HistogramSnapshot {
-        &self.histograms[kind.index()]
-    }
-
-    /// Adds another shard's snapshot into this one (field-wise sums and
-    /// histogram merges; commutative and associative).
-    pub fn merge(&mut self, other: &ShardSnapshot) {
-        self.events_buffered += other.events_buffered;
-        self.events_dropped += other.events_dropped;
-        if self.counters.len() < other.counters.len() {
-            self.counters.resize(other.counters.len(), 0);
-        }
-        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
-            *mine += *theirs;
-        }
-        if self.histograms.len() < other.histograms.len() {
-            self.histograms
-                .resize(other.histograms.len(), HistogramSnapshot::empty());
-        }
-        for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
-            mine.merge(theirs);
-        }
-    }
-}
-
-/// A whole registry's snapshot: one record per shard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsSnapshot {
-    /// Per-shard snapshots in shard order.
-    pub shards: Vec<ShardSnapshot>,
-}
-
-impl ObsSnapshot {
-    /// Merges every shard into one cross-shard record (the aggregate's
-    /// `shard` field is meaningless and left 0).
-    pub fn aggregate(&self) -> ShardSnapshot {
-        let mut total = ShardSnapshot::zero();
-        for s in &self.shards {
-            total.merge(s);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,13 +558,7 @@ mod tests {
         h.observe(MetricKind::QueueDepth, 9);
         h.count(CounterKind::Deliveries, 1);
         assert!(registry.drain().is_empty());
-        assert_eq!(
-            registry
-                .snapshot()
-                .aggregate()
-                .counter(CounterKind::Deliveries),
-            0
-        );
+        assert_eq!(registry.snapshot().counter(CounterKind::Deliveries), 0);
     }
 
     #[test]
@@ -693,17 +579,18 @@ mod tests {
 
     #[test]
     fn dropped_counter_survives_drain() {
-        let registry = ObsRegistry::shared(ObsConfig::enabled().with_ring_capacity(2), 1);
+        let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
         let h = registry.handle(0);
-        for i in 0..5 {
+        let events = RING_CAPACITY as u64 + 3;
+        for i in 0..events {
             h.record(LogicalTime::new(i), ev(i));
         }
         assert_eq!(registry.dropped(), 3);
-        assert_eq!(registry.drain().len(), 2);
+        assert_eq!(registry.drain().len(), RING_CAPACITY);
         assert_eq!(registry.dropped(), 3);
         let snap = registry.snapshot();
-        assert_eq!(snap.shards[0].events_dropped, 3);
-        assert_eq!(snap.shards[0].counter(CounterKind::EventsRecorded), 5);
+        assert_eq!(snap.total("ctxres_trace_events_dropped_total"), 3);
+        assert_eq!(snap.counter(CounterKind::EventsRecorded), events);
     }
 
     #[test]
@@ -714,10 +601,10 @@ mod tests {
             h.observe(MetricKind::DeltaSize, (shard as u64 + 1) * 10);
             h.count(CounterKind::Detections, shard as u64);
         }
-        let agg = registry.snapshot().aggregate();
-        assert_eq!(agg.histogram(MetricKind::DeltaSize).count, 3);
-        assert_eq!(agg.histogram(MetricKind::DeltaSize).sum, 60);
-        assert_eq!(agg.counter(CounterKind::Detections), 3);
+        let snap = registry.snapshot();
+        assert_eq!(snap.histogram(MetricKind::DeltaSize).count, 3);
+        assert_eq!(snap.histogram(MetricKind::DeltaSize).sum, 60);
+        assert_eq!(snap.counter(CounterKind::Detections), 3);
     }
 
     #[test]
@@ -741,10 +628,10 @@ mod tests {
         h.observe(MetricKind::QueueDepth, 7);
         assert!(registry.drain().is_empty(), "no ring pushes");
         assert_eq!(registry.dropped(), 0, "nothing pushed, nothing evicted");
-        let agg = registry.snapshot().aggregate();
-        assert_eq!(agg.counter(CounterKind::EventsRecorded), 0);
-        assert_eq!(agg.counter(CounterKind::Ingested), 3);
-        assert_eq!(agg.histogram(MetricKind::QueueDepth).count, 1);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(CounterKind::EventsRecorded), 0);
+        assert_eq!(snap.counter(CounterKind::Ingested), 3);
+        assert_eq!(snap.histogram(MetricKind::QueueDepth).count, 1);
     }
 
     #[test]
@@ -801,6 +688,7 @@ mod aggregation_proptests {
     //! the same stream to a single-shard registry.
 
     use super::*;
+    use crate::metrics::HistogramSnapshot;
     use proptest::prelude::*;
 
     proptest! {
@@ -818,12 +706,13 @@ mod aggregation_proptests {
                 sharded.handle(i % shards).count(CounterKind::Detections, *v % 3);
                 single.handle(0).count(CounterKind::Detections, *v % 3);
             }
-            let mut agg = sharded.snapshot().aggregate();
-            let mut oracle = single.snapshot().aggregate();
-            // The shard index is presentation-only.
-            agg.shard = 0;
-            oracle.shard = 0;
-            prop_assert_eq!(agg, oracle);
+            let (agg, oracle) = (sharded.snapshot(), single.snapshot());
+            for kind in METRIC_KINDS {
+                prop_assert_eq!(agg.histogram(kind), oracle.histogram(kind));
+            }
+            for kind in COUNTER_KINDS {
+                prop_assert_eq!(agg.counter(kind), oracle.counter(kind));
+            }
         }
 
         #[test]

@@ -3,6 +3,11 @@
 use crate::event::TraceRecord;
 use std::collections::VecDeque;
 
+/// Capacity of each shard's event ring: 2^16 records, large enough for
+/// every event of the experiment workloads. Only tracing configurations
+/// push to the ring, and an unpushed ring allocates nothing.
+pub const RING_CAPACITY: usize = 1 << 16;
+
 /// A bounded ring of trace records.
 ///
 /// When full, pushing evicts the **oldest** record (classic ring

@@ -1,5 +1,5 @@
 //! A hand-rolled HTTP endpoint serving live telemetry: `/metrics`
-//! (Prometheus text exposition) and `/snapshot` (the full
+//! (Prometheus text exposition) and `/snapshot` (the same
 //! [`Sample`](crate::snapshot::Sample) as JSON).
 //!
 //! Built directly on [`std::net::TcpListener`] — the workspace has no
@@ -256,7 +256,7 @@ mod tests {
         let (head, body) = get(addr, "/snapshot");
         assert!(head.contains("application/json"), "{head}");
         let sample: crate::snapshot::Sample = serde_json::from_str(&body).unwrap();
-        assert_eq!(sample.shards.len(), 2);
+        assert_eq!(sample.gauge("ctxres_obs_shards", &[]), Some(2.0));
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
@@ -276,10 +276,7 @@ mod tests {
         let (_, body) = get(addr, "/snapshot");
         let sample: crate::snapshot::Sample = serde_json::from_str(&body).unwrap();
         assert!(!sample.first);
-        assert_eq!(
-            sample.total.delta(crate::metrics::CounterKind::Deliveries),
-            4
-        );
+        assert_eq!(sample.delta("ctxres_deliveries_total"), 4);
     }
 
     #[test]
@@ -301,10 +298,15 @@ mod tests {
         let server = MetricsServer::spawn(Arc::clone(&registry), "127.0.0.1:0").unwrap();
         let (_, body) = get(server.local_addr(), "/snapshot");
         let sample: crate::snapshot::Sample = serde_json::from_str(&body).unwrap();
-        let tail = sample.tail.expect("tail view rides /snapshot");
-        assert_eq!(tail.all.count, 1);
-        assert!(tail.all.p99_ns.is_some());
-        assert_eq!(tail.snapshot.exemplars().len(), 1);
+        assert_eq!(
+            sample.window_histogram("ctxres_e2e_latency_us", &[]).count,
+            1
+        );
+        let p99 = [("outcome", "all"), ("q", "0.99")];
+        assert!(sample
+            .gauge("ctxres_e2e_window_quantile_ns", &p99)
+            .is_some());
+        assert_eq!(sample.exemplars.len(), 1);
         server.shutdown();
     }
 

@@ -14,8 +14,9 @@
 //!
 //! The [`SloEngine`] is evaluated once per sampler window (each
 //! `/metrics` or `/snapshot` scrape, each `obs_top` refresh, each soak
-//! iteration) against the window's cross-shard [`HealthSample`] rows.
-//! Semantics:
+//! iteration) against the window's derived gauges in the [`Sample`]:
+//! the per-kind health rates and staleness, the pool occupancy and the
+//! end-to-end p99. Semantics:
 //!
 //! * **fire**: `for_windows` *consecutive* breaching windows arm the
 //!   rule; the transition emits a [`HealthAlert`] with `firing: true`
@@ -23,8 +24,8 @@
 //!   rings);
 //! * **clear**: while firing, the rule clears only after `for_windows`
 //!   consecutive windows on the *safe* side of a hysteresis deadband —
-//!   `threshold · (1 − clear_margin)` for `>` rules,
-//!   `threshold · (1 + clear_margin)` for `<` rules. Values inside the
+//!   `threshold · (1 − DEFAULT_CLEAR_MARGIN)` for `>` rules,
+//!   `threshold · (1 + DEFAULT_CLEAR_MARGIN)` for `<` rules. Values inside the
 //!   deadband (breaching direction not quite reached, safe side not
 //!   quite reached) never transition the rule in either direction, so
 //!   a metric oscillating at the boundary cannot flap (asserted by a
@@ -37,8 +38,7 @@
 //! from an error budget: [`SloRule::burn_rate`] fires when the
 //! windowed rate consumes the budget `factor` times too fast.
 
-use crate::health::HealthSample;
-use crate::tail::TailSample;
+use crate::snapshot::{Family, MetricType, Sample};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -46,10 +46,14 @@ use std::fmt;
 /// (one rule per `;` or newline; `#` starts a comment).
 pub const SLO_RULES_ENV: &str = "CTXRES_SLO_RULES";
 
-/// Fraction of `for_windows` breaches a rule tolerates: none — the
-/// streak resets on any non-breaching window. (Kept as a named
-/// constant so the semantics are greppable.)
+/// The hysteresis deadband, as a fraction of a rule's threshold: a
+/// firing `>` rule clears only at or below `threshold · (1 − 0.1)`, a
+/// firing `<` rule only at or above `threshold · (1 + 0.1)`.
 pub const DEFAULT_CLEAR_MARGIN: f64 = 0.1;
+
+/// The rules currently firing: constant 1, the rule rides the label.
+pub(crate) const SLO_FIRING: Family =
+    Family::new(MetricType::Gauge, "ctxres_slo_firing", &["rule"]);
 
 /// The health metric a rule watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,9 +70,8 @@ pub enum SloMetric {
     /// Aggregate arena occupancy `live / (live + free)`.
     PoolOccupancy,
     /// Windowed end-to-end p99 latency across all outcomes, in
-    /// milliseconds — read from the sampler's tail view
-    /// ([`crate::TailSample`]); undefined when the tail layer is off or
-    /// the window recorded nothing.
+    /// milliseconds — read from the sample's tail quantiles; undefined
+    /// when the tail layer is off or the window recorded nothing.
     E2eP99Ms,
 }
 
@@ -133,9 +136,6 @@ pub struct SloRule {
     /// Consecutive breaching windows required to fire (and consecutive
     /// safe windows required to clear). Clamped to ≥ 1.
     pub for_windows: u32,
-    /// Hysteresis deadband as a fraction of the threshold: a firing
-    /// `>` rule clears only below `threshold · (1 − clear_margin)`.
-    pub clear_margin: f64,
 }
 
 impl SloRule {
@@ -194,7 +194,6 @@ impl SloRule {
             op,
             threshold,
             for_windows: for_windows.max(1),
-            clear_margin: DEFAULT_CLEAR_MARGIN,
         })
     }
 
@@ -216,32 +215,36 @@ impl SloRule {
             op: SloOp::Above,
             threshold: budget * factor,
             for_windows: for_windows.max(1),
-            clear_margin: DEFAULT_CLEAR_MARGIN,
         }
     }
 
     /// The metric's value in this window, or `None` when undefined
     /// (no traffic / no such kind / tail layer off): the worst matching
-    /// cross-shard row, the pool gauge, or the tail p99.
-    fn value_in(&self, sample: &HealthSample, tail: Option<&TailSample>) -> Option<f64> {
-        if self.metric == SloMetric::PoolOccupancy {
-            return sample.pool.as_ref().and_then(|p| p.occupancy);
-        }
-        if self.metric == SloMetric::E2eP99Ms {
-            return tail.and_then(|t| t.all.p99_ns).map(|ns| ns / 1e6);
-        }
-        let pick = |row: &crate::health::KindQuality| match self.metric {
-            SloMetric::DiscardRate => row.discard_rate,
-            SloMetric::ViolationRate => row.violation_rate,
-            SloMetric::UseRate => row.use_rate,
-            SloMetric::Staleness => row.staleness,
-            SloMetric::PoolOccupancy | SloMetric::E2eP99Ms => unreachable!(),
+    /// per-kind gauge, the pool occupancy, or the tail p99.
+    fn value_in(&self, sample: &Sample) -> Option<f64> {
+        let family = match self.metric {
+            SloMetric::PoolOccupancy => {
+                return sample.gauge(&crate::health::POOL_OCCUPANCY.name, &[])
+            }
+            SloMetric::E2eP99Ms => {
+                let all_p99 = [("outcome", "all"), ("q", "0.99")];
+                return sample
+                    .gauge(&crate::tail::E2E_QUANTILE.name, &all_p99)
+                    .map(|ns| ns / 1e6);
+            }
+            SloMetric::DiscardRate => &crate::health::DISCARD_RATE,
+            SloMetric::ViolationRate => &crate::health::VIOLATION_RATE,
+            SloMetric::UseRate => &crate::health::USE_RATE,
+            SloMetric::Staleness => &crate::health::STALENESS,
         };
-        let rows = sample
-            .kinds
-            .iter()
-            .filter(|r| self.kind.as_deref().is_none_or(|k| r.kind == k));
-        let values = rows.filter_map(pick);
+        let values = sample
+            .family(&family.name)
+            .filter(|s| {
+                self.kind
+                    .as_deref()
+                    .is_none_or(|k| s.label("kind") == Some(k))
+            })
+            .filter_map(|s| s.value.gauge());
         match self.op {
             SloOp::Above => values.max_by(f64::total_cmp),
             SloOp::Below => values.min_by(f64::total_cmp),
@@ -258,8 +261,8 @@ impl SloRule {
     /// Past the hysteresis deadband on the safe side.
     fn safe(&self, value: f64) -> bool {
         match self.op {
-            SloOp::Above => value <= self.threshold * (1.0 - self.clear_margin),
-            SloOp::Below => value >= self.threshold * (1.0 + self.clear_margin),
+            SloOp::Above => value <= self.threshold * (1.0 - DEFAULT_CLEAR_MARGIN),
+            SloOp::Below => value >= self.threshold * (1.0 + DEFAULT_CLEAR_MARGIN),
         }
     }
 }
@@ -356,28 +359,14 @@ impl SloEngine {
             .any(|(r, s)| r.name == name && s.firing)
     }
 
-    /// Evaluates every rule against one window's health view, stamping
+    /// Evaluates every rule against one window's sample, stamping
     /// transitions with the logical clock `at`. Returns only the
-    /// transitions (an empty vec on a quiet window). Latency rules
-    /// ([`SloMetric::E2eP99Ms`]) see an undefined value here — use
-    /// [`SloEngine::evaluate_with_tail`] to feed them.
-    pub fn evaluate(&mut self, sample: &HealthSample, at: u64) -> Vec<HealthAlert> {
-        self.evaluate_with_tail(sample, None, at)
-    }
-
-    /// [`SloEngine::evaluate`] with the window's end-to-end tail view
-    /// attached, so latency rules ([`SloMetric::E2eP99Ms`]) get a value.
-    /// `tail: None` (or a window that recorded nothing) leaves those
-    /// rules' streaks frozen, exactly like a no-traffic health window.
-    pub fn evaluate_with_tail(
-        &mut self,
-        sample: &HealthSample,
-        tail: Option<&TailSample>,
-        at: u64,
-    ) -> Vec<HealthAlert> {
+    /// transitions (an empty vec on a quiet window); a rule whose
+    /// metric is undefined this window keeps its streaks frozen.
+    pub fn evaluate(&mut self, sample: &Sample, at: u64) -> Vec<HealthAlert> {
         let mut alerts = Vec::new();
         for (rule, state) in self.rules.iter().zip(self.states.iter_mut()) {
-            let Some(value) = rule.value_in(sample, tail) else {
+            let Some(value) = rule.value_in(sample) else {
                 // Undefined this window: freeze the streaks.
                 continue;
             };
@@ -429,51 +418,31 @@ impl SloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::{HealthSnapshot, KindHealth, KindQuality, ShardHealth};
+    use crate::snapshot::Value;
 
-    /// A one-row health sample with the given windowed discard rate.
-    pub(super) fn sample_with(discard_rate: Option<f64>) -> HealthSample {
-        let row = KindQuality {
-            shard: None,
-            kind: "rfid".into(),
-            ingested: 100,
-            delivered: 50,
-            discarded: 50,
-            expired: 0,
-            violations: 0,
-            discard_rate,
-            violation_rate: None,
-            use_rate: discard_rate.map(|d| 1.0 - d),
-            use_rate_ewma: None,
-            live: 0,
-            oldest_age_ticks: None,
-            lifespan_ticks: None,
-            staleness: None,
-        };
-        HealthSample {
-            snapshot: HealthSnapshot {
-                shards: vec![ShardHealth {
-                    shard: 0,
-                    pool: None,
-                    kinds: vec![KindHealth {
-                        kind: "rfid".into(),
-                        ingested: 100,
-                        delivered: 50,
-                        discarded: 50,
-                        expired: 0,
-                        violations: 0,
-                        live: 0,
-                        oldest_age_ticks: None,
-                        lifespan_ticks: None,
-                    }],
-                }],
-            },
-            kinds: vec![row],
-            shard_kinds: Vec::new(),
-            pool: None,
+    /// A sample of the given derived gauges.
+    fn sample_of(gauges: Vec<(Family, &[&str], f64)>) -> Sample {
+        Sample {
+            elapsed_secs: 1.0,
+            first: false,
+            series: gauges
+                .into_iter()
+                .map(|(family, labels, v)| family.series(labels, Value::Gauge(v)))
+                .collect(),
+            exemplars: Vec::new(),
             alerts: Vec::new(),
-            active_alerts: Vec::new(),
         }
+    }
+
+    /// A one-kind sample with the given windowed discard rate (and the
+    /// complementary use rate); `None` is a window without traffic.
+    pub(super) fn sample_with(discard_rate: Option<f64>) -> Sample {
+        let mut gauges = Vec::new();
+        if let Some(d) = discard_rate {
+            gauges.push((crate::health::DISCARD_RATE, &["rfid"][..], d));
+            gauges.push((crate::health::USE_RATE, &["rfid"][..], 1.0 - d));
+        }
+        sample_of(gauges)
     }
 
     #[test]
@@ -568,22 +537,17 @@ mod tests {
         assert_eq!(engine.evaluate(&sample_with(Some(0.3)), 9).len(), 1);
     }
 
-    /// A tail view whose all-outcomes p99 is the given milliseconds.
-    fn tail_with(p99_ms: f64) -> TailSample {
-        use crate::tail::{QueueWindow, TailSnapshot, TailWindow};
-        TailSample {
-            snapshot: TailSnapshot { shards: Vec::new() },
-            outcomes: Vec::new(),
-            all: TailWindow {
-                count: 10,
-                mean_ns: None,
-                p50_ns: None,
-                p95_ns: None,
-                p99_ns: Some(p99_ms * 1e6),
-                p999_ns: None,
-            },
-            queue: QueueWindow::default(),
-        }
+    /// A healthy sample whose all-outcomes end-to-end p99 is the given
+    /// milliseconds.
+    fn tail_with(p99_ms: f64) -> Sample {
+        sample_of(vec![
+            (crate::health::DISCARD_RATE, &["rfid"][..], 0.1),
+            (
+                crate::tail::E2E_QUANTILE,
+                &["all", "0.99"][..],
+                p99_ms * 1e6,
+            ),
+        ])
     }
 
     #[test]
@@ -591,14 +555,11 @@ mod tests {
         let r = SloRule::parse("e2e_p99_ms > 5 for 2").unwrap();
         assert_eq!(r.metric, SloMetric::E2eP99Ms);
         let mut engine = SloEngine::new(vec![r]);
-        // Plain evaluate (no tail view): undefined, streaks freeze.
+        // A window without tail quantiles: undefined, streaks freeze.
         assert!(engine.evaluate(&sample_with(Some(0.1)), 1).is_empty());
         let slow = tail_with(12.0);
-        let healthy = sample_with(Some(0.1));
-        assert!(engine
-            .evaluate_with_tail(&healthy, Some(&slow), 2)
-            .is_empty());
-        let alerts = engine.evaluate_with_tail(&healthy, Some(&slow), 3);
+        assert!(engine.evaluate(&slow, 2).is_empty());
+        let alerts = engine.evaluate(&slow, 3);
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].firing);
         assert_eq!(alerts[0].metric, "e2e_p99_ms");
@@ -606,10 +567,8 @@ mod tests {
         // Clearing needs windows past the deadband (p99 ≤ 4.5 ms),
         // sustained for the rule's two windows.
         let fast = tail_with(1.0);
-        assert!(engine
-            .evaluate_with_tail(&healthy, Some(&fast), 4)
-            .is_empty());
-        let alerts = engine.evaluate_with_tail(&healthy, Some(&fast), 5);
+        assert!(engine.evaluate(&fast, 4).is_empty());
+        let alerts = engine.evaluate(&fast, 5);
         assert_eq!(alerts.len(), 1);
         assert!(!alerts[0].firing);
         assert!(engine.active().is_empty());
@@ -669,7 +628,7 @@ mod hysteresis_proptests {
         fn deadband_values_never_transition(
             start_firing in proptest::bool::weighted(0.5),
             // Values in (threshold·(1−margin), threshold] for an Above
-            // rule on threshold 0.5, margin 0.1: (0.45, 0.5].
+            // rule on threshold 0.5 with the 0.1 margin: (0.45, 0.5].
             unit in proptest::collection::vec(0.0f64..1.0, 1..40),
             for_windows in 1u32..4,
         ) {
@@ -680,9 +639,8 @@ mod hysteresis_proptests {
                 op: SloOp::Above,
                 threshold: 0.5,
                 for_windows,
-                clear_margin: 0.1,
             };
-            let lo = rule.threshold * (1.0 - rule.clear_margin);
+            let lo = rule.threshold * (1.0 - DEFAULT_CLEAR_MARGIN);
             let mut engine = SloEngine::new(vec![rule]);
             if start_firing {
                 // Drive it into the firing state legitimately.

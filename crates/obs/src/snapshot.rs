@@ -1,142 +1,338 @@
-//! Windowed sampling over an [`ObsRegistry`]: deltas and rates between
-//! consecutive snapshots.
+//! The one metric model: labelled families, one cumulative snapshot,
+//! and one windowed sample.
 //!
-//! A raw [`ObsSnapshot`] is cumulative — counters only ever grow — which
-//! is the right shape for correctness oracles but useless for watching a
-//! run: "120 000 deliveries so far" says nothing about whether the
-//! engine is currently moving. A [`Sampler`] remembers the previous
-//! snapshot and, on each [`Sampler::sample`], produces a [`Sample`]
-//! carrying both the cumulative state and the **windowed** view since
-//! the last sample: per-shard counter deltas, per-second rates, and the
-//! windowed slice of every histogram. Because counters are monotonic and
-//! each is read atomically, per-window deltas telescope exactly: summing
-//! a counter's deltas over all samples since the sampler started equals
-//! the raw counter (asserted by a proptest below, with concurrent shard
-//! writers).
+//! Every layer (core counters and histograms, health, tail, profiler)
+//! declares its metrics as [`Family`]s next to its domain code and
+//! reports its cumulative state into one [`ObsSnapshot`] as labelled
+//! [`Series`]. A [`Sampler`] keeps the previous snapshot and turns the
+//! next one into a [`Sample`] with one diff keyed on (family, labels):
+//! counters and histograms get their windowed delta
+//! ([`Series::window`]), and each layer then adds the gauges it derives
+//! from the window — per-second rates, quantiles, quality ratios,
+//! shares. Because counters are monotonic and each is read atomically,
+//! windowed deltas telescope exactly: summing a counter series' deltas
+//! over every sample since the sampler started equals the raw counter
+//! (asserted by a proptest below, with concurrent writers).
 //!
 //! The sampler is what the `/metrics` and `/snapshot` endpoints
-//! ([`crate::MetricsServer`]) and the `obs_top` dashboard scrape; each
-//! scrape advances the window, so reported rates are "since the previous
-//! scrape".
+//! ([`crate::MetricsServer`]), the `obs_top` dashboard and the `soak`
+//! harness read; each sample advances the window, so rates cover "since
+//! the previous sample".
 
 use crate::event::TraceEvent;
-use crate::health::{HealthSample, HealthSnapshot, DEFAULT_EWMA_ALPHA};
-use crate::metrics::{CounterKind, HistogramSnapshot, MetricKind, COUNTER_KINDS, METRIC_KINDS};
-use crate::profile::{Phase, PhaseSample, ProfileSnapshot};
-use crate::registry::{ObsRegistry, ObsSnapshot, ShardObs, ShardSnapshot};
-use crate::slo::SloEngine;
-use crate::tail::{TailSample, TailSnapshot};
+use crate::health::DEFAULT_EWMA_ALPHA;
+use crate::metrics::{CounterKind, HistogramSnapshot, MetricKind};
+use crate::profile::Phase;
+use crate::registry::{ObsRegistry, ShardObs};
+use crate::slo::{HealthAlert, SloEngine};
+use crate::tail::Exemplar;
 use ctxres_context::LogicalTime;
+use serde::de::{Deserializer, Error as _};
+use serde::ser::{Error as _, Serializer};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One shard's windowed view: counter deltas since the previous sample,
-/// the same deltas as per-second rates, and the windowed slice of each
-/// histogram.
+/// A family's Prometheus type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricType {
+    /// A monotonic count.
+    Counter,
+    /// A point-in-time reading.
+    Gauge,
+    /// A fixed-bucket [`crate::Histogram`].
+    Histogram,
+}
+
+impl MetricType {
+    /// The exposition `# TYPE` name.
+    pub fn name(self) -> &'static str {
+        match self {
+            MetricType::Counter => "counter",
+            MetricType::Gauge => "gauge",
+            MetricType::Histogram => "histogram",
+        }
+    }
+}
+
+/// One metric family: the name, type, label names and render scale
+/// every series of it shares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Family {
+    /// The exported name.
+    pub name: Cow<'static, str>,
+    /// The Prometheus type.
+    pub kind: MetricType,
+    /// Label names, in exposition order.
+    pub labels: &'static [&'static str],
+    /// Render scale: the exposition writes `value / scale` (1 writes
+    /// values as recorded, 1e9 turns nanoseconds into seconds).
+    pub scale: f64,
+}
+
+impl Family {
+    /// A family rendered as recorded.
+    pub const fn new(
+        kind: MetricType,
+        name: &'static str,
+        labels: &'static [&'static str],
+    ) -> Self {
+        Family::scaled(kind, name, labels, 1.0)
+    }
+
+    /// A family whose values render divided by `scale`.
+    pub const fn scaled(
+        kind: MetricType,
+        name: &'static str,
+        labels: &'static [&'static str],
+        scale: f64,
+    ) -> Self {
+        Family {
+            name: Cow::Borrowed(name),
+            kind,
+            labels,
+            scale,
+        }
+    }
+
+    /// A family with a generated name.
+    pub(crate) fn named(kind: MetricType, name: String, labels: &'static [&'static str]) -> Self {
+        Family {
+            name: Cow::Owned(name),
+            kind,
+            labels,
+            scale: 1.0,
+        }
+    }
+
+    /// One series of this family: `values` pair up with the declared
+    /// label names, in order.
+    pub fn series(&self, values: &[&str], value: Value) -> Series {
+        debug_assert_eq!(
+            values.len(),
+            self.labels.len(),
+            "{}: label arity",
+            self.name
+        );
+        Series {
+            family: self.name.to_string(),
+            labels: self
+                .labels
+                .iter()
+                .zip(values)
+                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+                .collect(),
+            value,
+            window: None,
+        }
+    }
+}
+
+/// One series' value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A counter's count.
+    Counter(u64),
+    /// A gauge's reading (an overflowed quantile bound reads `+Inf`).
+    Gauge(f64),
+    /// A histogram's distribution.
+    Histogram(HistogramSnapshot),
+}
+
+impl Value {
+    /// A counter's count (0 for other types).
+    pub fn counter(&self) -> u64 {
+        match self {
+            Value::Counter(n) => *n,
+            _ => 0,
+        }
+    }
+
+    /// A gauge's reading.
+    pub fn gauge(&self) -> Option<f64> {
+        match self {
+            Value::Gauge(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// A histogram's distribution.
+    pub fn histogram(&self) -> Option<&HistogramSnapshot> {
+        match self {
+            Value::Histogram(h) => Some(h),
+            _ => None,
+        }
+    }
+
+    /// The windowed difference `self - earlier` of a counter or a
+    /// histogram (`earlier = None`: everything since the start); gauges
+    /// have no window.
+    fn since(&self, earlier: Option<&Value>) -> Option<Value> {
+        match self {
+            Value::Counter(n) => Some(Value::Counter(
+                n.saturating_sub(earlier.map_or(0, Value::counter)),
+            )),
+            Value::Histogram(h) => {
+                Some(Value::Histogram(match earlier.and_then(Value::histogram) {
+                    Some(e) => h.delta(e),
+                    None => h.clone(),
+                }))
+            }
+            Value::Gauge(_) => None,
+        }
+    }
+}
+
+/// Formats a reading the way the text exposition spells it: non-finite
+/// values as `+Inf`, `-Inf` and `NaN`.
+pub(crate) fn fmt_f64(x: f64) -> String {
+    if x.is_nan() {
+        "NaN".to_owned()
+    } else if x.is_infinite() {
+        if x > 0.0 { "+Inf" } else { "-Inf" }.to_owned()
+    } else {
+        x.to_string()
+    }
+}
+
+// Hand-written so a non-finite gauge survives JSON, which has no number
+// for it: it travels as the exposition's string spelling.
+impl Serialize for Value {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let (tag, payload) = match self {
+            Value::Counter(n) => ("Counter", serde::__private::to_value(n)),
+            Value::Gauge(x) if x.is_finite() => ("Gauge", Ok(serde::Value::F64(*x))),
+            Value::Gauge(x) => ("Gauge", Ok(serde::Value::Str(fmt_f64(*x)))),
+            Value::Histogram(h) => ("Histogram", serde::__private::to_value(h)),
+        };
+        let payload = payload.map_err(S::Error::custom)?;
+        serializer.serialize_value(serde::Value::Map(vec![(tag.to_owned(), payload)]))
+    }
+}
+
+impl<'de> Deserialize<'de> for Value {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let (tag, payload) =
+            serde::__private::variant(deserializer.take_value()?).map_err(D::Error::custom)?;
+        let value = match (tag.as_str(), payload) {
+            ("Gauge", serde::Value::Str(s)) => s
+                .parse()
+                .map(Value::Gauge)
+                .map_err(|e| serde::ValueError(format!("gauge {s:?}: {e}"))),
+            ("Gauge", v) => serde::__private::from_value(v).map(Value::Gauge),
+            ("Counter", v) => serde::__private::from_value(v).map(Value::Counter),
+            ("Histogram", v) => serde::__private::from_value(v).map(Value::Histogram),
+            (other, _) => Err(serde::ValueError(format!("unknown value type {other:?}"))),
+        };
+        value.map_err(D::Error::custom)
+    }
+}
+
+/// One labelled series of a family.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardRates {
-    /// The shard index (0 for a merged total).
-    pub shard: usize,
-    /// Counter deltas since the previous sample, indexed by
-    /// [`CounterKind::index`]. Never negative: counters are monotonic.
-    pub counter_deltas: Vec<u64>,
-    /// The deltas divided by the window length in seconds (all zero on
-    /// the first sample, whose window is empty).
-    pub counter_rates: Vec<f64>,
-    /// The windowed slice of each histogram (observations recorded
-    /// during this window), indexed by [`MetricKind::index`].
-    pub histogram_deltas: Vec<HistogramSnapshot>,
-    /// Events currently buffered in the shard's ring (a gauge).
-    pub events_buffered: u64,
-    /// Lifetime events evicted from the shard's full ring.
-    pub events_dropped: u64,
+pub struct Series {
+    /// The family's name.
+    pub family: String,
+    /// `(name, value)` label pairs, in the family's label order.
+    pub labels: Vec<(String, String)>,
+    /// The cumulative value (counters, histograms) or the reading
+    /// (gauges).
+    pub value: Value,
+    /// In a [`Sample`], a counter's or histogram's delta over the
+    /// window; `None` in a snapshot and for gauges.
+    pub window: Option<Value>,
 }
 
-impl ShardRates {
-    /// A counter's delta over this window.
-    pub fn delta(&self, kind: CounterKind) -> u64 {
-        self.counter_deltas.get(kind.index()).copied().unwrap_or(0)
-    }
-
-    /// A counter's per-second rate over this window.
-    pub fn rate(&self, kind: CounterKind) -> f64 {
-        self.counter_rates.get(kind.index()).copied().unwrap_or(0.0)
-    }
-
-    /// A histogram's windowed slice.
-    pub fn window(&self, kind: MetricKind) -> &HistogramSnapshot {
-        &self.histogram_deltas[kind.index()]
-    }
-
-    fn between(shard: usize, prev: Option<&ShardSnapshot>, cur: &ShardSnapshot, secs: f64) -> Self {
-        let zero = ShardSnapshot::zero();
-        let prev = prev.unwrap_or(&zero);
-        let counter_deltas: Vec<u64> = (0..COUNTER_KINDS.len())
-            .map(|i| {
-                let now = cur.counters.get(i).copied().unwrap_or(0);
-                let was = prev.counters.get(i).copied().unwrap_or(0);
-                now.saturating_sub(was)
-            })
-            .collect();
-        let counter_rates = counter_deltas
+impl Series {
+    /// The value of label `name`, when the series carries it.
+    pub fn label(&self, name: &str) -> Option<&str> {
+        self.labels
             .iter()
-            .map(|d| if secs > 0.0 { *d as f64 / secs } else { 0.0 })
-            .collect();
-        let histogram_deltas = (0..METRIC_KINDS.len())
-            .map(|i| {
-                let empty = HistogramSnapshot::empty();
-                let now = cur.histograms.get(i).unwrap_or(&empty);
-                let was = prev.histograms.get(i).unwrap_or(&empty);
-                histogram_delta(was, now)
-            })
-            .collect();
-        ShardRates {
-            shard,
-            counter_deltas,
-            counter_rates,
-            histogram_deltas,
-            events_buffered: cur.events_buffered,
-            events_dropped: cur.events_dropped,
-        }
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
     }
 
-    /// Adds another shard's windowed view into this one (cross-shard
-    /// totals; rates sum because they share one window).
-    pub fn merge(&mut self, other: &ShardRates) {
-        for (mine, theirs) in self.counter_deltas.iter_mut().zip(&other.counter_deltas) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.counter_rates.iter_mut().zip(&other.counter_rates) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self
-            .histogram_deltas
-            .iter_mut()
-            .zip(&other.histogram_deltas)
-        {
-            mine.merge(theirs);
-        }
-        self.events_buffered += other.events_buffered;
-        self.events_dropped += other.events_dropped;
+    /// Whether every `(name, value)` pair in `labels` matches.
+    pub fn matches(&self, labels: &[(&str, &str)]) -> bool {
+        labels.iter().all(|(k, v)| self.label(k) == Some(v))
+    }
+
+    /// A counter's windowed delta (0 outside a sample).
+    pub fn delta(&self) -> u64 {
+        self.window.as_ref().map_or(0, Value::counter)
     }
 }
 
-/// The windowed difference `now - was` of two cumulative histogram
-/// snapshots (saturating per field, so a concurrent writer racing the
-/// snapshot can never produce a negative count).
-fn histogram_delta(was: &HistogramSnapshot, now: &HistogramSnapshot) -> HistogramSnapshot {
-    HistogramSnapshot {
-        count: now.count.saturating_sub(was.count),
-        sum: now.sum.saturating_sub(was.sum),
-        buckets: (0..now.buckets.len().max(was.buckets.len()))
-            .map(|i| {
-                let n = now.buckets.get(i).copied().unwrap_or(0);
-                let w = was.buckets.get(i).copied().unwrap_or(0);
-                n.saturating_sub(w)
-            })
-            .collect(),
+/// The series of `family`, in report order.
+fn select<'a>(series: &'a [Series], family: &'a str) -> impl Iterator<Item = &'a Series> + 'a {
+    series.iter().filter(move |s| s.family == family)
+}
+
+/// The series of `family` carrying `labels`.
+fn find<'a>(series: &'a [Series], family: &str, labels: &[(&str, &str)]) -> Option<&'a Series> {
+    series
+        .iter()
+        .find(|s| s.family == family && s.matches(labels))
+}
+
+/// A point-in-time copy of every layer's cumulative state, collected
+/// shard by shard without a global lock, plus the exemplar reservoirs
+/// (domain data rather than metrics).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ObsSnapshot {
+    /// Every reported series.
+    pub series: Vec<Series>,
+    /// Every shard's reservoir of over-p99 contexts.
+    pub exemplars: Vec<Exemplar>,
+}
+
+impl ObsSnapshot {
+    /// The series of `family`.
+    pub fn family<'a>(&'a self, family: &'a str) -> impl Iterator<Item = &'a Series> + 'a {
+        select(&self.series, family)
+    }
+
+    /// The series of `family` carrying `labels`.
+    pub fn find(&self, family: &str, labels: &[(&str, &str)]) -> Option<&Series> {
+        find(&self.series, family, labels)
+    }
+
+    /// A counter family's cross-shard total.
+    pub fn total(&self, family: &str) -> u64 {
+        self.family(family).map(|s| s.value.counter()).sum()
+    }
+
+    /// A core counter's cross-shard total.
+    pub fn counter(&self, kind: CounterKind) -> u64 {
+        self.total(&kind.family().name)
+    }
+
+    /// A core histogram merged across shards.
+    pub fn histogram(&self, kind: MetricKind) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::empty();
+        for h in self
+            .family(&kind.family().name)
+            .filter_map(|s| s.value.histogram())
+        {
+            merged.merge(h);
+        }
+        merged
+    }
+
+    /// The core counters' cross-shard totals keyed by short name
+    /// (`ingested`, `deliveries`, …), plus the ring's
+    /// `trace_events_dropped` — what `trace_dump --json` reports.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        crate::metrics::COUNTER_KINDS
+            .iter()
+            .map(|k| (k.name().to_owned(), self.counter(*k)))
+            .chain([(
+                "trace_events_dropped".to_owned(),
+                self.total(&crate::metrics::RING_DROPPED.name),
+            )])
+            .collect()
     }
 }
 
@@ -180,62 +376,70 @@ fn env_or_cmd(env: &str, cmd: &str, args: &[&str]) -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// One observation window: the cumulative registry state plus the
-/// windowed deltas/rates since the previous sample.
+/// The build identity gauge: constant 1, identity rides the labels.
+pub(crate) const BUILD_INFO: Family =
+    Family::new(MetricType::Gauge, "ctxres_build_info", &["commit", "host"]);
+
+/// One observation window: every snapshot series with its windowed
+/// delta, the gauges the layers derive from the window, the exemplar
+/// reservoirs, and the SLO transitions the window raised.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sample {
     /// Length of this window in seconds (0 for the first sample).
     pub elapsed_secs: f64,
-    /// Whether this is the sampler's first sample (rates are all zero).
+    /// Whether this is the sampler's first sample (rates are all zero;
+    /// windows cover everything since the start).
     pub first: bool,
-    /// The cumulative registry snapshot the window ends at.
-    pub snapshot: ObsSnapshot,
-    /// Per-shard windowed views, in shard order.
-    pub shards: Vec<ShardRates>,
-    /// All shards' windowed views merged (the `shard` field is
-    /// meaningless and left 0).
-    pub total: ShardRates,
-    /// Quality telemetry for the window — per-kind rates, staleness
-    /// and arena gauges, plus SLO alerts when an engine is attached.
-    /// `None` (serialized as `null`, and tolerated when absent —
-    /// pre-health dumps still load) until some engine publishes health
-    /// state; the Prometheus exposition renders health sections only
-    /// when present, so pre-health output is byte-identical.
-    pub health: Option<HealthSample>,
-    /// Per-phase profiler view — cumulative and windowed self/total
-    /// times per shard × [`Phase`]. `None` unless the registry was
-    /// built with [`crate::ObsConfig::with_profile`] and at least one
-    /// phase has run; pre-profiler dumps (no `phases` key) still load.
-    pub phases: Option<PhaseSample>,
-    /// Build identity stamps, attached via
-    /// [`Sampler::with_build_info`] (the metrics server does this
-    /// automatically). `None` keeps older dumps and golden expositions
-    /// byte-identical.
-    pub build: Option<BuildInfo>,
-    /// End-to-end tail-latency view for the window — per-outcome
-    /// p50/p95/p99/p999, exemplar reservoirs, and queue wait/service
-    /// decomposition. `None` unless the
-    /// registry was built with [`crate::ObsConfig::with_tail`] and
-    /// something recorded; pre-tail dumps (no `tail` key) still load.
-    pub tail: Option<TailSample>,
+    /// Snapshot series (with [`Series::window`] set), then derived
+    /// gauges.
+    pub series: Vec<Series>,
+    /// Every shard's exemplar reservoir at the window's end.
+    pub exemplars: Vec<Exemplar>,
+    /// SLO transitions (fired / cleared) during this window.
+    pub alerts: Vec<HealthAlert>,
 }
-
-/// The quantiles the exporter and dashboards report.
-pub const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
 impl Sample {
-    /// Upper bounds on the p50/p95/p99 of a metric's **cumulative**
-    /// cross-shard distribution, or `None` when nothing was recorded.
-    pub fn quantile_bounds(&self, kind: MetricKind) -> Option<[u64; 3]> {
-        let agg = self.snapshot.aggregate();
-        let h = agg.histogram(kind);
-        Some([
-            h.quantile_bound(QUANTILES[0])?,
-            h.quantile_bound(QUANTILES[1])?,
-            h.quantile_bound(QUANTILES[2])?,
-        ])
+    /// The series of `family`.
+    pub fn family<'a>(&'a self, family: &'a str) -> impl Iterator<Item = &'a Series> + 'a {
+        select(&self.series, family)
+    }
+
+    /// The series of `family` carrying `labels`.
+    pub fn find(&self, family: &str, labels: &[(&str, &str)]) -> Option<&Series> {
+        find(&self.series, family, labels)
+    }
+
+    /// The reading of the gauge series of `family` carrying `labels`.
+    pub fn gauge(&self, family: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        self.find(family, labels).and_then(|s| s.value.gauge())
+    }
+
+    /// A counter family's cross-shard total.
+    pub fn total(&self, family: &str) -> u64 {
+        self.family(family).map(|s| s.value.counter()).sum()
+    }
+
+    /// A counter family's cross-shard delta over the window.
+    pub fn delta(&self, family: &str) -> u64 {
+        self.family(family).map(Series::delta).sum()
+    }
+
+    /// The windowed slices of the histogram series of `family` carrying
+    /// `labels`, merged.
+    pub fn window_histogram(&self, family: &str, labels: &[(&str, &str)]) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::empty();
+        for s in self.family(family).filter(|s| s.matches(labels)) {
+            if let Some(h) = s.window.as_ref().and_then(Value::histogram) {
+                merged.merge(h);
+            }
+        }
+        merged
     }
 }
+
+/// What the window diff keys series on: (family, labels).
+type SeriesKey = (String, Vec<(String, String)>);
 
 /// Periodically captures an [`ObsRegistry`]'s state and derives the
 /// windowed view between consecutive captures.
@@ -248,17 +452,14 @@ impl Sample {
 /// sampler.sample(); // establish the baseline
 /// registry.handle(0).count(CounterKind::Ingested, 40);
 /// let s = sampler.sample_after(2.0); // a deterministic 2-second window
-/// assert_eq!(s.total.delta(CounterKind::Ingested), 40);
-/// assert_eq!(s.total.rate(CounterKind::Ingested), 20.0);
+/// assert_eq!(s.delta("ctxres_ingested_total"), 40);
+/// assert_eq!(s.gauge("ctxres_ingested_per_sec", &[("shard", "0")]), Some(20.0));
 /// # use std::sync::Arc;
 /// ```
 #[derive(Debug)]
 pub struct Sampler {
     registry: Arc<ObsRegistry>,
-    prev: Option<(Instant, ObsSnapshot)>,
-    prev_health: Option<HealthSnapshot>,
-    prev_profile: Option<ProfileSnapshot>,
-    prev_tail: Option<TailSnapshot>,
+    prev: Option<(Instant, HashMap<SeriesKey, Value>)>,
     ewma: HashMap<String, f64>,
     slo: Option<SloEngine>,
     build: Option<BuildInfo>,
@@ -271,17 +472,13 @@ impl Sampler {
         Sampler {
             registry,
             prev: None,
-            prev_health: None,
-            prev_profile: None,
-            prev_tail: None,
             ewma: HashMap::new(),
             slo: None,
             build: None,
         }
     }
 
-    /// Attaches build identity stamps: every sample carries them in
-    /// [`Sample::build`] and the Prometheus exposition renders a
+    /// Attaches build identity stamps: every sample carries a
     /// `ctxres_build_info` gauge. Opt-in because the stamps are
     /// machine-dependent (golden outputs stay reproducible without).
     pub fn with_build_info(mut self, build: BuildInfo) -> Self {
@@ -290,9 +487,10 @@ impl Sampler {
     }
 
     /// Attaches an SLO engine: each sample evaluates the rules against
-    /// the window's health view, fills [`Sample::health`]'s alert
-    /// fields, and (when event tracing is on) records each transition
-    /// as a [`TraceEvent::Alert`] into shard 0's ring.
+    /// the window's gauges, fills [`Sample::alerts`] and the
+    /// `ctxres_slo_firing` gauges, and (when event tracing is on)
+    /// records each transition as a [`TraceEvent::Alert`] into shard
+    /// 0's ring.
     pub fn with_slo(mut self, engine: SloEngine) -> Self {
         self.slo = Some(engine);
         self
@@ -325,105 +523,46 @@ impl Sampler {
         // Attribute the sampler's own cost to the Export phase on the
         // last slot (the engine slot in sharded setups) so profiled
         // runs see what scraping costs them.
-        let export_obs = if self.registry.shards() > 0 {
-            self.registry.handle(self.registry.shards() - 1)
-        } else {
-            ShardObs::disabled()
+        let export_obs = match self.registry.shards() {
+            0 => ShardObs::disabled(),
+            n => self.registry.handle(n - 1),
         };
         let _export_phase = export_obs.phase(Phase::Export);
         let snapshot = self.registry.snapshot();
-        let first = self.prev.is_none();
-        let prev_snapshot = self.prev.take().map(|(_, s)| s);
-        let shards: Vec<ShardRates> = snapshot
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, cur)| {
-                let prev = prev_snapshot.as_ref().and_then(|p| p.shards.get(i));
-                ShardRates::between(i, prev, cur, elapsed_secs)
-            })
-            .collect();
-        let mut total = ShardRates {
-            shard: 0,
-            counter_deltas: vec![0; COUNTER_KINDS.len()],
-            counter_rates: vec![0.0; COUNTER_KINDS.len()],
-            histogram_deltas: vec![HistogramSnapshot::empty(); METRIC_KINDS.len()],
-            events_buffered: 0,
-            events_dropped: 0,
+        let (first, prev) = match self.prev.take() {
+            Some((_, prev)) => (false, prev),
+            None => (true, HashMap::new()),
         };
-        for s in &shards {
-            total.merge(s);
+        let mut series = snapshot.series;
+        let mut cumulative = HashMap::with_capacity(series.len());
+        for s in &mut series {
+            let key = (s.family.clone(), s.labels.clone());
+            s.window = s.value.since(prev.get(&key));
+            if s.window.is_some() {
+                cumulative.insert(key, s.value.clone());
+            }
         }
-        self.prev = Some((Instant::now(), snapshot.clone()));
-        let tail = self.sample_tail();
-        let health = self.sample_health(tail.as_ref());
-        let phases = self.sample_phases();
-        Sample {
+        self.prev = Some((Instant::now(), cumulative));
+
+        let mut derived =
+            vec![crate::metrics::SCRAPE_WINDOW.series(&[], Value::Gauge(elapsed_secs))];
+        crate::metrics::derive(&series, elapsed_secs, &mut derived);
+        crate::health::derive(&series, &mut self.ewma, DEFAULT_EWMA_ALPHA, &mut derived);
+        crate::tail::derive(&series, &mut derived);
+        crate::profile::derive(&series, &mut derived);
+        series.append(&mut derived);
+        let mut sample = Sample {
             elapsed_secs,
             first,
-            snapshot,
-            shards,
-            total,
-            health,
-            phases,
-            build: self.build.clone(),
-            tail,
-        }
-    }
-
-    /// Computes the window's end-to-end tail view and advances the tail
-    /// baseline. `None` while the tail layer is off or nothing has been
-    /// recorded yet (the pre-tail shape).
-    fn sample_tail(&mut self) -> Option<TailSample> {
-        if !self.registry.config().tail {
-            return None;
-        }
-        let cur = self.registry.tail_snapshot();
-        if cur.is_empty() && self.prev_tail.is_none() {
-            return None;
-        }
-        let sample = TailSample::between(self.prev_tail.as_ref(), cur.clone());
-        self.prev_tail = Some(cur);
-        Some(sample)
-    }
-
-    /// Computes the window's phase-profiler view and advances the
-    /// profile baseline. `None` while profiling is off or no phase has
-    /// run yet (the pre-profiler shape).
-    fn sample_phases(&mut self) -> Option<PhaseSample> {
-        if !self.registry.config().profile {
-            return None;
-        }
-        let cur = self.registry.profile_snapshot();
-        if cur.is_empty() && self.prev_profile.is_none() {
-            return None;
-        }
-        let sample = PhaseSample::between(self.prev_profile.as_ref(), &cur);
-        self.prev_profile = Some(cur);
-        Some(sample)
-    }
-
-    /// Computes the window's health view, runs the SLO engine over it
-    /// (with the window's tail view, so latency rules like `e2e_p99_ms`
-    /// can fire), and advances the health baseline. `None` while nothing
-    /// has published health state (the pre-health-telemetry shape).
-    fn sample_health(&mut self, tail: Option<&TailSample>) -> Option<HealthSample> {
-        let cur = self.registry.health_snapshot();
-        if cur.is_empty() && self.prev_health.is_none() {
-            return None;
-        }
-        let mut health = HealthSample::between(
-            self.prev_health.as_ref(),
-            &cur,
-            &mut self.ewma,
-            DEFAULT_EWMA_ALPHA,
-        );
+            series,
+            exemplars: snapshot.exemplars,
+            alerts: Vec::new(),
+        };
         if let Some(engine) = &mut self.slo {
-            let at = cur.max_now_tick();
-            let alerts = engine.evaluate_with_tail(&health, tail, at);
+            sample.alerts = engine.evaluate(&sample, self.registry.now_tick());
             if self.registry.shards() > 0 {
                 let h = self.registry.handle(0);
-                for a in &alerts {
+                for a in &sample.alerts {
                     h.record(
                         LogicalTime::new(a.at),
                         TraceEvent::Alert {
@@ -437,11 +576,18 @@ impl Sampler {
                     );
                 }
             }
-            health.alerts = alerts;
-            health.active_alerts = engine.active();
+            for rule in engine.active() {
+                sample
+                    .series
+                    .push(crate::slo::SLO_FIRING.series(&[&rule], Value::Gauge(1.0)));
+            }
         }
-        self.prev_health = Some(cur);
-        Some(health)
+        if let Some(build) = &self.build {
+            sample
+                .series
+                .push(BUILD_INFO.series(&[&build.commit, &build.host], Value::Gauge(1.0)));
+        }
+        sample
     }
 }
 
@@ -459,8 +605,11 @@ mod tests {
         assert!(s.first);
         // The baseline window is empty time but carries the full
         // cumulative delta from zero.
-        assert_eq!(s.total.delta(CounterKind::Deliveries), 5);
-        assert_eq!(s.total.rate(CounterKind::Deliveries), 0.0);
+        assert_eq!(s.delta("ctxres_deliveries_total"), 5);
+        assert_eq!(
+            s.gauge("ctxres_deliveries_per_sec", &[("shard", "1")]),
+            Some(0.0)
+        );
     }
 
     #[test]
@@ -473,13 +622,18 @@ mod tests {
         registry.handle(1).count(CounterKind::Ingested, 4);
         let s = sampler.sample_after(2.0);
         assert!(!s.first);
-        assert_eq!(s.shards[0].delta(CounterKind::Ingested), 6);
-        assert_eq!(s.shards[1].delta(CounterKind::Ingested), 4);
-        assert_eq!(s.total.delta(CounterKind::Ingested), 10);
-        assert_eq!(s.total.rate(CounterKind::Ingested), 5.0);
+        let shard = |i: &str| s.find("ctxres_ingested_total", &[("shard", i)]).unwrap();
+        assert_eq!(shard("0").delta(), 6);
+        assert_eq!(shard("1").delta(), 4);
+        assert_eq!(s.delta("ctxres_ingested_total"), 10);
+        assert_eq!(s.total("ctxres_ingested_total"), 20);
+        assert_eq!(
+            s.gauge("ctxres_ingested_per_sec", &[("shard", "0")]),
+            Some(3.0)
+        );
         // And the next window starts empty.
         let s2 = sampler.sample_after(1.0);
-        assert_eq!(s2.total.delta(CounterKind::Ingested), 0);
+        assert_eq!(s2.delta("ctxres_ingested_total"), 0);
     }
 
     #[test]
@@ -492,18 +646,13 @@ mod tests {
         h.observe(MetricKind::DeltaSize, 100);
         h.observe(MetricKind::DeltaSize, 200);
         let s = sampler.sample_after(1.0);
-        let w = s.total.window(MetricKind::DeltaSize);
+        let w = s.window_histogram("ctxres_delta_size", &[]);
         assert_eq!(w.count, 2);
         assert_eq!(w.sum, 300);
         assert_eq!(w.buckets.iter().sum::<u64>(), 2);
-        // Cumulative quantiles still see all three observations.
-        assert_eq!(
-            s.snapshot
-                .aggregate()
-                .histogram(MetricKind::DeltaSize)
-                .count,
-            3
-        );
+        // The cumulative value still holds all three observations.
+        let series = s.find("ctxres_delta_size", &[("shard", "0")]).unwrap();
+        assert_eq!(series.value.histogram().unwrap().count, 3);
     }
 
     #[test]
@@ -513,11 +662,24 @@ mod tests {
             registry.handle(0).observe(MetricKind::CheckLatency, v);
         }
         let mut sampler = Sampler::new(Arc::clone(&registry));
-        let s = sampler.sample_after(0.0);
-        let [p50, p95, p99] = s.quantile_bounds(MetricKind::CheckLatency).unwrap();
+        sampler.sample_after(0.0);
+        // The second window is empty, yet the bounds still describe
+        // the cumulative distribution.
+        let s = sampler.sample_after(1.0);
+        let bound = |q: &str| {
+            s.gauge(
+                "ctxres_check_latency_ns_quantile_bound",
+                &[("shard", "0"), ("q", q)],
+            )
+            .unwrap()
+        };
+        let (p50, p95, p99) = (bound("0.5"), bound("0.95"), bound("0.99"));
         assert!(p50 <= p95 && p95 <= p99);
-        assert!((50..=64).contains(&p50), "{p50}");
-        assert_eq!(s.quantile_bounds(MetricKind::RouteLatency), None);
+        assert!((50.0..=64.0).contains(&p50), "{p50}");
+        assert!(s
+            .family("ctxres_route_latency_ns_quantile_bound")
+            .next()
+            .is_none());
     }
 
     #[test]
@@ -525,7 +687,10 @@ mod tests {
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 2);
         let mut sampler = Sampler::new(Arc::clone(&registry));
         let s = sampler.sample_after(0.0);
-        assert!(s.health.is_none(), "no health published yet");
+        assert!(
+            s.family("ctxres_health_ingested_total").next().is_none(),
+            "no health published yet"
+        );
 
         let kh = registry.handle(0).kind_handle("location");
         kh.ingested(10);
@@ -533,38 +698,28 @@ mod tests {
         kh.discarded(4);
         registry.handle(1).publish_pool(8, 2, 3, 41);
         let s = sampler.sample_after(1.0);
-        let h = s.health.clone().expect("health attached");
-        assert_eq!(h.kind("location").unwrap().use_rate, Some(0.6));
-        let p = h.pool.unwrap();
-        assert_eq!((p.live_slots, p.free_slots, p.now_tick), (8, 2, 41));
+        assert_eq!(
+            s.gauge("ctxres_health_use_rate", &[("kind", "location")]),
+            Some(0.6)
+        );
+        assert_eq!(
+            s.gauge("ctxres_pool_live_slots", &[("shard", "1")]),
+            Some(8.0)
+        );
+        assert_eq!(s.gauge("ctxres_pool_occupancy", &[]), Some(0.8));
+        assert_eq!(registry.now_tick(), 41);
         let json = serde_json::to_string(&s).unwrap();
         let back: Sample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
     }
 
     #[test]
-    fn pre_health_samples_still_deserialize() {
-        // A Sample dumped before the health field existed has no
-        // "health" key; the field tolerates absence as None.
-        let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
-        let mut sampler = Sampler::new(registry);
-        let s = sampler.sample_after(0.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let stripped = json.replacen(",\"health\":null", "", 1);
-        assert_ne!(stripped, json, "fixture actually dropped the field");
-        let back: Sample = serde_json::from_str(&stripped).unwrap();
-        assert!(back.health.is_none());
-    }
-
-    #[test]
     fn phases_ride_the_sampler_once_profiled() {
         let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_profile(1), 2);
         let mut sampler = Sampler::new(Arc::clone(&registry));
-        let s = sampler.sample_after(0.0);
-        // The baseline sample's own Export span is recorded *after*
-        // the profile snapshot was taken, so the first sample may or
-        // may not carry phases; what matters is that real work shows.
-        drop(s);
+        // The baseline sample's own Export span is recorded *after* its
+        // snapshot, so what matters is that real work shows next.
+        sampler.sample_after(0.0);
         let h = registry.handle(0);
         {
             let _g = h.phase(Phase::Ingest);
@@ -572,19 +727,20 @@ mod tests {
             let _c = h2.phase(Phase::ConstraintCheck);
         }
         let s = sampler.sample_after(1.0);
-        let phases = s.phases.clone().expect("phases attached");
-        let shard0 = &phases.shards[0];
-        let calls = |stats: &[crate::profile::PhaseStat], p: Phase| {
-            stats
-                .iter()
-                .find(|s| s.phase == p.name())
-                .map(|s| s.calls)
-                .unwrap_or(0)
+        let calls = |shard: &str, phase: &str| {
+            s.find(
+                "ctxres_phase_calls_total",
+                &[("shard", shard), ("phase", phase)],
+            )
+            .map_or(0, |s| s.value.counter())
         };
-        assert_eq!(calls(&shard0.cumulative, Phase::Ingest), 1);
-        assert_eq!(calls(&shard0.cumulative, Phase::ConstraintCheck), 1);
+        assert_eq!(calls("0", "ingest"), 1);
+        assert_eq!(calls("0", "constraint_check"), 1);
         // The sampler's own export guard landed on the last slot.
-        assert!(calls(&phases.cumulative_total, Phase::Export) >= 1);
+        assert!(calls("1", "export") >= 1);
+        assert!(s
+            .gauge("ctxres_phase_self_share", &[("phase", "ingest")])
+            .is_some());
         let json = serde_json::to_string(&s).unwrap();
         let back: Sample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
@@ -597,25 +753,35 @@ mod tests {
         let h = registry.handle(0);
         let _ = h.phase(Phase::Ingest);
         let s = sampler.sample_after(1.0);
-        assert!(s.phases.is_none(), "profile off ⇒ no phases block");
+        assert!(
+            s.series
+                .iter()
+                .all(|s| !s.family.starts_with("ctxres_phase_")),
+            "profile off ⇒ no phase series"
+        );
     }
 
     #[test]
     fn build_info_is_opt_in_and_round_trips() {
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
         let mut sampler = Sampler::new(Arc::clone(&registry));
-        assert!(sampler.sample_after(0.0).build.is_none());
+        assert!(sampler
+            .sample_after(0.0)
+            .family("ctxres_build_info")
+            .next()
+            .is_none());
 
         let build = BuildInfo {
             commit: "abc1234".into(),
             host: "bench-host".into(),
         };
-        let mut sampler = Sampler::new(registry).with_build_info(build.clone());
+        let mut sampler = Sampler::new(registry).with_build_info(build);
         let s = sampler.sample_after(0.0);
-        assert_eq!(s.build.as_ref(), Some(&build));
+        let labels = [("commit", "abc1234"), ("host", "bench-host")];
+        assert_eq!(s.gauge("ctxres_build_info", &labels), Some(1.0));
         let json = serde_json::to_string(&s).unwrap();
         let back: Sample = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.build, Some(build));
+        assert_eq!(back.gauge("ctxres_build_info", &labels), Some(1.0));
     }
 
     #[test]
@@ -626,29 +792,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_phase_samples_still_deserialize() {
-        // A Sample dumped before the profiler/build fields existed has
-        // no "phases"/"build" keys; both tolerate absence as None.
-        let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
-        let mut sampler = Sampler::new(registry);
-        let s = sampler.sample_after(0.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let stripped = json
-            .replacen(",\"phases\":null", "", 1)
-            .replacen(",\"build\":null", "", 1);
-        assert_ne!(stripped, json, "fixture actually dropped the fields");
-        let back: Sample = serde_json::from_str(&stripped).unwrap();
-        assert!(back.phases.is_none());
-        assert!(back.build.is_none());
-    }
-
-    #[test]
     fn tail_rides_the_sampler_once_recorded() {
         use crate::tail::{ContextSpan, TailOutcome};
         let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 2);
         let mut sampler = Sampler::new(Arc::clone(&registry));
         let s = sampler.sample_after(0.0);
-        assert!(s.tail.is_none(), "nothing recorded yet");
+        assert!(
+            s.family("ctxres_e2e_latency_us").next().is_none(),
+            "nothing recorded yet"
+        );
 
         let span = ContextSpan {
             ingress_ns: 0,
@@ -664,18 +816,18 @@ mod tests {
             LogicalTime::new(9),
         );
         let s = sampler.sample_after(1.0);
-        let tail = s.tail.clone().expect("tail attached");
-        assert_eq!(tail.all.count, 1);
-        assert!(tail.all.p99_ns.is_some());
+        assert_eq!(s.window_histogram("ctxres_e2e_latency_us", &[]).count, 1);
+        let p99 = [("outcome", "all"), ("q", "0.99")];
+        assert!(s.gauge("ctxres_e2e_window_quantile_ns", &p99).is_some());
         let json = serde_json::to_string(&s).unwrap();
         let back: Sample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-        // The next window starts empty but the cumulative snapshot and
-        // its exemplars stay visible.
+        // The next window starts empty but the cumulative series and
+        // the exemplars stay visible.
         let s2 = sampler.sample_after(1.0);
-        let tail2 = s2.tail.expect("tail stays attached");
-        assert_eq!(tail2.all.count, 0);
-        assert_eq!(tail2.snapshot.exemplars().len(), 1);
+        assert_eq!(s2.window_histogram("ctxres_e2e_latency_us", &[]).count, 0);
+        assert!(s2.gauge("ctxres_e2e_window_quantile_ns", &p99).is_none());
+        assert_eq!(s2.exemplars.len(), 1);
     }
 
     #[test]
@@ -696,21 +848,13 @@ mod tests {
         );
         let mut sampler = Sampler::new(registry);
         let s = sampler.sample_after(1.0);
-        assert!(s.tail.is_none(), "tail off ⇒ no tail block");
-    }
-
-    #[test]
-    fn pre_tail_samples_still_deserialize() {
-        // A Sample dumped before the tail field existed has no "tail"
-        // key; the field tolerates absence as None.
-        let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
-        let mut sampler = Sampler::new(registry);
-        let s = sampler.sample_after(0.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let stripped = json.replacen(",\"tail\":null", "", 1);
-        assert_ne!(stripped, json, "fixture actually dropped the field");
-        let back: Sample = serde_json::from_str(&stripped).unwrap();
-        assert!(back.tail.is_none());
+        assert!(
+            s.series
+                .iter()
+                .all(|s| !s.family.starts_with("ctxres_e2e_")),
+            "tail off ⇒ no tail series"
+        );
+        assert!(s.exemplars.is_empty());
     }
 
     #[test]
@@ -724,15 +868,15 @@ mod tests {
         kh.discarded(9);
         kh.delivered(1);
         let s = sampler.sample_after(1.0); // first breach: armed
-        assert!(s.health.unwrap().alerts.is_empty());
+        assert!(s.alerts.is_empty());
         kh.ingested(10);
         kh.discarded(9);
         kh.delivered(1);
         let s = sampler.sample_after(1.0); // second breach: fires
-        let h = s.health.unwrap();
-        assert_eq!(h.alerts.len(), 1);
-        assert!(h.alerts[0].firing);
-        assert_eq!(h.active_alerts.len(), 1);
+        assert_eq!(s.alerts.len(), 1);
+        assert!(s.alerts[0].firing);
+        let firing = [("rule", "discard_rate > 0.3 for 2")];
+        assert_eq!(s.gauge("ctxres_slo_firing", &firing), Some(1.0));
         assert!(sampler.slo().unwrap().is_firing("discard_rate > 0.3 for 2"));
         let trace = registry.drain();
         assert!(
@@ -747,10 +891,17 @@ mod tests {
     fn sample_round_trips_through_serde() {
         let registry = ObsRegistry::shared(ObsConfig::enabled(), 2);
         registry.handle(0).count(CounterKind::Discards, 2);
-        registry.handle(1).observe(MetricKind::QueueDepth, 9);
+        // An overflow-bucket observation makes the quantile bounds +Inf,
+        // which JSON numbers cannot hold.
+        registry.handle(1).observe(MetricKind::QueueDepth, u64::MAX);
         let mut sampler = Sampler::new(registry);
         sampler.sample_after(0.0);
         let s = sampler.sample_after(1.5);
+        let bound = [("shard", "1"), ("q", "0.5")];
+        assert_eq!(
+            s.gauge("ctxres_queue_depth_quantile_bound", &bound),
+            Some(f64::INFINITY)
+        );
         let json = serde_json::to_string(&s).unwrap();
         let back: Sample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
@@ -759,79 +910,91 @@ mod tests {
 
 #[cfg(test)]
 mod delta_proptests {
-    //! The satellite property: sampler deltas are non-negative by type
-    //! (u64) and **sum-consistent** — summing every window's delta for a
-    //! counter reproduces the raw registry counter exactly, even when
-    //! the samples were taken while shard writer threads were racing.
+    //! The windowed diff is sum-consistent: for every counter series of
+    //! every layer, summing the deltas of every window reproduces the
+    //! cumulative value exactly, even when the samples were taken while
+    //! shard writer threads were racing.
 
     use super::*;
     use crate::registry::ObsConfig;
+    use crate::tail::{ContextSpan, TailOutcome};
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn windowed_deltas_sum_to_the_raw_counters(
             per_writer in proptest::collection::vec(
-                proptest::collection::vec((0usize..3, 1u64..50), 1..40),
+                proptest::collection::vec((0usize..6, 1u64..50), 1..40),
                 1..4,
             ),
             mid_samples in 1usize..4,
         ) {
             let shards = per_writer.len();
-            let registry = ObsRegistry::shared(ObsConfig::metrics_only(), shards);
+            let config = ObsConfig::metrics_only().with_tail(true).with_profile(1);
+            let registry = ObsRegistry::shared(config, shards);
             let mut sampler = Sampler::new(Arc::clone(&registry));
-            sampler.sample_after(0.0);
-            let mut summed = vec![0u64; COUNTER_KINDS.len()];
+            let mut summed: HashMap<SeriesKey, u64> = HashMap::new();
+            let mut fold = |s: &Sample| {
+                for series in s.series.iter().filter(|s| matches!(s.value, Value::Counter(_))) {
+                    *summed
+                        .entry((series.family.clone(), series.labels.clone()))
+                        .or_default() += series.delta();
+                }
+            };
+            fold(&sampler.sample_after(0.0));
 
-            let done = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 for (shard, ops) in per_writer.iter().enumerate() {
                     let h = registry.handle(shard);
                     let ops = ops.clone();
                     scope.spawn(move || {
-                        for (kind_ix, n) in ops {
-                            // Skip the ring-managed kinds: writers bump
-                            // the strategy counters the middleware uses.
-                            let kind = [
-                                CounterKind::Detections,
-                                CounterKind::Discards,
-                                CounterKind::Ingested,
-                            ][kind_ix];
-                            h.count(kind, n);
-                            h.observe(MetricKind::DeltaSize, n);
+                        let kind = h.kind_handle("location");
+                        for (op, n) in ops {
+                            match op {
+                                0 => h.count(CounterKind::Detections, n),
+                                1 => h.count(CounterKind::Ingested, n),
+                                2 => kind.ingested(n),
+                                3 => kind.discarded(n),
+                                4 => h.record_queue_wait(n),
+                                _ => {
+                                    let _g = h.phase(Phase::Resolution);
+                                    h.record_e2e(
+                                        ctxres_context::ContextId::from_raw(n),
+                                        TailOutcome::Delivered,
+                                        ContextSpan { end_ns: n * 1_000, ..ContextSpan::default() },
+                                        0,
+                                        LogicalTime::new(n),
+                                    );
+                                }
+                            }
                         }
                     });
                 }
-                // Sample concurrently with the writers: every delta must
-                // still be consistent (we only assert the telescoped sum
-                // at the end, but each mid-flight sample's deltas feed
-                // it, so a lost or double-counted window would show).
+                // Sample concurrently with the writers: a lost or
+                // double-counted window would break the sum below.
                 for _ in 0..mid_samples {
-                    let s = sampler.sample_after(0.01);
-                    for (i, d) in s.total.counter_deltas.iter().enumerate() {
-                        summed[i] += d;
-                    }
+                    fold(&sampler.sample_after(0.01));
                 }
-                done.store(true, Ordering::Relaxed);
             });
 
             // Writers are done; a final sample closes the telescope.
-            let s = sampler.sample_after(0.01);
-            for (i, d) in s.total.counter_deltas.iter().enumerate() {
-                summed[i] += d;
-            }
-            let agg = registry.snapshot().aggregate();
-            for kind in COUNTER_KINDS {
+            // (The sampler's own export span moves the profiler's
+            // counters after each snapshot, so the oracle is the last
+            // sample's cumulative values, not a fresh snapshot.)
+            let last = sampler.sample_after(0.01);
+            fold(&last);
+            let mut checked = 0;
+            for series in last.series.iter().filter(|s| matches!(s.value, Value::Counter(_))) {
+                let key = (series.family.clone(), series.labels.clone());
                 prop_assert_eq!(
-                    summed[kind.index()],
-                    agg.counter(kind),
-                    "counter {} must telescope", kind.name()
+                    summed.get(&key).copied().unwrap_or(0),
+                    series.value.counter(),
+                    "{} {:?} must telescope", series.family, series.labels
                 );
+                checked += 1;
             }
-            // The histogram window slices telescope too.
-            prop_assert!(done.load(Ordering::Relaxed));
+            prop_assert!(checked > 0);
         }
     }
 }

@@ -21,15 +21,17 @@
 //!   each carrying the causal ID `s<shard>/ctx#<id>` (resolvable by the
 //!   `explain` bin), the packed profiler phase path it completed under,
 //!   and its batch index;
-//! * **queue decomposition** ([`QueueStats`]): the sharded engine
-//!   reports lock-wait versus service time for its queues.
+//! * **queue decomposition**: the sharded engine reports lock-wait
+//!   versus service time for its queues.
 //!
-//! Everything is cumulative at the slot level; [`TailSample::between`]
-//! turns two snapshots into the windowed view `/metrics`, `/snapshot`,
-//! `obs_top`, and the SLO engine consume.
+//! Everything is cumulative at the slot level and reports into the
+//! registry's one snapshot; `tail::derive` adds each window's per-outcome
+//! quantiles and the queue's wait share, which `/metrics`,
+//! `/snapshot`, `obs_top` and the SLO engine read.
 
 use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::profile::{Phase, PHASES};
+use crate::snapshot::{Family, MetricType, Series, Value};
 use ctxres_context::ContextId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -172,45 +174,6 @@ impl Exemplar {
     }
 }
 
-/// Cumulative wait-versus-service decomposition for one shard's engine
-/// queue: how long `batch_add` chunks waited for the shard lock versus
-/// how long the engine spent serving them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QueueStats {
-    /// Total nanoseconds chunks spent waiting for the shard lock.
-    pub wait_ns: u64,
-    /// Lock waits recorded.
-    pub wait_count: u64,
-    /// Total nanoseconds the engine spent serving chunks.
-    pub service_ns: u64,
-    /// Service intervals recorded.
-    pub service_count: u64,
-}
-
-impl QueueStats {
-    /// Adds another shard's stats into this one.
-    pub fn merge(&mut self, other: &QueueStats) {
-        self.wait_ns += other.wait_ns;
-        self.wait_count += other.wait_count;
-        self.service_ns += other.service_ns;
-        self.service_count += other.service_count;
-    }
-
-    /// Whether nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.wait_count == 0 && self.service_count == 0
-    }
-
-    fn delta(cur: &QueueStats, prev: &QueueStats) -> QueueStats {
-        QueueStats {
-            wait_ns: cur.wait_ns.saturating_sub(prev.wait_ns),
-            wait_count: cur.wait_count.saturating_sub(prev.wait_count),
-            service_ns: cur.service_ns.saturating_sub(prev.service_ns),
-            service_count: cur.service_count.saturating_sub(prev.service_count),
-        }
-    }
-}
-
 /// The bounded exemplar reservoir: at capacity, new captures overwrite
 /// the oldest.
 #[derive(Debug, Default)]
@@ -232,7 +195,8 @@ impl ExemplarRing {
 
 /// One shard's tail-telemetry state: per-outcome histograms, the
 /// rolling-p99 capture threshold, the exemplar reservoir, and the
-/// queue counters. Everything but the reservoir is lock-free.
+/// queue's cumulative wait and service nanoseconds. Everything but the
+/// reservoir is lock-free.
 #[derive(Debug)]
 pub(crate) struct ShardTailSlot {
     enabled: bool,
@@ -242,9 +206,7 @@ pub(crate) struct ShardTailSlot {
     captured: AtomicU64,
     exemplars: Mutex<ExemplarRing>,
     wait_ns: AtomicU64,
-    wait_count: AtomicU64,
     service_ns: AtomicU64,
-    service_count: AtomicU64,
 }
 
 impl ShardTailSlot {
@@ -257,9 +219,7 @@ impl ShardTailSlot {
             captured: AtomicU64::new(0),
             exemplars: Mutex::new(ExemplarRing::default()),
             wait_ns: AtomicU64::new(0),
-            wait_count: AtomicU64::new(0),
             service_ns: AtomicU64::new(0),
-            service_count: AtomicU64::new(0),
         }
     }
 
@@ -310,7 +270,6 @@ impl ShardTailSlot {
             return;
         }
         self.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.wait_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one service interval for this shard's queue.
@@ -319,250 +278,145 @@ impl ShardTailSlot {
             return;
         }
         self.service_ns.fetch_add(ns, Ordering::Relaxed);
-        self.service_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of this shard's tail state.
-    pub(crate) fn snapshot(&self, shard: usize) -> ShardTail {
-        let exemplars = {
-            let ring = self.exemplars.lock();
-            ring.buf
-                .iter()
-                .cloned()
-                .map(|mut ex| {
-                    ex.shard = shard;
-                    ex
-                })
-                .collect()
-        };
-        ShardTail {
-            shard,
-            outcomes: TAIL_OUTCOMES
-                .iter()
-                .map(|o| OutcomeTail {
-                    outcome: *o,
-                    hist: self.hists[o.index()].snapshot(),
-                })
-                .collect(),
-            threshold_ns: self.threshold_ns.load(Ordering::Relaxed),
-            captured: self.captured.load(Ordering::Relaxed),
-            exemplars,
-            queue: QueueStats {
-                wait_ns: self.wait_ns.load(Ordering::Relaxed),
-                wait_count: self.wait_count.load(Ordering::Relaxed),
-                service_ns: self.service_ns.load(Ordering::Relaxed),
-                service_count: self.service_count.load(Ordering::Relaxed),
-            },
-        }
     }
 }
 
-/// A point-in-time copy of one shard's tail telemetry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardTail {
-    /// The shard index.
-    pub shard: usize,
-    /// Per-outcome end-to-end histograms (microsecond buckets), in
-    /// [`TAIL_OUTCOMES`] order.
-    pub outcomes: Vec<OutcomeTail>,
-    /// The rolling p99 capture threshold at snapshot time, nanoseconds.
-    pub threshold_ns: u64,
-    /// Exemplars captured over the shard's lifetime (the reservoir
-    /// holds only the newest [`EXEMPLAR_CAPACITY`]).
-    pub captured: u64,
-    /// The current reservoir contents.
-    pub exemplars: Vec<Exemplar>,
-    /// Cumulative queue wait/service counters.
-    pub queue: QueueStats,
+const SHARD: &[&str] = &["shard"];
+
+/// End-to-end totals per (shard, outcome), in microseconds.
+const E2E: Family = Family::new(
+    MetricType::Histogram,
+    "ctxres_e2e_latency_us",
+    &["shard", "outcome"],
+);
+/// Windowed interpolated quantiles per outcome and across all, in
+/// nanoseconds.
+pub(crate) const E2E_QUANTILE: Family = Family::new(
+    MetricType::Gauge,
+    "ctxres_e2e_window_quantile_ns",
+    &["outcome", "q"],
+);
+const CAPTURED: Family = Family::new(
+    MetricType::Counter,
+    "ctxres_e2e_exemplars_captured_total",
+    SHARD,
+);
+const THRESHOLD: Family = Family::new(MetricType::Gauge, "ctxres_e2e_capture_threshold_ns", SHARD);
+const QUEUE_WAIT: Family = Family::scaled(
+    MetricType::Counter,
+    "ctxres_queue_wait_seconds_total",
+    SHARD,
+    1e9,
+);
+const QUEUE_SERVICE: Family = Family::scaled(
+    MetricType::Counter,
+    "ctxres_queue_service_seconds_total",
+    SHARD,
+    1e9,
+);
+const QUEUE_WAIT_SHARE: Family = Family::new(MetricType::Gauge, "ctxres_queue_wait_share", &[]);
+
+/// The tail families, in exposition order.
+pub(crate) fn families() -> Vec<Family> {
+    vec![
+        E2E,
+        E2E_QUANTILE,
+        CAPTURED,
+        THRESHOLD,
+        QUEUE_WAIT,
+        QUEUE_SERVICE,
+        QUEUE_WAIT_SHARE,
+    ]
 }
 
-/// One outcome's cumulative end-to-end histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OutcomeTail {
-    /// The terminal outcome the histogram covers.
-    pub outcome: TailOutcome,
-    /// The distribution of end-to-end totals, in microseconds.
-    pub hist: HistogramSnapshot,
-}
-
-/// A whole registry's tail snapshot: one record per shard.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TailSnapshot {
-    /// Per-shard tail records, in shard order.
-    pub shards: Vec<ShardTail>,
-}
-
-impl TailSnapshot {
-    /// Whether no tail telemetry was ever recorded anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.outcomes.iter().all(|o| o.hist.count == 0) && s.queue.is_empty())
-    }
-
-    /// Cross-shard merged histogram for one outcome index.
-    fn merged(&self, outcome_ix: usize) -> HistogramSnapshot {
-        let mut m = HistogramSnapshot::empty();
-        for s in &self.shards {
-            if let Some(o) = s.outcomes.get(outcome_ix) {
-                m.merge(&o.hist);
+/// Reports every shard's recorded outcome histograms, capture counters
+/// (once something was captured) and queue times (once something
+/// queued), and returns the reservoirs' exemplars stamped with their
+/// shard.
+pub(crate) fn report<'a>(
+    slots: impl Iterator<Item = &'a ShardTailSlot>,
+    out: &mut Vec<Series>,
+) -> Vec<Exemplar> {
+    let mut exemplars = Vec::new();
+    for (i, slot) in slots.enumerate() {
+        let label = i.to_string();
+        let shard = [label.as_str()];
+        for outcome in TAIL_OUTCOMES {
+            let h = slot.hists[outcome.index()].snapshot();
+            if h.count > 0 {
+                out.push(E2E.series(&[shard[0], outcome.name()], Value::Histogram(h)));
             }
         }
-        m
-    }
-
-    /// Cross-shard merged queue stats.
-    fn merged_queue(&self) -> QueueStats {
-        let mut m = QueueStats::default();
-        for s in &self.shards {
-            m.merge(&s.queue);
-        }
-        m
-    }
-
-    /// Every exemplar across shards, newest state of each reservoir.
-    pub fn exemplars(&self) -> Vec<&Exemplar> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.exemplars.iter())
-            .collect()
-    }
-}
-
-/// Windowed quantile summary of one end-to-end distribution, in
-/// nanoseconds (interpolated; `None` when the window is empty or the
-/// rank overflows the finite buckets).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct TailWindow {
-    /// Spans finished in the window.
-    pub count: u64,
-    /// Mean end-to-end total, nanoseconds.
-    pub mean_ns: Option<f64>,
-    /// Interpolated p50, nanoseconds.
-    pub p50_ns: Option<f64>,
-    /// Interpolated p95, nanoseconds.
-    pub p95_ns: Option<f64>,
-    /// Interpolated p99, nanoseconds.
-    pub p99_ns: Option<f64>,
-    /// Interpolated p999, nanoseconds.
-    pub p999_ns: Option<f64>,
-}
-
-impl TailWindow {
-    fn from_hist(h: &HistogramSnapshot) -> TailWindow {
-        let scale = NS_PER_BUCKET_UNIT as f64;
-        let q = |q: f64| {
-            h.quantile_est(q)
-                .filter(|v| v.is_finite())
-                .map(|v| v * scale)
-        };
-        TailWindow {
-            count: h.count,
-            mean_ns: h.mean().map(|m| m * scale),
-            p50_ns: q(TAIL_QUANTILES[0]),
-            p95_ns: q(TAIL_QUANTILES[1]),
-            p99_ns: q(TAIL_QUANTILES[2]),
-            p999_ns: q(TAIL_QUANTILES[3]),
-        }
-    }
-}
-
-/// One outcome's windowed tail summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OutcomeWindow {
-    /// The terminal outcome.
-    pub outcome: TailOutcome,
-    /// The windowed summary for that outcome.
-    pub window: TailWindow,
-}
-
-/// Windowed queue wait-versus-service summary across shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct QueueWindow {
-    /// Lock waits in the window.
-    pub wait_count: u64,
-    /// Service intervals in the window.
-    pub service_count: u64,
-    /// Mean lock wait, nanoseconds.
-    pub avg_wait_ns: Option<f64>,
-    /// Mean service time, nanoseconds.
-    pub avg_service_ns: Option<f64>,
-    /// Wait share of total queue time: `wait / (wait + service)`.
-    pub wait_share: Option<f64>,
-}
-
-impl QueueWindow {
-    fn from_stats(q: &QueueStats) -> QueueWindow {
-        let total = q.wait_ns + q.service_ns;
-        QueueWindow {
-            wait_count: q.wait_count,
-            service_count: q.service_count,
-            avg_wait_ns: (q.wait_count > 0).then(|| q.wait_ns as f64 / q.wait_count as f64),
-            avg_service_ns: (q.service_count > 0)
-                .then(|| q.service_ns as f64 / q.service_count as f64),
-            wait_share: (total > 0).then(|| q.wait_ns as f64 / total as f64),
-        }
-    }
-}
-
-/// Per-field saturating histogram difference.
-fn hist_delta(cur: &HistogramSnapshot, prev: &HistogramSnapshot) -> HistogramSnapshot {
-    HistogramSnapshot {
-        count: cur.count.saturating_sub(prev.count),
-        sum: cur.sum.saturating_sub(prev.sum),
-        buckets: cur
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| b.saturating_sub(prev.buckets.get(i).copied().unwrap_or(0)))
-            .collect(),
-    }
-}
-
-/// The windowed tail view a scrape hands out: cumulative snapshot plus
-/// per-outcome and combined quantiles and the queue decomposition,
-/// covering the interval since the previous scrape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TailSample {
-    /// The cumulative tail snapshot at sample time (exemplar
-    /// reservoirs ride along here).
-    pub snapshot: TailSnapshot,
-    /// Windowed per-outcome summaries, in [`TAIL_OUTCOMES`] order.
-    pub outcomes: Vec<OutcomeWindow>,
-    /// Windowed summary across all outcomes.
-    pub all: TailWindow,
-    /// Windowed queue wait/service decomposition.
-    pub queue: QueueWindow,
-}
-
-impl TailSample {
-    /// The windowed view between two snapshots (`prev = None` means
-    /// "since the beginning").
-    pub fn between(prev: Option<&TailSnapshot>, cur: TailSnapshot) -> TailSample {
-        let mut outcomes = Vec::with_capacity(TAIL_OUTCOMES.len());
-        let mut all = HistogramSnapshot::empty();
-        for (oi, outcome) in TAIL_OUTCOMES.iter().enumerate() {
-            let cur_m = cur.merged(oi);
-            let delta = match prev {
-                Some(p) => hist_delta(&cur_m, &p.merged(oi)),
-                None => cur_m,
+        let captured = slot.captured.load(Ordering::Relaxed);
+        if captured > 0 {
+            let t = slot.threshold_ns.load(Ordering::Relaxed);
+            let t = if t == u64::MAX {
+                f64::INFINITY
+            } else {
+                t as f64
             };
-            all.merge(&delta);
-            outcomes.push(OutcomeWindow {
-                outcome: *outcome,
-                window: TailWindow::from_hist(&delta),
-            });
+            out.push(CAPTURED.series(&shard, Value::Counter(captured)));
+            out.push(THRESHOLD.series(&shard, Value::Gauge(t)));
         }
-        let queue = match prev {
-            Some(p) => QueueStats::delta(&cur.merged_queue(), &p.merged_queue()),
-            None => cur.merged_queue(),
-        };
-        TailSample {
-            outcomes,
-            all: TailWindow::from_hist(&all),
-            queue: QueueWindow::from_stats(&queue),
-            snapshot: cur,
+        let (wait, service) = (
+            slot.wait_ns.load(Ordering::Relaxed),
+            slot.service_ns.load(Ordering::Relaxed),
+        );
+        if wait > 0 || service > 0 {
+            out.push(QUEUE_WAIT.series(&shard, Value::Counter(wait)));
+            out.push(QUEUE_SERVICE.series(&shard, Value::Counter(service)));
         }
+        exemplars.extend(slot.exemplars.lock().buf.iter().map(|ex| Exemplar {
+            shard: i,
+            ..ex.clone()
+        }));
+    }
+    exemplars
+}
+
+/// The tail gauges derived from one window: p50/p95/p99/p999 of the
+/// end-to-end totals per outcome and across all outcomes (interpolated,
+/// in nanoseconds; a rank in the overflow bucket has no estimate), and
+/// the queue's wait share `wait / (wait + service)`.
+pub(crate) fn derive(series: &[Series], out: &mut Vec<Series>) {
+    let window = |s: &Series| s.window.as_ref().and_then(Value::histogram).cloned();
+    let mut all = HistogramSnapshot::empty();
+    let mut quantiles = |name: &str, h: &HistogramSnapshot| {
+        if h.count == 0 {
+            return;
+        }
+        for q in TAIL_QUANTILES {
+            if let Some(v) = h.quantile_est(q).filter(|v| v.is_finite()) {
+                let ns = v * NS_PER_BUCKET_UNIT as f64;
+                out.push(E2E_QUANTILE.series(&[name, &q.to_string()], Value::Gauge(ns)));
+            }
+        }
+    };
+    for outcome in TAIL_OUTCOMES {
+        let mut merged = HistogramSnapshot::empty();
+        for s in series
+            .iter()
+            .filter(|s| s.family == E2E.name && s.label("outcome") == Some(outcome.name()))
+        {
+            if let Some(h) = window(s) {
+                merged.merge(&h);
+            }
+        }
+        all.merge(&merged);
+        quantiles(outcome.name(), &merged);
+    }
+    quantiles("all", &all);
+    let delta = |family: &Family| -> u64 {
+        series
+            .iter()
+            .filter(|s| s.family == family.name)
+            .map(Series::delta)
+            .sum()
+    };
+    let (wait, service) = (delta(&QUEUE_WAIT), delta(&QUEUE_SERVICE));
+    if wait + service > 0 {
+        let share = wait as f64 / (wait + service) as f64;
+        out.push(QUEUE_WAIT_SHARE.series(&[], Value::Gauge(share)));
     }
 }
 
@@ -615,16 +469,43 @@ mod tests {
         assert_eq!(e.phase_stack(), vec![Phase::Ingest, Phase::ConstraintCheck]);
     }
 
+    /// One slot's reported series and exemplars, as shard `shard`.
+    fn reported(slot: &ShardTailSlot, shard: usize) -> (Vec<Series>, Vec<Exemplar>) {
+        let mut out = Vec::new();
+        let idle = (0..shard)
+            .map(|_| ShardTailSlot::new(false))
+            .collect::<Vec<_>>();
+        let exemplars = report(idle.iter().chain([slot]), &mut out);
+        (out, exemplars)
+    }
+
+    /// The gauges derived from one window whose histograms and queue
+    /// counters are the slot's whole history.
+    fn windowed(slot: &ShardTailSlot) -> Vec<Series> {
+        let (mut series, _) = reported(slot, 0);
+        for s in &mut series {
+            s.window = Some(s.value.clone());
+        }
+        let mut out = Vec::new();
+        derive(&series, &mut out);
+        out
+    }
+
+    fn quantile(out: &[Series], outcome: &str, q: &str) -> Option<f64> {
+        out.iter()
+            .find(|s| s.family == E2E_QUANTILE.name && s.matches(&[("outcome", outcome), ("q", q)]))
+            .and_then(|s| s.value.gauge())
+    }
+
     #[test]
     fn disabled_slot_records_nothing() {
         let slot = ShardTailSlot::new(false);
         assert!(!slot.observe(TailOutcome::Delivered, 1_000_000));
         slot.capture(ex(1, 1_000_000));
         slot.record_queue_wait(5);
-        let snap = slot.snapshot(0);
-        assert_eq!(snap.captured, 0);
-        assert!(snap.exemplars.is_empty());
-        assert!(TailSnapshot { shards: vec![snap] }.is_empty());
+        let (series, exemplars) = reported(&slot, 0);
+        assert!(series.is_empty(), "{series:?}");
+        assert!(exemplars.is_empty());
     }
 
     #[test]
@@ -649,46 +530,63 @@ mod tests {
         for i in 0..(EXEMPLAR_CAPACITY as u64 + 10) {
             slot.capture(ex(i, 1_000));
         }
-        let snap = slot.snapshot(2);
-        assert_eq!(snap.exemplars.len(), EXEMPLAR_CAPACITY);
-        assert_eq!(snap.captured, EXEMPLAR_CAPACITY as u64 + 10);
-        assert!(snap.exemplars.iter().all(|e| e.shard == 2));
+        let (series, exemplars) = reported(&slot, 2);
+        assert_eq!(exemplars.len(), EXEMPLAR_CAPACITY);
+        let captured = series.iter().find(|s| s.family == CAPTURED.name).unwrap();
+        assert_eq!(captured.value.counter(), EXEMPLAR_CAPACITY as u64 + 10);
+        assert_eq!(captured.label("shard"), Some("2"));
+        assert!(exemplars.iter().all(|e| e.shard == 2));
         // The overwritten slots hold the newest ids.
-        assert!(snap
-            .exemplars
+        assert!(exemplars
             .iter()
             .any(|e| e.ctx == ContextId::from_raw(EXEMPLAR_CAPACITY as u64 + 9)));
-        assert!(!snap
-            .exemplars
-            .iter()
-            .any(|e| e.ctx == ContextId::from_raw(0)));
+        assert!(!exemplars.iter().any(|e| e.ctx == ContextId::from_raw(0)));
     }
 
     #[test]
     fn windowed_sample_subtracts_the_previous_snapshot() {
-        let slot = ShardTailSlot::new(true);
+        use crate::registry::{ObsConfig, ObsRegistry};
+        use crate::snapshot::Sampler;
+        let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 1);
+        let record = |outcome, total_ns| {
+            registry.handle(0).record_e2e(
+                ContextId::from_raw(1),
+                outcome,
+                span(0, 0, 0, total_ns),
+                0,
+                ctxres_context::LogicalTime::new(1),
+            );
+        };
         for _ in 0..10 {
-            slot.observe(TailOutcome::Delivered, 2_000_000);
+            record(TailOutcome::Delivered, 2_000_000);
         }
-        let prev = TailSnapshot {
-            shards: vec![slot.snapshot(0)],
-        };
+        let mut sampler = Sampler::new(std::sync::Arc::clone(&registry));
+        sampler.sample_after(0.0);
         for _ in 0..5 {
-            slot.observe(TailOutcome::Discarded, 8_000_000);
+            record(TailOutcome::Discarded, 8_000_000);
         }
-        let cur = TailSnapshot {
-            shards: vec![slot.snapshot(0)],
-        };
-        let sample = TailSample::between(Some(&prev), cur);
-        assert_eq!(sample.all.count, 5);
-        let discarded = &sample.outcomes[TailOutcome::Discarded.index()];
-        assert_eq!(discarded.window.count, 5);
+        let s = sampler.sample_after(1.0);
+        assert_eq!(s.window_histogram(&E2E.name, &[]).count, 5);
+        let discarded = [("outcome", "discarded")];
+        assert_eq!(s.window_histogram(&E2E.name, &discarded).count, 5);
         assert_eq!(
-            sample.outcomes[TailOutcome::Delivered.index()].window.count,
+            s.window_histogram(&E2E.name, &[("outcome", "delivered")])
+                .count,
             0
         );
-        let p99 = discarded.window.p99_ns.unwrap();
+        let p99 = s
+            .gauge(
+                &E2E_QUANTILE.name,
+                &[("outcome", "discarded"), ("q", "0.99")],
+            )
+            .unwrap();
         assert!(p99 <= 8192.0 * 1_000.0 && p99 > 4_000_000.0, "{p99}");
+        assert!(s
+            .gauge(
+                &E2E_QUANTILE.name,
+                &[("outcome", "delivered"), ("q", "0.99")]
+            )
+            .is_none());
     }
 
     #[test]
@@ -697,28 +595,32 @@ mod tests {
         slot.record_queue_wait(100);
         slot.record_queue_wait(300);
         slot.record_queue_service(600);
-        let cur = TailSnapshot {
-            shards: vec![slot.snapshot(0)],
-        };
-        let sample = TailSample::between(None, cur);
-        assert_eq!(sample.queue.avg_wait_ns, Some(200.0));
-        assert_eq!(sample.queue.avg_service_ns, Some(600.0));
-        assert_eq!(sample.queue.wait_share, Some(0.4));
+        let out = windowed(&slot);
+        let share = out
+            .iter()
+            .find(|s| s.family == QUEUE_WAIT_SHARE.name)
+            .unwrap();
+        assert_eq!(share.value.gauge(), Some(0.4));
     }
 
     #[test]
     fn tail_sample_round_trips_through_serde() {
-        let slot = ShardTailSlot::new(true);
-        if slot.observe(TailOutcome::Expired, 3_000_000) {
-            slot.capture(ex(9, 3_000_000));
-        }
-        slot.record_queue_wait(40);
-        let cur = TailSnapshot {
-            shards: vec![slot.snapshot(0)],
-        };
-        let sample = TailSample::between(None, cur);
+        use crate::registry::{ObsConfig, ObsRegistry};
+        use crate::snapshot::{Sample, Sampler};
+        let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 1);
+        let h = registry.handle(0);
+        h.record_e2e(
+            ContextId::from_raw(9),
+            TailOutcome::Expired,
+            span(0, 1_000_000, 2_000_000, 3_000_000),
+            4,
+            ctxres_context::LogicalTime::new(2),
+        );
+        h.record_queue_wait(40);
+        let sample = Sampler::new(registry).sample_after(0.0);
+        assert_eq!(sample.exemplars.len(), 1);
         let json = serde_json::to_string(&sample).unwrap();
-        let back: TailSample = serde_json::from_str(&json).unwrap();
+        let back: Sample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, sample);
     }
 
@@ -726,15 +628,14 @@ mod tests {
     fn overflow_bucket_quantiles_are_none_not_infinite() {
         let slot = ShardTailSlot::new(true);
         slot.observe(TailOutcome::Delivered, u64::MAX);
-        let cur = TailSnapshot {
-            shards: vec![slot.snapshot(0)],
-        };
-        let sample = TailSample::between(None, cur);
-        assert_eq!(sample.all.count, 1);
+        let out = windowed(&slot);
         assert_eq!(
-            sample.all.p99_ns, None,
-            "infinite estimates stay out of JSON"
+            quantile(&out, "all", "0.99"),
+            None,
+            "infinite estimates have no series"
         );
+        let (series, _) = reported(&slot, 0);
+        assert_eq!(series[0].value.histogram().unwrap().count, 1);
     }
 }
 
@@ -802,10 +703,12 @@ mod invariant_proptests {
                     at: 0,
                 });
             }
-            let snap = slot.snapshot(0);
-            prop_assert!(snap.exemplars.len() <= EXEMPLAR_CAPACITY);
-            prop_assert_eq!(snap.exemplars.len(), captures.min(EXEMPLAR_CAPACITY));
-            prop_assert_eq!(snap.captured, captures as u64);
+            let mut series = Vec::new();
+            let exemplars = report(std::iter::once(&slot), &mut series);
+            prop_assert!(exemplars.len() <= EXEMPLAR_CAPACITY);
+            prop_assert_eq!(exemplars.len(), captures.min(EXEMPLAR_CAPACITY));
+            let captured: u64 = series.iter().map(|s| s.value.counter()).sum();
+            prop_assert_eq!(captured, captures as u64);
         }
 
         #[test]
@@ -836,12 +739,17 @@ mod invariant_proptests {
                     });
                 }
             });
-            let snap = slot.snapshot(0);
-            prop_assert!(snap.exemplars.len() <= EXEMPLAR_CAPACITY);
-            prop_assert!(snap.captured <= (per_thread * threads) as u64);
-            let all = TailSnapshot { shards: vec![snap] };
-            let sample = TailSample::between(None, all);
-            prop_assert_eq!(sample.all.count, (per_thread * threads) as u64);
+            let mut series = Vec::new();
+            let exemplars = report(std::iter::once(&*slot), &mut series);
+            prop_assert!(exemplars.len() <= EXEMPLAR_CAPACITY);
+            let captured = series.iter().find(|s| s.family == CAPTURED.name);
+            prop_assert!(captured.map_or(0, |s| s.value.counter()) <= (per_thread * threads) as u64);
+            let spans: u64 = series
+                .iter()
+                .filter_map(|s| s.value.histogram())
+                .map(|h| h.count)
+                .sum();
+            prop_assert_eq!(spans, (per_thread * threads) as u64);
         }
     }
 }

@@ -1,13 +1,16 @@
 //! End-to-end export pipeline: registry → sampler → HTTP endpoint,
 //! scraped over a real TCP connection.
 //!
-//! Includes the satellite acceptance check: a deliberately overflowed
-//! event ring must surface a nonzero `ctxres_trace_events_dropped_total`
-//! through `/metrics` — truncation is never silent, not even one
-//! indirection away from the ring.
+//! Includes the acceptance check that a deliberately overflowed event
+//! ring surfaces a nonzero `ctxres_trace_events_dropped_total` through
+//! `/metrics` and in the counters `trace_dump --json` reports —
+//! truncation is never silent, not even one indirection away from the
+//! ring.
 
 use ctxres_context::{ContextId, LogicalTime};
-use ctxres_obs::{CounterKind, MetricsServer, ObsConfig, ObsRegistry, Sample, TraceEvent};
+use ctxres_obs::{
+    CounterKind, MetricsServer, ObsConfig, ObsRegistry, Sample, TraceEvent, RING_CAPACITY,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -34,11 +37,12 @@ fn series_value(body: &str, series: &str) -> Option<f64> {
 
 #[test]
 fn overflowed_ring_surfaces_dropped_events_in_metrics() {
-    // A 4-slot ring fed 20 events: 16 must be dropped, and the drop
-    // counter must be visible to an external scraper.
-    let registry = ObsRegistry::shared(ObsConfig::enabled().with_ring_capacity(4), 1);
+    // The ring fed 16 events past its capacity must drop 16, and the
+    // drop count must be visible to an external scraper.
+    let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
     let h = registry.handle(0);
-    for i in 0..20 {
+    let events = RING_CAPACITY as u64 + 16;
+    for i in 0..events {
         h.record(
             LogicalTime::new(i),
             TraceEvent::Delivered {
@@ -47,17 +51,23 @@ fn overflowed_ring_surfaces_dropped_events_in_metrics() {
         );
     }
     assert_eq!(registry.dropped(), 16, "precondition: the ring overflowed");
+    // The counters `trace_dump --json` reports carry the ring's drops.
+    assert_eq!(registry.snapshot().counters()["trace_events_dropped"], 16);
 
     let server = MetricsServer::spawn(Arc::clone(&registry), "127.0.0.1:0").unwrap();
     let body = get(&server, "/metrics");
     let dropped = series_value(&body, "ctxres_trace_events_dropped_total{shard=\"0\"}")
         .expect("dropped series present");
     assert_eq!(dropped, 16.0, "{body}");
+    assert!(
+        !body.contains("ctxres_events_dropped"),
+        "the ring family is the only record of drops"
+    );
     let buffered = series_value(&body, "ctxres_trace_events_buffered{shard=\"0\"}").unwrap();
-    assert_eq!(buffered, 4.0);
+    assert_eq!(buffered, RING_CAPACITY as f64);
     // The recorded counter still counts every accepted event.
     let recorded = series_value(&body, "ctxres_events_recorded_total{shard=\"0\"}").unwrap();
-    assert_eq!(recorded, 20.0);
+    assert_eq!(recorded, events as f64);
 }
 
 #[test]
@@ -79,13 +89,10 @@ fn aggregation_totals_flow_through_the_endpoint() {
     let json = get(&server, "/snapshot");
     let sample: Sample = serde_json::from_str(&json).unwrap();
     assert_eq!(
-        sample.snapshot.aggregate().counter(CounterKind::Ingested),
-        registry
-            .snapshot()
-            .aggregate()
-            .counter(CounterKind::Ingested),
+        sample.total("ctxres_ingested_total"),
+        registry.snapshot().counter(CounterKind::Ingested),
     );
-    assert_eq!(sample.total.delta(CounterKind::Discards), 3);
+    assert_eq!(sample.delta("ctxres_discards_total"), 3);
 
     let body = get(&server, "/metrics");
     let total: f64 = (0..3)
