@@ -136,40 +136,12 @@ fn pct(v: Option<f64>) -> String {
     cell(v.map(|x| format!("{:.1}", x * 100.0)))
 }
 
-/// The distinct values of label `label` across `family`'s series.
-fn label_values<'a>(sample: &'a Sample, family: &'a str, label: &str) -> BTreeSet<&'a str> {
-    sample
-        .family(family)
-        .filter_map(|s| s.label(label))
-        .collect()
-}
-
-/// The sum of `family`'s gauge readings among series carrying `labels`.
-fn gauge_sum(sample: &Sample, family: &str, labels: &[(&str, &str)]) -> f64 {
-    sample
-        .family(family)
-        .filter(|s| s.matches(labels))
-        .filter_map(|s| s.value.gauge())
-        .sum()
-}
-
 /// One row of the shard table: a shard's windowed rates (all shards'
 /// with no labels), ring state, and the windowed p95 check latency —
 /// the interpolated estimate, so the column moves smoothly instead of
 /// snapping between power-of-two bucket edges.
 fn shard_row(sample: &Sample, label: &str, labels: &[(&str, &str)]) -> String {
-    let rate = |counter: &str| {
-        fmt_rate(gauge_sum(
-            sample,
-            &format!("ctxres_{counter}_per_sec"),
-            labels,
-        ))
-    };
-    let dropped: u64 = sample
-        .family("ctxres_trace_events_dropped_total")
-        .filter(|s| s.matches(labels))
-        .map(|s| s.value.counter())
-        .sum();
+    let rate = |counter: &str| fmt_rate(sample.sum(&format!("ctxres_{counter}_per_sec"), labels));
     let p95 = sample
         .window_histogram("ctxres_check_latency_ns", labels)
         .quantile_est(0.95);
@@ -181,8 +153,8 @@ fn shard_row(sample: &Sample, label: &str, labels: &[(&str, &str)]) -> String {
         rate("discards"),
         rate("detections"),
         rate("compiled_evals"),
-        gauge_sum(sample, "ctxres_trace_events_buffered", labels),
-        dropped,
+        sample.sum("ctxres_trace_events_buffered", labels),
+        sample.sum("ctxres_trace_events_dropped_total", labels),
         us(p95),
     )
 }
@@ -199,15 +171,12 @@ fn render(sample: &Sample, frame: u64, source: &str) -> String {
     let divider = format!("{}\n", "-".repeat(header.len() - 1));
     out.push_str(header);
     out.push_str(&divider);
-    let mut shards: Vec<&str> = label_values(sample, "ctxres_ingested_total", "shard")
-        .into_iter()
-        .collect();
-    shards.sort_by_key(|s| s.parse::<usize>().unwrap_or(usize::MAX));
-    for shard in shards {
+    for i in 0..sample.shards() {
+        let shard = i.to_string();
         out.push_str(&shard_row(
             sample,
-            &format!("shard {shard}"),
-            &[("shard", shard)],
+            &format!("shard {i}"),
+            &[("shard", &shard)],
         ));
     }
     out.push_str(&divider);
@@ -254,19 +223,15 @@ fn render_tail(sample: &Sample) -> String {
             continue;
         }
         out.push_str(&format!("{name:<12} {count:>7}"));
-        for q in TAIL_QUANTILES {
-            let q = q.to_string();
-            let v = sample.gauge(
-                "ctxres_e2e_window_quantile_ns",
-                &[("outcome", name), ("q", &q)],
-            );
+        for q in TAIL_QUANTILES.map(|q| q.to_string()) {
+            let labels = [("outcome", name), ("q", q.as_str())];
+            let v = sample.gauge("ctxres_e2e_window_quantile_ns", &labels);
             out.push_str(&format!(" {:>8}", us(v)));
         }
         out.push('\n');
     }
     if sample
-        .family("ctxres_queue_wait_seconds_total")
-        .next()
+        .find("ctxres_queue_wait_seconds_total", &[])
         .is_some()
     {
         let ms = |family: &str| sample.delta(family) as f64 / 1e6;
@@ -298,12 +263,11 @@ const PHASE_SHORT: [&str; 9] = [
 /// where the engines spend their cycles.
 fn render_phases(sample: &Sample) -> String {
     let mut out = String::new();
-    out.push_str("\nphase self-time this window (ms)\n");
-    out.push_str(&format!("{:<9}", "shard"));
-    for name in PHASE_SHORT {
-        out.push_str(&format!("{name:>9}"));
-    }
-    out.push('\n');
+    let columns = PHASE_SHORT.map(|name| format!("{name:>9}")).concat();
+    out.push_str(&format!(
+        "\nphase self-time this window (ms)\n{:<9}{columns}\n",
+        "shard"
+    ));
     let self_ms = |labels: &[(&str, &str)]| {
         let ns: u64 = sample
             .family("ctxres_phase_self_seconds_total")
@@ -312,33 +276,22 @@ fn render_phases(sample: &Sample) -> String {
             .sum();
         cell((ns > 0).then(|| format!("{:.2}", ns as f64 / 1e6)))
     };
-    let mut shards: Vec<&str> = label_values(sample, "ctxres_phase_roots_total", "shard")
-        .into_iter()
-        .collect();
-    shards.sort_by_key(|s| s.parse::<usize>().unwrap_or(usize::MAX));
+    let shards: Vec<String> = (0..sample.shards()).map(|i| i.to_string()).collect();
     for shard in shards.iter().map(Some).chain([None]) {
         let label = shard.map_or("total".to_owned(), |s| format!("shard {s}"));
         out.push_str(&format!("{label:<9}"));
         for p in PHASES {
-            let phase = ("phase", p.name());
-            let labels: Vec<(&str, &str)> = shard
-                .map(|s| ("shard", *s))
-                .into_iter()
-                .chain([phase])
-                .collect();
+            let shard = shard.map(|s| ("shard", s.as_str()));
+            let labels: Vec<_> = shard.into_iter().chain([("phase", p.name())]).collect();
             out.push_str(&format!("{:>9}", self_ms(&labels)));
         }
         out.push('\n');
     }
-    out.push_str(&format!("{:<9}", "share"));
-    for p in PHASES {
+    let shares = PHASES.map(|p| {
         let share = sample.gauge("ctxres_phase_self_share", &[("phase", p.name())]);
-        out.push_str(&format!(
-            "{:>9}",
-            cell(share.map(|s| format!("{:.1}%", s * 100.0)))
-        ));
-    }
-    out.push('\n');
+        format!("{:>9}", cell(share.map(|s| format!("{:.1}%", s * 100.0))))
+    });
+    out.push_str(&format!("{:<9}{}\n", "share", shares.concat()));
     out
 }
 
@@ -348,20 +301,23 @@ fn render_health(sample: &Sample) -> String {
     let mut out = String::new();
     if sample.family("ctxres_pool_live_slots").next().is_some() {
         let recycles = "ctxres_pool_generation_recycles_total";
+        let occupancy = sample.gauge("ctxres_pool_occupancy", &[]);
         out.push_str(&format!(
             "\npool: {} live / {} free slots ({} occupied), {} recycles (+{} this window)\n",
-            gauge_sum(sample, "ctxres_pool_live_slots", &[]),
-            gauge_sum(sample, "ctxres_pool_free_slots", &[]),
-            cell(
-                sample
-                    .gauge("ctxres_pool_occupancy", &[])
-                    .map(|o| format!("{:.0}%", o * 100.0))
-            ),
+            sample.sum("ctxres_pool_live_slots", &[]),
+            sample.sum("ctxres_pool_free_slots", &[]),
+            cell(occupancy.map(|o| format!("{:.0}%", o * 100.0))),
             sample.total(recycles),
             sample.delta(recycles),
         ));
     }
-    let kinds = label_values(sample, "ctxres_health_ingested_total", "kind");
+    let labels = |family, label| -> BTreeSet<&str> {
+        sample
+            .family(family)
+            .filter_map(|s| s.label(label))
+            .collect()
+    };
+    let kinds = labels("ctxres_health_ingested_total", "kind");
     if !kinds.is_empty() {
         out.push_str(
             "\nkind            disc%    viol%     use%    ewma%    stale     live   oldest\n",
@@ -377,12 +333,12 @@ fn render_health(sample: &Sample) -> String {
                 pct(g("use_rate")),
                 pct(g("use_rate_ewma")),
                 cell(g("staleness").map(|s| format!("{s:.2}"))),
-                gauge_sum(sample, "ctxres_health_kind_live", &k),
+                sample.sum("ctxres_health_kind_live", &k),
                 cell(g("oldest_age_ticks").map(|t| t.to_string())),
             ));
         }
     }
-    let firing = label_values(sample, "ctxres_slo_firing", "rule");
+    let firing = labels("ctxres_slo_firing", "rule");
     if firing.is_empty() {
         out.push_str("\nslo: all clear\n");
     } else {

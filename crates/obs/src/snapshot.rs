@@ -74,7 +74,7 @@ pub struct Family {
 
 impl Family {
     /// A family rendered as recorded.
-    pub const fn new(
+    pub(crate) const fn new(
         kind: MetricType,
         name: &'static str,
         labels: &'static [&'static str],
@@ -83,7 +83,7 @@ impl Family {
     }
 
     /// A family whose values render divided by `scale`.
-    pub const fn scaled(
+    pub(crate) const fn scaled(
         kind: MetricType,
         name: &'static str,
         labels: &'static [&'static str],
@@ -109,7 +109,7 @@ impl Family {
 
     /// One series of this family: `values` pair up with the declared
     /// label names, in order.
-    pub fn series(&self, values: &[&str], value: Value) -> Series {
+    pub(crate) fn series(&self, values: &[&str], value: Value) -> Series {
         debug_assert_eq!(
             values.len(),
             self.labels.len(),
@@ -418,6 +418,21 @@ impl Sample {
     /// A counter family's cross-shard total.
     pub fn total(&self, family: &str) -> u64 {
         self.family(family).map(|s| s.value.counter()).sum()
+    }
+
+    /// The sum of `family`'s counts or readings among the series
+    /// carrying `labels` (all of them with no labels).
+    pub fn sum(&self, family: &str, labels: &[(&str, &str)]) -> f64 {
+        self.family(family)
+            .filter(|s| s.matches(labels))
+            .map(|s| s.value.gauge().unwrap_or(s.value.counter() as f64))
+            .sum()
+    }
+
+    /// How many shard slots the sampled registry has.
+    pub fn shards(&self) -> usize {
+        self.gauge(&crate::metrics::OBS_SHARDS.name, &[])
+            .unwrap_or(0.0) as usize
     }
 
     /// A counter family's cross-shard delta over the window.
