@@ -27,6 +27,11 @@
 //!   use-window residual delay, Δ-set size, queue depth), recorded with
 //!   atomics and aggregated across shards without any global lock —
 //!   mirroring how `ctxres_middleware::MiddlewareStats` aggregates;
+//! * **health telemetry** ([`KindHandle`], [`SloEngine`]): per-(shard,
+//!   kind) quality cells and arena gauges from which each window derives
+//!   discard, violation and use rates, the use-rate EWMA, staleness and
+//!   pool occupancy, watched by declarative SLO rules with hysteresis —
+//!   on in [`ObsConfig::metrics_only`] and [`ObsConfig::enabled`];
 //! * **spans** ([`ObsSpan`]): RAII timing guards around constraint
 //!   evaluation, shard routing and resolution. With
 //!   [`ObsConfig::disabled`] a handle is a `None` and every hook
