@@ -597,18 +597,59 @@ mod tests {
 
 #[cfg(test)]
 mod estimator_proptests {
-    //! EWMA agrees with windowed-exact in steady state: when every
-    //! window carries the same exact `ctxUseRate`, the EWMA equals it
-    //! from the very first window (seed = first value, and
-    //! `α·x + (1−α)·x = x` inductively). (That per-kind window deltas
-    //! telescope to the raw counters is part of the sampler's property
-    //! over every counter series.)
+    //! The estimator properties:
+    //!
+    //! * per-kind window deltas telescope: summing each window's delta
+    //!   of the kind counter families reproduces the raw cumulative
+    //!   counters (the kind-scoped case of the sampler's property over
+    //!   every counter series);
+    //! * EWMA agrees with windowed-exact in steady state: when every
+    //!   window carries the same exact `ctxUseRate`, the EWMA equals
+    //!   it from the very first window (seed = first value, and
+    //!   `α·x + (1−α)·x = x` inductively).
 
     use super::tests::{reading, window};
     use super::*;
+    use crate::registry::{ObsConfig, ObsRegistry};
+    use crate::snapshot::Sampler;
     use proptest::prelude::*;
 
     proptest! {
+        #[test]
+        fn kind_deltas_telescope_to_the_raw_counters(
+            steps in proptest::collection::vec((0u64..50, 0u64..50, 0u64..50), 1..20),
+        ) {
+            let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
+            let kind = registry.handle(0).kind_handle("location");
+            let mut sampler = Sampler::new(std::sync::Arc::clone(&registry));
+            let families = [
+                "ctxres_health_ingested_total",
+                "ctxres_health_delivered_total",
+                "ctxres_health_discarded_total",
+            ];
+            // The baseline window covers the (zero) history.
+            let base = sampler.sample_after(0.0);
+            let mut summed = families.map(|f| base.delta(f));
+            let mut cum = [0u64; 3];
+            for (i, d, x) in steps {
+                kind.ingested(i);
+                kind.delivered(d);
+                kind.discarded(x);
+                for (c, n) in cum.iter_mut().zip([i, d, x]) {
+                    *c += n;
+                }
+                let w = sampler.sample_after(1.0);
+                for (s, f) in summed.iter_mut().zip(families) {
+                    *s += w.delta(f);
+                }
+            }
+            prop_assert_eq!(summed, cum);
+            let raw = registry.snapshot();
+            let labels = [("shard", "0"), ("kind", "location")];
+            let raw = families.map(|f| raw.find(f, &labels).map_or(0, |s| s.value.counter()));
+            prop_assert_eq!(summed, raw);
+        }
+
         #[test]
         fn ewma_equals_exact_use_rate_in_steady_state(
             delivered in 1u64..1000,
