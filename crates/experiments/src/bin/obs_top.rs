@@ -230,15 +230,17 @@ fn render_tail(sample: &Sample) -> String {
         }
         out.push('\n');
     }
-    if sample
-        .find("ctxres_queue_wait_seconds_total", &[])
-        .is_some()
-    {
-        let ms = |family: &str| sample.delta(family) as f64 / 1e6;
+    let (waits, services) = ("ctxres_queue_waits_total", "ctxres_queue_services_total");
+    if sample.delta(waits) > 0 || sample.delta(services) > 0 {
+        // Per-chunk averages over the window: queue nanoseconds / intervals.
+        let avg = |ns: &str, n: &str| {
+            let n = sample.delta(n);
+            us((n > 0).then(|| sample.delta(ns) as f64 / n as f64))
+        };
         out.push_str(&format!(
-            "queue: {:.2} ms waiting, {:.2} ms in service, wait share {}\n",
-            ms("ctxres_queue_wait_seconds_total"),
-            ms("ctxres_queue_service_seconds_total"),
+            "queue: avg wait {} µs, avg service {} µs, wait share {}\n",
+            avg("ctxres_queue_wait_seconds_total", waits),
+            avg("ctxres_queue_service_seconds_total", services),
             pct(sample.gauge("ctxres_queue_wait_share", &[])),
         ));
     }
@@ -303,12 +305,13 @@ fn render_health(sample: &Sample) -> String {
         let recycles = "ctxres_pool_generation_recycles_total";
         let occupancy = sample.gauge("ctxres_pool_occupancy", &[]);
         out.push_str(&format!(
-            "\npool: {} live / {} free slots ({} occupied), {} recycles (+{} this window)\n",
+            "\npool: {} live / {} free slots ({} occupied), {} recycles (+{} this window), tick {}\n",
             sample.sum("ctxres_pool_live_slots", &[]),
             sample.sum("ctxres_pool_free_slots", &[]),
             cell(occupancy.map(|o| format!("{:.0}%", o * 100.0))),
             sample.total(recycles),
             sample.delta(recycles),
+            sample.tick,
         ));
     }
     let labels = |family, label| -> BTreeSet<&str> {

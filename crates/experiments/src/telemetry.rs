@@ -273,7 +273,7 @@ pub struct TraceDumpJson {
     /// How many of them were discarded.
     pub discarded: usize,
     /// Aggregated observability counters of the cell the trace came
-    /// from (name → cross-shard total, [`ObsSnapshot::counters`]) —
+    /// from (name → cross-shard total, [`ctxres_obs::SeriesList::counters`]) —
     /// includes the compiled-eval and situation-eval counters and the
     /// ring's `trace_events_dropped`. Empty when the dumper had no
     /// metrics snapshot alongside the trace (a bare JSONL file).

@@ -73,7 +73,7 @@ fn assert_counters_agree(registry: &Arc<ObsRegistry>) -> Sample {
     let families = families();
     let scraper_slot = (registry.shards() - 1).to_string();
     let mut checked = 0;
-    for s in &sample.series {
+    for s in sample.iter() {
         let Value::Counter(n) = s.value else {
             continue;
         };

@@ -836,24 +836,10 @@ mod tests {
         sharded.submit(loc("alice", 6, 0.6));
         sharded.drain();
         let snap = registry.snapshot();
-        // Each shard that took a chunk or the submit both waited for its
-        // lock and served it, and only those shards report queue time.
-        let queued = |family: &str| {
-            let mut shards: Vec<String> = snap
-                .family(family)
-                .map(|s| s.label("shard").unwrap_or_default().to_owned())
-                .collect();
-            shards.sort();
-            shards
-        };
-        let waited = queued("ctxres_queue_wait_seconds_total");
-        assert!(!waited.is_empty(), "each ingested chunk and submit queues");
-        assert_eq!(
-            waited,
-            queued("ctxres_queue_service_seconds_total"),
-            "every wait is followed by service"
-        );
-        assert!(snap.total("ctxres_queue_service_seconds_total") > 0);
+        let waits = snap.total("ctxres_queue_waits_total");
+        let services = snap.total("ctxres_queue_services_total");
+        assert!(waits >= 2, "each ingested chunk and submit queues once");
+        assert_eq!(waits, services, "every wait is followed by service");
         // The delivered spans flowed through too.
         let folded: u64 = snap
             .family("ctxres_e2e_latency_us")

@@ -14,7 +14,7 @@
 //! golden test pin it.
 
 use crate::metrics::bucket_bound;
-use crate::snapshot::{fmt_f64, Family, MetricType, Sample, Series, Value};
+use crate::snapshot::{fmt_f64, Family, MetricType, Reading, Sample, Series, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -36,7 +36,7 @@ pub fn families() -> Vec<Family> {
 /// Renders a sample as Prometheus text exposition.
 pub fn render_prometheus(sample: &Sample) -> String {
     let mut by_family: HashMap<&str, Vec<&Series>> = HashMap::new();
-    for s in &sample.series {
+    for s in sample.iter() {
         by_family.entry(&s.family).or_default().push(s);
     }
     let mut out = String::from(
@@ -44,7 +44,7 @@ pub fn render_prometheus(sample: &Sample) -> String {
          # rates cover the window since the previous scrape\n",
     );
     for family in families() {
-        let Some(series) = by_family.get(family.name.as_ref()) else {
+        let Some(series) = by_family.get(family.name) else {
             continue;
         };
         let recorded = |s: &&Series| s.value.histogram().is_some_and(|h| h.count > 0);
@@ -75,7 +75,7 @@ fn write_series(out: &mut String, family: &Family, s: &Series) {
                 fmt_f64(*n as f64 / family.scale)
             );
         }
-        Value::Gauge(x) => {
+        Value::Gauge(Reading(x)) => {
             let _ = writeln!(out, "{name}{} {}", labels(None), fmt_f64(x / family.scale));
         }
         Value::Histogram(h) => {
@@ -806,6 +806,10 @@ ctxres_e2e_capture_threshold_ns{shard=\"0\"} 0
 ctxres_queue_wait_seconds_total{shard=\"1\"} 0.003
 # TYPE ctxres_queue_service_seconds_total counter
 ctxres_queue_service_seconds_total{shard=\"1\"} 0.009
+# TYPE ctxres_queue_waits_total counter
+ctxres_queue_waits_total{shard=\"1\"} 1
+# TYPE ctxres_queue_services_total counter
+ctxres_queue_services_total{shard=\"1\"} 1
 # TYPE ctxres_queue_wait_share gauge
 ctxres_queue_wait_share 0.25
 ";

@@ -30,7 +30,7 @@
 //! `/snapshot`, `obs_top` and the SLO engine read it from the sample.
 //! Runs without health publishing report no health series at all.
 
-use crate::snapshot::{Family, MetricType, Series, Value};
+use crate::snapshot::{Family, MetricType, Reading, Series, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -294,8 +294,8 @@ pub(crate) fn report<'a>(slots: impl Iterator<Item = &'a ShardHealthSlot>, out: 
         let label = i.to_string();
         let shard = [label.as_str()];
         if let Some([live, free, recycles, _]) = slot.pool.read() {
-            out.push(POOL_LIVE.series(&shard, Value::Gauge(live as f64)));
-            out.push(POOL_FREE.series(&shard, Value::Gauge(free as f64)));
+            out.push(POOL_LIVE.series(&shard, Value::Gauge(Reading(live as f64))));
+            out.push(POOL_FREE.series(&shard, Value::Gauge(Reading(free as f64))));
             out.push(POOL_RECYCLES.series(&shard, Value::Counter(recycles)));
         }
         let mut kinds = slot.kinds.lock().clone();
@@ -313,7 +313,7 @@ pub(crate) fn report<'a>(slots: impl Iterator<Item = &'a ShardHealthSlot>, out: 
             for (family, count) in KIND_COUNTERS.iter().zip(counts) {
                 out.push(family.series(&labels, Value::Counter(load(count))));
             }
-            out.push(KIND_LIVE.series(&labels, Value::Gauge(load(&cell.live) as f64)));
+            out.push(KIND_LIVE.series(&labels, Value::Gauge(Reading(load(&cell.live) as f64))));
             let opt = |v: u64| (v != NONE).then_some(v);
             let (age, life) = (opt(load(&cell.oldest_age)), opt(load(&cell.lifespan)));
             let staleness = match (age, life) {
@@ -330,10 +330,10 @@ pub(crate) fn report<'a>(slots: impl Iterator<Item = &'a ShardHealthSlot>, out: 
     }
     for (kind, (age, staleness)) in &worst {
         if let Some(s) = staleness {
-            out.push(STALENESS.series(&[kind], Value::Gauge(*s)));
+            out.push(STALENESS.series(&[kind], Value::Gauge(Reading(*s))));
         }
         if let Some(age) = age {
-            out.push(OLDEST_AGE.series(&[kind], Value::Gauge(*age as f64)));
+            out.push(OLDEST_AGE.series(&[kind], Value::Gauge(Reading(*age as f64))));
         }
     }
 }
@@ -378,7 +378,7 @@ pub(crate) fn derive(
             (&USE_RATE_EWMA, smoothed),
         ] {
             if let Some(v) = value {
-                out.push(family.series(&[kind], Value::Gauge(v)));
+                out.push(family.series(&[kind], Value::Gauge(Reading(v))));
             }
         }
     }
@@ -391,7 +391,7 @@ pub(crate) fn derive(
     };
     let (live, free) = (gauge_sum(&POOL_LIVE), gauge_sum(&POOL_FREE));
     if live + free > 0.0 {
-        out.push(POOL_OCCUPANCY.series(&[], Value::Gauge(live / (live + free))));
+        out.push(POOL_OCCUPANCY.series(&[], Value::Gauge(Reading(live / (live + free)))));
     }
 }
 
@@ -412,7 +412,7 @@ mod tests {
         let snap = registry.snapshot();
         assert!(families()
             .iter()
-            .all(|f| snap.family(&f.name).next().is_none()));
+            .all(|f| snap.family(f.name).next().is_none()));
         assert_eq!(registry.now_tick(), 0);
     }
 

@@ -64,7 +64,8 @@
 //!   diffs two snapshots into one windowed sample — counter and
 //!   histogram deltas keyed on (family, labels), plus the gauges each
 //!   layer derives from the window (rates, quantiles, quality ratios,
-//!   shares, firing SLO rules). One renderer writes it as Prometheus
+//!   shares, firing SLO rules); both read through the one set of
+//!   lookups on [`SeriesList`]. One renderer writes it as Prometheus
 //!   text exposition (`/metrics`) and a hand-rolled `TcpListener`
 //!   endpoint serves the same sample as JSON (`/snapshot`), which
 //!   `obs_top --watch` parses back — opt in with
@@ -132,7 +133,9 @@ pub use slo::{
     HealthAlert, SloEngine, SloMetric, SloOp, SloRule, DEFAULT_CLEAR_MARGIN, SLO_METRICS,
     SLO_RULES_ENV,
 };
-pub use snapshot::{BuildInfo, Family, MetricType, ObsSnapshot, Sample, Sampler, Series, Value};
+pub use snapshot::{
+    BuildInfo, Family, MetricType, ObsSnapshot, Reading, Sample, Sampler, Series, SeriesList, Value,
+};
 pub use span::ObsSpan;
 pub use tail::{
     ContextSpan, Exemplar, TailOutcome, EXEMPLAR_CAPACITY, SEGMENT_NAMES, TAIL_OUTCOMES,

@@ -1,7 +1,7 @@
 //! Fixed-bucket histograms and counters, recorded with atomics, and
 //! the core families they export.
 
-use crate::snapshot::{Family, MetricType, Series, Value};
+use crate::snapshot::{Family, MetricType, Reading, Series, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -191,43 +191,79 @@ pub(crate) const RING_BUFFERED: Family =
 const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
 
 impl CounterKind {
+    /// The names of the counter's family and of its derived rate.
+    fn family_names(self) -> [&'static str; 2] {
+        macro_rules! names {
+            ($name:literal) => {
+                [
+                    concat!("ctxres_", $name, "_total"),
+                    concat!("ctxres_", $name, "_per_sec"),
+                ]
+            };
+        }
+        match self {
+            CounterKind::EventsRecorded => names!("events_recorded"),
+            CounterKind::Detections => names!("detections"),
+            CounterKind::Discards => names!("discards"),
+            CounterKind::Deliveries => names!("deliveries"),
+            CounterKind::Ingested => names!("ingested"),
+            CounterKind::SituationEvals => names!("situation_evals"),
+            CounterKind::CompiledEvals => names!("compiled_evals"),
+            CounterKind::SeqFallbacks => names!("seq_fallbacks"),
+            CounterKind::ProvEdges => names!("prov_edges"),
+            CounterKind::ProvNodes => names!("prov_nodes"),
+        }
+    }
+
     /// The counter's family, `ctxres_<name>_total{shard}`.
     pub fn family(self) -> Family {
-        Family::named(
-            MetricType::Counter,
-            format!("ctxres_{}_total", self.name()),
-            SHARD,
-        )
+        Family::new(MetricType::Counter, self.family_names()[0], SHARD)
     }
 
     /// The derived per-second rate over the window.
     fn rate_family(self) -> Family {
-        Family::named(
-            MetricType::Gauge,
-            format!("ctxres_{}_per_sec", self.name()),
-            SHARD,
-        )
+        Family::new(MetricType::Gauge, self.family_names()[1], SHARD)
     }
 }
 
 impl MetricKind {
-    /// The histogram's family, unit-suffixed for non-count units
-    /// (`ctxres_check_latency_ns{shard}`, `ctxres_delta_size{shard}`).
+    /// The names of the histogram's family and of its derived quantile
+    /// bound and estimate, unit-suffixed for non-count units.
+    fn family_names(self) -> [&'static str; 3] {
+        macro_rules! names {
+            ($name:literal) => {
+                [
+                    concat!("ctxres_", $name),
+                    concat!("ctxres_", $name, "_quantile_bound"),
+                    concat!("ctxres_", $name, "_quantile_est"),
+                ]
+            };
+        }
+        match self {
+            MetricKind::CheckLatency => names!("check_latency_ns"),
+            MetricKind::IngestLatency => names!("ingest_latency_ns"),
+            MetricKind::ResolveLatency => names!("resolve_latency_ns"),
+            MetricKind::RouteLatency => names!("route_latency_ns"),
+            MetricKind::UseResidualDelay => names!("use_residual_delay_ticks"),
+            MetricKind::DeltaSize => names!("delta_size"),
+            MetricKind::QueueDepth => names!("queue_depth"),
+            MetricKind::ChainDepth => names!("chain_depth"),
+        }
+    }
+
+    /// The histogram's family (`ctxres_check_latency_ns{shard}`,
+    /// `ctxres_delta_size{shard}`).
     pub fn family(self) -> Family {
-        let name = match self.unit() {
-            "count" => format!("ctxres_{}", self.name()),
-            unit => format!("ctxres_{}_{unit}", self.name()),
-        };
-        Family::named(MetricType::Histogram, name, SHARD)
+        Family::new(MetricType::Histogram, self.family_names()[0], SHARD)
     }
 
     /// The derived gauges over each shard's cumulative distribution:
     /// the winning bucket's bound and the interpolated estimate.
     fn quantile_families(self) -> [Family; 2] {
-        let name = self.family().name;
+        let [_, bound, est] = self.family_names();
         [
-            Family::named(MetricType::Gauge, format!("{name}_quantile_bound"), SHARD_Q),
-            Family::named(MetricType::Gauge, format!("{name}_quantile_est"), SHARD_Q),
+            Family::new(MetricType::Gauge, bound, SHARD_Q),
+            Family::new(MetricType::Gauge, est, SHARD_Q),
         ]
     }
 }
@@ -259,7 +295,10 @@ pub(crate) fn derive(series: &[Series], secs: f64, out: &mut Vec<Series>) {
             } else {
                 0.0
             };
-            out.push(rate.series(&[s.label("shard").unwrap_or("")], Value::Gauge(per_sec)));
+            out.push(rate.series(
+                &[s.label("shard").unwrap_or("")],
+                Value::Gauge(Reading(per_sec)),
+            ));
         }
     }
     for kind in METRIC_KINDS {
@@ -276,12 +315,12 @@ pub(crate) fn derive(series: &[Series], secs: f64, out: &mut Vec<Series>) {
                     } else {
                         b as f64
                     };
-                    out.push(bound.series(&[shard, &q.to_string()], Value::Gauge(b)));
+                    out.push(bound.series(&[shard, &q.to_string()], Value::Gauge(Reading(b))));
                 }
             }
             for q in QUANTILES {
                 if let Some(e) = h.quantile_est(q) {
-                    out.push(est.series(&[shard, &q.to_string()], Value::Gauge(e)));
+                    out.push(est.series(&[shard, &q.to_string()], Value::Gauge(Reading(e))));
                 }
             }
         }
@@ -439,6 +478,25 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn family_names_follow_the_kind_names() {
+        for kind in COUNTER_KINDS {
+            let name = kind.name();
+            assert_eq!(kind.family().name, format!("ctxres_{name}_total"));
+            assert_eq!(kind.rate_family().name, format!("ctxres_{name}_per_sec"));
+        }
+        for kind in METRIC_KINDS {
+            let family = match kind.unit() {
+                "count" => format!("ctxres_{}", kind.name()),
+                unit => format!("ctxres_{}_{unit}", kind.name()),
+            };
+            assert_eq!(kind.family().name, family);
+            let [bound, est] = kind.quantile_families().map(|f| f.name);
+            assert_eq!(bound, format!("{family}_quantile_bound"));
+            assert_eq!(est, format!("{family}_quantile_est"));
+        }
+    }
 
     #[test]
     fn buckets_are_powers_of_two() {

@@ -33,7 +33,7 @@
 //! several threads would misattribute parent/child time but is
 //! memory-safe and cannot panic.
 
-use crate::snapshot::{Family, MetricType, ObsSnapshot, Series, Value as SeriesValue};
+use crate::snapshot::{Family, MetricType, ObsSnapshot, Reading, Series, Value as SeriesValue};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -531,7 +531,7 @@ pub(crate) fn derive(series: &[Series], out: &mut Vec<Series>) {
     }
     for (i, phase) in PHASES.iter().enumerate().filter(|(i, _)| calls[*i] > 0) {
         let share = self_ns[i] as f64 / total as f64;
-        out.push(SELF_SHARE.series(&[phase.name()], SeriesValue::Gauge(share)));
+        out.push(SELF_SHARE.series(&[phase.name()], SeriesValue::Gauge(Reading(share))));
     }
 }
 
@@ -561,13 +561,13 @@ impl ProfileSnapshot {
     /// Reads the phase families of `snapshot`.
     pub fn of(snapshot: &ObsSnapshot) -> Self {
         let shards = snapshot
-            .family(&crate::metrics::OBS_SHARDS.name)
+            .family(crate::metrics::OBS_SHARDS.name)
             .find_map(|s| s.value.gauge())
             .unwrap_or(0.0) as usize;
         let mut out = ProfileSnapshot {
             shards: vec![zero_stats(); shards],
         };
-        for s in &snapshot.series {
+        for s in snapshot.iter() {
             let shard = s.label("shard").and_then(|v| v.parse::<usize>().ok());
             let phase = PHASES
                 .iter()
@@ -767,9 +767,9 @@ mod tests {
     pub(super) fn roots(registry: &ObsRegistry) -> (u64, u64, u64) {
         let snap = registry.snapshot();
         (
-            snap.total(&ROOTS.name),
-            snap.total(&SAMPLED_ROOTS.name),
-            snap.total(&SPANS_DROPPED.name),
+            snap.total(ROOTS.name),
+            snap.total(SAMPLED_ROOTS.name),
+            snap.total(SPANS_DROPPED.name),
         )
     }
 
@@ -912,7 +912,7 @@ mod tests {
         }
         let w = sampler.sample_after(1.0);
         let calls = |s: &crate::snapshot::Sample, phase: &str| {
-            s.find(&CALLS.name, &[("shard", "0"), ("phase", phase)])
+            s.find(CALLS.name, &[("shard", "0"), ("phase", phase)])
                 .map_or(0, |s| s.delta())
         };
         assert_eq!(
@@ -921,7 +921,7 @@ mod tests {
             "only the second ingest is in-window"
         );
         assert_eq!(calls(&w, "situation_eval"), 1);
-        assert!(w.gauge(&SELF_SHARE.name, &[("phase", "ingest")]).unwrap() > 0.0);
+        assert!(w.gauge(SELF_SHARE.name, &[("phase", "ingest")]).unwrap() > 0.0);
         assert_eq!(
             calls(&baseline, "ingest"),
             1,
@@ -1127,7 +1127,7 @@ mod invariant_proptests {
             for shape in &batches {
                 run_root(&h, shape);
                 let w = sampler.sample_after(1.0);
-                for s in w.family(&SELF_NS.name).chain(w.family(&TOTAL_NS.name)).chain(w.family(&CALLS.name)) {
+                for s in w.family(SELF_NS.name).chain(w.family(TOTAL_NS.name)).chain(w.family(CALLS.name)) {
                     let (Some("0"), Some(p)) = (s.label("shard"), s.label("phase")) else { continue };
                     let stat = summed.iter_mut().find(|st| st.phase == p).unwrap();
                     let field = if s.family == SELF_NS.name {

@@ -8,7 +8,7 @@ use crate::metrics::{
 };
 use crate::profile::{Phase, PhaseGuard, ProfileSnapshot, ShardProfileSlot, SpanRecord};
 use crate::ring::{EventRing, RING_CAPACITY};
-use crate::snapshot::{ObsSnapshot, Value};
+use crate::snapshot::{ObsSnapshot, Reading, SeriesList, Value};
 use crate::span::ObsSpan;
 use crate::tail::{ContextSpan, Exemplar, ShardTailSlot, TailOutcome};
 use ctxres_context::LogicalTime;
@@ -251,7 +251,8 @@ impl ObsRegistry {
     /// then the health, tail and profiler families — plus the exemplar
     /// reservoirs, collected shard by shard without a global lock.
     pub fn snapshot(&self) -> ObsSnapshot {
-        let mut series = vec![OBS_SHARDS.series(&[], Value::Gauge(self.slots.len() as f64))];
+        let mut series =
+            vec![OBS_SHARDS.series(&[], Value::Gauge(Reading(self.slots.len() as f64)))];
         let counters = COUNTER_KINDS.map(CounterKind::family);
         let histograms = METRIC_KINDS.map(MetricKind::family);
         for (i, slot) in self.slots.iter().enumerate() {
@@ -265,7 +266,7 @@ impl ObsRegistry {
                 (ring.dropped(), ring.len())
             };
             series.push(RING_DROPPED.series(&shard, Value::Counter(dropped)));
-            series.push(RING_BUFFERED.series(&shard, Value::Gauge(buffered as f64)));
+            series.push(RING_BUFFERED.series(&shard, Value::Gauge(Reading(buffered as f64))));
             for (family, h) in histograms.iter().zip(&slot.histograms) {
                 series.push(family.series(&shard, Value::Histogram(h.snapshot())));
             }
@@ -273,7 +274,10 @@ impl ObsRegistry {
         crate::health::report(self.slots.iter().map(|s| &s.health), &mut series);
         let exemplars = crate::tail::report(self.slots.iter().map(|s| &s.tail), &mut series);
         crate::profile::report(self.slots.iter().map(|s| &s.profile), &mut series);
-        ObsSnapshot { series, exemplars }
+        ObsSnapshot {
+            series: SeriesList(series),
+            exemplars,
+        }
     }
 
     /// The profiler's view of [`ObsRegistry::snapshot`]: per-phase

@@ -224,12 +224,12 @@ impl SloRule {
     fn value_in(&self, sample: &Sample) -> Option<f64> {
         let family = match self.metric {
             SloMetric::PoolOccupancy => {
-                return sample.gauge(&crate::health::POOL_OCCUPANCY.name, &[])
+                return sample.gauge(crate::health::POOL_OCCUPANCY.name, &[])
             }
             SloMetric::E2eP99Ms => {
                 let all_p99 = [("outcome", "all"), ("q", "0.99")];
                 return sample
-                    .gauge(&crate::tail::E2E_QUANTILE.name, &all_p99)
+                    .gauge(crate::tail::E2E_QUANTILE.name, &all_p99)
                     .map(|ns| ns / 1e6);
             }
             SloMetric::DiscardRate => &crate::health::DISCARD_RATE,
@@ -238,7 +238,7 @@ impl SloRule {
             SloMetric::Staleness => &crate::health::STALENESS,
         };
         let values = sample
-            .family(&family.name)
+            .family(family.name)
             .filter(|s| {
                 self.kind
                     .as_deref()
@@ -418,17 +418,20 @@ impl SloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::Value;
+    use crate::snapshot::{Reading, SeriesList, Value};
 
     /// A sample of the given derived gauges.
     fn sample_of(gauges: Vec<(Family, &[&str], f64)>) -> Sample {
         Sample {
             elapsed_secs: 1.0,
             first: false,
-            series: gauges
-                .into_iter()
-                .map(|(family, labels, v)| family.series(labels, Value::Gauge(v)))
-                .collect(),
+            tick: 0,
+            series: SeriesList(
+                gauges
+                    .into_iter()
+                    .map(|(family, labels, v)| family.series(labels, Value::Gauge(Reading(v))))
+                    .collect(),
+            ),
             exemplars: Vec::new(),
             alerts: Vec::new(),
         }

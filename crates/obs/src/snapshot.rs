@@ -28,10 +28,9 @@ use crate::slo::{HealthAlert, SloEngine};
 use crate::tail::Exemplar;
 use ctxres_context::LogicalTime;
 use serde::de::{Deserializer, Error as _};
-use serde::ser::{Error as _, Serializer};
-use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
+use serde::{Deserialize, Serialize, Serializer};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,10 +58,10 @@ impl MetricType {
 
 /// One metric family: the name, type, label names and render scale
 /// every series of it shares.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Family {
     /// The exported name.
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// The Prometheus type.
     pub kind: MetricType,
     /// Label names, in exposition order.
@@ -90,20 +89,10 @@ impl Family {
         scale: f64,
     ) -> Self {
         Family {
-            name: Cow::Borrowed(name),
+            name,
             kind,
             labels,
             scale,
-        }
-    }
-
-    /// A family with a generated name.
-    pub(crate) fn named(kind: MetricType, name: String, labels: &'static [&'static str]) -> Self {
-        Family {
-            name: Cow::Owned(name),
-            kind,
-            labels,
-            scale: 1.0,
         }
     }
 
@@ -117,7 +106,7 @@ impl Family {
             self.name
         );
         Series {
-            family: self.name.to_string(),
+            family: self.name.to_owned(),
             labels: self
                 .labels
                 .iter()
@@ -131,14 +120,46 @@ impl Family {
 }
 
 /// One series' value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Value {
     /// A counter's count.
     Counter(u64),
     /// A gauge's reading (an overflowed quantile bound reads `+Inf`).
-    Gauge(f64),
+    Gauge(Reading),
     /// A histogram's distribution.
     Histogram(HistogramSnapshot),
+}
+
+/// A gauge's reading. JSON has no number for a non-finite one, so it
+/// travels as the exposition's spelling (`"+Inf"`, `"-Inf"`, `"NaN"`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reading(pub f64);
+
+impl Serialize for Reading {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        if self.0.is_finite() {
+            serializer.serialize_f64(self.0)
+        } else {
+            serializer.serialize_str(&fmt_f64(self.0))
+        }
+    }
+}
+
+impl<'de> Deserialize<'de> for Reading {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        match deserializer.take_value()? {
+            serde::Value::F64(x) => Ok(Reading(x)),
+            serde::Value::I64(n) => Ok(Reading(n as f64)),
+            serde::Value::U64(n) => Ok(Reading(n as f64)),
+            serde::Value::Str(s) => s
+                .parse()
+                .map(Reading)
+                .map_err(|e| D::Error::custom(format!("gauge {s:?}: {e}"))),
+            other => Err(D::Error::custom(format!(
+                "expected a gauge, found {other:?}"
+            ))),
+        }
+    }
 }
 
 impl Value {
@@ -153,7 +174,7 @@ impl Value {
     /// A gauge's reading.
     pub fn gauge(&self) -> Option<f64> {
         match self {
-            Value::Gauge(x) => Some(*x),
+            Value::Gauge(Reading(x)) => Some(*x),
             _ => None,
         }
     }
@@ -197,39 +218,6 @@ pub(crate) fn fmt_f64(x: f64) -> String {
     }
 }
 
-// Hand-written so a non-finite gauge survives JSON, which has no number
-// for it: it travels as the exposition's string spelling.
-impl Serialize for Value {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let (tag, payload) = match self {
-            Value::Counter(n) => ("Counter", serde::__private::to_value(n)),
-            Value::Gauge(x) if x.is_finite() => ("Gauge", Ok(serde::Value::F64(*x))),
-            Value::Gauge(x) => ("Gauge", Ok(serde::Value::Str(fmt_f64(*x)))),
-            Value::Histogram(h) => ("Histogram", serde::__private::to_value(h)),
-        };
-        let payload = payload.map_err(S::Error::custom)?;
-        serializer.serialize_value(serde::Value::Map(vec![(tag.to_owned(), payload)]))
-    }
-}
-
-impl<'de> Deserialize<'de> for Value {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let (tag, payload) =
-            serde::__private::variant(deserializer.take_value()?).map_err(D::Error::custom)?;
-        let value = match (tag.as_str(), payload) {
-            ("Gauge", serde::Value::Str(s)) => s
-                .parse()
-                .map(Value::Gauge)
-                .map_err(|e| serde::ValueError(format!("gauge {s:?}: {e}"))),
-            ("Gauge", v) => serde::__private::from_value(v).map(Value::Gauge),
-            ("Counter", v) => serde::__private::from_value(v).map(Value::Counter),
-            ("Histogram", v) => serde::__private::from_value(v).map(Value::Histogram),
-            (other, _) => Err(serde::ValueError(format!("unknown value type {other:?}"))),
-        };
-        value.map_err(D::Error::custom)
-    }
-}
-
 /// One labelled series of a family.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Series {
@@ -265,38 +253,41 @@ impl Series {
     }
 }
 
-/// The series of `family`, in report order.
-fn select<'a>(series: &'a [Series], family: &'a str) -> impl Iterator<Item = &'a Series> + 'a {
-    series.iter().filter(move |s| s.family == family)
+/// A list of labelled series with the lookups every reader of a
+/// snapshot or a sample uses (both dereference to it). Serializes as
+/// the bare list.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SeriesList(pub Vec<Series>);
+
+impl Deref for SeriesList {
+    type Target = Vec<Series>;
+
+    fn deref(&self) -> &Vec<Series> {
+        &self.0
+    }
 }
 
-/// The series of `family` carrying `labels`.
-fn find<'a>(series: &'a [Series], family: &str, labels: &[(&str, &str)]) -> Option<&'a Series> {
-    series
-        .iter()
-        .find(|s| s.family == family && s.matches(labels))
+impl DerefMut for SeriesList {
+    fn deref_mut(&mut self) -> &mut Vec<Series> {
+        &mut self.0
+    }
 }
 
-/// A point-in-time copy of every layer's cumulative state, collected
-/// shard by shard without a global lock, plus the exemplar reservoirs
-/// (domain data rather than metrics).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObsSnapshot {
-    /// Every reported series.
-    pub series: Vec<Series>,
-    /// Every shard's reservoir of over-p99 contexts.
-    pub exemplars: Vec<Exemplar>,
-}
-
-impl ObsSnapshot {
-    /// The series of `family`.
+impl SeriesList {
+    /// The series of `family`, in report order.
     pub fn family<'a>(&'a self, family: &'a str) -> impl Iterator<Item = &'a Series> + 'a {
-        select(&self.series, family)
+        self.iter().filter(move |s| s.family == family)
     }
 
     /// The series of `family` carrying `labels`.
     pub fn find(&self, family: &str, labels: &[(&str, &str)]) -> Option<&Series> {
-        find(&self.series, family, labels)
+        self.iter()
+            .find(|s| s.family == family && s.matches(labels))
+    }
+
+    /// The reading of the gauge series of `family` carrying `labels`.
+    pub fn gauge(&self, family: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        self.find(family, labels).and_then(|s| s.value.gauge())
     }
 
     /// A counter family's cross-shard total.
@@ -304,19 +295,51 @@ impl ObsSnapshot {
         self.family(family).map(|s| s.value.counter()).sum()
     }
 
+    /// A counter family's cross-shard delta over a sample's window.
+    pub fn delta(&self, family: &str) -> u64 {
+        self.family(family).map(Series::delta).sum()
+    }
+
+    /// The sum of `family`'s counts or readings among the series
+    /// carrying `labels` (all of them with no labels).
+    pub fn sum(&self, family: &str, labels: &[(&str, &str)]) -> f64 {
+        self.family(family)
+            .filter(|s| s.matches(labels))
+            .map(|s| s.value.gauge().unwrap_or(s.value.counter() as f64))
+            .sum()
+    }
+
+    /// How many shard slots the reporting registry has.
+    pub fn shards(&self) -> usize {
+        self.gauge(crate::metrics::OBS_SHARDS.name, &[])
+            .unwrap_or(0.0) as usize
+    }
+
     /// A core counter's cross-shard total.
     pub fn counter(&self, kind: CounterKind) -> u64 {
-        self.total(&kind.family().name)
+        self.total(kind.family().name)
     }
 
     /// A core histogram merged across shards.
     pub fn histogram(&self, kind: MetricKind) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::empty();
         for h in self
-            .family(&kind.family().name)
+            .family(kind.family().name)
             .filter_map(|s| s.value.histogram())
         {
             merged.merge(h);
+        }
+        merged
+    }
+
+    /// The windowed slices of the histogram series of `family` carrying
+    /// `labels`, merged (empty outside a sample).
+    pub fn window_histogram(&self, family: &str, labels: &[(&str, &str)]) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::empty();
+        for s in self.family(family).filter(|s| s.matches(labels)) {
+            if let Some(h) = s.window.as_ref().and_then(Value::histogram) {
+                merged.merge(h);
+            }
         }
         merged
     }
@@ -330,9 +353,28 @@ impl ObsSnapshot {
             .map(|k| (k.name().to_owned(), self.counter(*k)))
             .chain([(
                 "trace_events_dropped".to_owned(),
-                self.total(&crate::metrics::RING_DROPPED.name),
+                self.total(crate::metrics::RING_DROPPED.name),
             )])
             .collect()
+    }
+}
+
+/// A point-in-time copy of every layer's cumulative state, collected
+/// shard by shard without a global lock, plus the exemplar reservoirs
+/// (domain data rather than metrics).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ObsSnapshot {
+    /// Every reported series.
+    pub series: SeriesList,
+    /// Every shard's reservoir of over-p99 contexts.
+    pub exemplars: Vec<Exemplar>,
+}
+
+impl Deref for ObsSnapshot {
+    type Target = SeriesList;
+
+    fn deref(&self) -> &SeriesList {
+        &self.series
     }
 }
 
@@ -390,66 +432,23 @@ pub struct Sample {
     /// Whether this is the sampler's first sample (rates are all zero;
     /// windows cover everything since the start).
     pub first: bool,
+    /// The registry's logical clock at the window's end
+    /// ([`ObsRegistry::now_tick`]); SLO transitions are stamped with it.
+    pub tick: u64,
     /// Snapshot series (with [`Series::window`] set), then derived
     /// gauges.
-    pub series: Vec<Series>,
+    pub series: SeriesList,
     /// Every shard's exemplar reservoir at the window's end.
     pub exemplars: Vec<Exemplar>,
     /// SLO transitions (fired / cleared) during this window.
     pub alerts: Vec<HealthAlert>,
 }
 
-impl Sample {
-    /// The series of `family`.
-    pub fn family<'a>(&'a self, family: &'a str) -> impl Iterator<Item = &'a Series> + 'a {
-        select(&self.series, family)
-    }
+impl Deref for Sample {
+    type Target = SeriesList;
 
-    /// The series of `family` carrying `labels`.
-    pub fn find(&self, family: &str, labels: &[(&str, &str)]) -> Option<&Series> {
-        find(&self.series, family, labels)
-    }
-
-    /// The reading of the gauge series of `family` carrying `labels`.
-    pub fn gauge(&self, family: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.find(family, labels).and_then(|s| s.value.gauge())
-    }
-
-    /// A counter family's cross-shard total.
-    pub fn total(&self, family: &str) -> u64 {
-        self.family(family).map(|s| s.value.counter()).sum()
-    }
-
-    /// The sum of `family`'s counts or readings among the series
-    /// carrying `labels` (all of them with no labels).
-    pub fn sum(&self, family: &str, labels: &[(&str, &str)]) -> f64 {
-        self.family(family)
-            .filter(|s| s.matches(labels))
-            .map(|s| s.value.gauge().unwrap_or(s.value.counter() as f64))
-            .sum()
-    }
-
-    /// How many shard slots the sampled registry has.
-    pub fn shards(&self) -> usize {
-        self.gauge(&crate::metrics::OBS_SHARDS.name, &[])
-            .unwrap_or(0.0) as usize
-    }
-
-    /// A counter family's cross-shard delta over the window.
-    pub fn delta(&self, family: &str) -> u64 {
-        self.family(family).map(Series::delta).sum()
-    }
-
-    /// The windowed slices of the histogram series of `family` carrying
-    /// `labels`, merged.
-    pub fn window_histogram(&self, family: &str, labels: &[(&str, &str)]) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::empty();
-        for s in self.family(family).filter(|s| s.matches(labels)) {
-            if let Some(h) = s.window.as_ref().and_then(Value::histogram) {
-                merged.merge(h);
-            }
-        }
-        merged
+    fn deref(&self) -> &SeriesList {
+        &self.series
     }
 }
 
@@ -550,7 +549,7 @@ impl Sampler {
         };
         let mut series = snapshot.series;
         let mut cumulative = HashMap::with_capacity(series.len());
-        for s in &mut series {
+        for s in series.iter_mut() {
             let key = (s.family.clone(), s.labels.clone());
             s.window = s.value.since(prev.get(&key));
             if s.window.is_some() {
@@ -560,7 +559,7 @@ impl Sampler {
         self.prev = Some((Instant::now(), cumulative));
 
         let mut derived =
-            vec![crate::metrics::SCRAPE_WINDOW.series(&[], Value::Gauge(elapsed_secs))];
+            vec![crate::metrics::SCRAPE_WINDOW.series(&[], Value::Gauge(Reading(elapsed_secs)))];
         crate::metrics::derive(&series, elapsed_secs, &mut derived);
         crate::health::derive(&series, &mut self.ewma, DEFAULT_EWMA_ALPHA, &mut derived);
         crate::tail::derive(&series, &mut derived);
@@ -569,12 +568,13 @@ impl Sampler {
         let mut sample = Sample {
             elapsed_secs,
             first,
+            tick: self.registry.now_tick(),
             series,
             exemplars: snapshot.exemplars,
             alerts: Vec::new(),
         };
         if let Some(engine) = &mut self.slo {
-            sample.alerts = engine.evaluate(&sample, self.registry.now_tick());
+            sample.alerts = engine.evaluate(&sample, sample.tick);
             if self.registry.shards() > 0 {
                 let h = self.registry.handle(0);
                 for a in &sample.alerts {
@@ -594,13 +594,13 @@ impl Sampler {
             for rule in engine.active() {
                 sample
                     .series
-                    .push(crate::slo::SLO_FIRING.series(&[&rule], Value::Gauge(1.0)));
+                    .push(crate::slo::SLO_FIRING.series(&[&rule], Value::Gauge(Reading(1.0))));
             }
         }
         if let Some(build) = &self.build {
             sample
                 .series
-                .push(BUILD_INFO.series(&[&build.commit, &build.host], Value::Gauge(1.0)));
+                .push(BUILD_INFO.series(&[&build.commit, &build.host], Value::Gauge(Reading(1.0))));
         }
         sample
     }
@@ -918,6 +918,7 @@ mod tests {
             Some(f64::INFINITY)
         );
         let json = serde_json::to_string(&s).unwrap();
+        assert!(json.contains(r#"{"Gauge":"+Inf"}"#), "{json}");
         let back: Sample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
     }

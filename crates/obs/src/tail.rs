@@ -31,7 +31,7 @@
 
 use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::profile::{Phase, PHASES};
-use crate::snapshot::{Family, MetricType, Series, Value};
+use crate::snapshot::{Family, MetricType, Reading, Series, Value};
 use ctxres_context::ContextId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -195,8 +195,7 @@ impl ExemplarRing {
 
 /// One shard's tail-telemetry state: per-outcome histograms, the
 /// rolling-p99 capture threshold, the exemplar reservoir, and the
-/// queue's cumulative wait and service nanoseconds. Everything but the
-/// reservoir is lock-free.
+/// queue counters. Everything but the reservoir is lock-free.
 #[derive(Debug)]
 pub(crate) struct ShardTailSlot {
     enabled: bool,
@@ -206,7 +205,9 @@ pub(crate) struct ShardTailSlot {
     captured: AtomicU64,
     exemplars: Mutex<ExemplarRing>,
     wait_ns: AtomicU64,
+    wait_count: AtomicU64,
     service_ns: AtomicU64,
+    service_count: AtomicU64,
 }
 
 impl ShardTailSlot {
@@ -219,7 +220,9 @@ impl ShardTailSlot {
             captured: AtomicU64::new(0),
             exemplars: Mutex::new(ExemplarRing::default()),
             wait_ns: AtomicU64::new(0),
+            wait_count: AtomicU64::new(0),
             service_ns: AtomicU64::new(0),
+            service_count: AtomicU64::new(0),
         }
     }
 
@@ -270,6 +273,7 @@ impl ShardTailSlot {
             return;
         }
         self.wait_ns.fetch_add(ns, Ordering::Relaxed);
+        self.wait_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one service interval for this shard's queue.
@@ -278,6 +282,7 @@ impl ShardTailSlot {
             return;
         }
         self.service_ns.fetch_add(ns, Ordering::Relaxed);
+        self.service_count.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -314,6 +319,11 @@ const QUEUE_SERVICE: Family = Family::scaled(
     SHARD,
     1e9,
 );
+/// Lock waits recorded.
+const QUEUE_WAITS: Family = Family::new(MetricType::Counter, "ctxres_queue_waits_total", SHARD);
+/// Service intervals recorded.
+const QUEUE_SERVICES: Family =
+    Family::new(MetricType::Counter, "ctxres_queue_services_total", SHARD);
 const QUEUE_WAIT_SHARE: Family = Family::new(MetricType::Gauge, "ctxres_queue_wait_share", &[]);
 
 /// The tail families, in exposition order.
@@ -325,14 +335,16 @@ pub(crate) fn families() -> Vec<Family> {
         THRESHOLD,
         QUEUE_WAIT,
         QUEUE_SERVICE,
+        QUEUE_WAITS,
+        QUEUE_SERVICES,
         QUEUE_WAIT_SHARE,
     ]
 }
 
 /// Reports every shard's recorded outcome histograms, capture counters
-/// (once something was captured) and queue times (once something
-/// queued), and returns the reservoirs' exemplars stamped with their
-/// shard.
+/// (once something was captured) and queue times and counts (once
+/// something queued), and returns the reservoirs' exemplars stamped
+/// with their shard.
 pub(crate) fn report<'a>(
     slots: impl Iterator<Item = &'a ShardTailSlot>,
     out: &mut Vec<Series>,
@@ -356,15 +368,18 @@ pub(crate) fn report<'a>(
                 t as f64
             };
             out.push(CAPTURED.series(&shard, Value::Counter(captured)));
-            out.push(THRESHOLD.series(&shard, Value::Gauge(t)));
+            out.push(THRESHOLD.series(&shard, Value::Gauge(Reading(t))));
         }
-        let (wait, service) = (
-            slot.wait_ns.load(Ordering::Relaxed),
-            slot.service_ns.load(Ordering::Relaxed),
+        let (waits, services) = (
+            slot.wait_count.load(Ordering::Relaxed),
+            slot.service_count.load(Ordering::Relaxed),
         );
-        if wait > 0 || service > 0 {
-            out.push(QUEUE_WAIT.series(&shard, Value::Counter(wait)));
-            out.push(QUEUE_SERVICE.series(&shard, Value::Counter(service)));
+        if waits > 0 || services > 0 {
+            let load = |cell: &AtomicU64| Value::Counter(cell.load(Ordering::Relaxed));
+            out.push(QUEUE_WAIT.series(&shard, load(&slot.wait_ns)));
+            out.push(QUEUE_SERVICE.series(&shard, load(&slot.service_ns)));
+            out.push(QUEUE_WAITS.series(&shard, Value::Counter(waits)));
+            out.push(QUEUE_SERVICES.series(&shard, Value::Counter(services)));
         }
         exemplars.extend(slot.exemplars.lock().buf.iter().map(|ex| Exemplar {
             shard: i,
@@ -388,7 +403,7 @@ pub(crate) fn derive(series: &[Series], out: &mut Vec<Series>) {
         for q in TAIL_QUANTILES {
             if let Some(v) = h.quantile_est(q).filter(|v| v.is_finite()) {
                 let ns = v * NS_PER_BUCKET_UNIT as f64;
-                out.push(E2E_QUANTILE.series(&[name, &q.to_string()], Value::Gauge(ns)));
+                out.push(E2E_QUANTILE.series(&[name, &q.to_string()], Value::Gauge(Reading(ns))));
             }
         }
     };
@@ -416,13 +431,14 @@ pub(crate) fn derive(series: &[Series], out: &mut Vec<Series>) {
     let (wait, service) = (delta(&QUEUE_WAIT), delta(&QUEUE_SERVICE));
     if wait + service > 0 {
         let share = wait as f64 / (wait + service) as f64;
-        out.push(QUEUE_WAIT_SHARE.series(&[], Value::Gauge(share)));
+        out.push(QUEUE_WAIT_SHARE.series(&[], Value::Gauge(Reading(share))));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SeriesList;
 
     fn span(ingress: u64, verdict: u64, decision: u64, end: u64) -> ContextSpan {
         ContextSpan {
@@ -479,22 +495,21 @@ mod tests {
         (out, exemplars)
     }
 
-    /// The gauges derived from one window whose histograms and queue
-    /// counters are the slot's whole history.
-    fn windowed(slot: &ShardTailSlot) -> Vec<Series> {
+    /// One window whose histograms and queue counters are the slot's
+    /// whole history: the reported series, then the derived gauges.
+    fn windowed(slot: &ShardTailSlot) -> SeriesList {
         let (mut series, _) = reported(slot, 0);
         for s in &mut series {
             s.window = Some(s.value.clone());
         }
-        let mut out = Vec::new();
-        derive(&series, &mut out);
-        out
+        let mut derived = Vec::new();
+        derive(&series, &mut derived);
+        series.append(&mut derived);
+        SeriesList(series)
     }
 
-    fn quantile(out: &[Series], outcome: &str, q: &str) -> Option<f64> {
-        out.iter()
-            .find(|s| s.family == E2E_QUANTILE.name && s.matches(&[("outcome", outcome), ("q", q)]))
-            .and_then(|s| s.value.gauge())
+    fn quantile(out: &SeriesList, outcome: &str, q: &str) -> Option<f64> {
+        out.gauge(E2E_QUANTILE.name, &[("outcome", outcome), ("q", q)])
     }
 
     #[test]
@@ -566,24 +581,24 @@ mod tests {
             record(TailOutcome::Discarded, 8_000_000);
         }
         let s = sampler.sample_after(1.0);
-        assert_eq!(s.window_histogram(&E2E.name, &[]).count, 5);
+        assert_eq!(s.window_histogram(E2E.name, &[]).count, 5);
         let discarded = [("outcome", "discarded")];
-        assert_eq!(s.window_histogram(&E2E.name, &discarded).count, 5);
+        assert_eq!(s.window_histogram(E2E.name, &discarded).count, 5);
         assert_eq!(
-            s.window_histogram(&E2E.name, &[("outcome", "delivered")])
+            s.window_histogram(E2E.name, &[("outcome", "delivered")])
                 .count,
             0
         );
         let p99 = s
             .gauge(
-                &E2E_QUANTILE.name,
+                E2E_QUANTILE.name,
                 &[("outcome", "discarded"), ("q", "0.99")],
             )
             .unwrap();
         assert!(p99 <= 8192.0 * 1_000.0 && p99 > 4_000_000.0, "{p99}");
         assert!(s
             .gauge(
-                &E2E_QUANTILE.name,
+                E2E_QUANTILE.name,
                 &[("outcome", "delivered"), ("q", "0.99")]
             )
             .is_none());
@@ -596,11 +611,10 @@ mod tests {
         slot.record_queue_wait(300);
         slot.record_queue_service(600);
         let out = windowed(&slot);
-        let share = out
-            .iter()
-            .find(|s| s.family == QUEUE_WAIT_SHARE.name)
-            .unwrap();
-        assert_eq!(share.value.gauge(), Some(0.4));
+        let avg = |ns: Family, n: Family| out.delta(ns.name) as f64 / out.delta(n.name) as f64;
+        assert_eq!(avg(QUEUE_WAIT, QUEUE_WAITS), 200.0);
+        assert_eq!(avg(QUEUE_SERVICE, QUEUE_SERVICES), 600.0);
+        assert_eq!(out.gauge(QUEUE_WAIT_SHARE.name, &[]), Some(0.4));
     }
 
     #[test]
