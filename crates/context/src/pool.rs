@@ -4,7 +4,7 @@ use crate::context::{Context, ContextId, ContextKind};
 use crate::error::ContextError;
 use crate::state::ContextState;
 use crate::time::LogicalTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -75,13 +75,116 @@ struct SlotHandle {
     generation: u32,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Handles moved by index maintenance on this thread (memmoves and
+    /// dead-prefix drains), read by the work-count test.
+    static SHIFTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts `moved` handles shifted by index maintenance; a no-op
+/// outside tests.
+#[inline(always)]
+fn count_shifted(moved: usize) {
+    #[cfg(test)]
+    SHIFTED.with(|n| n.set(n.get() + moved as u64));
+    #[cfg(not(test))]
+    let _ = moved;
+}
+
+/// A run of slot handles ordered by `(stamp, id)` that pops at the
+/// front in O(1). The run is `buf[head..]`; the handles before `head`
+/// are dead. Retention removes a kind's oldest context, which sits at
+/// the front, so a front removal advances `head` instead of shifting
+/// the whole run, and the dead prefix is drained once it passes half
+/// the buffer — fewer moves than pops, amortised. A run that empties
+/// drains at once, so an empty run has an empty buffer.
+#[derive(Debug, Default, Clone)]
+struct HandleRun {
+    buf: Vec<SlotHandle>,
+    head: usize,
+}
+
+impl HandleRun {
+    /// A run over a reused buffer, which must be empty.
+    fn reusing(buf: Vec<SlotHandle>) -> Self {
+        debug_assert!(buf.is_empty());
+        HandleRun { buf, head: 0 }
+    }
+
+    fn as_slice(&self) -> &[SlotHandle] {
+        &self.buf[self.head..]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.buf.len()
+    }
+
+    /// The run as a plain vector, its dead prefix drained: for the bulk
+    /// paths ([`ContextPool::insert_batch`], the sweeps) that work on a
+    /// `Vec`.
+    fn vec_mut(&mut self) -> &mut Vec<SlotHandle> {
+        self.drain_dead();
+        &mut self.buf
+    }
+
+    fn drain_dead(&mut self) {
+        if self.head > 0 {
+            count_shifted(self.buf.len() - self.head);
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Inserts `handle` in `(stamp, id)` order and returns its position
+    /// in the run. In-order arrivals (the overwhelmingly common case)
+    /// append; an out-of-order stamp binary-searches its position.
+    fn insert(&mut self, stamps: &[LogicalTime], ids: &[ContextId], handle: SlotHandle) -> usize {
+        let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
+        let run = self.as_slice();
+        match run.last() {
+            Some(&last) if key(last) > key(handle) => {
+                let at = run.partition_point(|&h| key(h) <= key(handle));
+                count_shifted(run.len() - at);
+                self.buf.insert(self.head + at, handle);
+                at
+            }
+            _ => {
+                self.buf.push(handle);
+                self.buf.len() - self.head - 1
+            }
+        }
+    }
+
+    /// Removes `handle`, found by binary search on `(stamp, id)`. The
+    /// oldest handle pops in O(1); any other costs the memmove that
+    /// closes its gap.
+    fn remove(&mut self, stamps: &[LogicalTime], ids: &[ContextId], handle: SlotHandle) {
+        if self.buf.get(self.head) == Some(&handle) {
+            self.head += 1;
+            if self.head * 2 > self.buf.len() {
+                self.drain_dead();
+            }
+            return;
+        }
+        let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
+        let run = self.as_slice();
+        let at = run.partition_point(|&h| key(h) < key(handle));
+        debug_assert_eq!(run.get(at), Some(&handle), "index out of (stamp, id) order");
+        if run.get(at) == Some(&handle) {
+            count_shifted(run.len() - at - 1);
+            self.buf.remove(self.head + at);
+        }
+    }
+}
+
 /// Secondary index for one context kind: every stored context of the
 /// kind, plus a per-subject sub-index. Both hold generational slot
 /// handles ordered by `(stamp, id)` — for in-order arrivals that is
 /// plain append, out-of-order stamps pay one binary-searched insert.
 #[derive(Debug, Default, Clone)]
 struct KindBucket {
-    all: Vec<SlotHandle>,
+    all: HandleRun,
     /// Keyed by the contexts' shared subject `Arc` so lookups can borrow
     /// the caller's `&str` — a flat `(ContextKind, String)` key would
     /// force a key clone per lookup.
@@ -93,11 +196,28 @@ struct KindBucket {
     reach: u64,
 }
 
+impl KindBucket {
+    /// The entry of `subject`; a new subject's entry takes a spare
+    /// buffer before it allocates.
+    fn subject_entry(
+        &mut self,
+        subject: Arc<str>,
+        spare: &mut Vec<Vec<SlotHandle>>,
+    ) -> &mut SubjectBucket {
+        self.by_subject
+            .entry(subject)
+            .or_insert_with(|| SubjectBucket {
+                handles: HandleRun::reusing(spare.pop().unwrap_or_default()),
+                seq_ordered: true,
+            })
+    }
+}
+
 /// One subject's share of a [`KindBucket`].
 #[derive(Debug, Clone)]
 struct SubjectBucket {
     /// The subject's handles, ordered by `(stamp, id)`.
-    handles: Vec<SlotHandle>,
+    handles: HandleRun,
     /// Whether every context inserted since the entry was created
     /// carried an [exact seq](Context::exact_seq) lying strictly
     /// between its `(stamp, id)` neighbours' seqs. The handles' seqs
@@ -109,12 +229,48 @@ struct SubjectBucket {
     seq_ordered: bool,
 }
 
-impl Default for SubjectBucket {
-    fn default() -> Self {
-        SubjectBucket {
-            handles: Vec::new(),
-            seq_ordered: true,
+/// How many emptied subject buffers a pool keeps for new subjects.
+const SPARE_RUNS_MAX: usize = 64;
+
+/// The kind → bucket table: a handful of entries found by equality. A
+/// pool holds one kind on the city trace and a few in the paper's
+/// apps, and the contexts of one kind usually share its `Arc<str>`, so
+/// a lookup is a pointer compare or a short `memcmp` where a map would
+/// hash the name.
+#[derive(Debug, Default, Clone)]
+struct KindTable(Vec<(ContextKind, KindBucket)>);
+
+impl KindTable {
+    fn get(&self, kind: &ContextKind) -> Option<&KindBucket> {
+        self.0.iter().find(|(k, _)| k == kind).map(|(_, b)| b)
+    }
+
+    fn get_mut(&mut self, kind: &ContextKind) -> Option<&mut KindBucket> {
+        self.0.iter_mut().find(|(k, _)| k == kind).map(|(_, b)| b)
+    }
+
+    /// The bucket of `kind`, created empty when the kind has none.
+    fn entry(&mut self, kind: &ContextKind) -> &mut KindBucket {
+        let at = match self.0.iter().position(|(k, _)| k == kind) {
+            Some(at) => at,
+            None => {
+                self.0.push((kind.clone(), KindBucket::default()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[at].1
+    }
+
+    /// Drops the bucket of `kind`. Every reader of the table is
+    /// order-free, so the last entry takes its place.
+    fn remove(&mut self, kind: &ContextKind) {
+        if let Some(at) = self.0.iter().position(|(k, _)| k == kind) {
+            self.0.swap_remove(at);
         }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&ContextKind, &KindBucket)> {
+        self.0.iter().map(|(k, b)| (k, b))
     }
 }
 
@@ -186,6 +342,13 @@ fn seqs_rise(handles: &[SlotHandle], seqs: &[i64]) -> bool {
 /// search, so a pool that keeps every context still pays only for the
 /// suffix that can be live.
 ///
+/// Memory follows the stored contexts, not the ids ever issued: the id
+/// table spans only the ids from the oldest stored context onward. A
+/// stored context that never expires therefore pins the table's start,
+/// and while it stays, the table keeps one entry per id issued since.
+/// Removing the oldest context of a kind costs O(1) index work, and a
+/// new subject reuses the buffer of one that emptied.
+///
 /// The indexes assume a stored context's kind, subject, stamp and
 /// lifespan never change; only its state does. Insertion, removal,
 /// [`ContextPool::set_state`] and [`ContextPool::discard`] are the only
@@ -218,11 +381,18 @@ pub struct ContextPool {
     generations: Vec<u32>,
     /// Free slots available for reuse.
     free: Vec<u32>,
-    /// Dense id → slot table, indexed by raw id ([`NO_SLOT`] once
-    /// removed). Ids are pool-assigned and never reused, so the table
-    /// only grows with `next_id`.
-    id_slots: Vec<u32>,
-    by_kind: HashMap<ContextKind, KindBucket>,
+    /// Dense id → slot table from `id_base` on, indexed by raw id minus
+    /// `id_base` ([`NO_SLOT`] once removed). Ids are pool-assigned and
+    /// never reused; the front pops as the oldest stored contexts
+    /// leave, so `id_base + id_slots.len() == next_id` and the front
+    /// entry, when there is one, is a stored context.
+    id_slots: VecDeque<u32>,
+    /// The raw id at the front of `id_slots`.
+    id_base: u64,
+    by_kind: KindTable,
+    /// Emptied subject buffers, at most [`SPARE_RUNS_MAX`], that new
+    /// subjects take before allocating.
+    spare_runs: Vec<Vec<SlotHandle>>,
     next_id: u64,
     inserted: u64,
     stored: usize,
@@ -233,51 +403,6 @@ pub struct ContextPool {
     /// Kept apart from the subject buckets: a state flip reaches this
     /// list without a kind or subject lookup.
     watches: Vec<Watch>,
-}
-
-/// Inserts `handle` into `index`, keeping it ordered by `(stamp, id)`,
-/// and returns its position. In-order arrivals (the overwhelmingly
-/// common case) append; an out-of-order stamp binary-searches its
-/// position.
-fn index_insert(
-    index: &mut Vec<SlotHandle>,
-    stamps: &[LogicalTime],
-    ids: &[ContextId],
-    handle: SlotHandle,
-) -> usize {
-    let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
-    match index.last() {
-        Some(&last) if key(last) > key(handle) => {
-            let at = index.partition_point(|&h| key(h) <= key(handle));
-            index.insert(at, handle);
-            at
-        }
-        _ => {
-            index.push(handle);
-            index.len() - 1
-        }
-    }
-}
-
-/// Removes `handle` from `index`, which is ordered by `(stamp, id)`:
-/// a binary search finds its position, so unlinking one context costs
-/// O(log n) plus the memmove that closes the gap.
-fn index_remove(
-    index: &mut Vec<SlotHandle>,
-    stamps: &[LogicalTime],
-    ids: &[ContextId],
-    handle: SlotHandle,
-) {
-    let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
-    let at = index.partition_point(|&h| key(h) < key(handle));
-    debug_assert_eq!(
-        index.get(at),
-        Some(&handle),
-        "index out of (stamp, id) order"
-    );
-    if index.get(at) == Some(&handle) {
-        index.remove(at);
-    }
 }
 
 /// Restores `(stamp, id)` order after a batch appended its handles
@@ -347,19 +472,17 @@ impl ContextPool {
         let subject = Arc::clone(ctx.subject_arc());
         let reach = reach_of(&ctx);
         let (id, handle) = self.arena_insert(ctx);
-        let bucket = self.by_kind.entry(kind).or_default();
+        let bucket = self.by_kind.entry(&kind);
         bucket.reach = bucket.reach.max(reach);
-        index_insert(&mut bucket.all, &self.slot_stamps, &self.slot_ids, handle);
-        let entry = bucket.by_subject.entry(subject).or_default();
-        let at = index_insert(
-            &mut entry.handles,
-            &self.slot_stamps,
-            &self.slot_ids,
-            handle,
-        );
+        bucket.all.insert(&self.slot_stamps, &self.slot_ids, handle);
+        let entry = bucket.subject_entry(subject, &mut self.spare_runs);
+        let at = entry
+            .handles
+            .insert(&self.slot_stamps, &self.slot_ids, handle);
         if entry.seq_ordered {
-            let window = at.saturating_sub(1)..(at + 2).min(entry.handles.len());
-            entry.seq_ordered = seqs_rise(&entry.handles[window], &self.slot_seqs);
+            let run = entry.handles.as_slice();
+            let window = at.saturating_sub(1)..(at + 2).min(run.len());
+            entry.seq_ordered = seqs_rise(&run[window], &self.slot_seqs);
         }
         id
     }
@@ -395,7 +518,7 @@ impl ContextPool {
                 slot
             }
         };
-        self.id_slots.push(slot);
+        self.id_slots.push_back(slot);
         let handle = SlotHandle {
             slot,
             generation: self.generations[slot as usize],
@@ -426,19 +549,27 @@ impl ContextPool {
             let reach = reach_of(&ctx);
             let (id, handle) = self.arena_insert(ctx);
             ids.push(id);
-            let bucket = self.by_kind.entry(kind.clone()).or_default();
+            let bucket = self.by_kind.entry(&kind);
             bucket.reach = bucket.reach.max(reach);
-            all_splits.entry(kind.clone()).or_insert(bucket.all.len());
-            let entry = bucket.by_subject.entry(Arc::clone(&subject)).or_default();
+            all_splits
+                .entry(kind.clone())
+                .or_insert_with(|| bucket.all.vec_mut().len());
+            let entry = bucket.subject_entry(Arc::clone(&subject), &mut self.spare_runs);
+            let handles = entry.handles.vec_mut();
             subject_splits
                 .entry((kind, subject))
-                .or_insert(entry.handles.len());
-            entry.handles.push(handle);
-            bucket.all.push(handle);
+                .or_insert(handles.len());
+            handles.push(handle);
+            bucket.all.vec_mut().push(handle);
         }
         for (kind, split) in all_splits {
             if let Some(bucket) = self.by_kind.get_mut(&kind) {
-                repair_tail(&mut bucket.all, &self.slot_stamps, &self.slot_ids, split);
+                repair_tail(
+                    bucket.all.vec_mut(),
+                    &self.slot_stamps,
+                    &self.slot_ids,
+                    split,
+                );
             }
         }
         for ((kind, subject), split) in subject_splits {
@@ -447,14 +578,14 @@ impl ContextPool {
                 .get_mut(&kind)
                 .and_then(|b| b.by_subject.get_mut(&subject))
             {
-                let from =
-                    repair_tail(&mut entry.handles, &self.slot_stamps, &self.slot_ids, split);
+                let handles = entry.handles.vec_mut();
+                let from = repair_tail(handles, &self.slot_stamps, &self.slot_ids, split);
                 // Inserting one at a time keeps the flag exactly when the
                 // final order rises, and the head before `from` already
                 // did: checking from its last handle on is the same test.
                 if entry.seq_ordered {
                     entry.seq_ordered =
-                        seqs_rise(&entry.handles[from.saturating_sub(1)..], &self.slot_seqs);
+                        seqs_rise(&handles[from.saturating_sub(1)..], &self.slot_seqs);
                 }
             }
         }
@@ -462,8 +593,8 @@ impl ContextPool {
     }
 
     fn slot_of(&self, id: ContextId) -> Option<usize> {
-        let raw = usize::try_from(id.raw()).ok()?;
-        let slot = *self.id_slots.get(raw)?;
+        let at = usize::try_from(id.raw().checked_sub(self.id_base)?).ok()?;
+        let slot = *self.id_slots.get(at)?;
         (slot != NO_SLOT).then_some(slot as usize)
     }
 
@@ -566,7 +697,7 @@ impl ContextPool {
         let index = self
             .by_kind
             .get(kind)
-            .map(|b| self.live_suffix(&b.all, b.reach, now));
+            .map(|b| self.live_suffix(b.all.as_slice(), b.reach, now));
         self.iter_index(index).filter(move |(_, c)| c.is_live(now))
     }
 
@@ -596,7 +727,7 @@ impl ContextPool {
     ) -> impl Iterator<Item = (ContextId, &'a Context)> + 'a {
         let index = self.by_kind.get(kind).and_then(|b| {
             let entry = b.by_subject.get(subject)?;
-            Some(self.live_suffix(&entry.handles, b.reach, now))
+            Some(self.live_suffix(entry.handles.as_slice(), b.reach, now))
         });
         self.iter_index(index).filter(move |(_, c)| c.is_live(now))
     }
@@ -624,10 +755,11 @@ impl ContextPool {
         let index = match entry {
             Some(entry) if !entry.seq_ordered => return None,
             Some(entry) => {
+                let handles = entry.handles.as_slice();
                 let seq = |h: &SlotHandle| self.slot_seqs[h.slot as usize];
-                let lo = entry.handles.partition_point(|h| seq(h) < *seqs.start());
-                let run = entry.handles[lo..].partition_point(|h| seq(h) <= *seqs.end());
-                Some(&entry.handles[lo..lo + run])
+                let lo = handles.partition_point(|h| seq(h) < *seqs.start());
+                let run = handles[lo..].partition_point(|h| seq(h) <= *seqs.end());
+                Some(&handles[lo..lo + run])
             }
             None => None,
         };
@@ -638,10 +770,11 @@ impl ContextPool {
     /// — the per-shard load histogram hot-shard rebalancing consumes.
     pub fn subject_counts(&self) -> BTreeMap<String, usize> {
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        for bucket in self.by_kind.values() {
+        for (_, bucket) in self.by_kind.iter() {
             for (subject, entry) in &bucket.by_subject {
                 let live = entry
                     .handles
+                    .as_slice()
                     .iter()
                     .filter(|&&h| {
                         self.resolve(h)
@@ -774,7 +907,11 @@ impl ContextPool {
         let slot = self.slot_of(id)?;
         let ctx = self.payloads[slot].take()?;
         note_available(&mut self.watches, &ctx);
-        self.id_slots[id.raw() as usize] = NO_SLOT;
+        self.id_slots[(id.raw() - self.id_base) as usize] = NO_SLOT;
+        while self.id_slots.front() == Some(&NO_SLOT) {
+            self.id_slots.pop_front();
+            self.id_base += 1;
+        }
         self.generations[slot] = self.generations[slot].wrapping_add(1);
         self.free.push(slot as u32);
         self.stored -= 1;
@@ -789,14 +926,12 @@ impl ContextPool {
             return;
         };
         let generations = &self.generations;
-        bucket
-            .all
-            .retain(|h| generations[h.slot as usize] == h.generation);
+        let stored = |h: &SlotHandle| generations[h.slot as usize] == h.generation;
+        bucket.all.vec_mut().retain(stored);
         bucket.by_subject.retain(|_, entry| {
-            entry
-                .handles
-                .retain(|h| generations[h.slot as usize] == h.generation);
-            !entry.handles.is_empty()
+            let handles = entry.handles.vec_mut();
+            handles.retain(stored);
+            !handles.is_empty()
         });
         if bucket.all.is_empty() {
             self.by_kind.remove(kind);
@@ -807,10 +942,10 @@ impl ContextPool {
     /// affected kind index once rather than per removal.
     ///
     /// Scans occupied slots directly rather than going through
-    /// [`Self::iter`]: the id table grows monotonically with every
-    /// insertion ever made, so an id-ordered walk would make each
-    /// sweep O(total inserts) — ruinous for repeated sweeps on long
-    /// runs — while the slot arrays stay sized to the stored
+    /// [`Self::iter`]: the id table spans every id issued since the
+    /// oldest stored context, which one immortal context can pin for a
+    /// whole run, so an id-ordered walk could make each sweep O(total
+    /// inserts), while the slot arrays stay sized to the stored
     /// population. Removal needs no particular order.
     fn remove_where(&mut self, doom: impl Fn(&Context) -> bool) -> usize {
         let doomed: Vec<(ContextId, ContextKind)> = self
@@ -856,11 +991,12 @@ impl ContextPool {
     }
 
     /// Physically removes a context and its index entries: its one
-    /// handle is unlinked from the kind's `all` vector and from its
-    /// subject's vector by binary search on `(stamp, id)`, and a subject
-    /// entry (or kind bucket) left empty is dropped — O(log bucket) to
-    /// find, one memmove to close the gap, nothing else in the kind
-    /// touched.
+    /// handle is unlinked from the kind's run and from its subject's
+    /// run, and a subject entry (or kind bucket) left empty is dropped,
+    /// the subject's buffer kept for the next new subject. The oldest
+    /// handle of a run pops in O(1); any other is found by binary search
+    /// on `(stamp, id)` and costs one memmove to close the gap. Nothing
+    /// else in the kind is touched.
     pub fn remove(&mut self, id: ContextId) -> Option<Context> {
         let slot = self.slot_of(id)?;
         let handle = SlotHandle {
@@ -871,16 +1007,16 @@ impl ContextPool {
         // The released slot keeps its stamp and id columns until reuse,
         // so `handle` still sorts at its `(stamp, id)` position.
         if let Some(bucket) = self.by_kind.get_mut(ctx.kind()) {
-            index_remove(&mut bucket.all, &self.slot_stamps, &self.slot_ids, handle);
+            bucket.all.remove(&self.slot_stamps, &self.slot_ids, handle);
             if let Some(entry) = bucket.by_subject.get_mut(ctx.subject()) {
-                index_remove(
-                    &mut entry.handles,
-                    &self.slot_stamps,
-                    &self.slot_ids,
-                    handle,
-                );
+                entry
+                    .handles
+                    .remove(&self.slot_stamps, &self.slot_ids, handle);
                 if entry.handles.is_empty() {
-                    bucket.by_subject.remove(ctx.subject());
+                    let emptied = bucket.by_subject.remove(ctx.subject());
+                    if self.spare_runs.len() < SPARE_RUNS_MAX {
+                        self.spare_runs.extend(emptied.map(|e| e.handles.buf));
+                    }
                 }
             }
             if bucket.all.is_empty() {
@@ -986,7 +1122,7 @@ impl ContextPool {
     /// [`ContextPool::len`]: subjects that come and go leave no empty
     /// entries behind.
     pub fn indexed_subjects(&self) -> usize {
-        self.by_kind.values().map(|b| b.by_subject.len()).sum()
+        self.by_kind.iter().map(|(_, b)| b.by_subject.len()).sum()
     }
 
     /// Lifetime count of slot recycles (generation bumps). A recycle
@@ -1009,7 +1145,7 @@ impl ContextPool {
             .map(|(kind, bucket)| {
                 let mut live = 0usize;
                 let mut oldest: Option<&Context> = None;
-                for &h in &bucket.all {
+                for &h in bucket.all.as_slice() {
                     let Some(i) = self.resolve(h) else { continue };
                     let Some(c) = self.payloads[i].as_ref() else {
                         continue;
@@ -1680,6 +1816,35 @@ mod tests {
             },
             [false, false, false, true],
         );
+    }
+
+    #[test]
+    fn fifo_removal_shifts_a_bounded_number_of_handles() {
+        // Retention removes each kind's oldest context. At every pool
+        // size the index moves fewer handles per removal than a small
+        // constant, where closing the gap at the front of a plain
+        // vector moves `live - 1`.
+        let shifted = || SHIFTED.with(std::cell::Cell::get);
+        let subject = |t: u64| format!("s{}", t % 37);
+        for live in [16u64, 1024, 8192] {
+            let mut pool = ContextPool::new();
+            let mut ids: VecDeque<ContextId> = (0..live)
+                .map(|t| pool.insert(loc(&subject(t), t)))
+                .collect();
+            let before = shifted();
+            let removals = 4 * live.max(1024);
+            for t in live..live + removals {
+                ids.push_back(pool.insert(loc(&subject(t), t)));
+                pool.remove(ids.pop_front().unwrap()).unwrap();
+            }
+            let per_removal = (shifted() - before) as f64 / removals as f64;
+            assert!(
+                per_removal < 2.0,
+                "{live} live: {per_removal} handles shifted per removal"
+            );
+            assert_eq!(pool.len(), live as usize);
+            assert_eq!(pool.iter().next().map(|(id, _)| id), ids.front().copied());
+        }
     }
 
     #[test]

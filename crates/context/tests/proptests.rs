@@ -61,6 +61,21 @@ enum IndexOp {
     Discard { target: u8 },
     Remove { target: u8 },
     Compact { back: u8 },
+    Churn(Churn),
+}
+
+/// A retention-shaped step on `kind`: an immortal context of the other
+/// kind (it pins the pool's oldest stored id), a burst of in-order
+/// arrivals, removal of every context of `kind` but the `keep` newest
+/// in `(stamp, id)` order — front pops past the point where a run drains
+/// its dead prefix, emptying most subjects — and the same burst again,
+/// whose subjects take the emptied subjects' buffers.
+#[derive(Debug, Clone)]
+struct Churn {
+    kind: u8,
+    subjects: Vec<u8>,
+    ttl: u8,
+    keep: u8,
 }
 
 /// A context to insert: `late` stamps it `back` ticks behind the clock
@@ -124,6 +139,18 @@ fn index_op() -> impl Strategy<Value = IndexOp> {
         any::<u8>().prop_map(|target| IndexOp::Discard { target }),
         any::<u8>().prop_map(|target| IndexOp::Remove { target }),
         (0u8..10).prop_map(|back| IndexOp::Compact { back }),
+        (
+            0u8..2,
+            proptest::collection::vec(0u8..16, 8..40),
+            1u8..12,
+            0u8..4
+        )
+            .prop_map(|(kind, subjects, ttl, keep)| IndexOp::Churn(Churn {
+                kind,
+                subjects,
+                ttl,
+                keep
+            })),
     ]
 }
 
@@ -294,8 +321,12 @@ proptest! {
     /// contexts live at instants around the clock — immortal ones and
     /// lifespans created off their stamp included, so the views' skip
     /// past a bucket's expired prefix must bound every lifespan's
-    /// deadline, not just its TTL. Every subject entry indexes at least
-    /// one stored context (so subject churn cannot grow the index), and
+    /// deadline, not just its TTL. Retention-shaped churn pops runs at
+    /// the front past their dead-prefix drains, empties subjects and
+    /// re-creates them over reused buffers, and pins the id table with
+    /// an immortal context. Every subject entry indexes at least one
+    /// stored context (so subject churn cannot grow the index), every
+    /// issued id resolves exactly while its context is stored, and
     /// `subject_counts` agrees with a reference model.
     #[test]
     fn index_invariants_under_random_ops(ops in proptest::collection::vec(index_op(), 1..80)) {
@@ -344,9 +375,51 @@ proptest! {
                     });
                     prop_assert_eq!(pool.compact(horizon), before - model.len());
                 }
+                IndexOp::Churn(churn) => {
+                    let kind = kind_name(churn.kind);
+                    clock.advance();
+                    let pin = Context::builder(kind_name(1 - churn.kind), "s0").stamp(clock).build();
+                    let id = pool.insert(pin.clone());
+                    model.insert(id, (pin, false));
+                    inserted.push(id);
+                    for round in 0..2 {
+                        for s in &churn.subjects {
+                            clock.advance();
+                            let ctx = Context::builder(kind.clone(), &format!("s{s}"))
+                                .stamp(clock)
+                                .lifespan(Lifespan::with_ttl(clock, Ticks::new(u64::from(churn.ttl))))
+                                .build();
+                            let id = pool.insert(ctx.clone());
+                            model.insert(id, (ctx, false));
+                            inserted.push(id);
+                        }
+                        if round == 0 {
+                            let mut run: Vec<(LogicalTime, ContextId)> = model
+                                .iter()
+                                .filter(|(_, (c, _))| c.kind() == &kind)
+                                .map(|(id, (c, _))| (c.stamp(), *id))
+                                .collect();
+                            run.sort();
+                            let doomed = run.len() - usize::from(churn.keep).min(run.len());
+                            for (_, id) in run.into_iter().take(doomed) {
+                                prop_assert!(pool.remove(id).is_some());
+                                model.remove(&id);
+                            }
+                        }
+                    }
+                }
             }
 
             prop_assert_eq!(pool.len(), model.len());
+            // The id table: every id ever issued resolves exactly when
+            // the context is stored, and arrival order lists the stored.
+            for id in &inserted {
+                prop_assert_eq!(pool.contains(*id), model.contains_key(id), "{}", id);
+            }
+            prop_assert_eq!(
+                pool.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+                model.keys().copied().collect::<Vec<_>>()
+            );
             let live = |keep: &dyn Fn(&Context) -> bool| {
                 let mut ids: Vec<(LogicalTime, ContextId)> = model
                     .iter()

@@ -5,15 +5,13 @@
 //! removal precision 84.7 %, Rule 1 held always, Rule 2′ held in 91.7 %
 //! of cases.
 
-use crate::runner::{run_with, DEFAULT_WINDOW};
+use crate::runner::{detections, run_with, DEFAULT_WINDOW};
 use ctxres_apps::location_tracking::LocationTracking;
 use ctxres_apps::PervasiveApp;
-use ctxres_context::{ContextId, Ticks, TruthTag};
+use ctxres_context::{ContextId, TruthTag};
 use ctxres_core::strategies::DropBad;
 use ctxres_core::theory::{hold_rates, rule_report};
-use ctxres_core::Inconsistency;
 use ctxres_landmarc::{EstimatorKind, LandmarcConfig};
-use ctxres_middleware::{Middleware, MiddlewareConfig};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated case-study results.
@@ -84,27 +82,13 @@ fn run_case_study_with(app: LocationTracking, err_rate: f64, runs: usize, len: u
         );
         survival_sum += m.survival;
         precision_sum += m.precision;
-        // Rule-monitoring run (needs the detection log + ground truth).
-        let mut mw = Middleware::builder()
-            .constraints(app.constraints())
-            .registry(app.registry())
-            .strategy(Box::new(DropBad::new()))
-            .config(MiddlewareConfig {
-                window: Ticks::new(DEFAULT_WINDOW),
-                track_ground_truth: false,
-                retention: None,
-            })
-            .build();
+        // Rule-monitoring run (needs the detections + ground truth).
         let trace = app.generate(err_rate, seed, len);
         let truth: Vec<bool> = trace
             .iter()
             .map(|c| c.truth() == TruthTag::Corrupted)
             .collect();
-        for ctx in trace {
-            mw.submit(ctx);
-        }
-        mw.drain();
-        let detections: Vec<Inconsistency> = mw.detections().to_vec();
+        let detections = detections(&app, trace, DEFAULT_WINDOW);
         inconsistencies += detections.len() as u64;
         let is_corrupted = |id: ContextId| truth.get(id.raw() as usize).copied().unwrap_or(false);
         verdicts.extend(rule_report(&detections, is_corrupted));

@@ -8,10 +8,8 @@
 //! redundant (another constraint subsumes it); either way the designer
 //! should know.
 
+use crate::runner::detections;
 use ctxres_apps::PervasiveApp;
-use ctxres_context::Ticks;
-use ctxres_core::strategies::DropBad;
-use ctxres_middleware::{Middleware, MiddlewareConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -62,23 +60,9 @@ pub fn constraint_coverage(
         .map(|c| (c.name().to_owned(), (0, 0)))
         .collect();
     for seed in 0..runs as u64 {
-        let mut mw = Middleware::builder()
-            .constraints(app.constraints())
-            .registry(app.registry())
-            .strategy(Box::new(DropBad::new()))
-            .config(MiddlewareConfig {
-                window: Ticks::new(app.recommended_window()),
-                track_ground_truth: false,
-                retention: None,
-            })
-            .build();
         let trace = app.generate(err_rate, seed, len);
         let corrupted: Vec<bool> = trace.iter().map(|c| c.truth().is_corrupted()).collect();
-        for ctx in trace {
-            mw.submit(ctx);
-        }
-        mw.drain();
-        for inc in mw.detections() {
+        for inc in detections(app, trace, app.recommended_window()) {
             if let Some(entry) = counts.get_mut(inc.constraint()) {
                 entry.0 += 1;
                 if inc

@@ -3,17 +3,63 @@
 use crate::metrics::RunMetrics;
 use crate::telemetry::CellTelemetry;
 use ctxres_apps::PervasiveApp;
-use ctxres_context::Ticks;
-use ctxres_core::strategies::by_name;
-use ctxres_core::ResolutionStrategy;
-use ctxres_middleware::{Middleware, MiddlewareConfig};
+use ctxres_context::{Context, Ticks};
+use ctxres_core::strategies::{by_name, DropBad};
+use ctxres_core::{Inconsistency, ResolutionStrategy};
+use ctxres_middleware::{Middleware, MiddlewareConfig, MiddlewareObserver};
 use ctxres_obs::{MetricsServer, ObsConfig, ObsRegistry, ShardObs, METRICS_ADDR_ENV};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The middleware time window used by the figure experiments: long
 /// enough for drop-bad to accumulate count evidence across each
 /// subject's next few contexts (subjects emit every 3–6 ticks).
 pub const DEFAULT_WINDOW: u64 = 12;
+
+/// Records every inconsistency an engine detects, in detection order,
+/// behind a handle its clones share.
+#[derive(Debug, Default, Clone)]
+struct DetectionLog(Arc<Mutex<Vec<Inconsistency>>>);
+
+impl MiddlewareObserver for DetectionLog {
+    fn on_detections(&mut self, fresh: &[Inconsistency]) {
+        self.0
+            .lock()
+            .expect("no holder of the detection log panicked")
+            .extend_from_slice(fresh);
+    }
+}
+
+/// Every inconsistency a drop-bad engine detects on `trace` under
+/// `app`'s constraints and a `window`-tick use window, in detection
+/// order (no ground truth, no retention): the input of the §5.2
+/// heuristic-rule monitors and of constraint coverage.
+pub(crate) fn detections(
+    app: &dyn PervasiveApp,
+    trace: Vec<Context>,
+    window: u64,
+) -> Vec<Inconsistency> {
+    let log = DetectionLog::default();
+    let mut mw = Middleware::builder()
+        .constraints(app.constraints())
+        .registry(app.registry())
+        .strategy(Box::new(DropBad::new()))
+        .config(MiddlewareConfig {
+            window: Ticks::new(window),
+            track_ground_truth: false,
+            retention: None,
+        })
+        .observer(Box::new(log.clone()))
+        .build();
+    for ctx in trace {
+        mw.submit(ctx);
+    }
+    mw.drain();
+    let mut found = log
+        .0
+        .lock()
+        .expect("no holder of the detection log panicked");
+    std::mem::take(&mut *found)
+}
 
 /// Runs `app`'s workload through a freshly built middleware using the
 /// given strategy instance, and harvests metrics.

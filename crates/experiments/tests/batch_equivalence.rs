@@ -7,8 +7,9 @@
 //! **bit-identical** to submitting the same contexts one at a time. These tests drive randomized city-workload batches
 //! through all four paper strategies on both engines and require the
 //! complete observable record to match — per-context submit reports,
-//! middleware stats, use log, detections, observer event stream, and
-//! the causal provenance chain of every discarded context.
+//! middleware stats, the observer event stream (every submission,
+//! detection and use, in order), and the causal provenance chain of
+//! every discarded context.
 
 use ctxres_constraint::parse_constraints;
 use ctxres_context::{Context, Ticks};
@@ -17,7 +18,6 @@ use ctxres_experiments::city::{CityConfig, CityWorkload};
 use ctxres_experiments::explain::render_chain;
 use ctxres_middleware::{
     Event, EventLog, Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware, SubmitReport,
-    UseRecord,
 };
 use ctxres_obs::{ObsConfig, ProvenanceGraph};
 use parking_lot::Mutex;
@@ -59,13 +59,12 @@ fn engine(strategy: &str, seed: u64, window: u64) -> (Middleware, Arc<Mutex<Even
     (mw, log)
 }
 
-/// Everything a sequential run observably produces.
+/// Everything a sequential run observably produces. The event stream
+/// carries every use record and every detection.
 #[derive(Debug, PartialEq)]
 struct RunRecord {
     reports: Vec<SubmitReport>,
     stats: ctxres_middleware::MiddlewareStats,
-    uses: Vec<UseRecord>,
-    detections: Vec<String>,
     events: Vec<Event>,
 }
 
@@ -78,8 +77,6 @@ fn record(
     RunRecord {
         reports,
         stats: *mw.stats(),
-        uses: mw.use_log().to_vec(),
-        detections: mw.detections().iter().map(|d| d.to_string()).collect(),
         events: log.lock().events().to_vec(),
     }
 }

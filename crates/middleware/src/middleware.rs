@@ -15,7 +15,8 @@ use ctxres_obs::{
     CauseKind, ContextSpan, CounterKind, KindHandle, MetricKind, Phase, ShardObs, TailOutcome,
     TraceEvent, PHASES,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -77,6 +78,38 @@ pub struct SubmitReport {
     pub irrelevant: bool,
 }
 
+/// The doom notes of one pool: `(due, filing order, id)` in a min-heap,
+/// so notes pop by due instant and, among notes due at one instant, in
+/// the order they were filed. Its buffer grows to the notes pending at
+/// once and is reused from then on.
+#[derive(Debug, Default)]
+struct DoomQueue {
+    heap: BinaryHeap<Reverse<(LogicalTime, u64, ContextId)>>,
+    filed: u64,
+}
+
+impl DoomQueue {
+    fn file(&mut self, due: LogicalTime, id: ContextId) {
+        self.heap.push(Reverse((due, self.filed, id)));
+        self.filed += 1;
+    }
+
+    /// Whether some note is due at `now`.
+    fn has_due(&self, now: LogicalTime) -> bool {
+        self.heap
+            .peek()
+            .is_some_and(|Reverse((due, _, _))| *due <= now)
+    }
+
+    /// Pops the next note due at `now`.
+    fn pop_due(&mut self, now: LogicalTime) -> Option<ContextId> {
+        if !self.has_due(now) {
+            return None;
+        }
+        self.heap.pop().map(|Reverse((_, _, id))| id)
+    }
+}
+
 /// One application use of a context (a context-deletion change).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UseRecord {
@@ -110,8 +143,6 @@ pub struct Middleware {
     clock: LogicalTime,
     buffer: VecDeque<(LogicalTime, ContextId)>,
     stats: MiddlewareStats,
-    detections: Vec<Inconsistency>,
-    use_log: Vec<UseRecord>,
     /// Doom notes, the engine's only retention mechanism: the first
     /// instant at which a retention sweep *could* remove each context
     /// (its stamp and deadline — or discard instant — aged past the
@@ -120,8 +151,8 @@ pub struct Middleware {
     /// because the compact predicate is monotone in the horizon,
     /// popping at the note's instant removes each context at exactly
     /// the position a per-position sweep would have.
-    doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
-    gt_doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
+    doom_queue: DoomQueue,
+    gt_doom_queue: DoomQueue,
     /// Checker counters already forwarded to `obs` (compiled evals and
     /// seq fallbacks).
     reported: CheckerStats,
@@ -205,17 +236,6 @@ impl Middleware {
     /// for count evidence, eager strategies react immediately.
     pub fn mean_activation_latency(&self) -> Option<f64> {
         (self.matched > 0).then(|| self.latency_sum as f64 / self.matched as f64)
-    }
-
-    /// Every inconsistency detected so far (for the §5.2 heuristic-rule
-    /// monitors).
-    pub fn detections(&self) -> &[Inconsistency] {
-        &self.detections
-    }
-
-    /// The log of context uses.
-    pub fn use_log(&self) -> &[UseRecord] {
-        &self.use_log
     }
 
     /// The plugged-in strategy's name.
@@ -362,7 +382,7 @@ impl Middleware {
                     .max(deadline.tick())
                     .saturating_add(retention.count()),
             );
-            self.doom_queue.entry(due).or_default().push(id);
+            self.doom_queue.file(due, id);
         }
     }
 
@@ -381,7 +401,7 @@ impl Middleware {
                     .max(deadline.tick())
                     .saturating_add(retention.count()),
             );
-            self.gt_doom_queue.entry(due).or_default().push(gid);
+            self.gt_doom_queue.file(due, gid);
         }
     }
 
@@ -396,7 +416,7 @@ impl Middleware {
                     .saturating_add(1)
                     .saturating_add(retention.count()),
             );
-            self.doom_queue.entry(due).or_default().push(id);
+            self.doom_queue.file(due, id);
         }
     }
 
@@ -414,14 +434,8 @@ impl Middleware {
         // note, buffered context, or ground-truth window has come due,
         // the body below is a pure no-op — skip it before paying the
         // registry clone and phase guard.
-        let nothing_due = self
-            .doom_queue
-            .first_key_value()
-            .is_none_or(|(due, _)| *due > now)
-            && self
-                .gt_doom_queue
-                .first_key_value()
-                .is_none_or(|(due, _)| *due > now)
+        let nothing_due = !self.doom_queue.has_due(now)
+            && !self.gt_doom_queue.has_due(now)
             && self.buffer.front().is_none_or(|(due, _)| *due > now)
             && self.gt_buffer.front().is_none_or(|(due, _)| *due > now);
         if nothing_due {
@@ -432,33 +446,19 @@ impl Middleware {
         if let Some(retention) = self.config.retention {
             if now.tick() > retention.count() {
                 let horizon = LogicalTime::new(now.tick() - retention.count());
-                while let Some(entry) = self.doom_queue.first_entry() {
-                    if *entry.key() > now {
-                        break;
-                    }
-                    for id in entry.remove() {
-                        let doomed = self.pool.get(id).is_some_and(|c| {
-                            c.stamp() < horizon
-                                && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
-                        });
-                        if doomed {
-                            self.pool.remove(id);
-                            self.stats.compacted += 1;
-                        }
+                let compactable = |c: &Context| {
+                    c.stamp() < horizon
+                        && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
+                };
+                while let Some(id) = self.doom_queue.pop_due(now) {
+                    if self.pool.get(id).is_some_and(compactable) {
+                        self.pool.remove(id);
+                        self.stats.compacted += 1;
                     }
                 }
-                while let Some(entry) = self.gt_doom_queue.first_entry() {
-                    if *entry.key() > now {
-                        break;
-                    }
-                    for gid in entry.remove() {
-                        let doomed = self.gt_pool.get(gid).is_some_and(|c| {
-                            c.stamp() < horizon
-                                && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
-                        });
-                        if doomed {
-                            self.gt_pool.remove(gid);
-                        }
+                while let Some(gid) = self.gt_doom_queue.pop_due(now) {
+                    if self.gt_pool.get(gid).is_some_and(compactable) {
+                        self.gt_pool.remove(gid);
                     }
                 }
             }
@@ -666,7 +666,6 @@ impl Middleware {
                 self.obs.count(CounterKind::ProvEdges, edges);
             }
         }
-        self.detections.extend(fresh.iter().cloned());
 
         let resolve_span = self.obs.span(MetricKind::ResolveLatency);
         let resolve_obs = self.obs.clone();
@@ -952,7 +951,6 @@ impl Middleware {
             truth,
             at: now,
         };
-        self.use_log.push(rec);
         self.notify(|obs, _| obs.on_used(&rec));
         rec
     }
@@ -1305,10 +1303,8 @@ impl MiddlewareBuilder {
             clock: LogicalTime::ZERO,
             buffer: VecDeque::new(),
             stats: MiddlewareStats::default(),
-            detections: Vec::new(),
-            use_log: Vec::new(),
-            doom_queue: BTreeMap::new(),
-            gt_doom_queue: BTreeMap::new(),
+            doom_queue: DoomQueue::default(),
+            gt_doom_queue: DoomQueue::default(),
             reported: CheckerStats::default(),
             prov_violations: HashMap::new(),
             matched: 0,
@@ -1354,7 +1350,7 @@ mod tests {
             .build()
     }
 
-    fn mw(strategy: Box<dyn ResolutionStrategy + Send>, window: u64) -> Middleware {
+    fn builder(strategy: Box<dyn ResolutionStrategy + Send>, window: u64) -> MiddlewareBuilder {
         Middleware::builder()
             .constraints(parse_constraints(SPEED).unwrap())
             .strategy(strategy)
@@ -1363,7 +1359,10 @@ mod tests {
                 track_ground_truth: true,
                 retention: None,
             })
-            .build()
+    }
+
+    fn mw(strategy: Box<dyn ResolutionStrategy + Send>, window: u64) -> Middleware {
+        builder(strategy, window).build()
     }
 
     #[test]
@@ -1677,23 +1676,71 @@ mod tests {
         assert_eq!(m.matched_activations(), 0, "ground truth never had it");
     }
 
+    /// [`mw`] with an [`EventLog`](crate::EventLog) observer, the
+    /// engine's record of detections and uses.
+    fn logged(
+        strategy: Box<dyn ResolutionStrategy + Send>,
+        window: u64,
+    ) -> (Middleware, Arc<parking_lot::Mutex<crate::EventLog>>) {
+        let log = Arc::new(parking_lot::Mutex::new(crate::EventLog::new()));
+        let m = builder(strategy, window)
+            .observer(Box::new(Arc::clone(&log)))
+            .build();
+        (m, log)
+    }
+
     #[test]
     fn detections_log_accumulates() {
-        let mut m = mw(Box::new(DropBad::new()), 10);
+        let (mut m, log) = logged(Box::new(DropBad::new()), 10);
         m.submit(loc("p", 0, 0.0, 0.0));
         m.submit(corrupted("p", 1, 10.0, 10.0));
-        assert_eq!(m.detections().len(), 1);
+        let detected = log
+            .lock()
+            .events()
+            .iter()
+            .filter(|e| matches!(e, crate::Event::Detected(_)))
+            .count();
+        assert_eq!(detected, 1);
         assert_eq!(m.stats().inconsistencies, 1);
     }
 
     #[test]
     fn use_log_records_every_use() {
-        let mut m = mw(Box::new(DropBad::new()), 1);
+        let (mut m, log) = logged(Box::new(DropBad::new()), 1);
         m.submit(loc("p", 0, 0.0, 0.0));
         m.submit(loc("p", 5, 0.5, 0.0));
         m.drain();
-        assert_eq!(m.use_log().len(), 2);
-        assert!(m.use_log().iter().all(|r| r.delivered));
+        let log = log.lock();
+        let uses: Vec<&UseRecord> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                crate::Event::Used(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(uses.len(), 2);
+        assert!(uses.iter().all(|r| r.delivered));
+    }
+
+    #[test]
+    fn doom_notes_due_together_pop_in_filing_order() {
+        let mut queue = DoomQueue::default();
+        let id = ContextId::from_raw;
+        for (due, raw) in [(5, 9), (3, 7), (5, 2), (5, 4), (4, 1)] {
+            queue.file(LogicalTime::new(due), id(raw));
+        }
+        let mut popped = |now: u64| {
+            std::iter::from_fn(|| queue.pop_due(LogicalTime::new(now))).collect::<Vec<_>>()
+        };
+        assert_eq!(popped(2), vec![]);
+        assert_eq!(popped(4), vec![id(7), id(1)]);
+        assert_eq!(
+            popped(9),
+            vec![id(9), id(2), id(4)],
+            "filing order, not id order"
+        );
+        assert_eq!(popped(9), vec![]);
     }
 
     #[test]
@@ -1928,6 +1975,7 @@ mod retention_tests {
     /// compacts its short-lived neighbours.
     #[test]
     fn near_infinite_ttl_stays_live_and_is_never_compacted() {
+        let log = Arc::new(parking_lot::Mutex::new(crate::EventLog::new()));
         let mut m = Middleware::builder()
             .constraints(
                 parse_constraints(
@@ -1941,6 +1989,7 @@ mod retention_tests {
                 track_ground_truth: true,
                 retention: Some(Ticks::new(20)),
             })
+            .observer(Box::new(Arc::clone(&log)))
             .build();
         let fix = |i: u64, ttl: u64| {
             Context::builder(ContextKind::new("location"), "p")
@@ -1958,7 +2007,11 @@ mod retention_tests {
         let ctx = m.pool().get(long).expect("never compacted");
         assert!(ctx.is_live(LogicalTime::new(u64::MAX - 1)));
         assert_eq!(ctx.state(), ContextState::Consistent);
-        assert!(m.use_log().iter().any(|u| u.id == long && u.delivered));
+        assert!(log
+            .lock()
+            .events()
+            .iter()
+            .any(|e| matches!(e, crate::Event::Used(u) if u.id == long && u.delivered)));
         assert!(
             m.stats().compacted > 150,
             "neighbours compacted: {}",

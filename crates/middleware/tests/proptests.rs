@@ -5,8 +5,10 @@
 use ctxres_constraint::parse_constraints;
 use ctxres_context::{Context, ContextKind, Lifespan, LogicalTime, Point, Ticks, TruthTag};
 use ctxres_core::strategies::by_name;
-use ctxres_middleware::{Middleware, MiddlewareConfig, MiddlewareStats};
+use ctxres_middleware::{Event, EventLog, Middleware, MiddlewareConfig, MiddlewareStats};
+use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const SPEED: &str = "constraint gap1:
     forall a: location, b: location .
@@ -80,6 +82,7 @@ fn trace(steps: &[Step]) -> Vec<Context> {
 }
 
 fn run(strategy: &str, contexts: Vec<Context>, window: u64) -> MiddlewareStats {
+    let log = Arc::new(Mutex::new(EventLog::new()));
     let mut mw = Middleware::builder()
         .constraints(parse_constraints(SPEED).unwrap())
         .strategy(by_name(strategy, 5).unwrap())
@@ -88,6 +91,7 @@ fn run(strategy: &str, contexts: Vec<Context>, window: u64) -> MiddlewareStats {
             track_ground_truth: true,
             retention: None,
         })
+        .observer(Box::new(Arc::clone(&log)))
         .build();
     for ctx in contexts {
         mw.submit(ctx);
@@ -103,8 +107,13 @@ fn run(strategy: &str, contexts: Vec<Context>, window: u64) -> MiddlewareStats {
             c.state()
         );
     }
-    // The use log matches the delivery counters.
-    let delivered_in_log = mw.use_log().iter().filter(|r| r.delivered).count() as u64;
+    // The logged uses match the delivery counters.
+    let delivered_in_log = log
+        .lock()
+        .events()
+        .iter()
+        .filter(|e| matches!(e, Event::Used(r) if r.delivered))
+        .count() as u64;
     assert_eq!(delivered_in_log, mw.stats().delivered);
     *mw.stats()
 }

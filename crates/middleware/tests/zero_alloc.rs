@@ -1,13 +1,16 @@
 //! Allocation guards for the per-context hot path: once warmed, an
-//! incremental check that detects nothing and a situation round,
-//! watched or not, allocate nothing.
+//! incremental check that detects nothing, a situation round, watched
+//! or not, and a whole submit under retention allocate nothing.
 //!
 //! The binary's global allocator counts each thread's allocations, so
 //! tests running on parallel threads do not see each other's.
 
 use ctxres_constraint::{parse_constraints, IncrementalChecker, PredicateRegistry};
-use ctxres_context::{Context, ContextKind, ContextPool, ContextState, LogicalTime, Point};
-use ctxres_middleware::SituationEngine;
+use ctxres_context::{
+    Context, ContextKind, ContextPool, ContextState, Lifespan, LogicalTime, Point, Ticks,
+};
+use ctxres_core::strategies::DropBad;
+use ctxres_middleware::{Middleware, MiddlewareConfig, SituationEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -150,4 +153,64 @@ fn warmed_situation_round_allocates_nothing() {
         warmed + 2,
         "a `q` arrival re-evaluates the kind-wide and the `q` situations only"
     );
+}
+
+/// A streaming engine's memory follows the window, not the stream:
+/// with TTLs, retention, a use window, subject churn and no
+/// violations, every context is checked, used, and then removed by its
+/// doom note, and once the engine is warm a long stretch of submits
+/// allocates nothing — so the bytes it holds stop growing too. The
+/// stretch is twice the warm-up: a buffer that grew by one entry per
+/// context during the warm-up would have to reallocate within it.
+#[test]
+fn warmed_submit_under_retention_allocates_nothing() {
+    // `ACTIVE` subjects report in turn, `FIXES` fixes each; then the
+    // whole cohort leaves and fresh subjects take over.
+    const ACTIVE: u64 = 16;
+    const FIXES: u64 = 4;
+    const WARM: u64 = 10_000;
+    const MEASURED: u64 = 2 * WARM;
+    let trace: Vec<Context> = (0..WARM + MEASURED)
+        .map(|n| {
+            let subject = n / (ACTIVE * FIXES) * ACTIVE + n % ACTIVE;
+            let seq = (n / ACTIVE % FIXES) as i64;
+            let stamp = LogicalTime::new(n);
+            Context::builder(ContextKind::new("location"), &format!("s{subject}"))
+                .attr("pos", Point::new(subject as f64, 0.0))
+                .attr("seq", seq)
+                .stamp(stamp)
+                .lifespan(Lifespan::with_ttl(stamp, Ticks::new(48)))
+                .build()
+        })
+        .collect();
+    let mut mw = Middleware::builder()
+        .constraints(parse_constraints(SPEED).unwrap())
+        .strategy(Box::new(DropBad::new()))
+        .config(MiddlewareConfig {
+            window: Ticks::new(3),
+            track_ground_truth: false,
+            retention: Some(Ticks::new(64)),
+        })
+        .build();
+    let mut trace = trace.into_iter();
+    for ctx in trace.by_ref().take(WARM as usize) {
+        mw.submit(ctx);
+    }
+    let warm = *mw.stats();
+    let (fresh, allocs) = allocations(|| trace.map(|ctx| mw.submit(ctx).fresh).sum::<usize>());
+    assert_eq!(fresh, 0, "the trace violates nothing");
+    assert_eq!(allocs, 0, "{MEASURED} warmed submits");
+    let stats = mw.stats();
+    assert_eq!(stats.received - warm.received, MEASURED);
+    assert_eq!(
+        stats.delivered - warm.delivered,
+        MEASURED,
+        "every context is used within its window"
+    );
+    assert_eq!(
+        stats.compacted - warm.compacted,
+        MEASURED,
+        "and leaves one retention horizon after it expired"
+    );
+    assert!(mw.pool().live_slots() < 200, "{}", mw.pool().live_slots());
 }
