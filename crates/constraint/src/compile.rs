@@ -1942,22 +1942,10 @@ mod tests {
     /// `UnknownPredicate` stands.
     #[test]
     fn seq_narrowing_follows_the_registry_names() {
+        use crate::predicate::counting_builtins;
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
-        let builtins = Arc::new(registry());
         let calls = Arc::new(AtomicU64::new(0));
-        let forwarding = |names: &[(&str, usize)]| {
-            let mut reg = PredicateRegistry::new();
-            for &(name, arity) in names {
-                let (builtins, calls, forwarded) =
-                    (Arc::clone(&builtins), Arc::clone(&calls), name.to_owned());
-                reg.register(name, arity, move |args| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    builtins.eval(&forwarded, args)
-                });
-            }
-            reg
-        };
         let points: Vec<(f64, f64)> = (0..20).map(|i| (f64::from(i) * 0.5, 0.0)).collect();
         let pool = loc_pool(&points);
         let c = parse_constraint(SPEED).unwrap();
@@ -1966,7 +1954,10 @@ mod tests {
         let pin = ContextId::from_raw(10);
         let mut scratch = EvalScratch::new();
 
-        let counting = forwarding(&[("same_subject", 2), ("seq_gap", 3), ("velocity_le", 3)]);
+        let counting = counting_builtins(
+            &[("same_subject", 2), ("seq_gap", 3), ("velocity_le", 3)],
+            &calls,
+        );
         let eval = CompiledEvaluator::new(&counting);
         for qid in 0..2 {
             calls.store(0, Ordering::Relaxed);
@@ -1979,7 +1970,7 @@ mod tests {
         }
         assert_eq!(scratch.seq_fallbacks(), 0);
 
-        let no_seq_gap = forwarding(&[("same_subject", 2), ("velocity_le", 3)]);
+        let no_seq_gap = counting_builtins(&[("same_subject", 2), ("velocity_le", 3)], &calls);
         let first = ContextId::from_raw(0);
         assert_eq!(
             CompiledEvaluator::new(&no_seq_gap).check_pinned(

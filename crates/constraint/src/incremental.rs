@@ -25,7 +25,8 @@ pub struct Detection {
     pub link: Link,
 }
 
-/// Counters for instrumentation and the incremental-vs-full benches.
+/// Counters for instrumentation and for comparing pinned with full
+/// checking.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckerStats {
     /// Pinned (incremental) constraint evaluations performed.
@@ -438,8 +439,8 @@ impl IncrementalChecker {
         self.stats.seq_fallbacks += counts.seq_fallbacks;
     }
 
-    /// Fully checks every constraint (the non-incremental baseline; used
-    /// by tests and the ablation bench).
+    /// Fully checks every constraint: the non-incremental baseline the
+    /// tests hold pinned checking against.
     ///
     /// # Errors
     ///
@@ -962,5 +963,51 @@ mod tests {
             .map(|d| d.link)
             .collect();
         assert_eq!(incremental, full);
+    }
+
+    /// The ICSE'06 optimisation as work rather than time. On a
+    /// one-subject walk, a pinned check of the newest context finds its
+    /// one seq partner, so it makes three predicate calls however long
+    /// the walk is. A full check visits all N² pairs, calling
+    /// `same_subject` and `seq_gap` on each and `velocity_le` on the
+    /// N − 1 seq neighbours: 2N² + N − 1 calls.
+    #[test]
+    fn pinned_check_calls_stay_flat_while_full_check_calls_grow() {
+        use crate::predicate::counting_builtins;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let calls = Arc::new(AtomicU64::new(0));
+        let counting = counting_builtins(
+            &[("same_subject", 2), ("seq_gap", 3), ("velocity_le", 3)],
+            &calls,
+        );
+        for (n, full_calls) in [(50u64, 5_049u64), (200, 80_199)] {
+            let mut ch = checker(SPEED);
+            let mut pool = ContextPool::new();
+            let newest = (0..n)
+                .map(|i| add_loc(&mut pool, "peter", i as i64, i as f64, 0.0))
+                .last()
+                .unwrap();
+            let now = LogicalTime::new(n);
+
+            calls.store(0, Ordering::Relaxed);
+            assert!(ch
+                .on_added(&counting, &pool, now, newest)
+                .unwrap()
+                .is_empty());
+            assert_eq!(calls.load(Ordering::Relaxed), 3, "n = {n}: one partner");
+            assert_eq!(ch.stats().pinned_evals, 2, "n = {n}: one per quantifier");
+            assert_eq!(ch.stats().full_evals, 0, "n = {n}");
+
+            calls.store(0, Ordering::Relaxed);
+            assert!(ch.check_all(&counting, &pool, now).unwrap().is_empty());
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                full_calls,
+                "n = {n}: 2N² + N − 1"
+            );
+            assert_eq!(ch.stats().full_evals, 1, "n = {n}");
+            assert_eq!(ch.stats().pinned_evals, 2, "n = {n}");
+        }
     }
 }

@@ -467,6 +467,27 @@ fn seq_of(name: &str, args: &[Resolved<'_>], i: usize) -> Result<f64, EvalError>
     })
 }
 
+/// A registry of `names` that forward to the builtins and count every
+/// call into `calls`. Narrowing trusts the builtin names, so it stays on
+/// for these forwarders and tests can count the work it leaves.
+#[cfg(test)]
+pub(crate) fn counting_builtins(
+    names: &[(&str, usize)],
+    calls: &Arc<std::sync::atomic::AtomicU64>,
+) -> PredicateRegistry {
+    let builtins = Arc::new(PredicateRegistry::with_builtins());
+    let mut registry = PredicateRegistry::new();
+    for &(name, arity) in names {
+        let (builtins, calls, forwarded) =
+            (Arc::clone(&builtins), Arc::clone(calls), name.to_owned());
+        registry.register(name, arity, move |args| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            builtins.eval(&forwarded, args)
+        });
+    }
+    registry
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

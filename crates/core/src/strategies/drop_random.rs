@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// The paper notes this strategy "has unreliable results (depending on
 /// random choices)" (§2.3); it is included for completeness and for the
-/// ablation benches. Deterministic given its seed.
+/// extended comparison. Deterministic given its seed.
 #[derive(Debug, Clone)]
 pub struct DropRandom {
     rng: StdRng,

@@ -37,12 +37,15 @@
 //! - **ring_bounded** — no trace events were dropped;
 //! - **pool_bounded** — the arena's live-slot watermark at the end of
 //!   the run stays within a small factor of its first-phase baseline
-//!   (retention + TTL make steady state O(window), not O(stream)).
+//!   (retention + TTL make steady state O(window), not O(stream));
+//! - **heap_bounded** — the process's peak resident set stays within
+//!   the same factor of its size at the end of the first clean phase.
 //!
 //! `--inject-leak` is the synthetic leak fixture: it strips both the
-//! readings' TTL and the engine's retention window, so live slots grow
-//! with the stream and **pool_bounded must fail** — CI asserts this
-//! mode exits nonzero, proving the watermark check actually bites.
+//! readings' TTL and the engine's retention window, so live slots and
+//! the heap grow with the stream and **pool_bounded and heap_bounded
+//! must fail** — CI asserts this mode exits nonzero, proving the
+//! watermark checks actually bite.
 //! `--quick` shrinks the workload for CI smoke runs (well under 90 s);
 //! `--minutes N` repeats the five-phase cycle until N minutes of wall
 //! clock have elapsed. Exit code 0 = all checks passed, 1 = any
@@ -82,8 +85,9 @@ const CLEAN_RATE: f64 = 0.02;
 /// Injected regression: roughly every other reading of a warmed-up
 /// subject violates the speed bound.
 const HOT_RATE: f64 = 0.45;
-/// `pool_bounded` allows this factor of growth over the first-phase
-/// baseline (plus a small absolute slack for tiny pools).
+/// `pool_bounded` and `heap_bounded` allow this factor of growth over
+/// their first-phase baselines (`pool_bounded` plus a small absolute
+/// slack for tiny pools).
 const POOL_GROWTH_FACTOR: f64 = 3.0;
 const POOL_GROWTH_SLACK: u64 = 64;
 /// Absolute ceiling on any clean-phase window's end-to-end p99, in
@@ -220,6 +224,8 @@ struct Watermarks {
     ring_dropped: u64,
     staleness_max: f64,
     oldest_age_ticks_max: u64,
+    /// Resident set at the end of the first (clean) phase — the
+    /// baseline `heap_bounded` measures the peak against.
     rss_baseline_bytes: Option<u64>,
     rss_max_bytes: Option<u64>,
 }
@@ -332,11 +338,12 @@ fn main() -> ExitCode {
         "soak: {subjects} subjects, {SHARDS} shards, {windows_per_phase} windows/phase × {window_contexts} ctx, rules:\n{SLO_RULES}",
     );
     if leak {
-        eprintln!("soak: LEAK INJECTED — no TTL, no retention; pool_bounded must fail");
+        eprintln!(
+            "soak: LEAK INJECTED — no TTL, no retention; pool_bounded and heap_bounded must fail"
+        );
     }
 
     let start = Instant::now();
-    let rss_baseline = rss_bytes();
     let mut marks = Watermarks {
         pool_live_max: 0,
         pool_free_max: 0,
@@ -346,8 +353,8 @@ fn main() -> ExitCode {
         ring_dropped: 0,
         staleness_max: 0.0,
         oldest_age_ticks_max: 0,
-        rss_baseline_bytes: rss_baseline,
-        rss_max_bytes: rss_baseline,
+        rss_baseline_bytes: None,
+        rss_max_bytes: None,
     };
     let mut alerts: Vec<AlertRow> = Vec::new();
     let mut checks: Vec<Check> = Vec::new();
@@ -471,6 +478,7 @@ fn main() -> ExitCode {
             }
             if cycles == 0 && phase.name == "clean" {
                 marks.pool_live_baseline = marks.pool_live_final;
+                marks.rss_baseline_bytes = rss_bytes();
                 // Calibrate the latency rule off this phase's worst
                 // windowed p99 — early clean windows ramp up while the
                 // pool fills, so the maximum is the steady state.
@@ -584,6 +592,21 @@ fn main() -> ExitCode {
             "final {} live slots vs baseline {} (cap {pool_cap})",
             marks.pool_live_final, marks.pool_live_baseline,
         ),
+    });
+    let (heap_pass, heap_detail) = match (marks.rss_max_bytes, marks.rss_baseline_bytes) {
+        (Some(max), Some(baseline)) => {
+            let cap = (baseline as f64 * POOL_GROWTH_FACTOR) as u64;
+            (
+                max <= cap,
+                format!("peak RSS {max} B vs first-phase {baseline} B (cap {cap})"),
+            )
+        }
+        _ => (false, "no RSS reading (needs /proc/self/statm)".to_owned()),
+    };
+    checks.push(Check {
+        name: "heap_bounded".to_owned(),
+        pass: heap_pass,
+        detail: heap_detail,
     });
     checks.push(Check {
         name: "settled_at_end".to_owned(),

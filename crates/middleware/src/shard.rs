@@ -2,11 +2,9 @@
 //! independent engines.
 //!
 //! The global-mutex front-end ([`crate::SharedMiddleware`]) serializes
-//! every submission through one lock, and — more costly at scale —
-//! funnels every context into one pool, so each incremental check
-//! quantifies over the *whole* population of its kind. But the paper's
-//! workhorse constraints (the §2.2 speed constraint and friends) guard
-//! their quantifier pairs with `same_subject`: a violation can only ever
+//! every submission through one lock. But the paper's workhorse
+//! constraints (the §2.2 speed constraint and friends) guard their
+//! quantifier pairs with `same_subject`: a violation can only ever
 //! relate contexts of one subject. [`ShardedMiddleware`] exploits that:
 //!
 //! * deploy time: [`ShardPlan::analyze`] classifies each constraint via
@@ -16,9 +14,10 @@
 //!   **subject shards**;
 //! * run time: each shard is a full [`Middleware`] (own pool, own
 //!   incremental checker, own strategy instance) behind its **own**
-//!   lock. Producers submitting different subjects never contend, and
-//!   each check's quantifier domains shrink to the shard's slice of the
-//!   pool — an algorithmic win even on one core;
+//!   lock, so producers submitting different subjects never contend and
+//!   shards check in parallel. Sharding does not shrink check work: one
+//!   engine's pinned check already visits only the new context's
+//!   subject bucket, so the shards' predicate calls sum to one engine's;
 //! * counters: [`ShardedMiddleware::stats`] /
 //!   [`ShardedMiddleware::shard_stats`] aggregate per-shard counters by
 //!   visiting each shard lock in turn — there is no global lock.
@@ -602,10 +601,11 @@ impl ShardedMiddleware {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middleware::MiddlewareConfig;
-    use ctxres_constraint::parse_constraints;
+    use crate::middleware::{MiddlewareBuilder, MiddlewareConfig};
+    use ctxres_constraint::{parse_constraints, PredicateRegistry};
     use ctxres_context::{Point, Ticks};
     use ctxres_core::strategies::DropBad;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const SPEED: &str = "constraint speed:
         forall a: location, b: location .
@@ -623,8 +623,8 @@ mod tests {
     }
 
     /// One engine under `constraints_src`: DropBad, window 0, no
-    /// retention, recording into `obs`.
-    fn shard_mw(constraints_src: &str, obs: ShardObs) -> Middleware {
+    /// retention.
+    fn shard_mw(constraints_src: &str) -> MiddlewareBuilder {
         Middleware::builder()
             .constraints(parse_constraints(constraints_src).unwrap())
             .strategy(Box::new(DropBad::new()))
@@ -633,14 +633,26 @@ mod tests {
                 track_ground_truth: false,
                 retention: None,
             })
-            .obs(obs)
-            .build()
+    }
+
+    /// `SPEED`'s predicates, each counting its calls into `calls`.
+    fn counting_registry(calls: &Arc<AtomicU64>) -> PredicateRegistry {
+        let builtins = Arc::new(PredicateRegistry::with_builtins());
+        let mut registry = PredicateRegistry::new();
+        for (name, arity) in [("same_subject", 2), ("seq_gap", 3), ("velocity_le", 3)] {
+            let (builtins, calls) = (Arc::clone(&builtins), Arc::clone(calls));
+            registry.register(name, arity, move |args| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                builtins.eval(name, args)
+            });
+        }
+        registry
     }
 
     fn engine(constraints_src: &str, subject_shards: usize) -> ShardedMiddleware {
         let constraints = parse_constraints(constraints_src).unwrap();
         let plan = ShardPlan::analyze(&constraints, subject_shards);
-        ShardedMiddleware::new(plan, |_| shard_mw(constraints_src, ShardObs::disabled()))
+        ShardedMiddleware::new(plan, |_| shard_mw(constraints_src).build())
     }
 
     /// A `SPEED` engine built via [`ShardedMiddleware::new_observed`]
@@ -651,8 +663,9 @@ mod tests {
     ) -> (ShardedMiddleware, Arc<ObsRegistry>) {
         let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), subject_shards);
         let registry = ShardedMiddleware::obs_registry(&plan, config);
-        let sharded =
-            ShardedMiddleware::new_observed(plan, &registry, |_, obs| shard_mw(SPEED, obs));
+        let sharded = ShardedMiddleware::new_observed(plan, &registry, |_, obs| {
+            shard_mw(SPEED).obs(obs).build()
+        });
         (sharded, registry)
     }
 
@@ -694,12 +707,17 @@ mod tests {
             })
             .collect();
 
-        let mut single = shard_mw(SPEED, ShardObs::disabled());
+        let single_calls = Arc::new(AtomicU64::new(0));
+        let mut single = shard_mw(SPEED)
+            .registry(counting_registry(&single_calls))
+            .build();
         for ctx in &trace {
             single.submit(ctx.clone());
         }
         single.drain();
         assert!(single.stats().inconsistencies > 0, "the trace teleports");
+        let single_calls = single_calls.load(Ordering::Relaxed);
+        assert!(single_calls > 0);
 
         // Observability must not change results: the bare engine and
         // every registry configuration find what one engine finds.
@@ -731,6 +749,23 @@ mod tests {
                 "{config:?}"
             );
             assert_eq!(sharded.signature(), single.pool().signature(), "{config:?}");
+        }
+
+        // Nor does sharding change the check work: the shards'
+        // predicate calls sum to the single engine's.
+        for shards in [1, 2, 4] {
+            let calls = Arc::new(AtomicU64::new(0));
+            let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), shards);
+            let sharded = ShardedMiddleware::new(plan, |_| {
+                shard_mw(SPEED).registry(counting_registry(&calls)).build()
+            });
+            sharded.batch_add(&trace);
+            sharded.drain();
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                single_calls,
+                "{shards} shards"
+            );
         }
     }
 
