@@ -800,18 +800,6 @@ impl ContextPool {
             .filter(move |(_, c)| c.state().is_available() && c.is_live(now))
     }
 
-    /// The most recent available context of `kind` about `subject`.
-    pub fn latest_available(
-        &self,
-        kind: &ContextKind,
-        subject: &str,
-        now: LogicalTime,
-    ) -> Option<(ContextId, &Context)> {
-        self.of_subject(kind, subject)
-            .filter(|(_, c)| c.state().is_available() && c.is_live(now))
-            .last()
-    }
-
     /// Transitions a context's state, enforcing the life cycle.
     ///
     /// # Errors
@@ -1026,44 +1014,6 @@ impl ContextPool {
         Some(ctx)
     }
 
-    /// Consumes the pool, yielding its contexts in arrival order.
-    fn drain_arrival_order(mut self) -> impl Iterator<Item = Context> {
-        let id_slots = std::mem::take(&mut self.id_slots);
-        id_slots
-            .into_iter()
-            .filter(|&slot| slot != NO_SLOT)
-            .map(move |slot| self.payloads[slot as usize].take().expect("occupied slot"))
-    }
-
-    /// Splits the pool into `n` pools by a routing function over the
-    /// contexts (e.g. a subject hash for a sharded middleware). Context
-    /// ids are reassigned per target pool, preserving arrival order
-    /// within each; states and attributes are kept.
-    ///
-    /// Routing indices are taken modulo `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n` is zero.
-    pub fn split_by(self, n: usize, mut route: impl FnMut(&Context) -> usize) -> Vec<ContextPool> {
-        assert!(n > 0, "cannot split into zero pools");
-        let mut out: Vec<ContextPool> = (0..n).map(|_| ContextPool::new()).collect();
-        for ctx in self.drain_arrival_order() {
-            let slot = route(&ctx) % n;
-            out[slot].insert(ctx);
-        }
-        out
-    }
-
-    /// Merges another pool into this one, re-inserting its contexts in
-    /// their arrival order (their ids are reassigned; states are kept).
-    /// The inverse of [`ContextPool::split_by`] up to id renumbering.
-    pub fn absorb(&mut self, other: ContextPool) {
-        for ctx in other.drain_arrival_order() {
-            self.insert(ctx);
-        }
-    }
-
     /// An id-free content fingerprint: one `(kind, subject, stamp,
     /// state)` entry per stored context, sorted. Two pools with equal
     /// signatures hold the same contexts in the same states, regardless
@@ -1260,20 +1210,6 @@ mod tests {
     }
 
     #[test]
-    fn latest_available_picks_newest() {
-        let mut pool = ContextPool::new();
-        let a = pool.insert(loc("p", 1));
-        let b = pool.insert(loc("p", 2));
-        pool.set_state(a, ContextState::Consistent).unwrap();
-        pool.set_state(b, ContextState::Consistent).unwrap();
-        let kind = ContextKind::new("location");
-        let (latest, _) = pool
-            .latest_available(&kind, "p", LogicalTime::new(5))
-            .unwrap();
-        assert_eq!(latest, b);
-    }
-
-    #[test]
     fn sweep_expired_removes_dead_contexts() {
         let mut pool = ContextPool::new();
         pool.insert(
@@ -1413,37 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn split_by_partitions_and_absorb_reassembles() {
-        let mut pool = ContextPool::new();
-        for (s, t) in [("peter", 1), ("mary", 2), ("peter", 3), ("john", 4)] {
-            pool.insert(loc(s, t));
-        }
-        let discarded = pool.insert(loc("mary", 5));
-        pool.discard(discarded).unwrap();
-        let before = pool.signature();
-
-        let shards = pool.split_by(2, |c| c.subject().len());
-        assert_eq!(shards.iter().map(ContextPool::len).sum::<usize>(), 5);
-        // "mary" and "john" (len 4) land together, apart from "peter".
-        assert!(shards.iter().all(|s| {
-            let subjects: std::collections::BTreeSet<&str> =
-                s.iter().map(|(_, c)| c.subject()).collect();
-            !(subjects.contains("peter") && subjects.contains("mary"))
-        }));
-
-        let mut merged = ContextPool::new();
-        for shard in shards {
-            merged.absorb(shard);
-        }
-        assert_eq!(
-            merged.signature(),
-            before,
-            "states and contents survive the round trip"
-        );
-        assert_eq!(merged.stats().inconsistent, 1, "discarded state preserved");
-    }
-
-    #[test]
     fn signature_ignores_insertion_order() {
         let mut a = ContextPool::new();
         a.insert(loc("p", 1));
@@ -1452,12 +1357,6 @@ mod tests {
         b.insert(loc("q", 2));
         b.insert(loc("p", 1));
         assert_eq!(a.signature(), b.signature());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero pools")]
-    fn split_into_zero_pools_panics() {
-        ContextPool::new().split_by(0, |_| 0);
     }
 
     #[test]

@@ -58,15 +58,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod explain;
-pub mod harness;
 mod inconsistency;
 pub mod strategies;
 mod strategy;
 pub mod theory;
 mod tracked;
 
-pub use explain::{DiscardReason, Explanation, ExplanationLog};
 pub use inconsistency::Inconsistency;
 pub use strategy::{AdditionOutcome, ResolutionStrategy, TieBreak, TiePolicy, UseOutcome};
 pub use tracked::{CountMap, TrackedSet};

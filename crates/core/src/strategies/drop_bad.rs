@@ -1,6 +1,5 @@
 //! The drop-bad strategy — the paper's contribution (§3).
 
-use crate::explain::{DiscardReason, Explanation, ExplanationLog};
 use crate::inconsistency::Inconsistency;
 use crate::strategy::{AdditionOutcome, ResolutionStrategy, TieBreak, TiePolicy, UseOutcome};
 use crate::tracked::TrackedSet;
@@ -46,12 +45,20 @@ use ctxres_obs::{CauseKind, CounterKind, MetricKind, ShardObs, TraceEvent};
 ///   nor bad-marks its other members. Without this, marking a context
 ///   bad could cause a peer's discard that an immediate discard would
 ///   not have — contradicting §3.3's "no negative effect" argument.
+///
+/// Every decision is explainable from its count evidence. With a
+/// tracing [`ShardObs`] attached, each verdict emits a `ResolvedBecause`
+/// edge (the dooming constraint, its partners and the count value; no
+/// constraint when an earlier bad-marking decided it) and each
+/// bad-marking a `SupersededBy` edge (the constraint and count; the used
+/// context is among the partners).
+/// [`ProvenanceGraph`](ctxres_obs::ProvenanceGraph) folds them into
+/// per-context causal chains.
 #[derive(Debug, Clone, Default)]
 pub struct DropBad {
     delta: TrackedSet,
     tie: TieBreak,
     tie_policy: TiePolicy,
-    explain: Option<ExplanationLog>,
     obs: ShardObs,
 }
 
@@ -77,18 +84,6 @@ impl DropBad {
             tie_policy,
             ..DropBad::default()
         }
-    }
-
-    /// Enables the explanation journal: every discard and bad-marking is
-    /// recorded with the count-value evidence that justified it.
-    pub fn with_explanations(mut self) -> Self {
-        self.explain = Some(ExplanationLog::new());
-        self
-    }
-
-    /// The explanation journal, when enabled.
-    pub fn explanations(&self) -> Option<&ExplanationLog> {
-        self.explain.as_ref()
     }
 
     /// Read access to the tracked set Δ (diagnostics, experiments, and
@@ -270,24 +265,6 @@ impl ResolutionStrategy for DropBad {
         let doomed = was_bad || dooming_inc.is_some();
         // Count evidence for the verdict edge, read before Δ shrinks.
         let my_count = self.delta.counts().get(id) as u64;
-        if let Some(log) = &mut self.explain {
-            if was_bad {
-                log.record(Explanation {
-                    context: id,
-                    at: now,
-                    reason: DiscardReason::WasBad,
-                });
-            } else if let Some(inc) = &dooming_inc {
-                log.record(Explanation {
-                    context: id,
-                    at: now,
-                    reason: DiscardReason::LargestCount {
-                        inconsistency: inc.clone(),
-                        count: self.delta.counts().get(id),
-                    },
-                });
-            }
-        }
 
         // Fig. 7 Part 2, closing loop: for each inconsistency the used
         // context participates in, mark the largest-count member bad
@@ -329,17 +306,6 @@ impl ResolutionStrategy for DropBad {
                             Some(self.delta.counts().get(culprit) as u64),
                             Some(ContextState::Bad),
                         );
-                    }
-                    if let Some(log) = &mut self.explain {
-                        log.record(Explanation {
-                            context: culprit,
-                            at: now,
-                            reason: DiscardReason::MarkedBad {
-                                inconsistency: inc.clone(),
-                                resolved_for: id,
-                                count: self.delta.counts().get(culprit),
-                            },
-                        });
                     }
                 }
             }
@@ -424,9 +390,6 @@ impl ResolutionStrategy for DropBad {
 
     fn reset(&mut self) {
         self.delta.clear();
-        if let Some(log) = &mut self.explain {
-            log.clear();
-        }
     }
 }
 
@@ -731,74 +694,106 @@ mod tests {
 mod explanation_tests {
     use super::*;
     use ctxres_context::{Context, ContextKind};
+    use ctxres_obs::{CauseEdge, NodeId, ObsConfig, ObsRegistry, ProvenanceGraph};
+    use std::sync::Arc;
 
     fn pair(a: ContextId, b: ContextId) -> Inconsistency {
         Inconsistency::pair("v", a, b, LogicalTime::ZERO)
     }
 
-    #[test]
-    fn every_discard_is_explained() {
+    /// `n` contexts and a drop-bad reporting into an enabled registry.
+    fn observed(n: usize) -> (ContextPool, Vec<ContextId>, DropBad, Arc<ObsRegistry>) {
         let mut pool = ContextPool::new();
-        let ids: Vec<ContextId> = (0..5)
+        let ids = (0..n)
             .map(|_| pool.insert(Context::builder(ContextKind::new("location"), "p").build()))
             .collect();
-        let mut s = DropBad::new().with_explanations();
+        let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
+        let mut s = DropBad::new();
+        s.attach_obs(registry.handle(0));
+        (pool, ids, s, registry)
+    }
+
+    /// The verdict edges (`SupersededBy`, `ResolvedBecause`) the run
+    /// emitted for `ctx`, oldest first.
+    fn verdicts(graph: &ProvenanceGraph, ctx: ContextId) -> Vec<CauseEdge> {
+        graph
+            .node(NodeId { shard: 0, ctx })
+            .map(|n| {
+                n.chain
+                    .iter()
+                    .filter(|e| {
+                        matches!(
+                            e.cause,
+                            CauseKind::SupersededBy | CauseKind::ResolvedBecause
+                        )
+                    })
+                    .cloned()
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn every_discard_is_explained() {
+        let (mut pool, ids, mut s, registry) = observed(3);
+        let (hub, e1, e2) = (ids[0], ids[1], ids[2]);
         let t = LogicalTime::ZERO;
-        // Scenario A: hub ids[2].
-        s.on_addition(
-            &mut pool,
-            t,
-            ids[2],
-            &[pair(ids[0], ids[2]), pair(ids[1], ids[2])],
+        s.on_addition(&mut pool, t, e1, &[pair(hub, e1)]);
+        s.on_addition(&mut pool, t, e2, &[pair(hub, e2)]);
+        // Using a leaf delivers it and marks the hub bad; the other leaf
+        // delivers too (the bad hub settles their inconsistency), and
+        // using the hub then discards it on that earlier mark alone.
+        assert!(s.on_use(&mut pool, t, e1).delivered);
+        assert!(s.on_use(&mut pool, t, e2).delivered);
+        assert!(!s.on_use(&mut pool, t, hub).delivered);
+        let graph = ProvenanceGraph::from_records(&registry.drain());
+        let edges = verdicts(&graph, hub);
+        assert_eq!(edges.len(), 2, "marked bad, then discarded: {edges:?}");
+        let (marked, discarded) = (&edges[0], &edges[1]);
+        assert_eq!(marked.cause, CauseKind::SupersededBy);
+        assert_eq!(marked.constraint.as_deref(), Some("v"));
+        assert_eq!(marked.count, Some(2));
+        assert_eq!(marked.verdict, Some(ContextState::Bad));
+        assert!(
+            marked.partners.contains(&NodeId { shard: 0, ctx: e1 }),
+            "the used context is among the partners: {marked:?}"
         );
-        s.on_addition(&mut pool, t, ids[3], &[pair(ids[2], ids[3])]);
-        s.on_addition(&mut pool, t, ids[4], &[pair(ids[2], ids[4])]);
-        // Using a leaf delivers it and marks the hub bad (explained);
-        // using the hub then discards it (explained as WasBad).
-        assert!(s.on_use(&mut pool, t, ids[0]).delivered);
-        assert!(!s.on_use(&mut pool, t, ids[2]).delivered);
-        let log = s.explanations().unwrap();
+        assert_eq!(discarded.cause, CauseKind::ResolvedBecause);
         assert_eq!(
-            log.for_context(ids[2]).count(),
-            2,
-            "marked bad, then discarded"
+            discarded.constraint, None,
+            "the earlier mark carries the blame"
         );
-        let rendered: Vec<String> = log.entries().iter().map(ToString::to_string).collect();
-        assert!(
-            rendered.iter().any(|e| e.contains("marked bad")),
-            "{rendered:?}"
-        );
-        assert!(
-            rendered.iter().any(|e| e.contains("previously marked bad")),
-            "{rendered:?}"
-        );
+        assert_eq!(discarded.verdict, Some(ContextState::Inconsistent));
+        let discards: Vec<NodeId> = graph.discarded().iter().map(|n| n.id).collect();
+        assert_eq!(discards, vec![NodeId { shard: 0, ctx: hub }]);
     }
 
     #[test]
     fn direct_discard_cites_the_inconsistency_and_count() {
-        let mut pool = ContextPool::new();
-        let ids: Vec<ContextId> = (0..3)
-            .map(|_| pool.insert(Context::builder(ContextKind::new("location"), "p").build()))
-            .collect();
-        let mut s = DropBad::new().with_explanations();
-        let t = LogicalTime::ZERO;
-        s.on_addition(
-            &mut pool,
-            t,
-            ids[2],
-            &[pair(ids[0], ids[2]), pair(ids[1], ids[2])],
-        );
-        assert!(!s.on_use(&mut pool, t, ids[2]).delivered);
-        let log = s.explanations().unwrap();
-        let e = log.for_context(ids[2]).next().unwrap();
-        assert!(matches!(
-            &e.reason,
-            crate::explain::DiscardReason::LargestCount { count: 2, .. }
-        ));
+        let (mut pool, ids, mut s, registry) = observed(3);
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
+        let now = LogicalTime::ZERO;
+        s.on_addition(&mut pool, now, b, &[pair(a, b)]);
+        s.on_addition(&mut pool, now, c, &[pair(b, c)]);
+        assert!(!s.on_use(&mut pool, now, b).delivered, "count 2: discarded");
+        let graph = ProvenanceGraph::from_records(&registry.drain());
+        let edges = verdicts(&graph, b);
+        assert_eq!(edges.len(), 1, "{edges:?}");
+        let edge = &edges[0];
+        assert_eq!(edge.cause, CauseKind::ResolvedBecause);
+        assert_eq!(edge.constraint.as_deref(), Some("v"));
+        assert_eq!(edge.partners, vec![NodeId { shard: 0, ctx: a }]);
+        assert_eq!(edge.count, Some(2));
+        assert_eq!(edge.verdict, Some(ContextState::Inconsistent));
     }
 
     #[test]
     fn explanations_off_by_default() {
-        assert!(DropBad::new().explanations().is_none());
+        let mut s = DropBad::new();
+        assert!(!s.emits_provenance());
+        s.attach_obs(ObsRegistry::shared(ObsConfig::metrics_only(), 1).handle(0));
+        assert!(!s.emits_provenance(), "no trace rings, no edges");
+        s.attach_obs(ObsRegistry::shared(ObsConfig::enabled(), 1).handle(0));
+        assert!(s.emits_provenance());
     }
 }

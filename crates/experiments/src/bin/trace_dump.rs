@@ -1,6 +1,7 @@
 //! Renders an observability event trace (JSONL of `TraceRecord`s) as a
 //! human-readable timeline, a per-strategy state-transition summary
-//! table, and the reconstructed life cycle of every discarded context.
+//! table, and the life cycle of every discarded context (its node in
+//! the trace's provenance graph, the one `explain` renders).
 //!
 //! ```text
 //! trace_dump [--json] <events.jsonl> [strategy-label]
@@ -22,14 +23,13 @@
 
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::PervasiveApp;
-use ctxres_context::ContextState;
 use ctxres_experiments::runner::{run_named_observed, run_named_observed_batched};
 use ctxres_experiments::telemetry::{
-    json_dump, json_dump_with_snapshot, reconstruct_lifecycles, render_timeline,
-    render_transition_table, transition_counts,
+    json_dump, json_dump_with_snapshot, render_timeline, render_transition_table,
+    transition_counts, DiscardedNode,
 };
 use ctxres_experiments::trace_io::{load_events, save_events};
-use ctxres_obs::{ObsConfig, ObsSnapshot, TraceEvent, TraceRecord};
+use ctxres_obs::{ObsConfig, ObsSnapshot, ProvenanceGraph, TraceEvent, TraceRecord};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -198,25 +198,22 @@ fn dump(trace: &[TraceRecord], label: &str) {
 
     println!();
     println!("== discarded-context life cycles ==");
-    let lifecycles = reconstruct_lifecycles(trace);
-    let mut discarded = 0;
-    for l in &lifecycles {
-        if l.final_state() != Some(ContextState::Inconsistent) {
-            continue;
-        }
-        discarded += 1;
-        println!("{}", l.summary());
+    let graph = ProvenanceGraph::from_records(trace);
+    let discarded = graph.discarded();
+    for node in &discarded {
+        let l = DiscardedNode::new(node);
+        println!("{}", l.summary);
         for record in &l.events {
             println!("    {record}");
         }
     }
-    if discarded == 0 {
+    if discarded.is_empty() {
         println!("(none)");
     }
     println!();
     println!(
         "{} contexts traced, {} discarded",
-        lifecycles.len(),
-        discarded
+        graph.len(),
+        discarded.len()
     );
 }

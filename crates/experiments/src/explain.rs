@@ -297,6 +297,80 @@ mod tests {
         assert!(text.contains("d-bad"), "{text}");
     }
 
+    /// A discard's rendered chain names its evidence: the deciding
+    /// constraint, the partners bound with it and the count value.
+    #[test]
+    fn explanations_render_their_evidence() {
+        let graph = graph_for("d-bad");
+        let node = graph
+            .discarded()
+            .into_iter()
+            .find(|n| n.verdict_edge().is_some_and(|e| e.constraint.is_some()))
+            .expect("a count-decided discard");
+        let verdict = node.verdict_edge().unwrap();
+        let text = render_chain(node);
+        let line = text
+            .lines()
+            .find(|l| l.contains("resolved_because"))
+            .unwrap_or_else(|| panic!("no verdict line: {text}"));
+        assert!(
+            line.contains(verdict.constraint.as_deref().unwrap()),
+            "{line}"
+        );
+        assert!(line.contains(&verdict.partners[0].to_string()), "{line}");
+        assert!(
+            line.contains(&format!("count={}", verdict.count.unwrap())),
+            "{line}"
+        );
+        assert!(line.ends_with("=> inconsistent"), "{line}");
+        assert!(text.starts_with(&node.id.to_string()), "{text}");
+    }
+
+    /// The paper's Scenario B under the refined constraints: D-LAT
+    /// discards the correct d4 and d5 on arrival, D-BAD waits and
+    /// discards the corrupted d3 on its count of 2 — the first context
+    /// by reception time their fates differ on.
+    #[test]
+    fn scenario_b_diverges_on_the_corrupted_context() {
+        use ctxres_apps::scenarios::{refined_constraints, scenario_b};
+        use ctxres_context::Ticks;
+        use ctxres_middleware::{Middleware, MiddlewareConfig};
+        use ctxres_obs::ObsRegistry;
+        let run = |strategy: &str| {
+            let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
+            let mut mw = Middleware::builder()
+                .constraints(refined_constraints())
+                .strategy(ctxres_core::strategies::by_name(strategy, 0).unwrap())
+                .config(MiddlewareConfig {
+                    window: Ticks::new(10),
+                    track_ground_truth: true,
+                    retention: None,
+                })
+                .obs(registry.handle(0))
+                .build();
+            for ctx in scenario_b() {
+                mw.submit(ctx);
+            }
+            mw.drain();
+            ProvenanceGraph::from_records(&registry.drain())
+        };
+        let (bad, lat) = (run("d-bad"), run("d-lat"));
+        let d = first_divergence("d-bad", &bad, "d-lat", &lat).expect("must diverge");
+        assert_eq!(d.received_at, 2, "d3 is stamped t2");
+        assert_eq!(
+            (d.a.fate.as_str(), d.b.fate.as_str()),
+            ("discarded", "delivered")
+        );
+        let verdict = d.a.node.verdict_edge().unwrap();
+        assert_eq!(verdict.count, Some(2));
+        assert!(d.a.node.completeness_gaps().is_empty());
+        let discarded_at = |g: &ProvenanceGraph| -> Vec<u64> {
+            g.discarded().iter().filter_map(|n| n.received_at).collect()
+        };
+        assert_eq!(discarded_at(&bad), vec![2]);
+        assert_eq!(discarded_at(&lat), vec![3, 4]);
+    }
+
     #[test]
     fn same_strategy_never_diverges_from_itself() {
         let a = graph_for("d-bad");

@@ -1,18 +1,20 @@
 //! Per-cell telemetry: tagging one experiment cell's observability
-//! record, reconstructing context life cycles from its trace, and
-//! rendering the human-readable views `trace_dump` prints.
+//! record and rendering the human-readable views `trace_dump` prints.
 //!
 //! An experiment grid is a set of `(strategy, err_rate, seed)` cells;
 //! with [`crate::runner::run_named_observed`] each cell yields a
 //! [`CellTelemetry`] carrying the drained event trace and the metrics
-//! snapshot of that one run. From a trace, [`reconstruct_lifecycles`]
-//! rebuilds each context's journey through the Fig. 8 life cycle —
-//! creation, detections, count bumps, bad-marking, and the final
-//! delivery/discard — which is how the acceptance check "every discarded
-//! context's life cycle is reconstructable" is implemented.
+//! snapshot of that one run. A context's journey through the Fig. 8
+//! life cycle — creation, detections, count bumps, bad-marking, and the
+//! final delivery/discard — is its [`ProvNode`] in the trace's
+//! [`ProvenanceGraph`], the one fold `explain` reads too;
+//! [`DiscardedNode`] flattens a discarded node for `trace_dump`.
 
+use crate::explain::fate;
 use ctxres_context::{ContextId, ContextState};
-use ctxres_obs::{ObsRegistry, ObsSnapshot, TraceEvent, TraceRecord};
+use ctxres_obs::{
+    CauseEdge, NodeId, ObsRegistry, ObsSnapshot, ProvNode, ProvenanceGraph, TraceEvent, TraceRecord,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -51,129 +53,6 @@ impl CellTelemetry {
             dropped: registry.dropped(),
         }
     }
-
-    /// The reconstructed life cycles of this cell's trace.
-    pub fn lifecycles(&self) -> Vec<Lifecycle> {
-        reconstruct_lifecycles(&self.trace)
-    }
-}
-
-/// One context's reconstructed journey through the middleware: every
-/// trace event involving it, in trace order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Lifecycle {
-    /// The shard whose engine owned the context (ids are shard-local).
-    pub shard: u32,
-    /// The context.
-    pub ctx: ContextId,
-    /// Every event involving the context, in trace order.
-    pub events: Vec<TraceRecord>,
-}
-
-impl Lifecycle {
-    /// The tick the context entered the middleware, when traced.
-    pub fn received_at(&self) -> Option<u64> {
-        self.events
-            .iter()
-            .find(|r| matches!(r.event, TraceEvent::Received { .. }))
-            .map(|r| r.at)
-    }
-
-    /// The last life-cycle state the trace saw the context in
-    /// (`None` when no `StateChanged` involved it — it ended the run
-    /// still `Undecided`).
-    pub fn final_state(&self) -> Option<ContextState> {
-        self.events.iter().rev().find_map(|r| match &r.event {
-            TraceEvent::StateChanged { to, .. } => Some(*to),
-            _ => None,
-        })
-    }
-
-    /// The context's count-value history (each tracked inconsistency it
-    /// joined bumped it once).
-    pub fn count_values(&self) -> Vec<u64> {
-        self.events
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::CountBumped { count, .. } => Some(*count),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Whether detection ever implicated the context.
-    pub fn was_detected(&self) -> bool {
-        self.events
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::Detected { .. }))
-    }
-
-    /// Whether the context was discarded.
-    pub fn was_discarded(&self) -> bool {
-        self.events
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::Discarded { .. }))
-    }
-
-    /// Whether the context was delivered to applications.
-    pub fn was_delivered(&self) -> bool {
-        self.events
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::Delivered { .. }))
-    }
-
-    /// A one-word fate for summaries.
-    pub fn fate(&self) -> &'static str {
-        if self.was_discarded() {
-            "discarded"
-        } else if self.was_delivered() {
-            "delivered"
-        } else if self
-            .events
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::Expired { .. }))
-        {
-            "expired"
-        } else {
-            "pending"
-        }
-    }
-
-    /// One line: `shard 0 ctx#3: received t2, counts [1, 2], discarded`.
-    pub fn summary(&self) -> String {
-        let mut out = format!("shard {} {}: ", self.shard, self.ctx);
-        match self.received_at() {
-            Some(t) => {
-                let _ = write!(out, "received t{t}");
-            }
-            None => out.push_str("(no receive event)"),
-        }
-        let counts = self.count_values();
-        if !counts.is_empty() {
-            let _ = write!(out, ", counts {counts:?}");
-        }
-        let _ = write!(out, ", {}", self.fate());
-        out
-    }
-}
-
-/// Groups a trace by `(shard, context)` and returns each context's life
-/// cycle, ordered by shard then context id. Detection and Δ events are
-/// attributed to **every** context they involve.
-pub fn reconstruct_lifecycles(trace: &[TraceRecord]) -> Vec<Lifecycle> {
-    let mut by_ctx: BTreeMap<(u32, ContextId), Vec<TraceRecord>> = BTreeMap::new();
-    for record in trace {
-        for ctx in record.event.contexts() {
-            by_ctx
-                .entry((record.shard, ctx))
-                .or_default()
-                .push(record.clone());
-        }
-    }
-    by_ctx
-        .into_iter()
-        .map(|((shard, ctx), events)| Lifecycle { shard, ctx, events })
-        .collect()
 }
 
 /// `StateChanged` tallies keyed `(from, to)`.
@@ -232,24 +111,79 @@ pub struct TransitionRow {
     pub count: u64,
 }
 
-/// One discarded (or otherwise notable) context's reconstructed life
-/// cycle, flattened for machine consumption.
+/// One discarded context's provenance node, flattened for machine
+/// consumption and for `trace_dump`'s discarded-context section.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct LifecycleDump {
+pub struct DiscardedNode {
     /// Owning shard.
     pub shard: u32,
     /// The context (ids are shard-local).
     pub ctx: ContextId,
     /// The human one-liner (`shard 0 ctx#3: received t2, …`).
     pub summary: String,
-    /// `delivered` / `discarded` / `expired` / `pending`.
+    /// The node's one-word fate ([`fate`]).
     pub fate: String,
     /// Tick the context entered the middleware.
     pub received_at: Option<u64>,
     /// Count-value history (one bump per tracked inconsistency).
     pub counts: Vec<u64>,
-    /// Every event involving the context, in trace order.
+    /// The node's flat events and its own cause edges, in trace order.
     pub events: Vec<TraceRecord>,
+}
+
+impl DiscardedNode {
+    /// Flattens one provenance node.
+    pub fn new(node: &ProvNode) -> Self {
+        let counts: Vec<u64> = node
+            .timeline
+            .iter()
+            .filter_map(|r| match &r.event {
+                TraceEvent::CountBumped { count, .. } => Some(*count),
+                _ => None,
+            })
+            .collect();
+        let mut summary = format!("shard {} {}: ", node.id.shard, node.id.ctx);
+        match node.received_at {
+            Some(t) => {
+                let _ = write!(summary, "received t{t}");
+            }
+            None => summary.push_str("(no receive event)"),
+        }
+        if !counts.is_empty() {
+            let _ = write!(summary, ", counts {counts:?}");
+        }
+        let fate = fate(node);
+        let _ = write!(summary, ", {fate}");
+        let mut events: Vec<TraceRecord> = node.timeline.clone();
+        events.extend(node.chain.iter().map(|e| edge_record(node.id, e)));
+        events.sort_by_key(|r| (r.at, r.seq));
+        DiscardedNode {
+            shard: node.id.shard,
+            ctx: node.id.ctx,
+            summary,
+            fate: fate.to_owned(),
+            received_at: node.received_at,
+            counts,
+            events,
+        }
+    }
+}
+
+/// The trace record that carried a cause edge of `node`'s chain.
+fn edge_record(node: NodeId, edge: &CauseEdge) -> TraceRecord {
+    TraceRecord {
+        shard: node.shard,
+        seq: edge.seq,
+        at: edge.at,
+        event: TraceEvent::Caused {
+            ctx: node.ctx,
+            cause: edge.cause,
+            constraint: edge.constraint.clone(),
+            partners: edge.partners.iter().map(|p| p.ctx).collect(),
+            count: edge.count,
+            verdict: edge.verdict,
+        },
+    }
 }
 
 /// Everything `trace_dump --json` emits: the full timeline, the
@@ -266,8 +200,8 @@ pub struct TraceDumpJson {
     pub timeline: Vec<TraceRecord>,
     /// `StateChanged` tallies.
     pub transitions: Vec<TransitionRow>,
-    /// Life cycles of every context that ended `Inconsistent`.
-    pub discarded_lifecycles: Vec<LifecycleDump>,
+    /// Every discarded context's provenance node, flattened.
+    pub discarded_lifecycles: Vec<DiscardedNode>,
     /// Distinct contexts the trace touches.
     pub contexts_traced: usize,
     /// How many of them were discarded.
@@ -296,19 +230,11 @@ pub fn json_dump(trace: &[TraceRecord], label: &str) -> TraceDumpJson {
         .into_iter()
         .map(|((from, to), count)| TransitionRow { from, to, count })
         .collect();
-    let lifecycles = reconstruct_lifecycles(trace);
-    let discarded_lifecycles: Vec<LifecycleDump> = lifecycles
-        .iter()
-        .filter(|l| l.final_state() == Some(ContextState::Inconsistent))
-        .map(|l| LifecycleDump {
-            shard: l.shard,
-            ctx: l.ctx,
-            summary: l.summary(),
-            fate: l.fate().to_owned(),
-            received_at: l.received_at(),
-            counts: l.count_values(),
-            events: l.events.clone(),
-        })
+    let graph = ProvenanceGraph::from_records(trace);
+    let discarded_lifecycles: Vec<DiscardedNode> = graph
+        .discarded()
+        .into_iter()
+        .map(DiscardedNode::new)
         .collect();
     let alerts = trace
         .iter()
@@ -327,7 +253,7 @@ pub fn json_dump(trace: &[TraceRecord], label: &str) -> TraceDumpJson {
         discarded: discarded_lifecycles.len(),
         transitions,
         discarded_lifecycles,
-        contexts_traced: lifecycles.len(),
+        contexts_traced: graph.len(),
         counters: BTreeMap::new(),
         alerts,
         postmortems,
@@ -405,51 +331,70 @@ mod tests {
         assert_eq!(buffered, Some(cell.trace.len() as f64));
     }
 
-    /// Satellite acceptance: every context that ends the run
-    /// `Inconsistent` has a matching detection and discard event, and
-    /// nothing was evicted from the ring.
+    /// Every context that ends the run `Inconsistent` has a receive
+    /// event, a detection, count evidence and a discard event in its
+    /// provenance node, a chain without gaps, and nothing was evicted
+    /// from the ring.
     #[test]
     fn trace_is_complete_for_every_discarded_context() {
         let cell = observed_cell();
         assert_eq!(cell.dropped, 0);
-        let lifecycles = cell.lifecycles();
-        let discarded: Vec<&Lifecycle> = lifecycles
-            .iter()
-            .filter(|l| l.final_state() == Some(ContextState::Inconsistent))
-            .collect();
+        let graph = ProvenanceGraph::from_records(&cell.trace);
+        let discarded = graph.discarded();
         assert!(
             !discarded.is_empty(),
             "a 30% error rate drop-bad run must discard something"
         );
-        for l in discarded {
+        let has = |node: &ProvNode, pred: fn(&TraceEvent) -> bool| {
+            node.timeline.iter().any(|r| pred(&r.event))
+        };
+        for node in discarded {
+            let id = node.id;
+            assert!(node.received_at.is_some(), "{id}: no creation event");
             assert!(
-                l.was_detected(),
-                "{}: discarded without a detection event",
-                l.ctx
+                has(node, |e| matches!(e, TraceEvent::Detected { .. })),
+                "{id}: discarded without a detection event"
             );
             assert!(
-                l.was_discarded(),
-                "{}: ended Inconsistent without a discard event",
-                l.ctx
+                has(node, |e| matches!(e, TraceEvent::Discarded { .. })),
+                "{id}: ended Inconsistent without a discard event"
             );
-            assert!(l.received_at().is_some(), "{}: no creation event", l.ctx);
             assert!(
-                !l.count_values().is_empty(),
-                "{}: drop-bad discards carry count evidence",
-                l.ctx
+                has(node, |e| matches!(e, TraceEvent::CountBumped { .. })),
+                "{id}: drop-bad discards carry count evidence"
             );
+            assert_eq!(node.completeness_gaps(), Vec::<String>::new(), "{id}");
         }
     }
 
     #[test]
     fn every_context_lifecycle_is_reconstructable() {
         let cell = observed_cell();
-        for l in cell.lifecycles() {
+        let graph = ProvenanceGraph::from_records(&cell.trace);
+        for node in graph.nodes() {
             // Every traced context entered through a Received event
-            // (delta/detected-only entries aside, which still carry it
-            // because detection follows reception in the same trace).
-            assert!(l.received_at().is_some(), "{}: no receive event", l.ctx);
-            assert_ne!(l.fate(), "pending", "{}: undecided after drain", l.ctx);
+            // (partners of a detection included: detection follows
+            // reception in the same trace).
+            assert!(node.received_at.is_some(), "{}: no receive event", node.id);
+            assert_ne!(fate(node), "pending", "{}: undecided after drain", node.id);
+        }
+        let dump = json_dump(&cell.trace, &cell.strategy);
+        assert_eq!(dump.contexts_traced, graph.len());
+        for (l, node) in dump.discarded_lifecycles.iter().zip(graph.discarded()) {
+            assert_eq!((l.shard, l.ctx), (node.id.shard, node.id.ctx));
+            let own_edges = l
+                .events
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::Caused { .. }))
+                .count();
+            assert_eq!(own_edges, node.chain_depth(), "{}", l.summary);
+            assert!(
+                l.events
+                    .windows(2)
+                    .all(|w| (w[0].at, w[0].seq) < (w[1].at, w[1].seq)),
+                "{}: events out of trace order",
+                l.summary
+            );
         }
     }
 

@@ -3,19 +3,26 @@
 //! the profiler on — each sit behind a `MetricsServer`. Every counter
 //! series must read the same in `/metrics` and in `/snapshot`, and the
 //! core counters must equal both `trace_dump --json`'s counters and the
-//! engine's own `MiddlewareStats`.
+//! engine's own `MiddlewareStats`. On the demo cell, `trace_dump --json`
+//! and `explain --discarded --json` must list the same discarded
+//! contexts, as many as the engine discarded, each with a complete
+//! causal chain.
 
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::PervasiveApp;
 use ctxres_constraint::parse_constraints;
-use ctxres_context::Ticks;
+use ctxres_context::{ContextId, Ticks};
 use ctxres_core::strategies::{by_name, DropBad};
 use ctxres_experiments::city::{CityConfig, CityWorkload};
-use ctxres_experiments::telemetry::json_dump_with_snapshot;
+use ctxres_experiments::explain::ExplainDoc;
+use ctxres_experiments::telemetry::{json_dump, json_dump_with_snapshot};
 use ctxres_middleware::{
     Middleware, MiddlewareConfig, MiddlewareStats, ShardPlan, ShardedMiddleware,
 };
-use ctxres_obs::{families, MetricsServer, ObsConfig, ObsRegistry, Sample, Series, Value};
+use ctxres_obs::{
+    families, MetricsServer, ObsConfig, ObsRegistry, ProvenanceGraph, Sample, Series, TraceRecord,
+    Value,
+};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -100,8 +107,12 @@ fn assert_counters_agree(registry: &Arc<ObsRegistry>) -> Sample {
 }
 
 /// The core counters equal `trace_dump --json`'s counters, the sample's
-/// totals and the engine's statistics.
-fn assert_core_counters(registry: &ObsRegistry, sample: &Sample, stats: &MiddlewareStats) {
+/// totals and the engine's statistics. Returns the drained trace.
+fn assert_core_counters(
+    registry: &ObsRegistry,
+    sample: &Sample,
+    stats: &MiddlewareStats,
+) -> Vec<TraceRecord> {
     let snapshot = registry.snapshot();
     let trace = registry.drain();
     let dump = json_dump_with_snapshot(&trace, "cell", &snapshot);
@@ -117,6 +128,38 @@ fn assert_core_counters(registry: &ObsRegistry, sample: &Sample, stats: &Middlew
         );
         let family = format!("ctxres_{counter}_total");
         assert_eq!(sample.total(&family), engine, "/snapshot {family}");
+    }
+    trace
+}
+
+/// The documents `trace_dump --json` and `explain --discarded --json`
+/// print name the same `(shard, ctx)` list of discarded contexts, as
+/// many as the engine discarded, each chain without a completeness gap.
+fn assert_discards_agree(trace: &[TraceRecord], stats: &MiddlewareStats) {
+    let dump = json_dump(trace, "cell");
+    let graph = ProvenanceGraph::from_records(trace);
+    let explain = ExplainDoc::new("cell", &graph, graph.discarded());
+    let dumped: Vec<(u32, ContextId)> = dump
+        .discarded_lifecycles
+        .iter()
+        .map(|l| (l.shard, l.ctx))
+        .collect();
+    let explained: Vec<(u32, ContextId)> = explain
+        .chains
+        .iter()
+        .map(|n| (n.id.shard, n.id.ctx))
+        .collect();
+    assert_eq!(dumped, explained);
+    assert_eq!(dumped.len() as u64, stats.discarded);
+    assert_eq!(dump.discarded as u64, stats.discarded);
+    assert_eq!(explain.stats.discarded as u64, stats.discarded);
+    for node in &explain.chains {
+        assert_eq!(
+            node.completeness_gaps(),
+            Vec::<String>::new(),
+            "{}",
+            node.id
+        );
     }
 }
 
@@ -153,7 +196,8 @@ fn demo_cell_counters_agree_across_surfaces() {
     );
 
     let sample = assert_counters_agree(&registry);
-    assert_core_counters(&registry, &sample, &stats);
+    let trace = assert_core_counters(&registry, &sample, &stats);
+    assert_discards_agree(&trace, &stats);
 }
 
 #[test]

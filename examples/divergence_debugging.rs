@@ -1,79 +1,64 @@
-//! Debugging strategies head to head: find the first step where two
-//! strategies disagree on an identical event stream, then use drop-bad's
-//! explanation journal to see *why* it decided what it decided.
+//! Debugging strategies head to head: run the same context stream
+//! through two observed middlewares, find the first context whose fate
+//! they disagree on, then read drop-bad's causal chain for it to see
+//! *why* it decided what it decided.
 //!
 //! Run with `cargo run --example divergence_debugging`.
 
-use ctxres::context::{Context, ContextKind, ContextPool, LogicalTime};
-use ctxres::core::harness::{first_divergence, ScriptStep};
-use ctxres::core::strategies::{DropBad, DropLatest};
-use ctxres::core::{Inconsistency, ResolutionStrategy};
+use ctxres::apps::scenarios::{refined_constraints, scenario_b};
+use ctxres::context::Ticks;
+use ctxres::core::strategies::by_name;
+use ctxres::experiments::explain::{first_divergence, render_chain};
+use ctxres::middleware::{Middleware, MiddlewareConfig};
+use ctxres::obs::{ObsConfig, ObsRegistry, ProvenanceGraph};
+
+/// Runs the paper's Scenario B (Fig. 2: the corrupted d3 slips past the
+/// adjacent check) under the Fig. 5 refined constraints with `strategy`
+/// and folds the run's trace into a provenance graph.
+fn provenance(strategy: &str) -> ProvenanceGraph {
+    let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
+    let mut mw = Middleware::builder()
+        .constraints(refined_constraints())
+        .strategy(by_name(strategy, 0).expect("a paper strategy"))
+        .config(MiddlewareConfig {
+            window: Ticks::new(10),
+            track_ground_truth: true,
+            retention: None,
+        })
+        .obs(registry.handle(0))
+        .build();
+    for ctx in scenario_b() {
+        mw.submit(ctx);
+    }
+    mw.drain();
+    ProvenanceGraph::from_records(&registry.drain())
+}
+
+/// The reception ticks of the contexts `graph` ended up discarding.
+fn discarded_ticks(graph: &ProvenanceGraph) -> String {
+    let ticks: Vec<String> = graph
+        .discarded()
+        .iter()
+        .filter_map(|n| n.received_at)
+        .map(|t| format!("t{t}"))
+        .collect();
+    ticks.join(", ")
+}
 
 fn main() {
-    // The paper's Scenario B as an abstract script: d3 (index 2) is
-    // corrupted but slips in cleanly; d4 and d5 each conflict with it
-    // (the Fig. 5 refined constraints); contexts are used in order.
-    let script = vec![
-        ScriptStep::Add { conflicts: vec![] },  // d1
-        ScriptStep::Add { conflicts: vec![] },  // d2
-        ScriptStep::Add { conflicts: vec![] },  // d3
-        ScriptStep::Add { conflicts: vec![2] }, // d4 vs d3
-        ScriptStep::Add { conflicts: vec![2] }, // d5 vs d3
-        ScriptStep::Use(0),
-        ScriptStep::Use(1),
-        ScriptStep::Use(2),
-        ScriptStep::Use(3),
-        ScriptStep::Use(4),
-    ];
-
-    let mut drop_bad = DropBad::new();
-    let mut drop_latest = DropLatest::new();
-    match first_divergence(&mut drop_bad, &mut drop_latest, &script) {
-        Some(d) => {
-            println!("drop-bad and drop-latest first diverge at {d}");
-            println!(
-                "(drop-latest already discarded someone; drop-bad is still collecting counts)\n"
-            );
-        }
-        None => println!("no divergence?!\n"),
-    }
-
-    // Replay the same scenario through an explaining drop-bad to audit
-    // its eventual decision.
-    let mut pool = ContextPool::new();
-    let kind = ContextKind::new("location");
-    let ids: Vec<_> = (1..=5)
-        .map(|i| {
-            pool.insert(
-                Context::builder(kind.clone(), "peter")
-                    .stamp(LogicalTime::new(i))
-                    .build(),
-            )
-        })
-        .collect();
-    let mut strategy = DropBad::new().with_explanations();
-    let now = LogicalTime::new(9);
-    strategy.on_addition(
-        &mut pool,
-        now,
-        ids[3],
-        &[Inconsistency::pair("gap1", ids[2], ids[3], now)],
+    // Scenario B stamps d1 … d5 at t0 … t4; d3 is the corrupted one.
+    let drop_bad = provenance("d-bad");
+    let drop_latest = provenance("d-lat");
+    println!("d-bad discards {}", discarded_ticks(&drop_bad));
+    println!("d-lat discards {}", discarded_ticks(&drop_latest));
+    let Some(d) = first_divergence("d-bad", &drop_bad, "d-lat", &drop_latest) else {
+        println!("no divergence?!");
+        return;
+    };
+    println!(
+        "first divergence: {}/{} received t{} — d-bad says {}, d-lat says {}\n",
+        d.kind, d.subject, d.received_at, d.a.fate, d.b.fate
     );
-    strategy.on_addition(
-        &mut pool,
-        now,
-        ids[4],
-        &[Inconsistency::pair("gap2", ids[2], ids[4], now)],
-    );
-    for &id in &ids {
-        strategy.on_use(&mut pool, now, id);
-    }
-    println!("drop-bad's audited decisions:");
-    for entry in strategy
-        .explanations()
-        .expect("explanations enabled")
-        .entries()
-    {
-        println!("  {entry}");
-    }
+    println!("drop-bad's causal chain for it:");
+    print!("{}", render_chain(&d.a.node));
 }

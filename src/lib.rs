@@ -97,13 +97,14 @@
 //!   whose violations are *links* (the inconsistency sets), incremental
 //!   checking, deploy-time schema validation, and a simplifier;
 //! * [`core`] — the strategies: drop-bad (tracked Δ + count values +
-//!   deferred decisions + discard explanations), every baseline, the
-//!   OPT-R oracle, the impact-aware extension, and machine-checked
-//!   heuristic-rule theory;
+//!   deferred decisions, each explained by provenance edges), every
+//!   baseline, the OPT-R oracle, the impact-aware extension, and
+//!   machine-checked heuristic-rule theory;
 //! * [`obs`] — the instrumentation layer: typed life-cycle event traces
-//!   in bounded per-shard ring buffers, a lock-light metrics registry
-//!   (latency histograms, Δ-size, queue depth), and RAII timing spans
-//!   that compile to a branch when disabled;
+//!   in bounded per-shard ring buffers, the provenance graph folded from
+//!   them (why each context was discarded), a lock-light metrics
+//!   registry (latency histograms, Δ-size, queue depth), and RAII timing
+//!   spans that compile to a branch when disabled;
 //! * [`middleware`] — the Cabot-style runtime: plug-in strategies,
 //!   situation engine, subscriptions, observers, retention, and a
 //!   thread-shared front-end;

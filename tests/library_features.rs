@@ -12,6 +12,7 @@ use ctxres::core::ResolutionStrategy;
 use ctxres::middleware::{
     EventLog, Middleware, MiddlewareConfig, SharedMiddleware, SubscriptionFilter,
 };
+use ctxres::obs::{CauseKind, ObsConfig, ObsRegistry, ProvenanceGraph};
 
 #[test]
 fn schema_validation_through_the_umbrella() {
@@ -33,22 +34,35 @@ fn simplifier_through_the_umbrella() {
 
 #[test]
 fn explanations_journal_a_full_run() {
+    // Every discard of an observed run is explained by its node in the
+    // run's provenance graph: a verdict edge that cites count evidence.
     let app = ctxres::apps::call_forwarding::CallForwarding::new();
-    let strategy = DropBad::new().with_explanations();
-    // Drive manually to keep hold of the strategy.
-    let mut pool = ctxres::context::ContextPool::new();
-    let mut strategy = strategy;
-    let now = LogicalTime::ZERO;
-    let ids: Vec<_> = app
-        .generate(0.0, 1, 6)
-        .into_iter()
-        .map(|c| pool.insert(c))
-        .collect();
-    let inc = ctxres::core::Inconsistency::pair("x", ids[0], ids[3], now);
-    strategy.on_addition(&mut pool, now, ids[3], &[inc]);
-    strategy.on_use(&mut pool, now, ids[0]);
-    let log = strategy.explanations().unwrap();
-    assert!(!log.entries().is_empty());
+    let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
+    let mut mw = Middleware::builder()
+        .constraints(app.constraints())
+        .registry(app.registry())
+        .strategy(Box::new(DropBad::new()))
+        .config(MiddlewareConfig {
+            window: Ticks::new(app.recommended_window()),
+            track_ground_truth: false,
+            retention: None,
+        })
+        .obs(registry.handle(0))
+        .build();
+    for ctx in app.generate(0.3, 1, 80) {
+        mw.submit(ctx);
+    }
+    mw.drain();
+    let graph = ProvenanceGraph::from_records(&registry.drain());
+    let discarded = graph.discarded();
+    assert!(!discarded.is_empty(), "err 0.3 must discard something");
+    assert_eq!(discarded.len() as u64, mw.stats().discarded);
+    for node in discarded {
+        assert!(node.completeness_gaps().is_empty(), "{}", node.id);
+        let verdict = node.verdict_edge().expect("a verdict edge");
+        assert_eq!(verdict.cause, CauseKind::ResolvedBecause, "{}", node.id);
+        assert!(verdict.count.is_some(), "{}: no count evidence", node.id);
+    }
 }
 
 #[test]
