@@ -38,10 +38,8 @@ fn assert_paths_agree(
     registry: &PredicateRegistry,
     stream: Vec<Context>,
 ) -> usize {
-    let compiled: Vec<CompiledConstraint> = situations
-        .iter()
-        .map(|s| CompiledConstraint::compile(s).expect("app situations compile"))
-        .collect();
+    let compiled: Vec<CompiledConstraint> =
+        situations.iter().map(CompiledConstraint::compile).collect();
     let naive = Evaluator::with_domain(registry, DomainMode::AvailableOnly);
     let fast = CompiledEvaluator::with_domain(registry, DomainMode::AvailableOnly);
     let mut scratch = EvalScratch::new();

@@ -1,18 +1,22 @@
-//! Deploy-time constraint compilation.
+//! Deploy-time constraint compilation: the engine's one evaluator.
 //!
 //! [`Evaluator`](crate::Evaluator) walks the [`Formula`] AST directly:
 //! every quantifier binding clones the variable name into an env vector,
 //! every variable reference does a reverse linear scan by string
 //! comparison, and every quantifier allocates a fresh domain `Vec`. None
 //! of that work depends on the pool — it is the same on every call, so a
-//! deployed constraint can pay it **once**.
+//! deployed constraint can pay it **once**. The engine evaluates only
+//! compiled programs; the tree-walker stays as the oracle the tests hold
+//! them against.
 //!
-//! [`CompiledConstraint::compile`] lowers a [`Constraint`] into a
+//! [`CompiledConstraint::compile`] lowers any [`Constraint`] into a
 //! flattened program in which
 //!
 //! * every variable reference is resolved to a **slot** — an index into a
 //!   reusable env scratch buffer (slots coincide with the structural
-//!   quantifier ids, so pinning works unchanged);
+//!   quantifier ids, so pinning works unchanged); a reference no
+//!   enclosing quantifier binds lowers to a term that raises
+//!   [`EvalError::UnboundVariable`] where the tree-walker raises it;
 //! * every quantifier's kind is **interned** into a per-constraint kind
 //!   table (the distinct kinds are also exposed via
 //!   [`CompiledConstraint::kinds`]);
@@ -59,6 +63,9 @@ use std::ops::RangeInclusive;
 enum CTerm {
     /// A quantifier-bound context, read from env slot `slot`.
     Slot { slot: usize, var: String },
+    /// A variable, or an attribute of one, that no enclosing quantifier
+    /// binds: resolving it raises [`EvalError::UnboundVariable`].
+    Unbound { var: String },
     /// An attribute of a bound context.
     Attr {
         slot: usize,
@@ -119,26 +126,23 @@ pub struct CompiledConstraint {
     kinds: Vec<ContextKind>,
     slot_count: usize,
     universal_positive: bool,
-    /// Deploy-time sharding-scope verdict: `true` when
-    /// [`constraint_scope`] proves every violating binding draws all its
-    /// contexts from one subject. Pinned checks on such constraints
-    /// quantify over the pool's per-subject index instead of the whole
-    /// kind list.
+    /// Deploy-time scope verdict: `true` when [`constraint_scope`]
+    /// proves every violating binding draws all its contexts from one
+    /// subject and, with two or more quantifiers, a [`subject_guard`]
+    /// ties them to it before anything else is read. Pinned checks on
+    /// such constraints quantify over the pool's per-subject index
+    /// instead of the whole kind list.
     per_subject: bool,
     /// The seq guard of a per-subject pair constraint, if it has one.
     seq_guard: Option<SeqGuard>,
 }
 
 impl CompiledConstraint {
-    /// Lowers `constraint` into slot-addressed form.
-    ///
-    /// # Errors
-    ///
-    /// [`EvalError::UnboundVariable`] if the formula references a
-    /// variable no enclosing quantifier binds — the AST evaluator would
-    /// only discover this at evaluation time; compilation surfaces it at
-    /// deploy time.
-    pub fn compile(constraint: &Constraint) -> Result<Self, EvalError> {
+    /// Lowers `constraint` into slot-addressed form. Every constraint
+    /// compiles: a variable no enclosing quantifier binds lowers to a
+    /// term that raises [`EvalError::UnboundVariable`] when a walk
+    /// reaches it, where the tree-walking evaluator raises it.
+    pub fn compile(constraint: &Constraint) -> Self {
         let mut kind_table = Vec::new();
         let mut scope: Vec<(&str, usize)> = Vec::new();
         let mut sites = 0u32;
@@ -147,22 +151,21 @@ impl CompiledConstraint {
             &mut kind_table,
             &mut scope,
             &mut sites,
-        )?;
-        let per_subject = constraint_scope(constraint) == ConstraintScope::PerSubject;
-        Ok(CompiledConstraint {
+        );
+        let slot_count = constraint.quantifier_count();
+        let guard = subject_guard(&program, slot_count);
+        let per_subject = constraint_scope(constraint) == ConstraintScope::PerSubject
+            && (slot_count <= 1 || guard.is_some());
+        CompiledConstraint {
             name: constraint.name().to_owned(),
-            seq_guard: if per_subject {
-                seq_guard(&program)
-            } else {
-                None
-            },
+            seq_guard: guard.and_then(|leaves| seq_guard(&leaves)),
             program,
             kinds: constraint.kinds().iter().cloned().collect(),
             kind_table,
-            slot_count: constraint.quantifier_count(),
+            slot_count,
             universal_positive: constraint.is_universal_positive(),
             per_subject,
-        })
+        }
     }
 
     /// The constraint's name.
@@ -188,8 +191,12 @@ impl CompiledConstraint {
     }
 
     /// Whether every violating binding is provably same-subject (see
-    /// [`constraint_scope`]). When true, a pinned check restricts every
-    /// unpinned quantifier to the pinned context's subject bucket —
+    /// [`constraint_scope`]) and, with two or more quantifiers, every
+    /// other binding provably holds without raising: the formula is a
+    /// `forall` chain over `G implies C` whose leading `same_subject`
+    /// leaves in `G` tie every variable to one subject before anything
+    /// else is read. When true, a pinned check restricts every unpinned
+    /// quantifier to the pinned context's subject bucket —
     /// O(subject track) instead of O(kind).
     pub fn is_per_subject(&self) -> bool {
         self.per_subject
@@ -247,10 +254,10 @@ impl CompiledConstraint {
 
 /// The guard `seq_gap(u, v, k)` — or `seq_gap_le(u, v, k)` with
 /// `k >= 1` — of a per-subject constraint shaped
-/// `forall … . G implies C`: a chain of `forall`s whose body is an
-/// implication, where `G`'s left-to-right `and` spine is zero or more
-/// `same_subject` leaves over two context variables, then the seq
-/// predicate over two distinct chain variables and an integer literal.
+/// `forall … . G implies C` (see [`subject_guard`]): in `G`'s
+/// left-to-right `and` spine, the seq predicate over two distinct chain
+/// variables and an integer literal is the first leaf after the
+/// `same_subject` leaves.
 ///
 /// A check pinning `u` (or `v`) to a context then only needs the other
 /// variable's bindings whose seq is `pin.seq + k` (or `pin.seq - k`;
@@ -272,8 +279,6 @@ struct SeqGuard {
     k: i64,
     /// `seq_gap_le` (gaps `1..=k`) rather than `seq_gap` (gap `k`).
     le: bool,
-    /// Whether `same_subject` leaves precede the seq leaf.
-    same_subject: bool,
 }
 
 /// Which of the builtins narrowing reads by name a registry defines at
@@ -312,15 +317,15 @@ struct SeqWindow {
 
 impl SeqGuard {
     /// Whether a check pinning `slot` can narrow by this guard under a
-    /// registry trusted as `trusted`: it must trust every predicate the
-    /// guard reads.
+    /// registry trusted as `trusted`: it must trust the seq predicate
+    /// (the subject narrowing it refines already trusts
+    /// `same_subject`).
     fn narrows(&self, slot: usize, trusted: Trusted) -> bool {
-        let defined = (!self.same_subject || trusted.same_subject)
-            && if self.le {
-                trusted.seq_gap_le
-            } else {
-                trusted.seq_gap
-            };
+        let defined = if self.le {
+            trusted.seq_gap_le
+        } else {
+            trusted.seq_gap
+        };
         defined && (slot == self.u || slot == self.v)
     }
 
@@ -354,27 +359,75 @@ impl SeqWindow {
     }
 }
 
-/// The [`SeqGuard`] of `program`, if it has the guarded shape. The
-/// guard's variables are the chain's: nothing else is in its scope.
-fn seq_guard(program: &CFormula) -> Option<SeqGuard> {
+/// The guard `G` of a program shaped `forall … . G implies C` — a
+/// chain of `forall`s binding every quantifier of the program, whose
+/// body is an implication — as the leaves of `G`'s left-to-right `and`
+/// spine, when the `same_subject` leaves leading that spine, each over
+/// two chain variables, tie every chain variable to one subject.
+///
+/// Narrowing a pinned check's unpinned quantifiers to the pinned
+/// context's subject bucket is then invisible: a binding that puts
+/// another subject's context into some quantifier falsifies one of the
+/// leading leaves — which cannot raise on context arguments — before
+/// anything else is read, so the implication holds without a call that
+/// could raise or add a link. A spine that reads anything else before
+/// the subjects are tied (`(seq_gap(a, b, 1) and same_subject(a, b))
+/// implies …`, or a call to a variable no quantifier binds) keeps the
+/// full kind domains, where such a read may raise.
+fn subject_guard(program: &CFormula, slot_count: usize) -> Option<Vec<&CFormula>> {
     let mut body = program;
+    let mut chain = 0;
     while let CFormula::Quant {
         q: Quantifier::Forall,
         body: inner,
         ..
     } = body
     {
+        chain += 1;
         body = inner;
     }
     let CFormula::Implies(guard, _) = body else {
         return None;
     };
+    if chain != slot_count {
+        return None;
+    }
     let mut leaves = Vec::new();
     and_spine(guard, &mut leaves);
-    let at = leaves.iter().position(|leaf| {
-        !matches!(leaf, CFormula::Pred { sym: PredSym::SAME_SUBJECT, args, .. }
-            if matches!(args.as_slice(), [CTerm::Slot { .. }, CTerm::Slot { .. }]))
-    })?;
+    // Slots are the chain's qids; each leading leaf merges two subject
+    // classes.
+    let mut class: Vec<usize> = (0..slot_count).collect();
+    for (u, v) in leaves.iter().map_while(|leaf| same_subject_pair(leaf)) {
+        let (from, to) = (class[u], class[v]);
+        class
+            .iter_mut()
+            .filter(|c| **c == from)
+            .for_each(|c| *c = to);
+    }
+    class.iter().all(|c| *c == class[0]).then_some(leaves)
+}
+
+/// The two slots of a `same_subject` call over two bound variables.
+fn same_subject_pair(f: &CFormula) -> Option<(usize, usize)> {
+    match f {
+        CFormula::Pred {
+            sym: PredSym::SAME_SUBJECT,
+            args,
+            ..
+        } => match args.as_slice() {
+            [CTerm::Slot { slot: u, .. }, CTerm::Slot { slot: v, .. }] => Some((*u, *v)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The [`SeqGuard`] among a [`subject_guard`]'s `leaves`, if the first
+/// leaf after the `same_subject` ones is a seq predicate of that shape.
+fn seq_guard(leaves: &[&CFormula]) -> Option<SeqGuard> {
+    let at = leaves
+        .iter()
+        .position(|leaf| same_subject_pair(leaf).is_none())?;
     let CFormula::Pred { sym, args, .. } = leaves[at] else {
         return None;
     };
@@ -388,7 +441,6 @@ fn seq_guard(program: &CFormula) -> Option<SeqGuard> {
                 v: *v,
                 k: *k,
                 le,
-                same_subject: at > 0,
             })
         }
         _ => None,
@@ -411,46 +463,34 @@ fn lower<'f>(
     kind_table: &mut Vec<ContextKind>,
     scope: &mut Vec<(&'f str, usize)>,
     sites: &mut u32,
-) -> Result<CFormula, EvalError> {
+) -> CFormula {
+    let mut sub = |f: &'f Formula| Box::new(lower(f, kind_table, scope, sites));
     match f {
-        Formula::True => Ok(CFormula::True),
-        Formula::False => Ok(CFormula::False),
-        Formula::Not(a) => Ok(CFormula::Not(Box::new(lower(a, kind_table, scope, sites)?))),
-        Formula::And(a, b) => Ok(CFormula::And(
-            Box::new(lower(a, kind_table, scope, sites)?),
-            Box::new(lower(b, kind_table, scope, sites)?),
-        )),
-        Formula::Or(a, b) => Ok(CFormula::Or(
-            Box::new(lower(a, kind_table, scope, sites)?),
-            Box::new(lower(b, kind_table, scope, sites)?),
-        )),
-        Formula::Implies(a, b) => Ok(CFormula::Implies(
-            Box::new(lower(a, kind_table, scope, sites)?),
-            Box::new(lower(b, kind_table, scope, sites)?),
-        )),
+        Formula::True => CFormula::True,
+        Formula::False => CFormula::False,
+        Formula::Not(a) => CFormula::Not(sub(a)),
+        Formula::And(a, b) => CFormula::And(sub(a), sub(b)),
+        Formula::Or(a, b) => CFormula::Or(sub(a), sub(b)),
+        Formula::Implies(a, b) => CFormula::Implies(sub(a), sub(b)),
         Formula::Pred(call) => {
-            let args = call
-                .args
-                .iter()
-                .map(|t| lower_term(t, scope))
-                .collect::<Result<Vec<_>, _>>()?;
+            let args: Vec<CTerm> = call.args.iter().map(|t| lower_term(t, scope)).collect();
             let mut slots: Vec<usize> = args
                 .iter()
                 .filter_map(|t| match t {
                     CTerm::Slot { slot, .. } | CTerm::Attr { slot, .. } => Some(*slot),
-                    CTerm::Const(_) => None,
+                    CTerm::Const(_) | CTerm::Unbound { .. } => None,
                 })
                 .collect();
             slots.sort_unstable();
             slots.dedup();
             let site = *sites;
             *sites += 1;
-            Ok(CFormula::Pred {
+            CFormula::Pred {
                 sym: PredSym::intern(&call.name),
                 args,
                 site,
                 slots,
-            })
+            }
         }
         Formula::Quant {
             q,
@@ -469,14 +509,13 @@ fn lower<'f>(
             scope.push((var, *qid));
             let body = lower(body, kind_table, scope, sites);
             scope.pop();
-            let body = body?;
-            Ok(CFormula::Quant {
+            CFormula::Quant {
                 q: *q,
                 kind_sym,
                 slot: *qid,
                 subject: literal_subject(*q, *qid, &body),
                 body: Box::new(body),
-            })
+            }
         }
     }
 }
@@ -524,26 +563,28 @@ fn literal_subject(q: Quantifier, slot: usize, body: &CFormula) -> Option<String
     }
 }
 
-fn lower_term(t: &Term, scope: &[(&str, usize)]) -> Result<CTerm, EvalError> {
+fn lower_term(t: &Term, scope: &[(&str, usize)]) -> CTerm {
     let slot_of = |name: &str| {
         scope
             .iter()
             .rev()
             .find(|(n, _)| *n == name)
             .map(|(_, slot)| *slot)
-            .ok_or_else(|| EvalError::UnboundVariable(name.to_owned()))
     };
-    match t {
-        Term::Const(v) => Ok(CTerm::Const(v.clone())),
-        Term::Var(name) => Ok(CTerm::Slot {
-            slot: slot_of(name)?,
-            var: name.clone(),
-        }),
-        Term::Attr(name, attr) => Ok(CTerm::Attr {
-            slot: slot_of(name)?,
-            var: name.clone(),
+    let (name, attr) = match t {
+        Term::Const(v) => return CTerm::Const(v.clone()),
+        Term::Var(name) => (name, None),
+        Term::Attr(name, attr) => (name, Some(attr)),
+    };
+    let var = name.clone();
+    match (slot_of(name), attr) {
+        (None, _) => CTerm::Unbound { var },
+        (Some(slot), None) => CTerm::Slot { slot, var },
+        (Some(slot), Some(attr)) => CTerm::Attr {
+            slot,
+            var,
             attr: attr.clone(),
-        }),
+        },
     }
 }
 
@@ -1308,6 +1349,7 @@ fn resolve_cterm_value<'a>(
 ) -> Result<Resolved<'a>, EvalError> {
     match term {
         CTerm::Const(v) => Ok(Resolved::ValueRef(v)),
+        CTerm::Unbound { var } => Err(EvalError::UnboundVariable(var.clone())),
         CTerm::Slot { slot, var } => {
             let id = env[*slot];
             let ctx = pool
@@ -1337,6 +1379,7 @@ fn resolve_cterm<'a>(
 ) -> Result<Resolved<'a>, EvalError> {
     match term {
         CTerm::Const(v) => Ok(Resolved::ValueRef(v)),
+        CTerm::Unbound { var } => Err(EvalError::UnboundVariable(var.clone())),
         CTerm::Slot { slot, var } => {
             let id = env[*slot];
             witness.insert(id);
@@ -1387,7 +1430,7 @@ mod tests {
 
     fn assert_matches_naive(source: &str, pool: &ContextPool, now: LogicalTime) {
         let c = parse_constraint(source).unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         let reg = registry();
         let mut scratch = EvalScratch::new();
         for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
@@ -1475,7 +1518,7 @@ mod tests {
     fn subject_scoped_pinned_check_matches_naive_on_mixed_subjects() {
         let pool = two_subject_pool();
         let c = parse_constraint(SPEED).unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         assert!(
             cc.is_per_subject(),
             "a same_subject-guarded forall pair must classify per-subject"
@@ -1501,6 +1544,59 @@ mod tests {
         assert!(saw_violation, "peter's teleport must surface under pinning");
     }
 
+    /// Subject narrowing needs `same_subject` leaves that tie every
+    /// variable before anything else is read. Here another subject's
+    /// binding would reach a call that raises — an unknown predicate, a
+    /// variable no quantifier binds, a seq the context lacks — or the
+    /// tie itself names a variable out of scope, so pinned checks keep
+    /// the full kind domains and raise as the oracle does.
+    #[test]
+    fn subject_narrowing_needs_a_leading_guard() {
+        let mut pool = ContextPool::new();
+        pool.insert(
+            Context::builder(ContextKind::new("location"), "p")
+                .attr("seq", 0i64)
+                .build(),
+        );
+        pool.insert(Context::builder(ContextKind::new("badge"), "q").build());
+        let reg = registry();
+        let now = LogicalTime::new(3);
+        for source in [
+            "constraint unknown: forall a: location, b: badge .
+               (ghost(a) and same_subject(a, b)) implies true",
+            "constraint unbound: forall a: location, b: badge .
+               (eq(zz, 1) and same_subject(a, b)) implies true",
+            "constraint out_of_scope: forall b: badge .
+               (forall a: location . true) implies not same_subject(a, b)",
+            "constraint seq_first: forall a: location, b: badge .
+               (seq_gap(a, b, 1) and same_subject(a, b)) implies false",
+        ] {
+            let c = parse_constraint(source).unwrap();
+            let cc = CompiledConstraint::compile(&c);
+            assert!(!cc.is_per_subject(), "{source}");
+            let mut raised = false;
+            for qid in 0..2 {
+                for (id, _) in pool.iter() {
+                    let want = Evaluator::new(&reg).check_pinned(&c, &pool, now, qid, id);
+                    raised |= want.is_err();
+                    assert_eq!(
+                        CompiledEvaluator::new(&reg).check_pinned(
+                            &cc,
+                            &pool,
+                            now,
+                            qid,
+                            id,
+                            &mut EvalScratch::new()
+                        ),
+                        want,
+                        "{source} pinned {qid}@{id}"
+                    );
+                }
+            }
+            assert!(raised, "{source}: some pin reaches the raising call");
+        }
+    }
+
     /// A constraint whose violations span subjects (`same_subject` only
     /// in the consequent) must stay `Global`: pinned checks keep the
     /// full kind domain, or the cross-subject violation would be missed.
@@ -1510,7 +1606,7 @@ mod tests {
         let src = "constraint cross: forall a: location, b: location . \
                    seq_gap(a, b, 1) implies same_subject(a, b)";
         let c = parse_constraint(src).unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         assert!(
             !cc.is_per_subject(),
             "same_subject in the consequent guarantees nothing about violations"
@@ -1538,7 +1634,7 @@ mod tests {
     fn pinned_compiled_check_matches_naive() {
         let pool = loc_pool(&[(0.0, 0.0), (0.5, 0.0), (9.0, 9.0)]);
         let c = parse_constraint(SPEED).unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         let reg = registry();
         let naive = Evaluator::new(&reg);
         let compiled = CompiledEvaluator::new(&reg);
@@ -1561,7 +1657,7 @@ mod tests {
         let mut pool = ContextPool::new();
         pool.insert(Context::builder(ContextKind::new("badge"), "p").build());
         let c = parse_constraint("constraint x: forall a: badge . eq(a.room, \"lab\")").unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         let reg = registry();
         let naive = Evaluator::new(&reg).check(&c, &pool, LogicalTime::new(1));
         let compiled = CompiledEvaluator::new(&reg).check(
@@ -1574,17 +1670,33 @@ mod tests {
         assert!(matches!(compiled, Err(EvalError::MissingAttr { .. })));
     }
 
+    /// A variable no enclosing quantifier binds compiles; a walk that
+    /// reaches it raises `UnboundVariable`, as the tree-walker does, and
+    /// one that short-circuits past it does not.
     #[test]
-    fn unbound_variable_is_a_compile_error() {
-        let c = Constraint::new(
-            "bad",
-            Formula::pred(
-                "has_attr",
-                vec![Term::Var("ghost".into()), Term::Const("x".into())],
-            ),
+    fn unbound_variables_raise_where_the_oracle_does() {
+        let pool = loc_pool(&[(0.0, 0.0), (0.5, 0.0), (9.0, 9.0)]);
+        let now = LogicalTime::new(10);
+        for source in [
+            "constraint bare: has_attr(ghost, \"pos\")",
+            "constraint reached: forall a: location . same_subject(a, ghost)",
+            "constraint attr: forall a: location . eq(ghost.room, a.seq)",
+            "constraint skipped: forall a: location . true or same_subject(a, ghost)",
+            "constraint guarded: forall a: location . le(a.seq, 0) implies eq(ghost, 1)",
+            "constraint out_of_scope: (forall a: location . true) and has_attr(a, \"pos\")",
+            SPEED,
+        ] {
+            assert_matches_naive(source, &pool, now);
+        }
+        let c = parse_constraint("constraint reached: forall a: location . same_subject(a, ghost)")
+            .unwrap();
+        let got = CompiledEvaluator::new(&registry()).check(
+            &CompiledConstraint::compile(&c),
+            &pool,
+            now,
+            &mut EvalScratch::new(),
         );
-        let err = CompiledConstraint::compile(&c).unwrap_err();
-        assert!(matches!(err, EvalError::UnboundVariable(v) if v == "ghost"));
+        assert_eq!(got, Err(EvalError::UnboundVariable("ghost".to_owned())));
     }
 
     #[test]
@@ -1603,7 +1715,7 @@ mod tests {
             "constraint multi: forall a: location, b: location . forall r: rfid . distinct(a, r)",
         )
         .unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         assert_eq!(cc.kind_table.len(), 2, "location interned once");
         assert_eq!(cc.kinds().len(), 2);
         assert!(cc.quantifies_over(&ContextKind::new("location")));
@@ -1648,7 +1760,7 @@ mod tests {
                (exists r: ringer . subject_eq(r, \"mary\"))",
         )
         .unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         let (venue, noise, badge, ringer) = (
             ContextKind::new("venue"),
             ContextKind::new("noise"),
@@ -1768,7 +1880,7 @@ mod tests {
         ] {
             for (source, _) in sources {
                 let c = parse_constraint(source).unwrap();
-                let cc = CompiledConstraint::compile(&c).unwrap();
+                let cc = CompiledConstraint::compile(&c);
                 for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
                     let eval = CompiledEvaluator::with_domain(&reg, mode);
                     let full = eval
@@ -1780,7 +1892,7 @@ mod tests {
             }
         }
         for (source, narrows) in sources {
-            let cc = CompiledConstraint::compile(&parse_constraint(source).unwrap()).unwrap();
+            let cc = CompiledConstraint::compile(&parse_constraint(source).unwrap());
             assert_eq!(
                 literal_subjects(&cc).iter().any(Option::is_some),
                 narrows,
@@ -1808,7 +1920,7 @@ mod tests {
                subject_eq(b, \"peter\") and eq(b.room, \"office\")",
         )
         .unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         assert_eq!(literal_subjects(&cc), vec![Some("peter".to_owned())]);
         let reg = registry();
         let eval = CompiledEvaluator::new(&reg);
@@ -1852,7 +1964,7 @@ mod tests {
         );
         pool.insert(Context::builder(ContextKind::new("badge"), "mary").build());
         let c = parse_constraint("constraint x: exists a: badge . eq(a.room, \"office\")").unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         let reg = registry();
         let eval = CompiledEvaluator::new(&reg);
         let mut scratch = EvalScratch::new();
@@ -1874,46 +1986,31 @@ mod tests {
             let source = format!(
                 "constraint c: forall a: location, b: location . ({antecedent}) implies {consequent}"
             );
-            CompiledConstraint::compile(&parse_constraint(&source).unwrap())
-                .unwrap()
-                .seq_guard
+            CompiledConstraint::compile(&parse_constraint(&source).unwrap()).seq_guard
         };
-        let speed = |u, v, k, le, same_subject| {
-            Some(SeqGuard {
-                u,
-                v,
-                k,
-                le,
-                same_subject,
-            })
-        };
+        let speed = |u, v, k, le| Some(SeqGuard { u, v, k, le });
         let v = "velocity_le(a, b, 1.5)";
         assert_eq!(
             guard("same_subject(a, b) and seq_gap(a, b, 1)", v),
-            speed(0, 1, 1, false, true)
+            speed(0, 1, 1, false)
         );
         assert_eq!(
             guard("same_subject(b, a) and seq_gap(b, a, 3)", v),
-            speed(1, 0, 3, false, true)
+            speed(1, 0, 3, false)
         );
         assert_eq!(
             guard(
                 "same_subject(a, b) and seq_gap_le(a, b, 2) and eq(a.zone, \"checkout\")",
                 "eq(b.zone, \"checkout\")"
             ),
-            speed(0, 1, 2, true, true)
-        );
-        assert_eq!(
-            guard("seq_gap(a, b, 2) and same_subject(a, b)", v),
-            speed(0, 1, 2, false, false),
-            "no same_subject before the seq leaf"
+            speed(0, 1, 2, true)
         );
         assert_eq!(
             guard(
                 "same_subject(a, b) and (seq_gap(a, b, -1) and has_attr(a, \"pos\"))",
                 v
             ),
-            speed(0, 1, -1, false, true),
+            speed(0, 1, -1, false),
             "a right-nested spine"
         );
         for antecedent in [
@@ -1924,12 +2021,16 @@ mod tests {
             "same_subject(a, b) and not seq_gap(a, b, 1)",
             "same_subject(a, b) and (seq_gap(a, b, 1) or seq_gap(a, b, 2))",
             "has_attr(b, \"pos\") and same_subject(a, b) and seq_gap(a, b, 1)",
+            // The seq leaf reads another subject's bindings before
+            // `same_subject` skips them: no subject narrowing at all.
+            "seq_gap(a, b, 2) and same_subject(a, b)",
+            "same_subject(a, ghost) and seq_gap(a, b, 1)",
         ] {
             assert_eq!(guard(antecedent, v), None, "{antecedent}");
         }
         let global = "constraint g: forall a: location, b: location . \
                       seq_gap(a, b, 1) implies same_subject(a, b)";
-        let cc = CompiledConstraint::compile(&parse_constraint(global).unwrap()).unwrap();
+        let cc = CompiledConstraint::compile(&parse_constraint(global).unwrap());
         assert!(
             !cc.is_per_subject() && !cc.has_seq_guard(),
             "no subject to narrow in"
@@ -1949,7 +2050,7 @@ mod tests {
         let points: Vec<(f64, f64)> = (0..20).map(|i| (f64::from(i) * 0.5, 0.0)).collect();
         let pool = loc_pool(&points);
         let c = parse_constraint(SPEED).unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         let now = LogicalTime::new(30);
         let pin = ContextId::from_raw(10);
         let mut scratch = EvalScratch::new();
@@ -2000,7 +2101,7 @@ mod tests {
         let mut two_arg_gap = registry();
         two_arg_gap.register("seq_gap", 2, |_| Ok(true));
         let c = parse_constraint(SPEED).unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         let seq0 = ContextId::from_raw(0);
         let want = Evaluator::new(&two_arg_gap).check_pinned(&c, &pool, now, 1, seq0);
         assert_eq!(
@@ -2030,7 +2131,7 @@ mod tests {
             "constraint nobody: exists a: location . subject_eq(a, \"nobody\") and true",
         )
         .unwrap();
-        let cc = CompiledConstraint::compile(&c).unwrap();
+        let cc = CompiledConstraint::compile(&c);
         assert_eq!(literal_subjects(&cc), vec![Some("nobody".to_owned())]);
         let want = Evaluator::new(&three_arg_subject)
             .check(&c, &pool, now)
@@ -2056,11 +2157,10 @@ mod tests {
         let mut scratch = EvalScratch::new();
         let pool = loc_pool(&[(0.0, 0.0), (0.5, 0.0), (9.0, 9.0)]);
         let now = LogicalTime::new(10);
-        let big = CompiledConstraint::compile(&parse_constraint(SPEED).unwrap()).unwrap();
+        let big = CompiledConstraint::compile(&parse_constraint(SPEED).unwrap());
         let small = CompiledConstraint::compile(
             &parse_constraint("constraint one: exists a: location . true").unwrap(),
-        )
-        .unwrap();
+        );
         let eval = CompiledEvaluator::new(&reg);
         for _ in 0..3 {
             assert!(

@@ -100,11 +100,13 @@ pub enum DomainMode {
     AvailableOnly,
 }
 
-/// Evaluates constraints against a [`ContextPool`].
+/// Evaluates constraints against a [`ContextPool`] by walking the AST.
 ///
 /// See the crate-level example. The evaluator borrows the predicate
 /// registry; it holds no other state, so one instance can check any
-/// number of constraints.
+/// number of constraints. The engine evaluates compiled programs
+/// ([`CompiledEvaluator`](crate::CompiledEvaluator)); this tree-walker
+/// is the reference the tests hold them against.
 #[derive(Debug)]
 pub struct Evaluator<'r> {
     registry: &'r PredicateRegistry,

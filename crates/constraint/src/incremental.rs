@@ -33,9 +33,6 @@ pub struct CheckerStats {
     pub pinned_evals: u64,
     /// Full constraint evaluations performed (fallback path).
     pub full_evals: u64,
-    /// Evaluations (pinned or full) served by a compiled program rather
-    /// than the AST walker.
-    pub compiled_evals: u64,
     /// Total detections returned.
     pub detections: u64,
     /// Pinned checks whose constraint has a seq guard on the pinned
@@ -44,6 +41,14 @@ pub struct CheckerStats {
     /// context's own seq is not an exact integer
     /// ([`EvalScratch::seq_fallbacks`]).
     pub seq_fallbacks: u64,
+}
+
+impl CheckerStats {
+    fn absorb(&mut self, counts: PlanCounts) {
+        self.pinned_evals += counts.pinned_evals;
+        self.detections += counts.detections;
+        self.seq_fallbacks += counts.seq_fallbacks;
+    }
 }
 
 /// A precomputed checking plan for one context kind: which constraints a
@@ -82,11 +87,9 @@ impl KindPlan {
 pub struct PlanCounts {
     /// Pinned evaluations performed (one per planned quantifier, bumped
     /// before the evaluation so an error leaves the same partial count
-    /// the sequential path would).
+    /// the sequential path would; the internal truth-then-evidence split
+    /// is not double-counted).
     pub pinned_evals: u64,
-    /// Compiled-program evaluations (one per planned quantifier; the
-    /// internal truth-then-evidence split is not double-counted).
-    pub compiled_evals: u64,
     /// Detections returned (zero when the check errored).
     pub detections: u64,
     /// Pinned checks that scanned a seq-guarded partner's bucket. A
@@ -100,7 +103,6 @@ impl PlanCounts {
     /// Folds another call's deltas into this accumulator.
     pub fn absorb(&mut self, other: PlanCounts) {
         self.pinned_evals += other.pinned_evals;
-        self.compiled_evals += other.compiled_evals;
         self.detections += other.detections;
         self.seq_fallbacks += other.seq_fallbacks;
     }
@@ -131,11 +133,8 @@ impl PlanCounts {
 /// ```
 #[derive(Debug)]
 pub struct IncrementalChecker {
-    constraints: ConstraintSet,
-    /// Compiled programs, parallel to `constraints`. `None` only for a
-    /// constraint that fails to compile (e.g. an unbound variable, which
-    /// the AST evaluator would also reject — at evaluation time).
-    compiled: Vec<Option<CompiledConstraint>>,
+    /// The deployed constraints, compiled; plan steps index into it.
+    compiled: Vec<CompiledConstraint>,
     /// The plan of every kind the constraints quantify over, sorted by
     /// kind. Every other kind is irrelevant: its plan is empty.
     plans: Vec<(ContextKind, KindPlan)>,
@@ -148,10 +147,6 @@ impl IncrementalChecker {
     /// Creates a checker for the given constraints, compiling each and
     /// planning each kind they quantify over once, at deploy time.
     pub fn new(constraints: ConstraintSet) -> Self {
-        let compiled = constraints
-            .iter()
-            .map(|c| CompiledConstraint::compile(c).ok())
-            .collect();
         let mut kinds: Vec<&ContextKind> = constraints.iter().flat_map(|c| c.kinds()).collect();
         kinds.sort_unstable();
         kinds.dedup();
@@ -160,18 +155,15 @@ impl IncrementalChecker {
             .map(|kind| (kind.clone(), build_plan(&constraints, kind)))
             .collect();
         IncrementalChecker {
-            constraints,
-            compiled,
+            compiled: constraints
+                .iter()
+                .map(CompiledConstraint::compile)
+                .collect(),
             plans,
             scratch: EvalScratch::new(),
             known: HashMap::new(),
             stats: CheckerStats::default(),
         }
-    }
-
-    /// The deployed constraints.
-    pub fn constraints(&self) -> &ConstraintSet {
-        &self.constraints
     }
 
     /// Whether contexts of `kind` are relevant to any constraint.
@@ -190,7 +182,7 @@ impl IncrementalChecker {
     /// Universal-positive constraints are checked by pinning; others by
     /// full re-evaluation diffed against the previous violation set.
     ///
-    /// Each compiled pinned check is truth-first: an allocation-free,
+    /// Each pinned check is truth-first: an allocation-free,
     /// short-circuiting truth walk
     /// ([`CompiledEvaluator::satisfied_pinned_batch`], no batch cap, no
     /// memo) runs before it, and violation evidence is built only when
@@ -255,7 +247,6 @@ impl IncrementalChecker {
             return Ok(Vec::new());
         };
         let IncrementalChecker {
-            constraints,
             compiled,
             plans,
             scratch,
@@ -267,62 +258,34 @@ impl IncrementalChecker {
         };
         let evaluator = CompiledEvaluator::new(registry);
         let mut out = Vec::new();
-        let constraints = constraints.iter().as_slice();
         for step in &plan.steps {
-            let constraint = &constraints[step.constraint];
-            let program = &compiled[step.constraint];
+            let cc = &compiled[step.constraint];
             if let Some(qids) = &step.pinned_qids {
-                let links = match program {
-                    Some(cc) => {
-                        let mut counts = PlanCounts::default();
-                        let links = pinned_links(
-                            &evaluator,
-                            cc,
-                            step.constraint,
-                            qids,
-                            pool,
-                            now,
-                            id,
-                            None,
-                            scratch,
-                            None,
-                            &mut counts,
-                        );
-                        stats.pinned_evals += counts.pinned_evals;
-                        stats.compiled_evals += counts.compiled_evals;
-                        stats.seq_fallbacks += counts.seq_fallbacks;
-                        links?
-                    }
-                    None => {
-                        let naive = crate::eval::Evaluator::new(registry);
-                        let mut links = BTreeSet::new();
-                        for &qid in qids {
-                            stats.pinned_evals += 1;
-                            links.extend(
-                                naive
-                                    .check_pinned(constraint, pool, now, qid, id)?
-                                    .violations,
-                            );
-                        }
-                        links
-                    }
-                };
-                for link in links {
+                let mut counts = PlanCounts::default();
+                let links = pinned_links(
+                    &evaluator,
+                    cc,
+                    step.constraint,
+                    qids,
+                    pool,
+                    now,
+                    id,
+                    None,
+                    scratch,
+                    None,
+                    &mut counts,
+                );
+                stats.absorb(counts);
+                for link in links? {
                     out.push(Detection {
-                        constraint: constraint.name().to_owned(),
+                        constraint: cc.name().to_owned(),
                         link,
                     });
                 }
             } else {
                 stats.full_evals += 1;
-                let outcome = match program {
-                    Some(cc) => {
-                        stats.compiled_evals += 1;
-                        evaluator.check(cc, pool, now, scratch)?
-                    }
-                    None => crate::eval::Evaluator::new(registry).check(constraint, pool, now)?,
-                };
-                let seen = known.entry(constraint.name().to_owned()).or_default();
+                let outcome = evaluator.check(cc, pool, now, scratch)?;
+                let seen = known.entry(cc.name().to_owned()).or_default();
                 let fresh: Vec<Link> = outcome
                     .violations
                     .iter()
@@ -332,7 +295,7 @@ impl IncrementalChecker {
                 *seen = outcome.violations.into_iter().collect();
                 for link in fresh {
                     out.push(Detection {
-                        constraint: constraint.name().to_owned(),
+                        constraint: cc.name().to_owned(),
                         link,
                     });
                 }
@@ -344,17 +307,16 @@ impl IncrementalChecker {
 
     /// Whether the deployed set can be checked through
     /// [`check_with_plan`](IncrementalChecker::check_with_plan): every
-    /// constraint compiled, lies in the universal-positive fragment (so
+    /// constraint lies in the universal-positive fragment (so
     /// plans pin — the stateful full-check-and-diff fallback never
     /// runs), and carries a per-subject scope proof (so a pinned check's
     /// footprint is exactly the pinned subject's bucket, and checks of
     /// disjoint subjects are independent). The middleware does not need
     /// it; the benchmark's batched replay and the checker's tests do.
     pub fn supports_batch_fusion(&self) -> bool {
-        self.compiled.iter().all(|p| {
-            p.as_ref()
-                .is_some_and(|cc| cc.is_universal_positive() && cc.is_per_subject())
-        })
+        self.compiled
+            .iter()
+            .all(|cc| cc.is_universal_positive() && cc.is_per_subject())
     }
 
     /// Stateless, read-only twin of
@@ -372,7 +334,7 @@ impl IncrementalChecker {
     ///
     /// Requires
     /// [`supports_batch_fusion`](IncrementalChecker::supports_batch_fusion)
-    /// — every plan step pins a compiled program.
+    /// — every plan step pins.
     ///
     /// Errors are returned in the tuple (not via `?`) so the partial
     /// counts accompany them, exactly as a sequential error would leave
@@ -394,12 +356,10 @@ impl IncrementalChecker {
             return (Ok(Vec::new()), counts);
         }
         let evaluator = CompiledEvaluator::new(registry);
-        let constraints = self.constraints.iter().as_slice();
         let mut out = Vec::new();
         for step in &plan.steps {
-            let constraint = &constraints[step.constraint];
-            let (Some(qids), Some(cc)) = (&step.pinned_qids, &self.compiled[step.constraint])
-            else {
+            let cc = &self.compiled[step.constraint];
+            let Some(qids) = &step.pinned_qids else {
                 unreachable!("check_with_plan requires supports_batch_fusion()");
             };
             let links = match pinned_links(
@@ -420,7 +380,7 @@ impl IncrementalChecker {
             };
             for link in links {
                 out.push(Detection {
-                    constraint: constraint.name().to_owned(),
+                    constraint: cc.name().to_owned(),
                     link,
                 });
             }
@@ -433,10 +393,7 @@ impl IncrementalChecker {
     /// [`check_with_plan`](IncrementalChecker::check_with_plan) calls,
     /// restoring [`CheckerStats`] parity with the sequential path.
     pub fn absorb_batch_counts(&mut self, counts: PlanCounts) {
-        self.stats.pinned_evals += counts.pinned_evals;
-        self.stats.compiled_evals += counts.compiled_evals;
-        self.stats.detections += counts.detections;
-        self.stats.seq_fallbacks += counts.seq_fallbacks;
+        self.stats.absorb(counts);
     }
 
     /// Fully checks every constraint: the non-incremental baseline the
@@ -452,26 +409,13 @@ impl IncrementalChecker {
         now: LogicalTime,
     ) -> Result<Vec<Detection>, EvalError> {
         let evaluator = CompiledEvaluator::new(registry);
-        let IncrementalChecker {
-            constraints,
-            compiled,
-            scratch,
-            stats,
-            ..
-        } = self;
         let mut out = Vec::new();
-        for (constraint, program) in constraints.iter().zip(compiled.iter()) {
-            stats.full_evals += 1;
-            let outcome = match program {
-                Some(cc) => {
-                    stats.compiled_evals += 1;
-                    evaluator.check(cc, pool, now, scratch)?
-                }
-                None => crate::eval::Evaluator::new(registry).check(constraint, pool, now)?,
-            };
+        for cc in &self.compiled {
+            self.stats.full_evals += 1;
+            let outcome = evaluator.check(cc, pool, now, &mut self.scratch)?;
             for link in outcome.violations {
                 out.push(Detection {
-                    constraint: constraint.name().to_owned(),
+                    constraint: cc.name().to_owned(),
                     link,
                 });
             }
@@ -503,7 +447,7 @@ fn plan_of<'p>(plans: &'p [(ContextKind, KindPlan)], kind: &ContextKind) -> Opti
         .map(|at| &plans[at].1)
 }
 
-/// The pinned check of one compiled plan step, shared by
+/// The pinned check of one plan step, shared by
 /// [`IncrementalChecker::on_added`] (and `on_added_planned`) and
 /// [`IncrementalChecker::check_with_plan`]: per pinned quantifier, a
 /// truth walk first ([`CompiledEvaluator::satisfied_pinned_batch`],
@@ -532,7 +476,6 @@ fn pinned_links(
     let mut links = BTreeSet::new();
     for &qid in qids {
         counts.pinned_evals += 1;
-        counts.compiled_evals += 1;
         let fallbacks = scratch.seq_fallbacks();
         let satisfied = evaluator.satisfied_pinned_batch(
             cc,
@@ -791,13 +734,13 @@ mod tests {
     fn pin_free_sites_consult_the_memo_and_hit_across_checks() {
         // `has_attr(b, "pos")` reads only the unpinned slot when the
         // check pins `a`, so its verdicts recur across checks of the
-        // same subject — the one class of site the memo serves. It leads
-        // the antecedent, so short-circuit evaluation reaches it for
-        // every binding (and the constraint has no seq guard to narrow
-        // `b` by). The capped run must still agree with the sequential
-        // oracle.
+        // same subject — the one class of site the memo serves. It
+        // follows the subject guard, so short-circuit evaluation reaches
+        // it for every binding of the pinned subject's bucket (and the
+        // constraint has no seq guard to narrow `b` by). The capped run
+        // must still agree with the sequential oracle.
         let guarded = "constraint guarded: forall a: location, b: location . \
-             (has_attr(b, \"pos\") and same_subject(a, b) and seq_gap(a, b, 1)) \
+             (same_subject(a, b) and has_attr(b, \"pos\") and seq_gap(a, b, 1)) \
              implies velocity_le(a, b, 1.5)";
         let reg = PredicateRegistry::with_builtins();
         let points = [(0.0, 0.0), (9.0, 9.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0)];
@@ -816,11 +759,7 @@ mod tests {
 
         let fused = checker(guarded);
         assert!(fused.supports_batch_fusion());
-        assert!(fused
-            .compiled
-            .iter()
-            .flatten()
-            .all(|cc| !cc.has_seq_guard()));
+        assert!(fused.compiled.iter().all(|cc| !cc.has_seq_guard()));
         let plan = fused.plan_for(&ContextKind::new("location"));
         let mut pool_b = ContextPool::new();
         let ids: Vec<ContextId> = points
@@ -875,7 +814,7 @@ mod tests {
         };
         let reg = PredicateRegistry::with_builtins();
         let constraint = &parse_constraints(ROOM).unwrap()[0];
-        let cc = CompiledConstraint::compile(constraint).unwrap();
+        let cc = CompiledConstraint::compile(constraint);
         let evidence = CompiledEvaluator::new(&reg);
         let oracle = crate::eval::Evaluator::new(&reg);
         let now = LogicalTime::new(3);

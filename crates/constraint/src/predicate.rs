@@ -319,6 +319,14 @@ impl PredicateRegistry {
     }
 
     /// Registers (or replaces) a predicate.
+    ///
+    /// `func` reports a failure by returning an [`EvalError`], which
+    /// fails only the check that called it. A `func` that panics is not
+    /// caught: the panic unwinds out of the evaluation and out of the
+    /// middleware call that ran it (`Middleware::submit`, say), leaving
+    /// that engine mid-update — the new context pooled but neither
+    /// checked nor resolved. Such an engine is poisoned and must be
+    /// dropped, not used again.
     pub fn register(
         &mut self,
         name: &str,

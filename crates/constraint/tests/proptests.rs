@@ -8,12 +8,15 @@
 //! * narrowed pinned checks and `holds` equal the oracle under
 //!   registries that forward, lack or re-register the builtins
 //!   narrowing trusts;
+//! * on random formulas with bound and unbound variables, wrong
+//!   arities, type errors and an unknown predicate, the compiled walks
+//!   raise or hold exactly where the oracle does;
 //! * evaluation is deterministic.
 
 use ctxres_constraint::{
     parse_constraints, parse_formula, simplify, CompiledConstraint, CompiledEvaluator, Constraint,
-    DomainMode, EvalScratch, Evaluator, Formula, IncrementalChecker, Link, PredicateRegistry,
-    Quantifier, Term,
+    DomainMode, EvalError, EvalScratch, Evaluator, Formula, IncrementalChecker, Link,
+    PredicateRegistry, Quantifier, Resolved, Term,
 };
 use ctxres_context::{
     Context, ContextId, ContextKind, ContextPool, ContextState, ContextValue, Lifespan,
@@ -425,7 +428,7 @@ proptest! {
         let now = LogicalTime::new(sightings.len() as u64);
         let mut scratch = EvalScratch::new();
         for c in parse_constraints(PAIRS).unwrap() {
-            let cc = CompiledConstraint::compile(&c).unwrap();
+            let cc = CompiledConstraint::compile(&c);
             prop_assert!(cc.has_seq_guard(), "{}", c.name());
             for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
                 let oracle = Evaluator::with_domain(&registry, mode);
@@ -577,7 +580,7 @@ proptest! {
         .unwrap();
         let situations = parse_constraints(&guarded_situations(&late)).unwrap();
         let compile = |cs: &[Constraint]| -> Vec<CompiledConstraint> {
-            cs.iter().map(|c| CompiledConstraint::compile(c).unwrap()).collect()
+            cs.iter().map(CompiledConstraint::compile).collect()
         };
         let (compiled_pairs, compiled_situations) = (compile(&pairs), compile(&situations));
         let all: Vec<Constraint> = pairs.iter().chain(&situations).cloned().collect();
@@ -608,6 +611,252 @@ proptest! {
                     (Ok(truth), Err(_)) if *truth == deciding => {}
                     _ => prop_assert_eq!(&got, &want, "{} under {:?}", s.name(), mode),
                 }
+            }
+        }
+    }
+}
+
+/// The variables random formulas quantify over — and reference where no
+/// quantifier binds them.
+const VARS: [&str; 3] = ["a", "b", "c"];
+
+/// The kinds random formulas quantify over.
+const KINDS: [&str; 2] = ["location", "badge"];
+
+/// The predicates random formulas call, with one to three arguments
+/// whatever their arity: builtins and one name no registry defines.
+const CALLED: [&str; 6] = [
+    "same_subject",
+    "subject_eq",
+    "before",
+    "seq_gap",
+    "le",
+    "ghost",
+];
+
+fn random_term() -> impl Strategy<Value = Term> {
+    let var = || (0..VARS.len()).prop_map(|v| Term::Var(VARS[v].to_owned()));
+    prop_oneof![
+        var(),
+        var(),
+        var(),
+        (0..VARS.len()).prop_map(|v| Term::Attr(VARS[v].to_owned(), "seq".to_owned())),
+        (0i64..3).prop_map(|n| Term::Const(ContextValue::Int(n))),
+        (0..2usize).prop_map(|s| Term::Const(ContextValue::Text(["p", "q"][s].to_owned()))),
+    ]
+}
+
+fn random_call() -> impl Strategy<Value = Formula> {
+    (
+        0..CALLED.len(),
+        proptest::collection::vec(random_term(), 1..4),
+    )
+        .prop_map(|(p, args)| Formula::pred(CALLED[p], args))
+}
+
+/// `exists` or `forall` over variable `VARS[v]` of kind `KINDS[k]`.
+fn quantify(exists: bool, v: usize, k: usize, body: Formula) -> Formula {
+    if exists {
+        Formula::exists(VARS[v], KINDS[k], body)
+    } else {
+        Formula::forall(VARS[v], KINDS[k], body)
+    }
+}
+
+/// A formula under zero to three quantifiers over [`VARS`] and
+/// [`KINDS`], or a subject-guarded `forall` chain; its calls may read
+/// variables no quantifier binds.
+fn random_formula() -> impl Strategy<Value = Formula> {
+    let quant = |inner: BoxedStrategy<Formula>, exists: bool| {
+        (0..VARS.len(), 0..KINDS.len(), inner)
+            .prop_map(move |(v, k, body)| quantify(exists, v, k, body))
+    };
+    let body = prop_oneof![
+        Just(Formula::True),
+        Just(Formula::False),
+        random_call(),
+        random_call(),
+        random_call()
+    ]
+    .prop_recursive(3, 16, 2, move |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
+            inner.clone().prop_map(Formula::not),
+            quant(inner.clone(), false),
+            quant(inner, true),
+        ]
+    });
+    let prefix = proptest::collection::vec((0..VARS.len(), 0..KINDS.len(), any::<bool>()), 0..4);
+    let free = (prefix, body.clone()).prop_map(|(prefix, body)| {
+        (prefix.into_iter().rev()).fold(body, |body, (v, k, exists)| quantify(exists, v, k, body))
+    });
+    // The per-subject shape pinned checks narrow: a `forall` chain over
+    // `G implies C`, where `G`'s `and` spine mixes `same_subject` leaves
+    // with other calls in any order.
+    let same_subject = (0..VARS.len(), 0..VARS.len()).prop_map(|(u, v)| {
+        let var = |i: usize| Term::Var(VARS[i].to_owned());
+        Formula::pred("same_subject", vec![var(u), var(v)])
+    });
+    let chain = proptest::collection::vec((0..VARS.len(), 0..KINDS.len()), 2..4);
+    let spine = proptest::collection::vec(
+        prop_oneof![same_subject.clone(), same_subject, random_call()],
+        1..4,
+    );
+    let guarded = (chain, spine, body).prop_map(|(chain, spine, consequent)| {
+        let guard = spine.into_iter().reduce(Formula::and).unwrap();
+        (chain.into_iter().rev()).fold(guard.implies(consequent), |body, (v, k)| {
+            quantify(false, v, k, body)
+        })
+    });
+    prop_oneof![free.clone(), free, guarded]
+}
+
+/// One context of a mixed pool: kind, subject, life-cycle state, and
+/// whether it expires before the check.
+fn mixed_context() -> impl Strategy<Value = (usize, usize, u8, bool)> {
+    (
+        0..KINDS.len(),
+        0..2usize,
+        0u8..3,
+        proptest::bool::weighted(0.15),
+    )
+}
+
+/// Every context carries an exact `seq` (its subject's stream position
+/// in its kind), so the builtins raise only on the call itself: an
+/// unbound variable, an unknown name, a wrong arity or a wrong type.
+fn mixed_pool(contexts: &[(usize, usize, u8, bool)]) -> ContextPool {
+    let mut pool = ContextPool::new();
+    let mut next = [[0i64; 2]; 2];
+    for (i, &(kind, subject, state, expired)) in contexts.iter().enumerate() {
+        let stamp = LogicalTime::new(i as u64);
+        let mut b = Context::builder(ContextKind::new(KINDS[kind]), ["p", "q"][subject])
+            .attr("seq", next[kind][subject])
+            .stamp(stamp);
+        next[kind][subject] += 1;
+        if expired {
+            b = b.lifespan(Lifespan::with_ttl(stamp, Ticks::new(1)));
+        }
+        let id = pool.insert(b.build());
+        match state {
+            0 => pool.set_state(id, ContextState::Consistent).unwrap(),
+            1 => pool.discard(id).unwrap(),
+            _ => {}
+        }
+    }
+    pool
+}
+
+/// The truth walk `holds` performs, over the AST: the oracle's order
+/// and errors, but each quantifier stops at its first deciding binding.
+fn truth_walk(
+    f: &Formula,
+    registry: &PredicateRegistry,
+    pool: &ContextPool,
+    now: LogicalTime,
+    mode: DomainMode,
+    env: &mut Vec<(String, ContextId)>,
+) -> Result<bool, EvalError> {
+    let walk = |f: &Formula, env: &mut Vec<(String, ContextId)>| {
+        truth_walk(f, registry, pool, now, mode, env)
+    };
+    match f {
+        Formula::True => Ok(true),
+        Formula::False => Ok(false),
+        Formula::Not(a) => Ok(!walk(a, env)?),
+        Formula::And(a, b) => Ok(walk(a, env)? && walk(b, env)?),
+        Formula::Or(a, b) => Ok(walk(a, env)? || walk(b, env)?),
+        Formula::Implies(a, b) => Ok(!walk(a, env)? || walk(b, env)?),
+        Formula::Pred(call) => {
+            let mut args = Vec::new();
+            for term in &call.args {
+                let bound = |var: &str| {
+                    let id = env.iter().rev().find(|(v, _)| v == var).map(|(_, id)| *id);
+                    id.ok_or_else(|| EvalError::UnboundVariable(var.to_owned()))
+                };
+                args.push(match term {
+                    Term::Const(v) => Resolved::ValueRef(v),
+                    Term::Var(var) => {
+                        let id = bound(var)?;
+                        Resolved::Ctx(id, pool.get(id).unwrap())
+                    }
+                    Term::Attr(var, attr) => {
+                        Resolved::ValueRef(pool.get(bound(var)?).unwrap().attr(attr).unwrap())
+                    }
+                });
+            }
+            registry.eval(&call.name, &args)
+        }
+        Formula::Quant {
+            q, var, kind, body, ..
+        } => {
+            let deciding = *q == Quantifier::Exists;
+            for (id, c) in pool.of_kind_live_at(kind, now) {
+                if mode == DomainMode::AvailableOnly && !c.state().is_available() {
+                    continue;
+                }
+                env.push((var.clone(), id));
+                let truth = walk(body, env);
+                env.pop();
+                if truth? == deciding {
+                    return Ok(deciding);
+                }
+            }
+            Ok(!deciding)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+    /// Every constraint compiles, and the compiled walks raise exactly
+    /// where the tree-walking oracle does: on random formulas over two
+    /// kinds and three variables — bound, shadowed or unbound — calling
+    /// builtins at one to three arguments and an unknown predicate,
+    /// against small pools of both kinds with mixed states. `check` and
+    /// `check_pinned` equal the oracle's outcome (`Ok` or `Err`, links
+    /// included) in both domain modes, for every pin of every
+    /// quantifier. `holds` equals the AST truth walk, and so the
+    /// oracle's `satisfied` wherever the oracle is `Ok`: it differs only
+    /// where a quantifier's deciding binding stops it before the
+    /// oracle's error.
+    #[test]
+    fn compiled_walks_raise_where_the_oracle_does(
+        formula in random_formula(),
+        contexts in proptest::collection::vec(mixed_context(), 0..7),
+    ) {
+        let c = Constraint::new("random", formula);
+        let cc = CompiledConstraint::compile(&c);
+        let registry = PredicateRegistry::with_builtins();
+        let pool = mixed_pool(&contexts);
+        let now = LogicalTime::new(contexts.len() as u64 + 1);
+        let mut scratch = EvalScratch::new();
+        for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
+            let oracle = Evaluator::with_domain(&registry, mode);
+            let compiled = CompiledEvaluator::with_domain(&registry, mode);
+            let want = oracle.check(&c, &pool, now);
+            prop_assert_eq!(
+                compiled.check(&cc, &pool, now, &mut scratch),
+                want.clone(),
+                "{} under {:?}", c.formula(), mode
+            );
+            for (id, _) in pool.iter() {
+                for qid in 0..c.quantifier_count() {
+                    prop_assert_eq!(
+                        compiled.check_pinned(&cc, &pool, now, qid, id, &mut scratch),
+                        oracle.check_pinned(&c, &pool, now, qid, id),
+                        "{} pinned {}@{} under {:?}", c.formula(), qid, id, mode
+                    );
+                }
+            }
+            let holds = compiled.holds(&cc, &pool, now, &mut scratch);
+            let walked = truth_walk(c.formula(), &registry, &pool, now, mode, &mut Vec::new());
+            prop_assert_eq!(&holds, &walked, "{} under {:?}", c.formula(), mode);
+            if let Ok(outcome) = want {
+                prop_assert_eq!(holds, Ok(outcome.satisfied), "{} under {:?}", c.formula(), mode);
             }
         }
     }

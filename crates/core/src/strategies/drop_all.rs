@@ -1,7 +1,7 @@
 //! The drop-all baseline (paper §2.3, after Bu et al.).
 
 use crate::inconsistency::Inconsistency;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, UseOutcome};
+use crate::strategy::{AdditionOutcome, ResolutionStrategy};
 use ctxres_context::{ContextId, ContextPool, ContextState, LogicalTime};
 
 /// Drop-all (`D-ALL`): discard *every* context involved in any fresh
@@ -60,18 +60,6 @@ impl ResolutionStrategy for DropAll {
         AdditionOutcome {
             discarded,
             accepted,
-        }
-    }
-
-    fn on_use(&mut self, pool: &mut ContextPool, now: LogicalTime, id: ContextId) -> UseOutcome {
-        let delivered = pool
-            .get(id)
-            .map(|c| c.state().is_available() && c.is_live(now))
-            .unwrap_or(false);
-        UseOutcome {
-            delivered,
-            discarded: Vec::new(),
-            marked_bad: Vec::new(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The drop-latest baseline (paper §2.2, after Chomicki et al.).
 
 use crate::inconsistency::Inconsistency;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, UseOutcome};
+use crate::strategy::{AdditionOutcome, ResolutionStrategy};
 use ctxres_context::{ContextId, ContextPool, ContextState, LogicalTime};
 
 /// Drop-latest (`D-LAT`): whenever a new context causes inconsistencies,
@@ -63,18 +63,6 @@ impl ResolutionStrategy for DropLatest {
         AdditionOutcome {
             discarded,
             accepted,
-        }
-    }
-
-    fn on_use(&mut self, pool: &mut ContextPool, now: LogicalTime, id: ContextId) -> UseOutcome {
-        let delivered = pool
-            .get(id)
-            .map(|c| c.state().is_available() && c.is_live(now))
-            .unwrap_or(false);
-        UseOutcome {
-            delivered,
-            discarded: Vec::new(),
-            marked_bad: Vec::new(),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! "randomly discarding some actions").
 
 use crate::inconsistency::Inconsistency;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, UseOutcome};
+use crate::strategy::{AdditionOutcome, ResolutionStrategy};
 use ctxres_context::{ContextId, ContextPool, ContextState, LogicalTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,18 +67,6 @@ impl ResolutionStrategy for DropRandom {
         AdditionOutcome {
             discarded,
             accepted,
-        }
-    }
-
-    fn on_use(&mut self, pool: &mut ContextPool, now: LogicalTime, id: ContextId) -> UseOutcome {
-        let delivered = pool
-            .get(id)
-            .map(|c| c.state().is_available() && c.is_live(now))
-            .unwrap_or(false);
-        UseOutcome {
-            delivered,
-            discarded: Vec::new(),
-            marked_bad: Vec::new(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The artificial optimal strategy OPT-R (paper §4.1).
 
 use crate::inconsistency::Inconsistency;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, UseOutcome};
+use crate::strategy::{AdditionOutcome, ResolutionStrategy};
 use ctxres_context::{ContextId, ContextPool, ContextState, LogicalTime};
 
 /// OPT-R: an artificial strategy with "a specially designed oracle to
@@ -52,18 +52,6 @@ impl ResolutionStrategy for Oracle {
                 discarded: Vec::new(),
                 accepted: true,
             }
-        }
-    }
-
-    fn on_use(&mut self, pool: &mut ContextPool, now: LogicalTime, id: ContextId) -> UseOutcome {
-        let delivered = pool
-            .get(id)
-            .map(|c| c.state().is_available() && c.is_live(now))
-            .unwrap_or(false);
-        UseOutcome {
-            delivered,
-            discarded: Vec::new(),
-            marked_bad: Vec::new(),
         }
     }
 }

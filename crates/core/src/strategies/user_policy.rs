@@ -2,7 +2,7 @@
 //! al. and Insuk et al.).
 
 use crate::inconsistency::Inconsistency;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, TieBreak, UseOutcome};
+use crate::strategy::{AdditionOutcome, ResolutionStrategy, TieBreak};
 use ctxres_context::{ContextId, ContextKind, ContextPool, ContextState, LogicalTime};
 use std::collections::HashMap;
 
@@ -97,18 +97,6 @@ impl ResolutionStrategy for UserPolicy {
         AdditionOutcome {
             discarded,
             accepted,
-        }
-    }
-
-    fn on_use(&mut self, pool: &mut ContextPool, now: LogicalTime, id: ContextId) -> UseOutcome {
-        let delivered = pool
-            .get(id)
-            .map(|c| c.state().is_available() && c.is_live(now))
-            .unwrap_or(false);
-        UseOutcome {
-            delivered,
-            discarded: Vec::new(),
-            marked_bad: Vec::new(),
         }
     }
 }

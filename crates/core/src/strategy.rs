@@ -100,7 +100,19 @@ pub trait ResolutionStrategy {
 
     /// Handles a context-deletion change: an application wants to use
     /// context `id`.
-    fn on_use(&mut self, pool: &mut ContextPool, now: LogicalTime, id: ContextId) -> UseOutcome;
+    ///
+    /// The default suits a strategy that decides everything at addition
+    /// time (`defers_decision() == false`): the context is delivered if
+    /// it is still available and live, and nothing is discarded.
+    fn on_use(&mut self, pool: &mut ContextPool, now: LogicalTime, id: ContextId) -> UseOutcome {
+        let delivered = pool
+            .get(id)
+            .is_some_and(|c| c.state().is_available() && c.is_live(now));
+        UseOutcome {
+            delivered,
+            ..UseOutcome::default()
+        }
+    }
 
     /// Attaches an observability handle. Strategies with internal
     /// decision state worth tracing (drop-bad's Δ-set and count values)

@@ -10,6 +10,7 @@ use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
 use ctxres_apps::PervasiveApp;
 use ctxres_experiments::ablation::tie_policy_comparison;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
 
 fn main() {
@@ -28,13 +29,17 @@ fn main() {
             len,
             app.recommended_window(),
         );
-        println!("{} (used_expected / survival / precision):", app.name());
-        println!(
+        outln!("{} (used_expected / survival / precision):", app.name());
+        outln!(
             "{:>10}{:>10}{:>12}{:>10}{:>10}",
-            "policy", "err", "used", "surv", "prec"
+            "policy",
+            "err",
+            "used",
+            "surv",
+            "prec"
         );
         for p in &points {
-            println!(
+            outln!(
                 "{:>10}{:>9.0}%{:>12.1}{:>9.1}%{:>9.1}%",
                 p.policy,
                 p.err_rate * 100.0,
@@ -43,7 +48,7 @@ fn main() {
                 p.precision * 100.0
             );
         }
-        println!();
+        outln!();
         all.push((app.name().to_owned(), points));
     }
     match write_json("ablation_tie", &all) {

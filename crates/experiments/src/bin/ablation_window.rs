@@ -6,6 +6,7 @@
 
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_experiments::ablation::window_sweep;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::{render_window_ablation, write_json};
 
 fn main() {
@@ -16,7 +17,7 @@ fn main() {
     let windows = [0u64, 1, 2, 3, 4];
     eprintln!("§5.3 window ablation: call forwarding + drop-bad, {runs} runs × {len} contexts …");
     let ab = window_sweep(&CallForwarding::new(), &windows, 0.3, runs, len);
-    println!("{}", render_window_ablation(&ab));
+    outln!("{}", render_window_ablation(&ab));
     match write_json("ablation_window", &ab) {
         Ok(path) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),

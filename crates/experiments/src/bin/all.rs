@@ -7,10 +7,12 @@ use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
 use ctxres_experiments::ablation::window_sweep;
 use ctxres_experiments::case_study::run_case_study;
-use ctxres_experiments::figures::figure_for;
+use ctxres_experiments::figures::figure_for_parallel;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::{
     render_case_study, render_figure, render_window_ablation, write_json,
 };
+use ctxres_experiments::runner::default_threads;
 use ctxres_experiments::{RUNS_PER_POINT, TRACE_LEN};
 
 fn main() {
@@ -21,14 +23,15 @@ fn main() {
         (RUNS_PER_POINT, TRACE_LEN)
     };
 
+    let threads = default_threads();
     eprintln!("[1/4] figure 9 (call forwarding) …");
-    let fig9 = figure_for(&CallForwarding::new(), runs, len);
-    println!("{}", render_figure(&fig9));
+    let fig9 = figure_for_parallel(&CallForwarding::new(), runs, len, threads, None);
+    outln!("{}", render_figure(&fig9));
     let _ = write_json("figure9", &fig9);
 
     eprintln!("[2/4] figure 10 (rfid data anomalies) …");
-    let fig10 = figure_for(&RfidAnomalies::new(), runs, len);
-    println!("{}", render_figure(&fig10));
+    let fig10 = figure_for_parallel(&RfidAnomalies::new(), runs, len, threads, None);
+    outln!("{}", render_figure(&fig10));
     let _ = write_json("figure10", &fig10);
 
     eprintln!("[3/4] §5.2 case study …");
@@ -37,7 +40,7 @@ fn main() {
         if quick { 3 } else { 10 },
         if quick { 200 } else { 600 },
     );
-    println!("{}", render_case_study(&cs));
+    outln!("{}", render_case_study(&cs));
     let _ = write_json("case_study", &cs);
 
     eprintln!("[4/4] §5.3 window ablation …");
@@ -48,6 +51,6 @@ fn main() {
         if quick { 2 } else { 10 },
         if quick { 180 } else { 600 },
     );
-    println!("{}", render_window_ablation(&ab));
+    outln!("{}", render_window_ablation(&ab));
     let _ = write_json("ablation_window", &ab);
 }

@@ -5,6 +5,7 @@
 //! Usage: `case_study [--quick]`.
 
 use ctxres_experiments::case_study::run_case_study;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::{render_case_study, write_json};
 
 fn main() {
@@ -12,7 +13,7 @@ fn main() {
     let (runs, len) = if quick { (3, 200) } else { (10, 600) };
     eprintln!("§5.2 case study: landmarc + drop-bad, {runs} runs × {len} fixes …");
     let cs = run_case_study(0.2, runs, len);
-    println!("{}", render_case_study(&cs));
+    outln!("{}", render_case_study(&cs));
     match write_json("case_study", &cs) {
         Ok(path) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),

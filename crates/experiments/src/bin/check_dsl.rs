@@ -10,8 +10,11 @@
 //! inconsistencies are found, 2 on usage/parse errors — usable in
 //! scripts and CI.
 
-use ctxres_constraint::{parse_constraints, Evaluator, PredicateRegistry};
+use ctxres_constraint::{
+    parse_constraints, CompiledConstraint, CompiledEvaluator, EvalScratch, PredicateRegistry,
+};
 use ctxres_context::{ContextPool, LogicalTime};
+use ctxres_experiments::outln;
 use ctxres_experiments::trace_io::load_trace;
 use std::path::Path;
 use std::process::ExitCode;
@@ -50,15 +53,17 @@ fn main() -> ExitCode {
         .unwrap_or(LogicalTime::ZERO);
     let pool: ContextPool = trace.into_iter().collect();
     let registry = PredicateRegistry::with_builtins();
-    let evaluator = Evaluator::new(&registry);
+    let evaluator = CompiledEvaluator::new(&registry);
+    let mut scratch = EvalScratch::new();
     let mut total = 0usize;
     for constraint in &constraints {
-        match evaluator.check(constraint, &pool, now) {
+        let compiled = CompiledConstraint::compile(constraint);
+        match evaluator.check(&compiled, &pool, now, &mut scratch) {
             Ok(outcome) => {
                 for link in &outcome.violations {
                     total += 1;
                     let members: Vec<String> = link.iter().map(|id| id.to_string()).collect();
-                    println!("{}: {{{}}}", constraint.name(), members.join(", "));
+                    outln!("{}: {{{}}}", constraint.name(), members.join(", "));
                 }
             }
             Err(e) => {

@@ -11,6 +11,7 @@ use ctxres_apps::rfid_anomalies::RfidAnomalies;
 use ctxres_apps::smart_ringer::SmartRinger;
 use ctxres_apps::PervasiveApp;
 use ctxres_experiments::coverage::{constraint_coverage, render_coverage};
+use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
         Box::new(SmartRinger::new()),
     ] {
         let report = constraint_coverage(app.as_ref(), 0.3, runs, len);
-        println!("{}", render_coverage(&report));
+        outln!("{}", render_coverage(&report));
         all.push(report);
     }
     match write_json("coverage", &all) {

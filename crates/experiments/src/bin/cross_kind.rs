@@ -8,8 +8,10 @@
 //! Usage: `cross_kind [--quick]`.
 
 use ctxres_apps::smart_ringer::SmartRinger;
-use ctxres_experiments::figures::figure_for;
+use ctxres_experiments::figures::figure_for_parallel;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::{render_figure, write_json};
+use ctxres_experiments::runner::default_threads;
 use ctxres_experiments::{RUNS_PER_POINT, TRACE_LEN};
 
 fn main() {
@@ -20,8 +22,8 @@ fn main() {
         (RUNS_PER_POINT, TRACE_LEN)
     };
     eprintln!("cross-kind generality: smart ringer, {runs} runs/point, {len} contexts/run …");
-    let fig = figure_for(&SmartRinger::new(), runs, len);
-    println!("{}", render_figure(&fig));
+    let fig = figure_for_parallel(&SmartRinger::new(), runs, len, default_threads(), None);
+    outln!("{}", render_figure(&fig));
     match write_json("cross_kind", &fig) {
         Ok(path) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),

@@ -7,15 +7,21 @@
 //! Usage: `estimator_robustness [--quick]`.
 
 use ctxres_experiments::case_study::run_case_study_for_estimator;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
 use ctxres_landmarc::EstimatorKind;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (runs, len) = if quick { (3, 200) } else { (10, 600) };
-    println!(
+    outln!(
         "{:<16}{:>10}{:>11}{:>9}{:>9}{:>10}",
-        "estimator", "survival", "precision", "rule1", "rule2'", "incons."
+        "estimator",
+        "survival",
+        "precision",
+        "rule1",
+        "rule2'",
+        "incons."
     );
     let mut all = Vec::new();
     for kind in [
@@ -25,7 +31,7 @@ fn main() {
     ] {
         eprintln!("estimator robustness: {kind:?} …");
         let cs = run_case_study_for_estimator(kind, 0.2, runs, len);
-        println!(
+        outln!(
             "{:<16}{:>9.1}%{:>10.1}%{:>8.1}%{:>8.1}%{:>10}",
             format!("{kind:?}").to_lowercase(),
             cs.survival * 100.0,

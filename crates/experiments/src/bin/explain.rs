@@ -25,6 +25,7 @@ use ctxres_experiments::explain::{
 };
 use ctxres_experiments::runner::run_named_observed;
 use ctxres_experiments::trace_io::load_events;
+use ctxres_experiments::{out, outln};
 use ctxres_obs::{NodeId, ObsConfig, ProvenanceGraph, TraceRecord};
 use std::path::Path;
 use std::process::ExitCode;
@@ -147,22 +148,25 @@ fn run(opts: Options) -> Result<(), String> {
     let selected = select(&graph, &opts)?;
     if opts.json {
         let doc = ExplainDoc::new(&label, &graph, selected);
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
         );
     } else {
         let stats = graph.stats();
-        println!(
+        outln!(
             "{label}: {} contexts, {} cause edges, {} complete chains, {} discarded",
-            stats.nodes, stats.edges, stats.complete_chains, stats.discarded
+            stats.nodes,
+            stats.edges,
+            stats.complete_chains,
+            stats.discarded
         );
-        println!();
+        outln!();
         if selected.is_empty() {
-            println!("(no matching contexts)");
+            outln!("(no matching contexts)");
         }
         for node in selected {
-            print!("{}", render_chain(node));
+            out!("{}", render_chain(node));
         }
     }
     Ok(())
@@ -223,19 +227,19 @@ fn diff(opts: &Options, a: &str, b: &str) -> Result<(), String> {
     let graph_b = ProvenanceGraph::from_records(&trace_b);
     let doc = diff_doc(&label_a, &graph_a, &label_b, &graph_b);
     if opts.json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
         );
         return Ok(());
     }
-    println!(
+    outln!(
         "{label_a}: {} contexts / {} discarded   {label_b}: {} contexts / {} discarded   ({} shared identities)",
         doc.a_stats.nodes, doc.a_stats.discarded, doc.b_stats.nodes, doc.b_stats.discarded, doc.compared
     );
     match &doc.divergence {
-        Some(d) => print!("{}", render_divergence(d)),
-        None => println!("no divergence: both strategies decided every shared context identically"),
+        Some(d) => out!("{}", render_divergence(d)),
+        None => outln!("no divergence: both strategies decided every shared context identically"),
     }
     Ok(())
 }

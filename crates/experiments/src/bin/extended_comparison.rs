@@ -9,6 +9,7 @@ use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
 use ctxres_apps::PervasiveApp;
 use ctxres_experiments::extended::{extended_comparison, render_extended};
+use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
 use ctxres_experiments::ERROR_RATES;
 
@@ -22,7 +23,7 @@ fn main() {
     ] {
         eprintln!("extended comparison: {} …", app.name());
         let cmp = extended_comparison(app.as_ref(), &ERROR_RATES, runs, len);
-        println!("{}", render_extended(&cmp, &ERROR_RATES));
+        outln!("{}", render_extended(&cmp, &ERROR_RATES));
         all.push(cmp);
     }
     match write_json("extended_comparison", &all) {

@@ -10,7 +10,8 @@
 //! while the grid runs.
 
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
-use ctxres_experiments::figures::{figure_for_parallel, figure_for_parallel_exported};
+use ctxres_experiments::figures::figure_for_parallel;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::{render_figure, write_json};
 use ctxres_experiments::runner::{default_threads, export_registry_from_env};
 use ctxres_experiments::{RUNS_PER_POINT, TRACE_LEN};
@@ -27,17 +28,16 @@ fn main() {
         "figure 10: rfid data anomalies, {runs} runs/point, {len} contexts/run, {threads} thread(s) …"
     );
     let app = RfidAnomalies::new();
-    let fig = match export_registry_from_env(threads) {
-        Some((registry, server)) => {
-            eprintln!(
-                "serving live metrics at http://{}/metrics",
-                server.local_addr()
-            );
-            figure_for_parallel_exported(&app, runs, len, threads, &registry)
-        }
-        None => figure_for_parallel(&app, runs, len, threads),
-    };
-    println!("{}", render_figure(&fig));
+    let exported = export_registry_from_env(threads);
+    if let Some((_, server)) = &exported {
+        eprintln!(
+            "serving live metrics at http://{}/metrics",
+            server.local_addr()
+        );
+    }
+    let registry = exported.as_ref().map(|(registry, _)| registry);
+    let fig = figure_for_parallel(&app, runs, len, threads, registry);
+    outln!("{}", render_figure(&fig));
     match write_json("figure10", &fig) {
         Ok(path) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),

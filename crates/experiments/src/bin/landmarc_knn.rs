@@ -4,6 +4,7 @@
 //! Usage: `landmarc_knn [--quick]`.
 
 use ctxres_experiments::landmarc_knn::{knn_sweep, render_knn};
+use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
 
 fn main() {
@@ -11,7 +12,7 @@ fn main() {
     let samples = if quick { 300 } else { 2000 };
     eprintln!("landmarc estimator ablation, {samples} fixes per configuration …");
     let points = knn_sweep(&[1, 2, 3, 4, 6, 8], &[1.0, 2.0, 4.0, 6.0], samples, 11);
-    println!("{}", render_knn(&points));
+    outln!("{}", render_knn(&points));
     match write_json("landmarc_knn", &points) {
         Ok(path) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),

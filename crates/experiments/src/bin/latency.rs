@@ -17,6 +17,7 @@ use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
 use ctxres_apps::PervasiveApp;
 use ctxres_experiments::latency::{latency_window_tradeoff, render_latency};
+use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
     ] {
         eprintln!("latency dial: {} …", app.name());
         let points = latency_window_tradeoff(app.as_ref(), 0.3, &windows, runs, len);
-        println!("{}", render_latency(&points, app.name(), 0.3));
+        outln!("{}", render_latency(&points, app.name(), 0.3));
         all.push((app.name().to_owned(), points));
     }
     match write_json("latency", &all) {

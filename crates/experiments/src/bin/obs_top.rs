@@ -29,6 +29,7 @@
 use ctxres_constraint::parse_constraints;
 use ctxres_context::{Context, ContextKind, LogicalTime, Point, Ticks};
 use ctxres_core::strategies::DropBad;
+use ctxres_experiments::out;
 use ctxres_middleware::{Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware};
 use ctxres_obs::{
     MetricsServer, ObsConfig, Sample, Sampler, PHASES, TAIL_OUTCOMES, TAIL_QUANTILES,
@@ -386,9 +387,9 @@ fn run_loop(opts: &Options, source: &str, mut next: impl FnMut() -> Result<Sampl
             Ok(sample) => {
                 frame += 1;
                 if !opts.once {
-                    print!("\x1b[2J\x1b[H");
+                    out!("\x1b[2J\x1b[H");
                 }
-                print!("{}", render(&sample, frame, source));
+                out!("{}", render(&sample, frame, source));
                 std::io::stdout().flush().ok();
             }
             Err(e) => {

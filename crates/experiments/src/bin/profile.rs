@@ -34,7 +34,7 @@ use ctxres_constraint::parse_constraints;
 use ctxres_context::Ticks;
 use ctxres_core::strategies::DropBad;
 use ctxres_experiments::city::{CityConfig, CityWorkload};
-use ctxres_experiments::figures::figure_for_parallel_exported;
+use ctxres_experiments::figures::figure_for_parallel;
 use ctxres_experiments::runner::default_threads;
 use ctxres_middleware::{Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware};
 use ctxres_obs::{
@@ -184,7 +184,7 @@ fn run_figure_sized(
         ObsConfig::metrics_only().with_profile(sample),
         threads.max(1),
     );
-    let fig = figure_for_parallel_exported(app, runs, len, threads, &registry);
+    let fig = figure_for_parallel(app, runs, len, threads, Some(&registry));
     eprintln!("  {} grid points evaluated", fig.points.len());
     registry
 }

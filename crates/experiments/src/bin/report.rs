@@ -8,6 +8,7 @@ use ctxres_experiments::ablation::WindowAblation;
 use ctxres_experiments::case_study::CaseStudy;
 use ctxres_experiments::figures::Figure;
 use ctxres_experiments::latency::LatencyPoint;
+use ctxres_experiments::out;
 use ctxres_experiments::sensitivity::StressSweep;
 use ctxres_experiments::ERROR_RATES;
 use std::fmt::Write as _;
@@ -216,5 +217,5 @@ fn main() {
         Ok(()) => eprintln!("wrote results/REPORT.md ({} bytes)", out.len()),
         Err(e) => eprintln!("could not write report: {e}"),
     }
-    print!("{out}");
+    out!("{out}");
 }

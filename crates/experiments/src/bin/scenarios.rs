@@ -2,18 +2,21 @@
 //! strategy, printing the per-context outcomes the figures illustrate.
 
 use ctxres_apps::scenarios::{adjacent_constraint, refined_constraints};
+use ctxres_experiments::outln;
 use ctxres_experiments::scenario_replay::replay;
 
 fn main() {
-    println!("Scenario traces of Figures 1-5 (d3 is the corrupted context)\n");
+    outln!("Scenario traces of Figures 1-5 (d3 is the corrupted context)\n");
     for (label, constraints_of) in [
         ("adjacent constraint only (Figs. 2-4)", false),
         ("refined constraints with gap-2 (Fig. 5)", true),
     ] {
-        println!("== {label} ==");
-        println!(
+        outln!("== {label} ==");
+        outln!(
             "{:<10}{:<12}{:<24}correct?",
-            "scenario", "strategy", "discarded"
+            "scenario",
+            "strategy",
+            "discarded"
         );
         for scenario in ["A", "B"] {
             for strategy in ["opt-r", "d-bad", "d-lat", "d-all"] {
@@ -32,7 +35,7 @@ fn main() {
                         .collect::<Vec<_>>()
                         .join(", ")
                 };
-                println!(
+                outln!(
                     "{:<10}{:<12}{:<24}{}",
                     scenario,
                     strategy,
@@ -41,6 +44,6 @@ fn main() {
                 );
             }
         }
-        println!();
+        outln!();
     }
 }

@@ -8,6 +8,7 @@
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
 use ctxres_apps::PervasiveApp;
+use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
 use ctxres_experiments::sensitivity::{render_stress, stress_error_rates};
 
@@ -22,7 +23,7 @@ fn main() {
     ] {
         eprintln!("stress sweep: {} …", app.name());
         let sweep = stress_error_rates(app.as_ref(), &rates, runs, len);
-        println!("{}", render_stress(&sweep));
+        outln!("{}", render_stress(&sweep));
         all.push(sweep);
     }
     match write_json("sensitivity", &all) {

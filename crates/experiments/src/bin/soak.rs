@@ -57,6 +57,7 @@ use ctxres_context::Ticks;
 use ctxres_core::strategies::{DropBad, DropLatest};
 use ctxres_core::ResolutionStrategy;
 use ctxres_experiments::city::{CityConfig, CityWorkload};
+use ctxres_experiments::outln;
 use ctxres_middleware::{Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware};
 use ctxres_obs::{HealthAlert, ObsConfig, Sampler, SloEngine};
 use serde::Serialize;
@@ -648,7 +649,7 @@ fn main() -> ExitCode {
         summary.elapsed_secs,
     );
     let json = serde_json::to_string_pretty(&summary).expect("serialize soak summary");
-    println!("{json}");
+    outln!("{json}");
     if passed {
         ExitCode::SUCCESS
     } else {

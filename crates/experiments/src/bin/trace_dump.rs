@@ -29,6 +29,7 @@ use ctxres_experiments::telemetry::{
     transition_counts, DiscardedNode,
 };
 use ctxres_experiments::trace_io::{load_events, save_events};
+use ctxres_experiments::{out, outln};
 use ctxres_obs::{ObsConfig, ObsSnapshot, ProvenanceGraph, TraceEvent, TraceRecord};
 use std::path::Path;
 use std::process::ExitCode;
@@ -90,7 +91,7 @@ fn render(
             None => json_dump(trace, label),
         };
         let text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-        println!("{text}");
+        outln!("{text}");
     } else {
         dump(trace, label);
     }
@@ -160,58 +161,58 @@ fn demo(out: &Path, json: bool, slow: bool) -> Result<(), String> {
 /// Prints the three views of a trace: timeline, transition table, and
 /// discarded-context life cycles.
 fn dump(trace: &[TraceRecord], label: &str) {
-    println!("== timeline ({} events) ==", trace.len());
-    print!("{}", render_timeline(trace, TIMELINE_LIMIT));
+    outln!("== timeline ({} events) ==", trace.len());
+    out!("{}", render_timeline(trace, TIMELINE_LIMIT));
 
-    println!();
-    println!("== state transitions ==");
-    print!(
+    outln!();
+    outln!("== state transitions ==");
+    out!(
         "{}",
         render_transition_table(&[(label.to_owned(), transition_counts(trace))])
     );
 
-    println!();
-    println!("== slo alerts ==");
+    outln!();
+    outln!("== slo alerts ==");
     let mut alerts = 0;
     for record in trace {
         if matches!(record.event, TraceEvent::Alert { .. }) {
             alerts += 1;
-            println!("{record}");
+            outln!("{record}");
         }
     }
     if alerts == 0 {
-        println!("(none)");
+        outln!("(none)");
     }
 
-    println!();
-    println!("== slow-batch postmortems ==");
+    outln!();
+    outln!("== slow-batch postmortems ==");
     let mut postmortems = 0;
     for record in trace {
         if matches!(record.event, TraceEvent::SlowBatch { .. }) {
             postmortems += 1;
-            println!("{record}");
+            outln!("{record}");
         }
     }
     if postmortems == 0 {
-        println!("(none)");
+        outln!("(none)");
     }
 
-    println!();
-    println!("== discarded-context life cycles ==");
+    outln!();
+    outln!("== discarded-context life cycles ==");
     let graph = ProvenanceGraph::from_records(trace);
     let discarded = graph.discarded();
     for node in &discarded {
         let l = DiscardedNode::new(node);
-        println!("{}", l.summary);
+        outln!("{}", l.summary);
         for record in &l.events {
-            println!("    {record}");
+            outln!("    {record}");
         }
     }
     if discarded.is_empty() {
-        println!("(none)");
+        outln!("(none)");
     }
-    println!();
-    println!(
+    outln!();
+    outln!(
         "{} contexts traced, {} discarded",
         graph.len(),
         discarded.len()

@@ -18,6 +18,7 @@ use ctxres_apps::smart_ringer::SmartRinger;
 use ctxres_apps::PervasiveApp;
 use ctxres_context::{Ticks, TruthTag};
 use ctxres_core::strategies::by_name;
+use ctxres_experiments::outln;
 use ctxres_experiments::trace_io::{load_trace, save_trace};
 use ctxres_middleware::{Middleware, MiddlewareConfig};
 use std::path::Path;
@@ -62,7 +63,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let len: usize = len.parse().map_err(|e| format!("len: {e}"))?;
             let trace = app.generate(err, seed, len);
             save_trace(Path::new(out), &trace)?;
-            println!("wrote {len} contexts to {out}");
+            outln!("wrote {len} contexts to {out}");
             Ok(())
         }
         Some("inspect") => {
@@ -78,11 +79,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 trace.iter().map(|c| c.kind().name()).collect();
             let subjects: std::collections::BTreeSet<&str> =
                 trace.iter().map(|c| c.subject()).collect();
-            println!("{} contexts ({corrupted} corrupted)", trace.len());
-            println!("kinds: {kinds:?}");
-            println!("subjects: {subjects:?}");
+            outln!("{} contexts ({corrupted} corrupted)", trace.len());
+            outln!("kinds: {kinds:?}");
+            outln!("subjects: {subjects:?}");
             if let (Some(first), Some(last)) = (trace.first(), trace.last()) {
-                println!("stamps: {} .. {}", first.stamp(), last.stamp());
+                outln!("stamps: {} .. {}", first.stamp(), last.stamp());
             }
             Ok(())
         }
@@ -106,14 +107,14 @@ fn run(args: &[String]) -> Result<(), String> {
                     s.1 += 1;
                 }
             }
-            println!("{:<16}{:>8}{:>12}", "kind", "count", "corrupted");
+            outln!("{:<16}{:>8}{:>12}", "kind", "count", "corrupted");
             for (kind, (n, bad)) in &by_kind {
-                println!("{kind:<16}{n:>8}{:>11.1}%", *bad as f64 / *n as f64 * 100.0);
+                outln!("{kind:<16}{n:>8}{:>11.1}%", *bad as f64 / *n as f64 * 100.0);
             }
-            println!();
-            println!("{:<16}{:>8}{:>12}", "subject", "count", "corrupted");
+            outln!();
+            outln!("{:<16}{:>8}{:>12}", "subject", "count", "corrupted");
             for (subject, (n, bad)) in &by_subject {
-                println!(
+                outln!(
                     "{subject:<16}{n:>8}{:>11.1}%",
                     *bad as f64 / *n as f64 * 100.0
                 );
@@ -123,8 +124,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 .zip(trace.first())
                 .map(|(l, f)| (l.stamp() - f.stamp()).count() + 1)
                 .unwrap_or(0);
-            println!();
-            println!(
+            outln!();
+            outln!(
                 "{} contexts over {span} ticks ({:.2} contexts/tick)",
                 trace.len(),
                 trace.len() as f64 / span.max(1) as f64
@@ -157,7 +158,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             mw.drain();
             let s = mw.stats();
-            println!(
+            outln!(
                 "delivered {} ({} expected, {} corrupted), discarded {} ({} corrupted), \
                  {} inconsistencies, survival {:.1}%, precision {:.1}%",
                 s.delivered,

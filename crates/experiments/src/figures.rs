@@ -1,8 +1,8 @@
 //! Assembling Figures 9 and 10: strategy-vs-error-rate grids.
 
 use crate::metrics::{normalize_against_oracle, FigurePoint, RunMetrics};
-use crate::runner::{run_jobs_parallel, run_jobs_parallel_exported, run_named, RunJob};
-use crate::{ERROR_RATES, RUNS_PER_POINT, TRACE_LEN};
+use crate::runner::{run_jobs_parallel, RunJob};
+use crate::ERROR_RATES;
 use ctxres_apps::PervasiveApp;
 use ctxres_core::strategies::EXPERIMENT_STRATEGIES;
 use ctxres_obs::ObsRegistry;
@@ -33,79 +33,35 @@ impl Figure {
 }
 
 /// Runs the full grid for one application (Figure 9 for Call
-/// Forwarding, Figure 10 for RFID data anomalies).
+/// Forwarding, Figure 10 for RFID data anomalies), fanning the seeded
+/// runs over `threads` worker threads.
 ///
-/// `runs` seeds per point; the paper uses 20 ([`RUNS_PER_POINT`]). Every
-/// strategy is paired per-seed against the OPT-R run with the same seed
-/// and workload.
-pub fn figure_for(app: &dyn PervasiveApp, runs: usize, len: usize) -> Figure {
-    let window = app.recommended_window();
-    let mut points = Vec::new();
-    for &err_rate in &ERROR_RATES {
-        let oracle_runs: Vec<RunMetrics> = (0..runs)
-            .map(|i| run_named(app, "opt-r", err_rate, seed_for(err_rate, i), len, window))
-            .collect();
-        for strategy in EXPERIMENT_STRATEGIES {
-            let strategy_runs: Vec<RunMetrics> = if strategy == "opt-r" {
-                oracle_runs.clone()
-            } else {
-                (0..runs)
-                    .map(|i| run_named(app, strategy, err_rate, seed_for(err_rate, i), len, window))
-                    .collect()
-            };
-            points.push(normalize_against_oracle(
-                strategy,
-                err_rate,
-                &strategy_runs,
-                &oracle_runs,
-            ));
-        }
-    }
-    Figure {
-        application: app.name().to_owned(),
-        points,
-        trace_len: len,
-        runs_per_point: runs,
-    }
-}
-
-/// [`figure_for`], fanning the seeded runs over `threads` worker
-/// threads.
+/// `runs` seeds per point; the paper uses 20
+/// ([`RUNS_PER_POINT`](crate::RUNS_PER_POINT)). Every strategy is paired
+/// per-seed against the OPT-R run with the same seed and workload.
 ///
 /// Every `(strategy, error rate, seed)` cell is one independent job
 /// ([`RunJob`]); the workers race through the job queue and the results
-/// are reassembled in the serial loop's order. Because each run is
-/// deterministic in its seed, the returned figure — and its serialized
-/// JSON — is **bit-identical** to the serial [`figure_for`] (asserted
-/// by a test below). `threads <= 1` degrades to the serial path.
+/// are reassembled in grid order. Because each run is deterministic in
+/// its seed, the returned figure — and its serialized JSON — is
+/// **bit-identical** whatever the thread count (asserted by a test
+/// below). `threads <= 1` runs the grid on the calling thread.
+///
+/// With a `registry`, the grid's runs are recorded into it live (one
+/// slot per worker): a scraper hitting the
+/// [`ctxres_obs::MetricsServer`] *during* the grid sees real-time
+/// ingest/discard/detection rates per worker while the figure
+/// computes. Observation never perturbs the figure.
 pub fn figure_for_parallel(
     app: &(dyn PervasiveApp + Sync),
     runs: usize,
     len: usize,
     threads: usize,
+    registry: Option<&Arc<ObsRegistry>>,
 ) -> Figure {
     let window = app.recommended_window();
     let jobs = grid_jobs(runs);
-    let results = run_jobs_parallel(app, &jobs, len, window, threads);
-    assemble_grid(app, &results, runs, len)
-}
-
-/// [`figure_for_parallel`] with the grid's runs recorded into a shared
-/// live [`ObsRegistry`] (one slot per worker): a scraper hitting the
-/// [`ctxres_obs::MetricsServer`] *during* the grid sees real-time
-/// ingest/discard/detection rates per worker while the figure computes.
-/// The output stays bit-identical to [`figure_for`] — observation never
-/// perturbs results.
-pub fn figure_for_parallel_exported(
-    app: &(dyn PervasiveApp + Sync),
-    runs: usize,
-    len: usize,
-    threads: usize,
-    registry: &Arc<ObsRegistry>,
-) -> Figure {
-    let window = app.recommended_window();
-    let jobs = grid_jobs(runs);
-    let results = run_jobs_parallel_exported(app, &jobs, len, window, threads, registry);
+    let results = run_jobs_parallel(app, &jobs, len, window, threads, registry);
     assemble_grid(app, &results, runs, len)
 }
 
@@ -127,8 +83,8 @@ fn grid_jobs(runs: usize) -> Vec<RunJob> {
     jobs
 }
 
-/// Reassembles fan-out results (in [`grid_jobs`] order) into the same
-/// [`Figure`] the serial loop builds.
+/// Reassembles fan-out results (in [`grid_jobs`] order) into a
+/// [`Figure`].
 fn assemble_grid(
     app: &dyn PervasiveApp,
     results: &[RunMetrics],
@@ -163,24 +119,6 @@ fn assemble_grid(
     }
 }
 
-/// Figure 9: Call Forwarding, at paper scale.
-pub fn figure9() -> Figure {
-    figure_for(
-        &ctxres_apps::call_forwarding::CallForwarding::new(),
-        RUNS_PER_POINT,
-        TRACE_LEN,
-    )
-}
-
-/// Figure 10: RFID data anomalies, at paper scale.
-pub fn figure10() -> Figure {
-    figure_for(
-        &ctxres_apps::rfid_anomalies::RfidAnomalies::new(),
-        RUNS_PER_POINT,
-        TRACE_LEN,
-    )
-}
-
 fn seed_for(err_rate: f64, run: usize) -> u64 {
     // Distinct, stable seeds per (rate, run index).
     (err_rate * 1000.0) as u64 * 10_000 + run as u64
@@ -196,7 +134,7 @@ mod tests {
     #[test]
     fn small_grid_reproduces_strategy_ordering() {
         let app = CallForwarding::new();
-        let fig = figure_for(&app, 3, 240);
+        let fig = figure_for_parallel(&app, 3, 240, 2, None);
         for &err in &[0.2, 0.3] {
             let opt = fig.point("opt-r", err).unwrap();
             let bad = fig.point("d-bad", err).unwrap();
@@ -225,13 +163,13 @@ mod tests {
     }
 
     /// The acceptance bar for the parallel runner: scheduling must not
-    /// leak into the output. Serialize both figures and compare the
-    /// *bytes*.
+    /// leak into the output. Serialize a one-thread and a three-thread
+    /// figure and compare the *bytes*.
     #[test]
     fn parallel_grid_json_is_byte_identical_to_serial() {
         let app = CallForwarding::new();
-        let serial = figure_for(&app, 2, 60);
-        let parallel = figure_for_parallel(&app, 2, 60, 3);
+        let serial = figure_for_parallel(&app, 2, 60, 1, None);
+        let parallel = figure_for_parallel(&app, 2, 60, 3, None);
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -241,15 +179,18 @@ mod tests {
     #[test]
     fn single_thread_parallel_path_matches_too() {
         let app = CallForwarding::new();
-        assert_eq!(figure_for(&app, 1, 40), figure_for_parallel(&app, 1, 40, 1));
+        assert_eq!(
+            figure_for_parallel(&app, 1, 40, 1, None),
+            figure_for_parallel(&app, 1, 40, 3, None)
+        );
     }
 
     #[test]
     fn exported_grid_is_byte_identical_and_fills_the_registry() {
         let app = CallForwarding::new();
         let registry = ObsRegistry::shared(ctxres_obs::ObsConfig::metrics_only(), 3);
-        let serial = figure_for(&app, 2, 60);
-        let exported = figure_for_parallel_exported(&app, 2, 60, 3, &registry);
+        let serial = figure_for_parallel(&app, 2, 60, 1, None);
+        let exported = figure_for_parallel(&app, 2, 60, 3, Some(&registry));
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&exported).unwrap()
@@ -264,7 +205,7 @@ mod tests {
     #[test]
     fn points_cover_the_full_grid() {
         let app = CallForwarding::new();
-        let fig = figure_for(&app, 1, 60);
+        let fig = figure_for_parallel(&app, 1, 60, 2, None);
         assert_eq!(fig.points.len(), 16);
         for &err in &crate::ERROR_RATES {
             for s in ctxres_core::strategies::EXPERIMENT_STRATEGIES {

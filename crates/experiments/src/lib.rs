@@ -49,6 +49,41 @@ pub mod sensitivity;
 pub mod telemetry;
 pub mod trace_io;
 
+/// Writes formatted text to stdout: the experiment binaries' `print!`.
+/// When stdout's reader has gone away (`explain --discarded | head -3`)
+/// the process exits quietly with status 0 instead of panicking.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(::std::format_args!($($arg)*))
+    };
+}
+
+/// [`out!`] with a trailing newline: the experiment binaries'
+/// `println!`.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(::std::format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(::std::format_args!("{}\n", ::std::format_args!($($arg)*)))
+    };
+}
+
+/// The body of [`out!`] and [`outln!`]: writes `args` to stdout, exits
+/// the process with status 0 when the pipe is closed, and panics on any
+/// other write error, as `print!` does.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// The error rates of the paper's experiments (§4.1).
 pub const ERROR_RATES: [f64; 4] = [0.10, 0.20, 0.30, 0.40];
 

@@ -266,10 +266,19 @@ pub struct RunJob {
 /// Runs a list of jobs across `threads` worker threads and returns the
 /// metrics **in job order** — every run is seeded, so the result of
 /// each job is independent of scheduling, and reassembling in input
-/// order makes the output bit-identical to a serial loop over the same
-/// jobs (asserted in `figures::tests`).
+/// order makes the output bit-identical for every thread count
+/// (asserted in `figures::tests`).
 ///
 /// `threads <= 1` runs the jobs serially on the calling thread.
+///
+/// With a `registry`, worker `w` records live metrics into registry
+/// slot `w % registry.shards()`, so a [`ctxres_obs::Sampler`] or
+/// [`MetricsServer`] scraping the registry *while the grid runs* sees
+/// per-worker ingest/discard/delivery rates; the results are the same —
+/// the registry only observes. Use [`ObsConfig::metrics_only`] for the
+/// registry unless the event timeline is wanted too: counters and
+/// histograms are atomics, so workers sharing a slot never contend on a
+/// lock.
 ///
 /// # Panics
 ///
@@ -281,46 +290,13 @@ pub fn run_jobs_parallel(
     len: usize,
     window: u64,
     threads: usize,
+    registry: Option<&Arc<ObsRegistry>>,
 ) -> Vec<RunMetrics> {
-    fan_out(jobs, threads, |job| {
-        run_named(app, &job.strategy, job.err_rate, job.seed, len, window)
-    })
-}
-
-/// [`run_jobs_parallel`] recording live metrics into a shared
-/// [`ObsRegistry`]: worker `w` writes into registry slot
-/// `w % registry.shards()`, so a [`ctxres_obs::Sampler`] or
-/// [`MetricsServer`] scraping the registry *while the grid runs* sees
-/// per-worker ingest/discard/delivery rates. Results stay in job order
-/// and bit-identical to the serial loop — the registry only observes.
-///
-/// Use [`ObsConfig::metrics_only`] for the registry unless the event
-/// timeline is wanted too: counters and histograms are atomics, so
-/// workers sharing a slot never contend on a lock.
-///
-/// # Panics
-///
-/// Panics if a worker panics or on an unknown strategy name.
-pub fn run_jobs_parallel_exported(
-    app: &(dyn PervasiveApp + Sync),
-    jobs: &[RunJob],
-    len: usize,
-    window: u64,
-    threads: usize,
-    registry: &Arc<ObsRegistry>,
-) -> Vec<RunMetrics> {
-    fan_out_indexed(jobs, threads, |worker, job| {
+    fan_out(jobs, threads, |worker, job| {
         let strategy = by_name(&job.strategy, job.seed)
             .unwrap_or_else(|| panic!("unknown strategy {:?}", job.strategy));
-        run_instrumented(
-            app,
-            strategy,
-            job.err_rate,
-            job.seed,
-            len,
-            window,
-            registry.handle(worker % registry.shards()),
-        )
+        let obs = registry.map_or_else(ShardObs::disabled, |r| r.handle(worker % r.shards()));
+        run_instrumented(app, strategy, job.err_rate, job.seed, len, window, obs)
     })
 }
 
@@ -339,51 +315,20 @@ pub fn export_registry_from_env(slots: usize) -> Option<(Arc<ObsRegistry>, Metri
     Some((registry, server))
 }
 
-/// [`run_jobs_parallel`] with per-cell telemetry: each worker drives its
-/// job through its own single-shard registry, so cells never contend on
-/// instrumentation, and every returned [`CellTelemetry`] is tagged with
-/// the `(strategy, err_rate, seed)` cell it measured.
-pub fn run_jobs_parallel_observed(
-    app: &(dyn PervasiveApp + Sync),
-    jobs: &[RunJob],
-    len: usize,
-    window: u64,
-    threads: usize,
-    config: ObsConfig,
-) -> Vec<(RunMetrics, CellTelemetry)> {
-    fan_out(jobs, threads, |job| {
-        run_named_observed(
-            app,
-            &job.strategy,
-            job.err_rate,
-            job.seed,
-            len,
-            window,
-            config,
-        )
-    })
-}
-
-/// The shared fan-out skeleton of the parallel runners: a work queue
-/// feeding `threads` workers, results reassembled **in job order** so
-/// the output is bit-identical to a serial loop over the same jobs
-/// (every run is seeded; scheduling cannot leak into results).
+/// The fan-out skeleton of the parallel runner: a work queue feeding
+/// `threads` workers, results reassembled **in job order** so the
+/// output is the same whatever the scheduling (every run is seeded).
+/// Each invocation gets the index of the worker thread running it
+/// (`0..threads`; always `0` on the serial path), which picks a stable
+/// registry slot per worker, so live rates decompose by worker rather
+/// than smearing over one counter.
 ///
 /// `threads <= 1` runs the jobs serially on the calling thread.
 ///
 /// # Panics
 ///
 /// Panics if a worker panics (the panic is propagated).
-fn fan_out<T: Send>(jobs: &[RunJob], threads: usize, run: impl Fn(&RunJob) -> T + Sync) -> Vec<T> {
-    fan_out_indexed(jobs, threads, |_, job| run(job))
-}
-
-/// [`fan_out`], passing each invocation the index of the worker thread
-/// running it (`0..threads`; always `0` on the serial path). The
-/// exported runner uses the index to pick a stable registry slot per
-/// worker, so live rates decompose by worker rather than smearing over
-/// one counter.
-fn fan_out_indexed<T: Send>(
+fn fan_out<T: Send>(
     jobs: &[RunJob],
     threads: usize,
     run: impl Fn(usize, &RunJob) -> T + Sync,
@@ -517,10 +462,10 @@ mod tests {
             .collect();
         let len = 80;
         let window = app.recommended_window();
-        let serial = run_jobs_parallel(&app, &jobs, len, window, 1);
+        let serial = run_jobs_parallel(&app, &jobs, len, window, 1, None);
 
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 3);
-        let exported = run_jobs_parallel_exported(&app, &jobs, len, window, 3, &registry);
+        let exported = run_jobs_parallel(&app, &jobs, len, window, 3, Some(&registry));
         assert_eq!(serial, exported, "observation must not perturb results");
         // Every submitted context of every job landed in the shared
         // registry: the live endpoint sees the whole grid.

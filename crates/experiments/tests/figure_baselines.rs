@@ -30,7 +30,7 @@ fn assert_matches_baseline(name: &str, app: &(dyn PervasiveApp + Sync)) {
     }
     let committed = std::fs::read_to_string(baseline_path(name))
         .unwrap_or_else(|e| panic!("committed baseline results/{name}.json unreadable: {e}"));
-    let fig = figure_for_parallel(app, RUNS_PER_POINT, TRACE_LEN, default_threads());
+    let fig = figure_for_parallel(app, RUNS_PER_POINT, TRACE_LEN, default_threads(), None);
     let regenerated = serde_json::to_string_pretty(&fig).expect("figure serializes");
     assert_eq!(
         committed, regenerated,

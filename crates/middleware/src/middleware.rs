@@ -94,6 +94,29 @@ impl DoomQueue {
         self.filed += 1;
     }
 
+    /// Notes when `id` first becomes eligible for retention compaction
+    /// through its lifespan: the first instant whose horizon is past
+    /// both the stamp and the expiry deadline. Every path that puts a
+    /// context into a pool calls this. No-op without retention or for
+    /// immortal contexts — those can only doom via a discard note
+    /// ([`Middleware::count_discard`]).
+    fn file_expiry(
+        &mut self,
+        retention: Option<Ticks>,
+        id: ContextId,
+        stamp: LogicalTime,
+        expires: Option<LogicalTime>,
+    ) {
+        if let (Some(retention), Some(deadline)) = (retention, expires) {
+            let due = LogicalTime::new(
+                (stamp.tick().saturating_add(1))
+                    .max(deadline.tick())
+                    .saturating_add(retention.count()),
+            );
+            self.file(due, id);
+        }
+    }
+
     /// Whether some note is due at `now`.
     fn has_due(&self, now: LogicalTime) -> bool {
         self.heap
@@ -153,8 +176,8 @@ pub struct Middleware {
     /// the position a per-position sweep would have.
     doom_queue: DoomQueue,
     gt_doom_queue: DoomQueue,
-    /// Checker counters already forwarded to `obs` (compiled evals and
-    /// seq fallbacks).
+    /// Checker counters already forwarded to `obs` (evaluations and seq
+    /// fallbacks).
     reported: CheckerStats,
     /// Violations seen per still-undecided context, for the chain-depth
     /// histogram (submission + violations + verdict). Populated only
@@ -364,47 +387,6 @@ impl Middleware {
         reports
     }
 
-    /// Notes when `id` first becomes eligible for retention compaction
-    /// through its lifespan: the first instant whose horizon is past
-    /// both the stamp and the expiry deadline. Every path that puts a
-    /// context into the pool calls this. No-op without retention or for
-    /// immortal contexts — those can only doom via a discard note from
-    /// [`Middleware::count_discard`].
-    fn schedule_expiry_doom(
-        &mut self,
-        id: ContextId,
-        stamp: LogicalTime,
-        expires: Option<LogicalTime>,
-    ) {
-        if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
-            let due = LogicalTime::new(
-                (stamp.tick().saturating_add(1))
-                    .max(deadline.tick())
-                    .saturating_add(retention.count()),
-            );
-            self.doom_queue.file(due, id);
-        }
-    }
-
-    /// [`Middleware::schedule_expiry_doom`] for the ground-truth shadow
-    /// pool, whose compaction is not counted in
-    /// [`MiddlewareStats::compacted`].
-    fn schedule_gt_expiry_doom(
-        &mut self,
-        gid: ContextId,
-        stamp: LogicalTime,
-        expires: Option<LogicalTime>,
-    ) {
-        if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
-            let due = LogicalTime::new(
-                (stamp.tick().saturating_add(1))
-                    .max(deadline.tick())
-                    .saturating_add(retention.count()),
-            );
-            self.gt_doom_queue.file(due, gid);
-        }
-    }
-
     /// Notes when a just-discarded context becomes compactable: its
     /// stamp aged past the horizon (the `Inconsistent` arm of the
     /// compact predicate, which is absorbing).
@@ -486,7 +468,8 @@ impl Middleware {
         let gt_clone =
             (self.config.track_ground_truth && truth == TruthTag::Expected).then(|| ctx.clone());
         let id = self.pool.insert(ctx);
-        self.schedule_expiry_doom(id, stamp, expires);
+        self.doom_queue
+            .file_expiry(self.config.retention, id, stamp, expires);
         self.stats.received += 1;
         self.obs.count(CounterKind::Ingested, 1);
         if self.obs.health_enabled() {
@@ -528,7 +511,8 @@ impl Middleware {
             // not buffering latency. The schedule is independent of what
             // the plugged-in strategy discards.
             let gid = self.gt_pool.insert(clone);
-            self.schedule_gt_expiry_doom(gid, stamp, expires);
+            self.gt_doom_queue
+                .file_expiry(self.config.retention, gid, stamp, expires);
             self.gt_buffer.push_back((now + self.config.window, gid));
         }
 
@@ -610,7 +594,8 @@ impl Middleware {
         check_span.finish();
         let verdict_ns = if tail_on { self.obs.now_ns() } else { 0 };
         let checker_stats = self.checker.stats();
-        let compiled_delta = checker_stats.compiled_evals - self.reported.compiled_evals;
+        let evals = |s: CheckerStats| s.pinned_evals + s.full_evals;
+        let compiled_delta = evals(checker_stats) - evals(self.reported);
         if compiled_delta > 0 {
             self.obs.count(CounterKind::CompiledEvals, compiled_delta);
         }
@@ -740,7 +725,8 @@ impl Middleware {
             let stamp = ctx.stamp();
             let discarded = ctx.state() == ContextState::Inconsistent;
             let id = self.pool.insert(ctx);
-            self.schedule_expiry_doom(id, stamp, expires);
+            self.doom_queue
+                .file_expiry(self.config.retention, id, stamp, expires);
             if discarded {
                 self.schedule_discard_doom(id, stamp);
             }
@@ -1130,7 +1116,7 @@ impl Middleware {
         }
         let obs = self.obs.clone();
         let _sit_phase = obs.phase(Phase::SituationEval);
-        let (evaluated_before, compiled_before) = self.situation_evaluations();
+        let evaluated_before = self.situation_evaluations();
         let gt_statuses: &[SituationStatus] = if self.config.track_ground_truth {
             self.gt_situations
                 .evaluate(&self.registry, &self.gt_pool, now)
@@ -1162,25 +1148,16 @@ impl Middleware {
                 }
             }
         }
-        let (evaluated, compiled) = self.situation_evaluations();
-        if evaluated > evaluated_before {
-            self.obs
-                .count(CounterKind::SituationEvals, evaluated - evaluated_before);
-        }
-        if compiled > compiled_before {
-            self.obs
-                .count(CounterKind::CompiledEvals, compiled - compiled_before);
+        let evaluated = self.situation_evaluations() - evaluated_before;
+        if evaluated > 0 {
+            self.obs.count(CounterKind::SituationEvals, evaluated);
+            self.obs.count(CounterKind::CompiledEvals, evaluated);
         }
     }
 
-    /// Situations evaluated so far over both views, and how many of
-    /// those evaluations ran a compiled program.
-    fn situation_evaluations(&self) -> (u64, u64) {
-        let engines = [&self.situations, &self.gt_situations];
-        (
-            engines.iter().map(|e| e.evaluations()).sum(),
-            engines.iter().map(|e| e.compiled_evaluations()).sum(),
-        )
+    /// Situations evaluated so far over both views.
+    fn situation_evaluations(&self) -> u64 {
+        self.situations.evaluations() + self.gt_situations.evaluations()
     }
 }
 
@@ -2561,7 +2538,8 @@ mod situation_skip_tests {
 
     /// The obs `situation_evals` counter and the situation share of
     /// `compiled_evals` count the situations a round evaluates, not
-    /// rounds times situations.
+    /// rounds times situations; the checker share is its pinned and
+    /// full evaluations.
     #[test]
     fn situation_counters_count_evaluated_situations() {
         let obs = ctxres_obs::ObsRegistry::shared(ctxres_obs::ObsConfig::metrics_only(), 1);
@@ -2591,7 +2569,7 @@ mod situation_skip_tests {
         assert_eq!(snap.counter(CounterKind::SituationEvals), 5);
         assert_eq!(
             snap.counter(CounterKind::CompiledEvals),
-            m.checker_stats().compiled_evals + 5
+            m.checker_stats().pinned_evals + m.checker_stats().full_evals + 5
         );
     }
 }

@@ -8,7 +8,7 @@
 //! discards the wrong contexts starves situations of the contexts they
 //! need.
 //!
-//! Each situation is compiled once at construction
+//! Every situation is compiled once at construction
 //! ([`CompiledConstraint`]) — the strategy view and the ground-truth
 //! view share the programs through [`SituationEngine::twin`] — and
 //! evaluated through the evidence-free [`CompiledEvaluator::holds`]
@@ -17,13 +17,12 @@
 //! allocates nothing.
 //!
 //! An engine that [watches](SituationEngine::watch) its pool evaluates
-//! a compiled situation only when the clock or the version of a pool
-//! slice the situation reads moved since its last evaluation: `holds`
-//! over the available view is a function of those alone.
+//! a situation only when the clock or the version of a pool slice the
+//! situation reads moved since its last evaluation: `holds` over the
+//! available view is a function of those alone.
 
 use ctxres_constraint::{
-    CompiledConstraint, CompiledEvaluator, Constraint, DomainMode, EvalScratch, Evaluator,
-    PredicateRegistry,
+    CompiledConstraint, CompiledEvaluator, Constraint, DomainMode, EvalScratch, PredicateRegistry,
 };
 use ctxres_context::{ContextPool, LogicalTime, WatchId};
 use std::sync::Arc;
@@ -56,14 +55,13 @@ pub struct SituationEngine {
     statuses: Vec<SituationStatus>,
     /// Per situation, the pool slices it reads once
     /// [`SituationEngine::watch`] registered them; empty before that.
-    watches: Vec<Option<SliceWatch>>,
+    watches: Vec<SliceWatch>,
     activations: u64,
     evaluations: u64,
-    compiled_evaluations: u64,
     scratch: EvalScratch,
 }
 
-/// The watched pool slices of one compiled situation and what its last
+/// The watched pool slices of one situation and what its last
 /// evaluation saw of them.
 #[derive(Debug)]
 struct SliceWatch {
@@ -77,27 +75,17 @@ struct SliceWatch {
 /// A situation set compiled once.
 #[derive(Debug)]
 struct Deployed {
-    situations: Vec<Constraint>,
-    /// Compiled programs, parallel to `situations` (`None` only when
-    /// compilation fails, e.g. an unbound variable — those fall back to
-    /// the AST evaluator).
-    compiled: Vec<Option<CompiledConstraint>>,
-    /// Interned names, parallel to `situations`.
+    compiled: Vec<CompiledConstraint>,
+    /// Interned names, parallel to `compiled`.
     names: Vec<Arc<str>>,
 }
 
 impl SituationEngine {
     /// Creates an engine for the given situations, compiling each once.
     pub fn new(situations: Vec<Constraint>) -> Self {
-        let compiled = situations
-            .iter()
-            .map(|s| CompiledConstraint::compile(s).ok())
-            .collect();
-        let names = situations.iter().map(|s| Arc::from(s.name())).collect();
         SituationEngine::over(Arc::new(Deployed {
-            situations,
-            compiled,
-            names,
+            compiled: situations.iter().map(CompiledConstraint::compile).collect(),
+            names: situations.iter().map(|s| Arc::from(s.name())).collect(),
         }))
     }
 
@@ -124,7 +112,6 @@ impl SituationEngine {
             watches: Vec::new(),
             activations: 0,
             evaluations: 0,
-            compiled_evaluations: 0,
             scratch: EvalScratch::new(),
         }
     }
@@ -144,16 +131,6 @@ impl SituationEngine {
         self.activations
     }
 
-    /// Situations with a compiled program (the rest fall back to the
-    /// tree-walking evaluator).
-    pub fn compiled_count(&self) -> usize {
-        self.deployed
-            .compiled
-            .iter()
-            .filter(|c| c.is_some())
-            .count()
-    }
-
     /// The last round's statuses, in situation order.
     #[cfg(test)]
     pub(crate) fn statuses(&self) -> &[SituationStatus] {
@@ -166,31 +143,23 @@ impl SituationEngine {
         self.evaluations
     }
 
-    /// The share of [`SituationEngine::evaluations`] that ran a
-    /// compiled program.
-    pub fn compiled_evaluations(&self) -> u64 {
-        self.compiled_evaluations
-    }
-
-    /// Registers in `pool` a watch on every slice each compiled
-    /// situation reads under `registry` ([`CompiledConstraint::slices`]).
-    /// From then on [`SituationEngine::evaluate`] skips a situation
-    /// whose slices' versions and clock are those of its last
-    /// evaluation, so every later round must pass this `pool` and this
-    /// `registry`. Uncompiled situations are evaluated every round.
+    /// Registers in `pool` a watch on every slice each situation reads
+    /// under `registry` ([`CompiledConstraint::slices`]). From then on
+    /// [`SituationEngine::evaluate`] skips a situation whose slices'
+    /// versions and clock are those of its last evaluation, so every
+    /// later round must pass this `pool` and this `registry`.
     pub fn watch(&mut self, registry: &PredicateRegistry, pool: &mut ContextPool) {
         self.watches = self
             .deployed
             .compiled
             .iter()
-            .map(|compiled| {
-                let ids = compiled
-                    .as_ref()?
+            .map(|compiled| SliceWatch {
+                ids: compiled
                     .slices(registry)
                     .into_iter()
                     .map(|(kind, subject)| pool.watch(kind, subject))
-                    .collect();
-                Some(SliceWatch { ids, seen: None })
+                    .collect(),
+                seen: None,
             })
             .collect();
     }
@@ -214,19 +183,22 @@ impl SituationEngine {
         pool: &ContextPool,
         now: LogicalTime,
     ) -> &[SituationStatus] {
-        let compiled_eval = CompiledEvaluator::with_domain(registry, DomainMode::AvailableOnly);
+        let evaluator = CompiledEvaluator::with_domain(registry, DomainMode::AvailableOnly);
         let SituationEngine {
             deployed,
             statuses,
             watches,
             activations,
             evaluations,
-            compiled_evaluations,
             scratch,
         } = self;
-        let programs = deployed.situations.iter().zip(&deployed.compiled);
-        for (i, ((situation, compiled), status)) in programs.zip(statuses.iter_mut()).enumerate() {
-            if let Some(Some(watch)) = watches.get_mut(i) {
+        for (i, (compiled, status)) in deployed
+            .compiled
+            .iter()
+            .zip(statuses.iter_mut())
+            .enumerate()
+        {
+            if let Some(watch) = watches.get_mut(i) {
                 let versions = watch
                     .ids
                     .iter()
@@ -238,15 +210,9 @@ impl SituationEngine {
                 watch.seen = Some((now, versions));
             }
             *evaluations += 1;
-            let active = match compiled {
-                Some(cc) => {
-                    *compiled_evaluations += 1;
-                    compiled_eval.holds(cc, pool, now, scratch).unwrap_or(false)
-                }
-                None => Evaluator::with_domain(registry, DomainMode::AvailableOnly)
-                    .check(situation, pool, now)
-                    .is_ok_and(|o| o.satisfied),
-            };
+            let active = evaluator
+                .holds(compiled, pool, now, scratch)
+                .unwrap_or(false);
             status.activated = active && !status.active;
             if status.activated {
                 *activations += 1;
@@ -263,7 +229,7 @@ impl SituationEngine {
             status.active = false;
             status.activated = false;
         }
-        for watch in self.watches.iter_mut().flatten() {
+        for watch in &mut self.watches {
             watch.seen = None;
         }
         self.activations = 0;

@@ -116,7 +116,7 @@ fn warmed_situation_round_allocates_nothing() {
     .unwrap();
     let mut engine = SituationEngine::new(situations);
     let twin = engine.twin();
-    assert_eq!((engine.compiled_count(), twin.len()), (3, 3));
+    assert_eq!((engine.len(), twin.len()), (3, 3));
     let registry = PredicateRegistry::with_builtins();
     let mut pool = ContextPool::new();
     for seq in 0..6 {

@@ -117,7 +117,10 @@ pub enum CounterKind {
     Ingested,
     /// Situation evaluations: every situation, once per dirty round.
     SituationEvals,
-    /// Constraint evaluations served by a compiled program.
+    /// Compiled-program evaluations: every constraint check the
+    /// incremental checker runs (pinned and full) plus every situation
+    /// evaluation. Every constraint and situation compiles, so this is
+    /// the engine's whole evaluation count.
     CompiledEvals,
     /// Pinned checks with a seq guard that scanned the partner's subject
     /// bucket because the pool could not vouch for its seq order.

@@ -1,9 +1,10 @@
 //! Failure injection: the middleware must stay correct (and never
 //! panic) under pathological workloads — out-of-order stamps, duplicate
 //! sequence numbers, all-corrupted streams, bursts, expiring contexts,
-//! and constraints that fail to evaluate.
+//! and constraints that fail to evaluate. The one panic it passes on is
+//! a user predicate's own.
 
-use ctxres::constraint::parse_constraints;
+use ctxres::constraint::{parse_constraints, PredicateRegistry};
 use ctxres::context::{
     Context, ContextKind, ContextState, Lifespan, LogicalTime, Point, Ticks, TruthTag,
 };
@@ -130,24 +131,49 @@ fn contexts_expiring_inside_the_window_are_not_blamed() {
     assert_eq!(stats.expired_on_use, 1);
 }
 
+/// A deployment whose constraint cannot evaluate — an unknown
+/// predicate, or a variable no quantifier binds — counts one
+/// evaluation error per addition and admits the context unchecked.
 #[test]
 fn unknown_predicate_constraint_degrades_gracefully() {
+    for broken in [
+        "constraint broken: forall a: location . no_such_predicate(a)",
+        "constraint broken: forall a: location . same_subject(a, ghost)",
+    ] {
+        let mut m = Middleware::builder()
+            .constraints(parse_constraints(broken).unwrap())
+            .strategy(by_name("d-bad", 1).unwrap())
+            .config(MiddlewareConfig {
+                window: Ticks::new(1),
+                track_ground_truth: false,
+                retention: None,
+            })
+            .build();
+        m.submit(loc(0, 0, 0.0));
+        m.drain();
+        assert_eq!(m.stats().eval_errors, 1, "{broken}");
+        assert_eq!(
+            m.stats().delivered,
+            1,
+            "{broken}: context admitted unchecked"
+        );
+    }
+}
+
+/// A user predicate that panics is not caught: the panic unwinds out of
+/// `Middleware::submit`, leaving that engine mid-update, so it must be
+/// dropped rather than used again (see `PredicateRegistry::register`).
+#[test]
+#[should_panic(expected = "predicate bug")]
+fn panicking_predicate_unwinds_out_of_submit() {
+    let mut registry = PredicateRegistry::with_builtins();
+    registry.register("explodes", 1, |_| panic!("predicate bug"));
     let mut m = Middleware::builder()
-        .constraints(
-            parse_constraints("constraint broken: forall a: location . no_such_predicate(a)")
-                .unwrap(),
-        )
+        .constraints(parse_constraints("constraint c: forall a: location . explodes(a)").unwrap())
+        .registry(registry)
         .strategy(by_name("d-bad", 1).unwrap())
-        .config(MiddlewareConfig {
-            window: Ticks::new(1),
-            track_ground_truth: false,
-            retention: None,
-        })
         .build();
     m.submit(loc(0, 0, 0.0));
-    m.drain();
-    assert_eq!(m.stats().eval_errors, 1);
-    assert_eq!(m.stats().delivered, 1, "context admitted unchecked");
 }
 
 #[test]
