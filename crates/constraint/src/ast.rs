@@ -236,17 +236,6 @@ impl Formula {
             Formula::Pred(_) | Formula::True | Formula::False => {}
         }
     }
-
-    /// Names of predicates referenced by the formula.
-    pub fn predicate_names(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        self.visit(&mut |f| {
-            if let Formula::Pred(p) = f {
-                out.insert(p.name.clone());
-            }
-        });
-        out
-    }
 }
 
 impl fmt::Display for Formula {
@@ -326,14 +315,6 @@ mod tests {
         // forall in the antecedent of implies is negative polarity
         let f = Formula::forall("a", "location", Formula::True).implies(Formula::True);
         assert!(!f.is_universal_positive());
-    }
-
-    #[test]
-    fn predicate_names_collected() {
-        let names = speed_formula().predicate_names();
-        assert!(names.contains("same_subject"));
-        assert!(names.contains("velocity_le"));
-        assert_eq!(names.len(), 2);
     }
 
     #[test]

@@ -52,7 +52,6 @@ use crate::eval::{
     Link, Need, Pin,
 };
 use crate::predicate::{PredSym, PredicateRegistry, Resolved};
-use crate::schema::{constraint_scope, ConstraintScope};
 use ctxres_context::{Context, ContextId, ContextKind, ContextPool, ContextValue, LogicalTime};
 use std::ops::RangeInclusive;
 
@@ -126,12 +125,10 @@ pub struct CompiledConstraint {
     kinds: Vec<ContextKind>,
     slot_count: usize,
     universal_positive: bool,
-    /// Deploy-time scope verdict: `true` when [`constraint_scope`]
-    /// proves every violating binding draws all its contexts from one
-    /// subject and, with two or more quantifiers, a [`subject_guard`]
-    /// ties them to it before anything else is read. Pinned checks on
-    /// such constraints quantify over the pool's per-subject index
-    /// instead of the whole kind list.
+    /// Deploy-time subject verdict (see
+    /// [`CompiledConstraint::is_per_subject`]): the formula is
+    /// universal-positive and, with two or more quantifiers, carries a
+    /// [`subject_guard`].
     per_subject: bool,
     /// The seq guard of a per-subject pair constraint, if it has one.
     seq_guard: Option<SeqGuard>,
@@ -154,17 +151,16 @@ impl CompiledConstraint {
         );
         let slot_count = constraint.quantifier_count();
         let guard = subject_guard(&program, slot_count);
-        let per_subject = constraint_scope(constraint) == ConstraintScope::PerSubject
-            && (slot_count <= 1 || guard.is_some());
+        let universal_positive = constraint.is_universal_positive();
         CompiledConstraint {
             name: constraint.name().to_owned(),
+            per_subject: universal_positive && (slot_count <= 1 || guard.is_some()),
             seq_guard: guard.and_then(|leaves| seq_guard(&leaves)),
             program,
             kinds: constraint.kinds().iter().cloned().collect(),
             kind_table,
             slot_count,
-            universal_positive: constraint.is_universal_positive(),
-            per_subject,
+            universal_positive,
         }
     }
 
@@ -180,24 +176,28 @@ impl CompiledConstraint {
         &self.kinds
     }
 
-    /// Whether the constraint quantifies over `kind`.
-    pub fn quantifies_over(&self, kind: &ContextKind) -> bool {
-        self.kinds.binary_search(kind).is_ok()
-    }
-
     /// Whether the formula lies in the incremental-checkable fragment.
     pub fn is_universal_positive(&self) -> bool {
         self.universal_positive
     }
 
-    /// Whether every violating binding is provably same-subject (see
-    /// [`constraint_scope`]) and, with two or more quantifiers, every
-    /// other binding provably holds without raising: the formula is a
-    /// `forall` chain over `G implies C` whose leading `same_subject`
-    /// leaves in `G` tie every variable to one subject before anything
-    /// else is read. When true, a pinned check restricts every unpinned
-    /// quantifier to the pinned context's subject bucket —
-    /// O(subject track) instead of O(kind).
+    /// Whether only contexts of one subject can meet in a binding that
+    /// decides the constraint: the formula is universal-positive (so
+    /// checks pin and never look for a witness) and, with two or more
+    /// quantifiers, it is a `forall` chain over `G implies C` whose
+    /// leading `same_subject` leaves in `G` tie every variable to one
+    /// subject before anything else is read. Every other binding
+    /// falsifies a leading leaf, which cannot raise on context
+    /// arguments, so it holds without a call that could raise or add a
+    /// link.
+    ///
+    /// This is the one per-subject proof. A pinned check of such a
+    /// constraint restricts every unpinned quantifier to the pinned
+    /// context's subject bucket — O(subject track) instead of O(kind) —
+    /// and `ShardPlan::analyze` in `ctxres-middleware` partitions its
+    /// kinds by subject. Both rely on the registry's `same_subject`
+    /// meaning the builtin, and trust it only where
+    /// [`PredicateRegistry::trusts_same_subject`] holds.
     pub fn is_per_subject(&self) -> bool {
         self.per_subject
     }
@@ -282,7 +282,9 @@ struct SeqGuard {
 }
 
 /// Which of the builtins narrowing reads by name a registry defines at
-/// the builtin arity. Narrowing skips bindings on the strength of a
+/// the builtin arity (for `same_subject`, the registry's own
+/// [`PredicateRegistry::trusts_same_subject`], which subject sharding
+/// also asks). Narrowing skips bindings on the strength of a
 /// predicate's builtin meaning; where the registry lacks the name or
 /// registers it at another arity, every call raises
 /// (`UnknownPredicate`/`Arity`), which skipping would hide.
@@ -298,7 +300,7 @@ impl Trusted {
     fn of(registry: &PredicateRegistry) -> Self {
         let builtin = |sym, arity| registry.arity(sym) == Some(arity);
         Trusted {
-            same_subject: builtin(PredSym::SAME_SUBJECT, 2),
+            same_subject: registry.trusts_same_subject(),
             subject_eq: builtin(PredSym::SUBJECT_EQ, 2),
             seq_gap: builtin(PredSym::SEQ_GAP, 3),
             seq_gap_le: builtin(PredSym::SEQ_GAP_LE, 3),
@@ -930,11 +932,11 @@ impl<'r> CompiledEvaluator<'r> {
         scratch: &'a mut EvalScratch,
     ) -> Run<'a, 'r> {
         scratch.prepare(constraint.slot_count);
-        // A per-subject constraint's violating bindings all share the
+        // A per-subject constraint's deciding bindings all share the
         // pinned context's subject, so the unpinned quantifiers only
         // need that subject's bucket of the kind index — provided the
-        // registry trusts `same_subject`, which the scope proof reads.
-        // Global constraints (or unpinned checks) keep the full kind
+        // registry trusts `same_subject`, which the subject guard reads.
+        // Other constraints (or unpinned checks) keep the full kind
         // domain.
         let pinned = match pin {
             Some(p) if constraint.per_subject && self.trusted.same_subject => {
@@ -1597,8 +1599,31 @@ mod tests {
         }
     }
 
+    /// The one per-subject proof: universal-positive and, with two or
+    /// more quantifiers, a leading `same_subject` guard tying every
+    /// variable to one subject. The guard-shape cases live with the
+    /// schema tests; these are the polarity and unknown-predicate ones.
+    #[test]
+    fn per_subject_verdicts() {
+        for (per_subject, source) in [
+            (true, "not exists a: location . subject_eq(a, \"anchor\")"),
+            (
+                false,
+                "not forall a: location . within(a, 0.0, 0.0, 1.0, 1.0)",
+            ),
+            (
+                false,
+                "forall a: location, b: badge . (ghost(a) and same_subject(a, b)) implies true",
+            ),
+        ] {
+            let source = format!("constraint c: {source}");
+            let cc = CompiledConstraint::compile(&parse_constraint(&source).unwrap());
+            assert_eq!(cc.is_per_subject(), per_subject, "{source}");
+        }
+    }
+
     /// A constraint whose violations span subjects (`same_subject` only
-    /// in the consequent) must stay `Global`: pinned checks keep the
+    /// in the consequent) is not per-subject: pinned checks keep the
     /// full kind domain, or the cross-subject violation would be missed.
     #[test]
     fn global_constraints_never_subject_restrict() {
@@ -1718,9 +1743,10 @@ mod tests {
         let cc = CompiledConstraint::compile(&c);
         assert_eq!(cc.kind_table.len(), 2, "location interned once");
         assert_eq!(cc.kinds().len(), 2);
-        assert!(cc.quantifies_over(&ContextKind::new("location")));
-        assert!(cc.quantifies_over(&ContextKind::new("rfid")));
-        assert!(!cc.quantifies_over(&ContextKind::new("badge")));
+        assert_eq!(
+            cc.kinds(),
+            [ContextKind::new("location"), ContextKind::new("rfid")]
+        );
         assert_eq!(cc.slot_count(), 3);
         assert_eq!(cc.name(), "multi");
         assert!(cc.is_universal_positive());

@@ -115,20 +115,6 @@ impl ConstraintSet {
         self.items.iter()
     }
 
-    /// The constraints relevant to a context of `kind`.
-    pub fn relevant_to<'a>(
-        &'a self,
-        kind: &'a ContextKind,
-    ) -> impl Iterator<Item = &'a Constraint> + 'a {
-        self.items.iter().filter(move |c| c.is_relevant_to(kind))
-    }
-
-    /// Whether any constraint is relevant to `kind` (paper Fig. 7 Part 1:
-    /// contexts of irrelevant kinds become `Consistent` immediately).
-    pub fn any_relevant_to(&self, kind: &ContextKind) -> bool {
-        self.items.iter().any(|c| c.is_relevant_to(kind))
-    }
-
     /// Looks a constraint up by name.
     pub fn get(&self, name: &str) -> Option<&Constraint> {
         self.items.iter().find(|c| c.name() == name)
@@ -190,9 +176,13 @@ mod tests {
         set.push(parse_constraint("constraint a: forall x: location . true").unwrap());
         set.push(parse_constraint("constraint b: forall x: rfid . true").unwrap());
         assert_eq!(set.len(), 2);
-        assert_eq!(set.relevant_to(&ContextKind::new("location")).count(), 1);
-        assert!(set.any_relevant_to(&ContextKind::new("rfid")));
-        assert!(!set.any_relevant_to(&ContextKind::new("temperature")));
+        let relevant = |kind: &str| {
+            let kind = ContextKind::new(kind);
+            set.iter().filter(|c| c.is_relevant_to(&kind)).count()
+        };
+        assert_eq!(relevant("location"), 1);
+        assert_eq!(relevant("rfid"), 1);
+        assert_eq!(relevant("temperature"), 0);
         assert!(set.get("a").is_some());
         assert!(set.get("zzz").is_none());
     }

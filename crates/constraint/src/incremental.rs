@@ -307,16 +307,15 @@ impl IncrementalChecker {
 
     /// Whether the deployed set can be checked through
     /// [`check_with_plan`](IncrementalChecker::check_with_plan): every
-    /// constraint lies in the universal-positive fragment (so
-    /// plans pin — the stateful full-check-and-diff fallback never
-    /// runs), and carries a per-subject scope proof (so a pinned check's
-    /// footprint is exactly the pinned subject's bucket, and checks of
-    /// disjoint subjects are independent). The middleware does not need
-    /// it; the benchmark's batched replay and the checker's tests do.
+    /// constraint is per-subject
+    /// ([`CompiledConstraint::is_per_subject`]), so plans pin — the
+    /// stateful full-check-and-diff fallback never runs — and a pinned
+    /// check's footprint is exactly the pinned subject's bucket, so
+    /// checks of disjoint subjects are independent. The middleware does
+    /// not need it; the benchmark's batched replay and the checker's
+    /// tests do.
     pub fn supports_batch_fusion(&self) -> bool {
-        self.compiled
-            .iter()
-            .all(|cc| cc.is_universal_positive() && cc.is_per_subject())
+        self.compiled.iter().all(CompiledConstraint::is_per_subject)
     }
 
     /// Stateless, read-only twin of
@@ -874,7 +873,10 @@ mod tests {
             "constraint cross: forall a: location, b: location . \
              seq_gap(a, b, 1) implies same_subject(a, b)",
         );
-        assert!(!cross.supports_batch_fusion(), "global scope is ineligible");
+        assert!(
+            !cross.supports_batch_fusion(),
+            "a cross-subject pair is ineligible"
+        );
     }
 
     #[test]

@@ -72,8 +72,5 @@ pub use eval::{CheckOutcome, DomainMode, Evaluator, Link, MAX_LINKS};
 pub use incremental::{CheckerStats, Detection, IncrementalChecker, KindPlan, PlanCounts};
 pub use parser::{parse_constraint, parse_constraints, parse_formula};
 pub use predicate::{PredicateRegistry, Resolved};
-pub use schema::{
-    constraint_scope, global_kinds, validate, AttrType, ConstraintScope, ContextSchema, KindSchema,
-    SchemaViolation,
-};
+pub use schema::{validate, AttrType, ContextSchema, KindSchema, SchemaViolation};
 pub use simplify::simplify;

@@ -37,14 +37,6 @@ impl<'a> Resolved<'a> {
             Resolved::Ctx(..) => None,
         }
     }
-
-    /// Context ids referenced by this argument (used for link evidence).
-    pub fn referenced_id(&self) -> Option<ContextId> {
-        match self {
-            Resolved::Ctx(id, _) => Some(*id),
-            Resolved::Value(_) | Resolved::ValueRef(_) => None,
-        }
-    }
 }
 
 /// A predicate name interned in the process-wide symbol table, so a
@@ -203,17 +195,22 @@ impl PredicateRegistry {
     /// | `within` | c, x0, y0, x1, y1 | `pos` lies in the axis-aligned rectangle |
     /// | `has_attr` | c, text | the context defines the named attribute |
     ///
-    /// † Read by name outside the registry: the scope analysis trusts
-    /// `same_subject` guards, [`CompiledEvaluator::holds`] scans only
-    /// the literal subject's contexts for quantifiers led by a
-    /// `subject_eq` guard, and a pinned check of a constraint guarded by
-    /// `same_subject` and `seq_gap`/`seq_gap_le` looks up the pair's
-    /// partner by seq ([`CompiledEvaluator::check_pinned`]). Narrowing
-    /// trusts a name only while the registry defines it at its builtin
-    /// arity (2, 2, 3 and 3 above); a registry that re-registers one at
-    /// that arity must keep the builtin meaning (a counting forwarder to
-    /// the builtin does).
+    /// † Read by name outside the registry: a constraint whose leading
+    /// `same_subject` guard ties its variables to one subject is
+    /// per-subject ([`CompiledConstraint::is_per_subject`]), so a pinned
+    /// check narrows to the pinned subject and a sharded middleware
+    /// partitions its kinds by subject; [`CompiledEvaluator::holds`]
+    /// scans only the literal subject's contexts for quantifiers led by
+    /// a `subject_eq` guard; and a pinned check of a constraint guarded
+    /// by `same_subject` and `seq_gap`/`seq_gap_le` looks up the pair's
+    /// partner by seq ([`CompiledEvaluator::check_pinned`]). Each is
+    /// trusted only while the registry defines it at its builtin arity
+    /// (2, 2, 3 and 3 above; for `same_subject`,
+    /// [`PredicateRegistry::trusts_same_subject`]); a registry that
+    /// re-registers one at that arity must keep the builtin meaning (a
+    /// counting forwarder to the builtin does).
     ///
+    /// [`CompiledConstraint::is_per_subject`]: crate::CompiledConstraint::is_per_subject
     /// [`CompiledEvaluator::holds`]: crate::CompiledEvaluator::holds
     /// [`CompiledEvaluator::check_pinned`]: crate::CompiledEvaluator::check_pinned
     pub fn with_builtins() -> Self {
@@ -407,6 +404,17 @@ impl PredicateRegistry {
             });
         }
         (entry.func)(args)
+    }
+
+    /// Whether a `same_subject` guard may be trusted to mean the
+    /// builtin: the registry defines `same_subject` at its builtin
+    /// arity 2. Where it does not, every call raises
+    /// (`UnknownPredicate`/`Arity`), so contexts of different subjects
+    /// do meet in a deciding binding. Pinned checks narrow to the pinned
+    /// subject, and a sharded middleware partitions a guarded
+    /// constraint's kinds by subject, only under a registry that passes.
+    pub fn trusts_same_subject(&self) -> bool {
+        self.arity(PredSym::SAME_SUBJECT) == Some(2)
     }
 
     /// The arity `sym` is registered at, if the registry defines it.

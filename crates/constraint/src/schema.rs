@@ -276,165 +276,6 @@ fn walk(
     }
 }
 
-/// How a constraint's violations relate to context *subjects* — the
-/// deploy-time fact a sharded middleware needs to partition contexts.
-///
-/// Computed by [`constraint_scope`]. A `PerSubject` constraint can be
-/// checked entirely inside a shard that holds all contexts of one
-/// subject; a `Global` constraint needs a view of every context of its
-/// kinds, so those kinds must be routed to a shared-scope shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstraintScope {
-    /// Every violating binding draws all its contexts from a single
-    /// subject: checking is complete within a subject shard.
-    PerSubject,
-    /// A violation may relate contexts of different subjects (or the
-    /// analysis cannot prove otherwise).
-    Global,
-}
-
-/// Classifies a constraint's sharding scope.
-///
-/// The analysis is sound but conservative: it returns
-/// [`ConstraintScope::PerSubject`] only when it can *prove* that every
-/// violating binding is same-subject, and `Global` otherwise.
-///
-/// A constraint is `PerSubject` when:
-///
-/// * every quantifier is a `forall` (an `exists` witness may live on
-///   another shard, so removing contexts from view could flip the
-///   verdict), and
-/// * the quantified variables have distinct names (shadowing defeats
-///   the name-keyed link analysis below), and
-/// * either there is at most one quantifier, or every pair of
-///   quantified variables is connected by `same_subject(x, y)` guards
-///   that are *guaranteed to hold in any violating binding*.
-///
-/// Guaranteed guards are collected by polarity: a binding violates
-/// `forall xs . (G implies C)` only if `G` is true, so `same_subject`
-/// atoms conjoined in `G` must hold; atoms under an `or`, a negation,
-/// or in the consequent guarantee nothing. The guards then
-/// union-find-connect the variables; full connectivity means any
-/// violating binding has one subject.
-pub fn constraint_scope(c: &Constraint) -> ConstraintScope {
-    let quants = c.formula().quantifiers();
-    if quants
-        .iter()
-        .any(|(_, _, q)| *q == crate::ast::Quantifier::Exists)
-    {
-        return ConstraintScope::Global;
-    }
-    let mut vars: Vec<String> = Vec::new();
-    c.formula().visit(&mut |f| {
-        if let Formula::Quant { var, .. } = f {
-            vars.push(var.clone());
-        }
-    });
-    {
-        let mut sorted = vars.clone();
-        sorted.sort();
-        sorted.dedup();
-        if sorted.len() != vars.len() {
-            return ConstraintScope::Global;
-        }
-    }
-    if vars.len() <= 1 {
-        return ConstraintScope::PerSubject;
-    }
-
-    // Union-find over variable indices, seeded by guaranteed links.
-    let mut links: Vec<(String, String)> = Vec::new();
-    guaranteed_links(c.formula(), false, &mut links);
-    let index = |v: &str| vars.iter().position(|x| x == v);
-    let mut parent: Vec<usize> = (0..vars.len()).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        let mut i = i;
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    for (a, b) in &links {
-        if let (Some(i), Some(j)) = (index(a), index(b)) {
-            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-            parent[ri] = rj;
-        }
-    }
-    let root = find(&mut parent, 0);
-    if (1..vars.len()).all(|i| find(&mut parent, i) == root) {
-        ConstraintScope::PerSubject
-    } else {
-        ConstraintScope::Global
-    }
-}
-
-/// Collects `same_subject(x, y)` pairs guaranteed to hold whenever `f`
-/// evaluates to `val`.
-fn guaranteed_links(f: &Formula, val: bool, out: &mut Vec<(String, String)>) {
-    match f {
-        // A forall is false only through some binding falsifying the
-        // body; that binding satisfies the body's false-guarantees.
-        Formula::Quant { body, .. } => {
-            if !val {
-                guaranteed_links(body, false, out);
-            }
-        }
-        Formula::And(a, b) => {
-            // True requires both true; false guarantees neither.
-            if val {
-                guaranteed_links(a, true, out);
-                guaranteed_links(b, true, out);
-            }
-        }
-        Formula::Or(a, b) => {
-            // False requires both false; true guarantees neither.
-            if !val {
-                guaranteed_links(a, false, out);
-                guaranteed_links(b, false, out);
-            }
-        }
-        Formula::Implies(a, b) => {
-            // False requires antecedent true and consequent false.
-            if !val {
-                guaranteed_links(a, true, out);
-                guaranteed_links(b, false, out);
-            }
-        }
-        Formula::Not(a) => guaranteed_links(a, !val, out),
-        Formula::Pred(call) => {
-            if val && call.name == "same_subject" {
-                let vs: Vec<&String> = call
-                    .args
-                    .iter()
-                    .filter_map(|t| match t {
-                        Term::Var(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                for pair in vs.windows(2) {
-                    out.push((pair[0].clone(), pair[1].clone()));
-                }
-            }
-        }
-        Formula::True | Formula::False => {}
-    }
-}
-
-/// The context kinds that must be routed to a shared-scope shard: every
-/// kind quantified over by any [`ConstraintScope::Global`] constraint.
-///
-/// Kinds *not* in this set are only ever related to same-subject
-/// contexts (or to no constraint at all), so a sharded middleware may
-/// partition them by subject.
-pub fn global_kinds(constraints: &[Constraint]) -> std::collections::BTreeSet<ContextKind> {
-    constraints
-        .iter()
-        .filter(|c| constraint_scope(c) == ConstraintScope::Global)
-        .flat_map(|c| c.kinds().iter().cloned())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,115 +380,82 @@ mod tests {
         assert!(s.contains("a.floor") && s.contains("badge"));
     }
 
-    fn scope_of(src: &str) -> ConstraintScope {
+    /// The deploy-time sharding fact for a one-constraint source: can
+    /// every violation be found inside one subject's contexts?
+    fn per_subject(src: &str) -> bool {
         let cs = parse_constraints(src).unwrap();
-        constraint_scope(&cs[0])
+        crate::CompiledConstraint::compile(&cs[0]).is_per_subject()
     }
 
     #[test]
     fn same_subject_guarded_pair_is_per_subject() {
-        assert_eq!(
-            scope_of(
-                "constraint speed:
-                   forall a: location, b: location .
-                     (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)"
-            ),
-            ConstraintScope::PerSubject
-        );
+        assert!(per_subject(
+            "constraint speed:
+               forall a: location, b: location .
+                 (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)"
+        ));
     }
 
     #[test]
     fn single_quantifier_is_trivially_per_subject() {
-        assert_eq!(
-            scope_of("constraint region: forall a: location . within(a, 0.0, 0.0, 9.0, 9.0)"),
-            ConstraintScope::PerSubject
-        );
+        assert!(per_subject(
+            "constraint region: forall a: location . within(a, 0.0, 0.0, 9.0, 9.0)"
+        ));
     }
 
     #[test]
     fn unguarded_pair_is_global() {
-        assert_eq!(
-            scope_of(
-                "constraint apart:
-                   forall a: location, b: location . velocity_le(a, b, 100.0)"
-            ),
-            ConstraintScope::Global
-        );
+        assert!(!per_subject(
+            "constraint apart:
+               forall a: location, b: location . velocity_le(a, b, 100.0)"
+        ));
     }
 
     #[test]
     fn exists_is_global() {
-        assert_eq!(
-            scope_of("constraint anchored: exists a: location . subject_eq(a, \"anchor\")"),
-            ConstraintScope::Global
-        );
+        assert!(!per_subject(
+            "constraint anchored: exists a: location . subject_eq(a, \"anchor\")"
+        ));
     }
 
     #[test]
     fn guard_chain_connects_three_variables() {
-        assert_eq!(
-            scope_of(
-                "constraint chain:
-                   forall a: location, b: location, c: location .
-                     (same_subject(a, b) and same_subject(b, c)) implies velocity_le(a, c, 9.0)"
-            ),
-            ConstraintScope::PerSubject
-        );
+        assert!(per_subject(
+            "constraint chain:
+               forall a: location, b: location, c: location .
+                 (same_subject(a, b) and same_subject(b, c)) implies velocity_le(a, c, 9.0)"
+        ));
     }
 
     #[test]
     fn guard_under_or_guarantees_nothing() {
         // The violating binding may take the `true` branch of the or,
         // leaving the subjects unrelated.
-        assert_eq!(
-            scope_of(
-                "constraint weak:
-                   forall a: location, b: location .
-                     (same_subject(a, b) or seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)"
-            ),
-            ConstraintScope::Global
-        );
+        assert!(!per_subject(
+            "constraint weak:
+               forall a: location, b: location .
+                 (same_subject(a, b) or seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)"
+        ));
     }
 
     #[test]
     fn negated_guard_is_global() {
-        assert_eq!(
-            scope_of(
-                "constraint neg:
-                   forall a: location, b: location .
-                     not same_subject(a, b) implies velocity_le(a, b, 1.5)"
-            ),
-            ConstraintScope::Global
-        );
+        assert!(!per_subject(
+            "constraint neg:
+               forall a: location, b: location .
+                 not same_subject(a, b) implies velocity_le(a, b, 1.5)"
+        ));
     }
 
     #[test]
     fn guard_in_consequent_does_not_count() {
         // A violation *falsifies* the consequent, so same_subject there
         // is exactly what does not hold.
-        assert_eq!(
-            scope_of(
-                "constraint conseq:
-                   forall a: location, b: location .
-                     seq_gap(a, b, 1) implies same_subject(a, b)"
-            ),
-            ConstraintScope::Global
-        );
-    }
-
-    #[test]
-    fn global_kinds_collects_only_global_constraints() {
-        let cs = parse_constraints(
-            "constraint speed:
+        assert!(!per_subject(
+            "constraint conseq:
                forall a: location, b: location .
-                 same_subject(a, b) implies velocity_le(a, b, 1.5)
-             constraint pairwise:
-               forall r: rfid, s: rfid . distinct(r, s)",
-        )
-        .unwrap();
-        let globals = global_kinds(&cs);
-        assert!(globals.contains(&ContextKind::new("rfid")));
-        assert!(!globals.contains(&ContextKind::new("location")));
+                 seq_gap(a, b, 1) implies same_subject(a, b)"
+        ));
     }
 
     #[test]

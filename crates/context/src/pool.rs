@@ -853,10 +853,9 @@ impl ContextPool {
     /// available context, on a [`set_state`](ContextPool::set_state) or
     /// [`discard`](ContextPool::discard) that flips availability, and
     /// on the removal of an available context
-    /// ([`remove`](ContextPool::remove), [`compact`](ContextPool::compact),
-    /// [`sweep_expired`](ContextPool::sweep_expired)). Expiry never moves
-    /// it: a reader pairs the version with the clock. Watching a slice
-    /// already watched returns its id again.
+    /// ([`remove`](ContextPool::remove), [`compact`](ContextPool::compact)).
+    /// Expiry never moves it: a reader pairs the version with the clock.
+    /// Watching a slice already watched returns its id again.
     ///
     /// Every watch costs each availability flip one comparison; a pool
     /// without watches pays one branch per change.
@@ -970,12 +969,6 @@ impl ContextPool {
         self.remove_where(|c| {
             c.stamp() < horizon && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
         })
-    }
-
-    /// Removes expired contexts from the pool and returns how many were
-    /// dropped. Discarded contexts are kept regardless (for metrics).
-    pub fn sweep_expired(&mut self, now: LogicalTime) -> usize {
-        self.remove_where(|c| !c.is_live(now) && c.state() != ContextState::Inconsistent)
     }
 
     /// Physically removes a context and its index entries: its one
@@ -1207,20 +1200,6 @@ mod tests {
         pool.set_state(stale, ContextState::Consistent).unwrap();
         let avail: Vec<ContextId> = pool.available_at(now).map(|(id, _)| id).collect();
         assert_eq!(avail, vec![fresh]);
-    }
-
-    #[test]
-    fn sweep_expired_removes_dead_contexts() {
-        let mut pool = ContextPool::new();
-        pool.insert(
-            Context::builder(ContextKind::new("location"), "p")
-                .stamp(LogicalTime::new(0))
-                .lifespan(Lifespan::with_ttl(LogicalTime::new(0), Ticks::new(3)))
-                .build(),
-        );
-        pool.insert(loc("p", 1));
-        assert_eq!(pool.sweep_expired(LogicalTime::new(10)), 1);
-        assert_eq!(pool.len(), 1);
     }
 
     #[test]
@@ -1683,7 +1662,7 @@ mod tests {
         );
         step(
             &mut pool,
-            &|pool| assert_eq!(pool.sweep_expired(LogicalTime::new(9)), 1),
+            &|pool| assert_eq!(pool.compact(LogicalTime::new(3)), 1),
             [true, true, false, false],
         );
         step(
@@ -1758,7 +1737,7 @@ mod tests {
             );
         }
         pool.insert(loc("p", 100));
-        assert_eq!(pool.sweep_expired(LogicalTime::new(200)), 50);
+        assert_eq!(pool.compact(LogicalTime::new(200)), 50);
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.of_kind(&ContextKind::new("location")).count(), 1);
         assert_eq!(

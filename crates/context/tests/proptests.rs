@@ -277,10 +277,10 @@ proptest! {
                 }
                 Op::Sweep { at } => {
                     let now = LogicalTime::new(u64::from(at));
-                    pool.sweep_expired(now);
-                    // After a sweep at `now >= clock`, no live-at-now view
-                    // may contain expired contexts (trivially true since
-                    // they were removed).
+                    pool.compact(now);
+                    // A sweep removes through the same bulk purge as
+                    // every retention pass; no live-at-now view may then
+                    // contain an expired context.
                     for k in 0..3u8 {
                         for (_, c) in pool.of_kind_live_at(&kind_name(k), now) {
                             prop_assert!(c.is_live(now));

@@ -4,14 +4,17 @@
 //! The global-mutex front-end ([`crate::SharedMiddleware`]) serializes
 //! every submission through one lock. But the paper's workhorse
 //! constraints (the §2.2 speed constraint and friends) guard their
-//! quantifier pairs with `same_subject`: a violation can only ever
-//! relate contexts of one subject. [`ShardedMiddleware`] exploits that:
+//! quantifier pairs with `same_subject`: only contexts of one subject
+//! can meet in a binding that decides them. [`ShardedMiddleware`]
+//! exploits that:
 //!
-//! * deploy time: [`ShardPlan::analyze`] classifies each constraint via
-//!   [`ctxres_constraint::constraint_scope`]. Kinds touched by any
-//!   `Global`-scope constraint are routed to a dedicated **shared-scope
-//!   shard**; all other kinds partition by subject hash across N
-//!   **subject shards**;
+//! * deploy time: [`ShardPlan::analyze`] compiles each constraint and
+//!   routes by [`CompiledConstraint::is_per_subject`], the proof pinned
+//!   checks narrow by. Every kind of a constraint that is not
+//!   per-subject goes to a dedicated **shared-scope shard**, and so
+//!   does every kind of any constraint sharing a kind with those, until
+//!   the set stops growing; all other kinds partition by subject hash
+//!   across N **subject shards**;
 //! * run time: each shard is a full [`Middleware`] (own pool, own
 //!   incremental checker, own strategy instance) behind its **own**
 //!   lock, so producers submitting different subjects never contend and
@@ -22,18 +25,24 @@
 //!   [`ShardedMiddleware::shard_stats`] aggregate per-shard counters by
 //!   visiting each shard lock in turn — there is no global lock.
 //!
-//! Routing is sound, not heuristic: a `PerSubject` constraint's
-//! violating bindings are same-subject by construction (the scope
-//! analysis proves it), and all contexts of one subject land in one
-//! shard, so shard-local checking finds exactly the inconsistencies the
-//! single-engine middleware would. Situations are a cross-subject
-//! aggregate concern and stay with the single-engine experiment path.
+//! Routing is sound, not heuristic. Every constraint over a partitioned
+//! kind is per-subject and quantifies only over partitioned kinds, so it
+//! is checked by pinning and relates contexts of one subject only; all
+//! contexts of one subject — the empty subject included — land in one
+//! shard; and the shared-scope shard holds every context of every other
+//! constraint's kinds. So shard-local checking reports exactly the
+//! inconsistencies the single-engine middleware would, provided each
+//! subject shard's registry
+//! [trusts `same_subject`](ctxres_constraint::PredicateRegistry::trusts_same_subject),
+//! which [`ShardedMiddleware::new`] checks. Situations are a
+//! cross-subject aggregate concern and stay with the single-engine
+//! experiment path.
 
 use crate::concurrent::resume_worker_panic;
 use crate::middleware::{Middleware, SubmitReport};
 use crate::stats::{MiddlewareStats, ShardStats};
 use crossbeam::channel::Receiver;
-use ctxres_constraint::{global_kinds, Constraint};
+use ctxres_constraint::{CompiledConstraint, Constraint};
 use ctxres_context::{Context, ContextKind, ContextState, LogicalTime};
 use ctxres_core::ResolutionStrategy;
 use ctxres_obs::{MetricKind, ObsConfig, ObsRegistry, Phase, ShardObs};
@@ -58,6 +67,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct ShardPlan {
     subject_shards: usize,
     global_kinds: BTreeSet<ContextKind>,
+    /// A constraint whose kinds the plan partitions and whose
+    /// per-subject proof reads `same_subject` guards (it has two or more
+    /// quantifiers), if there is one: every subject shard's registry
+    /// must then trust `same_subject`.
+    guarded: Option<String>,
     /// Subjects pinned to a specific shard by rebalancing, overriding
     /// the hash route. Empty until [`ShardPlan::rebalance`] produces a
     /// successor plan.
@@ -83,19 +97,44 @@ impl ShardLoad {
 }
 
 impl ShardPlan {
-    /// Analyzes a constraint set: kinds quantified over by any
-    /// constraint outside the per-subject fragment are pinned to the
-    /// shared-scope shard; everything else partitions by subject across
-    /// `subject_shards` shards.
+    /// Analyzes a constraint set by the one per-subject proof,
+    /// [`CompiledConstraint::is_per_subject`]: every kind of a
+    /// constraint that is not per-subject is pinned to the shared-scope
+    /// shard, then every kind of any constraint that shares a kind with
+    /// that set, until the set stops growing. Everything else
+    /// partitions by subject across `subject_shards` shards, so each
+    /// constraint sees all of its kinds' contexts in one shard: the
+    /// shared one, or the subject's.
     ///
     /// # Panics
     ///
     /// Panics when `subject_shards` is zero.
     pub fn analyze(constraints: &[Constraint], subject_shards: usize) -> Self {
         assert!(subject_shards > 0, "need at least one subject shard");
+        let compiled: Vec<CompiledConstraint> = constraints
+            .iter()
+            .map(CompiledConstraint::compile)
+            .collect();
+        let mut global_kinds = BTreeSet::new();
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for c in &compiled {
+                if !c.is_per_subject() || c.kinds().iter().any(|k| global_kinds.contains(k)) {
+                    for kind in c.kinds() {
+                        grew |= global_kinds.insert(kind.clone());
+                    }
+                }
+            }
+        }
+        let guarded = compiled
+            .iter()
+            .find(|c| c.slot_count() > 1 && !c.kinds().iter().any(|k| global_kinds.contains(k)))
+            .map(|c| c.name().to_owned());
         ShardPlan {
             subject_shards,
-            global_kinds: global_kinds(constraints),
+            global_kinds,
+            guarded,
             overrides: BTreeMap::new(),
         }
     }
@@ -121,21 +160,18 @@ impl ShardPlan {
     }
 
     /// The shard a context belongs to: shared-scope for global kinds,
-    /// otherwise a stable hash of the subject (falling back to the kind
-    /// name when the subject is empty).
+    /// otherwise its subject's shard — a rebalancing override, or a
+    /// stable hash of the subject. The empty subject is routed like any
+    /// other, so every subject-less context lands on one shard, as
+    /// `same_subject` relates them all.
     pub fn route(&self, ctx: &Context) -> usize {
         if self.global_kinds.contains(ctx.kind()) {
             return self.shared_shard();
         }
-        let key = if ctx.subject().is_empty() {
-            ctx.kind().name()
-        } else {
-            ctx.subject()
-        };
-        if let Some(&pinned) = self.overrides.get(key) {
+        if let Some(&pinned) = self.overrides.get(ctx.subject()) {
             return pinned;
         }
-        (fnv1a64(key.as_bytes()) % self.subject_shards as u64) as usize
+        (fnv1a64(ctx.subject().as_bytes()) % self.subject_shards as u64) as usize
     }
 
     /// The rebalancing overrides currently pinning subjects to shards.
@@ -145,8 +181,8 @@ impl ShardPlan {
 
     /// Subject shards carrying more than `factor`× the mean
     /// subject-shard load, hottest first (ties broken by index). The
-    /// shared-scope shard never counts: its load is fixed by constraint
-    /// scope, not subject placement.
+    /// shared-scope shard never counts: its load is fixed by the
+    /// constraint set, not subject placement.
     pub fn hot_shards(&self, loads: &[ShardLoad], factor: f64) -> Vec<usize> {
         let totals = self.load_totals(loads);
         let mean = totals.iter().sum::<usize>() as f64 / self.subject_shards as f64;
@@ -202,9 +238,8 @@ impl ShardPlan {
             return None;
         }
         Some(ShardPlan {
-            subject_shards: self.subject_shards,
-            global_kinds: self.global_kinds.clone(),
             overrides,
+            ..self.clone()
         })
     }
 
@@ -275,16 +310,21 @@ impl std::fmt::Debug for ShardedMiddleware {
 impl ShardedMiddleware {
     /// Builds the engine: `make(i)` constructs shard `i`'s middleware
     /// (index [`ShardPlan::shared_shard`] is the shared-scope shard).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the shard, when `plan` partitions the kinds of a
+    /// constraint guarded by `same_subject` and a subject shard's
+    /// registry fails [`trusts_same_subject`]: there every guard
+    /// raises, contexts of different subjects meet in the bindings that
+    /// raise, and the shards would report fewer errors than one engine.
+    ///
+    /// [`trusts_same_subject`]: ctxres_constraint::PredicateRegistry::trusts_same_subject
     pub fn new(plan: ShardPlan, mut make: impl FnMut(usize) -> Middleware) -> Self {
         let shards = (0..plan.total_shards())
             .map(|i| Mutex::new(make(i)))
             .collect();
-        ShardedMiddleware {
-            plan,
-            shards,
-            obs: ShardObs::disabled(),
-            registry: None,
-        }
+        ShardedMiddleware::assemble(plan, shards, ShardObs::disabled(), None)
     }
 
     /// An [`ObsRegistry`] sized for `plan`: one slot per shard plus a
@@ -304,7 +344,8 @@ impl ShardedMiddleware {
     ///
     /// Panics when an enabled `registry` has fewer than
     /// `plan.total_shards() + 1` slots (build it with
-    /// [`ShardedMiddleware::obs_registry`]).
+    /// [`ShardedMiddleware::obs_registry`]), and where
+    /// [`ShardedMiddleware::new`] does.
     pub fn new_observed(
         plan: ShardPlan,
         registry: &Arc<ObsRegistry>,
@@ -314,11 +355,31 @@ impl ShardedMiddleware {
             .map(|i| Mutex::new(make(i, registry.handle(i))))
             .collect();
         let obs = registry.handle(plan.total_shards());
+        ShardedMiddleware::assemble(plan, shards, obs, Some(Arc::clone(registry)))
+    }
+
+    /// The engine over built `shards`, once every subject shard's
+    /// registry trusts the `same_subject` guards `plan` partitions by.
+    fn assemble(
+        plan: ShardPlan,
+        shards: Vec<Mutex<Middleware>>,
+        obs: ShardObs,
+        registry: Option<Arc<ObsRegistry>>,
+    ) -> Self {
+        if let Some(guarded) = &plan.guarded {
+            for (i, shard) in shards[..plan.subject_shards()].iter().enumerate() {
+                assert!(
+                    shard.lock().registry().trusts_same_subject(),
+                    "subject shard {i}: its registry does not define `same_subject` at \
+                     arity 2, but the plan partitions the kinds of `{guarded}` by subject"
+                );
+            }
+        }
         ShardedMiddleware {
             plan,
             shards,
             obs,
-            registry: Some(Arc::clone(registry)),
+            registry,
         }
     }
 
@@ -459,10 +520,7 @@ impl ShardedMiddleware {
     ///
     /// Detections already reported are unaffected — per-subject
     /// constraint checking sees the same subject-complete bucket on the
-    /// new shard. For the rare subject-routed constraint on the
-    /// full-check fallback path, a violation involving migrated
-    /// contexts may be re-reported once on the new shard (the diff
-    /// baseline does not migrate).
+    /// new shard.
     ///
     /// # Panics
     ///
@@ -789,12 +847,133 @@ mod tests {
     }
 
     #[test]
-    fn empty_subject_falls_back_to_kind_hash() {
-        let sharded = engine(SPEED, 4);
-        let anon = Context::builder(ContextKind::new("location"), "").build();
-        let shard = sharded.plan().route(&anon);
+    fn empty_subject_routes_to_one_shard() {
+        let plan = ShardPlan::analyze(&parse_constraints(CROSS_KIND).unwrap(), 4);
+        assert!(plan.global_kinds().is_empty());
+        let anon = |kind: &str| Context::builder(ContextKind::new(kind), "").build();
+        let shard = plan.route(&anon("location"));
         assert!(shard < 4);
-        assert_eq!(shard, sharded.plan().route(&anon));
+        assert_eq!(shard, plan.route(&anon("badge")));
+        // A rebalancing override for the empty subject takes effect.
+        let moved = ShardPlan {
+            overrides: BTreeMap::from([(String::new(), (shard + 1) % 4)]),
+            ..plan
+        };
+        assert_eq!(moved.route(&anon("badge")), (shard + 1) % 4);
+    }
+
+    const CROSS_KIND: &str = "constraint cross_kind:
+        forall a: location, b: badge . same_subject(a, b) implies false";
+
+    fn badge(subject: &str, stamp: u64) -> Context {
+        Context::builder(ContextKind::new("badge"), subject)
+            .stamp(LogicalTime::new(stamp))
+            .build()
+    }
+
+    /// A `kind` context of `subject` at `(x, x)`, stamped `stamp`.
+    fn placed(kind: &str, subject: &str, stamp: u64, x: f64) -> Context {
+        Context::builder(ContextKind::new(kind), subject)
+            .attr("pos", Point::new(x, x))
+            .stamp(LogicalTime::new(stamp))
+            .build()
+    }
+
+    /// The stats of one engine and of a 4-subject-shard engine under
+    /// `src` and `registry`, each fed `trace` one context at a time;
+    /// the two pools must end equal.
+    fn one_and_sharded(
+        src: &str,
+        registry: PredicateRegistry,
+        trace: &[Context],
+    ) -> (MiddlewareStats, MiddlewareStats) {
+        let mut single = shard_mw(src).registry(registry.clone()).build();
+        let plan = ShardPlan::analyze(&parse_constraints(src).unwrap(), 4);
+        let sharded =
+            ShardedMiddleware::new(plan, |_| shard_mw(src).registry(registry.clone()).build());
+        for ctx in trace {
+            single.submit(ctx.clone());
+            sharded.submit(ctx.clone());
+        }
+        single.drain();
+        sharded.drain();
+        assert_eq!(sharded.signature(), single.pool().signature());
+        (*single.stats(), sharded.stats())
+    }
+
+    /// A leaf that can raise ahead of the guard: the pair is not
+    /// per-subject, so every badge meets the location and raises.
+    #[test]
+    fn a_raising_leaf_before_the_guard_keeps_the_pair_shared() {
+        let src = "constraint ghostly: forall a: location, b: badge .
+            (ghost(a) and same_subject(a, b)) implies true";
+        let mut trace = vec![placed("location", "p", 0, 0.0)];
+        trace.extend(["q", "r", "s", "t", "u"].map(|s| badge(s, 1)));
+        let (one, sharded) = one_and_sharded(src, PredicateRegistry::with_builtins(), &trace);
+        assert_eq!(one.eval_errors, 5);
+        assert_eq!(sharded.eval_errors, one.eval_errors);
+    }
+
+    /// `not forall` needs every context of its kind: a shard holding
+    /// only alice's would see a violation one engine does not.
+    #[test]
+    fn a_negated_forall_sees_every_subject() {
+        let src = "constraint somewhere_outside:
+            not forall a: location . within(a, 0.0, 0.0, 1.0, 1.0)";
+        let trace = [
+            placed("location", "bob", 0, 5.0),
+            placed("location", "alice", 1, 0.5),
+        ];
+        let (one, sharded) = one_and_sharded(src, PredicateRegistry::with_builtins(), &trace);
+        assert_eq!(one.inconsistencies, 0);
+        assert_eq!(sharded.inconsistencies, one.inconsistencies);
+    }
+
+    /// Subject-less contexts of two kinds share the empty subject, so
+    /// they must meet on one shard.
+    #[test]
+    fn subject_less_contexts_meet_on_one_shard() {
+        let src = "constraint anon: forall a: venue, b: noise . same_subject(a, b) implies false";
+        let trace = [placed("venue", "", 0, 0.0), placed("noise", "", 1, 0.0)];
+        let (one, sharded) = one_and_sharded(src, PredicateRegistry::with_builtins(), &trace);
+        assert_eq!(one.inconsistencies, 1);
+        assert_eq!(sharded.inconsistencies, one.inconsistencies);
+    }
+
+    /// A per-subject constraint over a shared kind is shared whole: its
+    /// other kinds follow, or alice's location and badge would sit on
+    /// different shards.
+    #[test]
+    fn kinds_sharing_a_constraint_with_a_shared_kind_are_shared() {
+        let src = format!(
+            "{CROSS_KIND}
+             constraint pairs: forall x: badge, y: badge . distinct(x, y) implies true"
+        );
+        let plan = ShardPlan::analyze(&parse_constraints(&src).unwrap(), 4);
+        assert_eq!(
+            plan.global_kinds(),
+            &BTreeSet::from([ContextKind::new("badge"), ContextKind::new("location")])
+        );
+        let trace = [placed("location", "alice", 0, 0.0), badge("alice", 1)];
+        let (one, sharded) = one_and_sharded(&src, PredicateRegistry::with_builtins(), &trace);
+        assert_eq!(one.inconsistencies, 1);
+        assert_eq!(sharded.inconsistencies, one.inconsistencies);
+    }
+
+    /// Without `same_subject` every guard raises, in cross-subject
+    /// bindings too, so partitioning the guarded kinds would hide
+    /// errors: building the engine refuses, naming the shard.
+    #[test]
+    #[should_panic(expected = "subject shard 0: its registry does not define `same_subject`")]
+    fn a_registry_without_same_subject_refuses_to_shard() {
+        let trace = [
+            placed("location", "alice", 0, 0.0),
+            badge("bob", 1),
+            badge("carol", 2),
+            badge("dave", 3),
+            badge("erin", 4),
+        ];
+        one_and_sharded(CROSS_KIND, PredicateRegistry::new(), &trace);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 
 use ctxres_constraint::parse_constraints;
 use ctxres_context::{Context, ContextKind, Lifespan, LogicalTime, Point, Ticks, TruthTag};
-use ctxres_core::strategies::by_name;
-use ctxres_middleware::{Event, EventLog, Middleware, MiddlewareConfig, MiddlewareStats};
+use ctxres_core::strategies::{by_name, DropBad};
+use ctxres_middleware::{
+    Event, EventLog, Middleware, MiddlewareConfig, MiddlewareStats, ShardPlan, ShardedMiddleware,
+};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -316,5 +318,103 @@ proptest! {
             }
         }
         prop_assert_eq!(aggregated, stats_from(&totals));
+    }
+}
+
+/// Constraint shapes over `location` and `badge` that routing must get
+/// right: guarded pairs (same kind and cross-kind), a guard after a
+/// leaf that raises (`ghost` is unregistered), a guard under `or`, a
+/// negated `forall`, an `exists`, a single `forall`, and an unguarded
+/// badge pair that violates across subjects.
+const SHAPES: [&str; 8] = [
+    "constraint speed: forall a: location, b: location .
+       (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)",
+    "constraint ghostly: forall a: location, b: badge .
+       (ghost(a) and same_subject(a, b)) implies true",
+    "constraint weak: forall a: location, b: location .
+       (same_subject(a, b) or seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)",
+    "constraint outside: not forall a: location . within(a, 0.0, 0.0, 1.0, 1.0)",
+    "constraint anchored: exists a: badge . subject_eq(a, \"p\")",
+    "constraint region: forall a: location . within(a, 0.0, 0.0, 2.0, 2.0)",
+    "constraint cross_kind: forall a: location, b: badge .
+       same_subject(a, b) implies time_gap_le(a, b, 2)",
+    "constraint badge_pairs: forall x: badge, y: badge .
+       (distinct(x, y) and before(x, y)) implies time_gap_le(x, y, 3)",
+];
+
+/// Immortal locations and badges of subjects `""`, `p`, `q` and `r`,
+/// stamped in arrival order with gaps of 0-2 ticks, each carrying its
+/// subject's next seq for its kind.
+fn arrivals(spec: &[(bool, u8, u8, u8, u8)]) -> Vec<Context> {
+    let mut seqs = std::collections::HashMap::new();
+    let mut stamp = 0;
+    spec.iter()
+        .map(|&(is_badge, subject, gap, x, y)| {
+            let kind = if is_badge { "badge" } else { "location" };
+            let subject = ["", "p", "q", "r"][usize::from(subject)];
+            let seq = seqs.entry((kind, subject)).or_insert(0i64);
+            *seq += 1;
+            stamp += u64::from(gap);
+            Context::builder(ContextKind::new(kind), subject)
+                .attr("pos", Point::new(f64::from(x) * 0.75, f64::from(y) * 0.75))
+                .attr("seq", *seq)
+                .stamp(LogicalTime::new(stamp))
+                .build()
+        })
+        .collect()
+}
+
+fn drop_bad(constraints: &[ctxres_constraint::Constraint]) -> Middleware {
+    Middleware::builder()
+        .constraints(constraints.to_vec())
+        .strategy(Box::new(DropBad::new()))
+        .config(MiddlewareConfig {
+            window: Ticks::new(0),
+            track_ground_truth: false,
+            retention: None,
+        })
+        .build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A sharded engine reports what one engine reports: the same
+    /// inconsistencies, errors and verdicts, and the same pool, on any
+    /// subset of the routing shapes at 1, 2 and 4 subject shards.
+    #[test]
+    fn sharded_engine_reports_what_one_engine_reports(
+        mask in 1u16..256,
+        spec in proptest::collection::vec(
+            (any::<bool>(), 0u8..4, 0u8..3, 0u8..4, 0u8..4),
+            0..16,
+        ),
+    ) {
+        let source: Vec<&str> = (0..SHAPES.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| SHAPES[i])
+            .collect();
+        let constraints = parse_constraints(&source.join("\n")).unwrap();
+        let trace = arrivals(&spec);
+        let mut single = drop_bad(&constraints);
+        for ctx in &trace {
+            single.submit(ctx.clone());
+        }
+        single.drain();
+        let want = single.stats();
+        for shards in [1, 2, 4] {
+            let plan = ShardPlan::analyze(&constraints, shards);
+            let sharded = ShardedMiddleware::new(plan, |_| drop_bad(&constraints));
+            for ctx in &trace {
+                sharded.submit(ctx.clone());
+            }
+            sharded.drain();
+            let got = sharded.stats();
+            prop_assert_eq!(got.inconsistencies, want.inconsistencies, "{} shards", shards);
+            prop_assert_eq!(got.eval_errors, want.eval_errors, "{} shards", shards);
+            prop_assert_eq!(got.discarded, want.discarded, "{} shards", shards);
+            prop_assert_eq!(got.delivered, want.delivered, "{} shards", shards);
+            prop_assert_eq!(sharded.signature(), single.pool().signature(), "{} shards", shards);
+        }
     }
 }
