@@ -52,7 +52,9 @@ use crate::eval::{
     Link, Need, Pin,
 };
 use crate::predicate::{PredSym, PredicateRegistry, Resolved};
-use ctxres_context::{Context, ContextId, ContextKind, ContextPool, ContextValue, LogicalTime};
+use ctxres_context::{
+    Context, ContextId, ContextKind, ContextPool, ContextValue, LogicalTime, SubjectView,
+};
 use std::ops::RangeInclusive;
 
 /// A term lowered to slot-addressed form. Variable names are kept only
@@ -96,6 +98,8 @@ enum CFormula {
         /// fewer slots make the call memoizable; wider calls bypass the
         /// memo.
         slots: Vec<usize>,
+        /// The narrowing that decides this leaf, if any.
+        proof: Proof,
     },
     Quant {
         q: Quantifier,
@@ -111,6 +115,27 @@ enum CFormula {
         subject: Option<String>,
         body: Box<CFormula>,
     },
+}
+
+/// The narrowing that proves a guard leaf `Ok(true)` on every binding
+/// it admits, so [`Run::eval_truth`] answers the leaf without resolving
+/// its arguments or calling the registry (see [`Run::proves`]). Lowering
+/// marks a leaf where [`subject_guard`], [`seq_guard`] and
+/// [`literal_subject`] find it; the evidence walk ignores the marks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Proof {
+    /// No narrowing decides the leaf: the walk calls it.
+    None,
+    /// A leading `same_subject` leaf of a subject guard: pinned-subject
+    /// narrowing binds every chain variable to a context of the pinned
+    /// subject.
+    SameSubject,
+    /// The [`SeqGuard`] leaf: the partner's bindings come from the
+    /// guard's seq window around the pin's exact seq.
+    SeqWindow,
+    /// A quantifier's leading `subject_eq(x, "lit")`: `holds` binds `x`
+    /// only to contexts about `lit`.
+    LiteralSubject,
 }
 
 /// A [`Constraint`] lowered for allocation-free evaluation.
@@ -143,19 +168,21 @@ impl CompiledConstraint {
         let mut kind_table = Vec::new();
         let mut scope: Vec<(&str, usize)> = Vec::new();
         let mut sites = 0u32;
-        let program = lower(
+        let mut program = lower(
             constraint.formula(),
             &mut kind_table,
             &mut scope,
             &mut sites,
         );
         let slot_count = constraint.quantifier_count();
-        let guard = subject_guard(&program, slot_count);
+        let guard = subject_guard(&mut program, slot_count);
+        let guarded = guard.is_some();
+        let seq_guard = guard.and_then(seq_guard);
         let universal_positive = constraint.is_universal_positive();
         CompiledConstraint {
             name: constraint.name().to_owned(),
-            per_subject: universal_positive && (slot_count <= 1 || guard.is_some()),
-            seq_guard: guard.and_then(|leaves| seq_guard(&leaves)),
+            per_subject: universal_positive && (slot_count <= 1 || guarded),
+            seq_guard,
             program,
             kinds: constraint.kinds().iter().cloned().collect(),
             kind_table,
@@ -361,6 +388,50 @@ impl SeqWindow {
     }
 }
 
+/// A pinned context as the narrowing of a per-subject pinned walk reads
+/// it, looked up once: its subject, its kind, its subject's bucket of
+/// that kind at the walk's instant, and its exact seq from the pool's
+/// seq column. [`IncrementalChecker`](crate::IncrementalChecker) builds
+/// one per submission and hands it to every pinned walk of the
+/// submission; the public entry points build one per walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PinnedSubject<'a> {
+    subject: &'a str,
+    kind: &'a ContextKind,
+    bucket: SubjectView<'a>,
+    seq: Option<i64>,
+}
+
+impl<'a> PinnedSubject<'a> {
+    /// Looks up stored context `id` at instant `now`; `None` when the
+    /// pool does not hold it.
+    pub(crate) fn of(pool: &'a ContextPool, id: ContextId, now: LogicalTime) -> Option<Self> {
+        let ctx = pool.get(id)?;
+        Some(PinnedSubject {
+            subject: ctx.subject(),
+            kind: ctx.kind(),
+            bucket: pool.subject_view(ctx.kind(), ctx.subject(), now),
+            seq: pool.exact_seq(id),
+        })
+    }
+
+    /// The pinned subject's contexts of `kind` at `now`: the looked-up
+    /// bucket for the pinned context's own kind, a fresh lookup for any
+    /// other.
+    fn bucket(
+        &self,
+        pool: &'a ContextPool,
+        kind: &ContextKind,
+        now: LogicalTime,
+    ) -> SubjectView<'a> {
+        if kind == self.kind {
+            self.bucket
+        } else {
+            pool.subject_view(kind, self.subject, now)
+        }
+    }
+}
+
 /// The guard `G` of a program shaped `forall … . G implies C` — a
 /// chain of `forall`s binding every quantifier of the program, whose
 /// body is an implication — as the leaves of `G`'s left-to-right `and`
@@ -376,7 +447,10 @@ impl SeqWindow {
 /// the subjects are tied (`(seq_gap(a, b, 1) and same_subject(a, b))
 /// implies …`, or a call to a variable no quantifier binds) keeps the
 /// full kind domains, where such a read may raise.
-fn subject_guard(program: &CFormula, slot_count: usize) -> Option<Vec<&CFormula>> {
+///
+/// Under that narrowing every leading `same_subject` leaf holds on
+/// every binding, so the guard marks them [`Proof::SameSubject`].
+fn subject_guard(program: &mut CFormula, slot_count: usize) -> Option<Vec<&mut CFormula>> {
     let mut body = program;
     let mut chain = 0;
     while let CFormula::Quant {
@@ -399,14 +473,29 @@ fn subject_guard(program: &CFormula, slot_count: usize) -> Option<Vec<&CFormula>
     // Slots are the chain's qids; each leading leaf merges two subject
     // classes.
     let mut class: Vec<usize> = (0..slot_count).collect();
+    let mut ties = 0;
     for (u, v) in leaves.iter().map_while(|leaf| same_subject_pair(leaf)) {
+        ties += 1;
         let (from, to) = (class[u], class[v]);
         class
             .iter_mut()
             .filter(|c| **c == from)
             .for_each(|c| *c = to);
     }
-    class.iter().all(|c| *c == class[0]).then_some(leaves)
+    if !class.iter().all(|c| *c == class[0]) {
+        return None;
+    }
+    for leaf in &mut leaves[..ties] {
+        mark(leaf, Proof::SameSubject);
+    }
+    Some(leaves)
+}
+
+/// Marks predicate leaf `leaf` as decided by the narrowing `by`.
+fn mark(leaf: &mut CFormula, by: Proof) {
+    if let CFormula::Pred { proof, .. } = leaf {
+        *proof = by;
+    }
 }
 
 /// The two slots of a `same_subject` call over two bound variables.
@@ -426,31 +515,36 @@ fn same_subject_pair(f: &CFormula) -> Option<(usize, usize)> {
 
 /// The [`SeqGuard`] among a [`subject_guard`]'s `leaves`, if the first
 /// leaf after the `same_subject` ones is a seq predicate of that shape.
-fn seq_guard(leaves: &[&CFormula]) -> Option<SeqGuard> {
+/// The window a pinned check draws the partner from holds exactly the
+/// bindings on which the leaf is `Ok(true)`, so the leaf is marked
+/// [`Proof::SeqWindow`].
+fn seq_guard(mut leaves: Vec<&mut CFormula>) -> Option<SeqGuard> {
     let at = leaves
         .iter()
         .position(|leaf| same_subject_pair(leaf).is_none())?;
-    let CFormula::Pred { sym, args, .. } = leaves[at] else {
+    let CFormula::Pred { sym, args, .. } = &*leaves[at] else {
         return None;
     };
     let le = *sym == PredSym::SEQ_GAP_LE;
-    match args.as_slice() {
+    let guard = match args.as_slice() {
         [CTerm::Slot { slot: u, .. }, CTerm::Slot { slot: v, .. }, CTerm::Const(ContextValue::Int(k))]
             if (le || *sym == PredSym::SEQ_GAP) && u != v && (!le || *k >= 1) =>
         {
-            Some(SeqGuard {
+            SeqGuard {
                 u: *u,
                 v: *v,
                 k: *k,
                 le,
-            })
+            }
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    mark(leaves[at], Proof::SeqWindow);
+    Some(guard)
 }
 
 /// The leaves of `f`'s `and` spine, left to right.
-fn and_spine<'f>(f: &'f CFormula, leaves: &mut Vec<&'f CFormula>) {
+fn and_spine<'f>(f: &'f mut CFormula, leaves: &mut Vec<&'f mut CFormula>) {
     match f {
         CFormula::And(a, b) => {
             and_spine(a, leaves);
@@ -492,6 +586,7 @@ fn lower<'f>(
                 args,
                 site,
                 slots,
+                proof: Proof::None,
             }
         }
         Formula::Quant {
@@ -509,13 +604,13 @@ fn lower<'f>(
                 }
             };
             scope.push((var, *qid));
-            let body = lower(body, kind_table, scope, sites);
+            let mut body = lower(body, kind_table, scope, sites);
             scope.pop();
             CFormula::Quant {
                 q: *q,
                 kind_sym,
                 slot: *qid,
-                subject: literal_subject(*q, *qid, &body),
+                subject: literal_subject(*q, *qid, &mut body),
                 body: Box::new(body),
             }
         }
@@ -539,7 +634,10 @@ fn lower<'f>(
 /// skipping the binding changes nothing. Any other shape (the guard
 /// under `or`, `not` or a bare `forall … and`, a guard on another
 /// variable, a non-text literal) keeps the full kind domain.
-fn literal_subject(q: Quantifier, slot: usize, body: &CFormula) -> Option<String> {
+///
+/// On the bindings `holds` keeps, the guard is `Ok(true)`, so it is
+/// marked [`Proof::LiteralSubject`].
+fn literal_subject(q: Quantifier, slot: usize, body: &mut CFormula) -> Option<String> {
     let mut leaf = match (q, body) {
         (Quantifier::Exists, spine) => spine,
         (Quantifier::Forall, CFormula::Implies(antecedent, _)) => antecedent,
@@ -548,19 +646,22 @@ fn literal_subject(q: Quantifier, slot: usize, body: &CFormula) -> Option<String
     while let CFormula::And(left, _) = leaf {
         leaf = left;
     }
-    match leaf {
-        CFormula::Pred {
-            sym: PredSym::SUBJECT_EQ,
-            args,
-            ..
-        } => match args.as_slice() {
-            [CTerm::Slot { slot: guarded, .. }, CTerm::Const(ContextValue::Text(lit))]
-                if *guarded == slot =>
-            {
-                Some(lit.clone())
-            }
-            _ => None,
-        },
+    let CFormula::Pred {
+        sym: PredSym::SUBJECT_EQ,
+        args,
+        proof,
+        ..
+    } = leaf
+    else {
+        return None;
+    };
+    match args.as_slice() {
+        [CTerm::Slot { slot: guarded, .. }, CTerm::Const(ContextValue::Text(lit))]
+            if *guarded == slot =>
+        {
+            *proof = Proof::LiteralSubject;
+            Some(lit.clone())
+        }
         _ => None,
     }
 }
@@ -893,7 +994,29 @@ impl<'r> CompiledEvaluator<'r> {
         memo: Option<&mut PredMemo>,
         memo_cid: u32,
     ) -> Result<bool, EvalError> {
-        let pin = Some(Pin { qid, ctx });
+        self.satisfied_pinned_at(
+            constraint, pool, now, qid, ctx, None, max_id, scratch, memo, memo_cid,
+        )
+    }
+
+    /// [`satisfied_pinned_batch`](CompiledEvaluator::satisfied_pinned_batch)
+    /// with the pinned context `ctx` already looked up at `now` as
+    /// `pinned` (or `None` to look it up here when the walk narrows).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn satisfied_pinned_at<'a>(
+        &self,
+        constraint: &'a CompiledConstraint,
+        pool: &'a ContextPool,
+        now: LogicalTime,
+        qid: usize,
+        ctx: ContextId,
+        pinned: Option<PinnedSubject<'a>>,
+        max_id: Option<ContextId>,
+        scratch: &'a mut EvalScratch,
+        memo: Option<&'a mut PredMemo>,
+        memo_cid: u32,
+    ) -> Result<bool, EvalError> {
+        let pin = Some((Pin { qid, ctx }, pinned));
         let mut run = self.start(constraint, pool, now, pin, max_id, memo, memo_cid, scratch);
         let truth = run.eval_truth(&constraint.program);
         if run.seq_scanned {
@@ -911,6 +1034,7 @@ impl<'r> CompiledEvaluator<'r> {
         max_id: Option<ContextId>,
         scratch: &mut EvalScratch,
     ) -> Result<CheckOutcome, EvalError> {
+        let pin = pin.map(|p| (p, None));
         let ev = self
             .start(constraint, pool, now, pin, max_id, None, 0, scratch)
             .eval(&constraint.program, Need::ROOT)?;
@@ -918,14 +1042,14 @@ impl<'r> CompiledEvaluator<'r> {
     }
 
     /// Sets up one evaluation of `constraint`, shared by every entry
-    /// point.
+    /// point. A pin may come with its context already looked up.
     #[allow(clippy::too_many_arguments)]
     fn start<'a>(
         &self,
         constraint: &'a CompiledConstraint,
         pool: &'a ContextPool,
         now: LogicalTime,
-        pin: Option<Pin>,
+        pin: Option<(Pin, Option<PinnedSubject<'a>>)>,
         max_id: Option<ContextId>,
         memo: Option<&'a mut PredMemo>,
         memo_cid: u32,
@@ -939,18 +1063,19 @@ impl<'r> CompiledEvaluator<'r> {
         // Other constraints (or unpinned checks) keep the full kind
         // domain.
         let pinned = match pin {
-            Some(p) if constraint.per_subject && self.trusted.same_subject => {
-                pool.get(p.ctx).map(|c| (p, c))
+            Some((p, looked_up)) if constraint.per_subject && self.trusted.same_subject => {
+                looked_up.or_else(|| PinnedSubject::of(pool, p.ctx, now))
             }
             _ => None,
         };
+        let pin = pin.map(|(p, _)| p);
         // A seq guard on the pinned quantifier narrows its partner to
         // the guard's seq window — when the pin's seq is exact.
         let mut seq_window = None;
         let mut seq_scanned = false;
-        if let (Some((p, ctx)), Some(guard)) = (pinned, constraint.seq_guard) {
+        if let (Some(p), Some(pinned), Some(guard)) = (pin, pinned, constraint.seq_guard) {
             if guard.narrows(p.qid, self.trusted) {
-                match ctx.exact_seq() {
+                match pinned.seq {
                     Some(seq) => seq_window = Some(guard.window(p.qid, seq)),
                     None => seq_scanned = true,
                 }
@@ -963,7 +1088,7 @@ impl<'r> CompiledEvaluator<'r> {
             pool,
             now,
             pin,
-            pin_subject: pinned.map(|(_, c)| c.subject()),
+            pinned,
             seq_window,
             seq_scanned,
             max_id,
@@ -982,9 +1107,9 @@ struct Run<'a, 'r> {
     pool: &'a ContextPool,
     now: LogicalTime,
     pin: Option<Pin>,
-    /// `Some(subject)` when the pinned constraint is per-subject: every
-    /// unpinned quantifier's domain narrows to this subject's bucket.
-    pin_subject: Option<&'a str>,
+    /// `Some` when the pinned constraint is per-subject: every unpinned
+    /// quantifier's domain narrows to the pinned subject's bucket.
+    pinned: Option<PinnedSubject<'a>>,
     /// The seq guard's window for the pinned check, if one applies.
     seq_window: Option<SeqWindow>,
     /// Whether a seq guard applied but the walk scanned the bucket.
@@ -1004,7 +1129,7 @@ struct Run<'a, 'r> {
     scratch: &'a mut EvalScratch,
 }
 
-impl Run<'_, '_> {
+impl<'a> Run<'a, '_> {
     /// The evidence walk: truth plus links, short-circuiting
     /// connectives, visiting every binding of every quantifier so a
     /// violated constraint lists every violation.
@@ -1105,37 +1230,61 @@ impl Run<'_, '_> {
     fn fill_domain(&mut self, domain: &mut Vec<ContextId>, kind_sym: usize, slot: usize) {
         let pool = self.pool;
         let kind = &self.kind_table[kind_sym];
-        match (self.pin, self.pin_subject) {
+        match (self.pin, self.pinned) {
             (Some(p), _) if p.qid == slot => domain.push(p.ctx),
-            (_, Some(subject)) => match self.seq_domain(kind, subject, slot) {
-                Some(iter) => self.collect_domain(domain, iter),
-                None => {
-                    self.collect_domain(domain, pool.of_subject_live_at(kind, subject, self.now))
+            (_, Some(pinned)) => {
+                let bucket = pinned.bucket(pool, kind, self.now);
+                match self.seq_domain(bucket, slot) {
+                    Some(iter) => self.collect_domain(domain, iter),
+                    None => self.collect_domain(domain, bucket.live()),
                 }
-            },
+            }
             _ => self.collect_domain(domain, pool.of_kind_live_at(kind, self.now)),
         }
     }
 
-    /// The seq guard's window of `subject`'s bucket when it narrows
-    /// `slot` and the pool vouches for the bucket's seq order; `None`
-    /// leaves the caller to scan the bucket, noting the fallback when
-    /// the guard applied.
-    fn seq_domain<'a>(
+    /// The seq guard's window of the pinned subject's `bucket` when it
+    /// narrows `slot` and the pool vouches for the bucket's seq order;
+    /// `None` leaves the caller to scan the bucket, noting the fallback
+    /// when the guard applied.
+    fn seq_domain(
         &mut self,
-        kind: &ContextKind,
-        subject: &str,
+        bucket: SubjectView<'a>,
         slot: usize,
-    ) -> Option<impl Iterator<Item = (ContextId, &'a Context)> + 'a>
-    where
-        Self: 'a,
-    {
+    ) -> Option<impl Iterator<Item = (ContextId, &'a Context)> + 'a> {
         let window = self.seq_window.filter(|w| w.slot == slot)?;
-        let found = self
-            .pool
-            .of_subject_seq_live_at(kind, subject, window.seqs(), self.now);
+        let found = bucket.seq_live(window.seqs());
         self.seq_scanned |= found.is_none();
         found
+    }
+
+    /// Whether the narrowing that `proof` names is on in this truth
+    /// walk, so the marked leaf is `Ok(true)` on every binding that
+    /// reaches it.
+    ///
+    /// * [`Proof::SameSubject`]: the walk narrows to the pinned subject,
+    ///   so every chain variable is bound to a context of that subject
+    ///   (the pin or a member of its bucket), and `same_subject` holds
+    ///   on any two of them.
+    /// * [`Proof::SeqWindow`]: the seq window applies and the partner's
+    ///   domain came from it, not from a scan (`seq_scanned`): the leaf
+    ///   sits inside the partner's quantifier, which has run by the time
+    ///   the leaf is reached, and every partner in the window has an
+    ///   exact seq at exactly the gap the leaf asks of the pin's exact
+    ///   seq, where the builtin's `f64` arithmetic is exact.
+    /// * [`Proof::LiteralSubject`]: `holds` narrows literal quantifiers,
+    ///   so the guarded variable ranges over the literal subject's
+    ///   bucket only.
+    ///
+    /// Each holds under the [`Trusted`] builtin that enabled the
+    /// narrowing, which the registry must mean by that name.
+    fn proves(&self, proof: Proof) -> bool {
+        match proof {
+            Proof::None => false,
+            Proof::SameSubject => self.pinned.is_some(),
+            Proof::SeqWindow => self.seq_window.is_some() && !self.seq_scanned,
+            Proof::LiteralSubject => self.narrow,
+        }
     }
 
     /// The shared tail of [`Run::fill_domain`]: state-filters a bucket
@@ -1191,11 +1340,13 @@ impl Run<'_, '_> {
             CFormula::And(a, b) => Ok(self.eval_truth(a)? && self.eval_truth(b)?),
             CFormula::Or(a, b) => Ok(self.eval_truth(a)? || self.eval_truth(b)?),
             CFormula::Implies(a, b) => Ok(!self.eval_truth(a)? || self.eval_truth(b)?),
+            CFormula::Pred { proof, .. } if self.proves(*proof) => Ok(true),
             CFormula::Pred {
                 sym,
                 args,
                 site,
                 slots,
+                ..
             } => {
                 let key = match self.memo {
                     Some(_) => self.memo_key(*site, slots),
@@ -1230,18 +1381,18 @@ impl Run<'_, '_> {
                 let deciding = matches!(q, Quantifier::Exists);
                 let pool = self.pool;
                 let kind = &self.kind_table[*kind_sym];
-                match (self.pin, self.pin_subject) {
+                match (self.pin, self.pinned) {
                     (Some(p), _) if p.qid == *slot => {
                         self.scratch.env[*slot] = p.ctx;
                         self.eval_truth(body)
                     }
-                    (_, Some(pinned)) => match self.seq_domain(kind, pinned, *slot) {
-                        Some(domain) => self.scan_quant(domain, *slot, body, deciding),
-                        None => {
-                            let domain = pool.of_subject_live_at(kind, pinned, self.now);
-                            self.scan_quant(domain, *slot, body, deciding)
+                    (_, Some(pinned)) => {
+                        let bucket = pinned.bucket(pool, kind, self.now);
+                        match self.seq_domain(bucket, *slot) {
+                            Some(domain) => self.scan_quant(domain, *slot, body, deciding),
+                            None => self.scan_quant(bucket.live(), *slot, body, deciding),
                         }
-                    },
+                    }
                     _ => match subject {
                         Some(literal) if self.narrow => {
                             let domain = pool.of_subject_live_at(kind, literal, self.now);
@@ -2110,6 +2261,163 @@ mod tests {
             ),
             Err(EvalError::UnknownPredicate("seq_gap".to_owned())),
             "the partner window of seq 0 pinned as `b` is empty, yet the scan raises"
+        );
+    }
+
+    /// Counting forwarders to the builtins under `names`, one counter
+    /// per name, read back by [`counts`].
+    fn per_name_counters(
+        names: &[(&'static str, usize)],
+    ) -> (
+        PredicateRegistry,
+        Vec<(&'static str, std::sync::Arc<std::sync::atomic::AtomicU64>)>,
+    ) {
+        use crate::predicate::counting_builtins;
+        let mut registry = PredicateRegistry::new();
+        let mut counters = Vec::new();
+        for &(name, arity) in names {
+            let calls = std::sync::Arc::default();
+            let one = counting_builtins(&[(name, arity)], &calls);
+            registry.register(name, arity, move |args| one.eval(name, args));
+            counters.push((name, calls));
+        }
+        (registry, counters)
+    }
+
+    /// Each counter's calls since the last read, by name; resets them.
+    fn counts(
+        counters: &[(&'static str, std::sync::Arc<std::sync::atomic::AtomicU64>)],
+    ) -> Vec<(&'static str, u64)> {
+        use std::sync::atomic::Ordering;
+        counters
+            .iter()
+            .map(|(name, calls)| (*name, calls.swap(0, Ordering::Relaxed)))
+            .collect()
+    }
+
+    /// A truth walk answers a guard leaf without a call only where the
+    /// narrowing that proves it ran, and only on the bindings that
+    /// narrowing drew.
+    ///
+    /// * A seq-narrowed pinned walk calls only the consequent, once per
+    ///   partner in the window.
+    /// * A bucket whose seqs do not rise falls back to a scan: the walk
+    ///   still skips `same_subject` (subject narrowing ran) but calls
+    ///   `seq_gap` on every binding of the bucket.
+    /// * A registry that fails `trusts_same_subject` narrows nothing and
+    ///   skips nothing: the first `same_subject` leaf raises, as the
+    ///   oracle's does.
+    /// * A literal-narrowed `holds` calls no `subject_eq`.
+    #[test]
+    fn truth_walks_skip_only_the_leaves_their_narrowing_proved() {
+        let c = parse_constraint(SPEED).unwrap();
+        let cc = CompiledConstraint::compile(&c);
+        let now = LogicalTime::new(30);
+        let mut scratch = EvalScratch::new();
+        let speed_names = [("same_subject", 2), ("seq_gap", 3), ("velocity_le", 3)];
+        let (counting, counters) = per_name_counters(&speed_names);
+        let eval = CompiledEvaluator::new(&counting);
+        let oracle = Evaluator::new(&counting);
+
+        // Seq-narrowed: the pin at seq 10 has one partner on each side.
+        let points: Vec<(f64, f64)> = (0..20).map(|i| (f64::from(i) * 0.5, 0.0)).collect();
+        let pool = loc_pool(&points);
+        let pin = ContextId::from_raw(10);
+        for qid in 0..2 {
+            let got =
+                eval.satisfied_pinned_batch(&cc, &pool, now, qid, pin, None, &mut scratch, None, 0);
+            assert_eq!(got, Ok(true), "pin qid={qid}");
+            assert_eq!(
+                counts(&counters),
+                [("same_subject", 0), ("seq_gap", 0), ("velocity_le", 1)],
+                "pin qid={qid}: the consequent only"
+            );
+        }
+        assert_eq!(scratch.seq_fallbacks(), 0);
+
+        // Fallback: seq 4 appears twice, so the bucket does not rise.
+        let mut pool = ContextPool::new();
+        for (stamp, seq) in [0i64, 1, 2, 3, 4, 4, 5].into_iter().enumerate() {
+            pool.insert(
+                Context::builder(ContextKind::new("location"), "peter")
+                    .attr("pos", Point::new(0.0, 0.0))
+                    .attr("seq", seq)
+                    .stamp(LogicalTime::new(stamp as u64))
+                    .build(),
+            );
+        }
+        let pin = ContextId::from_raw(6);
+        let got = eval.satisfied_pinned_batch(&cc, &pool, now, 1, pin, None, &mut scratch, None, 0);
+        assert_eq!(got, Ok(true));
+        assert_eq!(
+            counts(&counters),
+            [("same_subject", 0), ("seq_gap", 7), ("velocity_le", 2)],
+            "seq_gap on all seven bindings; both seq-4 contexts are partners"
+        );
+        assert_eq!(scratch.seq_fallbacks(), 1);
+        let want = oracle.check_pinned(&c, &pool, now, 1, pin);
+        assert_eq!(want.map(|o| o.satisfied), Ok(true));
+        assert_eq!(
+            counts(&counters),
+            [("same_subject", 7), ("seq_gap", 7), ("velocity_le", 2)],
+            "the oracle calls every leaf it reaches"
+        );
+
+        // Untrusted `same_subject` (registered at arity 3): no narrowing.
+        let (mut untrusted, counters) = per_name_counters(&speed_names[1..]);
+        untrusted.register("same_subject", 3, |_| Ok(true));
+        assert!(!untrusted.trusts_same_subject());
+        let pool = loc_pool(&points);
+        let pin = ContextId::from_raw(10);
+        let arity = Err(EvalError::Arity {
+            name: "same_subject".to_owned(),
+            expected: 3,
+            actual: 2,
+        });
+        for qid in 0..2 {
+            let got = CompiledEvaluator::new(&untrusted).satisfied_pinned_batch(
+                &cc,
+                &pool,
+                now,
+                qid,
+                pin,
+                None,
+                &mut scratch,
+                None,
+                0,
+            );
+            assert_eq!(got, arity, "pin qid={qid}: the guard leaf is called");
+            assert_eq!(
+                Evaluator::new(&untrusted)
+                    .check_pinned(&c, &pool, now, qid, pin)
+                    .map(|o| o.satisfied),
+                arity
+            );
+            assert_eq!(counts(&counters), [("seq_gap", 0), ("velocity_le", 0)]);
+        }
+
+        // Literal-narrowed `holds`: peter's bucket only, no `subject_eq`.
+        let (counting, counters) = per_name_counters(&[("subject_eq", 2), ("within", 5)]);
+        let situation = parse_constraint(
+            "constraint mary_far: exists a: location .
+               subject_eq(a, \"mary\") and not within(a, -1.0, -1.0, 1.0, 1.0)",
+        )
+        .unwrap();
+        let sc = CompiledConstraint::compile(&situation);
+        let pool = two_subject_pool();
+        let got = CompiledEvaluator::new(&counting).holds(&sc, &pool, now, &mut scratch);
+        assert_eq!(got, Ok(false), "mary stays near home");
+        assert_eq!(
+            counts(&counters),
+            [("subject_eq", 0), ("within", 3)],
+            "mary's three contexts, no guard call"
+        );
+        let full = Evaluator::new(&counting).check(&situation, &pool, now);
+        assert_eq!(full.map(|o| o.satisfied), Ok(false));
+        assert_eq!(
+            counts(&counters),
+            [("subject_eq", 6), ("within", 3)],
+            "the oracle calls the guard on all six"
         );
     }
 

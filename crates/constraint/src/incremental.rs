@@ -8,7 +8,7 @@
 //! context. Constraints outside the fragment fall back to full
 //! re-evaluation with link diffing.
 
-use crate::compile::{CompiledConstraint, CompiledEvaluator, EvalScratch, PredMemo};
+use crate::compile::{CompiledConstraint, CompiledEvaluator, EvalScratch, PinnedSubject, PredMemo};
 use crate::constraint::ConstraintSet;
 use crate::error::EvalError;
 use crate::eval::Link;
@@ -189,7 +189,9 @@ impl IncrementalChecker {
     /// that walk reports a violation — the same routine
     /// [`IncrementalChecker::check_with_plan`] uses. The kind's plan
     /// was built at deploy time, so a pinned check that detects nothing
-    /// allocates nothing.
+    /// allocates nothing. The new context's subject bucket is looked up
+    /// once per call ([`ContextPool::subject_view`]) and every pinned
+    /// truth walk of the call reads its partners from it.
     ///
     /// # Errors
     ///
@@ -257,6 +259,7 @@ impl IncrementalChecker {
             return Ok(Vec::new());
         };
         let evaluator = CompiledEvaluator::new(registry);
+        let pinned = PinnedSubject::of(pool, id, now);
         let mut out = Vec::new();
         for step in &plan.steps {
             let cc = &compiled[step.constraint];
@@ -269,7 +272,7 @@ impl IncrementalChecker {
                     qids,
                     pool,
                     now,
-                    id,
+                    (id, pinned),
                     None,
                     scratch,
                     None,
@@ -355,6 +358,7 @@ impl IncrementalChecker {
             return (Ok(Vec::new()), counts);
         }
         let evaluator = CompiledEvaluator::new(registry);
+        let pinned = PinnedSubject::of(pool, id, now);
         let mut out = Vec::new();
         for step in &plan.steps {
             let cc = &self.compiled[step.constraint];
@@ -368,7 +372,7 @@ impl IncrementalChecker {
                 qids,
                 pool,
                 now,
-                id,
+                (id, pinned),
                 Some(max_id),
                 scratch,
                 Some(&mut *memo),
@@ -456,17 +460,20 @@ fn plan_of<'p>(plans: &'p [(ContextKind, KindPlan)], kind: &ContextKind) -> Opti
 /// find no violation, and a truth-walk `Err` is one it would raise as
 /// well (or after an earlier one).
 ///
+/// The truth walks read context `id` as `pinned`, looked up once by the
+/// caller for all of them.
+///
 /// Counters are bumped in `counts` before each evaluation, so an error
 /// leaves the same partial tallies as an evidence-only check would.
 #[allow(clippy::too_many_arguments)]
-fn pinned_links(
+fn pinned_links<'a>(
     evaluator: &CompiledEvaluator<'_>,
-    cc: &CompiledConstraint,
+    cc: &'a CompiledConstraint,
     cid: usize,
     qids: &[usize],
-    pool: &ContextPool,
+    pool: &'a ContextPool,
     now: LogicalTime,
-    id: ContextId,
+    (id, pinned): (ContextId, Option<PinnedSubject<'a>>),
     max_id: Option<ContextId>,
     scratch: &mut EvalScratch,
     mut memo: Option<&mut PredMemo>,
@@ -476,12 +483,13 @@ fn pinned_links(
     for &qid in qids {
         counts.pinned_evals += 1;
         let fallbacks = scratch.seq_fallbacks();
-        let satisfied = evaluator.satisfied_pinned_batch(
+        let satisfied = evaluator.satisfied_pinned_at(
             cc,
             pool,
             now,
             qid,
             id,
+            pinned,
             max_id,
             scratch,
             memo.as_deref_mut(),
@@ -908,10 +916,12 @@ mod tests {
 
     /// The ICSE'06 optimisation as work rather than time. On a
     /// one-subject walk, a pinned check of the newest context finds its
-    /// one seq partner, so it makes three predicate calls however long
-    /// the walk is. A full check visits all N² pairs, calling
-    /// `same_subject` and `seq_gap` on each and `velocity_le` on the
-    /// N − 1 seq neighbours: 2N² + N − 1 calls.
+    /// one seq partner, and the narrowing that found it already decided
+    /// the `same_subject` and `seq_gap` leaves, so it makes one
+    /// predicate call (`velocity_le`) however long the walk is. A full
+    /// check visits all N² pairs, calling `same_subject` and `seq_gap`
+    /// on each and `velocity_le` on the N − 1 seq neighbours:
+    /// 2N² + N − 1 calls.
     #[test]
     fn pinned_check_calls_stay_flat_while_full_check_calls_grow() {
         use crate::predicate::counting_builtins;
@@ -936,7 +946,7 @@ mod tests {
                 .on_added(&counting, &pool, now, newest)
                 .unwrap()
                 .is_empty());
-            assert_eq!(calls.load(Ordering::Relaxed), 3, "n = {n}: one partner");
+            assert_eq!(calls.load(Ordering::Relaxed), 1, "n = {n}: one partner");
             assert_eq!(ch.stats().pinned_evals, 2, "n = {n}: one per quantifier");
             assert_eq!(ch.stats().full_evals, 0, "n = {n}");
 

@@ -208,7 +208,12 @@ impl PredicateRegistry {
     /// (2, 2, 3 and 3 above; for `same_subject`,
     /// [`PredicateRegistry::trusts_same_subject`]); a registry that
     /// re-registers one at that arity must keep the builtin meaning (a
-    /// counting forwarder to the builtin does).
+    /// counting forwarder to the builtin does). Each narrowing also
+    /// proves its guard leaf true on the bindings it admits, so the
+    /// truth walks answer that leaf without calling the registry: a
+    /// counting forwarder sees no call of a subject guard's
+    /// `same_subject` leaves or its seq leaf in a narrowed pinned truth
+    /// walk, nor of a narrowing `subject_eq` guard in `holds`.
     ///
     /// [`CompiledConstraint::is_per_subject`]: crate::CompiledConstraint::is_per_subject
     /// [`CompiledEvaluator::holds`]: crate::CompiledEvaluator::holds

@@ -5,12 +5,13 @@
 //!   full check finds, on randomized context streams;
 //! * a pinned check that looks up its seq partner equals the
 //!   tree-walking oracle's full scan, on pools with broken seqs;
-//! * narrowed pinned checks and `holds` equal the oracle under
-//!   registries that forward, lack or re-register the builtins
-//!   narrowing trusts;
+//! * narrowed pinned checks, pinned truth walks and `holds` equal the
+//!   oracle under registries that forward, lack or re-register the
+//!   builtins narrowing trusts;
 //! * on random formulas with bound and unbound variables, wrong
 //!   arities, type errors and an unknown predicate, the compiled walks
-//!   raise or hold exactly where the oracle does;
+//!   raise or hold exactly where the oracle does, under the builtins
+//!   and under each of those registries;
 //! * evaluation is deterministic.
 
 use ctxres_constraint::{
@@ -561,10 +562,12 @@ proptest! {
     /// guard at another arity, and a predicate registered only after
     /// the formulas were compiled. Pinned checks equal the oracle's —
     /// links and `Ok`/`Err` — for both pins, both domain modes and
-    /// every pin. `holds` equals the oracle's `satisfied`, except that
-    /// its truth walk may stop at a deciding binding before the
-    /// oracle's error (`Ok(true)` for `exists`, `Ok(false)` for
-    /// `forall`).
+    /// every pin. The pinned truth walk `on_added` runs first, which
+    /// answers the guard leaves its narrowing proved without a call,
+    /// agrees with it as in `seq_partner_lookup_equals_the_full_scan`.
+    /// `holds` equals the oracle's `satisfied`, except that its truth
+    /// walk may stop at a deciding binding before the oracle's error
+    /// (`Ok(true)` for `exists`, `Ok(false)` for `forall`).
     #[test]
     fn narrowing_equals_the_oracle_under_every_registry(
         sightings in proptest::collection::vec(sighting(), 1..24),
@@ -595,11 +598,24 @@ proptest! {
             for (c, cc) in pairs.iter().zip(&compiled_pairs) {
                 for (id, _) in pool.iter() {
                     for qid in 0..2 {
+                        let want = oracle.check_pinned(c, &pool, now, qid, id);
                         prop_assert_eq!(
                             compiled.check_pinned(cc, &pool, now, qid, id, &mut scratch),
-                            oracle.check_pinned(c, &pool, now, qid, id),
+                            want.clone(),
                             "{} pinned {}@{} under {:?}", c.name(), qid, id, mode
                         );
+                        let truth = compiled
+                            .satisfied_pinned_batch(cc, &pool, now, qid, id, None, &mut scratch, None, 0);
+                        match (&truth, &want) {
+                            (Ok(t), Ok(o)) => prop_assert_eq!(*t, o.satisfied),
+                            (Err(e), Err(o)) => prop_assert_eq!(e, o),
+                            (Ok(false), Err(_)) => {}
+                            _ => prop_assert!(
+                                false,
+                                "{} truth walk {:?} vs oracle {:?} pinned {}@{} under {:?}",
+                                c.name(), truth, want, qid, id, mode
+                            ),
+                        }
                     }
                 }
             }
@@ -664,8 +680,11 @@ fn quantify(exists: bool, v: usize, k: usize, body: Formula) -> Formula {
 }
 
 /// A formula under zero to three quantifiers over [`VARS`] and
-/// [`KINDS`], or a subject-guarded `forall` chain; its calls may read
-/// variables no quantifier binds.
+/// [`KINDS`]; a subject-guarded `forall` chain; a chain whose leading
+/// `same_subject` leaves tie every variable, followed by a seq leaf; or
+/// a quantifier led by a literal `subject_eq` guard. Its calls may read
+/// variables no quantifier binds. The last two shapes carry every leaf
+/// a truth walk answers without a call.
 fn random_formula() -> impl Strategy<Value = Formula> {
     let quant = |inner: BoxedStrategy<Formula>, exists: bool| {
         (0..VARS.len(), 0..KINDS.len(), inner)
@@ -704,13 +723,66 @@ fn random_formula() -> impl Strategy<Value = Formula> {
         prop_oneof![same_subject.clone(), same_subject, random_call()],
         1..4,
     );
-    let guarded = (chain, spine, body).prop_map(|(chain, spine, consequent)| {
+    let guarded = (chain, spine, body.clone()).prop_map(|(chain, spine, consequent)| {
         let guard = spine.into_iter().reduce(Formula::and).unwrap();
         (chain.into_iter().rev()).fold(guard.implies(consequent), |body, (v, k)| {
             quantify(false, v, k, body)
         })
     });
-    prop_oneof![free.clone(), free, guarded]
+    // The seq-guarded shape: a chain over distinct variables, the
+    // `same_subject` leaves tying them, then `seq_gap(u, v, k)` or
+    // `seq_gap_le(u, v, k)` over two of them (the same one, or a gap
+    // `seq_gap_le` cannot narrow by, now and then), then more calls.
+    let seq_guarded = (
+        proptest::collection::vec(0..KINDS.len(), 2..=VARS.len()),
+        (any::<bool>(), 0..VARS.len(), 0..VARS.len(), 0i64..3),
+        proptest::collection::vec(random_call(), 0..2),
+        body.clone(),
+    )
+        .prop_map(|(kinds, (le, u, v, k), rest, consequent)| {
+            let n = kinds.len();
+            let var = |i: usize| Term::Var(VARS[i % n].to_owned());
+            let seq = Formula::pred(
+                if le { "seq_gap_le" } else { "seq_gap" },
+                vec![var(u), var(v), Term::Const(ContextValue::Int(k))],
+            );
+            let guard = (1..n)
+                .map(|i| Formula::pred("same_subject", vec![var(i - 1), var(i)]))
+                .chain([seq])
+                .chain(rest)
+                .reduce(Formula::and)
+                .unwrap();
+            (0..n).rev().fold(guard.implies(consequent), |body, i| {
+                quantify(false, i, kinds[i], body)
+            })
+        });
+    // The literal-subject shape `holds` narrows, under up to two more
+    // quantifiers: `exists x . subject_eq(x, "lit") and …` or
+    // `forall x . (subject_eq(x, "lit") and …) implies …`.
+    let literal = (
+        proptest::collection::vec((0..VARS.len(), 0..KINDS.len(), any::<bool>()), 0..3),
+        (0..VARS.len(), 0..KINDS.len(), any::<bool>(), 0..2usize),
+        body.clone(),
+        body,
+    )
+        .prop_map(|(prefix, (v, k, exists, s), rest, consequent)| {
+            let guard = Formula::pred(
+                "subject_eq",
+                vec![
+                    Term::Var(VARS[v].to_owned()),
+                    Term::Const(ContextValue::Text(["p", "q"][s].to_owned())),
+                ],
+            );
+            let inner = if exists {
+                guard.and(rest)
+            } else {
+                guard.and(rest).implies(consequent)
+            };
+            (prefix.into_iter().rev()).fold(quantify(exists, v, k, inner), |body, (v, k, e)| {
+                quantify(e, v, k, body)
+            })
+        });
+    prop_oneof![free.clone(), free, guarded, seq_guarded, literal]
 }
 
 /// One context of a mixed pool: kind, subject, life-cycle state, and
@@ -751,16 +823,20 @@ fn mixed_pool(contexts: &[(usize, usize, u8, bool)]) -> ContextPool {
 
 /// The truth walk `holds` performs, over the AST: the oracle's order
 /// and errors, but each quantifier stops at its first deciding binding.
+/// With a `pin` (quantifier id, context), that quantifier binds only
+/// the pinned context, as the oracle's `check_pinned` does: the truth
+/// walk a pinned check runs, without narrowing or skipped leaves.
 fn truth_walk(
     f: &Formula,
     registry: &PredicateRegistry,
     pool: &ContextPool,
     now: LogicalTime,
     mode: DomainMode,
+    pin: Option<(usize, ContextId)>,
     env: &mut Vec<(String, ContextId)>,
 ) -> Result<bool, EvalError> {
     let walk = |f: &Formula, env: &mut Vec<(String, ContextId)>| {
-        truth_walk(f, registry, pool, now, mode, env)
+        truth_walk(f, registry, pool, now, mode, pin, env)
     };
     match f {
         Formula::True => Ok(true),
@@ -790,13 +866,22 @@ fn truth_walk(
             registry.eval(&call.name, &args)
         }
         Formula::Quant {
-            q, var, kind, body, ..
+            q,
+            var,
+            kind,
+            qid,
+            body,
         } => {
             let deciding = *q == Quantifier::Exists;
-            for (id, c) in pool.of_kind_live_at(kind, now) {
-                if mode == DomainMode::AvailableOnly && !c.state().is_available() {
-                    continue;
-                }
+            let domain: Vec<ContextId> = match pin {
+                Some((pinned, ctx)) if pinned == *qid => vec![ctx],
+                _ => pool
+                    .of_kind_live_at(kind, now)
+                    .filter(|(_, c)| mode == DomainMode::AllLive || c.state().is_available())
+                    .map(|(id, _)| id)
+                    .collect(),
+            };
+            for id in domain {
                 env.push((var.clone(), id));
                 let truth = walk(body, env);
                 env.pop();
@@ -816,27 +901,43 @@ proptest! {
     /// where the tree-walking oracle does: on random formulas over two
     /// kinds and three variables — bound, shadowed or unbound — calling
     /// builtins at one to three arguments and an unknown predicate,
-    /// against small pools of both kinds with mixed states. `check` and
-    /// `check_pinned` equal the oracle's outcome (`Ok` or `Err`, links
-    /// included) in both domain modes, for every pin of every
-    /// quantifier. `holds` equals the AST truth walk, and so the
-    /// oracle's `satisfied` wherever the oracle is `Ok`: it differs only
-    /// where a quantifier's deciding binding stops it before the
-    /// oracle's error.
+    /// against small pools of both kinds with mixed states, under the
+    /// builtins and under one of the registries
+    /// `narrowing_equals_the_oracle_under_every_registry` draws.
+    /// `check` and `check_pinned` equal the oracle's outcome (`Ok` or
+    /// `Err`, links included) in both domain modes, for every pin of
+    /// every quantifier. `holds` and the pinned truth walk
+    /// (`satisfied_pinned_batch`), which answer the guard leaves their
+    /// narrowing proved without a call, equal the AST truth walk
+    /// (pinned alike), and so the oracle's `satisfied` wherever the
+    /// oracle is `Ok`; where the pinned truth walk raises, the oracle
+    /// raises too. They differ from the oracle only where a
+    /// quantifier's deciding binding stops them before the oracle's
+    /// error: under an `exists`, that can be a `true` result or another
+    /// error, which the forall-only pairs of
+    /// `seq_partner_lookup_equals_the_full_scan` never meet.
     #[test]
     fn compiled_walks_raise_where_the_oracle_does(
         formula in random_formula(),
         contexts in proptest::collection::vec(mixed_context(), 0..7),
+        variant in registry_variant(),
     ) {
         let c = Constraint::new("random", formula);
         let cc = CompiledConstraint::compile(&c);
-        let registry = PredicateRegistry::with_builtins();
+        let late = fresh_predicate_name();
+        let registries = [
+            PredicateRegistry::with_builtins(),
+            variant.build(std::slice::from_ref(&c), &late),
+        ];
         let pool = mixed_pool(&contexts);
         let now = LogicalTime::new(contexts.len() as u64 + 1);
         let mut scratch = EvalScratch::new();
-        for mode in [DomainMode::AllLive, DomainMode::AvailableOnly] {
-            let oracle = Evaluator::with_domain(&registry, mode);
-            let compiled = CompiledEvaluator::with_domain(&registry, mode);
+        for (registry, mode) in registries
+            .iter()
+            .flat_map(|r| [(r, DomainMode::AllLive), (r, DomainMode::AvailableOnly)])
+        {
+            let oracle = Evaluator::with_domain(registry, mode);
+            let compiled = CompiledEvaluator::with_domain(registry, mode);
             let want = oracle.check(&c, &pool, now);
             prop_assert_eq!(
                 compiled.check(&cc, &pool, now, &mut scratch),
@@ -845,15 +946,28 @@ proptest! {
             );
             for (id, _) in pool.iter() {
                 for qid in 0..c.quantifier_count() {
+                    let want = oracle.check_pinned(&c, &pool, now, qid, id);
                     prop_assert_eq!(
                         compiled.check_pinned(&cc, &pool, now, qid, id, &mut scratch),
-                        oracle.check_pinned(&c, &pool, now, qid, id),
+                        want.clone(),
                         "{} pinned {}@{} under {:?}", c.formula(), qid, id, mode
                     );
+                    let truth = compiled
+                        .satisfied_pinned_batch(&cc, &pool, now, qid, id, None, &mut scratch, None, 0);
+                    let walked =
+                        truth_walk(c.formula(), registry, &pool, now, mode, Some((qid, id)), &mut Vec::new());
+                    prop_assert_eq!(
+                        &truth, &walked,
+                        "{} truth walk pinned {}@{} under {:?}", c.formula(), qid, id, mode
+                    );
+                    if let Ok(outcome) = &want {
+                        prop_assert_eq!(&truth, &Ok(outcome.satisfied));
+                    }
+                    prop_assert!(truth.is_ok() || want.is_err(), "{} vs {:?}", c.formula(), want);
                 }
             }
             let holds = compiled.holds(&cc, &pool, now, &mut scratch);
-            let walked = truth_walk(c.formula(), &registry, &pool, now, mode, &mut Vec::new());
+            let walked = truth_walk(c.formula(), registry, &pool, now, mode, None, &mut Vec::new());
             prop_assert_eq!(&holds, &walked, "{} under {:?}", c.formula(), mode);
             if let Ok(outcome) = want {
                 prop_assert_eq!(holds, Ok(outcome.satisfied), "{} under {:?}", c.formula(), mode);

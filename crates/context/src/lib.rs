@@ -48,7 +48,7 @@ mod value;
 
 pub use context::{Context, ContextBuilder, ContextId, ContextKind, SourceId, TruthTag, SEQ_ATTR};
 pub use error::ContextError;
-pub use pool::{ContextPool, KindWatermark, PoolStats, WatchId};
+pub use pool::{ContextPool, KindWatermark, PoolStats, SubjectView, WatchId};
 pub use state::ContextState;
 pub use time::{Lifespan, LogicalTime, Ticks};
 pub use value::{ContextValue, Point};

@@ -716,6 +716,38 @@ impl ContextPool {
         )
     }
 
+    /// The contexts of `kind` about `subject` at instant `now`, looked
+    /// up once: the subject's bucket, past its expired prefix. Every
+    /// subject-scoped read of the pool goes through this view
+    /// ([`ContextPool::of_subject_live_at`] and
+    /// [`ContextPool::of_subject_seq_live_at`] are its two reads), so a
+    /// caller that reads one subject many times at one instant — every
+    /// pinned check of a submission — keeps the view instead of
+    /// repeating the kind and subject lookups.
+    pub fn subject_view<'a>(
+        &'a self,
+        kind: &ContextKind,
+        subject: &str,
+        now: LogicalTime,
+    ) -> SubjectView<'a> {
+        let (handles, seq_ordered) = match self.by_kind.get(kind).and_then(|b| {
+            let entry = b.by_subject.get(subject)?;
+            Some((b, entry))
+        }) {
+            Some((b, entry)) => (
+                self.live_suffix(entry.handles.as_slice(), b.reach, now),
+                entry.seq_ordered,
+            ),
+            None => (&[][..], true),
+        };
+        SubjectView {
+            pool: self,
+            handles,
+            seq_ordered,
+            now,
+        }
+    }
+
     /// Iterates over live, unexpired contexts of `kind` about `subject`
     /// at instant `now` — the domain a subject-scoped constraint check
     /// quantifies over instead of the whole kind.
@@ -725,11 +757,7 @@ impl ContextPool {
         subject: &str,
         now: LogicalTime,
     ) -> impl Iterator<Item = (ContextId, &'a Context)> + 'a {
-        let index = self.by_kind.get(kind).and_then(|b| {
-            let entry = b.by_subject.get(subject)?;
-            Some(self.live_suffix(entry.handles.as_slice(), b.reach, now))
-        });
-        self.iter_index(index).filter(move |(_, c)| c.is_live(now))
+        self.subject_view(kind, subject, now).live()
     }
 
     /// [`ContextPool::of_subject_live_at`] restricted to the contexts
@@ -748,22 +776,14 @@ impl ContextPool {
         seqs: RangeInclusive<i64>,
         now: LogicalTime,
     ) -> Option<impl Iterator<Item = (ContextId, &'a Context)> + 'a> {
-        let entry = self
-            .by_kind
-            .get(kind)
-            .and_then(|b| b.by_subject.get(subject));
-        let index = match entry {
-            Some(entry) if !entry.seq_ordered => return None,
-            Some(entry) => {
-                let handles = entry.handles.as_slice();
-                let seq = |h: &SlotHandle| self.slot_seqs[h.slot as usize];
-                let lo = handles.partition_point(|h| seq(h) < *seqs.start());
-                let run = handles[lo..].partition_point(|h| seq(h) <= *seqs.end());
-                Some(&handles[lo..lo + run])
-            }
-            None => None,
-        };
-        Some(self.iter_index(index).filter(move |(_, c)| c.is_live(now)))
+        self.subject_view(kind, subject, now).seq_live(seqs)
+    }
+
+    /// The [exact seq](Context::exact_seq) of stored context `id`, read
+    /// from the pool's seq column.
+    pub fn exact_seq(&self, id: ContextId) -> Option<i64> {
+        let seq = self.slot_seqs[self.slot_of(id)?];
+        (seq != NO_SEQ).then_some(seq)
     }
 
     /// Live (non-discarded) context count per subject, across all kinds
@@ -1114,6 +1134,54 @@ impl ContextPool {
             .collect();
         marks.sort_by(|a, b| a.kind.cmp(&b.kind));
         marks
+    }
+}
+
+/// One subject's contexts of one kind at one instant, from
+/// [`ContextPool::subject_view`]: the bucket's handles that can be live
+/// at that instant and whether the pool vouches for their seq order. A
+/// kind or subject the pool has never indexed gives an empty view.
+#[derive(Debug, Clone, Copy)]
+pub struct SubjectView<'a> {
+    pool: &'a ContextPool,
+    /// The bucket past its expired prefix, in `(stamp, id)` order.
+    handles: &'a [SlotHandle],
+    /// The bucket's [`SubjectBucket::seq_ordered`] (an empty view rises).
+    seq_ordered: bool,
+    now: LogicalTime,
+}
+
+impl<'a> SubjectView<'a> {
+    /// Iterates over the view's live, unexpired contexts in
+    /// `(stamp, id)` order — [`ContextPool::of_subject_live_at`].
+    pub fn live(self) -> impl Iterator<Item = (ContextId, &'a Context)> + 'a {
+        let now = self.now;
+        self.pool
+            .iter_index(Some(self.handles))
+            .filter(move |(_, c)| c.is_live(now))
+    }
+
+    /// [`SubjectView::live`] restricted to the contexts whose exact seq
+    /// lies in `seqs`, found by binary search, or `None` when the pool
+    /// cannot vouch for the bucket's seq order —
+    /// [`ContextPool::of_subject_seq_live_at`]. Seqs rise along the
+    /// whole bucket, so they rise along the live part this view holds,
+    /// and the expired prefix it skipped holds nothing `live` yields.
+    pub fn seq_live(
+        self,
+        seqs: RangeInclusive<i64>,
+    ) -> Option<impl Iterator<Item = (ContextId, &'a Context)> + 'a> {
+        if !self.seq_ordered {
+            return None;
+        }
+        let seq = |h: &SlotHandle| self.pool.slot_seqs[h.slot as usize];
+        let lo = self.handles.partition_point(|h| seq(h) < *seqs.start());
+        let run = self.handles[lo..].partition_point(|h| seq(h) <= *seqs.end());
+        let window = SubjectView {
+            handles: &self.handles[lo..lo + run],
+            ..self
+        };
+        Some(window.live())
     }
 }
 

@@ -1,5 +1,6 @@
 //! Detected context inconsistencies.
 
+use ctxres_constraint::Detection;
 use ctxres_context::{ContextId, LogicalTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -27,6 +28,17 @@ impl Inconsistency {
         Inconsistency {
             constraint: constraint.to_owned(),
             contexts: contexts.into_iter().collect(),
+            detected_at,
+        }
+    }
+
+    /// The inconsistency a checker [`Detection`] reports, detected at
+    /// `detected_at`: the detection's constraint name and link move in
+    /// without a copy.
+    pub fn from_detection(detection: Detection, detected_at: LogicalTime) -> Self {
+        Inconsistency {
+            constraint: detection.constraint,
+            contexts: detection.link,
             detected_at,
         }
     }
@@ -105,6 +117,19 @@ mod tests {
         let a = Inconsistency::new("c", [id(1), id(2)], LogicalTime::ZERO);
         let b = Inconsistency::new("c", [id(2), id(1)], LogicalTime::ZERO);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn from_detection_keeps_name_and_link() {
+        let detection = Detection {
+            constraint: "velocity".to_owned(),
+            link: [id(3), id(2)].into_iter().collect(),
+        };
+        let inc = Inconsistency::from_detection(detection, LogicalTime::new(4));
+        assert_eq!(
+            inc,
+            Inconsistency::pair("velocity", id(2), id(3), LogicalTime::new(4))
+        );
     }
 
     #[test]

@@ -228,9 +228,13 @@ impl ResolutionStrategy for DropBad {
         // destined to be resolved by that member's discard; it must not
         // doom anyone else, or marking a context bad would have the
         // "negative effect" §3.3 argues it cannot have.
-        let involving: Vec<Inconsistency> = self.delta.involving(id).cloned().collect();
-        let bad_member: Vec<bool> = involving
-            .iter()
+        //
+        // Δ is read in place: the inconsistencies move out of it only
+        // when they are resolved below, in the order `involving` lists
+        // them.
+        let bad_member: Vec<bool> = self
+            .delta
+            .involving(id)
             .map(|inc| {
                 inc.contexts().iter().any(|cid| {
                     *cid != id && pool.get(*cid).map(|c| c.state()) == Some(ContextState::Bad)
@@ -253,16 +257,16 @@ impl ResolutionStrategy for DropBad {
                     && pool.get(*cid).map(|c| c.state()) == Some(ContextState::Undecided)
             })
         };
-        let dooming_inc = involving
-            .iter()
+        let dooming_at = self
+            .delta
+            .involving(id)
             .zip(&bad_member)
-            .find(|(inc, has_bad)| {
+            .position(|(inc, has_bad)| {
                 self.delta.is_max_in(id, inc)
-                    && !**has_bad
+                    && !*has_bad
                     && (self.tie_policy == TiePolicy::DoomUsed || !tied_rival_undecided(inc))
-            })
-            .map(|(inc, _)| inc.clone());
-        let doomed = was_bad || dooming_inc.is_some();
+            });
+        let doomed = was_bad || dooming_at.is_some();
         // Count evidence for the verdict edge, read before Δ shrinks.
         let my_count = self.delta.counts().get(id) as u64;
 
@@ -270,7 +274,7 @@ impl ResolutionStrategy for DropBad {
         // context participates in, mark the largest-count member bad
         // (deferring its discard so more count evidence can accumulate).
         let mut marked_bad = Vec::new();
-        for (inc, has_bad) in involving.iter().zip(&bad_member) {
+        for (inc, has_bad) in self.delta.involving(id).zip(&bad_member) {
             if *has_bad {
                 continue; // already has a destined discard
             }
@@ -333,7 +337,7 @@ impl ResolutionStrategy for DropBad {
                 // The verdict edge cites the dooming inconsistency (or
                 // nothing, when the context was already marked bad —
                 // its earlier `SupersededBy` edge carries the blame).
-                let (constraint, partners) = match &dooming_inc {
+                let (constraint, partners) = match dooming_at.map(|at| &resolved[at]) {
                     Some(inc) => (
                         Some(inc.constraint().to_string()),
                         inc.contexts()

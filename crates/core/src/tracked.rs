@@ -126,16 +126,12 @@ impl TrackedSet {
     }
 
     /// Resolves (removes and returns) every tracked inconsistency
-    /// involving `id` — the context-deletion change of Fig. 6.
+    /// involving `id` — the context-deletion change of Fig. 6. They
+    /// leave Δ in Δ's order, the order [`TrackedSet::involving`] lists
+    /// them in.
     pub fn resolve_involving(&mut self, id: ContextId) -> Vec<Inconsistency> {
-        let resolved: Vec<Inconsistency> = self
-            .items
-            .iter()
-            .filter(|i| i.involves(id))
-            .cloned()
-            .collect();
+        let resolved: Vec<Inconsistency> = self.items.extract_if(.., |i| i.involves(id)).collect();
         for inc in &resolved {
-            self.items.remove(inc);
             for cid in inc.contexts() {
                 self.counts.drop_one(*cid);
             }

@@ -580,7 +580,7 @@ impl Middleware {
         let fresh: Vec<Inconsistency> = match checked {
             Ok(ds) => ds
                 .into_iter()
-                .map(|d| Inconsistency::new(&d.constraint, d.link, now))
+                .map(|d| Inconsistency::from_detection(d, now))
                 .collect(),
             Err(_) => {
                 // A constraint referenced a predicate/attribute this

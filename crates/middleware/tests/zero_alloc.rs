@@ -1,6 +1,8 @@
 //! Allocation guards for the per-context hot path: once warmed, an
 //! incremental check that detects nothing, a situation round, watched
-//! or not, and a whole submit under retention allocate nothing.
+//! or not, and a whole submit under retention allocate nothing, and a
+//! submit that detects an inconsistency makes a fixed, small number of
+//! allocations.
 //!
 //! The binary's global allocator counts each thread's allocations, so
 //! tests running on parallel threads do not see each other's.
@@ -213,4 +215,76 @@ fn warmed_submit_under_retention_allocates_nothing() {
         "and leaves one retention horizon after it expired"
     );
     assert!(mw.pool().live_slots() < 200, "{}", mw.pool().live_slots());
+}
+
+/// The allocations of a submit that detects, under the city stream's
+/// engine configuration: the §2.2 speed constraint, drop-bad, a use
+/// window of 0, retention 512 and TTL 512, no observer. Every 50th
+/// context teleports, so its check finds one violation with its seq
+/// predecessor, drop-bad tracks it, and the use at the same instant
+/// discards the teleport and resolves it. Once warm, every such submit
+/// makes exactly the same 25 allocations, and every other submit none.
+///
+/// `IncrementalChecker::on_added` makes 17 of them: the evidence walk
+/// and the detection it returns. The detection's name and link move
+/// into the `Inconsistency`, drop-bad reads the Δ members it decides on
+/// in place, and the resolved inconsistency moves out of Δ. The rest
+/// are the inconsistency list, drop-bad's copy of the inconsistency
+/// into Δ with its count bookkeeping, and the use's outcome.
+#[test]
+fn warmed_detecting_submit_allocates_a_fixed_few() {
+    const SUBJECTS: u64 = 16;
+    const WARM: u64 = 4_000;
+    const MEASURED: u64 = 8_000;
+    const TELEPORT_EVERY: u64 = 50;
+    const SPEED_ONLY: &str = "constraint speed:
+        forall a: location, b: location .
+          (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)";
+    let trace = (0..WARM + MEASURED).map(|n| {
+        let subject = n % SUBJECTS;
+        let seq = (n / SUBJECTS) as i64;
+        let stamp = LogicalTime::new(n);
+        let x = if n % TELEPORT_EVERY == TELEPORT_EVERY - 1 {
+            1_000.0
+        } else {
+            seq as f64
+        };
+        Context::builder(ContextKind::new("location"), &format!("s{subject}"))
+            .attr("pos", Point::new(x, 0.0))
+            .attr("seq", seq)
+            .stamp(stamp)
+            .lifespan(Lifespan::with_ttl(stamp, Ticks::new(512)))
+            .build()
+    });
+    let mut mw = Middleware::builder()
+        .constraints(parse_constraints(SPEED_ONLY).unwrap())
+        .strategy(Box::new(DropBad::new()))
+        .config(MiddlewareConfig {
+            window: Ticks::new(0),
+            track_ground_truth: false,
+            retention: Some(Ticks::new(512)),
+        })
+        .build();
+    let mut detecting = Vec::new();
+    let mut quiet = 0;
+    for (n, ctx) in trace.enumerate() {
+        let (report, allocs) = allocations(|| mw.submit(ctx));
+        if (n as u64) < WARM {
+            continue;
+        }
+        if report.fresh > 0 {
+            assert_eq!(report.fresh, 1, "submit {n}");
+            detecting.push(allocs);
+        } else {
+            quiet += allocs;
+        }
+    }
+    assert_eq!(detecting.len() as u64, MEASURED / TELEPORT_EVERY);
+    assert_eq!(quiet, 0, "submits that detect nothing");
+    let (min, max) = (detecting.iter().min(), detecting.iter().max());
+    assert_eq!((min, max), (Some(&25), Some(&25)), "per detecting submit");
+    assert_eq!(
+        mw.stats().discarded,
+        WARM / TELEPORT_EVERY + detecting.len() as u64
+    );
 }
