@@ -132,8 +132,15 @@ pub const SEQ_ATTR: &str = "seq";
 
 /// A single context: one piece of information about the environment.
 ///
-/// Construct with [`Context::builder`]. Attribute storage is an ordered
-/// map so the `Debug`/serialized forms are deterministic.
+/// Construct with [`Context::builder`]. A context is a 16-byte handle:
+/// a shared, immutable body (kind, subject, attributes, stamp,
+/// lifespan, source, truth) plus the handle's own [`ContextState`].
+/// [`Clone`] bumps the body's reference count and copies the state, so
+/// every pool holding a context — the strategy pool and the
+/// ground-truth pool alike — shares one body, and a state change moves
+/// only the handle it is made on. The attributes are one slice sorted
+/// by name: a lookup scans it, and [`Context::attrs`], the `Debug` form
+/// and the serialized form list them in name order.
 ///
 /// ```
 /// use ctxres_context::{Context, ContextKind, LogicalTime, Point};
@@ -145,16 +152,23 @@ pub const SEQ_ATTR: &str = "seq";
 /// assert_eq!(c.subject(), "peter");
 /// assert_eq!(c.point("pos"), Some(Point::new(3.0, 4.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Context {
+    body: Arc<Body>,
+    state: ContextState,
+}
+
+/// The immutable part of a [`Context`], shared by all its clones.
+#[derive(PartialEq)]
+struct Body {
     kind: ContextKind,
     subject: Arc<str>,
-    attrs: BTreeMap<String, ContextValue>,
+    /// Sorted by name; each name once.
+    attrs: Box<[(Box<str>, ContextValue)]>,
     stamp: LogicalTime,
     lifespan: Lifespan,
     source: SourceId,
     truth: TruthTag,
-    state: ContextState,
 }
 
 impl Context {
@@ -163,7 +177,7 @@ impl Context {
         ContextBuilder {
             kind,
             subject: Arc::from(subject),
-            attrs: BTreeMap::new(),
+            attrs: Vec::new(),
             stamp: LogicalTime::ZERO,
             lifespan: None,
             source: SourceId::default(),
@@ -173,28 +187,32 @@ impl Context {
 
     /// The context's kind.
     pub fn kind(&self) -> &ContextKind {
-        &self.kind
+        &self.body.kind
     }
 
     /// The entity the context is about (a person, a tag, a room).
     pub fn subject(&self) -> &str {
-        &self.subject
+        &self.body.subject
     }
 
     /// Shared handle to the subject string, so indexes, batch grouping,
     /// and event fields can key on it without re-allocating.
     pub fn subject_arc(&self) -> &Arc<str> {
-        &self.subject
+        &self.body.subject
     }
 
     /// Looks up an attribute value.
     pub fn attr(&self, name: &str) -> Option<&ContextValue> {
-        self.attrs.get(name)
+        self.body
+            .attrs
+            .iter()
+            .find(|(n, _)| **n == *name)
+            .map(|(_, v)| v)
     }
 
     /// All attributes, in name order.
     pub fn attrs(&self) -> impl Iterator<Item = (&str, &ContextValue)> {
-        self.attrs.iter().map(|(k, v)| (k.as_str(), v))
+        self.body.attrs.iter().map(|(n, v)| (&**n, v))
     }
 
     /// Convenience accessor for a numeric attribute.
@@ -226,27 +244,27 @@ impl Context {
 
     /// The logical instant the context was produced.
     pub fn stamp(&self) -> LogicalTime {
-        self.stamp
+        self.body.stamp
     }
 
     /// The context's available period.
     pub fn lifespan(&self) -> Lifespan {
-        self.lifespan
+        self.body.lifespan
     }
 
     /// Whether the context is still live at `now`.
     pub fn is_live(&self, now: LogicalTime) -> bool {
-        self.lifespan.is_live(now)
+        self.body.lifespan.is_live(now)
     }
 
     /// The source that produced the context.
     pub fn source(&self) -> SourceId {
-        self.source
+        self.body.source
     }
 
     /// Ground-truth tag — for oracles and metrics only; see [`TruthTag`].
     pub fn truth(&self) -> TruthTag {
-        self.truth
+        self.body.truth
     }
 
     /// Current life-cycle state.
@@ -270,13 +288,100 @@ impl Context {
     }
 }
 
+impl PartialEq for Context {
+    fn eq(&self, other: &Self) -> bool {
+        self.body == other.body && self.state == other.state
+    }
+}
+
+impl fmt::Debug for Context {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        /// The attributes as a map, the form an ordered map prints.
+        struct Attrs<'a>(&'a [(Box<str>, ContextValue)]);
+        impl fmt::Debug for Attrs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(n, v)| (n, v)))
+                    .finish()
+            }
+        }
+        let body = &*self.body;
+        f.debug_struct("Context")
+            .field("kind", &body.kind)
+            .field("subject", &body.subject)
+            .field("attrs", &Attrs(&body.attrs))
+            .field("stamp", &body.stamp)
+            .field("lifespan", &body.lifespan)
+            .field("source", &body.source)
+            .field("truth", &body.truth)
+            .field("state", &self.state)
+            .finish()
+    }
+}
+
 impl fmt::Display for Context {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{}[{}]@{} ({})",
-            self.kind, self.subject, self.stamp, self.state
+            self.body.kind, self.body.subject, self.body.stamp, self.state
         )
+    }
+}
+
+/// A [`Context`]'s serialized form: its fields in wire order, the
+/// attributes as a name-ordered map.
+#[derive(Serialize, Deserialize)]
+struct Wire {
+    kind: ContextKind,
+    subject: Arc<str>,
+    attrs: BTreeMap<String, ContextValue>,
+    stamp: LogicalTime,
+    lifespan: Lifespan,
+    source: SourceId,
+    truth: TruthTag,
+    state: ContextState,
+}
+
+impl Serialize for Context {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let body = &*self.body;
+        Wire {
+            kind: body.kind.clone(),
+            subject: Arc::clone(&body.subject),
+            attrs: self
+                .attrs()
+                .map(|(n, v)| (n.to_owned(), v.clone()))
+                .collect(),
+            stamp: body.stamp,
+            lifespan: body.lifespan,
+            source: body.source,
+            truth: body.truth,
+            state: self.state,
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Context {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = Wire::deserialize(deserializer)?;
+        Ok(Context {
+            body: Arc::new(Body {
+                kind: wire.kind,
+                subject: wire.subject,
+                attrs: wire
+                    .attrs
+                    .into_iter()
+                    .map(|(n, v)| (n.into_boxed_str(), v))
+                    .collect(),
+                stamp: wire.stamp,
+                lifespan: wire.lifespan,
+                source: wire.source,
+                truth: wire.truth,
+            }),
+            state: wire.state,
+        })
     }
 }
 
@@ -285,7 +390,8 @@ impl fmt::Display for Context {
 pub struct ContextBuilder {
     kind: ContextKind,
     subject: Arc<str>,
-    attrs: BTreeMap<String, ContextValue>,
+    /// Sorted by name; each name once.
+    attrs: Vec<(Box<str>, ContextValue)>,
     stamp: LogicalTime,
     lifespan: Option<Lifespan>,
     source: SourceId,
@@ -293,9 +399,13 @@ pub struct ContextBuilder {
 }
 
 impl ContextBuilder {
-    /// Adds an attribute.
+    /// Adds an attribute; a name given again replaces its value.
     pub fn attr(mut self, name: &str, value: impl Into<ContextValue>) -> Self {
-        self.attrs.insert(name.to_owned(), value.into());
+        let value = value.into();
+        match self.attrs.binary_search_by(|(n, _)| (**n).cmp(name)) {
+            Ok(at) => self.attrs[at].1 = value,
+            Err(at) => self.attrs.insert(at, (Box::from(name), value)),
+        }
         self
     }
 
@@ -327,13 +437,15 @@ impl ContextBuilder {
     pub fn build(self) -> Context {
         let lifespan = self.lifespan.unwrap_or(Lifespan::forever(self.stamp));
         Context {
-            kind: self.kind,
-            subject: self.subject,
-            attrs: self.attrs,
-            stamp: self.stamp,
-            lifespan,
-            source: self.source,
-            truth: self.truth,
+            body: Arc::new(Body {
+                kind: self.kind,
+                subject: self.subject,
+                attrs: self.attrs.into_boxed_slice(),
+                stamp: self.stamp,
+                lifespan,
+                source: self.source,
+                truth: self.truth,
+            }),
             state: ContextState::Undecided,
         }
     }
@@ -426,6 +538,23 @@ mod tests {
         assert!(s.contains("location"));
         assert!(s.contains("peter"));
         assert!(s.contains("undecided"));
+    }
+
+    #[test]
+    fn a_context_is_a_shared_body_and_a_state() {
+        assert_eq!(
+            std::mem::size_of::<Context>(),
+            2 * std::mem::size_of::<usize>()
+        );
+        let c = sample();
+        let mut d = c.clone();
+        d.set_state(ContextState::Bad).unwrap();
+        assert!(Arc::ptr_eq(&c.body, &d.body));
+        assert_eq!(
+            (c.state(), d.state()),
+            (ContextState::Undecided, ContextState::Bad)
+        );
+        assert_ne!(c, d);
     }
 
     #[test]

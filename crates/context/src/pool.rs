@@ -331,8 +331,9 @@ fn seqs_rise(handles: &[SlotHandle], seqs: &[i64]) -> bool {
 ///
 /// The pool assigns [`ContextId`]s in arrival order and stores contexts
 /// in a slot **arena** with parallel columns (payload, id, stamp,
-/// generation) — a struct-of-arrays layout in which an id lookup is one
-/// dense-table index instead of a tree walk, and the kind /
+/// generation), each payload a 16-byte [`Context`] handle whose body
+/// other pools may share — a struct-of-arrays layout in which an id
+/// lookup is one dense-table index instead of a tree walk, and the kind /
 /// `(kind, subject)` secondary indexes hold generational slot handles,
 /// so `of_kind` / `of_subject` iteration touches exactly the bucket, in
 /// deterministic `(stamp, id)` order, with zero allocation. Discarded
@@ -349,8 +350,9 @@ fn seqs_rise(handles: &[SlotHandle], seqs: &[i64]) -> bool {
 /// Removing the oldest context of a kind costs O(1) index work, and a
 /// new subject reuses the buffer of one that emptied.
 ///
-/// The indexes assume a stored context's kind, subject, stamp and
-/// lifespan never change; only its state does. Insertion, removal,
+/// The indexes rely on a stored context's kind, subject, stamp and
+/// lifespan never changing, which its immutable body guarantees; only
+/// its handle's state changes. Insertion, removal,
 /// [`ContextPool::set_state`] and [`ContextPool::discard`] are the only
 /// ways a stored context changes, which is what lets
 /// [`ContextPool::watch`] version slices of the available view.

@@ -1,8 +1,8 @@
 //! Property-based tests for the context pool and life cycle.
 
 use ctxres_context::{
-    Context, ContextBuilder, ContextId, ContextKind, ContextPool, ContextState, Lifespan,
-    LogicalTime, Ticks, SEQ_ATTR,
+    Context, ContextBuilder, ContextId, ContextKind, ContextPool, ContextState, ContextValue,
+    Lifespan, LogicalTime, Point, Ticks, SEQ_ATTR,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -225,6 +225,46 @@ fn arrive_seq(a: &Arrival, seq: &Seq, clock: &mut LogicalTime) -> Context {
         Seq::Huge => builder.attr(SEQ_ATTR, (1i64 << 52) + tick),
     }
     .build()
+}
+
+/// Attribute names the builder property draws from: the empty name,
+/// [`SEQ_ATTR`], and names that are prefixes of one another, so repeats
+/// and near misses are common.
+const NAMES: [&str; 6] = ["", "a", "ab", "b", "pos", SEQ_ATTR];
+
+/// One `ContextBuilder::attr` call: a name index into [`NAMES`] and a
+/// value of any kind (a NaN float, and integer seqs on both sides of
+/// [`Context::exact_seq`]'s bound, included).
+fn attr_call() -> impl Strategy<Value = (usize, ContextValue)> {
+    let value = prop_oneof![
+        any::<bool>().prop_map(ContextValue::Bool),
+        prop_oneof![
+            Just(0i64),
+            Just(-3),
+            Just(41),
+            Just((1 << 52) - 1),
+            Just(1 << 52),
+            Just(i64::MIN)
+        ]
+        .prop_map(ContextValue::Int),
+        prop_oneof![Just(0.5), Just(-2.0), Just(f64::NAN)].prop_map(ContextValue::Float),
+        prop_oneof![Just(""), Just("lab"), Just("lab-b")]
+            .prop_map(|t: &str| ContextValue::Text(t.to_owned())),
+        (0u8..3, 0u8..3).prop_map(|(x, y)| ContextValue::Point(Point::new(x.into(), y.into()))),
+    ];
+    (0..NAMES.len(), value)
+}
+
+/// Feeds `calls` to a builder and to the ordered map a context's
+/// attributes must behave like.
+fn built(calls: &[(usize, ContextValue)]) -> (Context, BTreeMap<String, ContextValue>) {
+    let mut builder = Context::builder(ContextKind::new("k"), "s");
+    let mut model = BTreeMap::new();
+    for (name, value) in calls {
+        builder = builder.attr(NAMES[*name], value.clone());
+        model.insert(NAMES[*name].to_owned(), value.clone());
+    }
+    (builder.build(), model)
 }
 
 proptest! {
@@ -593,5 +633,63 @@ proptest! {
             ),
             "illegal path {p}"
         );
+    }
+
+    /// A context's attribute slice behaves like an ordered map fed the
+    /// same builder calls: last write wins, `attrs()` and the `Debug`
+    /// form list names in order, every accessor reads what the map
+    /// holds, and equality follows the maps' equality (a NaN attribute
+    /// makes a context unequal even to itself). A clone shares the
+    /// body but not the state.
+    #[test]
+    fn attribute_slice_matches_an_ordered_map(
+        calls in proptest::collection::vec(attr_call(), 0..10),
+        other in proptest::collection::vec(attr_call(), 0..3),
+    ) {
+        let (c, model) = built(&calls);
+        let listed: Vec<String> = c.attrs().map(|(n, v)| format!("{n:?}: {v:?}")).collect();
+        let expected: Vec<String> = model.iter().map(|(n, v)| format!("{n:?}: {v:?}")).collect();
+        prop_assert_eq!(listed, expected);
+        let debug = format!("{c:?}");
+        let attrs_debug = format!("attrs: {model:?},");
+        prop_assert!(debug.contains(&attrs_debug), "{debug}");
+        for name in NAMES.iter().chain(&["abc", "se", "seqq"]) {
+            let want = model.get(*name);
+            prop_assert_eq!(format!("{:?}", c.attr(name)), format!("{want:?}"));
+            prop_assert_eq!(
+                c.number(name).map(f64::to_bits),
+                want.and_then(ContextValue::as_f64).map(f64::to_bits)
+            );
+            prop_assert_eq!(c.text(name), want.and_then(ContextValue::as_text));
+            prop_assert_eq!(c.point(name), want.and_then(ContextValue::as_point));
+        }
+        let seq = match model.get(SEQ_ATTR) {
+            Some(ContextValue::Int(seq)) if seq.unsigned_abs() < 1 << 52 => Some(*seq),
+            _ => None,
+        };
+        prop_assert_eq!(c.exact_seq(), seq);
+
+        // The same map given in reverse name order builds an equal
+        // context; another call sequence builds one equal exactly when
+        // its map is.
+        let reversed: Vec<(usize, ContextValue)> = model
+            .iter()
+            .rev()
+            .map(|(n, v)| (NAMES.iter().position(|m| m == n).unwrap(), v.clone()))
+            .collect();
+        let (rebuilt, _) = built(&reversed);
+        let has_nan = model
+            .values()
+            .any(|v| matches!(v, ContextValue::Float(f) if f.is_nan()));
+        prop_assert_eq!(c == rebuilt, !has_nan);
+        let (d, other_model) = built(&other);
+        prop_assert_eq!(c == d, model == other_model);
+
+        let mut e = c.clone();
+        prop_assert_eq!(c == e, !has_nan);
+        e.set_state(ContextState::Bad).unwrap();
+        prop_assert_eq!((c.state(), e.state()), (ContextState::Undecided, ContextState::Bad));
+        prop_assert!(c != e);
+        prop_assert_eq!(format!("{:?}", e.attr(SEQ_ATTR)), format!("{:?}", c.attr(SEQ_ATTR)));
     }
 }

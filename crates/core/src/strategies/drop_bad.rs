@@ -144,54 +144,54 @@ impl ResolutionStrategy for DropBad {
         // Context addition change (Fig. 6): track the new
         // inconsistencies; the context stays buffered (`Undecided`).
         for inc in fresh {
-            let Some(bumped) = self.delta.add_with_counts(inc.clone()) else {
+            if !self.delta.add(inc.clone()) || !self.obs.is_enabled() {
                 continue;
-            };
-            if self.obs.is_enabled() {
+            }
+            self.obs.record(
+                now,
+                TraceEvent::DeltaInserted {
+                    constraint: inc.constraint().to_string(),
+                    contexts: inc.contexts().iter().copied().collect(),
+                },
+            );
+            // Each member was bumped once, so its count now is the
+            // value the insertion bumped it to.
+            for &ctx in inc.contexts() {
                 self.obs.record(
                     now,
-                    TraceEvent::DeltaInserted {
-                        constraint: inc.constraint().to_string(),
-                        contexts: inc.contexts().iter().copied().collect(),
+                    TraceEvent::CountBumped {
+                        ctx,
+                        count: self.delta.counts().get(ctx) as u64,
                     },
                 );
-                for &(ctx, count) in &bumped {
-                    self.obs.record(
+            }
+            if self.obs.provenance_enabled() {
+                let members: Vec<ContextId> = inc.contexts().iter().copied().collect();
+                for &ctx in &members {
+                    let partners: Vec<ContextId> =
+                        members.iter().copied().filter(|c| *c != ctx).collect();
+                    self.emit_cause(
                         now,
-                        TraceEvent::CountBumped {
-                            ctx,
-                            count: count as u64,
-                        },
+                        ctx,
+                        CauseKind::JoinedDelta,
+                        Some(inc.constraint().to_string()),
+                        partners,
+                        None,
+                        None,
                     );
                 }
-                if self.obs.provenance_enabled() {
-                    let members: Vec<ContextId> = inc.contexts().iter().copied().collect();
-                    for &ctx in &members {
-                        let partners: Vec<ContextId> =
-                            members.iter().copied().filter(|c| *c != ctx).collect();
-                        self.emit_cause(
-                            now,
-                            ctx,
-                            CauseKind::JoinedDelta,
-                            Some(inc.constraint().to_string()),
-                            partners,
-                            None,
-                            None,
-                        );
-                    }
-                    for &(ctx, count) in &bumped {
-                        let partners: Vec<ContextId> =
-                            members.iter().copied().filter(|c| *c != ctx).collect();
-                        self.emit_cause(
-                            now,
-                            ctx,
-                            CauseKind::CountBumpedBy,
-                            Some(inc.constraint().to_string()),
-                            partners,
-                            Some(count as u64),
-                            None,
-                        );
-                    }
+                for &ctx in &members {
+                    let partners: Vec<ContextId> =
+                        members.iter().copied().filter(|c| *c != ctx).collect();
+                    self.emit_cause(
+                        now,
+                        ctx,
+                        CauseKind::CountBumpedBy,
+                        Some(inc.constraint().to_string()),
+                        partners,
+                        Some(self.delta.counts().get(ctx) as u64),
+                        None,
+                    );
                 }
             }
         }
@@ -278,12 +278,13 @@ impl ResolutionStrategy for DropBad {
             if *has_bad {
                 continue; // already has a destined discard
             }
+            let used_is_max = self.delta.is_max_in(id, inc);
+            if used_is_max && doomed {
+                // d' = d: discarding the used context resolves it.
+                continue;
+            }
             let mut members = self.delta.max_count_members(inc);
-            if members.contains(&id) {
-                if doomed {
-                    // d' = d: discarding the used context resolves it.
-                    continue;
-                }
+            if used_is_max {
                 // The used context ties at the top but was delivered; the
                 // blame falls on a tied peer.
                 members.retain(|m| *m != id);

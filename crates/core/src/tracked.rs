@@ -101,28 +101,18 @@ impl TrackedSet {
     /// Adds a detected inconsistency; duplicates (same constraint and
     /// context set) are ignored. Returns whether Δ changed.
     pub fn add(&mut self, inc: Inconsistency) -> bool {
-        self.add_with_counts(inc).is_some()
-    }
-
-    /// [`TrackedSet::add`], additionally reporting every count value the
-    /// insertion bumped as `(context, new count)` pairs — the
-    /// observability layer traces these as `CountBumped` events. Returns
-    /// `None` when the inconsistency was a duplicate and Δ is unchanged.
-    pub fn add_with_counts(&mut self, inc: Inconsistency) -> Option<Vec<(ContextId, usize)>> {
         if self
             .items
             .iter()
             .any(|i| i.constraint() == inc.constraint() && i.contexts() == inc.contexts())
         {
-            return None;
+            return false;
         }
-        let mut bumped = Vec::with_capacity(inc.contexts().len());
         for id in inc.contexts() {
             self.counts.bump(*id);
-            bumped.push((*id, self.counts.get(*id)));
         }
         self.items.insert(inc);
-        Some(bumped)
+        true
     }
 
     /// Resolves (removes and returns) every tracked inconsistency

@@ -135,6 +135,68 @@ mod tests {
         assert!(load_trace(Path::new("/definitely/not/here.jsonl")).is_err());
     }
 
+    /// One context through every part of the wire shape: a value of
+    /// each kind, names given out of order (the empty one and a repeat
+    /// included), an explicit lifespan, a source, corrupted truth and a
+    /// `Bad` state.
+    fn wire_sample() -> Context {
+        use ctxres_context::{
+            ContextKind, ContextState, Lifespan, LogicalTime, Point, SourceId, Ticks, TruthTag,
+        };
+        let stamp = LogicalTime::new(7);
+        let mut ctx = Context::builder(ContextKind::new("location"), "peter")
+            .attr("zone", "lab \"b\"")
+            .attr("seq", 1i64)
+            .attr("pos", Point::new(1.5, -2.25))
+            .attr("moving", true)
+            .attr("speed", 0.5)
+            .attr("seq", 42i64)
+            .attr("", -3i64)
+            .stamp(stamp)
+            .lifespan(Lifespan::with_ttl(stamp, Ticks::new(30)))
+            .source(SourceId(3))
+            .truth(TruthTag::Corrupted)
+            .build();
+        ctx.set_state(ContextState::Bad).unwrap();
+        ctx
+    }
+
+    /// The trace JSONL line and the `Debug` form of [`wire_sample`],
+    /// pinned to what the map-backed context printed: fields in
+    /// declaration order, attributes as a name-ordered object.
+    const WIRE_LINE: &str = concat!(
+        r#"{"kind":"location","subject":"peter","attrs":{"":{"Int":-3},"moving":{"Bool":true},"#,
+        r#""pos":{"Point":{"x":1.5,"y":-2.25}},"seq":{"Int":42},"speed":{"Float":0.5},"#,
+        r#""zone":{"Text":"lab \"b\""}},"stamp":7,"lifespan":{"created":7,"ttl":30},"#,
+        r#""source":3,"truth":"Corrupted","state":"Bad"}"#
+    );
+    const WIRE_DEBUG: &str = concat!(
+        r#"Context { kind: ContextKind("location"), subject: "peter", attrs: {"": Int(-3), "#,
+        r#""moving": Bool(true), "pos": Point(Point { x: 1.5, y: -2.25 }), "seq": Int(42), "#,
+        r#""speed": Float(0.5), "zone": Text("lab \"b\"")}, stamp: LogicalTime(7), "#,
+        r#"lifespan: Lifespan { created: LogicalTime(7), ttl: Some(Ticks(30)) }, "#,
+        r#"source: SourceId(3), truth: Corrupted, state: Bad }"#
+    );
+
+    #[test]
+    fn context_wire_shape_is_pinned() {
+        let ctx = wire_sample();
+        assert_eq!(serde_json::to_string(&ctx).unwrap(), WIRE_LINE);
+        assert_eq!(format!("{ctx:?}"), WIRE_DEBUG);
+        let dir = std::env::temp_dir().join("ctxres-trace-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wire.jsonl");
+        save_trace(&path, std::slice::from_ref(&ctx)).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{WIRE_LINE}\n")
+        );
+        let loaded = load_trace(&path).unwrap();
+        assert_eq!(loaded, [ctx]);
+        assert_eq!(format!("{:?}", loaded[0]), WIRE_DEBUG);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn empty_lines_are_skipped() {
         let app = CallForwarding::new();

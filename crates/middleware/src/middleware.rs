@@ -348,8 +348,6 @@ impl Middleware {
         let obs = self.obs.clone();
         let ingest_phase = obs.phase(Phase::Ingest);
         let contexts = batch.len() as u64;
-        // Consuming the batch by value lets the reports reuse its
-        // allocation.
         let reports: Vec<SubmitReport> = batch
             .into_iter()
             .map(|ctx| self.submit_one(ctx, ingress_ns))

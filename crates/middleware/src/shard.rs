@@ -431,10 +431,9 @@ impl ShardedMiddleware {
     }
 
     /// [`ShardedMiddleware::batch_add`] taking ownership: partitioning
-    /// moves each context into its shard's chunk instead of cloning it —
-    /// the path the city-scale benchmarks drive, where a per-context
-    /// clone of attribute maps would dominate routing. Each shard then
-    /// ingests its whole chunk through the amortized
+    /// moves each context handle into its shard's chunk instead of
+    /// cloning it (a clone would only bump its body's reference count;
+    /// see [`Context`]). Each shard then ingests its whole chunk through
     /// [`Middleware::batch_add`].
     pub fn batch_add_owned(&self, batch: Vec<Context>) -> usize {
         let total = batch.len();
