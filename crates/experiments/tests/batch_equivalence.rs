@@ -6,10 +6,11 @@
 //! threads — both with a hard contract: the verdict stream must be
 //! **bit-identical** to submitting the same contexts one at a time. These tests drive randomized city-workload batches
 //! through all four paper strategies on both engines and require the
-//! complete observable record to match — per-context submit reports,
-//! middleware stats, the observer event stream (every submission,
-//! detection and use, in order), and the causal provenance chain of
-//! every discarded context.
+//! complete observable record to match — per-context submit reports
+//! (collected by an observer on both sides, since `batch_add` returns
+//! none), middleware stats, the observer event stream (every
+//! submission, detection and use, in order), and the causal provenance
+//! chain of every discarded context.
 
 use ctxres_constraint::parse_constraints;
 use ctxres_context::{Context, Ticks};
@@ -17,7 +18,8 @@ use ctxres_core::strategies::by_name;
 use ctxres_experiments::city::{CityConfig, CityWorkload};
 use ctxres_experiments::explain::render_chain;
 use ctxres_middleware::{
-    Event, EventLog, Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware, SubmitReport,
+    Event, EventLog, Middleware, MiddlewareConfig, MiddlewareObserver, ShardPlan,
+    ShardedMiddleware, SubmitReport,
 };
 use ctxres_obs::{ObsConfig, ProvenanceGraph};
 use parking_lot::Mutex;
@@ -44,8 +46,28 @@ fn city_trace(subjects: usize, len: usize, teleport_pct: u32, seed: u64) -> Vec<
     .batch(len)
 }
 
-fn engine(strategy: &str, seed: u64, window: u64) -> (Middleware, Arc<Mutex<EventLog>>) {
-    let log = Arc::new(Mutex::new(EventLog::new()));
+/// Collects every submit report an engine hands its observers. The
+/// engines run without retention, so every submission reaches it.
+#[derive(Debug, Default)]
+struct Reports(Vec<SubmitReport>);
+
+impl MiddlewareObserver for Reports {
+    fn on_submitted(&mut self, report: &SubmitReport, _ctx: &Context) {
+        self.0.push(report.clone());
+    }
+}
+
+/// An engine's observers: its event stream and its submit reports.
+struct Observed {
+    log: Arc<Mutex<EventLog>>,
+    reports: Arc<Mutex<Reports>>,
+}
+
+fn engine(strategy: &str, seed: u64, window: u64) -> (Middleware, Observed) {
+    let observed = Observed {
+        log: Arc::new(Mutex::new(EventLog::new())),
+        reports: Arc::default(),
+    };
     let mw = Middleware::builder()
         .constraints(parse_constraints(SPEED).unwrap())
         .strategy(by_name(strategy, seed).expect("known strategy"))
@@ -54,9 +76,10 @@ fn engine(strategy: &str, seed: u64, window: u64) -> (Middleware, Arc<Mutex<Even
             track_ground_truth: false,
             retention: None,
         })
-        .observer(Box::new(Arc::clone(&log)))
+        .observer(Box::new(Arc::clone(&observed.log)))
+        .observer(Box::new(Arc::clone(&observed.reports)))
         .build();
-    (mw, log)
+    (mw, observed)
 }
 
 /// Everything a sequential run observably produces. The event stream
@@ -68,16 +91,12 @@ struct RunRecord {
     events: Vec<Event>,
 }
 
-fn record(
-    mw: &mut Middleware,
-    log: &Arc<Mutex<EventLog>>,
-    reports: Vec<SubmitReport>,
-) -> RunRecord {
+fn record(mw: &mut Middleware, observed: &Observed) -> RunRecord {
     mw.drain();
     RunRecord {
-        reports,
+        reports: std::mem::take(&mut observed.reports.lock().0),
         stats: *mw.stats(),
-        events: log.lock().events().to_vec(),
+        events: observed.log.lock().events().to_vec(),
     }
 }
 
@@ -150,17 +169,18 @@ proptest! {
     ) {
         let trace = city_trace(subjects, len, teleport_pct, seed);
         for strategy in STRATEGIES {
-            let (mut one, one_log) = engine(strategy, seed, window);
-            let one_reports: Vec<SubmitReport> =
-                trace.iter().cloned().map(|c| one.submit(c)).collect();
-            let one_rec = record(&mut one, &one_log, one_reports);
+            let (mut one, one_observed) = engine(strategy, seed, window);
+            for c in &trace {
+                one.submit(c.clone());
+            }
+            let one_rec = record(&mut one, &one_observed);
 
-            let (mut batched, batch_log) = engine(strategy, seed, window);
-            let batch_reports = trace
-                .chunks(chunk)
-                .flat_map(|c| batched.batch_add(c.to_vec()))
-                .collect();
-            let batch_rec = record(&mut batched, &batch_log, batch_reports);
+            let (mut batched, batch_observed) = engine(strategy, seed, window);
+            for c in trace.chunks(chunk) {
+                batched.batch_add(c.to_vec());
+            }
+            let batch_rec = record(&mut batched, &batch_observed);
+            prop_assert_eq!(batch_rec.reports.len(), trace.len());
 
             prop_assert_eq!(
                 &one_rec, &batch_rec,
@@ -205,17 +225,20 @@ proptest! {
 fn batch_equivalence_smoke() {
     let trace = city_trace(12, 240, 20, 42);
     for strategy in STRATEGIES {
-        let (mut one, one_log) = engine(strategy, 42, 0);
-        let one_reports: Vec<SubmitReport> = trace.iter().cloned().map(|c| one.submit(c)).collect();
-        let one_rec = record(&mut one, &one_log, one_reports);
+        let (mut one, one_observed) = engine(strategy, 42, 0);
+        for c in &trace {
+            one.submit(c.clone());
+        }
+        let one_rec = record(&mut one, &one_observed);
         assert!(
             one_rec.stats.inconsistencies > 0,
             "{strategy}: the cell must detect something to be a real test"
         );
+        assert_eq!(one_rec.reports.len(), trace.len(), "{strategy}");
 
-        let (mut batched, batch_log) = engine(strategy, 42, 0);
-        let batch_reports = batched.batch_add(trace.clone());
-        let batch_rec = record(&mut batched, &batch_log, batch_reports);
+        let (mut batched, batch_observed) = engine(strategy, 42, 0);
+        batched.batch_add(trace.clone());
+        let batch_rec = record(&mut batched, &batch_observed);
         assert_eq!(one_rec, batch_rec, "{strategy}");
     }
 }

@@ -1,7 +1,9 @@
 //! The export surfaces agree on real engines. Two seeded runs — the
 //! `trace_dump --demo` cell and a 2-shard city run with health, tail and
-//! the profiler on — each sit behind a `MetricsServer`. Every counter
-//! series must read the same in `/metrics` and in `/snapshot`, and the
+//! the profiler on — each sit behind a `MetricsServer`. Every series
+//! must belong to a declared family, with its type and label names (the
+//! renderer drops any other from `/metrics`), every counter series must
+//! read the same in `/metrics` and in `/snapshot`, and the
 //! core counters must equal both `trace_dump --json`'s counters and the
 //! engine's own `MiddlewareStats`. On the demo cell, `trace_dump --json`
 //! and `explain --discarded --json` must list the same discarded
@@ -20,8 +22,8 @@ use ctxres_middleware::{
     Middleware, MiddlewareConfig, MiddlewareStats, ShardPlan, ShardedMiddleware,
 };
 use ctxres_obs::{
-    families, MetricsServer, ObsConfig, ObsRegistry, ProvenanceGraph, Sample, Series, TraceRecord,
-    Value,
+    families, MetricType, MetricsServer, ObsConfig, ObsRegistry, ProvenanceGraph, Sample, Series,
+    TraceRecord, Value,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -61,11 +63,12 @@ fn exposition_key(s: &Series) -> String {
     }
 }
 
-/// Scrapes `/metrics`, then `/snapshot`, and asserts every counter
-/// series of the sample reads the same on both. The only writer between
-/// the two scrapes is the first scrape's own `export` phase span on the
-/// registry's last slot, so the profiler series it moves are skipped.
-/// Returns the `/snapshot` sample.
+/// Scrapes `/metrics`, then `/snapshot`, and asserts every series of
+/// the sample belongs to a declared family — the family's type and its
+/// label names, in order — and every counter series reads the same on
+/// both. The only writer between the two scrapes is the first scrape's
+/// own `export` phase span on the registry's last slot, so the profiler
+/// counters it moves are not compared. Returns the `/snapshot` sample.
 fn assert_counters_agree(registry: &Arc<ObsRegistry>) -> Sample {
     let server = MetricsServer::spawn(Arc::clone(registry), "127.0.0.1:0").unwrap();
     let metrics = get(&server, "/metrics");
@@ -81,6 +84,18 @@ fn assert_counters_agree(registry: &Arc<ObsRegistry>) -> Sample {
     let scraper_slot = (registry.shards() - 1).to_string();
     let mut checked = 0;
     for s in sample.iter() {
+        let family = families
+            .iter()
+            .find(|f| f.name == s.family)
+            .unwrap_or_else(|| panic!("{} is not a declared family", s.family));
+        let kind = match s.value {
+            Value::Counter(_) => MetricType::Counter,
+            Value::Gauge(_) => MetricType::Gauge,
+            Value::Histogram(_) => MetricType::Histogram,
+        };
+        assert_eq!(kind, family.kind, "{} is a {:?}", s.family, family.kind);
+        let names: Vec<&str> = s.labels.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, family.labels, "{} label names", s.family);
         let Value::Counter(n) = s.value else {
             continue;
         };
@@ -89,10 +104,6 @@ fn assert_counters_agree(registry: &Arc<ObsRegistry>) -> Sample {
         if scrape_moved {
             continue;
         }
-        let family = families
-            .iter()
-            .find(|f| f.name == s.family)
-            .unwrap_or_else(|| panic!("{} is not a declared family", s.family));
         let expected = if family.scale == 1.0 {
             n.to_string()
         } else {

@@ -321,14 +321,17 @@ impl Middleware {
 
     /// Submits a whole batch in arrival order: each context goes
     /// through the same per-context routine as [`Middleware::submit`],
-    /// so the verdict stream — reports, discards, provenance, situation
-    /// rounds — is identical to submitting the contexts one at a time
-    /// (enforced by the batch-equivalence proptests). What the batch
-    /// adds is accounting: one health publish, one ingress stamp for
-    /// every context's end-to-end span, and — under a slow-batch bound
-    /// — one [`TraceEvent::SlowBatch`] postmortem when the batch
-    /// breaches it.
-    pub fn batch_add(&mut self, batch: Vec<Context>) -> Vec<SubmitReport> {
+    /// so the verdict stream — discards, provenance, situation rounds,
+    /// and the reports observers receive through
+    /// [`MiddlewareObserver::on_submitted`] — is identical to submitting
+    /// the contexts one at a time (enforced by the batch-equivalence
+    /// proptests). The reports are not collected: a caller that needs
+    /// them registers an observer, so a batch allocates no report
+    /// list. What the batch adds is accounting: one health publish, one
+    /// ingress stamp for every context's end-to-end span, and — under
+    /// a slow-batch bound — one [`TraceEvent::SlowBatch`] postmortem
+    /// when the batch breaches it.
+    pub fn batch_add(&mut self, batch: Vec<Context>) {
         let tail_on = self.obs.tail_enabled();
         let ingress_ns = if tail_on { self.obs.now_ns() } else { 0 };
         let bound_ns = if tail_on {
@@ -348,10 +351,9 @@ impl Middleware {
         let obs = self.obs.clone();
         let ingest_phase = obs.phase(Phase::Ingest);
         let contexts = batch.len() as u64;
-        let reports: Vec<SubmitReport> = batch
-            .into_iter()
-            .map(|ctx| self.submit_one(ctx, ingress_ns))
-            .collect();
+        for ctx in batch {
+            self.submit_one(ctx, ingress_ns);
+        }
         self.publish_health();
         ingest_phase.finish();
         if let Some(before) = phases_before {
@@ -382,7 +384,6 @@ impl Middleware {
             }
         }
         self.next_batch = self.next_batch.wrapping_add(1);
-        reports
     }
 
     /// Notes when a just-discarded context becomes compactable: its

@@ -6,16 +6,17 @@
 //! is discarding, how often constraints fire, and whether the surviving
 //! contexts are fresh enough to matter. This layer adds that:
 //!
-//! * **per-(shard, kind) cells** ([`KindCell`] behind a cloneable
-//!   [`KindHandle`]): lock-free cumulative counters — ingested,
-//!   delivered, discarded, expired-on-use, violations — plus gauge
-//!   watermarks (live count, age of the oldest live context, its
-//!   lifespan) the engine publishes from
-//!   `ContextPool::kind_watermarks`. Handles from a disabled registry
-//!   are `None` inside, so every hook is a branch-and-return, exactly
-//!   like [`crate::ShardObs`];
-//! * **pool gauges**: the arena's occupancy (`live_slots`/`free_slots`)
-//!   and lifetime slot-recycle count, per shard;
+//! * **per-(shard, kind) cells** ([`KIND_CELLS`] behind a cloneable
+//!   [`KindHandle`]): cumulative counters — ingested, delivered,
+//!   discarded, expired-on-use, violations — plus the live-count gauge
+//!   and the watermark the engine publishes from
+//!   `ContextPool::kind_watermarks`: the oldest live context's age and
+//!   its staleness, which report as each kind's worst shard. Handles
+//!   from a disabled registry are `None` inside, so every hook is a
+//!   branch-and-return, exactly like [`crate::ShardObs`];
+//! * **pool cells** ([`POOL_CELLS`]): the arena's occupancy
+//!   (`live_slots`/`free_slots`) and lifetime slot-recycle count, per
+//!   shard, once published;
 //! * **derived gauges** (`health::derive`): from each window's deltas, the
 //!   per-kind cross-shard `discard_rate` (discards / ingested),
 //!   `violation_rate` (violations / ingested) and the paper's
@@ -26,14 +27,14 @@
 //!   oldest live context's age over its lifespan: ≥ 1.0 means the
 //!   freshest data a constraint can see has already expired.
 //!
-//! Everything reports into the registry's one snapshot, so `/metrics`,
-//! `/snapshot`, `obs_top` and the SLO engine read it from the sample.
-//! Runs without health publishing report no health series at all.
+//! The cells live in the shard's metric table (`crate::table`), so
+//! `/metrics`, `/snapshot`, `obs_top` and the SLO engine read them from
+//! the one sample. Runs without health publishing report no health
+//! series at all.
 
 use crate::snapshot::{Family, MetricType, Reading, Series, Value};
-use parking_lot::Mutex;
+use crate::table::Group;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Smoothing factor of the EWMA `ctxUseRate` variant: each non-empty
@@ -41,173 +42,75 @@ use std::sync::Arc;
 /// regression within a few windows, low enough to ignore one noisy one.
 pub const DEFAULT_EWMA_ALPHA: f64 = 0.3;
 
-/// Sentinel for "no value" in the optional gauge atomics.
-const NONE: u64 = u64::MAX;
-
-/// One (shard, kind) quality cell: lock-free cumulative counters plus
-/// gauge watermarks. Lives in the registry's shard slot; engines reach
-/// it through a cached [`KindHandle`].
-#[derive(Debug)]
-pub struct KindCell {
-    ingested: AtomicU64,
-    delivered: AtomicU64,
-    discarded: AtomicU64,
-    expired: AtomicU64,
-    violations: AtomicU64,
-    live: AtomicU64,
-    oldest_age: AtomicU64,
-    lifespan: AtomicU64,
-}
-
-impl KindCell {
-    fn new() -> Self {
-        KindCell {
-            ingested: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            violations: AtomicU64::new(0),
-            live: AtomicU64::new(0),
-            oldest_age: AtomicU64::new(NONE),
-            lifespan: AtomicU64::new(NONE),
-        }
-    }
-}
-
-/// A cheap, cloneable handle to one (shard, kind) cell. Handles from a
-/// disabled registry hold `None` and make every bump a
+/// A cheap, cloneable handle to one (shard, kind) group of cells.
+/// Handles from a disabled registry hold `None` and make every bump a
 /// branch-and-return; engines cache one handle per kind so the hot
 /// path never touches the interning lock.
 #[derive(Debug, Clone, Default)]
 pub struct KindHandle {
-    cell: Option<Arc<KindCell>>,
+    cells: Option<Arc<Group>>,
 }
 
 impl KindHandle {
     /// A handle that records nothing (the default everywhere).
     pub fn disabled() -> Self {
-        KindHandle { cell: None }
+        KindHandle { cells: None }
     }
 
-    pub(crate) fn new(cell: Arc<KindCell>) -> Self {
-        KindHandle { cell: Some(cell) }
+    pub(crate) fn new(cells: Arc<Group>) -> Self {
+        KindHandle { cells: Some(cells) }
     }
 
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.cell.is_some()
+        self.cells.is_some()
+    }
+
+    /// Adds `n` to the counter at `cell` in [`KIND_CELLS`].
+    fn add(&self, cell: usize, n: u64) {
+        if let Some(cells) = &self.cells {
+            cells[cell].add(n);
+        }
     }
 
     /// Bumps the kind's ingested-context counter.
     pub fn ingested(&self, n: u64) {
-        if let Some(c) = &self.cell {
-            c.ingested.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add(0, n);
     }
 
     /// Bumps the kind's delivered-to-application counter.
     pub fn delivered(&self, n: u64) {
-        if let Some(c) = &self.cell {
-            c.delivered.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add(1, n);
     }
 
     /// Bumps the kind's discarded-context counter.
     pub fn discarded(&self, n: u64) {
-        if let Some(c) = &self.cell {
-            c.discarded.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add(2, n);
     }
 
     /// Bumps the kind's expired-on-use counter.
     pub fn expired(&self, n: u64) {
-        if let Some(c) = &self.cell {
-            c.expired.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add(3, n);
     }
 
     /// Bumps the kind's constraint-violation counter.
     pub fn violations(&self, n: u64) {
-        if let Some(c) = &self.cell {
-            c.violations.fetch_add(n, Ordering::Relaxed);
-        }
+        self.add(4, n);
     }
 
     /// Publishes the kind's occupancy watermark: live context count,
     /// age of the oldest live context in ticks, and that context's
     /// lifespan (`None` when it never expires).
     pub fn set_watermark(&self, live: u64, oldest_age: Option<u64>, lifespan: Option<u64>) {
-        if let Some(c) = &self.cell {
-            c.live.store(live, Ordering::Relaxed);
-            c.oldest_age
-                .store(oldest_age.unwrap_or(NONE), Ordering::Relaxed);
-            c.lifespan
-                .store(lifespan.unwrap_or(NONE), Ordering::Relaxed);
+        if let Some(cells) = &self.cells {
+            let staleness = match (oldest_age, lifespan) {
+                (Some(age), Some(life)) if life > 0 => Some(age as f64 / life as f64),
+                _ => None,
+            };
+            cells[5].set(Some(live as f64));
+            cells[6].set(oldest_age.map(|age| age as f64));
+            cells[7].set(staleness);
         }
-    }
-}
-
-/// Per-shard arena gauges, published by the engine after each batch.
-#[derive(Debug, Default)]
-pub(crate) struct PoolGauges {
-    published: AtomicU64,
-    live_slots: AtomicU64,
-    free_slots: AtomicU64,
-    recycles: AtomicU64,
-    now_tick: AtomicU64,
-}
-
-impl PoolGauges {
-    pub(crate) fn publish(&self, live: u64, free: u64, recycles: u64, now_tick: u64) {
-        self.live_slots.store(live, Ordering::Relaxed);
-        self.free_slots.store(free, Ordering::Relaxed);
-        self.recycles.store(recycles, Ordering::Relaxed);
-        self.now_tick.store(now_tick, Ordering::Relaxed);
-        self.published.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(live, free, recycles, now_tick)`, once published.
-    fn read(&self) -> Option<[u64; 4]> {
-        (self.published.load(Ordering::Relaxed) > 0).then(|| {
-            [
-                &self.live_slots,
-                &self.free_slots,
-                &self.recycles,
-                &self.now_tick,
-            ]
-            .map(|g| g.load(Ordering::Relaxed))
-        })
-    }
-}
-
-/// One shard's health state inside the registry: arena gauges plus the
-/// interned kind cells. The interning lock is touched once per new
-/// kind per shard; every recording after that is pure atomics through
-/// the cached [`KindHandle`].
-#[derive(Debug, Default)]
-pub(crate) struct ShardHealthSlot {
-    pool: PoolGauges,
-    kinds: Mutex<Vec<(Arc<str>, Arc<KindCell>)>>,
-}
-
-impl ShardHealthSlot {
-    pub(crate) fn kind_handle(&self, kind: &str) -> KindHandle {
-        let mut kinds = self.kinds.lock();
-        if let Some((_, cell)) = kinds.iter().find(|(name, _)| name.as_ref() == kind) {
-            return KindHandle::new(Arc::clone(cell));
-        }
-        let cell = Arc::new(KindCell::new());
-        kinds.push((Arc::from(kind), Arc::clone(&cell)));
-        KindHandle::new(cell)
-    }
-
-    pub(crate) fn publish_pool(&self, live: u64, free: u64, recycles: u64, now_tick: u64) {
-        self.pool.publish(live, free, recycles, now_tick);
-    }
-
-    /// The logical tick of the last pool publication, once published.
-    pub(crate) fn now_tick(&self) -> Option<u64> {
-        self.pool.read().map(|[.., tick]| tick)
     }
 }
 
@@ -217,17 +120,25 @@ const KIND: &[&str] = &["kind"];
 
 const POOL_LIVE: Family = Family::new(MetricType::Gauge, "ctxres_pool_live_slots", SHARD);
 const POOL_FREE: Family = Family::new(MetricType::Gauge, "ctxres_pool_free_slots", SHARD);
-const POOL_RECYCLES: Family = Family::new(
-    MetricType::Counter,
-    "ctxres_pool_generation_recycles_total",
-    SHARD,
-);
+/// A shard's pool cells, in cell order: live and free slots, then the
+/// lifetime slot-recycle count.
+pub(crate) const POOL_CELLS: [Family; 3] = [
+    POOL_LIVE,
+    POOL_FREE,
+    Family::new(
+        MetricType::Counter,
+        "ctxres_pool_generation_recycles_total",
+        SHARD,
+    ),
+];
 /// `live / (live + free)` across shards: 1.0 means the arena is at its
 /// high-water mark, lower means churn is reusing slots.
 pub(crate) const POOL_OCCUPANCY: Family =
     Family::new(MetricType::Gauge, "ctxres_pool_occupancy", &[]);
-/// The kind cells' counters, in cell order.
-const KIND_COUNTERS: [Family; 5] = [
+/// A kind's cells, in cell order: the five counters, the live gauge,
+/// then the oldest live age and the staleness, whose families have no
+/// `shard` label and so report each kind's worst shard.
+pub(crate) const KIND_CELLS: [Family; 8] = [
     Family::new(
         MetricType::Counter,
         "ctxres_health_ingested_total",
@@ -253,8 +164,10 @@ const KIND_COUNTERS: [Family; 5] = [
         "ctxres_health_violations_total",
         SHARD_KIND,
     ),
+    Family::new(MetricType::Gauge, "ctxres_health_kind_live", SHARD_KIND),
+    OLDEST_AGE,
+    STALENESS,
 ];
-const KIND_LIVE: Family = Family::new(MetricType::Gauge, "ctxres_health_kind_live", SHARD_KIND);
 /// Windowed `discarded / ingested` per kind.
 pub(crate) const DISCARD_RATE: Family =
     Family::new(MetricType::Gauge, "ctxres_health_discard_rate", KIND);
@@ -271,10 +184,10 @@ const OLDEST_AGE: Family = Family::new(MetricType::Gauge, "ctxres_health_oldest_
 
 /// The health families, in exposition order.
 pub(crate) fn families() -> Vec<Family> {
-    let mut out = vec![POOL_LIVE, POOL_FREE, POOL_RECYCLES, POOL_OCCUPANCY];
-    out.extend(KIND_COUNTERS);
+    let mut out = POOL_CELLS.to_vec();
+    out.push(POOL_OCCUPANCY);
+    out.extend(&KIND_CELLS[..6]);
     out.extend([
-        KIND_LIVE,
         DISCARD_RATE,
         VIOLATION_RATE,
         USE_RATE,
@@ -283,59 +196,6 @@ pub(crate) fn families() -> Vec<Family> {
         OLDEST_AGE,
     ]);
     out
-}
-
-/// Reports every shard's published pool gauges and kind cells (sorted
-/// by kind), then each kind's worst watermark across shards: the oldest
-/// live context's age and the largest staleness.
-pub(crate) fn report<'a>(slots: impl Iterator<Item = &'a ShardHealthSlot>, out: &mut Vec<Series>) {
-    let mut worst: BTreeMap<Arc<str>, (Option<u64>, Option<f64>)> = BTreeMap::new();
-    for (i, slot) in slots.enumerate() {
-        let label = i.to_string();
-        let shard = [label.as_str()];
-        if let Some([live, free, recycles, _]) = slot.pool.read() {
-            out.push(POOL_LIVE.series(&shard, Value::Gauge(Reading(live as f64))));
-            out.push(POOL_FREE.series(&shard, Value::Gauge(Reading(free as f64))));
-            out.push(POOL_RECYCLES.series(&shard, Value::Counter(recycles)));
-        }
-        let mut kinds = slot.kinds.lock().clone();
-        kinds.sort_by(|a, b| a.0.cmp(&b.0));
-        for (kind, cell) in &kinds {
-            let labels = [shard[0], kind.as_ref()];
-            let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-            let counts = [
-                &cell.ingested,
-                &cell.delivered,
-                &cell.discarded,
-                &cell.expired,
-                &cell.violations,
-            ];
-            for (family, count) in KIND_COUNTERS.iter().zip(counts) {
-                out.push(family.series(&labels, Value::Counter(load(count))));
-            }
-            out.push(KIND_LIVE.series(&labels, Value::Gauge(Reading(load(&cell.live) as f64))));
-            let opt = |v: u64| (v != NONE).then_some(v);
-            let (age, life) = (opt(load(&cell.oldest_age)), opt(load(&cell.lifespan)));
-            let staleness = match (age, life) {
-                (Some(age), Some(life)) if life > 0 => Some(age as f64 / life as f64),
-                _ => None,
-            };
-            let entry = worst.entry(Arc::clone(kind)).or_default();
-            entry.0 = entry.0.max(age);
-            entry.1 = match (entry.1, staleness) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-        }
-    }
-    for (kind, (age, staleness)) in &worst {
-        if let Some(s) = staleness {
-            out.push(STALENESS.series(&[kind], Value::Gauge(Reading(*s))));
-        }
-        if let Some(age) = age {
-            out.push(OLDEST_AGE.series(&[kind], Value::Gauge(Reading(*age as f64))));
-        }
-    }
 }
 
 fn ratio(num: u64, den: u64) -> Option<f64> {
@@ -357,7 +217,7 @@ pub(crate) fn derive(
     // Windowed [ingested, delivered, discarded, violations] per kind.
     let mut kinds: BTreeMap<&str, [u64; 4]> = BTreeMap::new();
     for (slot, family) in [0, 1, 2, 4].into_iter().enumerate() {
-        let name = &KIND_COUNTERS[family].name;
+        let name = &KIND_CELLS[family].name;
         for s in series.iter().filter(|s| s.family == *name) {
             kinds.entry(s.label("kind").unwrap_or("")).or_default()[slot] += s.delta();
         }
@@ -480,7 +340,7 @@ mod tests {
         [(0, ingested), (1, delivered), (2, discarded)]
             .into_iter()
             .map(|(i, delta)| {
-                let mut s = KIND_COUNTERS[i].series(&["0", "location"], Value::Counter(delta));
+                let mut s = KIND_CELLS[i].series(&["0", "location"], Value::Counter(delta));
                 s.window = Some(Value::Counter(delta));
                 s
             })

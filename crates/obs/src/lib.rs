@@ -26,7 +26,11 @@
 //!   fixed-bucket [`Histogram`]s (check latency, batch ingest latency,
 //!   use-window residual delay, Δ-set size, queue depth), recorded with
 //!   atomics and aggregated across shards without any global lock —
-//!   mirroring how `ctxres_middleware::MiddlewareStats` aggregates;
+//!   mirroring how `ctxres_middleware::MiddlewareStats` aggregates. Every
+//!   layer's metrics, these and the ones below, are cells in one table
+//!   per shard slot: a [`Family`] and one counter, gauge or histogram,
+//!   laid out when the registry is built (a kind's cells when the kind is
+//!   first seen) and found by index when recorded;
 //! * **health telemetry** ([`KindHandle`], [`SloEngine`]): per-(shard,
 //!   kind) quality cells and arena gauges from which each window derives
 //!   discard, violation and use rates, the use-rate EWMA, staleness and
@@ -59,8 +63,9 @@
 //! * **one metric model** ([`Family`], [`ObsSnapshot`], [`Sampler`],
 //!   [`Sample`], [`render_prometheus`], [`MetricsServer`]): every layer
 //!   declares its metrics as labelled families (counter, gauge or
-//!   [`Histogram`], with label names and a render scale) and reports its
-//!   cumulative state into one [`ObsRegistry::snapshot`]. A sampler
+//!   [`Histogram`], with label names and a render scale), and
+//!   [`ObsRegistry::snapshot`] reads every shard's table of cells in one
+//!   loop, each group of cells reporting always or once written. A sampler
 //!   diffs two snapshots into one windowed sample — counter and
 //!   histogram deltas keyed on (family, labels), plus the gauges each
 //!   layer derives from the window (rates, quantiles, quality ratios,
@@ -112,6 +117,7 @@ mod serve;
 mod slo;
 mod snapshot;
 mod span;
+mod table;
 mod tail;
 
 pub use event::{CauseKind, TraceEvent, TraceRecord, CAUSE_KINDS};

@@ -27,7 +27,7 @@ fn bucket_of(value: u64) -> usize {
 }
 
 /// The fixed set of per-shard latency/size distributions the middleware
-/// records. Indexes into a shard slot's histogram array.
+/// records. Indexes a shard's core histogram cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MetricKind {
     /// Incremental consistency-check latency per addition change (ns).
@@ -66,7 +66,7 @@ pub const METRIC_KINDS: [MetricKind; 8] = [
 ];
 
 impl MetricKind {
-    /// Index into a shard slot's histogram array.
+    /// Index of the kind's cell among a shard's core histograms.
     pub fn index(self) -> usize {
         METRIC_KINDS
             .iter()
@@ -147,7 +147,7 @@ pub const COUNTER_KINDS: [CounterKind; 10] = [
 ];
 
 impl CounterKind {
-    /// Index into a shard slot's counter array.
+    /// Index of the kind's cell among a shard's core counters.
     pub fn index(self) -> usize {
         COUNTER_KINDS
             .iter()

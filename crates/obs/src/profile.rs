@@ -18,8 +18,11 @@
 //!   for flamegraph / Chrome-trace export. Overflow evicts the oldest
 //!   span and bumps a dropped counter — truncation is never silent and
 //!   never stalls the hot path;
-//! * atomic per-phase cells (total ns, self ns, calls), reported into
-//!   the registry's one snapshot like every other layer;
+//! * per-phase cells (self ns, total ns, calls; [`PHASE_CELLS`]) and
+//!   the shard's root, sampled-root and evicted-span counts
+//!   ([`ROOT_CELLS`]), kept in the shard's metric table
+//!   (`crate::table`) like every other layer's and reported once
+//!   written;
 //! * a **sampling divisor** ([`crate::ObsConfig::profile_sample`]):
 //!   only every N-th *root* span records. A root is either fully
 //!   recorded or fully skipped — nested guards under a skipped root pay
@@ -33,11 +36,12 @@
 //! several threads would misattribute parent/child time but is
 //! memory-safe and cannot panic.
 
+use crate::registry::ShardSlot;
 use crate::snapshot::{Family, MetricType, ObsSnapshot, Reading, Series, Value as SeriesValue};
+use crate::table::Table;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Maximum phase-span nesting depth. Deeper guards are counted as
@@ -87,7 +91,7 @@ pub const PHASES: [Phase; 9] = [
 ];
 
 impl Phase {
-    /// Index into a shard slot's phase-cell array.
+    /// Index of the phase's cells in a shard's table.
     pub fn index(self) -> usize {
         PHASES
             .iter()
@@ -121,14 +125,6 @@ fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Lock-free per-phase accumulators.
-#[derive(Debug, Default)]
-struct PhaseCell {
-    total_ns: AtomicU64,
-    self_ns: AtomicU64,
-    calls: AtomicU64,
-}
-
 /// One open span on the stack.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -146,25 +142,18 @@ struct SpanStack {
     /// Depth of guards currently inside a skipped (unsampled or
     /// overflowed) subtree; nonzero means "record nothing".
     skipping: u32,
-    /// Root spans opened (sampled or not).
-    roots: u64,
-    /// Root spans that actually recorded.
-    sampled_roots: u64,
     /// Completed spans, preallocated to [`SPAN_RING_CAPACITY`].
     ring: Vec<SpanRecord>,
     /// Next overwrite position once the ring is full.
     ring_next: usize,
-    /// Spans evicted from the full ring (lifetime).
-    ring_dropped: u64,
 }
 
-/// One shard's profiler state: atomic phase cells plus the span stack
-/// and completed-span ring.
+/// One shard's profiler state: the span stack and completed-span ring.
+/// Its counts are cells in the shard's metric table.
 #[derive(Debug)]
 pub(crate) struct ShardProfileSlot {
     sample_every: u32,
     epoch: Instant,
-    cells: [PhaseCell; PHASES.len()],
     stack: Mutex<SpanStack>,
 }
 
@@ -183,58 +172,12 @@ impl ShardProfileSlot {
         ShardProfileSlot {
             sample_every: sample_every.max(1),
             epoch,
-            cells: Default::default(),
             stack: Mutex::new(SpanStack {
                 frames,
                 skipping: 0,
-                roots: 0,
-                sampled_roots: 0,
                 ring,
                 ring_next: 0,
-                ring_dropped: 0,
             }),
-        }
-    }
-
-    /// Opens a phase span. Roots are admitted by the sampling divisor;
-    /// guards under a skipped root (or past [`MAX_PHASE_DEPTH`]) only
-    /// track balance.
-    pub(crate) fn begin(&self, phase: Phase) -> PhaseGuard<'_> {
-        let mut st = self.stack.lock();
-        if st.skipping > 0 {
-            st.skipping += 1;
-            return PhaseGuard {
-                slot: Some(self),
-                recording: false,
-            };
-        }
-        if st.frames.is_empty() {
-            let seq = st.roots;
-            st.roots += 1;
-            if self.sample_every > 1 && !seq.is_multiple_of(u64::from(self.sample_every)) {
-                st.skipping = 1;
-                return PhaseGuard {
-                    slot: Some(self),
-                    recording: false,
-                };
-            }
-            st.sampled_roots += 1;
-        }
-        if st.frames.len() >= MAX_PHASE_DEPTH || st.frames.len() == st.frames.capacity() {
-            st.skipping = 1;
-            return PhaseGuard {
-                slot: Some(self),
-                recording: false,
-            };
-        }
-        st.frames.push(Frame {
-            phase,
-            start: Instant::now(),
-            child_ns: 0,
-        });
-        PhaseGuard {
-            slot: Some(self),
-            recording: true,
         }
     }
 
@@ -258,15 +201,15 @@ impl ShardProfileSlot {
         (path, st.frames.len() as u8)
     }
 
-    fn end_recording(&self) {
+    fn end_recording(&self, table: &Table) {
         let mut st = self.stack.lock();
         let Some(frame) = st.frames.pop() else { return };
         let elapsed = ns(frame.start.elapsed());
         let self_ns = elapsed.saturating_sub(frame.child_ns);
-        let cell = &self.cells[frame.phase.index()];
-        cell.total_ns.fetch_add(elapsed, Ordering::Relaxed);
-        cell.self_ns.fetch_add(self_ns, Ordering::Relaxed);
-        cell.calls.fetch_add(1, Ordering::Relaxed);
+        let cells = &table.phases[frame.phase.index()];
+        cells[0].add(self_ns);
+        cells[1].add(elapsed);
+        cells[2].add(1);
 
         let mut path = 0u64;
         for (i, f) in st.frames.iter().enumerate() {
@@ -291,14 +234,8 @@ impl ShardProfileSlot {
             let next = st.ring_next;
             st.ring[next] = record;
             st.ring_next = (next + 1) % st.ring.capacity();
-            st.ring_dropped += 1;
+            table.roots[2].add(1);
         }
-    }
-
-    /// Cumulative self nanoseconds per phase, in [`PHASES`] order —
-    /// lock-free, for diffing across an interval.
-    pub(crate) fn self_ns(&self) -> [u64; PHASES.len()] {
-        std::array::from_fn(|i| self.cells[i].self_ns.load(Ordering::Relaxed))
     }
 
     /// Drains the completed-span ring in chronological order, stamping
@@ -320,13 +257,49 @@ impl ShardProfileSlot {
     }
 }
 
+/// Opens a phase span on `slot`'s stack, counting roots in its table.
+/// Roots are admitted by the sampling divisor; guards under a skipped
+/// root (or past [`MAX_PHASE_DEPTH`]) only track balance.
+pub(crate) fn begin(slot: &ShardSlot, phase: Phase) -> PhaseGuard<'_> {
+    let (profile, roots) = (&slot.profile, &slot.table.roots);
+    let guard = |recording| PhaseGuard {
+        slot: Some(slot),
+        recording,
+    };
+    let mut st = profile.stack.lock();
+    if st.skipping > 0 {
+        st.skipping += 1;
+        return guard(false);
+    }
+    if st.frames.is_empty() {
+        // The stack's lock orders every write of the root count.
+        let seq = roots[0].read().0.counter();
+        roots[0].add(1);
+        if profile.sample_every > 1 && !seq.is_multiple_of(u64::from(profile.sample_every)) {
+            st.skipping = 1;
+            return guard(false);
+        }
+        roots[1].add(1);
+    }
+    if st.frames.len() >= MAX_PHASE_DEPTH || st.frames.len() == st.frames.capacity() {
+        st.skipping = 1;
+        return guard(false);
+    }
+    st.frames.push(Frame {
+        phase,
+        start: Instant::now(),
+        child_ns: 0,
+    });
+    guard(true)
+}
+
 /// RAII guard for one phase span: records on drop (or [`finish`]).
 ///
 /// [`finish`]: PhaseGuard::finish
 #[derive(Debug)]
 #[must_use = "a phase guard measures the scope it is bound to; dropping it immediately attributes nothing useful"]
 pub struct PhaseGuard<'a> {
-    slot: Option<&'a ShardProfileSlot>,
+    slot: Option<&'a ShardSlot>,
     recording: bool,
 }
 
@@ -347,9 +320,9 @@ impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         if let Some(slot) = self.slot {
             if self.recording {
-                slot.end_recording();
+                slot.profile.end_recording(&slot.table);
             } else {
-                slot.end_skipped();
+                slot.profile.end_skipped();
             }
         }
     }
@@ -449,60 +422,19 @@ const SPANS_DROPPED: Family = Family::new(
 );
 /// Each phase's share of the window's cross-shard self time.
 const SELF_SHARE: Family = Family::new(MetricType::Gauge, "ctxres_phase_self_share", &["phase"]);
+/// A (shard, phase)'s cells, in cell order: self time, total time,
+/// completed spans.
+pub(crate) const PHASE_CELLS: [Family; 3] = [SELF_NS, TOTAL_NS, CALLS];
+/// A shard's root cells, in cell order: roots opened, roots sampled,
+/// spans evicted from the full ring.
+pub(crate) const ROOT_CELLS: [Family; 3] = [ROOTS, SAMPLED_ROOTS, SPANS_DROPPED];
 
 /// The profiler families, in exposition order.
 pub(crate) fn families() -> Vec<Family> {
-    vec![
-        SELF_NS,
-        TOTAL_NS,
-        CALLS,
-        ROOTS,
-        SAMPLED_ROOTS,
-        SPANS_DROPPED,
-        SELF_SHARE,
-    ]
-}
-
-/// Once any root span opened anywhere: every (shard, phase) cell that
-/// completed a span, and every shard's root, sampled-root and evicted
-/// span counts.
-pub(crate) fn report<'a>(
-    slots: impl Iterator<Item = &'a ShardProfileSlot> + Clone,
-    out: &mut Vec<Series>,
-) {
-    if slots.clone().all(|slot| slot.stack.lock().roots == 0) {
-        return;
-    }
-    for (i, slot) in slots.enumerate() {
-        let label = i.to_string();
-        let shard = [label.as_str()];
-        let (roots, sampled, dropped) = {
-            let st = slot.stack.lock();
-            (st.roots, st.sampled_roots, st.ring_dropped)
-        };
-        for phase in PHASES {
-            let cell = &slot.cells[phase.index()];
-            let calls = cell.calls.load(Ordering::Relaxed);
-            if calls == 0 {
-                continue;
-            }
-            let labels = [shard[0], phase.name()];
-            for (family, value) in [
-                (&SELF_NS, cell.self_ns.load(Ordering::Relaxed)),
-                (&TOTAL_NS, cell.total_ns.load(Ordering::Relaxed)),
-                (&CALLS, calls),
-            ] {
-                out.push(family.series(&labels, SeriesValue::Counter(value)));
-            }
-        }
-        for (family, value) in [
-            (&ROOTS, roots),
-            (&SAMPLED_ROOTS, sampled),
-            (&SPANS_DROPPED, dropped),
-        ] {
-            out.push(family.series(&shard, SeriesValue::Counter(value)));
-        }
-    }
+    let mut out = PHASE_CELLS.to_vec();
+    out.extend(ROOT_CELLS);
+    out.push(SELF_SHARE);
+    out
 }
 
 /// Each phase's share of the window's cross-shard self time, for the

@@ -1,15 +1,13 @@
 //! The per-shard observation registry and its cheap handles.
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::health::{KindHandle, ShardHealthSlot};
-use crate::metrics::{
-    CounterKind, Histogram, MetricKind, COUNTER_KINDS, METRIC_KINDS, OBS_SHARDS, RING_BUFFERED,
-    RING_DROPPED,
-};
+use crate::health::KindHandle;
+use crate::metrics::{CounterKind, MetricKind, OBS_SHARDS};
 use crate::profile::{Phase, PhaseGuard, ProfileSnapshot, ShardProfileSlot, SpanRecord};
 use crate::ring::{EventRing, RING_CAPACITY};
 use crate::snapshot::{ObsSnapshot, Reading, SeriesList, Value};
 use crate::span::ObsSpan;
+use crate::table::Table;
 use crate::tail::{ContextSpan, Exemplar, ShardTailSlot, TailOutcome};
 use ctxres_context::LogicalTime;
 use parking_lot::Mutex;
@@ -128,42 +126,43 @@ impl ObsConfig {
 
 /// One shard's instrumentation state: a locked event ring (of
 /// [`RING_CAPACITY`] records; only tracing configurations ever push to
-/// it) plus lock-free counters and histograms.
+/// it), the table of every metric cell, the logical tick of the last
+/// pool publication, the profiler's span stack and the exemplar
+/// reservoir.
 #[derive(Debug)]
-struct ShardSlot {
+pub(crate) struct ShardSlot {
     ring: Mutex<EventRing>,
     seq: AtomicU64,
-    counters: [AtomicU64; COUNTER_KINDS.len()],
-    histograms: [Histogram; METRIC_KINDS.len()],
-    health: ShardHealthSlot,
-    profile: ShardProfileSlot,
+    pub(crate) table: Table,
+    now_tick: AtomicU64,
+    pub(crate) profile: ShardProfileSlot,
     tail: ShardTailSlot,
 }
 
 impl ShardSlot {
-    fn new(config: &ObsConfig, epoch: Instant) -> Self {
+    fn new(shard: usize, config: &ObsConfig, epoch: Instant) -> Self {
         ShardSlot {
             ring: Mutex::new(EventRing::new(RING_CAPACITY)),
             seq: AtomicU64::new(0),
-            counters: Default::default(),
-            histograms: Default::default(),
-            health: ShardHealthSlot::default(),
+            table: Table::new(shard),
+            now_tick: AtomicU64::new(0),
             profile: ShardProfileSlot::new(
                 config.enabled && config.profile,
                 config.profile_sample,
                 epoch,
             ),
-            tail: ShardTailSlot::new(config.enabled && config.tail),
+            tail: ShardTailSlot::default(),
         }
     }
 }
 
 /// The metrics registry: one slot per shard, no global lock anywhere.
 ///
-/// Counters and histograms are atomics; the event ring is behind a
-/// per-shard `Mutex` held only for a push or a drain. Aggregation
-/// ([`ObsRegistry::snapshot`]) visits slots one by one, exactly like
-/// `ShardedMiddleware::stats` aggregates `MiddlewareStats`.
+/// Every metric is a cell of atomics in its slot's table; the event ring
+/// is behind a per-shard `Mutex` held only for a push or a drain.
+/// Aggregation ([`ObsRegistry::snapshot`]) visits slots one by one,
+/// exactly like `ShardedMiddleware::stats` aggregates
+/// `MiddlewareStats`.
 #[derive(Debug)]
 pub struct ObsRegistry {
     config: ObsConfig,
@@ -178,7 +177,7 @@ impl ObsRegistry {
         // different shards (and tail stamps) line up on one timeline.
         let epoch = Instant::now();
         let slots = (0..shards)
-            .map(|_| ShardSlot::new(&config, epoch))
+            .map(|shard| ShardSlot::new(shard, &config, epoch))
             .collect();
         ObsRegistry {
             config,
@@ -233,6 +232,7 @@ impl ObsRegistry {
         let mut out = Vec::new();
         for slot in &self.slots {
             out.extend(slot.ring.lock().drain());
+            slot.table.ring[1].set(Some(0.0));
         }
         out.sort_by_key(|r| (r.at, r.shard, r.seq));
         out
@@ -247,33 +247,16 @@ impl ObsRegistry {
     }
 
     /// A point-in-time copy of every layer's cumulative state as
-    /// labelled series — core counters, ring and histograms per shard,
-    /// then the health, tail and profiler families — plus the exemplar
-    /// reservoirs, collected shard by shard without a global lock.
+    /// labelled series — every shard's table of metric cells, read in
+    /// one loop — plus the exemplar reservoirs, collected shard by shard
+    /// without a global lock.
     pub fn snapshot(&self) -> ObsSnapshot {
         let mut series =
             vec![OBS_SHARDS.series(&[], Value::Gauge(Reading(self.slots.len() as f64)))];
-        let counters = COUNTER_KINDS.map(CounterKind::family);
-        let histograms = METRIC_KINDS.map(MetricKind::family);
-        for (i, slot) in self.slots.iter().enumerate() {
-            let label = i.to_string();
-            let shard = [label.as_str()];
-            for (family, cell) in counters.iter().zip(&slot.counters) {
-                series.push(family.series(&shard, Value::Counter(cell.load(Ordering::Relaxed))));
-            }
-            let (dropped, buffered) = {
-                let ring = slot.ring.lock();
-                (ring.dropped(), ring.len())
-            };
-            series.push(RING_DROPPED.series(&shard, Value::Counter(dropped)));
-            series.push(RING_BUFFERED.series(&shard, Value::Gauge(Reading(buffered as f64))));
-            for (family, h) in histograms.iter().zip(&slot.histograms) {
-                series.push(family.series(&shard, Value::Histogram(h.snapshot())));
-            }
-        }
-        crate::health::report(self.slots.iter().map(|s| &s.health), &mut series);
-        let exemplars = crate::tail::report(self.slots.iter().map(|s| &s.tail), &mut series);
-        crate::profile::report(self.slots.iter().map(|s| &s.profile), &mut series);
+        crate::table::report(self.slots.iter().map(|s| &s.table), &mut series);
+        let exemplars = (self.slots.iter().enumerate())
+            .flat_map(|(i, slot)| slot.tail.exemplars(i))
+            .collect();
         ObsSnapshot {
             series: SeriesList(series),
             exemplars,
@@ -294,7 +277,7 @@ impl ObsRegistry {
     pub fn now_tick(&self) -> u64 {
         self.slots
             .iter()
-            .filter_map(|s| s.health.now_tick())
+            .map(|s| s.now_tick.load(Ordering::Relaxed))
             .max()
             .unwrap_or(0)
     }
@@ -317,13 +300,16 @@ impl ObsRegistry {
         }
         let slot = &self.slots[shard];
         let seq = slot.seq.fetch_add(1, Ordering::Relaxed);
-        slot.counters[CounterKind::EventsRecorded.index()].fetch_add(1, Ordering::Relaxed);
-        slot.ring.lock().push(TraceRecord {
+        slot.table.counters[CounterKind::EventsRecorded.index()].add(1);
+        let mut ring = slot.ring.lock();
+        ring.push(TraceRecord {
             shard: shard as u32,
             seq,
             at: at.tick(),
             event,
         });
+        slot.table.ring[0].store(ring.dropped());
+        slot.table.ring[1].set(Some(ring.len() as f64));
     }
 }
 
@@ -368,6 +354,20 @@ impl ShardObs {
             .is_some_and(|i| i.registry.config.trace_events)
     }
 
+    /// This handle's shard slot, when enabled.
+    fn slot(&self) -> Option<&ShardSlot> {
+        self.slot_if(|_| true)
+    }
+
+    /// This handle's shard slot, when enabled and the registry's config
+    /// passes `on`.
+    fn slot_if(&self, on: impl Fn(&ObsConfig) -> bool) -> Option<&ShardSlot> {
+        self.inner
+            .as_ref()
+            .filter(|i| on(&i.registry.config))
+            .map(|i| &i.registry.slots[i.shard])
+    }
+
     /// Records a trace event stamped `at`.
     pub fn record(&self, at: LogicalTime, event: TraceEvent) {
         if let Some(inner) = &self.inner {
@@ -377,16 +377,15 @@ impl ShardObs {
 
     /// Bumps a per-shard counter by `n`.
     pub fn count(&self, kind: CounterKind, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.slots[inner.shard].counters[kind.index()]
-                .fetch_add(n, Ordering::Relaxed);
+        if let Some(slot) = self.slot() {
+            slot.table.counters[kind.index()].add(n);
         }
     }
 
     /// Records one observation into a per-shard histogram.
     pub fn observe(&self, kind: MetricKind, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.slots[inner.shard].histograms[kind.index()].record(value);
+        if let Some(slot) = self.slot() {
+            slot.table.histograms[kind.index()].add(value);
         }
     }
 
@@ -420,11 +419,9 @@ impl ShardObs {
     /// elapsed time, minus nested children, to `phase`) when dropped.
     /// Subject to the sampling divisor at root-span granularity.
     pub fn phase(&self, phase: Phase) -> PhaseGuard<'_> {
-        match &self.inner {
-            Some(inner) if inner.registry.config.profile => {
-                inner.registry.slots[inner.shard].profile.begin(phase)
-            }
-            _ => PhaseGuard::disabled(),
+        match self.slot_if(|c| c.profile) {
+            Some(slot) => crate::profile::begin(slot, phase),
+            None => PhaseGuard::disabled(),
         }
     }
 
@@ -433,11 +430,9 @@ impl ShardObs {
     /// off. Two readings attribute an interval to phases — a slow
     /// batch's postmortem is one such diff.
     pub fn phase_self_ns(&self) -> [u64; crate::PHASES.len()] {
-        match &self.inner {
-            Some(inner) if inner.registry.config.profile => {
-                inner.registry.slots[inner.shard].profile.self_ns()
-            }
-            _ => [0; crate::PHASES.len()],
+        match self.slot_if(|c| c.profile) {
+            Some(slot) => std::array::from_fn(|i| slot.table.phases[i][0].read().0.counter()),
+            None => [0; crate::PHASES.len()],
         }
     }
 
@@ -446,11 +441,9 @@ impl ShardObs {
     /// pure atomics; handles from a disabled (or health-off) registry
     /// record nothing.
     pub fn kind_handle(&self, kind: &str) -> KindHandle {
-        match &self.inner {
-            Some(inner) if inner.registry.config.health => {
-                inner.registry.slots[inner.shard].health.kind_handle(kind)
-            }
-            _ => KindHandle::disabled(),
+        match self.slot_if(|c| c.health) {
+            Some(slot) => KindHandle::new(slot.table.kind(kind)),
+            None => KindHandle::disabled(),
         }
     }
 
@@ -458,12 +451,12 @@ impl ShardObs {
     /// slots, lifetime slot recycles) stamped with the engine's
     /// logical clock.
     pub fn publish_pool(&self, live: u64, free: u64, recycles: u64, now_tick: u64) {
-        if let Some(inner) = &self.inner {
-            if inner.registry.config.health {
-                inner.registry.slots[inner.shard]
-                    .health
-                    .publish_pool(live, free, recycles, now_tick);
-            }
+        if let Some(slot) = self.slot_if(|c| c.health) {
+            let pool = &slot.table.pool;
+            pool[0].set(Some(live as f64));
+            pool[1].set(Some(free as f64));
+            pool[2].store(recycles);
+            slot.now_tick.store(now_tick, Ordering::Relaxed);
         }
     }
 
@@ -504,40 +497,46 @@ impl ShardObs {
         batch_index: u64,
         at: LogicalTime,
     ) -> bool {
-        let Some(inner) = &self.inner else {
+        let Some(inner) = self.inner.as_ref().filter(|i| i.registry.config.tail) else {
             return false;
         };
         let slot = &inner.registry.slots[inner.shard];
-        if !slot.tail.enabled() || !slot.tail.observe(outcome, span.total_ns()) {
+        if !slot.tail.observe(&slot.table, outcome, span.total_ns()) {
             return false;
         }
         let (phase_path, phase_depth) = slot.profile.current_path();
-        slot.tail.capture(Exemplar {
-            shard: inner.shard,
-            ctx,
-            outcome,
-            span,
-            batch_index,
-            phase_path,
-            phase_depth,
-            at: at.tick(),
-        });
+        slot.tail.capture(
+            &slot.table,
+            Exemplar {
+                shard: inner.shard,
+                ctx,
+                outcome,
+                span,
+                batch_index,
+                phase_path,
+                phase_depth,
+                at: at.tick(),
+            },
+        );
         true
     }
 
     /// Records one shard-lock wait interval (queue wait component).
     pub fn record_queue_wait(&self, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.slots[inner.shard].tail.record_queue_wait(ns);
-        }
+        self.record_queue(0, ns);
     }
 
     /// Records one chunk service interval (queue service component).
     pub fn record_queue_service(&self, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.slots[inner.shard]
-                .tail
-                .record_queue_service(ns);
+        self.record_queue(1, ns);
+    }
+
+    /// Adds one interval to the queue's time cell `cell` and to its
+    /// count, two cells on.
+    fn record_queue(&self, cell: usize, ns: u64) {
+        if let Some(slot) = self.slot_if(|c| c.tail) {
+            slot.table.queue[cell].add(ns);
+            slot.table.queue[cell + 2].add(1);
         }
     }
 }
@@ -692,7 +691,7 @@ mod aggregation_proptests {
     //! the same stream to a single-shard registry.
 
     use super::*;
-    use crate::metrics::HistogramSnapshot;
+    use crate::metrics::{Histogram, HistogramSnapshot, COUNTER_KINDS, METRIC_KINDS};
     use proptest::prelude::*;
 
     proptest! {

@@ -3,8 +3,9 @@
 //!
 //! Every layer (core counters and histograms, health, tail, profiler)
 //! declares its metrics as [`Family`]s next to its domain code and
-//! reports its cumulative state into one [`ObsSnapshot`] as labelled
-//! [`Series`]. A [`Sampler`] keeps the previous snapshot and turns the
+//! records into cells of its shard's one table; the registry reads every
+//! table into one [`ObsSnapshot`] of labelled [`Series`]. A [`Sampler`]
+//! keeps the previous snapshot and turns the
 //! next one into a [`Sample`] with one diff keyed on (family, labels):
 //! counters and histograms get their windowed delta
 //! ([`Series::window`]), and each layer then adds the gauges it derives
@@ -928,8 +929,9 @@ mod tests {
 mod delta_proptests {
     //! The windowed diff is sum-consistent: for every counter series of
     //! every layer, summing the deltas of every window reproduces the
-    //! cumulative value exactly, even when the samples were taken while
-    //! shard writer threads were racing.
+    //! cumulative value exactly, and so does summing every histogram
+    //! series' windowed count and sum, even when the samples were taken
+    //! while shard writer threads were racing.
 
     use super::*;
     use crate::registry::ObsConfig;
@@ -941,7 +943,7 @@ mod delta_proptests {
         #[test]
         fn windowed_deltas_sum_to_the_raw_counters(
             per_writer in proptest::collection::vec(
-                proptest::collection::vec((0usize..6, 1u64..50), 1..40),
+                proptest::collection::vec((0usize..7, 1u64..50), 1..40),
                 1..4,
             ),
             mid_samples in 1usize..4,
@@ -950,12 +952,21 @@ mod delta_proptests {
             let config = ObsConfig::metrics_only().with_tail(true).with_profile(1);
             let registry = ObsRegistry::shared(config, shards);
             let mut sampler = Sampler::new(Arc::clone(&registry));
-            let mut summed: HashMap<SeriesKey, u64> = HashMap::new();
+            // Per series: the summed counter deltas, or the summed
+            // windowed histogram count and sum.
+            let mut summed: HashMap<SeriesKey, (u64, u64)> = HashMap::new();
             let mut fold = |s: &Sample| {
-                for series in s.series.iter().filter(|s| matches!(s.value, Value::Counter(_))) {
-                    *summed
+                for series in s.series.iter() {
+                    let window = match &series.window {
+                        Some(Value::Counter(n)) => (*n, 0),
+                        Some(Value::Histogram(h)) => (h.count, h.sum),
+                        _ => continue,
+                    };
+                    let total = summed
                         .entry((series.family.clone(), series.labels.clone()))
-                        .or_default() += series.delta();
+                        .or_default();
+                    total.0 += window.0;
+                    total.1 += window.1;
                 }
             };
             fold(&sampler.sample_after(0.0));
@@ -973,6 +984,7 @@ mod delta_proptests {
                                 2 => kind.ingested(n),
                                 3 => kind.discarded(n),
                                 4 => h.record_queue_wait(n),
+                                5 => h.observe(MetricKind::DeltaSize, n),
                                 _ => {
                                     let _g = h.phase(Phase::Resolution);
                                     h.record_e2e(
@@ -1001,16 +1013,26 @@ mod delta_proptests {
             let last = sampler.sample_after(0.01);
             fold(&last);
             let mut checked = 0;
-            for series in last.series.iter().filter(|s| matches!(s.value, Value::Counter(_))) {
+            let mut histograms = 0;
+            for series in last.series.iter() {
+                let cumulative = match &series.value {
+                    Value::Counter(n) => (*n, 0),
+                    Value::Histogram(h) => {
+                        histograms += 1;
+                        (h.count, h.sum)
+                    }
+                    Value::Gauge(_) => continue,
+                };
                 let key = (series.family.clone(), series.labels.clone());
                 prop_assert_eq!(
-                    summed.get(&key).copied().unwrap_or(0),
-                    series.value.counter(),
+                    summed.get(&key).copied().unwrap_or_default(),
+                    cumulative,
                     "{} {:?} must telescope", series.family, series.labels
                 );
                 checked += 1;
             }
             prop_assert!(checked > 0);
+            prop_assert!(histograms > 0);
         }
     }
 }

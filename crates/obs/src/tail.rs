@@ -24,14 +24,17 @@
 //! * **queue decomposition**: the sharded engine reports lock-wait
 //!   versus service time for its queues.
 //!
-//! Everything is cumulative at the slot level and reports into the
-//! registry's one snapshot; `tail::derive` adds each window's per-outcome
-//! quantiles and the queue's wait share, which `/metrics`,
-//! `/snapshot`, `obs_top` and the SLO engine read.
+//! The outcome histograms, the capture counter and its threshold, and
+//! the queue's times and counts are cells in the shard's metric table
+//! (`crate::table`): [`E2E`] per outcome, [`CAPTURE_CELLS`] and
+//! [`QUEUE_CELLS`], each reported once written. `tail::derive` adds each
+//! window's per-outcome quantiles and the queue's wait share, which
+//! `/metrics`, `/snapshot`, `obs_top` and the SLO engine read.
 
-use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::metrics::HistogramSnapshot;
 use crate::profile::{Phase, PHASES};
 use crate::snapshot::{Family, MetricType, Reading, Series, Value};
+use crate::table::Table;
 use ctxres_context::ContextId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -74,7 +77,7 @@ pub const TAIL_OUTCOMES: [TailOutcome; 3] = [
 ];
 
 impl TailOutcome {
-    /// Index into a tail slot's histogram array.
+    /// Index of the outcome's end-to-end histogram in a shard's table.
     pub fn index(self) -> usize {
         match self {
             TailOutcome::Delivered => 0,
@@ -193,103 +196,66 @@ impl ExemplarRing {
     }
 }
 
-/// One shard's tail-telemetry state: per-outcome histograms, the
-/// rolling-p99 capture threshold, the exemplar reservoir, and the
-/// queue counters. Everything but the reservoir is lock-free.
-#[derive(Debug)]
+/// One shard's exemplar reservoir and its rolling-p99 capture state.
+#[derive(Debug, Default)]
 pub(crate) struct ShardTailSlot {
-    enabled: bool,
-    hists: [Histogram; TAIL_OUTCOMES.len()],
-    threshold_ns: AtomicU64,
     records: AtomicU64,
-    captured: AtomicU64,
     exemplars: Mutex<ExemplarRing>,
-    wait_ns: AtomicU64,
-    wait_count: AtomicU64,
-    service_ns: AtomicU64,
-    service_count: AtomicU64,
 }
 
 impl ShardTailSlot {
-    pub(crate) fn new(enabled: bool) -> Self {
-        ShardTailSlot {
-            enabled,
-            hists: Default::default(),
-            threshold_ns: AtomicU64::new(0),
-            records: AtomicU64::new(0),
-            captured: AtomicU64::new(0),
-            exemplars: Mutex::new(ExemplarRing::default()),
-            wait_ns: AtomicU64::new(0),
-            wait_count: AtomicU64::new(0),
-            service_ns: AtomicU64::new(0),
-            service_count: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Folds a finished span into the outcome histogram and decides
-    /// whether it crosses the rolling p99 capture threshold. The
+    /// Folds a finished span into the outcome's histogram in `table` and
+    /// decides whether it crosses the rolling p99 capture threshold. The
     /// threshold starts at zero (everything early is an exemplar — the
     /// reservoir overwrites the oldest anyway) and refreshes to the
     /// merged p99 estimate every [`THRESHOLD_RECALC_EVERY`] records.
-    pub(crate) fn observe(&self, outcome: TailOutcome, total_ns: u64) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        self.hists[outcome.index()].record(total_ns / NS_PER_BUCKET_UNIT);
+    pub(crate) fn observe(&self, table: &Table, outcome: TailOutcome, total_ns: u64) -> bool {
+        table.outcomes[outcome.index()][0].add(total_ns / NS_PER_BUCKET_UNIT);
+        let threshold = &table.capture[1];
         let n = self.records.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(THRESHOLD_RECALC_EVERY) {
-            let mut merged = self.hists[0].snapshot();
-            for h in &self.hists[1..] {
-                merged.merge(&h.snapshot());
+            let mut merged = HistogramSnapshot::empty();
+            for group in &table.outcomes {
+                if let (Value::Histogram(h), _) = group[0].read() {
+                    merged.merge(&h);
+                }
             }
             if let Some(p99) = merged.quantile_est(0.99) {
                 let t = if p99.is_finite() {
-                    (p99 * NS_PER_BUCKET_UNIT as f64) as u64
+                    ((p99 * NS_PER_BUCKET_UNIT as f64) as u64) as f64
                 } else {
-                    u64::MAX
+                    f64::INFINITY
                 };
-                self.threshold_ns.store(t, Ordering::Relaxed);
+                threshold.set(Some(t));
             }
         }
-        total_ns >= self.threshold_ns.load(Ordering::Relaxed)
+        total_ns as f64 >= threshold.read().0.gauge().unwrap_or(0.0)
     }
 
-    /// Stores a captured exemplar (bounded; oldest overwritten).
-    pub(crate) fn capture(&self, ex: Exemplar) {
-        if !self.enabled {
-            return;
-        }
-        self.captured.fetch_add(1, Ordering::Relaxed);
+    /// Stores a captured exemplar (bounded; oldest overwritten) and
+    /// counts it in `table`.
+    pub(crate) fn capture(&self, table: &Table, ex: Exemplar) {
+        table.capture[0].add(1);
         self.exemplars.lock().push(ex);
     }
 
-    /// Records one lock-wait interval for this shard's queue.
-    pub(crate) fn record_queue_wait(&self, ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.wait_count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one service interval for this shard's queue.
-    pub(crate) fn record_queue_service(&self, ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.service_ns.fetch_add(ns, Ordering::Relaxed);
-        self.service_count.fetch_add(1, Ordering::Relaxed);
+    /// The reservoir's exemplars, stamped with `shard`.
+    pub(crate) fn exemplars(&self, shard: usize) -> Vec<Exemplar> {
+        let ring = self.exemplars.lock();
+        ring.buf
+            .iter()
+            .map(|ex| Exemplar {
+                shard,
+                ..ex.clone()
+            })
+            .collect()
     }
 }
 
 const SHARD: &[&str] = &["shard"];
 
 /// End-to-end totals per (shard, outcome), in microseconds.
-const E2E: Family = Family::new(
+pub(crate) const E2E: Family = Family::new(
     MetricType::Histogram,
     "ctxres_e2e_latency_us",
     &["shard", "outcome"],
@@ -325,68 +291,21 @@ const QUEUE_WAITS: Family = Family::new(MetricType::Counter, "ctxres_queue_waits
 const QUEUE_SERVICES: Family =
     Family::new(MetricType::Counter, "ctxres_queue_services_total", SHARD);
 const QUEUE_WAIT_SHARE: Family = Family::new(MetricType::Gauge, "ctxres_queue_wait_share", &[]);
+/// A shard's capture cells, in cell order: exemplars captured, then the
+/// rolling-p99 threshold the next span must reach.
+pub(crate) const CAPTURE_CELLS: [Family; 2] = [CAPTURED, THRESHOLD];
+/// A shard's queue cells, in cell order: wait and service time, then
+/// the waits and service intervals recorded.
+pub(crate) const QUEUE_CELLS: [Family; 4] =
+    [QUEUE_WAIT, QUEUE_SERVICE, QUEUE_WAITS, QUEUE_SERVICES];
 
 /// The tail families, in exposition order.
 pub(crate) fn families() -> Vec<Family> {
-    vec![
-        E2E,
-        E2E_QUANTILE,
-        CAPTURED,
-        THRESHOLD,
-        QUEUE_WAIT,
-        QUEUE_SERVICE,
-        QUEUE_WAITS,
-        QUEUE_SERVICES,
-        QUEUE_WAIT_SHARE,
-    ]
-}
-
-/// Reports every shard's recorded outcome histograms, capture counters
-/// (once something was captured) and queue times and counts (once
-/// something queued), and returns the reservoirs' exemplars stamped
-/// with their shard.
-pub(crate) fn report<'a>(
-    slots: impl Iterator<Item = &'a ShardTailSlot>,
-    out: &mut Vec<Series>,
-) -> Vec<Exemplar> {
-    let mut exemplars = Vec::new();
-    for (i, slot) in slots.enumerate() {
-        let label = i.to_string();
-        let shard = [label.as_str()];
-        for outcome in TAIL_OUTCOMES {
-            let h = slot.hists[outcome.index()].snapshot();
-            if h.count > 0 {
-                out.push(E2E.series(&[shard[0], outcome.name()], Value::Histogram(h)));
-            }
-        }
-        let captured = slot.captured.load(Ordering::Relaxed);
-        if captured > 0 {
-            let t = slot.threshold_ns.load(Ordering::Relaxed);
-            let t = if t == u64::MAX {
-                f64::INFINITY
-            } else {
-                t as f64
-            };
-            out.push(CAPTURED.series(&shard, Value::Counter(captured)));
-            out.push(THRESHOLD.series(&shard, Value::Gauge(Reading(t))));
-        }
-        let (waits, services) = (
-            slot.wait_count.load(Ordering::Relaxed),
-            slot.service_count.load(Ordering::Relaxed),
-        );
-        if waits > 0 || services > 0 {
-            let load = |cell: &AtomicU64| Value::Counter(cell.load(Ordering::Relaxed));
-            out.push(QUEUE_WAIT.series(&shard, load(&slot.wait_ns)));
-            out.push(QUEUE_SERVICE.series(&shard, load(&slot.service_ns)));
-            out.push(QUEUE_WAITS.series(&shard, Value::Counter(waits)));
-            out.push(QUEUE_SERVICES.series(&shard, Value::Counter(services)));
-        }
-        exemplars.extend(slot.exemplars.lock().buf.iter().map(|ex| Exemplar {
-            shard: i,
-            ..ex.clone()
-        }));
-    }
-    exemplars
+    let mut out = vec![E2E, E2E_QUANTILE];
+    out.extend(CAPTURE_CELLS);
+    out.extend(QUEUE_CELLS);
+    out.push(QUEUE_WAIT_SHARE);
+    out
 }
 
 /// The tail gauges derived from one window: p50/p95/p99/p999 of the
@@ -438,7 +357,10 @@ pub(crate) fn derive(series: &[Series], out: &mut Vec<Series>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SeriesList;
+    use crate::registry::{ObsConfig, ObsRegistry, ShardObs};
+    use crate::snapshot::{Sample, Sampler};
+    use ctxres_context::LogicalTime;
+    use std::sync::Arc;
 
     fn span(ingress: u64, verdict: u64, decision: u64, end: u64) -> ContextSpan {
         ContextSpan {
@@ -460,6 +382,34 @@ mod tests {
             phase_depth: 0,
             at: 0,
         }
+    }
+
+    /// A metrics-only registry of `shards` slots, the tail layer on or
+    /// off.
+    pub(super) fn registry(shards: usize, tail: bool) -> Arc<ObsRegistry> {
+        ObsRegistry::shared(ObsConfig::metrics_only().with_tail(tail), shards)
+    }
+
+    /// Records a delivered span of `total_ns` for context `ctx`; returns
+    /// whether it was captured as an exemplar.
+    pub(super) fn record(h: &ShardObs, ctx: u64, total_ns: u64) -> bool {
+        h.record_e2e(
+            ContextId::from_raw(ctx),
+            TailOutcome::Delivered,
+            span(0, 0, 0, total_ns),
+            0,
+            LogicalTime::new(ctx),
+        )
+    }
+
+    /// The registry's first sample: every window is the whole history,
+    /// followed by the gauges derived from it.
+    fn windowed(registry: &Arc<ObsRegistry>) -> Sample {
+        Sampler::new(Arc::clone(registry)).sample_after(0.0)
+    }
+
+    fn quantile(out: &Sample, outcome: &str, q: &str) -> Option<f64> {
+        out.gauge(E2E_QUANTILE.name, &[("outcome", outcome), ("q", q)])
     }
 
     #[test]
@@ -485,71 +435,56 @@ mod tests {
         assert_eq!(e.phase_stack(), vec![Phase::Ingest, Phase::ConstraintCheck]);
     }
 
-    /// One slot's reported series and exemplars, as shard `shard`.
-    fn reported(slot: &ShardTailSlot, shard: usize) -> (Vec<Series>, Vec<Exemplar>) {
-        let mut out = Vec::new();
-        let idle = (0..shard)
-            .map(|_| ShardTailSlot::new(false))
-            .collect::<Vec<_>>();
-        let exemplars = report(idle.iter().chain([slot]), &mut out);
-        (out, exemplars)
-    }
-
-    /// One window whose histograms and queue counters are the slot's
-    /// whole history: the reported series, then the derived gauges.
-    fn windowed(slot: &ShardTailSlot) -> SeriesList {
-        let (mut series, _) = reported(slot, 0);
-        for s in &mut series {
-            s.window = Some(s.value.clone());
-        }
-        let mut derived = Vec::new();
-        derive(&series, &mut derived);
-        series.append(&mut derived);
-        SeriesList(series)
-    }
-
-    fn quantile(out: &SeriesList, outcome: &str, q: &str) -> Option<f64> {
-        out.gauge(E2E_QUANTILE.name, &[("outcome", outcome), ("q", q)])
-    }
-
     #[test]
     fn disabled_slot_records_nothing() {
-        let slot = ShardTailSlot::new(false);
-        assert!(!slot.observe(TailOutcome::Delivered, 1_000_000));
-        slot.capture(ex(1, 1_000_000));
-        slot.record_queue_wait(5);
-        let (series, exemplars) = reported(&slot, 0);
-        assert!(series.is_empty(), "{series:?}");
-        assert!(exemplars.is_empty());
+        let registry = registry(1, false);
+        let h = registry.handle(0);
+        assert!(!record(&h, 1, 1_000_000));
+        h.record_queue_wait(5);
+        let snap = registry.snapshot();
+        assert!(
+            families()
+                .iter()
+                .all(|f| snap.family(f.name).next().is_none()),
+            "{:?}",
+            snap.series
+        );
+        assert!(snap.exemplars.is_empty());
     }
 
     #[test]
     fn threshold_starts_open_then_tracks_p99() {
-        let slot = ShardTailSlot::new(true);
+        let registry = registry(1, true);
+        let h = registry.handle(0);
         // Before the first refresh everything crosses the zero
         // threshold.
-        assert!(slot.observe(TailOutcome::Delivered, 10_000));
+        assert!(record(&h, 0, 10_000));
         // A uniform fast load pushes the threshold up past the slow
         // refresh point; after it, a fast span no longer captures but a
         // slow one does.
-        for _ in 0..THRESHOLD_RECALC_EVERY * 2 {
-            slot.observe(TailOutcome::Delivered, 1_000);
+        for i in 0..THRESHOLD_RECALC_EVERY * 2 {
+            record(&h, i, 1_000);
         }
-        assert!(!slot.observe(TailOutcome::Delivered, 500));
-        assert!(slot.observe(TailOutcome::Delivered, u64::MAX / 2));
+        assert!(!record(&h, 1, 500));
+        assert!(record(&h, 2, u64::MAX / 2));
     }
 
     #[test]
     fn reservoir_is_bounded_and_keeps_newest() {
-        let slot = ShardTailSlot::new(true);
+        let registry = registry(3, true);
+        let h = registry.handle(2);
+        // Equal totals never fall below the rolling p99, so every span
+        // is captured.
         for i in 0..(EXEMPLAR_CAPACITY as u64 + 10) {
-            slot.capture(ex(i, 1_000));
+            assert!(record(&h, i, 1_000));
         }
-        let (series, exemplars) = reported(&slot, 2);
+        let snap = registry.snapshot();
+        let exemplars = &snap.exemplars;
         assert_eq!(exemplars.len(), EXEMPLAR_CAPACITY);
-        let captured = series.iter().find(|s| s.family == CAPTURED.name).unwrap();
-        assert_eq!(captured.value.counter(), EXEMPLAR_CAPACITY as u64 + 10);
-        assert_eq!(captured.label("shard"), Some("2"));
+        let captured = snap.family(CAPTURED.name).collect::<Vec<_>>();
+        assert_eq!(captured.len(), 1, "only the capturing shard reports");
+        assert_eq!(captured[0].value.counter(), EXEMPLAR_CAPACITY as u64 + 10);
+        assert_eq!(captured[0].label("shard"), Some("2"));
         assert!(exemplars.iter().all(|e| e.shard == 2));
         // The overwritten slots hold the newest ids.
         assert!(exemplars
@@ -560,22 +495,20 @@ mod tests {
 
     #[test]
     fn windowed_sample_subtracts_the_previous_snapshot() {
-        use crate::registry::{ObsConfig, ObsRegistry};
-        use crate::snapshot::Sampler;
-        let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 1);
+        let registry = registry(1, true);
         let record = |outcome, total_ns| {
             registry.handle(0).record_e2e(
                 ContextId::from_raw(1),
                 outcome,
                 span(0, 0, 0, total_ns),
                 0,
-                ctxres_context::LogicalTime::new(1),
+                LogicalTime::new(1),
             );
         };
         for _ in 0..10 {
             record(TailOutcome::Delivered, 2_000_000);
         }
-        let mut sampler = Sampler::new(std::sync::Arc::clone(&registry));
+        let mut sampler = Sampler::new(Arc::clone(&registry));
         sampler.sample_after(0.0);
         for _ in 0..5 {
             record(TailOutcome::Discarded, 8_000_000);
@@ -589,28 +522,19 @@ mod tests {
                 .count,
             0
         );
-        let p99 = s
-            .gauge(
-                E2E_QUANTILE.name,
-                &[("outcome", "discarded"), ("q", "0.99")],
-            )
-            .unwrap();
+        let p99 = quantile(&s, "discarded", "0.99").unwrap();
         assert!(p99 <= 8192.0 * 1_000.0 && p99 > 4_000_000.0, "{p99}");
-        assert!(s
-            .gauge(
-                E2E_QUANTILE.name,
-                &[("outcome", "delivered"), ("q", "0.99")]
-            )
-            .is_none());
+        assert!(quantile(&s, "delivered", "0.99").is_none());
     }
 
     #[test]
     fn queue_window_decomposes_wait_vs_service() {
-        let slot = ShardTailSlot::new(true);
-        slot.record_queue_wait(100);
-        slot.record_queue_wait(300);
-        slot.record_queue_service(600);
-        let out = windowed(&slot);
+        let registry = registry(1, true);
+        let h = registry.handle(0);
+        h.record_queue_wait(100);
+        h.record_queue_wait(300);
+        h.record_queue_service(600);
+        let out = windowed(&registry);
         let avg = |ns: Family, n: Family| out.delta(ns.name) as f64 / out.delta(n.name) as f64;
         assert_eq!(avg(QUEUE_WAIT, QUEUE_WAITS), 200.0);
         assert_eq!(avg(QUEUE_SERVICE, QUEUE_SERVICES), 600.0);
@@ -619,16 +543,14 @@ mod tests {
 
     #[test]
     fn tail_sample_round_trips_through_serde() {
-        use crate::registry::{ObsConfig, ObsRegistry};
-        use crate::snapshot::{Sample, Sampler};
-        let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 1);
+        let registry = registry(1, true);
         let h = registry.handle(0);
         h.record_e2e(
             ContextId::from_raw(9),
             TailOutcome::Expired,
             span(0, 1_000_000, 2_000_000, 3_000_000),
             4,
-            ctxres_context::LogicalTime::new(2),
+            LogicalTime::new(2),
         );
         h.record_queue_wait(40);
         let sample = Sampler::new(registry).sample_after(0.0);
@@ -640,29 +562,29 @@ mod tests {
 
     #[test]
     fn overflow_bucket_quantiles_are_none_not_infinite() {
-        let slot = ShardTailSlot::new(true);
-        slot.observe(TailOutcome::Delivered, u64::MAX);
-        let out = windowed(&slot);
+        let registry = registry(1, true);
+        record(&registry.handle(0), 1, u64::MAX);
+        let out = windowed(&registry);
         assert_eq!(
             quantile(&out, "all", "0.99"),
             None,
             "infinite estimates have no series"
         );
-        let (series, _) = reported(&slot, 0);
-        assert_eq!(series[0].value.histogram().unwrap().count, 1);
+        let e2e = out.find(E2E.name, &[]).unwrap();
+        assert_eq!(e2e.value.histogram().unwrap().count, 1);
     }
 }
 
 #[cfg(test)]
 mod invariant_proptests {
-    //! The two reservoir/span invariants the issue pins: the exemplar
-    //! reservoir never exceeds its bound (even under concurrent
+    //! The two reservoir/span invariants the tail layer pins: the
+    //! exemplar reservoir never exceeds its bound (even under concurrent
     //! writers), and a context span's segments telescope exactly to the
     //! end-to-end total.
 
+    use super::tests::{record, registry};
     use super::*;
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     proptest! {
         #[test]
@@ -704,25 +626,16 @@ mod invariant_proptests {
         fn reservoir_never_exceeds_its_bound(
             captures in 0usize..200,
         ) {
-            let slot = ShardTailSlot::new(true);
+            let registry = registry(1, true);
+            let h = registry.handle(0);
             for i in 0..captures {
-                slot.capture(Exemplar {
-                    shard: 0,
-                    ctx: ContextId::from_raw(i as u64),
-                    outcome: TailOutcome::Delivered,
-                    span: ContextSpan::default(),
-                    batch_index: 0,
-                    phase_path: 0,
-                    phase_depth: 0,
-                    at: 0,
-                });
+                // Equal totals: every span is captured.
+                prop_assert!(record(&h, i as u64, 1_000));
             }
-            let mut series = Vec::new();
-            let exemplars = report(std::iter::once(&slot), &mut series);
-            prop_assert!(exemplars.len() <= EXEMPLAR_CAPACITY);
-            prop_assert_eq!(exemplars.len(), captures.min(EXEMPLAR_CAPACITY));
-            let captured: u64 = series.iter().map(|s| s.value.counter()).sum();
-            prop_assert_eq!(captured, captures as u64);
+            let snap = registry.snapshot();
+            prop_assert!(snap.exemplars.len() <= EXEMPLAR_CAPACITY);
+            prop_assert_eq!(snap.exemplars.len(), captures.min(EXEMPLAR_CAPACITY));
+            prop_assert_eq!(snap.total(CAPTURED.name), captures as u64);
         }
 
         #[test]
@@ -730,36 +643,23 @@ mod invariant_proptests {
             per_thread in 1usize..40,
             threads in 2usize..5,
         ) {
-            let slot = Arc::new(ShardTailSlot::new(true));
+            let registry = registry(1, true);
             std::thread::scope(|scope| {
                 for t in 0..threads {
-                    let slot = Arc::clone(&slot);
+                    let h = registry.handle(0);
                     scope.spawn(move || {
                         for i in 0..per_thread {
                             let n = (t * per_thread + i) as u64;
-                            if slot.observe(TailOutcome::Delivered, n * 1_000) {
-                                slot.capture(Exemplar {
-                                    shard: 0,
-                                    ctx: ContextId::from_raw(n),
-                                    outcome: TailOutcome::Delivered,
-                                    span: ContextSpan::default(),
-                                    batch_index: 0,
-                                    phase_path: 0,
-                                    phase_depth: 0,
-                                    at: n,
-                                });
-                            }
+                            record(&h, n, n * 1_000);
                         }
                     });
                 }
             });
-            let mut series = Vec::new();
-            let exemplars = report(std::iter::once(&*slot), &mut series);
-            prop_assert!(exemplars.len() <= EXEMPLAR_CAPACITY);
-            let captured = series.iter().find(|s| s.family == CAPTURED.name);
-            prop_assert!(captured.map_or(0, |s| s.value.counter()) <= (per_thread * threads) as u64);
-            let spans: u64 = series
-                .iter()
+            let snap = registry.snapshot();
+            prop_assert!(snap.exemplars.len() <= EXEMPLAR_CAPACITY);
+            prop_assert!(snap.total(CAPTURED.name) <= (per_thread * threads) as u64);
+            let spans: u64 = snap
+                .family(E2E.name)
                 .filter_map(|s| s.value.histogram())
                 .map(|h| h.count)
                 .sum();
