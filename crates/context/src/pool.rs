@@ -4,7 +4,7 @@ use crate::context::{Context, ContextId, ContextKind};
 use crate::error::ContextError;
 use crate::state::ContextState;
 use crate::time::LogicalTime;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -788,10 +788,13 @@ impl ContextPool {
         (seq != NO_SEQ).then_some(seq)
     }
 
-    /// Live (non-discarded) context count per subject, across all kinds
-    /// — the per-shard load histogram hot-shard rebalancing consumes.
-    pub fn subject_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+    /// Live (non-discarded) context count per subject, across all kinds,
+    /// sorted by subject — the per-shard load histogram hot-shard
+    /// rebalancing consumes. One vector sized to the pool's
+    /// kind×subject entries, and one string per entry with a live
+    /// context; a subject's entries of several kinds merge into one.
+    pub fn subject_counts(&self) -> Vec<(String, usize)> {
+        let mut counts = Vec::with_capacity(self.indexed_subjects());
         for (_, bucket) in self.by_kind.iter() {
             for (subject, entry) in &bucket.by_subject {
                 let live = entry
@@ -805,10 +808,18 @@ impl ContextPool {
                     })
                     .count();
                 if live > 0 {
-                    *counts.entry(subject.to_string()).or_default() += live;
+                    counts.push((subject.to_string(), live));
                 }
             }
         }
+        counts.sort_unstable();
+        counts.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         counts
     }
 
@@ -1489,10 +1500,13 @@ mod tests {
         pool.insert(loc("p", 2));
         let doomed = pool.insert(loc("q", 3));
         pool.insert(Context::builder(ContextKind::new("rfid"), "p").build());
+        pool.insert(Context::builder(ContextKind::new("rfid"), "a").build());
         pool.discard(doomed).unwrap();
-        let counts = pool.subject_counts();
-        assert_eq!(counts.get("p"), Some(&3), "all kinds count");
-        assert_eq!(counts.get("q"), None, "discarded contexts do not");
+        // Sorted by subject; all kinds count, discarded contexts do not.
+        assert_eq!(
+            pool.subject_counts(),
+            vec![("a".to_owned(), 1), ("p".to_owned(), 3)]
+        );
     }
 
     #[test]

@@ -524,7 +524,7 @@ proptest! {
                     *counts.entry(c.subject().to_owned()).or_default() += 1;
                 }
             }
-            prop_assert_eq!(pool.subject_counts(), counts);
+            prop_assert_eq!(pool.subject_counts(), counts.into_iter().collect::<Vec<_>>());
         }
     }
 

@@ -15,20 +15,6 @@ use ctxres_context::Context;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
-/// Re-raises a worker thread's panic on the joining thread. String-ish
-/// payloads (`String` and `&'static str` — everything `panic!` itself
-/// produces) are resumed **verbatim**, so `#[should_panic(expected)]`
-/// tests and log scrapers see the original message; any other payload
-/// type is replaced by a message naming the worker, because an opaque
-/// `Box<dyn Any>` would otherwise surface as the useless
-/// "Any { .. }".
-pub(crate) fn resume_worker_panic(worker: &str, payload: Box<dyn std::any::Any + Send>) -> ! {
-    if payload.is::<String>() || payload.is::<&'static str>() {
-        std::panic::resume_unwind(payload);
-    }
-    panic!("{worker} panicked with a non-string payload");
-}
-
 /// A thread-shareable middleware handle.
 ///
 /// ```
@@ -81,50 +67,6 @@ impl SharedMiddleware {
         }
         n
     }
-
-    /// Pumps a channel from a freshly spawned thread; join the handle to
-    /// wait for the source to finish.
-    pub fn pump_in_thread(&self, source: Receiver<Context>) -> PumpHandle {
-        let this = self.clone();
-        PumpHandle {
-            inner: std::thread::spawn(move || this.pump(source)),
-        }
-    }
-}
-
-/// Handle to a pump thread spawned by
-/// [`SharedMiddleware::pump_in_thread`].
-///
-/// Unlike a raw [`std::thread::JoinHandle`], [`PumpHandle::join`]
-/// re-raises a panic from the pump thread on the joining thread instead
-/// of returning it as an opaque `Err` — a crashed source (e.g. a
-/// panicking strategy or observer) fails the run loudly rather than
-/// surfacing as a silently short count.
-#[derive(Debug)]
-pub struct PumpHandle {
-    inner: std::thread::JoinHandle<usize>,
-}
-
-impl PumpHandle {
-    /// Waits for the pump to exhaust its channel and returns how many
-    /// contexts it submitted.
-    ///
-    /// # Panics
-    ///
-    /// Resumes the pump thread's panic, if it had one: `String` and
-    /// `&'static str` payloads verbatim, anything else as a labelled
-    /// panic naming the pump thread.
-    pub fn join(self) -> usize {
-        match self.inner.join() {
-            Ok(n) => n,
-            Err(payload) => resume_worker_panic("pump thread", payload),
-        }
-    }
-
-    /// Whether the pump thread has finished (without blocking).
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
 }
 
 #[cfg(test)]
@@ -165,38 +107,30 @@ mod tests {
 
         let (tx_a, rx_a) = crossbeam::channel::bounded(16);
         let (tx_b, rx_b) = crossbeam::channel::bounded(16);
-        let pump_a = shared.pump_in_thread(rx_a);
-        let pump_b = shared.pump_in_thread(rx_b);
-        let producer_a = std::thread::spawn(move || {
-            for t in 0..50 {
-                tx_a.send(loc("alice", t)).unwrap();
+        let (pumped, seen) = std::thread::scope(|scope| {
+            let pumps = [rx_a, rx_b].map(|rx| scope.spawn(|| shared.pump(rx)));
+            for (tx, subject) in [(tx_a, "alice"), (tx_b, "bob")] {
+                scope.spawn(move || {
+                    for t in 0..50 {
+                        tx.send(loc(subject, t)).unwrap();
+                    }
+                });
             }
-        });
-        let producer_b = std::thread::spawn(move || {
-            for t in 0..50 {
-                tx_b.send(loc("bob", t)).unwrap();
-            }
-        });
-
-        // A consumer polls concurrently while production runs.
-        let consumer = {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
+            // A consumer polls concurrently while production runs.
+            let consumer = scope.spawn(|| {
                 let mut seen = 0;
                 while seen < 100 {
                     seen += shared.lock().poll(feed).len();
                     std::thread::yield_now();
                 }
                 seen
-            })
-        };
-
-        producer_a.join().unwrap();
-        producer_b.join().unwrap();
-        assert_eq!(pump_a.join(), 50);
-        assert_eq!(pump_b.join(), 50);
-        shared.lock().drain();
-        assert_eq!(consumer.join().unwrap(), 100);
+            });
+            let pumped = pumps.map(|pump| pump.join().unwrap());
+            shared.lock().drain();
+            (pumped, consumer.join().unwrap())
+        });
+        assert_eq!(pumped, [50, 50]);
+        assert_eq!(seen, 100);
         assert_eq!(shared.lock().stats().delivered, 100);
     }
 
@@ -207,65 +141,5 @@ mod tests {
         tx.send(loc("a", 0)).unwrap();
         drop(tx);
         assert_eq!(shared.pump(rx), 1);
-    }
-
-    #[test]
-    fn pump_thread_panic_propagates_on_join() {
-        struct Exploder;
-        impl crate::observer::MiddlewareObserver for Exploder {
-            fn on_submitted(&mut self, _report: &crate::middleware::SubmitReport, _ctx: &Context) {
-                panic!("observer exploded");
-            }
-        }
-        let mw = Middleware::builder()
-            .strategy(Box::new(DropBad::new()))
-            .observer(Box::new(Exploder))
-            .build();
-        let shared = SharedMiddleware::new(mw);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        tx.send(loc("a", 0)).unwrap();
-        drop(tx);
-        let handle = shared.pump_in_thread(rx);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.join()));
-        let payload = outcome.expect_err("the source panic must reach the joiner");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "observer exploded");
-    }
-
-    #[test]
-    fn formatted_panic_payload_survives_the_relay_verbatim() {
-        struct Exploder;
-        impl crate::observer::MiddlewareObserver for Exploder {
-            fn on_submitted(&mut self, _report: &crate::middleware::SubmitReport, ctx: &Context) {
-                panic!("bad context from {}", ctx.subject());
-            }
-        }
-        let mw = Middleware::builder()
-            .strategy(Box::new(DropBad::new()))
-            .observer(Box::new(Exploder))
-            .build();
-        let shared = SharedMiddleware::new(mw);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        tx.send(loc("alice", 0)).unwrap();
-        drop(tx);
-        let handle = shared.pump_in_thread(rx);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.join()));
-        let payload = outcome.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("String payloads are preserved as String");
-        assert_eq!(msg, "bad context from alice");
-    }
-
-    #[test]
-    fn non_string_panic_payload_is_labelled() {
-        let payload: Box<dyn std::any::Any + Send> = Box::new(42_u32);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            resume_worker_panic("pump thread", payload)
-        }));
-        let relabelled = outcome.expect_err("must still panic");
-        let msg = relabelled.downcast_ref::<String>().cloned().unwrap();
-        assert_eq!(msg, "pump thread panicked with a non-string payload");
     }
 }

@@ -20,8 +20,9 @@
 //! * a [`SituationEngine`] evaluates application **situations** over the
 //!   *available* context view and reports rising-edge activations — the
 //!   paper's second context-awareness metric;
-//! * [`source`] provides crossbeam-channel context sources replaying
-//!   traces from client threads, as in the paper's experimental setup.
+//! * [`SharedMiddleware`] and [`ShardedMiddleware`] take contexts from
+//!   client threads (the paper's experimental setup, §4.1) under one
+//!   lock or one lock per shard; the crate itself starts no threads.
 //!
 //! # Example
 //!
@@ -58,11 +59,10 @@ mod middleware;
 mod observer;
 mod shard;
 mod situation;
-pub mod source;
 mod stats;
 mod subscription;
 
-pub use concurrent::{PumpHandle, SharedMiddleware};
+pub use concurrent::SharedMiddleware;
 pub use middleware::{Middleware, MiddlewareBuilder, MiddlewareConfig, SubmitReport, UseRecord};
 pub use observer::{Event, EventLog, MiddlewareObserver};
 pub use shard::{ShardLoad, ShardPlan, ShardedMiddleware};

@@ -1,5 +1,5 @@
-//! Sharded parallel middleware: partition contexts by subject into
-//! independent engines.
+//! Sharded middleware: partition contexts by subject into independent
+//! engines.
 //!
 //! The global-mutex front-end ([`crate::SharedMiddleware`]) serializes
 //! every submission through one lock. But the paper's workhorse
@@ -17,10 +17,12 @@
 //!   across N **subject shards**;
 //! * run time: each shard is a full [`Middleware`] (own pool, own
 //!   incremental checker, own strategy instance) behind its **own**
-//!   lock, so producers submitting different subjects never contend and
-//!   shards check in parallel. Sharding does not shrink check work: one
-//!   engine's pinned check already visits only the new context's
-//!   subject bucket, so the shards' predicate calls sum to one engine's;
+//!   lock, so producers on their own threads submitting different
+//!   subjects never contend. The engine starts no threads: a batch
+//!   ingests its shards' chunks one after another on the calling
+//!   thread. Sharding does not shrink check work: one engine's pinned
+//!   check already visits only the new context's subject bucket, so the
+//!   shards' predicate calls sum to one engine's;
 //! * counters: [`ShardedMiddleware::stats`] /
 //!   [`ShardedMiddleware::shard_stats`] aggregate per-shard counters by
 //!   visiting each shard lock in turn — there is no global lock.
@@ -38,7 +40,6 @@
 //! cross-subject aggregate concern and stay with the single-engine
 //! experiment path.
 
-use crate::concurrent::resume_worker_panic;
 use crate::middleware::{Middleware, SubmitReport};
 use crate::stats::{MiddlewareStats, ShardStats};
 use crossbeam::channel::Receiver;
@@ -49,6 +50,7 @@ use ctxres_obs::{MetricKind, ObsConfig, ObsRegistry, Phase, ShardObs};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// FNV-1a, for a stable subject → shard assignment (independent of the
 /// process and of `RandomState`, so test expectations hold).
@@ -403,25 +405,32 @@ impl ShardedMiddleware {
     /// (the wait-versus-service decomposition of the shard queues).
     pub fn submit(&self, ctx: Context) -> (usize, SubmitReport) {
         let shard = self.plan.route(&ctx);
-        let tail_on = self.obs.tail_enabled();
-        let waited = tail_on.then(std::time::Instant::now);
-        let mut mw = self.shards[shard].lock();
-        if let Some(t) = waited {
-            mw.obs()
-                .record_queue_wait(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        let served = tail_on.then(std::time::Instant::now);
-        let report = mw.submit(ctx);
-        if let Some(t) = served {
-            mw.obs()
-                .record_queue_service(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        (shard, report)
+        (shard, self.serve(shard, |mw| mw.submit(ctx)))
     }
 
-    /// Ingests a batch: partitions it by shard, then runs every
-    /// non-empty partition on its own thread (each locking only its own
-    /// shard). Returns how many contexts were ingested.
+    /// Runs `f` on shard `shard`'s engine under that shard's lock only,
+    /// recording the lock's wait and service times as
+    /// [`ShardedMiddleware::submit`] describes.
+    fn serve<R>(&self, shard: usize, f: impl FnOnce(&mut Middleware) -> R) -> R {
+        let elapsed_ns = |t: Instant| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let tail_on = self.obs.tail_enabled();
+        let waited = tail_on.then(Instant::now);
+        let mut mw = self.shards[shard].lock();
+        if let Some(t) = waited {
+            mw.obs().record_queue_wait(elapsed_ns(t));
+        }
+        let served = tail_on.then(Instant::now);
+        let out = f(&mut mw);
+        if let Some(t) = served {
+            mw.obs().record_queue_service(elapsed_ns(t));
+        }
+        out
+    }
+
+    /// Ingests a batch on the calling thread: partitions it by shard,
+    /// then ingests every non-empty partition in shard order, each under
+    /// its own shard's lock only. Returns how many contexts were
+    /// ingested.
     ///
     /// Within a shard, batch order is preserved, so per-subject stamp
     /// order — the order detection semantics care about — matches a
@@ -434,12 +443,21 @@ impl ShardedMiddleware {
     /// moves each context handle into its shard's chunk instead of
     /// cloning it (a clone would only bump its body's reference count;
     /// see [`Context`]). Each shard then ingests its whole chunk through
-    /// [`Middleware::batch_add`].
+    /// [`Middleware::batch_add`], recording its lock's wait and service
+    /// times as [`ShardedMiddleware::submit`] does.
+    ///
+    /// # Panics
+    ///
+    /// A panic in one shard's chunk (a panicking observer or predicate)
+    /// unwinds out of this call at once, with its original payload. The
+    /// chunks of later shards in the call are not ingested, and the
+    /// shard that panicked is poisoned, as after a panicking
+    /// [`Middleware::submit`]: drop the engine rather than use it again.
     pub fn batch_add_owned(&self, batch: Vec<Context>) -> usize {
         let total = batch.len();
         let route_span = self.obs.span(MetricKind::RouteLatency);
         // Routing cost lands on the engine slot as ingest self time;
-        // each shard's own ingest root opens inside its worker thread.
+        // each shard's own ingest root opens on its own slot below.
         let route_phase = self.obs.phase(Phase::Ingest);
         let mut per_shard: Vec<Vec<Context>> = vec![Vec::new(); self.shards.len()];
         for ctx in batch {
@@ -447,49 +465,19 @@ impl ShardedMiddleware {
         }
         route_phase.finish();
         route_span.finish();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(per_shard.len());
-            for (i, chunk) in per_shard.into_iter().enumerate() {
-                if chunk.is_empty() {
-                    continue;
-                }
-                let shard = &self.shards[i];
-                let tail_on = self.obs.tail_enabled();
-                let handle = scope.spawn(move || {
-                    // Wait-versus-service decomposition: how long the
-                    // chunk queued on the shard lock versus how long the
-                    // shard engine actually worked on it.
-                    let waited = tail_on.then(std::time::Instant::now);
-                    let mut mw = shard.lock();
-                    // The shard's own handle, cloned out of the guard so
-                    // the ingest span can outlive `mw`'s borrows.
-                    let obs = mw.obs().clone();
-                    if let Some(t) = waited {
-                        obs.record_queue_wait(
-                            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                    }
-                    let span = obs.span(MetricKind::IngestLatency);
-                    let served = tail_on.then(std::time::Instant::now);
-                    mw.batch_add(chunk);
-                    if let Some(t) = served {
-                        obs.record_queue_service(
-                            u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                    }
-                    span.finish();
-                });
-                handles.push((i, handle));
+        for (shard, chunk) in per_shard.into_iter().enumerate() {
+            if chunk.is_empty() {
+                continue;
             }
-            // Join explicitly instead of letting the scope propagate the
-            // first panic as an opaque payload: string payloads resume
-            // verbatim, others are labelled with the shard that died.
-            for (i, handle) in handles {
-                if let Err(payload) = handle.join() {
-                    resume_worker_panic(&format!("shard {i} ingest thread"), payload);
-                }
-            }
-        });
+            self.serve(shard, |mw| {
+                // The shard's own handle, cloned out of the engine so the
+                // ingest span can outlive `mw`'s borrows.
+                let obs = mw.obs().clone();
+                let span = obs.span(MetricKind::IngestLatency);
+                mw.batch_add(chunk);
+                span.finish();
+            });
+        }
         total
     }
 
@@ -500,12 +488,7 @@ impl ShardedMiddleware {
         (0..self.plan.subject_shards())
             .map(|i| ShardLoad {
                 shard: i,
-                subjects: self.shards[i]
-                    .lock()
-                    .pool()
-                    .subject_counts()
-                    .into_iter()
-                    .collect(),
+                subjects: self.shards[i].lock().pool().subject_counts(),
             })
             .collect()
     }
@@ -994,7 +977,7 @@ mod tests {
         assert_eq!(calls(engine_slot, "rebalance"), 1, "apply_plan recorded");
         assert_eq!(calls(engine_slot, "ingest"), 1, "routing recorded");
         let shard_ingests: u64 = (0..engine_slot).map(|i| calls(i, "ingest")).sum();
-        assert!(shard_ingests >= 1, "worker shards record their batches");
+        assert!(shard_ingests >= 1, "shards record their batches");
     }
 
     #[test]
@@ -1264,32 +1247,43 @@ mod tests {
         sharded.batch_add(&[loc("alice", 0, 0.0), loc("charlie", 0, 0.0)]);
     }
 
+    /// A batch ingests on its caller's thread: every shard's observer
+    /// sees the caller, and a shard's panic reaches the caller with its
+    /// own payload.
     #[test]
-    fn batch_add_labels_non_string_panic_payloads_with_the_shard() {
+    fn batch_add_runs_on_the_callers_thread() {
+        struct Recorder(Arc<Mutex<Vec<std::thread::ThreadId>>>);
+        impl crate::observer::MiddlewareObserver for Recorder {
+            fn on_submitted(&mut self, _report: &SubmitReport, _ctx: &Context) {
+                self.0.lock().push(std::thread::current().id());
+            }
+        }
+        let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), 2);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sharded = ShardedMiddleware::new(plan.clone(), |_| {
+            shard_mw(SPEED)
+                .observer(Box::new(Recorder(Arc::clone(&seen))))
+                .build()
+        });
+        let batch: Vec<Context> = (0..16).map(|i| loc(&format!("s{i}"), 0, 0.0)).collect();
+        let reached: BTreeSet<usize> = batch.iter().map(|c| plan.route(c)).collect();
+        assert_eq!(reached, BTreeSet::from([0, 1]), "both subject shards");
+        sharded.batch_add_owned(batch);
+        assert_eq!(*seen.lock(), vec![std::thread::current().id(); 16]);
+
         struct Exploder;
         impl crate::observer::MiddlewareObserver for Exploder {
             fn on_submitted(&mut self, _report: &SubmitReport, _ctx: &Context) {
                 std::panic::panic_any(42_u32);
             }
         }
-        let constraints = parse_constraints(SPEED).unwrap();
-        let plan = ShardPlan::analyze(&constraints, 2);
-        let dying_shard = plan.route(&loc("alice", 0, 0.0));
         let sharded = ShardedMiddleware::new(plan, |_| {
-            Middleware::builder()
-                .constraints(parse_constraints(SPEED).unwrap())
-                .strategy(Box::new(DropBad::new()))
-                .observer(Box::new(Exploder))
-                .build()
+            shard_mw(SPEED).observer(Box::new(Exploder)).build()
         });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sharded.batch_add(&[loc("alice", 0, 0.0)])
         }));
         let payload = outcome.expect_err("the shard panic must propagate");
-        let msg = payload.downcast_ref::<String>().cloned().unwrap();
-        assert_eq!(
-            msg,
-            format!("shard {dying_shard} ingest thread panicked with a non-string payload")
-        );
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&42));
     }
 }

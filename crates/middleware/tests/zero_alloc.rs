@@ -2,7 +2,8 @@
 //! incremental check that detects nothing, a situation round, watched
 //! or not, and a whole submit under retention allocate nothing, and a
 //! submit that detects an inconsistency makes a fixed, small number of
-//! allocations.
+//! allocations. Harvesting a sharded engine's subject loads allocates
+//! its result and nothing else.
 //!
 //! The binary's global allocator counts each thread's allocations, so
 //! tests running on parallel threads do not see each other's.
@@ -12,7 +13,9 @@ use ctxres_context::{
     Context, ContextKind, ContextPool, ContextState, Lifespan, LogicalTime, Point, Ticks,
 };
 use ctxres_core::strategies::DropBad;
-use ctxres_middleware::{Middleware, MiddlewareConfig, SituationEngine};
+use ctxres_middleware::{
+    Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware, SituationEngine,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -301,4 +304,43 @@ fn warmed_detecting_submit_allocates_a_fixed_few() {
         mw.stats().discarded,
         WARM / TELEPORT_EVERY + detecting.len() as u64
     );
+}
+
+/// `ShardedMiddleware::subject_loads` allocates exactly its result: the
+/// outer vector, one subject vector per shard, and one string per live
+/// subject (each subject here has contexts of one kind only, so one
+/// pool entry).
+#[test]
+fn subject_loads_allocate_only_their_result() {
+    const SHARDS: usize = 2;
+    const SUBJECTS: usize = 64;
+    const FIXES: i64 = 3;
+    let constraints = parse_constraints(SPEED).unwrap();
+    let plan = ShardPlan::analyze(&constraints, SHARDS);
+    let sharded = ShardedMiddleware::new(plan, |_| {
+        Middleware::builder()
+            .constraints(constraints.clone())
+            .strategy(Box::new(DropBad::new()))
+            .config(MiddlewareConfig {
+                window: Ticks::new(0),
+                track_ground_truth: false,
+                retention: None,
+            })
+            .build()
+    });
+    let trace: Vec<Context> = (0..FIXES)
+        .flat_map(|seq| (0..SUBJECTS).map(move |s| fix(&format!("s{s}"), seq, seq as f64 * 0.5)))
+        .collect();
+    sharded.batch_add_owned(trace);
+
+    let (loads, allocs) = allocations(|| sharded.subject_loads());
+    assert_eq!(loads.len(), SHARDS);
+    assert!(loads.iter().all(|l| !l.subjects.is_empty()), "{loads:?}");
+    let live: usize = loads.iter().map(|l| l.subjects.len()).sum();
+    assert_eq!(live, SUBJECTS);
+    assert_eq!(
+        loads.iter().map(|l| l.total()).sum::<usize>(),
+        SUBJECTS * FIXES as usize
+    );
+    assert_eq!(allocs, (1 + SHARDS + SUBJECTS) as u64);
 }

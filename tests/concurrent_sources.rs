@@ -1,93 +1,13 @@
-//! Integration: client threads feed the middleware through crossbeam
-//! channels, as in the paper's experimental setup (§4.1: contexts were
-//! "produced by a client thread").
+//! Integration: producer threads feed a sharded middleware, as in the
+//! paper's experimental setup (§4.1: contexts were "produced by a
+//! client thread"). Each producer either submits itself or sends into a
+//! crossbeam channel that a pump thread drains; the engine starts no
+//! threads of its own, so every thread here is the test's.
 
-use ctxres::apps::call_forwarding::CallForwarding;
-use ctxres::apps::PervasiveApp;
 use ctxres::constraint::parse_constraints;
 use ctxres::context::{Context, ContextKind, LogicalTime, Point, Ticks};
 use ctxres::core::strategies::DropBad;
-use ctxres::middleware::source::{collect, spawn_replay};
 use ctxres::middleware::{Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware};
-
-#[test]
-fn threaded_sources_match_direct_submission() {
-    let app = CallForwarding::new();
-    let trace = app.generate(0.3, 9, 240);
-
-    // Direct submission.
-    let run = |contexts: Vec<Context>| {
-        let mut mw = Middleware::builder()
-            .constraints(app.constraints())
-            .registry(app.registry())
-            .strategy(Box::new(DropBad::new()))
-            .config(MiddlewareConfig {
-                window: Ticks::new(app.recommended_window()),
-                track_ground_truth: true,
-                retention: None,
-            })
-            .build();
-        for ctx in contexts {
-            mw.submit(ctx);
-        }
-        mw.drain();
-        *mw.stats()
-    };
-    let direct = run(trace.clone());
-
-    // Per-person client threads, merged by stamp.
-    let mut per_person: Vec<Vec<Context>> = vec![Vec::new(); 3];
-    for ctx in trace {
-        let slot = match ctx.subject() {
-            "peter" => 0,
-            "mary" => 1,
-            _ => 2,
-        };
-        per_person[slot].push(ctx);
-    }
-    let mut receivers = Vec::new();
-    let mut handles = Vec::new();
-    for t in per_person {
-        let (rx, handle) = spawn_replay(t);
-        receivers.push(rx);
-        handles.push(handle);
-    }
-    let merged = collect(receivers);
-    for h in handles {
-        h.join();
-    }
-    let threaded = run(merged);
-
-    // Same stamp order within each subject and detection only relates
-    // same-subject contexts, so the outcomes agree.
-    assert_eq!(direct.delivered, threaded.delivered);
-    assert_eq!(direct.discarded, threaded.discarded);
-    assert_eq!(direct.inconsistencies, threaded.inconsistencies);
-}
-
-#[test]
-fn many_small_sources_drain_cleanly() {
-    let traces: Vec<Vec<Context>> = (0..8)
-        .map(|i| {
-            let app = CallForwarding::new();
-            app.generate(0.2, i, 60)
-        })
-        .collect();
-    let mut receivers = Vec::new();
-    let mut handles = Vec::new();
-    for t in traces {
-        let (rx, h) = spawn_replay(t);
-        receivers.push(rx);
-        handles.push(h);
-    }
-    let merged = collect(receivers);
-    for h in handles {
-        h.join();
-    }
-    assert_eq!(merged.len(), 8 * 60);
-    // Stamp-sorted.
-    assert!(merged.windows(2).all(|w| w[0].stamp() <= w[1].stamp()));
-}
 
 const SPEED: &str = "constraint speed:
     forall a: location, b: location .
@@ -124,12 +44,13 @@ fn walk(subject: &str, len: usize) -> Vec<Context> {
         .collect()
 }
 
-/// The tentpole's acceptance bar: four producer threads racing into the
-/// sharded engine must leave the same final pool state and the same
-/// inconsistency/discard record as one thread feeding one engine. The
-/// speed constraint only relates same-subject contexts and each
-/// producer owns its subjects, so the cross-thread interleave cannot
-/// leak into the outcome.
+/// Four producer threads racing into the sharded engine must leave the
+/// same final pool state and the same inconsistency/discard record as
+/// one thread feeding one engine, whether each producer submits itself
+/// or sends into its own channel that a `pump` thread drains. The speed
+/// constraint only relates same-subject contexts and each producer owns
+/// its subjects, so the cross-thread interleave cannot leak into the
+/// outcome.
 #[test]
 fn racing_producers_match_single_threaded_run() {
     let subjects: Vec<String> = (0..8).map(|i| format!("subj-{i}")).collect();
@@ -145,29 +66,57 @@ fn racing_producers_match_single_threaded_run() {
     }
     single.drain();
 
+    let sharded_engine = || {
+        let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), 4);
+        ShardedMiddleware::new(plan, |_| speed_engine())
+    };
+    let assert_matches_single = |sharded: &ShardedMiddleware| {
+        sharded.drain();
+        let stats = sharded.stats();
+        assert_eq!(stats.inconsistencies, single.stats().inconsistencies);
+        assert_eq!(stats.discarded, single.stats().discarded);
+        assert_eq!(stats.received, single.stats().received);
+        assert_eq!(sharded.signature(), single.pool().signature());
+        assert!(
+            stats.inconsistencies > 0,
+            "the workload must actually exercise detection"
+        );
+    };
+
     // Four producer threads, two subjects each, submitting concurrently.
-    let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), 4);
-    let sharded = ShardedMiddleware::new(plan, |_| speed_engine());
+    let submitted = sharded_engine();
     std::thread::scope(|scope| {
         for pair in traces.chunks(2) {
             scope.spawn(|| {
                 for ctx in pair.iter().flatten() {
-                    sharded.submit(ctx.clone());
+                    submitted.submit(ctx.clone());
                 }
             });
         }
     });
-    sharded.drain();
+    assert_matches_single(&submitted);
 
-    let stats = sharded.stats();
-    assert_eq!(stats.inconsistencies, single.stats().inconsistencies);
-    assert_eq!(stats.discarded, single.stats().discarded);
-    assert_eq!(stats.received, single.stats().received);
-    assert_eq!(sharded.signature(), single.pool().signature());
-    assert!(
-        stats.inconsistencies > 0,
-        "the workload must actually exercise detection"
-    );
+    // The same four producers, each sending into its own channel, which
+    // a pump thread drains into the engine.
+    let pumped = sharded_engine();
+    let counts: Vec<usize> = std::thread::scope(|scope| {
+        let pumps: Vec<_> = traces
+            .chunks(2)
+            .map(|pair| {
+                let (tx, rx) = crossbeam::channel::bounded(16);
+                scope.spawn(move || {
+                    for ctx in pair.iter().flatten() {
+                        tx.send(ctx.clone()).unwrap();
+                    }
+                });
+                let pumped = &pumped;
+                scope.spawn(move || pumped.pump(rx))
+            })
+            .collect();
+        pumps.into_iter().map(|pump| pump.join().unwrap()).collect()
+    });
+    assert_eq!(counts.iter().sum::<usize>(), merged.len());
+    assert_matches_single(&pumped);
 }
 
 /// A constraint relating *different* subjects cannot be split: the plan

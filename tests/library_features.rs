@@ -92,18 +92,21 @@ fn shared_middleware_with_observer_and_subscription() {
         .subscribe(SubscriptionFilter::all().of_kind("badge"));
 
     let (tx, rx) = crossbeam::channel::unbounded();
-    let pump = shared.pump_in_thread(rx);
-    for i in 0..10u64 {
-        tx.send(
-            Context::builder(ContextKind::new("badge"), "peter")
-                .attr("room", "office")
-                .stamp(LogicalTime::new(i))
-                .build(),
-        )
-        .unwrap();
-    }
-    drop(tx);
-    assert_eq!(pump.join(), 10);
+    let pumped = std::thread::scope(|scope| {
+        let pump = scope.spawn(|| shared.pump(rx));
+        for i in 0..10u64 {
+            tx.send(
+                Context::builder(ContextKind::new("badge"), "peter")
+                    .attr("room", "office")
+                    .stamp(LogicalTime::new(i))
+                    .build(),
+            )
+            .unwrap();
+        }
+        drop(tx);
+        pump.join().unwrap()
+    });
+    assert_eq!(pumped, 10);
     shared.lock().drain();
     assert_eq!(shared.lock().poll(feed).len(), 10);
     assert!(!log.lock().events().is_empty());
