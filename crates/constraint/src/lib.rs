@@ -70,7 +70,7 @@ pub use constraint::{Constraint, ConstraintSet};
 pub use error::{EvalError, ParseError};
 pub use eval::{CheckOutcome, DomainMode, Evaluator, Link, MAX_LINKS};
 pub use incremental::{CheckerStats, Detection, IncrementalChecker, KindPlan, PlanCounts};
-pub use parser::{parse_constraint, parse_constraints, parse_formula};
+pub use parser::{parse_constraint, parse_constraints, parse_formula, MAX_FORMULA_DEPTH};
 pub use predicate::{PredicateRegistry, Resolved};
 pub use schema::{validate, AttrType, ContextSchema, KindSchema, SchemaViolation};
 pub use simplify::simplify;

@@ -20,17 +20,33 @@
 //!
 //! Multi-binding quantifiers desugar to nested single-binding ones:
 //! `forall a: k, b: k . f` ≡ `forall a: k . forall b: k . f`.
+//!
+//! No formula nests deeper than [`MAX_FORMULA_DEPTH`] levels, so
+//! parsing, compiling, evaluating and dropping a parsed formula all fit
+//! a small fixed stack whatever the input.
 
 use crate::ast::{Formula, Quantifier, Term};
 use crate::constraint::Constraint;
 use crate::error::ParseError;
 use ctxres_context::ContextValue;
 
+/// The most levels a parsed formula may nest: a deeper one is a
+/// [`ParseError`] at the token that opens the level past the bound.
+/// A level is a parenthesis, a `not`, a quantifier binding, or a link
+/// of an `and`, `or` or `implies` chain (`and` and `or` chains build
+/// left-deep trees, so a chain of n links nests n levels).
+pub const MAX_FORMULA_DEPTH: usize = 128;
+
+/// A parsed subformula and its height: the most levels on one path
+/// from its root down.
+type Sub = (Formula, usize);
+
 /// Parses a single `constraint <name>: <formula>` declaration.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on any syntax error, with the byte offset of
+/// Returns [`ParseError`] on any syntax error (a formula nesting deeper
+/// than [`MAX_FORMULA_DEPTH`] levels is one), with the byte offset of
 /// the offending token.
 ///
 /// ```
@@ -55,7 +71,8 @@ pub fn parse_constraint(input: &str) -> Result<Constraint, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on any syntax error.
+/// Returns [`ParseError`] on any syntax error, as [`parse_constraint`]
+/// does.
 pub fn parse_constraints(input: &str) -> Result<Vec<Constraint>, ParseError> {
     let parse = || {
         let mut p = Parser::new(input)?;
@@ -72,11 +89,12 @@ pub fn parse_constraints(input: &str) -> Result<Vec<Constraint>, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on any syntax error.
+/// Returns [`ParseError`] on any syntax error, as [`parse_constraint`]
+/// does.
 pub fn parse_formula(input: &str) -> Result<Formula, ParseError> {
     let parse = || {
         let mut p = Parser::new(input)?;
-        let f = p.formula()?;
+        let (f, _) = p.formula()?;
         p.expect_eof()?;
         Ok(f)
     };
@@ -115,6 +133,8 @@ impl Tok {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Levels open above the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -122,7 +142,35 @@ impl Parser {
         Ok(Parser {
             toks: lex(input)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Parses with `levels` more levels open, the first opened by the
+    /// token at `at`. Bounding the open levels bounds the recursion.
+    fn nested(
+        &mut self,
+        levels: usize,
+        at: usize,
+        parse: fn(&mut Self) -> Result<Sub, ParseError>,
+    ) -> Result<Sub, ParseError> {
+        self.fits(levels, at)?;
+        self.depth += levels;
+        let sub = parse(self)?;
+        self.depth -= levels;
+        Ok(sub)
+    }
+
+    /// `height`, when a subtree that high fits below the open levels;
+    /// otherwise the error at the token at `at`.
+    fn fits(&self, height: usize, at: usize) -> Result<usize, ParseError> {
+        if self.depth + height > MAX_FORMULA_DEPTH {
+            return Err(ParseError::new(
+                format!("formula nests deeper than {MAX_FORMULA_DEPTH} levels"),
+                at,
+            ));
+        }
+        Ok(height)
     }
 
     fn peek(&self) -> &Tok {
@@ -206,15 +254,16 @@ impl Parser {
         self.keyword("constraint")?;
         let name = self.ident()?;
         self.expect(&Tok::Colon)?;
-        let f = self.formula()?;
+        let (f, _) = self.formula()?;
         Ok(Constraint::new(&name, f))
     }
 
-    fn formula(&mut self) -> Result<Formula, ParseError> {
+    fn formula(&mut self) -> Result<Sub, ParseError> {
         self.implies()
     }
 
-    fn quant(&mut self) -> Result<Formula, ParseError> {
+    fn quant(&mut self) -> Result<Sub, ParseError> {
+        let at = self.offset();
         let q = if self.peek_keyword("forall") {
             self.bump();
             Quantifier::Forall
@@ -235,49 +284,62 @@ impl Parser {
             }
         }
         self.expect(&Tok::Dot)?;
-        let mut body = self.formula()?;
+        let levels = bindings.len();
+        let (mut body, height) = self.nested(levels, at, Self::formula)?;
         for (var, kind) in bindings.into_iter().rev() {
             body = match q {
                 Quantifier::Forall => Formula::forall(&var, kind.as_str(), body),
                 Quantifier::Exists => Formula::exists(&var, kind.as_str(), body),
             };
         }
-        Ok(body)
+        Ok((body, height + levels))
     }
 
-    fn implies(&mut self) -> Result<Formula, ParseError> {
-        let lhs = self.or()?;
-        if self.peek_keyword("implies") {
-            self.bump();
-            let rhs = self.implies()?;
-            Ok(lhs.implies(rhs))
-        } else {
-            Ok(lhs)
+    fn implies(&mut self) -> Result<Sub, ParseError> {
+        let (lhs, lhs_height) = self.or()?;
+        if !self.peek_keyword("implies") {
+            return Ok((lhs, lhs_height));
         }
+        let at = self.offset();
+        self.bump();
+        let (rhs, rhs_height) = self.nested(1, at, Self::implies)?;
+        let height = self.fits(lhs_height.max(rhs_height) + 1, at)?;
+        Ok((lhs.implies(rhs), height))
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
-        let mut f = self.and()?;
-        while self.peek_keyword("or") {
+    fn or(&mut self) -> Result<Sub, ParseError> {
+        self.chain("or", Self::and, Formula::or)
+    }
+
+    fn and(&mut self) -> Result<Sub, ParseError> {
+        self.chain("and", Self::unary, Formula::and)
+    }
+
+    /// A left-deep chain of `operand`s joined by `keyword`: each link
+    /// is one level above both of its operands.
+    fn chain(
+        &mut self,
+        keyword: &str,
+        operand: fn(&mut Self) -> Result<Sub, ParseError>,
+        join: fn(Formula, Formula) -> Formula,
+    ) -> Result<Sub, ParseError> {
+        let (mut f, mut height) = operand(self)?;
+        while self.peek_keyword(keyword) {
+            let at = self.offset();
             self.bump();
-            f = f.or(self.and()?);
+            let (rhs, rhs_height) = self.nested(1, at, operand)?;
+            f = join(f, rhs);
+            height = self.fits(height.max(rhs_height) + 1, at)?;
         }
-        Ok(f)
+        Ok((f, height))
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
-        let mut f = self.unary()?;
-        while self.peek_keyword("and") {
-            self.bump();
-            f = f.and(self.unary()?);
-        }
-        Ok(f)
-    }
-
-    fn unary(&mut self) -> Result<Formula, ParseError> {
+    fn unary(&mut self) -> Result<Sub, ParseError> {
         if self.peek_keyword("not") {
+            let at = self.offset();
             self.bump();
-            return Ok(self.unary()?.not());
+            let (f, height) = self.nested(1, at, Self::unary)?;
+            return Ok((f.not(), height + 1));
         }
         if self.peek_keyword("forall") || self.peek_keyword("exists") {
             return self.quant();
@@ -285,21 +347,22 @@ impl Parser {
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Formula, ParseError> {
+    fn atom(&mut self) -> Result<Sub, ParseError> {
         match self.peek().clone() {
             Tok::LParen => {
+                let at = self.offset();
                 self.bump();
-                let f = self.formula()?;
+                let (f, height) = self.nested(1, at, Self::formula)?;
                 self.expect(&Tok::RParen)?;
-                Ok(f)
+                Ok((f, height + 1))
             }
             Tok::Ident(s) if s == "true" => {
                 self.bump();
-                Ok(Formula::True)
+                Ok((Formula::True, 0))
             }
             Tok::Ident(s) if s == "false" => {
                 self.bump();
-                Ok(Formula::False)
+                Ok((Formula::False, 0))
             }
             Tok::Ident(name) => {
                 self.bump();
@@ -316,7 +379,7 @@ impl Parser {
                     }
                 }
                 self.expect(&Tok::RParen)?;
-                Ok(Formula::pred(&name, args))
+                Ok((Formula::pred(&name, args), 0))
             }
             other => Err(ParseError::new(
                 format!("expected a formula, found {}", other.describe()),

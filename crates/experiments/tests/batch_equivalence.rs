@@ -1,10 +1,12 @@
-//! Property-based equivalence of amortized batch ingestion.
+//! Property-based equivalence of batch ingestion.
 //!
-//! `Middleware::batch_add` amortizes per-kind planning, health
-//! publishing and the end-to-end ingress stamp, and
-//! `ShardedMiddleware::batch_add_owned` partitions a batch across shard
-//! threads — both with a hard contract: the verdict stream must be
-//! **bit-identical** to submitting the same contexts one at a time. These tests drive randomized city-workload batches
+//! `Middleware::batch_add` runs each context through the per-context
+//! routine `submit` runs, adding one health publish and one end-to-end
+//! ingress stamp per batch, and `ShardedMiddleware::batch_add_owned`
+//! partitions a batch by shard and ingests each shard's chunk on the
+//! caller's thread — both with a hard contract: the verdict stream must
+//! be **bit-identical** to submitting the same contexts one at a time.
+//! These tests drive randomized city-workload batches
 //! through all four paper strategies on both engines and require the
 //! complete observable record to match — per-context submit reports
 //! (collected by an observer on both sides, since `batch_add` returns
@@ -101,8 +103,9 @@ fn record(mw: &mut Middleware, observed: &Observed) -> RunRecord {
 }
 
 /// The sorted causal chains of every discarded context in a sharded
-/// run's trace. Sorted because shard threads interleave ring writes;
-/// each chain itself is per-context and must match exactly.
+/// run's trace. Sorted because the merged trace orders one instant's
+/// records by shard rather than by arrival; each chain itself is
+/// per-context and must match exactly.
 fn discarded_chains(registry: &ctxres_obs::ObsRegistry) -> Vec<String> {
     assert_eq!(registry.dropped(), 0, "ring must hold the whole run");
     let trace = registry.drain();

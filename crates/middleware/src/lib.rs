@@ -20,9 +20,10 @@
 //! * a [`SituationEngine`] evaluates application **situations** over the
 //!   *available* context view and reports rising-edge activations — the
 //!   paper's second context-awareness metric;
-//! * [`SharedMiddleware`] and [`ShardedMiddleware`] take contexts from
-//!   client threads (the paper's experimental setup, §4.1) under one
-//!   lock or one lock per shard; the crate itself starts no threads.
+//! * [`ShardedMiddleware`] takes contexts from client threads (the
+//!   paper's experimental setup, §4.1) under one lock per shard; a
+//!   caller who wants one lock holds a `Mutex<Middleware>`. The crate
+//!   itself starts no threads.
 //!
 //! # Example
 //!
@@ -54,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod concurrent;
 mod middleware;
 mod observer;
 mod shard;
@@ -62,7 +62,6 @@ mod situation;
 mod stats;
 mod subscription;
 
-pub use concurrent::SharedMiddleware;
 pub use middleware::{Middleware, MiddlewareBuilder, MiddlewareConfig, SubmitReport, UseRecord};
 pub use observer::{Event, EventLog, MiddlewareObserver};
 pub use shard::{ShardLoad, ShardPlan, ShardedMiddleware};

@@ -27,15 +27,6 @@ use std::sync::Arc;
 /// engine must stay bounded.
 const TAIL_PENDING_MAX: usize = 1 << 20;
 
-/// The in-flight end-to-end stamps of one context, held from ingress
-/// until its terminal outcome folds them into the tail histograms.
-struct PendingTail {
-    ingress_ns: u64,
-    verdict_ns: u64,
-    decision_ns: u64,
-    batch_index: u64,
-}
-
 /// Tunables of a middleware instance.
 #[derive(Debug, Clone, Copy)]
 pub struct MiddlewareConfig {
@@ -195,11 +186,11 @@ pub struct Middleware {
     /// counters (ingested / delivered / discarded / expired /
     /// violations) are plain atomic bumps after the first lookup.
     kind_cells: HashMap<ContextKind, KindHandle>,
-    /// In-flight end-to-end spans, keyed by context: stamped at
-    /// ingress/verdict/decision, folded into the tail histograms at the
-    /// terminal delivery/discard/expiry. Empty unless
-    /// [`ctxres_obs::ObsConfig::with_tail`] is on.
-    tail_pending: HashMap<ContextId, PendingTail>,
+    /// In-flight end-to-end spans and their batch indexes, keyed by
+    /// context: stamped at ingress/verdict/decision, folded into the
+    /// tail histograms at the terminal delivery/discard/expiry. Empty
+    /// unless [`ctxres_obs::ObsConfig::with_tail`] is on.
+    tail_pending: HashMap<ContextId, (ContextSpan, u64)>,
     /// Engine-local batch counter; postmortems and exemplars cite it.
     next_batch: u64,
     /// Live only inside a batch that may owe a slow-batch postmortem:
@@ -290,6 +281,11 @@ impl Middleware {
         &self.registry
     }
 
+    /// Whether this engine deploys any situation.
+    pub(crate) fn deploys_situations(&self) -> bool {
+        !self.situations.is_empty()
+    }
+
     /// The observability handle this instance records through (a
     /// disabled no-op handle unless one was attached at build time).
     pub fn obs(&self) -> &ShardObs {
@@ -332,33 +328,28 @@ impl Middleware {
     /// a slow-batch bound — one [`TraceEvent::SlowBatch`] postmortem
     /// when the batch breaches it.
     pub fn batch_add(&mut self, batch: Vec<Context>) {
-        let tail_on = self.obs.tail_enabled();
-        let ingress_ns = if tail_on { self.obs.now_ns() } else { 0 };
-        let bound_ns = if tail_on {
-            self.obs.slow_batch_bound_ns()
-        } else {
-            0
-        };
+        // The profiler root for the whole ingest pipeline: checking,
+        // resolution, situation rounds and health publishing nest under
+        // it, so its self time is the batch bookkeeping proper. Its open
+        // is the batch's ingress stamp and its close ends the batch, so
+        // a postmortem's phase times fit in its wall time.
+        let obs = self.obs.clone();
+        let ingest_phase = obs.timed(Phase::Ingest, MetricKind::IngestLatency);
+        let ingress_ns = ingest_phase.start_ns();
+        let bound_ns = self.obs.slow_batch_bound_ns();
         let phases_before = (bound_ns > 0).then(|| {
             self.tail_batch_exemplars = Some(Vec::new());
             self.obs.phase_self_ns()
         });
-        // The profiler root for the whole ingest pipeline: checking,
-        // resolution, situation rounds and health publishing nest under
-        // it, so its self time is the batch bookkeeping proper. It
-        // opens after the ingress stamp and closes before the end
-        // stamp, so a postmortem's phase times fit in its wall time.
-        let obs = self.obs.clone();
-        let ingest_phase = obs.phase(Phase::Ingest);
         let contexts = batch.len() as u64;
         for ctx in batch {
             self.submit_one(ctx, ingress_ns);
         }
         self.publish_health();
-        ingest_phase.finish();
+        let end_ns = ingest_phase.finish();
         if let Some(before) = phases_before {
             let exemplars = self.tail_batch_exemplars.take().unwrap_or_default();
-            let elapsed_ns = self.obs.now_ns().saturating_sub(ingress_ns);
+            let elapsed_ns = end_ns.saturating_sub(ingress_ns);
             if elapsed_ns > bound_ns {
                 // Postmortem: the batch's per-phase profiler self times
                 // (empty unless the profiler is on) and the over-p99
@@ -485,8 +476,7 @@ impl Middleware {
             );
         }
         if self.obs.provenance_enabled() {
-            let obs = self.obs.clone();
-            let _prov_phase = obs.phase(Phase::ProvenanceEmit);
+            let _prov_phase = self.obs.phase(Phase::ProvenanceEmit);
             // The root of every causal chain: the submission itself.
             self.obs.record(
                 now,
@@ -572,9 +562,9 @@ impl Middleware {
             return report;
         }
 
-        let check_span = self.obs.span(MetricKind::CheckLatency);
-        let check_obs = self.obs.clone();
-        let check_phase = check_obs.phase(Phase::ConstraintCheck);
+        let check_phase = self
+            .obs
+            .timed(Phase::ConstraintCheck, MetricKind::CheckLatency);
         let checked = self.checker.on_added(&self.registry, &self.pool, now, id);
         let fresh: Vec<Inconsistency> = match checked {
             Ok(ds) => ds
@@ -589,9 +579,7 @@ impl Middleware {
                 Vec::new()
             }
         };
-        check_phase.finish();
-        check_span.finish();
-        let verdict_ns = if tail_on { self.obs.now_ns() } else { 0 };
+        let verdict_ns = check_phase.finish();
         let checker_stats = self.checker.stats();
         let evals = |s: CheckerStats| s.pinned_evals + s.full_evals;
         let compiled_delta = evals(checker_stats) - evals(self.reported);
@@ -621,8 +609,7 @@ impl Middleware {
                 self.kind_cell(&kind).violations(fresh.len() as u64);
             }
             if self.obs.provenance_enabled() {
-                let obs = self.obs.clone();
-                let _prov_phase = obs.phase(Phase::ProvenanceEmit);
+                let _prov_phase = self.obs.phase(Phase::ProvenanceEmit);
                 // Every member of a fresh inconsistency gains a
                 // violation edge citing the constraint and the bound
                 // partners — the evidence later verdicts build on.
@@ -651,17 +638,15 @@ impl Middleware {
             }
         }
 
-        let resolve_span = self.obs.span(MetricKind::ResolveLatency);
-        let resolve_obs = self.obs.clone();
-        let resolve_phase = resolve_obs.phase(Phase::Resolution);
+        let resolve_phase = self
+            .obs
+            .timed(Phase::Resolution, MetricKind::ResolveLatency);
         let outcome = self.strategy.on_addition(&mut self.pool, now, id, &fresh);
-        resolve_phase.finish();
-        resolve_span.finish();
+        let decision_ns = resolve_phase.finish();
         if tail_on {
             // Stamp before the discard loop: the strategy may have
             // discarded this very context, and `count_discard` needs the
             // pending span to fold it as `Discarded`.
-            let decision_ns = self.obs.now_ns();
             self.stamp_tail(id, ingress_ns, verdict_ns, decision_ns);
         }
         for did in &outcome.discarded {
@@ -805,7 +790,7 @@ impl Middleware {
         // A use is a resolution decision end to end: the strategy's
         // `on_use` plus the delivery/discard bookkeeping it triggers.
         let obs = self.obs.clone();
-        let _resolve_phase = obs.phase(Phase::Resolution);
+        let _resolve_phase = obs.timed(Phase::Resolution, MetricKind::ResolveLatency);
         if let Some(due) = due {
             self.obs
                 .observe(MetricKind::UseResidualDelay, (now - due).count());
@@ -818,9 +803,7 @@ impl Middleware {
             .get(id)
             .map(|c| c.state())
             .unwrap_or(ContextState::Undecided);
-        let resolve_span = self.obs.span(MetricKind::ResolveLatency);
         let outcome = self.strategy.on_use(&mut self.pool, now, id);
-        resolve_span.finish();
         if outcome.delivered {
             self.stats.delivered += 1;
             match truth {
@@ -1026,15 +1009,13 @@ impl Middleware {
         if self.tail_pending.len() >= TAIL_PENDING_MAX {
             self.tail_pending.clear();
         }
-        self.tail_pending.insert(
-            id,
-            PendingTail {
-                ingress_ns,
-                verdict_ns,
-                decision_ns,
-                batch_index: self.next_batch,
-            },
-        );
+        let span = ContextSpan {
+            ingress_ns,
+            verdict_ns,
+            decision_ns,
+            end_ns: 0,
+        };
+        self.tail_pending.insert(id, (span, self.next_batch));
     }
 
     /// Folds a context's terminal outcome into the tail histograms,
@@ -1042,16 +1023,11 @@ impl Middleware {
     /// postmortem) when it lands past the shard's rolling p99
     /// threshold. No-op for contexts without pending stamps.
     fn finish_tail(&mut self, id: ContextId, outcome: TailOutcome, at: LogicalTime) {
-        let Some(p) = self.tail_pending.remove(&id) else {
+        let Some((mut span, batch_index)) = self.tail_pending.remove(&id) else {
             return;
         };
-        let span = ContextSpan {
-            ingress_ns: p.ingress_ns,
-            verdict_ns: p.verdict_ns,
-            decision_ns: p.decision_ns,
-            end_ns: self.obs.now_ns(),
-        };
-        if self.obs.record_e2e(id, outcome, span, p.batch_index, at) {
+        span.end_ns = self.obs.now_ns();
+        if self.obs.record_e2e(id, outcome, span, batch_index, at) {
             if let Some(captured) = self.tail_batch_exemplars.as_mut() {
                 captured.push(id);
             }
@@ -1113,8 +1089,7 @@ impl Middleware {
         if self.situations.is_empty() {
             return;
         }
-        let obs = self.obs.clone();
-        let _sit_phase = obs.phase(Phase::SituationEval);
+        let _sit_phase = self.obs.phase(Phase::SituationEval);
         let evaluated_before = self.situation_evaluations();
         let gt_statuses: &[SituationStatus] = if self.config.track_ground_truth {
             self.gt_situations

@@ -1,8 +1,8 @@
 //! Sharded middleware: partition contexts by subject into independent
 //! engines.
 //!
-//! The global-mutex front-end ([`crate::SharedMiddleware`]) serializes
-//! every submission through one lock. But the paper's workhorse
+//! One [`Middleware`] behind one mutex serializes every submission
+//! through one lock. But the paper's workhorse
 //! constraints (the §2.2 speed constraint and friends) guard their
 //! quantifier pairs with `same_subject`: only contexts of one subject
 //! can meet in a binding that decides them. [`ShardedMiddleware`]
@@ -38,7 +38,7 @@
 //! [trusts `same_subject`](ctxres_constraint::PredicateRegistry::trusts_same_subject),
 //! which [`ShardedMiddleware::new`] checks. Situations are a
 //! cross-subject aggregate concern and stay with the single-engine
-//! experiment path.
+//! experiment path; [`ShardedMiddleware::new`] checks that too.
 
 use crate::middleware::{Middleware, SubmitReport};
 use crate::stats::{MiddlewareStats, ShardStats};
@@ -50,7 +50,6 @@ use ctxres_obs::{MetricKind, ObsConfig, ObsRegistry, Phase, ShardObs};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// FNV-1a, for a stable subject → shard assignment (independent of the
 /// process and of `RandomState`, so test expectations hold).
@@ -320,6 +319,7 @@ impl ShardedMiddleware {
     /// registry fails [`trusts_same_subject`]: there every guard
     /// raises, contexts of different subjects meet in the bindings that
     /// raise, and the shards would report fewer errors than one engine.
+    /// Panics, naming the shard, when a shard engine deploys situations.
     ///
     /// [`trusts_same_subject`]: ctxres_constraint::PredicateRegistry::trusts_same_subject
     pub fn new(plan: ShardPlan, mut make: impl FnMut(usize) -> Middleware) -> Self {
@@ -347,7 +347,8 @@ impl ShardedMiddleware {
     /// Panics when an enabled `registry` has fewer than
     /// `plan.total_shards() + 1` slots (build it with
     /// [`ShardedMiddleware::obs_registry`]), and where
-    /// [`ShardedMiddleware::new`] does.
+    /// [`ShardedMiddleware::new`] does (naming the shard: a registry
+    /// without `same_subject`, or situations).
     pub fn new_observed(
         plan: ShardPlan,
         registry: &Arc<ObsRegistry>,
@@ -360,14 +361,18 @@ impl ShardedMiddleware {
         ShardedMiddleware::assemble(plan, shards, obs, Some(Arc::clone(registry)))
     }
 
-    /// The engine over built `shards`, once every subject shard's
-    /// registry trusts the `same_subject` guards `plan` partitions by.
+    /// The engine over built `shards`, once no shard deploys situations
+    /// and every subject shard's registry trusts the `same_subject`
+    /// guards `plan` partitions by.
     fn assemble(
         plan: ShardPlan,
         shards: Vec<Mutex<Middleware>>,
         obs: ShardObs,
         registry: Option<Arc<ObsRegistry>>,
     ) -> Self {
+        if let Some(i) = shards.iter().position(|s| s.lock().deploys_situations()) {
+            panic!("shard {i}: it deploys situations, which stay with the single engine");
+        }
         if let Some(guarded) = &plan.guarded {
             for (i, shard) in shards[..plan.subject_shards()].iter().enumerate() {
                 assert!(
@@ -412,18 +417,16 @@ impl ShardedMiddleware {
     /// recording the lock's wait and service times as
     /// [`ShardedMiddleware::submit`] describes.
     fn serve<R>(&self, shard: usize, f: impl FnOnce(&mut Middleware) -> R) -> R {
-        let elapsed_ns = |t: Instant| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let tail_on = self.obs.tail_enabled();
-        let waited = tail_on.then(Instant::now);
+        if !self.obs.tail_enabled() {
+            return f(&mut self.shards[shard].lock());
+        }
+        let waiting = self.obs.now_ns();
         let mut mw = self.shards[shard].lock();
-        if let Some(t) = waited {
-            mw.obs().record_queue_wait(elapsed_ns(t));
-        }
-        let served = tail_on.then(Instant::now);
+        let served = self.obs.now_ns();
+        mw.obs().record_queue_wait(served.saturating_sub(waiting));
         let out = f(&mut mw);
-        if let Some(t) = served {
-            mw.obs().record_queue_service(elapsed_ns(t));
-        }
+        let done = self.obs.now_ns();
+        mw.obs().record_queue_service(done.saturating_sub(served));
         out
     }
 
@@ -455,28 +458,19 @@ impl ShardedMiddleware {
     /// [`Middleware::submit`]: drop the engine rather than use it again.
     pub fn batch_add_owned(&self, batch: Vec<Context>) -> usize {
         let total = batch.len();
-        let route_span = self.obs.span(MetricKind::RouteLatency);
-        // Routing cost lands on the engine slot as ingest self time;
-        // each shard's own ingest root opens on its own slot below.
-        let route_phase = self.obs.phase(Phase::Ingest);
+        // Routing cost lands on the engine slot as ingest self time and
+        // route latency; each shard's own ingest root, which times its
+        // chunk, opens on its own slot below.
+        let route_phase = self.obs.timed(Phase::Ingest, MetricKind::RouteLatency);
         let mut per_shard: Vec<Vec<Context>> = vec![Vec::new(); self.shards.len()];
         for ctx in batch {
             per_shard[self.plan.route(&ctx)].push(ctx);
         }
         route_phase.finish();
-        route_span.finish();
         for (shard, chunk) in per_shard.into_iter().enumerate() {
-            if chunk.is_empty() {
-                continue;
+            if !chunk.is_empty() {
+                self.serve(shard, |mw| mw.batch_add(chunk));
             }
-            self.serve(shard, |mw| {
-                // The shard's own handle, cloned out of the engine so the
-                // ingest span can outlive `mw`'s borrows.
-                let obs = mw.obs().clone();
-                let span = obs.span(MetricKind::IngestLatency);
-                mw.batch_add(chunk);
-                span.finish();
-            });
         }
         total
     }
@@ -551,9 +545,9 @@ impl ShardedMiddleware {
     }
 
     /// Consumes a context channel to exhaustion, routing each context
-    /// to its shard. The sharded analogue of
-    /// [`crate::SharedMiddleware::pump`]: run one per producer thread —
-    /// producers of different subjects proceed without contending.
+    /// to its shard, and returns how many it routed. Run one per
+    /// producer thread: producers of different subjects proceed without
+    /// contending.
     pub fn pump(&self, source: Receiver<Context>) -> usize {
         let mut n = 0;
         for ctx in source {
@@ -1222,6 +1216,24 @@ mod tests {
         sharded.submit(loc("alice", 0, 0.0));
         // alice is still buffered (window 10): migration must refuse.
         sharded.apply_plan(plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1: it deploys situations")]
+    fn shard_engines_deploy_no_situations() {
+        let constraints = parse_constraints(SPEED).unwrap();
+        let plan = ShardPlan::analyze(&constraints, 2);
+        ShardedMiddleware::new(plan, |i| {
+            let builder = Middleware::builder()
+                .constraints(constraints.clone())
+                .strategy(Box::new(DropBad::new()));
+            let situations = if i == 1 {
+                parse_constraints("constraint seen: exists a: location . true").unwrap()
+            } else {
+                Vec::new()
+            };
+            builder.situations(situations).build()
+        });
     }
 
     #[test]

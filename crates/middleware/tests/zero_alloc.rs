@@ -1,12 +1,15 @@
-//! Allocation guards for the per-context hot path: once warmed, an
-//! incremental check that detects nothing, a situation round, watched
-//! or not, and a whole submit under retention allocate nothing, and a
-//! submit that detects an inconsistency makes a fixed, small number of
-//! allocations. Harvesting a sharded engine's subject loads allocates
-//! its result and nothing else.
+//! Allocation and clock-read guards for the per-context hot path: once
+//! warmed, an incremental check that detects nothing, a situation
+//! round, watched or not, and a whole submit under retention allocate
+//! nothing, and a submit that detects an inconsistency makes a fixed,
+//! small number of allocations. Under each observability preset a
+//! warmed submit reads the clock and allocates an exact, pinned number
+//! of times. Harvesting a sharded engine's subject loads allocates its
+//! result and nothing else.
 //!
-//! The binary's global allocator counts each thread's allocations, so
-//! tests running on parallel threads do not see each other's.
+//! The binary's global allocator counts each thread's allocations, and
+//! `ctxres_obs::clock_reads` each thread's clock readings, so tests
+//! running on parallel threads do not see each other's.
 
 use ctxres_constraint::{parse_constraints, IncrementalChecker, PredicateRegistry};
 use ctxres_context::{
@@ -16,6 +19,7 @@ use ctxres_core::strategies::DropBad;
 use ctxres_middleware::{
     Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware, SituationEngine,
 };
+use ctxres_obs::{clock_reads, ObsConfig, ObsRegistry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -169,7 +173,8 @@ fn warmed_situation_round_allocates_nothing() {
 /// context during the warm-up would have to reallocate within it.
 #[test]
 fn warmed_submit_under_retention_allocates_nothing() {
-    warmed_retention_stream_allocates_nothing(false);
+    let (_, allocs) = warmed_retention_stream(false, ObsConfig::disabled());
+    assert_eq!(allocs, 0, "{MEASURED} warmed submits");
 }
 
 /// Ground truth costs no allocation either: the shadow pool OPT-R is
@@ -177,16 +182,58 @@ fn warmed_submit_under_retention_allocates_nothing() {
 /// the strategy pool.
 #[test]
 fn warmed_submit_with_ground_truth_allocates_nothing() {
-    warmed_retention_stream_allocates_nothing(true);
+    let (_, allocs) = warmed_retention_stream(true, ObsConfig::disabled());
+    assert_eq!(allocs, 0, "{MEASURED} warmed submits");
 }
 
-fn warmed_retention_stream_allocates_nothing(track_ground_truth: bool) {
+/// The observation budget of the same stream, as exact counts over its
+/// measured submits: clock readings and allocations under each preset.
+/// Per submit, the check, the addition's resolution and the use each
+/// read the clock twice through one timed phase guard, which feeds the
+/// profiler span, the latency histogram and the tail stamps alike;
+/// index maintenance adds two with the profiler on; tail telemetry
+/// adds the ingress and end stamps; and with the profiler and tracing
+/// both on, the provenance phases add theirs.
+#[test]
+fn warmed_submit_observation_budget_is_pinned() {
+    let presets = [
+        ("disabled", ObsConfig::disabled()),
+        ("metrics_only", ObsConfig::metrics_only()),
+        (
+            "metrics_only profiled",
+            ObsConfig::metrics_only().with_profile(1),
+        ),
+        ("enabled", ObsConfig::enabled()),
+        ("enabled profiled", ObsConfig::enabled().with_profile(1)),
+    ];
+    let budget = presets.map(|(name, config)| {
+        let (reads, allocs) = warmed_retention_stream(false, config);
+        (name, reads, allocs)
+    });
+    assert_eq!(
+        budget,
+        [
+            ("disabled", 0, 0),
+            ("metrics_only", 6 * MEASURED, 0),
+            ("metrics_only profiled", 8 * MEASURED, 0),
+            ("enabled", 8 * MEASURED, 2_500),
+            ("enabled profiled", 16 * MEASURED, 2_500),
+        ]
+    );
+}
+
+/// Submits measured after the warm-up: twice the warm-up.
+const MEASURED: u64 = 20_000;
+
+/// Runs the retention stream through an engine observed under `obs`
+/// and returns the clock readings and allocations of its `MEASURED`
+/// submits after the warm-up.
+fn warmed_retention_stream(track_ground_truth: bool, obs: ObsConfig) -> (u64, u64) {
     // `ACTIVE` subjects report in turn, `FIXES` fixes each; then the
     // whole cohort leaves and fresh subjects take over.
     const ACTIVE: u64 = 16;
     const FIXES: u64 = 4;
-    const WARM: u64 = 10_000;
-    const MEASURED: u64 = 2 * WARM;
+    const WARM: u64 = MEASURED / 2;
     let trace: Vec<Context> = (0..WARM + MEASURED)
         .map(|n| {
             let subject = n / (ACTIVE * FIXES) * ACTIVE + n % ACTIVE;
@@ -208,15 +255,17 @@ fn warmed_retention_stream_allocates_nothing(track_ground_truth: bool) {
             track_ground_truth,
             retention: Some(Ticks::new(64)),
         })
+        .obs(ObsRegistry::shared(obs, 1).handle(0))
         .build();
     let mut trace = trace.into_iter();
     for ctx in trace.by_ref().take(WARM as usize) {
         mw.submit(ctx);
     }
     let warm = *mw.stats();
+    let reads = clock_reads();
     let (fresh, allocs) = allocations(|| trace.map(|ctx| mw.submit(ctx).fresh).sum::<usize>());
+    let reads = clock_reads() - reads;
     assert_eq!(fresh, 0, "the trace violates nothing");
-    assert_eq!(allocs, 0, "{MEASURED} warmed submits");
     let stats = mw.stats();
     assert_eq!(stats.received - warm.received, MEASURED);
     assert_eq!(
@@ -230,6 +279,7 @@ fn warmed_retention_stream_allocates_nothing(track_ground_truth: bool) {
         "and leaves one retention horizon after it expired"
     );
     assert!(mw.pool().live_slots() < 200, "{}", mw.pool().live_slots());
+    (reads, allocs)
 }
 
 /// The allocations of a submit that detects, under the city stream's

@@ -36,11 +36,11 @@
 //!   discard, violation and use rates, the use-rate EWMA, staleness and
 //!   pool occupancy, watched by declarative SLO rules with hysteresis —
 //!   on in [`ObsConfig::metrics_only`] and [`ObsConfig::enabled`];
-//! * **spans** ([`ObsSpan`]): RAII timing guards around constraint
-//!   evaluation, shard routing and resolution. With
-//!   [`ObsConfig::disabled`] a handle is a `None` and every hook
-//!   compiles down to a branch on it — no clock reads, no allocation —
-//!   so tier-1 throughput is unaffected;
+//! * **one timer** ([`ShardObs::timed`]): one RAII guard per phase
+//!   boundary reads the clock when it opens and when it closes, and
+//!   feeds the phase's profiler span, its latency histogram and the tail
+//!   stamps from those two readings ([`clock_reads`] counts them). With
+//!   [`ObsConfig::disabled`] every hook is a branch — no clock reads;
 //! * **phase profiling** ([`Phase`], [`PhaseGuard`],
 //!   [`ProfileSnapshot`]): hierarchical spans over a fixed nine-stage
 //!   pipeline taxonomy with exact self-time attribution (child time
@@ -83,7 +83,7 @@
 //!
 //! ```
 //! use ctxres_context::LogicalTime;
-//! use ctxres_obs::{MetricKind, ObsConfig, ObsRegistry, TraceEvent};
+//! use ctxres_obs::{MetricKind, ObsConfig, ObsRegistry, Phase, TraceEvent};
 //!
 //! let registry = ObsRegistry::shared(ObsConfig::enabled(), 2);
 //! let shard0 = registry.handle(0);
@@ -93,11 +93,12 @@
 //! );
 //! shard0.observe(MetricKind::QueueDepth, 4);
 //! {
-//!     let _span = shard0.span(MetricKind::CheckLatency);
+//!     let _check = shard0.timed(Phase::ConstraintCheck, MetricKind::CheckLatency);
 //!     // ... timed work ...
 //! }
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.histogram(MetricKind::QueueDepth).count, 1);
+//! assert_eq!(snapshot.histogram(MetricKind::CheckLatency).count, 1);
 //! assert_eq!(registry.drain().len(), 1);
 //! assert_eq!(registry.dropped(), 0);
 //! ```
@@ -116,7 +117,6 @@ mod ring;
 mod serve;
 mod slo;
 mod snapshot;
-mod span;
 mod table;
 mod tail;
 
@@ -132,7 +132,7 @@ pub use profile::{
     PhaseStat, ProfileSnapshot, SpanRecord, MAX_PHASE_DEPTH, PHASES, SPAN_RING_CAPACITY,
 };
 pub use provenance::{CauseEdge, NodeId, ProvNode, ProvStats, ProvenanceGraph};
-pub use registry::{ObsConfig, ObsRegistry, ShardObs};
+pub use registry::{clock_reads, ObsConfig, ObsRegistry, ShardObs};
 pub use ring::{EventRing, RING_CAPACITY};
 pub use serve::{MetricsServer, METRICS_ADDR_ENV};
 pub use slo::{
@@ -142,7 +142,6 @@ pub use slo::{
 pub use snapshot::{
     BuildInfo, Family, MetricType, ObsSnapshot, Reading, Sample, Sampler, Series, SeriesList, Value,
 };
-pub use span::ObsSpan;
 pub use tail::{
     ContextSpan, Exemplar, TailOutcome, EXEMPLAR_CAPACITY, SEGMENT_NAMES, TAIL_OUTCOMES,
     TAIL_QUANTILES,

@@ -1,9 +1,9 @@
 //! Hierarchical phase profiler — *where* the engine's wall-clock goes.
 //!
-//! The flat [`crate::ObsSpan`] histograms answer "how long does a check
-//! take"; they cannot answer "which phase moved" when a benchmark
-//! series regresses. This module adds exact nested attribution over a
-//! fixed phase taxonomy:
+//! The flat latency histograms answer "how long does a check take";
+//! they cannot answer "which phase moved" when a benchmark series
+//! regresses. This module adds exact nested attribution over a fixed
+//! phase taxonomy:
 //!
 //! * a [`Phase`] enum naming the nine pipeline stages the middleware
 //!   executes, from batch ingest down to telemetry export;
@@ -28,7 +28,9 @@
 //!   recorded or fully skipped — nested guards under a skipped root pay
 //!   one uncontended lock and an increment, no clock reads — so
 //!   self/total ratios stay unbiased while the amortized cost drops by
-//!   the divisor.
+//!   the divisor;
+//! * **one timer**: a [`crate::ShardObs::timed`] guard's two clock
+//!   readings also feed a latency histogram and the tail stamps.
 //!
 //! A slot's stack assumes one thread at a time, which holds for shard
 //! engines (each lives behind its own mutex) and for the engine slot
@@ -36,13 +38,13 @@
 //! several threads would misattribute parent/child time but is
 //! memory-safe and cannot panic.
 
-use crate::registry::ShardSlot;
+use crate::metrics::MetricKind;
+use crate::registry::{clock_ns, ShardSlot};
 use crate::snapshot::{Family, MetricType, ObsSnapshot, Reading, Series, Value as SeriesValue};
-use crate::table::Table;
+use crate::table::{Group, Table};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 /// Maximum phase-span nesting depth. Deeper guards are counted as
 /// skipped (bounded memory, no allocation, no panic).
@@ -121,15 +123,12 @@ impl Phase {
     }
 }
 
-fn ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
 /// One open span on the stack.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     phase: Phase,
-    start: Instant,
+    /// Opening reading, nanoseconds since the registry epoch.
+    start_ns: u64,
     child_ns: u64,
 }
 
@@ -148,20 +147,47 @@ struct SpanStack {
     ring_next: usize,
 }
 
+impl SpanStack {
+    /// A new guard's place on the stack, counting roots in `roots`.
+    /// Roots are admitted by the sampling divisor; guards under a
+    /// skipped root (or past [`MAX_PHASE_DEPTH`]) only track balance.
+    fn admit(&mut self, sample_every: u32, roots: &Group) -> Held {
+        if self.skipping > 0 {
+            self.skipping += 1;
+            return Held::Skipped;
+        }
+        if self.frames.is_empty() {
+            // The stack's lock orders every write of the root count.
+            let seq = roots[0].read().0.counter();
+            roots[0].add(1);
+            if sample_every > 1 && !seq.is_multiple_of(u64::from(sample_every)) {
+                self.skipping = 1;
+                return Held::Skipped;
+            }
+            roots[1].add(1);
+        }
+        if self.frames.len() >= MAX_PHASE_DEPTH || self.frames.len() == self.frames.capacity() {
+            self.skipping = 1;
+            return Held::Skipped;
+        }
+        Held::Frame
+    }
+}
+
 /// One shard's profiler state: the span stack and completed-span ring.
 /// Its counts are cells in the shard's metric table.
 #[derive(Debug)]
 pub(crate) struct ShardProfileSlot {
+    on: bool,
     sample_every: u32,
-    epoch: Instant,
     stack: Mutex<SpanStack>,
 }
 
 impl ShardProfileSlot {
-    /// `preallocate` reserves the stack and ring up front (profiling
-    /// configured on); otherwise both stay empty and unused.
-    pub(crate) fn new(preallocate: bool, sample_every: u32, epoch: Instant) -> Self {
-        let (frames, ring) = if preallocate {
+    /// With profiling configured `on`, reserves the stack and ring up
+    /// front; otherwise both stay empty and unused.
+    pub(crate) fn new(on: bool, sample_every: u32) -> Self {
+        let (frames, ring) = if on {
             (
                 Vec::with_capacity(MAX_PHASE_DEPTH),
                 Vec::with_capacity(SPAN_RING_CAPACITY),
@@ -170,8 +196,8 @@ impl ShardProfileSlot {
             (Vec::new(), Vec::new())
         };
         ShardProfileSlot {
+            on,
             sample_every: sample_every.max(1),
-            epoch,
             stack: Mutex::new(SpanStack {
                 frames,
                 skipping: 0,
@@ -201,10 +227,11 @@ impl ShardProfileSlot {
         (path, st.frames.len() as u8)
     }
 
-    fn end_recording(&self, table: &Table) {
+    /// Closes the top frame at reading `end_ns`.
+    fn end_recording(&self, table: &Table, end_ns: u64) {
         let mut st = self.stack.lock();
         let Some(frame) = st.frames.pop() else { return };
-        let elapsed = ns(frame.start.elapsed());
+        let elapsed = end_ns.saturating_sub(frame.start_ns);
         let self_ns = elapsed.saturating_sub(frame.child_ns);
         let cells = &table.phases[frame.phase.index()];
         cells[0].add(self_ns);
@@ -224,7 +251,7 @@ impl ShardProfileSlot {
             shard: 0,
             path,
             depth: depth as u8,
-            start_ns: ns(frame.start.saturating_duration_since(self.epoch)),
+            start_ns: frame.start_ns,
             dur_ns: elapsed,
             self_ns,
         };
@@ -257,74 +284,98 @@ impl ShardProfileSlot {
     }
 }
 
-/// Opens a phase span on `slot`'s stack, counting roots in its table.
-/// Roots are admitted by the sampling divisor; guards under a skipped
-/// root (or past [`MAX_PHASE_DEPTH`]) only track balance.
-pub(crate) fn begin(slot: &ShardSlot, phase: Phase) -> PhaseGuard<'_> {
-    let (profile, roots) = (&slot.profile, &slot.table.roots);
-    let guard = |recording| PhaseGuard {
-        slot: Some(slot),
-        recording,
-    };
-    let mut st = profile.stack.lock();
-    if st.skipping > 0 {
-        st.skipping += 1;
-        return guard(false);
-    }
-    if st.frames.is_empty() {
-        // The stack's lock orders every write of the root count.
-        let seq = roots[0].read().0.counter();
-        roots[0].add(1);
-        if profile.sample_every > 1 && !seq.is_multiple_of(u64::from(profile.sample_every)) {
-            st.skipping = 1;
-            return guard(false);
-        }
-        roots[1].add(1);
-    }
-    if st.frames.len() >= MAX_PHASE_DEPTH || st.frames.len() == st.frames.capacity() {
-        st.skipping = 1;
-        return guard(false);
-    }
-    st.frames.push(Frame {
-        phase,
-        start: Instant::now(),
-        child_ns: 0,
-    });
-    guard(true)
+/// What a guard holds on its shard's span stack: nothing (profiler
+/// off), a place in a skipped subtree, or a recording frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    Nothing,
+    Skipped,
+    Frame,
 }
 
-/// RAII guard for one phase span: records on drop (or [`finish`]).
+/// Opens a guard for `phase` on `slot`: a place on its span stack when
+/// the profiler is on, and a clock reading when the guard holds a frame
+/// or times `kind`.
+pub(crate) fn begin(slot: &ShardSlot, phase: Phase, kind: Option<MetricKind>) -> PhaseGuard<'_> {
+    let mut st = slot.profile.on.then(|| slot.profile.stack.lock());
+    let held = (st.as_deref_mut()).map_or(Held::Nothing, |st| {
+        st.admit(slot.profile.sample_every, &slot.table.roots)
+    });
+    let timed = held == Held::Frame || kind.is_some();
+    let start_ns = if timed { clock_ns(slot.epoch) } else { 0 };
+    if let (Some(st), Held::Frame) = (st.as_deref_mut(), held) {
+        st.frames.push(Frame {
+            phase,
+            start_ns,
+            child_ns: 0,
+        });
+    }
+    PhaseGuard {
+        slot: Some(slot),
+        start_ns,
+        kind,
+        held,
+    }
+}
+
+/// RAII guard for one phase span: records on drop (or [`finish`]), and
+/// from [`crate::ShardObs::timed`] also into a latency histogram. It
+/// reads the clock at most once when it opens and once when it closes.
 ///
 /// [`finish`]: PhaseGuard::finish
 #[derive(Debug)]
 #[must_use = "a phase guard measures the scope it is bound to; dropping it immediately attributes nothing useful"]
 pub struct PhaseGuard<'a> {
     slot: Option<&'a ShardSlot>,
-    recording: bool,
+    start_ns: u64,
+    kind: Option<MetricKind>,
+    held: Held,
 }
 
 impl PhaseGuard<'_> {
-    /// A guard that records nothing (profiling off).
+    /// A guard that records nothing.
     pub(crate) fn disabled() -> Self {
         PhaseGuard {
             slot: None,
-            recording: false,
+            start_ns: 0,
+            kind: None,
+            held: Held::Nothing,
         }
     }
 
-    /// Ends the span early (otherwise it ends when dropped).
-    pub fn finish(self) {}
+    /// The opening reading (nanoseconds since the registry epoch), or 0
+    /// when the guard took none.
+    pub fn start_ns(&self) -> u64 {
+        self.start_ns
+    }
+
+    /// Ends the span early (otherwise it ends when dropped) and returns
+    /// the closing reading, or 0 when the guard took none.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        let Some(slot) = self.slot.take() else {
+            return 0;
+        };
+        let timed = self.held == Held::Frame || self.kind.is_some();
+        let end_ns = if timed { clock_ns(slot.epoch) } else { 0 };
+        match self.held {
+            Held::Frame => slot.profile.end_recording(&slot.table, end_ns),
+            Held::Skipped => slot.profile.end_skipped(),
+            Held::Nothing => {}
+        }
+        if let Some(kind) = self.kind {
+            slot.table.histograms[kind.index()].add(end_ns.saturating_sub(self.start_ns));
+        }
+        end_ns
+    }
 }
 
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot {
-            if self.recording {
-                slot.profile.end_recording(&slot.table);
-            } else {
-                slot.profile.end_skipped();
-            }
-        }
+        self.close();
     }
 }
 
@@ -729,6 +780,52 @@ mod tests {
         }
         assert!(registry.profile_snapshot().is_empty());
         assert!(registry.drain_spans().is_empty());
+    }
+
+    #[test]
+    fn timed_guards_share_their_readings() {
+        use crate::metrics::MetricKind::{CheckLatency, ResolveLatency};
+        let reads = crate::clock_reads();
+        let off = ShardObs::disabled();
+        let guard = off.timed(Phase::ConstraintCheck, CheckLatency);
+        assert_eq!((guard.start_ns(), guard.finish()), (0, 0));
+        assert_eq!(
+            crate::clock_reads(),
+            reads,
+            "a disabled handle reads no clock"
+        );
+
+        // Profiler off: the two readings are the histogram's observation.
+        let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
+        let h = registry.handle(0);
+        let guard = h.timed(Phase::ConstraintCheck, CheckLatency);
+        let start = guard.start_ns();
+        let end = guard.finish();
+        assert_eq!(crate::clock_reads(), reads + 2);
+        let check = registry.snapshot().histogram(CheckLatency);
+        assert_eq!((check.count, check.sum), (1, end - start));
+        assert!(registry.profile_snapshot().is_empty());
+
+        // Profiler on: the same two readings are also the phase's span.
+        let registry = profiled(1, 1);
+        let h = registry.handle(0);
+        let root = h.phase(Phase::Ingest);
+        let guard = h.timed(Phase::Resolution, ResolveLatency);
+        let start = guard.start_ns();
+        let end = guard.finish();
+        root.finish();
+        assert_eq!(crate::clock_reads(), reads + 6, "two per guard");
+        let resolve = registry.snapshot().histogram(ResolveLatency);
+        assert_eq!((resolve.count, resolve.sum), (1, end - start));
+        let spans = registry.drain_spans();
+        let span = spans
+            .iter()
+            .find(|s| s.phase() == Some(Phase::Resolution))
+            .expect("the resolution span");
+        assert_eq!(
+            (span.start_ns, span.dur_ns, span.depth),
+            (start, end - start, 1)
+        );
     }
 
     #[test]

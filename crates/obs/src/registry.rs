@@ -6,14 +6,31 @@ use crate::metrics::{CounterKind, MetricKind, OBS_SHARDS};
 use crate::profile::{Phase, PhaseGuard, ProfileSnapshot, ShardProfileSlot, SpanRecord};
 use crate::ring::{EventRing, RING_CAPACITY};
 use crate::snapshot::{ObsSnapshot, Reading, SeriesList, Value};
-use crate::span::ObsSpan;
 use crate::table::Table;
 use crate::tail::{ContextSpan, Exemplar, ShardTailSlot, TailOutcome};
 use ctxres_context::LogicalTime;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+thread_local! {
+    static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Nanoseconds since `epoch`: the one clock read of this crate and the
+/// engine, counted per thread for [`clock_reads`].
+pub(crate) fn clock_ns(epoch: Instant) -> u64 {
+    CLOCK_READS.with(|n| n.set(n.get() + 1));
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// How many times the calling thread has read the clock through this
+/// crate: phase guards, tail and queue stamps, sampler windows.
+pub fn clock_reads() -> u64 {
+    CLOCK_READS.with(Cell::get)
+}
 
 /// Run-time observability configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +148,7 @@ impl ObsConfig {
 /// reservoir.
 #[derive(Debug)]
 pub(crate) struct ShardSlot {
+    pub(crate) epoch: Instant,
     ring: Mutex<EventRing>,
     seq: AtomicU64,
     pub(crate) table: Table,
@@ -142,15 +160,12 @@ pub(crate) struct ShardSlot {
 impl ShardSlot {
     fn new(shard: usize, config: &ObsConfig, epoch: Instant) -> Self {
         ShardSlot {
+            epoch,
             ring: Mutex::new(EventRing::new(RING_CAPACITY)),
             seq: AtomicU64::new(0),
             table: Table::new(shard),
             now_tick: AtomicU64::new(0),
-            profile: ShardProfileSlot::new(
-                config.enabled && config.profile,
-                config.profile_sample,
-                epoch,
-            ),
+            profile: ShardProfileSlot::new(config.enabled && config.profile, config.profile_sample),
             tail: ShardTailSlot::default(),
         }
     }
@@ -166,7 +181,7 @@ impl ShardSlot {
 #[derive(Debug)]
 pub struct ObsRegistry {
     config: ObsConfig,
-    epoch: Instant,
+    pub(crate) epoch: Instant,
     slots: Vec<ShardSlot>,
 }
 
@@ -389,11 +404,6 @@ impl ShardObs {
         }
     }
 
-    /// Opens a timing span ending (and recording) when dropped.
-    pub fn span(&self, kind: MetricKind) -> ObsSpan<'_> {
-        ObsSpan::new(self, kind)
-    }
-
     /// Whether health telemetry is on for this handle — true only when
     /// the registry records at all *and* was configured with
     /// [`ObsConfig::health`]. Engines check this before bumping kind
@@ -419,8 +429,19 @@ impl ShardObs {
     /// elapsed time, minus nested children, to `phase`) when dropped.
     /// Subject to the sampling divisor at root-span granularity.
     pub fn phase(&self, phase: Phase) -> PhaseGuard<'_> {
-        match self.slot_if(|c| c.profile) {
-            Some(slot) => crate::profile::begin(slot, phase),
+        self.guard(phase, None)
+    }
+
+    /// [`ShardObs::phase`] that also records its elapsed time into
+    /// histogram `kind` whenever the handle is enabled, from the same
+    /// two clock readings ([`PhaseGuard::start_ns`], [`PhaseGuard::finish`]).
+    pub fn timed(&self, phase: Phase, kind: MetricKind) -> PhaseGuard<'_> {
+        self.guard(phase, Some(kind))
+    }
+
+    fn guard(&self, phase: Phase, kind: Option<MetricKind>) -> PhaseGuard<'_> {
+        match self.slot_if(|c| c.profile || kind.is_some()) {
+            Some(slot) => crate::profile::begin(slot, phase, kind),
             None => PhaseGuard::disabled(),
         }
     }
@@ -469,10 +490,12 @@ impl ShardObs {
     }
 
     /// The configured slow-batch postmortem bound in nanoseconds; 0
-    /// when postmortems are off or the handle is disabled.
+    /// when postmortems are off, tail telemetry is off or the handle is
+    /// disabled.
     pub fn slow_batch_bound_ns(&self) -> u64 {
         self.inner
             .as_ref()
+            .filter(|i| i.registry.config.tail)
             .map_or(0, |i| i.registry.config.slow_batch_bound_ns)
     }
 
@@ -480,9 +503,7 @@ impl ShardObs {
     /// stamps are taken on (shared across shards so cross-shard spans
     /// line up). Returns 0 from a disabled handle.
     pub fn now_ns(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            u64::try_from(i.registry.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
+        self.slot().map_or(0, |slot| clock_ns(slot.epoch))
     }
 
     /// Folds one context's finished end-to-end span into the tail

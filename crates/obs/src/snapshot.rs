@@ -24,7 +24,7 @@ use crate::event::TraceEvent;
 use crate::health::DEFAULT_EWMA_ALPHA;
 use crate::metrics::{CounterKind, HistogramSnapshot, MetricKind};
 use crate::profile::Phase;
-use crate::registry::{ObsRegistry, ShardObs};
+use crate::registry::{clock_ns, ObsRegistry, ShardObs};
 use crate::slo::{HealthAlert, SloEngine};
 use crate::tail::Exemplar;
 use ctxres_context::LogicalTime;
@@ -33,7 +33,6 @@ use serde::{Deserialize, Serialize, Serializer};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A family's Prometheus type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -474,7 +473,8 @@ type SeriesKey = (String, Vec<(String, String)>);
 #[derive(Debug)]
 pub struct Sampler {
     registry: Arc<ObsRegistry>,
-    prev: Option<(Instant, HashMap<SeriesKey, Value>)>,
+    /// The previous sample's end (ns since the registry epoch) and values.
+    prev: Option<(u64, HashMap<SeriesKey, Value>)>,
     ewma: HashMap<String, f64>,
     slo: Option<SloEngine>,
     build: Option<BuildInfo>,
@@ -524,11 +524,9 @@ impl Sampler {
     /// Takes a sample; the window is the wall-clock time since the
     /// previous call.
     pub fn sample(&mut self) -> Sample {
-        let secs = self
-            .prev
-            .as_ref()
-            .map(|(t, _)| t.elapsed().as_secs_f64())
-            .unwrap_or(0.0);
+        let secs = self.prev.as_ref().map_or(0.0, |(t, _)| {
+            clock_ns(self.registry.epoch).saturating_sub(*t) as f64 / 1e9
+        });
         self.sample_after(secs)
     }
 
@@ -557,7 +555,7 @@ impl Sampler {
                 cumulative.insert(key, s.value.clone());
             }
         }
-        self.prev = Some((Instant::now(), cumulative));
+        self.prev = Some((clock_ns(self.registry.epoch), cumulative));
 
         let mut derived =
             vec![crate::metrics::SCRAPE_WINDOW.series(&[], Value::Gauge(Reading(elapsed_secs)))];

@@ -1,11 +1,11 @@
 //! End-to-end tail-latency spans, slow-context exemplars, and queue
 //! wait-versus-service telemetry.
 //!
-//! The per-operation histograms ([`crate::MetricKind::CheckLatency`],
-//! [`crate::MetricKind::IngestLatency`], …) time *stages*; nothing in
-//! the stack could say how long one context waited from the door to its
-//! verdict — the quantity the paper's delay-versus-accuracy trade-off
-//! (§3.3) is actually about. This module adds that missing axis:
+//! The timed phase guards ([`crate::ShardObs::timed`]) time *stages*
+//! ([`crate::MetricKind::CheckLatency`], …); nothing in the stack could
+//! say how long one context waited from the door to its verdict — the
+//! quantity the paper's delay-versus-accuracy trade-off (§3.3) is
+//! actually about. This module adds that axis from the same readings:
 //!
 //! * **context spans** ([`ContextSpan`]): four monotonic stamps per
 //!   context — batch/submit ingress, constraint verdict, resolution

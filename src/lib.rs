@@ -103,11 +103,13 @@
 //! * [`obs`] — the instrumentation layer: typed life-cycle event traces
 //!   in bounded per-shard ring buffers, the provenance graph folded from
 //!   them (why each context was discarded), a lock-light metrics
-//!   registry (latency histograms, Δ-size, queue depth), and RAII timing
-//!   spans that compile to a branch when disabled;
+//!   registry (latency histograms, Δ-size, queue depth), and one RAII
+//!   phase timer per boundary whose two clock readings feed the
+//!   profiler, the latency histograms and the tail stamps, compiling to
+//!   a branch when disabled;
 //! * [`middleware`] — the Cabot-style runtime: plug-in strategies,
 //!   situation engine, subscriptions, observers, retention, and a
-//!   thread-shared front-end;
+//!   subject-sharded front-end for client threads;
 //! * [`landmarc`] — the simulated localization substrate (k-NN,
 //!   trilateration, fusion);
 //! * [`apps`] — four complete applications with calibrated workloads;

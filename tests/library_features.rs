@@ -9,9 +9,7 @@ use ctxres::constraint::{
 use ctxres::context::{Context, ContextKind, LogicalTime, Ticks};
 use ctxres::core::strategies::{DropBad, ImpactAwareDropBad};
 use ctxres::core::ResolutionStrategy;
-use ctxres::middleware::{
-    EventLog, Middleware, MiddlewareConfig, SharedMiddleware, SubscriptionFilter,
-};
+use ctxres::middleware::{EventLog, Middleware, MiddlewareConfig, SubscriptionFilter};
 use ctxres::obs::{CauseKind, ObsConfig, ObsRegistry, ProvenanceGraph};
 
 #[test]
@@ -86,14 +84,23 @@ fn shared_middleware_with_observer_and_subscription() {
         })
         .observer(Box::new(std::sync::Arc::clone(&log)))
         .build();
-    let shared = SharedMiddleware::new(mw);
+    // One lock around one engine: a scoped thread pumps a channel into
+    // it while this thread produces and then polls the subscription.
+    let shared = parking_lot::Mutex::new(mw);
     let feed = shared
         .lock()
         .subscribe(SubscriptionFilter::all().of_kind("badge"));
 
     let (tx, rx) = crossbeam::channel::unbounded();
     let pumped = std::thread::scope(|scope| {
-        let pump = scope.spawn(|| shared.pump(rx));
+        let pump = scope.spawn(|| {
+            let mut pumped = 0;
+            for ctx in rx {
+                shared.lock().submit(ctx);
+                pumped += 1;
+            }
+            pumped
+        });
         for i in 0..10u64 {
             tx.send(
                 Context::builder(ContextKind::new("badge"), "peter")
