@@ -4,7 +4,7 @@ use crate::inconsistency::Inconsistency;
 use crate::strategy::{AdditionOutcome, ResolutionStrategy, TieBreak, TiePolicy, UseOutcome};
 use crate::tracked::TrackedSet;
 use ctxres_context::{ContextId, ContextPool, ContextState, LogicalTime};
-use ctxres_obs::{CauseKind, CounterKind, MetricKind, ShardObs, TraceEvent};
+use ctxres_obs::{CauseKind, MetricKind, ShardObs, TraceEvent};
 
 /// Drop-bad (`D-BAD`): heuristics-based deferred resolution driven by
 /// count values (paper §3, Figs. 6–8).
@@ -47,11 +47,13 @@ use ctxres_obs::{CauseKind, CounterKind, MetricKind, ShardObs, TraceEvent};
 ///   not have — contradicting §3.3's "no negative effect" argument.
 ///
 /// Every decision is explainable from its count evidence. With a
-/// tracing [`ShardObs`] attached, each verdict emits a `ResolvedBecause`
-/// edge (the dooming constraint, its partners and the count value; no
-/// constraint when an earlier bad-marking decided it) and each
-/// bad-marking a `SupersededBy` edge (the constraint and count; the used
-/// context is among the partners).
+/// tracing [`ShardObs`] attached, each tracked inconsistency gives every
+/// member a `JoinedDelta` edge (the constraint, its partners and the
+/// count value the insertion bumped the member to), each verdict emits
+/// a `ResolvedBecause` edge (the dooming constraint, its partners and
+/// the count value; no constraint when an earlier bad-marking decided
+/// it) and each bad-marking a `SupersededBy` edge (the constraint and
+/// count; the used context is among the partners).
 /// [`ProvenanceGraph`](ctxres_obs::ProvenanceGraph) folds them into
 /// per-context causal chains.
 #[derive(Debug, Clone, Default)]
@@ -98,7 +100,7 @@ impl DropBad {
             .observe(MetricKind::DeltaSize, self.delta.len() as u64);
     }
 
-    /// Records one provenance cause edge and bumps the edge counter.
+    /// Records one provenance cause edge.
     #[allow(clippy::too_many_arguments)]
     fn emit_cause(
         &self,
@@ -121,7 +123,6 @@ impl DropBad {
                 verdict,
             },
         );
-        self.obs.count(CounterKind::ProvEdges, 1);
     }
 }
 
@@ -144,55 +145,22 @@ impl ResolutionStrategy for DropBad {
         // Context addition change (Fig. 6): track the new
         // inconsistencies; the context stays buffered (`Undecided`).
         for inc in fresh {
-            if !self.delta.add(inc.clone()) || !self.obs.is_enabled() {
+            if !self.delta.add(inc.clone()) || !self.obs.provenance_enabled() {
                 continue;
             }
-            self.obs.record(
-                now,
-                TraceEvent::DeltaInserted {
-                    constraint: inc.constraint().to_string(),
-                    contexts: inc.contexts().iter().copied().collect(),
-                },
-            );
             // Each member was bumped once, so its count now is the
             // value the insertion bumped it to.
-            for &ctx in inc.contexts() {
-                self.obs.record(
+            let members = inc.contexts();
+            for &ctx in members {
+                self.emit_cause(
                     now,
-                    TraceEvent::CountBumped {
-                        ctx,
-                        count: self.delta.counts().get(ctx) as u64,
-                    },
+                    ctx,
+                    CauseKind::JoinedDelta,
+                    Some(inc.constraint().to_string()),
+                    members.iter().copied().filter(|c| *c != ctx).collect(),
+                    Some(self.delta.counts().get(ctx) as u64),
+                    None,
                 );
-            }
-            if self.obs.provenance_enabled() {
-                let members: Vec<ContextId> = inc.contexts().iter().copied().collect();
-                for &ctx in &members {
-                    let partners: Vec<ContextId> =
-                        members.iter().copied().filter(|c| *c != ctx).collect();
-                    self.emit_cause(
-                        now,
-                        ctx,
-                        CauseKind::JoinedDelta,
-                        Some(inc.constraint().to_string()),
-                        partners,
-                        None,
-                        None,
-                    );
-                }
-                for &ctx in &members {
-                    let partners: Vec<ContextId> =
-                        members.iter().copied().filter(|c| *c != ctx).collect();
-                    self.emit_cause(
-                        now,
-                        ctx,
-                        CauseKind::CountBumpedBy,
-                        Some(inc.constraint().to_string()),
-                        partners,
-                        Some(self.delta.counts().get(ctx) as u64),
-                        None,
-                    );
-                }
             }
         }
         self.observe_delta_size();
@@ -294,7 +262,6 @@ impl ResolutionStrategy for DropBad {
                 if pool.get(culprit).map(|c| c.state()) == Some(ContextState::Undecided) {
                     let _ = pool.set_state(culprit, ContextState::Bad);
                     marked_bad.push(culprit);
-                    self.obs.record(now, TraceEvent::MarkedBad { ctx: culprit });
                     if self.obs.provenance_enabled() {
                         let partners: Vec<ContextId> = inc
                             .contexts()
@@ -319,7 +286,7 @@ impl ResolutionStrategy for DropBad {
         // Context deletion change (Fig. 6): the resolved inconsistencies
         // leave Δ.
         let resolved = self.delta.resolve_involving(id);
-        if self.obs.is_enabled() {
+        if self.obs.provenance_enabled() {
             for inc in &resolved {
                 self.obs.record(
                     now,

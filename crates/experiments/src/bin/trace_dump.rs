@@ -161,6 +161,7 @@ fn demo(out: &Path, json: bool, slow: bool) -> Result<(), String> {
 /// Prints the three views of a trace: timeline, transition table, and
 /// discarded-context life cycles.
 fn dump(trace: &[TraceRecord], label: &str) {
+    let graph = ProvenanceGraph::from_records(trace);
     outln!("== timeline ({} events) ==", trace.len());
     out!("{}", render_timeline(trace, TIMELINE_LIMIT));
 
@@ -168,7 +169,7 @@ fn dump(trace: &[TraceRecord], label: &str) {
     outln!("== state transitions ==");
     out!(
         "{}",
-        render_transition_table(&[(label.to_owned(), transition_counts(trace))])
+        render_transition_table(&[(label.to_owned(), transition_counts(&graph))])
     );
 
     outln!();
@@ -199,7 +200,6 @@ fn dump(trace: &[TraceRecord], label: &str) {
 
     outln!();
     outln!("== discarded-context life cycles ==");
-    let graph = ProvenanceGraph::from_records(trace);
     let discarded = graph.discarded();
     for node in &discarded {
         let l = DiscardedNode::new(node);

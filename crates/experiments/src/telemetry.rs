@@ -5,15 +5,17 @@
 //! with [`crate::runner::run_named_observed`] each cell yields a
 //! [`CellTelemetry`] carrying the drained event trace and the metrics
 //! snapshot of that one run. A context's journey through the Fig. 8
-//! life cycle — creation, detections, count bumps, bad-marking, and the
-//! final delivery/discard — is its [`ProvNode`] in the trace's
-//! [`ProvenanceGraph`], the one fold `explain` reads too;
-//! [`DiscardedNode`] flattens a discarded node for `trace_dump`.
+//! life cycle — creation, detections, Δ membership with its count,
+//! bad-marking, and the final delivery/discard — is its [`ProvNode`] in
+//! the trace's [`ProvenanceGraph`], the one fold `explain` and the
+//! transition table read too; [`DiscardedNode`] flattens a discarded
+//! node for `trace_dump`.
 
 use crate::explain::fate;
 use ctxres_context::{ContextId, ContextState};
 use ctxres_obs::{
-    CauseEdge, NodeId, ObsRegistry, ObsSnapshot, ProvNode, ProvenanceGraph, TraceEvent, TraceRecord,
+    CauseEdge, CauseKind, NodeId, ObsRegistry, ObsSnapshot, ProvNode, ProvenanceGraph, TraceEvent,
+    TraceRecord,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -55,16 +57,20 @@ impl CellTelemetry {
     }
 }
 
-/// `StateChanged` tallies keyed `(from, to)`.
+/// Life-cycle transition tallies keyed `(from, to)`.
 pub type TransitionCounts = BTreeMap<(ContextState, ContextState), u64>;
 
-/// Counts the `StateChanged` transitions of a trace, keyed
-/// `(from, to)`.
-pub fn transition_counts(trace: &[TraceRecord]) -> TransitionCounts {
+/// Counts the life-cycle transitions of a folded trace, keyed
+/// `(from, to)`: each verdict edge of a context's chain moves it from
+/// the state its previous verdict left it in (the first from
+/// `undecided`) to the state it names.
+pub fn transition_counts(graph: &ProvenanceGraph) -> TransitionCounts {
     let mut counts = BTreeMap::new();
-    for record in trace {
-        if let TraceEvent::StateChanged { from, to, .. } = &record.event {
-            *counts.entry((*from, *to)).or_insert(0) += 1;
+    for node in graph.nodes() {
+        let mut from = ContextState::Undecided;
+        for to in node.chain.iter().filter_map(|e| e.verdict) {
+            *counts.entry((from, to)).or_insert(0) += 1;
+            from = to;
         }
     }
     counts
@@ -125,9 +131,11 @@ pub struct DiscardedNode {
     pub fate: String,
     /// Tick the context entered the middleware.
     pub received_at: Option<u64>,
-    /// Count-value history (one bump per tracked inconsistency).
+    /// Count-value history: the count each tracked inconsistency the
+    /// context joined bumped it to.
     pub counts: Vec<u64>,
-    /// The node's flat events and its own cause edges, in trace order.
+    /// The node's timeline and its own cause edges (the submission root
+    /// stamped with its `Received` record's causal ID), in trace order.
     pub events: Vec<TraceRecord>,
 }
 
@@ -135,12 +143,10 @@ impl DiscardedNode {
     /// Flattens one provenance node.
     pub fn new(node: &ProvNode) -> Self {
         let counts: Vec<u64> = node
-            .timeline
+            .chain
             .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::CountBumped { count, .. } => Some(*count),
-                _ => None,
-            })
+            .filter(|e| e.cause == CauseKind::JoinedDelta)
+            .filter_map(|e| e.count)
             .collect();
         let mut summary = format!("shard {} {}: ", node.id.shard, node.id.ctx);
         match node.received_at {
@@ -198,7 +204,7 @@ pub struct TraceDumpJson {
     pub events: usize,
     /// The full event timeline (never elided — machines don't scroll).
     pub timeline: Vec<TraceRecord>,
-    /// `StateChanged` tallies.
+    /// Life-cycle transition tallies ([`transition_counts`]).
     pub transitions: Vec<TransitionRow>,
     /// Every discarded context's provenance node, flattened.
     pub discarded_lifecycles: Vec<DiscardedNode>,
@@ -226,11 +232,11 @@ pub struct TraceDumpJson {
 /// Builds the machine-readable dump of a trace — the `--json` face of
 /// `trace_dump`.
 pub fn json_dump(trace: &[TraceRecord], label: &str) -> TraceDumpJson {
-    let transitions = transition_counts(trace)
+    let graph = ProvenanceGraph::from_records(trace);
+    let transitions = transition_counts(&graph)
         .into_iter()
         .map(|((from, to), count)| TransitionRow { from, to, count })
         .collect();
-    let graph = ProvenanceGraph::from_records(trace);
     let discarded_lifecycles: Vec<DiscardedNode> = graph
         .discarded()
         .into_iter()
@@ -301,6 +307,7 @@ mod tests {
     use ctxres_apps::PervasiveApp;
     use ctxres_obs::ObsConfig;
 
+    /// The `trace_dump --demo` cell.
     fn observed_cell() -> CellTelemetry {
         let app = CallForwarding::new();
         let (_, telemetry) = run_named_observed(
@@ -332,9 +339,9 @@ mod tests {
     }
 
     /// Every context that ends the run `Inconsistent` has a receive
-    /// event, a detection, count evidence and a discard event in its
-    /// provenance node, a chain without gaps, and nothing was evicted
-    /// from the ring.
+    /// record, a violation, Δ membership with its count and an
+    /// inconsistent verdict in its provenance node, a chain without
+    /// gaps, and nothing was evicted from the ring.
     #[test]
     fn trace_is_complete_for_every_discarded_context() {
         let cell = observed_cell();
@@ -345,26 +352,117 @@ mod tests {
             !discarded.is_empty(),
             "a 30% error rate drop-bad run must discard something"
         );
-        let has = |node: &ProvNode, pred: fn(&TraceEvent) -> bool| {
-            node.timeline.iter().any(|r| pred(&r.event))
-        };
         for node in discarded {
             let id = node.id;
-            assert!(node.received_at.is_some(), "{id}: no creation event");
+            assert!(node.received_at.is_some(), "{id}: no receive record");
             assert!(
-                has(node, |e| matches!(e, TraceEvent::Detected { .. })),
-                "{id}: discarded without a detection event"
+                node.chain.iter().any(|e| e.cause == CauseKind::ViolatedBy),
+                "{id}: discarded without a violation"
             );
             assert!(
-                has(node, |e| matches!(e, TraceEvent::Discarded { .. })),
-                "{id}: ended Inconsistent without a discard event"
-            );
-            assert!(
-                has(node, |e| matches!(e, TraceEvent::CountBumped { .. })),
+                node.chain
+                    .iter()
+                    .any(|e| e.cause == CauseKind::JoinedDelta && e.count.is_some()),
                 "{id}: drop-bad discards carry count evidence"
+            );
+            assert_eq!(
+                node.verdict_edge().and_then(|e| e.verdict),
+                Some(ContextState::Inconsistent),
+                "{id}: ended Inconsistent without an inconsistent verdict"
             );
             assert_eq!(node.completeness_gaps(), Vec::<String>::new(), "{id}");
         }
+    }
+
+    /// The demo cell's trace states each fact once: a `Received` root
+    /// per context, one edge per violation member, Δ membership (with
+    /// its count) and verdict, and a record per delivery, expiry and Δ
+    /// removal.
+    #[test]
+    fn demo_cell_trace_states_each_fact_once() {
+        let cell = observed_cell();
+        assert_eq!((cell.trace.len(), cell.dropped), (853, 0));
+        let mut by_type: BTreeMap<&str, usize> = BTreeMap::new();
+        for record in &cell.trace {
+            let name = match &record.event {
+                TraceEvent::Received { .. } => "Received",
+                TraceEvent::Caused { cause, .. } => cause.name(),
+                TraceEvent::DeltaRemoved { .. } => "DeltaRemoved",
+                TraceEvent::Delivered { .. } => "Delivered",
+                TraceEvent::Expired { .. } => "Expired",
+                TraceEvent::Alert { .. } => "Alert",
+                TraceEvent::SlowBatch { .. } => "SlowBatch",
+            };
+            *by_type.entry(name).or_default() += 1;
+        }
+        assert_eq!(
+            by_type,
+            BTreeMap::from([
+                ("Received", 200),
+                ("violated_by", 108),
+                ("joined_delta", 108),
+                ("resolved_because", 200),
+                ("superseded_by", 13),
+                ("Delivered", 165),
+                ("Expired", 3),
+                ("DeltaRemoved", 56),
+            ])
+        );
+    }
+
+    /// The transition table counts every verdict: on the demo cell,
+    /// the contexts each state gained minus those it lost are the
+    /// pool's contexts in that state at the end of the run (the three
+    /// contexts drop-bad finds expired at use end consistent too).
+    #[test]
+    fn transitions_end_in_the_pools_final_states() {
+        use ctxres_context::Ticks;
+        use ctxres_middleware::{Middleware, MiddlewareConfig};
+        let app = CallForwarding::new();
+        let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
+        let mut mw = Middleware::builder()
+            .constraints(app.constraints())
+            .situations(app.situations())
+            .registry(app.registry())
+            .strategy(ctxres_core::strategies::by_name("d-bad", 3).unwrap())
+            .config(MiddlewareConfig {
+                window: Ticks::new(app.recommended_window()),
+                track_ground_truth: true,
+                retention: None,
+            })
+            .obs(registry.handle(0))
+            .build();
+        for ctx in app.generate(0.3, 3, 200) {
+            mw.submit(ctx);
+        }
+        mw.drain();
+        let counts = transition_counts(&ProvenanceGraph::from_records(&registry.drain()));
+        use ContextState::{Bad, Consistent, Inconsistent, Undecided};
+        assert_eq!(
+            counts,
+            BTreeMap::from([
+                ((Undecided, Consistent), 168),
+                ((Undecided, Bad), 13),
+                ((Undecided, Inconsistent), 19),
+                ((Bad, Inconsistent), 13),
+            ])
+        );
+        let mut ended: BTreeMap<ContextState, i64> = BTreeMap::new();
+        for ((from, to), n) in counts {
+            *ended.entry(from).or_default() -= n as i64;
+            *ended.entry(to).or_default() += n as i64;
+        }
+        let mut pool: BTreeMap<ContextState, i64> = BTreeMap::new();
+        for (_, ctx) in mw.pool().iter() {
+            *pool.entry(ctx.state()).or_default() += 1;
+            *pool.entry(Undecided).or_default() -= 1;
+        }
+        ended.retain(|_, n| *n != 0);
+        assert_eq!(ended, pool);
+        assert_eq!(
+            pool,
+            BTreeMap::from([(Undecided, -200), (Consistent, 168), (Inconsistent, 32)])
+        );
     }
 
     #[test]
@@ -401,7 +499,7 @@ mod tests {
     #[test]
     fn transition_table_renders_by_strategy() {
         let cell = observed_cell();
-        let counts = transition_counts(&cell.trace);
+        let counts = transition_counts(&ProvenanceGraph::from_records(&cell.trace));
         assert!(!counts.is_empty());
         let table = render_transition_table(&[(cell.strategy.clone(), counts.clone())]);
         assert!(table.contains("d-bad"), "{table}");
@@ -433,7 +531,8 @@ mod tests {
         assert_eq!(dump.events, cell.trace.len());
         assert_eq!(dump.timeline, cell.trace, "timeline is never elided");
         assert!(!dump.transitions.is_empty());
-        let table_total: u64 = transition_counts(&cell.trace).values().sum();
+        let graph = ProvenanceGraph::from_records(&cell.trace);
+        let table_total: u64 = transition_counts(&graph).values().sum();
         let rows_total: u64 = dump.transitions.iter().map(|r| r.count).sum();
         assert_eq!(table_total, rows_total);
         assert!(!dump.discarded_lifecycles.is_empty());

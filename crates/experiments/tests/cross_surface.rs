@@ -8,7 +8,8 @@
 //! engine's own `MiddlewareStats`. On the demo cell, `trace_dump --json`
 //! and `explain --discarded --json` must list the same discarded
 //! contexts, as many as the engine discarded, each with a complete
-//! causal chain.
+//! causal chain, and the trace counters must equal the records, cause
+//! edges and provenance nodes of the drained trace.
 
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::PervasiveApp;
@@ -209,6 +210,24 @@ fn demo_cell_counters_agree_across_surfaces() {
     let sample = assert_counters_agree(&registry);
     let trace = assert_core_counters(&registry, &sample, &stats);
     assert_discards_agree(&trace, &stats);
+
+    // The trace counters count the records they describe: every record,
+    // every cause edge (a `Received` record is its chain's root edge)
+    // and every provenance node.
+    let graph = ProvenanceGraph::from_records(&trace);
+    let counted = |family: &str| sample.total(family) as usize;
+    assert_eq!(
+        [
+            counted("ctxres_events_recorded_total"),
+            counted("ctxres_prov_edges_total"),
+            counted("ctxres_prov_nodes_total"),
+        ],
+        [trace.len(), graph.edge_count(), graph.len()]
+    );
+    assert_eq!(
+        (trace.len(), graph.edge_count(), graph.len()),
+        (853, 629, 200)
+    );
 }
 
 #[test]

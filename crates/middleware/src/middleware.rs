@@ -454,7 +454,10 @@ impl Middleware {
         let truth = ctx.truth();
         let kind = ctx.kind().clone();
         let expires = ctx.lifespan().expires_at();
-        let subject = self.obs.is_enabled().then(|| Arc::clone(ctx.subject_arc()));
+        let subject = self
+            .obs
+            .provenance_enabled()
+            .then(|| Arc::clone(ctx.subject_arc()));
         let gt_clone =
             (self.config.track_ground_truth && truth == TruthTag::Expected).then(|| ctx.clone());
         let id = self.pool.insert(ctx);
@@ -466,6 +469,7 @@ impl Middleware {
             self.kind_cell(&kind).ingested(1);
         }
         if let Some(subject) = subject {
+            // The root of the context's causal chain.
             self.obs.record(
                 now,
                 TraceEvent::Received {
@@ -474,23 +478,6 @@ impl Middleware {
                     subject,
                 },
             );
-        }
-        if self.obs.provenance_enabled() {
-            let _prov_phase = self.obs.phase(Phase::ProvenanceEmit);
-            // The root of every causal chain: the submission itself.
-            self.obs.record(
-                now,
-                TraceEvent::Caused {
-                    ctx: id,
-                    cause: CauseKind::SubmissionOf,
-                    constraint: None,
-                    partners: Vec::new(),
-                    count: None,
-                    verdict: None,
-                },
-            );
-            self.obs.count(CounterKind::ProvEdges, 1);
-            self.obs.count(CounterKind::ProvNodes, 1);
         }
         if let Some(clone) = gt_clone {
             // The ground-truth shadow view: an expected context joins it
@@ -511,14 +498,6 @@ impl Middleware {
             // normal cadence.
             self.stats.irrelevant += 1;
             let _ = self.pool.set_state(id, ContextState::Consistent);
-            self.obs.record(
-                now,
-                TraceEvent::StateChanged {
-                    ctx: id,
-                    from: ContextState::Undecided,
-                    to: ContextState::Consistent,
-                },
-            );
             if self.obs.provenance_enabled() {
                 // The middleware itself decides the irrelevant fast
                 // path, so it owns the verdict edge regardless of the
@@ -534,7 +513,6 @@ impl Middleware {
                         verdict: Some(ContextState::Consistent),
                     },
                 );
-                self.obs.count(CounterKind::ProvEdges, 1);
             }
             if tail_on {
                 // Irrelevant contexts get no constraint verdict or
@@ -593,15 +571,6 @@ impl Middleware {
         self.reported = checker_stats;
         self.stats.inconsistencies += fresh.len() as u64;
         if self.obs.is_enabled() {
-            for inc in &fresh {
-                self.obs.record(
-                    now,
-                    TraceEvent::Detected {
-                        constraint: inc.constraint().to_string(),
-                        contexts: inc.contexts().iter().copied().collect(),
-                    },
-                );
-            }
             self.obs.count(CounterKind::Detections, fresh.len() as u64);
             if !fresh.is_empty() && self.obs.health_enabled() {
                 // Violations are attributed to the submitted kind: the
@@ -613,12 +582,10 @@ impl Middleware {
                 // Every member of a fresh inconsistency gains a
                 // violation edge citing the constraint and the bound
                 // partners — the evidence later verdicts build on.
-                let mut edges = 0u64;
                 for inc in &fresh {
-                    let members: Vec<ContextId> = inc.contexts().iter().copied().collect();
-                    for &c in &members {
-                        let partners: Vec<ContextId> =
-                            members.iter().copied().filter(|p| *p != c).collect();
+                    let members = inc.contexts();
+                    for &c in members {
+                        let partners = members.iter().copied().filter(|p| *p != c).collect();
                         self.obs.record(
                             now,
                             TraceEvent::Caused {
@@ -631,10 +598,8 @@ impl Middleware {
                             },
                         );
                         *self.prov_violations.entry(c).or_insert(0) += 1;
-                        edges += 1;
                     }
                 }
-                self.obs.count(CounterKind::ProvEdges, edges);
             }
         }
 
@@ -657,7 +622,7 @@ impl Middleware {
                 .iter()
                 .find(|inc| inc.contexts().iter().any(|c| c == did))
                 .cloned();
-            self.count_discard(*did, now, ContextState::Undecided, cause.as_ref());
+            self.count_discard(*did, now, cause.as_ref());
         }
         if outcome.accepted {
             self.buffer.push_back((now + self.config.window, id));
@@ -811,41 +776,32 @@ impl Middleware {
                 TruthTag::Corrupted => self.stats.delivered_corrupted += 1,
             }
             if self.obs.is_enabled() {
-                if prev_state == ContextState::Undecided {
-                    self.obs.record(
-                        now,
-                        TraceEvent::StateChanged {
-                            ctx: id,
-                            from: prev_state,
-                            to: ContextState::Consistent,
-                        },
-                    );
-                }
-                self.obs.record(now, TraceEvent::Delivered { ctx: id });
                 self.obs.count(CounterKind::Deliveries, 1);
                 if self.obs.health_enabled() {
                     if let Some(kind) = &kind {
                         self.kind_cell(kind).delivered(1);
                     }
                 }
-                if self.obs.provenance_enabled() && prev_state == ContextState::Undecided {
-                    let obs = self.obs.clone();
-                    let _prov_phase = obs.phase(Phase::ProvenanceEmit);
-                    if !self.strategy.emits_provenance() {
-                        self.obs.record(
-                            now,
-                            TraceEvent::Caused {
-                                ctx: id,
-                                cause: CauseKind::ResolvedBecause,
-                                constraint: None,
-                                partners: Vec::new(),
-                                count: None,
-                                verdict: Some(ContextState::Consistent),
-                            },
-                        );
-                        self.obs.count(CounterKind::ProvEdges, 1);
+                if self.obs.provenance_enabled() {
+                    self.obs.record(now, TraceEvent::Delivered { ctx: id });
+                    if prev_state == ContextState::Undecided {
+                        let obs = self.obs.clone();
+                        let _prov_phase = obs.phase(Phase::ProvenanceEmit);
+                        if !self.strategy.emits_provenance() {
+                            self.obs.record(
+                                now,
+                                TraceEvent::Caused {
+                                    ctx: id,
+                                    cause: CauseKind::ResolvedBecause,
+                                    constraint: None,
+                                    partners: Vec::new(),
+                                    count: None,
+                                    verdict: Some(ContextState::Consistent),
+                                },
+                            );
+                        }
+                        self.observe_chain_depth(id);
                     }
-                    self.observe_chain_depth(id);
                 }
             }
             if !self.subscriptions.is_empty() {
@@ -855,7 +811,9 @@ impl Middleware {
             }
         } else if !outcome.discarded.contains(&id) && !was_live {
             self.stats.expired_on_use += 1;
-            self.obs.record(now, TraceEvent::Expired { ctx: id });
+            if self.obs.provenance_enabled() {
+                self.obs.record(now, TraceEvent::Expired { ctx: id });
+            }
             if self.obs.health_enabled() {
                 if let Some(kind) = &kind {
                     self.kind_cell(kind).expired(1);
@@ -864,46 +822,22 @@ impl Middleware {
             self.prov_violations.remove(&id);
         }
         for did in &outcome.discarded {
-            // The used context may have been `Bad` before its discard;
-            // any other casualty was still undecided.
-            let from = if *did == id {
-                prev_state
-            } else {
-                ContextState::Undecided
-            };
-            self.count_discard(*did, now, from, None);
+            self.count_discard(*did, now, None);
         }
         self.stats.marked_bad += outcome.marked_bad.len() as u64;
-        if self.obs.is_enabled() {
+        if self.obs.provenance_enabled() && !self.strategy.emits_provenance() {
             for bid in &outcome.marked_bad {
                 self.obs.record(
                     now,
-                    TraceEvent::StateChanged {
+                    TraceEvent::Caused {
                         ctx: *bid,
-                        from: ContextState::Undecided,
-                        to: ContextState::Bad,
+                        cause: CauseKind::SupersededBy,
+                        constraint: None,
+                        partners: vec![id],
+                        count: None,
+                        verdict: Some(ContextState::Bad),
                     },
                 );
-            }
-            if self.obs.provenance_enabled()
-                && !self.strategy.emits_provenance()
-                && !outcome.marked_bad.is_empty()
-            {
-                for bid in &outcome.marked_bad {
-                    self.obs.record(
-                        now,
-                        TraceEvent::Caused {
-                            ctx: *bid,
-                            cause: CauseKind::SupersededBy,
-                            constraint: None,
-                            partners: vec![id],
-                            count: None,
-                            verdict: Some(ContextState::Bad),
-                        },
-                    );
-                }
-                self.obs
-                    .count(CounterKind::ProvEdges, outcome.marked_bad.len() as u64);
             }
         }
         if self.obs.tail_enabled() {
@@ -934,13 +868,7 @@ impl Middleware {
         self.observers = observers;
     }
 
-    fn count_discard(
-        &mut self,
-        id: ContextId,
-        now: LogicalTime,
-        from: ContextState,
-        cause: Option<&Inconsistency>,
-    ) {
+    fn count_discard(&mut self, id: ContextId, now: LogicalTime, cause: Option<&Inconsistency>) {
         if let Some((kind, stamp)) = self.pool.get(id).map(|c| (c.kind().clone(), c.stamp())) {
             if self.obs.health_enabled() {
                 self.kind_cell(&kind).discarded(1);
@@ -956,15 +884,6 @@ impl Middleware {
             TruthTag::Corrupted => self.stats.discarded_corrupted += 1,
         }
         if self.obs.is_enabled() {
-            self.obs.record(
-                now,
-                TraceEvent::StateChanged {
-                    ctx: id,
-                    from,
-                    to: ContextState::Inconsistent,
-                },
-            );
-            self.obs.record(now, TraceEvent::Discarded { ctx: id });
             self.obs.count(CounterKind::Discards, 1);
             if self.obs.provenance_enabled() {
                 let obs = self.obs.clone();
@@ -991,7 +910,6 @@ impl Middleware {
                             verdict: Some(ContextState::Inconsistent),
                         },
                     );
-                    self.obs.count(CounterKind::ProvEdges, 1);
                 }
                 self.observe_chain_depth(id);
             }
@@ -1217,7 +1135,8 @@ impl MiddlewareBuilder {
     pub fn build(self) -> Middleware {
         let mut strategy = self.strategy.expect("a resolution strategy is required");
         // The strategy records into the same per-shard ring as the
-        // engine, so Δ-set events interleave with life-cycle events.
+        // engine, so its Δ and verdict records interleave with the
+        // engine's.
         strategy.attach_obs(self.obs.clone());
         {
             let mut seen = std::collections::BTreeSet::new();

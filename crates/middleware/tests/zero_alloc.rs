@@ -3,9 +3,9 @@
 //! round, watched or not, and a whole submit under retention allocate
 //! nothing, and a submit that detects an inconsistency makes a fixed,
 //! small number of allocations. Under each observability preset a
-//! warmed submit reads the clock and allocates an exact, pinned number
-//! of times. Harvesting a sharded engine's subject loads allocates its
-//! result and nothing else.
+//! warmed submit reads the clock, allocates and writes trace records an
+//! exact, pinned number of times. Harvesting a sharded engine's subject
+//! loads allocates its result and nothing else.
 //!
 //! The binary's global allocator counts each thread's allocations, and
 //! `ctxres_obs::clock_reads` each thread's clock readings, so tests
@@ -19,7 +19,7 @@ use ctxres_core::strategies::DropBad;
 use ctxres_middleware::{
     Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware, SituationEngine,
 };
-use ctxres_obs::{clock_reads, ObsConfig, ObsRegistry};
+use ctxres_obs::{clock_reads, CounterKind, ObsConfig, ObsRegistry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -173,7 +173,7 @@ fn warmed_situation_round_allocates_nothing() {
 /// context during the warm-up would have to reallocate within it.
 #[test]
 fn warmed_submit_under_retention_allocates_nothing() {
-    let (_, allocs) = warmed_retention_stream(false, ObsConfig::disabled());
+    let (_, allocs, _) = warmed_retention_stream(false, ObsConfig::disabled());
     assert_eq!(allocs, 0, "{MEASURED} warmed submits");
 }
 
@@ -182,18 +182,23 @@ fn warmed_submit_under_retention_allocates_nothing() {
 /// the strategy pool.
 #[test]
 fn warmed_submit_with_ground_truth_allocates_nothing() {
-    let (_, allocs) = warmed_retention_stream(true, ObsConfig::disabled());
+    let (_, allocs, _) = warmed_retention_stream(true, ObsConfig::disabled());
     assert_eq!(allocs, 0, "{MEASURED} warmed submits");
 }
 
 /// The observation budget of the same stream, as exact counts over its
-/// measured submits: clock readings and allocations under each preset.
-/// Per submit, the check, the addition's resolution and the use each
-/// read the clock twice through one timed phase guard, which feeds the
-/// profiler span, the latency histogram and the tail stamps alike;
-/// index maintenance adds two with the profiler on; tail telemetry
-/// adds the ingress and end stamps; and with the profiler and tracing
-/// both on, the provenance phases add theirs.
+/// measured submits: clock readings, allocations and trace records
+/// under each preset. Per submit, the check, the addition's resolution
+/// and the use each read the clock twice through one timed phase guard,
+/// which feeds the profiler span, the latency histogram and the tail
+/// stamps alike; index maintenance adds two with the profiler on; tail
+/// telemetry adds the ingress and end stamps; and with the profiler and
+/// tracing both on, the violation and delivery provenance phases add
+/// theirs. A traced submit writes three records, one per fact: the
+/// `Received` root, drop-bad's consistent verdict and the delivery.
+/// Nothing allocates: the tail layer's threshold refresh merges bucket
+/// counts in place, and the trace ring reserved its capacity on its
+/// first record.
 #[test]
 fn warmed_submit_observation_budget_is_pinned() {
     let presets = [
@@ -203,21 +208,26 @@ fn warmed_submit_observation_budget_is_pinned() {
             "metrics_only profiled",
             ObsConfig::metrics_only().with_profile(1),
         ),
+        (
+            "metrics_only tail",
+            ObsConfig::metrics_only().with_tail(true),
+        ),
         ("enabled", ObsConfig::enabled()),
         ("enabled profiled", ObsConfig::enabled().with_profile(1)),
     ];
     let budget = presets.map(|(name, config)| {
-        let (reads, allocs) = warmed_retention_stream(false, config);
-        (name, reads, allocs)
+        let (reads, allocs, records) = warmed_retention_stream(false, config);
+        (name, reads, allocs, records)
     });
     assert_eq!(
         budget,
         [
-            ("disabled", 0, 0),
-            ("metrics_only", 6 * MEASURED, 0),
-            ("metrics_only profiled", 8 * MEASURED, 0),
-            ("enabled", 8 * MEASURED, 2_500),
-            ("enabled profiled", 16 * MEASURED, 2_500),
+            ("disabled", 0, 0, 0),
+            ("metrics_only", 6 * MEASURED, 0, 0),
+            ("metrics_only profiled", 8 * MEASURED, 0, 0),
+            ("metrics_only tail", 8 * MEASURED, 0, 0),
+            ("enabled", 8 * MEASURED, 0, 3 * MEASURED),
+            ("enabled profiled", 14 * MEASURED, 0, 3 * MEASURED),
         ]
     );
 }
@@ -226,9 +236,9 @@ fn warmed_submit_observation_budget_is_pinned() {
 const MEASURED: u64 = 20_000;
 
 /// Runs the retention stream through an engine observed under `obs`
-/// and returns the clock readings and allocations of its `MEASURED`
-/// submits after the warm-up.
-fn warmed_retention_stream(track_ground_truth: bool, obs: ObsConfig) -> (u64, u64) {
+/// and returns the clock readings, allocations and trace records of its
+/// `MEASURED` submits after the warm-up.
+fn warmed_retention_stream(track_ground_truth: bool, obs: ObsConfig) -> (u64, u64, u64) {
     // `ACTIVE` subjects report in turn, `FIXES` fixes each; then the
     // whole cohort leaves and fresh subjects take over.
     const ACTIVE: u64 = 16;
@@ -247,6 +257,7 @@ fn warmed_retention_stream(track_ground_truth: bool, obs: ObsConfig) -> (u64, u6
                 .build()
         })
         .collect();
+    let registry = ObsRegistry::shared(obs, 1);
     let mut mw = Middleware::builder()
         .constraints(parse_constraints(SPEED).unwrap())
         .strategy(Box::new(DropBad::new()))
@@ -255,16 +266,19 @@ fn warmed_retention_stream(track_ground_truth: bool, obs: ObsConfig) -> (u64, u6
             track_ground_truth,
             retention: Some(Ticks::new(64)),
         })
-        .obs(ObsRegistry::shared(obs, 1).handle(0))
+        .obs(registry.handle(0))
         .build();
     let mut trace = trace.into_iter();
     for ctx in trace.by_ref().take(WARM as usize) {
         mw.submit(ctx);
     }
     let warm = *mw.stats();
+    let records = || registry.snapshot().counter(CounterKind::EventsRecorded);
+    let recorded = records();
     let reads = clock_reads();
     let (fresh, allocs) = allocations(|| trace.map(|ctx| mw.submit(ctx).fresh).sum::<usize>());
     let reads = clock_reads() - reads;
+    let recorded = records() - recorded;
     assert_eq!(fresh, 0, "the trace violates nothing");
     let stats = mw.stats();
     assert_eq!(stats.received - warm.received, MEASURED);
@@ -279,7 +293,7 @@ fn warmed_retention_stream(track_ground_truth: bool, obs: ObsConfig) -> (u64, u6
         "and leaves one retention horizon after it expired"
     );
     assert!(mw.pool().live_slots() < 200, "{}", mw.pool().live_slots());
-    (reads, allocs)
+    (reads, allocs, recorded)
 }
 
 /// The allocations of a submit that detects, under the city stream's

@@ -6,23 +6,23 @@ use std::fmt;
 use std::sync::Arc;
 
 /// The typed relation behind a [`TraceEvent::Caused`] edge — why a
-/// context's life was affected. Together these six relations span the
+/// context's life was affected. Together these five relations span the
 /// full drop-bad decision chain: submission → violations → Δ
-/// membership → count evolution → verdict (and the deferred
-/// mark-bad supersession).
+/// membership and count → verdict (and the deferred mark-bad
+/// supersession).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CauseKind {
-    /// The context entered the middleware — the root of its chain.
+    /// The context entered the middleware — the root of its chain. No
+    /// emitter writes this edge: [`crate::ProvenanceGraph`] makes it
+    /// from the context's [`TraceEvent::Received`] record.
     SubmissionOf,
     /// The context participates in a detected violation of the cited
     /// constraint (partners are the other bound contexts).
     ViolatedBy,
     /// That violation entered the tracked set Δ (deferred resolution
-    /// begins for the cited constraint instance).
+    /// begins for the cited constraint instance); the edge's count is
+    /// the count value the insertion bumped the context to.
     JoinedDelta,
-    /// The context's count value rose because the cited violation
-    /// joined Δ while the context was already a member of another.
-    CountBumpedBy,
     /// The final verdict: the context was delivered or discarded, and —
     /// when a tracked inconsistency decided it — which one.
     ResolvedBecause,
@@ -34,11 +34,10 @@ pub enum CauseKind {
 
 /// Every [`CauseKind`], in a stable order (used by exporters and the
 /// provenance graph).
-pub const CAUSE_KINDS: [CauseKind; 6] = [
+pub const CAUSE_KINDS: [CauseKind; 5] = [
     CauseKind::SubmissionOf,
     CauseKind::ViolatedBy,
     CauseKind::JoinedDelta,
-    CauseKind::CountBumpedBy,
     CauseKind::ResolvedBecause,
     CauseKind::SupersededBy,
 ];
@@ -50,7 +49,6 @@ impl CauseKind {
             CauseKind::SubmissionOf => "submission_of",
             CauseKind::ViolatedBy => "violated_by",
             CauseKind::JoinedDelta => "joined_delta",
-            CauseKind::CountBumpedBy => "count_bumped_by",
             CauseKind::ResolvedBecause => "resolved_because",
             CauseKind::SupersededBy => "superseded_by",
         }
@@ -71,6 +69,8 @@ impl fmt::Display for CauseKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A context entered the middleware (a context addition change).
+    /// The root of the context's causal chain: [`crate::ProvenanceGraph`]
+    /// folds it into the chain's [`CauseKind::SubmissionOf`] edge.
     Received {
         /// The id the pool assigned.
         ctx: ContextId,
@@ -80,53 +80,12 @@ pub enum TraceEvent {
         /// The context's subject, interned the same way.
         subject: Arc<str>,
     },
-    /// A context moved through the Fig. 8 life cycle.
-    StateChanged {
-        /// The transitioning context.
-        ctx: ContextId,
-        /// The state it left.
-        from: ContextState,
-        /// The state it entered.
-        to: ContextState,
-    },
-    /// Detection found an inconsistency.
-    Detected {
-        /// The violated constraint's name.
-        constraint: String,
-        /// The participating contexts.
-        contexts: Vec<ContextId>,
-    },
-    /// An inconsistency entered the tracked set Δ (drop-bad §3.2).
-    DeltaInserted {
-        /// The violated constraint's name.
-        constraint: String,
-        /// The participating contexts.
-        contexts: Vec<ContextId>,
-    },
     /// An inconsistency was resolved and left Δ.
     DeltaRemoved {
         /// The violated constraint's name.
         constraint: String,
         /// The participating contexts.
         contexts: Vec<ContextId>,
-    },
-    /// A context's count value rose (it joined another tracked
-    /// inconsistency).
-    CountBumped {
-        /// The context whose count changed.
-        ctx: ContextId,
-        /// Its new count value.
-        count: u64,
-    },
-    /// A context was marked `Bad` — a deferred discard (Fig. 7 Part 2).
-    MarkedBad {
-        /// The marked context.
-        ctx: ContextId,
-    },
-    /// A context was discarded (set `Inconsistent`).
-    Discarded {
-        /// The discarded context.
-        ctx: ContextId,
     },
     /// A context was delivered to applications.
     Delivered {
@@ -140,11 +99,11 @@ pub enum TraceEvent {
         ctx: ContextId,
     },
     /// A typed cause edge: `ctx`'s life was affected for the stated
-    /// reason. Emitted alongside the flat life-cycle events when
-    /// provenance is on; [`crate::ProvenanceGraph`] folds these into
-    /// per-context causal chains. The `(shard, ctx)` pair identifies
-    /// the effect node; `(at, seq)` of the carrying [`TraceRecord`]
-    /// gives the edge its stable causal ID.
+    /// reason. The edges are the trace's record of every detection, Δ
+    /// membership and verdict; [`crate::ProvenanceGraph`] folds them
+    /// into per-context causal chains. The `(shard, ctx)` pair
+    /// identifies the effect node; `(at, seq)` of the carrying
+    /// [`TraceRecord`] gives the edge its stable causal ID.
     Caused {
         /// The effect: the context whose chain this edge extends.
         ctx: ContextId,
@@ -207,59 +166,23 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// A short machine-friendly tag naming the event variant.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceEvent::Received { .. } => "received",
-            TraceEvent::StateChanged { .. } => "state",
-            TraceEvent::Detected { .. } => "detected",
-            TraceEvent::DeltaInserted { .. } => "delta+",
-            TraceEvent::DeltaRemoved { .. } => "delta-",
-            TraceEvent::CountBumped { .. } => "count",
-            TraceEvent::MarkedBad { .. } => "bad",
-            TraceEvent::Discarded { .. } => "discard",
-            TraceEvent::Delivered { .. } => "deliver",
-            TraceEvent::Expired { .. } => "expired",
-            TraceEvent::Caused { .. } => "cause",
-            TraceEvent::Alert { .. } => "alert",
-            TraceEvent::SlowBatch { .. } => "slow_batch",
-        }
-    }
-
-    /// The context this event is primarily about, when it has one
-    /// (detection and Δ events relate several contexts; see
-    /// [`TraceEvent::contexts`]).
-    pub fn primary_ctx(&self) -> Option<ContextId> {
-        match self {
-            TraceEvent::Received { ctx, .. }
-            | TraceEvent::StateChanged { ctx, .. }
-            | TraceEvent::CountBumped { ctx, .. }
-            | TraceEvent::MarkedBad { ctx }
-            | TraceEvent::Discarded { ctx }
-            | TraceEvent::Delivered { ctx }
-            | TraceEvent::Expired { ctx }
-            | TraceEvent::Caused { ctx, .. } => Some(*ctx),
-            TraceEvent::Detected { .. }
-            | TraceEvent::DeltaInserted { .. }
-            | TraceEvent::DeltaRemoved { .. }
-            | TraceEvent::Alert { .. }
-            | TraceEvent::SlowBatch { .. } => None,
-        }
-    }
-
     /// Every context the event involves.
     pub fn contexts(&self) -> Vec<ContextId> {
         match self {
-            TraceEvent::Detected { contexts, .. }
-            | TraceEvent::DeltaInserted { contexts, .. }
-            | TraceEvent::DeltaRemoved { contexts, .. } => contexts.clone(),
+            TraceEvent::Received { ctx, .. }
+            | TraceEvent::Delivered { ctx }
+            | TraceEvent::Expired { ctx } => vec![*ctx],
+            TraceEvent::DeltaRemoved { contexts, .. }
+            | TraceEvent::SlowBatch {
+                exemplars: contexts,
+                ..
+            } => contexts.clone(),
             TraceEvent::Caused { ctx, partners, .. } => {
                 let mut all = vec![*ctx];
                 all.extend(partners.iter().copied());
                 all
             }
-            TraceEvent::SlowBatch { exemplars, .. } => exemplars.clone(),
-            other => other.primary_ctx().into_iter().collect(),
+            TraceEvent::Alert { .. } => Vec::new(),
         }
     }
 }
@@ -282,22 +205,10 @@ impl fmt::Display for TraceEvent {
             TraceEvent::Received { ctx, kind, subject } => {
                 write!(f, "received {ctx} ({kind} of {subject:?})")
             }
-            TraceEvent::StateChanged { ctx, from, to } => write!(f, "{ctx} {from} -> {to}"),
-            TraceEvent::Detected {
-                constraint,
-                contexts,
-            } => write!(f, "detected {constraint} among {}", join_ids(contexts)),
-            TraceEvent::DeltaInserted {
-                constraint,
-                contexts,
-            } => write!(f, "Δ += {constraint} [{}]", join_ids(contexts)),
             TraceEvent::DeltaRemoved {
                 constraint,
                 contexts,
             } => write!(f, "Δ -= {constraint} [{}]", join_ids(contexts)),
-            TraceEvent::CountBumped { ctx, count } => write!(f, "count({ctx}) = {count}"),
-            TraceEvent::MarkedBad { ctx } => write!(f, "{ctx} marked bad"),
-            TraceEvent::Discarded { ctx } => write!(f, "{ctx} discarded"),
             TraceEvent::Delivered { ctx } => write!(f, "{ctx} delivered"),
             TraceEvent::Expired { ctx } => write!(f, "{ctx} expired on use"),
             TraceEvent::Caused {
@@ -404,17 +315,21 @@ mod tests {
 
     #[test]
     fn tags_and_contexts() {
-        let e = TraceEvent::Detected {
+        let e = TraceEvent::DeltaRemoved {
             constraint: "speed".into(),
             contexts: vec![id(1), id(2)],
         };
-        assert_eq!(e.tag(), "detected");
-        assert_eq!(e.primary_ctx(), None);
         assert_eq!(e.contexts(), vec![id(1), id(2)]);
+        assert_eq!(e.to_string(), "Δ -= speed [ctx#1, ctx#2]");
 
-        let d = TraceEvent::Discarded { ctx: id(7) };
-        assert_eq!(d.primary_ctx(), Some(id(7)));
+        let d = TraceEvent::Delivered { ctx: id(7) };
         assert_eq!(d.contexts(), vec![id(7)]);
+        let r = TraceEvent::Received {
+            ctx: id(3),
+            kind: "location".into(),
+            subject: "alice".into(),
+        };
+        assert_eq!(r.contexts(), vec![id(3)]);
     }
 
     #[test]
@@ -427,8 +342,6 @@ mod tests {
             count: None,
             verdict: None,
         };
-        assert_eq!(e.tag(), "cause");
-        assert_eq!(e.primary_ctx(), Some(id(4)));
         assert_eq!(e.contexts(), vec![id(4), id(2)]);
         let s = e.to_string();
         assert!(s.contains("violated_by"), "{s}");
@@ -448,7 +361,6 @@ mod tests {
                 "submission_of",
                 "violated_by",
                 "joined_delta",
-                "count_bumped_by",
                 "resolved_because",
                 "superseded_by",
             ]
@@ -465,8 +377,6 @@ mod tests {
             threshold: 0.3,
             firing: true,
         };
-        assert_eq!(e.tag(), "alert");
-        assert_eq!(e.primary_ctx(), None);
         assert!(e.contexts().is_empty());
         let s = e.to_string();
         assert!(s.contains("FIRING"), "{s}");
@@ -489,8 +399,6 @@ mod tests {
             ],
             exemplars: vec![id(3), id(9)],
         };
-        assert_eq!(e.tag(), "slow_batch");
-        assert_eq!(e.primary_ctx(), None);
         assert_eq!(e.contexts(), vec![id(3), id(9)]);
         let s = e.to_string();
         assert!(s.contains("slow batch #7"), "{s}");
@@ -507,10 +415,10 @@ mod tests {
             shard: 1,
             seq: 4,
             at: 9,
-            event: TraceEvent::MarkedBad { ctx: id(3) },
+            event: TraceEvent::Expired { ctx: id(3) },
         };
         let s = r.to_string();
         assert!(s.contains("shard 1"), "{s}");
-        assert!(s.contains("marked bad"), "{s}");
+        assert!(s.contains("ctx#3 expired on use"), "{s}");
     }
 }

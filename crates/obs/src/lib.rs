@@ -8,20 +8,20 @@
 //! end-of-run counters cannot show that mechanism at work. This crate
 //! makes the engine visible without slowing it down:
 //!
-//! * **event tracing** ([`TraceEvent`], [`TraceRecord`]): every state
-//!   transition, inconsistency detection, Δ-set insertion/removal,
-//!   count-value bump, discard decision and delivery is recorded as a
-//!   typed event with logical timestamp, shard id, and context id into a
-//!   bounded per-shard ring buffer ([`EventRing`], [`RING_CAPACITY`]
-//!   records). Overflow never stalls the hot path and is never silent —
-//!   each evicted record bumps the ring's dropped count, exported as
-//!   `ctxres_trace_events_dropped_total`;
+//! * **event tracing** ([`TraceEvent`], [`TraceRecord`]): each fact of
+//!   a context's life — its arrival, every inconsistency detection, Δ
+//!   membership (with the count it reached), verdict, Δ removal and
+//!   delivery — is recorded once, as a typed event with logical
+//!   timestamp, shard id, and context id, into a bounded per-shard ring
+//!   buffer ([`EventRing`], [`RING_CAPACITY`] records), when
+//!   [`ObsConfig::trace_events`] is on. Overflow never stalls the hot
+//!   path and is never silent — each evicted record bumps the ring's
+//!   dropped count, exported as `ctxres_trace_events_dropped_total`;
 //! * **provenance** ([`CauseKind`], [`TraceEvent::Caused`],
-//!   [`ProvenanceGraph`]): typed cause edges — submission, violation,
-//!   Δ membership, count bump, verdict, supersession — ride the same
-//!   rings when [`ObsConfig::trace_events`] is on, and fold into a
-//!   queryable per-context causal DAG explaining every resolution
-//!   decision end-to-end;
+//!   [`ProvenanceGraph`]): the detections, Δ memberships and verdicts
+//!   are typed cause edges, which fold — under the submission root each
+//!   [`TraceEvent::Received`] gives — into a queryable per-context
+//!   causal DAG explaining every resolution decision end-to-end;
 //! * **metrics registry** ([`ObsRegistry`]): per-shard counters and
 //!   fixed-bucket [`Histogram`]s (check latency, batch ingest latency,
 //!   use-window residual delay, Δ-set size, queue depth), recorded with

@@ -47,9 +47,9 @@ pub enum MetricKind {
     /// (count).
     QueueDepth,
     /// Causal-chain depth of each resolution decision: submission plus
-    /// the violations, count bumps, and supersessions that led to the
-    /// verdict (count; recorded once per delivered/discarded context
-    /// when provenance is on).
+    /// the violations that led to the verdict, plus the verdict (count;
+    /// recorded once per delivered/discarded context when provenance is
+    /// on).
     ChainDepth,
 }
 
@@ -352,6 +352,14 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
+    /// Adds the histogram's bucket counts into `into`, allocating
+    /// nothing.
+    pub(crate) fn merge_buckets(&self, into: &mut [u64; BUCKETS]) {
+        for (sum, bucket) in into.iter_mut().zip(&self.buckets) {
+            *sum += bucket.load(Ordering::Relaxed);
+        }
+    }
+
     /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -457,25 +465,32 @@ impl HistogramSnapshot {
     /// `f64::INFINITY` when the rank lands in the unbounded overflow
     /// bucket.
     pub fn quantile_est(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= target {
-                if i == self.buckets.len() - 1 {
-                    return Some(f64::INFINITY);
-                }
-                let lower = if i == 0 { 0 } else { bucket_bound(i - 1) };
-                let upper = bucket_bound(i);
-                let pos = (target - (cum - n)) as f64 / *n as f64;
-                return Some(lower as f64 + (upper - lower) as f64 * pos);
-            }
-        }
-        Some(f64::INFINITY)
+        quantile_est(&self.buckets, self.count, q)
     }
+}
+
+/// [`HistogramSnapshot::quantile_est`] over bucket counts holding
+/// `count` observations — the one interpolation, shared with readers
+/// that merge buckets without building a snapshot.
+pub(crate) fn quantile_est(buckets: &[u64], count: u64, q: f64) -> Option<f64> {
+    if count == 0 {
+        return None;
+    }
+    let target = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
+    let mut cum = 0u64;
+    for (i, n) in buckets.iter().enumerate() {
+        cum += n;
+        if cum >= target {
+            if i == buckets.len() - 1 {
+                return Some(f64::INFINITY);
+            }
+            let lower = if i == 0 { 0 } else { bucket_bound(i - 1) };
+            let upper = bucket_bound(i);
+            let pos = (target - (cum - n)) as f64 / *n as f64;
+            return Some(lower as f64 + (upper - lower) as f64 * pos);
+        }
+    }
+    Some(f64::INFINITY)
 }
 
 #[cfg(test)]

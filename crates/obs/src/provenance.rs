@@ -1,11 +1,11 @@
 //! Provenance graph: fold a trace into per-context causal chains.
 //!
 //! Drop-bad defers every discard: by the time a context is thrown away,
-//! the violations that condemned it are long past. The flat
-//! [`TraceEvent`] stream records *that* transitions happened; this
-//! module reconstructs *why*, by folding the typed
-//! [`TraceEvent::Caused`] edges (plus the flat events around them) into
-//! a queryable DAG of [`ProvNode`]s — one per `(shard, ctx)` — each
+//! the violations that condemned it are long past. The trace states
+//! each fact of a context's life once; this module reconstructs *why*
+//! it ended as it did, by folding each [`TraceEvent::Received`] record
+//! (the chain's root) and the typed [`TraceEvent::Caused`] edges into a
+//! queryable DAG of [`ProvNode`]s — one per `(shard, ctx)` — each
 //! carrying its ordered causal chain from submission to verdict.
 //!
 //! The ID scheme: context ids are shard-local, so a node is keyed by
@@ -61,7 +61,7 @@ pub struct CauseEdge {
     pub verdict: Option<ContextState>,
 }
 
-/// One context's provenance: identity, causal chain, and flat timeline.
+/// One context's provenance: identity, causal chain, and timeline.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProvNode {
     /// The node's stable ID.
@@ -72,20 +72,21 @@ pub struct ProvNode {
     pub subject: Option<String>,
     /// Logical tick the context entered the middleware.
     pub received_at: Option<u64>,
-    /// The last state the trace saw the context in.
+    /// The state the context's last verdict edge put it in.
     pub final_state: Option<ContextState>,
-    /// Typed cause edges in causal `(at, seq)` order.
+    /// Typed cause edges in causal `(at, seq)` order, opening with the
+    /// `submission_of` root the fold makes from the `Received` record.
     pub chain: Vec<CauseEdge>,
-    /// Every flat (non-edge) event involving this context, in trace
-    /// order.
+    /// Every other record involving this context (deliveries, expiries,
+    /// Δ removals, slow-batch postmortems), in trace order.
     pub timeline: Vec<TraceRecord>,
 }
 
 impl ProvNode {
     /// Content-based identity for cross-shard / cross-run stitching:
     /// independent of pool numbering, equal for the same submission
-    /// wherever it was routed. `None` until the submission edge or
-    /// `Received` event is seen.
+    /// wherever it was routed. `None` until the `Received` record is
+    /// seen.
     pub fn identity(&self) -> Option<(String, String, u64)> {
         match (&self.kind, &self.subject, self.received_at) {
             (Some(k), Some(s), Some(at)) => Some((k.clone(), s.clone(), at)),
@@ -115,11 +116,10 @@ impl ProvNode {
     }
 
     /// Gaps that keep this node's chain from being a complete
-    /// explanation: an empty vec means the chain fully accounts for the
-    /// context's life — a submission root, a `ViolatedBy` edge for
-    /// every detection the context participated in, a `CountBumpedBy`
-    /// edge for every count bump, and a verdict edge for every decided
-    /// context.
+    /// explanation: an empty vec means the chain opens with its
+    /// submission root. Whether every detection, Δ membership and
+    /// verdict reached the chain is checked against the engine itself,
+    /// by the `provenance_completeness` tests.
     pub fn completeness_gaps(&self) -> Vec<String> {
         let mut gaps = Vec::new();
         if !self
@@ -128,40 +128,6 @@ impl ProvNode {
             .any(|e| e.cause == CauseKind::SubmissionOf)
         {
             gaps.push("no submission_of root".to_owned());
-        }
-        if self.final_state.is_some_and(|s| s.is_terminal()) && self.verdict_edge().is_none() {
-            gaps.push(format!(
-                "decided ({}) but no verdict edge",
-                self.final_state.map(|s| s.to_string()).unwrap_or_default()
-            ));
-        }
-        for rec in &self.timeline {
-            match &rec.event {
-                TraceEvent::Detected { constraint, .. } => {
-                    let covered = self.chain.iter().any(|e| {
-                        e.cause == CauseKind::ViolatedBy
-                            && e.at == rec.at
-                            && e.constraint.as_deref() == Some(constraint.as_str())
-                    });
-                    if !covered {
-                        gaps.push(format!(
-                            "detection of {constraint} at t{} unexplained",
-                            rec.at
-                        ));
-                    }
-                }
-                TraceEvent::CountBumped { count, .. } => {
-                    let covered = self.chain.iter().any(|e| {
-                        e.cause == CauseKind::CountBumpedBy
-                            && e.at == rec.at
-                            && e.count == Some(*count)
-                    });
-                    if !covered {
-                        gaps.push(format!("count bump to {count} at t{} unexplained", rec.at));
-                    }
-                }
-                _ => {}
-            }
         }
         gaps
     }
@@ -215,7 +181,24 @@ impl ProvenanceGraph {
     }
 
     fn fold(&mut self, rec: &TraceRecord) {
-        match &rec.event {
+        let shard = rec.shard;
+        let (ctx, edge) = match &rec.event {
+            TraceEvent::Received { ctx, kind, subject } => {
+                let node = self.node_mut(NodeId { shard, ctx: *ctx });
+                node.kind = Some(kind.to_string());
+                node.subject = Some(subject.to_string());
+                node.received_at = Some(rec.at);
+                let root = CauseEdge {
+                    at: rec.at,
+                    seq: rec.seq,
+                    cause: CauseKind::SubmissionOf,
+                    constraint: None,
+                    partners: Vec::new(),
+                    count: None,
+                    verdict: None,
+                };
+                (*ctx, root)
+            }
             TraceEvent::Caused {
                 ctx,
                 cause,
@@ -224,7 +207,6 @@ impl ProvenanceGraph {
                 count,
                 verdict,
             } => {
-                let shard = rec.shard;
                 let edge = CauseEdge {
                     at: rec.at,
                     seq: rec.seq,
@@ -234,36 +216,23 @@ impl ProvenanceGraph {
                     count: *count,
                     verdict: *verdict,
                 };
-                let node = self.node_mut(NodeId { shard, ctx: *ctx });
-                if let Some(v) = verdict {
-                    node.final_state = Some(*v);
-                }
-                node.chain.push(edge);
-                self.edges += 1;
-            }
-            TraceEvent::Received { ctx, kind, subject } => {
-                let node = self.node_mut(NodeId {
-                    shard: rec.shard,
-                    ctx: *ctx,
-                });
-                node.kind = Some(kind.to_string());
-                node.subject = Some(subject.to_string());
-                node.received_at = Some(rec.at);
-                node.timeline.push(rec.clone());
+                (*ctx, edge)
             }
             other => {
                 for ctx in other.contexts() {
-                    let node = self.node_mut(NodeId {
-                        shard: rec.shard,
-                        ctx,
-                    });
-                    if let TraceEvent::StateChanged { to, .. } = other {
-                        node.final_state = Some(*to);
-                    }
-                    node.timeline.push(rec.clone());
+                    self.node_mut(NodeId { shard, ctx })
+                        .timeline
+                        .push(rec.clone());
                 }
+                return;
             }
+        };
+        let node = self.node_mut(NodeId { shard, ctx });
+        if edge.verdict.is_some() {
+            node.final_state = edge.verdict;
         }
+        node.chain.push(edge);
+        self.edges += 1;
     }
 
     /// The node for `id`, when the trace mentioned it.
@@ -286,7 +255,7 @@ impl ProvenanceGraph {
         self.nodes.is_empty()
     }
 
-    /// Total typed cause edges folded in.
+    /// Total typed cause edges folded in, submission roots included.
     pub fn edge_count(&self) -> usize {
         self.edges
     }
@@ -361,28 +330,6 @@ mod tests {
             rec(
                 0,
                 1,
-                1,
-                TraceEvent::Caused {
-                    ctx: id(1),
-                    cause: CauseKind::SubmissionOf,
-                    constraint: None,
-                    partners: vec![],
-                    count: None,
-                    verdict: None,
-                },
-            ),
-            rec(
-                0,
-                2,
-                2,
-                TraceEvent::Detected {
-                    constraint: "speed".into(),
-                    contexts: vec![id(1), id(2)],
-                },
-            ),
-            rec(
-                0,
-                3,
                 2,
                 TraceEvent::Caused {
                     ctx: id(1),
@@ -395,20 +342,11 @@ mod tests {
             ),
             rec(
                 0,
-                4,
-                3,
-                TraceEvent::CountBumped {
-                    ctx: id(1),
-                    count: 2,
-                },
-            ),
-            rec(
-                0,
-                5,
+                2,
                 3,
                 TraceEvent::Caused {
                     ctx: id(1),
-                    cause: CauseKind::CountBumpedBy,
+                    cause: CauseKind::JoinedDelta,
                     constraint: Some("speed".into()),
                     partners: vec![id(3)],
                     count: Some(2),
@@ -417,7 +355,7 @@ mod tests {
             ),
             rec(
                 0,
-                6,
+                3,
                 4,
                 TraceEvent::Caused {
                     ctx: id(1),
@@ -428,13 +366,22 @@ mod tests {
                     verdict: Some(ContextState::Inconsistent),
                 },
             ),
+            rec(
+                0,
+                4,
+                4,
+                TraceEvent::DeltaRemoved {
+                    constraint: "speed".into(),
+                    contexts: vec![id(1), id(2)],
+                },
+            ),
         ]
     }
 
     #[test]
     fn folding_builds_chains_and_counts_edges() {
         let graph = ProvenanceGraph::from_records(&sample_trace());
-        assert_eq!(graph.edge_count(), 4);
+        assert_eq!(graph.edge_count(), 4, "the received root and three edges");
         let node = graph
             .node(NodeId {
                 shard: 0,
@@ -444,6 +391,12 @@ mod tests {
         assert_eq!(node.kind.as_deref(), Some("location"));
         assert_eq!(node.received_at, Some(1));
         assert_eq!(node.chain_depth(), 4);
+        let root = &node.chain[0];
+        assert_eq!(
+            (root.cause, root.at, root.seq),
+            (CauseKind::SubmissionOf, 1, 0)
+        );
+        assert_eq!(node.timeline.len(), 1, "the Δ removal");
         assert!(node.discarded());
         assert_eq!(
             node.verdict_edge().unwrap().verdict,
@@ -482,29 +435,21 @@ mod tests {
 
     #[test]
     fn gaps_are_reported() {
-        // A detection with no matching ViolatedBy edge is a gap.
-        let trace = vec![
-            rec(
-                0,
-                0,
-                1,
-                TraceEvent::Received {
-                    ctx: id(1),
-                    kind: "location".into(),
-                    subject: "bob".into(),
-                },
-            ),
-            rec(
-                0,
-                1,
-                2,
-                TraceEvent::Detected {
-                    constraint: "speed".into(),
-                    contexts: vec![id(1)],
-                },
-            ),
-            rec(0, 2, 3, TraceEvent::Discarded { ctx: id(1) }),
-        ];
+        // A verdict edge for a context whose submission the trace never
+        // saw leaves its chain without a root.
+        let trace = vec![rec(
+            0,
+            0,
+            3,
+            TraceEvent::Caused {
+                ctx: id(1),
+                cause: CauseKind::ResolvedBecause,
+                constraint: None,
+                partners: vec![],
+                count: None,
+                verdict: Some(ContextState::Inconsistent),
+            },
+        )];
         let graph = ProvenanceGraph::from_records(&trace);
         let node = graph
             .node(NodeId {
@@ -512,15 +457,9 @@ mod tests {
                 ctx: id(1),
             })
             .unwrap();
-        let gaps = node.completeness_gaps();
-        assert!(
-            gaps.iter().any(|g| g.contains("no submission_of root")),
-            "{gaps:?}"
-        );
-        assert!(
-            gaps.iter().any(|g| g.contains("detection of speed")),
-            "{gaps:?}"
-        );
+        assert!(node.discarded());
+        assert_eq!(node.completeness_gaps(), ["no submission_of root"]);
+        assert_eq!(graph.stats().complete_chains, 0);
     }
 
     #[test]

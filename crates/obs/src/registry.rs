@@ -38,9 +38,10 @@ pub struct ObsConfig {
     /// Whether any recording happens at all.
     pub enabled: bool,
     /// Whether per-event tracing (ring-buffer pushes) happens; counters
-    /// and histograms record regardless when `enabled`. Typed cause
-    /// edges ([`TraceEvent::Caused`]) ride the same rings, so this also
-    /// switches provenance emission.
+    /// and histograms record regardless when `enabled`. The trace is
+    /// the provenance record: each `Received` record roots a context's
+    /// causal chain and typed cause edges ([`TraceEvent::Caused`])
+    /// extend it.
     pub trace_events: bool,
     /// Whether per-kind quality telemetry (health counters, staleness
     /// watermarks, arena gauges) is recorded and published. Counters
@@ -315,7 +316,18 @@ impl ObsRegistry {
         }
         let slot = &self.slots[shard];
         let seq = slot.seq.fetch_add(1, Ordering::Relaxed);
-        slot.table.counters[CounterKind::EventsRecorded.index()].add(1);
+        // Each counter counts the records it describes: a `Received`
+        // record is a provenance node and its chain's root edge.
+        let count = |kind: CounterKind| slot.table.counters[kind.index()].add(1);
+        count(CounterKind::EventsRecorded);
+        match &event {
+            TraceEvent::Received { .. } => {
+                count(CounterKind::ProvNodes);
+                count(CounterKind::ProvEdges);
+            }
+            TraceEvent::Caused { .. } => count(CounterKind::ProvEdges),
+            _ => {}
+        }
         let mut ring = slot.ring.lock();
         ring.push(TraceRecord {
             shard: shard as u32,
@@ -358,11 +370,10 @@ impl ShardObs {
         self.inner.as_ref().map(|i| i.shard)
     }
 
-    /// Whether cause-edge (provenance) emission is on for this handle —
-    /// true exactly when the registry traces events
-    /// ([`ObsConfig::trace_events`]). Emitters check this before
-    /// building a [`TraceEvent::Caused`], so runs without tracing pay
-    /// nothing for the edges.
+    /// Whether this handle traces — true exactly when the registry
+    /// traces events ([`ObsConfig::trace_events`]). Emitters check this
+    /// before building any [`TraceEvent`], so runs without tracing pay
+    /// nothing for the records.
     pub fn provenance_enabled(&self) -> bool {
         self.inner
             .as_ref()
@@ -383,7 +394,8 @@ impl ShardObs {
             .map(|i| &i.registry.slots[i.shard])
     }
 
-    /// Records a trace event stamped `at`.
+    /// Records a trace event stamped `at`. A handle that does not trace
+    /// ([`ShardObs::provenance_enabled`]) drops it.
     pub fn record(&self, at: LogicalTime, event: TraceEvent) {
         if let Some(inner) = &self.inner {
             inner.registry.record(inner.shard, at, event);
@@ -490,12 +502,12 @@ impl ShardObs {
     }
 
     /// The configured slow-batch postmortem bound in nanoseconds; 0
-    /// when postmortems are off, tail telemetry is off or the handle is
-    /// disabled.
+    /// when postmortems are off, tail telemetry or tracing is off, or
+    /// the handle is disabled.
     pub fn slow_batch_bound_ns(&self) -> u64 {
         self.inner
             .as_ref()
-            .filter(|i| i.registry.config.tail)
+            .filter(|i| i.registry.config.tail && i.registry.config.trace_events)
             .map_or(0, |i| i.registry.config.slow_batch_bound_ns)
     }
 

@@ -14,7 +14,9 @@ pub const RING_CAPACITY: usize = 1 << 16;
 /// semantics: the tail of a long run is what a debugger usually wants)
 /// and bumps the dropped counter — truncation is never silent. Pushing
 /// never blocks on anything but the per-shard lock the owner wraps the
-/// ring in, and never allocates once the ring has reached capacity.
+/// ring in. The first push reserves the whole capacity, so no later
+/// push allocates: a traced engine's trace memory is bounded from its
+/// first record, and the pages it never writes stay untouched.
 #[derive(Debug)]
 pub struct EventRing {
     buf: VecDeque<TraceRecord>,
@@ -34,6 +36,9 @@ impl EventRing {
 
     /// Appends a record, evicting the oldest when full.
     pub fn push(&mut self, record: TraceRecord) {
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.capacity);
+        }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;

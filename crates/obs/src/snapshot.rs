@@ -576,7 +576,7 @@ impl Sampler {
             sample.alerts = engine.evaluate(&sample, sample.tick);
             if self.registry.shards() > 0 {
                 let h = self.registry.handle(0);
-                for a in &sample.alerts {
+                for a in sample.alerts.iter().filter(|_| h.provenance_enabled()) {
                     h.record(
                         LogicalTime::new(a.at),
                         TraceEvent::Alert {

@@ -20,7 +20,8 @@
 //! age and its staleness), reported after every table.
 
 use crate::metrics::{
-    CounterKind, Histogram, MetricKind, COUNTER_KINDS, METRIC_KINDS, RING_BUFFERED, RING_DROPPED,
+    CounterKind, Histogram, MetricKind, BUCKETS, COUNTER_KINDS, METRIC_KINDS, RING_BUFFERED,
+    RING_DROPPED,
 };
 use crate::profile::PHASES;
 use crate::snapshot::{Family, MetricType, Reading, Series, Value};
@@ -83,6 +84,14 @@ impl Cell {
     /// Sets a gauge's reading; `None` unsets it.
     pub(crate) fn set(&self, reading: Option<f64>) {
         self.store(reading.map_or(unwritten(MetricType::Gauge), f64::to_bits));
+    }
+
+    /// Adds a histogram cell's bucket counts into `into` (a scalar cell
+    /// adds nothing).
+    pub(crate) fn merge_buckets(&self, into: &mut [u64; BUCKETS]) {
+        if let Atom::Histogram(h) = &self.atom {
+            h.merge_buckets(into);
+        }
     }
 
     /// The cell's value (an unset gauge reads 0), and whether anything

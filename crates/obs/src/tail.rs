@@ -31,7 +31,7 @@
 //! window's per-outcome quantiles and the queue's wait share, which
 //! `/metrics`, `/snapshot`, `obs_top` and the SLO engine read.
 
-use crate::metrics::HistogramSnapshot;
+use crate::metrics::{quantile_est, HistogramSnapshot, BUCKETS};
 use crate::profile::{Phase, PHASES};
 use crate::snapshot::{Family, MetricType, Reading, Series, Value};
 use crate::table::Table;
@@ -214,13 +214,12 @@ impl ShardTailSlot {
         let threshold = &table.capture[1];
         let n = self.records.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(THRESHOLD_RECALC_EVERY) {
-            let mut merged = HistogramSnapshot::empty();
+            // Merged in place: the refresh allocates nothing.
+            let mut merged = [0; BUCKETS];
             for group in &table.outcomes {
-                if let (Value::Histogram(h), _) = group[0].read() {
-                    merged.merge(&h);
-                }
+                group[0].merge_buckets(&mut merged);
             }
-            if let Some(p99) = merged.quantile_est(0.99) {
+            if let Some(p99) = quantile_est(&merged, merged.iter().sum(), 0.99) {
                 let t = if p99.is_finite() {
                     ((p99 * NS_PER_BUCKET_UNIT as f64) as u64) as f64
                 } else {
@@ -467,6 +466,37 @@ mod tests {
         }
         assert!(!record(&h, 1, 500));
         assert!(record(&h, 2, u64::MAX / 2));
+    }
+
+    /// The refreshed threshold is the interpolated p99 of the three
+    /// outcome histograms merged into one snapshot.
+    #[test]
+    fn threshold_refresh_equals_the_merged_snapshot_p99() {
+        let registry = registry(1, true);
+        let h = registry.handle(0);
+        for i in 0..THRESHOLD_RECALC_EVERY {
+            let outcome = TAIL_OUTCOMES[i as usize % 3];
+            let total_ns = (i + 1) * (i + 1) * 7_919;
+            h.record_e2e(
+                ContextId::from_raw(i),
+                outcome,
+                span(0, 0, 0, total_ns),
+                0,
+                LogicalTime::new(i),
+            );
+        }
+        let snap = registry.snapshot();
+        let mut merged = HistogramSnapshot::empty();
+        for s in snap.family(E2E.name) {
+            merged.merge(s.value.histogram().unwrap());
+        }
+        assert_eq!(merged.count, THRESHOLD_RECALC_EVERY);
+        let p99 = merged.quantile_est(0.99).unwrap();
+        let threshold = snap.gauge(THRESHOLD.name, &[("shard", "0")]);
+        assert_eq!(
+            threshold,
+            Some(((p99 * NS_PER_BUCKET_UNIT as f64) as u64) as f64)
+        );
     }
 
     #[test]
