@@ -90,14 +90,6 @@ enum CFormula {
         /// The predicate's interned name: calls index the registry by it.
         sym: PredSym,
         args: Vec<CTerm>,
-        /// Per-constraint predicate-occurrence id, assigned in lowering
-        /// order. Together with the arguments' slot bindings it keys the
-        /// per-batch [`PredMemo`].
-        site: u32,
-        /// The distinct env slots the arguments read (sorted). Two or
-        /// fewer slots make the call memoizable; wider calls bypass the
-        /// memo.
-        slots: Vec<usize>,
         /// The narrowing that decides this leaf, if any.
         proof: Proof,
     },
@@ -167,13 +159,7 @@ impl CompiledConstraint {
     pub fn compile(constraint: &Constraint) -> Self {
         let mut kind_table = Vec::new();
         let mut scope: Vec<(&str, usize)> = Vec::new();
-        let mut sites = 0u32;
-        let mut program = lower(
-            constraint.formula(),
-            &mut kind_table,
-            &mut scope,
-            &mut sites,
-        );
+        let mut program = lower(constraint.formula(), &mut kind_table, &mut scope);
         let slot_count = constraint.quantifier_count();
         let guard = subject_guard(&mut program, slot_count);
         let guarded = guard.is_some();
@@ -558,9 +544,8 @@ fn lower<'f>(
     f: &'f Formula,
     kind_table: &mut Vec<ContextKind>,
     scope: &mut Vec<(&'f str, usize)>,
-    sites: &mut u32,
 ) -> CFormula {
-    let mut sub = |f: &'f Formula| Box::new(lower(f, kind_table, scope, sites));
+    let mut sub = |f: &'f Formula| Box::new(lower(f, kind_table, scope));
     match f {
         Formula::True => CFormula::True,
         Formula::False => CFormula::False,
@@ -568,27 +553,11 @@ fn lower<'f>(
         Formula::And(a, b) => CFormula::And(sub(a), sub(b)),
         Formula::Or(a, b) => CFormula::Or(sub(a), sub(b)),
         Formula::Implies(a, b) => CFormula::Implies(sub(a), sub(b)),
-        Formula::Pred(call) => {
-            let args: Vec<CTerm> = call.args.iter().map(|t| lower_term(t, scope)).collect();
-            let mut slots: Vec<usize> = args
-                .iter()
-                .filter_map(|t| match t {
-                    CTerm::Slot { slot, .. } | CTerm::Attr { slot, .. } => Some(*slot),
-                    CTerm::Const(_) | CTerm::Unbound { .. } => None,
-                })
-                .collect();
-            slots.sort_unstable();
-            slots.dedup();
-            let site = *sites;
-            *sites += 1;
-            CFormula::Pred {
-                sym: PredSym::intern(&call.name),
-                args,
-                site,
-                slots,
-                proof: Proof::None,
-            }
-        }
+        Formula::Pred(call) => CFormula::Pred {
+            sym: PredSym::intern(&call.name),
+            args: call.args.iter().map(|t| lower_term(t, scope)).collect(),
+            proof: Proof::None,
+        },
         Formula::Quant {
             q,
             var,
@@ -604,7 +573,7 @@ fn lower<'f>(
                 }
             };
             scope.push((var, *qid));
-            let mut body = lower(body, kind_table, scope, sites);
+            let mut body = lower(body, kind_table, scope);
             scope.pop();
             CFormula::Quant {
                 q: *q,
@@ -727,86 +696,6 @@ impl EvalScratch {
     }
 }
 
-/// Multiply-rotate hasher for the memo table. The key is four small
-/// integers probed millions of times per batch, where the std
-/// SipHasher's keyed setup and finalization are a measurable share of
-/// the whole check; HashDoS hardening buys nothing against our own
-/// context ids.
-#[derive(Default)]
-struct MemoHasher(u64);
-
-impl MemoHasher {
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for MemoHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-}
-
-type MemoMap = std::collections::HashMap<
-    (u32, u32, u64, u64),
-    bool,
-    std::hash::BuildHasherDefault<MemoHasher>,
->;
-
-/// Per-batch predicate memo table for the batch-capped truth-only pass
-/// ([`IncrementalChecker::check_with_plan`](crate::IncrementalChecker::check_with_plan)).
-///
-/// Predicate truth depends only on the call site (constraint index ×
-/// lowering-order occurrence id) and the contexts bound to the slots its
-/// arguments read — attributes, stamps, and truth tags are immutable, and
-/// a batch never physically removes a context mid-flight — so a verdict
-/// computed once can be replayed for every other batch member that binds
-/// the same contexts. Only `Ok` verdicts are cached; errors are always
-/// re-derived so the error stream stays identical to the memo-free path.
-///
-/// Two classes of call bypass the table entirely: calls reading more
-/// than two slots, and calls reading the *pinned* quantifier's slot.
-/// The latter is the important one — every check in a batch pins a
-/// distinct context, so a key that includes the pin's id can never
-/// recur within the batch, and memoizing it would pay the hash and the
-/// insert for a structurally-impossible hit on exactly the hottest
-/// sites (the binary predicates relating the new context to its
-/// subject's track).
-#[derive(Debug, Default)]
-pub struct PredMemo {
-    map: MemoMap,
-    hits: u64,
-    misses: u64,
-}
-
-impl PredMemo {
-    /// Creates an empty memo table.
-    pub fn new() -> Self {
-        PredMemo::default()
-    }
-
-    /// Lookups answered from the table.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Memoizable lookups that had to evaluate the predicate.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 /// Evaluates [`CompiledConstraint`]s against a [`ContextPool`].
 ///
 /// Mirrors [`Evaluator`](crate::Evaluator) — same domain modes, same
@@ -887,7 +776,7 @@ impl<'r> CompiledEvaluator<'r> {
         now: LogicalTime,
         scratch: &mut EvalScratch,
     ) -> Result<bool, EvalError> {
-        let mut run = self.start(constraint, pool, now, None, None, None, 0, scratch);
+        let mut run = self.start(constraint, pool, now, None, None, scratch);
         run.narrow = self.trusted.subject_eq;
         run.eval_truth(&constraint.program)
     }
@@ -967,8 +856,7 @@ impl<'r> CompiledEvaluator<'r> {
     /// the first pass of every pinned check: the same truth walk as
     /// [`holds`](CompiledEvaluator::holds), over the pinned, narrowed
     /// and optionally capped domains of the evidence walk. It builds no
-    /// evidence and allocates nothing, and with a `memo` predicate
-    /// calls are served from the per-batch table.
+    /// evidence and allocates nothing.
     ///
     /// The evidence walk visits every binding this walk visits, in the
     /// same order, plus those a quantifier's deciding binding let this
@@ -991,12 +879,8 @@ impl<'r> CompiledEvaluator<'r> {
         ctx: ContextId,
         max_id: Option<ContextId>,
         scratch: &mut EvalScratch,
-        memo: Option<&mut PredMemo>,
-        memo_cid: u32,
     ) -> Result<bool, EvalError> {
-        self.satisfied_pinned_at(
-            constraint, pool, now, qid, ctx, None, max_id, scratch, memo, memo_cid,
-        )
+        self.satisfied_pinned_at(constraint, pool, now, qid, ctx, None, max_id, scratch)
     }
 
     /// [`satisfied_pinned_batch`](CompiledEvaluator::satisfied_pinned_batch)
@@ -1013,11 +897,9 @@ impl<'r> CompiledEvaluator<'r> {
         pinned: Option<PinnedSubject<'a>>,
         max_id: Option<ContextId>,
         scratch: &'a mut EvalScratch,
-        memo: Option<&'a mut PredMemo>,
-        memo_cid: u32,
     ) -> Result<bool, EvalError> {
         let pin = Some((Pin { qid, ctx }, pinned));
-        let mut run = self.start(constraint, pool, now, pin, max_id, memo, memo_cid, scratch);
+        let mut run = self.start(constraint, pool, now, pin, max_id, scratch);
         let truth = run.eval_truth(&constraint.program);
         if run.seq_scanned {
             run.scratch.seq_fallbacks += 1;
@@ -1036,14 +918,13 @@ impl<'r> CompiledEvaluator<'r> {
     ) -> Result<CheckOutcome, EvalError> {
         let pin = pin.map(|p| (p, None));
         let ev = self
-            .start(constraint, pool, now, pin, max_id, None, 0, scratch)
+            .start(constraint, pool, now, pin, max_id, scratch)
             .eval(&constraint.program, Need::ROOT)?;
         Ok(outcome_from(ev))
     }
 
     /// Sets up one evaluation of `constraint`, shared by every entry
     /// point. A pin may come with its context already looked up.
-    #[allow(clippy::too_many_arguments)]
     fn start<'a>(
         &self,
         constraint: &'a CompiledConstraint,
@@ -1051,8 +932,6 @@ impl<'r> CompiledEvaluator<'r> {
         now: LogicalTime,
         pin: Option<(Pin, Option<PinnedSubject<'a>>)>,
         max_id: Option<ContextId>,
-        memo: Option<&'a mut PredMemo>,
-        memo_cid: u32,
         scratch: &'a mut EvalScratch,
     ) -> Run<'a, 'r> {
         scratch.prepare(constraint.slot_count);
@@ -1092,8 +971,6 @@ impl<'r> CompiledEvaluator<'r> {
             seq_window,
             seq_scanned,
             max_id,
-            memo,
-            memo_cid,
             narrow: false,
             scratch,
         }
@@ -1118,11 +995,6 @@ struct Run<'a, 'r> {
     /// `id <= max_id`, reproducing the pool a sequential submission
     /// would have seen at that arrival position.
     max_id: Option<ContextId>,
-    /// Per-batch predicate memo, consulted only by the truth walk.
-    memo: Option<&'a mut PredMemo>,
-    /// Constraint index disambiguating `site` ids across the deployed
-    /// constraint set in the memo key.
-    memo_cid: u32,
     /// Whether [`Run::eval_truth`] scans a literal-subject quantifier's
     /// subject bucket instead of the whole kind.
     narrow: bool,
@@ -1330,8 +1202,7 @@ impl<'a> Run<'a, '_> {
     /// straight off the pool — the pin's singleton, the seq guard's
     /// window, the pinned subject's bucket, a literal subject's bucket
     /// when `narrow` is set, or the kind — so an `exists` whose witness
-    /// comes early never visits the rest. Predicate calls consult the
-    /// per-batch memo when one is given.
+    /// comes early never visits the rest.
     fn eval_truth(&mut self, formula: &CFormula) -> Result<bool, EvalError> {
         match formula {
             CFormula::True => Ok(true),
@@ -1341,33 +1212,12 @@ impl<'a> Run<'a, '_> {
             CFormula::Or(a, b) => Ok(self.eval_truth(a)? || self.eval_truth(b)?),
             CFormula::Implies(a, b) => Ok(!self.eval_truth(a)? || self.eval_truth(b)?),
             CFormula::Pred { proof, .. } if self.proves(*proof) => Ok(true),
-            CFormula::Pred {
-                sym,
-                args,
-                site,
-                slots,
-                ..
-            } => {
-                let key = match self.memo {
-                    Some(_) => self.memo_key(*site, slots),
-                    None => None,
-                };
-                if let (Some(memo), Some(k)) = (self.memo.as_mut(), key) {
-                    if let Some(&truth) = memo.map.get(&k) {
-                        memo.hits += 1;
-                        return Ok(truth);
-                    }
-                }
+            CFormula::Pred { sym, args, .. } => {
                 let pool = self.pool;
                 let env = &self.scratch.env;
-                let truth = eval_pred_with(self.registry, *sym, args, |term| {
+                eval_pred_with(self.registry, *sym, args, |term| {
                     resolve_cterm_value(term, pool, env)
-                })?;
-                if let (Some(memo), Some(k)) = (self.memo.as_mut(), key) {
-                    memo.misses += 1;
-                    memo.map.insert(k, truth);
-                }
-                Ok(truth)
+                })
             }
             CFormula::Quant {
                 q,
@@ -1406,25 +1256,6 @@ impl<'a> Run<'a, '_> {
                 }
             }
         }
-    }
-
-    /// The per-batch memo key of a predicate call at `site` whose
-    /// arguments read `slots`: call site × the contexts bound to those
-    /// slots (≤ 2, padded). Wider calls bypass the memo, and so do calls
-    /// reading the pinned slot: their keys include the pin's id, which
-    /// is distinct for every check of the batch, so a hit is impossible
-    /// and the table would only add hash-and-insert cost to the hottest
-    /// sites.
-    fn memo_key(&self, site: u32, slots: &[usize]) -> Option<(u32, u32, u64, u64)> {
-        if slots.len() > 2 || self.pin.is_some_and(|p| slots.contains(&p.qid)) {
-            return None;
-        }
-        let bound = |i: usize| {
-            slots
-                .get(i)
-                .map_or(u64::MAX, |s| self.scratch.env[*s].raw())
-        };
-        Some((self.memo_cid, site, bound(0), bound(1)))
     }
 
     /// Short-circuit scan of one quantifier's `domain` for
@@ -2324,8 +2155,7 @@ mod tests {
         let pool = loc_pool(&points);
         let pin = ContextId::from_raw(10);
         for qid in 0..2 {
-            let got =
-                eval.satisfied_pinned_batch(&cc, &pool, now, qid, pin, None, &mut scratch, None, 0);
+            let got = eval.satisfied_pinned_batch(&cc, &pool, now, qid, pin, None, &mut scratch);
             assert_eq!(got, Ok(true), "pin qid={qid}");
             assert_eq!(
                 counts(&counters),
@@ -2347,7 +2177,7 @@ mod tests {
             );
         }
         let pin = ContextId::from_raw(6);
-        let got = eval.satisfied_pinned_batch(&cc, &pool, now, 1, pin, None, &mut scratch, None, 0);
+        let got = eval.satisfied_pinned_batch(&cc, &pool, now, 1, pin, None, &mut scratch);
         assert_eq!(got, Ok(true));
         assert_eq!(
             counts(&counters),
@@ -2383,8 +2213,6 @@ mod tests {
                 pin,
                 None,
                 &mut scratch,
-                None,
-                0,
             );
             assert_eq!(got, arity, "pin qid={qid}: the guard leaf is called");
             assert_eq!(

@@ -8,7 +8,7 @@
 //! context. Constraints outside the fragment fall back to full
 //! re-evaluation with link diffing.
 
-use crate::compile::{CompiledConstraint, CompiledEvaluator, EvalScratch, PinnedSubject, PredMemo};
+use crate::compile::{CompiledConstraint, CompiledEvaluator, EvalScratch, PinnedSubject};
 use crate::constraint::ConstraintSet;
 use crate::error::EvalError;
 use crate::eval::Link;
@@ -78,11 +78,11 @@ impl KindPlan {
     }
 }
 
-/// Checker-counter deltas produced by one
-/// [`IncrementalChecker::check_with_plan`] call. A caller folds them
-/// back with [`IncrementalChecker::absorb_batch_counts`] so
-/// [`CheckerStats`] end up identical to a sequential run — including
-/// the partial tallies of a check that errored mid-plan.
+/// Checker-counter deltas produced by one pinned plan run: the
+/// checker folds each [`IncrementalChecker::on_added`] call's into its
+/// [`CheckerStats`], and [`IncrementalChecker::check_with_plan`]
+/// returns them, so summed they equal a sequential run's stats —
+/// including the partial tallies of a check that errored mid-plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCounts {
     /// Pinned evaluations performed (one per planned quantifier, bumped
@@ -105,6 +105,20 @@ impl PlanCounts {
         self.pinned_evals += other.pinned_evals;
         self.detections += other.detections;
         self.seq_fallbacks += other.seq_fallbacks;
+    }
+}
+
+/// An empty stand-in for the per-batch predicate memo that
+/// [`IncrementalChecker::check_with_plan`] takes and ignores. Only the
+/// benchmark's batched replay calls it; ROADMAP item 1's benchmark
+/// change deletes it.
+#[derive(Debug, Default)]
+pub struct PredMemo;
+
+impl PredMemo {
+    /// Creates the stand-in.
+    pub fn new() -> Self {
+        PredMemo
     }
 }
 
@@ -184,9 +198,9 @@ impl IncrementalChecker {
     ///
     /// Each pinned check is truth-first: an allocation-free,
     /// short-circuiting truth walk
-    /// ([`CompiledEvaluator::satisfied_pinned_batch`], no batch cap, no
-    /// memo) runs before it, and violation evidence is built only when
-    /// that walk reports a violation — the same routine
+    /// ([`CompiledEvaluator::satisfied_pinned_batch`], no batch cap)
+    /// runs before it, and violation evidence is built only when that
+    /// walk reports a violation — the same routine
     /// [`IncrementalChecker::check_with_plan`] uses. The kind's plan
     /// was built at deploy time, so a pinned check that detects nothing
     /// allocates nothing. The new context's subject bucket is looked up
@@ -268,14 +282,12 @@ impl IncrementalChecker {
                 let links = pinned_links(
                     &evaluator,
                     cc,
-                    step.constraint,
                     qids,
                     pool,
                     now,
                     (id, pinned),
                     None,
                     scratch,
-                    None,
                     &mut counts,
                 );
                 stats.absorb(counts);
@@ -314,9 +326,10 @@ impl IncrementalChecker {
     /// ([`CompiledConstraint::is_per_subject`]), so plans pin — the
     /// stateful full-check-and-diff fallback never runs — and a pinned
     /// check's footprint is exactly the pinned subject's bucket, so
-    /// checks of disjoint subjects are independent. The middleware does
-    /// not need it; the benchmark's batched replay and the checker's
-    /// tests do.
+    /// checks of disjoint subjects are independent.
+    ///
+    /// Only the benchmark's batched replay calls it; ROADMAP item 1's
+    /// benchmark change deletes it.
     pub fn supports_batch_fusion(&self) -> bool {
         self.compiled.iter().all(CompiledConstraint::is_per_subject)
     }
@@ -327,12 +340,14 @@ impl IncrementalChecker {
     /// `ContextPool::insert_batch` does): capping every quantifier
     /// domain at `max_id` (the checked context's own id) reproduces the
     /// pool a sequential submission would have seen at that arrival
-    /// position. Detections, their order, and error outcomes are
-    /// byte-identical to the sequential call; counter deltas are
-    /// returned in [`PlanCounts`] instead of being applied, so callers
-    /// can share `&self`. The middleware checks through
-    /// `on_added_planned`; this entry serves the benchmark's batched
-    /// replay and the checker's tests.
+    /// position. It runs the pinned checks of `on_added_planned`, so
+    /// detections, their order, error outcomes and predicate calls are
+    /// those of the sequential call; counter deltas are returned in
+    /// [`PlanCounts`] instead of being applied, so callers can share
+    /// `&self`. `_memo` is ignored.
+    ///
+    /// Only the benchmark's batched replay calls it; ROADMAP item 1's
+    /// benchmark change deletes it.
     ///
     /// Requires
     /// [`supports_batch_fusion`](IncrementalChecker::supports_batch_fusion)
@@ -351,7 +366,7 @@ impl IncrementalChecker {
         id: ContextId,
         max_id: ContextId,
         scratch: &mut EvalScratch,
-        memo: &mut PredMemo,
+        _memo: &mut PredMemo,
     ) -> (Result<Vec<Detection>, EvalError>, PlanCounts) {
         let mut counts = PlanCounts::default();
         if !pool.contains(id) {
@@ -368,14 +383,12 @@ impl IncrementalChecker {
             let links = match pinned_links(
                 &evaluator,
                 cc,
-                step.constraint,
                 qids,
                 pool,
                 now,
                 (id, pinned),
                 Some(max_id),
                 scratch,
-                Some(&mut *memo),
                 &mut counts,
             ) {
                 Ok(links) => links,
@@ -390,13 +403,6 @@ impl IncrementalChecker {
         }
         counts.detections = out.len() as u64;
         (Ok(out), counts)
-    }
-
-    /// Applies the counter deltas of one or more
-    /// [`check_with_plan`](IncrementalChecker::check_with_plan) calls,
-    /// restoring [`CheckerStats`] parity with the sequential path.
-    pub fn absorb_batch_counts(&mut self, counts: PlanCounts) {
-        self.stats.absorb(counts);
     }
 
     /// Fully checks every constraint: the non-incremental baseline the
@@ -469,32 +475,20 @@ fn plan_of<'p>(plans: &'p [(ContextKind, KindPlan)], kind: &ContextKind) -> Opti
 fn pinned_links<'a>(
     evaluator: &CompiledEvaluator<'_>,
     cc: &'a CompiledConstraint,
-    cid: usize,
     qids: &[usize],
     pool: &'a ContextPool,
     now: LogicalTime,
     (id, pinned): (ContextId, Option<PinnedSubject<'a>>),
     max_id: Option<ContextId>,
     scratch: &mut EvalScratch,
-    mut memo: Option<&mut PredMemo>,
     counts: &mut PlanCounts,
 ) -> Result<BTreeSet<Link>, EvalError> {
     let mut links = BTreeSet::new();
     for &qid in qids {
         counts.pinned_evals += 1;
         let fallbacks = scratch.seq_fallbacks();
-        let satisfied = evaluator.satisfied_pinned_at(
-            cc,
-            pool,
-            now,
-            qid,
-            id,
-            pinned,
-            max_id,
-            scratch,
-            memo.as_deref_mut(),
-            cid as u32,
-        );
+        let satisfied =
+            evaluator.satisfied_pinned_at(cc, pool, now, qid, id, pinned, max_id, scratch);
         counts.seq_fallbacks += scratch.seq_fallbacks() - fallbacks;
         if !satisfied? {
             let outcome = evaluator.check_pinned_batch(cc, pool, now, qid, id, max_id, scratch)?;
@@ -679,124 +673,121 @@ mod tests {
         assert_eq!(plain.stats(), planned.stats());
     }
 
-    #[test]
-    fn batch_capped_plan_matches_sequential_insertion() {
-        // Sequential oracle: insert one at a time, check on arrival.
-        let reg = PredicateRegistry::with_builtins();
-        let points = [(0.0, 0.0), (9.0, 9.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0)];
-        let subjects = ["p", "p", "q", "p", "q"];
+    /// One trace checked two ways under one constraint: one context at
+    /// a time (`insert`, then `on_added`), and staged whole with each
+    /// position checked by `check_with_plan` capped at its own id.
+    struct BothWays {
+        seq: Vec<Detection>,
+        batch: Vec<Detection>,
+        seq_stats: CheckerStats,
+        batch_counts: PlanCounts,
+        seq_calls: u64,
+        batch_calls: u64,
+    }
 
-        let mut seq = checker(SPEED);
-        let mut pool_a = ContextPool::new();
-        let mut via_seq = Vec::new();
-        for (i, (x, y)) in points.iter().enumerate() {
-            let id = add_loc(&mut pool_a, subjects[i], i as i64, *x, *y);
-            via_seq.extend(
-                seq.on_added(&reg, &pool_a, LogicalTime::new(i as u64), id)
+    /// Checks `subjects.len()` location fixes (the i-th about
+    /// `subjects[i]`, seq and stamp i) both ways under `src`, counting
+    /// each way's predicate calls.
+    fn check_both_ways(src: &str, subjects: &[&str]) -> BothWays {
+        use crate::predicate::counting_builtins;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let calls = Arc::new(AtomicU64::new(0));
+        let reg = counting_builtins(
+            &[
+                ("same_subject", 2),
+                ("has_attr", 2),
+                ("seq_gap", 3),
+                ("velocity_le", 3),
+            ],
+            &calls,
+        );
+        let points = [(0.0, 0.0), (9.0, 9.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0)];
+        let fix = |pool: &mut ContextPool, i: usize| {
+            let (x, y) = points[i % points.len()];
+            add_loc(pool, subjects[i], i as i64, x, y)
+        };
+
+        let mut seq = checker(src);
+        let mut pool = ContextPool::new();
+        let mut seq_found = Vec::new();
+        for i in 0..subjects.len() {
+            let id = fix(&mut pool, i);
+            seq_found.extend(
+                seq.on_added(&reg, &pool, LogicalTime::new(i as u64), id)
                     .unwrap(),
             );
         }
+        let seq_calls = calls.swap(0, Ordering::Relaxed);
 
-        // Fused: pre-insert the whole batch, then check each position
-        // with the domain capped at its own id.
-        let mut fused = checker(SPEED);
+        let fused = checker(src);
         assert!(fused.supports_batch_fusion());
         let plan = fused.plan_for(&ContextKind::new("location"));
-        let mut pool_b = ContextPool::new();
-        let ids: Vec<ContextId> = points
-            .iter()
-            .enumerate()
-            .map(|(i, (x, y))| add_loc(&mut pool_b, subjects[i], i as i64, *x, *y))
-            .collect();
-        let mut via_batch = Vec::new();
+        let mut pool = ContextPool::new();
+        let ids: Vec<ContextId> = (0..subjects.len()).map(|i| fix(&mut pool, i)).collect();
+        let mut batch_found = Vec::new();
         let mut scratch = EvalScratch::new();
         let mut memo = PredMemo::new();
-        let mut total = PlanCounts::default();
+        let mut batch_counts = PlanCounts::default();
         for (i, &id) in ids.iter().enumerate() {
             let (result, counts) = fused.check_with_plan(
                 &plan,
                 &reg,
-                &pool_b,
+                &pool,
                 LogicalTime::new(i as u64),
                 id,
                 id,
                 &mut scratch,
                 &mut memo,
             );
-            total.absorb(counts);
-            via_batch.extend(result.unwrap());
+            batch_counts.absorb(counts);
+            batch_found.extend(result.unwrap());
         }
-        fused.absorb_batch_counts(total);
-
-        assert_eq!(via_seq, via_batch);
-        assert_eq!(seq.stats(), fused.stats());
-        assert_eq!(
-            memo.hits() + memo.misses(),
-            0,
-            "every SPEED predicate reads the pinned slot, so the memo is bypassed"
-        );
+        BothWays {
+            seq: seq_found,
+            batch: batch_found,
+            seq_stats: seq.stats(),
+            batch_counts,
+            seq_calls,
+            batch_calls: calls.load(Ordering::Relaxed),
+        }
     }
 
     #[test]
-    fn pin_free_sites_consult_the_memo_and_hit_across_checks() {
-        // `has_attr(b, "pos")` reads only the unpinned slot when the
-        // check pins `a`, so its verdicts recur across checks of the
-        // same subject — the one class of site the memo serves. It
-        // follows the subject guard, so short-circuit evaluation reaches
-        // it for every binding of the pinned subject's bucket (and the
-        // constraint has no seq guard to narrow `b` by). The capped run
-        // must still agree with the sequential oracle.
+    fn batch_capped_plan_matches_sequential_insertion() {
+        let both = check_both_ways(SPEED, &["p", "p", "q", "p", "q"]);
+        assert!(!both.seq.is_empty());
+        assert_eq!(both.seq, both.batch);
+        let counts = both.batch_counts;
+        assert_eq!(
+            both.seq_stats,
+            CheckerStats {
+                pinned_evals: counts.pinned_evals,
+                full_evals: 0,
+                detections: counts.detections,
+                seq_fallbacks: counts.seq_fallbacks,
+            }
+        );
+    }
+
+    /// A batch-capped check does the sequential check's work. `guarded`
+    /// has no seq guard, and `has_attr(b, "pos")` reads only the
+    /// unpinned slot, so the same call recurs across checks of one
+    /// subject: each way must still make the same predicate calls.
+    #[test]
+    fn batch_capped_checks_make_the_sequential_predicate_calls() {
         let guarded = "constraint guarded: forall a: location, b: location . \
              (same_subject(a, b) and has_attr(b, \"pos\") and seq_gap(a, b, 1)) \
              implies velocity_le(a, b, 1.5)";
-        let reg = PredicateRegistry::with_builtins();
-        let points = [(0.0, 0.0), (9.0, 9.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0)];
-        let subjects = ["p", "p", "q", "p", "q"];
-
-        let mut seq = checker(guarded);
-        let mut pool_a = ContextPool::new();
-        let mut via_seq = Vec::new();
-        for (i, (x, y)) in points.iter().enumerate() {
-            let id = add_loc(&mut pool_a, subjects[i], i as i64, *x, *y);
-            via_seq.extend(
-                seq.on_added(&reg, &pool_a, LogicalTime::new(i as u64), id)
-                    .unwrap(),
-            );
-        }
-
-        let fused = checker(guarded);
-        assert!(fused.supports_batch_fusion());
-        assert!(fused.compiled.iter().all(|cc| !cc.has_seq_guard()));
-        let plan = fused.plan_for(&ContextKind::new("location"));
-        let mut pool_b = ContextPool::new();
-        let ids: Vec<ContextId> = points
+        assert!(checker(guarded)
+            .compiled
             .iter()
-            .enumerate()
-            .map(|(i, (x, y))| add_loc(&mut pool_b, subjects[i], i as i64, *x, *y))
-            .collect();
-        let mut via_batch = Vec::new();
-        let mut scratch = EvalScratch::new();
-        let mut memo = PredMemo::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let (result, _) = fused.check_with_plan(
-                &plan,
-                &reg,
-                &pool_b,
-                LogicalTime::new(i as u64),
-                id,
-                id,
-                &mut scratch,
-                &mut memo,
-            );
-            via_batch.extend(result.unwrap());
-        }
-
-        assert_eq!(via_seq, via_batch);
-        assert!(memo.misses() > 0, "pin-free sites must populate the memo");
-        assert!(
-            memo.hits() > 0,
-            "repeat subjects must replay memoized verdicts"
-        );
+            .all(|cc| !cc.has_seq_guard()));
+        let both = check_both_ways(guarded, &["p", "p", "q", "p", "q", "p", "p"]);
+        assert!(!both.seq.is_empty());
+        assert_eq!(both.seq, both.batch);
+        assert!(both.seq_calls > 0);
+        assert_eq!(both.batch_calls, both.seq_calls);
     }
 
     #[test]

@@ -65,11 +65,13 @@ mod schema;
 mod simplify;
 
 pub use ast::{Formula, PredicateCall, Quantifier, Term};
-pub use compile::{CompiledConstraint, CompiledEvaluator, EvalScratch, PredMemo};
+pub use compile::{CompiledConstraint, CompiledEvaluator, EvalScratch};
 pub use constraint::{Constraint, ConstraintSet};
 pub use error::{EvalError, ParseError};
 pub use eval::{CheckOutcome, DomainMode, Evaluator, Link, MAX_LINKS};
-pub use incremental::{CheckerStats, Detection, IncrementalChecker, KindPlan, PlanCounts};
+pub use incremental::{
+    CheckerStats, Detection, IncrementalChecker, KindPlan, PlanCounts, PredMemo,
+};
 pub use parser::{parse_constraint, parse_constraints, parse_formula, MAX_FORMULA_DEPTH};
 pub use predicate::{PredicateRegistry, Resolved};
 pub use schema::{validate, AttrType, ContextSchema, KindSchema, SchemaViolation};

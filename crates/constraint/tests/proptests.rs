@@ -442,7 +442,7 @@ proptest! {
 
                         let fallbacks = scratch.seq_fallbacks();
                         let truth = compiled
-                            .satisfied_pinned_batch(&cc, &pool, now, qid, id, None, &mut scratch, None, 0);
+                            .satisfied_pinned_batch(&cc, &pool, now, qid, id, None, &mut scratch);
                         match (&truth, &want) {
                             (Ok(t), Ok(o)) => prop_assert_eq!(*t, o.satisfied),
                             (Err(e), Err(o)) => prop_assert_eq!(e, o),
@@ -605,7 +605,7 @@ proptest! {
                             "{} pinned {}@{} under {:?}", c.name(), qid, id, mode
                         );
                         let truth = compiled
-                            .satisfied_pinned_batch(cc, &pool, now, qid, id, None, &mut scratch, None, 0);
+                            .satisfied_pinned_batch(cc, &pool, now, qid, id, None, &mut scratch);
                         match (&truth, &want) {
                             (Ok(t), Ok(o)) => prop_assert_eq!(*t, o.satisfied),
                             (Err(e), Err(o)) => prop_assert_eq!(e, o),
@@ -953,7 +953,7 @@ proptest! {
                         "{} pinned {}@{} under {:?}", c.formula(), qid, id, mode
                     );
                     let truth = compiled
-                        .satisfied_pinned_batch(&cc, &pool, now, qid, id, None, &mut scratch, None, 0);
+                        .satisfied_pinned_batch(&cc, &pool, now, qid, id, None, &mut scratch);
                     let walked =
                         truth_walk(c.formula(), registry, &pool, now, mode, Some((qid, id)), &mut Vec::new());
                     prop_assert_eq!(

@@ -120,9 +120,8 @@ impl HandleRun {
         self.head == self.buf.len()
     }
 
-    /// The run as a plain vector, its dead prefix drained: for the bulk
-    /// paths ([`ContextPool::insert_batch`], the sweeps) that work on a
-    /// `Vec`.
+    /// The run as a plain vector, its dead prefix drained: for the
+    /// sweeps, which work on a `Vec`.
     fn vec_mut(&mut self) -> &mut Vec<SlotHandle> {
         self.drain_dead();
         &mut self.buf
@@ -407,94 +406,20 @@ pub struct ContextPool {
     watches: Vec<Watch>,
 }
 
-/// Restores `(stamp, id)` order after a batch appended its handles
-/// unsorted past `split`: sorts the tail (keys are unique, so unstable
-/// is fine), then merges it with the sorted head — one sort-merge per
-/// touched bucket per batch instead of a binary-searched memmove per
-/// insert. In-order arrivals (the overwhelmingly common case) take the
-/// boundary-comparison fast path and touch nothing. Returns the first
-/// position that holds a batch handle afterwards: everything before it
-/// is the untouched head.
-fn repair_tail(
-    index: &mut Vec<SlotHandle>,
-    stamps: &[LogicalTime],
-    ids: &[ContextId],
-    split: usize,
-) -> usize {
-    let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
-    if index.len() - split > 1 {
-        let tail = &index[split..];
-        if tail.windows(2).any(|w| key(w[0]) > key(w[1])) {
-            index[split..].sort_unstable_by_key(|&h| key(h));
-        }
-    }
-    if split == 0 || index.len() == split || key(index[split - 1]) <= key(index[split]) {
-        return split;
-    }
-    let from = index[..split].partition_point(|&h| key(h) <= key(index[split]));
-    let tail = index.split_off(split);
-    let head = std::mem::take(index);
-    index.reserve(head.len() + tail.len());
-    let mut head = head.into_iter().peekable();
-    let mut tail = tail.into_iter().peekable();
-    loop {
-        match (head.peek(), tail.peek()) {
-            (Some(&a), Some(&b)) => {
-                if key(a) <= key(b) {
-                    index.push(a);
-                    head.next();
-                } else {
-                    index.push(b);
-                    tail.next();
-                }
-            }
-            (Some(_), None) => {
-                index.extend(head);
-                break;
-            }
-            (None, _) => {
-                index.extend(tail);
-                break;
-            }
-        }
-    }
-    from
-}
-
 impl ContextPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         ContextPool::default()
     }
 
-    /// Inserts a context, assigning it the next arrival-ordered id.
+    /// Inserts a context, assigning it the next arrival-ordered id: the
+    /// slot arena takes it (a free slot's reuse, or growth) and its
+    /// handle joins the kind and subject runs in `(stamp, id)` order.
     pub fn insert(&mut self, ctx: Context) -> ContextId {
         note_available(&mut self.watches, &ctx);
         let kind = ctx.kind().clone();
         let subject = Arc::clone(ctx.subject_arc());
         let reach = reach_of(&ctx);
-        let (id, handle) = self.arena_insert(ctx);
-        let bucket = self.by_kind.entry(&kind);
-        bucket.reach = bucket.reach.max(reach);
-        bucket.all.insert(&self.slot_stamps, &self.slot_ids, handle);
-        let entry = bucket.subject_entry(subject, &mut self.spare_runs);
-        let at = entry
-            .handles
-            .insert(&self.slot_stamps, &self.slot_ids, handle);
-        if entry.seq_ordered {
-            let run = entry.handles.as_slice();
-            let window = at.saturating_sub(1)..(at + 2).min(run.len());
-            entry.seq_ordered = seqs_rise(&run[window], &self.slot_seqs);
-        }
-        id
-    }
-
-    /// The arena half of an insertion: id assignment, slot placement
-    /// (free-list reuse or growth), and the id → slot table append.
-    /// Shared by [`ContextPool::insert`] (which then orders the index
-    /// entries immediately) and [`ContextPool::insert_batch`] (which
-    /// defers ordering to one repair per touched bucket).
-    fn arena_insert(&mut self, ctx: Context) -> (ContextId, SlotHandle) {
         let id = ContextId::from_raw(self.next_id);
         self.next_id += 1;
         self.inserted += 1;
@@ -525,73 +450,26 @@ impl ContextPool {
             slot,
             generation: self.generations[slot as usize],
         };
-        (id, handle)
+        let bucket = self.by_kind.entry(&kind);
+        bucket.reach = bucket.reach.max(reach);
+        bucket.all.insert(&self.slot_stamps, &self.slot_ids, handle);
+        let entry = bucket.subject_entry(subject, &mut self.spare_runs);
+        let at = entry
+            .handles
+            .insert(&self.slot_stamps, &self.slot_ids, handle);
+        if entry.seq_ordered {
+            let run = entry.handles.as_slice();
+            let window = at.saturating_sub(1)..(at + 2).min(run.len());
+            entry.seq_ordered = seqs_rise(&run[window], &self.slot_seqs);
+        }
+        id
     }
 
-    /// Inserts a whole batch with deferred index maintenance: every
-    /// context takes the same arena path as [`ContextPool::insert`] (so
-    /// ids, slots, and generations come out identical), but its index
-    /// handles are appended **unsorted**, and each touched kind /
-    /// kind×subject bucket's `(stamp, id)` order is restored by one
-    /// sort-merge per bucket per batch instead of a binary-searched
-    /// memmove per insert. The final pool state — including every
-    /// subject bucket's seq order flag — is identical to inserting the
-    /// contexts one by one.
+    /// Inserts each context of `batch` in turn, as
+    /// [`ContextPool::insert`] does. Only the benchmark's batched
+    /// replay calls it; ROADMAP item 1's benchmark change deletes it.
     pub fn insert_batch(&mut self, batch: impl IntoIterator<Item = Context>) -> Vec<ContextId> {
-        // Each touched vector's pre-batch length is its repair split
-        // point: everything past it is this batch's unsorted tail.
-        let mut all_splits: HashMap<ContextKind, usize> = HashMap::new();
-        let mut subject_splits: HashMap<(ContextKind, Arc<str>), usize> = HashMap::new();
-        let batch = batch.into_iter();
-        let mut ids = Vec::with_capacity(batch.size_hint().0);
-        for ctx in batch {
-            note_available(&mut self.watches, &ctx);
-            let kind = ctx.kind().clone();
-            let subject = Arc::clone(ctx.subject_arc());
-            let reach = reach_of(&ctx);
-            let (id, handle) = self.arena_insert(ctx);
-            ids.push(id);
-            let bucket = self.by_kind.entry(&kind);
-            bucket.reach = bucket.reach.max(reach);
-            all_splits
-                .entry(kind.clone())
-                .or_insert_with(|| bucket.all.vec_mut().len());
-            let entry = bucket.subject_entry(Arc::clone(&subject), &mut self.spare_runs);
-            let handles = entry.handles.vec_mut();
-            subject_splits
-                .entry((kind, subject))
-                .or_insert(handles.len());
-            handles.push(handle);
-            bucket.all.vec_mut().push(handle);
-        }
-        for (kind, split) in all_splits {
-            if let Some(bucket) = self.by_kind.get_mut(&kind) {
-                repair_tail(
-                    bucket.all.vec_mut(),
-                    &self.slot_stamps,
-                    &self.slot_ids,
-                    split,
-                );
-            }
-        }
-        for ((kind, subject), split) in subject_splits {
-            if let Some(entry) = self
-                .by_kind
-                .get_mut(&kind)
-                .and_then(|b| b.by_subject.get_mut(&subject))
-            {
-                let handles = entry.handles.vec_mut();
-                let from = repair_tail(handles, &self.slot_stamps, &self.slot_ids, split);
-                // Inserting one at a time keeps the flag exactly when the
-                // final order rises, and the head before `from` already
-                // did: checking from its last handle on is the same test.
-                if entry.seq_ordered {
-                    entry.seq_ordered =
-                        seqs_rise(&handles[from.saturating_sub(1)..], &self.slot_seqs);
-                }
-            }
-        }
-        ids
+        batch.into_iter().map(|c| self.insert(c)).collect()
     }
 
     fn slot_of(&self, id: ContextId) -> Option<usize> {
@@ -1507,75 +1385,6 @@ mod tests {
             pool.subject_counts(),
             vec![("a".to_owned(), 1), ("p".to_owned(), 3)]
         );
-    }
-
-    #[test]
-    fn insert_batch_matches_sequential_inserts() {
-        // Mixed kinds, duplicate subjects, and out-of-order stamps: the
-        // deferred-repair path must produce the same ids and the same
-        // index iteration order as one-at-a-time insertion.
-        let make = |tag: &str| -> Vec<Context> {
-            vec![
-                loc("peter", 10),
-                loc("mary", 4),
-                loc("peter", 2), // out of order within the batch
-                Context::builder(ContextKind::new(tag), "peter").build(),
-                loc("mary", 7),
-                loc("peter", 10), // stamp tie, id breaks it
-            ]
-        };
-        let mut seq = ContextPool::new();
-        let seq_ids: Vec<ContextId> = make("rfid").into_iter().map(|c| seq.insert(c)).collect();
-        let mut batched = ContextPool::new();
-        let batch_ids = batched.insert_batch(make("rfid"));
-        assert_eq!(seq_ids, batch_ids);
-        assert_eq!(seq.signature(), batched.signature());
-        let kind = ContextKind::new("location");
-        let seq_order: Vec<ContextId> = seq.of_kind(&kind).map(|(id, _)| id).collect();
-        let batch_order: Vec<ContextId> = batched.of_kind(&kind).map(|(id, _)| id).collect();
-        assert_eq!(seq_order, batch_order);
-        for subject in ["peter", "mary"] {
-            let s: Vec<ContextId> = seq.of_subject(&kind, subject).map(|(id, _)| id).collect();
-            let b: Vec<ContextId> = batched
-                .of_subject(&kind, subject)
-                .map(|(id, _)| id)
-                .collect();
-            assert_eq!(s, b, "subject {subject}");
-        }
-    }
-
-    #[test]
-    fn insert_batch_merges_across_existing_entries() {
-        // A batch whose stamps interleave with pre-existing entries
-        // exercises the head/tail merge, not just the tail sort.
-        let mut seq = ContextPool::new();
-        let mut batched = ContextPool::new();
-        for c in [loc("p", 5), loc("p", 20), loc("q", 9)] {
-            seq.insert(c.clone());
-            batched.insert(c);
-        }
-        let late = vec![loc("p", 1), loc("p", 12), loc("q", 3), loc("p", 30)];
-        for c in late.clone() {
-            seq.insert(c);
-        }
-        batched.insert_batch(late);
-        let kind = ContextKind::new("location");
-        assert_eq!(
-            seq.of_kind(&kind).map(|(id, _)| id).collect::<Vec<_>>(),
-            batched.of_kind(&kind).map(|(id, _)| id).collect::<Vec<_>>()
-        );
-        for subject in ["p", "q"] {
-            assert_eq!(
-                seq.of_subject(&kind, subject)
-                    .map(|(id, _)| id)
-                    .collect::<Vec<_>>(),
-                batched
-                    .of_subject(&kind, subject)
-                    .map(|(id, _)| id)
-                    .collect::<Vec<_>>(),
-                "subject {subject}"
-            );
-        }
     }
 
     #[test]

@@ -170,10 +170,6 @@ pub struct Middleware {
     /// Checker counters already forwarded to `obs` (evaluations and seq
     /// fallbacks).
     reported: CheckerStats,
-    /// Violations seen per still-undecided context, for the chain-depth
-    /// histogram (submission + violations + verdict). Populated only
-    /// when provenance tracing is on; entries leave at verdict time.
-    prov_violations: HashMap<ContextId, u64>,
     matched: u64,
     covered: Vec<bool>,
     epoch_started: Vec<Option<LogicalTime>>,
@@ -597,7 +593,6 @@ impl Middleware {
                                 verdict: None,
                             },
                         );
-                        *self.prov_violations.entry(c).or_insert(0) += 1;
                     }
                 }
             }
@@ -800,7 +795,6 @@ impl Middleware {
                                 },
                             );
                         }
-                        self.observe_chain_depth(id);
                     }
                 }
             }
@@ -819,7 +813,6 @@ impl Middleware {
                     self.kind_cell(kind).expired(1);
                 }
             }
-            self.prov_violations.remove(&id);
         }
         for did in &outcome.discarded {
             self.count_discard(*did, now, None);
@@ -911,7 +904,6 @@ impl Middleware {
                         },
                     );
                 }
-                self.observe_chain_depth(id);
             }
         }
         if self.obs.tail_enabled() {
@@ -988,14 +980,6 @@ impl Middleware {
             self.kind_cell(&wm.kind)
                 .set_watermark(wm.live as u64, oldest_age, wm.oldest_ttl);
         }
-    }
-
-    /// Emits the decided context's causal-chain depth — its submission
-    /// root, every violation it participated in, and the verdict — then
-    /// drops the per-context violation tally.
-    fn observe_chain_depth(&mut self, id: ContextId) {
-        let violations = self.prov_violations.remove(&id).unwrap_or(0);
-        self.obs.observe(MetricKind::ChainDepth, 2 + violations);
     }
 
     /// The situation round that ends every engine call: each engine
@@ -1176,7 +1160,6 @@ impl MiddlewareBuilder {
             doom_queue: DoomQueue::default(),
             gt_doom_queue: DoomQueue::default(),
             reported: CheckerStats::default(),
-            prov_violations: HashMap::new(),
             matched: 0,
             covered,
             epoch_started: epoch_started_init,

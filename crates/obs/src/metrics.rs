@@ -46,15 +46,10 @@ pub enum MetricKind {
     /// Buffered contexts awaiting use, sampled after each submit
     /// (count).
     QueueDepth,
-    /// Causal-chain depth of each resolution decision: submission plus
-    /// the violations that led to the verdict, plus the verdict (count;
-    /// recorded once per delivered/discarded context when provenance is
-    /// on).
-    ChainDepth,
 }
 
 /// Every [`MetricKind`], in index order.
-pub const METRIC_KINDS: [MetricKind; 8] = [
+pub const METRIC_KINDS: [MetricKind; 7] = [
     MetricKind::CheckLatency,
     MetricKind::IngestLatency,
     MetricKind::ResolveLatency,
@@ -62,16 +57,13 @@ pub const METRIC_KINDS: [MetricKind; 8] = [
     MetricKind::UseResidualDelay,
     MetricKind::DeltaSize,
     MetricKind::QueueDepth,
-    MetricKind::ChainDepth,
 ];
 
 impl MetricKind {
-    /// Index of the kind's cell among a shard's core histograms.
+    /// Index of the kind's cell among a shard's core histograms: its
+    /// position in [`METRIC_KINDS`].
     pub fn index(self) -> usize {
-        METRIC_KINDS
-            .iter()
-            .position(|k| *k == self)
-            .expect("every kind is listed")
+        self as usize
     }
 
     /// Snake-case metric name (stable; used in exports).
@@ -84,7 +76,6 @@ impl MetricKind {
             MetricKind::UseResidualDelay => "use_residual_delay",
             MetricKind::DeltaSize => "delta_size",
             MetricKind::QueueDepth => "queue_depth",
-            MetricKind::ChainDepth => "chain_depth",
         }
     }
 
@@ -96,7 +87,7 @@ impl MetricKind {
             | MetricKind::ResolveLatency
             | MetricKind::RouteLatency => "ns",
             MetricKind::UseResidualDelay => "ticks",
-            MetricKind::DeltaSize | MetricKind::QueueDepth | MetricKind::ChainDepth => "count",
+            MetricKind::DeltaSize | MetricKind::QueueDepth => "count",
         }
     }
 }
@@ -147,12 +138,10 @@ pub const COUNTER_KINDS: [CounterKind; 10] = [
 ];
 
 impl CounterKind {
-    /// Index of the kind's cell among a shard's core counters.
+    /// Index of the kind's cell among a shard's core counters: its
+    /// position in [`COUNTER_KINDS`].
     pub fn index(self) -> usize {
-        COUNTER_KINDS
-            .iter()
-            .position(|k| *k == self)
-            .expect("every kind is listed")
+        self as usize
     }
 
     /// Snake-case counter name (stable; used in exports).
@@ -250,7 +239,6 @@ impl MetricKind {
             MetricKind::UseResidualDelay => names!("use_residual_delay_ticks"),
             MetricKind::DeltaSize => names!("delta_size"),
             MetricKind::QueueDepth => names!("queue_depth"),
-            MetricKind::ChainDepth => names!("chain_depth"),
         }
     }
 
@@ -513,6 +501,21 @@ mod tests {
             let [bound, est] = kind.quantile_families().map(|f| f.name);
             assert_eq!(bound, format!("{family}_quantile_bound"));
             assert_eq!(est, format!("{family}_quantile_est"));
+        }
+    }
+
+    /// Each kind indexes its cell by its discriminant, so the kind
+    /// arrays must list the variants in declaration order.
+    #[test]
+    fn kind_arrays_list_each_kind_at_its_index() {
+        for (i, kind) in METRIC_KINDS.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+        for (i, kind) in COUNTER_KINDS.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+        for (i, phase) in crate::PHASES.iter().enumerate() {
+            assert_eq!(phase.index(), i, "{phase:?}");
         }
     }
 

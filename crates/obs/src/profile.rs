@@ -93,12 +93,10 @@ pub const PHASES: [Phase; 9] = [
 ];
 
 impl Phase {
-    /// Index of the phase's cells in a shard's table.
+    /// Index of the phase's cells in a shard's table: its position in
+    /// [`PHASES`].
     pub fn index(self) -> usize {
-        PHASES
-            .iter()
-            .position(|p| *p == self)
-            .expect("every phase is listed")
+        self as usize
     }
 
     /// The phase at `index`, when in range.
