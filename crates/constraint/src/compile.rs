@@ -27,35 +27,49 @@
 //! * constants are evaluated by reference ([`Resolved::ValueRef`]), never
 //!   cloned.
 //!
-//! [`CompiledEvaluator`] then evaluates the program with **zero
-//! per-binding allocations**: the env buffer and the per-quantifier
-//! domain buffers live in an [`EvalScratch`] that the caller reuses
-//! across calls (and across constraints — it grows to the largest slot
-//! count seen). Link-evidence semantics are shared with the AST
-//! evaluator via the `Evidence`/`Need` machinery in `eval`, so both
-//! evaluators produce byte-identical [`CheckOutcome`]s.
+//! [`CompiledEvaluator`] then evaluates the program against the env
+//! buffer of an [`EvalScratch`] that the caller reuses across calls
+//! (and across constraints — it grows to the largest slot count seen),
+//! iterating every quantifier domain straight off the pool.
+//! Link-evidence semantics are shared with the AST evaluator via the
+//! `Evidence`/`Need` machinery in `eval`, so both evaluators produce
+//! byte-identical [`CheckOutcome`]s.
 //!
 //! Every walker evaluates left to right and short-circuits: `and`,
 //! `or` and `implies` skip the right operand when the left one decides.
-//! The evidence walk visits every quantifier binding, so it lists every
-//! violation; the truth walk stops a quantifier at its first deciding
-//! binding. Under that rule a pinned check of a pair constraint needs
-//! only the one partner its seq guard admits (see [`SeqGuard`]).
-//! Narrowing trusts the builtins it reads by name only where the
-//! registry defines them at their builtin arity (see [`Trusted`]).
+//! Three walks share one domain rule ([`Run::each_binding`]):
+//!
+//! * the **evidence walk** visits every quantifier binding and builds
+//!   links per node, so it lists every violation;
+//! * the **truth walk** builds nothing and stops a quantifier at its
+//!   first deciding binding;
+//! * the **violation walk** of a pinned check
+//!   ([`CompiledEvaluator::name_violations_pinned`]) is the truth walk
+//!   with one change on a *flat* program — a `forall` chain binding
+//!   every quantifier over a quantifier-free body: no chain level stops
+//!   at a counterexample, and each false binding pushes the binding
+//!   itself as its link, which is the link the evidence walk builds for
+//!   it. So one walk decides a pinned check and names its violations;
+//!   only where a link need not be the binding, or the evidence walk
+//!   would truncate, does the checker run the evidence walk instead.
+//!
+//! Under that rule a pinned check of a pair constraint needs only the
+//! one partner its seq guard admits (see [`SeqGuard`]). Narrowing
+//! trusts the builtins it reads by name only where the registry defines
+//! them at their builtin arity (see [`Trusted`]).
 
 use crate::ast::{Formula, Quantifier, Term};
 use crate::constraint::Constraint;
 use crate::error::EvalError;
 use crate::eval::{
     combine_undecided, fold_exists, fold_forall, outcome_from, CheckOutcome, DomainMode, Evidence,
-    Link, Need, Pin,
+    Link, Need, Pin, MAX_LINKS,
 };
 use crate::predicate::{PredSym, PredicateRegistry, Resolved};
 use ctxres_context::{
     Context, ContextId, ContextKind, ContextPool, ContextValue, LogicalTime, SubjectView,
 };
-use std::ops::RangeInclusive;
+use std::ops::{ControlFlow, RangeInclusive};
 
 /// A term lowered to slot-addressed form. Variable names are kept only
 /// for error reporting (`UnboundVariable` / `MissingAttr` parity with
@@ -142,6 +156,10 @@ pub struct CompiledConstraint {
     kinds: Vec<ContextKind>,
     slot_count: usize,
     universal_positive: bool,
+    /// The program is a `forall` chain binding every quantifier, over a
+    /// quantifier-free body: a violated binding's link is the binding
+    /// (see [`CompiledEvaluator::name_violations_pinned`]).
+    flat: bool,
     /// Deploy-time subject verdict (see
     /// [`CompiledConstraint::is_per_subject`]): the formula is
     /// universal-positive and, with two or more quantifiers, carries a
@@ -161,12 +179,14 @@ impl CompiledConstraint {
         let mut scope: Vec<(&str, usize)> = Vec::new();
         let mut program = lower(constraint.formula(), &mut kind_table, &mut scope);
         let slot_count = constraint.quantifier_count();
+        let flat = forall_chain(&program) == slot_count;
         let guard = subject_guard(&mut program, slot_count);
         let guarded = guard.is_some();
         let seq_guard = guard.and_then(seq_guard);
         let universal_positive = constraint.is_universal_positive();
         CompiledConstraint {
             name: constraint.name().to_owned(),
+            flat,
             per_subject: universal_positive && (slot_count <= 1 || guarded),
             seq_guard,
             program,
@@ -437,23 +457,16 @@ impl<'a> PinnedSubject<'a> {
 /// Under that narrowing every leading `same_subject` leaf holds on
 /// every binding, so the guard marks them [`Proof::SameSubject`].
 fn subject_guard(program: &mut CFormula, slot_count: usize) -> Option<Vec<&mut CFormula>> {
+    if forall_chain(program) != slot_count {
+        return None;
+    }
     let mut body = program;
-    let mut chain = 0;
-    while let CFormula::Quant {
-        q: Quantifier::Forall,
-        body: inner,
-        ..
-    } = body
-    {
-        chain += 1;
+    while let CFormula::Quant { body: inner, .. } = body {
         body = inner;
     }
     let CFormula::Implies(guard, _) = body else {
         return None;
     };
-    if chain != slot_count {
-        return None;
-    }
     let mut leaves = Vec::new();
     and_spine(guard, &mut leaves);
     // Slots are the chain's qids; each leading leaf merges two subject
@@ -475,6 +488,22 @@ fn subject_guard(program: &mut CFormula, slot_count: usize) -> Option<Vec<&mut C
         mark(leaf, Proof::SameSubject);
     }
     Some(leaves)
+}
+
+/// The number of `forall`s leading `f`. With every quantifier among
+/// them, the program is flat: the chain's body is quantifier-free.
+fn forall_chain(mut f: &CFormula) -> usize {
+    let mut chain = 0;
+    while let CFormula::Quant {
+        q: Quantifier::Forall,
+        body,
+        ..
+    } = f
+    {
+        chain += 1;
+        f = body;
+    }
+    chain
 }
 
 /// Marks predicate leaf `leaf` as decided by the narrowing `by`.
@@ -660,13 +689,16 @@ fn lower_term(t: &Term, scope: &[(&str, usize)]) -> CTerm {
     }
 }
 
-/// Reusable evaluation buffers: the slot-indexed env and one domain
-/// buffer per quantifier. Grows to the largest program seen and is then
-/// allocation-free across calls.
+/// Reusable evaluation buffers: the slot-indexed env, and the links the
+/// checker's pinned checks name. Grows to the largest program (and the
+/// most violations) seen and is then allocation-free across calls.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     env: Vec<ContextId>,
-    domains: Vec<Vec<ContextId>>,
+    /// The violations a plan step's pinned checks have named so far
+    /// ([`CompiledEvaluator::name_violations_pinned`] pushes them), in
+    /// walk order and not deduplicated.
+    pub(crate) links: Vec<Link>,
     /// Pinned truth passes run with this scratch that had a seq guard
     /// to narrow by but scanned the bucket instead.
     seq_fallbacks: u64,
@@ -678,12 +710,13 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// Pinned truth passes
-    /// ([`CompiledEvaluator::satisfied_pinned_batch`]) run with this
-    /// scratch whose constraint has a seq guard on the pinned
-    /// quantifier but which scanned the partner's subject bucket: the
-    /// pool could not vouch for the bucket's seq order, or the pinned
-    /// context's own seq is not an exact integer.
+    /// Pinned truth passes — the truth walk
+    /// ([`CompiledEvaluator::satisfied_pinned_batch`]) and the checker's
+    /// violation walk — run with this scratch whose constraint has a
+    /// seq guard on the pinned quantifier but which scanned the
+    /// partner's subject bucket: the pool could not vouch for the
+    /// bucket's seq order, or the pinned context's own seq is not an
+    /// exact integer.
     pub fn seq_fallbacks(&self) -> u64 {
         self.seq_fallbacks
     }
@@ -691,7 +724,6 @@ impl EvalScratch {
     fn prepare(&mut self, slots: usize) {
         if self.env.len() < slots {
             self.env.resize(slots, ContextId::from_raw(u64::MAX));
-            self.domains.resize_with(slots, Vec::new);
         }
     }
 }
@@ -852,19 +884,19 @@ impl<'r> CompiledEvaluator<'r> {
     }
 
     /// Truth-only twin of
-    /// [`check_pinned_batch`](CompiledEvaluator::check_pinned_batch),
-    /// the first pass of every pinned check: the same truth walk as
-    /// [`holds`](CompiledEvaluator::holds), over the pinned, narrowed
-    /// and optionally capped domains of the evidence walk. It builds no
-    /// evidence and allocates nothing.
+    /// [`check_pinned_batch`](CompiledEvaluator::check_pinned_batch):
+    /// the same truth walk as [`holds`](CompiledEvaluator::holds), over
+    /// the pinned, narrowed and optionally capped domains of the
+    /// evidence walk. It builds no evidence and allocates nothing. The
+    /// incremental checker's pinned checks run its violation-naming
+    /// variant, which differs from it only by not stopping a flat
+    /// program's chain at a counterexample.
     ///
     /// The evidence walk visits every binding this walk visits, in the
     /// same order, plus those a quantifier's deciding binding let this
     /// walk skip. So the two truth values agree whenever both are `Ok`,
     /// and when this walk raises, the evidence walk raises too (the
-    /// same error, unless a skipped binding raised first). `Ok(true)`
-    /// lets the checker skip the evidence walk, dropping only errors in
-    /// bindings no truth walk reaches.
+    /// same error, unless a skipped binding raised first).
     ///
     /// # Errors
     ///
@@ -880,14 +912,51 @@ impl<'r> CompiledEvaluator<'r> {
         max_id: Option<ContextId>,
         scratch: &mut EvalScratch,
     ) -> Result<bool, EvalError> {
-        self.satisfied_pinned_at(constraint, pool, now, qid, ctx, None, max_id, scratch)
+        let pin = Some((Pin { qid, ctx }, None));
+        let mut run = self.start(constraint, pool, now, pin, max_id, scratch);
+        let truth = run.eval_truth(&constraint.program);
+        if run.seq_scanned {
+            run.scratch.seq_fallbacks += 1;
+        }
+        truth
     }
 
-    /// [`satisfied_pinned_batch`](CompiledEvaluator::satisfied_pinned_batch)
-    /// with the pinned context `ctx` already looked up at `now` as
-    /// `pinned` (or `None` to look it up here when the walk narrows).
+    /// The violation walk of one pinned check: the truth walk of
+    /// [`satisfied_pinned_batch`](CompiledEvaluator::satisfied_pinned_batch),
+    /// over its pinned, narrowed and optionally capped domains (the
+    /// pinned context `ctx` already looked up at `now` as `pinned`, or
+    /// `None` to look it up here when the walk narrows), that also names
+    /// the check's violations: it pushes them onto `scratch.links` and
+    /// returns `Ok(true)`.
+    ///
+    /// On a flat program (a `forall` chain binding every quantifier,
+    /// over a quantifier-free body) no chain level stops at a
+    /// counterexample, and each binding whose body is false pushes the
+    /// binding — the set of the chain's contexts — as its link. Every
+    /// argument the body reads is a chain variable, so that is the link
+    /// the evidence walk builds for the binding. The walk visits the
+    /// evidence walk's bindings in its order and evaluates each body
+    /// with the same short-circuits, answering only the guard leaves
+    /// its narrowing proved `Ok(true)`; so it raises the evidence walk's
+    /// error, and its links, sorted and deduplicated, are the evidence
+    /// walk's violations.
+    ///
+    /// It returns `Ok(false)`, leaving `scratch.links` as it found it,
+    /// where it cannot name them and the caller must run the evidence
+    /// walk ([`check_pinned_batch`](CompiledEvaluator::check_pinned_batch)):
+    ///
+    /// * on any other program, at its first false binding, where the
+    ///   truth walk stops: there a link need not be the binding;
+    /// * once it has pushed more than [`MAX_LINKS`] links, where the
+    ///   evidence walk truncates. Every level of the chain collects a
+    ///   subset of the walk's links, so below that bound no level
+    ///   truncates.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EvalError`] from the branches actually evaluated.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn satisfied_pinned_at<'a>(
+    pub(crate) fn name_violations_pinned<'a>(
         &self,
         constraint: &'a CompiledConstraint,
         pool: &'a ContextPool,
@@ -898,13 +967,22 @@ impl<'r> CompiledEvaluator<'r> {
         max_id: Option<ContextId>,
         scratch: &'a mut EvalScratch,
     ) -> Result<bool, EvalError> {
+        let from = scratch.links.len();
         let pin = Some((Pin { qid, ctx }, pinned));
         let mut run = self.start(constraint, pool, now, pin, max_id, scratch);
-        let truth = run.eval_truth(&constraint.program);
+        let named = if constraint.flat {
+            run.name_violations(&constraint.program, constraint.slot_count, from)
+                .map(|flow| flow.is_continue())
+        } else {
+            run.eval_truth(&constraint.program)
+        };
         if run.seq_scanned {
             run.scratch.seq_fallbacks += 1;
         }
-        truth
+        if !matches!(named, Ok(true)) {
+            run.scratch.links.truncate(from);
+        }
+        named
     }
 
     fn run(
@@ -1056,36 +1134,20 @@ impl<'a> Run<'a, '_> {
                 q,
                 kind_sym,
                 slot,
+                subject,
                 body,
-                ..
             } => {
-                // Take the slot's domain buffer out of the scratch so the
-                // recursive body evaluation can still borrow the scratch;
-                // it is put back (error or not) before returning.
-                let mut domain = std::mem::take(&mut self.scratch.domains[*slot]);
-                domain.clear();
-                self.fill_domain(&mut domain, *kind_sym, *slot);
-                let mut per_binding: Vec<Evidence> = Vec::with_capacity(domain.len());
-                let mut failed = None;
-                for id in &domain {
-                    self.scratch.env[*slot] = *id;
-                    match self.eval(body, need) {
-                        Ok(mut ev) => {
-                            for link in &mut ev.links {
-                                link.insert(*id);
-                            }
-                            per_binding.push(ev);
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
+                // Every binding is visited: the visit never breaks.
+                let mut per_binding: Vec<Evidence> = Vec::new();
+                let _ = self.each_binding(*kind_sym, *slot, subject.as_deref(), |run| {
+                    let id = run.scratch.env[*slot];
+                    let mut ev = run.eval(body, need)?;
+                    for link in &mut ev.links {
+                        link.insert(id);
                     }
-                }
-                self.scratch.domains[*slot] = domain;
-                if let Some(e) = failed {
-                    return Err(e);
-                }
+                    per_binding.push(ev);
+                    Ok(ControlFlow::Continue(()))
+                })?;
                 Ok(match q {
                     Quantifier::Forall => fold_forall(per_binding, need),
                     Quantifier::Exists => fold_exists(per_binding, need),
@@ -1094,25 +1156,65 @@ impl<'a> Run<'a, '_> {
         }
     }
 
-    /// Fills one quantifier's materialized domain for the evidence
-    /// walk: the pin's singleton, else the seq guard's window, the
-    /// subject bucket or the full kind index, live at `now`,
-    /// state-filtered by the domain mode, and capped at `max_id` for a
-    /// batch-capped check.
-    fn fill_domain(&mut self, domain: &mut Vec<ContextId>, kind_sym: usize, slot: usize) {
+    /// Binds quantifier `slot` of kind `kind_sym` to each context of its
+    /// domain in turn and calls `visit`, until a visit breaks (returned
+    /// as `Break`) or raises. This is every walk's one domain rule: the
+    /// pin's singleton; else, under pinned-subject narrowing, the seq
+    /// guard's window or the pinned subject's bucket; else a literal
+    /// `subject`'s bucket when `narrow` is set, or the whole kind. Every
+    /// domain but the pin's is iterated lazily straight off the pool,
+    /// live at `now`, state-filtered by the domain mode and capped at
+    /// `max_id` for a batch-capped check (see [`Run::admits`]).
+    fn each_binding(
+        &mut self,
+        kind_sym: usize,
+        slot: usize,
+        subject: Option<&str>,
+        mut visit: impl FnMut(&mut Self) -> Result<ControlFlow<()>, EvalError>,
+    ) -> Result<ControlFlow<()>, EvalError> {
         let pool = self.pool;
         let kind = &self.kind_table[kind_sym];
         match (self.pin, self.pinned) {
-            (Some(p), _) if p.qid == slot => domain.push(p.ctx),
+            (Some(p), _) if p.qid == slot => {
+                self.scratch.env[slot] = p.ctx;
+                visit(self)
+            }
             (_, Some(pinned)) => {
                 let bucket = pinned.bucket(pool, kind, self.now);
                 match self.seq_domain(bucket, slot) {
-                    Some(iter) => self.collect_domain(domain, iter),
-                    None => self.collect_domain(domain, bucket.live()),
+                    Some(domain) => self.bind_each(domain, slot, visit),
+                    None => self.bind_each(bucket.live(), slot, visit),
                 }
             }
-            _ => self.collect_domain(domain, pool.of_kind_live_at(kind, self.now)),
+            _ => match subject {
+                Some(literal) if self.narrow => {
+                    let domain = pool.of_subject_live_at(kind, literal, self.now);
+                    self.bind_each(domain, slot, visit)
+                }
+                _ => self.bind_each(pool.of_kind_live_at(kind, self.now), slot, visit),
+            },
         }
+    }
+
+    /// The loop of [`Run::each_binding`] over one bucket iterator.
+    fn bind_each<'p>(
+        &mut self,
+        domain: impl Iterator<Item = (ContextId, &'p Context)>,
+        slot: usize,
+        mut visit: impl FnMut(&mut Self) -> Result<ControlFlow<()>, EvalError>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        for (id, ctx) in domain {
+            match self.admits(id, ctx) {
+                Some(true) => {}
+                Some(false) => continue,
+                None => break,
+            }
+            self.scratch.env[slot] = id;
+            if visit(self)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        Ok(ControlFlow::Continue(()))
     }
 
     /// The seq guard's window of the pinned subject's `bucket` when it
@@ -1159,22 +1261,6 @@ impl<'a> Run<'a, '_> {
         }
     }
 
-    /// The shared tail of [`Run::fill_domain`]: state-filters a bucket
-    /// iterator and applies the batch cap (see [`Run::admits`]).
-    fn collect_domain<'p>(
-        &self,
-        domain: &mut Vec<ContextId>,
-        iter: impl Iterator<Item = (ContextId, &'p Context)>,
-    ) {
-        for (id, c) in iter {
-            match self.admits(id, c) {
-                Some(true) => domain.push(id),
-                Some(false) => {}
-                None => break,
-            }
-        }
-    }
-
     /// Whether a bucket element enters a quantifier's domain: `None`
     /// ends the walk. Buckets iterate in `(stamp, id)` order, and under
     /// the batch-cap contract (see
@@ -1198,11 +1284,8 @@ impl<'a> Run<'a, '_> {
     /// The truth walk of [`CompiledEvaluator::holds`] and
     /// [`CompiledEvaluator::satisfied_pinned_batch`]: the bare truth
     /// value, short-circuiting connectives and stopping each quantifier
-    /// at its first deciding binding. Domains are iterated lazily
-    /// straight off the pool — the pin's singleton, the seq guard's
-    /// window, the pinned subject's bucket, a literal subject's bucket
-    /// when `narrow` is set, or the kind — so an `exists` whose witness
-    /// comes early never visits the rest.
+    /// at its first deciding binding, so an `exists` whose witness comes
+    /// early never visits the rest of its domain.
     fn eval_truth(&mut self, formula: &CFormula) -> Result<bool, EvalError> {
         match formula {
             CFormula::True => Ok(true),
@@ -1229,58 +1312,55 @@ impl<'a> Run<'a, '_> {
                 // `exists` returns at the first true body, `forall` at
                 // the first false one.
                 let deciding = matches!(q, Quantifier::Exists);
-                let pool = self.pool;
-                let kind = &self.kind_table[*kind_sym];
-                match (self.pin, self.pinned) {
-                    (Some(p), _) if p.qid == *slot => {
-                        self.scratch.env[*slot] = p.ctx;
-                        self.eval_truth(body)
-                    }
-                    (_, Some(pinned)) => {
-                        let bucket = pinned.bucket(pool, kind, self.now);
-                        match self.seq_domain(bucket, *slot) {
-                            Some(domain) => self.scan_quant(domain, *slot, body, deciding),
-                            None => self.scan_quant(bucket.live(), *slot, body, deciding),
-                        }
-                    }
-                    _ => match subject {
-                        Some(literal) if self.narrow => {
-                            let domain = pool.of_subject_live_at(kind, literal, self.now);
-                            self.scan_quant(domain, *slot, body, deciding)
-                        }
-                        _ => {
-                            let domain = pool.of_kind_live_at(kind, self.now);
-                            self.scan_quant(domain, *slot, body, deciding)
-                        }
-                    },
-                }
+                let flow = self.each_binding(*kind_sym, *slot, subject.as_deref(), |run| {
+                    Ok(if run.eval_truth(body)? == deciding {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    })
+                })?;
+                Ok(flow.is_break() == deciding)
             }
         }
     }
 
-    /// Short-circuit scan of one quantifier's `domain` for
-    /// [`Run::eval_truth`]: returns `deciding` at the first admitted
-    /// binding whose body evaluates to it, `!deciding` when the domain
-    /// is exhausted.
-    fn scan_quant<'p>(
+    /// The violation walk of a flat program (see
+    /// [`CompiledEvaluator::name_violations_pinned`]): each `forall` of
+    /// the chain binds every context of its domain in turn, and the
+    /// quantifier-free body gets the truth walk; a false body pushes the
+    /// chain's `slots` contexts onto the scratch's links as one link.
+    /// Breaks once the walk's links, those from index `from` on, number
+    /// more than [`MAX_LINKS`].
+    fn name_violations(
         &mut self,
-        domain: impl Iterator<Item = (ContextId, &'p Context)>,
-        slot: usize,
-        body: &CFormula,
-        deciding: bool,
-    ) -> Result<bool, EvalError> {
-        for (id, ctx) in domain {
-            match self.admits(id, ctx) {
-                Some(true) => {}
-                Some(false) => continue,
-                None => break,
-            }
-            self.scratch.env[slot] = id;
-            if self.eval_truth(body)? == deciding {
-                return Ok(deciding);
-            }
+        formula: &CFormula,
+        slots: usize,
+        from: usize,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        if let CFormula::Quant {
+            kind_sym,
+            slot,
+            subject,
+            body,
+            ..
+        } = formula
+        {
+            return self.each_binding(*kind_sym, *slot, subject.as_deref(), |run| {
+                run.name_violations(body, slots, from)
+            });
         }
-        Ok(!deciding)
+        if self.eval_truth(formula)? {
+            return Ok(ControlFlow::Continue(()));
+        }
+        let mut link = Link::new();
+        link.extend(self.scratch.env[..slots].iter().copied());
+        let links = &mut self.scratch.links;
+        links.push(link);
+        Ok(if links.len() - from > MAX_LINKS {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        })
     }
 }
 

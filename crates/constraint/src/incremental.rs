@@ -87,8 +87,8 @@ impl KindPlan {
 pub struct PlanCounts {
     /// Pinned evaluations performed (one per planned quantifier, bumped
     /// before the evaluation so an error leaves the same partial count
-    /// the sequential path would; the internal truth-then-evidence split
-    /// is not double-counted).
+    /// the sequential path would; a check the evidence walk finishes
+    /// counts once).
     pub pinned_evals: u64,
     /// Detections returned (zero when the check errored).
     pub detections: u64,
@@ -196,16 +196,26 @@ impl IncrementalChecker {
     /// Universal-positive constraints are checked by pinning; others by
     /// full re-evaluation diffed against the previous violation set.
     ///
-    /// Each pinned check is truth-first: an allocation-free,
-    /// short-circuiting truth walk
-    /// ([`CompiledEvaluator::satisfied_pinned_batch`], no batch cap)
-    /// runs before it, and violation evidence is built only when that
-    /// walk reports a violation — the same routine
-    /// [`IncrementalChecker::check_with_plan`] uses. The kind's plan
-    /// was built at deploy time, so a pinned check that detects nothing
-    /// allocates nothing. The new context's subject bucket is looked up
-    /// once per call ([`ContextPool::subject_view`]) and every pinned
-    /// truth walk of the call reads its partners from it.
+    /// Each pinned check is one short-circuiting walk that decides the
+    /// check and names its violations: the truth walk of
+    /// [`CompiledEvaluator::satisfied_pinned_batch`] (no batch cap),
+    /// except that on a `forall` chain binding every quantifier over a
+    /// quantifier-free body it does not stop at a counterexample, and
+    /// each violating binding is pushed as its link. The evidence walk
+    /// ([`CompiledEvaluator::check_pinned_batch`]) runs only where that
+    /// walk cannot name the links: a violated constraint of any other
+    /// shape, or more than [`MAX_LINKS`](crate::MAX_LINKS) violations
+    /// in one check, where the evidence walk truncates. The detections
+    /// and their order are the evidence walk's, and so is the
+    /// `Ok`/`Err` outcome, except that a check the walk finds satisfied
+    /// does not surface an error in a binding it never reached (past an
+    /// `exists` witness, say). [`IncrementalChecker::check_with_plan`]
+    /// runs the same routine. The kind's plan was built at deploy time
+    /// and the checker reuses its link buffer, so a pinned check that
+    /// detects nothing allocates nothing, and one that detects
+    /// allocates only its detections. The new context's subject bucket
+    /// is looked up once per call ([`ContextPool::subject_view`]) and
+    /// every pinned walk of the call reads its partners from it.
     ///
     /// # Errors
     ///
@@ -279,7 +289,7 @@ impl IncrementalChecker {
             let cc = &compiled[step.constraint];
             if let Some(qids) = &step.pinned_qids {
                 let mut counts = PlanCounts::default();
-                let links = pinned_links(
+                let checked = pinned_links(
                     &evaluator,
                     cc,
                     qids,
@@ -289,14 +299,10 @@ impl IncrementalChecker {
                     None,
                     scratch,
                     &mut counts,
+                    &mut out,
                 );
                 stats.absorb(counts);
-                for link in links? {
-                    out.push(Detection {
-                        constraint: cc.name().to_owned(),
-                        link,
-                    });
-                }
+                checked?;
             } else {
                 stats.full_evals += 1;
                 let outcome = evaluator.check(cc, pool, now, scratch)?;
@@ -380,7 +386,7 @@ impl IncrementalChecker {
             let Some(qids) = &step.pinned_qids else {
                 unreachable!("check_with_plan requires supports_batch_fusion()");
             };
-            let links = match pinned_links(
+            if let Err(e) = pinned_links(
                 &evaluator,
                 cc,
                 qids,
@@ -390,15 +396,9 @@ impl IncrementalChecker {
                 Some(max_id),
                 scratch,
                 &mut counts,
+                &mut out,
             ) {
-                Ok(links) => links,
-                Err(e) => return (Err(e), counts),
-            };
-            for link in links {
-                out.push(Detection {
-                    constraint: cc.name().to_owned(),
-                    link,
-                });
+                return (Err(e), counts);
             }
         }
         counts.detections = out.len() as u64;
@@ -458,15 +458,16 @@ fn plan_of<'p>(plans: &'p [(ContextKind, KindPlan)], kind: &ContextKind) -> Opti
 
 /// The pinned check of one plan step, shared by
 /// [`IncrementalChecker::on_added`] (and `on_added_planned`) and
-/// [`IncrementalChecker::check_with_plan`]: per pinned quantifier, a
-/// truth walk first ([`CompiledEvaluator::satisfied_pinned_batch`],
-/// which allocates nothing), and the evidence walk only when that
-/// reports a violation. The evidence walk visits every binding the
-/// truth walk does, in the same order, so `Ok(true)` proves it would
-/// find no violation, and a truth-walk `Err` is one it would raise as
-/// well (or after an earlier one).
+/// [`IncrementalChecker::check_with_plan`]: per pinned quantifier, the
+/// violation walk ([`CompiledEvaluator::name_violations_pinned`]),
+/// which pushes the violations it names onto `scratch.links`, and the
+/// evidence walk only where that walk cannot name them: a violated
+/// constraint that is not a flat `forall` chain, or more than
+/// [`MAX_LINKS`](crate::MAX_LINKS) violations. The step's links,
+/// sorted and deduplicated across its quantifiers, move onto `out` as
+/// detections.
 ///
-/// The truth walks read context `id` as `pinned`, looked up once by the
+/// The walks read context `id` as `pinned`, looked up once by the
 /// caller for all of them.
 ///
 /// Counters are bumped in `counts` before each evaluation, so an error
@@ -482,20 +483,28 @@ fn pinned_links<'a>(
     max_id: Option<ContextId>,
     scratch: &mut EvalScratch,
     counts: &mut PlanCounts,
-) -> Result<BTreeSet<Link>, EvalError> {
-    let mut links = BTreeSet::new();
+    out: &mut Vec<Detection>,
+) -> Result<(), EvalError> {
+    scratch.links.clear();
     for &qid in qids {
         counts.pinned_evals += 1;
         let fallbacks = scratch.seq_fallbacks();
-        let satisfied =
-            evaluator.satisfied_pinned_at(cc, pool, now, qid, id, pinned, max_id, scratch);
+        let named =
+            evaluator.name_violations_pinned(cc, pool, now, qid, id, pinned, max_id, scratch);
         counts.seq_fallbacks += scratch.seq_fallbacks() - fallbacks;
-        if !satisfied? {
+        if !named? {
             let outcome = evaluator.check_pinned_batch(cc, pool, now, qid, id, max_id, scratch)?;
-            links.extend(outcome.violations);
+            scratch.links.extend(outcome.violations);
         }
     }
-    Ok(links)
+    let links = &mut scratch.links;
+    links.sort_unstable();
+    links.dedup();
+    out.extend(links.drain(..).map(|link| Detection {
+        constraint: cc.name().to_owned(),
+        link,
+    }));
+    Ok(())
 }
 
 #[cfg(test)]
@@ -798,8 +807,8 @@ mod tests {
         // so short-circuit evaluation never reads the consequent's
         // `room`, which the new badge lacks: the check is `Ok`, as the
         // evidence walk and the tree-walking oracle say. An earlier
-        // badge without a `room` is read, and the truth-first check
-        // raises the evidence walk's error.
+        // badge without a `room` is read, and the one-walk check raises
+        // the evidence walk's error.
         const ROOM: &str = "constraint room: forall a: badge, b: badge . \
              (same_subject(a, b) and before(b, a)) implies eq(b.room, \"office\")";
         let badge = |stamp: u64, room: Option<&str>| {
@@ -862,6 +871,44 @@ mod tests {
         let got: Vec<Link> = found.into_iter().map(|d| d.link).collect();
         assert_eq!(got, want.into_iter().collect::<Vec<_>>());
         assert_eq!(got.len(), 1, "the lab badge pairs with the new one");
+    }
+
+    /// A pinned check that finds more than `MAX_LINKS` violations
+    /// returns the evidence walk's links, which that walk truncates to
+    /// the `MAX_LINKS` smallest: the violation walk names them only
+    /// below the bound. Here every earlier fix of the subject violates
+    /// with the new one under either pin.
+    #[test]
+    fn pinned_checks_past_max_links_return_the_evidence_walks_links() {
+        use crate::eval::MAX_LINKS;
+        const SAME_SEQ: &str = "constraint same_seq: forall a: location, b: location . \
+             same_subject(a, b) implies eq(a.seq, b.seq)";
+        let reg = PredicateRegistry::with_builtins();
+        let mut pool = ContextPool::new();
+        let fixes = MAX_LINKS as i64 + 44;
+        let new = (0..fixes)
+            .map(|seq| add_loc(&mut pool, "p", seq, 0.0, 0.0))
+            .last()
+            .unwrap();
+        let now = LogicalTime::new(fixes as u64);
+        let mut ch = checker(SAME_SEQ);
+        let found = ch.on_added(&reg, &pool, now, new).unwrap();
+
+        let evidence = CompiledEvaluator::new(&reg);
+        let mut scratch = EvalScratch::new();
+        let mut want: BTreeSet<Link> = BTreeSet::new();
+        for qid in 0..2 {
+            let outcome = evidence
+                .check_pinned(&ch.compiled[0], &pool, now, qid, new, &mut scratch)
+                .unwrap();
+            assert!(outcome.truncated, "pin qid={qid}");
+            want.extend(outcome.violations);
+        }
+        let got: Vec<Link> = found.into_iter().map(|d| d.link).collect();
+        assert_eq!(got.len(), MAX_LINKS, "{} earlier fixes violate", fixes - 1);
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        assert_eq!(ch.stats().pinned_evals, 2);
+        assert_eq!(ch.stats().detections, MAX_LINKS as u64);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * on random formulas with bound and unbound variables, wrong
 //!   arities, type errors and an unknown predicate, the compiled walks
 //!   raise or hold exactly where the oracle does, under the builtins
-//!   and under each of those registries;
+//!   and under each of those registries, and the incremental checker's
+//!   one-walk pinned checks name the oracle's violations;
 //! * evaluation is deterministic.
 
 use ctxres_constraint::{
@@ -821,6 +822,20 @@ fn mixed_pool(contexts: &[(usize, usize, u8, bool)]) -> ContextPool {
     pool
 }
 
+/// Whether `f` is a `forall` chain binding every quantifier, over a
+/// quantifier-free body: the programs whose pinned checks the
+/// incremental checker's violation walk names itself.
+fn is_flat(f: &Formula) -> bool {
+    match f {
+        Formula::Quant {
+            q: Quantifier::Forall,
+            body,
+            ..
+        } => is_flat(body),
+        body => body.quantifiers().is_empty(),
+    }
+}
+
 /// The truth walk `holds` performs, over the AST: the oracle's order
 /// and errors, but each quantifier stops at its first deciding binding.
 /// With a `pin` (quantifier id, context), that quantifier binds only
@@ -971,6 +986,61 @@ proptest! {
             prop_assert_eq!(&holds, &walked, "{} under {:?}", c.formula(), mode);
             if let Ok(outcome) = want {
                 prop_assert_eq!(holds, Ok(outcome.satisfied), "{} under {:?}", c.formula(), mode);
+            }
+        }
+    }
+
+    /// One walk decides each pinned check and names its violations.
+    /// Under a universal-positive random formula alone, the incremental
+    /// checker's `on_added` of every stored context of the mixed pool
+    /// must return the union, over the quantifiers it plans for the
+    /// context's kind, of the oracle's `check_pinned` violations, in
+    /// link order, or the first error in quantifier order — under the
+    /// builtins and under one odd registry per case. On a flat program,
+    /// where the checker's violation walk names the links itself, that
+    /// holds exactly. On any other, where the walk stops at the truth
+    /// walk's first counterexample and the evidence walk takes over, it
+    /// holds wherever the oracle is `Ok`: a truth walk that finds no
+    /// counterexample may stop before an error the oracle raises.
+    #[test]
+    fn pinned_checks_name_the_oracles_violations(
+        formula in random_formula(),
+        contexts in proptest::collection::vec(mixed_context(), 0..7),
+        variant in registry_variant(),
+    ) {
+        let c = Constraint::new("random", formula);
+        if c.is_universal_positive() {
+            let flat = is_flat(c.formula());
+            let late = fresh_predicate_name();
+            let registries = [
+                PredicateRegistry::with_builtins(),
+                variant.build(std::slice::from_ref(&c), &late),
+            ];
+            let pool = mixed_pool(&contexts);
+            let now = LogicalTime::new(contexts.len() as u64 + 1);
+            for registry in &registries {
+                let oracle = Evaluator::new(registry);
+                let mut checker = IncrementalChecker::new(std::iter::once(c.clone()).collect());
+                for (id, ctx) in pool.iter() {
+                    let mut want = Ok(BTreeSet::new());
+                    for qid in c.quantifiers_over(ctx.kind()) {
+                        match (oracle.check_pinned(&c, &pool, now, qid, id), &mut want) {
+                            (Ok(outcome), Ok(links)) => links.extend(outcome.violations),
+                            (Err(e), _) => {
+                                want = Err(e);
+                                break;
+                            }
+                            (Ok(_), Err(_)) => unreachable!("the loop ends at an error"),
+                        }
+                    }
+                    let want: Result<Vec<Link>, EvalError> = want.map(|links| links.into_iter().collect());
+                    let got = checker.on_added(registry, &pool, now, id).map(|found| {
+                        found.into_iter().map(|d| d.link).collect::<Vec<Link>>()
+                    });
+                    if flat || want.is_ok() {
+                        prop_assert_eq!(got, want, "{} at {} (flat: {})", c.formula(), id, flat);
+                    }
+                }
             }
         }
     }

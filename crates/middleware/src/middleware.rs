@@ -573,7 +573,7 @@ impl Middleware {
                 // arriving context is the change that surfaced them.
                 self.kind_cell(&kind).violations(fresh.len() as u64);
             }
-            if self.obs.provenance_enabled() {
+            if !fresh.is_empty() && self.obs.provenance_enabled() {
                 let _prov_phase = self.obs.phase(Phase::ProvenanceEmit);
                 // Every member of a fresh inconsistency gains a
                 // violation edge citing the constraint and the bound
@@ -779,22 +779,19 @@ impl Middleware {
                 }
                 if self.obs.provenance_enabled() {
                     self.obs.record(now, TraceEvent::Delivered { ctx: id });
-                    if prev_state == ContextState::Undecided {
-                        let obs = self.obs.clone();
-                        let _prov_phase = obs.phase(Phase::ProvenanceEmit);
-                        if !self.strategy.emits_provenance() {
-                            self.obs.record(
-                                now,
-                                TraceEvent::Caused {
-                                    ctx: id,
-                                    cause: CauseKind::ResolvedBecause,
-                                    constraint: None,
-                                    partners: Vec::new(),
-                                    count: None,
-                                    verdict: Some(ContextState::Consistent),
-                                },
-                            );
-                        }
+                    if prev_state == ContextState::Undecided && !self.strategy.emits_provenance() {
+                        let _prov_phase = self.obs.phase(Phase::ProvenanceEmit);
+                        self.obs.record(
+                            now,
+                            TraceEvent::Caused {
+                                ctx: id,
+                                cause: CauseKind::ResolvedBecause,
+                                constraint: None,
+                                partners: Vec::new(),
+                                count: None,
+                                verdict: Some(ContextState::Consistent),
+                            },
+                        );
                     }
                 }
             }
@@ -878,32 +875,29 @@ impl Middleware {
         }
         if self.obs.is_enabled() {
             self.obs.count(CounterKind::Discards, 1);
-            if self.obs.provenance_enabled() {
-                let obs = self.obs.clone();
-                let _prov_phase = obs.phase(Phase::ProvenanceEmit);
-                if !self.strategy.emits_provenance() {
-                    // Generic verdict edge for strategies without their
-                    // own provenance instrumentation.
-                    self.obs.record(
-                        now,
-                        TraceEvent::Caused {
-                            ctx: id,
-                            cause: CauseKind::ResolvedBecause,
-                            constraint: cause.map(|inc| inc.constraint().to_string()),
-                            partners: cause
-                                .map(|inc| {
-                                    inc.contexts()
-                                        .iter()
-                                        .copied()
-                                        .filter(|c| *c != id)
-                                        .collect()
-                                })
-                                .unwrap_or_default(),
-                            count: None,
-                            verdict: Some(ContextState::Inconsistent),
-                        },
-                    );
-                }
+            if self.obs.provenance_enabled() && !self.strategy.emits_provenance() {
+                // Generic verdict edge for strategies without their own
+                // provenance instrumentation.
+                let _prov_phase = self.obs.phase(Phase::ProvenanceEmit);
+                self.obs.record(
+                    now,
+                    TraceEvent::Caused {
+                        ctx: id,
+                        cause: CauseKind::ResolvedBecause,
+                        constraint: cause.map(|inc| inc.constraint().to_string()),
+                        partners: cause
+                            .map(|inc| {
+                                inc.contexts()
+                                    .iter()
+                                    .copied()
+                                    .filter(|c| *c != id)
+                                    .collect()
+                            })
+                            .unwrap_or_default(),
+                        count: None,
+                        verdict: Some(ContextState::Inconsistent),
+                    },
+                );
             }
         }
         if self.obs.tail_enabled() {
