@@ -65,5 +65,5 @@ pub mod theory;
 mod tracked;
 
 pub use inconsistency::Inconsistency;
-pub use strategy::{AdditionOutcome, ResolutionStrategy, TieBreak, TiePolicy, UseOutcome};
+pub use strategy::{AdditionOutcome, ResolutionStrategy, TiePolicy, UseOutcome};
 pub use tracked::{CountMap, TrackedSet};

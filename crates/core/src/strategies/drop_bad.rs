@@ -1,7 +1,7 @@
 //! The drop-bad strategy — the paper's contribution (§3).
 
 use crate::inconsistency::Inconsistency;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, TieBreak, TiePolicy, UseOutcome};
+use crate::strategy::{pick_latest, AdditionOutcome, ResolutionStrategy, TiePolicy, UseOutcome};
 use crate::tracked::TrackedSet;
 use ctxres_context::{ContextId, ContextPool, ContextState, LogicalTime};
 use ctxres_obs::{CauseKind, MetricKind, ShardObs, TraceEvent};
@@ -36,7 +36,7 @@ use ctxres_obs::{CauseKind, MetricKind, ShardObs, TraceEvent};
 /// * **Ties** (§5.1): governed by [`TiePolicy`]. Under the default
 ///   `DoomUsed`, a context tying for the maximal count value counts as
 ///   "largest" and is discarded when used; under `BlamePeer` it is
-///   delivered and a tied *undecided* rival (picked by [`TieBreak`]) is
+///   delivered and a tied *undecided* rival (the latest, largest id) is
 ///   marked bad instead. Ties against rivals that were already
 ///   delivered always doom the used context — that is what reduces
 ///   drop-bad to drop-latest at a zero window (§5.3);
@@ -59,25 +59,21 @@ use ctxres_obs::{CauseKind, MetricKind, ShardObs, TraceEvent};
 #[derive(Debug, Clone, Default)]
 pub struct DropBad {
     delta: TrackedSet,
-    tie: TieBreak,
     tie_policy: TiePolicy,
     obs: ShardObs,
+    /// Per-use scratch, kept so a use allocates no list of its own:
+    /// whether each Δ entry involving the used context already holds a
+    /// bad member, a snapshot taken before the use marks anyone bad.
+    bad_member: Vec<bool>,
+    /// Per-use scratch: the entries the use resolves, in Δ's order,
+    /// emptied before the use returns.
+    resolved: Vec<Inconsistency>,
 }
 
 impl DropBad {
-    /// Creates the strategy with the default tie handling (`DoomUsed`
-    /// policy, `Latest` tie-breaker).
+    /// Creates the strategy with the default `DoomUsed` tie policy.
     pub fn new() -> Self {
         DropBad::default()
-    }
-
-    /// Creates the strategy with an explicit tie-breaking preference for
-    /// choosing which rival to mark bad.
-    pub fn with_tie_break(tie: TieBreak) -> Self {
-        DropBad {
-            tie,
-            ..DropBad::default()
-        }
     }
 
     /// Creates the strategy with an explicit §5.1 tie policy.
@@ -200,15 +196,12 @@ impl ResolutionStrategy for DropBad {
         // Δ is read in place: the inconsistencies move out of it only
         // when they are resolved below, in the order `involving` lists
         // them.
-        let bad_member: Vec<bool> = self
-            .delta
-            .involving(id)
-            .map(|inc| {
-                inc.contexts().iter().any(|cid| {
-                    *cid != id && pool.get(*cid).map(|c| c.state()) == Some(ContextState::Bad)
-                })
+        self.bad_member.clear();
+        self.bad_member.extend(self.delta.involving(id).map(|inc| {
+            inc.contexts().iter().any(|cid| {
+                *cid != id && pool.get(*cid).map(|c| c.state()) == Some(ContextState::Bad)
             })
-            .collect();
+        }));
         // "Has the largest count value" (Fig. 7): the used context is
         // doomed by an inconsistency when it is the maximum there and no
         // *undecided* rival ties with it — a tied rival that is still
@@ -225,15 +218,15 @@ impl ResolutionStrategy for DropBad {
                     && pool.get(*cid).map(|c| c.state()) == Some(ContextState::Undecided)
             })
         };
-        let dooming_at = self
-            .delta
-            .involving(id)
-            .zip(&bad_member)
-            .position(|(inc, has_bad)| {
-                self.delta.is_max_in(id, inc)
-                    && !*has_bad
-                    && (self.tie_policy == TiePolicy::DoomUsed || !tied_rival_undecided(inc))
-            });
+        let dooming_at =
+            self.delta
+                .involving(id)
+                .zip(&self.bad_member)
+                .position(|(inc, has_bad)| {
+                    self.delta.is_max_in(id, inc)
+                        && !*has_bad
+                        && (self.tie_policy == TiePolicy::DoomUsed || !tied_rival_undecided(inc))
+                });
         let doomed = was_bad || dooming_at.is_some();
         // Count evidence for the verdict edge, read before Δ shrinks.
         let my_count = self.delta.counts().get(id) as u64;
@@ -242,7 +235,7 @@ impl ResolutionStrategy for DropBad {
         // context participates in, mark the largest-count member bad
         // (deferring its discard so more count evidence can accumulate).
         let mut marked_bad = Vec::new();
-        for (inc, has_bad) in self.delta.involving(id).zip(&bad_member) {
+        for (inc, has_bad) in self.delta.involving(id).zip(&self.bad_member) {
             if *has_bad {
                 continue; // already has a destined discard
             }
@@ -257,7 +250,7 @@ impl ResolutionStrategy for DropBad {
                 // blame falls on a tied peer.
                 members.retain(|m| *m != id);
             }
-            let culprit = self.tie.pick(&members);
+            let culprit = pick_latest(&members);
             if let Some(culprit) = culprit {
                 if pool.get(culprit).map(|c| c.state()) == Some(ContextState::Undecided) {
                     let _ = pool.set_state(culprit, ContextState::Bad);
@@ -285,9 +278,9 @@ impl ResolutionStrategy for DropBad {
 
         // Context deletion change (Fig. 6): the resolved inconsistencies
         // leave Δ.
-        let resolved = self.delta.resolve_involving(id);
+        self.delta.resolve_involving(id, &mut self.resolved);
         if self.obs.provenance_enabled() {
-            for inc in &resolved {
+            for inc in &self.resolved {
                 self.obs.record(
                     now,
                     TraceEvent::DeltaRemoved {
@@ -299,13 +292,13 @@ impl ResolutionStrategy for DropBad {
         }
         self.observe_delta_size();
 
-        if doomed {
+        let outcome = if doomed {
             let _ = pool.set_state(id, ContextState::Inconsistent);
             if self.obs.provenance_enabled() {
                 // The verdict edge cites the dooming inconsistency (or
                 // nothing, when the context was already marked bad —
                 // its earlier `SupersededBy` edge carries the blame).
-                let (constraint, partners) = match dooming_at.map(|at| &resolved[at]) {
+                let (constraint, partners) = match dooming_at.map(|at| &self.resolved[at]) {
                     Some(inc) => (
                         Some(inc.constraint().to_string()),
                         inc.contexts()
@@ -349,7 +342,9 @@ impl ResolutionStrategy for DropBad {
                 discarded: Vec::new(),
                 marked_bad,
             }
-        }
+        };
+        self.resolved.clear();
+        outcome
     }
 
     fn emits_provenance(&self) -> bool {
@@ -639,12 +634,12 @@ mod tests {
     }
 
     #[test]
-    fn earliest_tiebreak_changes_bad_marking() {
+    fn tied_culprits_mark_the_largest_id_bad() {
         // Two contexts tie at max count within an inconsistency resolved
         // by a third, lower-count context... requires a 3-ary
         // inconsistency.
         let (mut pool, ids) = pool_with(3);
-        let mut s = DropBad::with_tie_break(TieBreak::Earliest);
+        let mut s = DropBad::new();
         let tri = Inconsistency::new("t", [ids[0], ids[1], ids[2]], LogicalTime::ZERO);
         s.on_addition(&mut pool, LogicalTime::ZERO, ids[2], &[tri]);
         // Give ids[1] and ids[2] an extra count each via another
@@ -655,10 +650,11 @@ mod tests {
             ids[2],
             &[pair(ids[1], ids[2])],
         );
-        // Use ids[0] (count 1 < 2): delivered; culprits tie {1,2} -> earliest = ids[1].
+        // Use ids[0] (count 1 < 2): delivered; culprits tie {1,2} -> the
+        // latest, ids[2].
         let out = s.on_use(&mut pool, LogicalTime::ZERO, ids[0]);
         assert!(out.delivered);
-        assert_eq!(out.marked_bad, vec![ids[1]]);
+        assert_eq!(out.marked_bad, vec![ids[2]]);
     }
 }
 

@@ -17,7 +17,7 @@
 
 use crate::inconsistency::Inconsistency;
 use crate::strategies::DropBad;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, TieBreak, UseOutcome};
+use crate::strategy::{pick_latest, AdditionOutcome, ResolutionStrategy, UseOutcome};
 use ctxres_context::{Context, ContextId, ContextKind, ContextPool, ContextState, LogicalTime};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -77,11 +77,10 @@ impl ImpactProfile {
 /// Delegates the count-value machinery to the inner [`DropBad`] (with
 /// the `BlamePeer` tie policy so ties surface as a *choice* of which
 /// rival to mark bad), but picks the rival with the **lowest impact
-/// score**; ties on impact fall back to [`TieBreak`].
+/// score**; of rivals tied on impact, the latest (largest id).
 pub struct ImpactAwareDropBad {
     inner: DropBad,
     profile: ImpactProfile,
-    tie: TieBreak,
 }
 
 impl fmt::Debug for ImpactAwareDropBad {
@@ -98,7 +97,6 @@ impl ImpactAwareDropBad {
         ImpactAwareDropBad {
             inner: DropBad::with_tie_policy(crate::strategy::TiePolicy::DoomUsed),
             profile,
-            tie: TieBreak::Latest,
         }
     }
 
@@ -119,7 +117,7 @@ impl ImpactAwareDropBad {
             .copied()
             .filter(|id| pool.get(*id).map(|c| self.profile.impact_of(c)) == Some(min_impact))
             .collect();
-        self.tie.pick(&cheapest)
+        pick_latest(&cheapest)
     }
 }
 

@@ -2,7 +2,7 @@
 //! al. and Insuk et al.).
 
 use crate::inconsistency::Inconsistency;
-use crate::strategy::{AdditionOutcome, ResolutionStrategy, TieBreak};
+use crate::strategy::{pick_latest, AdditionOutcome, ResolutionStrategy};
 use ctxres_context::{ContextId, ContextKind, ContextPool, ContextState, LogicalTime};
 use std::collections::HashMap;
 
@@ -19,22 +19,21 @@ pub struct PolicyRule {
 /// User-policy resolution (`D-POL`): each fresh inconsistency discards
 /// its *least trusted* member according to static, user-authored
 /// priorities ("rule priorities to follow human preferences",
-/// Ranganathan et al.). Ties break by [`TieBreak`].
+/// Ranganathan et al.). Of equally trusted members, the latest (largest
+/// id) is discarded.
 ///
 /// The paper classifies this with the unreliable baselines: static
 /// preferences cannot know which particular context is corrupted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UserPolicy {
     priorities: HashMap<ContextKind, i32>,
-    tie: TieBreak,
 }
 
 impl UserPolicy {
     /// Creates a policy from rules; unlisted kinds get priority 0.
-    pub fn new(rules: impl IntoIterator<Item = PolicyRule>, tie: TieBreak) -> Self {
+    pub fn new(rules: impl IntoIterator<Item = PolicyRule>) -> Self {
         UserPolicy {
             priorities: rules.into_iter().map(|r| (r.kind, r.priority)).collect(),
-            tie,
         }
     }
 
@@ -42,12 +41,6 @@ impl UserPolicy {
         pool.get(id)
             .and_then(|c| self.priorities.get(c.kind()).copied())
             .unwrap_or(0)
-    }
-}
-
-impl Default for UserPolicy {
-    fn default() -> Self {
-        UserPolicy::new([], TieBreak::Latest)
     }
 }
 
@@ -83,7 +76,7 @@ impl ResolutionStrategy for UserPolicy {
                 .into_iter()
                 .filter(|cid| self.priority_of(pool, *cid) == min_priority)
                 .collect();
-            if let Some(victim) = self.tie.pick(&tied) {
+            if let Some(victim) = pick_latest(&tied) {
                 let _ = pool.discard(victim);
                 discarded.push(victim);
             }
@@ -119,19 +112,16 @@ mod tests {
         let mut pool = ContextPool::new();
         let loc = ctx(&mut pool, "location", 0);
         let rfid = ctx(&mut pool, "rfid", 1);
-        let mut s = UserPolicy::new(
-            [
-                PolicyRule {
-                    kind: ContextKind::new("location"),
-                    priority: 10,
-                },
-                PolicyRule {
-                    kind: ContextKind::new("rfid"),
-                    priority: 1,
-                },
-            ],
-            TieBreak::Latest,
-        );
+        let mut s = UserPolicy::new([
+            PolicyRule {
+                kind: ContextKind::new("location"),
+                priority: 10,
+            },
+            PolicyRule {
+                kind: ContextKind::new("rfid"),
+                priority: 1,
+            },
+        ]);
         s.on_addition(&mut pool, LogicalTime::ZERO, loc, &[]);
         let inc = Inconsistency::pair("x", loc, rfid, LogicalTime::ZERO);
         let out = s.on_addition(
@@ -159,23 +149,10 @@ mod tests {
         let mut pool = ContextPool::new();
         let a = ctx(&mut pool, "location", 0);
         let b = ctx(&mut pool, "location", 1);
-        let mut latest = UserPolicy::new([], TieBreak::Latest);
+        let mut latest = UserPolicy::new([]);
         latest.on_addition(&mut pool, LogicalTime::ZERO, a, &[]);
         let inc = Inconsistency::pair("x", a, b, LogicalTime::ZERO);
         let out = latest.on_addition(&mut pool, LogicalTime::ZERO, b, &[inc]);
         assert_eq!(out.discarded, vec![b]);
-    }
-
-    #[test]
-    fn earliest_tiebreak_discards_oldest() {
-        let mut pool = ContextPool::new();
-        let a = ctx(&mut pool, "location", 0);
-        let b = ctx(&mut pool, "location", 1);
-        let mut s = UserPolicy::new([], TieBreak::Earliest);
-        s.on_addition(&mut pool, LogicalTime::ZERO, a, &[]);
-        let inc = Inconsistency::pair("x", a, b, LogicalTime::ZERO);
-        let out = s.on_addition(&mut pool, LogicalTime::ZERO, b, &[inc]);
-        assert_eq!(out.discarded, vec![a]);
-        assert!(out.accepted);
     }
 }

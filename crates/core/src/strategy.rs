@@ -24,17 +24,6 @@ pub struct UseOutcome {
     pub marked_bad: Vec<ContextId>,
 }
 
-/// Tie-breaking policy when several contexts carry the same maximal
-/// count value (the open issue of paper §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TieBreak {
-    /// Prefer discarding the most recently produced context (largest id).
-    #[default]
-    Latest,
-    /// Prefer discarding the oldest context (smallest id).
-    Earliest,
-}
-
 /// What drop-bad does when the context being used ties for the maximal
 /// count value with a still-undecided rival (paper §5.1's open "tie
 /// case"; `ctxres-experiments` ships an ablation comparing the two).
@@ -50,14 +39,11 @@ pub enum TiePolicy {
     BlamePeer,
 }
 
-impl TieBreak {
-    /// Picks one context out of a non-empty tied set.
-    pub fn pick(self, tied: &[ContextId]) -> Option<ContextId> {
-        match self {
-            TieBreak::Latest => tied.iter().max().copied(),
-            TieBreak::Earliest => tied.iter().min().copied(),
-        }
-    }
+/// Picks one context out of a set tied at the maximal count value (the
+/// open issue of paper §5.1): the most recently produced, which carries
+/// the largest id. `None` for an empty set.
+pub(crate) fn pick_latest(tied: &[ContextId]) -> Option<ContextId> {
+    tied.iter().max().copied()
 }
 
 /// An automated context inconsistency resolution strategy, pluggable
@@ -146,12 +132,11 @@ mod tests {
             ContextId::from_raw(7),
             ContextId::from_raw(5),
         ];
-        assert_eq!(TieBreak::Latest.pick(&tied), Some(ContextId::from_raw(7)));
-        assert_eq!(TieBreak::Earliest.pick(&tied), Some(ContextId::from_raw(3)));
+        assert_eq!(pick_latest(&tied), Some(ContextId::from_raw(7)));
     }
 
     #[test]
     fn tiebreak_empty_returns_none() {
-        assert_eq!(TieBreak::Latest.pick(&[]), None);
+        assert_eq!(pick_latest(&[]), None);
     }
 }

@@ -115,18 +115,17 @@ impl TrackedSet {
         true
     }
 
-    /// Resolves (removes and returns) every tracked inconsistency
-    /// involving `id` — the context-deletion change of Fig. 6. They
-    /// leave Δ in Δ's order, the order [`TrackedSet::involving`] lists
-    /// them in.
-    pub fn resolve_involving(&mut self, id: ContextId) -> Vec<Inconsistency> {
-        let resolved: Vec<Inconsistency> = self.items.extract_if(.., |i| i.involves(id)).collect();
-        for inc in &resolved {
+    /// Resolves every tracked inconsistency involving `id` — the
+    /// context-deletion change of Fig. 6 — moving them out of Δ onto the
+    /// end of `resolved` in Δ's order, the order
+    /// [`TrackedSet::involving`] lists them in.
+    pub fn resolve_involving(&mut self, id: ContextId, resolved: &mut Vec<Inconsistency>) {
+        for inc in self.items.extract_if(.., |i| i.involves(id)) {
             for cid in inc.contexts() {
                 self.counts.drop_one(*cid);
             }
+            resolved.push(inc);
         }
-        resolved
     }
 
     /// The tracked inconsistencies involving `id`.
@@ -298,7 +297,8 @@ mod tests {
     #[test]
     fn resolve_involving_removes_and_recounts() {
         let mut delta = scenario_a();
-        let resolved = delta.resolve_involving(id(1));
+        let mut resolved = Vec::new();
+        delta.resolve_involving(id(1), &mut resolved);
         assert_eq!(resolved.len(), 1);
         assert_eq!(delta.len(), 3);
         assert_eq!(delta.counts().get(id(3)), 3);
@@ -308,7 +308,8 @@ mod tests {
     #[test]
     fn resolve_involving_hub_empties_delta() {
         let mut delta = scenario_a();
-        let resolved = delta.resolve_involving(id(3));
+        let mut resolved = Vec::new();
+        delta.resolve_involving(id(3), &mut resolved);
         assert_eq!(resolved.len(), 4);
         assert!(delta.is_empty());
         assert!(delta.counts().is_empty());

@@ -1,11 +1,11 @@
-//! Ablations: the §5.3 time-window sweep and the §5.1 tie-breaker
+//! Ablations: the §5.3 time-window sweep and the §5.1 tie-policy
 //! comparison.
 
-use crate::metrics::RunMetrics;
-use crate::runner::run_with;
+use crate::metrics::Accuracy;
+use crate::runner::{fan_out, run_jobs, run_with, RunJob};
 use ctxres_apps::PervasiveApp;
-use ctxres_core::strategies::{DropBad, DropLatest};
-use ctxres_core::{TieBreak, TiePolicy};
+use ctxres_core::strategies::DropBad;
+use ctxres_core::TiePolicy;
 use serde::{Deserialize, Serialize};
 
 /// One point of the window sweep.
@@ -33,43 +33,59 @@ pub struct WindowAblation {
     pub err_rate: f64,
 }
 
+/// One job per (window, seed) for `strategy`: window-major, seeds
+/// `0..runs`.
+pub(crate) fn window_jobs(
+    strategy: &str,
+    windows: &[u64],
+    err_rate: f64,
+    runs: usize,
+) -> Vec<RunJob> {
+    windows
+        .iter()
+        .flat_map(|&window| {
+            (0..runs as u64).map(move |seed| RunJob {
+                strategy: strategy.to_owned(),
+                err_rate,
+                seed,
+                window,
+            })
+        })
+        .collect()
+}
+
 /// Sweeps the drop-bad time window over `windows` (paper §5.3: "the
 /// study of impact of time window on the effectiveness of the drop-bad
-/// resolution strategy would deserve exploring" — this is that study).
+/// resolution strategy would deserve exploring" — this is that study),
+/// over `threads` worker threads.
 pub fn window_sweep(
-    app: &dyn PervasiveApp,
+    app: &(dyn PervasiveApp + Sync),
     windows: &[u64],
     err_rate: f64,
     runs: usize,
     len: usize,
+    threads: usize,
 ) -> WindowAblation {
-    let mut points = Vec::new();
-    for &window in windows {
-        let mut used = 0.0;
-        let mut survival = 0.0;
-        let mut precision = 0.0;
-        for seed in 0..runs as u64 {
-            let m = run_with(app, Box::new(DropBad::new()), err_rate, seed, len, window);
-            used += m.used_expected as f64;
-            survival += m.survival;
-            precision += m.precision;
-        }
-        let n = runs as f64;
-        points.push(WindowPoint {
-            window,
-            used_expected: used / n,
-            survival: survival / n,
-            precision: precision / n,
-        });
-    }
-    let mut lat_used = 0.0;
-    for seed in 0..runs as u64 {
-        let m = run_with(app, Box::new(DropLatest::new()), err_rate, seed, len, 0);
-        lat_used += m.used_expected as f64;
-    }
+    let mut jobs = window_jobs("d-bad", windows, err_rate, runs);
+    jobs.extend(window_jobs("d-lat", &[0], err_rate, runs));
+    let results = run_jobs(app, &jobs, len, threads, None);
+    let (swept, drop_latest) = results.split_at(windows.len() * runs);
+    let points = windows
+        .iter()
+        .zip(swept.chunks(runs))
+        .map(|(&window, runs)| {
+            let accuracy = Accuracy::mean(runs);
+            WindowPoint {
+                window,
+                used_expected: accuracy.used_expected,
+                survival: accuracy.survival,
+                precision: accuracy.precision,
+            }
+        })
+        .collect();
     WindowAblation {
         points,
-        drop_latest_used_expected: lat_used / runs as f64,
+        drop_latest_used_expected: Accuracy::mean(drop_latest).used_expected,
         err_rate,
     }
 }
@@ -79,47 +95,20 @@ pub fn window_sweep(
 /// [`PervasiveApp::recommended_window`] values in `ctxres-apps` were
 /// chosen. Returns `(best_window, its mean used_expected)`.
 pub fn calibrate_window(
-    app: &dyn PervasiveApp,
+    app: &(dyn PervasiveApp + Sync),
     candidates: &[u64],
     err_rate: f64,
     runs: usize,
     len: usize,
+    threads: usize,
 ) -> (u64, f64) {
-    let sweep = window_sweep(app, candidates, err_rate, runs, len);
+    let sweep = window_sweep(app, candidates, err_rate, runs, len, threads);
     sweep
         .points
         .into_iter()
         .map(|p| (p.window, p.used_expected))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("at least one candidate window")
-}
-
-/// Compares drop-bad tie-breaking policies (§5.1's open tie case).
-pub fn tie_break_comparison(
-    app: &dyn PervasiveApp,
-    err_rate: f64,
-    runs: usize,
-    len: usize,
-    window: u64,
-) -> Vec<(String, Vec<RunMetrics>)> {
-    [TieBreak::Latest, TieBreak::Earliest]
-        .into_iter()
-        .map(|tie| {
-            let metrics: Vec<RunMetrics> = (0..runs as u64)
-                .map(|seed| {
-                    run_with(
-                        app,
-                        Box::new(DropBad::with_tie_break(tie)),
-                        err_rate,
-                        seed,
-                        len,
-                        window,
-                    )
-                })
-                .collect();
-            (format!("{tie:?}").to_lowercase(), metrics)
-        })
-        .collect()
 }
 
 /// One aggregated row of the tie-policy ablation.
@@ -139,44 +128,41 @@ pub struct TiePolicyPoint {
 
 /// Compares the two §5.1 tie *policies* (what to do when the used
 /// context ties at the maximal count value): discard it, or deliver it
-/// and mark a tied rival bad.
+/// and mark a tied rival bad. Seeds `0..runs` per (rate, policy), over
+/// `threads` worker threads.
 pub fn tie_policy_comparison(
-    app: &dyn PervasiveApp,
+    app: &(dyn PervasiveApp + Sync),
     err_rates: &[f64],
     runs: usize,
     len: usize,
     window: u64,
+    threads: usize,
 ) -> Vec<TiePolicyPoint> {
-    let mut out = Vec::new();
+    let mut cells = Vec::new();
     for &err_rate in err_rates {
         for policy in [TiePolicy::DoomUsed, TiePolicy::BlamePeer] {
-            let mut used = 0.0;
-            let mut survival = 0.0;
-            let mut precision = 0.0;
-            for seed in 0..runs as u64 {
-                let m = run_with(
-                    app,
-                    Box::new(DropBad::with_tie_policy(policy)),
-                    err_rate,
-                    seed,
-                    len,
-                    window,
-                );
-                used += m.used_expected as f64;
-                survival += m.survival;
-                precision += m.precision;
-            }
-            let n = runs as f64;
-            out.push(TiePolicyPoint {
-                policy: format!("{policy:?}").to_lowercase(),
-                err_rate,
-                used_expected: used / n,
-                survival: survival / n,
-                precision: precision / n,
-            });
+            cells.extend((0..runs as u64).map(|seed| (err_rate, policy, seed)));
         }
     }
-    out
+    let results = fan_out(&cells, threads, |_, &(err_rate, policy, seed)| {
+        let strategy = Box::new(DropBad::with_tie_policy(policy));
+        run_with(app, strategy, err_rate, seed, len, window)
+    });
+    cells
+        .chunks(runs)
+        .zip(results.chunks(runs))
+        .map(|(cells, runs)| {
+            let (err_rate, policy, _) = cells[0];
+            let accuracy = Accuracy::mean(runs);
+            TiePolicyPoint {
+                policy: format!("{policy:?}").to_lowercase(),
+                err_rate,
+                used_expected: accuracy.used_expected,
+                survival: accuracy.survival,
+                precision: accuracy.precision,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -187,7 +173,7 @@ mod tests {
     #[test]
     fn zero_window_matches_drop_latest() {
         let app = CallForwarding::new();
-        let ab = window_sweep(&app, &[0, 3], 0.3, 2, 180);
+        let ab = window_sweep(&app, &[0, 3], 0.3, 2, 180, 2);
         let zero = &ab.points[0];
         assert_eq!(zero.window, 0);
         assert!(
@@ -203,7 +189,7 @@ mod tests {
         // §5.3: the window is what lets drop-bad outperform drop-latest;
         // with it, fewer expected contexts are lost.
         let app = CallForwarding::new();
-        let ab = window_sweep(&app, &[0, 3], 0.3, 2, 180);
+        let ab = window_sweep(&app, &[0, 3], 0.3, 2, 180, 2);
         assert!(
             ab.points[1].used_expected > ab.points[0].used_expected,
             "window 12 used {} not above window 0 {}",
@@ -215,7 +201,7 @@ mod tests {
     #[test]
     fn calibration_recovers_the_recommended_window() {
         let app = CallForwarding::new();
-        let (best, used) = calibrate_window(&app, &[0, 2, 3, 4], 0.3, 3, 240);
+        let (best, used) = calibrate_window(&app, &[0, 2, 3, 4], 0.3, 3, 240, 2);
         assert!(used > 0.0);
         let recommended = app.recommended_window();
         assert!(
@@ -227,19 +213,9 @@ mod tests {
     #[test]
     fn tie_policy_comparison_covers_grid() {
         let app = CallForwarding::new();
-        let points = tie_policy_comparison(&app, &[0.2, 0.4], 1, 90, 3);
+        let points = tie_policy_comparison(&app, &[0.2, 0.4], 1, 90, 3, 2);
         assert_eq!(points.len(), 4);
         assert!(points.iter().any(|p| p.policy == "doomused"));
         assert!(points.iter().any(|p| p.policy == "blamepeer"));
-    }
-
-    #[test]
-    fn tie_break_comparison_runs_both_policies() {
-        let app = CallForwarding::new();
-        let cmp = tie_break_comparison(&app, 0.2, 1, 90, 3);
-        assert_eq!(cmp.len(), 2);
-        assert_eq!(cmp[0].0, "latest");
-        assert_eq!(cmp[1].0, "earliest");
-        assert_eq!(cmp[0].1.len(), 1);
     }
 }

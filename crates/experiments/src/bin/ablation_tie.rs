@@ -12,13 +12,14 @@ use ctxres_apps::PervasiveApp;
 use ctxres_experiments::ablation::tie_policy_comparison;
 use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
+use ctxres_experiments::runner::default_threads;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (runs, len) = if quick { (3, 240) } else { (10, 600) };
     let mut all = Vec::new();
     for app in [
-        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp>,
+        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp + Sync>,
         Box::new(RfidAnomalies::new()),
     ] {
         eprintln!("§5.1 tie ablation: {} …", app.name());
@@ -28,6 +29,7 @@ fn main() {
             runs,
             len,
             app.recommended_window(),
+            default_threads(),
         );
         outln!("{} (used_expected / survival / precision):", app.name());
         outln!(
@@ -51,8 +53,5 @@ fn main() {
         outln!();
         all.push((app.name().to_owned(), points));
     }
-    match write_json("ablation_tie", &all) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("ablation_tie", &all);
 }

@@ -8,6 +8,7 @@ use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_experiments::ablation::window_sweep;
 use ctxres_experiments::outln;
 use ctxres_experiments::render::{render_window_ablation, write_json};
+use ctxres_experiments::runner::default_threads;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -16,10 +17,14 @@ fn main() {
     // beyond it every context expires before the application can use it.
     let windows = [0u64, 1, 2, 3, 4];
     eprintln!("§5.3 window ablation: call forwarding + drop-bad, {runs} runs × {len} contexts …");
-    let ab = window_sweep(&CallForwarding::new(), &windows, 0.3, runs, len);
+    let ab = window_sweep(
+        &CallForwarding::new(),
+        &windows,
+        0.3,
+        runs,
+        len,
+        default_threads(),
+    );
     outln!("{}", render_window_ablation(&ab));
-    match write_json("ablation_window", &ab) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("ablation_window", &ab);
 }

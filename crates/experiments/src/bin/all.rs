@@ -27,21 +27,22 @@ fn main() {
     eprintln!("[1/4] figure 9 (call forwarding) …");
     let fig9 = figure_for_parallel(&CallForwarding::new(), runs, len, threads, None);
     outln!("{}", render_figure(&fig9));
-    let _ = write_json("figure9", &fig9);
+    write_json("figure9", &fig9);
 
     eprintln!("[2/4] figure 10 (rfid data anomalies) …");
     let fig10 = figure_for_parallel(&RfidAnomalies::new(), runs, len, threads, None);
     outln!("{}", render_figure(&fig10));
-    let _ = write_json("figure10", &fig10);
+    write_json("figure10", &fig10);
 
     eprintln!("[3/4] §5.2 case study …");
     let cs = run_case_study(
         0.2,
         if quick { 3 } else { 10 },
         if quick { 200 } else { 600 },
+        threads,
     );
     outln!("{}", render_case_study(&cs));
-    let _ = write_json("case_study", &cs);
+    write_json("case_study", &cs);
 
     eprintln!("[4/4] §5.3 window ablation …");
     let ab = window_sweep(
@@ -50,7 +51,8 @@ fn main() {
         0.3,
         if quick { 2 } else { 10 },
         if quick { 180 } else { 600 },
+        threads,
     );
     outln!("{}", render_window_ablation(&ab));
-    let _ = write_json("ablation_window", &ab);
+    write_json("ablation_window", &ab);
 }

@@ -13,23 +13,21 @@ use ctxres_apps::PervasiveApp;
 use ctxres_experiments::coverage::{constraint_coverage, render_coverage};
 use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
+use ctxres_experiments::runner::default_threads;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (runs, len) = if quick { (2, 240) } else { (5, 600) };
     let mut all = Vec::new();
     for app in [
-        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp>,
+        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp + Sync>,
         Box::new(RfidAnomalies::new()),
         Box::new(LocationTracking::new()),
         Box::new(SmartRinger::new()),
     ] {
-        let report = constraint_coverage(app.as_ref(), 0.3, runs, len);
+        let report = constraint_coverage(app.as_ref(), 0.3, runs, len, default_threads());
         outln!("{}", render_coverage(&report));
         all.push(report);
     }
-    match write_json("coverage", &all) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("coverage", &all);
 }

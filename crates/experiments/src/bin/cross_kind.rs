@@ -24,8 +24,5 @@ fn main() {
     eprintln!("cross-kind generality: smart ringer, {runs} runs/point, {len} contexts/run …");
     let fig = figure_for_parallel(&SmartRinger::new(), runs, len, default_threads(), None);
     outln!("{}", render_figure(&fig));
-    match write_json("cross_kind", &fig) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("cross_kind", &fig);
 }

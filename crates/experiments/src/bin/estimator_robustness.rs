@@ -9,6 +9,7 @@
 use ctxres_experiments::case_study::run_case_study_for_estimator;
 use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
+use ctxres_experiments::runner::default_threads;
 use ctxres_landmarc::EstimatorKind;
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
         EstimatorKind::Fused,
     ] {
         eprintln!("estimator robustness: {kind:?} …");
-        let cs = run_case_study_for_estimator(kind, 0.2, runs, len);
+        let cs = run_case_study_for_estimator(kind, 0.2, runs, len, default_threads());
         outln!(
             "{:<16}{:>9.1}%{:>10.1}%{:>8.1}%{:>8.1}%{:>10}",
             format!("{kind:?}").to_lowercase(),
@@ -42,8 +43,5 @@ fn main() {
         );
         all.push((format!("{kind:?}").to_lowercase(), cs));
     }
-    match write_json("estimator_robustness", &all) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("estimator_robustness", &all);
 }

@@ -38,8 +38,5 @@ fn main() {
     let registry = exported.as_ref().map(|(registry, _)| registry);
     let fig = figure_for_parallel(&app, runs, len, threads, registry);
     outln!("{}", render_figure(&fig));
-    match write_json("figure10", &fig) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("figure10", &fig);
 }

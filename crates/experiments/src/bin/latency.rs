@@ -19,6 +19,7 @@ use ctxres_apps::PervasiveApp;
 use ctxres_experiments::latency::{latency_window_tradeoff, render_latency};
 use ctxres_experiments::outln;
 use ctxres_experiments::render::write_json;
+use ctxres_experiments::runner::default_threads;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -26,16 +27,14 @@ fn main() {
     let windows = [0u64, 1, 2, 3, 4];
     let mut all = Vec::new();
     for app in [
-        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp>,
+        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp + Sync>,
         Box::new(RfidAnomalies::new()),
     ] {
         eprintln!("latency dial: {} …", app.name());
-        let points = latency_window_tradeoff(app.as_ref(), 0.3, &windows, runs, len);
+        let points =
+            latency_window_tradeoff(app.as_ref(), 0.3, &windows, runs, len, default_threads());
         outln!("{}", render_latency(&points, app.name(), 0.3));
         all.push((app.name().to_owned(), points));
     }
-    match write_json("latency", &all) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("latency", &all);
 }

@@ -4,11 +4,14 @@
 //!
 //! Usage: `report` (run after `all` and any optional ablations).
 
+use ctxres_core::strategies::EXPERIMENT_STRATEGIES;
 use ctxres_experiments::ablation::WindowAblation;
 use ctxres_experiments::case_study::CaseStudy;
 use ctxres_experiments::figures::Figure;
 use ctxres_experiments::latency::LatencyPoint;
+use ctxres_experiments::metrics::{find_point, FigurePoint};
 use ctxres_experiments::out;
+use ctxres_experiments::render::Rate;
 use ctxres_experiments::sensitivity::StressSweep;
 use ctxres_experiments::ERROR_RATES;
 use std::fmt::Write as _;
@@ -20,6 +23,22 @@ fn load<T: serde::de::DeserializeOwned>(name: &str) -> Option<T> {
     serde_json::from_str(&data).ok()
 }
 
+/// Writes one rate of a strategy × error-rate grid as a markdown table
+/// (the paper's four strategies across, `err_rates` down), then a blank
+/// line.
+fn rate_table(out: &mut String, rate: Rate, points: &[FigurePoint], err_rates: &[f64]) {
+    let _ = writeln!(out, "| err_rate | OPT-R | D-BAD | D-LAT | D-ALL |");
+    let _ = writeln!(out, "|---------:|------:|------:|------:|------:|");
+    for &err in err_rates {
+        let _ = write!(out, "| {:.0}% ", err * 100.0);
+        for s in EXPERIMENT_STRATEGIES {
+            let _ = write!(out, "| {:.1} ", rate.at(find_point(points, s, err)) * 100.0);
+        }
+        let _ = writeln!(out, "|");
+    }
+    let _ = writeln!(out);
+}
+
 fn figure_section(out: &mut String, title: &str, fig: &Figure) {
     let _ = writeln!(out, "## {title}\n");
     let _ = writeln!(
@@ -27,28 +46,9 @@ fn figure_section(out: &mut String, title: &str, fig: &Figure) {
         "{} runs/point, {} contexts/run.\n",
         fig.runs_per_point, fig.trace_len
     );
-    for (metric, label) in [("ctx", "ctxUseRate"), ("sit", "sitActRate")] {
-        let _ = writeln!(out, "**{label} (%)**\n");
-        let _ = writeln!(out, "| err_rate | OPT-R | D-BAD | D-LAT | D-ALL |");
-        let _ = writeln!(out, "|---------:|------:|------:|------:|------:|");
-        for &err in &ERROR_RATES {
-            let _ = write!(out, "| {:.0}% ", err * 100.0);
-            for s in ["opt-r", "d-bad", "d-lat", "d-all"] {
-                let v = fig
-                    .point(s, err)
-                    .map(|p| {
-                        if metric == "ctx" {
-                            p.ctx_use_rate
-                        } else {
-                            p.sit_act_rate
-                        }
-                    })
-                    .unwrap_or(f64::NAN);
-                let _ = write!(out, "| {:.1} ", v * 100.0);
-            }
-            let _ = writeln!(out, "|");
-        }
-        let _ = writeln!(out);
+    for rate in [Rate::CtxUse, Rate::SitAct] {
+        let _ = writeln!(out, "**{} (%)**\n", rate.name());
+        rate_table(out, rate, &fig.points, &ERROR_RATES);
     }
 }
 
@@ -120,34 +120,10 @@ fn main() {
     }
 
     if let Some(sweeps) = load::<Vec<StressSweep>>("sensitivity") {
-        let _ = writeln!(
-            out,
-            "## Beyond-paper sensitivity (error rates to 80 %)
-"
-        );
+        let _ = writeln!(out, "## Beyond-paper sensitivity (error rates to 80 %)\n");
         for sweep in &sweeps {
-            let _ = writeln!(
-                out,
-                "**{}** (ctxUseRate %)
-",
-                sweep.application
-            );
-            let _ = writeln!(out, "| err_rate | OPT-R | D-BAD | D-LAT | D-ALL |");
-            let _ = writeln!(out, "|---------:|------:|------:|------:|------:|");
-            for &err in &sweep.err_rates {
-                let _ = write!(out, "| {:.0}% ", err * 100.0);
-                for s in ["opt-r", "d-bad", "d-lat", "d-all"] {
-                    let v = sweep
-                        .points
-                        .iter()
-                        .find(|p| p.strategy == s && (p.err_rate - err).abs() < 1e-9)
-                        .map(|p| p.ctx_use_rate)
-                        .unwrap_or(f64::NAN);
-                    let _ = write!(out, "| {:.1} ", v * 100.0);
-                }
-                let _ = writeln!(out, "|");
-            }
-            let _ = writeln!(out);
+            let _ = writeln!(out, "**{}** (ctxUseRate %)\n", sweep.application);
+            rate_table(&mut out, Rate::CtxUse, &sweep.points, &sweep.err_rates);
         }
     }
 

@@ -8,9 +8,11 @@
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
 use ctxres_apps::PervasiveApp;
+use ctxres_core::strategies::EXPERIMENT_STRATEGIES;
 use ctxres_experiments::outln;
-use ctxres_experiments::render::write_json;
-use ctxres_experiments::sensitivity::{render_stress, stress_error_rates};
+use ctxres_experiments::render::{render_rate_table, write_json, Rate};
+use ctxres_experiments::runner::default_threads;
+use ctxres_experiments::sensitivity::stress_error_rates;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -18,16 +20,22 @@ fn main() {
     let rates = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
     let mut all = Vec::new();
     for app in [
-        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp>,
+        Box::new(CallForwarding::new()) as Box<dyn PervasiveApp + Sync>,
         Box::new(RfidAnomalies::new()),
     ] {
         eprintln!("stress sweep: {} …", app.name());
-        let sweep = stress_error_rates(app.as_ref(), &rates, runs, len);
-        outln!("{}", render_stress(&sweep));
+        let sweep = stress_error_rates(app.as_ref(), &rates, runs, len, default_threads());
+        outln!(
+            "{}",
+            render_rate_table(
+                &format!("high-error stress, {}", sweep.application),
+                Rate::CtxUse,
+                &sweep.points,
+                &EXPERIMENT_STRATEGIES,
+                &sweep.err_rates,
+            )
+        );
         all.push(sweep);
     }
-    match write_json("sensitivity", &all) {
-        Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
-    }
+    write_json("sensitivity", &all);
 }

@@ -5,11 +5,9 @@
 //! removal precision 84.7 %, Rule 1 held always, Rule 2′ held in 91.7 %
 //! of cases.
 
-use crate::runner::{detections, run_with, DEFAULT_WINDOW};
+use crate::metrics::Accuracy;
+use crate::runner::{fan_out, run_logged, DEFAULT_WINDOW};
 use ctxres_apps::location_tracking::LocationTracking;
-use ctxres_apps::PervasiveApp;
-use ctxres_context::{ContextId, TruthTag};
-use ctxres_core::strategies::DropBad;
 use ctxres_core::theory::{hold_rates, rule_report};
 use ctxres_landmarc::{EstimatorKind, LandmarcConfig};
 use serde::{Deserialize, Serialize};
@@ -38,13 +36,15 @@ pub struct CaseStudy {
     pub inconsistencies: u64,
 }
 
-/// Runs the drop-bad case study on the Landmarc location workload.
+/// Runs the drop-bad case study on the Landmarc location workload,
+/// seeds `0..runs`, over `threads` worker threads.
 ///
-/// Rule rates are measured over each run's full detection log with
-/// counts computed across that log — the "how do the heuristic rules
-/// hold in practice?" question of §5.2.
-pub fn run_case_study(err_rate: f64, runs: usize, len: usize) -> CaseStudy {
-    run_case_study_with(LocationTracking::new(), err_rate, runs, len)
+/// Each seed runs once: its run yields the survival and precision and
+/// logs its detections, and rule rates are measured over each run's
+/// full detection log with counts computed across that log — the "how
+/// do the heuristic rules hold in practice?" question of §5.2.
+pub fn run_case_study(err_rate: f64, runs: usize, len: usize, threads: usize) -> CaseStudy {
+    run_case_study_with(LocationTracking::new(), err_rate, runs, len, threads)
 }
 
 /// The §5.2 case study with the localization technique swapped — does
@@ -56,53 +56,42 @@ pub fn run_case_study_for_estimator(
     err_rate: f64,
     runs: usize,
     len: usize,
+    threads: usize,
 ) -> CaseStudy {
     let base = LocationTracking::new();
     let config = LandmarcConfig {
         estimator,
         ..base.config().clone()
     };
-    run_case_study_with(base.with_config(config), err_rate, runs, len)
+    run_case_study_with(base.with_config(config), err_rate, runs, len, threads)
 }
 
-fn run_case_study_with(app: LocationTracking, err_rate: f64, runs: usize, len: usize) -> CaseStudy {
-    let mut survival_sum = 0.0;
-    let mut precision_sum = 0.0;
-    let mut verdicts = Vec::new();
-    let mut inconsistencies = 0u64;
-    for seed in 0..runs as u64 {
-        // Metrics run.
-        let m = run_with(
-            &app,
-            Box::new(DropBad::new()),
-            err_rate,
-            seed,
-            len,
-            DEFAULT_WINDOW,
-        );
-        survival_sum += m.survival;
-        precision_sum += m.precision;
-        // Rule-monitoring run (needs the detections + ground truth).
-        let trace = app.generate(err_rate, seed, len);
-        let truth: Vec<bool> = trace
-            .iter()
-            .map(|c| c.truth() == TruthTag::Corrupted)
-            .collect();
-        let detections = detections(&app, trace, DEFAULT_WINDOW);
-        inconsistencies += detections.len() as u64;
-        let is_corrupted = |id: ContextId| truth.get(id.raw() as usize).copied().unwrap_or(false);
-        verdicts.extend(rule_report(&detections, is_corrupted));
-    }
+fn run_case_study_with(
+    app: LocationTracking,
+    err_rate: f64,
+    runs: usize,
+    len: usize,
+    threads: usize,
+) -> CaseStudy {
+    let seeds: Vec<u64> = (0..runs as u64).collect();
+    let logged = fan_out(&seeds, threads, |_, &seed| {
+        run_logged(&app, err_rate, seed, len, DEFAULT_WINDOW)
+    });
+    let accuracy = Accuracy::mean(logged.iter().map(|run| &run.metrics));
+    let verdicts: Vec<_> = logged
+        .iter()
+        .flat_map(|run| rule_report(&run.detections, |id| run.is_corrupted(id)))
+        .collect();
     let (rule1_rate, rule2_rate, rule2_relaxed_rate) = hold_rates(&verdicts);
     CaseStudy {
         err_rate,
         runs,
-        survival: survival_sum / runs as f64,
-        precision: precision_sum / runs as f64,
+        survival: accuracy.survival,
+        precision: accuracy.precision,
         rule1_rate,
         rule2_rate,
         rule2_relaxed_rate,
-        inconsistencies,
+        inconsistencies: logged.iter().map(|run| run.detections.len() as u64).sum(),
     }
 }
 
@@ -113,7 +102,7 @@ mod tests {
     #[test]
     fn case_study_shape_matches_the_paper() {
         // Small-scale run; the binary uses more seeds and longer traces.
-        let cs = run_case_study(0.2, 3, 200);
+        let cs = run_case_study(0.2, 3, 200, 2);
         assert!(cs.inconsistencies > 0, "no inconsistencies detected");
         // Paper: survival 96.5 %, precision 84.7 % — survival should be
         // high and exceed precision.
@@ -137,8 +126,8 @@ mod estimator_tests {
 
     #[test]
     fn fusion_recovers_rule1_that_trilateration_loses() {
-        let tri = run_case_study_for_estimator(EstimatorKind::Trilateration, 0.2, 2, 150);
-        let fused = run_case_study_for_estimator(EstimatorKind::Fused, 0.2, 2, 150);
+        let tri = run_case_study_for_estimator(EstimatorKind::Trilateration, 0.2, 2, 150, 2);
+        let fused = run_case_study_for_estimator(EstimatorKind::Fused, 0.2, 2, 150, 2);
         assert!(
             fused.rule1_rate > tri.rule1_rate,
             "fused {:.3} vs trilateration {:.3}",

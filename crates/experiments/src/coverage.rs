@@ -8,7 +8,7 @@
 //! redundant (another constraint subsumes it); either way the designer
 //! should know.
 
-use crate::runner::detections;
+use crate::runner::{fan_out, run_logged};
 use ctxres_apps::PervasiveApp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -47,29 +47,29 @@ impl CoverageReport {
     }
 }
 
-/// Measures constraint coverage by replaying `runs` seeded workloads.
+/// Measures constraint coverage over `runs` seeded drop-bad runs, over
+/// `threads` worker threads.
 pub fn constraint_coverage(
-    app: &dyn PervasiveApp,
+    app: &(dyn PervasiveApp + Sync),
     err_rate: f64,
     runs: usize,
     len: usize,
+    threads: usize,
 ) -> CoverageReport {
+    let seeds: Vec<u64> = (0..runs as u64).collect();
+    let logged = fan_out(&seeds, threads, |_, &seed| {
+        run_logged(app, err_rate, seed, len, app.recommended_window())
+    });
     let mut counts: BTreeMap<String, (u64, u64)> = app
         .constraints()
         .iter()
         .map(|c| (c.name().to_owned(), (0, 0)))
         .collect();
-    for seed in 0..runs as u64 {
-        let trace = app.generate(err_rate, seed, len);
-        let corrupted: Vec<bool> = trace.iter().map(|c| c.truth().is_corrupted()).collect();
-        for inc in detections(app, trace, app.recommended_window()) {
+    for run in &logged {
+        for inc in &run.detections {
             if let Some(entry) = counts.get_mut(inc.constraint()) {
                 entry.0 += 1;
-                if inc
-                    .contexts()
-                    .iter()
-                    .any(|id| corrupted.get(id.raw() as usize).copied().unwrap_or(false))
-                {
+                if inc.contexts().iter().any(|id| run.is_corrupted(*id)) {
                     entry.1 += 1;
                 }
             }
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn pairwise_constraints_fire_on_noisy_traces() {
         let app = CallForwarding::new();
-        let report = constraint_coverage(&app, 0.3, 2, 240);
+        let report = constraint_coverage(&app, 0.3, 2, 240, 2);
         let by = |name: &str| report.rows.iter().find(|r| r.constraint == name).unwrap();
         assert!(by("move_adjacent").detections > 0);
         assert!(by("move_within2").detections > 0);
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn clean_traces_have_full_dead_list() {
         let app = RfidAnomalies::new();
-        let report = constraint_coverage(&app, 0.0, 1, 120);
+        let report = constraint_coverage(&app, 0.0, 1, 120, 2);
         assert_eq!(report.dead_constraints().len(), report.rows.len());
         let rendered = render_coverage(&report);
         assert!(rendered.contains("never fired"));

@@ -6,11 +6,9 @@
 //! them side by side with the paper's four, on both subject
 //! applications.
 
-use crate::metrics::{normalize_against_oracle, FigurePoint, RunMetrics};
-use crate::runner::{run_named, run_with};
-use ctxres_apps::{impact_profile, PervasiveApp};
-use ctxres_core::strategies::{ImpactAwareDropBad, UserPolicy};
-use ctxres_core::{ResolutionStrategy, TieBreak};
+use crate::figures::oracle_grid;
+use crate::metrics::FigurePoint;
+use ctxres_apps::PervasiveApp;
 use serde::{Deserialize, Serialize};
 
 /// The strategies of the extended comparison, in presentation order.
@@ -33,80 +31,28 @@ pub struct ExtendedComparison {
     pub points: Vec<FigurePoint>,
 }
 
-fn build(app: &dyn PervasiveApp, name: &str, seed: u64) -> Box<dyn ResolutionStrategy + Send> {
-    match name {
-        "d-bad-impact" => Box::new(ImpactAwareDropBad::new(impact_profile(&app.situations()))),
-        "d-pol" => Box::new(UserPolicy::new([], TieBreak::Latest)),
-        other => ctxres_core::strategies::by_name(other, seed)
-            .unwrap_or_else(|| panic!("unknown strategy {other:?}")),
-    }
-}
-
-/// Runs the extended grid for one application.
+/// Runs the extended grid for one application, seeds `0..runs` per
+/// point, over `threads` worker threads.
 pub fn extended_comparison(
-    app: &dyn PervasiveApp,
+    app: &(dyn PervasiveApp + Sync),
     err_rates: &[f64],
     runs: usize,
     len: usize,
+    threads: usize,
 ) -> ExtendedComparison {
-    let window = app.recommended_window();
-    let mut points = Vec::new();
-    for &err_rate in err_rates {
-        let oracle_runs: Vec<RunMetrics> = (0..runs as u64)
-            .map(|seed| run_named(app, "opt-r", err_rate, seed, len, window))
-            .collect();
-        for strategy in EXTENDED_STRATEGIES {
-            let strategy_runs: Vec<RunMetrics> = if strategy == "opt-r" {
-                oracle_runs.clone()
-            } else {
-                (0..runs as u64)
-                    .map(|seed| {
-                        run_with(app, build(app, strategy, seed), err_rate, seed, len, window)
-                    })
-                    .collect()
-            };
-            points.push(normalize_against_oracle(
-                strategy,
-                err_rate,
-                &strategy_runs,
-                &oracle_runs,
-            ));
-        }
-    }
     ExtendedComparison {
         application: app.name().to_owned(),
-        points,
+        points: oracle_grid(
+            app,
+            &EXTENDED_STRATEGIES,
+            err_rates,
+            |_, run| run as u64,
+            runs,
+            len,
+            threads,
+            None,
+        ),
     }
-}
-
-/// Renders the comparison as a text table.
-pub fn render_extended(cmp: &ExtendedComparison, err_rates: &[f64]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "extended comparison — {} (ctxUseRate %)",
-        cmp.application
-    );
-    let _ = write!(out, "{:>10}", "err_rate");
-    for s in EXTENDED_STRATEGIES {
-        let _ = write!(out, "{:>14}", s.to_uppercase());
-    }
-    let _ = writeln!(out);
-    for &err in err_rates {
-        let _ = write!(out, "{:>9.0}%", err * 100.0);
-        for s in EXTENDED_STRATEGIES {
-            let v = cmp
-                .points
-                .iter()
-                .find(|p| p.strategy == s && (p.err_rate - err).abs() < 1e-9)
-                .map(|p| p.ctx_use_rate)
-                .unwrap_or(f64::NAN);
-            let _ = write!(out, "{:>13.1} ", v * 100.0);
-        }
-        let _ = writeln!(out);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -117,12 +63,18 @@ mod tests {
     #[test]
     fn extended_grid_covers_all_strategies() {
         let app = CallForwarding::new();
-        let cmp = extended_comparison(&app, &[0.3], 2, 150);
+        let cmp = extended_comparison(&app, &[0.3], 2, 150, 2);
         assert_eq!(cmp.points.len(), EXTENDED_STRATEGIES.len());
         for s in EXTENDED_STRATEGIES {
             assert!(cmp.points.iter().any(|p| p.strategy == s), "missing {s}");
         }
-        let rendered = render_extended(&cmp, &[0.3]);
+        let rendered = crate::render::render_rate_table(
+            "extended",
+            crate::render::Rate::CtxUse,
+            &cmp.points,
+            &EXTENDED_STRATEGIES,
+            &[0.3],
+        );
         assert!(rendered.contains("D-BAD-IMPACT"));
         assert!(rendered.contains("D-RAND"));
     }
@@ -132,7 +84,7 @@ mod tests {
         // Impact only re-routes tie discards toward situation-irrelevant
         // contexts; used_expected should not degrade materially.
         let app = CallForwarding::new();
-        let cmp = extended_comparison(&app, &[0.3], 3, 210);
+        let cmp = extended_comparison(&app, &[0.3], 3, 210, 2);
         let plain = cmp.points.iter().find(|p| p.strategy == "d-bad").unwrap();
         let impact = cmp
             .points

@@ -1,7 +1,8 @@
-//! Assembling Figures 9 and 10: strategy-vs-error-rate grids.
+//! Assembling Figures 9 and 10: strategy-vs-error-rate grids, and the
+//! OPT-R-normalised grid every such comparison runs.
 
-use crate::metrics::{normalize_against_oracle, FigurePoint, RunMetrics};
-use crate::runner::{run_jobs_parallel, RunJob};
+use crate::metrics::{find_point, normalize_against_oracle, FigurePoint};
+use crate::runner::{run_jobs, RunJob};
 use crate::ERROR_RATES;
 use ctxres_apps::PervasiveApp;
 use ctxres_core::strategies::EXPERIMENT_STRATEGIES;
@@ -15,7 +16,7 @@ use std::sync::Arc;
 pub struct Figure {
     /// Which application the figure is about.
     pub application: String,
-    /// All points, strategy-major in presentation order.
+    /// All points, rate-major in presentation order.
     pub points: Vec<FigurePoint>,
     /// Trace length per run.
     pub trace_len: usize,
@@ -26,26 +27,15 @@ pub struct Figure {
 impl Figure {
     /// The point for a strategy at an error rate.
     pub fn point(&self, strategy: &str, err_rate: f64) -> Option<&FigurePoint> {
-        self.points
-            .iter()
-            .find(|p| p.strategy == strategy && (p.err_rate - err_rate).abs() < 1e-9)
+        find_point(&self.points, strategy, err_rate)
     }
 }
 
 /// Runs the full grid for one application (Figure 9 for Call
-/// Forwarding, Figure 10 for RFID data anomalies), fanning the seeded
-/// runs over `threads` worker threads.
-///
-/// `runs` seeds per point; the paper uses 20
-/// ([`RUNS_PER_POINT`](crate::RUNS_PER_POINT)). Every strategy is paired
-/// per-seed against the OPT-R run with the same seed and workload.
-///
-/// Every `(strategy, error rate, seed)` cell is one independent job
-/// ([`RunJob`]); the workers race through the job queue and the results
-/// are reassembled in grid order. Because each run is deterministic in
-/// its seed, the returned figure — and its serialized JSON — is
-/// **bit-identical** whatever the thread count (asserted by a test
-/// below). `threads <= 1` runs the grid on the calling thread.
+/// Forwarding, Figure 10 for RFID data anomalies): the paper's four
+/// strategies at its four error rates, `runs` seeds per point (the
+/// paper uses 20, [`RUNS_PER_POINT`](crate::RUNS_PER_POINT)), over
+/// `threads` worker threads.
 ///
 /// With a `registry`, the grid's runs are recorded into it live (one
 /// slot per worker): a scraper hitting the
@@ -59,68 +49,85 @@ pub fn figure_for_parallel(
     threads: usize,
     registry: Option<&Arc<ObsRegistry>>,
 ) -> Figure {
-    let window = app.recommended_window();
-    let jobs = grid_jobs(runs);
-    let results = run_jobs_parallel(app, &jobs, len, window, threads, registry);
-    assemble_grid(app, &results, runs, len)
-}
-
-/// One job per (rate, strategy, seed) cell, opt-r first per rate so its
-/// results double as the oracle baseline for that rate.
-fn grid_jobs(runs: usize) -> Vec<RunJob> {
-    let mut jobs = Vec::new();
-    for &err_rate in &ERROR_RATES {
-        for strategy in EXPERIMENT_STRATEGIES {
-            for i in 0..runs {
-                jobs.push(RunJob {
-                    strategy: (*strategy).to_owned(),
-                    err_rate,
-                    seed: seed_for(err_rate, i),
-                });
-            }
-        }
-    }
-    jobs
-}
-
-/// Reassembles fan-out results (in [`grid_jobs`] order) into a
-/// [`Figure`].
-fn assemble_grid(
-    app: &dyn PervasiveApp,
-    results: &[RunMetrics],
-    runs: usize,
-    len: usize,
-) -> Figure {
-    let mut points = Vec::new();
-    let mut cursor = results.chunks(runs);
-    for &err_rate in &ERROR_RATES {
-        let mut oracle_runs: Vec<RunMetrics> = Vec::new();
-        for strategy in EXPERIMENT_STRATEGIES {
-            let strategy_runs = cursor
-                .next()
-                .expect("a chunk per (rate, strategy)")
-                .to_vec();
-            if strategy == "opt-r" {
-                oracle_runs = strategy_runs.clone();
-            }
-            points.push(normalize_against_oracle(
-                strategy,
-                err_rate,
-                &strategy_runs,
-                &oracle_runs,
-            ));
-        }
-    }
     Figure {
         application: app.name().to_owned(),
-        points,
+        points: oracle_grid(
+            app,
+            &EXPERIMENT_STRATEGIES,
+            &ERROR_RATES,
+            seed_for,
+            runs,
+            len,
+            threads,
+            registry,
+        ),
         trace_len: len,
         runs_per_point: runs,
     }
 }
 
+/// Runs an OPT-R-normalised strategy × error-rate grid (§4): `runs`
+/// cells per (rate, strategy), the `run`-th seeded `seed(rate, run)`,
+/// each at the app's recommended window. Every strategy's runs are
+/// paired per seed against the OPT-R runs at the same rate, so
+/// `strategies` must include `opt-r`; its cells run once and serve as
+/// both its own point and the baseline.
+///
+/// Every cell is one job of [`run_jobs`], so the points — and their
+/// serialized JSON — are **bit-identical** whatever the thread count.
+/// They come rate-major, in `strategies` order.
+///
+/// # Panics
+///
+/// Panics when `strategies` lacks `opt-r` or names an unknown strategy.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn oracle_grid(
+    app: &(dyn PervasiveApp + Sync),
+    strategies: &[&str],
+    err_rates: &[f64],
+    seed: fn(f64, usize) -> u64,
+    runs: usize,
+    len: usize,
+    threads: usize,
+    registry: Option<&Arc<ObsRegistry>>,
+) -> Vec<FigurePoint> {
+    let oracle = strategies
+        .iter()
+        .position(|s| *s == "opt-r")
+        .expect("an OPT-R-normalised grid runs opt-r");
+    let window = app.recommended_window();
+    let mut jobs = Vec::new();
+    for &err_rate in err_rates {
+        for strategy in strategies {
+            for run in 0..runs {
+                jobs.push(RunJob {
+                    strategy: (*strategy).to_owned(),
+                    err_rate,
+                    seed: seed(err_rate, run),
+                    window,
+                });
+            }
+        }
+    }
+    let results = run_jobs(app, &jobs, len, threads, registry);
+    let mut points = Vec::new();
+    for (at_rate, &err_rate) in results.chunks(strategies.len() * runs).zip(err_rates) {
+        let by_strategy: Vec<_> = at_rate.chunks(runs).collect();
+        for (strategy, strategy_runs) in strategies.iter().zip(&by_strategy) {
+            points.push(normalize_against_oracle(
+                strategy,
+                err_rate,
+                strategy_runs,
+                by_strategy[oracle],
+            ));
+        }
+    }
+    points
+}
+
+/// The figures' seed rule: distinct, stable seeds per (rate, run
+/// index).
 fn seed_for(err_rate: f64, run: usize) -> u64 {
-    // Distinct, stable seeds per (rate, run index).
     (err_rate * 1000.0) as u64 * 10_000 + run as u64
 }
 

@@ -7,6 +7,7 @@
 //! both properties hold in our simulated reimplementation — the
 //! substrate-validity check behind the §5.2 case study.
 
+use crate::runner::fan_out;
 use ctxres_landmarc::{Floorplan, KnnEstimator, PathLossModel, RandomWaypoint, Rect};
 use serde::{Deserialize, Serialize};
 
@@ -24,18 +25,25 @@ pub struct KnnPoint {
 }
 
 /// Measures estimation error for each `k` (fixed 2 m grid) and each
-/// grid spacing (fixed k = 4), over `samples` fixes per configuration.
-pub fn knn_sweep(ks: &[usize], spacings: &[f64], samples: usize, seed: u64) -> Vec<KnnPoint> {
-    let mut out = Vec::new();
-    for &k in ks {
-        out.push(measure(k, 2.0, samples, seed));
-    }
-    for &spacing in spacings {
-        if (spacing - 2.0).abs() > 1e-9 {
-            out.push(measure(4, spacing, samples, seed));
-        }
-    }
-    out
+/// grid spacing (fixed k = 4), over `samples` fixes per configuration
+/// and `threads` worker threads.
+pub fn knn_sweep(
+    ks: &[usize],
+    spacings: &[f64],
+    samples: usize,
+    seed: u64,
+    threads: usize,
+) -> Vec<KnnPoint> {
+    let mut cells: Vec<(usize, f64)> = ks.iter().map(|&k| (k, 2.0)).collect();
+    cells.extend(
+        spacings
+            .iter()
+            .filter(|spacing| (*spacing - 2.0).abs() > 1e-9)
+            .map(|&spacing| (4, spacing)),
+    );
+    fan_out(&cells, threads, |_, &(k, spacing)| {
+        measure(k, spacing, samples, seed)
+    })
 }
 
 fn measure(k: usize, grid_spacing: f64, samples: usize, seed: u64) -> KnnPoint {
@@ -93,7 +101,7 @@ mod tests {
 
     #[test]
     fn k_of_one_is_worse_than_k_of_four() {
-        let points = knn_sweep(&[1, 4], &[], 300, 3);
+        let points = knn_sweep(&[1, 4], &[], 300, 3, 2);
         let k1 = points.iter().find(|p| p.k == 1).unwrap();
         let k4 = points.iter().find(|p| p.k == 4).unwrap();
         assert!(
@@ -106,7 +114,7 @@ mod tests {
 
     #[test]
     fn denser_grid_reduces_error() {
-        let points = knn_sweep(&[4], &[2.0, 6.0], 300, 5);
+        let points = knn_sweep(&[4], &[2.0, 6.0], 300, 5, 2);
         let dense = points
             .iter()
             .find(|p| (p.grid_spacing - 2.0).abs() < 1e-9)
@@ -125,7 +133,7 @@ mod tests {
 
     #[test]
     fn rendering_lists_every_point() {
-        let points = knn_sweep(&[1, 4], &[4.0], 50, 1);
+        let points = knn_sweep(&[1, 4], &[4.0], 50, 1, 2);
         let s = render_knn(&points);
         assert_eq!(s.lines().count(), 2 + points.len());
     }

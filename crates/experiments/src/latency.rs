@@ -11,9 +11,10 @@
 //! (window + residual, in ticks) next to the accuracy metrics — making
 //! the §5.3 window choice a visible latency/accuracy dial.
 
-use crate::runner::run_with;
+use crate::ablation::window_jobs;
+use crate::metrics::Accuracy;
+use crate::runner::run_jobs;
 use ctxres_apps::PervasiveApp;
-use ctxres_core::strategies::DropBad;
 use serde::{Deserialize, Serialize};
 
 /// One window setting's latency/accuracy summary for drop-bad.
@@ -31,41 +32,40 @@ pub struct LatencyPoint {
     pub precision: f64,
 }
 
-/// Sweeps drop-bad's window, measuring the latency/accuracy dial.
+/// Sweeps drop-bad's window, measuring the latency/accuracy dial, over
+/// `threads` worker threads.
 pub fn latency_window_tradeoff(
-    app: &dyn PervasiveApp,
+    app: &(dyn PervasiveApp + Sync),
     err_rate: f64,
     windows: &[u64],
     runs: usize,
     len: usize,
+    threads: usize,
 ) -> Vec<LatencyPoint> {
+    let results = run_jobs(
+        app,
+        &window_jobs("d-bad", windows, err_rate, runs),
+        len,
+        threads,
+        None,
+    );
     windows
         .iter()
-        .map(|&window| {
-            let mut residuals = Vec::new();
-            let mut used = 0.0;
-            let mut survival = 0.0;
-            let mut precision = 0.0;
-            for seed in 0..runs as u64 {
-                let m = run_with(app, Box::new(DropBad::new()), err_rate, seed, len, window);
-                if let Some(l) = m.activation_latency {
-                    residuals.push(l);
-                }
-                used += m.used_expected as f64;
-                survival += m.survival;
-                precision += m.precision;
-            }
+        .zip(results.chunks(runs))
+        .map(|(&window, runs)| {
+            let residuals: Vec<f64> = runs.iter().filter_map(|m| m.activation_latency).collect();
             let residual = if residuals.is_empty() {
                 0.0
             } else {
                 residuals.iter().sum::<f64>() / residuals.len() as f64
             };
+            let accuracy = Accuracy::mean(runs);
             LatencyPoint {
                 window,
                 total_latency: window as f64 + residual,
-                used_expected: used / runs as f64,
-                survival: survival / runs as f64,
-                precision: precision / runs as f64,
+                used_expected: accuracy.used_expected,
+                survival: accuracy.survival,
+                precision: accuracy.precision,
             }
         })
         .collect()
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn latency_grows_with_the_window_while_accuracy_improves() {
         let app = CallForwarding::new();
-        let points = latency_window_tradeoff(&app, 0.3, &[0, 3], 3, 240);
+        let points = latency_window_tradeoff(&app, 0.3, &[0, 3], 3, 240, 2);
         assert!(points[1].total_latency > points[0].total_latency);
         assert!(points[1].precision > points[0].precision);
         assert!(points[1].used_expected > points[0].used_expected);
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn rendering_includes_every_window() {
         let app = CallForwarding::new();
-        let points = latency_window_tradeoff(&app, 0.2, &[0, 2], 1, 90);
+        let points = latency_window_tradeoff(&app, 0.2, &[0, 2], 1, 90, 2);
         let s = render_latency(&points, app.name(), 0.2);
         assert_eq!(s.lines().count(), 2 + points.len());
     }

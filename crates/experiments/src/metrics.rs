@@ -60,6 +60,50 @@ pub struct FigurePoint {
     pub runs: usize,
 }
 
+/// The point for `strategy` at `err_rate` among a grid's points.
+pub fn find_point<'a>(
+    points: &'a [FigurePoint],
+    strategy: &str,
+    err_rate: f64,
+) -> Option<&'a FigurePoint> {
+    points
+        .iter()
+        .find(|p| p.strategy == strategy && (p.err_rate - err_rate).abs() < 1e-9)
+}
+
+/// The accuracy a window or tie-policy table reports for one cell of
+/// seeded runs: the means of expected contexts used, survival rate and
+/// removal precision, each summed in run order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Accuracy {
+    /// Mean expected contexts used.
+    pub used_expected: f64,
+    /// Mean §5.2 survival rate.
+    pub survival: f64,
+    /// Mean §5.2 removal precision.
+    pub precision: f64,
+}
+
+impl Accuracy {
+    /// The means over `runs` (NaN when there are none).
+    pub(crate) fn mean<'a>(runs: impl IntoIterator<Item = &'a RunMetrics>) -> Accuracy {
+        let mut n = 0usize;
+        let (mut used, mut survival, mut precision) = (0.0, 0.0, 0.0);
+        for m in runs {
+            n += 1;
+            used += m.used_expected as f64;
+            survival += m.survival;
+            precision += m.precision;
+        }
+        let n = n as f64;
+        Accuracy {
+            used_expected: used / n,
+            survival: survival / n,
+            precision: precision / n,
+        }
+    }
+}
+
 /// Pairs each run with the OPT-R run of the same seed and averages the
 /// normalized rates (the paper normalizes "against the reference
 /// baseline" of OPT-R, §4.1).

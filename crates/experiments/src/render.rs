@@ -3,50 +3,79 @@
 use crate::ablation::WindowAblation;
 use crate::case_study::CaseStudy;
 use crate::figures::Figure;
+use crate::metrics::{find_point, FigurePoint};
 use crate::ERROR_RATES;
 use ctxres_core::strategies::EXPERIMENT_STRATEGIES;
 use std::fmt::Write as _;
 
-/// Renders one metric of a figure as the paper lays it out: error rates
-/// down the side, strategies across the top.
-pub fn render_figure_metric(fig: &Figure, metric: &str) -> String {
+/// One of the two OPT-R-normalised rates a strategy table shows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rate {
+    /// `ctxUseRate`: expected contexts used, against OPT-R's.
+    CtxUse,
+    /// `sitActRate`: matched situation activations, against OPT-R's.
+    SitAct,
+}
+
+impl Rate {
+    /// The paper's name for the rate.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rate::CtxUse => "ctxUseRate",
+            Rate::SitAct => "sitActRate",
+        }
+    }
+
+    /// The rate at a point (NaN when the point is missing).
+    pub fn at(self, point: Option<&FigurePoint>) -> f64 {
+        point.map_or(f64::NAN, |p| match self {
+            Rate::CtxUse => p.ctx_use_rate,
+            Rate::SitAct => p.sit_act_rate,
+        })
+    }
+}
+
+/// Renders one rate of a strategy × error-rate grid as the paper lays
+/// it out, in percent: error rates down the side, `strategies` across
+/// the top.
+pub fn render_rate_table(
+    title: &str,
+    rate: Rate,
+    points: &[FigurePoint],
+    strategies: &[&str],
+    err_rates: &[f64],
+) -> String {
+    let width = strategies.iter().map(|s| s.len() + 2).fold(9, usize::max);
     let mut out = String::new();
-    let title = match metric {
-        "ctx_use_rate" => "ctxUseRate (%)",
-        "sit_act_rate" => "sitActRate (%)",
-        other => other,
-    };
-    let _ = writeln!(out, "{title} — {}", fig.application);
+    let _ = writeln!(out, "{} (%) — {title}", rate.name());
     let _ = write!(out, "{:>10}", "err_rate");
-    for s in EXPERIMENT_STRATEGIES {
-        let _ = write!(out, "{:>9}", s.to_uppercase());
+    for s in strategies {
+        let _ = write!(out, "{:>width$}", s.to_uppercase());
     }
     let _ = writeln!(out);
-    for &err in &ERROR_RATES {
+    for &err in err_rates {
         let _ = write!(out, "{:>9.0}%", err * 100.0);
-        for s in EXPERIMENT_STRATEGIES {
-            let v = fig
-                .point(s, err)
-                .map(|p| match metric {
-                    "ctx_use_rate" => p.ctx_use_rate,
-                    "sit_act_rate" => p.sit_act_rate,
-                    _ => f64::NAN,
-                })
-                .unwrap_or(f64::NAN);
-            let _ = write!(out, "{:>8.1} ", v * 100.0);
+        for s in strategies {
+            let v = rate.at(find_point(points, s, err));
+            let _ = write!(out, "{:>width$.1}", v * 100.0);
         }
         let _ = writeln!(out);
     }
     out
 }
 
-/// Renders both metrics of a figure (top and bottom panels).
+/// Renders both rates of a figure (top and bottom panels).
 pub fn render_figure(fig: &Figure) -> String {
-    format!(
-        "{}\n{}",
-        render_figure_metric(fig, "ctx_use_rate"),
-        render_figure_metric(fig, "sit_act_rate")
-    )
+    let panel = |rate| {
+        render_rate_table(
+            &fig.application,
+            rate,
+            &fig.points,
+            &EXPERIMENT_STRATEGIES,
+            &ERROR_RATES,
+        )
+    };
+    format!("{}\n{}", panel(Rate::CtxUse), panel(Rate::SitAct))
 }
 
 /// Renders the §5.2 case-study table next to the paper's numbers.
@@ -130,16 +159,22 @@ pub fn render_window_ablation(ab: &WindowAblation) -> String {
 }
 
 /// Writes a serializable result under `results/<name>.json`, creating
-/// the directory if needed. Returns the path written, or the error
-/// message (result files are best-effort: the printed tables are the
+/// the directory if needed, and reports the path written or the error
+/// on stderr (result files are best-effort: the printed tables are the
 /// primary artifact).
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> Result<String, String> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| e.to_string())?;
-    Ok(path.display().to_string())
+pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
+    let write = || -> Result<String, String> {
+        let dir = std::path::Path::new("results");
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+        let path = dir.join(format!("{name}.json"));
+        let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+        std::fs::write(&path, json).map_err(|e| e.to_string())?;
+        Ok(path.display().to_string())
+    };
+    match write() {
+        Ok(path) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("could not write results json: {e}"),
+    }
 }
 
 #[cfg(test)]

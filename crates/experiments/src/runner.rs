@@ -1,12 +1,14 @@
-//! Driving one application trace through one middleware configuration.
+//! Driving application traces through middleware configurations: one
+//! run per cell of an experiment grid, and the one fan-out that spreads
+//! a grid's cells over worker threads.
 
 use crate::metrics::RunMetrics;
 use crate::telemetry::CellTelemetry;
-use ctxres_apps::PervasiveApp;
-use ctxres_context::{Context, Ticks};
-use ctxres_core::strategies::{by_name, DropBad};
+use ctxres_apps::{impact_profile, PervasiveApp};
+use ctxres_context::{Context, ContextId, Ticks};
+use ctxres_core::strategies::{by_name, DropBad, ImpactAwareDropBad, UserPolicy};
 use ctxres_core::{Inconsistency, ResolutionStrategy};
-use ctxres_middleware::{Middleware, MiddlewareConfig, MiddlewareObserver};
+use ctxres_middleware::{Middleware, MiddlewareBuilder, MiddlewareConfig, MiddlewareObserver};
 use ctxres_obs::{MetricsServer, ObsConfig, ObsRegistry, ShardObs, METRICS_ADDR_ENV};
 use std::sync::{Arc, Mutex};
 
@@ -29,36 +31,25 @@ impl MiddlewareObserver for DetectionLog {
     }
 }
 
-/// Every inconsistency a drop-bad engine detects on `trace` under
-/// `app`'s constraints and a `window`-tick use window, in detection
-/// order (no ground truth, no retention): the input of the §5.2
-/// heuristic-rule monitors and of constraint coverage.
-pub(crate) fn detections(
+/// The strategy a grid cell names: one of the paper's ([`by_name`]), or
+/// the extended comparison's `d-bad-impact` (profiled from `app`'s
+/// situations) and `d-pol` (no rules, so every member is equally
+/// trusted).
+///
+/// # Panics
+///
+/// Panics on an unknown strategy name (the experiment grids only use
+/// the fixed sets of §4 and the extended comparison).
+pub(crate) fn strategy_for(
     app: &dyn PervasiveApp,
-    trace: Vec<Context>,
-    window: u64,
-) -> Vec<Inconsistency> {
-    let log = DetectionLog::default();
-    let mut mw = Middleware::builder()
-        .constraints(app.constraints())
-        .registry(app.registry())
-        .strategy(Box::new(DropBad::new()))
-        .config(MiddlewareConfig {
-            window: Ticks::new(window),
-            track_ground_truth: false,
-            retention: None,
-        })
-        .observer(Box::new(log.clone()))
-        .build();
-    for ctx in trace {
-        mw.submit(ctx);
+    name: &str,
+    seed: u64,
+) -> Box<dyn ResolutionStrategy + Send> {
+    match name {
+        "d-bad-impact" => Box::new(ImpactAwareDropBad::new(impact_profile(&app.situations()))),
+        "d-pol" => Box::new(UserPolicy::default()),
+        other => by_name(other, seed).unwrap_or_else(|| panic!("unknown strategy {other:?}")),
     }
-    mw.drain();
-    let mut found = log
-        .0
-        .lock()
-        .expect("no holder of the detection log panicked");
-    std::mem::take(&mut *found)
 }
 
 /// Runs `app`'s workload through a freshly built middleware using the
@@ -82,35 +73,59 @@ pub fn run_with(
     )
 }
 
-/// [`run_with`] recording a full observability record: the run's
-/// middleware gets a handle into a fresh single-shard [`ObsRegistry`],
-/// and the harvested [`CellTelemetry`] tags the drained trace and
-/// metrics snapshot with the `(strategy, err_rate, seed)` cell they
-/// came from.
-pub fn run_with_observed(
+/// A drop-bad run with its detection log: the input of the §5.2
+/// heuristic-rule monitors and of constraint coverage.
+#[derive(Debug, Clone)]
+pub(crate) struct LoggedRun {
+    /// The run's metrics, as [`run_with`] harvests them.
+    pub metrics: RunMetrics,
+    /// Every inconsistency the engine detected, in detection order.
+    pub detections: Vec<Inconsistency>,
+    /// Whether each context of the trace, indexed by its id, was
+    /// generated corrupted.
+    corrupted: Vec<bool>,
+}
+
+impl LoggedRun {
+    /// Whether the run's context `id` was generated corrupted.
+    pub(crate) fn is_corrupted(&self, id: ContextId) -> bool {
+        self.corrupted
+            .get(id.raw() as usize)
+            .copied()
+            .unwrap_or(false)
+    }
+}
+
+/// [`run_with`] for drop-bad, logging every inconsistency the run's
+/// engine detects next to the metrics it harvests.
+pub(crate) fn run_logged(
     app: &dyn PervasiveApp,
-    strategy: Box<dyn ResolutionStrategy + Send>,
     err_rate: f64,
     seed: u64,
     len: usize,
     window: u64,
-    config: ObsConfig,
-) -> (RunMetrics, CellTelemetry) {
-    let registry = ObsRegistry::shared(config, 1);
-    let metrics = run_instrumented(
-        app,
-        strategy,
-        err_rate,
-        seed,
-        len,
-        window,
-        registry.handle(0),
+) -> LoggedRun {
+    let trace = app.generate(err_rate, seed, len);
+    let corrupted = trace.iter().map(|c| c.truth().is_corrupted()).collect();
+    let log = DetectionLog::default();
+    let mw = engine(app, Box::new(DropBad::new()), window, ShardObs::disabled())
+        .observer(Box::new(log.clone()))
+        .build();
+    let metrics = run_trace(mw, trace, err_rate, seed);
+    let detections = std::mem::take(
+        &mut *log
+            .0
+            .lock()
+            .expect("no holder of the detection log panicked"),
     );
-    let telemetry = CellTelemetry::collect(&metrics.strategy, err_rate, seed, &registry);
-    (metrics, telemetry)
+    LoggedRun {
+        metrics,
+        detections,
+        corrupted,
+    }
 }
 
-/// [`run_with_observed`] ingesting through `Middleware::batch_add` in
+/// [`run_named_observed`] ingesting through `Middleware::batch_add` in
 /// `chunk`-sized batches instead of per-context submits — the variant
 /// `trace_dump --slow` runs, because only a batch owes a slow-batch
 /// postmortem when [`ctxres_obs::ObsConfig::with_slow_batch_bound`] is
@@ -131,11 +146,9 @@ pub fn run_named_observed_batched(
     config: ObsConfig,
 ) -> (RunMetrics, CellTelemetry) {
     assert!(chunk > 0, "batched ingestion needs a chunk size");
-    let strategy =
-        by_name(strategy, seed).unwrap_or_else(|| panic!("unknown strategy {strategy:?}"));
     let registry = ObsRegistry::shared(config, 1);
-    let name = strategy.name().to_owned();
-    let mut mw = build_middleware(app, strategy, window, registry.handle(0));
+    let strategy = strategy_for(app, strategy, seed);
+    let mut mw = engine(app, strategy, window, registry.handle(0)).build();
     let mut batch = Vec::with_capacity(chunk);
     for ctx in app.generate(err_rate, seed, len) {
         batch.push(ctx);
@@ -147,7 +160,7 @@ pub fn run_named_observed_batched(
         mw.batch_add(batch);
     }
     mw.drain();
-    let metrics = harvest_metrics(&mut mw, name, err_rate, seed);
+    let metrics = harvest_metrics(&mut mw, err_rate, seed);
     let telemetry = CellTelemetry::collect(&metrics.strategy, err_rate, seed, &registry);
     (metrics, telemetry)
 }
@@ -161,23 +174,28 @@ fn run_instrumented(
     window: u64,
     obs: ShardObs,
 ) -> RunMetrics {
-    let name = strategy.name().to_owned();
-    let mut mw = build_middleware(app, strategy, window, obs);
-    for ctx in app.generate(err_rate, seed, len) {
+    let mw = engine(app, strategy, window, obs).build();
+    run_trace(mw, app.generate(err_rate, seed, len), err_rate, seed)
+}
+
+/// Submits `trace` one context at a time, drains, and harvests the
+/// cell's metrics.
+fn run_trace(mut mw: Middleware, trace: Vec<Context>, err_rate: f64, seed: u64) -> RunMetrics {
+    for ctx in trace {
         mw.submit(ctx);
     }
     mw.drain();
-    harvest_metrics(&mut mw, name, err_rate, seed)
+    harvest_metrics(&mut mw, err_rate, seed)
 }
 
-/// The middleware every runner variant deploys: the app's constraints,
-/// situations and registry, ground-truth tracking on.
-fn build_middleware(
+/// The middleware every run deploys: the app's constraints, situations
+/// and registry, ground-truth tracking on.
+fn engine(
     app: &dyn PervasiveApp,
     strategy: Box<dyn ResolutionStrategy + Send>,
     window: u64,
     obs: ShardObs,
-) -> Middleware {
+) -> MiddlewareBuilder {
     Middleware::builder()
         .constraints(app.constraints())
         .situations(app.situations())
@@ -189,14 +207,13 @@ fn build_middleware(
             retention: None,
         })
         .obs(obs)
-        .build()
 }
 
 /// Folds a drained middleware's counters into the cell's [`RunMetrics`].
-fn harvest_metrics(mw: &mut Middleware, name: String, err_rate: f64, seed: u64) -> RunMetrics {
+fn harvest_metrics(mw: &mut Middleware, err_rate: f64, seed: u64) -> RunMetrics {
     let stats = *mw.stats();
     RunMetrics {
-        strategy: name,
+        strategy: mw.strategy_name().to_owned(),
         err_rate,
         seed,
         used_expected: stats.delivered_expected,
@@ -213,12 +230,12 @@ fn harvest_metrics(mw: &mut Middleware, name: String, err_rate: f64, seed: u64) 
     }
 }
 
-/// [`run_with`] for a strategy identified by its paper name.
+/// [`run_with`] for a strategy identified by its name: one of the
+/// paper's, `d-bad-impact` or `d-pol`.
 ///
 /// # Panics
 ///
-/// Panics on an unknown strategy name (the experiment grids only use
-/// the fixed set of §4).
+/// Panics on an unknown strategy name.
 pub fn run_named(
     app: &dyn PervasiveApp,
     strategy: &str,
@@ -227,12 +244,15 @@ pub fn run_named(
     len: usize,
     window: u64,
 ) -> RunMetrics {
-    let strategy =
-        by_name(strategy, seed).unwrap_or_else(|| panic!("unknown strategy {strategy:?}"));
+    let strategy = strategy_for(app, strategy, seed);
     run_with(app, strategy, err_rate, seed, len, window)
 }
 
-/// [`run_with_observed`] for a strategy identified by its paper name.
+/// [`run_named`] recording a full observability record: the run's
+/// middleware gets a handle into a fresh single-shard [`ObsRegistry`],
+/// and the harvested [`CellTelemetry`] tags the drained trace and
+/// metrics snapshot with the `(strategy, err_rate, seed)` cell they
+/// came from.
 ///
 /// # Panics
 ///
@@ -246,30 +266,30 @@ pub fn run_named_observed(
     window: u64,
     config: ObsConfig,
 ) -> (RunMetrics, CellTelemetry) {
-    let strategy =
-        by_name(strategy, seed).unwrap_or_else(|| panic!("unknown strategy {strategy:?}"));
-    run_with_observed(app, strategy, err_rate, seed, len, window, config)
+    let registry = ObsRegistry::shared(config, 1);
+    let (strategy, obs) = (strategy_for(app, strategy, seed), registry.handle(0));
+    let metrics = run_instrumented(app, strategy, err_rate, seed, len, window, obs);
+    let telemetry = CellTelemetry::collect(&metrics.strategy, err_rate, seed, &registry);
+    (metrics, telemetry)
 }
 
-/// One cell of an experiment grid: a strategy at an error rate with a
-/// seed. The unit of work the parallel runner fans out.
+/// One cell of a grid of named strategies: a strategy at an error rate
+/// and a use window, with a seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunJob {
-    /// Strategy paper name (`opt-r`, `d-bad`, …).
+    /// Strategy name (`opt-r`, `d-bad`, …, `d-bad-impact`, `d-pol`).
     pub strategy: String,
     /// Workload corruption probability.
     pub err_rate: f64,
     /// Workload seed.
     pub seed: u64,
+    /// Middleware use window, in ticks.
+    pub window: u64,
 }
 
-/// Runs a list of jobs across `threads` worker threads and returns the
-/// metrics **in job order** — every run is seeded, so the result of
-/// each job is independent of scheduling, and reassembling in input
-/// order makes the output bit-identical for every thread count
-/// (asserted in `figures::tests`).
-///
-/// `threads <= 1` runs the jobs serially on the calling thread.
+/// Runs a list of jobs over `threads` worker threads, through the one
+/// fan-out every experiment grid uses, and returns their metrics in job
+/// order, bit-identical at every thread count.
 ///
 /// With a `registry`, worker `w` records live metrics into registry
 /// slot `w % registry.shards()`, so a [`ctxres_obs::Sampler`] or
@@ -284,19 +304,17 @@ pub struct RunJob {
 ///
 /// Panics if a worker panics (the panic is propagated) or on an unknown
 /// strategy name.
-pub fn run_jobs_parallel(
+pub fn run_jobs(
     app: &(dyn PervasiveApp + Sync),
     jobs: &[RunJob],
     len: usize,
-    window: u64,
     threads: usize,
     registry: Option<&Arc<ObsRegistry>>,
 ) -> Vec<RunMetrics> {
     fan_out(jobs, threads, |worker, job| {
-        let strategy = by_name(&job.strategy, job.seed)
-            .unwrap_or_else(|| panic!("unknown strategy {:?}", job.strategy));
         let obs = registry.map_or_else(ShardObs::disabled, |r| r.handle(worker % r.shards()));
-        run_instrumented(app, strategy, job.err_rate, job.seed, len, window, obs)
+        let strategy = strategy_for(app, &job.strategy, job.seed);
+        run_instrumented(app, strategy, job.err_rate, job.seed, len, job.window, obs)
     })
 }
 
@@ -315,47 +333,47 @@ pub fn export_registry_from_env(slots: usize) -> Option<(Arc<ObsRegistry>, Metri
     Some((registry, server))
 }
 
-/// The fan-out skeleton of the parallel runner: a work queue feeding
-/// `threads` workers, results reassembled **in job order** so the
-/// output is the same whatever the scheduling (every run is seeded).
-/// Each invocation gets the index of the worker thread running it
-/// (`0..threads`; always `0` on the serial path), which picks a stable
-/// registry slot per worker, so live rates decompose by worker rather
-/// than smearing over one counter.
+/// The one runner of every experiment grid: a work queue feeding
+/// `threads` workers, each cell's result reassembled **in cell order**,
+/// so the output is the same whatever the scheduling (every run is
+/// seeded) and bit-identical at every thread count (asserted by this
+/// module's tests). Each invocation gets the index of the worker thread
+/// running it (`0..threads`; always `0` on the serial path), which
+/// picks a stable registry slot per worker, so live rates decompose by
+/// worker rather than smearing over one counter.
 ///
-/// `threads <= 1` runs the jobs serially on the calling thread.
+/// `threads <= 1` runs the cells serially on the calling thread.
 ///
 /// # Panics
 ///
 /// Panics if a worker panics (the panic is propagated).
-fn fan_out<T: Send>(
-    jobs: &[RunJob],
+pub(crate) fn fan_out<C: Sync, T: Send>(
+    cells: &[C],
     threads: usize,
-    run: impl Fn(usize, &RunJob) -> T + Sync,
+    run: impl Fn(usize, &C) -> T + Sync,
 ) -> Vec<T> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(|job| run(0, job)).collect();
+    let workers = threads.min(cells.len());
+    if workers <= 1 {
+        return cells.iter().map(|cell| run(0, cell)).collect();
     }
-    let workers = threads.min(jobs.len());
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<(usize, RunJob)>();
+    let (cell_tx, cell_rx) = crossbeam::channel::unbounded::<usize>();
     let (out_tx, out_rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    for pair in jobs.iter().cloned().enumerate() {
-        job_tx.send(pair).expect("queue jobs");
+    for idx in 0..cells.len() {
+        cell_tx.send(idx).expect("queue cells");
     }
-    drop(job_tx);
+    drop(cell_tx);
 
     let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
+    slots.resize_with(cells.len(), || None);
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for worker in 0..workers {
-            let job_rx = job_rx.clone();
+            let cell_rx = cell_rx.clone();
             let out_tx = out_tx.clone();
             let run = &run;
             handles.push(scope.spawn(move || {
-                for (idx, job) in job_rx {
-                    let result = run(worker, &job);
-                    if out_tx.send((idx, result)).is_err() {
+                for idx in cell_rx {
+                    if out_tx.send((idx, run(worker, &cells[idx]))).is_err() {
                         break;
                     }
                 }
@@ -373,13 +391,12 @@ fn fan_out<T: Send>(
     });
     slots
         .into_iter()
-        .map(|m| m.expect("every job produced a result"))
+        .map(|m| m.expect("every cell produced a result"))
         .collect()
 }
 
-/// Worker-thread count for parallel experiment grids:
-/// `CTXRES_THREADS` when set, otherwise the machine's available
-/// parallelism.
+/// Worker-thread count for experiment grids: `CTXRES_THREADS` when set,
+/// otherwise the machine's available parallelism.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("CTXRES_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -457,15 +474,15 @@ mod tests {
                     strategy: (*s).to_owned(),
                     err_rate: 0.2,
                     seed,
+                    window: app.recommended_window(),
                 })
             })
             .collect();
         let len = 80;
-        let window = app.recommended_window();
-        let serial = run_jobs_parallel(&app, &jobs, len, window, 1, None);
+        let serial = run_jobs(&app, &jobs, len, 1, None);
 
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 3);
-        let exported = run_jobs_parallel(&app, &jobs, len, window, 3, Some(&registry));
+        let exported = run_jobs(&app, &jobs, len, 3, Some(&registry));
         assert_eq!(serial, exported, "observation must not perturb results");
         // Every submitted context of every job landed in the shared
         // registry: the live endpoint sees the whole grid.
@@ -477,6 +494,36 @@ mod tests {
         );
         // Metrics-only: no per-event ring traffic from the grid.
         assert!(registry.drain().is_empty());
+    }
+
+    /// Every experiment that fans its cells out serialises the same
+    /// bytes on one worker thread as on three.
+    #[test]
+    fn every_grid_is_thread_count_independent() {
+        use crate::ablation::{tie_policy_comparison, window_sweep};
+        use crate::case_study::run_case_study;
+        use crate::coverage::constraint_coverage;
+        use crate::extended::extended_comparison;
+        use crate::landmarc_knn::knn_sweep;
+        use crate::latency::latency_window_tradeoff;
+        use crate::sensitivity::stress_error_rates;
+        fn json(value: &impl serde::Serialize) -> String {
+            serde_json::to_string(value).expect("results serialise")
+        }
+        let app = CallForwarding::new();
+        let grids = |threads: usize| {
+            [
+                json(&extended_comparison(&app, &[0.3], 2, 60, threads)),
+                json(&stress_error_rates(&app, &[0.6], 2, 60, threads)),
+                json(&window_sweep(&app, &[0, 2], 0.3, 2, 60, threads)),
+                json(&tie_policy_comparison(&app, &[0.3], 2, 60, 3, threads)),
+                json(&latency_window_tradeoff(&app, 0.3, &[0, 2], 2, 60, threads)),
+                json(&run_case_study(0.2, 2, 60, threads)),
+                json(&constraint_coverage(&app, 0.3, 2, 60, threads)),
+                json(&knn_sweep(&[1, 4], &[4.0], 40, 1, threads)),
+            ]
+        };
+        assert_eq!(grids(1), grids(3));
     }
 
     #[test]

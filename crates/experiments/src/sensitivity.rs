@@ -9,9 +9,10 @@
 //! *stream density* (contexts per subject per tick) that feeds the count
 //! values.
 
-use crate::metrics::{normalize_against_oracle, FigurePoint, RunMetrics};
-use crate::runner::run_named;
+use crate::figures::oracle_grid;
+use crate::metrics::FigurePoint;
 use ctxres_apps::PervasiveApp;
+use ctxres_core::strategies::EXPERIMENT_STRATEGIES;
 use serde::{Deserialize, Serialize};
 
 /// Results of the high-error stress sweep.
@@ -25,65 +26,30 @@ pub struct StressSweep {
     pub err_rates: Vec<f64>,
 }
 
-/// Sweeps the error rate well past the paper's 40 % ceiling.
+/// Sweeps the error rate well past the paper's 40 % ceiling: the
+/// paper's four strategies, seeds `0..runs` per point, over `threads`
+/// worker threads.
 pub fn stress_error_rates(
-    app: &dyn PervasiveApp,
+    app: &(dyn PervasiveApp + Sync),
     err_rates: &[f64],
     runs: usize,
     len: usize,
+    threads: usize,
 ) -> StressSweep {
-    let window = app.recommended_window();
-    let mut points = Vec::new();
-    for &err in err_rates {
-        let oracle: Vec<RunMetrics> = (0..runs as u64)
-            .map(|seed| run_named(app, "opt-r", err, seed, len, window))
-            .collect();
-        for strategy in ["opt-r", "d-bad", "d-lat", "d-all"] {
-            let rows: Vec<RunMetrics> = if strategy == "opt-r" {
-                oracle.clone()
-            } else {
-                (0..runs as u64)
-                    .map(|seed| run_named(app, strategy, err, seed, len, window))
-                    .collect()
-            };
-            points.push(normalize_against_oracle(strategy, err, &rows, &oracle));
-        }
-    }
     StressSweep {
         application: app.name().to_owned(),
-        points,
+        points: oracle_grid(
+            app,
+            &EXPERIMENT_STRATEGIES,
+            err_rates,
+            |_, run| run as u64,
+            runs,
+            len,
+            threads,
+            None,
+        ),
         err_rates: err_rates.to_vec(),
     }
-}
-
-/// Renders the stress sweep as a text table (ctxUseRate only).
-pub fn render_stress(sweep: &StressSweep) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "high-error stress — {} (ctxUseRate %)",
-        sweep.application
-    );
-    let _ = writeln!(
-        out,
-        "{:>10}{:>9}{:>9}{:>9}{:>9}",
-        "err_rate", "OPT-R", "D-BAD", "D-LAT", "D-ALL"
-    );
-    for &err in &sweep.err_rates {
-        let _ = write!(out, "{:>9.0}%", err * 100.0);
-        for s in ["opt-r", "d-bad", "d-lat", "d-all"] {
-            let v = sweep
-                .points
-                .iter()
-                .find(|p| p.strategy == s && (p.err_rate - err).abs() < 1e-9)
-                .map(|p| p.ctx_use_rate)
-                .unwrap_or(f64::NAN);
-            let _ = write!(out, "{:>9.1}", v * 100.0);
-        }
-        let _ = writeln!(out);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -94,16 +60,22 @@ mod tests {
     #[test]
     fn stress_covers_the_requested_grid() {
         let app = CallForwarding::new();
-        let sweep = stress_error_rates(&app, &[0.2, 0.6], 1, 90);
+        let sweep = stress_error_rates(&app, &[0.2, 0.6], 1, 90, 2);
         assert_eq!(sweep.points.len(), 8);
-        let rendered = render_stress(&sweep);
+        let rendered = crate::render::render_rate_table(
+            &sweep.application,
+            crate::render::Rate::CtxUse,
+            &sweep.points,
+            &EXPERIMENT_STRATEGIES,
+            &sweep.err_rates,
+        );
         assert!(rendered.contains("60%"));
     }
 
     #[test]
     fn drop_bad_advantage_holds_at_moderate_error() {
         let app = CallForwarding::new();
-        let sweep = stress_error_rates(&app, &[0.3], 3, 210);
+        let sweep = stress_error_rates(&app, &[0.3], 3, 210, 2);
         let bad = sweep.points.iter().find(|p| p.strategy == "d-bad").unwrap();
         let lat = sweep.points.iter().find(|p| p.strategy == "d-lat").unwrap();
         assert!(bad.ctx_use_rate > lat.ctx_use_rate);

@@ -615,9 +615,8 @@ impl Middleware {
             // fresh inconsistency that implicated the casualty.
             let cause = fresh
                 .iter()
-                .find(|inc| inc.contexts().iter().any(|c| c == did))
-                .cloned();
-            self.count_discard(*did, now, cause.as_ref());
+                .find(|inc| inc.contexts().iter().any(|c| c == did));
+            self.count_discard(*did, now, cause);
         }
         if outcome.accepted {
             self.buffer.push_back((now + self.config.window, id));

@@ -15,7 +15,8 @@ use ctxres_constraint::{parse_constraints, IncrementalChecker, PredicateRegistry
 use ctxres_context::{
     Context, ContextKind, ContextPool, ContextState, Lifespan, LogicalTime, Point, Ticks,
 };
-use ctxres_core::strategies::DropBad;
+use ctxres_core::strategies::{DropBad, DropLatest};
+use ctxres_core::ResolutionStrategy;
 use ctxres_middleware::{
     Middleware, MiddlewareConfig, ShardPlan, ShardedMiddleware, SituationEngine,
 };
@@ -298,31 +299,15 @@ fn warmed_retention_stream(track_ground_truth: bool, obs: ObsConfig) -> (u64, u6
     (reads, allocs, recorded)
 }
 
-/// The allocations of a submit that detects, under the city stream's
-/// engine configuration: the §2.2 speed constraint, drop-bad, a use
-/// window of 0, retention 512 and TTL 512, no observer. Every 50th
+/// Each warmed detecting submit's allocations under the city stream's
+/// engine configuration with `strategy`: the §2.2 speed constraint, a
+/// use window of 0, retention 512 and TTL 512, no observer. Every 50th
 /// context teleports, so its check finds one violation with its seq
-/// predecessor, drop-bad tracks it, and the use at the same instant
-/// discards the teleport and resolves it. Once warm, every such submit
-/// makes exactly the same 9 allocations, and every other submit none:
-///
-/// * `IncrementalChecker::on_added` makes 3: the link its violation walk
-///   names (the walk pushes it into the checker's reused buffer, so no
-///   evidence is built), the detection list and the detection's
-///   constraint name;
-/// * the middleware makes 1, the inconsistency list; the detection's
-///   name and link move into the `Inconsistency`;
-/// * drop-bad's addition makes 2, its copy of the inconsistency's name
-///   and link into Δ;
-/// * drop-bad's use makes 3: the flags of which Δ entries already hold
-///   a bad member, the list the resolved inconsistency moves out of Δ
-///   into, and the outcome's discard list.
-///
-/// Δ's count bookkeeping lists no bumped counts, drop-bad reads the Δ
-/// members it decides on in place, and the use asks whether the doomed
-/// context is among an inconsistency's maxima without listing them.
-#[test]
-fn warmed_detecting_submit_allocates_a_fixed_few() {
+/// predecessor, and the strategy discards the teleport: an eager one at
+/// its addition, drop-bad at its use in the same instant. Requires every
+/// other warmed submit to allocate nothing, and every teleport to be
+/// discarded.
+fn detecting_submit_allocations(strategy: Box<dyn ResolutionStrategy + Send>) -> Vec<u64> {
     const SUBJECTS: u64 = 16;
     const WARM: u64 = 4_000;
     const MEASURED: u64 = 8_000;
@@ -348,7 +333,7 @@ fn warmed_detecting_submit_allocates_a_fixed_few() {
     });
     let mut mw = Middleware::builder()
         .constraints(parse_constraints(SPEED_ONLY).unwrap())
-        .strategy(Box::new(DropBad::new()))
+        .strategy(strategy)
         .config(MiddlewareConfig {
             window: Ticks::new(0),
             track_ground_truth: false,
@@ -371,12 +356,49 @@ fn warmed_detecting_submit_allocates_a_fixed_few() {
     }
     assert_eq!(detecting.len() as u64, MEASURED / TELEPORT_EVERY);
     assert_eq!(quiet, 0, "submits that detect nothing");
-    let (min, max) = (detecting.iter().min(), detecting.iter().max());
-    assert_eq!((min, max), (Some(&9), Some(&9)), "per detecting submit");
     assert_eq!(
         mw.stats().discarded,
         WARM / TELEPORT_EVERY + detecting.len() as u64
     );
+    detecting
+}
+
+/// A warmed drop-bad submit that detects makes exactly the same 7
+/// allocations every time:
+///
+/// * `IncrementalChecker::on_added` makes 3: the link its violation walk
+///   names (the walk pushes it into the checker's reused buffer, so no
+///   evidence is built), the detection list and the detection's
+///   constraint name;
+/// * the middleware makes 1, the inconsistency list; the detection's
+///   name and link move into the `Inconsistency`;
+/// * drop-bad's addition makes 2, its copy of the inconsistency's name
+///   and link into Δ;
+/// * drop-bad's use makes 1, the outcome's discard list. The flags of
+///   which Δ entries already hold a bad member, and the list the
+///   resolved inconsistency moves out of Δ into, are buffers the
+///   strategy keeps.
+///
+/// Δ's count bookkeeping lists no bumped counts, drop-bad reads the Δ
+/// members it decides on in place, and the use asks whether the doomed
+/// context is among an inconsistency's maxima without listing them.
+#[test]
+fn warmed_detecting_submit_allocates_a_fixed_few() {
+    let detecting = detecting_submit_allocations(Box::new(DropBad::new()));
+    let (min, max) = (detecting.iter().min(), detecting.iter().max());
+    assert_eq!((min, max), (Some(&7), Some(&7)), "per detecting submit");
+}
+
+/// An eager strategy's detecting submit makes exactly 5 allocations:
+/// the checker's 3 and the middleware's inconsistency list as above,
+/// and drop-latest's discard list. The discard's verdict reads the
+/// implicating inconsistency where the submit holds it, so no copy of
+/// its name or link is made.
+#[test]
+fn warmed_eager_detecting_submit_allocates_a_fixed_few() {
+    let detecting = detecting_submit_allocations(Box::new(DropLatest::new()));
+    let (min, max) = (detecting.iter().min(), detecting.iter().max());
+    assert_eq!((min, max), (Some(&5), Some(&5)), "per detecting submit");
 }
 
 /// `ShardedMiddleware::subject_loads` allocates exactly its result: the
