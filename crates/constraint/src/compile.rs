@@ -70,6 +70,7 @@ use ctxres_context::{
     Context, ContextId, ContextKind, ContextPool, ContextValue, LogicalTime, SubjectView,
 };
 use std::ops::{ControlFlow, RangeInclusive};
+use std::sync::Arc;
 
 /// A term lowered to slot-addressed form. Variable names are kept only
 /// for error reporting (`UnboundVariable` / `MissingAttr` parity with
@@ -147,7 +148,8 @@ enum Proof {
 /// A [`Constraint`] lowered for allocation-free evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledConstraint {
-    name: String,
+    /// Shared with every [`crate::Detection`] of the constraint.
+    pub(crate) name: Arc<str>,
     program: CFormula,
     /// Interned quantifier kinds, indexed by `CFormula::Quant::kind_sym`.
     kind_table: Vec<ContextKind>,
@@ -185,7 +187,7 @@ impl CompiledConstraint {
         let seq_guard = guard.and_then(seq_guard);
         let universal_positive = constraint.is_universal_positive();
         CompiledConstraint {
-            name: constraint.name().to_owned(),
+            name: Arc::from(constraint.name()),
             flat,
             per_subject: universal_positive && (slot_count <= 1 || guarded),
             seq_guard,

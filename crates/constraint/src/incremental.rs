@@ -15,12 +15,14 @@ use crate::eval::Link;
 use crate::predicate::PredicateRegistry;
 use ctxres_context::{ContextId, ContextKind, ContextPool, LogicalTime};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One newly detected context inconsistency.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Detection {
-    /// Name of the violated constraint.
-    pub constraint: String,
+    /// Name of the violated constraint, shared with its compiled form:
+    /// a detection copies no string.
+    pub constraint: Arc<str>,
     /// The contexts forming the inconsistency.
     pub link: Link,
 }
@@ -316,7 +318,7 @@ impl IncrementalChecker {
                 *seen = outcome.violations.into_iter().collect();
                 for link in fresh {
                     out.push(Detection {
-                        constraint: cc.name().to_owned(),
+                        constraint: Arc::clone(&cc.name),
                         link,
                     });
                 }
@@ -424,7 +426,7 @@ impl IncrementalChecker {
             let outcome = evaluator.check(cc, pool, now, &mut self.scratch)?;
             for link in outcome.violations {
                 out.push(Detection {
-                    constraint: cc.name().to_owned(),
+                    constraint: Arc::clone(&cc.name),
                     link,
                 });
             }
@@ -501,7 +503,7 @@ fn pinned_links<'a>(
     links.sort_unstable();
     links.dedup();
     out.extend(links.drain(..).map(|link| Detection {
-        constraint: cc.name().to_owned(),
+        constraint: Arc::clone(&cc.name),
         link,
     }));
     Ok(())
@@ -601,7 +603,7 @@ mod tests {
         let found = ch.on_added(&reg, &pool, LogicalTime::new(2), c).unwrap();
         // (b,c) under gap1 and (a,c) under gap2.
         assert_eq!(found.len(), 2);
-        let names: BTreeSet<&str> = found.iter().map(|d| d.constraint.as_str()).collect();
+        let names: BTreeSet<&str> = found.iter().map(|d| &*d.constraint).collect();
         assert_eq!(names.len(), 2);
     }
 

@@ -226,7 +226,7 @@ proptest! {
                 .on_added(&registry, &pool, ctx.stamp(), new_id)
                 .unwrap()
             {
-                incremental.insert((d.constraint, d.link));
+                incremental.insert((d.constraint.to_string(), d.link));
             }
         }
 

@@ -5,6 +5,7 @@ use ctxres_context::{ContextId, LogicalTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// One detected context inconsistency: a set of contexts that together
 /// violate a named consistency constraint (paper §3.2: Δ ⊆ ℘(C)).
@@ -13,7 +14,9 @@ use std::fmt;
 /// type supports any arity ("generic context inconsistencies", §3.4).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Inconsistency {
-    constraint: String,
+    /// Shared with the compiled constraint when the inconsistency came
+    /// from a [`Detection`], so copies of it copy no string.
+    constraint: Arc<str>,
     contexts: BTreeSet<ContextId>,
     detected_at: LogicalTime,
 }
@@ -26,7 +29,7 @@ impl Inconsistency {
         detected_at: LogicalTime,
     ) -> Self {
         Inconsistency {
-            constraint: constraint.to_owned(),
+            constraint: Arc::from(constraint),
             contexts: contexts.into_iter().collect(),
             detected_at,
         }
@@ -122,7 +125,7 @@ mod tests {
     #[test]
     fn from_detection_keeps_name_and_link() {
         let detection = Detection {
-            constraint: "velocity".to_owned(),
+            constraint: Arc::from("velocity"),
             link: [id(3), id(2)].into_iter().collect(),
         };
         let inc = Inconsistency::from_detection(detection, LogicalTime::new(4));

@@ -1,8 +1,9 @@
-//! Ablations: the §5.3 time-window sweep and the §5.1 tie-policy
+//! Ablations: the §5.3 time-window study and the §5.1 tie-policy
 //! comparison.
 
-use crate::metrics::Accuracy;
-use crate::runner::{fan_out, run_jobs, run_with, RunJob};
+use crate::latency::{latency_dial, LatencyPoint};
+use crate::metrics::{Accuracy, RunMetrics};
+use crate::runner::{fan_out, run_jobs, run_named, run_with, RunJob};
 use ctxres_apps::PervasiveApp;
 use ctxres_core::strategies::DropBad;
 use ctxres_core::TiePolicy;
@@ -33,14 +34,20 @@ pub struct WindowAblation {
     pub err_rate: f64,
 }
 
+/// The §5.3 window study, both of its summaries from one grid.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct WindowStudy {
+    /// Drop-bad across windows on the first application, against its
+    /// drop-latest reference (`ablation_window.json`).
+    pub ablation: WindowAblation,
+    /// Each application's latency dial, keyed by its name
+    /// (`latency.json`).
+    pub dials: Vec<(String, Vec<LatencyPoint>)>,
+}
+
 /// One job per (window, seed) for `strategy`: window-major, seeds
 /// `0..runs`.
-pub(crate) fn window_jobs(
-    strategy: &str,
-    windows: &[u64],
-    err_rate: f64,
-    runs: usize,
-) -> Vec<RunJob> {
+fn window_jobs(strategy: &str, windows: &[u64], err_rate: f64, runs: usize) -> Vec<RunJob> {
     windows
         .iter()
         .flat_map(|&window| {
@@ -54,25 +61,12 @@ pub(crate) fn window_jobs(
         .collect()
 }
 
-/// Sweeps the drop-bad time window over `windows` (paper §5.3: "the
-/// study of impact of time window on the effectiveness of the drop-bad
-/// resolution strategy would deserve exploring" — this is that study),
-/// over `threads` worker threads.
-pub fn window_sweep(
-    app: &(dyn PervasiveApp + Sync),
-    windows: &[u64],
-    err_rate: f64,
-    runs: usize,
-    len: usize,
-    threads: usize,
-) -> WindowAblation {
-    let mut jobs = window_jobs("d-bad", windows, err_rate, runs);
-    jobs.extend(window_jobs("d-lat", &[0], err_rate, runs));
-    let results = run_jobs(app, &jobs, len, threads, None);
-    let (swept, drop_latest) = results.split_at(windows.len() * runs);
-    let points = windows
+/// Drop-bad's cells, window-major with `runs` seeds per window, as the
+/// sweep's points.
+fn window_points(windows: &[u64], cells: &[RunMetrics], runs: usize) -> Vec<WindowPoint> {
+    windows
         .iter()
-        .zip(swept.chunks(runs))
+        .zip(cells.chunks(runs))
         .map(|(&window, runs)| {
             let accuracy = Accuracy::mean(runs);
             WindowPoint {
@@ -82,11 +76,51 @@ pub fn window_sweep(
                 precision: accuracy.precision,
             }
         })
-        .collect();
-    WindowAblation {
-        points,
-        drop_latest_used_expected: Accuracy::mean(drop_latest).used_expected,
-        err_rate,
+        .collect()
+}
+
+/// Sweeps the drop-bad time window over `windows` on every application
+/// of `apps` (paper §5.3: "the study of impact of time window on the
+/// effectiveness of the drop-bad resolution strategy would deserve
+/// exploring" — this is that study), plus drop-latest at window 0 on
+/// the first, over `threads` worker threads. One grid runs every cell
+/// once; the first application's cells make the window ablation and
+/// each application's its latency dial.
+///
+/// # Panics
+///
+/// Panics when `apps` is empty.
+pub fn window_study(
+    apps: &[&(dyn PervasiveApp + Sync)],
+    windows: &[u64],
+    err_rate: f64,
+    runs: usize,
+    len: usize,
+    threads: usize,
+) -> WindowStudy {
+    assert!(!apps.is_empty(), "the window study needs an application");
+    let mut cells: Vec<(usize, RunJob)> = Vec::new();
+    for app in 0..apps.len() {
+        let jobs = window_jobs("d-bad", windows, err_rate, runs);
+        cells.extend(jobs.into_iter().map(|job| (app, job)));
+    }
+    let jobs = window_jobs("d-lat", &[0], err_rate, runs);
+    cells.extend(jobs.into_iter().map(|job| (0, job)));
+    let results = fan_out(&cells, threads, |_, (app, job)| {
+        let app = apps[*app];
+        run_named(app, &job.strategy, job.err_rate, job.seed, len, job.window)
+    });
+    let per_app = windows.len() * runs;
+    let (swept, drop_latest) = results.split_at(apps.len() * per_app);
+    WindowStudy {
+        ablation: WindowAblation {
+            points: window_points(windows, &swept[..per_app], runs),
+            drop_latest_used_expected: Accuracy::mean(drop_latest).used_expected,
+            err_rate,
+        },
+        dials: (apps.iter().zip(swept.chunks(per_app)))
+            .map(|(app, cells)| (app.name().to_owned(), latency_dial(windows, cells, runs)))
+            .collect(),
     }
 }
 
@@ -102,9 +136,9 @@ pub fn calibrate_window(
     len: usize,
     threads: usize,
 ) -> (u64, f64) {
-    let sweep = window_sweep(app, candidates, err_rate, runs, len, threads);
-    sweep
-        .points
+    let jobs = window_jobs("d-bad", candidates, err_rate, runs);
+    let cells = run_jobs(app, &jobs, len, threads, None);
+    window_points(candidates, &cells, runs)
         .into_iter()
         .map(|p| (p.window, p.used_expected))
         .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -173,7 +207,7 @@ mod tests {
     #[test]
     fn zero_window_matches_drop_latest() {
         let app = CallForwarding::new();
-        let ab = window_sweep(&app, &[0, 3], 0.3, 2, 180, 2);
+        let ab = window_study(&[&app], &[0, 3], 0.3, 2, 180, 2).ablation;
         let zero = &ab.points[0];
         assert_eq!(zero.window, 0);
         assert!(
@@ -189,7 +223,7 @@ mod tests {
         // §5.3: the window is what lets drop-bad outperform drop-latest;
         // with it, fewer expected contexts are lost.
         let app = CallForwarding::new();
-        let ab = window_sweep(&app, &[0, 3], 0.3, 2, 180, 2);
+        let ab = window_study(&[&app], &[0, 3], 0.3, 2, 180, 2).ablation;
         assert!(
             ab.points[1].used_expected > ab.points[0].used_expected,
             "window 12 used {} not above window 0 {}",

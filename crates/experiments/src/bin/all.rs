@@ -5,9 +5,10 @@
 
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::rfid_anomalies::RfidAnomalies;
-use ctxres_experiments::ablation::window_sweep;
+use ctxres_experiments::ablation::window_study;
 use ctxres_experiments::case_study::run_case_study;
 use ctxres_experiments::figures::figure_for_parallel;
+use ctxres_experiments::latency::render_latency;
 use ctxres_experiments::outln;
 use ctxres_experiments::render::{
     render_case_study, render_figure, render_window_ablation, write_json,
@@ -44,15 +45,19 @@ fn main() {
     outln!("{}", render_case_study(&cs));
     write_json("case_study", &cs);
 
-    eprintln!("[4/4] §5.3 window ablation …");
-    let ab = window_sweep(
-        &CallForwarding::new(),
+    eprintln!("[4/4] §5.3 window study …");
+    let study = window_study(
+        &[&CallForwarding::new(), &RfidAnomalies::new()],
         &[0, 1, 2, 3, 4],
         0.3,
         if quick { 2 } else { 10 },
         if quick { 180 } else { 600 },
         threads,
     );
-    outln!("{}", render_window_ablation(&ab));
-    write_json("ablation_window", &ab);
+    outln!("{}", render_window_ablation(&study.ablation));
+    for (app, points) in &study.dials {
+        outln!("{}", render_latency(points, app, 0.3));
+    }
+    write_json("ablation_window", &study.ablation);
+    write_json("latency", &study.dials);
 }

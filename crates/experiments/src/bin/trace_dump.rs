@@ -1,11 +1,12 @@
 //! Renders an observability event trace (JSONL of `TraceRecord`s) as a
 //! human-readable timeline, a per-strategy state-transition summary
-//! table, and the life cycle of every discarded context (its node in
-//! the trace's provenance graph, the one `explain` renders).
+//! table, and the causal chain of every discarded context (its node in
+//! the trace's provenance graph, rendered as `explain --discarded`
+//! renders it).
 //!
 //! ```text
 //! trace_dump [--json] <events.jsonl> [strategy-label]
-//! trace_dump [--json] [--slow] --demo [out.jsonl]
+//! trace_dump [--json] --demo [out.jsonl]
 //! ```
 //!
 //! `--demo` runs a seeded drop-bad Call Forwarding cell (err 0.3,
@@ -13,24 +14,19 @@
 //! `out.jsonl` (default `results/demo_trace.jsonl`), then dumps it —
 //! the smoke artifact CI archives. `--json` replaces the human
 //! rendering with one machine-readable document (full timeline,
-//! transition rows, SLO alert timeline, slow-batch postmortems,
-//! discarded-context life cycles) on stdout; it combines with `--demo`.
-//! `--slow` makes the demo ingest through `batch_add` in 50-context
-//! batches under a 1 ns slow-batch bound with the phase profiler on,
-//! so every batch breaches and the trace carries `slow_batch`
-//! postmortem events with per-phase self times — the latency-smoke
-//! artifact.
+//! transition rows, the discarded contexts' provenance nodes) on
+//! stdout; it combines with `--demo`.
 
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::PervasiveApp;
-use ctxres_experiments::runner::{run_named_observed, run_named_observed_batched};
+use ctxres_experiments::explain::render_chain;
+use ctxres_experiments::runner::run_named_observed;
 use ctxres_experiments::telemetry::{
-    json_dump, json_dump_with_snapshot, render_timeline, render_transition_table,
-    transition_counts, DiscardedNode,
+    json_dump, json_dump_with_snapshot, render_timeline, render_transition_table, transition_counts,
 };
 use ctxres_experiments::trace_io::{load_events, save_events};
 use ctxres_experiments::{out, outln};
-use ctxres_obs::{ObsConfig, ObsSnapshot, ProvenanceGraph, TraceEvent, TraceRecord};
+use ctxres_obs::{ObsConfig, ObsSnapshot, ProvenanceGraph, TraceRecord};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -41,29 +37,28 @@ const TIMELINE_LIMIT: usize = 60;
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let slow = args.iter().any(|a| a == "--slow");
-    args.retain(|a| a != "--json" && a != "--slow");
-    match run(&args, json, slow) {
+    args.retain(|a| a != "--json");
+    match run(&args, json) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
                 "usage:\n  trace_dump [--json] <events.jsonl> [strategy-label]\n  \
-                 trace_dump [--json] [--slow] --demo [out.jsonl]"
+                 trace_dump [--json] --demo [out.jsonl]"
             );
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(args: &[String], json: bool, slow: bool) -> Result<(), String> {
+fn run(args: &[String], json: bool) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("--demo") => {
             let out = args
                 .get(1)
                 .map(String::as_str)
                 .unwrap_or("results/demo_trace.jsonl");
-            demo(Path::new(out), json, slow)
+            demo(Path::new(out), json)
         }
         Some(path) => {
             let label = args.get(1).map(String::as_str).unwrap_or("trace");
@@ -99,34 +94,17 @@ fn render(
 }
 
 /// Runs the seeded demo cell, saves its event trace, and dumps it.
-/// With `slow`, ingestion goes through `batch_add` under a 1 ns
-/// slow-batch bound so the trace carries postmortems.
-fn demo(out: &Path, json: bool, slow: bool) -> Result<(), String> {
+fn demo(out: &Path, json: bool) -> Result<(), String> {
     let app = CallForwarding::new();
-    let (metrics, telemetry) = if slow {
-        run_named_observed_batched(
-            &app,
-            "d-bad",
-            0.3,
-            3,
-            200,
-            app.recommended_window(),
-            50,
-            ObsConfig::enabled()
-                .with_profile(1)
-                .with_slow_batch_bound(1),
-        )
-    } else {
-        run_named_observed(
-            &app,
-            "d-bad",
-            0.3,
-            3,
-            200,
-            app.recommended_window(),
-            ObsConfig::enabled(),
-        )
-    };
+    let (metrics, telemetry) = run_named_observed(
+        &app,
+        "d-bad",
+        0.3,
+        3,
+        200,
+        app.recommended_window(),
+        ObsConfig::enabled(),
+    );
     if let Some(dir) = out.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
@@ -159,7 +137,7 @@ fn demo(out: &Path, json: bool, slow: bool) -> Result<(), String> {
 }
 
 /// Prints the three views of a trace: timeline, transition table, and
-/// discarded-context life cycles.
+/// the discarded contexts' causal chains.
 fn dump(trace: &[TraceRecord], label: &str) {
     let graph = ProvenanceGraph::from_records(trace);
     outln!("== timeline ({} events) ==", trace.len());
@@ -173,40 +151,10 @@ fn dump(trace: &[TraceRecord], label: &str) {
     );
 
     outln!();
-    outln!("== slo alerts ==");
-    let mut alerts = 0;
-    for record in trace {
-        if matches!(record.event, TraceEvent::Alert { .. }) {
-            alerts += 1;
-            outln!("{record}");
-        }
-    }
-    if alerts == 0 {
-        outln!("(none)");
-    }
-
-    outln!();
-    outln!("== slow-batch postmortems ==");
-    let mut postmortems = 0;
-    for record in trace {
-        if matches!(record.event, TraceEvent::SlowBatch { .. }) {
-            postmortems += 1;
-            outln!("{record}");
-        }
-    }
-    if postmortems == 0 {
-        outln!("(none)");
-    }
-
-    outln!();
     outln!("== discarded-context life cycles ==");
     let discarded = graph.discarded();
     for node in &discarded {
-        let l = DiscardedNode::new(node);
-        outln!("{}", l.summary);
-        for record in &l.events {
-            outln!("    {record}");
-        }
+        out!("{}", render_chain(node));
     }
     if discarded.is_empty() {
         outln!("(none)");

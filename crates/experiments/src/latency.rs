@@ -6,15 +6,13 @@
 //! cost is the use window: every context (and hence every situation
 //! activation) lags the physical event by the window, plus any residual
 //! delay when an epoch's first supporting context was withheld and
-//! coverage had to wait for a later one. This experiment sweeps the
-//! window for drop-bad and reports **total activation latency**
+//! coverage had to wait for a later one. The §5.3 window study
+//! ([`crate::ablation::window_study`]) sweeps the window for drop-bad,
+//! and this module reports its cells as **total activation latency**
 //! (window + residual, in ticks) next to the accuracy metrics — making
 //! the §5.3 window choice a visible latency/accuracy dial.
 
-use crate::ablation::window_jobs;
-use crate::metrics::Accuracy;
-use crate::runner::run_jobs;
-use ctxres_apps::PervasiveApp;
+use crate::metrics::{Accuracy, RunMetrics};
 use serde::{Deserialize, Serialize};
 
 /// One window setting's latency/accuracy summary for drop-bad.
@@ -32,26 +30,16 @@ pub struct LatencyPoint {
     pub precision: f64,
 }
 
-/// Sweeps drop-bad's window, measuring the latency/accuracy dial, over
-/// `threads` worker threads.
-pub fn latency_window_tradeoff(
-    app: &(dyn PervasiveApp + Sync),
-    err_rate: f64,
+/// Drop-bad's cells, window-major with `runs` seeds per window, as the
+/// latency/accuracy dial ([`crate::ablation::window_study`] runs them).
+pub(crate) fn latency_dial(
     windows: &[u64],
+    cells: &[RunMetrics],
     runs: usize,
-    len: usize,
-    threads: usize,
 ) -> Vec<LatencyPoint> {
-    let results = run_jobs(
-        app,
-        &window_jobs("d-bad", windows, err_rate, runs),
-        len,
-        threads,
-        None,
-    );
     windows
         .iter()
-        .zip(results.chunks(runs))
+        .zip(cells.chunks(runs))
         .map(|(&window, runs)| {
             let residuals: Vec<f64> = runs.iter().filter_map(|m| m.activation_latency).collect();
             let residual = if residuals.is_empty() {
@@ -102,12 +90,14 @@ pub fn render_latency(points: &[LatencyPoint], app: &str, err_rate: f64) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ablation::window_study;
     use ctxres_apps::call_forwarding::CallForwarding;
+    use ctxres_apps::PervasiveApp;
 
     #[test]
     fn latency_grows_with_the_window_while_accuracy_improves() {
         let app = CallForwarding::new();
-        let points = latency_window_tradeoff(&app, 0.3, &[0, 3], 3, 240, 2);
+        let points = &window_study(&[&app], &[0, 3], 0.3, 3, 240, 2).dials[0].1;
         assert!(points[1].total_latency > points[0].total_latency);
         assert!(points[1].precision > points[0].precision);
         assert!(points[1].used_expected > points[0].used_expected);
@@ -116,8 +106,8 @@ mod tests {
     #[test]
     fn rendering_includes_every_window() {
         let app = CallForwarding::new();
-        let points = latency_window_tradeoff(&app, 0.2, &[0, 2], 1, 90, 2);
-        let s = render_latency(&points, app.name(), 0.2);
+        let points = &window_study(&[&app], &[0, 2], 0.2, 1, 90, 2).dials[0].1;
+        let s = render_latency(points, app.name(), 0.2);
         assert_eq!(s.lines().count(), 2 + points.len());
     }
 }

@@ -7,14 +7,13 @@
 //! | Figure 10 (RFID data anomalies: same metrics) | [`figures`] | `figure10` |
 //! | Figures 1–5 (scenario traces and per-strategy outcomes) | [`scenario_replay`] | `scenarios` |
 //! | §5.2 case study (survival 96.5 %, precision 84.7 %, Rule 1 100 %, Rule 2′ 91.7 %) | [`case_study`] | `case_study` |
-//! | §5.3 time-window discussion (window → 0 ⇒ drop-latest) | [`ablation`] | `ablation_window` |
+//! | §5.3 time-window discussion (window → 0 ⇒ drop-latest) and §3.3 latency/accuracy dial | [`ablation`], [`latency`] | `ablation_window` |
 //! | §5.1 tie case (open in the paper; both policies measured) | [`ablation`] | `ablation_tie` |
 //! | §2.3 "unreliable" baselines + §5.1/§7 impact-aware future work | [`extended`] | `extended_comparison` |
 //! | §3.4 cross-kind generality (smart-ringer workload) | [`figures`] | `cross_kind` |
 //! | LANDMARC substrate validity (error vs k / grid density) | [`landmarc_knn`] | `landmarc_knn` |
 //!
 //! | beyond-paper sensitivity (error rates to 80 %) | [`sensitivity`] | `sensitivity` |
-//! | §3.3 latency/accuracy dial (window sweep) | [`latency`] | `latency` |
 //! | constraint coverage devtool | [`coverage`] | `coverage` |
 //!
 //! Everything at once: `all`; combined markdown: `report`. Utilities:

@@ -159,9 +159,10 @@ pub fn render_window_ablation(ab: &WindowAblation) -> String {
 }
 
 /// Writes a serializable result under `results/<name>.json`, creating
-/// the directory if needed, and reports the path written or the error
-/// on stderr (result files are best-effort: the printed tables are the
-/// primary artifact).
+/// the directory if needed, and reports the path written on stderr. A
+/// result that cannot be written is reported there too and ends the
+/// process with status 1, so a regeneration never passes over a stale
+/// file.
 pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
     let write = || -> Result<String, String> {
         let dir = std::path::Path::new("results");
@@ -173,7 +174,10 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
     };
     match write() {
         Ok(path) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write results json: {e}"),
+        Err(e) => {
+            eprintln!("could not write results json: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -125,46 +125,6 @@ pub(crate) fn run_logged(
     }
 }
 
-/// [`run_named_observed`] ingesting through `Middleware::batch_add` in
-/// `chunk`-sized batches instead of per-context submits — the variant
-/// `trace_dump --slow` runs, because only a batch owes a slow-batch
-/// postmortem when [`ctxres_obs::ObsConfig::with_slow_batch_bound`] is
-/// set. Its verdicts equal the per-submit run's.
-///
-/// # Panics
-///
-/// Panics when `chunk` is zero or the strategy name is unknown.
-#[allow(clippy::too_many_arguments)]
-pub fn run_named_observed_batched(
-    app: &dyn PervasiveApp,
-    strategy: &str,
-    err_rate: f64,
-    seed: u64,
-    len: usize,
-    window: u64,
-    chunk: usize,
-    config: ObsConfig,
-) -> (RunMetrics, CellTelemetry) {
-    assert!(chunk > 0, "batched ingestion needs a chunk size");
-    let registry = ObsRegistry::shared(config, 1);
-    let strategy = strategy_for(app, strategy, seed);
-    let mut mw = engine(app, strategy, window, registry.handle(0)).build();
-    let mut batch = Vec::with_capacity(chunk);
-    for ctx in app.generate(err_rate, seed, len) {
-        batch.push(ctx);
-        if batch.len() == chunk {
-            mw.batch_add(std::mem::take(&mut batch));
-        }
-    }
-    if !batch.is_empty() {
-        mw.batch_add(batch);
-    }
-    mw.drain();
-    let metrics = harvest_metrics(&mut mw, err_rate, seed);
-    let telemetry = CellTelemetry::collect(&metrics.strategy, err_rate, seed, &registry);
-    (metrics, telemetry)
-}
-
 fn run_instrumented(
     app: &dyn PervasiveApp,
     strategy: Box<dyn ResolutionStrategy + Send>,
@@ -500,24 +460,22 @@ mod tests {
     /// bytes on one worker thread as on three.
     #[test]
     fn every_grid_is_thread_count_independent() {
-        use crate::ablation::{tie_policy_comparison, window_sweep};
+        use crate::ablation::{tie_policy_comparison, window_study};
         use crate::case_study::run_case_study;
         use crate::coverage::constraint_coverage;
         use crate::extended::extended_comparison;
         use crate::landmarc_knn::knn_sweep;
-        use crate::latency::latency_window_tradeoff;
         use crate::sensitivity::stress_error_rates;
         fn json(value: &impl serde::Serialize) -> String {
             serde_json::to_string(value).expect("results serialise")
         }
-        let app = CallForwarding::new();
+        let (app, rfid) = (CallForwarding::new(), RfidAnomalies::new());
         let grids = |threads: usize| {
             [
                 json(&extended_comparison(&app, &[0.3], 2, 60, threads)),
                 json(&stress_error_rates(&app, &[0.6], 2, 60, threads)),
-                json(&window_sweep(&app, &[0, 2], 0.3, 2, 60, threads)),
+                json(&window_study(&[&app, &rfid], &[0, 2], 0.3, 2, 60, threads)),
                 json(&tie_policy_comparison(&app, &[0.3], 2, 60, 3, threads)),
-                json(&latency_window_tradeoff(&app, 0.3, &[0, 2], 2, 60, threads)),
                 json(&run_case_study(0.2, 2, 60, threads)),
                 json(&constraint_coverage(&app, 0.3, 2, 60, threads)),
                 json(&knn_sweep(&[1, 4], &[4.0], 40, 1, threads)),

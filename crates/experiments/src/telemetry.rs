@@ -7,16 +7,11 @@
 //! snapshot of that one run. A context's journey through the Fig. 8
 //! life cycle — creation, detections, Δ membership with its count,
 //! bad-marking, and the final delivery/discard — is its [`ProvNode`] in
-//! the trace's [`ProvenanceGraph`], the one fold `explain` and the
-//! transition table read too; [`DiscardedNode`] flattens a discarded
-//! node for `trace_dump`.
+//! the trace's [`ProvenanceGraph`], the one fold `explain`, the
+//! transition table and `trace_dump`'s discarded-context view read.
 
-use crate::explain::fate;
-use ctxres_context::{ContextId, ContextState};
-use ctxres_obs::{
-    CauseEdge, CauseKind, NodeId, ObsRegistry, ObsSnapshot, ProvNode, ProvenanceGraph, TraceEvent,
-    TraceRecord,
-};
+use ctxres_context::ContextState;
+use ctxres_obs::{ObsRegistry, ObsSnapshot, ProvNode, ProvenanceGraph, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -117,85 +112,10 @@ pub struct TransitionRow {
     pub count: u64,
 }
 
-/// One discarded context's provenance node, flattened for machine
-/// consumption and for `trace_dump`'s discarded-context section.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct DiscardedNode {
-    /// Owning shard.
-    pub shard: u32,
-    /// The context (ids are shard-local).
-    pub ctx: ContextId,
-    /// The human one-liner (`shard 0 ctx#3: received t2, …`).
-    pub summary: String,
-    /// The node's one-word fate ([`fate`]).
-    pub fate: String,
-    /// Tick the context entered the middleware.
-    pub received_at: Option<u64>,
-    /// Count-value history: the count each tracked inconsistency the
-    /// context joined bumped it to.
-    pub counts: Vec<u64>,
-    /// The node's timeline and its own cause edges (the submission root
-    /// stamped with its `Received` record's causal ID), in trace order.
-    pub events: Vec<TraceRecord>,
-}
-
-impl DiscardedNode {
-    /// Flattens one provenance node.
-    pub fn new(node: &ProvNode) -> Self {
-        let counts: Vec<u64> = node
-            .chain
-            .iter()
-            .filter(|e| e.cause == CauseKind::JoinedDelta)
-            .filter_map(|e| e.count)
-            .collect();
-        let mut summary = format!("shard {} {}: ", node.id.shard, node.id.ctx);
-        match node.received_at {
-            Some(t) => {
-                let _ = write!(summary, "received t{t}");
-            }
-            None => summary.push_str("(no receive event)"),
-        }
-        if !counts.is_empty() {
-            let _ = write!(summary, ", counts {counts:?}");
-        }
-        let fate = fate(node);
-        let _ = write!(summary, ", {fate}");
-        let mut events: Vec<TraceRecord> = node.timeline.clone();
-        events.extend(node.chain.iter().map(|e| edge_record(node.id, e)));
-        events.sort_by_key(|r| (r.at, r.seq));
-        DiscardedNode {
-            shard: node.id.shard,
-            ctx: node.id.ctx,
-            summary,
-            fate: fate.to_owned(),
-            received_at: node.received_at,
-            counts,
-            events,
-        }
-    }
-}
-
-/// The trace record that carried a cause edge of `node`'s chain.
-fn edge_record(node: NodeId, edge: &CauseEdge) -> TraceRecord {
-    TraceRecord {
-        shard: node.shard,
-        seq: edge.seq,
-        at: edge.at,
-        event: TraceEvent::Caused {
-            ctx: node.ctx,
-            cause: edge.cause,
-            constraint: edge.constraint.clone(),
-            partners: edge.partners.iter().map(|p| p.ctx).collect(),
-            count: edge.count,
-            verdict: edge.verdict,
-        },
-    }
-}
-
 /// Everything `trace_dump --json` emits: the full timeline, the
-/// transition tallies, the SLO alert timeline, and the reconstructed
-/// life cycle of every discarded context — the same views the human
-/// renderer prints, as one JSON document.
+/// transition tallies, and the provenance node of every discarded
+/// context — the same views the human renderer prints, as one JSON
+/// document.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceDumpJson {
     /// Strategy label the dump was rendered under.
@@ -206,8 +126,9 @@ pub struct TraceDumpJson {
     pub timeline: Vec<TraceRecord>,
     /// Life-cycle transition tallies ([`transition_counts`]).
     pub transitions: Vec<TransitionRow>,
-    /// Every discarded context's provenance node, flattened.
-    pub discarded_lifecycles: Vec<DiscardedNode>,
+    /// Every discarded context's provenance node, as
+    /// `explain --discarded --json` carries it in its chains.
+    pub discarded_lifecycles: Vec<ProvNode>,
     /// Distinct contexts the trace touches.
     pub contexts_traced: usize,
     /// How many of them were discarded.
@@ -218,15 +139,6 @@ pub struct TraceDumpJson {
     /// ring's `trace_events_dropped`. Empty when the dumper had no
     /// metrics snapshot alongside the trace (a bare JSONL file).
     pub counters: BTreeMap<String, u64>,
-    /// Every SLO alert transition (`TraceEvent::Alert`) in the trace,
-    /// in trace order — the firing/clearing timeline of the health SLO
-    /// engine, pre-filtered so dashboards don't have to scan the full
-    /// timeline for the `alert` tag.
-    pub alerts: Vec<TraceRecord>,
-    /// Every slow-batch postmortem (`TraceEvent::SlowBatch`) in the
-    /// trace, in trace order — each bundles the breaching batch's
-    /// per-phase self times and over-p99 exemplar ids.
-    pub postmortems: Vec<TraceRecord>,
 }
 
 /// Builds the machine-readable dump of a trace — the `--json` face of
@@ -237,21 +149,7 @@ pub fn json_dump(trace: &[TraceRecord], label: &str) -> TraceDumpJson {
         .into_iter()
         .map(|((from, to), count)| TransitionRow { from, to, count })
         .collect();
-    let discarded_lifecycles: Vec<DiscardedNode> = graph
-        .discarded()
-        .into_iter()
-        .map(DiscardedNode::new)
-        .collect();
-    let alerts = trace
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::Alert { .. }))
-        .cloned()
-        .collect();
-    let postmortems = trace
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::SlowBatch { .. }))
-        .cloned()
-        .collect();
+    let discarded_lifecycles: Vec<ProvNode> = graph.discarded().into_iter().cloned().collect();
     TraceDumpJson {
         label: label.to_owned(),
         events: trace.len(),
@@ -261,8 +159,6 @@ pub fn json_dump(trace: &[TraceRecord], label: &str) -> TraceDumpJson {
         discarded_lifecycles,
         contexts_traced: graph.len(),
         counters: BTreeMap::new(),
-        alerts,
-        postmortems,
     }
 }
 
@@ -302,10 +198,12 @@ pub fn render_timeline(trace: &[TraceRecord], limit: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::fate;
     use crate::runner::{run_named_observed, DEFAULT_WINDOW};
     use ctxres_apps::call_forwarding::CallForwarding;
     use ctxres_apps::PervasiveApp;
     use ctxres_obs::ObsConfig;
+    use ctxres_obs::{CauseKind, TraceEvent};
 
     /// The `trace_dump --demo` cell.
     fn observed_cell() -> CellTelemetry {
@@ -390,8 +288,6 @@ mod tests {
                 TraceEvent::DeltaRemoved { .. } => "DeltaRemoved",
                 TraceEvent::Delivered { .. } => "Delivered",
                 TraceEvent::Expired { .. } => "Expired",
-                TraceEvent::Alert { .. } => "Alert",
-                TraceEvent::SlowBatch { .. } => "SlowBatch",
             };
             *by_type.entry(name).or_default() += 1;
         }
@@ -478,22 +374,6 @@ mod tests {
         }
         let dump = json_dump(&cell.trace, &cell.strategy);
         assert_eq!(dump.contexts_traced, graph.len());
-        for (l, node) in dump.discarded_lifecycles.iter().zip(graph.discarded()) {
-            assert_eq!((l.shard, l.ctx), (node.id.shard, node.id.ctx));
-            let own_edges = l
-                .events
-                .iter()
-                .filter(|r| matches!(r.event, TraceEvent::Caused { .. }))
-                .count();
-            assert_eq!(own_edges, node.chain_depth(), "{}", l.summary);
-            assert!(
-                l.events
-                    .windows(2)
-                    .all(|w| (w[0].at, w[0].seq) < (w[1].at, w[1].seq)),
-                "{}: events out of trace order",
-                l.summary
-            );
-        }
     }
 
     #[test]
@@ -537,80 +417,14 @@ mod tests {
         assert_eq!(table_total, rows_total);
         assert!(!dump.discarded_lifecycles.is_empty());
         assert_eq!(dump.discarded, dump.discarded_lifecycles.len());
-        for l in &dump.discarded_lifecycles {
-            assert_eq!(l.fate, "discarded");
-            assert!(!l.events.is_empty());
+        for node in &dump.discarded_lifecycles {
+            assert_eq!(fate(node), "discarded");
+            assert!(!node.chain.is_empty());
         }
         // And it round-trips through the serializer as one document.
         let text = serde_json::to_string_pretty(&dump).unwrap();
         assert!(text.contains("\"discarded_lifecycles\""), "{text}");
         assert!(text.contains("\"timeline\""));
-    }
-
-    #[test]
-    fn json_dump_surfaces_slo_alerts() {
-        let cell = observed_cell();
-        // A plain run raises no alerts — the pre-filtered view is empty.
-        assert!(json_dump(&cell.trace, &cell.strategy).alerts.is_empty());
-
-        // Splice an SLO transition into the trace the way the sampler
-        // records it, and the dump surfaces it without a timeline scan.
-        let mut trace = cell.trace.clone();
-        let alert = TraceRecord {
-            shard: 0,
-            seq: trace.last().map(|r| r.seq + 1).unwrap_or(0),
-            at: 99,
-            event: TraceEvent::Alert {
-                rule: "discard_rate > 0.3 for 2".to_owned(),
-                metric: "discard_rate".to_owned(),
-                kind: Some("rfid".to_owned()),
-                value: 0.41,
-                threshold: 0.3,
-                firing: true,
-            },
-        };
-        trace.push(alert.clone());
-        let dump = json_dump(&trace, &cell.strategy);
-        assert_eq!(dump.alerts, vec![alert]);
-        assert_eq!(dump.events, trace.len(), "alerts stay in the timeline");
-        let text = serde_json::to_string(&dump).unwrap();
-        assert!(text.contains("\"alerts\""), "{text}");
-        assert!(text.contains("discard_rate"), "{text}");
-    }
-
-    #[test]
-    fn json_dump_surfaces_slow_batch_postmortems() {
-        let cell = observed_cell();
-        assert!(json_dump(&cell.trace, &cell.strategy)
-            .postmortems
-            .is_empty());
-
-        // Splice a postmortem the way `batch_add` records it.
-        let mut trace = cell.trace.clone();
-        let post = TraceRecord {
-            shard: 0,
-            seq: trace.last().map(|r| r.seq + 1).unwrap_or(0),
-            at: 42,
-            event: TraceEvent::SlowBatch {
-                batch: 3,
-                contexts: 128,
-                elapsed_ns: 9_000_000,
-                bound_ns: 5_000_000,
-                phase_self_ns: vec![
-                    ("index_maint".to_owned(), 1_000_000),
-                    ("constraint_check".to_owned(), 6_000_000),
-                    ("resolution".to_owned(), 2_000_000),
-                ],
-                exemplars: vec![ContextId::from_raw(7)],
-            },
-        };
-        trace.push(post.clone());
-        let dump = json_dump(&trace, &cell.strategy);
-        assert_eq!(dump.postmortems, vec![post]);
-        assert_eq!(dump.events, trace.len(), "postmortems stay in the timeline");
-        let text = serde_json::to_string(&dump).unwrap();
-        assert!(text.contains("\"postmortems\""), "{text}");
-        assert!(text.contains("constraint_check"), "{text}");
     }
 
     #[test]

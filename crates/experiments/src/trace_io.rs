@@ -18,7 +18,8 @@ pub(crate) fn save_lines<T: serde::Serialize>(path: &Path, items: &[T]) -> Resul
         let line = serde_json::to_string(item).map_err(|e| e.to_string())?;
         writeln!(out, "{line}").map_err(|e| e.to_string())?;
     }
-    Ok(())
+    // Dropping the writer would flush too, but would discard the error.
+    out.flush().map_err(|e| format!("write {path:?}: {e}"))
 }
 
 pub(crate) fn load_lines<T: serde::de::DeserializeOwned>(path: &Path) -> Result<Vec<T>, String> {
@@ -133,6 +134,16 @@ mod tests {
     #[test]
     fn missing_file_is_an_error() {
         assert!(load_trace(Path::new("/definitely/not/here.jsonl")).is_err());
+    }
+
+    /// A trace short enough to sit in the write buffer until the end
+    /// still reports a device with no room.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_short_trace_that_cannot_be_written_is_an_error() {
+        let trace = CallForwarding::new().generate(0.3, 1, 5);
+        let err = save_trace(Path::new("/dev/full"), &trace).unwrap_err();
+        assert!(err.contains("/dev/full"), "{err}");
     }
 
     /// One context through every part of the wire shape: a value of

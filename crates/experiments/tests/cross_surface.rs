@@ -14,7 +14,7 @@
 use ctxres_apps::call_forwarding::CallForwarding;
 use ctxres_apps::PervasiveApp;
 use ctxres_constraint::parse_constraints;
-use ctxres_context::{ContextId, Ticks};
+use ctxres_context::Ticks;
 use ctxres_core::strategies::{by_name, DropBad};
 use ctxres_experiments::city::{CityConfig, CityWorkload};
 use ctxres_experiments::explain::ExplainDoc;
@@ -145,24 +145,14 @@ fn assert_core_counters(
 }
 
 /// The documents `trace_dump --json` and `explain --discarded --json`
-/// print name the same `(shard, ctx)` list of discarded contexts, as
-/// many as the engine discarded, each chain without a completeness gap.
+/// print carry equal discarded provenance nodes, as many as the engine
+/// discarded, each chain without a completeness gap.
 fn assert_discards_agree(trace: &[TraceRecord], stats: &MiddlewareStats) {
     let dump = json_dump(trace, "cell");
     let graph = ProvenanceGraph::from_records(trace);
     let explain = ExplainDoc::new("cell", &graph, graph.discarded());
-    let dumped: Vec<(u32, ContextId)> = dump
-        .discarded_lifecycles
-        .iter()
-        .map(|l| (l.shard, l.ctx))
-        .collect();
-    let explained: Vec<(u32, ContextId)> = explain
-        .chains
-        .iter()
-        .map(|n| (n.id.shard, n.id.ctx))
-        .collect();
-    assert_eq!(dumped, explained);
-    assert_eq!(dumped.len() as u64, stats.discarded);
+    assert_eq!(dump.discarded_lifecycles, explain.chains);
+    assert_eq!(dump.discarded_lifecycles.len() as u64, stats.discarded);
     assert_eq!(dump.discarded as u64, stats.discarded);
     assert_eq!(explain.stats.discarded as u64, stats.discarded);
     for node in &explain.chains {

@@ -13,7 +13,7 @@ use ctxres_context::{
 use ctxres_core::{Inconsistency, ResolutionStrategy};
 use ctxres_obs::{
     CauseKind, ContextSpan, CounterKind, KindHandle, MetricKind, Phase, ShardObs, TailOutcome,
-    TraceEvent, PHASES,
+    TraceEvent,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -182,16 +182,11 @@ pub struct Middleware {
     /// counters (ingested / delivered / discarded / expired /
     /// violations) are plain atomic bumps after the first lookup.
     kind_cells: HashMap<ContextKind, KindHandle>,
-    /// In-flight end-to-end spans and their batch indexes, keyed by
-    /// context: stamped at ingress/verdict/decision, folded into the
-    /// tail histograms at the terminal delivery/discard/expiry. Empty
-    /// unless [`ctxres_obs::ObsConfig::with_tail`] is on.
-    tail_pending: HashMap<ContextId, (ContextSpan, u64)>,
-    /// Engine-local batch counter; postmortems and exemplars cite it.
-    next_batch: u64,
-    /// Live only inside a batch that may owe a slow-batch postmortem:
-    /// contexts captured as tail exemplars while the batch ran.
-    tail_batch_exemplars: Option<Vec<ContextId>>,
+    /// In-flight end-to-end spans, keyed by context: stamped at
+    /// ingress/verdict/decision, folded into the tail histograms at the
+    /// terminal delivery/discard/expiry. Empty unless
+    /// [`ctxres_obs::ObsConfig::with_tail`] is on.
+    tail_pending: HashMap<ContextId, ContextSpan>,
 }
 
 impl fmt::Debug for Middleware {
@@ -319,58 +314,20 @@ impl Middleware {
     /// the contexts one at a time (enforced by the batch-equivalence
     /// proptests). The reports are not collected: a caller that needs
     /// them registers an observer, so a batch allocates no report
-    /// list. What the batch adds is accounting: one health publish, one
-    /// ingress stamp for every context's end-to-end span, and — under
-    /// a slow-batch bound — one [`TraceEvent::SlowBatch`] postmortem
-    /// when the batch breaches it.
+    /// list. What the batch adds is accounting: one health publish and
+    /// one ingress stamp for every context's end-to-end span.
     pub fn batch_add(&mut self, batch: Vec<Context>) {
         // The profiler root for the whole ingest pipeline: checking,
         // resolution, situation rounds and health publishing nest under
         // it, so its self time is the batch bookkeeping proper. Its open
-        // is the batch's ingress stamp and its close ends the batch, so
-        // a postmortem's phase times fit in its wall time.
+        // is the batch's ingress stamp.
         let obs = self.obs.clone();
         let ingest_phase = obs.timed(Phase::Ingest, MetricKind::IngestLatency);
         let ingress_ns = ingest_phase.start_ns();
-        let bound_ns = self.obs.slow_batch_bound_ns();
-        let phases_before = (bound_ns > 0).then(|| {
-            self.tail_batch_exemplars = Some(Vec::new());
-            self.obs.phase_self_ns()
-        });
-        let contexts = batch.len() as u64;
         for ctx in batch {
             self.submit_one(ctx, ingress_ns);
         }
         self.publish_health();
-        let end_ns = ingest_phase.finish();
-        if let Some(before) = phases_before {
-            let exemplars = self.tail_batch_exemplars.take().unwrap_or_default();
-            let elapsed_ns = end_ns.saturating_sub(ingress_ns);
-            if elapsed_ns > bound_ns {
-                // Postmortem: the batch's per-phase profiler self times
-                // (empty unless the profiler is on) and the over-p99
-                // exemplars it produced.
-                let after = self.obs.phase_self_ns();
-                let phase_self_ns = PHASES
-                    .iter()
-                    .zip(after.iter().zip(before))
-                    .map(|(p, (a, b))| (p.name().to_string(), a.saturating_sub(b)))
-                    .filter(|(_, ns)| *ns > 0)
-                    .collect();
-                self.obs.record(
-                    self.clock,
-                    TraceEvent::SlowBatch {
-                        batch: self.next_batch,
-                        contexts,
-                        elapsed_ns,
-                        bound_ns,
-                        phase_self_ns,
-                        exemplars,
-                    },
-                );
-            }
-        }
-        self.next_batch = self.next_batch.wrapping_add(1);
     }
 
     /// Notes when a just-discarded context becomes compactable: its
@@ -918,23 +875,19 @@ impl Middleware {
             decision_ns,
             end_ns: 0,
         };
-        self.tail_pending.insert(id, (span, self.next_batch));
+        self.tail_pending.insert(id, span);
     }
 
     /// Folds a context's terminal outcome into the tail histograms,
-    /// capturing it as an exemplar (and noting it for a running batch's
-    /// postmortem) when it lands past the shard's rolling p99
-    /// threshold. No-op for contexts without pending stamps.
+    /// capturing it as an exemplar when it lands past the shard's
+    /// rolling p99 threshold. No-op for contexts without pending
+    /// stamps.
     fn finish_tail(&mut self, id: ContextId, outcome: TailOutcome, at: LogicalTime) {
-        let Some((mut span, batch_index)) = self.tail_pending.remove(&id) else {
+        let Some(mut span) = self.tail_pending.remove(&id) else {
             return;
         };
         span.end_ns = self.obs.now_ns();
-        if self.obs.record_e2e(id, outcome, span, batch_index, at) {
-            if let Some(captured) = self.tail_batch_exemplars.as_mut() {
-                captured.push(id);
-            }
-        }
+        self.obs.record_e2e(id, outcome, span, at);
     }
 
     /// The cached health handle for `kind`. Only called on
@@ -1162,8 +1115,6 @@ impl MiddlewareBuilder {
             obs: self.obs,
             kind_cells: HashMap::new(),
             tail_pending: HashMap::new(),
-            next_batch: 0,
-            tail_batch_exemplars: None,
         }
     }
 }
@@ -1971,7 +1922,6 @@ mod retention_tests {
         assert!(!exemplars.is_empty());
         for ex in exemplars {
             assert!(ex.causal_id().starts_with("s0/ctx#"), "{}", ex.causal_id());
-            assert_eq!(ex.batch_index, 0, "every context arrived in batch 0");
             let seg_sum: u64 = ex.span.segments().iter().sum();
             assert_eq!(seg_sum, ex.span.total_ns());
         }
@@ -2011,104 +1961,6 @@ mod retention_tests {
             .and_then(|s| s.value.histogram())
             .map_or(0, |h| h.count);
         assert_eq!(delivered, 1, "single submits stamp spans as well");
-    }
-
-    #[test]
-    fn slow_batches_emit_postmortems_when_bounded() {
-        use ctxres_constraint::parse_constraints;
-        use ctxres_context::{ContextKind, Point};
-        use ctxres_core::strategies::DropBad;
-        use ctxres_obs::{ObsConfig, ObsRegistry, TraceEvent};
-        const SPEED: &str = "constraint speed:
-            forall a: location, b: location .
-              (same_subject(a, b) and seq_gap(a, b, 1)) implies velocity_le(a, b, 1.5)";
-        let loc = |subject: &str, seq: i64, x: f64| {
-            Context::builder(ContextKind::new("location"), subject)
-                .attr("pos", Point::new(x, 0.0))
-                .attr("seq", seq)
-                .stamp(LogicalTime::new(seq as u64))
-                .build()
-        };
-        let build = |registry: &std::sync::Arc<ObsRegistry>| {
-            Middleware::builder()
-                .constraints(parse_constraints(SPEED).unwrap())
-                .strategy(Box::new(DropBad::new()))
-                .obs(registry.handle(0))
-                .build()
-        };
-        let postmortems = |registry: &std::sync::Arc<ObsRegistry>| -> Vec<TraceEvent> {
-            registry
-                .drain()
-                .into_iter()
-                .map(|r| r.event)
-                .filter(|e| matches!(e, TraceEvent::SlowBatch { .. }))
-                .collect()
-        };
-        // A 1ns bound: every batch breaches and owes a postmortem; with
-        // the profiler on it attributes the batch's time to phases.
-        let bounded = ObsRegistry::shared(
-            ObsConfig::enabled()
-                .with_profile(1)
-                .with_slow_batch_bound(1),
-            1,
-        );
-        let mut m = build(&bounded);
-        m.batch_add(vec![loc("p", 0, 0.0), loc("p", 1, 50.0)]);
-        m.batch_add(vec![loc("p", 2, 51.0)]);
-        let posts = postmortems(&bounded);
-        assert_eq!(posts.len(), 2, "one postmortem per breaching batch");
-        let TraceEvent::SlowBatch {
-            batch,
-            contexts,
-            elapsed_ns,
-            bound_ns,
-            ref phase_self_ns,
-            ..
-        } = posts[0]
-        else {
-            unreachable!()
-        };
-        assert_eq!(batch, 0);
-        assert_eq!(contexts, 2);
-        assert_eq!(bound_ns, 1);
-        assert!(elapsed_ns > bound_ns);
-        let names: Vec<&str> = phase_self_ns.iter().map(|(n, _)| n.as_str()).collect();
-        for phase in ["ingest", "constraint_check", "resolution"] {
-            assert!(names.contains(&phase), "{phase} missing from {names:?}");
-        }
-        let self_sum: u64 = phase_self_ns.iter().map(|(_, ns)| *ns).sum();
-        assert!(
-            self_sum <= elapsed_ns,
-            "self times fit in the batch's wall time"
-        );
-        assert!(matches!(
-            posts[1],
-            TraceEvent::SlowBatch {
-                batch: 1,
-                contexts: 1,
-                ..
-            }
-        ));
-        // Without the profiler the postmortem still fires, with no
-        // phase attribution.
-        let unprofiled = ObsRegistry::shared(ObsConfig::enabled().with_slow_batch_bound(1), 1);
-        let mut m = build(&unprofiled);
-        m.batch_add(vec![loc("p", 0, 0.0)]);
-        let posts = postmortems(&unprofiled);
-        assert!(
-            matches!(&posts[..], [TraceEvent::SlowBatch { phase_self_ns, .. }] if phase_self_ns.is_empty())
-        );
-        // Without a bound the same run stays quiet.
-        let unbounded = ObsRegistry::shared(ObsConfig::enabled(), 1);
-        let mut m = build(&unbounded);
-        m.batch_add(vec![loc("p", 0, 0.0), loc("p", 1, 50.0)]);
-        assert!(
-            unbounded
-                .drain()
-                .iter()
-                .all(|r| !matches!(r.event, TraceEvent::SlowBatch { .. })),
-            "no postmortem without a bound"
-        );
     }
 }
 

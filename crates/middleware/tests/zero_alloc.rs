@@ -363,17 +363,17 @@ fn detecting_submit_allocations(strategy: Box<dyn ResolutionStrategy + Send>) ->
     detecting
 }
 
-/// A warmed drop-bad submit that detects makes exactly the same 7
+/// A warmed drop-bad submit that detects makes exactly the same 5
 /// allocations every time:
 ///
-/// * `IncrementalChecker::on_added` makes 3: the link its violation walk
+/// * `IncrementalChecker::on_added` makes 2: the link its violation walk
 ///   names (the walk pushes it into the checker's reused buffer, so no
-///   evidence is built), the detection list and the detection's
-///   constraint name;
+///   evidence is built) and the detection list. The detection shares
+///   its constraint's name with the compiled constraint;
 /// * the middleware makes 1, the inconsistency list; the detection's
 ///   name and link move into the `Inconsistency`;
-/// * drop-bad's addition makes 2, its copy of the inconsistency's name
-///   and link into Δ;
+/// * drop-bad's addition makes 1, its copy of the inconsistency's link
+///   into Δ (the copy shares the name);
 /// * drop-bad's use makes 1, the outcome's discard list. The flags of
 ///   which Δ entries already hold a bad member, and the list the
 ///   resolved inconsistency moves out of Δ into, are buffers the
@@ -386,11 +386,11 @@ fn detecting_submit_allocations(strategy: Box<dyn ResolutionStrategy + Send>) ->
 fn warmed_detecting_submit_allocates_a_fixed_few() {
     let detecting = detecting_submit_allocations(Box::new(DropBad::new()));
     let (min, max) = (detecting.iter().min(), detecting.iter().max());
-    assert_eq!((min, max), (Some(&7), Some(&7)), "per detecting submit");
+    assert_eq!((min, max), (Some(&5), Some(&5)), "per detecting submit");
 }
 
-/// An eager strategy's detecting submit makes exactly 5 allocations:
-/// the checker's 3 and the middleware's inconsistency list as above,
+/// An eager strategy's detecting submit makes exactly 4 allocations:
+/// the checker's 2 and the middleware's inconsistency list as above,
 /// and drop-latest's discard list. The discard's verdict reads the
 /// implicating inconsistency where the submit holds it, so no copy of
 /// its name or link is made.
@@ -398,7 +398,7 @@ fn warmed_detecting_submit_allocates_a_fixed_few() {
 fn warmed_eager_detecting_submit_allocates_a_fixed_few() {
     let detecting = detecting_submit_allocations(Box::new(DropLatest::new()));
     let (min, max) = (detecting.iter().min(), detecting.iter().max());
-    assert_eq!((min, max), (Some(&5), Some(&5)), "per detecting submit");
+    assert_eq!((min, max), (Some(&4), Some(&4)), "per detecting submit");
 }
 
 /// `ShardedMiddleware::subject_loads` allocates exactly its result: the

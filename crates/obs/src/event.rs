@@ -122,47 +122,6 @@ pub enum TraceEvent {
         /// context in.
         verdict: Option<ContextState>,
     },
-    /// An SLO rule transitioned — fired or cleared. Emitted by the
-    /// sampler's [`crate::SloEngine`] into shard 0's ring so alerts
-    /// land in the same drained, time-ordered trace as the life-cycle
-    /// events they explain.
-    Alert {
-        /// The transitioning rule's name.
-        rule: String,
-        /// The watched health metric's name.
-        metric: String,
-        /// The rule's kind selector, when it has one.
-        kind: Option<String>,
-        /// The metric's value in the transitioning window.
-        value: f64,
-        /// The rule's threshold.
-        threshold: f64,
-        /// `true` = fired, `false` = cleared.
-        firing: bool,
-    },
-    /// A slow-batch postmortem: an ingestion batch breached the
-    /// configured wall-clock bound
-    /// ([`crate::ObsConfig::slow_batch_bound_ns`]). The event bundles
-    /// everything needed to chase the regression without re-running:
-    /// the batch's per-phase self times and the contexts captured as
-    /// tail exemplars while it ran.
-    SlowBatch {
-        /// The engine-local batch index that breached.
-        batch: u64,
-        /// Contexts in the batch.
-        contexts: u64,
-        /// Wall-clock nanoseconds the batch ingest took.
-        elapsed_ns: u64,
-        /// The configured bound it breached, nanoseconds.
-        bound_ns: u64,
-        /// Per-phase profiler self time spent in the batch, `(phase
-        /// name, self ns)`, phases that ran only; empty when the phase
-        /// profiler is off.
-        phase_self_ns: Vec<(String, u64)>,
-        /// Contexts captured as tail exemplars during the batch (their
-        /// causal IDs resolve via `explain`).
-        exemplars: Vec<ContextId>,
-    },
 }
 
 impl TraceEvent {
@@ -172,17 +131,12 @@ impl TraceEvent {
             TraceEvent::Received { ctx, .. }
             | TraceEvent::Delivered { ctx }
             | TraceEvent::Expired { ctx } => vec![*ctx],
-            TraceEvent::DeltaRemoved { contexts, .. }
-            | TraceEvent::SlowBatch {
-                exemplars: contexts,
-                ..
-            } => contexts.clone(),
+            TraceEvent::DeltaRemoved { contexts, .. } => contexts.clone(),
             TraceEvent::Caused { ctx, partners, .. } => {
                 let mut all = vec![*ctx];
                 all.extend(partners.iter().copied());
                 all
             }
-            TraceEvent::Alert { .. } => Vec::new(),
         }
     }
 }
@@ -231,49 +185,6 @@ impl fmt::Display for TraceEvent {
                 }
                 if let Some(v) = verdict {
                     write!(f, " => {v}")?;
-                }
-                Ok(())
-            }
-            TraceEvent::Alert {
-                rule,
-                metric,
-                kind,
-                value,
-                threshold,
-                firing,
-            } => {
-                write!(
-                    f,
-                    "slo {} {rule}: {metric}",
-                    if *firing { "FIRING" } else { "cleared" }
-                )?;
-                if let Some(k) = kind {
-                    write!(f, "{{kind={k:?}}}")?;
-                }
-                write!(f, " = {value:.4} vs {threshold}")
-            }
-            TraceEvent::SlowBatch {
-                batch,
-                contexts,
-                elapsed_ns,
-                bound_ns,
-                phase_self_ns,
-                exemplars,
-            } => {
-                write!(
-                    f,
-                    "slow batch #{batch} ({contexts} ctxs) {:.3}ms > bound {:.3}ms",
-                    *elapsed_ns as f64 / 1e6,
-                    *bound_ns as f64 / 1e6
-                )?;
-                if !phase_self_ns.is_empty() {
-                    write!(f, "; phases")?;
-                    for (phase, ns) in phase_self_ns {
-                        write!(f, " {phase}={:.3}ms", *ns as f64 / 1e6)?;
-                    }
-                }
-                if !exemplars.is_empty() {
-                    write!(f, "; exemplars [{}]", join_ids(exemplars))?;
                 }
                 Ok(())
             }
@@ -365,48 +276,6 @@ mod tests {
                 "superseded_by",
             ]
         );
-    }
-
-    #[test]
-    fn alerts_have_no_contexts_and_round_trip() {
-        let e = TraceEvent::Alert {
-            rule: "discard_rate{kind=\"rfid\"} > 0.3 for 5".into(),
-            metric: "discard_rate".into(),
-            kind: Some("rfid".into()),
-            value: 0.4167,
-            threshold: 0.3,
-            firing: true,
-        };
-        assert!(e.contexts().is_empty());
-        let s = e.to_string();
-        assert!(s.contains("FIRING"), "{s}");
-        assert!(s.contains("discard_rate"), "{s}");
-        let json = serde_json::to_string(&e).unwrap();
-        let back: TraceEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn slow_batch_postmortems_round_trip() {
-        let e = TraceEvent::SlowBatch {
-            batch: 7,
-            contexts: 4096,
-            elapsed_ns: 12_300_000,
-            bound_ns: 5_000_000,
-            phase_self_ns: vec![
-                ("constraint_check".into(), 9_000_000),
-                ("ingest".into(), 2_000_000),
-            ],
-            exemplars: vec![id(3), id(9)],
-        };
-        assert_eq!(e.contexts(), vec![id(3), id(9)]);
-        let s = e.to_string();
-        assert!(s.contains("slow batch #7"), "{s}");
-        assert!(s.contains("constraint_check"), "{s}");
-        assert!(s.contains("ctx#3"), "{s}");
-        let json = serde_json::to_string(&e).unwrap();
-        let back: TraceEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
     }
 
     #[test]

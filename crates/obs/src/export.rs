@@ -656,7 +656,6 @@ ctxres_build_info{commit=\"abc1234\",host=\"bench\\\"host\\\"\"}
                     decision_ns: total_us * 600,
                     end_ns: total_us * 1000,
                 },
-                0,
                 LogicalTime::new(i),
             );
         }

@@ -57,9 +57,7 @@
 //!   exemplars (each carrying its causal ID and packed profiler phase
 //!   path), and a wait-versus-service decomposition
 //!   of the sharded engine queues — opt in with
-//!   [`ObsConfig::with_tail`]; slow batches emit a
-//!   [`TraceEvent::SlowBatch`] postmortem when
-//!   [`ObsConfig::with_slow_batch_bound`] is set;
+//!   [`ObsConfig::with_tail`];
 //! * **one metric model** ([`Family`], [`ObsSnapshot`], [`Sampler`],
 //!   [`Sample`], [`render_prometheus`], [`MetricsServer`]): every layer
 //!   declares its metrics as labelled families (counter, gauge or

@@ -77,8 +77,8 @@ pub struct ProvNode {
     /// Typed cause edges in causal `(at, seq)` order, opening with the
     /// `submission_of` root the fold makes from the `Received` record.
     pub chain: Vec<CauseEdge>,
-    /// Every other record involving this context (deliveries, expiries,
-    /// Δ removals, slow-batch postmortems), in trace order.
+    /// Every other record involving this context (deliveries, expiries
+    /// and Δ removals), in trace order.
     pub timeline: Vec<TraceRecord>,
 }
 

@@ -56,13 +56,6 @@ pub struct ObsConfig {
     /// Whether end-to-end tail-latency telemetry (context spans,
     /// exemplar capture, queue wait/service counters) is recorded.
     pub tail: bool,
-    /// Slow-batch postmortem bound, nanoseconds: an ingest batch whose
-    /// wall-clock ingest exceeds it emits a [`TraceEvent::SlowBatch`]
-    /// trace event. `0` disables postmortems. Only meaningful with
-    /// `tail` (the postmortem bundles tail exemplars) and
-    /// `trace_events` (it rides the trace rings); its per-phase self
-    /// times need `profile`.
-    pub slow_batch_bound_ns: u64,
 }
 
 impl ObsConfig {
@@ -76,7 +69,6 @@ impl ObsConfig {
             profile: false,
             profile_sample: 1,
             tail: true,
-            slow_batch_bound_ns: 0,
         }
     }
 
@@ -92,7 +84,6 @@ impl ObsConfig {
             profile: false,
             profile_sample: 1,
             tail: false,
-            slow_batch_bound_ns: 0,
         }
     }
 
@@ -107,7 +98,6 @@ impl ObsConfig {
             profile: false,
             profile_sample: 1,
             tail: false,
-            slow_batch_bound_ns: 0,
         }
     }
 
@@ -130,14 +120,6 @@ impl ObsConfig {
     /// histograms untouched).
     pub fn with_tail(mut self, on: bool) -> Self {
         self.tail = on;
-        self
-    }
-
-    /// Sets the slow-batch postmortem bound in nanoseconds (`0` turns
-    /// postmortems off). Implies nothing else: postmortems also need
-    /// `tail` and `trace_events` to be on.
-    pub fn with_slow_batch_bound(mut self, bound_ns: u64) -> Self {
-        self.slow_batch_bound_ns = bound_ns;
         self
     }
 }
@@ -458,17 +440,6 @@ impl ShardObs {
         }
     }
 
-    /// This shard's cumulative per-phase profiler self time in
-    /// nanoseconds, in [`crate::PHASES`] order; all zero with profiling
-    /// off. Two readings attribute an interval to phases — a slow
-    /// batch's postmortem is one such diff.
-    pub fn phase_self_ns(&self) -> [u64; crate::PHASES.len()] {
-        match self.slot_if(|c| c.profile) {
-            Some(slot) => std::array::from_fn(|i| slot.table.phases[i][0].read().0.counter()),
-            None => [0; crate::PHASES.len()],
-        }
-    }
-
     /// A per-kind quality-telemetry handle for this shard, interned on
     /// first use. Engines cache one handle per kind so the hot path is
     /// pure atomics; handles from a disabled (or health-off) registry
@@ -501,16 +472,6 @@ impl ShardObs {
         self.inner.as_ref().is_some_and(|i| i.registry.config.tail)
     }
 
-    /// The configured slow-batch postmortem bound in nanoseconds; 0
-    /// when postmortems are off, tail telemetry or tracing is off, or
-    /// the handle is disabled.
-    pub fn slow_batch_bound_ns(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .filter(|i| i.registry.config.tail && i.registry.config.trace_events)
-            .map_or(0, |i| i.registry.config.slow_batch_bound_ns)
-    }
-
     /// Nanoseconds since the registry epoch — the clock context-span
     /// stamps are taken on (shared across shards so cross-shard spans
     /// line up). Returns 0 from a disabled handle.
@@ -519,23 +480,22 @@ impl ShardObs {
     }
 
     /// Folds one context's finished end-to-end span into the tail
-    /// layer. Returns `true` when the span crossed the rolling p99
-    /// threshold and was captured as an [`Exemplar`] (stamped with the
-    /// profiler phase path open at this instant).
+    /// layer, capturing it as an [`Exemplar`] (stamped with the
+    /// profiler phase path open at this instant) when it crossed the
+    /// rolling p99 threshold.
     pub fn record_e2e(
         &self,
         ctx: ctxres_context::ContextId,
         outcome: TailOutcome,
         span: ContextSpan,
-        batch_index: u64,
         at: LogicalTime,
-    ) -> bool {
+    ) {
         let Some(inner) = self.inner.as_ref().filter(|i| i.registry.config.tail) else {
-            return false;
+            return;
         };
         let slot = &inner.registry.slots[inner.shard];
         if !slot.tail.observe(&slot.table, outcome, span.total_ns()) {
-            return false;
+            return;
         }
         let (phase_path, phase_depth) = slot.profile.current_path();
         slot.tail.capture(
@@ -545,13 +505,11 @@ impl ShardObs {
                 ctx,
                 outcome,
                 span,
-                batch_index,
                 phase_path,
                 phase_depth,
                 at: at.tick(),
             },
         );
-        true
     }
 
     /// Records one shard-lock wait interval (queue wait component).

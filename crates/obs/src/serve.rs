@@ -292,7 +292,6 @@ mod tests {
                 decision_ns: 20_000,
                 end_ns: 50_000,
             },
-            0,
             7.into(),
         );
         let server = MetricsServer::spawn(Arc::clone(&registry), "127.0.0.1:0").unwrap();

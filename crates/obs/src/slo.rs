@@ -20,8 +20,7 @@
 //!
 //! * **fire**: `for_windows` *consecutive* breaching windows arm the
 //!   rule; the transition emits a [`HealthAlert`] with `firing: true`
-//!   (and, when tracing is on, a [`crate::TraceEvent::Alert`] into the
-//!   rings);
+//!   into the window's [`Sample::alerts`];
 //! * **clear**: while firing, the rule clears only after `for_windows`
 //!   consecutive windows on the *safe* side of a hysteresis deadband —
 //!   `threshold · (1 − DEFAULT_CLEAR_MARGIN)` for `>` rules,

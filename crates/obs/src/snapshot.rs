@@ -20,14 +20,12 @@
 //! harness read; each sample advances the window, so rates cover "since
 //! the previous sample".
 
-use crate::event::TraceEvent;
 use crate::health::DEFAULT_EWMA_ALPHA;
 use crate::metrics::{CounterKind, HistogramSnapshot, MetricKind};
 use crate::profile::Phase;
 use crate::registry::{clock_ns, ObsRegistry, ShardObs};
 use crate::slo::{HealthAlert, SloEngine};
 use crate::tail::Exemplar;
-use ctxres_context::LogicalTime;
 use serde::de::{Deserializer, Error as _};
 use serde::{Deserialize, Serialize, Serializer};
 use std::collections::{BTreeMap, HashMap};
@@ -502,10 +500,8 @@ impl Sampler {
     }
 
     /// Attaches an SLO engine: each sample evaluates the rules against
-    /// the window's gauges, fills [`Sample::alerts`] and the
-    /// `ctxres_slo_firing` gauges, and (when event tracing is on)
-    /// records each transition as a [`TraceEvent::Alert`] into shard
-    /// 0's ring.
+    /// the window's gauges and fills [`Sample::alerts`] and the
+    /// `ctxres_slo_firing` gauges.
     pub fn with_slo(mut self, engine: SloEngine) -> Self {
         self.slo = Some(engine);
         self
@@ -574,22 +570,6 @@ impl Sampler {
         };
         if let Some(engine) = &mut self.slo {
             sample.alerts = engine.evaluate(&sample, sample.tick);
-            if self.registry.shards() > 0 {
-                let h = self.registry.handle(0);
-                for a in sample.alerts.iter().filter(|_| h.provenance_enabled()) {
-                    h.record(
-                        LogicalTime::new(a.at),
-                        TraceEvent::Alert {
-                            rule: a.rule.clone(),
-                            metric: a.metric.clone(),
-                            kind: a.kind.clone(),
-                            value: a.value,
-                            threshold: a.threshold,
-                            firing: a.firing,
-                        },
-                    );
-                }
-            }
             for rule in engine.active() {
                 sample
                     .series
@@ -609,6 +589,7 @@ impl Sampler {
 mod tests {
     use super::*;
     use crate::registry::ObsConfig;
+    use ctxres_context::LogicalTime;
 
     #[test]
     fn first_sample_is_a_baseline_with_zero_rates() {
@@ -826,7 +807,6 @@ mod tests {
             ctxres_context::ContextId::from_raw(7),
             TailOutcome::Delivered,
             span,
-            3,
             LogicalTime::new(9),
         );
         let s = sampler.sample_after(1.0);
@@ -857,7 +837,6 @@ mod tests {
                 decision_ns: 2,
                 end_ns: 3,
             },
-            0,
             LogicalTime::new(1),
         );
         let mut sampler = Sampler::new(registry);
@@ -872,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_alerts_fire_through_the_sampler_and_land_in_the_trace() {
+    fn slo_alerts_fire_through_the_sampler() {
         let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
         let engine = SloEngine::from_spec("discard_rate > 0.3 for 2").unwrap();
         let mut sampler = Sampler::new(Arc::clone(&registry)).with_slo(engine);
@@ -892,13 +871,6 @@ mod tests {
         let firing = [("rule", "discard_rate > 0.3 for 2")];
         assert_eq!(s.gauge("ctxres_slo_firing", &firing), Some(1.0));
         assert!(sampler.slo().unwrap().is_firing("discard_rate > 0.3 for 2"));
-        let trace = registry.drain();
-        assert!(
-            trace
-                .iter()
-                .any(|r| matches!(&r.event, TraceEvent::Alert { firing: true, .. })),
-            "the transition rides the trace ring"
-        );
     }
 
     #[test]
@@ -934,6 +906,7 @@ mod delta_proptests {
     use super::*;
     use crate::registry::ObsConfig;
     use crate::tail::{ContextSpan, TailOutcome};
+    use ctxres_context::LogicalTime;
     use proptest::prelude::*;
 
     proptest! {
@@ -989,7 +962,6 @@ mod delta_proptests {
                                         ctxres_context::ContextId::from_raw(n),
                                         TailOutcome::Delivered,
                                         ContextSpan { end_ns: n * 1_000, ..ContextSpan::default() },
-                                        0,
                                         LogicalTime::new(n),
                                     );
                                 }

@@ -19,8 +19,8 @@
 //! * **exemplar capture** ([`Exemplar`]): contexts whose total exceeds
 //!   a rolling p99 threshold land in a bounded per-shard reservoir,
 //!   each carrying the causal ID `s<shard>/ctx#<id>` (resolvable by the
-//!   `explain` bin), the packed profiler phase path it completed under,
-//!   and its batch index;
+//!   `explain` bin) and the packed profiler phase path it completed
+//!   under;
 //! * **queue decomposition**: the sharded engine reports lock-wait
 //!   versus service time for its queues.
 //!
@@ -43,9 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Quantiles the tail surfaces report, in order.
 pub const TAIL_QUANTILES: [f64; 4] = [0.5, 0.95, 0.99, 0.999];
 
-/// Exemplar reservoir capacity per shard: big enough to catch a
-/// postmortem's worth of slow contexts, small enough that a snapshot
-/// clone is trivial.
+/// Exemplar reservoir capacity per shard: big enough to hold the slow
+/// contexts a tail investigation starts from, small enough that a
+/// snapshot clone is trivial.
 pub const EXEMPLAR_CAPACITY: usize = 32;
 
 /// How many end-to-end records pass between rolling-p99 threshold
@@ -137,7 +137,7 @@ impl ContextSpan {
     }
 }
 
-/// A captured slow context: everything a postmortem needs to chase it.
+/// A captured slow context: everything needed to chase it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Exemplar {
     /// The shard that resolved the context (presentation; filled at
@@ -149,9 +149,6 @@ pub struct Exemplar {
     pub outcome: TailOutcome,
     /// The full four-stamp span.
     pub span: ContextSpan,
-    /// Which ingestion batch the context arrived in (engine-local,
-    /// monotone; 0 for non-batch submits).
-    pub batch_index: u64,
     /// The packed profiler phase path open when the terminal event
     /// recorded (4 bits per level, root in the lowest nibble; 0 when
     /// profiling is off or no phase was open).
@@ -376,7 +373,6 @@ mod tests {
             ctx: ContextId::from_raw(ctx),
             outcome: TailOutcome::Delivered,
             span: span(0, 1, 2, total_ns),
-            batch_index: 0,
             phase_path: 0,
             phase_depth: 0,
             at: 0,
@@ -389,16 +385,23 @@ mod tests {
         ObsRegistry::shared(ObsConfig::metrics_only().with_tail(tail), shards)
     }
 
-    /// Records a delivered span of `total_ns` for context `ctx`; returns
-    /// whether it was captured as an exemplar.
-    pub(super) fn record(h: &ShardObs, ctx: u64, total_ns: u64) -> bool {
+    /// Records a delivered span of `total_ns` for context `ctx`.
+    pub(super) fn record(h: &ShardObs, ctx: u64, total_ns: u64) {
         h.record_e2e(
             ContextId::from_raw(ctx),
             TailOutcome::Delivered,
             span(0, 0, 0, total_ns),
-            0,
             LogicalTime::new(ctx),
-        )
+        );
+    }
+
+    /// Records like [`record`] on shard 0 and returns whether the span
+    /// was captured as an exemplar.
+    fn captures(registry: &Arc<ObsRegistry>, ctx: u64, total_ns: u64) -> bool {
+        let captured = || registry.snapshot().total(CAPTURED.name);
+        let before = captured();
+        record(&registry.handle(0), ctx, total_ns);
+        captured() > before
     }
 
     /// The registry's first sample: every window is the whole history,
@@ -438,7 +441,7 @@ mod tests {
     fn disabled_slot_records_nothing() {
         let registry = registry(1, false);
         let h = registry.handle(0);
-        assert!(!record(&h, 1, 1_000_000));
+        record(&h, 1, 1_000_000);
         h.record_queue_wait(5);
         let snap = registry.snapshot();
         assert!(
@@ -454,18 +457,17 @@ mod tests {
     #[test]
     fn threshold_starts_open_then_tracks_p99() {
         let registry = registry(1, true);
-        let h = registry.handle(0);
         // Before the first refresh everything crosses the zero
         // threshold.
-        assert!(record(&h, 0, 10_000));
+        assert!(captures(&registry, 0, 10_000));
         // A uniform fast load pushes the threshold up past the slow
         // refresh point; after it, a fast span no longer captures but a
         // slow one does.
         for i in 0..THRESHOLD_RECALC_EVERY * 2 {
-            record(&h, i, 1_000);
+            record(&registry.handle(0), i, 1_000);
         }
-        assert!(!record(&h, 1, 500));
-        assert!(record(&h, 2, u64::MAX / 2));
+        assert!(!captures(&registry, 1, 500));
+        assert!(captures(&registry, 2, u64::MAX / 2));
     }
 
     /// The refreshed threshold is the interpolated p99 of the three
@@ -481,7 +483,6 @@ mod tests {
                 ContextId::from_raw(i),
                 outcome,
                 span(0, 0, 0, total_ns),
-                0,
                 LogicalTime::new(i),
             );
         }
@@ -506,7 +507,7 @@ mod tests {
         // Equal totals never fall below the rolling p99, so every span
         // is captured.
         for i in 0..(EXEMPLAR_CAPACITY as u64 + 10) {
-            assert!(record(&h, i, 1_000));
+            record(&h, i, 1_000);
         }
         let snap = registry.snapshot();
         let exemplars = &snap.exemplars;
@@ -531,7 +532,6 @@ mod tests {
                 ContextId::from_raw(1),
                 outcome,
                 span(0, 0, 0, total_ns),
-                0,
                 LogicalTime::new(1),
             );
         };
@@ -579,7 +579,6 @@ mod tests {
             ContextId::from_raw(9),
             TailOutcome::Expired,
             span(0, 1_000_000, 2_000_000, 3_000_000),
-            4,
             LogicalTime::new(2),
         );
         h.record_queue_wait(40);
@@ -660,7 +659,7 @@ mod invariant_proptests {
             let h = registry.handle(0);
             for i in 0..captures {
                 // Equal totals: every span is captured.
-                prop_assert!(record(&h, i as u64, 1_000));
+                record(&h, i as u64, 1_000);
             }
             let snap = registry.snapshot();
             prop_assert!(snap.exemplars.len() <= EXEMPLAR_CAPACITY);
